@@ -223,8 +223,7 @@ impl DynamicAlias {
         }
     }
 
-    /// Extracts the live `(id, weight)` pairs — the rebuild hook used by
-    /// snapshot-publishing writers (`iqs-serve`) to freeze the current
+    /// Extracts the live `(id, weight)` pairs, e.g. to freeze the current
     /// state into an immutable [`crate::AliasTable`] without walking the
     /// structure's internals. Order is unspecified but deterministic for a
     /// given update history.

@@ -310,8 +310,7 @@ impl DynamicRange {
     }
 
     /// Extracts the live `(id, key, weight)` triples in ascending key
-    /// order — the rebuild hook used by snapshot-publishing writers
-    /// (`iqs-serve`) to freeze the current state into a single static
+    /// order, e.g. to freeze the current state into a single static
     /// [`ChunkedRange`]. Ties on equal keys keep a deterministic order
     /// for a given update history. `O(n log n)` (level merge).
     pub fn live_triples(&self) -> Vec<(u64, f64, f64)> {

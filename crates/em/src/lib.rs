@@ -10,7 +10,7 @@
 //! transfers, and a buffer-pool simulator counts exactly those:
 //!
 //! * [`EmMachine`] — a buffer pool of `M/B` block frames with a pluggable
-//!   eviction policy ([`EvictionPolicy`]: LRU, clock, or segmented LRU),
+//!   eviction policy ([`EvictionPolicy`]: LRU or segmented LRU),
 //!   shared by all arrays, counting block reads, (dirty) writes, and
 //!   cache hits/misses; the machine is `Send + Sync`, so a serving tier
 //!   can draw from one simulated disk on many worker threads;

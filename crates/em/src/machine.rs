@@ -106,16 +106,14 @@ impl std::error::Error for IoStatsDiffError {}
 ///
 /// The EM cost model only counts transfers, so the policy never changes
 /// an algorithm's *output* — only which resident block a fault evicts,
-/// and hence the transfer count under reuse. The tiered serving layer
-/// exposes this knob per cold shard.
+/// and hence the transfer count under reuse. The §8 structures and
+/// their I/O-count tests run under `Lru`; the tiered serving layer's
+/// cold cache runs under `SegmentedLru`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Strict least-recently-used (the model's textbook default).
     #[default]
     Lru,
-    /// Clock (second chance): a circular scan clearing reference bits,
-    /// evicting the first unreferenced frame. O(1) bookkeeping per touch.
-    Clock,
     /// Segmented LRU: misses enter a probationary segment; a hit
     /// promotes to a protected segment (capped at ~80% of frames, LRU
     /// overflow demotes back). Scan-resistant: one sequential pass
@@ -131,12 +129,8 @@ struct Frame {
     /// Recency stamp; orders the LRU / segmented-LRU maps.
     stamp: u64,
     dirty: bool,
-    /// Clock reference bit.
-    referenced: bool,
     /// Segmented-LRU: resident in the protected segment.
     protected: bool,
-    /// Clock: slot index in the ring.
-    slot: usize,
 }
 
 #[derive(Debug)]
@@ -156,9 +150,6 @@ struct Pool {
     protected_lru: BTreeMap<u64, BlockKey>,
     /// Protected-segment capacity (`SegmentedLru` only).
     protected_cap: usize,
-    /// Clock ring of slots (`None` = free slot after a discard).
-    ring: Vec<Option<BlockKey>>,
-    hand: usize,
     clock: u64,
     stats: IoStats,
     next_array: u32,
@@ -186,7 +177,7 @@ impl Pool {
         if self.resident.len() >= self.capacity {
             let victim = self.pick_victim();
             let frame = self.resident.remove(&victim).expect("victim resident");
-            self.unlink(victim, &frame);
+            self.unlink(&frame);
             if frame.dirty {
                 self.stats.writes += 1;
             }
@@ -205,11 +196,6 @@ impl Pool {
                 self.lru.remove(&std::mem::replace(&mut frame.stamp, stamp));
                 frame.dirty |= write;
                 self.lru.insert(stamp, key);
-            }
-            EvictionPolicy::Clock => {
-                let frame = self.resident.get_mut(&key).expect("hit is resident");
-                frame.referenced = true;
-                frame.dirty |= write;
             }
             EvictionPolicy::SegmentedLru => {
                 let frame = self.resident.get_mut(&key).expect("hit is resident");
@@ -243,70 +229,32 @@ impl Pool {
         }
     }
 
-    /// Miss path: choose the frame to evict.
-    fn pick_victim(&mut self) -> BlockKey {
-        match self.policy {
-            EvictionPolicy::Lru => *self.lru.values().next().expect("non-empty pool at capacity"),
-            EvictionPolicy::Clock => loop {
-                let slot = self.hand;
-                self.hand = (self.hand + 1) % self.ring.len();
-                let Some(key) = self.ring[slot] else { continue };
-                let frame = self.resident.get_mut(&key).expect("ring key resident");
-                if frame.referenced {
-                    frame.referenced = false;
-                } else {
-                    return key;
-                }
-            },
-            EvictionPolicy::SegmentedLru => match self.lru.values().next() {
-                Some(&key) => key,
-                // Probation empty: fall back to the protected LRU.
-                None => *self.protected_lru.values().next().expect("non-empty pool at capacity"),
-            },
-        }
+    /// Miss path: choose the frame to evict — the least recent
+    /// probationary block, else (probation empty) the least recent
+    /// protected one. Under `Lru` nothing is ever protected, so this is
+    /// plain LRU.
+    fn pick_victim(&self) -> BlockKey {
+        *self
+            .lru
+            .values()
+            .next()
+            .or_else(|| self.protected_lru.values().next())
+            .expect("non-empty pool at capacity")
     }
 
     /// Removes an evicted/discarded frame from the policy structures.
-    fn unlink(&mut self, _key: BlockKey, frame: &Frame) {
-        match self.policy {
-            EvictionPolicy::Lru => {
-                self.lru.remove(&frame.stamp);
-            }
-            EvictionPolicy::Clock => {
-                self.ring[frame.slot] = None;
-            }
-            EvictionPolicy::SegmentedLru => {
-                if frame.protected {
-                    self.protected_lru.remove(&frame.stamp);
-                } else {
-                    self.lru.remove(&frame.stamp);
-                }
-            }
+    fn unlink(&mut self, frame: &Frame) {
+        if frame.protected {
+            self.protected_lru.remove(&frame.stamp);
+        } else {
+            self.lru.remove(&frame.stamp);
         }
     }
 
     /// Installs a freshly faulted frame into the policy structures.
     fn install(&mut self, key: BlockKey, stamp: u64, write: bool) {
-        let mut frame = Frame { stamp, dirty: write, referenced: true, protected: false, slot: 0 };
-        match self.policy {
-            EvictionPolicy::Lru | EvictionPolicy::SegmentedLru => {
-                self.lru.insert(stamp, key);
-            }
-            EvictionPolicy::Clock => {
-                // Reuse a free ring slot if one exists, else append.
-                frame.slot = match self.ring.iter().position(Option::is_none) {
-                    Some(free) => {
-                        self.ring[free] = Some(key);
-                        free
-                    }
-                    None => {
-                        self.ring.push(Some(key));
-                        self.ring.len() - 1
-                    }
-                };
-            }
-        }
-        self.resident.insert(key, frame);
+        self.lru.insert(stamp, key);
+        self.resident.insert(key, Frame { stamp, dirty: write, protected: false });
     }
 
     fn flush(&mut self) {
@@ -317,8 +265,6 @@ impl Pool {
         }
         self.lru.clear();
         self.protected_lru.clear();
-        self.ring.clear();
-        self.hand = 0;
     }
 
     /// Drops an array's blocks without counting write-backs (the array is
@@ -328,7 +274,7 @@ impl Pool {
             self.resident.keys().copied().filter(|&(a, _)| a == array).collect();
         for k in keys {
             let frame = self.resident.remove(&k).expect("present");
-            self.unlink(k, &frame);
+            self.unlink(&frame);
         }
     }
 }
@@ -390,8 +336,6 @@ impl EmMachine {
                 lru: BTreeMap::new(),
                 protected_lru: BTreeMap::new(),
                 protected_cap,
-                ring: Vec::new(),
-                hand: 0,
                 clock: 0,
                 stats: IoStats::default(),
                 next_array: 0,
@@ -656,34 +600,10 @@ mod tests {
     }
 
     #[test]
-    fn clock_gives_referenced_blocks_a_second_chance() {
-        let m = EmMachine::with_policy(192, 64, EvictionPolicy::Clock); // 3 frames
-        assert_eq!(m.policy(), EvictionPolicy::Clock);
-        let a = m.array_from(vec![0u64; 64 * 8]);
-        a.get(0); // block 0 → slot 0, referenced
-        a.get(64); // block 1 → slot 1, referenced
-        a.get(128); // block 2 → slot 2, referenced
-                    // Fault block 3: the hand sweeps once clearing every bit, then
-                    // evicts slot 0 (block 0). Blocks 1 and 2 are now unreferenced.
-        a.get(192);
-        a.get(64); // hit: re-reference block 1
-                   // Fault block 4: the hand (at slot 1) skips block 1 — its bit is
-                   // set, the second chance — and evicts block 2 at slot 2.
-        a.get(256);
-        m.reset_stats();
-        a.get(64); // survived thanks to the reference bit
-        a.get(192);
-        a.get(256);
-        assert_eq!(m.stats().hits, 3, "referenced block skipped by the hand");
-        a.get(128); // block 2 was the victim
-        assert_eq!(m.stats().misses, 1);
-    }
-
-    #[test]
     fn clock_policy_outputs_match_lru_outputs() {
         // Policy changes cost, never data: the same access pattern reads
         // the same values under every policy.
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::Clock, EvictionPolicy::SegmentedLru] {
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::SegmentedLru] {
             let m = EmMachine::with_policy(128, 64, policy);
             let a = m.array_from((0..256u64).collect::<Vec<_>>());
             let mut acc = Vec::new();
@@ -738,24 +658,6 @@ mod tests {
         a.discard();
         m.flush();
         assert_eq!(m.stats().writes, 0);
-    }
-
-    #[test]
-    fn discard_under_clock_frees_ring_slots() {
-        let m = EmMachine::with_policy(128, 64, EvictionPolicy::Clock); // 2 frames
-        let a = m.array_from(vec![0u64; 256]);
-        a.get(0);
-        a.get(64);
-        a.discard();
-        // The freed slots are reusable; new faults do not grow past
-        // capacity or panic on tombstoned ring entries.
-        let b = m.array_from(vec![1u64; 256]);
-        m.reset_stats();
-        for blk in 0..4 {
-            b.get(blk * 64);
-        }
-        assert_eq!(m.stats().misses, 4);
-        assert_eq!(b.get(0), 1);
     }
 
     #[test]

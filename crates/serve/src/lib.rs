@@ -60,8 +60,8 @@ mod snapshot;
 pub use api::{Request, Response, UpdateOp};
 pub use error::ServeError;
 pub use metrics::{
-    prom_histogram, HistogramDiffError, HistogramSnapshot, IoReport, LogHistogram, MetricsSnapshot,
-    TenantMetricsSnapshot, HIST_BUCKETS,
+    fmt_dur, prom_histogram, HistogramDiffError, HistogramSnapshot, IoReport, LogHistogram,
+    MetricsSnapshot, TenantMetricsSnapshot, HIST_BUCKETS,
 };
 pub use qos::TenantSpec;
 pub use registry::{ExternalIndex, IndexRegistry, IndexView, RangeView, WeightedView};

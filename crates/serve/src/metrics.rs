@@ -398,7 +398,7 @@ pub struct IoReport {
 
 /// A point-in-time copy of every service metric. Obtain via
 /// `Server::metrics()`; diff two snapshots with
-/// [`MetricsSnapshot::minus`] to meter one interval (E17 does this per
+/// [`MetricsSnapshot::minus`] to meter one interval (E17 did this per
 /// offered-load step), JSON round-trip with
 /// [`MetricsSnapshot::to_json`] / [`MetricsSnapshot::from_json`] so the
 /// harness and the shard-tier aggregator consume one wire format.
@@ -684,7 +684,10 @@ pub fn prom_histogram(
     w.sample(&format!("{name}_count"), &[], cumulative);
 }
 
-fn fmt_dur(d: Option<Duration>) -> String {
+/// Renders a latency quantile for the human-readable metric summaries
+/// (`-` when the histogram is empty). Shared by the serve and shard
+/// `Display` impls.
+pub fn fmt_dur(d: Option<Duration>) -> String {
     match d {
         None => "-".to_string(),
         Some(d) if d.as_nanos() < 1_000 => format!("{}ns", d.as_nanos()),

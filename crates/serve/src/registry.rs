@@ -7,10 +7,10 @@
 //!   structure (a [`ChunkedRange`], an [`AliasTable`], or a frozen
 //!   [`SetUnionSampler`]) inside a [`Snapshot`] cell. Workers pin it per
 //!   request; any number of threads sample it concurrently.
-//! * a **master** — for dynamic indexes, the mutable update-optimized
-//!   structure ([`DynamicRange`] / [`DynamicAlias`]) behind a writer
-//!   mutex. Updates mutate the master, rebuild a fresh view off-thread,
-//!   and publish it atomically. Readers of the old view are never
+//! * a **master** — for dynamic indexes, an ordered map
+//!   `(key, id) → weight` behind a writer mutex. Nothing ever samples
+//!   it: updates edit the map, build a fresh view from its in-order
+//!   walk, and publish it atomically. Readers of the old view are never
 //!   blocked, never torn, and drop the old snapshot when their in-flight
 //!   queries finish.
 //!
@@ -18,13 +18,13 @@
 //! registered up front); all runtime mutation goes through the masters
 //! and snapshot cells, which is what makes the whole object `Sync`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use iqs_alias::{AliasTable, DynamicAlias};
+use iqs_alias::{AliasTable, WeightError};
 use iqs_core::setunion::SetUnionSampler;
-use iqs_core::{ChunkedRange, DynamicRange, RangeSampler};
+use iqs_core::{ChunkedRange, QueryError, RangeSampler};
 use rand::Rng;
 
 use crate::api::UpdateOp;
@@ -98,10 +98,28 @@ pub struct RangeView {
 impl RangeView {
     /// Builds a view from an optional sampler and rank → id map, caching
     /// the total weight.
-    pub(crate) fn of(sampler: Option<ChunkedRange>, ids: Option<Vec<u64>>) -> Self {
+    fn of(sampler: Option<ChunkedRange>, ids: Option<Vec<u64>>) -> Self {
         let total_weight =
             sampler.as_ref().map_or(0.0, |s| s.range_weight(f64::NEG_INFINITY, f64::INFINITY));
         RangeView { sampler, ids, total_weight }
+    }
+
+    /// Builds the Theorem-3 sampler and the rank → id table from
+    /// `(id, key, weight)` triples in any order; no triples give the
+    /// empty view. Equal keys keep their input order (both sorts are
+    /// stable), so `ids[rank]` stays aligned with the sampler's ranks.
+    ///
+    /// # Errors
+    /// [`QueryError::EmptyRange`] on a non-finite key or a weight that
+    /// is not finite-positive.
+    pub fn from_triples(mut triples: Vec<(u64, f64, f64)>) -> Result<Self, QueryError> {
+        if triples.is_empty() {
+            return Ok(RangeView::of(None, None));
+        }
+        triples.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, key, w)| (key, w)).collect();
+        let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
+        Ok(RangeView::of(Some(ChunkedRange::new(pairs)?), Some(ids)))
     }
 
     /// Maps a rank to its element id.
@@ -149,57 +167,93 @@ pub enum IndexView {
     External(Arc<dyn ExternalIndex>),
 }
 
-/// The writer-side state of one index.
+/// Order-preserving bit image of a finite `f64`, so keys can order a
+/// [`BTreeMap`]; [`key_of_bits`] inverts it.
+fn key_bits(key: f64) -> u64 {
+    let b = key.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
+
+fn key_of_bits(bits: u64) -> f64 {
+    f64::from_bits(if bits >> 63 == 1 { bits & !(1 << 63) } else { !bits })
+}
+
+/// The writer-side state of a dynamic index: its live elements, held in
+/// the order the next view publishes them. It is never sampled.
 #[derive(Debug)]
-enum Master {
-    /// Static range index: no updates.
-    StaticRange,
-    /// Dynamic range index: Bentley–Saxe master.
-    DynRange(DynamicRange),
-    /// Dynamic weighted-set index: bucketed-alias master.
-    DynWeighted(DynamicAlias),
-    /// Union index: no element updates; the mutex still serializes
-    /// permutation refreshes (which clone from the current view).
-    Union,
-    /// External index: the engine owns all mutation (tier transitions
-    /// republish *its* internal snapshots, not this registry entry).
-    External,
+struct MasterMap {
+    /// `true` for a range index: keys order the elements and a bad op is
+    /// a [`ServeError::Query`]. `false` for a weighted set: every key is
+    /// 0 and a bad op is a [`ServeError::Weight`].
+    keyed: bool,
+    /// `(key_bits(key), id) → weight`. An in-order walk is the view's
+    /// rank order, so equal keys publish by ascending id whatever the
+    /// update history was.
+    by_key: BTreeMap<(u64, u64), f64>,
+    /// `id → key_bits(key)`: where an element sits in `by_key`.
+    key_of: HashMap<u64, u64>,
+}
+
+impl MasterMap {
+    fn new(keyed: bool) -> Self {
+        MasterMap { keyed, by_key: BTreeMap::new(), key_of: HashMap::new() }
+    }
+
+    /// Inserts `id`, replacing its previous entry. Validates first, so
+    /// an invalid upsert leaves the element it names as it was.
+    fn upsert(&mut self, id: u64, key: f64, weight: f64) -> Result<(), ServeError> {
+        let key = if self.keyed { key } else { 0.0 };
+        if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
+            return Err(if self.keyed {
+                ServeError::Query(QueryError::EmptyRange)
+            } else {
+                ServeError::Weight(WeightError::NonPositive { index: 0, weight })
+            });
+        }
+        let bits = key_bits(key);
+        if let Some(old) = self.key_of.insert(id, bits) {
+            self.by_key.remove(&(old, id));
+        }
+        self.by_key.insert((bits, id), weight);
+        Ok(())
+    }
+
+    /// Removes `id`; returns whether it was present.
+    fn remove(&mut self, id: u64) -> bool {
+        self.key_of.remove(&id).is_some_and(|bits| self.by_key.remove(&(bits, id)).is_some())
+    }
+
+    /// Builds the read view of the current elements.
+    fn view(&self) -> IndexView {
+        if self.keyed {
+            let triples =
+                self.by_key.iter().map(|(&(bits, id), &w)| (id, key_of_bits(bits), w)).collect();
+            let view = RangeView::from_triples(triples).expect("upsert validated every element");
+            return IndexView::Range(view);
+        }
+        let ids: Vec<u64> = self.by_key.keys().map(|&(_, id)| id).collect();
+        let weights: Vec<f64> = self.by_key.values().copied().collect();
+        let table = (!ids.is_empty())
+            .then(|| AliasTable::new(&weights).expect("upsert validated every weight"));
+        IndexView::Weighted(WeightedView::of(table, ids))
+    }
 }
 
 /// One registered index.
 #[derive(Debug)]
 pub(crate) struct IndexEntry {
     pub(crate) view: Snapshot<IndexView>,
-    master: Mutex<Master>,
+    /// The element map of a dynamic index; `None` for static, union and
+    /// external indexes, which take no element updates (union refreshes
+    /// still serialize on this mutex).
+    master: Mutex<Option<MasterMap>>,
     /// Samples served against the current union permutation; drives the
     /// paper's rebuild-every-`n`-queries argument for frozen serving.
     pub(crate) union_served: AtomicU64,
-}
-
-/// Builds the read view of a dynamic range master.
-fn range_view_of(master: &DynamicRange) -> IndexView {
-    let triples = master.live_triples();
-    if triples.is_empty() {
-        return IndexView::Range(RangeView::of(None, None));
-    }
-    // `live_triples` is key-sorted and `ChunkedRange`'s stable sort
-    // preserves that order, so `ids` stays aligned with ranks.
-    let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, key, w)| (key, w)).collect();
-    let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
-    let sampler = ChunkedRange::new(pairs).expect("master validated every element");
-    IndexView::Range(RangeView::of(Some(sampler), Some(ids)))
-}
-
-/// Builds the read view of a dynamic weighted-set master.
-fn weighted_view_of(master: &DynamicAlias) -> IndexView {
-    let pairs = master.pairs();
-    if pairs.is_empty() {
-        return IndexView::Weighted(WeightedView::of(None, Vec::new()));
-    }
-    let weights: Vec<f64> = pairs.iter().map(|&(_, w)| w).collect();
-    let ids: Vec<u64> = pairs.iter().map(|&(id, _)| id).collect();
-    let table = AliasTable::new(&weights).expect("master validated every weight");
-    IndexView::Weighted(WeightedView::of(Some(table), ids))
 }
 
 /// Named indexes behind snapshot cells. Register everything before
@@ -220,7 +274,7 @@ impl IndexRegistry {
         &mut self,
         name: &str,
         view: IndexView,
-        master: Master,
+        master: Option<MasterMap>,
     ) -> Result<(), ServeError> {
         if self.map.contains_key(name) {
             return Err(ServeError::InvalidRequest(
@@ -249,11 +303,7 @@ impl IndexRegistry {
         pairs: Vec<(f64, f64)>,
     ) -> Result<(), ServeError> {
         let sampler = ChunkedRange::new(pairs)?;
-        self.insert_entry(
-            name,
-            IndexView::Range(RangeView::of(Some(sampler), None)),
-            Master::StaticRange,
-        )
+        self.insert_entry(name, IndexView::Range(RangeView::of(Some(sampler), None)), None)
     }
 
     /// Registers an immutable range index from `(id, key, weight)`
@@ -267,19 +317,12 @@ impl IndexRegistry {
     pub fn register_range_keyed(
         &mut self,
         name: &str,
-        mut triples: Vec<(u64, f64, f64)>,
+        triples: Vec<(u64, f64, f64)>,
     ) -> Result<(), ServeError> {
-        // Sort by key so `ids` aligns with ranks (ChunkedRange's stable
-        // sort preserves the order of equal keys).
-        triples.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, key, w)| (key, w)).collect();
-        let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
-        let sampler = ChunkedRange::new(pairs)?;
-        self.insert_entry(
-            name,
-            IndexView::Range(RangeView::of(Some(sampler), Some(ids))),
-            Master::StaticRange,
-        )
+        if triples.is_empty() {
+            return Err(ServeError::Query(QueryError::EmptyRange));
+        }
+        self.insert_entry(name, IndexView::Range(RangeView::from_triples(triples)?), None)
     }
 
     /// Registers a dynamic range index from `(id, key, weight)` triples
@@ -293,9 +336,14 @@ impl IndexRegistry {
         name: &str,
         triples: Vec<(u64, f64, f64)>,
     ) -> Result<(), ServeError> {
-        let master = DynamicRange::from_triples(triples)?;
-        let view = range_view_of(&master);
-        self.insert_entry(name, view, Master::DynRange(master))
+        let mut master = MasterMap::new(true);
+        for (id, key, w) in triples {
+            if master.key_of.contains_key(&id) {
+                return Err(ServeError::Query(QueryError::EmptyRange));
+            }
+            master.upsert(id, key, w)?;
+        }
+        self.insert_entry(name, master.view(), Some(master))
     }
 
     /// Registers a dynamic weighted-set index from `(id, weight)` pairs
@@ -308,12 +356,11 @@ impl IndexRegistry {
         name: &str,
         pairs: &[(u64, f64)],
     ) -> Result<(), ServeError> {
-        let mut master = DynamicAlias::new();
+        let mut master = MasterMap::new(false);
         for &(id, w) in pairs {
-            master.insert(id, w)?;
+            master.upsert(id, 0.0, w)?;
         }
-        let view = weighted_view_of(&master);
-        self.insert_entry(name, view, Master::DynWeighted(master))
+        self.insert_entry(name, master.view(), Some(master))
     }
 
     /// Registers a set-union index over a set family (Theorem 8). The
@@ -330,7 +377,7 @@ impl IndexRegistry {
         rng: &mut R,
     ) -> Result<(), ServeError> {
         let sampler = SetUnionSampler::new(sets, rng)?;
-        self.insert_entry(name, IndexView::Union(sampler), Master::Union)
+        self.insert_entry(name, IndexView::Union(sampler), None)
     }
 
     /// Registers an externally served index (e.g. `iqs_tier`'s
@@ -344,7 +391,7 @@ impl IndexRegistry {
         name: &str,
         index: Arc<dyn ExternalIndex>,
     ) -> Result<(), ServeError> {
-        self.insert_entry(name, IndexView::External(index), Master::External)
+        self.insert_entry(name, IndexView::External(index), None)
     }
 
     /// Registered index names, unordered.
@@ -415,63 +462,30 @@ impl IndexRegistry {
     ) -> Result<(usize, u64), ServeError> {
         let entry = self.entry(name)?;
         let mut master = entry.master.lock().expect("index master poisoned");
+        let Some(map) = master.as_mut() else {
+            return Err(ServeError::Unsupported("updates require a dynamic index"));
+        };
         let mut applied = 0usize;
-        let mut first_err: Option<ServeError> = None;
-        match &mut *master {
-            Master::StaticRange | Master::Union | Master::External => {
-                return Err(ServeError::Unsupported("updates require a dynamic index"));
-            }
-            Master::DynRange(d) => {
-                for &op in ops {
-                    let r = match op {
-                        UpdateOp::Upsert { id, key, weight } => {
-                            d.remove(id);
-                            d.insert(id, key, weight).map(|()| true)
-                        }
-                        UpdateOp::Remove { id } => Ok(d.remove(id).is_some()),
-                    };
-                    match r {
-                        Ok(true) => applied += 1,
-                        Ok(false) => {}
-                        Err(e) => {
-                            first_err = Some(ServeError::Query(e));
-                            break;
-                        }
+        let mut failed = None;
+        for &op in ops {
+            match op {
+                UpdateOp::Upsert { id, key, weight } => match map.upsert(id, key, weight) {
+                    Ok(()) => applied += 1,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
                     }
-                }
-                if applied > 0 || first_err.is_none() {
-                    let version = entry.view.store(range_view_of(d));
-                    if let Some(e) = first_err {
-                        return Err(e);
-                    }
-                    return Ok((applied, version));
-                }
-            }
-            Master::DynWeighted(d) => {
-                for &op in ops {
-                    let r = match op {
-                        UpdateOp::Upsert { id, weight, .. } => d.insert(id, weight).map(|()| true),
-                        UpdateOp::Remove { id } => Ok(d.remove(id).is_some()),
-                    };
-                    match r {
-                        Ok(true) => applied += 1,
-                        Ok(false) => {}
-                        Err(e) => {
-                            first_err = Some(ServeError::Weight(e));
-                            break;
-                        }
-                    }
-                }
-                if applied > 0 || first_err.is_none() {
-                    let version = entry.view.store(weighted_view_of(d));
-                    if let Some(e) = first_err {
-                        return Err(e);
-                    }
-                    return Ok((applied, version));
-                }
+                },
+                UpdateOp::Remove { id } => applied += usize::from(map.remove(id)),
             }
         }
-        Err(first_err.expect("unreachable: loop exited without applying or erring"))
+        match failed {
+            Some(e) if applied == 0 => Err(e),
+            failed => {
+                let version = entry.view.store(map.view());
+                failed.map_or(Ok((applied, version)), Err)
+            }
+        }
     }
 
     /// If the named union index has served its rebuild budget, clone the
@@ -603,6 +617,55 @@ mod tests {
         assert!(matches!(err, ServeError::Weight(_)));
         let IndexView::Weighted(v) = &*r.view("w").unwrap() else { panic!() };
         assert!(v.ids.contains(&50) && !v.ids.contains(&51) && !v.ids.contains(&52));
+    }
+
+    #[test]
+    fn bad_range_op_stops_batch_but_publishes_prefix() {
+        let r = reg();
+        let err = r
+            .apply_update(
+                "d",
+                &[
+                    UpdateOp::Upsert { id: 100, key: 0.5, weight: 2.0 },
+                    UpdateOp::Upsert { id: 101, key: f64::NAN, weight: 1.0 }, // invalid
+                    UpdateOp::Upsert { id: 102, key: 1.5, weight: 2.0 },      // never reached
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, ServeError::Query(_)));
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        let ids = v.ids.as_ref().unwrap();
+        assert!(ids.contains(&100) && !ids.contains(&101) && !ids.contains(&102));
+        assert_eq!(r.total_weight("d").unwrap(), 66.0);
+    }
+
+    #[test]
+    fn invalid_upsert_keeps_the_existing_element() {
+        let mut r = IndexRegistry::new();
+        r.register_range_dynamic("d", (0..8).map(|i| (i, i as f64, 1.0)).collect()).unwrap();
+        let bad = [UpdateOp::Upsert { id: 3, key: 3.0, weight: -1.0 }];
+        assert!(matches!(r.apply_update("d", &bad), Err(ServeError::Query(_))));
+        r.apply_update("d", &[UpdateOp::Upsert { id: 100, key: 9.0, weight: 1.0 }]).unwrap();
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        assert!(v.ids.as_ref().unwrap().contains(&3), "id 3 vanished: {:?}", v.ids);
+        assert_eq!(v.total_weight, 9.0);
+    }
+
+    #[test]
+    fn equal_keys_publish_in_id_order_whatever_the_history() {
+        let r = reg();
+        // Ids arrive 9, 7, 8 on one key; 7 is then moved away and back.
+        let up = |id, key| UpdateOp::Upsert { id, key, weight: 1.0 };
+        r.apply_update("d", &[up(9, 70.5), up(7, 70.5), up(8, 70.5)]).unwrap();
+        r.apply_update("d", &[up(7, 1.5), up(7, 70.5), up(200, -0.0), up(201, 0.0)]).unwrap();
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        let keys = v.sampler.as_ref().unwrap().keys();
+        let at = |key: f64| -> Vec<u64> {
+            (0..keys.len()).filter(|&rank| keys[rank] == key).map(|rank| v.id_at(rank)).collect()
+        };
+        assert_eq!(at(70.5), vec![7, 8, 9]);
+        // -0.0 orders before +0.0 (total order on keys); id 0 sits at +0.0.
+        assert_eq!(at(0.0), vec![200, 0, 201]);
     }
 
     #[test]

@@ -1,242 +1,191 @@
-//! Seeded stress tests for the dynamic masters under concurrent read +
-//! rebuild: a writer thread streams a random (but reproducible) op
-//! stream into `DynamicAlias` / `DynamicRange`, publishing read views
-//! through a [`Snapshot`] cell, while reader threads continuously check
-//! the published invariants — every snapshot is internally consistent
-//! and its totals match the update log at publication time.
+//! Seeded stress tests for dynamic indexes under concurrent read +
+//! rebuild, through the service's own path: a writer streams a random
+//! (but reproducible) op stream as `Request::Update` batches through a
+//! [`Client`], while reader threads pin `server.registry().view(..)` and
+//! check every published snapshot — length, total weight, `(key, id)`
+//! order and id–rank alignment — against the writer's mirror log.
+//!
+//! Each batch replaces a marker element whose id carries the batch's
+//! sequence number and which sorts last, so a reader learns from the
+//! snapshot alone which log entry it must equal.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use iqs_alias::DynamicAlias;
-use iqs_core::{ChunkedRange, DynamicRange, RangeSampler};
-use iqs_serve::Snapshot;
+use iqs_core::RangeSampler;
+use iqs_serve::{
+    Client, IndexRegistry, IndexView, Request, Response, Server, ServerConfig, UpdateOp,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const OPS: usize = 2048;
-const PUBLISH_EVERY: usize = 16;
+const BATCHES: u64 = 128;
+const OPS_PER_BATCH: usize = 16;
 const READERS: usize = 3;
+const INDEX: &str = "dyn";
+/// Marker ids start above every data id, and the marker's key above
+/// every data key, so the marker is the last element of either view.
+const MARKER_BASE: u64 = 1 << 32;
+const MARKER_KEY: f64 = 1000.0;
 
-/// A published weighted-set snapshot: the cloned structure plus the
-/// update log's ground truth at publication time.
-struct AliasEpoch {
-    alias: DynamicAlias,
-    expected_len: usize,
-    expected_total: f64,
-    seq: u64,
+/// Ground truth at one publication: the mirror's `(key, id, weight)`
+/// elements in `(key, id)` order.
+type Truth = Vec<(f64, u64, f64)>;
+
+/// The writer's mirror log, indexed by sequence number. The writer
+/// appends entry `seq` before it submits batch `seq`, so a reader that
+/// sees marker `seq` always finds its entry.
+#[derive(Default)]
+struct Log(Mutex<Vec<Arc<Truth>>>);
+
+impl Log {
+    fn push(&self, mirror: &HashMap<u64, (f64, f64)>) {
+        let mut truth: Truth = mirror.iter().map(|(&id, &(key, w))| (key, id, w)).collect();
+        truth.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.0.lock().unwrap().push(Arc::new(truth));
+    }
+
+    fn get(&self, seq: u64) -> Arc<Truth> {
+        Arc::clone(&self.0.lock().unwrap()[seq as usize])
+    }
 }
 
-fn check_alias_epoch(epoch: &AliasEpoch, rng: &mut StdRng) {
-    assert_eq!(epoch.alias.len(), epoch.expected_len, "seq {}: len drifted", epoch.seq);
-    let tol = 1e-9 * epoch.expected_total.max(1.0);
-    assert!(
-        (epoch.alias.total_weight() - epoch.expected_total).abs() <= tol,
-        "seq {}: total weight {} != update log {}",
-        epoch.seq,
-        epoch.alias.total_weight(),
-        epoch.expected_total
-    );
-    let pairs = epoch.alias.pairs();
-    assert_eq!(pairs.len(), epoch.expected_len, "seq {}: pairs out of sync", epoch.seq);
-    let ids: HashSet<u64> = pairs.iter().map(|&(id, _)| id).collect();
-    assert_eq!(ids.len(), pairs.len(), "seq {}: duplicate live ids", epoch.seq);
-    assert!(pairs.iter().all(|&(_, w)| w > 0.0), "seq {}: non-positive weight", epoch.seq);
-    let sum: f64 = pairs.iter().map(|&(_, w)| w).sum();
-    assert!(
-        (sum - epoch.alias.total_weight()).abs() <= tol,
-        "seq {}: weight sum does not match the maintained total",
-        epoch.seq
-    );
-    if epoch.expected_len > 0 {
-        for _ in 0..8 {
-            let id = epoch.alias.sample(rng).expect("non-empty structure samples");
-            assert!(ids.contains(&id), "seq {}: sampled dead id {id}", epoch.seq);
-            assert!(epoch.alias.weight_of(id).is_some());
+/// Checks one pinned snapshot against the log entry its marker names;
+/// returns the marker's sequence number.
+fn check_view(view: &IndexView, log: &Log, rng: &mut StdRng) -> u64 {
+    let mut ranks = [0u32; 8];
+    match view {
+        IndexView::Range(rv) => {
+            let sampler = rv.sampler.as_ref().expect("the marker keeps the index non-empty");
+            let n = sampler.len();
+            let seq = rv.id_at(n - 1) - MARKER_BASE;
+            let truth = log.get(seq);
+            assert_eq!(n, truth.len(), "seq {seq}: structure len");
+            assert_eq!(sampler.range_count(f64::NEG_INFINITY, f64::INFINITY), n, "seq {seq}");
+            for (rank, &(key, id, w)) in truth.iter().enumerate() {
+                assert_eq!(sampler.keys()[rank], key, "seq {seq}: key at rank {rank}");
+                assert_eq!(rv.id_at(rank), id, "seq {seq}: id at rank {rank}");
+                assert_eq!(sampler.weights()[rank], w, "seq {seq}: weight at rank {rank}");
+            }
+            check_total(rv.total_weight, &truth, seq);
+            sampler
+                .sample_wr_batch(f64::NEG_INFINITY, f64::INFINITY, rng, &mut ranks)
+                .expect("non-empty range");
+            assert!(ranks.iter().all(|&r| (r as usize) < n), "seq {seq}: rank out of range");
+            seq
         }
-    } else {
-        assert!(epoch.alias.sample(rng).is_none());
+        IndexView::Weighted(wv) => {
+            let table = wv.table.as_ref().expect("the marker keeps the index non-empty");
+            let seq = wv.ids.last().expect("non-empty") - MARKER_BASE;
+            let truth = log.get(seq);
+            let want: Vec<u64> = truth.iter().map(|&(_, id, _)| id).collect();
+            assert_eq!(wv.ids, want, "seq {seq}: columns are the live ids in id order");
+            assert_eq!(table.len(), want.len(), "seq {seq}: table len");
+            check_total(wv.total_weight, &truth, seq);
+            table.sample_into(rng, &mut ranks);
+            assert!(ranks.iter().all(|&c| (c as usize) < want.len()), "seq {seq}");
+            seq
+        }
+        other => panic!("dynamic index published {other:?}"),
     }
+}
+
+fn check_total(got: f64, truth: &Truth, seq: u64) {
+    let want: f64 = truth.iter().map(|&(_, _, w)| w).sum();
+    assert!((got - want).abs() <= 1e-9 * want.max(1.0), "seq {seq}: total {got} != log {want}");
+}
+
+/// Submits batch `seq`: the previous marker out, `OPS_PER_BATCH` random
+/// data ops, the new marker in. Every op takes effect, and the batch is
+/// publication `seq + 1` of the index (registration was the first). A
+/// weighted set (`!keyed`) ignores the keys it is sent, so its mirror
+/// records key 0 for every element.
+fn write_batch(
+    keyed: bool,
+    client: &Client,
+    log: &Log,
+    mirror: &mut HashMap<u64, (f64, f64)>,
+    rng: &mut StdRng,
+    seq: u64,
+) {
+    let mirrored = |key: f64| if keyed { key } else { 0.0 };
+    let mut ops = vec![UpdateOp::Remove { id: MARKER_BASE + seq - 1 }];
+    mirror.remove(&(MARKER_BASE + seq - 1));
+    for _ in 0..OPS_PER_BATCH {
+        let id = rng.random_range(0..200u64);
+        if mirror.contains_key(&id) && rng.random_bool(0.45) {
+            ops.push(UpdateOp::Remove { id });
+            mirror.remove(&id);
+        } else {
+            // A coarse key grid, so many elements tie on a key.
+            let key = f64::from(rng.random_range(0..40u32)) * 2.5;
+            let weight = rng.random_range(0.1..5.0);
+            ops.push(UpdateOp::Upsert { id, key, weight });
+            mirror.insert(id, (mirrored(key), weight));
+        }
+    }
+    ops.push(UpdateOp::Upsert { id: MARKER_BASE + seq, key: MARKER_KEY, weight: 1.0 });
+    mirror.insert(MARKER_BASE + seq, (mirrored(MARKER_KEY), 1.0));
+    log.push(mirror);
+    let applied = ops.len();
+    let resp = client.call(Request::Update { index: INDEX.into(), ops }).expect("valid batch");
+    assert_eq!(resp, Response::Updated { applied, version: seq + 1 });
+}
+
+/// Runs the writer against `READERS` snapshot-pinning readers, on a
+/// dynamic range index (`keyed`) or a weighted set.
+fn stress(keyed: bool, seed: u64) {
+    let mut registry = IndexRegistry::new();
+    let marker_key = if keyed { MARKER_KEY } else { 0.0 };
+    if keyed {
+        registry.register_range_dynamic(INDEX, vec![(MARKER_BASE, marker_key, 1.0)]).unwrap();
+    } else {
+        registry.register_weighted(INDEX, &[(MARKER_BASE, 1.0)]).unwrap();
+    }
+    let server = Server::start(registry, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut mirror: HashMap<u64, (f64, f64)> = HashMap::from([(MARKER_BASE, (marker_key, 1.0))]);
+    let log = Log::default();
+    log.push(&mirror);
+    let done = AtomicBool::new(false);
+    let checks = AtomicU64::new(0);
+
+    std::thread::scope(|scope| {
+        for r in 0..READERS {
+            let (server, log, done, checks) = (&server, &log, &done, &checks);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed ^ (0x5EED + r as u64));
+                let mut last_seq = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    let view = server.registry().view(INDEX).expect("registered");
+                    let seq = check_view(&view, log, &mut rng);
+                    assert!(seq >= last_seq, "publication order ran backwards");
+                    last_seq = seq;
+                    checks.fetch_add(1, Ordering::Relaxed);
+                }
+                // One final check of the last publication.
+                let view = server.registry().view(INDEX).expect("registered");
+                assert_eq!(check_view(&view, log, &mut rng), BATCHES);
+            });
+        }
+
+        let client = server.client();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for seq in 1..=BATCHES {
+            write_batch(keyed, &client, &log, &mut mirror, &mut rng, seq);
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert!(checks.load(Ordering::Relaxed) > 0, "readers never overlapped the writer");
+    server.shutdown();
 }
 
 #[test]
 fn alias_snapshots_stay_consistent_under_concurrent_rebuild() {
-    let cell = Arc::new(Snapshot::new(AliasEpoch {
-        alias: DynamicAlias::new(),
-        expected_len: 0,
-        expected_total: 0.0,
-        seq: 0,
-    }));
-    let done = Arc::new(AtomicBool::new(false));
-    let checks = Arc::new(AtomicU64::new(0));
-
-    std::thread::scope(|scope| {
-        for r in 0..READERS {
-            let cell = Arc::clone(&cell);
-            let done = Arc::clone(&done);
-            let checks = Arc::clone(&checks);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xA11A5 + r as u64);
-                let mut last_seq = 0u64;
-                while !done.load(Ordering::Acquire) {
-                    let epoch = cell.load();
-                    assert!(epoch.seq >= last_seq, "publication order ran backwards");
-                    last_seq = epoch.seq;
-                    check_alias_epoch(&epoch, &mut rng);
-                    checks.fetch_add(1, Ordering::Relaxed);
-                }
-                // One final check of the last publication.
-                check_alias_epoch(&cell.load(), &mut rng);
-            });
-        }
-
-        // Writer: the master plus the mirror update log.
-        let mut rng = StdRng::seed_from_u64(0xD15EA5E);
-        let mut master = DynamicAlias::new();
-        let mut mirror: HashMap<u64, f64> = HashMap::new();
-        for op in 1..=OPS {
-            let id = rng.random_range(0..256u64);
-            if mirror.contains_key(&id) && rng.random_bool(0.4) {
-                master.remove(id);
-                mirror.remove(&id);
-            } else {
-                let w = rng.random_range(0.1..10.0);
-                master.insert(id, w).expect("valid weight");
-                mirror.insert(id, w);
-            }
-            if op % PUBLISH_EVERY == 0 {
-                cell.store(AliasEpoch {
-                    alias: master.clone(),
-                    expected_len: mirror.len(),
-                    expected_total: mirror.values().sum(),
-                    seq: op as u64,
-                });
-            }
-        }
-        done.store(true, Ordering::Release);
-    });
-    assert!(checks.load(Ordering::Relaxed) > 0, "readers never overlapped the writer");
-}
-
-/// A published range snapshot: the rebuilt read-optimized structure (as
-/// the registry publishes it) plus the update log's ground truth.
-struct RangeEpoch {
-    sampler: Option<ChunkedRange>,
-    ids: Vec<u64>,
-    expected_len: usize,
-    expected_total: f64,
-    seq: u64,
-}
-
-fn range_epoch_of(
-    master: &DynamicRange,
-    mirror: &HashMap<u64, (f64, f64)>,
-    seq: u64,
-) -> RangeEpoch {
-    let triples = master.live_triples();
-    let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
-    let sampler = if triples.is_empty() {
-        None
-    } else {
-        let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, key, w)| (key, w)).collect();
-        Some(ChunkedRange::new(pairs).expect("validated elements"))
-    };
-    RangeEpoch {
-        sampler,
-        ids,
-        expected_len: mirror.len(),
-        expected_total: mirror.values().map(|&(_, w)| w).sum(),
-        seq,
-    }
-}
-
-fn check_range_epoch(epoch: &RangeEpoch, rng: &mut StdRng) {
-    assert_eq!(epoch.ids.len(), epoch.expected_len, "seq {}: id map drifted", epoch.seq);
-    let distinct: HashSet<u64> = epoch.ids.iter().copied().collect();
-    assert_eq!(distinct.len(), epoch.ids.len(), "seq {}: duplicate live ids", epoch.seq);
-    let Some(sampler) = &epoch.sampler else {
-        assert_eq!(epoch.expected_len, 0, "seq {}: non-empty log, empty view", epoch.seq);
-        return;
-    };
-    assert_eq!(sampler.len(), epoch.expected_len, "seq {}: structure len", epoch.seq);
-    assert_eq!(
-        sampler.range_count(f64::NEG_INFINITY, f64::INFINITY),
-        epoch.expected_len,
-        "seq {}: full-range count",
-        epoch.seq
-    );
-    let sum: f64 = sampler.weights().iter().sum();
-    let tol = 1e-9 * epoch.expected_total.max(1.0);
-    assert!(
-        (sum - epoch.expected_total).abs() <= tol,
-        "seq {}: structure weight {} != update log {}",
-        epoch.seq,
-        sum,
-        epoch.expected_total
-    );
-    assert!(
-        sampler.keys().windows(2).all(|w| w[0] <= w[1]),
-        "seq {}: keys out of order",
-        epoch.seq
-    );
-    let mut out = [0u32; 8];
-    sampler
-        .sample_wr_batch(f64::NEG_INFINITY, f64::INFINITY, rng, &mut out)
-        .expect("non-empty range");
-    for &rank in &out {
-        let id = epoch.ids[rank as usize];
-        assert!(distinct.contains(&id), "seq {}: sampled dead id {id}", epoch.seq);
-    }
+    stress(false, 0xD15EA5E);
 }
 
 #[test]
 fn range_snapshots_stay_consistent_under_concurrent_rebuild() {
-    let master = DynamicRange::new();
-    let mirror: HashMap<u64, (f64, f64)> = HashMap::new();
-    let cell = Arc::new(Snapshot::new(range_epoch_of(&master, &mirror, 0)));
-    let done = Arc::new(AtomicBool::new(false));
-    let checks = Arc::new(AtomicU64::new(0));
-
-    std::thread::scope(|scope| {
-        for r in 0..READERS {
-            let cell = Arc::clone(&cell);
-            let done = Arc::clone(&done);
-            let checks = Arc::clone(&checks);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x5EED + r as u64);
-                let mut last_seq = 0u64;
-                while !done.load(Ordering::Acquire) {
-                    let epoch = cell.load();
-                    assert!(epoch.seq >= last_seq, "publication order ran backwards");
-                    last_seq = epoch.seq;
-                    check_range_epoch(&epoch, &mut rng);
-                    checks.fetch_add(1, Ordering::Relaxed);
-                }
-                check_range_epoch(&cell.load(), &mut rng);
-            });
-        }
-
-        let mut rng = StdRng::seed_from_u64(0xB5B5);
-        let mut master = master;
-        let mut mirror = mirror;
-        for op in 1..=OPS {
-            let id = rng.random_range(0..200u64);
-            if mirror.contains_key(&id) && rng.random_bool(0.45) {
-                assert!(master.remove(id).is_some());
-                mirror.remove(&id);
-            } else {
-                let key = rng.random_range(0.0..100.0);
-                let w = rng.random_range(0.1..5.0);
-                master.remove(id);
-                master.insert(id, key, w).expect("valid element");
-                mirror.insert(id, (key, w));
-            }
-            if op % PUBLISH_EVERY == 0 {
-                cell.store(range_epoch_of(&master, &mirror, op as u64));
-            }
-        }
-        done.store(true, Ordering::Release);
-    });
-    assert!(checks.load(Ordering::Relaxed) > 0, "readers never overlapped the writer");
+    stress(true, 0xB5B5);
 }

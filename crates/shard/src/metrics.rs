@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use iqs_obs::{PromWriter, SlowLog};
-use iqs_serve::{prom_histogram, HistogramSnapshot, LogHistogram, MetricsSnapshot};
+use iqs_serve::{fmt_dur, prom_histogram, HistogramSnapshot, LogHistogram, MetricsSnapshot};
 
 /// Live router counters; all increments are relaxed atomics on the
 /// query path.
@@ -163,16 +163,6 @@ impl ClusterMetrics {
         let mut out = w.finish();
         out.push_str(&self.cluster.to_prometheus());
         out
-    }
-}
-
-fn fmt_dur(d: Option<std::time::Duration>) -> String {
-    match d {
-        None => "-".to_string(),
-        Some(d) if d.as_nanos() < 1_000 => format!("{}ns", d.as_nanos()),
-        Some(d) if d.as_nanos() < 1_000_000 => format!("{:.1}µs", d.as_nanos() as f64 / 1e3),
-        Some(d) if d.as_nanos() < 1_000_000_000 => format!("{:.1}ms", d.as_nanos() as f64 / 1e6),
-        Some(d) => format!("{:.2}s", d.as_secs_f64()),
     }
 }
 

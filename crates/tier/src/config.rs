@@ -1,7 +1,5 @@
 //! Tier sizing and placement policy knobs.
 
-use iqs_em::EvictionPolicy;
-
 use crate::TierError;
 
 /// Initial placement of a shard when it is added to the builder.
@@ -40,8 +38,6 @@ pub struct TierConfig {
     /// block_words` words). Must be at least 2 — the EM model needs
     /// `M ≥ 2B`.
     pub cold_cache_blocks: usize,
-    /// Eviction policy for the cold tier's block cache.
-    pub policy: EvictionPolicy,
     /// Maximum total elements resident across hot shards. Maintenance
     /// demotes the least-accessed hot shards until the budget holds.
     pub hot_element_budget: usize,
@@ -55,7 +51,6 @@ impl Default for TierConfig {
         TierConfig {
             block_words: 256,
             cold_cache_blocks: 16,
-            policy: EvictionPolicy::SegmentedLru,
             hot_element_budget: 1 << 20,
             promote_accesses: 64,
         }
@@ -88,7 +83,6 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         assert_eq!(TierConfig::default().validate(), Ok(()));
-        assert_eq!(TierConfig::default().policy, EvictionPolicy::SegmentedLru);
     }
 
     #[test]

@@ -4,34 +4,10 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use iqs_core::ChunkedRange;
 use iqs_em::EmWeightedRangeSampler;
-use iqs_serve::Snapshot;
+use iqs_serve::{RangeView, Snapshot};
 
-use crate::{ShardTier, TierError};
-
-/// A shard resident in RAM: the Theorem-3 structure plus the rank→id
-/// map (`ChunkedRange` reports samples as ranks in key order).
-#[derive(Debug)]
-pub(crate) struct HotShard {
-    pub(crate) sampler: ChunkedRange,
-    /// Element ids by rank, aligned with the sampler's key order.
-    pub(crate) ids: Vec<u64>,
-}
-
-impl HotShard {
-    /// Builds the RAM representation from the shard's master triples.
-    pub(crate) fn build(triples: &[(u64, f64, f64)]) -> Result<HotShard, TierError> {
-        let mut sorted: Vec<(u64, f64, f64)> = triples.to_vec();
-        // Stable sort by key: `ChunkedRange::new`'s internal sort is also
-        // stable, so already-sorted input keeps `ids[rank]` aligned with
-        // the sampler's rank order even under duplicate keys.
-        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite keys"));
-        let pairs: Vec<(f64, f64)> = sorted.iter().map(|&(_, k, w)| (k, w)).collect();
-        let ids: Vec<u64> = sorted.iter().map(|&(id, _, _)| id).collect();
-        Ok(HotShard { sampler: ChunkedRange::new(pairs)?, ids })
-    }
-}
+use crate::ShardTier;
 
 /// A shard on the simulated disk. The sampler sits behind a mutex
 /// because pool-backed queries take `&mut self`; the `Option` is the
@@ -47,7 +23,8 @@ pub(crate) struct ColdShard {
 /// time, swapped atomically by maintenance.
 #[derive(Debug)]
 pub(crate) enum TierState {
-    Hot(HotShard),
+    /// Resident in RAM: the same Theorem-3 view `iqs-serve` publishes.
+    Hot(RangeView),
     Cold(ColdShard),
 }
 
@@ -90,11 +67,6 @@ impl ShardSlot {
     }
 }
 
-/// Maps hot-tier sample ranks to element ids.
-pub(crate) fn ranks_to_ids(ids: &[u64], ranks: &[usize], out: &mut Vec<u64>) {
-    out.extend(ranks.iter().map(|&r| ids[r]));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,14 +77,13 @@ mod tests {
         // Ids deliberately unsorted relative to keys: id = 100 - key.
         let triples: Vec<(u64, f64, f64)> =
             (0..50).map(|i| (100 - i as u64, i as f64, 1.0 + i as f64)).collect();
-        let hot = HotShard::build(&triples).unwrap();
-        assert_eq!(hot.ids.len(), 50);
-        for (rank, &key) in hot.sampler.keys().iter().enumerate() {
-            assert_eq!(hot.ids[rank], 100 - key as u64);
+        let hot = RangeView::from_triples(triples).unwrap();
+        let keys = hot.sampler.as_ref().unwrap().keys();
+        assert_eq!(keys.len(), 50);
+        for (rank, &key) in keys.iter().enumerate() {
+            assert_eq!(hot.id_at(rank), 100 - key as u64);
         }
-        let mut out = Vec::new();
-        ranks_to_ids(&hot.ids, &[0, 49, 7], &mut out);
-        assert_eq!(out, vec![100, 51, 93]);
+        assert_eq!([0, 49, 7].map(|rank| hot.id_at(rank)), [100, 51, 93]);
     }
 
     #[test]

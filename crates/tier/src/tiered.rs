@@ -5,13 +5,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use iqs_core::{QueryError, RangeSampler};
-use iqs_em::{EmMachine, EmWeightedRangeSampler, IoStats};
+use iqs_em::{EmMachine, EmWeightedRangeSampler, EvictionPolicy, IoStats};
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
-use iqs_serve::{ExternalIndex, IoReport, ServeError, Snapshot};
+use iqs_serve::{ExternalIndex, IoReport, RangeView, ServeError, Snapshot};
 use rand::RngCore;
 
-use crate::shard::{ranks_to_ids, ColdShard, HotShard, ShardSlot, TierState};
+use crate::shard::{ColdShard, ShardSlot, TierState};
 use crate::{ShardTier, TierConfig, TierError};
+
+/// Eviction policy of the cold tier's block cache: scan-resistant, so a
+/// one-touch sweep of a cold range does not flush the blocks hot queries
+/// keep hitting.
+const COLD_CACHE_POLICY: EvictionPolicy = EvictionPolicy::SegmentedLru;
 
 /// A pending shard: name, `(id, key, weight)` triples, initial tier.
 type PendingShard = (String, Vec<(u64, f64, f64)>, ShardTier);
@@ -60,7 +65,7 @@ impl TieredIndexBuilder {
         let machine = EmMachine::with_policy(
             self.config.cold_cache_blocks * self.config.block_words,
             self.config.block_words,
-            self.config.policy,
+            COLD_CACHE_POLICY,
         );
         let mut slots: Vec<Arc<ShardSlot>> = Vec::with_capacity(self.shards.len());
         for (name, triples, tier) in self.shards {
@@ -77,7 +82,7 @@ impl TieredIndexBuilder {
             let hi = triples.iter().map(|t| t.1).fold(f64::NEG_INFINITY, f64::max);
             let total_weight: f64 = triples.iter().map(|t| t.2).sum();
             let state = match tier {
-                ShardTier::Hot => TierState::Hot(HotShard::build(&triples)?),
+                ShardTier::Hot => TierState::Hot(RangeView::from_triples(triples.clone())?),
                 ShardTier::Cold => TierState::Cold(ColdShard {
                     sampler: Mutex::new(Some(EmWeightedRangeSampler::new_keyed(
                         &machine,
@@ -340,7 +345,7 @@ impl TieredIndex {
                 let state = slot.state.load();
                 match &*state {
                     TierState::Hot(h) => {
-                        count += h.sampler.range_count(x, y);
+                        count += h.sampler.as_ref().map_or(0, |s| s.range_count(x, y));
                         break;
                     }
                     TierState::Cold(c) => {
@@ -493,7 +498,9 @@ impl TieredIndex {
         loop {
             let state = slot.state.load();
             match &*state {
-                TierState::Hot(h) => return h.sampler.range_weight(x, y),
+                TierState::Hot(h) => {
+                    return h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y));
+                }
                 TierState::Cold(c) => {
                     let _dev = self.device();
                     let guard = lock_cold(c);
@@ -527,8 +534,10 @@ impl TieredIndex {
             let state = slot.state.load();
             match &*state {
                 TierState::Hot(h) => {
-                    let ranks = h.sampler.sample_wr(x, y, s, rng)?;
-                    ranks_to_ids(&h.ids, &ranks, out);
+                    let sampler = h.sampler.as_ref().ok_or(QueryError::EmptyRange)?;
+                    let mut ranks = vec![0u32; s];
+                    sampler.sample_wr_batch(x, y, rng, &mut ranks)?;
+                    out.extend(ranks.iter().map(|&r| h.id_at(r as usize)));
                     self.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
                     return Ok(());
                 }
@@ -569,7 +578,7 @@ impl TieredIndex {
             return Ok(false);
         }
         // Off-path rebuild: readers keep draining the cold snapshot.
-        let hot = HotShard::build(&slot.triples)?;
+        let hot = RangeView::from_triples(slot.triples.to_vec())?;
         let old = slot.state.load();
         slot.state.store(TierState::Hot(hot));
         slot.state.sweep();

@@ -29,7 +29,7 @@ fn small_config() -> TierConfig {
 /// builds and rebuilds on both sides).
 #[test]
 fn cold_tier_draws_replay_the_flat_em_structure() {
-    use iqs_em::{EmMachine, EmWeightedRangeSampler};
+    use iqs_em::{EmMachine, EmWeightedRangeSampler, EvictionPolicy};
 
     let data = triples(0, 0.0, 1000);
     let cfg = small_config();
@@ -38,7 +38,7 @@ fn cold_tier_draws_replay_the_flat_em_structure() {
     let machine = EmMachine::with_policy(
         cfg.cold_cache_blocks * cfg.block_words,
         cfg.block_words,
-        cfg.policy,
+        EvictionPolicy::SegmentedLru,
     );
     let mut flat = EmWeightedRangeSampler::new_keyed(&machine, data);
 

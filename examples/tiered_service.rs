@@ -32,7 +32,6 @@ fn main() {
         cold_cache_blocks: 32,
         hot_element_budget: 100_000,
         promote_accesses: 5_000,
-        ..TierConfig::default()
     };
     let index = Arc::new(
         TieredIndex::builder(config)

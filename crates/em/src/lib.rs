@@ -9,13 +9,13 @@
 //! faithful, because the model's metric **is** the count of block
 //! transfers, and a buffer-pool simulator counts exactly those:
 //!
-//! * [`EmMachine`] — a buffer pool of `M/B` block frames with a pluggable
-//!   eviction policy ([`EvictionPolicy`]: LRU or segmented LRU),
-//!   shared by all arrays, counting block reads, (dirty) writes, and
-//!   cache hits/misses; the machine is `Send + Sync`, so a serving tier
-//!   can draw from one simulated disk on many worker threads;
-//! * [`EmArray`] — a disk-resident array whose element accesses fault
-//!   blocks through the machine;
+//! * [`EmMachine`] — an LRU buffer pool of `M/B` block frames shared by
+//!   all arrays, counting block reads, (dirty) writes, and block-touch
+//!   hits/misses; the machine is `Send + Sync`, so a serving tier can
+//!   draw from one simulated disk on many worker threads;
+//! * [`EmArray`] — a disk-resident array whose accesses fault blocks
+//!   through the machine: a sequential run touches each of its blocks
+//!   once, a single-item access touches one;
 //! * [`external_sort`] — multi-way external merge sort,
 //!   `O((n/B) log_{M/B}(n/B))` I/Os;
 //! * [`SamplePool`] — Section 8's set-sampling structure: `n` pre-drawn WR
@@ -41,8 +41,8 @@ mod samplepool;
 mod sort;
 mod weighted;
 
-pub use machine::{EmArray, EmMachine, EvictionPolicy, IoStats, IoStatsDiffError};
+pub use machine::{EmArray, EmMachine, IoStats, IoStatsDiffError};
 pub use rangesampler::{EmRangeSampler, NaiveEmRangeSampler};
 pub use samplepool::{NaiveEmSampler, SamplePool};
 pub use sort::external_sort;
-pub use weighted::EmWeightedRangeSampler;
+pub use weighted::{EmWeightedRangeSampler, RangePlan};

@@ -1,23 +1,27 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 /// Cumulative I/O counters of an [`EmMachine`].
 ///
-/// `reads`/`writes` are block *transfers* (the EM cost metric);
-/// `hits`/`misses` classify every buffer-pool touch, so a cache-hit rate
-/// is `hits / (hits + misses)`. `misses ≥ reads`: a write-allocate miss
-/// with no-fetch installs a frame without a read transfer.
+/// `reads`/`writes` are block *transfers* (the EM cost metric).
+/// `hits`/`misses` classify every buffer-pool **touch**, and a touch is
+/// what the model charges for: one per block per sequential run (a
+/// [`EmArray::scan`] over `k` blocks is `k` touches however many items it
+/// yields), one per call for the single-item [`EmArray::get`] /
+/// [`EmArray::set`]. So `hits / (hits + misses)` is the share of *block
+/// accesses* served without a transfer, not of items. `misses ≥ reads`: a
+/// write-allocate miss with no-fetch installs a frame without a read
+/// transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct IoStats {
     /// Blocks read from disk into the buffer pool.
     pub reads: u64,
     /// Dirty blocks written back to disk.
     pub writes: u64,
-    /// Buffer-pool touches served from a resident frame (no transfer).
+    /// Block touches served from a resident frame (no transfer).
     pub hits: u64,
-    /// Buffer-pool touches that faulted (installed a frame).
+    /// Block touches that faulted (installed a frame).
     pub misses: u64,
 }
 
@@ -27,8 +31,8 @@ impl IoStats {
         self.reads + self.writes
     }
 
-    /// Fraction of touches served from resident frames, in `[0, 1]`.
-    /// Reports `0.0` before any touch.
+    /// Fraction of block touches served from resident frames, in
+    /// `[0, 1]`. Reports `0.0` before any touch.
     pub fn hit_rate(&self) -> f64 {
         let touches = self.hits + self.misses;
         if touches == 0 {
@@ -102,82 +106,52 @@ impl fmt::Display for IoStatsDiffError {
 
 impl std::error::Error for IoStatsDiffError {}
 
-/// Buffer-pool eviction policy of an [`EmMachine`].
-///
-/// The EM cost model only counts transfers, so the policy never changes
-/// an algorithm's *output* — only which resident block a fault evicts,
-/// and hence the transfer count under reuse. The §8 structures and
-/// their I/O-count tests run under `Lru`; the tiered serving layer's
-/// cold cache runs under `SegmentedLru`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Strict least-recently-used (the model's textbook default).
-    #[default]
-    Lru,
-    /// Segmented LRU: misses enter a probationary segment; a hit
-    /// promotes to a protected segment (capped at ~80% of frames, LRU
-    /// overflow demotes back). Scan-resistant: one sequential pass
-    /// cannot flush the hot set.
-    SegmentedLru,
-}
-
 /// Identity of a block: (array id, block index within the array).
 type BlockKey = (u32, u64);
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    /// Recency stamp; orders the LRU / segmented-LRU maps.
+    /// Recency stamp; the frame's key in the LRU map.
     stamp: u64,
     dirty: bool,
-    /// Segmented-LRU: resident in the protected segment.
-    protected: bool,
 }
 
+/// The buffer pool: `capacity` frames under strict least-recently-used
+/// eviction, the model's textbook default.
 #[derive(Debug)]
 struct Pool {
     /// Number of block frames the memory holds (`M / B`).
     capacity: usize,
-    /// Block size in words (`B`). One array item occupies
-    /// `size_of::<T>() / 8` words.
-    block_words: usize,
-    policy: EvictionPolicy,
     /// Resident blocks.
     resident: HashMap<BlockKey, Frame>,
-    /// Recency order: stamp → key. Under `Lru` this holds every resident
-    /// block; under `SegmentedLru` only the probationary segment.
+    /// Recency order of the resident blocks: stamp → key.
     lru: BTreeMap<u64, BlockKey>,
-    /// Segmented-LRU protected segment: stamp → key.
-    protected_lru: BTreeMap<u64, BlockKey>,
-    /// Protected-segment capacity (`SegmentedLru` only).
-    protected_cap: usize,
     clock: u64,
     stats: IoStats,
     next_array: u32,
 }
 
 impl Pool {
-    fn next_stamp(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     /// Touches `key`; faults it in (counting a read unless `no_fetch`) if
-    /// absent, updates recency state, marks dirty if `write`. Evicting a
-    /// dirty block counts a write. `no_fetch` models write-allocate of a
-    /// block the caller fully overwrites: no read transfer is needed.
+    /// absent, makes it the most recent block, marks it dirty if `write`.
+    /// Evicting a dirty block counts a write. `no_fetch` models
+    /// write-allocate of a block the caller fully overwrites: no read
+    /// transfer is needed.
     fn touch(&mut self, key: BlockKey, write: bool, no_fetch: bool) {
-        let stamp = self.next_stamp();
-        if self.resident.contains_key(&key) {
+        self.clock += 1;
+        let stamp = self.clock;
+        if let Some(frame) = self.resident.get_mut(&key) {
             self.stats.hits += 1;
-            self.promote(key, stamp, write);
+            self.lru.remove(&std::mem::replace(&mut frame.stamp, stamp));
+            frame.dirty |= write;
+            self.lru.insert(stamp, key);
             return;
         }
-        // Fault: evict if full.
+        // Fault: evict the least recent block if full.
         self.stats.misses += 1;
         if self.resident.len() >= self.capacity {
-            let victim = self.pick_victim();
+            let (_, victim) = self.lru.pop_first().expect("non-empty pool at capacity");
             let frame = self.resident.remove(&victim).expect("victim resident");
-            self.unlink(&frame);
             if frame.dirty {
                 self.stats.writes += 1;
             }
@@ -185,76 +159,8 @@ impl Pool {
         if !no_fetch {
             self.stats.reads += 1;
         }
-        self.install(key, stamp, write);
-    }
-
-    /// Hit path: refresh recency per policy.
-    fn promote(&mut self, key: BlockKey, stamp: u64, write: bool) {
-        match self.policy {
-            EvictionPolicy::Lru => {
-                let frame = self.resident.get_mut(&key).expect("hit is resident");
-                self.lru.remove(&std::mem::replace(&mut frame.stamp, stamp));
-                frame.dirty |= write;
-                self.lru.insert(stamp, key);
-            }
-            EvictionPolicy::SegmentedLru => {
-                let frame = self.resident.get_mut(&key).expect("hit is resident");
-                let old = std::mem::replace(&mut frame.stamp, stamp);
-                frame.dirty |= write;
-                if frame.protected {
-                    self.protected_lru.remove(&old);
-                    self.protected_lru.insert(stamp, key);
-                } else {
-                    // Probation hit: promote into the protected segment.
-                    frame.protected = true;
-                    self.lru.remove(&old);
-                    self.protected_lru.insert(stamp, key);
-                    self.shrink_protected();
-                }
-            }
-        }
-    }
-
-    /// Demotes protected-segment overflow back to probation (MRU end).
-    fn shrink_protected(&mut self) {
-        while self.protected_lru.len() > self.protected_cap {
-            let (&old_stamp, &demoted) =
-                self.protected_lru.iter().next().expect("overflowing segment non-empty");
-            self.protected_lru.remove(&old_stamp);
-            let stamp = self.next_stamp();
-            let frame = self.resident.get_mut(&demoted).expect("demoted block resident");
-            frame.protected = false;
-            frame.stamp = stamp;
-            self.lru.insert(stamp, demoted);
-        }
-    }
-
-    /// Miss path: choose the frame to evict — the least recent
-    /// probationary block, else (probation empty) the least recent
-    /// protected one. Under `Lru` nothing is ever protected, so this is
-    /// plain LRU.
-    fn pick_victim(&self) -> BlockKey {
-        *self
-            .lru
-            .values()
-            .next()
-            .or_else(|| self.protected_lru.values().next())
-            .expect("non-empty pool at capacity")
-    }
-
-    /// Removes an evicted/discarded frame from the policy structures.
-    fn unlink(&mut self, frame: &Frame) {
-        if frame.protected {
-            self.protected_lru.remove(&frame.stamp);
-        } else {
-            self.lru.remove(&frame.stamp);
-        }
-    }
-
-    /// Installs a freshly faulted frame into the policy structures.
-    fn install(&mut self, key: BlockKey, stamp: u64, write: bool) {
         self.lru.insert(stamp, key);
-        self.resident.insert(key, Frame { stamp, dirty: write, protected: false });
+        self.resident.insert(key, Frame { stamp, dirty: write });
     }
 
     fn flush(&mut self) {
@@ -264,7 +170,6 @@ impl Pool {
             }
         }
         self.lru.clear();
-        self.protected_lru.clear();
     }
 
     /// Drops an array's blocks without counting write-backs (the array is
@@ -274,7 +179,7 @@ impl Pool {
             self.resident.keys().copied().filter(|&(a, _)| a == array).collect();
         for k in keys {
             let frame = self.resident.remove(&k).expect("present");
-            self.unlink(&frame);
+            self.lru.remove(&frame.stamp);
         }
     }
 }
@@ -285,8 +190,9 @@ impl Pool {
 /// model's single-memory semantics.
 ///
 /// The machine is `Send + Sync` (the pool sits behind a mutex), so a
-/// cold-tier index can be served from a multi-threaded worker pool; the
-/// per-touch lock is the price of faithful shared-buffer-pool counting.
+/// cold-tier index can be served from a multi-threaded worker pool. The
+/// pool is locked once per sequential run (or single-item access), and
+/// charged one touch per block of the run.
 ///
 /// # Example
 /// ```
@@ -296,14 +202,18 @@ impl Pool {
 /// let machine = EmMachine::new(8 * 64, 64);
 /// let arr = machine.array_from((0..640u64).collect::<Vec<_>>());
 /// machine.reset_stats();
-/// for i in 0..640 {
-///     arr.get(i); // sequential scan
-/// }
-/// assert_eq!(machine.stats().reads, 10); // 640 items / 64 per block
+/// let sum: u64 = arr.scan(0, 640, |items| items.iter().sum()); // sequential run
+/// assert_eq!(sum, 639 * 640 / 2);
+/// let stats = machine.stats();
+/// assert_eq!(stats.reads, 10); // 640 items / 64 per block
+/// assert_eq!(stats.hits + stats.misses, 10); // one touch per block
 /// ```
 #[derive(Debug, Clone)]
 pub struct EmMachine {
     pool: Arc<Mutex<Pool>>,
+    /// Block size in words (`B`). A constant of the machine, kept
+    /// outside the pool mutex so block arithmetic never locks.
+    block_words: usize,
 }
 
 impl EmMachine {
@@ -313,29 +223,14 @@ impl EmMachine {
     /// # Panics
     /// Panics unless `M ≥ 2B` and `B ≥ 1` (the model's own requirement).
     pub fn new(mem_words: usize, block_words: usize) -> Self {
-        EmMachine::with_policy(mem_words, block_words, EvictionPolicy::Lru)
-    }
-
-    /// [`EmMachine::new`] with an explicit buffer-pool eviction policy.
-    ///
-    /// # Panics
-    /// As [`EmMachine::new`].
-    pub fn with_policy(mem_words: usize, block_words: usize, policy: EvictionPolicy) -> Self {
         assert!(block_words >= 1, "block size must be positive");
         assert!(mem_words >= 2 * block_words, "EM model requires M >= 2B");
-        let capacity = mem_words / block_words;
-        // SLRU protected segment: ~80% of frames, always leaving at
-        // least one probationary frame.
-        let protected_cap = (capacity * 4 / 5).clamp(1, capacity - 1);
         EmMachine {
+            block_words,
             pool: Arc::new(Mutex::new(Pool {
-                capacity,
-                block_words,
-                policy,
+                capacity: mem_words / block_words,
                 resident: HashMap::new(),
                 lru: BTreeMap::new(),
-                protected_lru: BTreeMap::new(),
-                protected_cap,
                 clock: 0,
                 stats: IoStats::default(),
                 next_array: 0,
@@ -349,17 +244,12 @@ impl EmMachine {
 
     /// Block size `B` in words.
     pub fn block_words(&self) -> usize {
-        self.pool().block_words
+        self.block_words
     }
 
     /// Number of buffer frames `M/B`.
     pub fn frame_count(&self) -> usize {
         self.pool().capacity
-    }
-
-    /// The buffer pool's eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.pool().policy
     }
 
     /// Cumulative I/O counters.
@@ -387,24 +277,34 @@ impl EmMachine {
             pool.next_array += 1;
             id
         };
-        EmArray { machine: self.clone(), id, data: Mutex::new(items), _marker: PhantomData }
+        // One array item occupies `size_of::<T>() / 8` words.
+        let words_per_item = std::mem::size_of::<T>().div_ceil(8).max(1);
+        EmArray {
+            machine: self.clone(),
+            id,
+            len: items.len(),
+            items_per_block: (self.block_words / words_per_item).max(1),
+            data: Mutex::new(items),
+        }
     }
 
     /// Creates a zero-initialized disk-resident array of the given length.
     pub fn array_zeroed<T: Copy + Default>(&self, len: usize) -> EmArray<T> {
         self.array_from(vec![T::default(); len])
     }
-
-    fn items_per_block<T>(&self) -> usize {
-        let words_per_item = std::mem::size_of::<T>().div_ceil(8).max(1);
-        (self.pool().block_words / words_per_item).max(1)
-    }
 }
 
-/// A disk-resident array of `Copy` items. Every element access faults the
-/// containing block through the machine's buffer pool, so sequential scans
-/// cost `⌈n/B⌉` I/Os while scattered accesses cost up to one I/O each —
-/// the asymmetry at the heart of Section 8.
+/// A disk-resident array of `Copy` items. Every access faults the
+/// containing block through the machine's buffer pool, so a sequential
+/// run costs `⌈k/B⌉` I/Os while scattered accesses cost up to one I/O
+/// each — the asymmetry at the heart of Section 8.
+///
+/// The pool is charged the way the model charges: the run calls
+/// ([`EmArray::scan`], [`EmArray::read_range`], [`EmArray::write_fresh`],
+/// [`EmArray::mark_written`]) touch every block of their run **once**,
+/// in order, under one pool lock; the single-item calls
+/// ([`EmArray::get`], [`EmArray::set`]) touch one block per call and are
+/// for genuinely random access.
 ///
 /// Like the machine, arrays are `Send + Sync` (for `T: Send`): the
 /// simulated disk contents sit behind their own mutex, taken after the
@@ -414,8 +314,9 @@ impl EmMachine {
 pub struct EmArray<T: Copy> {
     machine: EmMachine,
     id: u32,
+    len: usize,
+    items_per_block: usize,
     data: Mutex<Vec<T>>,
-    _marker: PhantomData<T>,
 }
 
 impl<T: Copy> EmArray<T> {
@@ -425,62 +326,101 @@ impl<T: Copy> EmArray<T> {
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.data().len()
+        self.len
     }
 
     /// True when the array has no items.
     pub fn is_empty(&self) -> bool {
-        self.data().is_empty()
+        self.len == 0
     }
 
     /// Items per block for this element type.
     pub fn items_per_block(&self) -> usize {
-        self.machine.items_per_block::<T>()
+        self.items_per_block
     }
 
-    fn touch(&self, index: usize, write: bool, no_fetch: bool) {
-        let block = (index / self.items_per_block()) as u64;
-        self.machine.pool().touch((self.id, block), write, no_fetch);
+    /// Touches each block of the item run `[start, end)` once, in order,
+    /// under one pool lock.
+    fn touch_run(&self, start: usize, end: usize, write: bool, no_fetch: bool) {
+        assert!(start <= end && end <= self.len, "bad run [{start},{end}) of {}", self.len);
+        if start == end {
+            return;
+        }
+        let (first, last) = (start / self.items_per_block, (end - 1) / self.items_per_block);
+        let mut pool = self.machine.pool();
+        for block in first..=last {
+            pool.touch((self.id, block as u64), write, no_fetch);
+        }
     }
 
     /// Reads item `index` (counts an I/O on a buffer miss).
     pub fn get(&self, index: usize) -> T {
-        self.touch(index, false, false);
+        self.touch_run(index, index + 1, false, false);
         self.data()[index]
     }
 
     /// Writes item `index` (counts an I/O on a buffer miss; the dirty
     /// block costs another I/O when evicted or flushed).
     pub fn set(&self, index: usize, value: T) {
-        self.touch(index, true, false);
+        self.touch_run(index, index + 1, true, false);
         self.data()[index] = value;
     }
 
-    /// Writes item `index` into a block the caller is overwriting wholesale
-    /// (sequential output): on a miss the block is installed dirty without
-    /// a read transfer — write-allocate-no-fetch, as a real buffer manager
-    /// does for append-style writes. The eventual write-back is counted.
-    pub fn set_fresh(&self, index: usize, value: T) {
-        self.touch(index, true, true);
-        self.data()[index] = value;
+    /// Sequential read of the run `[start, end)`: `⌈len/B⌉` I/Os when the
+    /// run is block-aligned and cold. `f` sees the run as one slice, under
+    /// the array's data lock — it must not access this array.
+    pub fn scan<R>(&self, start: usize, end: usize, f: impl FnOnce(&[T]) -> R) -> R {
+        self.touch_run(start, end, false, false);
+        f(&self.data()[start..end])
     }
 
-    /// Marks item `index`'s block dirty without a read transfer and without
-    /// changing the value — used to account for a sequential write pass of
-    /// data that is already materialized (e.g. freshly generated pairs).
-    pub fn touch_fresh(&self, index: usize) {
-        self.touch(index, true, true);
-    }
-
-    /// Reads a contiguous range into a `Vec` (sequential, so `⌈len/B⌉`
-    /// I/Os when the range is block-aligned and cold).
+    /// [`EmArray::scan`] into a fresh `Vec`.
     pub fn read_range(&self, start: usize, end: usize) -> Vec<T> {
-        (start..end).map(|i| self.get(i)).collect()
+        self.scan(start, end, <[T]>::to_vec)
+    }
+
+    /// Sequential overwrite of the run starting at `start` with `items`
+    /// (sequential output): a missing block is installed dirty without a
+    /// read transfer — write-allocate-no-fetch, as a real buffer manager
+    /// does for append-style writes. The eventual write-back is counted.
+    pub fn write_fresh(&self, start: usize, items: &[T]) {
+        let end = start + items.len();
+        self.touch_run(start, end, true, true);
+        self.data()[start..end].copy_from_slice(items);
+    }
+
+    /// Marks the blocks of the run `[start, end)` dirty without a read
+    /// transfer and without changing the values — the sequential write
+    /// pass of data that is already materialized (e.g. freshly generated
+    /// pairs handed to [`EmMachine::array_from`], whose placement is free).
+    pub fn mark_written(&self, start: usize, end: usize) {
+        self.touch_run(start, end, true, true);
+    }
+
+    /// Sequential map-copy `dst[i] = f(self[i])` of the whole array into
+    /// an equally long `dst`. The two streams advance together; a segment
+    /// ends at the next block boundary of either, so the pool sees the
+    /// block order an item-by-item copy would produce, one touch per
+    /// block per segment.
+    pub(crate) fn emit_into<U: Copy>(&self, dst: &EmArray<U>, f: impl Fn(T) -> U) {
+        assert_eq!(self.len, dst.len, "emit between arrays of different lengths");
+        let block_end = |i: usize, per_block: usize| (i / per_block + 1) * per_block;
+        let mut segment = Vec::new();
+        let mut start = 0;
+        while start < self.len {
+            let end = block_end(start, self.items_per_block)
+                .min(block_end(start, dst.items_per_block))
+                .min(self.len);
+            segment.clear();
+            self.scan(start, end, |items| segment.extend(items.iter().map(|&v| f(v))));
+            dst.write_fresh(start, &segment);
+            start = end;
+        }
     }
 
     /// Number of blocks the array occupies.
     pub fn block_count(&self) -> usize {
-        self.len().div_ceil(self.items_per_block())
+        self.len.div_ceil(self.items_per_block)
     }
 
     /// Destroys the array, dropping its buffered blocks without counting
@@ -597,56 +537,6 @@ mod tests {
         assert_eq!(m.stats().reads, 0);
         a.get(64); // miss (was evicted)
         assert_eq!(m.stats().reads, 1);
-    }
-
-    #[test]
-    fn clock_policy_outputs_match_lru_outputs() {
-        // Policy changes cost, never data: the same access pattern reads
-        // the same values under every policy.
-        for policy in [EvictionPolicy::Lru, EvictionPolicy::SegmentedLru] {
-            let m = EmMachine::with_policy(128, 64, policy);
-            let a = m.array_from((0..256u64).collect::<Vec<_>>());
-            let mut acc = Vec::new();
-            for i in (0..256).step_by(17) {
-                acc.push(a.get(i));
-            }
-            assert_eq!(acc, (0..256u64).step_by(17).collect::<Vec<_>>(), "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn segmented_lru_resists_a_scan() {
-        // 4 frames, protected cap = 3. Touch two blocks twice (hot set →
-        // protected), then stream many cold blocks once each. Under
-        // plain LRU the scan flushes everything; SLRU keeps the hot set.
-        let m = EmMachine::with_policy(256, 64, EvictionPolicy::SegmentedLru);
-        let a = m.array_from(vec![0u64; 64 * 32]);
-        a.get(0);
-        a.get(0); // promote block 0
-        a.get(64);
-        a.get(64); // promote block 1
-        for c in 2..20 {
-            a.get(c * 64); // one-touch scan
-        }
-        m.reset_stats();
-        a.get(0);
-        a.get(64);
-        assert_eq!(m.stats().hits, 2, "hot set survives the scan");
-
-        // Same pattern under LRU: the scan evicts the hot set.
-        let m = EmMachine::new(256, 64);
-        let a = m.array_from(vec![0u64; 64 * 32]);
-        a.get(0);
-        a.get(0);
-        a.get(64);
-        a.get(64);
-        for c in 2..20 {
-            a.get(c * 64);
-        }
-        m.reset_stats();
-        a.get(0);
-        a.get(64);
-        assert_eq!(m.stats().misses, 2, "LRU loses the hot set to the scan");
     }
 
     #[test]

@@ -162,9 +162,7 @@ impl EmRangeSampler {
             }
             let (pool, cursor) = self.pools[u as usize].as_mut().expect("just ensured");
             let take = remaining.min(pool.len() - *cursor);
-            for i in 0..take {
-                out.push(pool.get(*cursor + i));
-            }
+            pool.scan(*cursor, *cursor + take, |run| out.extend_from_slice(run));
             *cursor += take;
             remaining -= take;
         }

@@ -25,35 +25,33 @@ pub fn build_wr_pool<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> EmArray<f64> {
     assert!(lo < hi && hi <= data.len(), "bad pool range [{lo},{hi})");
-    // 1. Random ranks, written sequentially.
+    // 1. Random ranks, written sequentially (array_from placement is
+    //    free; charge the write pass).
     let pairs: EmArray<(u64, u64)> = machine.array_from(
         (0..count as u64).map(|slot| (rng.random_range(lo as u64..hi as u64), slot)).collect(),
     );
-    for i in 0..count {
-        // Count the sequential write pass (array_from placement is free).
-        pairs.touch_fresh(i);
-    }
+    pairs.mark_written(0, count);
     // 2. Sort by rank.
     let by_rank = external_sort(machine, pairs, |p| p.0);
-    // 3. Merge-scan: ranks ascending, data scanned forward only.
-    let valued: Vec<(u64, f64)> = (0..count)
-        .map(|i| {
-            let (rank, slot) = by_rank.get(i);
-            (slot, data.get(rank as usize))
-        })
-        .collect();
+    // 3. Merge-scan: ranks ascending, so `by_rank` is read a block at a
+    //    time and `data` is probed forward only.
+    let mut valued: Vec<(u64, f64)> = Vec::with_capacity(count);
+    let mut start = 0;
+    while start < count {
+        let end = (start + by_rank.items_per_block()).min(count);
+        by_rank.scan(start, end, |ranked| {
+            valued.extend(ranked.iter().map(|&(rank, slot)| (slot, data.get(rank as usize))));
+        });
+        start = end;
+    }
     by_rank.discard();
     let valued_arr = machine.array_from(valued);
-    for i in 0..count {
-        valued_arr.touch_fresh(i);
-    }
+    valued_arr.mark_written(0, count);
     // 4. Sort back by slot.
     let by_slot = external_sort(machine, valued_arr, |p| p.0);
     // 5. Extract values sequentially.
     let pool = machine.array_from(vec![0.0f64; count]);
-    for i in 0..count {
-        pool.set_fresh(i, by_slot.get(i).1);
-    }
+    by_slot.emit_into(&pool, |(_, value)| value);
     by_slot.discard();
     pool
 }
@@ -134,9 +132,7 @@ impl SamplePool {
                 self.rebuilds += 1;
             }
             let take = (s - (out.len() - base)).min(n - self.cursor);
-            for i in 0..take {
-                out.push(self.pool.get(self.cursor + i));
-            }
+            self.pool.scan(self.cursor, self.cursor + take, |run| out.extend_from_slice(run));
             self.cursor += take;
         }
         s

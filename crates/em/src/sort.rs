@@ -30,13 +30,11 @@ where
         let end = (start + mem_items).min(n);
         let mut buf = input.read_range(start, end);
         buf.sort_by(|a, b| key(a).partial_cmp(&key(b)).expect("sortable keys"));
-        runs.push(machine.array_from(buf.clone()));
-        // The array_from placement is free; emit a sequential write pass
-        // by storing through the buffer pool instead.
-        let run = runs.last().expect("just pushed");
-        for (i, v) in buf.into_iter().enumerate() {
-            run.set_fresh(i, v);
-        }
+        // The array_from placement is free; charge the sequential write
+        // pass that emits the run.
+        let run = machine.array_from(buf);
+        run.mark_written(0, run.len());
+        runs.push(run);
         start = end;
     }
     input.discard();
@@ -57,6 +55,47 @@ where
     runs.pop().expect("at least one run")
 }
 
+/// A merge input: one run read a block at a time into a private buffer,
+/// so each of its blocks is charged to the pool exactly once.
+struct RunCursor<'a, T: Copy> {
+    run: &'a EmArray<T>,
+    /// The buffered block and the read position inside it.
+    block: Vec<T>,
+    at: usize,
+    /// First run index not yet buffered.
+    next: usize,
+}
+
+impl<'a, T: Copy> RunCursor<'a, T> {
+    fn new(run: &'a EmArray<T>) -> Self {
+        let mut cursor = RunCursor { run, block: Vec::new(), at: 0, next: 0 };
+        cursor.refill();
+        cursor
+    }
+
+    fn refill(&mut self) {
+        let end = (self.next + self.run.items_per_block()).min(self.run.len());
+        self.block.clear();
+        self.run.scan(self.next, end, |items| self.block.extend_from_slice(items));
+        self.at = 0;
+        self.next = end;
+    }
+
+    fn head(&self) -> Option<T> {
+        self.block.get(self.at).copied()
+    }
+
+    fn advance(&mut self) {
+        self.at += 1;
+        if self.at == self.block.len() {
+            self.refill();
+        }
+    }
+}
+
+/// Merges `runs` (non-empty: phase 1 never emits an empty run) holding
+/// one buffered block per input plus one output block — the `M/B - 1`
+/// frames the model grants a merge.
 fn merge_group<T, K, F>(machine: &EmMachine, runs: &[EmArray<T>], key: &F) -> EmArray<T>
 where
     T: Copy,
@@ -64,40 +103,35 @@ where
     F: Fn(&T) -> K,
 {
     let total: usize = runs.iter().map(EmArray::len).sum();
-    let out = machine.array_zeroed_like::<T>(total, runs);
-    let mut cursors = vec![0usize; runs.len()];
-    for slot in 0..total {
+    let mut cursors: Vec<RunCursor<'_, T>> = runs.iter().map(RunCursor::new).collect();
+    let fill = cursors[0].head().expect("runs are non-empty");
+    let out = machine.array_from(vec![fill; total]);
+    let mut out_block = Vec::with_capacity(out.items_per_block());
+    let mut written = 0usize;
+    for _ in 0..total {
         // Linear scan over the (≤ M/B) run heads; CPU is free in EM.
-        let mut best: Option<usize> = None;
-        for (r, &c) in cursors.iter().enumerate() {
-            if c < runs[r].len() {
+        let mut best: Option<(usize, T)> = None;
+        for (r, cursor) in cursors.iter().enumerate() {
+            if let Some(head) = cursor.head() {
                 let better = match best {
                     None => true,
-                    Some(b) => key(&runs[r].get(c)) < key(&runs[b].get(cursors[b])),
+                    Some((_, b)) => key(&head) < key(&b),
                 };
                 if better {
-                    best = Some(r);
+                    best = Some((r, head));
                 }
             }
         }
-        let r = best.expect("slots remain");
-        out.set_fresh(slot, runs[r].get(cursors[r]));
-        cursors[r] += 1;
+        let (r, head) = best.expect("slots remain");
+        cursors[r].advance();
+        out_block.push(head);
+        if out_block.len() == out.items_per_block() || written + out_block.len() == total {
+            out.write_fresh(written, &out_block);
+            written += out_block.len();
+            out_block.clear();
+        }
     }
     out
-}
-
-impl EmMachine {
-    /// Internal helper: a zeroed array sized for a merge output. Separate
-    /// from [`EmMachine::array_zeroed`] because `T` need not be `Default`.
-    fn array_zeroed_like<T: Copy>(&self, len: usize, template: &[EmArray<T>]) -> EmArray<T> {
-        let fill = template
-            .iter()
-            .find(|r| !r.is_empty())
-            .map(|r| r.get(0))
-            .expect("merge group has items");
-        self.array_from(vec![fill; len])
-    }
 }
 
 #[cfg(test)]
@@ -154,6 +188,23 @@ mod tests {
         let blocks = (n / 64) as u64;
         // run formation (read+write) + ~2 merge passes: allow 8×.
         assert!(ios <= 8 * blocks, "ios {ios} vs blocks {blocks}");
+    }
+
+    #[test]
+    fn sorts_under_the_minimum_memory() {
+        // M = 2B: a two-way merge has three active blocks but only two
+        // frames, so the cursors' buffered blocks must survive eviction.
+        let m = EmMachine::new(2 * 16, 16);
+        let mut rng = StdRng::seed_from_u64(102);
+        let data: Vec<u64> = (0..1000).map(|_| rng.random_range(0..500)).collect();
+        let mut want = data.clone();
+        want.sort_unstable();
+        m.reset_stats();
+        let sorted = external_sort(&m, m.array_from(data), |&x| x);
+        // 32-item runs → 32 runs → 5 binary merge passes, each reading
+        // every block exactly once (63 blocks), after one formation pass.
+        assert_eq!(m.stats().reads, 6 * 63);
+        assert_eq!(sorted.read_range(0, sorted.len()), want);
     }
 
     #[test]

@@ -44,6 +44,53 @@ struct WNode {
 /// A node's pre-drawn `(key, id)` sample pool and its consumption cursor.
 type NodePool = Option<(EmArray<(f64, u64)>, usize)>;
 
+/// One stored element: `(key, weight, id)`.
+type Item = (f64, f64, u64);
+
+/// The RNG-free half of a range query ([`EmWeightedRangeSampler::plan`]):
+/// the in-range contents of the boundary chunks, read once, and the
+/// weights of the three pieces the draw splits `s` between. Its
+/// [`RangePlan::total`] is the exact range weight.
+#[derive(Debug, Clone, Default)]
+pub struct RangePlan {
+    /// In-range items of the first boundary chunk, and their weight.
+    head: Vec<Item>,
+    w1: f64,
+    /// Full chunks `[mid_lo, mid_hi)` strictly between the boundary
+    /// chunks, and their directory weight.
+    mid_lo: u32,
+    mid_hi: u32,
+    w2: f64,
+    /// In-range items of the last boundary chunk, and their weight.
+    tail: Vec<Item>,
+    w3: f64,
+    /// The range spans more than one chunk, so the draw flips split
+    /// coins; inside one chunk (`head` alone) it flips none.
+    split: bool,
+    total: f64,
+}
+
+impl RangePlan {
+    /// Exact total weight of the keys in the planned range (`0.0` when
+    /// it holds none).
+    pub fn total(&self) -> f64 {
+        self.total
+    }
+}
+
+/// One weighted pick from a boundary piece whose weights sum to `total`.
+fn weighted_pick<R: Rng + ?Sized>(items: &[Item], total: f64, rng: &mut R) -> (f64, u64) {
+    let mut t = rng.random::<f64>() * total;
+    for &(k, w, id) in items {
+        if t < w {
+            return (k, id);
+        }
+        t -= w;
+    }
+    let last = items[items.len() - 1];
+    (last.0, last.2)
+}
+
 /// Weighted WR range sampling on the EM machine (Direction 2).
 #[derive(Debug)]
 pub struct EmWeightedRangeSampler {
@@ -187,14 +234,27 @@ impl EmWeightedRangeSampler {
         }
     }
 
-    /// Reads a chunk's `(key, weight, id)` triples: one sequential scan of
-    /// the pair chunk plus the (denser) id chunk.
-    fn read_chunk(&self, c: usize) -> Vec<(f64, f64, u64)> {
+    /// Reads a chunk's `(key, weight, id)` triples: one sequential run of
+    /// the pair chunk plus one of the (denser) id chunk.
+    fn read_chunk(&self, c: usize) -> Vec<Item> {
         let lo = c * self.b;
         let hi = ((c + 1) * self.b).min(self.n);
-        let pairs = self.data.read_range(lo, hi);
-        let ids = self.ids.read_range(lo, hi);
-        pairs.into_iter().zip(ids).map(|((k, w), id)| (k, w, id)).collect()
+        let mut items: Vec<Item> =
+            self.data.scan(lo, hi, |pairs| pairs.iter().map(|&(k, w)| (k, w, 0)).collect());
+        self.ids.scan(lo, hi, |ids| {
+            for (item, &id) in items.iter_mut().zip(ids) {
+                item.2 = id;
+            }
+        });
+        items
+    }
+
+    /// A chunk's items with keys in `[x, y]`, and their total weight.
+    fn read_piece(&self, c: usize, x: f64, y: f64) -> (Vec<Item>, f64) {
+        let mut items = self.read_chunk(c);
+        items.retain(|&(k, _, _)| k >= x && k <= y);
+        let weight = items.iter().map(|p| p.1).sum();
+        (items, weight)
     }
 
     /// Builds a pool of `count` *weighted* `(key, id)` samples from node
@@ -248,26 +308,22 @@ impl EmWeightedRangeSampler {
         }
         debug_assert_eq!(staged.len(), count);
         let staged_arr = self.machine.array_from(staged);
-        for i in 0..count {
-            staged_arr.touch_fresh(i); // the sequential write pass
-        }
-        // Randomize consumption order.
+        // The sequential write pass, then randomize consumption order.
+        staged_arr.mark_written(0, count);
         let shuffled = external_sort(&self.machine, staged_arr, |p| p.0);
         let pool = self.machine.array_from(vec![(0.0f64, 0u64); count]);
-        for i in 0..count {
-            let (_, key, id) = shuffled.get(i);
-            pool.set_fresh(i, (key, id));
-        }
+        shuffled.emit_into(&pool, |(_, key, id)| (key, id));
         shuffled.discard();
         pool
     }
 
-    fn take_from_pool<R: Rng + ?Sized>(
+    fn take_from_pool<R: Rng + ?Sized, O>(
         &mut self,
         u: u32,
         count: usize,
         rng: &mut R,
-        out: &mut Vec<(f64, u64)>,
+        out: &mut Vec<O>,
+        emit: &impl Fn(f64, u64) -> O,
     ) {
         let (ilo, ihi) = self.item_range(u);
         let pool_len = ihi - ilo;
@@ -286,9 +342,9 @@ impl EmWeightedRangeSampler {
             }
             let (pool, cursor) = self.pools[u as usize].as_mut().expect("just ensured");
             let take = remaining.min(pool.len() - *cursor);
-            for i in 0..take {
-                out.push(pool.get(*cursor + i));
-            }
+            pool.scan(*cursor, *cursor + take, |run| {
+                out.extend(run.iter().map(|&(key, id)| emit(key, id)));
+            });
             *cursor += take;
             remaining -= take;
         }
@@ -301,82 +357,74 @@ impl EmWeightedRangeSampler {
         (ca, cb)
     }
 
-    /// Core query: appends `s` independent weighted `(key, id)` samples
-    /// from keys in `[x, y]` to `out`. Returns the number appended
-    /// (always `s`), or `None` on an empty range. All public query
-    /// variants delegate here, so they share one RNG draw sequence.
-    pub fn query_pairs_into<R: Rng + ?Sized>(
-        &mut self,
-        x: f64,
-        y: f64,
-        s: usize,
-        rng: &mut R,
-        out: &mut Vec<(f64, u64)>,
-    ) -> Option<usize> {
+    /// Plans a query over the keys in `[x, y]` without consuming any
+    /// randomness: reads each boundary chunk once (`O(1)` I/Os) and takes
+    /// the interior chunks' weight from the in-memory directory.
+    pub fn plan(&self, x: f64, y: f64) -> RangePlan {
+        let mut plan = RangePlan::default();
         if y < x {
-            return None;
+            return plan;
         }
         let (ca, cb) = self.boundary_chunks(x, y);
-        let weighted_pick = |items: &[(f64, f64, u64)], rng: &mut R| -> (f64, u64) {
-            let total: f64 = items.iter().map(|p| p.1).sum();
-            let mut t = rng.random::<f64>() * total;
-            for &(k, w, id) in items {
-                if t < w {
-                    return (k, id);
-                }
-                t -= w;
-            }
-            let last = items[items.len() - 1];
-            (last.0, last.2)
-        };
+        (plan.head, plan.w1) = self.read_piece(ca, x, y);
         if ca == cb {
-            let vals: Vec<(f64, f64, u64)> =
-                self.read_chunk(ca).into_iter().filter(|&(k, _, _)| k >= x && k <= y).collect();
-            if vals.is_empty() {
-                return None;
-            }
-            out.extend((0..s).map(|_| weighted_pick(&vals, rng)));
-            return Some(s);
+            plan.total = plan.w1;
+            return plan;
         }
-        let s1_vals: Vec<(f64, f64, u64)> =
-            self.read_chunk(ca).into_iter().filter(|&(k, _, _)| k >= x && k <= y).collect();
-        let s3_vals: Vec<(f64, f64, u64)> =
-            self.read_chunk(cb).into_iter().filter(|&(k, _, _)| k >= x && k <= y).collect();
-        let mid_lo = (ca + 1) as u32;
-        let mid_hi = cb as u32;
-        let w1: f64 = s1_vals.iter().map(|p| p.1).sum();
-        let w3: f64 = s3_vals.iter().map(|p| p.1).sum();
-        let w2: f64 = if mid_lo < mid_hi {
-            self.chunk_weight[mid_lo as usize..mid_hi as usize].iter().sum()
-        } else {
-            0.0
-        };
-        let total = w1 + w2 + w3;
-        if total <= 0.0 {
+        (plan.tail, plan.w3) = self.read_piece(cb, x, y);
+        plan.split = true;
+        (plan.mid_lo, plan.mid_hi) = ((ca + 1) as u32, cb as u32);
+        plan.w2 = self.chunk_weight[ca + 1..cb].iter().sum();
+        plan.total = plan.w1 + plan.w2 + plan.w3;
+        plan
+    }
+
+    /// The draw half of a query: appends `s` independent weighted samples
+    /// from the planned range to `out`, each mapped through `emit`.
+    /// Returns the number appended (always `s`), or `None` when the
+    /// planned range is empty. All public query variants end here, so
+    /// they share one RNG draw sequence.
+    fn draw<R: Rng + ?Sized, O>(
+        &mut self,
+        plan: &RangePlan,
+        s: usize,
+        rng: &mut R,
+        out: &mut Vec<O>,
+        emit: impl Fn(f64, u64) -> O,
+    ) -> Option<usize> {
+        if plan.total <= 0.0 {
             return None;
+        }
+        let mut pick = |items: &[Item], total: f64, rng: &mut R| {
+            let (key, id) = weighted_pick(items, total, rng);
+            out.push(emit(key, id));
+        };
+        if !plan.split {
+            for _ in 0..s {
+                pick(&plan.head, plan.w1, rng);
+            }
+            return Some(s);
         }
         let (mut c1, mut c2, mut c3) = (0usize, 0usize, 0usize);
         for _ in 0..s {
-            let t = rng.random::<f64>() * total;
-            if t < w1 {
+            let t = rng.random::<f64>() * plan.total;
+            if t < plan.w1 {
                 c1 += 1;
-            } else if t < w1 + w2 {
+            } else if t < plan.w1 + plan.w2 {
                 c2 += 1;
             } else {
                 c3 += 1;
             }
         }
         for _ in 0..c1 {
-            let picked = weighted_pick(&s1_vals, rng);
-            out.push(picked);
+            pick(&plan.head, plan.w1, rng);
         }
         for _ in 0..c3 {
-            let picked = weighted_pick(&s3_vals, rng);
-            out.push(picked);
+            pick(&plan.tail, plan.w3, rng);
         }
         if c2 > 0 {
             let mut canon = Vec::new();
-            self.canonical(mid_lo, mid_hi, self.root, &mut canon);
+            self.canonical(plan.mid_lo, plan.mid_hi, self.root, &mut canon);
             let weights: Vec<f64> = canon.iter().map(|&u| self.nodes[u as usize].weight).collect();
             let wt: f64 = weights.iter().sum();
             let mut per_node = vec![0usize; canon.len()];
@@ -394,11 +442,37 @@ impl EmWeightedRangeSampler {
             }
             for (i, &u) in canon.iter().enumerate() {
                 if per_node[i] > 0 {
-                    self.take_from_pool(u, per_node[i], rng, out);
+                    self.take_from_pool(u, per_node[i], rng, out, &emit);
                 }
             }
         }
         Some(s)
+    }
+
+    /// [`Self::query_ids_into`] over a range already planned with
+    /// [`Self::plan`] on a structure holding the same elements.
+    pub fn draw_ids_into<R: Rng + ?Sized>(
+        &mut self,
+        plan: &RangePlan,
+        s: usize,
+        rng: &mut R,
+        out: &mut Vec<u64>,
+    ) -> Option<usize> {
+        self.draw(plan, s, rng, out, |_, id| id)
+    }
+
+    /// Appends `s` independent weighted `(key, id)` samples from keys in
+    /// `[x, y]` to `out`. Returns the number appended (always `s`), or
+    /// `None` on an empty range.
+    pub fn query_pairs_into<R: Rng + ?Sized>(
+        &mut self,
+        x: f64,
+        y: f64,
+        s: usize,
+        rng: &mut R,
+        out: &mut Vec<(f64, u64)>,
+    ) -> Option<usize> {
+        self.draw(&self.plan(x, y), s, rng, out, |key, id| (key, id))
     }
 
     /// Draws `s` independent *weighted* samples (key values) from the
@@ -426,10 +500,7 @@ impl EmWeightedRangeSampler {
         rng: &mut R,
         out: &mut Vec<f64>,
     ) -> Option<usize> {
-        let mut pairs = Vec::with_capacity(s);
-        let appended = self.query_pairs_into(x, y, s, rng, &mut pairs)?;
-        out.extend(pairs.into_iter().map(|(k, _)| k));
-        Some(appended)
+        self.draw(&self.plan(x, y), s, rng, out, |key, _| key)
     }
 
     /// Draws `s` independent weighted samples from `[x, y]`, appending the
@@ -444,28 +515,14 @@ impl EmWeightedRangeSampler {
         rng: &mut R,
         out: &mut Vec<u64>,
     ) -> Option<usize> {
-        let mut pairs = Vec::with_capacity(s);
-        let appended = self.query_pairs_into(x, y, s, rng, &mut pairs)?;
-        out.extend(pairs.into_iter().map(|(_, id)| id));
-        Some(appended)
+        self.draw_ids_into(&self.plan(x, y), s, rng, out)
     }
 
     /// Exact total weight of keys in `[x, y]`: the two boundary chunks are
     /// scanned (O(1) chunk I/Os), interior chunks come from the in-memory
     /// directory.
     pub fn range_weight(&self, x: f64, y: f64) -> f64 {
-        if y < x {
-            return 0.0;
-        }
-        let (ca, cb) = self.boundary_chunks(x, y);
-        let in_range = |&(k, _, _): &(f64, f64, u64)| k >= x && k <= y;
-        if ca == cb {
-            return self.read_chunk(ca).iter().filter(|t| in_range(t)).map(|t| t.1).sum();
-        }
-        let w1: f64 = self.read_chunk(ca).iter().filter(|t| in_range(t)).map(|t| t.1).sum();
-        let w3: f64 = self.read_chunk(cb).iter().filter(|t| in_range(t)).map(|t| t.1).sum();
-        let w2: f64 = self.chunk_weight[ca + 1..cb].iter().sum();
-        w1 + w2 + w3
+        self.plan(x, y).total
     }
 
     /// Exact number of keys in `[x, y]`, at the same O(1) chunk I/O cost
@@ -621,6 +678,34 @@ mod tests {
             assert_eq!(s.range_count(x, y), want_n, "count [{x},{y}]");
         }
         assert!((s.total_weight() - pairs.iter().map(|p| p.1).sum::<f64>()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn plan_is_the_range_weight_and_draw_replays_the_query() {
+        let pairs: Vec<(f64, f64)> = (0..2000).map(|i| (i as f64, 1.0 + (i % 5) as f64)).collect();
+        let machine = EmMachine::new(64 * 8, 64);
+        let mut planned = EmWeightedRangeSampler::new(&machine, pairs.clone());
+        let twin_machine = EmMachine::new(64 * 8, 64);
+        let mut queried = EmWeightedRangeSampler::new(&twin_machine, pairs);
+        let mut rng_planned = StdRng::seed_from_u64(175);
+        let mut rng_queried = StdRng::seed_from_u64(175);
+        // The ranges of `range_weight_and_count_are_exact`, with the
+        // number of boundary chunks each one reads.
+        for (x, y, chunks) in
+            [(0.0, 1999.0, 2), (13.0, 1987.0, 2), (100.0, 100.0, 1), (55.5, 56.5, 1), (7.0, 3.0, 0)]
+        {
+            machine.reset_stats();
+            let plan = planned.plan(x, y);
+            // A chunk is one pair block and half an id block, each
+            // touched once.
+            let stats = machine.stats();
+            assert_eq!(stats.hits + stats.misses, 2 * chunks, "plan touches at [{x},{y}]");
+            assert_eq!(plan.total().to_bits(), planned.range_weight(x, y).to_bits(), "[{x},{y}]");
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let drew = planned.draw_ids_into(&plan, 300, &mut rng_planned, &mut got);
+            assert_eq!(drew, queried.query_ids_into(x, y, 300, &mut rng_queried, &mut want));
+            assert_eq!(got, want, "plan + draw diverged from the one-call query at [{x},{y}]");
+        }
     }
 
     #[test]

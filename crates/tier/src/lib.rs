@@ -9,9 +9,9 @@
 //!   ([`iqs_core::ChunkedRange`]) — `O(log n + s)` per query, no I/O.
 //! * **Cold shards** live on the simulated disk as Section-8 structures
 //!   ([`iqs_em::EmWeightedRangeSampler`]) and are served through one
-//!   shared bounded block cache (an [`iqs_em::EmMachine`] evicting by
-//!   segmented LRU), so the cold tier's RAM footprint is the configured
-//!   block budget regardless of data size.
+//!   shared bounded block cache (an LRU [`iqs_em::EmMachine`]), so the
+//!   cold tier's RAM footprint is the configured block budget
+//!   regardless of data size.
 //!
 //! A [`TieredIndex`] partitions the key line into disjoint shard spans,
 //! routes each query range to the shards it touches, and splits the

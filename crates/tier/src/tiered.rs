@@ -5,18 +5,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use iqs_core::{QueryError, RangeSampler};
-use iqs_em::{EmMachine, EmWeightedRangeSampler, EvictionPolicy, IoStats};
+use iqs_em::{EmMachine, EmWeightedRangeSampler, IoStats, RangePlan};
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
 use iqs_serve::{ExternalIndex, IoReport, RangeView, ServeError, Snapshot};
 use rand::RngCore;
 
 use crate::shard::{ColdShard, ShardSlot, TierState};
 use crate::{ShardTier, TierConfig, TierError};
-
-/// Eviction policy of the cold tier's block cache: scan-resistant, so a
-/// one-touch sweep of a cold range does not flush the blocks hot queries
-/// keep hitting.
-const COLD_CACHE_POLICY: EvictionPolicy = EvictionPolicy::SegmentedLru;
 
 /// A pending shard: name, `(id, key, weight)` triples, initial tier.
 type PendingShard = (String, Vec<(u64, f64, f64)>, ShardTier);
@@ -62,10 +57,9 @@ impl TieredIndexBuilder {
         if self.shards.is_empty() {
             return Err(TierError::NoShards);
         }
-        let machine = EmMachine::with_policy(
+        let machine = EmMachine::new(
             self.config.cold_cache_blocks * self.config.block_words,
             self.config.block_words,
-            COLD_CACHE_POLICY,
         );
         let mut slots: Vec<Arc<ShardSlot>> = Vec::with_capacity(self.shards.len());
         for (name, triples, tier) in self.shards {
@@ -282,16 +276,16 @@ impl TieredIndex {
             return Err(QueryError::EmptyRange.into());
         }
         let mut io = IoStats::default();
-        let mut active: Vec<(&Arc<ShardSlot>, f64)> = Vec::new();
+        let mut active: Vec<(&Arc<ShardSlot>, f64, Option<RangePlan>)> = Vec::new();
         let mut total = 0.0;
         for slot in &self.shards {
             if !slot.overlaps(x, y) {
                 continue;
             }
-            let w = self.slot_range_weight(slot, x, y, &mut io);
+            let (w, plan) = self.slot_range_weight(slot, x, y, &mut io);
             if w > 0.0 {
                 total += w;
-                active.push((slot, w));
+                active.push((slot, w, plan));
             }
         }
         if active.is_empty() || total <= 0.0 {
@@ -308,7 +302,7 @@ impl TieredIndex {
                 let t = u01(rng) * total;
                 let mut acc = 0.0;
                 let mut pick = active.len() - 1;
-                for (i, &(_, w)) in active.iter().enumerate() {
+                for (i, &(_, w, _)) in active.iter().enumerate() {
                     acc += w;
                     if t < acc {
                         pick = i;
@@ -319,11 +313,12 @@ impl TieredIndex {
             }
         }
         let mut out = Vec::with_capacity(s);
-        for (&(slot, _), &c) in active.iter().zip(&counts) {
+        let mut ranks = Vec::new();
+        for ((slot, _, plan), &c) in active.into_iter().zip(&counts) {
             if c == 0 {
                 continue;
             }
-            self.draw_from_slot(slot, x, y, c, rng, &mut out, &mut io, ctx)?;
+            self.draw_from_slot(slot, x, y, plan, c, rng, &mut ranks, &mut out, &mut io, ctx)?;
             slot.accesses.fetch_add(c as u64, Ordering::Relaxed);
         }
         Ok((out, io_report(&io)))
@@ -371,7 +366,7 @@ impl TieredIndex {
         self.shards
             .iter()
             .filter(|s| s.overlaps(x, y))
-            .map(|s| self.slot_range_weight(s, x, y, &mut io))
+            .map(|s| self.slot_range_weight(s, x, y, &mut io).0)
             .sum()
     }
 
@@ -490,16 +485,24 @@ impl TieredIndex {
 
     /// Exact range weight of one shard, charging any cold-tier chunk
     /// reads to `io`. Full-span queries come from the directory for
-    /// free in both tiers.
-    fn slot_range_weight(&self, slot: &ShardSlot, x: f64, y: f64, io: &mut IoStats) -> f64 {
+    /// free in both tiers. A partially covered cold shard also returns
+    /// the plan its boundary-chunk reads paid for, so the draw does not
+    /// read them again.
+    fn slot_range_weight(
+        &self,
+        slot: &ShardSlot,
+        x: f64,
+        y: f64,
+        io: &mut IoStats,
+    ) -> (f64, Option<RangePlan>) {
         if x <= slot.lo && slot.hi <= y {
-            return slot.total_weight;
+            return (slot.total_weight, None);
         }
         loop {
             let state = slot.state.load();
             match &*state {
                 TierState::Hot(h) => {
-                    return h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y));
+                    return (h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y)), None);
                 }
                 TierState::Cold(c) => {
                     let _dev = self.device();
@@ -510,22 +513,29 @@ impl TieredIndex {
                         continue;
                     };
                     let before = self.machine.stats();
-                    let w = sampler.range_weight(x, y);
+                    let plan = sampler.plan(x, y);
                     *io = io.plus(&self.delta_since(&before));
-                    return w;
+                    return (plan.total(), Some(plan));
                 }
             }
         }
     }
 
+    /// Draws `s` ids from one shard's part of `[x, y]`. `plan` is the
+    /// cold plan [`Self::slot_range_weight`] already read, if any; it
+    /// outlives a promote/demote cycle in between because a shard's
+    /// elements never change, and a shard found hot ignores it. `ranks`
+    /// is the query's scratch for hot-tier ranks.
     #[allow(clippy::too_many_arguments)]
     fn draw_from_slot(
         &self,
         slot: &ShardSlot,
         x: f64,
         y: f64,
+        plan: Option<RangePlan>,
         s: usize,
         rng: &mut dyn RngCore,
+        ranks: &mut Vec<u32>,
         out: &mut Vec<u64>,
         io: &mut IoStats,
         ctx: Ctx,
@@ -535,8 +545,9 @@ impl TieredIndex {
             match &*state {
                 TierState::Hot(h) => {
                     let sampler = h.sampler.as_ref().ok_or(QueryError::EmptyRange)?;
-                    let mut ranks = vec![0u32; s];
-                    sampler.sample_wr_batch(x, y, rng, &mut ranks)?;
+                    ranks.clear();
+                    ranks.resize(s, 0);
+                    sampler.sample_wr_batch(x, y, rng, ranks)?;
                     out.extend(ranks.iter().map(|&r| h.id_at(r as usize)));
                     self.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
                     return Ok(());
@@ -546,7 +557,8 @@ impl TieredIndex {
                     let mut guard = lock_cold(c);
                     let Some(sampler) = guard.as_mut() else { continue };
                     let before = self.machine.stats();
-                    let drew = sampler.query_ids_into(x, y, s, rng, out);
+                    let plan = plan.unwrap_or_else(|| sampler.plan(x, y));
+                    let drew = sampler.draw_ids_into(&plan, s, rng, out);
                     let delta = self.delta_since(&before);
                     *io = io.plus(&delta);
                     if drew.is_none() {
@@ -750,6 +762,43 @@ mod tests {
         assert_eq!(idx.counters().promotions, 1);
         assert_eq!(idx.counters().demotions, 1);
         assert!(matches!(idx.promote("ghost"), Err(TierError::UnknownShard(_))));
+    }
+
+    #[test]
+    fn a_plan_outliving_a_promotion_draws_from_the_hot_arm() {
+        let idx = TieredIndex::builder(small_config())
+            .add_shard("s", shard(0, 1000), ShardTier::Cold)
+            .build()
+            .unwrap();
+        let slot = &idx.shards[0];
+        let (x, y) = (100.0, 700.0);
+        let mut io = IoStats::default();
+        let (weight, plan) = idx.slot_range_weight(slot, x, y, &mut io);
+        assert!(plan.is_some(), "a partially covered cold shard hands its plan on");
+        assert_eq!(weight.to_bits(), idx.range_weight(x, y).to_bits());
+        assert!(io.reads > 0, "the plan paid for the boundary chunks");
+        assert!(idx.promote("s").unwrap());
+
+        let mut rng = StdRng::seed_from_u64(12);
+        let (mut ranks, mut out) = (Vec::new(), Vec::new());
+        let before = io;
+        idx.draw_from_slot(
+            slot,
+            x,
+            y,
+            plan,
+            40,
+            &mut rng,
+            &mut ranks,
+            &mut out,
+            &mut io,
+            Ctx::none(),
+        )
+        .unwrap();
+        assert_eq!(out.len(), 40);
+        assert!(out.iter().all(|&id| (100..=700).contains(&id)));
+        assert_eq!(io, before, "the hot arm does no block I/O");
+        assert_eq!((idx.counters().hot_draws, idx.counters().cold_draws), (40, 0));
     }
 
     #[test]

@@ -29,17 +29,13 @@ fn small_config() -> TierConfig {
 /// builds and rebuilds on both sides).
 #[test]
 fn cold_tier_draws_replay_the_flat_em_structure() {
-    use iqs_em::{EmMachine, EmWeightedRangeSampler, EvictionPolicy};
+    use iqs_em::{EmMachine, EmWeightedRangeSampler};
 
     let data = triples(0, 0.0, 1000);
     let cfg = small_config();
     let idx =
         TieredIndex::builder(cfg).add_shard("only", data.clone(), ShardTier::Cold).build().unwrap();
-    let machine = EmMachine::with_policy(
-        cfg.cold_cache_blocks * cfg.block_words,
-        cfg.block_words,
-        EvictionPolicy::SegmentedLru,
-    );
+    let machine = EmMachine::new(cfg.cold_cache_blocks * cfg.block_words, cfg.block_words);
     let mut flat = EmWeightedRangeSampler::new_keyed(&machine, data);
 
     let mut rng_tier = StdRng::seed_from_u64(42);

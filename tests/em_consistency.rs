@@ -5,8 +5,10 @@
 
 use iqs::core::{ChunkedRange, RangeSampler};
 use iqs::em::{external_sort, EmMachine, EmRangeSampler, NaiveEmSampler, SamplePool};
+use iqs::obs::Ctx;
 use iqs::stats::chisq::{chi_square_gof, uniform_probs};
 use iqs::testkit::gate::{self, Trial};
+use iqs::tier::{ShardTier, TierConfig, TieredIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,6 +61,47 @@ fn io_identities_hold() {
         arr.get(i);
     }
     assert_eq!(machine.stats().reads, (n / b) as u64);
+    // A cold sequential run is charged per block, not per item: k blocks
+    // are k touches and k reads.
+    machine.flush();
+    machine.reset_stats();
+    let k = 5;
+    assert_eq!(arr.read_range(3 * b, (3 + k) * b).len(), k * b);
+    let stats = machine.stats();
+    assert_eq!(stats.hits + stats.misses, k as u64);
+    assert_eq!(stats.reads, k as u64);
+}
+
+#[test]
+fn cold_tier_queries_touch_blocks_not_items() {
+    // The benchmark's cold geometry in small: 8 all-cold shards behind a
+    // 32-block cache, windows over a quarter of the keys, s = 64. A query
+    // reads four boundary chunks and a few pool blocks, so it touches the
+    // buffer pool about once per sample (60 per query); charging per item
+    // cost about 78 touches per sample (5,000 per query) here.
+    let (shards, per_shard, s) = (8usize, 4096usize, 64usize);
+    let mut builder =
+        TieredIndex::builder(TierConfig { cold_cache_blocks: 32, ..TierConfig::default() });
+    for k in 0..shards {
+        let triples = (k * per_shard..(k + 1) * per_shard)
+            .map(|i| (i as u64, i as f64, 1.0 + (i % 7) as f64));
+        builder = builder.add_shard(&format!("s{k}"), triples.collect(), ShardTier::Cold);
+    }
+    let index = builder.build().unwrap();
+    let n = shards * per_shard;
+    let window = n / 4;
+    let mut rng = StdRng::seed_from_u64(1104);
+    let queries = 200;
+    let mut touches = 0;
+    for _ in 0..queries {
+        let x = rng.random_range(0..n - window);
+        let range = Some((x as f64, (x + window) as f64));
+        let (ids, io) = index.sample_wr(range, s, &mut rng, Ctx::none()).unwrap();
+        assert!(ids.iter().all(|&id| (x..=x + window).contains(&(id as usize))));
+        touches += io.cache_hits + io.cache_misses;
+    }
+    let per_query = touches as f64 / queries as f64;
+    assert!(per_query < 2.0 * s as f64, "{per_query} pool touches per {s}-sample query");
 }
 
 #[test]

@@ -35,87 +35,65 @@ use iqs_tree::{SubtreeSampler, Tree, TreeSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// An arm: the argument names that select it and the function that runs it.
+type Arm = (&'static [&'static str], fn());
+
+/// Every arm, in the order a bare `harness` runs them.
+const ARMS: &[Arm] = &[
+    (&["e1"], e1_alias),
+    (&["e2"], e2_tree_sampling),
+    (&["e3", "e4"], e3_e4_range1d),
+    (&["e5"], e5_kdtree),
+    (&["e6"], e6_rangetree),
+    (&["e7"], e7_approx_cover),
+    (&["e8"], e8_setunion),
+    (&["e9"], e9_em_set),
+    (&["e10"], e10_em_range),
+    (&["e11"], e11_dynamic_alias),
+    (&["f1"], f1_independence),
+    (&["f2"], f2_concentration),
+    (&["f3"], f3_fairness),
+    (&["f4"], f4_crossover),
+    (&["e12"], e12_dynamic_range),
+    (&["e13"], e13_wor_methods),
+    (&["a1"], a1_chunk_len_ablation),
+    (&["a2"], a2_sketch_k_ablation),
+    (&["a3"], a3_leaf_cap_ablation),
+    (&["e14"], e14_regions),
+    (&["e15"], e15_em_weighted),
+    (&["e16"], e16_batch_throughput),
+    (&["e19"], e19_observability),
+    (&["e23"], e23_autopilot),
+    (&["e24"], e24_telemetry_slo),
+];
+
+/// The arms `args` select (every arm when empty), or the first argument
+/// that names none.
+fn select(args: &[String]) -> Result<Vec<fn()>, &str> {
+    let named = |names: &[&str], arg: &String| names.contains(&arg.as_str());
+    if let Some(unknown) = args.iter().find(|a| !ARMS.iter().any(|(names, _)| named(names, a))) {
+        return Err(unknown);
+    }
+    Ok(ARMS
+        .iter()
+        .filter(|(names, _)| args.is_empty() || args.iter().any(|a| named(names, a)))
+        .map(|&(_, run)| run)
+        .collect())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    let arms = select(&args).unwrap_or_else(|unknown| {
+        let valid: Vec<&str> = ARMS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
+        eprintln!("unknown experiment `{unknown}`; valid names: {}", valid.join(" "));
+        std::process::exit(2);
+    });
 
     println!("IQS experiment harness (Tao, PODS 2022 reproduction)");
     println!("====================================================\n");
 
-    if want("e1") {
-        e1_alias();
-    }
-    if want("e2") {
-        e2_tree_sampling();
-    }
-    if want("e3") || want("e4") {
-        e3_e4_range1d();
-    }
-    if want("e5") {
-        e5_kdtree();
-    }
-    if want("e6") {
-        e6_rangetree();
-    }
-    if want("e7") {
-        e7_approx_cover();
-    }
-    if want("e8") {
-        e8_setunion();
-    }
-    if want("e9") {
-        e9_em_set();
-    }
-    if want("e10") {
-        e10_em_range();
-    }
-    if want("e11") {
-        e11_dynamic_alias();
-    }
-    if want("f1") {
-        f1_independence();
-    }
-    if want("f2") {
-        f2_concentration();
-    }
-    if want("f3") {
-        f3_fairness();
-    }
-    if want("f4") {
-        f4_crossover();
-    }
-    if want("e12") {
-        e12_dynamic_range();
-    }
-    if want("e13") {
-        e13_wor_methods();
-    }
-    if want("a1") {
-        a1_chunk_len_ablation();
-    }
-    if want("a2") {
-        a2_sketch_k_ablation();
-    }
-    if want("a3") {
-        a3_leaf_cap_ablation();
-    }
-    if want("e14") {
-        e14_regions();
-    }
-    if want("e15") {
-        e15_em_weighted();
-    }
-    if want("e19") {
-        e19_observability();
-    }
-    if want("e20") {
-        e20_memory_wall();
-    }
-    if want("e23") {
-        e23_autopilot();
-    }
-    if want("e24") {
-        e24_telemetry_slo();
+    for run in arms {
+        run();
     }
 }
 
@@ -1132,6 +1110,82 @@ fn e15_em_weighted() {
 }
 
 // =====================================================================
+// E16 — batched vs sequential sampling at n = 2^20, three doors (see
+// `RangeSampler`'s *Dual sampling API*): `seq` = `sample_wr` (per-draw
+// `dyn RngCore` dispatch + `Vec` output), `batch` = `sample_wr_into`
+// (block-buffered RNG into the caller's slice, still through the trait
+// object), `mono` = `sample_wr_batch::<StdRng>` on Theorem 3 only — how
+// much of the win is blocking/decoding vs avoiding dyn dispatch.
+// =====================================================================
+fn e16_batch_throughput() {
+    println!("E16  batched vs sequential sampling (n = 2^20, query = [10%, 90%])");
+    println!(
+        "{:>6} {:>9} {:>11} {:>11} {:>11} {:>10} {:>14}",
+        "s", "structure", "seq us/q", "batch us/q", "mono us/q", "seq/batch", "batch Msamp/s"
+    );
+    let n = 1usize << 20;
+    let pairs = keyed_weights(n, Weights::Uniform, 30);
+    let tree = TreeSamplingRange::new(pairs.clone()).unwrap();
+    let lemma2 = AliasAugmentedRange::new(pairs.clone()).unwrap();
+    let thm3 = ChunkedRange::new(pairs).unwrap();
+    // (name, trait-object doors, statically dispatched door if timed)
+    let all: [(&str, &dyn RangeSampler, Option<&ChunkedRange>); 3] =
+        [("tree32", &tree, None), ("lemma2", &lemma2, None), ("thm3", &thm3, Some(&thm3))];
+    let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
+    for s in [1usize, 16, 256, 4096] {
+        // ~2^16 draws per timed run whatever the batch size.
+        let iters = ((1usize << 16) / s).max(1);
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut out = vec![0u32; s];
+        let mut sink = 0usize;
+        for (name, sampler, mono) in all {
+            let seq =
+                time_ns(|| sink ^= sampler.sample_wr(x, y, s, &mut rng).unwrap()[0], iters, 5)
+                    / 1e3;
+            let batch = time_ns(
+                || {
+                    sampler.sample_wr_into(x, y, &mut rng, &mut out).unwrap();
+                    sink ^= out[0] as usize;
+                },
+                iters,
+                5,
+            ) / 1e3;
+            let mono = mono.map(|thm3| {
+                time_ns(
+                    || {
+                        thm3.sample_wr_batch(x, y, &mut rng, &mut out).unwrap();
+                        sink ^= out[0] as usize;
+                    },
+                    iters,
+                    5,
+                ) / 1e3
+            });
+            let mono = mono.map_or("-".to_string(), |us| format!("{us:.2}"));
+            println!(
+                "{:>6} {:>9} {:>11.2} {:>11.2} {:>11} {:>9.2}x {:>14.1}",
+                s,
+                name,
+                seq,
+                batch,
+                mono,
+                seq / batch,
+                s as f64 / batch
+            );
+            csv_row(
+                "e16_batch_throughput.csv",
+                "s,structure,seq_us,batch_us,mono_us",
+                &format!("{s},{name},{seq:.3},{batch:.3},{mono}"),
+            );
+        }
+        std::hint::black_box(sink);
+    }
+    println!(
+        "  claim: none from the paper (engineering experiment) — the batch door allocates\n  \
+         nothing per query and should not lose to the sequential one from s = 16 up.\n"
+    );
+}
+
+// =====================================================================
 // E19 — observability overhead (iqs-obs): the cost of the emit site
 // with no subscriber installed, and the end-to-end price of full
 // request tracing on the serve and shard tiers, measured A/B with
@@ -1289,119 +1343,6 @@ fn e19_observability() {
          Full tracing is NOT free on microsecond-scale queries — expect a double-digit\n  \
          percent toll on a single-vCPU host, dominated by clock reads — which is why\n  \
          the subscriber is opt-in and off by default.\n"
-    );
-}
-
-// =====================================================================
-// E20 — memory wall: the PR6 software-pipelined batch kernels (word
-// pre-generation + K-wide interleaved window + explicit prefetch) vs
-// the retained pre-PR6 kernels (`sample_wr_batch_reference`), which
-// stay in the binary precisely to serve as this in-situ baseline. Both
-// sides draw bit-identical sequences (tests/pipeline_replay.rs), so the
-// ratio is pure memory-schedule, not algorithm.
-// =====================================================================
-fn e20_memory_wall() {
-    use iqs_alias::pipeline::{TILE, WINDOW};
-
-    // CI sets E20_SMOKE=1 to run the same code at a cache-resident size;
-    // smoke checks wiring, not the speedup claim.
-    let smoke = std::env::var("E20_SMOKE").is_ok();
-    // E20_LOG_N overrides log2(n) to chase the wall on hosts with very
-    // large last-level caches (the default 2^20 build is L3-resident on
-    // a 256 MiB-L3 part, which mutes the effect being measured).
-    let log_n = std::env::var("E20_LOG_N").ok().and_then(|v| v.parse().ok()).unwrap_or(if smoke {
-        15
-    } else {
-        20
-    });
-    let n = 1usize << log_n;
-    let target_draws = 1usize << if smoke { 15 } else { 21 };
-    let runs = if smoke { 3 } else { 7 };
-    println!("E20  memory wall — pipelined batch kernels vs retained reference kernels");
-    println!("     n = {n} (Zipf), query = [2%, 98%] of the domain, K = {WINDOW}, tile = {TILE}");
-    println!(
-        "{:>10} {:>6} {:>13} {:>13} {:>9}",
-        "structure", "s", "ref ns/draw", "pipe ns/draw", "speedup"
-    );
-
-    let pairs = keyed_weights(n, Weights::Zipf, 20);
-    let tree = TreeSamplingRange::new(pairs.clone()).unwrap();
-    let lemma2 = AliasAugmentedRange::new(pairs.clone()).unwrap();
-    let thm3 = ChunkedRange::new(pairs).unwrap();
-    let (x, y) = (0.02 * n as f64, 0.98 * n as f64);
-
-    let bench = |name: &str,
-                 pipe: &mut dyn FnMut(&mut StdRng, &mut [u32]),
-                 reference: &mut dyn FnMut(&mut StdRng, &mut [u32])| {
-        for s in [16usize, 256, 4096] {
-            let iters = (target_draws / s).max(1);
-            let mut out = vec![0u32; s];
-            let mut rng = StdRng::seed_from_u64(0xE20);
-            pipe(&mut rng, &mut out);
-            reference(&mut rng, &mut out);
-            let ref_ns = time_ns(|| reference(&mut rng, &mut out), iters, runs) / s as f64;
-            let pipe_ns = time_ns(|| pipe(&mut rng, &mut out), iters, runs) / s as f64;
-            std::hint::black_box(&out);
-            let speedup = ref_ns / pipe_ns;
-            println!("{name:>10} {s:>6} {ref_ns:>13.1} {pipe_ns:>13.1} {speedup:>8.2}x");
-            csv_row(
-                "e20_memory_wall.csv",
-                "structure,s,ref_ns_per_draw,pipe_ns_per_draw,speedup",
-                &format!("{name},{s},{ref_ns:.2},{pipe_ns:.2},{speedup:.3}"),
-            );
-        }
-    };
-    bench("thm3", &mut |r, o| thm3.sample_wr_batch(x, y, r, o).unwrap(), &mut |r, o| {
-        thm3.sample_wr_batch_reference(x, y, r, o).unwrap()
-    });
-    bench("lemma2", &mut |r, o| lemma2.sample_wr_batch(x, y, r, o).unwrap(), &mut |r, o| {
-        lemma2.sample_wr_batch_reference(x, y, r, o).unwrap()
-    });
-    bench("tree", &mut |r, o| tree.sample_wr_batch(x, y, r, o).unwrap(), &mut |r, o| {
-        tree.sample_wr_batch_reference(x, y, r, o).unwrap()
-    });
-
-    // Lookahead sweep: the bare alias gather (decode already done, rows
-    // resolved in order) at explicit prefetch depths k, isolating the
-    // WINDOW = 8 choice from everything else the kernels do. k = 0 is
-    // the no-prefetch strawman; past the sweet spot extra depth only
-    // evicts useful lines.
-    let weights: Vec<f64> = keyed_weights(n, Weights::Zipf, 21).into_iter().map(|p| p.1).collect();
-    let t = AliasTable::new(&weights).unwrap();
-    let s = n; // touch the whole table so the working set defeats cache
-    let mut words = vec![0u64; s];
-    let mut cols = vec![0u32; s];
-    let mut coins = vec![0f64; s];
-    let mut out = vec![0u32; s];
-    let mut rng = StdRng::seed_from_u64(0xE20C);
-    for w in &mut words {
-        *w = rng.random();
-    }
-    t.decode_many(&words, &mut cols, &mut coins);
-    println!("\n  prefetch-lookahead sweep (bare alias gather, {s} random rows of {n}):");
-    println!("  {:>4} {:>13}", "k", "ns/resolve");
-    for k in [0usize, 1, 2, 4, 8, 16, 32] {
-        let ns = time_ns(
-            || {
-                for i in 0..s {
-                    if i + k < s {
-                        t.prefetch_row(cols[i + k] as usize);
-                    }
-                    out[i] = t.resolve(cols[i] as usize, coins[i]) as u32;
-                }
-            },
-            1,
-            runs,
-        ) / s as f64;
-        std::hint::black_box(&out);
-        println!("  {k:>4} {ns:>13.2}");
-        csv_row("e20_lookahead.csv", "k,ns_per_resolve", &format!("{k},{ns:.3}"));
-    }
-    println!(
-        "\n  claim: once s clears the window the fixed-words-per-draw kernels (Theorem 3\n  \
-         middle, Lemma 2) should gain >=2x from overlapping their dependent row loads;\n  \
-         the tree path, whose descent depth is data-dependent, gets only the bounded\n  \
-         lookahead (child-pair + draw-boundary peek) and a correspondingly smaller win.\n"
     );
 }
 
@@ -1746,4 +1687,18 @@ fn e24_telemetry_slo() {
          regression. Caveats: 1-vCPU runner wall times are noisy run to run; the\n  \
          detection table is exact (virtual clock, no RNG) and replays byte-identically.\n"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_arm_names_are_rejected_not_skipped() {
+        let args = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        assert_eq!(select(&args(&[])).unwrap().len(), ARMS.len());
+        assert_eq!(select(&args(&["e3", "e4", "f1"])).unwrap().len(), 2);
+        assert_eq!(select(&args(&["e9", "e99"])), Err("e99"));
+        assert_eq!(select(&args(&["e20"])), Err("e20"), "retired arms are unknown too");
+    }
 }

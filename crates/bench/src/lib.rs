@@ -76,10 +76,9 @@ pub fn overlapping_sets(f: usize, u: u64, len: u64, seed: u64) -> Vec<Vec<u64>> 
         .collect()
 }
 
-/// Median-of-runs nanoseconds for `op`, called `iters` times per run.
-/// A tiny deterministic timer for the harness (criterion handles the
-/// statistically careful benches; the harness needs one readable number
-/// per table row).
+/// Median-of-runs nanoseconds for `op`, called `iters` times per run:
+/// one readable number per harness table row. The statistically careful
+/// instrument is the ledger (`ledger/README.md`), not this timer.
 pub fn time_ns<F: FnMut()>(mut op: F, iters: usize, runs: usize) -> f64 {
     assert!(iters > 0 && runs > 0);
     let mut samples: Vec<f64> = (0..runs)

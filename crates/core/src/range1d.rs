@@ -209,24 +209,10 @@ impl TreeSamplingRange {
     }
 
     /// The same weighted descent as `descend`, fed from a word block
-    /// (one word per level, identical coin construction).
-    fn descend_block<R: RngCore + ?Sized>(
-        &self,
-        mut u: u32,
-        block: &mut BlockRng64<'_, R>,
-    ) -> usize {
-        while !self.tree.is_leaf(u) {
-            let (l, r) = self.tree.children(u);
-            let wl = self.tree.node_weight(l);
-            let wr = self.tree.node_weight(r);
-            u = if block.u01() * (wl + wr) < wl { l } else { r };
-        }
-        self.tree.leaf_range(u).0
-    }
-
-    /// `descend_block` with the dual-child next-level prefetch: while
-    /// this level's coin is decoded, both grandchild pairs are already
-    /// in flight — one of them is the next iteration's dependent load.
+    /// (one word per level, identical coin construction), with the
+    /// dual-child next-level prefetch: while this level's coin is
+    /// decoded, both grandchild pairs are already in flight — one of
+    /// them is the next iteration's dependent load.
     /// A descent consumes a *data-dependent* number of words, so the
     /// word pre-assignment that pipelines the fixed-words-per-draw
     /// kernels does not apply (see `iqs_alias::pipeline`); bounded
@@ -253,8 +239,7 @@ impl TreeSamplingRange {
     /// [`RangeSampler`] *Dual sampling API* notes.
     ///
     /// Prefetch hints never consume randomness, so this returns samples
-    /// bit-identical to [`Self::sample_wr_batch_reference`] (and to the
-    /// sequential path).
+    /// bit-identical to the sequential path.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when the interval holds no elements.
@@ -287,34 +272,6 @@ impl TreeSamplingRange {
             if let Some(w) = block.peek_word() {
                 self.tree.prefetch_children(canon[chooser.decode(w)]);
             }
-        }
-        Ok(())
-    }
-
-    /// The pre-PR6 batch kernel (no prefetch hints), retained verbatim as
-    /// the E20 baseline and as a differential-test oracle for
-    /// [`Self::sample_wr_batch`].
-    ///
-    /// # Errors
-    /// [`QueryError::EmptyRange`] when the interval holds no elements.
-    pub fn sample_wr_batch_reference<R: RngCore + ?Sized>(
-        &self,
-        x: f64,
-        y: f64,
-        rng: &mut R,
-        out: &mut [u32],
-    ) -> Result<(), QueryError> {
-        let (a, b) = self.rank_range(x, y);
-        let canon = self.tree.canonical_nodes(a, b);
-        if canon.is_empty() {
-            return Err(QueryError::EmptyRange);
-        }
-        let weights: Vec<f64> = canon.iter().map(|&u| self.tree.node_weight(u)).collect();
-        let chooser = AliasTable::new(&weights).expect("positive node weights");
-        let depth = usize::BITS as usize - self.keys.len().leading_zeros() as usize;
-        let mut block = BlockRng64::with_budget(rng, out.len().saturating_mul(depth + 1));
-        for slot in out.iter_mut() {
-            *slot = self.descend_block(canon[chooser.sample_block(&mut block)], &mut block) as u32;
         }
         Ok(())
     }
@@ -416,31 +373,6 @@ impl AliasAugmentedRange {
         } else {
             Err(QueryError::EmptyRange)
         }
-    }
-
-    /// The pre-PR6 batch kernel — one serialized draw at a time through
-    /// `PreparedRange::draw_block` — retained as the E20 baseline and as
-    /// a differential-test oracle for [`Self::sample_wr_batch`] (both
-    /// must return bit-identical samples).
-    ///
-    /// # Errors
-    /// [`QueryError::EmptyRange`] when the interval holds no elements.
-    pub fn sample_wr_batch_reference<R: RngCore + ?Sized>(
-        &self,
-        x: f64,
-        y: f64,
-        rng: &mut R,
-        out: &mut [u32],
-    ) -> Result<(), QueryError> {
-        let (a, b) = self.rank_range(x, y);
-        let Some(ctx) = self.engine.prepare(a, b) else {
-            return Err(QueryError::EmptyRange);
-        };
-        let mut block = BlockRng64::with_budget(rng, out.len().saturating_mul(2));
-        for slot in out.iter_mut() {
-            *slot = ctx.draw_block(&mut block) as u32;
-        }
-        Ok(())
     }
 }
 
@@ -597,8 +529,8 @@ impl ChunkedRange {
     /// vectorized decode, `K`-wide interleaved gather with explicit
     /// prefetch — and every word keeps the sequential path's
     /// word-to-decision assignment, so the samples stay bit-identical to
-    /// [`Self::sample_wr_batch_reference`] and to [`Self::sample_wr`]
-    /// (`RangeSampler::sample_wr`) under a word-replaying generator.
+    /// [`Self::sample_wr`] (`RangeSampler::sample_wr`) under a
+    /// word-replaying generator.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when the interval holds no elements.
@@ -716,78 +648,6 @@ impl ChunkedRange {
                         tile[i] = r as u32;
                     },
                 );
-            }
-        }
-        Ok(())
-    }
-
-    /// The pre-PR6 batch kernel — serialized draws, no pre-generation,
-    /// no prefetch — retained verbatim as the E20 baseline and as a
-    /// differential-test oracle for [`Self::sample_wr_batch`] (both must
-    /// return bit-identical samples).
-    ///
-    /// # Errors
-    /// [`QueryError::EmptyRange`] when the interval holds no elements.
-    pub fn sample_wr_batch_reference<R: RngCore + ?Sized>(
-        &self,
-        x: f64,
-        y: f64,
-        rng: &mut R,
-        out: &mut [u32],
-    ) -> Result<(), QueryError> {
-        let s = out.len();
-        let (ra, rb) = self.rank_range(x, y);
-        if ra >= rb {
-            return Err(QueryError::EmptyRange);
-        }
-        let ca = ra / self.chunk;
-        let cl = (rb - 1) / self.chunk;
-        let mut block = BlockRng64::with_budget(rng, s.saturating_mul(4));
-
-        if ca == cl {
-            let table = AliasTable::new(&self.weights[ra..rb]).expect("positive weights");
-            for slot in out.iter_mut() {
-                *slot = (ra + table.sample_block(&mut block)) as u32;
-            }
-            return Ok(());
-        }
-
-        let b1 = (ca + 1) * self.chunk;
-        let b3 = cl * self.chunk;
-        let w1: f64 = self.weights[ra..b1].iter().sum();
-        let w2 = self.fenwick.range_sum(ca + 1, cl);
-        let w3: f64 = self.weights[b3..rb].iter().sum();
-
-        let total = w1 + w2 + w3;
-        let (mut s1, mut s3) = (0usize, 0usize);
-        for _ in 0..s {
-            let t = block.u01() * total;
-            if t < w1 {
-                s1 += 1;
-            } else if t >= w1 + w2 {
-                s3 += 1;
-            }
-        }
-
-        let (part1, rest) = out.split_at_mut(s1);
-        let (part3, part2) = rest.split_at_mut(s3);
-        if !part1.is_empty() {
-            let table = AliasTable::new(&self.weights[ra..b1]).expect("positive weights");
-            for slot in part1.iter_mut() {
-                *slot = (ra + table.sample_block(&mut block)) as u32;
-            }
-        }
-        if !part3.is_empty() {
-            let table = AliasTable::new(&self.weights[b3..rb]).expect("positive weights");
-            for slot in part3.iter_mut() {
-                *slot = (b3 + table.sample_block(&mut block)) as u32;
-            }
-        }
-        if !part2.is_empty() {
-            let ctx = self.tchunk.prepare(ca + 1, cl).expect("w2 > 0 implies non-empty middle");
-            for slot in part2.iter_mut() {
-                let k = ctx.draw_block(&mut block);
-                *slot = (k * self.chunk + self.chunk_alias[k].sample_block(&mut block)) as u32;
             }
         }
         Ok(())
@@ -983,51 +843,19 @@ mod tests {
         // Both doors of the dual API consume the caller's RNG stream in
         // the same word order, so under StdRng (whose fill_bytes emits
         // whole LE next_u64 words) they must return identical samples.
-        for (name, s) in samplers(500, 25) {
-            for (x, y) in [(100.0, 350.0), (0.0, 499.0), (17.0, 17.0), (40.0, 45.0)] {
-                let mut a = StdRng::seed_from_u64(123);
-                let seq = s.sample_wr(x, y, 200, &mut a).unwrap();
-                let mut b = StdRng::seed_from_u64(123);
-                let mut batch = vec![0u32; 200];
-                s.sample_wr_into(x, y, &mut b, &mut batch).unwrap();
-                let seq32: Vec<u32> = seq.iter().map(|&r| r as u32).collect();
-                assert_eq!(batch, seq32, "{name} [{x},{y}]");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_kernels_match_reference_kernels() {
-        // The retained pre-PR6 kernels are the differential oracle: the
-        // pipelined rewrites must reproduce their samples bit for bit at
-        // window/tile boundary sizes and across query shapes.
-        let tree = TreeSamplingRange::new(pairs(700, 31)).unwrap();
-        let alias = AliasAugmentedRange::new(pairs(700, 31)).unwrap();
-        let chunked = ChunkedRange::new(pairs(700, 31)).unwrap();
+        // The sizes cross every window/tile seam of the pipelined kernels.
         let tile = iqs_alias::pipeline::TILE;
-        for s in [1usize, 7, 8, 9, tile - 1, tile, tile + 1, 2 * tile + 13] {
-            for (x, y) in [(0.0, 699.0), (13.0, 488.0), (40.0, 45.0)] {
-                let seed = s as u64 ^ 0xABCD;
-                let mut new = vec![0u32; s];
-                let mut old = vec![0u32; s];
-
-                let mut r1 = StdRng::seed_from_u64(seed);
-                tree.sample_wr_batch(x, y, &mut r1, &mut new).unwrap();
-                let mut r2 = StdRng::seed_from_u64(seed);
-                tree.sample_wr_batch_reference(x, y, &mut r2, &mut old).unwrap();
-                assert_eq!(new, old, "tree s={s} [{x},{y}]");
-
-                let mut r1 = StdRng::seed_from_u64(seed);
-                alias.sample_wr_batch(x, y, &mut r1, &mut new).unwrap();
-                let mut r2 = StdRng::seed_from_u64(seed);
-                alias.sample_wr_batch_reference(x, y, &mut r2, &mut old).unwrap();
-                assert_eq!(new, old, "alias s={s} [{x},{y}]");
-
-                let mut r1 = StdRng::seed_from_u64(seed);
-                chunked.sample_wr_batch(x, y, &mut r1, &mut new).unwrap();
-                let mut r2 = StdRng::seed_from_u64(seed);
-                chunked.sample_wr_batch_reference(x, y, &mut r2, &mut old).unwrap();
-                assert_eq!(new, old, "chunked s={s} [{x},{y}]");
+        for (name, s) in samplers(500, 25) {
+            for n in [1usize, 7, 8, 9, tile - 1, tile, tile + 1, 2 * tile + 13] {
+                for (x, y) in [(100.0, 350.0), (0.0, 499.0), (17.0, 17.0), (40.0, 45.0)] {
+                    let mut a = StdRng::seed_from_u64(123);
+                    let seq = s.sample_wr(x, y, n, &mut a).unwrap();
+                    let mut b = StdRng::seed_from_u64(123);
+                    let mut batch = vec![0u32; n];
+                    s.sample_wr_into(x, y, &mut b, &mut batch).unwrap();
+                    let seq32: Vec<u32> = seq.iter().map(|&r| r as u32).collect();
+                    assert_eq!(batch, seq32, "{name} s={n} [{x},{y}]");
+                }
             }
         }
     }

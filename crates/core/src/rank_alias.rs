@@ -159,17 +159,6 @@ impl PreparedRange<'_> {
         self.lo[j] + self.tbl[j].sample(rng)
     }
 
-    /// Draws one weighted rank from buffered block randomness, consuming
-    /// the same word sequence as [`Self::draw`].
-    #[inline(always)]
-    pub fn draw_block<R: RngCore + ?Sized>(&self, block: &mut BlockRng64<'_, R>) -> usize {
-        let j = match &self.chooser {
-            Some(c) => c.sample_block(block),
-            None => 0,
-        };
-        self.lo[j] + self.tbl[j].sample_block(block)
-    }
-
     /// Words each draw consumes: one chooser word (when the canonical
     /// cover has more than one node) plus one node word. Fixed per
     /// prepared range, which is what makes word pre-assignment — and
@@ -181,12 +170,11 @@ impl PreparedRange<'_> {
 
     /// Decodes a tile of pre-generated words into rank samples through
     /// the interleaved window. Word `wpd·i + j` is draw `i`'s `j`-th
-    /// decision — exactly the sequential assignment of
-    /// [`Self::draw_block`] — so outputs are bit-identical to the
-    /// sequential path. The decode phase reads only the (query-local,
-    /// cache-hot) chooser and the node tables' *lengths*; the dependent
-    /// load into the chosen node's urn row happens `K` draws after its
-    /// prefetch.
+    /// decision — exactly the sequential assignment of [`Self::draw`] —
+    /// so outputs are bit-identical to the sequential path. The decode
+    /// phase reads only the (query-local, cache-hot) chooser and the node
+    /// tables' *lengths*; the dependent load into the chosen node's urn
+    /// row happens `K` draws after its prefetch.
     ///
     /// `words.len()` must be exactly `words_per_draw() * out.len()`.
     pub fn draw_words_into(&self, words: &[u64], out: &mut [u32]) {

@@ -590,6 +590,19 @@ mod tests {
     }
 
     #[test]
+    fn updates_keep_one_view_alive() {
+        // A dynamic index must not pin superseded views: with no reader
+        // holding it, the first view is gone after the updates.
+        let r = reg();
+        let first = Arc::downgrade(&r.view("d").unwrap());
+        for batch in 0..3u64 {
+            r.apply_update("d", &[UpdateOp::Upsert { id: 200 + batch, key: 0.5, weight: 1.0 }])
+                .unwrap();
+        }
+        assert!(first.upgrade().is_none(), "a superseded view outlived its readers");
+    }
+
+    #[test]
     fn weighted_update_and_emptying() {
         let r = reg();
         r.apply_update("w", &[UpdateOp::Remove { id: 1 }, UpdateOp::Remove { id: 2 }]).unwrap();

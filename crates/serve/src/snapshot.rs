@@ -6,33 +6,22 @@
 //! "dynamic" serving a publication problem rather than a locking problem:
 //! a writer rebuilds a fresh structure *off to the side* (seconds of work
 //! for a large index, none of it under any lock a reader touches) and then
-//! publishes it with one atomic index store. Readers pin the structure
+//! publishes it with one pointer swap. Readers pin the structure
 //! they are using with an [`Arc`] clone, so a published snapshot stays
 //! alive until its last in-flight query drops it.
 //!
-//! This is the `ArcSwap` idea implemented in-repo on `std` only (the
-//! container is offline): a small ring of `Mutex<Arc<T>>` slots plus an
-//! atomic *current* index. A reader loads the current index and clones
-//! the `Arc` in that slot; the slot mutex protects exactly one
-//! pointer-sized store/clone, never a rebuild, so the critical section is
-//! a few nanoseconds. A writer always installs into the *next* ring slot
-//! — a slot no freshly-arriving reader is directed at — and then flips
-//! the current index. The only way a reader can contend with a writer is
-//! to stall between its index load and its slot lock for long enough that
-//! `SLOTS` further publications wrap the ring back onto its slot; even
-//! then it briefly waits on (or beats) a pointer store and observes some
-//! *valid published* snapshot — never a torn or partially-built one.
+//! The cell is one `Mutex<Arc<T>>` and a publication counter. The mutex
+//! protects exactly one pointer-sized clone (a reader) or swap (a
+//! writer), never a rebuild, so the critical section is a few
+//! nanoseconds; the superseded value is dropped *after* the lock is
+//! released, because freeing a view can be megabytes of work. The cell
+//! itself holds only the current value: a superseded one lives exactly as
+//! long as the readers that pinned it.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Ring size. Contention requires a reader to sleep across this many
-/// publications between two adjacent instructions; 8 makes that
-/// vanishingly rare while keeping the cell small.
-const SLOTS: usize = 8;
-
-/// A wait-free-in-practice publication cell holding the current immutable
-/// snapshot of a value.
+/// A publication cell holding the current immutable snapshot of a value.
 ///
 /// # Example
 /// ```
@@ -47,47 +36,36 @@ const SLOTS: usize = 8;
 /// ```
 #[derive(Debug)]
 pub struct Snapshot<T> {
-    slots: [Mutex<Arc<T>>; SLOTS],
-    current: AtomicUsize,
-    /// Publication count; also drives ring-slot assignment so concurrent
-    /// writers never install into the same slot.
+    current: Mutex<Arc<T>>,
+    /// Publication count, bumped under `current`'s lock so version order
+    /// is publication order even when stores race.
     version: AtomicU64,
 }
 
 impl<T> Snapshot<T> {
     /// Creates a cell publishing `value` as version 1.
     pub fn new(value: T) -> Self {
-        let first = Arc::new(value);
-        Snapshot {
-            slots: std::array::from_fn(|_| Mutex::new(Arc::clone(&first))),
-            current: AtomicUsize::new(0),
-            version: AtomicU64::new(1),
-        }
+        Snapshot { current: Mutex::new(Arc::new(value)), version: AtomicU64::new(1) }
     }
 
-    /// Pins and returns the currently published snapshot.
-    ///
-    /// Lock-free in all but the pathological wrap-around case described
-    /// in the module docs; never waits on a rebuild.
+    /// Pins and returns the currently published snapshot. Never waits on
+    /// a rebuild, only on another thread's pointer clone or swap.
     pub fn load(&self) -> Arc<T> {
-        let i = self.current.load(Ordering::Acquire);
-        Arc::clone(&self.slots[i].lock().expect("snapshot slot poisoned"))
+        Arc::clone(&self.current.lock().expect("snapshot cell poisoned"))
     }
 
     /// Publishes `value` as the new current snapshot and returns its
-    /// version number. Existing pinned snapshots are unaffected; they
-    /// free themselves when their last reader drops them.
+    /// version number. The superseded value is released here unless a
+    /// reader pinned it; pinned snapshots are unaffected and free
+    /// themselves when their last reader drops them.
     pub fn store(&self, value: T) -> u64 {
-        self.store_arc(Arc::new(value))
-    }
-
-    /// [`Snapshot::store`] for a value the writer already wrapped in an
-    /// [`Arc`] (e.g. republishing a retained master copy).
-    pub fn store_arc(&self, value: Arc<T>) -> u64 {
+        let fresh = Arc::new(value);
+        let mut current = self.current.lock().expect("snapshot cell poisoned");
+        let superseded = std::mem::replace(&mut *current, fresh);
         let v = self.version.fetch_add(1, Ordering::AcqRel) + 1;
-        let slot = (v as usize) % SLOTS;
-        *self.slots[slot].lock().expect("snapshot slot poisoned") = value;
-        self.current.store(slot, Ordering::Release);
+        // Unlock before freeing: a superseded view can be megabytes.
+        drop(current);
+        drop(superseded);
         v
     }
 
@@ -95,26 +73,6 @@ impl<T> Snapshot<T> {
     /// The service reports this as its snapshot-swap count.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
-    }
-
-    /// Overwrites every non-current ring slot with the current snapshot,
-    /// releasing the up-to-`SLOTS - 1` previously published values the
-    /// ring would otherwise keep alive. Readers that already pinned an
-    /// old value keep it; only the ring's own references are dropped.
-    ///
-    /// Call this after publishing a value that supersedes
-    /// resource-holding predecessors (e.g. a shard topology whose old
-    /// generations pin live worker pools). Callers must serialize `sweep`
-    /// with their `store`s: a store racing a sweep can have its slot
-    /// rewritten to the sweeper's (older but valid) snapshot.
-    pub fn sweep(&self) {
-        let current = self.load();
-        let i = self.current.load(Ordering::Acquire);
-        for (j, slot) in self.slots.iter().enumerate() {
-            if j != i {
-                *slot.lock().expect("snapshot slot poisoned") = Arc::clone(&current);
-            }
-        }
     }
 }
 
@@ -167,34 +125,45 @@ mod tests {
     }
 
     #[test]
-    fn store_arc_republishes_shared_value() {
-        let cell = Snapshot::new(7u64);
-        let shared = Arc::new(9u64);
-        cell.store_arc(Arc::clone(&shared));
-        assert!(Arc::ptr_eq(&cell.load(), &shared));
+    fn racing_stores_publish_in_version_order() {
+        // Two writers that do not serialize with each other, released
+        // together: the store that returned the higher version is the
+        // one left current.
+        let cell = Snapshot::new((0usize, 0usize));
+        let start = std::sync::Barrier::new(2);
+        for round in 1..=2_000usize {
+            let versions: Vec<u64> = std::thread::scope(|scope| {
+                let writers: Vec<_> = (0..2usize)
+                    .map(|w| {
+                        let (cell, start) = (&cell, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            cell.store((w, round))
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|h| h.join().expect("writer panicked")).collect()
+            });
+            let last = usize::from(versions[1] > versions[0]);
+            assert_eq!(*cell.load(), (last, round), "versions {versions:?}");
+        }
+        assert_eq!(cell.version(), 4_001);
     }
 
     #[test]
-    fn sweep_releases_superseded_values() {
-        // Publish values wrapped in Arcs we keep weak handles to; after a
-        // sweep only the current value (and reader-pinned ones) survive.
-        let first = Arc::new(1u64);
-        let weak_first = Arc::downgrade(&first);
-        let cell = Snapshot::new(0u64);
-        cell.store_arc(first);
-        let mut weaks = Vec::new();
-        for k in 2..=4u64 {
-            let a = Arc::new(k);
-            weaks.push(Arc::downgrade(&a));
-            cell.store_arc(a);
-        }
-        // The ring still holds the superseded publications.
-        assert!(weak_first.upgrade().is_some());
-        cell.sweep();
-        assert!(weak_first.upgrade().is_none(), "swept value must drop");
-        for w in &weaks[..weaks.len() - 1] {
-            assert!(w.upgrade().is_none(), "swept value must drop");
-        }
-        assert_eq!(*cell.load(), 4);
+    fn store_releases_the_superseded_value() {
+        // Nobody pins the first value: it dies inside `store`.
+        let cell = Snapshot::new(vec![1u8; 16]);
+        let unpinned = Arc::downgrade(&cell.load());
+        cell.store(vec![2u8; 16]);
+        assert!(unpinned.upgrade().is_none(), "the cell must not retain a superseded value");
+        // A reader's handle keeps a superseded value alive, and nothing
+        // else does.
+        let pinned = cell.load();
+        let weak = Arc::downgrade(&pinned);
+        cell.store(vec![3u8; 16]);
+        assert_eq!(*weak.upgrade().expect("pinned by the reader"), vec![2u8; 16]);
+        drop(pinned);
+        assert!(weak.upgrade().is_none(), "the reader's handle was the last reference");
     }
 }

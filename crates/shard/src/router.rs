@@ -793,8 +793,6 @@ impl ShardedService {
 
     fn publish(&self, topology: Topology) {
         self.inner.topo.store(topology);
-        // Safe here: rebalances hold the mutex, so no concurrent store.
-        self.inner.topo.sweep();
         self.inner.counters.rebalances.fetch_add(1, Ordering::Relaxed);
     }
 

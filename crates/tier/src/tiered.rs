@@ -593,7 +593,6 @@ impl TieredIndex {
         let hot = RangeView::from_triples(slot.triples.to_vec())?;
         let old = slot.state.load();
         slot.state.store(TierState::Hot(hot));
-        slot.state.sweep();
         // Retire the cold structure: late readers that pinned the old
         // snapshot find `None` and reload the published hot state.
         if let TierState::Cold(c) = &*old {
@@ -618,7 +617,6 @@ impl TieredIndex {
             EmWeightedRangeSampler::new_keyed(&self.machine, slot.triples.to_vec())
         };
         slot.state.store(TierState::Cold(ColdShard { sampler: Mutex::new(Some(sampler)) }));
-        slot.state.sweep();
         self.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }

@@ -2,15 +2,14 @@
 //! (`iqs_alias::pipeline`): the pipelined rewrites must change *when*
 //! memory is touched, never *what* is drawn.
 //!
-//! Three layers of evidence:
+//! Two layers of evidence:
 //!
 //! 1. **Exact replay** — the testkit's [`batch_replays_sequential`]
 //!    oracle at window/tile boundary batch sizes (`s < K`, `s = K`,
 //!    `s = K ± 1`, `s ≫ K`, tile seams), where ring-buffer and
-//!    pre-generation bugs live.
-//! 2. **Differential** — the retained pre-PR6 `sample_wr_batch_reference`
-//!    kernels as oracles: bit-identical outputs, same seeds.
-//! 3. **Distributional** — a registered chi-square gate per pipelined
+//!    pre-generation bugs live. Sequential `sample_wr` is the single
+//!    differential oracle.
+//! 2. **Distributional** — a registered chi-square gate per pipelined
 //!    structure, run at batch sizes deep in pipelined steady state, so
 //!    even a bug that somehow preserved replay on the tested seeds would
 //!    still have to survive a Holm-corrected goodness-of-fit test.
@@ -97,41 +96,6 @@ proptest! {
                     prop_assert!(false, "{name} s={s}: {divergence}");
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn pipelined_kernels_match_retained_reference_kernels() {
-    // Differential form, concrete types: the pre-PR6 kernels retained as
-    // `sample_wr_batch_reference` are the baseline the pipelined paths
-    // must reproduce word for word.
-    let tree = TreeSamplingRange::new(weighted_pairs(900, 47)).unwrap();
-    let alias = AliasAugmentedRange::new(weighted_pairs(900, 47)).unwrap();
-    let chunked = ChunkedRange::new(weighted_pairs(900, 47)).unwrap();
-    for s in boundary_sizes() {
-        for (x, y) in [(0.0, 900.0), (33.0, 860.0), (250.0, 260.0)] {
-            let seed = s as u64 ^ 0xBEEF;
-            let mut new = vec![0u32; s];
-            let mut old = vec![0u32; s];
-
-            let mut r = StdRng::seed_from_u64(seed);
-            tree.sample_wr_batch(x, y, &mut r, &mut new).unwrap();
-            let mut r = StdRng::seed_from_u64(seed);
-            tree.sample_wr_batch_reference(x, y, &mut r, &mut old).unwrap();
-            assert_eq!(new, old, "tree s={s} [{x},{y}]");
-
-            let mut r = StdRng::seed_from_u64(seed);
-            alias.sample_wr_batch(x, y, &mut r, &mut new).unwrap();
-            let mut r = StdRng::seed_from_u64(seed);
-            alias.sample_wr_batch_reference(x, y, &mut r, &mut old).unwrap();
-            assert_eq!(new, old, "alias s={s} [{x},{y}]");
-
-            let mut r = StdRng::seed_from_u64(seed);
-            chunked.sample_wr_batch(x, y, &mut r, &mut new).unwrap();
-            let mut r = StdRng::seed_from_u64(seed);
-            chunked.sample_wr_batch_reference(x, y, &mut r, &mut old).unwrap();
-            assert_eq!(new, old, "chunked s={s} [{x},{y}]");
         }
     }
 }

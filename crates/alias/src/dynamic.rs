@@ -80,19 +80,6 @@ impl DynamicAlias {
         }
     }
 
-    /// Builds from `(id, weight)` pairs.
-    ///
-    /// # Errors
-    /// [`WeightError::NonPositive`] on a bad weight; duplicate ids keep the
-    /// last weight.
-    pub fn from_pairs(pairs: &[(u64, f64)]) -> Result<Self, WeightError> {
-        let mut d = DynamicAlias::new();
-        for (i, &(id, w)) in pairs.iter().enumerate() {
-            d.insert(id, w).map_err(|_| WeightError::NonPositive { index: i, weight: w })?;
-        }
-        Ok(d)
-    }
-
     /// Number of live elements.
     pub fn len(&self) -> usize {
         self.locator.len()

@@ -155,16 +155,6 @@ impl SetUnionSampler {
         self.sets.len()
     }
 
-    /// Universe size `U = |∪F|`.
-    pub fn universe_size(&self) -> usize {
-        self.id_by_rank.len()
-    }
-
-    /// Total family size `n = Σ|S|`.
-    pub fn total_size(&self) -> usize {
-        self.n
-    }
-
     /// Estimates `|∪G|` by merging the member sets' sketches
     /// (`O(g log n)` expected).
     pub fn estimate_union(&self, g: &[usize]) -> f64 {

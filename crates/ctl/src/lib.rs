@@ -56,7 +56,7 @@
 pub mod chaos;
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
@@ -207,34 +207,30 @@ impl Decision {
     }
 }
 
-/// Live controller counters; snapshotted by [`Controller::metrics`].
-#[derive(Debug, Default)]
-struct CtlCounters {
-    ticks: AtomicU64,
-    splits: AtomicU64,
-    merges: AtomicU64,
-    rebuilds: AtomicU64,
-    held: AtomicU64,
-    burn_alerts: AtomicU64,
-}
-
-/// A point-in-time copy of the controller's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub struct CtlMetricsSnapshot {
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Shards split.
-    pub splits: u64,
-    /// Shard pairs merged.
-    pub merges: u64,
-    /// Replicas rebuilt.
-    pub rebuilds: u64,
-    /// Ticks that observed load but held inside the hysteresis band
-    /// (no action taken).
-    pub held: u64,
-    /// Sustained SLO burn-rate alerts acted on (each triggers replica
-    /// rebuilds on the offending shard).
-    pub burn_alerts: u64,
+iqs_obs::counter_set! {
+    /// Live controller counters; snapshotted by [`Controller::metrics`].
+    #[derive(Debug, Default)]
+    struct CtlCounters;
+    /// A point-in-time copy of the controller's counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+    pub struct CtlMetricsSnapshot;
+    laws ctl_counters_obey_the_descriptor_laws [json];
+    counters {
+        /// Ticks executed.
+        ticks: delta => counter "iqs_ctl_ticks_total" "Controller ticks executed";
+        /// Shards split.
+        splits: delta => counter "iqs_ctl_actions_total" [action = "split"] "Autonomous rebalancing actions by kind";
+        /// Shard pairs merged.
+        merges: delta => counter "iqs_ctl_actions_total" [action = "merge"] "Autonomous rebalancing actions by kind";
+        /// Replicas rebuilt.
+        rebuilds: delta => counter "iqs_ctl_actions_total" [action = "rebuild_replica"] "Autonomous rebalancing actions by kind";
+        /// Ticks that observed load but held inside the hysteresis band
+        /// (no action taken).
+        held: delta => counter "iqs_ctl_held_ticks_total" "Ticks that observed load but held inside the hysteresis band";
+        /// Sustained SLO burn-rate alerts acted on (each triggers replica
+        /// rebuilds on the offending shard).
+        burn_alerts: delta => counter "iqs_ctl_burn_alerts_total" "Sustained SLO burn-rate alerts acted on";
+    }
 }
 
 impl CtlMetricsSnapshot {
@@ -242,22 +238,7 @@ impl CtlMetricsSnapshot {
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut w = PromWriter::new();
-        w.header("iqs_ctl_ticks_total", "Controller ticks executed", "counter");
-        w.sample("iqs_ctl_ticks_total", &[], self.ticks);
-        w.header("iqs_ctl_actions_total", "Autonomous rebalancing actions by kind", "counter");
-        for (action, value) in
-            [("split", self.splits), ("merge", self.merges), ("rebuild_replica", self.rebuilds)]
-        {
-            w.sample("iqs_ctl_actions_total", &[("action", action)], value);
-        }
-        w.header(
-            "iqs_ctl_held_ticks_total",
-            "Ticks that observed load but held inside the hysteresis band",
-            "counter",
-        );
-        w.sample("iqs_ctl_held_ticks_total", &[], self.held);
-        w.header("iqs_ctl_burn_alerts_total", "Sustained SLO burn-rate alerts acted on", "counter");
-        w.sample("iqs_ctl_burn_alerts_total", &[], self.burn_alerts);
+        self.write_counters(&mut w);
         w.finish()
     }
 }
@@ -321,14 +302,7 @@ impl Controller {
     /// A snapshot of the controller's counters.
     #[must_use]
     pub fn metrics(&self) -> CtlMetricsSnapshot {
-        CtlMetricsSnapshot {
-            ticks: self.counters.ticks.load(Ordering::Relaxed),
-            splits: self.counters.splits.load(Ordering::Relaxed),
-            merges: self.counters.merges.load(Ordering::Relaxed),
-            rebuilds: self.counters.rebuilds.load(Ordering::Relaxed),
-            held: self.counters.held.load(Ordering::Relaxed),
-            burn_alerts: self.counters.burn_alerts.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     fn reset_streaks(&mut self, shards: usize) {
@@ -713,9 +687,5 @@ mod tests {
         assert!(text.contains("iqs_ctl_actions_total{action=\"rebuild_replica\"} 3\n"));
         assert!(text.contains("iqs_ctl_held_ticks_total 4\n"));
         assert!(text.contains("iqs_ctl_burn_alerts_total 5\n"));
-        // JSON round trip for the harness.
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: CtlMetricsSnapshot = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, snap);
     }
 }

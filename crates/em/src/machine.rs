@@ -287,11 +287,6 @@ impl EmMachine {
             data: Mutex::new(items),
         }
     }
-
-    /// Creates a zero-initialized disk-resident array of the given length.
-    pub fn array_zeroed<T: Copy + Default>(&self, len: usize) -> EmArray<T> {
-        self.array_from(vec![T::default(); len])
-    }
 }
 
 /// A disk-resident array of `Copy` items. Every access faults the
@@ -416,11 +411,6 @@ impl<T: Copy> EmArray<T> {
             dst.write_fresh(start, &segment);
             start = end;
         }
-    }
-
-    /// Number of blocks the array occupies.
-    pub fn block_count(&self) -> usize {
-        self.len.div_ceil(self.items_per_block)
     }
 
     /// Destroys the array, dropping its buffered blocks without counting

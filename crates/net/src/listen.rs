@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame::{encode_frame, read_frame};
+use crate::frame::read_frame;
 use crate::transport::FrameHandler;
 
 /// How often a connection thread wakes to check the stop flag.
@@ -102,19 +102,10 @@ fn serve_connection(
         return;
     }
     stream.set_nodelay(true).ok();
-    let mut buf = Vec::new();
     while !stop.load(Ordering::Acquire) {
         match read_frame(&mut stream, max_payload) {
             Ok((header, payload)) => {
-                buf.clear();
-                buf.extend_from_slice(&encode_frame(
-                    header.kind,
-                    header.trace,
-                    header.span,
-                    header.deadline_ns,
-                    &payload,
-                ));
-                let reply = handler.handle_frame(&buf);
+                let reply = handler.handle_frame(header, &payload);
                 if stream.write_all(&reply).and_then(|()| stream.flush()).is_err() {
                     return;
                 }

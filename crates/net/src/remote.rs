@@ -1,7 +1,7 @@
 //! Remote replicas: an `iqs-serve` node behind a frame handler, and the
 //! [`ReplicaLink`] that reaches it over a [`Transport`].
 //!
-//! [`ReplicaServer`] is the server half: it decodes request frames,
+//! [`ReplicaServer`] is the server half: it parses request payloads,
 //! re-anchors the relative deadline budget on its own clock, threads
 //! the wire's trace/span into the obs [`Ctx`] (so `TraceView`
 //! reconstructs the two-level schedule across processes), runs the
@@ -28,7 +28,7 @@ use iqs_slo::{ClusterTelemetry, TelemetryBatch};
 use iqs_testkit::ClockHandle;
 
 use crate::error::NetError;
-use crate::frame::{decode_frame, Kind, DEFAULT_MAX_PAYLOAD};
+use crate::frame::{Header, Kind};
 use crate::msg::{
     decode_reply, encode_ack, encode_announce, encode_metrics_reply, encode_metrics_request,
     encode_reply, encode_request, encode_telemetry, from_json,
@@ -36,8 +36,24 @@ use crate::msg::{
 use crate::registry::{Ack, Announce, ServiceRegistry};
 use crate::transport::{FrameHandler, Transport};
 
-/// Default deadline for synchronous weight probes and metrics pulls.
+/// Deadline for synchronous weight probes and metrics pulls.
 const PROBE_DEADLINE: Duration = Duration::from_secs(1);
+
+/// The payload of a frame that must be of kind `want`, parsed as `T` —
+/// or the untraced refusal reply of `who`, the endpoint that cannot
+/// serve it.
+fn parse_as<T: serde::Deserialize>(
+    who: &str,
+    want: Kind,
+    header: Header,
+    payload: &str,
+) -> Result<T, Vec<u8>> {
+    let refusal = |detail: String| encode_reply(&Err(ServeError::Remote(detail)), 0, 0);
+    if header.kind != want {
+        return Err(refusal(format!("{who} cannot serve {:?} frames", header.kind)));
+    }
+    from_json::<T>(payload).map_err(|e| refusal(e.to_string()))
+}
 
 /// The server half: one `iqs-serve` node exposed as a [`FrameHandler`],
 /// servable in-memory ([`SimNet::bind`](crate::SimNet::bind)) or over
@@ -45,7 +61,6 @@ const PROBE_DEADLINE: Duration = Duration::from_secs(1);
 pub struct ReplicaServer {
     client: Client,
     clock: ClockHandle,
-    max_payload: u64,
 }
 
 impl ReplicaServer {
@@ -53,7 +68,7 @@ impl ReplicaServer {
     /// server was started on (deadline budgets are re-anchored on it).
     #[must_use]
     pub fn new(client: Client, clock: ClockHandle) -> ReplicaServer {
-        ReplicaServer { client, clock, max_payload: DEFAULT_MAX_PAYLOAD }
+        ReplicaServer { client, clock }
     }
 
     fn serve_request(&self, trace: u64, span: u32, deadline_ns: u64, payload: &str) -> Vec<u8> {
@@ -78,11 +93,7 @@ impl ReplicaServer {
 }
 
 impl FrameHandler for ReplicaServer {
-    fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let (header, payload) = match decode_frame(frame, self.max_payload) {
-            Ok(decoded) => decoded,
-            Err(e) => return encode_reply(&Err(ServeError::Remote(e.to_string())), 0, 0),
-        };
+    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
         match header.kind {
             Kind::Request => {
                 self.serve_request(header.trace, header.span, header.deadline_ns, payload)
@@ -105,9 +116,7 @@ impl FrameHandler for ReplicaServer {
 pub struct RemoteReplica {
     transport: Arc<dyn Transport>,
     addr: String,
-    index: String,
     registry: Option<Arc<ServiceRegistry>>,
-    probe_deadline: Duration,
 }
 
 impl RemoteReplica {
@@ -115,13 +124,7 @@ impl RemoteReplica {
     /// [`SHARD_INDEX`] with no lease checking.
     #[must_use]
     pub fn new(transport: Arc<dyn Transport>, addr: impl Into<String>) -> RemoteReplica {
-        RemoteReplica {
-            transport,
-            addr: addr.into(),
-            index: SHARD_INDEX.to_string(),
-            registry: None,
-            probe_deadline: PROBE_DEADLINE,
-        }
+        RemoteReplica { transport, addr: addr.into(), registry: None }
     }
 
     /// Attaches a registry: submission refuses when the address's lease
@@ -129,20 +132,6 @@ impl RemoteReplica {
     #[must_use]
     pub fn with_registry(mut self, registry: Arc<ServiceRegistry>) -> RemoteReplica {
         self.registry = Some(registry);
-        self
-    }
-
-    /// Overrides the index name requests address.
-    #[must_use]
-    pub fn with_index(mut self, index: impl Into<String>) -> RemoteReplica {
-        self.index = index.into();
-        self
-    }
-
-    /// Overrides the synchronous probe/metrics deadline (default 1 s).
-    #[must_use]
-    pub fn with_probe_deadline(mut self, probe_deadline: Duration) -> RemoteReplica {
-        self.probe_deadline = probe_deadline;
         self
     }
 
@@ -155,8 +144,8 @@ impl RemoteReplica {
     /// One synchronous request round trip under the probe deadline.
     fn probe(&self, request: &Request) -> Result<Response, ServeError> {
         let clock = self.transport.clock();
-        let deadline = clock.now() + self.probe_deadline;
-        let frame = encode_request(request, 0, 0, self.probe_deadline.as_nanos() as u64);
+        let deadline = clock.now() + PROBE_DEADLINE;
+        let frame = encode_request(request, 0, 0, PROBE_DEADLINE.as_nanos() as u64);
         let (header, payload) = self
             .transport
             .call(&self.addr, frame, deadline)
@@ -210,16 +199,16 @@ impl ReplicaLink for RemoteReplica {
     }
 
     fn total_weight(&self) -> Result<f64, ServeError> {
-        self.weight_of(&Request::TotalWeight { index: self.index.clone() })
+        self.weight_of(&Request::TotalWeight { index: SHARD_INDEX.to_string() })
     }
 
     fn range_weight(&self, x: f64, y: f64) -> Result<f64, ServeError> {
-        self.weight_of(&Request::RangeWeight { index: self.index.clone(), x, y })
+        self.weight_of(&Request::RangeWeight { index: SHARD_INDEX.to_string(), x, y })
     }
 
     fn metrics(&self) -> MetricsSnapshot {
         let clock = self.transport.clock();
-        let deadline = clock.now() + self.probe_deadline;
+        let deadline = clock.now() + PROBE_DEADLINE;
         let Ok((header, payload)) =
             self.transport.call(&self.addr, encode_metrics_request(), deadline)
         else {
@@ -247,18 +236,10 @@ impl RegistryHandler {
 }
 
 impl FrameHandler for RegistryHandler {
-    fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let refused = |detail: String| encode_reply(&Err(ServeError::Remote(detail)), 0, 0);
-        let (header, payload) = match decode_frame(frame, DEFAULT_MAX_PAYLOAD) {
-            Ok(decoded) => decoded,
-            Err(e) => return refused(e.to_string()),
-        };
-        if header.kind != Kind::Announce {
-            return refused(format!("registry cannot serve {:?} frames", header.kind));
-        }
-        match from_json::<Announce>(payload) {
+    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+        match parse_as::<Announce>("registry", Kind::Announce, header, payload) {
             Ok(announce) => encode_ack(&self.registry.announce(announce)),
-            Err(e) => refused(e.to_string()),
+            Err(refused) => refused,
         }
     }
 }
@@ -281,27 +262,36 @@ impl TelemetryHandler {
 }
 
 impl FrameHandler for TelemetryHandler {
-    fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-        let refused = |detail: String| encode_reply(&Err(ServeError::Remote(detail)), 0, 0);
-        let (header, payload) = match decode_frame(frame, DEFAULT_MAX_PAYLOAD) {
-            Ok(decoded) => decoded,
-            Err(e) => return refused(e.to_string()),
+    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+        let batch = match parse_as::<TelemetryBatch>(
+            "telemetry collector",
+            Kind::Telemetry,
+            header,
+            payload,
+        ) {
+            Ok(batch) => batch,
+            Err(refused) => return refused,
         };
-        if header.kind != Kind::Telemetry {
-            return refused(format!("telemetry collector cannot serve {:?} frames", header.kind));
-        }
-        match from_json::<TelemetryBatch>(payload) {
-            Ok(batch) => {
-                let accepted =
-                    self.collector.lock().expect("telemetry collector poisoned").ingest(&batch);
-                // `accepted: false` (a duplicate) still acks the seq —
-                // the shipper commits either way, because the batch's
-                // interval has been applied exactly once.
-                encode_ack(&Ack { accepted, epoch: batch.seq })
-            }
-            Err(e) => refused(e.to_string()),
-        }
+        let accepted = self.collector.lock().expect("telemetry collector poisoned").ingest(&batch);
+        // `accepted: false` (a duplicate) still acks the seq — the
+        // shipper commits either way, because the batch's interval has
+        // been applied exactly once.
+        encode_ack(&Ack { accepted, epoch: batch.seq })
     }
+}
+
+/// One round trip whose reply must be an ack.
+fn call_for_ack(
+    transport: &dyn Transport,
+    addr: &str,
+    frame: Vec<u8>,
+    deadline: Instant,
+) -> Result<Ack, NetError> {
+    let (header, payload) = transport.call(addr, frame, deadline)?;
+    if header.kind != Kind::Ack {
+        return Err(NetError::Decode(format!("expected an ack frame, got {:?}", header.kind)));
+    }
+    from_json::<Ack>(&payload)
 }
 
 /// Ships one telemetry batch to a remote collector and returns its ack;
@@ -317,11 +307,7 @@ pub fn ship_telemetry(
     batch: &TelemetryBatch,
     deadline: Instant,
 ) -> Result<Ack, NetError> {
-    let (header, payload) = transport.call(collector_addr, encode_telemetry(batch), deadline)?;
-    if header.kind != Kind::Ack {
-        return Err(NetError::Decode(format!("expected an ack frame, got {:?}", header.kind)));
-    }
-    from_json::<Ack>(&payload)
+    call_for_ack(transport, collector_addr, encode_telemetry(batch), deadline)
 }
 
 /// Sends one announcement to a remote registry and returns its ack.
@@ -335,11 +321,7 @@ pub fn announce_once(
     announce: &Announce,
     deadline: Instant,
 ) -> Result<Ack, NetError> {
-    let (header, payload) = transport.call(registry_addr, encode_announce(announce), deadline)?;
-    if header.kind != Kind::Ack {
-        return Err(NetError::Decode(format!("expected an ack frame, got {:?}", header.kind)));
-    }
-    from_json::<Ack>(&payload)
+    call_for_ack(transport, registry_addr, encode_announce(announce), deadline)
 }
 
 /// Groups the registry's live announcements into shard specs for
@@ -375,4 +357,37 @@ pub fn shard_specs(
         }
     }
     specs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{decode_frame, encode_frame, DEFAULT_MAX_PAYLOAD};
+
+    /// Single-kind endpoints refuse the wrong kind and an unparseable
+    /// payload with an error reply naming the cause, and serve the rest.
+    #[test]
+    fn single_kind_handlers_refuse_what_they_cannot_serve() {
+        let clock = iqs_testkit::VirtualClock::new();
+        let registry = RegistryHandler::new(Arc::new(ServiceRegistry::new(clock.handle())));
+        let collector = Arc::new(Mutex::new(ClusterTelemetry::new(4).expect("config")));
+        let telemetry = TelemetryHandler::new(collector);
+        let reply_to = |handler: &dyn FrameHandler, frame: Vec<u8>| {
+            let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("own frame");
+            let reply = handler.handle_frame(header, payload);
+            let (header, payload) = decode_frame(&reply, DEFAULT_MAX_PAYLOAD).expect("reply");
+            (header.kind, payload.to_string())
+        };
+        let (kind, detail) = reply_to(&registry, encode_metrics_request());
+        assert!(kind == Kind::Err && detail.contains("registry cannot serve Metrics"), "{detail}");
+        let (kind, detail) = reply_to(&telemetry, encode_metrics_request());
+        assert!(kind == Kind::Err && detail.contains("collector cannot serve Metrics"), "{detail}");
+        assert_eq!(reply_to(&registry, encode_frame(Kind::Announce, 0, 0, 0, "{")).0, Kind::Err);
+
+        let mut shipper = iqs_slo::TelemetryShipper::new("sim://r0", 0, 0, 4).expect("config");
+        let batch = shipper.next_batch(&MetricsSnapshot::default()).expect("monotone");
+        let (kind, ack) = reply_to(&telemetry, encode_telemetry(&batch));
+        assert_eq!(kind, Kind::Ack);
+        assert_eq!(from_json::<Ack>(&ack).expect("ack"), Ack { accepted: true, epoch: 1 });
+    }
 }

@@ -17,7 +17,7 @@
 //! what at-most-once request/reply framing must tolerate.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -38,18 +38,25 @@ pub enum LinkFault {
     Duplicate,
 }
 
-/// Traffic counters, for asserting a scenario exercised what it meant
-/// to (e.g. that duplicates actually flowed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Round trips delivered to a handler (duplicates count once).
-    pub delivered: u64,
-    /// Duplicate deliveries performed.
-    pub duplicated: u64,
-    /// Calls refused by a partition or missing endpoint.
-    pub unreachable: u64,
-    /// Calls that timed out under an injected delay.
-    pub timed_out: u64,
+iqs_obs::counter_set! {
+    /// The fabric's live traffic counters.
+    #[derive(Default)]
+    struct SimCounters;
+    /// Traffic counters, for asserting a scenario exercised what it meant
+    /// to (e.g. that duplicates actually flowed).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SimStats;
+    laws sim_stats_obey_the_descriptor_laws;
+    counters {
+        /// Round trips delivered to a handler (duplicates count once).
+        delivered: delta;
+        /// Duplicate deliveries performed.
+        duplicated: delta;
+        /// Calls refused by a partition or missing endpoint.
+        unreachable: delta;
+        /// Calls that timed out under an injected delay.
+        timed_out: delta;
+    }
 }
 
 struct SimState {
@@ -60,10 +67,7 @@ struct SimState {
 struct SimInner {
     clock: ClockHandle,
     state: Mutex<SimState>,
-    delivered: AtomicU64,
-    duplicated: AtomicU64,
-    unreachable: AtomicU64,
-    timed_out: AtomicU64,
+    counters: SimCounters,
 }
 
 /// The simulated network; cheap to clone (all clones share one fabric).
@@ -83,10 +87,7 @@ impl SimNet {
             inner: Arc::new(SimInner {
                 clock,
                 state: Mutex::new(SimState { endpoints: HashMap::new(), faults: HashMap::new() }),
-                delivered: AtomicU64::new(0),
-                duplicated: AtomicU64::new(0),
-                unreachable: AtomicU64::new(0),
-                timed_out: AtomicU64::new(0),
+                counters: SimCounters::default(),
             }),
         }
     }
@@ -122,12 +123,7 @@ impl SimNet {
     /// Current traffic counters.
     #[must_use]
     pub fn stats(&self) -> SimStats {
-        SimStats {
-            delivered: self.inner.delivered.load(Ordering::Relaxed),
-            duplicated: self.inner.duplicated.load(Ordering::Relaxed),
-            unreachable: self.inner.unreachable.load(Ordering::Relaxed),
-            timed_out: self.inner.timed_out.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     fn round_trip(&self, addr: &str, frame: &[u8], deadline: Instant) -> Result<Vec<u8>, NetError> {
@@ -135,14 +131,14 @@ impl SimNet {
             let state = self.inner.state.lock().expect("sim lock poisoned");
             let fault = state.faults.get(addr).copied();
             if fault == Some(LinkFault::Partition) {
-                self.inner.unreachable.fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.unreachable.fetch_add(1, Ordering::Relaxed);
                 return Err(NetError::Unreachable {
                     addr: addr.to_string(),
                     reason: "partitioned".to_string(),
                 });
             }
             let Some(handler) = state.endpoints.get(addr).map(Arc::clone) else {
-                self.inner.unreachable.fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.unreachable.fetch_add(1, Ordering::Relaxed);
                 return Err(NetError::Unreachable {
                     addr: addr.to_string(),
                     reason: "no endpoint bound".to_string(),
@@ -156,21 +152,25 @@ impl SimNet {
                 // The reply would land past the deadline: burn the
                 // budget (the caller really waited) and time out.
                 self.inner.clock.sleep(budget);
-                self.inner.timed_out.fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.timed_out.fetch_add(1, Ordering::Relaxed);
                 return Err(NetError::Timeout { addr: addr.to_string() });
             }
             self.inner.clock.sleep(d);
         }
+        // The fabric is where bytes become a frame, as the socket reader
+        // is on TCP: one strict decode, and a malformed frame fails the
+        // call instead of reaching the handler.
+        let (header, payload) = decode_frame(frame, DEFAULT_MAX_PAYLOAD)?;
         if fault == Some(LinkFault::Duplicate) {
             // First delivery's reply is lost in the fabric; the caller
             // sees the reply to the duplicate. The handler observes the
             // request twice either way, which is the property at-most-
             // once semantics must absorb.
-            handler.handle_frame(frame);
-            self.inner.duplicated.fetch_add(1, Ordering::Relaxed);
+            handler.handle_frame(header, payload);
+            self.inner.counters.duplicated.fetch_add(1, Ordering::Relaxed);
         }
-        self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-        Ok(handler.handle_frame(frame))
+        self.inner.counters.delivered.fetch_add(1, Ordering::Relaxed);
+        Ok(handler.handle_frame(header, payload))
     }
 }
 
@@ -197,13 +197,13 @@ impl Transport for SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_frame, Kind};
+    use crate::frame::{encode_frame, Header, Kind};
     use iqs_testkit::VirtualClock;
 
     struct Echo;
     impl FrameHandler for Echo {
-        fn handle_frame(&self, frame: &[u8]) -> Vec<u8> {
-            frame.to_vec()
+        fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+            encode_frame(header.kind, header.trace, header.span, header.deadline_ns, payload)
         }
     }
 
@@ -241,6 +241,9 @@ mod tests {
         net.set_fault("sim://a", Some(LinkFault::Duplicate));
         let deadline = clock.handle().now() + Duration::from_secs(1);
         transport.call("sim://a", frame, deadline).expect("duplicate still answers");
+        // A malformed frame never reaches the handler.
+        let garbled = transport.call("sim://a", b"IQ garbage".to_vec(), deadline);
+        assert!(matches!(garbled, Err(NetError::Frame(_))), "{garbled:?}");
         let stats = net.stats();
         assert_eq!(stats.duplicated, 1);
         assert_eq!(stats.unreachable, 2);

@@ -26,14 +26,16 @@ use iqs_testkit::ClockHandle;
 use crate::error::NetError;
 use crate::frame::{read_frame, Header};
 
-/// A server-side frame processor: bytes in, reply bytes out. Shared by
-/// the in-memory simulation (handlers invoked directly) and the TCP
-/// listener (handlers invoked per received frame), so the same
-/// [`ReplicaServer`](crate::ReplicaServer) serves both.
+/// A server-side frame processor: one decoded frame in, reply bytes
+/// out. Shared by the in-memory simulation and the TCP listener, so the
+/// same [`ReplicaServer`](crate::ReplicaServer) serves both; each
+/// decodes the bytes it received exactly once, with the strict frame
+/// decoder, before the handler runs.
 pub trait FrameHandler: Send + Sync {
-    /// Processes one frame and produces the reply frame. Malformed
-    /// input must come back as an encoded error frame, not a panic.
-    fn handle_frame(&self, frame: &[u8]) -> Vec<u8>;
+    /// Processes one frame and produces the reply frame. A payload
+    /// that does not parse, or a kind the handler does not serve, must
+    /// come back as an encoded error frame, not a panic.
+    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8>;
 }
 
 /// A framed round trip in flight; resolves to the decoded reply frame.

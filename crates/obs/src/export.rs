@@ -10,19 +10,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::metrics::{log2_bucket, HIST_BUCKETS};
 use crate::recorder::Record;
-
-/// Number of log₂ latency buckets — matches the tier crates' histogram
-/// shape (bucket `b` covers `[2^(b-1), 2^b)` nanoseconds).
-pub const BUCKETS: usize = 64;
-
-/// The log₂ bucket index for a nanosecond value, identical to the
-/// `iqs-serve` latency histogram's bucketing so exemplars line up with
-/// histogram counts.
-#[must_use]
-pub fn log2_bucket(ns: u64) -> usize {
-    ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1)
-}
 
 /// Renders records as JSON lines, one object per record, in input
 /// order. Fields appear in fixed order (`seq`, `trace`, `span`,
@@ -60,18 +49,26 @@ pub fn records_to_jsonl(records: &[Record]) -> String {
 #[derive(Debug, Default)]
 pub struct PromWriter {
     out: String,
+    /// The family whose header was written last.
+    open: String,
 }
 
 impl PromWriter {
     /// An empty exposition.
     #[must_use]
     pub fn new() -> PromWriter {
-        PromWriter { out: String::new() }
+        PromWriter::default()
     }
 
-    /// Writes a `# HELP` + `# TYPE` header for a metric family.
-    /// `kind` is typically `"counter"`, `"gauge"` or `"histogram"`.
+    /// Writes a `# HELP` + `# TYPE` header for a metric family, unless
+    /// it is the family already open (the rows of one family may each
+    /// name it). `kind` is `"counter"`, `"gauge"` or `"histogram"`.
     pub fn header(&mut self, name: &str, help: &str, kind: &str) {
+        if self.open == name {
+            return;
+        }
+        self.open.clear();
+        self.open.push_str(name);
         let _ = writeln!(self.out, "# HELP {name} {help}");
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
     }
@@ -145,7 +142,7 @@ pub struct SlowLog {
     min_ns: AtomicU64,
     entries: Mutex<Vec<SlowEntry>>,
     /// Last-seen trace id per log₂ latency bucket; 0 = none.
-    exemplars: [AtomicU64; BUCKETS],
+    exemplars: [AtomicU64; HIST_BUCKETS],
 }
 
 impl Default for SlowLog {

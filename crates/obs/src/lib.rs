@@ -20,6 +20,13 @@
 //!   Prometheus-style text [`PromWriter`] used by the tier crates'
 //!   metric expositions, and a [`SlowLog`] keeping the top-k slowest
 //!   trace ids per interval plus per-latency-bucket exemplars.
+//! * [`metrics`] — the metrics vocabulary the layers share: the one
+//!   definition of the log₂ bucket shape, the wait-free [`LogHistogram`]
+//!   and its [`HistogramSnapshot`] (quantiles, interval diffs, merges).
+//! * [`counter_set!`] — one descriptor table per counter set, from
+//!   which the live atomic struct, its snapshot, `minus`, `merge`, the
+//!   exposition and a law test are generated; `serve`, `shard`, `tier`,
+//!   `ctl` and `net` declare their counters this way.
 //! * [`summary`] — compact [`LegSummary`] folds of remote replicas'
 //!   drained records, sized for the telemetry wire; the router side
 //!   re-expands them so [`TraceView::build_with_remote`] assembles a
@@ -49,12 +56,18 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod counter_set;
 pub mod export;
+pub mod metrics;
 pub mod recorder;
 pub mod summary;
 pub mod trace;
 
-pub use export::{log2_bucket, records_to_jsonl, PromWriter, SlowEntry, SlowLog};
+pub use export::{records_to_jsonl, PromWriter, SlowEntry, SlowLog};
+pub use metrics::{
+    bucket_upper_ns, fmt_dur, log2_bucket, prom_histogram, HistogramSnapshot, LogHistogram,
+    SnapshotDiffError, HIST_BUCKETS,
+};
 pub use recorder::{Ctx, Phase, Record, UNTRACED};
 pub use summary::LegSummary;
 pub use trace::{LegView, TraceView};

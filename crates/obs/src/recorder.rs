@@ -299,12 +299,6 @@ impl Ctx {
         Ctx { trace, span: 0 }
     }
 
-    /// Whether this context records anything at all.
-    #[must_use]
-    pub fn is_traced(&self) -> bool {
-        self.trace != UNTRACED
-    }
-
     /// The shard-scoped span for `shard` within the same trace.
     #[must_use]
     pub fn shard(&self, shard: usize) -> Ctx {

@@ -21,7 +21,8 @@
 //!   batch entry points with per-worker reusable buffers and RNGs.
 //! * [`MetricsSnapshot`] — built-in metrics: atomic counters plus
 //!   log₂-bucket latency histograms with p50/p99/p999, queue depth,
-//!   rejection/deadline-miss counts, and snapshot-swap counts.
+//!   rejection/deadline-miss counts, and snapshot-swap counts — one
+//!   `iqs_obs::counter_set!` table over `iqs-obs`'s histogram.
 //!
 //! # Example
 //! ```
@@ -59,11 +60,10 @@ mod snapshot;
 
 pub use api::{Request, Response, UpdateOp};
 pub use error::ServeError;
-pub use metrics::{
-    fmt_dur, prom_histogram, HistogramDiffError, HistogramSnapshot, IoReport, LogHistogram,
-    MetricsSnapshot, TenantMetricsSnapshot, HIST_BUCKETS,
-};
+/// What [`MetricsSnapshot`] is made of and what its diff raises.
+pub use iqs_obs::{HistogramSnapshot, SnapshotDiffError};
+pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};
 pub use qos::TenantSpec;
-pub use registry::{ExternalIndex, IndexRegistry, IndexView, RangeView, WeightedView};
+pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView, WeightedView};
 pub use server::{Client, PendingReply, Server, ServerConfig};
 pub use snapshot::Snapshot;

@@ -29,8 +29,23 @@ use rand::Rng;
 
 use crate::api::UpdateOp;
 use crate::error::ServeError;
-use crate::metrics::IoReport;
 use crate::snapshot::Snapshot;
+
+/// Block-I/O accounting for one draw served by an external-memory index
+/// (the tiered backend's cold path). Returned alongside the samples so
+/// the worker can fold the interval into the service counters without
+/// the index and the service sharing atomic state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IoReport {
+    /// Buffer-pool touches served from a resident frame.
+    pub cache_hits: u64,
+    /// Buffer-pool touches that faulted a frame in.
+    pub cache_misses: u64,
+    /// Blocks read from the simulated disk.
+    pub block_reads: u64,
+    /// Dirty blocks written back to the simulated disk.
+    pub block_writes: u64,
+}
 
 /// An index whose draws are served by an engine outside the in-memory
 /// view structures — e.g. the tiered backend's external-memory cold

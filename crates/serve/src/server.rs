@@ -158,7 +158,8 @@ impl Shared {
     }
 
     fn snapshot_metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(self.registry.swap_count())
+        self.metrics.snapshot_swaps.store(self.registry.swap_count(), Ordering::Relaxed);
+        self.metrics.snapshot()
     }
 }
 
@@ -319,18 +320,6 @@ impl Client {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.snapshot_metrics()
     }
-
-    /// Drains the slow-query log: the top-k slowest *traced* requests
-    /// since the last drain, slowest first.
-    pub fn slow_queries(&self) -> Vec<SlowEntry> {
-        self.shared.slow.take()
-    }
-
-    /// Prometheus-style text exposition of the current metrics, with
-    /// slow-log exemplar trace ids attached to latency buckets.
-    pub fn prometheus(&self) -> String {
-        self.shared.snapshot_metrics().to_prometheus_with_exemplars(&self.shared.slow)
-    }
 }
 
 /// An in-flight request submitted with [`Client::call_pending`]: a
@@ -420,7 +409,7 @@ impl Server {
     /// Prometheus-style text exposition of the current metrics, with
     /// slow-log exemplar trace ids attached to latency buckets.
     pub fn prometheus(&self) -> String {
-        self.shared.snapshot_metrics().to_prometheus_with_exemplars(&self.shared.slow)
+        self.shared.snapshot_metrics().to_prometheus(Some(&self.shared.slow))
     }
 
     /// Read access to the registry (snapshot loads, swap counts).

@@ -257,7 +257,7 @@ fn edf_pickup_drains_by_deadline_with_fifo_ties_and_bounded_starvation() {
         // Wedge intact ⟺ at most the wedge jobs were picked up (any pop
         // with a wedge still queued takes a wedge, by EDF). If a probe
         // slipped through, the drain order is no longer pinned: retry.
-        if server.metrics().queue_depth < PROBES.len() {
+        if server.metrics().queue_depth < PROBES.len() as u64 {
             assert!(attempt < 8, "worker drained the wedge early 8 times in a row");
             continue 'attempt;
         }

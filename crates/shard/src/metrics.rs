@@ -5,76 +5,49 @@
 //! histogram in the same log₂-bucket format the single-node service
 //! uses. [`ClusterMetrics`] then pools every replica's
 //! [`MetricsSnapshot`] into one cluster-wide snapshot with
-//! [`MetricsSnapshot::plus`] and serializes the whole view as JSON, so
+//! [`MetricsSnapshot::merge`] and serializes the whole view as JSON, so
 //! the harness reads one wire format whether it is metering one node or
 //! a cluster.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use iqs_obs::{PromWriter, SlowLog};
-use iqs_serve::{fmt_dur, prom_histogram, HistogramSnapshot, LogHistogram, MetricsSnapshot};
+use iqs_obs::{fmt_dur, PromWriter, SlowLog};
+use iqs_serve::MetricsSnapshot;
 
-/// Live router counters; all increments are relaxed atomics on the
-/// query path.
-#[derive(Debug, Default)]
-pub(crate) struct RouterCounters {
-    pub(crate) queries: AtomicU64,
-    pub(crate) legs: AtomicU64,
-    pub(crate) probes_cached: AtomicU64,
-    pub(crate) probes_live: AtomicU64,
-    pub(crate) failovers: AtomicU64,
-    pub(crate) degraded_queries: AtomicU64,
-    pub(crate) trips: AtomicU64,
-    pub(crate) recoveries: AtomicU64,
-    pub(crate) rebalances: AtomicU64,
-    pub(crate) latency: LogHistogram,
-    /// Top-k slowest traced queries per interval, plus per-bucket
-    /// exemplar trace ids for the router latency histogram.
-    pub(crate) slow: SlowLog,
-}
-
-impl RouterCounters {
-    pub(crate) fn snapshot(&self) -> RouterMetrics {
-        RouterMetrics {
-            queries: self.queries.load(Ordering::Relaxed),
-            legs: self.legs.load(Ordering::Relaxed),
-            probes_cached: self.probes_cached.load(Ordering::Relaxed),
-            probes_live: self.probes_live.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            degraded_queries: self.degraded_queries.load(Ordering::Relaxed),
-            trips: self.trips.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            rebalances: self.rebalances.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
-        }
+iqs_obs::counter_set! {
+    /// Live router counters; all increments are relaxed atomics on the
+    /// query path.
+    #[derive(Debug, Default)]
+    pub(crate) struct RouterCounters;
+    /// A point-in-time copy of the router's own counters.
+    #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+    pub struct RouterMetrics;
+    laws router_counters_obey_the_descriptor_laws [json];
+    counters {
+        /// Cluster queries routed (samples and counts).
+        queries: delta => counter "iqs_shard_router_events_total" [event = "queries"] "Router events by kind";
+        /// Per-shard legs fanned out across all queries.
+        legs: delta => counter "iqs_shard_router_events_total" [event = "legs"] "Router events by kind";
+        /// Shard weight probes answered from the cached snapshot total.
+        probes_cached: delta => counter "iqs_shard_router_events_total" [event = "probes_cached"] "Router events by kind";
+        /// Shard weight probes that computed a partial-range prefix sum.
+        probes_live: delta => counter "iqs_shard_router_events_total" [event = "probes_live"] "Router events by kind";
+        /// Times a leg moved past a failed replica to the next candidate.
+        failovers: delta => counter "iqs_shard_router_events_total" [event = "failovers"] "Router events by kind";
+        /// Queries that returned with `degraded` set.
+        degraded_queries: delta => counter "iqs_shard_router_events_total" [event = "degraded_queries"] "Router events by kind";
+        /// Circuit-breaker trip events.
+        trips: delta => counter "iqs_shard_router_events_total" [event = "breaker_trips"] "Router events by kind";
+        /// Circuit-breaker recoveries (a probe succeeded on a tripped
+        /// replica).
+        recoveries: delta => counter "iqs_shard_router_events_total" [event = "breaker_recoveries"] "Router events by kind";
+        /// Topology republications (splits and merges).
+        rebalances: delta => counter "iqs_shard_router_events_total" [event = "rebalances"] "Router events by kind";
     }
-}
-
-/// A point-in-time copy of the router's own counters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RouterMetrics {
-    /// Cluster queries routed (samples and counts).
-    pub queries: u64,
-    /// Per-shard legs fanned out across all queries.
-    pub legs: u64,
-    /// Shard weight probes answered from the cached snapshot total.
-    pub probes_cached: u64,
-    /// Shard weight probes that computed a partial-range prefix sum.
-    pub probes_live: u64,
-    /// Times a leg moved past a failed replica to the next candidate.
-    pub failovers: u64,
-    /// Queries that returned with `degraded` set.
-    pub degraded_queries: u64,
-    /// Circuit-breaker trip events.
-    pub trips: u64,
-    /// Circuit-breaker recoveries (a probe succeeded on a tripped
-    /// replica).
-    pub recoveries: u64,
-    /// Topology republications (splits and merges).
-    pub rebalances: u64,
-    /// End-to-end router latency (query start → merged response).
-    pub latency: HistogramSnapshot,
+    histograms {
+        /// End-to-end router latency (query start → merged response).
+        latency => "iqs_shard_router_latency_ns" "End-to-end router latency (ns)", exemplars;
+    }
 }
 
 /// One replica's service metrics, tagged with its position in the
@@ -100,7 +73,7 @@ pub struct ClusterMetrics {
     /// Router-level counters.
     pub router: RouterMetrics,
     /// Every replica's service metrics pooled with
-    /// [`MetricsSnapshot::plus`].
+    /// [`MetricsSnapshot::merge`].
     pub cluster: MetricsSnapshot,
     /// Per-replica breakdown, in `(shard, replica)` order.
     pub replicas: Vec<ReplicaMetrics>,
@@ -121,47 +94,22 @@ impl ClusterMetrics {
     }
 
     /// Prometheus-style text exposition: router counters and latency
-    /// under `iqs_shard_*`, followed by the pooled per-replica service
-    /// metrics in the `iqs_serve_*` families, so one scrape covers the
-    /// whole tier.
+    /// under `iqs_shard_*` (with `slow`'s exemplars on its buckets), then
+    /// the pooled replica metrics under `iqs_serve_*`: one scrape, one tier.
     #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        self.render_prometheus(None)
-    }
-
-    pub(crate) fn render_prometheus(&self, slow: Option<&SlowLog>) -> String {
-        let r = &self.router;
+    pub fn to_prometheus(&self, slow: Option<&SlowLog>) -> String {
         let mut w = PromWriter::new();
         w.header("iqs_shard_topology_shards", "Shards in the topology", "gauge");
         w.sample("iqs_shard_topology_shards", &[], self.shards as u64);
-        w.header("iqs_shard_router_events_total", "Router events by kind", "counter");
-        for (event, value) in [
-            ("queries", r.queries),
-            ("legs", r.legs),
-            ("probes_cached", r.probes_cached),
-            ("probes_live", r.probes_live),
-            ("failovers", r.failovers),
-            ("degraded_queries", r.degraded_queries),
-            ("breaker_trips", r.trips),
-            ("breaker_recoveries", r.recoveries),
-            ("rebalances", r.rebalances),
-        ] {
-            w.sample("iqs_shard_router_events_total", &[("event", event)], value);
-        }
+        self.router.write_counters(&mut w);
         w.header("iqs_shard_replicas", "Replicas in the topology", "gauge");
         w.sample("iqs_shard_replicas", &[], self.replicas.len() as u64);
         w.header("iqs_shard_replicas_tripped", "Replicas with an open breaker", "gauge");
         let tripped = self.replicas.iter().filter(|m| m.tripped).count();
         w.sample("iqs_shard_replicas_tripped", &[], tripped as u64);
-        prom_histogram(
-            &mut w,
-            "iqs_shard_router_latency_ns",
-            "End-to-end router latency (ns)",
-            &r.latency,
-            slow,
-        );
+        self.router.write_histograms(&mut w, slow);
         let mut out = w.finish();
-        out.push_str(&self.cluster.to_prometheus());
+        out.push_str(&self.cluster.to_prometheus(None));
         out
     }
 }
@@ -200,6 +148,7 @@ impl fmt::Display for ClusterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]
@@ -209,10 +158,12 @@ mod tests {
         counters.failovers.fetch_add(2, Ordering::Relaxed);
         counters.latency.record(Duration::from_micros(15));
         let serve = MetricsSnapshot { submitted: 42, completed: 41, ..Default::default() };
+        let mut cluster = serve.clone();
+        cluster.merge(&serve);
         let m = ClusterMetrics {
             shards: 2,
             router: counters.snapshot(),
-            cluster: serve.plus(&serve),
+            cluster,
             replicas: vec![
                 ReplicaMetrics { shard: 0, replica: 0, tripped: false, serve: serve.clone() },
                 ReplicaMetrics { shard: 1, replica: 0, tripped: true, serve },
@@ -236,18 +187,21 @@ mod tests {
         counters.queries.fetch_add(9, Ordering::Relaxed);
         counters.failovers.fetch_add(2, Ordering::Relaxed);
         counters.latency.record(Duration::from_micros(15));
-        counters.slow.observe(7, Duration::from_micros(15).as_nanos() as u64);
+        let slow = SlowLog::default();
+        slow.observe(7, Duration::from_micros(15).as_nanos() as u64);
         let serve = MetricsSnapshot { submitted: 42, completed: 41, ..Default::default() };
+        let mut cluster = serve.clone();
+        cluster.merge(&serve);
         let m = ClusterMetrics {
             shards: 2,
             router: counters.snapshot(),
-            cluster: serve.plus(&serve),
+            cluster,
             replicas: vec![
                 ReplicaMetrics { shard: 0, replica: 0, tripped: false, serve: serve.clone() },
                 ReplicaMetrics { shard: 1, replica: 0, tripped: true, serve },
             ],
         };
-        let text = m.to_prometheus();
+        let text = m.to_prometheus(None);
         assert!(text.contains("iqs_shard_topology_shards 2\n"));
         assert!(text.contains("iqs_shard_router_events_total{event=\"queries\"} 9\n"));
         assert!(text.contains("iqs_shard_router_events_total{event=\"failovers\"} 2\n"));
@@ -258,7 +212,7 @@ mod tests {
         assert!(text.contains("iqs_serve_requests_total{outcome=\"submitted\"} 84\n"));
         // With the live slow log attached, the latency bucket carries an
         // exemplar trace id (15 µs lands in the (2^13, 2^14] bucket).
-        let with_exemplars = m.render_prometheus(Some(&counters.slow));
+        let with_exemplars = m.to_prometheus(Some(&slow));
         assert!(with_exemplars
             .contains("iqs_shard_router_latency_ns_bucket{le=\"16384\"} 1 # {trace_id=\"7\"}\n"));
     }

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use iqs_alias::split::split_samples_with;
 use iqs_alias::AliasTable;
 use iqs_core::QueryError;
-use iqs_obs::{recorder, Ctx, Phase, SlowEntry};
+use iqs_obs::{recorder, Ctx, Phase, SlowEntry, SlowLog};
 use iqs_serve::{IndexView, Request, Response, Snapshot};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
@@ -123,6 +123,9 @@ struct Inner {
     topo: Snapshot<Topology>,
     config: ShardConfig,
     counters: RouterCounters,
+    /// Top-k slowest traced queries per interval, plus per-bucket
+    /// exemplar trace ids for the router latency histogram.
+    slow: SlowLog,
     /// Monotone ordinal for deriving replica server seeds (never reused,
     /// so rebuilt shards get fresh worker streams).
     server_seq: AtomicU64,
@@ -380,7 +383,7 @@ impl Inner {
         self.counters.latency.record(latency);
         let latency_ns = latency.as_nanos().min(u64::MAX as u128) as u64;
         recorder::emit(ctx, Phase::QueryDone, latency_ns, u64::from(degraded));
-        self.counters.slow.observe(ctx.trace, latency_ns);
+        self.slow.observe(ctx.trace, latency_ns);
     }
 }
 
@@ -487,6 +490,7 @@ impl ShardedService {
                 topo: Snapshot::new(Topology { shards }),
                 config,
                 counters: RouterCounters::default(),
+                slow: SlowLog::default(),
                 server_seq,
                 client_seq: AtomicU64::new(0),
                 rebalance: Mutex::new(()),
@@ -547,6 +551,7 @@ impl ShardedService {
                 topo: Snapshot::new(Topology { shards }),
                 config,
                 counters: RouterCounters::default(),
+                slow: SlowLog::default(),
                 server_seq: AtomicU64::new(1),
                 client_seq: AtomicU64::new(0),
                 rebalance: Mutex::new(()),
@@ -832,14 +837,14 @@ impl ShardedService {
     /// full schedule of a slow query.
     #[must_use]
     pub fn slow_queries(&self) -> Vec<SlowEntry> {
-        self.inner.counters.slow.take()
+        self.inner.slow.take()
     }
 
     /// Prometheus-style text exposition of the cluster metrics, with
     /// slow-log exemplar trace ids attached to router latency buckets.
     #[must_use]
     pub fn prometheus(&self) -> String {
-        self.metrics().render_prometheus(Some(&self.inner.counters.slow))
+        self.metrics().to_prometheus(Some(&self.inner.slow))
     }
 }
 
@@ -897,20 +902,6 @@ impl ClusterClient {
     #[must_use]
     pub fn metrics(&self) -> ClusterMetrics {
         ShardedService { inner: Arc::clone(&self.inner) }.metrics()
-    }
-
-    /// Drains the router's slow-query log (same as
-    /// [`ShardedService::slow_queries`]).
-    #[must_use]
-    pub fn slow_queries(&self) -> Vec<SlowEntry> {
-        self.inner.counters.slow.take()
-    }
-
-    /// Prometheus-style exposition (same as
-    /// [`ShardedService::prometheus`]).
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        self.metrics().render_prometheus(Some(&self.inner.counters.slow))
     }
 
     fn route_sample_wr(

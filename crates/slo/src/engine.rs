@@ -22,8 +22,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use iqs_obs::PromWriter;
-use iqs_serve::{HistogramSnapshot, HIST_BUCKETS};
+use iqs_obs::{HistogramSnapshot, PromWriter};
 use iqs_testkit::ClockHandle;
 
 use crate::error::SloError;
@@ -97,13 +96,7 @@ impl Objective {
     /// only when they land strictly above this bucket.
     #[must_use]
     pub fn effective_threshold(&self) -> Duration {
-        let ns = self.threshold.as_nanos().min(u64::MAX as u128) as u64;
-        let bucket = iqs_obs::log2_bucket(ns);
-        if bucket >= HIST_BUCKETS - 1 {
-            Duration::from_nanos(1u64 << (HIST_BUCKETS - 1))
-        } else {
-            Duration::from_nanos(1u64 << bucket)
-        }
+        Duration::from_nanos(iqs_obs::bucket_upper_ns(self.threshold_bucket()))
     }
 
     /// Bucket index of the effective threshold; buckets strictly above

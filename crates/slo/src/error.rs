@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use iqs_serve::HistogramDiffError;
+use iqs_obs::SnapshotDiffError;
 
 /// Errors from the SLO engine and telemetry shipping layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,12 +11,13 @@ pub enum SloError {
     /// An objective or shipper was configured with an impossible
     /// parameter; the message names it.
     Config(&'static str),
-    /// Two histogram snapshots that should form an (earlier, later)
-    /// window pair do not — the underlying diff error names the
-    /// shrinking bucket. Seen when a caller feeds non-cumulative
-    /// snapshots into [`crate::SloEngine::observe`] or swaps a diff's
+    /// Two snapshots that should form an (earlier, later) window pair do
+    /// not — the underlying diff error names the series (and, for a
+    /// histogram, the bucket) that shrank. Seen when a caller feeds
+    /// non-cumulative snapshots into [`crate::SloEngine::observe`] or
+    /// [`crate::TelemetryShipper::next_batch`], or swaps a diff's
     /// arguments.
-    Window(HistogramDiffError),
+    Window(SnapshotDiffError),
 }
 
 impl fmt::Display for SloError {
@@ -37,8 +38,8 @@ impl Error for SloError {
     }
 }
 
-impl From<HistogramDiffError> for SloError {
-    fn from(err: HistogramDiffError) -> SloError {
+impl From<SnapshotDiffError> for SloError {
+    fn from(err: SnapshotDiffError) -> SloError {
         SloError::Window(err)
     }
 }
@@ -53,7 +54,7 @@ mod tests {
         assert!(config.to_string().contains("target must be in (0, 1)"));
         assert!(config.source().is_none());
 
-        let diff = HistogramDiffError { bucket: 5, later: 1, earlier: 3 };
+        let diff = SnapshotDiffError { field: "histogram", bucket: Some(5), later: 1, earlier: 3 };
         let window = SloError::from(diff);
         assert!(window.to_string().contains("monotone window pair"));
         let source = window.source().expect("window errors chain to the diff");

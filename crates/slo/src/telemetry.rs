@@ -24,8 +24,8 @@
 
 use std::collections::VecDeque;
 
-use iqs_obs::{LegSummary, Record};
-use iqs_serve::{HistogramSnapshot, MetricsSnapshot};
+use iqs_obs::{HistogramSnapshot, LegSummary, Record};
+use iqs_serve::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SloError;
@@ -289,11 +289,6 @@ impl ClusterTelemetry {
     #[must_use]
     pub fn legs(&self) -> &[LegSummary] {
         &self.legs
-    }
-
-    /// Drains the leg store (the ledger's `legs_kept` keeps counting).
-    pub fn take_legs(&mut self) -> Vec<LegSummary> {
-        std::mem::take(&mut self.legs)
     }
 
     /// The collector's exact ingest/drop ledger.

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use iqs_serve::HistogramSnapshot;
+use iqs_obs::HistogramSnapshot;
 use iqs_slo::{Objective, SloEngine, SloKey};
 use iqs_stats::chisq::chi_square_gof;
 use iqs_testkit::gate::{self, Trial};

@@ -68,11 +68,6 @@ impl ShiftedGrids {
         )
     }
 
-    /// Number of grids `g`.
-    pub fn grid_count(&self) -> usize {
-        self.grids.len()
-    }
-
     /// Total number of (non-empty) buckets across all grids.
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()

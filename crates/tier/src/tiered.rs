@@ -114,25 +114,29 @@ impl TieredIndexBuilder {
             config: self.config,
             cold_io: Mutex::new(()),
             maintenance: Mutex::new(()),
-            hot_draws: AtomicU64::new(0),
-            cold_draws: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
+            counters: LiveTierCounters::default(),
         })
     }
 }
 
-/// Lifetime counters of the index, for dashboards and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierCounters {
-    /// Samples served from hot (RAM) shards.
-    pub hot_draws: u64,
-    /// Samples served from cold (EM) shards through the block cache.
-    pub cold_draws: u64,
-    /// Cold→hot transitions performed.
-    pub promotions: u64,
-    /// Hot→cold transitions performed.
-    pub demotions: u64,
+iqs_obs::counter_set! {
+    /// The index's live counters (relaxed adds).
+    #[derive(Debug, Default)]
+    struct LiveTierCounters;
+    /// Lifetime counters of the index, for dashboards and tests.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct TierCounters;
+    laws tier_counters_obey_the_descriptor_laws;
+    counters {
+        /// Samples served from hot (RAM) shards.
+        hot_draws: delta => counter "iqs_tier_draws_total" [tier = "hot"] "Samples drawn, by serving tier";
+        /// Samples served from cold (EM) shards through the block cache.
+        cold_draws: delta => counter "iqs_tier_draws_total" [tier = "cold"] "Samples drawn, by serving tier";
+        /// Cold→hot transitions performed.
+        promotions: delta => counter "iqs_tier_transitions_total" [direction = "promote"] "Shard tier transitions";
+        /// Hot→cold transitions performed.
+        demotions: delta => counter "iqs_tier_transitions_total" [direction = "demote"] "Shard tier transitions";
+    }
 }
 
 /// What one [`TieredIndex::maintain`] pass changed.
@@ -174,10 +178,7 @@ pub struct TieredIndex {
     cold_io: Mutex<()>,
     /// Serializes [`TieredIndex::maintain`] passes.
     maintenance: Mutex<()>,
-    hot_draws: AtomicU64,
-    cold_draws: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
+    counters: LiveTierCounters,
 }
 
 fn io_report(io: &IoStats) -> IoReport {
@@ -247,12 +248,7 @@ impl TieredIndex {
     /// Lifetime draw/transition counters.
     #[must_use]
     pub fn counters(&self) -> TierCounters {
-        TierCounters {
-            hot_draws: self.hot_draws.load(Ordering::Relaxed),
-            cold_draws: self.cold_draws.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Draws `s` independent weighted samples (element ids) from keys in
@@ -446,7 +442,6 @@ impl TieredIndex {
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let stats = self.machine.stats();
-        let c = self.counters();
         let mut w = PromWriter::new();
         w.header(
             "iqs_tier_block_cache_touches_total",
@@ -458,12 +453,7 @@ impl TieredIndex {
         w.header("iqs_tier_block_io_total", "Cold-tier block transfers", "counter");
         w.sample("iqs_tier_block_io_total", &[("op", "read")], stats.reads);
         w.sample("iqs_tier_block_io_total", &[("op", "write")], stats.writes);
-        w.header("iqs_tier_draws_total", "Samples drawn, by serving tier", "counter");
-        w.sample("iqs_tier_draws_total", &[("tier", "hot")], c.hot_draws);
-        w.sample("iqs_tier_draws_total", &[("tier", "cold")], c.cold_draws);
-        w.header("iqs_tier_transitions_total", "Shard tier transitions", "counter");
-        w.sample("iqs_tier_transitions_total", &[("direction", "promote")], c.promotions);
-        w.sample("iqs_tier_transitions_total", &[("direction", "demote")], c.demotions);
+        self.counters().write_counters(&mut w);
         w.header("iqs_tier_shard_hot", "1 when the shard is currently hot, else 0", "gauge");
         for slot in &self.shards {
             let hot = u64::from(slot.tier() == ShardTier::Hot);
@@ -549,7 +539,7 @@ impl TieredIndex {
                     ranks.resize(s, 0);
                     sampler.sample_wr_batch(x, y, rng, ranks)?;
                     out.extend(ranks.iter().map(|&r| h.id_at(r as usize)));
-                    self.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
+                    self.counters.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
                     return Ok(());
                 }
                 TierState::Cold(c) => {
@@ -564,7 +554,7 @@ impl TieredIndex {
                     if drew.is_none() {
                         return Err(QueryError::EmptyRange.into());
                     }
-                    self.cold_draws.fetch_add(s as u64, Ordering::Relaxed);
+                    self.counters.cold_draws.fetch_add(s as u64, Ordering::Relaxed);
                     recorder::emit(
                         ctx,
                         Phase::ColdDraw,
@@ -601,7 +591,7 @@ impl TieredIndex {
                 sampler.discard();
             }
         }
-        self.promotions.fetch_add(1, Ordering::Relaxed);
+        self.counters.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -617,7 +607,7 @@ impl TieredIndex {
             EmWeightedRangeSampler::new_keyed(&self.machine, slot.triples.to_vec())
         };
         slot.state.store(TierState::Cold(ColdShard { sampler: Mutex::new(Some(sampler)) }));
-        self.demotions.fetch_add(1, Ordering::Relaxed);
+        self.counters.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 }

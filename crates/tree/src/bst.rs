@@ -267,11 +267,6 @@ impl<K: Copy + PartialOrd> StaticBst<K> {
         Self::new(keys, w)
     }
 
-    /// The keyless rank tree underneath.
-    pub fn rank_tree(&self) -> &RankBst {
-        &self.inner
-    }
-
     /// Number of elements (leaves).
     pub fn len(&self) -> usize {
         self.keys.len()

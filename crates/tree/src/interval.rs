@@ -94,11 +94,6 @@ impl IntervalSampler {
         self.chunk
     }
 
-    /// Number of registered intervals.
-    pub fn interval_count(&self) -> usize {
-        self.iv_alias.len()
-    }
-
     /// Draws one weighted position from registered interval `iv`, in
     /// worst-case `O(1)` time (at most two alias draws).
     #[inline]

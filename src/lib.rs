@@ -9,7 +9,11 @@
 //! (virtual clock, statistical gates, fault plans, replay oracles) the
 //! tier test suites are built on, and [`iqs_obs`] is the observability
 //! layer (flight recorder, trace reconstruction, cost profiling,
-//! exporters) threaded through the serve and shard tiers. [`iqs_net`]
+//! exporters) threaded through the serve and shard tiers — and the home
+//! of the metrics vocabulary they all share: the log₂ latency histogram,
+//! its bucket shape, and the `counter_set!` descriptor tables from which
+//! every layer's counters, snapshots and expositions are generated.
+//! [`iqs_net`]
 //! extends the shard tier across process boundaries: a length-prefixed
 //! wire format, TCP and deterministic in-memory transports, a
 //! TTL-leased replica registry, and remote replica links the router

@@ -67,8 +67,9 @@ fn errors_round_trip_through_dyn_error() {
 
     // A histogram diff error wrapped by the SLO engine keeps its source.
     let slo_err: Box<dyn Error + Send + Sync> =
-        Box::new(SloError::from(iqs::serve::HistogramDiffError {
-            bucket: 5,
+        Box::new(SloError::from(iqs::obs::SnapshotDiffError {
+            field: "histogram",
+            bucket: Some(5),
             later: 1,
             earlier: 3,
         }));

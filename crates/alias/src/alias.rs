@@ -43,81 +43,101 @@ pub struct AliasTable {
     total: f64,
 }
 
-impl AliasTable {
-    /// Builds the table from positive weights in `O(n)` time.
+/// The urn rows of one alias table, borrowed: `prob[i]` is the
+/// probability that column `i` resolves to `i` itself, `alias[i]` the
+/// second element sharing urn `i`.
+///
+/// This is the type every draw runs on. An [`AliasTable`] owns its two
+/// arrays and lends them through [`AliasTable::rows`]; the composite
+/// structures (Lemma 2's per-node tables, Theorem 3's per-chunk tables)
+/// keep many tables back to back in one pair of arrays and cut a view
+/// per table, so a draw reaches its row without loading a per-table
+/// header first. [`AliasRows::build`] is the one construction routine
+/// behind both.
+#[derive(Debug, Clone, Copy)]
+pub struct AliasRows<'a> {
+    prob: &'a [f64],
+    alias: &'a [u32],
+}
+
+impl<'a> AliasRows<'a> {
+    /// Views `prob`/`alias` — two equally long slices a
+    /// [`AliasRows::build`] call filled — as one table.
+    #[inline(always)]
+    pub fn new(prob: &'a [f64], alias: &'a [u32]) -> Self {
+        debug_assert_eq!(prob.len(), alias.len());
+        AliasRows { prob, alias }
+    }
+
+    /// Vose's two-worklist form of the urn-filling procedure of Section
+    /// 3.1: fills `prob`/`alias` (both `weights.len()` long) with the
+    /// table of `weights` in `O(n)` time and returns the total weight.
+    /// Entries of `alias` are positions within this table, so the rows
+    /// mean the same wherever the slices sit in a larger array.
+    ///
+    /// `work` is the worklist storage, grown as needed and otherwise
+    /// left alone, so a caller building many tables allocates once: the
+    /// under-full columns stack up from its front and the over-full
+    /// ones down from position `n`, which never meet because a column
+    /// is on at most one list.
     ///
     /// # Errors
     /// [`WeightError`] if `weights` is empty or contains a non-finite or
     /// non-positive entry, or if `n > u32::MAX` elements are supplied.
-    pub fn new(weights: &[f64]) -> Result<Self, WeightError> {
+    ///
+    /// # Panics
+    /// If `prob` or `alias` is not `weights.len()` long.
+    pub fn build(
+        weights: &[f64],
+        prob: &mut [f64],
+        alias: &mut [u32],
+        work: &mut Vec<u32>,
+    ) -> Result<f64, WeightError> {
         let total = validate_weights(weights)?;
-        if weights.len() > u32::MAX as usize {
+        let n = weights.len();
+        if n > u32::MAX as usize {
             return Err(WeightError::TotalOverflow);
         }
-        let n = weights.len();
+        assert!(prob.len() == n && alias.len() == n, "one row per weight");
+        if work.len() < n {
+            work.resize(n, 0);
+        }
         // Scale so the average weight is exactly 1: p[i] = w[i] * n / W.
         let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        let mut alias: Vec<u32> = (0..n as u32).collect();
-
-        // Worklists of under-full and over-full columns. We store indices
-        // and partition in place to avoid two extra Vec allocations.
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
+        let (mut small, mut large) = (0, n);
+        for (i, &w) in weights.iter().enumerate() {
+            let p = w * scale;
+            prob[i] = p;
+            alias[i] = i as u32;
+            // Written to the free end of both stacks, kept by one: which
+            // list a column joins is a coin flip the branch predictor
+            // loses, so the partition is done without a branch.
+            let under = usize::from(p < 1.0);
+            work[small] = i as u32;
+            work[large - 1] = i as u32;
+            small += under;
+            large -= 1 - under;
         }
-
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
+        while small > 0 && large < n {
+            small -= 1;
+            let (s, l) = (work[small] as usize, work[large] as usize);
             // Column `s` is closed: it keeps probability prob[s] for itself
-            // and routes the rest to `l`.
-            alias[s as usize] = l;
-            // `l` donated (1 - prob[s]) of its mass.
-            let donated = 1.0 - prob[s as usize];
-            prob[l as usize] -= donated;
-            if prob[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
+            // and routes the rest to `l`, which donated (1 - prob[s]).
+            alias[s] = l as u32;
+            prob[l] -= 1.0 - prob[s];
+            if prob[l] < 1.0 {
+                large += 1;
+                work[small] = l as u32;
+                small += 1;
             }
         }
         // Numerical slack: any column left in either list keeps itself.
-        for &i in small.iter().chain(large.iter()) {
+        for &i in work[..small].iter().chain(&work[large..n]) {
             prob[i as usize] = 1.0;
             alias[i as usize] = i;
         }
-
-        Ok(AliasTable { prob, alias, total })
-    }
-
-    /// Builds a table for `n` *equal* weights. The resulting table degrades
-    /// to uniform index sampling but keeps the same API, which simplifies
-    /// with-replacement (WR) callers.
-    pub fn uniform(n: usize) -> Result<Self, WeightError> {
-        if n == 0 {
-            return Err(WeightError::Empty);
-        }
-        Ok(AliasTable { prob: vec![1.0; n], alias: (0..n as u32).collect(), total: n as f64 })
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if the table has no elements (never constructible; kept for
-    /// API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Total input weight `W`.
-    pub fn total_weight(&self) -> f64 {
-        self.total
+        crate::prof::add_alias_entries_built(n as u64);
+        Ok(total)
     }
 
     /// Decodes one uniform 64-bit word into a weighted index — the heart
@@ -147,7 +167,7 @@ impl AliasTable {
     /// table loads so that many draws' memory accesses overlap.
     #[inline(always)]
     pub fn split_word(&self, z: u64) -> (usize, f64) {
-        let n = self.prob.len() as u64; // n ≤ u32::MAX, enforced by `new`
+        let n = self.prob.len() as u64; // n ≤ u32::MAX, enforced by `build`
         let col = (((z >> 32) * n) >> 32) as usize;
         let coin = (z & 0xFFFF_FFFF) as f64 * (1.0 / 4_294_967_296.0);
         (col, coin)
@@ -176,7 +196,7 @@ impl AliasTable {
     /// If `cols` or `coins` is shorter than `words`.
     #[inline]
     pub fn decode_many(&self, words: &[u64], cols: &mut [u32], coins: &mut [f64]) {
-        let n = self.prob.len() as u64; // n ≤ u32::MAX, enforced by `new`
+        let n = self.prob.len() as u64; // n ≤ u32::MAX, enforced by `build`
         let cols = &mut cols[..words.len()];
         let coins = &mut coins[..words.len()];
         for ((&z, col), coin) in words.iter().zip(cols.iter_mut()).zip(coins.iter_mut()) {
@@ -191,8 +211,8 @@ impl AliasTable {
     /// ignored (see [`crate::prefetch`]).
     #[inline(always)]
     pub fn prefetch_row(&self, col: usize) {
-        crate::prefetch::slice_element(&self.prob, col);
-        crate::prefetch::slice_element(&self.alias, col);
+        crate::prefetch::slice_element(self.prob, col);
+        crate::prefetch::slice_element(self.alias, col);
     }
 
     /// Draws one index in `O(1)` worst-case time, consuming a single
@@ -202,29 +222,11 @@ impl AliasTable {
         self.decode(rng.next_u64())
     }
 
-    /// Draws one index from an already-buffered word block — the form the
-    /// composite structures use inside their batched query paths.
-    #[inline(always)]
-    pub fn sample_block<R: RngCore + ?Sized>(&self, block: &mut BlockRng64<'_, R>) -> usize {
-        self.decode(block.next_word())
-    }
-
-    /// Fills `out` with independent weighted indices — the allocation-free
-    /// batch API. Randomness is pulled from `rng` in blocks (one
-    /// `fill_bytes` call per 64 draws), so this is the fast path even when
-    /// `rng` is a `&mut dyn RngCore`.
-    ///
-    /// Indices fit in `u32` because construction caps `n` at `u32::MAX`.
-    pub fn sample_into<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [u32]) {
-        let mut block = BlockRng64::with_budget(rng, out.len());
-        self.sample_block_into(&mut block, 0, out);
-    }
-
     /// The pipelined batch kernel: fills `out` with `base + index` for
     /// independent weighted indices drawn from `block`'s word stream.
     ///
-    /// This is the shared fast path behind [`Self::sample_into`] *and*
-    /// the composite structures' per-piece draws (Lemma 2's chosen
+    /// This is the shared fast path behind [`AliasTable::sample_into`]
+    /// *and* the composite structures' per-piece draws (Lemma 2's chosen
     /// range, Theorem 3's boundary pieces), which pass their element
     /// offset as `base` instead of translating in a second pass. Each
     /// [`crate::pipeline::TILE`]-draw tile runs the three-phase shape
@@ -260,6 +262,96 @@ impl AliasTable {
             );
         }
         crate::prof::add_alias_redirects(redirects);
+    }
+}
+
+impl AliasTable {
+    /// Builds the table from positive weights in `O(n)` time
+    /// ([`AliasRows::build`] into two fresh arrays).
+    ///
+    /// # Errors
+    /// [`WeightError`] if `weights` is empty or contains a non-finite or
+    /// non-positive entry, or if `n > u32::MAX` elements are supplied.
+    pub fn new(weights: &[f64]) -> Result<Self, WeightError> {
+        let mut prob = vec![0.0; weights.len()];
+        let mut alias = vec![0; weights.len()];
+        let total = AliasRows::build(weights, &mut prob, &mut alias, &mut Vec::new())?;
+        Ok(AliasTable { prob, alias, total })
+    }
+
+    /// Builds a table for `n` *equal* weights. The resulting table degrades
+    /// to uniform index sampling but keeps the same API, which simplifies
+    /// with-replacement (WR) callers.
+    pub fn uniform(n: usize) -> Result<Self, WeightError> {
+        if n == 0 {
+            return Err(WeightError::Empty);
+        }
+        Ok(AliasTable { prob: vec![1.0; n], alias: (0..n as u32).collect(), total: n as f64 })
+    }
+
+    /// The table's urn rows — the view every draw runs on.
+    #[inline(always)]
+    pub fn rows(&self) -> AliasRows<'_> {
+        AliasRows { prob: &self.prob, alias: &self.alias }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.prob.len()
+    }
+
+    /// True if the table has no elements (never constructible; kept for
+    /// API completeness).
+    pub fn is_empty(&self) -> bool {
+        self.prob.is_empty()
+    }
+
+    /// Total input weight `W`.
+    pub fn total_weight(&self) -> f64 {
+        self.total
+    }
+
+    /// Decodes one uniform 64-bit word into a weighted index
+    /// ([`AliasRows::decode`] on this table's rows).
+    #[inline(always)]
+    pub fn decode(&self, z: u64) -> usize {
+        self.rows().decode(z)
+    }
+
+    /// Draws one index in `O(1)` worst-case time, consuming a single
+    /// 64-bit word from `rng` (see [`AliasRows::decode`]).
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.decode(rng.next_u64())
+    }
+
+    /// Draws one index from an already-buffered word block — the form the
+    /// composite structures use inside their batched query paths.
+    #[inline(always)]
+    pub fn sample_block<R: RngCore + ?Sized>(&self, block: &mut BlockRng64<'_, R>) -> usize {
+        self.decode(block.next_word())
+    }
+
+    /// Fills `out` with independent weighted indices — the allocation-free
+    /// batch API. Randomness is pulled from `rng` in blocks (one
+    /// `fill_bytes` call per 64 draws), so this is the fast path even when
+    /// `rng` is a `&mut dyn RngCore`.
+    ///
+    /// Indices fit in `u32` because construction caps `n` at `u32::MAX`.
+    pub fn sample_into<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [u32]) {
+        let mut block = BlockRng64::with_budget(rng, out.len());
+        self.sample_block_into(&mut block, 0, out);
+    }
+
+    /// The pipelined batch kernel, [`AliasRows::sample_block_into`] on
+    /// this table's rows: fills `out` with `base + index`.
+    pub fn sample_block_into<R: RngCore + ?Sized>(
+        &self,
+        block: &mut BlockRng64<'_, R>,
+        base: u32,
+        out: &mut [u32],
+    ) {
+        self.rows().sample_block_into(block, base, out);
     }
 
     /// Draws `s` independent indices, appending to `out`. Uses the same
@@ -441,12 +533,80 @@ mod tests {
         let words: Vec<u64> = (0..300).map(|_| rand::RngCore::next_u64(&mut rng)).collect();
         let mut cols = vec![0u32; 300];
         let mut coins = vec![0f64; 300];
-        t.decode_many(&words, &mut cols, &mut coins);
+        t.rows().decode_many(&words, &mut cols, &mut coins);
         for (i, &z) in words.iter().enumerate() {
-            let (col, coin) = t.split_word(z);
+            let (col, coin) = t.rows().split_word(z);
             assert_eq!(cols[i] as usize, col);
             assert_eq!(coins[i], coin);
         }
+    }
+
+    /// The classical construction as the paper's reader would write
+    /// it, one fresh `Vec` per array and per worklist: the reference
+    /// [`AliasRows::build`] must reproduce entry for entry.
+    fn two_list_vose(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
+        let n = weights.len();
+        let scale = n as f64 / validate_weights(weights).unwrap();
+        let mut prob: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
+        let mut alias: Vec<u32> = (0..n as u32).collect();
+        let (mut small, mut large) = (Vec::new(), Vec::new());
+        for (i, &p) in prob.iter().enumerate() {
+            if p < 1.0 { &mut small } else { &mut large }.push(i);
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            alias[s] = l as u32;
+            prob[l] -= 1.0 - prob[s];
+            if prob[l] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in small.iter().chain(&large) {
+            prob[i] = 1.0;
+            alias[i] = i as u32;
+        }
+        (prob, alias)
+    }
+
+    proptest::proptest! {
+        /// Into a table's own arrays or into the middle of a shared
+        /// pair, with a worklist of any previous size: the same rows.
+        #[test]
+        fn build_into_slices_is_the_two_list_construction(
+            exps in proptest::collection::vec(0u32..121, 1..80),
+            frac in proptest::collection::vec(1.0f64..2.0, 80),
+            offset in 0usize..7,
+        ) {
+            let weights: Vec<f64> =
+                exps.iter().zip(&frac).map(|(&e, &f)| f * 2f64.powi(e as i32 - 60)).collect();
+            let (prob, alias) = two_list_vose(&weights);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let table = AliasTable::new(&weights).unwrap();
+            proptest::prop_assert_eq!(bits(&table.prob), bits(&prob));
+            proptest::prop_assert_eq!(&table.alias, &alias);
+            let n = weights.len();
+            let (mut p, mut a) = (vec![7.0; n + 9], vec![7u32; n + 9]);
+            let mut work = vec![9; offset * 13];
+            let rows = offset..offset + n;
+            let total =
+                AliasRows::build(&weights, &mut p[rows.clone()], &mut a[rows.clone()], &mut work);
+            proptest::prop_assert_eq!(total.unwrap().to_bits(), table.total.to_bits());
+            proptest::prop_assert_eq!(bits(&p[rows.clone()]), bits(&prob));
+            proptest::prop_assert_eq!(&a[rows.clone()], &alias[..]);
+            // Nothing outside the table's rows was written.
+            proptest::prop_assert!(p[..offset].iter().chain(&p[rows.end..]).all(|&x| x == 7.0));
+            proptest::prop_assert!(a[..offset].iter().chain(&a[rows.end..]).all(|&x| x == 7));
+        }
+    }
+
+    #[test]
+    fn build_counts_its_entries() {
+        let before = crate::prof::read();
+        AliasTable::new(&[1.0; 5]).unwrap();
+        AliasTable::new(&[2.0; 3]).unwrap();
+        assert!(AliasTable::new(&[]).is_err());
+        assert_eq!(crate::prof::read().minus(&before).alias_entries_built, 8);
     }
 
     #[test]

@@ -209,14 +209,6 @@ impl DynamicAlias {
             }
         }
     }
-
-    /// Extracts the live `(id, weight)` pairs, e.g. to freeze the current
-    /// state into an immutable [`crate::AliasTable`] without walking the
-    /// structure's internals. Order is unspecified but deterministic for a
-    /// given update history.
-    pub fn pairs(&self) -> Vec<(u64, f64)> {
-        self.buckets.iter().flat_map(|b| b.iter().copied()).collect()
-    }
 }
 
 impl SpaceUsage for DynamicAlias {

@@ -6,6 +6,11 @@
 //! * [`AliasTable`] — Walker's alias structure (Theorem 1): `O(n)` space,
 //!   `O(n)` construction, and `O(1)` worst-case time per weighted sample.
 //!   Each draw decodes a *single* 64-bit word ([`AliasTable::decode`]).
+//! * [`AliasRows`] — a table's two arrays, borrowed: the one construction
+//!   routine ([`AliasRows::build`], into caller-provided slices) and the
+//!   one set of draw primitives. `AliasTable` owns a pair of arrays and
+//!   lends them as this view; Lemma 2 and Theorem 3 keep all their tables
+//!   in one pair of arrays and cut a view per table.
 //! * [`BlockRng64`] — a buffered block RNG that refills 64 words from the
 //!   caller's generator in one `fill_bytes` pass, powering the batched
 //!   `sample_into` fast paths across the workspace.
@@ -13,7 +18,9 @@
 //!   as the `O(log n)`-per-sample baseline in the benchmarks.
 //! * [`DynamicAlias`] — a dynamized alias structure (the paper's "Direction
 //!   1" future-work item) supporting insertion, deletion and re-weighting
-//!   with expected `O(1)` sampling.
+//!   with expected `O(1)` sampling. It reproduces §9 Direction 1 for the
+//!   experiment harness; the service does not publish it — `iqs-serve`
+//!   answers from immutable views and patches them on update.
 //! * [`split::split_samples`] — the multinomial sample-splitting step used by
 //!   every composite IQS structure (Section 4.1): given `t` weighted groups
 //!   and a demand of `s` samples, decide in `O(t + s)` time how many samples
@@ -45,7 +52,7 @@ pub mod space;
 pub mod split;
 pub mod wor;
 
-pub use alias::AliasTable;
+pub use alias::{AliasRows, AliasTable};
 pub use batch::BlockRng64;
 pub use cdf::CdfSampler;
 pub use dynamic::DynamicAlias;

@@ -45,6 +45,11 @@ pub struct Cost {
     pub tree_descents: u64,
     /// Rejected rounds in set-union rejection sampling.
     pub union_rejects: u64,
+    /// Alias-table entries constructed: every
+    /// [`crate::AliasRows::build`] call adds the length of the table it
+    /// built, so the delta over an index update is the size of what the
+    /// update rebuilt — exact, where its wall time is not.
+    pub alias_entries_built: u64,
 }
 
 impl Cost {
@@ -60,6 +65,9 @@ impl Cost {
             alias_redirects: self.alias_redirects.saturating_sub(earlier.alias_redirects),
             tree_descents: self.tree_descents.saturating_sub(earlier.tree_descents),
             union_rejects: self.union_rejects.saturating_sub(earlier.union_rejects),
+            alias_entries_built: self
+                .alias_entries_built
+                .saturating_sub(earlier.alias_entries_built),
         }
     }
 
@@ -78,6 +86,7 @@ thread_local! {
     static ALIAS_REDIRECTS: Cell<u64> = const { Cell::new(0) };
     static TREE_DESCENTS: Cell<u64> = const { Cell::new(0) };
     static UNION_REJECTS: Cell<u64> = const { Cell::new(0) };
+    static ALIAS_ENTRIES_BUILT: Cell<u64> = const { Cell::new(0) };
 }
 
 #[inline]
@@ -138,6 +147,13 @@ pub fn add_union_rejects(n: u64) {
     bump(&UNION_REJECTS, n);
 }
 
+/// Accounts one alias-table build of `n` entries. Called from
+/// [`crate::AliasRows::build`] only.
+#[inline]
+pub fn add_alias_entries_built(n: u64) {
+    bump(&ALIAS_ENTRIES_BUILT, n);
+}
+
 /// This thread's cumulative counters. Snapshot before and after a unit
 /// of work; the [`Cost::minus`] delta is the work's cost.
 #[must_use]
@@ -150,6 +166,7 @@ pub fn read() -> Cost {
         alias_redirects: ALIAS_REDIRECTS.with(Cell::get),
         tree_descents: TREE_DESCENTS.with(Cell::get),
         union_rejects: UNION_REJECTS.with(Cell::get),
+        alias_entries_built: ALIAS_ENTRIES_BUILT.with(Cell::get),
     }
 }
 

@@ -20,6 +20,11 @@
 //!
 //! Outputs of all queries remain mutually independent: tombstoning and
 //! rebuilding never reuse randomness.
+//!
+//! This module reproduces §9 Direction 1 for the experiment harness
+//! (E11/E12) and `examples/dynamic_catalog.rs`. The service does not
+//! publish it: `iqs-serve` keeps one static [`ChunkedRange`] per index
+//! and patches it ([`ChunkedRange::reweighted`]) or rebuilds it.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -307,24 +312,6 @@ impl DynamicRange {
             out.push((id, key));
         }
         Ok(out)
-    }
-
-    /// Extracts the live `(id, key, weight)` triples in ascending key
-    /// order, e.g. to freeze the current state into a single static
-    /// [`ChunkedRange`]. Ties on equal keys keep a deterministic order
-    /// for a given update history. `O(n log n)` (level merge).
-    pub fn live_triples(&self) -> Vec<(u64, f64, f64)> {
-        let mut merged: Vec<(f64, u64, f64)> = Vec::with_capacity(self.live_index.len());
-        for level in self.levels.iter().flatten() {
-            for (rank, &id) in level.ids.iter().enumerate() {
-                let key = level.structure.keys()[rank];
-                if !level.dead.contains_key(&(key_bits(key), id)) {
-                    merged.push((key, id, level.structure.weights()[rank]));
-                }
-            }
-        }
-        merged.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
-        merged.into_iter().map(|(key, id, w)| (id, key, w)).collect()
     }
 
     /// Fallback path: enumerate the live elements in range and sample

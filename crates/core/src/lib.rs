@@ -32,7 +32,10 @@
 //! * [`dynamic_range`] — Direction 1 (§9): the headline problem
 //!   dynamized with the logarithmic method — `O(log² n)` amortized
 //!   updates over Theorem-3 levels, tombstoned deletions, rejection-safe
-//!   queries;
+//!   queries. A paper reproduction for the harness arms, not what the
+//!   service publishes: `iqs-serve` patches one static [`ChunkedRange`]
+//!   per update ([`ChunkedRange::reweighted`]), whose result is
+//!   bit-identical to a fresh build;
 //! * [`wor_exact`] — exact weighted without-replacement sampling via
 //!   exponential jumps (A-ExpJ over cumulative weights), robust for
 //!   sample sizes approaching `|S_q|`;

@@ -17,7 +17,7 @@
 //! satellite data index it by rank.
 
 use iqs_alias::space::{vec_words, SpaceUsage};
-use iqs_alias::{AliasTable, BlockRng64};
+use iqs_alias::{AliasRows, AliasTable, BlockRng64};
 use iqs_tree::{Fenwick, RankBst};
 use rand::{Rng, RngCore};
 
@@ -25,17 +25,24 @@ use crate::error::QueryError;
 use crate::rank_alias::RankAliasAugmented;
 
 /// Validates and sorts `(key, weight)` input; returns keys and weights in
-/// key order.
+/// key order. Input already in key order — what an ordered map's walk
+/// hands over — is recognised by the validation pass and not sorted.
 fn prepare(mut pairs: Vec<(f64, f64)>) -> Result<(Vec<f64>, Vec<f64>), QueryError> {
     if pairs.is_empty() {
         return Err(QueryError::EmptyRange);
     }
+    let mut sorted = true;
+    let mut prev = f64::NEG_INFINITY;
     for &(k, w) in &pairs {
         if !k.is_finite() || !w.is_finite() || w <= 0.0 {
             return Err(QueryError::EmptyRange);
         }
+        sorted &= prev <= k;
+        prev = k;
     }
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
+    if !sorted {
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
+    }
     Ok(pairs.into_iter().unzip())
 }
 
@@ -443,6 +450,14 @@ impl RangeSampler for AliasAugmentedRange {
 /// splits `s` multinomially among the three, and recurses — `O(log n + s)`
 /// total with `O(n)` space.
 ///
+/// The chunk tables are not `g` allocations but two arrays of length `n`
+/// beside the weights: chunk `k`'s table is rows
+/// `[k·c, min((k+1)·c, n))` of `prob`/`alias`, its entries positions
+/// within the chunk. A middle draw therefore goes from its chunk pick
+/// straight to a row — the chunk's length is arithmetic, not a load —
+/// and one element's weight lives in one chunk's `c` rows plus
+/// `totals[k]`, which is what [`Self::reweighted`] rebuilds.
+///
 /// # Example
 /// ```
 /// use iqs_core::{ChunkedRange, RangeSampler};
@@ -463,9 +478,28 @@ pub struct ChunkedRange {
     weights: Vec<f64>,
     /// Chunk length `c`.
     chunk: usize,
-    chunk_alias: Vec<AliasTable>,
+    /// Every chunk's alias table, back to back in rank order.
+    prob: Vec<f64>,
+    alias: Vec<u32>,
+    /// `w(chunk k)`: the weights `T_chunk` and the Fenwick tree are over.
+    totals: Vec<f64>,
     tchunk: RankAliasAugmented,
     fenwick: Fenwick,
+}
+
+/// Builds chunk `k`'s alias table into its rows of `prob`/`alias`;
+/// returns the chunk's total weight.
+fn build_chunk(
+    k: usize,
+    chunk: usize,
+    weights: &[f64],
+    prob: &mut [f64],
+    alias: &mut [u32],
+    work: &mut Vec<u32>,
+) -> f64 {
+    let rows = k * chunk..((k + 1) * chunk).min(weights.len());
+    AliasRows::build(&weights[rows.clone()], &mut prob[rows.clone()], &mut alias[rows], work)
+        .expect("validated weights")
 }
 
 impl ChunkedRange {
@@ -492,19 +526,67 @@ impl ChunkedRange {
         }
         let (keys, weights) = prepare(pairs)?;
         let n = keys.len();
-        let g = n.div_ceil(chunk);
-        let mut chunk_alias = Vec::with_capacity(g);
-        let mut chunk_weights = Vec::with_capacity(g);
-        for k in 0..g {
-            let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(n);
-            let table = AliasTable::new(&weights[lo..hi]).expect("validated weights");
-            chunk_weights.push(table.total_weight());
-            chunk_alias.push(table);
+        let (mut prob, mut alias, mut work) = (vec![0.0; n], vec![0; n], Vec::new());
+        let totals: Vec<f64> = (0..n.div_ceil(chunk))
+            .map(|k| build_chunk(k, chunk, &weights, &mut prob, &mut alias, &mut work))
+            .collect();
+        let tchunk = RankAliasAugmented::new(&totals);
+        let fenwick = Fenwick::from_values(&totals);
+        Ok(ChunkedRange { keys, weights, chunk, prob, alias, totals, tchunk, fenwick })
+    }
+
+    /// The structure over the same keys with the weight at each listed
+    /// rank replaced — `changes` is `(rank, weight)` in application
+    /// order, so a rank listed twice keeps its last weight. Every array
+    /// of the result equals, bit for bit, what [`Self::new`] builds for
+    /// the new weights, so draws from equal seeds are the same.
+    ///
+    /// The cost is a copy of the arrays plus what the changes touch:
+    /// the alias tables and totals of the chunks holding a listed rank,
+    /// the `T_chunk` tables on the root-to-leaf paths of those chunks,
+    /// and — in full, `O(n / log n)`, so that no sum is ever updated in
+    /// place — the `T_chunk` node weights and the Fenwick tree.
+    /// `recycle` donates its buffers to the copy: a caller that
+    /// republishes a structure on every update passes the superseded
+    /// one back in once no reader holds it.
+    ///
+    /// # Errors
+    /// [`QueryError::EmptyRange`] on a rank past the end or a weight
+    /// that is not finite-positive.
+    pub fn reweighted(
+        &self,
+        changes: &[(usize, f64)],
+        recycle: Option<ChunkedRange>,
+    ) -> Result<ChunkedRange, QueryError> {
+        if changes.iter().any(|&(rank, w)| rank >= self.len() || !w.is_finite() || w <= 0.0) {
+            return Err(QueryError::EmptyRange);
         }
-        let tchunk = RankAliasAugmented::new(&chunk_weights);
-        let fenwick = Fenwick::from_values(&chunk_weights);
-        Ok(ChunkedRange { keys, weights, chunk, chunk_alias, tchunk, fenwick })
+        let (mut keys, mut weights, mut prob, mut alias, mut totals, old_tchunk) = recycle
+            .map_or_else(Default::default, |old| {
+                (old.keys, old.weights, old.prob, old.alias, old.totals, Some(old.tchunk))
+            });
+        keys.clone_from(&self.keys);
+        weights.clone_from(&self.weights);
+        prob.clone_from(&self.prob);
+        alias.clone_from(&self.alias);
+        totals.clone_from(&self.totals);
+        let chunk = self.chunk;
+        let mut touched: Vec<usize> = changes
+            .iter()
+            .map(|&(rank, w)| {
+                weights[rank] = w;
+                rank / chunk
+            })
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut work = Vec::new();
+        for &k in &touched {
+            totals[k] = build_chunk(k, chunk, &weights, &mut prob, &mut alias, &mut work);
+        }
+        let tchunk = self.tchunk.reweighted(&totals, &touched, old_tchunk);
+        let fenwick = Fenwick::from_values(&totals);
+        Ok(ChunkedRange { keys, weights, chunk, prob, alias, totals, tchunk, fenwick })
     }
 
     /// The chunk length `c = ⌈log₂ n⌉`.
@@ -512,10 +594,17 @@ impl ChunkedRange {
         self.chunk
     }
 
+    /// Chunk `k`'s alias table.
+    #[inline(always)]
+    fn chunk_rows(&self, k: usize) -> AliasRows<'_> {
+        let rows = k * self.chunk..((k + 1) * self.chunk).min(self.prob.len());
+        AliasRows::new(&self.prob[rows.clone()], &self.alias[rows])
+    }
+
     /// Draws one rank from chunk `k` via its alias table.
     #[inline]
     fn sample_chunk(&self, k: usize, rng: &mut dyn RngCore) -> usize {
-        k * self.chunk + self.chunk_alias[k].sample(rng)
+        k * self.chunk + self.chunk_rows(k).sample(rng)
     }
 
     /// Monomorphizing batch query: fills `out` with independent weighted
@@ -626,25 +715,21 @@ impl ChunkedRange {
                 }
                 // Pass 1: resolve every chunk pick through T_chunk.
                 ctx.draw_words_into(&pick_words[..pick_wpd * m], &mut picks[..m]);
-                // Header sweep: each picked chunk table's header (Vec
-                // pointers + length) is itself a dependent load; warm
-                // them all before the gather pass needs them.
-                for &k in &picks[..m] {
-                    iqs_alias::prefetch::slice_element(&self.chunk_alias, k as usize);
-                }
                 // Pass 2: intra-chunk resolution, prefetching chunk
-                // `k`'s urn row `K` draws ahead.
+                // `k`'s urn row `K` draws ahead. The chunk's table is a
+                // slice of the flat arrays, so nothing but the row
+                // itself is a dependent load.
                 iqs_alias::pipeline::interleave(
                     m,
                     |i| {
                         let k = picks[i] as usize;
-                        let (col, coin) = self.chunk_alias[k].split_word(chunk_words[i]);
+                        let (col, coin) = self.chunk_rows(k).split_word(chunk_words[i]);
                         (picks[i], col as u32, coin)
                     },
-                    |&(k, col, _)| self.chunk_alias[k as usize].prefetch_row(col as usize),
+                    |&(k, col, _)| self.chunk_rows(k as usize).prefetch_row(col as usize),
                     |i, (k, col, coin)| {
                         let k = k as usize;
-                        let r = k * self.chunk + self.chunk_alias[k].resolve(col as usize, coin);
+                        let r = k * self.chunk + self.chunk_rows(k).resolve(col as usize, coin);
                         tile[i] = r as u32;
                     },
                 );
@@ -766,7 +851,9 @@ impl RangeSampler for ChunkedRange {
     fn space_words(&self) -> usize {
         vec_words(&self.keys)
             + vec_words(&self.weights)
-            + self.chunk_alias.iter().map(|a| a.space_words()).sum::<usize>()
+            + vec_words(&self.prob)
+            + vec_words(&self.alias)
+            + vec_words(&self.totals)
             + self.tchunk.space_words()
             + self.fenwick.space_words()
     }
@@ -934,6 +1021,50 @@ mod tests {
         assert!(ratio_a > ratio_c, "alias-augmented should use more space");
         // And chunked must be much smaller in absolute terms at n = 16k.
         assert!(large_c.space_words() * 2 < large_a.space_words());
+    }
+
+    #[test]
+    fn reweighted_is_the_fresh_build_bit_for_bit() {
+        // `Debug` prints every field and tells any two finite f64s
+        // apart, so equal strings mean every array is bit-equal.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut recycle = None;
+        for n in [1usize, 2, 7, 64, 65, 1000, 4099] {
+            let mut pairs = pairs(n, n as u64);
+            let base = ChunkedRange::new(pairs.clone()).unwrap();
+            // Clustered ranks (several per chunk, some twice) with
+            // weights up to 2^±60 apart.
+            let at = rng.random_range(0..n);
+            let changes: Vec<(usize, f64)> = (0..rng.random_range(1..20usize))
+                .map(|_| {
+                    let rank = [rng.random_range(0..n), (at + rng.random_range(0..9usize)) % n];
+                    (rank[rng.random_range(0..2usize)], 2f64.powi(rng.random_range(-60..61)))
+                })
+                .collect();
+            for &(rank, w) in &changes {
+                pairs[rank].1 = w;
+            }
+            let fresh = ChunkedRange::new(pairs).unwrap();
+            // Into fresh buffers, then into those of the previous round's
+            // (differently sized) structure.
+            let patched = base.reweighted(&changes, None).unwrap();
+            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}");
+            let patched = base.reweighted(&changes, recycle.take()).unwrap();
+            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}, recycled");
+            recycle = Some(patched);
+        }
+    }
+
+    #[test]
+    fn reweighted_rejects_what_new_rejects() {
+        let base = ChunkedRange::new(pairs(50, 3)).unwrap();
+        for bad in [(50, 1.0), (0, 0.0), (0, -2.0), (0, f64::NAN), (0, f64::INFINITY)] {
+            assert_eq!(
+                base.reweighted(&[(1, 2.0), bad], None).unwrap_err(),
+                QueryError::EmptyRange
+            );
+        }
+        assert_eq!(base.reweighted(&[], None).unwrap().weights(), base.weights());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! rank space so both the element-level structure and Theorem 3's
 //! chunk-level structure (`T_chunk`) can share it.
 
-use iqs_alias::space::SpaceUsage;
-use iqs_alias::{AliasTable, BlockRng64};
-use iqs_tree::RankBst;
+use iqs_alias::space::{vec_words, SpaceUsage};
+use iqs_alias::{AliasRows, AliasTable, BlockRng64};
+use iqs_tree::{NodeId, RankBst};
 use rand::{Rng, RngCore};
 
 /// A balanced tree over `n` weighted rank slots where **every node stores
@@ -16,13 +16,22 @@ use rand::{Rng, RngCore};
 /// 2. build an alias table over their weights on the fly (`O(log n)`);
 /// 3. draw `s` canonical-node choices (`O(s)`), then resolve each through
 ///    the chosen node's stored alias table (`O(1)` each).
+///
+/// The node tables live in one level-ordered arena, not one allocation
+/// each: the nodes of one depth cover disjoint slot ranges, so the table
+/// of the node over slots `[lo, hi)` at depth `d` is rows
+/// `d·n + lo .. d·n + hi` of `prob`/`alias` (`(height + 1)·n` rows; the
+/// few rows under a leaf that ends above the deepest level stay zero).
+/// Each table is what [`AliasTable::new`] would build for the same
+/// weights, entry for entry.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct RankAliasAugmented {
     tree: RankBst,
-    /// Per-node alias over the node's rank slots (offset by the node's
-    /// leaf-range start).
-    node_alias: Vec<AliasTable>,
+    /// First arena row of each node's table, by node id.
+    at: Vec<usize>,
+    prob: Vec<f64>,
+    alias: Vec<u32>,
 }
 
 impl RankAliasAugmented {
@@ -32,13 +41,91 @@ impl RankAliasAugmented {
     /// Panics on empty or non-positive weights (caller validates input).
     pub fn new(weights: &[f64]) -> Self {
         let tree = RankBst::new(weights).expect("non-empty weights");
-        let node_alias: Vec<AliasTable> = (0..tree.node_count() as u32)
-            .map(|u| {
-                let (lo, hi) = tree.leaf_range(u);
-                AliasTable::new(&weights[lo..hi]).expect("positive weights")
-            })
-            .collect();
-        RankAliasAugmented { tree, node_alias }
+        let n = tree.len();
+        let mut at = vec![0; tree.node_count()];
+        let mut below = vec![(tree.root(), 0)];
+        while let Some((u, depth)) = below.pop() {
+            at[u as usize] = depth * n + tree.leaf_range(u).0;
+            if !tree.is_leaf(u) {
+                let (l, r) = tree.children(u);
+                below.extend([(l, depth + 1), (r, depth + 1)]);
+            }
+        }
+        let rows = (tree.height() as usize + 1) * n;
+        let mut this = RankAliasAugmented { tree, at, prob: vec![0.0; rows], alias: vec![0; rows] };
+        let mut work = Vec::new();
+        for u in 0..this.tree.node_count() as NodeId {
+            this.build_node(u, weights, &mut work);
+        }
+        this
+    }
+
+    /// The structure over `weights`, given that it differs from `self`'s
+    /// weights at the slots `touched` only (ascending, distinct; same
+    /// slot count). Copies the arena, rebuilds the node weights in full
+    /// and the tables of the nodes whose slot range holds a touched slot
+    /// — the root-to-leaf paths — so every array equals what
+    /// [`Self::new`] builds for `weights`. `recycle` donates its buffers
+    /// to the copy.
+    pub(crate) fn reweighted(
+        &self,
+        weights: &[f64],
+        touched: &[usize],
+        recycle: Option<Self>,
+    ) -> Self {
+        let (mut at, mut prob, mut alias) =
+            recycle.map_or_else(Default::default, |old| (old.at, old.prob, old.alias));
+        at.clone_from(&self.at);
+        prob.clone_from(&self.prob);
+        alias.clone_from(&self.alias);
+        let tree = RankBst::new(weights).expect("non-empty weights");
+        let mut next = RankAliasAugmented { tree, at, prob, alias };
+        next.rebuild_paths(next.tree.root(), weights, touched, &mut Vec::new());
+        next
+    }
+
+    fn rebuild_paths(
+        &mut self,
+        u: NodeId,
+        weights: &[f64],
+        touched: &[usize],
+        work: &mut Vec<u32>,
+    ) {
+        if touched.is_empty() {
+            return;
+        }
+        self.build_node(u, weights, work);
+        if !self.tree.is_leaf(u) {
+            let (l, r) = self.tree.children(u);
+            let cut = touched.partition_point(|&slot| slot < self.tree.leaf_range(r).0);
+            self.rebuild_paths(l, weights, &touched[..cut], work);
+            self.rebuild_paths(r, weights, &touched[cut..], work);
+        }
+    }
+
+    /// The arena rows of node `u`'s table.
+    fn rows_of(&self, u: NodeId) -> std::ops::Range<usize> {
+        let at = self.at[u as usize];
+        at..at + self.tree.node_count_leaves(u)
+    }
+
+    /// Builds node `u`'s table over its slots' weights into its arena rows.
+    fn build_node(&mut self, u: NodeId, weights: &[f64], work: &mut Vec<u32>) {
+        let (lo, hi) = self.tree.leaf_range(u);
+        let rows = self.rows_of(u);
+        AliasRows::build(
+            &weights[lo..hi],
+            &mut self.prob[rows.clone()],
+            &mut self.alias[rows],
+            work,
+        )
+        .expect("positive weights");
+    }
+
+    /// Node `u`'s stored alias table.
+    fn node_rows(&self, u: NodeId) -> AliasRows<'_> {
+        let rows = self.rows_of(u);
+        AliasRows::new(&self.prob[rows.clone()], &self.alias[rows])
     }
 
     /// Number of rank slots.
@@ -79,7 +166,7 @@ impl RankAliasAugmented {
             return None;
         }
         let lo: Vec<usize> = canon.iter().map(|&u| self.tree.leaf_range(u).0).collect();
-        let tbl: Vec<&AliasTable> = canon.iter().map(|&u| &self.node_alias[u as usize]).collect();
+        let tbl: Vec<AliasRows<'_>> = canon.iter().map(|&u| self.node_rows(u)).collect();
         let chooser = if canon.len() == 1 {
             None
         } else {
@@ -142,7 +229,7 @@ pub struct PreparedRange<'a> {
     /// Leaf-range start of each canonical node.
     lo: Vec<usize>,
     /// Stored alias table of each canonical node.
-    tbl: Vec<&'a AliasTable>,
+    tbl: Vec<AliasRows<'a>>,
     /// On-the-fly alias over the canonical nodes' weights; `None` when the
     /// cover is a single node (whose draws then cost one word, not two).
     chooser: Option<AliasTable>,
@@ -237,7 +324,10 @@ impl PreparedRange<'_> {
 
 impl SpaceUsage for RankAliasAugmented {
     fn space_words(&self) -> usize {
-        self.tree.space_words() + self.node_alias.iter().map(|a| a.space_words()).sum::<usize>()
+        self.tree.space_words()
+            + vec_words(&self.at)
+            + vec_words(&self.prob)
+            + vec_words(&self.alias)
     }
 }
 
@@ -319,6 +409,24 @@ mod tests {
             assert!(r.sample_block_into(7, 99, &mut block, &mut batch));
             let seq32: Vec<u32> = seq.iter().map(|&x| x as u32).collect();
             assert_eq!(batch, seq32, "s = {s}");
+        }
+    }
+
+    #[test]
+    fn reweighted_tables_equal_a_fresh_build() {
+        // Slot counts off the powers of two leave leaves above the
+        // deepest level; `Debug` compares every row of the arena.
+        for n in [1usize, 2, 3, 11, 100, 257] {
+            let mut weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+            let base = RankAliasAugmented::new(&weights);
+            let touched: Vec<usize> =
+                (0..n).filter(|slot| slot % 37 == 0 || *slot == n - 1).collect();
+            for &slot in &touched {
+                weights[slot] = 0.5 + slot as f64 * 1e9;
+            }
+            let patched = base.reweighted(&weights, &touched, None);
+            let fresh = RankAliasAugmented::new(&weights);
+            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}");
         }
     }
 

@@ -9,10 +9,21 @@
 //!   request; any number of threads sample it concurrently.
 //! * a **master** — for dynamic indexes, an ordered map
 //!   `(key, id) → weight` behind a writer mutex. Nothing ever samples
-//!   it: updates edit the map, build a fresh view from its in-order
-//!   walk, and publish it atomically. Readers of the old view are never
-//!   blocked, never torn, and drop the old snapshot when their in-flight
-//!   queries finish.
+//!   it: updates edit the map, derive the next view, and publish it
+//!   atomically. Readers of the old view are never blocked, never torn,
+//!   and drop the old snapshot when their in-flight queries finish.
+//!
+//! How the next view is derived is read off the batch itself. A batch
+//! in which every applied op re-weights a live element at its current
+//! key leaves the keys, the ids and every rank where they were, so the
+//! next view is the current one patched: [`ChunkedRange::reweighted`]
+//! copies the arrays and rebuilds what the touched chunks feed, and the
+//! result is bit-identical to a fresh build. Any other batch (an insert,
+//! a remove, a key move) builds the view afresh from the map's in-order
+//! walk, which is already the view's rank order. A range master also
+//! keeps the one view its last publication superseded: once no reader
+//! pins it, the next patch is copied into its buffers instead of newly
+//! mapped pages.
 //!
 //! The registry map itself is frozen when the server starts (indexes are
 //! registered up front); all runtime mutation goes through the masters
@@ -121,20 +132,55 @@ impl RangeView {
 
     /// Builds the Theorem-3 sampler and the rank → id table from
     /// `(id, key, weight)` triples in any order; no triples give the
-    /// empty view. Equal keys keep their input order (both sorts are
+    /// empty view. Equal keys keep their input order (the sort is
     /// stable), so `ids[rank]` stays aligned with the sampler's ranks.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] on a non-finite key or a weight that
     /// is not finite-positive.
     pub fn from_triples(mut triples: Vec<(u64, f64, f64)>) -> Result<Self, QueryError> {
-        if triples.is_empty() {
+        triples.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let pairs = triples.iter().map(|&(_, key, w)| (key, w)).collect();
+        let ids = triples.iter().map(|&(id, _, _)| id).collect();
+        RangeView::from_sorted(pairs, ids)
+    }
+
+    /// [`Self::from_triples`] for elements already in key order:
+    /// `(key, weight)` by rank and the id at each rank. `ChunkedRange`
+    /// recognises sorted input, so nothing is sorted on this path.
+    fn from_sorted(pairs: Vec<(f64, f64)>, ids: Vec<u64>) -> Result<Self, QueryError> {
+        if pairs.is_empty() {
             return Ok(RangeView::of(None, None));
         }
-        triples.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, key, w)| (key, w)).collect();
-        let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
         Ok(RangeView::of(Some(ChunkedRange::new(pairs)?), Some(ids)))
+    }
+
+    /// The view of the same elements after `changes` — `(key bits, id,
+    /// weight)` of live elements, applied in order — replaced their
+    /// weights: bit-identical to a fresh build
+    /// ([`ChunkedRange::reweighted`]). Ranks are found by binary search,
+    /// so `self` must be in `(key, id)` order, as a master's views are.
+    /// `recycle` donates its buffers.
+    fn reweighted(&self, changes: &[(u64, u64, f64)], recycle: Option<RangeView>) -> RangeView {
+        let sampler = self.sampler.as_ref().expect("a live element is in the view");
+        let ids = self.ids.as_ref().expect("a master's view carries ids");
+        let keys = sampler.keys();
+        let ranked: Vec<(usize, f64)> = changes
+            .iter()
+            .map(|&(bits, id, weight)| {
+                let lo = keys.partition_point(|&k| key_bits(k) < bits);
+                let hi = keys.partition_point(|&k| key_bits(k) <= bits);
+                let rank = lo + ids[lo..hi].partition_point(|&other| other < id);
+                debug_assert_eq!(ids[rank], id);
+                (rank, weight)
+            })
+            .collect();
+        let (old_sampler, old_ids) = recycle.map_or((None, None), |old| (old.sampler, old.ids));
+        let sampler =
+            sampler.reweighted(&ranked, old_sampler).expect("upsert validated the weight");
+        let mut next_ids = old_ids.unwrap_or_default();
+        next_ids.clone_from(ids);
+        RangeView::of(Some(sampler), Some(next_ids))
     }
 
     /// Maps a rank to its element id.
@@ -211,16 +257,22 @@ struct MasterMap {
     by_key: BTreeMap<(u64, u64), f64>,
     /// `id → key_bits(key)`: where an element sits in `by_key`.
     key_of: HashMap<u64, u64>,
+    /// The view the last publication of a range index superseded, kept
+    /// so the next patch can be written into its buffers (if no reader
+    /// still pins it) instead of fresh pages. At most this one.
+    spare: Option<Arc<IndexView>>,
 }
 
 impl MasterMap {
     fn new(keyed: bool) -> Self {
-        MasterMap { keyed, by_key: BTreeMap::new(), key_of: HashMap::new() }
+        MasterMap { keyed, by_key: BTreeMap::new(), key_of: HashMap::new(), spare: None }
     }
 
-    /// Inserts `id`, replacing its previous entry. Validates first, so
-    /// an invalid upsert leaves the element it names as it was.
-    fn upsert(&mut self, id: u64, key: f64, weight: f64) -> Result<(), ServeError> {
+    /// Inserts `id`, replacing its previous entry; returns whether `id`
+    /// was live at this very key, i.e. only its weight can have changed.
+    /// Validates first, so an invalid upsert leaves the element it names
+    /// as it was.
+    fn upsert(&mut self, id: u64, key: f64, weight: f64) -> Result<bool, ServeError> {
         let key = if self.keyed { key } else { 0.0 };
         if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
             return Err(if self.keyed {
@@ -230,11 +282,12 @@ impl MasterMap {
             });
         }
         let bits = key_bits(key);
-        if let Some(old) = self.key_of.insert(id, bits) {
+        let old = self.key_of.insert(id, bits);
+        if let Some(old) = old.filter(|&old| old != bits) {
             self.by_key.remove(&(old, id));
         }
         self.by_key.insert((bits, id), weight);
-        Ok(())
+        Ok(old == Some(bits))
     }
 
     /// Removes `id`; returns whether it was present.
@@ -245,9 +298,9 @@ impl MasterMap {
     /// Builds the read view of the current elements.
     fn view(&self) -> IndexView {
         if self.keyed {
-            let triples =
-                self.by_key.iter().map(|(&(bits, id), &w)| (id, key_of_bits(bits), w)).collect();
-            let view = RangeView::from_triples(triples).expect("upsert validated every element");
+            let pairs = self.by_key.iter().map(|(&(bits, _), &w)| (key_of_bits(bits), w)).collect();
+            let ids = self.by_key.keys().map(|&(_, id)| id).collect();
+            let view = RangeView::from_sorted(pairs, ids).expect("upsert validated every element");
             return IndexView::Range(view);
         }
         let ids: Vec<u64> = self.by_key.keys().map(|&(_, id)| id).collect();
@@ -463,13 +516,17 @@ impl IndexRegistry {
         self.map.get(name).ok_or_else(|| ServeError::UnknownIndex(name.to_string()))
     }
 
-    /// Applies `ops` to a dynamic index's master and publishes a rebuilt
-    /// view. Serialized per index by the master mutex; readers keep
-    /// sampling the previous snapshot throughout.
+    /// Applies `ops` to a dynamic index's master and publishes the next
+    /// view: the current one patched when every applied op re-weighted
+    /// a live element of a range index in place, a fresh build from the
+    /// master otherwise (see the module docs). Serialized per index by
+    /// the master mutex; readers keep sampling the previous snapshot
+    /// throughout.
     ///
     /// Ops are applied in order; on the first invalid op the batch stops,
     /// the ops already applied are still published, and the error is
-    /// returned.
+    /// returned. A batch that applies nothing (say, removes of absent
+    /// ids) publishes nothing and reports the current version.
     pub(crate) fn apply_update(
         &self,
         name: &str,
@@ -482,25 +539,55 @@ impl IndexRegistry {
         };
         let mut applied = 0usize;
         let mut failed = None;
+        // `(key bits, id, weight)` of the applied ops for as long as each
+        // one re-weighted a live element of a range index in place.
+        let mut reweights = map.keyed.then(Vec::new);
         for &op in ops {
             match op {
                 UpdateOp::Upsert { id, key, weight } => match map.upsert(id, key, weight) {
-                    Ok(()) => applied += 1,
+                    Ok(in_place) => {
+                        applied += 1;
+                        match &mut reweights {
+                            Some(list) if in_place => list.push((key_bits(key), id, weight)),
+                            _ => reweights = None,
+                        }
+                    }
                     Err(e) => {
                         failed = Some(e);
                         break;
                     }
                 },
-                UpdateOp::Remove { id } => applied += usize::from(map.remove(id)),
+                UpdateOp::Remove { id } => {
+                    if map.remove(id) {
+                        applied += 1;
+                        reweights = None;
+                    }
+                }
             }
         }
-        match failed {
-            Some(e) if applied == 0 => Err(e),
-            failed => {
-                let version = entry.view.store(map.view());
-                failed.map_or(Ok((applied, version)), Err)
-            }
+        if applied == 0 {
+            return failed.map_or(Ok((0, entry.view.version())), Err);
         }
+        // The superseded view, unless a reader still pins it.
+        let spare = map.spare.take().and_then(Arc::into_inner);
+        let next = match (reweights, &*entry.view.load()) {
+            (Some(changes), IndexView::Range(current)) => {
+                let recycle = match spare {
+                    Some(IndexView::Range(old)) => Some(old),
+                    _ => None,
+                };
+                IndexView::Range(current.reweighted(&changes, recycle))
+            }
+            _ => {
+                // Freed before the build, not after: two views at the
+                // peak, as when nothing is kept.
+                drop(spare);
+                map.view()
+            }
+        };
+        let (version, superseded) = entry.view.store(next);
+        map.spare = map.keyed.then_some(superseded);
+        failed.map_or(Ok((applied, version)), Err)
     }
 
     /// If the named union index has served its rebuild budget, clone the
@@ -548,7 +635,7 @@ mod tests {
     use super::*;
     use iqs_core::RangeSampler;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn reg() -> IndexRegistry {
         let mut reg = IndexRegistry::new();
@@ -694,6 +781,283 @@ mod tests {
         assert_eq!(at(70.5), vec![7, 8, 9]);
         // -0.0 orders before +0.0 (total order on keys); id 0 sits at +0.0.
         assert_eq!(at(0.0), vec![200, 0, 201]);
+    }
+
+    #[test]
+    fn a_batch_that_applies_nothing_publishes_nothing() {
+        let r = reg();
+        let before = r.view("d").unwrap();
+        let absent = [UpdateOp::Remove { id: 900 }, UpdateOp::Remove { id: 901 }];
+        assert_eq!(r.apply_update("d", &absent).unwrap(), (0, 1));
+        assert_eq!(r.apply_update("d", &[]).unwrap(), (0, 1));
+        assert!(Arc::ptr_eq(&before, &r.view("d").unwrap()), "an identical view was republished");
+        assert_eq!(r.entry("d").unwrap().view.version(), 1);
+        // The next effective batch is publication 2, not 4.
+        let up = [UpdateOp::Upsert { id: 3, key: 3.0, weight: 2.0 }];
+        assert_eq!(r.apply_update("d", &up).unwrap(), (1, 2));
+    }
+
+    /// The mirror a published view is checked against: `id → (key,
+    /// weight)`, edited by [`mirror_apply`] with the documented batch
+    /// semantics and none of the master's code.
+    type Mirror = HashMap<u64, (f64, f64)>;
+
+    /// Applies `ops` to the mirror; returns the applied count and
+    /// whether the batch stopped at an invalid op.
+    fn mirror_apply(mirror: &mut Mirror, ops: &[UpdateOp]) -> (usize, bool) {
+        let mut applied = 0;
+        for &op in ops {
+            match op {
+                UpdateOp::Upsert { id, key, weight } => {
+                    if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
+                        return (applied, true);
+                    }
+                    mirror.insert(id, (key, weight));
+                    applied += 1;
+                }
+                UpdateOp::Remove { id } => applied += usize::from(mirror.remove(&id).is_some()),
+            }
+        }
+        (applied, false)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The published view of `name` must be the view a fresh build of
+    /// the mirror gives: the public surface to the bit, seeded draws to
+    /// the rank, and — through `Debug`, which prints every field and
+    /// distinguishes every finite `f64` — every array of the structure.
+    fn assert_published_is_fresh(r: &IndexRegistry, name: &str, mirror: &Mirror, seed: u64) {
+        let mut triples: Vec<_> = mirror.iter().map(|(&id, &(key, w))| (id, key, w)).collect();
+        triples.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let want = RangeView::from_triples(triples).unwrap();
+        let view = r.view(name).unwrap();
+        let IndexView::Range(got) = &*view else { panic!("range view expected") };
+        assert_eq!(got.ids, want.ids);
+        assert_eq!(got.total_weight.to_bits(), want.total_weight.to_bits());
+        let (Some(g), Some(w)) = (&got.sampler, &want.sampler) else {
+            assert!(got.sampler.is_none() && want.sampler.is_none(), "one view is empty");
+            return;
+        };
+        assert_eq!(bits(g.keys()), bits(w.keys()));
+        assert_eq!(bits(g.weights()), bits(w.weights()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for s in [1usize, 9, 64, 300] {
+            let x = g.keys()[rng.random_range(0..g.len())] - 0.25;
+            let y = x + rng.random_range(0..40) as f64 / 4.0;
+            assert_eq!(g.range_weight(x, y).to_bits(), w.range_weight(x, y).to_bits());
+            let (mut a, mut b) = (vec![0u32; s], vec![0u32; s]);
+            let drawn = g.sample_wr_batch(x, y, &mut StdRng::seed_from_u64(seed ^ 77), &mut a);
+            assert_eq!(
+                drawn,
+                w.sample_wr_batch(x, y, &mut StdRng::seed_from_u64(seed ^ 77), &mut b)
+            );
+            assert_eq!(a, b, "draws over [{x}, {y}]");
+        }
+        assert_eq!(format!("{g:?}"), format!("{w:?}"));
+    }
+
+    /// Keys from a small grid, so equal keys and both zeros are common.
+    fn any_key(rng: &mut StdRng) -> f64 {
+        match rng.random_range(0..8) {
+            0 => -0.0,
+            1 => 0.0,
+            _ => rng.random_range(-6..14) as f64 / 2.0,
+        }
+    }
+
+    /// Weights across 120 binary orders of magnitude.
+    fn any_weight(rng: &mut StdRng) -> f64 {
+        (1.0 + rng.random::<f64>()) * 2f64.powi(rng.random_range(-60..61))
+    }
+
+    fn reweight_of(rng: &mut StdRng, mirror: &Mirror) -> UpdateOp {
+        let id = *mirror.keys().nth(rng.random_range(0..mirror.len())).unwrap();
+        UpdateOp::Upsert { id, key: mirror[&id].0, weight: any_weight(rng) }
+    }
+
+    /// One random batch: re-weights only, a structural mix, a batch
+    /// with an invalid op in the middle, one that carries `n` across a
+    /// power of two in either direction, one that empties the index,
+    /// or one that changes nothing.
+    fn any_batch(rng: &mut StdRng, mirror: &Mirror, next_id: &mut u64) -> Vec<UpdateOp> {
+        let mut fresh_id = || {
+            *next_id += 1;
+            *next_id
+        };
+        let kind = if mirror.is_empty() { 6 } else { rng.random_range(0..10) };
+        match kind {
+            0..=3 => (0..rng.random_range(1..17usize)).map(|_| reweight_of(rng, mirror)).collect(),
+            4 | 5 => (0..rng.random_range(1..17usize))
+                .map(|_| {
+                    let live = *mirror.keys().nth(rng.random_range(0..mirror.len())).unwrap();
+                    match rng.random_range(0..6) {
+                        0 | 1 => reweight_of(rng, mirror),
+                        2 => UpdateOp::Upsert { id: live, key: any_key(rng), weight: 1.5 },
+                        // Same value, other zero: a key move, not a re-weight.
+                        3 => UpdateOp::Upsert { id: live, key: -mirror[&live].0, weight: 1.5 },
+                        4 => UpdateOp::Remove { id: [live, 1 << 40][rng.random_range(0..2usize)] },
+                        _ => UpdateOp::Upsert {
+                            id: fresh_id(),
+                            key: any_key(rng),
+                            weight: any_weight(rng),
+                        },
+                    }
+                })
+                .collect(),
+            6 => {
+                // Grow past the next power of two: the chunk length moves.
+                let target = (mirror.len() + 1).next_power_of_two() + 1;
+                (mirror.len()..target.min(140))
+                    .map(|_| UpdateOp::Upsert {
+                        id: fresh_id(),
+                        key: any_key(rng),
+                        weight: any_weight(rng),
+                    })
+                    .collect()
+            }
+            7 => {
+                let keep = [0, mirror.len() / 2][rng.random_range(0..2usize)];
+                mirror.keys().skip(keep).map(|&id| UpdateOp::Remove { id }).collect()
+            }
+            8 => vec![UpdateOp::Remove { id: 1 << 41 }; 3],
+            _ => {
+                let bad = [
+                    UpdateOp::Upsert { id: fresh_id(), key: f64::NAN, weight: 1.0 },
+                    UpdateOp::Upsert { id: fresh_id(), key: 1.0, weight: -1.0 },
+                    UpdateOp::Upsert { id: fresh_id(), key: 1.0, weight: f64::INFINITY },
+                ][rng.random_range(0..3usize)];
+                let mut ops: Vec<_> =
+                    (0..rng.random_range(0..4usize)).map(|_| reweight_of(rng, mirror)).collect();
+                ops.push(bad);
+                ops.push(reweight_of(rng, mirror));
+                ops
+            }
+        }
+    }
+
+    fn dynamic(n: u64, rng: &mut StdRng) -> (IndexRegistry, Mirror) {
+        let mirror: Mirror = (0..n).map(|id| (id, (any_key(rng), any_weight(rng)))).collect();
+        let mut r = IndexRegistry::new();
+        let triples = mirror.iter().map(|(&id, &(key, w))| (id, key, w)).collect();
+        r.register_range_dynamic("d", triples).unwrap();
+        (r, mirror)
+    }
+
+    proptest::proptest! {
+        /// Patched or rebuilt, what a batch publishes is the fresh view
+        /// of the mirror: same arrays, same weights, same draws.
+        #[test]
+        fn published_view_is_the_fresh_view_after_every_batch(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (r, mut mirror) = dynamic(rng.random_range(0..70), &mut rng);
+            let mut next_id = 1000;
+            for batch in 0..10u64 {
+                let ops = any_batch(&mut rng, &mirror, &mut next_id);
+                let before = r.entry("d").unwrap().view.version();
+                let (applied, stopped) = mirror_apply(&mut mirror, &ops);
+                match r.apply_update("d", &ops) {
+                    Ok(done) => {
+                        proptest::prop_assert!(!stopped, "an invalid op went through: {:?}", ops);
+                        proptest::prop_assert_eq!(done, (applied, before + u64::from(applied > 0)));
+                    }
+                    Err(e) => proptest::prop_assert!(stopped, "{}: {:?}", e, ops),
+                }
+                proptest::prop_assert_eq!(
+                    r.entry("d").unwrap().view.version(),
+                    before + u64::from(applied > 0)
+                );
+                assert_published_is_fresh(&r, "d", &mirror, seed + batch);
+            }
+        }
+    }
+
+    #[test]
+    fn two_thousand_reweight_batches_never_drift() {
+        // ROADMAP 5(c): totals that were maintained by adding deltas
+        // would wander over a run like this; rebuilt from the chunk
+        // totals each time, the 2,048th view is still the fresh view,
+        // to the bit, with weights 2^±60 apart inside one chunk.
+        let mut rng = StdRng::seed_from_u64(19);
+        let (r, mut mirror) = dynamic(300, &mut rng);
+        for batch in 0..2048u64 {
+            let ops: Vec<_> =
+                (0..rng.random_range(1..17usize)).map(|_| reweight_of(&mut rng, &mirror)).collect();
+            assert_eq!(mirror_apply(&mut mirror, &ops), (ops.len(), false));
+            assert_eq!(r.apply_update("d", &ops).unwrap(), (ops.len(), batch + 2));
+            if batch % 64 == 63 {
+                assert_published_is_fresh(&r, "d", &mirror, batch);
+            }
+            let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+            let total: f64 = v.sampler.as_ref().unwrap().weights().iter().sum();
+            assert!((v.total_weight / total - 1.0).abs() < 1e-12, "batch {batch}");
+        }
+    }
+
+    #[test]
+    fn the_superseded_view_is_recycled_unless_a_reader_pins_it() {
+        let keys_at = |view: &Arc<IndexView>| {
+            let IndexView::Range(v) = &**view else { panic!() };
+            v.sampler.as_ref().unwrap().keys().as_ptr()
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        let (r, mut mirror) = dynamic(200, &mut rng);
+        let mut reweight = |r: &IndexRegistry| {
+            let ops = [reweight_of(&mut rng, &mirror)];
+            mirror_apply(&mut mirror, &ops);
+            r.apply_update("d", &ops).unwrap();
+            assert_published_is_fresh(r, "d", &mirror, 5);
+        };
+        // Nobody pins view 1: view 3 is written into its buffers.
+        let first = keys_at(&r.view("d").unwrap());
+        reweight(&r);
+        reweight(&r);
+        assert_eq!(keys_at(&r.view("d").unwrap()), first);
+        // A reader pins view 3 across two batches: view 5 must leave it
+        // alone (fresh buffers), and the reader still sees view 3.
+        let pinned = r.view("d").unwrap();
+        let seen = format!("{pinned:?}");
+        reweight(&r);
+        reweight(&r);
+        assert_ne!(keys_at(&r.view("d").unwrap()), keys_at(&pinned));
+        assert_eq!(format!("{pinned:?}"), seen, "a pinned view changed under its reader");
+    }
+
+    #[test]
+    fn reweight_batch_rebuilds_only_touched_tables() {
+        // The exact-counter guard of incremental publish: a return to
+        // rebuild-everything fails here, on plain `cargo test`.
+        let n = 1u64 << 14;
+        let triples: Vec<_> = (0..n).map(|i| (i, i as f64, 1.0 + (i % 7) as f64)).collect();
+        fn built<T>(work: impl FnOnce() -> T) -> u64 {
+            let before = iqs_alias::prof::read();
+            work();
+            iqs_alias::prof::read().minus(&before).alias_entries_built
+        }
+        let full = built(|| RangeView::from_triples(triples.clone()).unwrap());
+        let mut r = IndexRegistry::new();
+        r.register_range_dynamic("d", triples.clone()).unwrap();
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        let c = v.sampler.as_ref().unwrap().chunk_len() as u64;
+        let g = n.div_ceil(c);
+        let up = |i: u64| {
+            let id = i * 1021 % n;
+            UpdateOp::Upsert { id, key: id as f64, weight: 9.0 }
+        };
+        // One chunk's table, and one T_chunk table per level of its
+        // root-to-leaf path: ⌈g / 2^d⌉ entries at depth d, under 2g
+        // plus one per level.
+        let one = built(|| r.apply_update("d", &[up(1)]).unwrap());
+        let levels = u64::from(g.ilog2()) + 2;
+        assert!(one <= 2 * g + levels + c, "1 op built {one} entries; g = {g}, c = {c}");
+        let batch: Vec<_> = (2..18).map(up).collect();
+        let sixteen = built(|| r.apply_update("d", &batch).unwrap());
+        assert!(3 * sixteen < full, "16 ops built {sixteen} of a full build's {full} entries");
+        // An insert is structural: every chunk table is rebuilt.
+        let insert = [UpdateOp::Upsert { id: n, key: 0.5, weight: 1.0 }];
+        assert!(built(|| r.apply_update("d", &insert).unwrap()) > n);
     }
 
     #[test]

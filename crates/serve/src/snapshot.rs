@@ -13,10 +13,13 @@
 //! The cell is one `Mutex<Arc<T>>` and a publication counter. The mutex
 //! protects exactly one pointer-sized clone (a reader) or swap (a
 //! writer), never a rebuild, so the critical section is a few
-//! nanoseconds; the superseded value is dropped *after* the lock is
-//! released, because freeing a view can be megabytes of work. The cell
-//! itself holds only the current value: a superseded one lives exactly as
-//! long as the readers that pinned it.
+//! nanoseconds; the superseded value leaves the cell with the lock
+//! already released, because freeing a view can be megabytes of work.
+//! The cell itself holds only the current value. [`Snapshot::store`]
+//! hands the superseded one to the writer, who drops it — then it lives
+//! exactly as long as the readers that pinned it — or keeps it to build
+//! the next value in its buffers once no reader holds it (what the
+//! registry does for a dynamic range index).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,6 +36,8 @@ use std::sync::{Arc, Mutex};
 /// assert_eq!(*pinned, vec![1, 2, 3]);     // pinned view is unaffected
 /// assert_eq!(*cell.load(), vec![4, 5]);   // new loads see the update
 /// assert_eq!(cell.version(), 2);
+/// let (version, superseded) = cell.store(vec![6]);   // … and get the old one back
+/// assert_eq!((version, &*superseded), (3, &vec![4, 5]));
 /// ```
 #[derive(Debug)]
 pub struct Snapshot<T> {
@@ -54,19 +59,19 @@ impl<T> Snapshot<T> {
         Arc::clone(&self.current.lock().expect("snapshot cell poisoned"))
     }
 
-    /// Publishes `value` as the new current snapshot and returns its
-    /// version number. The superseded value is released here unless a
-    /// reader pinned it; pinned snapshots are unaffected and free
-    /// themselves when their last reader drops them.
-    pub fn store(&self, value: T) -> u64 {
+    /// Publishes `value` as the new current snapshot; returns its
+    /// version number and the superseded snapshot. A caller that lets
+    /// the handle go releases the superseded value unless a reader
+    /// pinned it; pinned snapshots are unaffected and free themselves
+    /// when their last reader drops them.
+    pub fn store(&self, value: T) -> (u64, Arc<T>) {
         let fresh = Arc::new(value);
         let mut current = self.current.lock().expect("snapshot cell poisoned");
         let superseded = std::mem::replace(&mut *current, fresh);
         let v = self.version.fetch_add(1, Ordering::AcqRel) + 1;
-        // Unlock before freeing: a superseded view can be megabytes.
-        drop(current);
-        drop(superseded);
-        v
+        // The guard drops here, the superseded value after it, with the
+        // caller: freeing a view can be megabytes of work.
+        (v, superseded)
     }
 
     /// Number of publications so far (the initial value counts as 1).
@@ -138,7 +143,7 @@ mod tests {
                         let (cell, start) = (&cell, &start);
                         scope.spawn(move || {
                             start.wait();
-                            cell.store((w, round))
+                            cell.store((w, round)).0
                         })
                     })
                     .collect();
@@ -152,7 +157,8 @@ mod tests {
 
     #[test]
     fn store_releases_the_superseded_value() {
-        // Nobody pins the first value: it dies inside `store`.
+        // Nobody pins the first value: it dies with the handle `store`
+        // returns.
         let cell = Snapshot::new(vec![1u8; 16]);
         let unpinned = Arc::downgrade(&cell.load());
         cell.store(vec![2u8; 16]);

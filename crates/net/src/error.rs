@@ -34,7 +34,8 @@ pub enum FrameError {
         /// Bytes actually present.
         have: u64,
     },
-    /// The payload was not valid UTF-8 / JSON for the declared kind.
+    /// Bytes follow the declared end of the frame. (What is *inside* a
+    /// payload is the message layer's to judge: [`NetError::Decode`].)
     BadPayload(String),
 }
 
@@ -65,7 +66,8 @@ pub enum NetError {
     /// The received bytes were not a well-formed frame.
     Frame(FrameError),
     /// The frame was well-formed but its payload did not decode as the
-    /// expected message type.
+    /// expected message type: text that is not UTF-8 or not the JSON
+    /// promised, or a malformed binary `Samples` body.
     Decode(String),
     /// An I/O failure on an established connection.
     Io(String),

@@ -3,15 +3,35 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic          b"IQ"
-//!      2     1  version        1
-//!      3     1  kind           Request / Ok / Err / Announce / Ack / Metrics / Telemetry
+//!      2     1  version        2
+//!      3     1  kind           Request / Ok / Err / Announce / Ack / Metrics / Telemetry / Samples
 //!      4     4  span           u32 LE — obs span (shard/replica encoding)
 //!      8     8  trace          u64 LE — obs trace id (0 = untraced)
 //!     16     8  deadline_ns    u64 LE — remaining budget, relative (0 = none)
 //!     24     4  flags          u32 LE — reserved, must be 0
 //!     28     4  payload_len    u32 LE
-//!     32     …  payload        UTF-8 JSON, `payload_len` bytes
+//!     32     …  payload        `payload_len` bytes, read by kind
 //! ```
+//!
+//! This layer carries the payload as bytes and never looks inside it.
+//! Every kind but one is JSON text, which [`msg::from_json`] validates
+//! as UTF-8 where it parses it; [`Kind::Samples`] — the only payload
+//! whose size grows with the sample count — is binary:
+//!
+//! ```text
+//! offset  size  field
+//!      0     1  width          4 or 8 — bytes per id
+//!      1     3  reserved       must be 0
+//!      4     …  ids            `width` bytes each, LE; count = (payload_len − 4) / width
+//! ```
+//!
+//! The encoder picks width 4 whenever every id fits a `u32`: fixed
+//! 8-byte ids would be larger even than decimal text, because ids
+//! below 2²⁰ print in at most seven digits.
+//!
+//! Version 2 is the version in which sample ids travel as
+//! [`Kind::Samples`] and never as JSON; a version-1 frame is refused
+//! with [`FrameError::BadVersion`], not negotiated with.
 //!
 //! All integers are little-endian. The deadline crosses the wire as a
 //! *relative* budget rather than an absolute instant — the peers share
@@ -22,8 +42,10 @@
 //! [`FrameError`], reserved flag bits are refused, and the declared
 //! payload length is validated against the receiver's limit *before*
 //! any allocation, so a hostile header cannot balloon memory.
+//!
+//! [`msg::from_json`]: crate::msg::from_json
 
-use std::io::Read;
+use std::io::{self, Read};
 
 use crate::error::{FrameError, NetError};
 
@@ -31,22 +53,29 @@ use crate::error::{FrameError, NetError};
 pub const MAGIC: [u8; 2] = *b"IQ";
 
 /// The protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Bytes in the fixed header.
 pub const HEADER_LEN: usize = 32;
 
 /// Default per-frame payload limit (16 MiB — a full `max_sample_size`
-/// response of 2²⁰ ids encodes well under this).
+/// response of 2²⁰ ids is 8 MiB + 4 bytes at width 8, half that at
+/// width 4).
 pub const DEFAULT_MAX_PAYLOAD: u64 = 16 * 1024 * 1024;
 
-/// What a frame carries; the header's `kind` byte.
+/// How far past the payload bytes that have arrived [`FrameReader`]
+/// sizes its buffer on the header's word alone.
+const RESERVE_AHEAD: usize = 64 * 1024;
+
+/// What a frame carries; the header's `kind` byte. The payload is JSON
+/// text for every kind except [`Kind::Samples`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kind {
     /// A [`Request`](iqs_serve::Request) for the replica to serve.
     Request = 1,
-    /// A successful [`Response`](iqs_serve::Response).
+    /// A successful [`Response`](iqs_serve::Response) other than
+    /// `Samples`, which travels as [`Kind::Samples`] only.
     Ok = 2,
     /// A [`ServeError`](iqs_serve::ServeError) reply.
     Err = 3,
@@ -61,6 +90,9 @@ pub enum Kind {
     /// plus trace-leg summaries shipped replica → router, acked with
     /// [`Kind::Ack`].
     Telemetry = 7,
+    /// A successful `Response::Samples`, in the binary width-tagged
+    /// layout of the module docs.
+    Samples = 8,
 }
 
 impl Kind {
@@ -73,6 +105,7 @@ impl Kind {
             5 => Ok(Kind::Ack),
             6 => Ok(Kind::Metrics),
             7 => Ok(Kind::Telemetry),
+            8 => Ok(Kind::Samples),
             other => Err(FrameError::BadKind(other)),
         }
     }
@@ -94,10 +127,19 @@ pub struct Header {
     pub payload_len: u32,
 }
 
-/// Encodes one frame: header plus UTF-8 JSON payload.
+/// Starts a frame: the header for a payload of exactly `payload_len`
+/// bytes, in a buffer with room for that payload and no more. The
+/// caller appends the payload, so a codec can write its bytes straight
+/// into the frame.
 #[must_use]
-pub fn encode_frame(kind: Kind, trace: u64, span: u32, deadline_ns: u64, payload: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+pub(crate) fn begin_frame(
+    kind: Kind,
+    trace: u64,
+    span: u32,
+    deadline_ns: u64,
+    payload_len: usize,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind as u8);
@@ -105,9 +147,24 @@ pub fn encode_frame(kind: Kind, trace: u64, span: u32, deadline_ns: u64, payload
     out.extend_from_slice(&trace.to_le_bytes());
     out.extend_from_slice(&deadline_ns.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // flags, reserved
-    let len = u32::try_from(payload.len()).expect("payload length fits u32");
+    let len = u32::try_from(payload_len).expect("payload length fits u32");
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload.as_bytes());
+    out
+}
+
+/// Encodes one frame: header plus payload bytes (a text kind passes
+/// its JSON `&str`).
+#[must_use]
+pub fn encode_frame(
+    kind: Kind,
+    trace: u64,
+    span: u32,
+    deadline_ns: u64,
+    payload: impl AsRef<[u8]>,
+) -> Vec<u8> {
+    let payload = payload.as_ref();
+    let mut out = begin_frame(kind, trace, span, deadline_ns, payload.len());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -152,14 +209,13 @@ pub fn decode_header(buf: &[u8], max_payload: u64) -> Result<Header, FrameError>
 }
 
 /// Decodes one complete frame from `buf`: the validated header plus the
-/// payload as UTF-8 text. `buf` must contain exactly one frame.
+/// payload bytes. `buf` must contain exactly one frame.
 ///
 /// # Errors
 /// Everything [`decode_header`] raises, plus [`FrameError::Truncated`]
 /// when the buffer is shorter than the declared frame and
-/// [`FrameError::BadPayload`] for non-UTF-8 payload bytes or trailing
-/// garbage after the frame.
-pub fn decode_frame(buf: &[u8], max_payload: u64) -> Result<(Header, &str), FrameError> {
+/// [`FrameError::BadPayload`] for trailing garbage after the frame.
+pub fn decode_frame(buf: &[u8], max_payload: u64) -> Result<(Header, &[u8]), FrameError> {
     let header = decode_header(buf, max_payload)?;
     let total = HEADER_LEN as u64 + u64::from(header.payload_len);
     if (buf.len() as u64) < total {
@@ -171,46 +227,223 @@ pub fn decode_frame(buf: &[u8], max_payload: u64) -> Result<(Header, &str), Fram
             buf.len() as u64 - total
         )));
     }
-    let payload = std::str::from_utf8(&buf[HEADER_LEN..])
-        .map_err(|e| FrameError::BadPayload(format!("payload is not UTF-8: {e}")))?;
-    Ok((header, payload))
+    Ok((header, &buf[HEADER_LEN..]))
+}
+
+/// Reads into `buf[*have..]`, advancing `have`, until `buf` is full:
+/// `Ok(true)`. `Ok(false)` is a read timeout (`WouldBlock` /
+/// `TimedOut`, matched on [`io::ErrorKind`]); what had arrived is
+/// counted in `have`, so a later call continues. The stream ending
+/// first is an `UnexpectedEof` error.
+fn fill(r: &mut impl Read, buf: &mut [u8], have: &mut usize) -> io::Result<bool> {
+    while *have < buf.len() {
+        match r.read(&mut buf[*have..]) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => *have += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                return Ok(false);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+/// A frame being read off a byte stream, resumable across read
+/// timeouts: what has arrived stays here, so the next
+/// [`FrameReader::read`] continues the *same* frame. A sender that
+/// pauses mid-frame for longer than the socket's read timeout must not
+/// have the rest of its payload parsed as a header.
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    head: [u8; HEADER_LEN],
+    head_have: usize,
+    header: Option<Header>,
+    /// Sized ahead of the bytes that have arrived, the first
+    /// `payload_have` of it.
+    payload: Vec<u8>,
+    payload_have: usize,
+}
+
+impl FrameReader {
+    /// Reads until one frame is complete, as [`read_frame`] does, except
+    /// that a read timeout is `Ok(None)` — before the first byte or in
+    /// the middle of the frame alike; call again to keep going, or drop
+    /// the reader to abandon the frame.
+    pub(crate) fn read(
+        &mut self,
+        r: &mut impl Read,
+        max_payload: u64,
+    ) -> Result<Option<(Header, Vec<u8>)>, NetError> {
+        let header = match self.header {
+            Some(header) => header,
+            None => {
+                let full = fill(r, &mut self.head, &mut self.head_have).map_err(|e| {
+                    NetError::Io(format!(
+                        "connection lost in the frame header, {} of {HEADER_LEN} bytes: {e}",
+                        self.head_have
+                    ))
+                })?;
+                if !full {
+                    return Ok(None);
+                }
+                let header = decode_header(&self.head, max_payload)?;
+                self.header = Some(header);
+                header
+            }
+        };
+        let declared = header.payload_len as usize;
+        while self.payload_have < declared {
+            self.payload.resize(declared.min(self.payload_have + RESERVE_AHEAD), 0);
+            let full = fill(r, &mut self.payload, &mut self.payload_have).map_err(|e| {
+                NetError::Io(format!(
+                    "connection lost mid-frame, {} of {declared} payload bytes: {e}",
+                    self.payload_have
+                ))
+            })?;
+            if !full {
+                return Ok(None);
+            }
+        }
+        let frame = std::mem::take(self);
+        Ok(Some((header, frame.payload)))
+    }
 }
 
 /// Reads one frame from a byte stream: the header first, then exactly
-/// the declared payload. The payload buffer grows incrementally via a
-/// bounded `take` read, so even a corrupt-but-in-range length field
-/// only ever allocates what actually arrives.
+/// the declared payload.
+///
+/// The payload buffer is sized from the header, but never more than
+/// 64 KiB past the bytes that have arrived: a 16 KB reply is one
+/// `read`, not the dozen a buffer grown from empty makes, while a
+/// corrupt-but-in-range length field still cannot make the reader
+/// allocate much more than actually arrives.
 ///
 /// # Errors
 /// [`NetError::Frame`] for header defects, [`NetError::Io`] for stream
 /// failures (including EOF mid-frame, which the caller sees as a
-/// connection loss rather than a protocol error).
-pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<(Header, String), NetError> {
-    let mut head = [0u8; HEADER_LEN];
-    // The io::ErrorKind rides along in the text so transports can tell
-    // a socket timeout (WouldBlock / TimedOut) from a real failure.
-    r.read_exact(&mut head)
-        .map_err(|e| NetError::Io(format!("reading frame header ({:?}): {e}", e.kind())))?;
-    let header = decode_header(&head, max_payload)?;
-    let mut payload_bytes = Vec::new();
-    let declared = u64::from(header.payload_len);
-    let got = r
-        .take(declared)
-        .read_to_end(&mut payload_bytes)
-        .map_err(|e| NetError::Io(format!("reading frame payload ({:?}): {e}", e.kind())))?;
-    if (got as u64) < declared {
-        return Err(NetError::Io(format!(
-            "connection closed mid-frame: {got} of {declared} payload bytes"
-        )));
-    }
-    let payload = String::from_utf8(payload_bytes)
-        .map_err(|e| FrameError::BadPayload(format!("payload is not UTF-8: {e}")))?;
-    Ok((header, payload))
+/// connection loss rather than a protocol error, and a read timeout:
+/// the transports, whose sockets do time out, keep the partial frame
+/// and resume it instead).
+pub fn read_frame(r: &mut impl Read, max_payload: u64) -> Result<(Header, Vec<u8>), NetError> {
+    FrameReader::default()
+        .read(r, max_payload)?
+        .ok_or_else(|| NetError::Io("read timed out mid-frame".to_string()))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
+
+    /// A stream that plays a script: each step is bytes that arrive or
+    /// the error a read returns; after the last step, EOF. Writes are
+    /// kept, and reads counted, for the test to inspect.
+    #[derive(Default)]
+    pub(crate) struct Script {
+        steps: VecDeque<io::Result<Vec<u8>>>,
+        pub(crate) reads: usize,
+        pub(crate) written: Vec<u8>,
+    }
+
+    impl Script {
+        pub(crate) fn then(mut self, bytes: &[u8]) -> Script {
+            // An empty step would read as EOF.
+            if !bytes.is_empty() {
+                self.steps.push_back(Ok(bytes.to_vec()));
+            }
+            self
+        }
+
+        pub(crate) fn then_err(mut self, kind: io::ErrorKind) -> Script {
+            self.steps.push_back(Err(kind.into()));
+            self
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    impl io::Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A read timeout at any byte offset — before the frame, inside the
+    /// header, between header and payload, inside the payload — loses
+    /// nothing: the next read continues the same frame, and stops at
+    /// its end even when the next frame's bytes are already there.
+    #[test]
+    fn a_timeout_anywhere_resumes_the_same_frame() {
+        let frame = encode_frame(Kind::Request, 42, 7, 1_000_000, "{\"x\":1}");
+        let next = encode_frame(Kind::Metrics, 0, 0, 0, "");
+        for cut in 0..=frame.len() {
+            for pause in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+                let mut stream =
+                    Script::default().then(&frame[..cut]).then_err(pause).then(&frame[cut..]);
+                stream = stream.then(&next);
+                let mut reader = FrameReader::default();
+                let mut frames = Vec::new();
+                let mut timeouts = 0;
+                while frames.len() < 2 {
+                    match reader.read(&mut stream, DEFAULT_MAX_PAYLOAD).expect("no error") {
+                        Some(frame) => frames.push(frame),
+                        None => timeouts += 1,
+                    }
+                }
+                assert_eq!(timeouts, 1, "cut at {cut}");
+                let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("decode");
+                assert_eq!(frames[0], (header, payload.to_vec()), "cut at {cut}");
+                assert_eq!(frames[1].0.kind, Kind::Metrics, "cut at {cut}");
+            }
+        }
+        // Any other error kind is a failure, not a pause.
+        let mut stream = Script::default().then_err(io::ErrorKind::ConnectionReset);
+        let broken = FrameReader::default().read(&mut stream, DEFAULT_MAX_PAYLOAD);
+        assert!(matches!(broken, Err(NetError::Io(_))), "{broken:?}");
+    }
+
+    /// The payload buffer is sized from the header up to the cap: a
+    /// 16 KiB payload that is all there takes one read, and a declared
+    /// 10 MB of which two bytes arrive reserves 64 KiB, not 10 MB.
+    #[test]
+    fn payload_reserve_is_one_read_and_bounded() {
+        let frame = encode_frame(Kind::Samples, 0, 0, 0, vec![0u8; 16 * 1024]);
+        let mut stream = Script::default().then(&frame);
+        let (_, payload) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).expect("whole frame");
+        assert_eq!(payload.len(), 16 * 1024);
+        assert_eq!(stream.reads, 2, "one read for the header, one for the payload");
+
+        let mut frame = encode_frame(Kind::Ok, 0, 0, 0, "[]");
+        frame[28..32].copy_from_slice(&10_000_000u32.to_le_bytes());
+        let mut reader = FrameReader::default();
+        assert!(reader.read(&mut Script::default().then(&frame), DEFAULT_MAX_PAYLOAD).is_err());
+        assert_eq!(reader.payload_have, 2);
+        assert!(reader.payload.capacity() <= RESERVE_AHEAD, "{}", reader.payload.capacity());
+    }
 
     #[test]
     fn roundtrips_through_bytes_and_streams() {
@@ -220,7 +453,7 @@ mod tests {
         assert_eq!(header.trace, 42);
         assert_eq!(header.span, 7);
         assert_eq!(header.deadline_ns, 1_000_000);
-        assert_eq!(payload, "{\"x\":1}");
+        assert_eq!(payload, b"{\"x\":1}");
         let mut cursor = std::io::Cursor::new(frame.clone());
         let (h2, p2) = read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD).expect("stream decode");
         assert_eq!(h2, header);

@@ -9,7 +9,8 @@
 //!    32-byte versioned header (magic, version, kind, trace id, span,
 //!    relative deadline, flags, payload length) carrying the typed
 //!    [`Request`](iqs_serve::Request) / [`Response`](iqs_serve::Response)
-//!    enums as JSON via the vendored serde. The decoder is strict:
+//!    enums — as JSON via the vendored serde, except sample ids, which
+//!    travel as width-tagged binary ([`msg`]). The decoder is strict:
 //!    oversized, truncated, or corrupt frames return typed
 //!    [`FrameError`]s and never panic or over-allocate.
 //! 2. **Transports** ([`transport`], [`sim`]): the [`Transport`] trait

@@ -1,6 +1,12 @@
 //! Typed message codecs over the raw frame layer: one function pair per
-//! protocol exchange, so call sites never touch JSON or header fields
-//! directly.
+//! protocol exchange, so call sites never touch JSON, id bytes or
+//! header fields directly.
+//!
+//! Requests, errors, counts, weights, metrics, announces, acks and
+//! telemetry are JSON: a human reads them and they are a few hundred
+//! bytes. `Response::Samples` is the one payload that grows with the
+//! query, and it crosses the wire only as the binary
+//! [`Kind::Samples`] frame (layout in [`crate::frame`]).
 
 use iqs_serve::{MetricsSnapshot, Request, Response, ServeError};
 use iqs_slo::TelemetryBatch;
@@ -8,16 +14,21 @@ use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
-use crate::frame::{encode_frame, Kind};
+use crate::frame::{begin_frame, encode_frame, Kind};
 use crate::registry::{Ack, Announce};
 
 /// Parses a full JSON payload as `T`, requiring the payload to be
-/// exactly one value (trailing bytes are refused).
+/// exactly one value (trailing bytes are refused). This is the one
+/// place payload bytes are checked to be UTF-8: the frame layer moves
+/// bytes, and every text kind is read through here.
 ///
 /// # Errors
-/// [`NetError::Decode`] with the parser's diagnostic.
-pub fn from_json<T: Deserialize>(payload: &str) -> Result<T, NetError> {
-    let mut p = Parser::new(payload);
+/// [`NetError::Decode`] for bytes that are not UTF-8, or with the
+/// parser's diagnostic.
+pub fn from_json<T: Deserialize>(payload: &[u8]) -> Result<T, NetError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| NetError::Decode(format!("payload is not UTF-8: {e}")))?;
+    let mut p = Parser::new(text);
     let value = T::deserialize_json(&mut p).map_err(|e| NetError::Decode(e.to_string()))?;
     p.expect_eof().map_err(|e| NetError::Decode(e.to_string()))?;
     Ok(value)
@@ -34,30 +45,100 @@ fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
 /// context across the process boundary.
 #[must_use]
 pub fn encode_request(request: &Request, trace: u64, span: u32, deadline_ns: u64) -> Vec<u8> {
-    encode_frame(Kind::Request, trace, span, deadline_ns, &to_json(request))
+    encode_frame(Kind::Request, trace, span, deadline_ns, to_json(request))
 }
 
-/// Encodes a reply frame: [`Kind::Ok`] carrying the [`Response`] or
-/// [`Kind::Err`] carrying the [`ServeError`], echoing the request's
-/// trace and span.
+/// Bytes ahead of the ids in a [`Kind::Samples`] payload: the width
+/// byte and three reserved zeros.
+const SAMPLES_PREFIX: usize = 4;
+
+/// Encodes sample ids as a [`Kind::Samples`] frame, written straight
+/// into one exactly-sized buffer: 4-byte ids when every id fits a
+/// `u32`, 8-byte ids otherwise.
+fn encode_samples(ids: &[u64], trace: u64, span: u32) -> Vec<u8> {
+    // An OR over all ids has no early exit, so it vectorizes.
+    let narrow = ids.iter().fold(0, |acc, &id| acc | id) <= u64::from(u32::MAX);
+    let width = if narrow { 4 } else { 8 };
+    let mut out = begin_frame(Kind::Samples, trace, span, 0, SAMPLES_PREFIX + width * ids.len());
+    out.extend_from_slice(&[width as u8, 0, 0, 0]);
+    let body = out.len();
+    out.resize(body + width * ids.len(), 0);
+    if narrow {
+        for (slot, &id) in out[body..].chunks_exact_mut(4).zip(ids) {
+            slot.copy_from_slice(&(id as u32).to_le_bytes());
+        }
+    } else {
+        for (slot, &id) in out[body..].chunks_exact_mut(8).zip(ids) {
+            slot.copy_from_slice(&id.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// Decodes a [`Kind::Samples`] payload; the id count follows from the
+/// payload length.
+fn decode_samples(payload: &[u8]) -> Result<Vec<u64>, NetError> {
+    if payload.len() < SAMPLES_PREFIX {
+        return Err(NetError::Decode(format!(
+            "samples payload of {} bytes is shorter than its {SAMPLES_PREFIX}-byte prefix",
+            payload.len()
+        )));
+    }
+    let (prefix, body) = payload.split_at(SAMPLES_PREFIX);
+    if prefix[1..] != [0, 0, 0] {
+        return Err(NetError::Decode(format!("samples reserved bytes set: {:?}", &prefix[1..])));
+    }
+    let width = usize::from(prefix[0]);
+    if width != 4 && width != 8 {
+        return Err(NetError::Decode(format!("samples id width {width} is neither 4 nor 8")));
+    }
+    if body.len() % width != 0 {
+        return Err(NetError::Decode(format!(
+            "samples body of {} bytes is not a whole number of {width}-byte ids",
+            body.len()
+        )));
+    }
+    Ok(if width == 4 {
+        body.chunks_exact(4)
+            .map(|id| u64::from(u32::from_le_bytes(id.try_into().expect("4-byte chunk"))))
+            .collect()
+    } else {
+        body.chunks_exact(8)
+            .map(|id| u64::from_le_bytes(id.try_into().expect("8-byte chunk")))
+            .collect()
+    })
+}
+
+/// Encodes a reply frame — [`Kind::Samples`] carrying sample ids as
+/// bytes, [`Kind::Ok`] carrying any other [`Response`] or [`Kind::Err`]
+/// carrying the [`ServeError`] as JSON — echoing the request's trace
+/// and span.
 #[must_use]
 pub fn encode_reply(outcome: &Result<Response, ServeError>, trace: u64, span: u32) -> Vec<u8> {
     match outcome {
-        Ok(response) => encode_frame(Kind::Ok, trace, span, 0, &to_json(response)),
-        Err(error) => encode_frame(Kind::Err, trace, span, 0, &to_json(error)),
+        Ok(Response::Samples(ids)) => encode_samples(ids, trace, span),
+        Ok(response) => encode_frame(Kind::Ok, trace, span, 0, to_json(response)),
+        Err(error) => encode_frame(Kind::Err, trace, span, 0, to_json(error)),
     }
 }
 
-/// Decodes a reply frame by kind: [`Kind::Ok`] → `Ok(Ok(response))`,
-/// [`Kind::Err`] → `Ok(Err(serve_error))` — a *successful* decode of a
-/// replica-side failure, which the router treats exactly like a local
-/// error reply.
+/// Decodes a reply frame by kind: [`Kind::Samples`] and [`Kind::Ok`] →
+/// `Ok(Ok(response))`, [`Kind::Err`] → `Ok(Err(serve_error))` — a
+/// *successful* decode of a replica-side failure, which the router
+/// treats exactly like a local error reply.
 ///
 /// # Errors
-/// [`NetError::Decode`] for malformed payloads or a non-reply kind.
-pub fn decode_reply(kind: Kind, payload: &str) -> Result<Result<Response, ServeError>, NetError> {
+/// [`NetError::Decode`] for malformed payloads, a non-reply kind, or
+/// sample ids sent as JSON under [`Kind::Ok`] (they have one encoding).
+pub fn decode_reply(kind: Kind, payload: &[u8]) -> Result<Result<Response, ServeError>, NetError> {
     match kind {
-        Kind::Ok => Ok(Ok(from_json::<Response>(payload)?)),
+        Kind::Samples => Ok(Ok(Response::Samples(decode_samples(payload)?))),
+        Kind::Ok => match from_json::<Response>(payload)? {
+            Response::Samples(_) => {
+                Err(NetError::Decode("sample ids must arrive as a Samples frame".to_string()))
+            }
+            response => Ok(Ok(response)),
+        },
         Kind::Err => Ok(Err(from_json::<ServeError>(payload)?)),
         other => Err(NetError::Decode(format!("expected a reply frame, got {other:?}"))),
     }
@@ -72,19 +153,19 @@ pub fn encode_metrics_request() -> Vec<u8> {
 /// Encodes a metrics reply carrying the snapshot.
 #[must_use]
 pub fn encode_metrics_reply(snapshot: &MetricsSnapshot) -> Vec<u8> {
-    encode_frame(Kind::Metrics, 0, 0, 0, &to_json(snapshot))
+    encode_frame(Kind::Metrics, 0, 0, 0, to_json(snapshot))
 }
 
 /// Encodes a registry announcement.
 #[must_use]
 pub fn encode_announce(announce: &Announce) -> Vec<u8> {
-    encode_frame(Kind::Announce, 0, 0, 0, &to_json(announce))
+    encode_frame(Kind::Announce, 0, 0, 0, to_json(announce))
 }
 
 /// Encodes a registry acknowledgement.
 #[must_use]
 pub fn encode_ack(ack: &Ack) -> Vec<u8> {
-    encode_frame(Kind::Ack, 0, 0, 0, &to_json(ack))
+    encode_frame(Kind::Ack, 0, 0, 0, to_json(ack))
 }
 
 /// Encodes a telemetry batch (replica → router metrics diff plus
@@ -92,7 +173,7 @@ pub fn encode_ack(ack: &Ack) -> Vec<u8> {
 /// [`from_json::<TelemetryBatch>`].
 #[must_use]
 pub fn encode_telemetry(batch: &TelemetryBatch) -> Vec<u8> {
-    encode_frame(Kind::Telemetry, 0, 0, 0, &to_json(batch))
+    encode_frame(Kind::Telemetry, 0, 0, 0, to_json(batch))
 }
 
 #[cfg(test)]
@@ -128,7 +209,7 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_refused() {
-        assert!(matches!(from_json::<Response>("{\"Count\":3} junk"), Err(NetError::Decode(_))));
-        assert!(matches!(decode_reply(Kind::Request, "{}"), Err(NetError::Decode(_))));
+        assert!(matches!(from_json::<Response>(b"{\"Count\":3} junk"), Err(NetError::Decode(_))));
+        assert!(matches!(decode_reply(Kind::Request, b"{}"), Err(NetError::Decode(_))));
     }
 }

@@ -46,7 +46,7 @@ fn parse_as<T: serde::Deserialize>(
     who: &str,
     want: Kind,
     header: Header,
-    payload: &str,
+    payload: &[u8],
 ) -> Result<T, Vec<u8>> {
     let refusal = |detail: String| encode_reply(&Err(ServeError::Remote(detail)), 0, 0);
     if header.kind != want {
@@ -71,7 +71,7 @@ impl ReplicaServer {
         ReplicaServer { client, clock }
     }
 
-    fn serve_request(&self, trace: u64, span: u32, deadline_ns: u64, payload: &str) -> Vec<u8> {
+    fn serve_request(&self, trace: u64, span: u32, deadline_ns: u64, payload: &[u8]) -> Vec<u8> {
         let request = match from_json::<Request>(payload) {
             Ok(request) => request,
             Err(e) => {
@@ -93,7 +93,7 @@ impl ReplicaServer {
 }
 
 impl FrameHandler for ReplicaServer {
-    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+    fn handle_frame(&self, header: Header, payload: &[u8]) -> Vec<u8> {
         match header.kind {
             Kind::Request => {
                 self.serve_request(header.trace, header.span, header.deadline_ns, payload)
@@ -236,7 +236,7 @@ impl RegistryHandler {
 }
 
 impl FrameHandler for RegistryHandler {
-    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+    fn handle_frame(&self, header: Header, payload: &[u8]) -> Vec<u8> {
         match parse_as::<Announce>("registry", Kind::Announce, header, payload) {
             Ok(announce) => encode_ack(&self.registry.announce(announce)),
             Err(refused) => refused,
@@ -262,7 +262,7 @@ impl TelemetryHandler {
 }
 
 impl FrameHandler for TelemetryHandler {
-    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+    fn handle_frame(&self, header: Header, payload: &[u8]) -> Vec<u8> {
         let batch = match parse_as::<TelemetryBatch>(
             "telemetry collector",
             Kind::Telemetry,
@@ -376,13 +376,24 @@ mod tests {
             let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("own frame");
             let reply = handler.handle_frame(header, payload);
             let (header, payload) = decode_frame(&reply, DEFAULT_MAX_PAYLOAD).expect("reply");
-            (header.kind, payload.to_string())
+            (header.kind, payload.to_vec())
         };
-        let (kind, detail) = reply_to(&registry, encode_metrics_request());
-        assert!(kind == Kind::Err && detail.contains("registry cannot serve Metrics"), "{detail}");
-        let (kind, detail) = reply_to(&telemetry, encode_metrics_request());
-        assert!(kind == Kind::Err && detail.contains("collector cannot serve Metrics"), "{detail}");
-        assert_eq!(reply_to(&registry, encode_frame(Kind::Announce, 0, 0, 0, "{")).0, Kind::Err);
+        let refusal = |handler: &dyn FrameHandler, frame: Vec<u8>| {
+            let (kind, payload) = reply_to(handler, frame);
+            match decode_reply(kind, &payload) {
+                Ok(Err(ServeError::Remote(detail))) => detail,
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        };
+        let detail = refusal(&registry, encode_metrics_request());
+        assert!(detail.contains("registry cannot serve Metrics"), "{detail}");
+        let detail = refusal(&telemetry, encode_metrics_request());
+        assert!(detail.contains("collector cannot serve Metrics"), "{detail}");
+        refusal(&registry, encode_frame(Kind::Announce, 0, 0, 0, "{"));
+        // Payload bytes reach a handler unchecked; text that is not even
+        // UTF-8 is refused like any other payload that does not parse.
+        let detail = refusal(&registry, encode_frame(Kind::Announce, 0, 0, 0, [0xff, 0xfe]));
+        assert!(detail.contains("not UTF-8"), "{detail}");
 
         let mut shipper = iqs_slo::TelemetryShipper::new("sim://r0", 0, 0, 4).expect("config");
         let batch = shipper.next_batch(&MetricsSnapshot::default()).expect("monotone");

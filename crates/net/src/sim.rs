@@ -183,7 +183,7 @@ impl Transport for SimNet {
             Err(e @ NetError::Unreachable { .. }) => Err(e),
             outcome => Ok(InFlight::Ready(Box::new(outcome.and_then(|reply| {
                 decode_frame(&reply, DEFAULT_MAX_PAYLOAD)
-                    .map(|(header, payload)| (header, payload.to_string()))
+                    .map(|(header, payload)| (header, payload.to_vec()))
                     .map_err(NetError::from)
             })))),
         }
@@ -202,7 +202,7 @@ mod tests {
 
     struct Echo;
     impl FrameHandler for Echo {
-        fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8> {
+        fn handle_frame(&self, header: Header, payload: &[u8]) -> Vec<u8> {
             encode_frame(header.kind, header.trace, header.span, header.deadline_ns, payload)
         }
     }

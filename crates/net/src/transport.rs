@@ -6,7 +6,10 @@
 //! [`Transport::begin`] models that — it sends the request and returns
 //! an [`InFlight`] handle whose [`InFlight::finish`] blocks for the
 //! reply — while [`Transport::call`] is the simple synchronous
-//! composition for probes, announcements, and metrics.
+//! composition for probes, announcements, and metrics. Either way the
+//! reply comes back as its validated header plus the payload *bytes*;
+//! reading them — JSON or binary, by the header's kind — is
+//! [`msg`](crate::msg)'s job, not the transport's.
 //!
 //! [`TcpTransport`] speaks blocking TCP with a bounded per-address
 //! connection pool, per-attempt deadlines enforced through socket
@@ -24,25 +27,29 @@ use std::time::{Duration, Instant};
 use iqs_testkit::ClockHandle;
 
 use crate::error::NetError;
-use crate::frame::{read_frame, Header};
+use crate::frame::{FrameReader, Header};
 
-/// A server-side frame processor: one decoded frame in, reply bytes
-/// out. Shared by the in-memory simulation and the TCP listener, so the
-/// same [`ReplicaServer`](crate::ReplicaServer) serves both; each
-/// decodes the bytes it received exactly once, with the strict frame
-/// decoder, before the handler runs.
+/// A server-side frame processor: one decoded frame (header plus
+/// payload bytes) in, reply bytes out. Shared by the in-memory
+/// simulation and the TCP listener, so the same
+/// [`ReplicaServer`](crate::ReplicaServer) serves both; each decodes
+/// the bytes it received exactly once, with the strict frame decoder,
+/// before the handler runs.
 pub trait FrameHandler: Send + Sync {
     /// Processes one frame and produces the reply frame. A payload
-    /// that does not parse, or a kind the handler does not serve, must
-    /// come back as an encoded error frame, not a panic.
-    fn handle_frame(&self, header: Header, payload: &str) -> Vec<u8>;
+    /// that does not parse (the bytes are unchecked — not even known to
+    /// be UTF-8 — until [`msg::from_json`](crate::msg::from_json) reads
+    /// them), or a kind the handler does not serve, must come back as
+    /// an encoded error frame, not a panic.
+    fn handle_frame(&self, header: Header, payload: &[u8]) -> Vec<u8>;
 }
 
-/// A framed round trip in flight; resolves to the decoded reply frame.
+/// A framed round trip in flight; resolves to the decoded reply frame:
+/// its header and payload bytes.
 pub enum InFlight {
     /// The round trip already completed (synchronous transports decode
     /// the reply inside `begin`).
-    Ready(Box<Result<(Header, String), NetError>>),
+    Ready(Box<Result<(Header, Vec<u8>), NetError>>),
     /// A TCP exchange whose request is written and whose reply is
     /// pending on the wire.
     Tcp(TcpInFlight),
@@ -55,7 +62,7 @@ impl InFlight {
     /// # Errors
     /// [`NetError::Timeout`] when the deadline expires first; transport
     /// and frame errors otherwise.
-    pub fn finish(self, deadline: Instant) -> Result<(Header, String), NetError> {
+    pub fn finish(self, deadline: Instant) -> Result<(Header, Vec<u8>), NetError> {
         match self {
             InFlight::Ready(outcome) => *outcome,
             InFlight::Tcp(pending) => pending.finish(deadline),
@@ -84,7 +91,7 @@ pub trait Transport: Send + Sync {
         addr: &str,
         frame: Vec<u8>,
         deadline: Instant,
-    ) -> Result<(Header, String), NetError> {
+    ) -> Result<(Header, Vec<u8>), NetError> {
         self.begin(addr, frame, deadline)?.finish(deadline)
     }
 
@@ -281,30 +288,25 @@ impl Transport for TcpTransport {
 }
 
 impl TcpInFlight {
-    fn finish(self, deadline: Instant) -> Result<(Header, String), NetError> {
+    fn finish(self, deadline: Instant) -> Result<(Header, Vec<u8>), NetError> {
         let TcpInFlight { mut stream, addr, inner } = self;
         let budget = deadline.saturating_duration_since(inner.clock.now());
         if budget.is_zero() {
             return Err(NetError::Timeout { addr });
         }
+        // Every `finish` sets its own timeout, so a pooled connection
+        // needs none cleared.
         stream
             .set_read_timeout(Some(budget))
             .map_err(|e| NetError::Io(format!("setting read timeout: {e}")))?;
-        match read_frame(&mut stream, inner.config.max_payload) {
-            Ok(reply) => {
+        match FrameReader::default().read(&mut stream, inner.config.max_payload)? {
+            Some(reply) => {
                 // Healthy round trip: the connection is reusable.
-                stream.set_read_timeout(None).ok();
                 inner.give_back(&addr, stream);
                 Ok(reply)
             }
-            Err(NetError::Io(detail))
-                if detail.contains("WouldBlock")
-                    || detail.contains("timed out")
-                    || detail.contains("TimedOut") =>
-            {
-                Err(NetError::Timeout { addr })
-            }
-            Err(e) => Err(e),
+            // The budget ran out; the half-read connection is dropped.
+            None => Err(NetError::Timeout { addr }),
         }
     }
 }

@@ -5,6 +5,7 @@ use std::io::Cursor;
 
 use iqs_net::frame::{
     decode_frame, decode_header, encode_frame, read_frame, Kind, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    VERSION,
 };
 use iqs_net::msg;
 use iqs_net::{FrameError, NetError};
@@ -28,6 +29,27 @@ fn valid_telemetry_frame() -> Vec<u8> {
     msg::encode_telemetry(&batch)
 }
 
+/// A `Samples` reply wide enough to need 8-byte ids.
+fn valid_samples_frame() -> Vec<u8> {
+    msg::encode_reply(&Ok(Response::Samples(vec![7, 1 << 40, 3, u64::MAX, 0])), 5, 6)
+}
+
+/// Asserts every truncation of `frame` reports `Truncated` with the
+/// exact byte counts — no panic, no partial success.
+fn assert_truncations_report_exact_counts(frame: &[u8]) {
+    for cut in 0..frame.len() {
+        match decode_frame(&frame[..cut], DEFAULT_MAX_PAYLOAD) {
+            Err(FrameError::Truncated { needed, have }) => {
+                assert_eq!(have, cut as u64);
+                let expected_need =
+                    if cut < HEADER_LEN { HEADER_LEN as u64 } else { frame.len() as u64 };
+                assert_eq!(needed, expected_need, "cut at {cut}");
+            }
+            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+        }
+    }
+}
+
 proptest! {
     /// Arbitrary byte soup through every decoding entry point: the only
     /// outcomes are `Ok` or a typed error.
@@ -38,6 +60,12 @@ proptest! {
         let _ = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_PAYLOAD);
         // And with a tiny receiver limit, which exercises Oversized.
         let _ = decode_frame(&bytes, 4);
+        // The binary payload decoder takes the soup directly — and with
+        // a valid prefix in front, so the body checks run too.
+        let _ = msg::decode_reply(Kind::Samples, &bytes);
+        for width in [4, 8] {
+            let _ = msg::decode_reply(Kind::Samples, &[&[width, 0, 0, 0], &bytes[..]].concat());
+        }
     }
 
     /// Single-bit corruption anywhere in a valid frame never panics,
@@ -61,24 +89,38 @@ proptest! {
         // The streaming reader agrees with the buffer decoder.
         let _ = read_frame(&mut Cursor::new(&frame), DEFAULT_MAX_PAYLOAD);
     }
-}
 
-/// Every possible truncation of a valid frame reports `Truncated` with
-/// the exact byte counts — no panic, no partial success.
-#[test]
-fn every_truncation_reports_exact_counts() {
-    let frame = valid_frame();
-    for cut in 0..frame.len() {
-        match decode_frame(&frame[..cut], DEFAULT_MAX_PAYLOAD) {
-            Err(FrameError::Truncated { needed, have }) => {
-                assert_eq!(have, cut as u64);
-                let expected_need =
-                    if cut < HEADER_LEN { HEADER_LEN as u64 } else { frame.len() as u64 };
-                assert_eq!(needed, expected_need, "cut at {cut}");
-            }
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+    /// The same single-bit corruption of a `Samples` frame: never a
+    /// panic through the frame and payload decoders, and a flip that
+    /// lands in the payload's width or reserved bytes is a typed decode
+    /// error (a flip inside an id is just another id).
+    #[test]
+    fn samples_bit_flips_never_panic_and_prefix_flips_are_detected(
+        position in 0usize..10_000,
+        bit in 0u8..8,
+    ) {
+        let mut frame = valid_samples_frame();
+        let byte = position % frame.len();
+        frame[byte] ^= 1 << bit;
+        let decoded = decode_frame(&frame, DEFAULT_MAX_PAYLOAD)
+            .map(|(header, payload)| msg::decode_reply(header.kind, payload));
+        if (HEADER_LEN..HEADER_LEN + 4).contains(&byte) {
+            // 8 ^ 4 = 12, and the five ids are 40 bytes: ten 4-byte ids.
+            let lands_on_width_4 = byte == HEADER_LEN && bit == 2;
+            prop_assert!(
+                lands_on_width_4 || matches!(decoded, Ok(Err(NetError::Decode(_)))),
+                "flip at byte {} bit {} went unnoticed: {:?}", byte, bit, decoded
+            );
         }
     }
+}
+
+/// Every possible truncation of a valid frame — JSON or binary payload
+/// — reports `Truncated` with the exact byte counts.
+#[test]
+fn every_truncation_reports_exact_counts() {
+    assert_truncations_report_exact_counts(&valid_frame());
+    assert_truncations_report_exact_counts(&valid_samples_frame());
 }
 
 /// A hostile length field is refused by the header check alone, before
@@ -125,11 +167,49 @@ fn corrupt_payloads_are_typed_errors() {
         assert!(matches!(msg::from_json::<Response>(text), Err(NetError::Decode(_))));
         assert!(matches!(msg::from_json::<TelemetryBatch>(text), Err(NetError::Decode(_))));
     }
-    // Non-UTF-8 payload bytes are a frame-layer BadPayload.
-    let mut frame = encode_frame(Kind::Ok, 0, 0, 0, "ab");
-    frame[HEADER_LEN] = 0xff;
-    frame[HEADER_LEN + 1] = 0xfe;
-    assert!(matches!(decode_frame(&frame, DEFAULT_MAX_PAYLOAD), Err(FrameError::BadPayload(_))));
+    // The frame layer moves bytes; text that is not UTF-8 is refused
+    // where it is read, as a typed decode error.
+    let frame = encode_frame(Kind::Ok, 0, 0, 0, [0xff, 0xfe]);
+    let (header, bytes) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("frame layer ok");
+    assert!(matches!(msg::decode_reply(header.kind, bytes), Err(NetError::Decode(_))));
+    assert!(matches!(msg::from_json::<Request>(bytes), Err(NetError::Decode(_))));
+    // Sample ids have one encoding: as JSON under `Kind::Ok` they are
+    // refused, though any other response parses there.
+    assert!(matches!(
+        msg::decode_reply(Kind::Ok, b"{\"Samples\":[1,2]}"),
+        Err(NetError::Decode(_))
+    ));
+    assert_eq!(msg::decode_reply(Kind::Ok, b"{\"Count\":2}"), Ok(Ok(Response::Count(2))));
+}
+
+/// Each way a `Samples` payload can be malformed is a typed decode
+/// error naming it; the id count comes from the length alone.
+#[test]
+fn malformed_samples_payloads_are_typed_errors() {
+    let refused = |payload: &[u8], because: &str| match msg::decode_reply(Kind::Samples, payload) {
+        Err(NetError::Decode(detail)) => assert!(detail.contains(because), "{detail}"),
+        other => panic!("{payload:?}: expected a decode error, got {other:?}"),
+    };
+    for short in 0..4 {
+        refused(&[4, 0, 0, 0][..short], "shorter than its 4-byte prefix");
+    }
+    for width in (0..=255).filter(|w| ![4, 8].contains(w)) {
+        refused(&[width, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8], "neither 4 nor 8");
+    }
+    for reserved in 1..4 {
+        let mut payload = [4, 0, 0, 0, 9, 0, 0, 0];
+        payload[reserved] = 1;
+        refused(&payload, "reserved bytes");
+    }
+    for (width, body) in [(4, 1), (4, 7), (8, 4), (8, 15)] {
+        refused(&[&[width, 0, 0, 0], &vec![0; body][..]].concat(), "not a whole number");
+    }
+    // Width 8 need not be minimal: small ids at width 8 still decode.
+    let wide_but_small = [8, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0];
+    assert_eq!(
+        msg::decode_reply(Kind::Samples, &wide_but_small),
+        Ok(Ok(Response::Samples(vec![9])))
+    );
 }
 
 /// The telemetry kind obeys the same frame discipline as every other
@@ -143,21 +223,27 @@ fn telemetry_frames_share_the_frame_discipline() {
     let batch: TelemetryBatch = msg::from_json(payload).expect("payload parses");
     assert_eq!(batch.seq, 1);
 
-    // Kind 7 is the last registered kind; 8 must stay refused until a
-    // version bump registers it.
+    // Kind 8 (`Samples`) is the last registered kind; 9 must stay
+    // refused until a version bump registers it.
     let mut bumped = frame.clone();
+    bumped[3] = 9;
+    assert!(matches!(decode_frame(&bumped, DEFAULT_MAX_PAYLOAD), Err(FrameError::BadKind(9))));
     bumped[3] = 8;
-    assert!(matches!(decode_frame(&bumped, DEFAULT_MAX_PAYLOAD), Err(FrameError::BadKind(8))));
+    assert_eq!(
+        decode_frame(&bumped, DEFAULT_MAX_PAYLOAD).expect("registered").0.kind,
+        Kind::Samples
+    );
 
-    for cut in 0..frame.len() {
-        match decode_frame(&frame[..cut], DEFAULT_MAX_PAYLOAD) {
-            Err(FrameError::Truncated { needed, have }) => {
-                assert_eq!(have, cut as u64);
-                let expected_need =
-                    if cut < HEADER_LEN { HEADER_LEN as u64 } else { frame.len() as u64 };
-                assert_eq!(needed, expected_need, "cut at {cut}");
-            }
-            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-        }
-    }
+    // Version 2 registered it; a version-1 frame is refused outright,
+    // whatever it carries.
+    assert_eq!(VERSION, 2);
+    let mut old = frame.clone();
+    old[2] = 1;
+    assert!(matches!(decode_frame(&old, DEFAULT_MAX_PAYLOAD), Err(FrameError::BadVersion(1))));
+    assert!(matches!(
+        read_frame(&mut Cursor::new(&old), DEFAULT_MAX_PAYLOAD),
+        Err(NetError::Frame(FrameError::BadVersion(1)))
+    ));
+
+    assert_truncations_report_exact_counts(&frame);
 }

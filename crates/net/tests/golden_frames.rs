@@ -3,11 +3,11 @@
 //! frames), and a round-trip property over random requests.
 //!
 //! The hex fixtures pin the wire format: any change to the header
-//! layout, the JSON field order, or the float encoding shows up here as
-//! a byte diff, which is a protocol break and must be versioned, not
-//! shipped silently.
+//! layout, the JSON field order, the float encoding, or the binary
+//! `Samples` layout shows up here as a byte diff, which is a protocol
+//! break and must be versioned, not shipped silently.
 
-use iqs_net::frame::{decode_frame, DEFAULT_MAX_PAYLOAD};
+use iqs_net::frame::{decode_frame, Kind, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use iqs_net::msg;
 use iqs_net::{Ack, Announce};
 use iqs_obs::recorder::pack_io;
@@ -107,6 +107,14 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
         ),
         ("response_samples", msg::encode_reply(&Ok(Response::Samples(vec![1, 2, 3])), 7, 9)),
         ("response_samples_empty", msg::encode_reply(&Ok(Response::Samples(Vec::new())), 0, 0)),
+        (
+            "response_samples_wide",
+            msg::encode_reply(
+                &Ok(Response::Samples(vec![1, u64::from(u32::MAX) + 1, u64::MAX])),
+                7,
+                9,
+            ),
+        ),
         ("response_count", msg::encode_reply(&Ok(Response::Count(42)), 0, 0)),
         ("response_weight", msg::encode_reply(&Ok(Response::Weight(2.5)), 0, 0)),
         (
@@ -169,27 +177,28 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
 
 /// The pinned wire bytes, one hex string per fixture, same order.
 const GOLDEN: &[(&str, &str)] = &[
-    ("request_sample_wr", "49510101010002008877665544332211404b4c000000000000000000370000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b2d312e352c322e355d2c2273223a387d7d"),
-    ("request_sample_wr_full_range", "495101010000000001000000000000000000000000000000000000003c0000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b222d696e66222c22696e66225d2c2273223a31367d7d"),
-    ("request_sample_wor", "49510101000000000200000000000000000000000000000000000000320000007b2253616d706c65576f72223a7b22696e646578223a227368617264222c2272616e6765223a6e756c6c2c2273223a337d7d"),
-    ("request_range_count", "49510101000000000300000000000000000000000000000000000000300000007b2252616e6765436f756e74223a7b22696e646578223a227368617264222c2278223a302e352c2279223a392e357d7d"),
-    ("request_sample_union", "49510101000000000400000000000000000000000000000000000000320000007b2253616d706c65556e696f6e223a7b22696e646578223a2273657473222c2267223a5b312c322c335d2c2273223a347d7d"),
-    ("request_total_weight", "49510101000000000500000000000000000000000000000000000000210000007b22546f74616c576569676874223a7b22696e646578223a227368617264227d7d"),
-    ("request_range_weight", "49510101000000000600000000000000000000000000000000000000330000007b2252616e6765576569676874223a7b22696e646578223a227368617264222c2278223a2d302e32352c2279223a3132387d7d"),
-    ("request_update", "49510101000000000700000000000000000000000000000000000000610000007b22557064617465223a7b22696e646578223a227368617264222c226f7073223a5b7b22557073657274223a7b226964223a372c226b6579223a312e352c22776569676874223a327d7d2c7b2252656d6f7665223a7b226964223a397d7d5d7d7d"),
-    ("response_samples", "49510102090000000700000000000000000000000000000000000000130000007b2253616d706c6573223a5b312c322c335d7d"),
-    ("response_samples_empty", "495101020000000000000000000000000000000000000000000000000e0000007b2253616d706c6573223a5b5d7d"),
-    ("response_count", "495101020000000000000000000000000000000000000000000000000c0000007b22436f756e74223a34327d"),
-    ("response_weight", "495101020000000000000000000000000000000000000000000000000e0000007b22576569676874223a322e357d"),
-    ("response_updated", "49510102000000000000000000000000000000000000000000000000250000007b2255706461746564223a7b226170706c696564223a322c2276657273696f6e223a397d7d"),
-    ("reply_overloaded", "495101030200000001000000000000000000000000000000000000000c000000224f7665726c6f6164656422"),
-    ("reply_unknown_index", "49510103000000000000000000000000000000000000000000000000180000007b22556e6b6e6f776e496e646578223a2267686f7374227d"),
-    ("reply_remote", "495101030000000000000000000000000000000000000000000000001a0000007b2252656d6f7465223a226c656173652065787069726564227d"),
-    ("metrics_request", "4951010600000000000000000000000000000000000000000000000000000000"),
-    ("metrics_reply_default", "49510106000000000000000000000000000000000000000000000000310200007b227375626d6974746564223a302c22636f6d706c65746564223a302c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2274656e616e7473223a5b5d7d"),
-    ("announce", "495101040000000000000000000000000000000000000000000000005d0000007b2261646472223a223132372e302e302e313a34313030222c226c6f5f6b6579223a302c2268695f6b6579223a3334302c22746f74616c5f776569676874223a313837372c2265706f6368223a322c2274746c5f6d73223a333030307d"),
-    ("ack", "495101050000000000000000000000000000000000000000000000001b0000007b226163636570746564223a747275652c2265706f6368223a327d"),
-    ("telemetry", "49510107000000000000000000000000000000000000000000000000730300007b22736f75726365223a2273696d3a2f2f7265706c6963612d312d30222c227368617264223a312c227265706c696361223a302c22736571223a332c226d657472696373223a7b227375626d6974746564223a382c22636f6d706c65746564223a382c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c382c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2274656e616e7473223a5b5d7d2c226c656773223a5b7b227472616365223a313233343630353631363433363530383535322c227370616e223a3133313037332c2266697273745f736571223a34312c227069636b75705f745f6e73223a313030302c22646f6e655f745f6e73223a353030302c2271756575655f776169745f6e73223a3235302c22736572766963655f6e73223a333735302c226f6b223a747275652c22646561646c696e655f6d6973736573223a302c22726e675f776f726473223a31372c22636f7374223a302c22636f6c645f73616d706c6573223a342c22696f223a3536323935383534333335353930367d5d2c2264726f707065645f6c656773223a317d"),
+    ("request_sample_wr", "49510201010002008877665544332211404b4c000000000000000000370000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b2d312e352c322e355d2c2273223a387d7d"),
+    ("request_sample_wr_full_range", "495102010000000001000000000000000000000000000000000000003c0000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b222d696e66222c22696e66225d2c2273223a31367d7d"),
+    ("request_sample_wor", "49510201000000000200000000000000000000000000000000000000320000007b2253616d706c65576f72223a7b22696e646578223a227368617264222c2272616e6765223a6e756c6c2c2273223a337d7d"),
+    ("request_range_count", "49510201000000000300000000000000000000000000000000000000300000007b2252616e6765436f756e74223a7b22696e646578223a227368617264222c2278223a302e352c2279223a392e357d7d"),
+    ("request_sample_union", "49510201000000000400000000000000000000000000000000000000320000007b2253616d706c65556e696f6e223a7b22696e646578223a2273657473222c2267223a5b312c322c335d2c2273223a347d7d"),
+    ("request_total_weight", "49510201000000000500000000000000000000000000000000000000210000007b22546f74616c576569676874223a7b22696e646578223a227368617264227d7d"),
+    ("request_range_weight", "49510201000000000600000000000000000000000000000000000000330000007b2252616e6765576569676874223a7b22696e646578223a227368617264222c2278223a2d302e32352c2279223a3132387d7d"),
+    ("request_update", "49510201000000000700000000000000000000000000000000000000610000007b22557064617465223a7b22696e646578223a227368617264222c226f7073223a5b7b22557073657274223a7b226964223a372c226b6579223a312e352c22776569676874223a327d7d2c7b2252656d6f7665223a7b226964223a397d7d5d7d7d"),
+    ("response_samples", "495102080900000007000000000000000000000000000000000000001000000004000000010000000200000003000000"),
+    ("response_samples_empty", "495102080000000000000000000000000000000000000000000000000400000004000000"),
+    ("response_samples_wide", "495102080900000007000000000000000000000000000000000000001c0000000800000001000000000000000000000001000000ffffffffffffffff"),
+    ("response_count", "495102020000000000000000000000000000000000000000000000000c0000007b22436f756e74223a34327d"),
+    ("response_weight", "495102020000000000000000000000000000000000000000000000000e0000007b22576569676874223a322e357d"),
+    ("response_updated", "49510202000000000000000000000000000000000000000000000000250000007b2255706461746564223a7b226170706c696564223a322c2276657273696f6e223a397d7d"),
+    ("reply_overloaded", "495102030200000001000000000000000000000000000000000000000c000000224f7665726c6f6164656422"),
+    ("reply_unknown_index", "49510203000000000000000000000000000000000000000000000000180000007b22556e6b6e6f776e496e646578223a2267686f7374227d"),
+    ("reply_remote", "495102030000000000000000000000000000000000000000000000001a0000007b2252656d6f7465223a226c656173652065787069726564227d"),
+    ("metrics_request", "4951020600000000000000000000000000000000000000000000000000000000"),
+    ("metrics_reply_default", "49510206000000000000000000000000000000000000000000000000310200007b227375626d6974746564223a302c22636f6d706c65746564223a302c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2274656e616e7473223a5b5d7d"),
+    ("announce", "495102040000000000000000000000000000000000000000000000005d0000007b2261646472223a223132372e302e302e313a34313030222c226c6f5f6b6579223a302c2268695f6b6579223a3334302c22746f74616c5f776569676874223a313837372c2265706f6368223a322c2274746c5f6d73223a333030307d"),
+    ("ack", "495102050000000000000000000000000000000000000000000000001b0000007b226163636570746564223a747275652c2265706f6368223a327d"),
+    ("telemetry", "49510207000000000000000000000000000000000000000000000000730300007b22736f75726365223a2273696d3a2f2f7265706c6963612d312d30222c227368617264223a312c227265706c696361223a302c22736571223a332c226d657472696373223a7b227375626d6974746564223a382c22636f6d706c65746564223a382c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c382c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2274656e616e7473223a5b5d7d2c226c656773223a5b7b227472616365223a313233343630353631363433363530383535322c227370616e223a3133313037332c2266697273745f736571223a34312c227069636b75705f745f6e73223a313030302c22646f6e655f745f6e73223a353030302c2271756575655f776169745f6e73223a3235302c22736572766963655f6e73223a333735302c226f6b223a747275652c22646561646c696e655f6d6973736573223a302c22726e675f776f726473223a31372c22636f7374223a302c22636f6c645f73616d706c6573223a342c22696f223a3536323935383534333335353930367d5d2c2264726f707065645f6c656773223a317d"),
 ];
 
 #[test]
@@ -224,7 +233,7 @@ fn telemetry_fixture_parses_structurally() {
     assert_eq!(*name, "telemetry");
     let bytes = unhex(ghex);
     let (header, payload) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("decodes");
-    assert_eq!(header.kind, iqs_net::frame::Kind::Telemetry);
+    assert_eq!(header.kind, Kind::Telemetry);
     let batch: TelemetryBatch = msg::from_json(payload).expect("payload parses");
     assert_eq!(batch.source, "sim://replica-1-0");
     assert_eq!((batch.shard, batch.replica, batch.seq), (1, 0, 3));
@@ -232,6 +241,49 @@ fn telemetry_fixture_parses_structurally() {
     assert_eq!(batch.legs.len(), 1);
     assert_eq!(batch.legs[0].cold_samples, 4);
     assert_eq!(batch.dropped_legs, 1);
+}
+
+/// The pinned `Samples` bytes decode to the ids they were pinned from:
+/// the fixtures hold the decoder to the layout, not just the encoder.
+#[test]
+fn samples_fixtures_decode_to_their_ids() {
+    let pinned = |name: &str| {
+        let (_, ghex) = GOLDEN.iter().find(|(n, _)| *n == name).expect("fixture exists");
+        let bytes = unhex(ghex);
+        let (header, payload) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("decodes");
+        assert_eq!(header.kind, Kind::Samples, "{name}");
+        (payload[0], msg::decode_reply(header.kind, payload).expect("reply decodes"))
+    };
+    assert_eq!(pinned("response_samples"), (4, Ok(Response::Samples(vec![1, 2, 3]))));
+    assert_eq!(pinned("response_samples_empty"), (4, Ok(Response::Samples(Vec::new()))));
+    assert_eq!(
+        pinned("response_samples_wide"),
+        (8, Ok(Response::Samples(vec![1, u64::from(u32::MAX) + 1, u64::MAX])))
+    );
+}
+
+/// Encodes `ids` as a reply, checks the width byte and the exact frame
+/// length the width implies, and returns the ids decoded back.
+fn samples_through_the_wire(ids: &[u64], width: usize) -> Vec<u64> {
+    let frame = msg::encode_reply(&Ok(Response::Samples(ids.to_vec())), 3, 4);
+    assert_eq!(frame.len(), HEADER_LEN + 4 + width * ids.len());
+    let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("well-formed");
+    assert_eq!((header.kind, header.trace, header.span), (Kind::Samples, 3, 4));
+    assert_eq!(usize::from(payload[0]), width);
+    match msg::decode_reply(header.kind, payload).expect("reply decodes") {
+        Ok(Response::Samples(back)) => back,
+        other => panic!("expected samples, got {other:?}"),
+    }
+}
+
+/// The width switches exactly between `u32::MAX` and `u32::MAX + 1`.
+#[test]
+fn samples_width_boundary_is_u32_max() {
+    let edge = u64::from(u32::MAX);
+    assert_eq!(samples_through_the_wire(&[0, edge], 4), [0, edge]);
+    assert_eq!(samples_through_the_wire(&[0, edge + 1], 8), [0, edge + 1]);
+    assert_eq!(samples_through_the_wire(&[u64::MAX], 8), [u64::MAX]);
+    assert_eq!(samples_through_the_wire(&[], 4), [0u64; 0]);
 }
 
 /// Builds one of every request shape from a handful of drawn scalars.
@@ -276,6 +328,24 @@ proptest! {
         prop_assert_eq!(header.deadline_ns, 1234);
         let back: Request = msg::from_json(payload).expect("payload parses");
         prop_assert_eq!(back, request);
+    }
+
+    /// Sample ids over the whole `u64` range survive the wire at the
+    /// width their largest member needs: 4 bytes while every id fits a
+    /// `u32`, 8 from the first one that does not, wherever it sits.
+    #[test]
+    fn samples_roundtrip_at_both_widths(
+        narrow in pvec(0u64..=0xFFFF_FFFF, 0..50),
+        wide in 0x1_0000_0000u64..=u64::MAX,
+        at in 0usize..50,
+        any in pvec(0u64..=u64::MAX, 0..50),
+    ) {
+        prop_assert_eq!(&samples_through_the_wire(&narrow, 4), &narrow);
+        let mut mixed = narrow;
+        mixed.insert(at % (mixed.len() + 1), wide);
+        prop_assert_eq!(&samples_through_the_wire(&mixed, 8), &mixed);
+        let width = if any.iter().all(|&id| id <= 0xFFFF_FFFF) { 4 } else { 8 };
+        prop_assert_eq!(&samples_through_the_wire(&any, width), &any);
     }
 
     /// Replies too, on both the Ok and Err sides.

@@ -3,10 +3,10 @@
 //! TTL registry and routed by `iqs-shard`'s scatter/gather — the whole
 //! networking stack with zero real sockets, on the virtual clock.
 //!
-//! Three claims:
+//! Four claims:
 //! 1. **Exactness across the fabric** (registered gate): the remote
 //!    cluster's partial-range draw matches the single-node weighted
-//!    distribution — JSON framing, deadline re-anchoring, and registry
+//!    distribution — framing, deadline re-anchoring, and registry
 //!    discovery add no bias.
 //! 2. **Chaos honesty**: under partitions, delays, duplicates, and a
 //!    hard replica kill, every read still returns `Ok`; degradation is
@@ -14,16 +14,19 @@
 //!    `missing` counts; breakers trip and recover.
 //! 3. **Determinism**: the same chaos scenario under the same seed
 //!    replays bit-identically — ids, flags, metrics, traffic counters.
+//! 4. **The codec does not touch the sample stream**: a cluster behind
+//!    the fabric returns, query for query, the id sequence the same
+//!    seeds draw on in-process links — at both id widths.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use iqs_net::{
-    announce_once, shard_specs, Announce, LinkFault, RegistryHandler, ReplicaServer,
+    announce_once, shard_specs, Announce, LinkFault, RegistryHandler, RemoteReplica, ReplicaServer,
     ServiceRegistry, SimNet, SimStats,
 };
 use iqs_serve::{IndexRegistry, Server, ServerConfig};
-use iqs_shard::{HealthPolicy, ShardConfig, ShardedService, SHARD_INDEX};
+use iqs_shard::{HealthPolicy, ShardConfig, ShardSpec, ShardedService, SHARD_INDEX};
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::VirtualClock;
@@ -275,4 +278,80 @@ fn chaos_replays_deterministically_under_one_seed() {
     let first = chaos_run(0x0dd5_eed5);
     let second = chaos_run(0x0dd5_eed5);
     assert_eq!(first, second, "same-seed chaos runs must be bit-identical");
+}
+
+/// Claim 4: replies decoded from `Samples` frames are the draws
+/// themselves. `ShardedService::new` seeds in-process replica `k`
+/// (counting from 1) with `seed + k·GOLDEN`; the same three nodes under
+/// the same seeds behind the fabric must return the same ids for the
+/// same queries — once with ids that fit four bytes, once with ids that
+/// need eight.
+#[test]
+fn remote_draws_replay_the_local_links_id_for_id() {
+    let seed = 0x5a3e_1e55;
+    for id_base in [0, 1u64 << 40] {
+        let clock = VirtualClock::new();
+        let config = ShardConfig {
+            shards: CUTS.len(),
+            replicas: 1,
+            workers_per_replica: 1,
+            seed,
+            clock: clock.handle(),
+            ..ShardConfig::default()
+        };
+        let elements = elements().into_iter().map(|(id, k, w)| (id_base + id, k, w)).collect();
+        let local = ShardedService::new(elements, config.clone()).expect("local topology builds");
+
+        let net = SimNet::new(clock.handle());
+        let mut servers = Vec::new();
+        let mut specs = Vec::new();
+        for (si, (span, weight)) in
+            local.shard_spans().into_iter().zip(local.shard_weights()).enumerate()
+        {
+            let slice = local.shard_elements(si).expect("local shards carry their slice");
+            let mut indexes = IndexRegistry::new();
+            indexes.register_range_keyed(SHARD_INDEX, slice.to_vec()).expect("valid slice");
+            let server = Server::start(
+                indexes,
+                ServerConfig {
+                    workers: config.workers_per_replica,
+                    queue_capacity: config.queue_capacity,
+                    default_deadline: None,
+                    max_sample_size: config.max_sample_size,
+                    seed: seed.wrapping_add(GOLDEN.wrapping_mul(si as u64 + 1)),
+                    clock: clock.handle(),
+                    tenants: Vec::new(),
+                },
+            );
+            let addr = addr_of(si, 0);
+            net.bind(&addr, Arc::new(ReplicaServer::new(server.client(), clock.handle())));
+            specs.push(ShardSpec {
+                lo_key: span.0,
+                hi_key: span.1,
+                total_weight: weight,
+                links: vec![Arc::new(RemoteReplica::new(net.transport(), addr))],
+            });
+            servers.push(server);
+        }
+        let remote = ShardedService::from_links(specs, config).expect("remote topology builds");
+
+        let (mut local, mut remote) = (local.client(), remote.client());
+        let queries = [
+            (None, 16),
+            (Some((200.0, 900.0)), 64),
+            (Some((10.0, 10.0)), 1),
+            (None, 4096),
+            (Some((340.0, 341.0)), 333),
+            (None, 1),
+        ];
+        for (range, s) in queries {
+            let here = local.sample_wr(range, s).expect("local read");
+            let there = remote.sample_wr(range, s).expect("remote read");
+            assert_eq!(here.ids.len(), s as usize);
+            assert!(here.ids.iter().all(|&id| id >= id_base));
+            assert_eq!(here.ids, there.ids, "range {range:?}, s {s}, id base {id_base}");
+            assert!(!there.degraded);
+        }
+        assert_eq!(net.stats().unreachable + net.stats().timed_out, 0);
+    }
 }

@@ -157,7 +157,11 @@ impl Response {
 // structs only. Field order is fixed and load-bearing — the pull-parser
 // reads fields in declaration order — and `iqs-net` pins the exact
 // bytes with golden-frame fixtures, so any change here is a wire-format
-// version bump.
+// version bump. One value never takes this encoding on the wire:
+// `iqs-net` ships `Response::Samples` as a binary frame of its own
+// (`iqs_net::frame`), because 4096 ids cost more to print and parse as
+// decimal text than to draw; its JSON form below serves every other
+// consumer of these impls.
 
 use serde::de::{Error as DeError, Parser};
 use serde::{Deserialize, Serialize};

@@ -54,6 +54,9 @@ impl Sampled {
     /// multinomial split assigned it.
     pub(crate) fn absorb(&mut self, leg: Option<Vec<u64>>, planned: usize) {
         match leg {
+            // The first delivered leg — the whole answer of a one-leg
+            // query — is kept, not copied.
+            Some(ids) if self.ids.is_empty() => self.ids = ids,
             Some(ids) => self.ids.extend(ids),
             None => {
                 self.degraded = true;

@@ -33,82 +33,113 @@ use crate::{validate_weights, WeightError};
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct AliasTable {
-    /// `prob[i]`: probability that column `i` resolves to `i` itself
-    /// (as opposed to `alias[i]`), scaled to `[0, 1]`.
-    prob: Vec<f64>,
-    /// `alias[i]`: the second element sharing urn `i`.
-    alias: Vec<u32>,
+    /// One packed urn row per column (see [`AliasRows`]).
+    rows: Vec<u64>,
     /// Total weight of the input, retained for composition with other
     /// structures (e.g. when this table represents one canonical node).
     total: f64,
 }
 
-/// The urn rows of one alias table, borrowed: `prob[i]` is the
-/// probability that column `i` resolves to `i` itself, `alias[i]` the
-/// second element sharing urn `i`.
+/// 2³²: the denominator of the 32-bit coin.
+const COIN_SCALE: f64 = 4_294_967_296.0;
+
+/// The row of a column that always resolves to itself.
+#[inline(always)]
+fn keep_row(col: u32) -> u64 {
+    u64::from(u32::MAX) << 32 | u64::from(col)
+}
+
+/// Packs column `col`'s urn — it keeps itself with probability `prob`
+/// and otherwise yields `alias` — into one row: `thr = ⌈prob·2³²⌉` in
+/// the high half, `alias` in the low half. The coin is an integer `lo`
+/// of 32 bits, and for an integer `lo < x ⇔ lo < ⌈x⌉`, so `lo < thr`
+/// decides exactly as `lo/2³² < prob` does; the scaling by a power of
+/// two is exact in `f64`, and the ceiling is taken in integers (`ceil`
+/// is a library call on baseline x86-64, and this runs once per row
+/// built). A threshold of 2³² (the coin always keeps the column) does
+/// not fit the half and is stored as [`keep_row`], whose two outcomes
+/// coincide.
+#[inline(always)]
+fn pack_row(prob: f64, alias: u32, col: u32) -> u64 {
+    let scaled = prob * COIN_SCALE;
+    if scaled > COIN_SCALE - 1.0 {
+        keep_row(col)
+    } else {
+        let floor = scaled as u64;
+        (floor + u64::from((floor as f64) < scaled)) << 32 | u64::from(alias)
+    }
+}
+
+/// Worklist storage for [`AliasRows::build`], grown as needed and
+/// otherwise left alone, so a caller building many tables allocates
+/// once.
+#[derive(Debug, Default)]
+pub struct BuildScratch {
+    /// The columns' running probabilities, scaled so the average is 1.
+    prob: Vec<f64>,
+    /// Both worklists: the under-full columns stack up from the front
+    /// and the over-full ones down from position `n`, which never meet
+    /// because a column is on at most one list.
+    work: Vec<u32>,
+}
+
+/// The urn rows of one alias table, borrowed: row `i` is 8 bytes,
+/// `thr: u32 | alias: u32`, where column `i` resolves to itself when the
+/// draw's 32-bit coin is below `thr` and to `alias` (the second element
+/// sharing urn `i`) otherwise. One row is one load on one cache line.
 ///
-/// This is the type every draw runs on. An [`AliasTable`] owns its two
-/// arrays and lends them through [`AliasTable::rows`]; the composite
-/// structures (Lemma 2's per-node tables, Theorem 3's per-chunk tables)
-/// keep many tables back to back in one pair of arrays and cut a view
-/// per table, so a draw reaches its row without loading a per-table
-/// header first. [`AliasRows::build`] is the one construction routine
-/// behind both.
+/// This type is the row format: the one construction routine
+/// ([`AliasRows::build`], into a caller-provided slice), the two
+/// primitives every draw is made of ([`AliasRows::column_of`],
+/// [`AliasRows::select`]) and, on a view, the table-level draws built
+/// from them. An [`AliasTable`] owns its array and lends it through
+/// [`AliasTable::rows`]; the composite structures (Lemma 2's per-node
+/// tables, Theorem 3's per-chunk tables) `build` many tables back to
+/// back into one array and go from a draw's word straight to a row
+/// position with the same two primitives, so a draw reaches its row
+/// without loading a per-table header first.
 #[derive(Debug, Clone, Copy)]
 pub struct AliasRows<'a> {
-    prob: &'a [f64],
-    alias: &'a [u32],
+    rows: &'a [u64],
 }
 
 impl<'a> AliasRows<'a> {
-    /// Views `prob`/`alias` — two equally long slices a
-    /// [`AliasRows::build`] call filled — as one table.
-    #[inline(always)]
-    pub fn new(prob: &'a [f64], alias: &'a [u32]) -> Self {
-        debug_assert_eq!(prob.len(), alias.len());
-        AliasRows { prob, alias }
-    }
-
     /// Vose's two-worklist form of the urn-filling procedure of Section
-    /// 3.1: fills `prob`/`alias` (both `weights.len()` long) with the
-    /// table of `weights` in `O(n)` time and returns the total weight.
-    /// Entries of `alias` are positions within this table, so the rows
-    /// mean the same wherever the slices sit in a larger array.
-    ///
-    /// `work` is the worklist storage, grown as needed and otherwise
-    /// left alone, so a caller building many tables allocates once: the
-    /// under-full columns stack up from its front and the over-full
-    /// ones down from position `n`, which never meet because a column
-    /// is on at most one list.
+    /// 3.1: fills `rows` (`weights.len()` long) with the table of
+    /// `weights` in `O(n)` time and returns the total weight. The
+    /// probabilities are worked out in `f64` in `scratch` and each row
+    /// is packed once, when its column closes. Alias entries are
+    /// positions within this table, so the rows mean the same wherever
+    /// the slice sits in a larger array.
     ///
     /// # Errors
     /// [`WeightError`] if `weights` is empty or contains a non-finite or
     /// non-positive entry, or if `n > u32::MAX` elements are supplied.
     ///
     /// # Panics
-    /// If `prob` or `alias` is not `weights.len()` long.
+    /// If `rows` is not `weights.len()` long.
     pub fn build(
         weights: &[f64],
-        prob: &mut [f64],
-        alias: &mut [u32],
-        work: &mut Vec<u32>,
+        rows: &mut [u64],
+        scratch: &mut BuildScratch,
     ) -> Result<f64, WeightError> {
         let total = validate_weights(weights)?;
         let n = weights.len();
         if n > u32::MAX as usize {
             return Err(WeightError::TotalOverflow);
         }
-        assert!(prob.len() == n && alias.len() == n, "one row per weight");
-        if work.len() < n {
-            work.resize(n, 0);
+        assert!(rows.len() == n, "one row per weight");
+        if scratch.work.len() < n {
+            scratch.work.resize(n, 0);
+            scratch.prob.resize(n, 0.0);
         }
+        let (prob, work) = (&mut scratch.prob[..n], &mut scratch.work[..n]);
         // Scale so the average weight is exactly 1: p[i] = w[i] * n / W.
         let scale = n as f64 / total;
         let (mut small, mut large) = (0, n);
         for (i, &w) in weights.iter().enumerate() {
             let p = w * scale;
             prob[i] = p;
-            alias[i] = i as u32;
             // Written to the free end of both stacks, kept by one: which
             // list a column joins is a coin flip the branch predictor
             // loses, so the partition is done without a branch.
@@ -123,7 +154,7 @@ impl<'a> AliasRows<'a> {
             let (s, l) = (work[small] as usize, work[large] as usize);
             // Column `s` is closed: it keeps probability prob[s] for itself
             // and routes the rest to `l`, which donated (1 - prob[s]).
-            alias[s] = l as u32;
+            rows[s] = pack_row(prob[s], l as u32, s as u32);
             prob[l] -= 1.0 - prob[s];
             if prob[l] < 1.0 {
                 large += 1;
@@ -133,11 +164,30 @@ impl<'a> AliasRows<'a> {
         }
         // Numerical slack: any column left in either list keeps itself.
         for &i in work[..small].iter().chain(&work[large..n]) {
-            prob[i as usize] = 1.0;
-            alias[i as usize] = i;
+            rows[i as usize] = keep_row(i);
         }
         crate::prof::add_alias_entries_built(n as u64);
         Ok(total)
+    }
+
+    /// The column of an `n`-column table that word `z` chooses: its high
+    /// half through the widening multiply (`n ≤ u32::MAX`, enforced by
+    /// [`Self::build`]).
+    #[inline(always)]
+    pub fn column_of(z: u64, n: usize) -> usize {
+        (((z >> 32) * n as u64) >> 32) as usize
+    }
+
+    /// One row's decision, without a branch: `kept` when the coin is below
+    /// the row's threshold, `base` plus the row's alias entry otherwise.
+    /// [`Self::resolve`] is this with the column itself as `kept`; the
+    /// composite kernels, which know a row by its position in a shared
+    /// array, pass the answer the column stands for and the offset of the
+    /// table the alias entry is relative to.
+    #[inline(always)]
+    pub fn select(row: u64, coin: u32, kept: u32, base: u32) -> u32 {
+        let keep = u32::from(u64::from(coin) < row >> 32).wrapping_neg();
+        (kept & keep) | (base.wrapping_add(row as u32) & !keep)
     }
 
     /// Decodes one uniform 64-bit word into a weighted index — the heart
@@ -146,10 +196,11 @@ impl<'a> AliasRows<'a> {
     /// The two classical random decisions are carved out of disjoint halves
     /// of the word: the **high 32 bits** pick the column through a widening
     /// multiply (`col = (hi · n) >> 32`, the Lemire mapping), and the
-    /// **low 32 bits** form the biased coin (`coin = lo / 2³²`). Because
-    /// the halves are independent, so are the column and the coin; the
-    /// per-draw distortion from the 32-bit granularity is at most 2⁻³² per
-    /// outcome, far below anything observable.
+    /// **low 32 bits** are the biased coin, compared as an integer against
+    /// the row's threshold. Because the halves are independent, so are the
+    /// column and the coin; the per-draw distortion from the 32-bit
+    /// granularity is at most 2⁻³² per outcome, far below anything
+    /// observable.
     ///
     /// (A wider, overlapping coin — e.g. "the low 53 bits" — would be
     /// *wrong* for `n > 2¹¹`: conditioned on the chosen column, the
@@ -162,78 +213,59 @@ impl<'a> AliasRows<'a> {
     }
 
     /// First half of [`Self::decode`]: splits a word into the chosen
-    /// column and the coin, touching only the table *length*. Batch
-    /// callers use this to separate the cheap index arithmetic from the
-    /// table loads so that many draws' memory accesses overlap.
+    /// column and the coin (its low half, as an integer), touching only
+    /// the table *length*. Batch callers use this to separate the cheap
+    /// index arithmetic from the table loads so that many draws' memory
+    /// accesses overlap.
     #[inline(always)]
-    pub fn split_word(&self, z: u64) -> (usize, f64) {
-        let n = self.prob.len() as u64; // n ≤ u32::MAX, enforced by `build`
-        let col = (((z >> 32) * n) >> 32) as usize;
-        let coin = (z & 0xFFFF_FFFF) as f64 * (1.0 / 4_294_967_296.0);
-        (col, coin)
+    pub fn split_word(&self, z: u64) -> (usize, u32) {
+        (Self::column_of(z, self.rows.len()), z as u32)
     }
 
-    /// Second half of [`Self::decode`]: resolves a precomputed
-    /// (column, coin) pair through the urn arrays.
+    /// Second half of [`Self::decode`]: resolves a (column, coin) pair
+    /// through the column's row.
     #[inline(always)]
-    pub fn resolve(&self, col: usize, coin: f64) -> usize {
-        if coin < self.prob[col] {
-            col
-        } else {
-            self.alias[col] as usize
-        }
+    pub fn resolve(&self, col: usize, coin: u32) -> usize {
+        Self::select(self.rows[col], coin, col as u32, 0) as usize
     }
 
     /// Vectorized first half of [`Self::decode`] over a whole word
-    /// buffer: computes every draw's column and coin before any table
-    /// row is touched. The loop body is branch-free integer/float
-    /// arithmetic on three flat slices, which the compiler
-    /// auto-vectorizes to SIMD width; separating it from the gather
-    /// phase is what lets the pipelined kernels overlap the dependent
-    /// row loads (see [`crate::pipeline`]).
+    /// buffer: computes every draw's column before any table row is
+    /// touched. The loop body is branch-free integer arithmetic on two
+    /// flat slices, which the compiler auto-vectorizes to SIMD width;
+    /// separating it from the gather phase is what lets the pipelined
+    /// kernels overlap the dependent row loads (see [`crate::pipeline`]).
     ///
     /// # Panics
-    /// If `cols` or `coins` is shorter than `words`.
+    /// If `cols` is shorter than `words`.
     #[inline]
-    pub fn decode_many(&self, words: &[u64], cols: &mut [u32], coins: &mut [f64]) {
-        let n = self.prob.len() as u64; // n ≤ u32::MAX, enforced by `build`
-        let cols = &mut cols[..words.len()];
-        let coins = &mut coins[..words.len()];
-        for ((&z, col), coin) in words.iter().zip(cols.iter_mut()).zip(coins.iter_mut()) {
-            *col = (((z >> 32) * n) >> 32) as u32;
-            *coin = (z & 0xFFFF_FFFF) as f64 * (1.0 / 4_294_967_296.0);
+    pub fn decode_many(&self, words: &[u64], cols: &mut [u32]) {
+        let n = self.rows.len();
+        for (&z, col) in words.iter().zip(&mut cols[..words.len()]) {
+            *col = Self::column_of(z, n) as u32;
         }
     }
 
-    /// Hints the cache hierarchy to pull column `col`'s urn row
-    /// (`prob[col]` and `alias[col]`) — issued `K` draws ahead of the
-    /// [`Self::resolve`] that will read it. Out-of-range columns are
-    /// ignored (see [`crate::prefetch`]).
+    /// Hints the cache hierarchy to pull column `col`'s urn row — issued
+    /// ahead of the [`Self::resolve`] that will read it. Out-of-range
+    /// columns are ignored (see [`crate::prefetch`]).
     #[inline(always)]
     pub fn prefetch_row(&self, col: usize) {
-        crate::prefetch::slice_element(self.prob, col);
-        crate::prefetch::slice_element(self.alias, col);
-    }
-
-    /// Draws one index in `O(1)` worst-case time, consuming a single
-    /// 64-bit word from `rng` (see [`Self::decode`]).
-    #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.decode(rng.next_u64())
+        crate::prefetch::slice_element(self.rows, col);
     }
 
     /// The pipelined batch kernel: fills `out` with `base + index` for
     /// independent weighted indices drawn from `block`'s word stream.
     ///
     /// This is the shared fast path behind [`AliasTable::sample_into`]
-    /// *and* the composite structures' per-piece draws (Lemma 2's chosen
-    /// range, Theorem 3's boundary pieces), which pass their element
-    /// offset as `base` instead of translating in a second pass. Each
-    /// [`crate::pipeline::TILE`]-draw tile runs the three-phase shape
+    /// *and* the composite structures' single-table queries (Theorem 3's
+    /// enumerated short range), which pass their element offset as
+    /// `base` instead of translating in a second pass. Each
+    /// [`crate::pipeline::TILE`]-draw tile runs the staged shape
     /// documented in [`crate::pipeline`]: bulk word fill (sequence
     /// order, so draws stay bit-identical to the sequential path),
-    /// vectorized [`Self::decode_many`], then the `K`-wide interleaved
-    /// gather with explicit row prefetch.
+    /// vectorized [`Self::decode_many`], then the row pass with its
+    /// prefetch running ahead.
     pub fn sample_block_into<R: RngCore + ?Sized>(
         &self,
         block: &mut BlockRng64<'_, R>,
@@ -242,21 +274,19 @@ impl<'a> AliasRows<'a> {
     ) {
         let mut words = [0u64; crate::pipeline::TILE];
         let mut cols = [0u32; crate::pipeline::TILE];
-        let mut coins = [0f64; crate::pipeline::TILE];
         // Redirect stats accumulate in a register and flush once per
-        // batch (see `crate::prof`), so the gather loop stays tight.
+        // batch (see `crate::prof`), so the row pass stays tight.
         let mut redirects = 0u64;
         for tile in out.chunks_mut(crate::pipeline::TILE) {
             let m = tile.len();
             block.fill_words(&mut words[..m]);
-            self.decode_many(&words[..m], &mut cols, &mut coins);
-            crate::pipeline::interleave(
+            self.decode_many(&words[..m], &mut cols);
+            crate::pipeline::pass(
                 m,
-                |i| cols[i],
-                |&col| self.prefetch_row(col as usize),
-                |i, col| {
-                    let idx = self.resolve(col as usize, coins[i]);
-                    redirects += u64::from(idx != col as usize);
+                |i| self.prefetch_row(cols[i] as usize),
+                |i| {
+                    let idx = self.resolve(cols[i] as usize, words[i] as u32);
+                    redirects += u64::from(idx != cols[i] as usize);
                     tile[i] = base + idx as u32;
                 },
             );
@@ -267,16 +297,15 @@ impl<'a> AliasRows<'a> {
 
 impl AliasTable {
     /// Builds the table from positive weights in `O(n)` time
-    /// ([`AliasRows::build`] into two fresh arrays).
+    /// ([`AliasRows::build`] into a fresh array).
     ///
     /// # Errors
     /// [`WeightError`] if `weights` is empty or contains a non-finite or
     /// non-positive entry, or if `n > u32::MAX` elements are supplied.
     pub fn new(weights: &[f64]) -> Result<Self, WeightError> {
-        let mut prob = vec![0.0; weights.len()];
-        let mut alias = vec![0; weights.len()];
-        let total = AliasRows::build(weights, &mut prob, &mut alias, &mut Vec::new())?;
-        Ok(AliasTable { prob, alias, total })
+        let mut rows = vec![0; weights.len()];
+        let total = AliasRows::build(weights, &mut rows, &mut BuildScratch::default())?;
+        Ok(AliasTable { rows, total })
     }
 
     /// Builds a table for `n` *equal* weights. The resulting table degrades
@@ -286,24 +315,24 @@ impl AliasTable {
         if n == 0 {
             return Err(WeightError::Empty);
         }
-        Ok(AliasTable { prob: vec![1.0; n], alias: (0..n as u32).collect(), total: n as f64 })
+        Ok(AliasTable { rows: (0..n as u32).map(keep_row).collect(), total: n as f64 })
     }
 
     /// The table's urn rows — the view every draw runs on.
     #[inline(always)]
     pub fn rows(&self) -> AliasRows<'_> {
-        AliasRows { prob: &self.prob, alias: &self.alias }
+        AliasRows { rows: &self.rows }
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.prob.len()
+        self.rows.len()
     }
 
     /// True if the table has no elements (never constructible; kept for
     /// API completeness).
     pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
+        self.rows.is_empty()
     }
 
     /// Total input weight `W`.
@@ -366,13 +395,20 @@ impl AliasTable {
 
     /// Exact probability with which [`Self::sample`] returns `i`, computed
     /// from the table itself (used by tests to confirm the urn conditions
-    /// of Section 3.1 hold *exactly*, not merely statistically).
+    /// of Section 3.1 hold — to the coin's 2⁻³² granularity, which the
+    /// packed thresholds carry — not merely statistically).
     pub fn realized_probability(&self, i: usize) -> f64 {
-        let n = self.prob.len() as f64;
-        let mut p = self.prob[i] / n;
-        for (col, &a) in self.alias.iter().enumerate() {
-            if a as usize == i && col != i {
-                p += (1.0 - self.prob[col]) / n;
+        let n = self.rows.len() as f64;
+        let mut p = 0.0;
+        for (col, &row) in self.rows.iter().enumerate() {
+            // Of the coin's 2³² values, `thr` keep the column; a
+            // `keep_row`'s alias is the column again.
+            let keep = (row >> 32) as f64 / COIN_SCALE;
+            if col == i {
+                p += keep / n;
+            }
+            if row as u32 as usize == i {
+                p += (1.0 - keep) / n;
             }
         }
         p
@@ -381,7 +417,7 @@ impl AliasTable {
 
 impl SpaceUsage for AliasTable {
     fn space_words(&self) -> usize {
-        vec_words(&self.prob) + vec_words(&self.alias)
+        vec_words(&self.rows)
     }
 }
 
@@ -426,13 +462,19 @@ mod tests {
     fn realized_probabilities_match_weights_exactly() {
         // Verifies urn condition (2): the weight of e is spread over the
         // urns containing e. The realized probability must equal w/W to
-        // floating point accuracy.
+        // the granularity of the packed thresholds: each column's is
+        // rounded up by less than 2⁻³², so an element's total is off by
+        // less than that.
         let weights = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         let total: f64 = weights.iter().sum();
         let t = AliasTable::new(&weights).unwrap();
         for (i, &w) in weights.iter().enumerate() {
             let p = t.realized_probability(i);
-            assert!((p - w / total).abs() < 1e-12, "element {i}: realized {p}, want {}", w / total);
+            assert!(
+                (p - w / total).abs() < 2.4e-10,
+                "element {i}: realized {p}, want {}",
+                w / total
+            );
         }
     }
 
@@ -473,8 +515,8 @@ mod tests {
     #[test]
     fn space_is_linear() {
         let t = AliasTable::uniform(1000).unwrap();
-        // 1000 f64 + 1000 u32 = 1000 + 500 words.
-        assert_eq!(t.space_words(), 1500);
+        // 1000 packed rows of 8 bytes.
+        assert_eq!(t.space_words(), 1000);
     }
 
     #[test]
@@ -532,18 +574,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let words: Vec<u64> = (0..300).map(|_| rand::RngCore::next_u64(&mut rng)).collect();
         let mut cols = vec![0u32; 300];
-        let mut coins = vec![0f64; 300];
-        t.rows().decode_many(&words, &mut cols, &mut coins);
+        t.rows().decode_many(&words, &mut cols);
         for (i, &z) in words.iter().enumerate() {
             let (col, coin) = t.rows().split_word(z);
             assert_eq!(cols[i] as usize, col);
-            assert_eq!(coins[i], coin);
+            assert_eq!(coin, z as u32);
         }
     }
 
     /// The classical construction as the paper's reader would write
-    /// it, one fresh `Vec` per array and per worklist: the reference
-    /// [`AliasRows::build`] must reproduce entry for entry.
+    /// it, in `f64` with one fresh `Vec` per array and per worklist: the
+    /// reference [`AliasRows::build`] must reproduce entry for entry.
     fn two_list_vose(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
         let n = weights.len();
         let scale = n as f64 / validate_weights(weights).unwrap();
@@ -569,9 +610,61 @@ mod tests {
         (prob, alias)
     }
 
+    /// The decision the `f64` table makes for `coin` on column `col`.
+    fn reference_decision(prob: &[f64], alias: &[u32], col: usize, coin: u32) -> usize {
+        if f64::from(coin) / 4_294_967_296.0 < prob[col] {
+            col
+        } else {
+            alias[col] as usize
+        }
+    }
+
+    /// Every row of `table` decides as the reference table does, at the
+    /// coins around its threshold and at both ends of the coin's range.
+    fn assert_rows_decide_as_reference(weights: &[f64]) {
+        let (prob, alias) = two_list_vose(weights);
+        let table = AliasTable::new(weights).unwrap();
+        for (col, &row) in table.rows.iter().enumerate() {
+            let thr = (row >> 32) as u32;
+            for coin in [0, thr.wrapping_sub(1), thr, thr.wrapping_add(1), u32::MAX] {
+                assert_eq!(
+                    table.rows().resolve(col, coin),
+                    reference_decision(&prob, &alias, col, coin),
+                    "column {col} (prob {}, row {row:#x}), coin {coin}",
+                    prob[col],
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_rows_decide_as_the_f64_table_on_hard_families() {
+        // 2^±60 ladders, one heavy element among n light ones, all equal.
+        let ladder: Vec<f64> = (-60..=60).map(|e| 2f64.powi(e)).collect();
+        assert_rows_decide_as_reference(&ladder);
+        assert_rows_decide_as_reference(&ladder.iter().rev().copied().collect::<Vec<_>>());
+        for n in [2usize, 3, 64, 1000] {
+            let mut heavy = vec![1.0; n];
+            heavy[n / 2] = 2f64.powi(60);
+            assert_rows_decide_as_reference(&heavy);
+            assert_rows_decide_as_reference(&vec![0.37; n]);
+        }
+        // Probabilities within 2⁻³² of 0 and of 1: with two columns,
+        // p₀ = 2w₀/(w₀ + w₁).
+        for e in [-30, -31, -32, -33, -34, -40, -52] {
+            let eps = 2f64.powi(e);
+            assert_rows_decide_as_reference(&[eps, 2.0 - eps]);
+            assert_rows_decide_as_reference(&[1.0 - eps, 1.0 + eps]);
+        }
+        // A threshold of 2³² is stored as the column itself.
+        let t = AliasTable::new(&[1.0 - 2f64.powi(-40), 1.0 + 2f64.powi(-40)]).unwrap();
+        assert_eq!(t.rows[0], keep_row(0));
+    }
+
     proptest::proptest! {
-        /// Into a table's own arrays or into the middle of a shared
-        /// pair, with a worklist of any previous size: the same rows.
+        /// Into a table's own array or into the middle of a shared
+        /// one, with scratch of any previous size: the rows of the
+        /// two-list construction, packed.
         #[test]
         fn build_into_slices_is_the_two_list_construction(
             exps in proptest::collection::vec(0u32..121, 1..80),
@@ -581,22 +674,32 @@ mod tests {
             let weights: Vec<f64> =
                 exps.iter().zip(&frac).map(|(&e, &f)| f * 2f64.powi(e as i32 - 60)).collect();
             let (prob, alias) = two_list_vose(&weights);
-            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let packed: Vec<u64> =
+                (0..weights.len()).map(|i| pack_row(prob[i], alias[i], i as u32)).collect();
             let table = AliasTable::new(&weights).unwrap();
-            proptest::prop_assert_eq!(bits(&table.prob), bits(&prob));
-            proptest::prop_assert_eq!(&table.alias, &alias);
+            proptest::prop_assert_eq!(&table.rows, &packed);
             let n = weights.len();
-            let (mut p, mut a) = (vec![7.0; n + 9], vec![7u32; n + 9]);
-            let mut work = vec![9; offset * 13];
-            let rows = offset..offset + n;
-            let total =
-                AliasRows::build(&weights, &mut p[rows.clone()], &mut a[rows.clone()], &mut work);
+            let mut rows = vec![7u64; n + 9];
+            let mut scratch = BuildScratch::default();
+            AliasRows::build(&vec![1.0; offset * 13], &mut vec![0; offset * 13], &mut scratch).ok();
+            let at = offset..offset + n;
+            let total = AliasRows::build(&weights, &mut rows[at.clone()], &mut scratch);
             proptest::prop_assert_eq!(total.unwrap().to_bits(), table.total.to_bits());
-            proptest::prop_assert_eq!(bits(&p[rows.clone()]), bits(&prob));
-            proptest::prop_assert_eq!(&a[rows.clone()], &alias[..]);
+            proptest::prop_assert_eq!(&rows[at.clone()], &packed[..]);
             // Nothing outside the table's rows was written.
-            proptest::prop_assert!(p[..offset].iter().chain(&p[rows.end..]).all(|&x| x == 7.0));
-            proptest::prop_assert!(a[..offset].iter().chain(&a[rows.end..]).all(|&x| x == 7));
+            proptest::prop_assert!(rows[..offset].iter().chain(&rows[at.end..]).all(|&x| x == 7));
+        }
+
+        /// The packed-row oracle: over arbitrary weights up to 2^±60
+        /// apart, every row's integer compare is the `f64` compare.
+        #[test]
+        fn packed_rows_decide_as_the_f64_table(
+            exps in proptest::collection::vec(0u32..121, 1..80),
+            frac in proptest::collection::vec(1.0f64..2.0, 80),
+        ) {
+            let weights: Vec<f64> =
+                exps.iter().zip(&frac).map(|(&e, &f)| f * 2f64.powi(e as i32 - 60)).collect();
+            assert_rows_decide_as_reference(&weights);
         }
     }
 

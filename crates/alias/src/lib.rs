@@ -6,11 +6,12 @@
 //! * [`AliasTable`] — Walker's alias structure (Theorem 1): `O(n)` space,
 //!   `O(n)` construction, and `O(1)` worst-case time per weighted sample.
 //!   Each draw decodes a *single* 64-bit word ([`AliasTable::decode`]).
-//! * [`AliasRows`] — a table's two arrays, borrowed: the one construction
-//!   routine ([`AliasRows::build`], into caller-provided slices) and the
-//!   one set of draw primitives. `AliasTable` owns a pair of arrays and
-//!   lends them as this view; Lemma 2 and Theorem 3 keep all their tables
-//!   in one pair of arrays and cut a view per table.
+//! * [`AliasRows`] — a table's rows, borrowed, 8 bytes each
+//!   (`thr: u32 | alias: u32`): the one construction routine
+//!   ([`AliasRows::build`], into a caller-provided slice) and the one set
+//!   of draw primitives. `AliasTable` owns an array and lends it as this
+//!   view; Lemma 2 and Theorem 3 build all their tables into one array
+//!   and address a row by position with the same primitives.
 //! * [`BlockRng64`] — a buffered block RNG that refills 64 words from the
 //!   caller's generator in one `fill_bytes` pass, powering the batched
 //!   `sample_into` fast paths across the workspace.
@@ -52,7 +53,7 @@ pub mod space;
 pub mod split;
 pub mod wor;
 
-pub use alias::{AliasRows, AliasTable};
+pub use alias::{AliasRows, AliasTable, BuildScratch};
 pub use batch::BlockRng64;
 pub use cdf::CdfSampler;
 pub use dynamic::DynamicAlias;

@@ -4,95 +4,81 @@
 //! dominant per-sample cost is a *dependent random load* (an alias row,
 //! a tree node) whose address comes out of the just-decoded RNG word,
 //! and the sequential and batched loops both serialize on it — one
-//! outstanding miss at a time. This module restructures every
-//! fixed-words-per-draw batch loop in the workspace into the same
-//! three-phase shape so that `K` independent draws keep their loads in
-//! flight simultaneously:
+//! outstanding miss at a time. Every fixed-words-per-draw batch loop in
+//! the workspace therefore runs a tile of draws as **staged passes over
+//! tile arrays**, each pass one simple loop over all the tile's draws:
 //!
 //! 1. **Pre-generate** — the batch's RNG words are pulled from
 //!    [`crate::BlockRng64`] in sequence order into a tile buffer
 //!    ([`BlockRng64::fill_words`](crate::BlockRng64::fill_words)), and
 //!    word `wpd·i + j` is assigned to draw `i`'s `j`-th random decision
 //!    — exactly the assignment the sequential path makes. Execution
-//!    order below is therefore free to interleave draws while the drawn
-//!    *sequence* stays bit-identical, which is what lets the existing
+//!    order below is therefore free to run draws side by side while the
+//!    drawn *sequence* stays bit-identical, which is what lets the
 //!    exact-replay proptests and `testkit::oracle::batch_replays_sequential`
-//!    act as the regression oracle for this whole rewrite.
+//!    act as the regression oracle for every rewrite of these loops.
 //! 2. **Decode** — cheap arithmetic only (widening-multiply column
-//!    selection, coin extraction; see `AliasTable::decode_many`),
-//!    touching no sampler memory, so it vectorizes.
-//! 3. **Gather** — a `K`-wide rotating window ([`interleave`]): while
-//!    draw `i`'s dependent load completes, the explicit prefetch for
-//!    draw `i + K`'s row is already in the memory system.
+//!    selection; see `AliasRows::decode_many`) plus reads of query-local,
+//!    cache-hot side tables, writing each draw's row position into a
+//!    tile array.
+//! 3. **Row pass** — [`pass`]: one load, one integer compare and one
+//!    branch-free select per draw (`AliasRows::select`), with the
+//!    explicit prefetch for draw `i + WINDOW`'s row issued before draw
+//!    `i`'s row is read.
+//!
+//! A composite draw with several dependent rows (Theorem 3: a
+//! `T_chunk` node row, then a chunk row) repeats stages 2–3 once per
+//! row. The per-stage cost table and the sweep that fixed [`WINDOW`]
+//! are in EXPERIMENTS.md ("Theorem-3 kernel phases").
 //!
 //! Kernels that consume a *variable* number of words per draw (tree
 //! descents, whose depth is data-dependent) cannot pre-assign words to
 //! draws without running the draw — for those, only bounded lookahead
-//! tricks are available (see `TreeSampler::sample_leaves_into` and the
-//! E20 analysis in EXPERIMENTS.md).
+//! tricks are available (see `TreeSampler::sample_leaves_into`).
 
-/// Window width `K`: how many draws are kept in flight. Tuned on the
-/// E20 K-sweep (see EXPERIMENTS.md): 4 leaves latency on the table, 16
-/// adds register pressure and evicts its own prefetches on small
-/// tables; 8 is the plateau. Matches typical L1 miss-level parallelism
-/// (10–12 fill buffers) with headroom for the demand loads.
-pub const WINDOW: usize = 8;
+/// Prefetch distance: a row pass asks for draw `i + WINDOW`'s row
+/// before it reads draw `i`'s. Tuned on the ledger host (2^20-element
+/// Theorem-3 index, `s = 4096`; EXPERIMENTS.md "Theorem-3 kernel
+/// phases"): the rows sit in L3, not DRAM, and the out-of-order core
+/// overlaps most of a pass's loads by itself, so the plateau is wide —
+/// 8 to 48 read the same while the host's memory is fast, 4 is slower,
+/// and 16 is ahead of 8 by up to a sixth while it is slow.
+pub const WINDOW: usize = 16;
 
-/// Draws per tile: word tiles live on the stack (a few KiB) and stay
-/// L1-resident through decode + gather. 256 draws keeps the largest
-/// tile (3 words/draw in the Theorem-3 middle kernel) at 6 KiB while
-/// making the per-tile window refill (see [`interleave`]'s stall
-/// accounting) a ≤3% effect.
+/// Draws per tile: tile arrays live on the stack (a few KiB) and stay
+/// L1-resident through every pass. 256 draws keeps the largest tile
+/// (3 words/draw in the Theorem-3 kernel) at 6 KiB while making the
+/// per-pass ramp (see [`pass`]'s stall accounting) a ≤ 7% effect.
 pub const TILE: usize = 256;
 
-/// Runs one tile of `n` draws through the `K`-wide rotating window.
+/// One row pass over a tile of `n` draws: `finish(i)` for `i` in
+/// `0..n`, in order, each preceded by `prefetch(i + WINDOW)`.
 ///
-/// * `decode(i)` — stage-2 arithmetic for draw `i`: reads pre-generated
-///   words and cheap (cache-hot) side tables only, returns the draw's
-///   gather descriptor (column, coin, table id…).
-/// * `prefetch(&d)` — issues the explicit prefetch(es) for the
-///   descriptor's dependent row.
-/// * `finish(i, d)` — performs the dependent load(s) and writes the
-///   sample; runs `K` draws behind `decode`/`prefetch`.
+/// * `prefetch(i)` — issues the explicit prefetch for draw `i`'s row,
+///   whose position an earlier pass left in a tile array.
+/// * `finish(i)` — loads the row and writes the draw's result.
 ///
-/// Draw `i`'s descriptor is decoded and prefetched when draw `i - K`
-/// finishes, so every finish executes with its row prefetched `K` draws
-/// earlier. The first `min(n, K)` draws enter before the window is full
-/// (their prefetch distance ramps from 0 to `K`); they are what the
+/// The first `min(n, WINDOW)` rows are asked for up front, so their
+/// prefetch distance ramps from 0 to `WINDOW`; they are what the
 /// `window_stalls` profiling counter counts (see [`crate::prof`]).
-/// Flushes `n` prefetches and `min(n, K)` stalls to the thread-local
-/// profile in one add.
-#[inline]
-pub fn interleave<T, D, P, F>(n: usize, mut decode: D, prefetch: P, mut finish: F)
+/// Flushes `n` prefetches and `min(n, WINDOW)` stalls to the
+/// thread-local profile in one add.
+#[inline(always)]
+pub fn pass<P, F>(n: usize, prefetch: P, mut finish: F)
 where
-    T: Copy + Default,
-    D: FnMut(usize) -> T,
-    P: Fn(&T),
-    F: FnMut(usize, T),
+    P: Fn(usize),
+    F: FnMut(usize),
 {
-    if n == 0 {
-        return;
-    }
     let k = WINDOW.min(n);
-    let mut ring = [T::default(); WINDOW];
-    // Prologue: fill the window.
-    for (i, slot) in ring.iter_mut().enumerate().take(k) {
-        let d = decode(i);
-        prefetch(&d);
-        *slot = d;
+    for i in 0..k {
+        prefetch(i);
     }
-    // Steady state: decode + prefetch draw i + K, finish draw i. Draw
-    // i's descriptor is read out *before* draw i + K refills the slot
-    // (with k = WINDOW they share `i % WINDOW`).
-    for i in 0..n {
-        let cur = ring[i % WINDOW];
-        let j = i + k;
-        if j < n {
-            let d = decode(j);
-            prefetch(&d);
-            ring[j % WINDOW] = d;
-        }
-        finish(i, cur);
+    for i in 0..n - k {
+        prefetch(i + k);
+        finish(i);
+    }
+    for i in n - k..n {
+        finish(i);
     }
     crate::prof::add_pipeline(n as u64, k as u64);
 }
@@ -100,58 +86,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
-    fn interleave_visits_every_draw_once_in_order() {
-        let inputs: Vec<u32> = (0..100).collect();
-        let mut decoded = Vec::new();
+    fn pass_finishes_every_draw_once_in_order() {
+        let prefetched = RefCell::new(Vec::new());
         let mut finished = Vec::new();
-        let mut out = vec![0u32; 100];
-        interleave(
-            100,
-            |i| {
-                decoded.push(i);
-                inputs[i] * 3
-            },
-            |_d| {},
-            |i, d| {
-                finished.push(i);
-                out[i] = d;
-            },
-        );
-        // Every draw decoded exactly once, finished exactly once, in order.
+        pass(100, |i| prefetched.borrow_mut().push(i), |i| finished.push(i));
         assert_eq!(finished, (0..100).collect::<Vec<_>>());
-        let mut sorted = decoded.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(prefetched.into_inner(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn decode_runs_window_ahead_of_finish() {
-        // When draw i finishes, draws up to i + K must already be decoded.
-        use std::cell::Cell;
-        let max_decoded = Cell::new(0usize);
-        let ok = Cell::new(true);
-        interleave::<usize, _, _, _>(
-            64,
-            |i| {
-                max_decoded.set(max_decoded.get().max(i));
-                i
-            },
-            |_| {},
-            |i, _| {
-                ok.set(ok.get() && max_decoded.get() >= (i + WINDOW).min(63));
-            },
-        );
-        assert!(ok.get(), "finish(i) ran before decode(i + K)");
+    fn prefetch_runs_window_ahead_of_finish() {
+        // When draw i finishes, rows up to i + WINDOW must have been
+        // asked for.
+        let asked = RefCell::new(0usize);
+        let mut ok = true;
+        pass(64, |i| *asked.borrow_mut() = i, |i| ok &= *asked.borrow() >= (i + WINDOW).min(63));
+        assert!(ok, "finish(i) ran before prefetch(i + WINDOW)");
     }
 
     #[test]
     fn short_batches_degrade_gracefully() {
         for n in [0usize, 1, 2, WINDOW - 1, WINDOW, WINDOW + 1] {
             let mut out = vec![u32::MAX; n];
-            interleave(n, |i| i as u32, |_| {}, |i, d| out[i] = d);
+            pass(n, |_| {}, |i| out[i] = i as u32);
             assert_eq!(out, (0..n as u32).collect::<Vec<_>>(), "n = {n}");
         }
     }
@@ -159,12 +119,12 @@ mod tests {
     #[test]
     fn pipeline_counters_flush_once_per_tile() {
         let before = crate::prof::read();
-        interleave::<u32, _, _, _>(100, |i| i as u32, |_| {}, |_, _| {});
+        pass(100, |_| {}, |_| {});
         let delta = crate::prof::read().minus(&before);
         assert_eq!(delta.prefetches, 100);
         assert_eq!(delta.window_stalls, WINDOW as u64);
         let before = crate::prof::read();
-        interleave::<u32, _, _, _>(3, |i| i as u32, |_| {}, |_, _| {});
+        pass(3, |_| {}, |_| {});
         let delta = crate::prof::read().minus(&before);
         assert_eq!(delta.prefetches, 3);
         assert_eq!(delta.window_stalls, 3, "short batch: whole batch is ramp");

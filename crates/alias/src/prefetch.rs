@@ -1,13 +1,13 @@
 //! Explicit cache-prefetch shim — the **only** module in the workspace
 //! allowed to contain `unsafe` or `core::arch` (CI greps for both).
 //!
-//! The batched sampling kernels are memory-bound: the dominant per-draw
+//! The batched sampling kernels are latency-bound: the dominant per-draw
 //! cost is a *dependent random load* into an alias row or tree node
 //! (EXPERIMENTS.md E16). Software pipelining hides that latency by
-//! issuing the load for draw `i + K` while the arithmetic for draw `i`
-//! completes — but the issue has to be explicit, because the address is
-//! data-dependent (it comes out of a decoded RNG word) and the hardware
-//! prefetchers cannot predict it.
+//! asking for draw `i + K`'s row while draw `i`'s is read — but the
+//! request has to be explicit, because the address is data-dependent (it
+//! comes out of a decoded RNG word) and the hardware prefetchers cannot
+//! predict it.
 //!
 //! [`read`] lowers to `prefetcht0` on x86-64 and to nothing elsewhere.
 //! A prefetch is a *hint*: it never faults, never changes architectural

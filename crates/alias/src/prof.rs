@@ -30,11 +30,10 @@ pub struct Cost {
     /// Block-refill events (each one `fill_bytes` pass on the source).
     pub rng_refills: u64,
     /// Explicit prefetches issued by the software-pipelined batch
-    /// kernels (one per draw entering the rotating window; see
-    /// [`crate::pipeline::interleave`]).
+    /// kernels (one per row a pass reads; see [`crate::pipeline::pass`]).
     pub prefetches: u64,
-    /// Draws that entered the pipeline before its window was full — the
-    /// per-tile ramp during which prefetch distance is still building
+    /// Rows asked for less than a full window ahead of their read — the
+    /// per-pass ramp during which prefetch distance is still building
     /// (plus entire batches shorter than the window). High
     /// stall-to-prefetch ratios mean batches too small to pipeline.
     pub window_stalls: u64,
@@ -116,10 +115,10 @@ pub fn sub_rng_words(words: u64) {
     }
 }
 
-/// Accounts one tile through the pipelined batch kernel: `prefetches`
-/// draws entered the rotating window (one explicit prefetch each) and
-/// `stalls` of them did so before the window was full. Flushed once per
-/// tile by [`crate::pipeline::interleave`].
+/// Accounts one row pass of the pipelined batch kernel: `prefetches`
+/// rows were asked for (one explicit prefetch each) and `stalls` of
+/// them less than a full window ahead. Flushed once per pass by
+/// [`crate::pipeline::pass`].
 #[inline]
 pub fn add_pipeline(prefetches: u64, stalls: u64) {
     bump(&PREFETCHES, prefetches);

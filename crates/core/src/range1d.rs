@@ -17,12 +17,13 @@
 //! satellite data index it by rank.
 
 use iqs_alias::space::{vec_words, SpaceUsage};
-use iqs_alias::{AliasRows, AliasTable, BlockRng64};
+use iqs_alias::{pipeline, prefetch, AliasRows, AliasTable, BlockRng64, BuildScratch};
 use iqs_tree::{Fenwick, RankBst};
 use rand::{Rng, RngCore};
+use std::ops::Range;
 
 use crate::error::QueryError;
-use crate::rank_alias::RankAliasAugmented;
+use crate::rank_alias::{PreparedRange, RankAliasAugmented};
 
 /// Validates and sorts `(key, weight)` input; returns keys and weights in
 /// key order. Input already in key order — what an ordered map's walk
@@ -122,6 +123,15 @@ pub trait RangeSampler {
     /// into the caller-provided slice — the allocation-free batched fast
     /// path (see the trait-level *Dual sampling API* notes). Ranks fit in
     /// `u32` because construction caps `n` at `u32::MAX`.
+    ///
+    /// # Order
+    /// The reply of one index is an i.i.d. *sequence*: position `i` is a
+    /// weighted draw independent of every other position, so any prefix
+    /// (or any subset of positions chosen without looking at the values)
+    /// is itself a sample. That stops at the index: a reply assembled
+    /// from several indexes — the router's, the tiered index's — is the
+    /// legs' replies end to end and only a *multiset* (see
+    /// `iqs_serve::Response::Samples`).
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when `[x, y]` contains no elements; in
@@ -442,21 +452,26 @@ impl RangeSampler for AliasAugmentedRange {
 /// * a Lemma-2 structure `T_chunk` over the *chunks* supports
 ///   chunk-aligned weighted range sampling in `O(log n + s)` — its
 ///   `O(g log g) = O(n)` space is what makes the whole structure linear;
-/// * a Fenwick tree gives `w(S₂)` of the middle run in `O(log n)`;
+/// * a Fenwick tree gives the weight of a run of chunks in `O(log n)`;
 /// * each chunk has its own alias table for intra-chunk sampling.
 ///
-/// A query splits `[x, y]` into the partial boundary pieces `q₁, q₃`
-/// (read whole, `O(log n)`) and the chunk-aligned middle `q₂` (Figure 2),
-/// splits `s` multinomially among the three, and recurses — `O(log n + s)`
-/// total with `O(n)` space.
+/// A query splits `[x, y]` into the boundary elements that lie outside
+/// whole chunks (fewer than `c` at either end, read one by one,
+/// `O(log n)`) and the chunk-aligned middle (Figure 2). **One** on-the-fly
+/// chooser of `O(log n)` columns — the boundary elements themselves and
+/// the middle's canonical `T_chunk` nodes — splits the draws, so every
+/// draw owns three consecutive words: chooser, `T_chunk` node row, chunk
+/// row, a draw that lands on a boundary element leaving the last two
+/// unused. `O(log n + s)` total with `O(n)` space, and the reply's
+/// positions are i.i.d. in sequence order.
 ///
-/// The chunk tables are not `g` allocations but two arrays of length `n`
-/// beside the weights: chunk `k`'s table is rows
-/// `[k·c, min((k+1)·c, n))` of `prob`/`alias`, its entries positions
-/// within the chunk. A middle draw therefore goes from its chunk pick
-/// straight to a row — the chunk's length is arithmetic, not a load —
-/// and one element's weight lives in one chunk's `c` rows plus
-/// `totals[k]`, which is what [`Self::reweighted`] rebuilds.
+/// The chunk tables are not `g` allocations but one array of `n` 8-byte
+/// rows beside the weights: chunk `k`'s table is rows
+/// `[k·c, min((k+1)·c, n))`, its alias entries positions within the
+/// chunk. A middle draw therefore goes from its chunk pick straight to a
+/// row — the chunk's length is arithmetic, not a load — and one
+/// element's weight lives in one chunk's `c` rows plus `totals[k]`,
+/// which is what [`Self::reweighted`] rebuilds.
 ///
 /// # Example
 /// ```
@@ -479,27 +494,60 @@ pub struct ChunkedRange {
     /// Chunk length `c`.
     chunk: usize,
     /// Every chunk's alias table, back to back in rank order.
-    prob: Vec<f64>,
-    alias: Vec<u32>,
+    rows: Vec<u64>,
     /// `w(chunk k)`: the weights `T_chunk` and the Fenwick tree are over.
     totals: Vec<f64>,
     tchunk: RankAliasAugmented,
     fenwick: Fenwick,
 }
 
-/// Builds chunk `k`'s alias table into its rows of `prob`/`alias`;
-/// returns the chunk's total weight.
+/// Builds chunk `k`'s alias table into its rows; returns the chunk's
+/// total weight.
 fn build_chunk(
     k: usize,
     chunk: usize,
     weights: &[f64],
-    prob: &mut [f64],
-    alias: &mut [u32],
-    work: &mut Vec<u32>,
+    rows: &mut [u64],
+    scratch: &mut BuildScratch,
 ) -> f64 {
-    let rows = k * chunk..((k + 1) * chunk).min(weights.len());
-    AliasRows::build(&weights[rows.clone()], &mut prob[rows.clone()], &mut alias[rows], work)
-        .expect("validated weights")
+    let at = k * chunk..((k + 1) * chunk).min(weights.len());
+    AliasRows::build(&weights[at.clone()], &mut rows[at], scratch).expect("validated weights")
+}
+
+/// How one query draws (see [`ChunkedRange::plan`]).
+enum Plan<'a> {
+    /// At most two chunks hold the range: its elements, enumerated into
+    /// one table over ranks `base..`; one word per draw.
+    Short { table: AliasTable, base: usize },
+    /// Three words per draw through the one chooser.
+    Pieces(Pieces<'a>),
+}
+
+/// The one chooser of a query that spans whole chunks: its extra columns
+/// are the boundary elements — the ranks of `left`, then those of
+/// `right` — and the rest the middle's canonical `T_chunk` nodes.
+struct Pieces<'a> {
+    ctx: PreparedRange<'a>,
+    left: Range<usize>,
+    right: Range<usize>,
+}
+
+impl Pieces<'_> {
+    /// The rank a draw returns: the boundary element its chooser column
+    /// `piece` stands for, or `middle`, the rank it drew through
+    /// `T_chunk`. Arithmetic on values already in hand, so it compiles
+    /// to selects.
+    #[inline(always)]
+    fn rank(&self, piece: usize, middle: u32) -> u32 {
+        let (left, right) = (&self.left, &self.right);
+        if piece < left.len() {
+            (left.start + piece) as u32
+        } else if piece - left.len() < right.len() {
+            (right.start + piece - left.len()) as u32
+        } else {
+            middle
+        }
+    }
 }
 
 impl ChunkedRange {
@@ -526,13 +574,13 @@ impl ChunkedRange {
         }
         let (keys, weights) = prepare(pairs)?;
         let n = keys.len();
-        let (mut prob, mut alias, mut work) = (vec![0.0; n], vec![0; n], Vec::new());
+        let (mut rows, mut scratch) = (vec![0; n], BuildScratch::default());
         let totals: Vec<f64> = (0..n.div_ceil(chunk))
-            .map(|k| build_chunk(k, chunk, &weights, &mut prob, &mut alias, &mut work))
+            .map(|k| build_chunk(k, chunk, &weights, &mut rows, &mut scratch))
             .collect();
         let tchunk = RankAliasAugmented::new(&totals);
         let fenwick = Fenwick::from_values(&totals);
-        Ok(ChunkedRange { keys, weights, chunk, prob, alias, totals, tchunk, fenwick })
+        Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick })
     }
 
     /// The structure over the same keys with the weight at each listed
@@ -561,14 +609,13 @@ impl ChunkedRange {
         if changes.iter().any(|&(rank, w)| rank >= self.len() || !w.is_finite() || w <= 0.0) {
             return Err(QueryError::EmptyRange);
         }
-        let (mut keys, mut weights, mut prob, mut alias, mut totals, old_tchunk) = recycle
+        let (mut keys, mut weights, mut rows, mut totals, old_tchunk) = recycle
             .map_or_else(Default::default, |old| {
-                (old.keys, old.weights, old.prob, old.alias, old.totals, Some(old.tchunk))
+                (old.keys, old.weights, old.rows, old.totals, Some(old.tchunk))
             });
         keys.clone_from(&self.keys);
         weights.clone_from(&self.weights);
-        prob.clone_from(&self.prob);
-        alias.clone_from(&self.alias);
+        rows.clone_from(&self.rows);
         totals.clone_from(&self.totals);
         let chunk = self.chunk;
         let mut touched: Vec<usize> = changes
@@ -580,13 +627,13 @@ impl ChunkedRange {
             .collect();
         touched.sort_unstable();
         touched.dedup();
-        let mut work = Vec::new();
+        let mut scratch = BuildScratch::default();
         for &k in &touched {
-            totals[k] = build_chunk(k, chunk, &weights, &mut prob, &mut alias, &mut work);
+            totals[k] = build_chunk(k, chunk, &weights, &mut rows, &mut scratch);
         }
         let tchunk = self.tchunk.reweighted(&totals, &touched, old_tchunk);
         let fenwick = Fenwick::from_values(&totals);
-        Ok(ChunkedRange { keys, weights, chunk, prob, alias, totals, tchunk, fenwick })
+        Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick })
     }
 
     /// The chunk length `c = ⌈log₂ n⌉`.
@@ -594,32 +641,57 @@ impl ChunkedRange {
         self.chunk
     }
 
-    /// Chunk `k`'s alias table.
-    #[inline(always)]
-    fn chunk_rows(&self, k: usize) -> AliasRows<'_> {
-        let rows = k * self.chunk..((k + 1) * self.chunk).min(self.prob.len());
-        AliasRows::new(&self.prob[rows.clone()], &self.alias[rows])
+    /// Decides how a query over `[x, y]` draws — the `O(log n)` part of
+    /// the query, shared by both doors so that they cannot drift apart.
+    fn plan(&self, x: f64, y: f64) -> Result<Plan<'_>, QueryError> {
+        let (ra, rb) = self.rank_range(x, y);
+        if ra >= rb {
+            return Err(QueryError::EmptyRange);
+        }
+        let c = self.chunk;
+        if (rb - 1) / c - ra / c < 2 {
+            // No whole chunk is guaranteed inside: enumerate the range
+            // (≤ 2c = O(log n) elements) and sample directly.
+            let table = AliasTable::new(&self.weights[ra..rb]).expect("positive weights");
+            return Ok(Plan::Short { table, base: ra });
+        }
+        // Figure 2: the chunks wholly inside `[ra, rb)` — at least one,
+        // the range touching three — and what sticks out at either end.
+        // An end that is chunk-aligned sticks out nothing.
+        let first = ra.div_ceil(c);
+        let end = if rb == self.len() { self.totals.len() } else { rb / c };
+        let (left, right) = (ra..first * c, (end * c).min(rb)..rb);
+        let boundary = self.weights[left.clone()].iter().chain(&self.weights[right.clone()]);
+        let ctx = self
+            .tchunk
+            .prepare_with(first, end, boundary.copied())
+            .expect("a whole chunk lies inside the range");
+        Ok(Plan::Pieces(Pieces { ctx, left, right }))
     }
 
-    /// Draws one rank from chunk `k` via its alias table.
-    #[inline]
-    fn sample_chunk(&self, k: usize, rng: &mut dyn RngCore) -> usize {
-        k * self.chunk + self.chunk_rows(k).sample(rng)
+    /// The row of chunk `slot` that word `z` chooses, as a position in
+    /// `rows` — also the rank the draw returns if the row's coin keeps
+    /// its column — and the chunk's first rank, which the row's alias
+    /// entry is relative to.
+    #[inline(always)]
+    fn chunk_row(&self, slot: usize, z: u64) -> (u32, u32) {
+        let at = slot * self.chunk;
+        let len = self.chunk.min(self.rows.len() - at);
+        ((at + AliasRows::column_of(z, len)) as u32, at as u32)
     }
 
     /// Monomorphizing batch query: fills `out` with independent weighted
     /// samples from `[x, y]`, drawing randomness in blocks and resolving
-    /// the chunk-aligned middle *in place*, so the whole query performs
-    /// no sample-sized allocation. See the [`RangeSampler`] *Dual
-    /// sampling API* notes.
+    /// every draw *in place*, so the whole query performs no sample-sized
+    /// allocation. See the [`RangeSampler`] *Dual sampling API* notes.
     ///
-    /// Every phase runs the pipelined three-phase shape of
-    /// `iqs_alias::pipeline` — bulk word fill in sequence order,
-    /// vectorized decode, `K`-wide interleaved gather with explicit
-    /// prefetch — and every word keeps the sequential path's
-    /// word-to-decision assignment, so the samples stay bit-identical to
-    /// [`Self::sample_wr`] (`RangeSampler::sample_wr`) under a
-    /// word-replaying generator.
+    /// Each tile of draws runs as the staged passes of
+    /// `iqs_alias::pipeline` — bulk word fill in sequence order, chooser
+    /// decode, `T_chunk` node rows, chunk decode, chunk rows, each row
+    /// pass behind its prefetch — and every word keeps the sequential
+    /// path's word-to-decision assignment, so the samples stay
+    /// bit-identical to [`Self::sample_wr`] (`RangeSampler::sample_wr`)
+    /// under a word-replaying generator.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when the interval holds no elements.
@@ -630,110 +702,36 @@ impl ChunkedRange {
         rng: &mut R,
         out: &mut [u32],
     ) -> Result<(), QueryError> {
-        const TILE: usize = iqs_alias::pipeline::TILE;
-        let s = out.len();
-        let (ra, rb) = self.rank_range(x, y);
-        if ra >= rb {
-            return Err(QueryError::EmptyRange);
-        }
-        let ca = ra / self.chunk;
-        let cl = (rb - 1) / self.chunk;
-        // One split coin per sample plus up to three words per middle
-        // draw (chooser, canonical node, intra-chunk resolution).
-        let mut block = BlockRng64::with_budget(rng, s.saturating_mul(4));
-
-        if ca == cl {
-            let table = AliasTable::new(&self.weights[ra..rb]).expect("positive weights");
-            table.sample_block_into(&mut block, ra as u32, out);
-            return Ok(());
-        }
-
-        // Figure 2's three-way decomposition, identical to the sequential
-        // path (see `sample_wr`) but writing into disjoint sub-slices.
-        let b1 = (ca + 1) * self.chunk;
-        let b3 = cl * self.chunk;
-        let w1: f64 = self.weights[ra..b1].iter().sum();
-        let w2 = self.fenwick.range_sum(ca + 1, cl);
-        let w3: f64 = self.weights[b3..rb].iter().sum();
-
-        // Split phase: the batch's first `s` words are its split coins
-        // (same words, same order, same `u01` arithmetic as the
-        // sequential path), pulled in bulk and classified with no table
-        // accesses at all.
-        let total = w1 + w2 + w3;
-        let (mut s1, mut s3) = (0usize, 0usize);
-        {
-            let mut coins = [0u64; TILE];
-            let mut left = s;
-            while left > 0 {
-                let m = left.min(TILE);
-                block.fill_words(&mut coins[..m]);
-                for &w in &coins[..m] {
-                    let t = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * total;
-                    if t < w1 {
-                        s1 += 1;
-                    } else if t >= w1 + w2 {
-                        s3 += 1;
-                    }
-                }
-                left -= m;
+        const TILE: usize = pipeline::TILE;
+        let plan = self.plan(x, y)?;
+        let mut block = BlockRng64::with_budget(rng, out.len().saturating_mul(3));
+        let pieces = match plan {
+            Plan::Short { table, base } => {
+                table.sample_block_into(&mut block, base as u32, out);
+                return Ok(());
             }
-        }
-
-        let (part1, rest) = out.split_at_mut(s1);
-        let (part3, part2) = rest.split_at_mut(s3);
-        if !part1.is_empty() {
-            let table = AliasTable::new(&self.weights[ra..b1]).expect("positive weights");
-            table.sample_block_into(&mut block, ra as u32, part1);
-        }
-        if !part3.is_empty() {
-            let table = AliasTable::new(&self.weights[b3..rb]).expect("positive weights");
-            table.sample_block_into(&mut block, b3 as u32, part3);
-        }
-        if !part2.is_empty() {
-            // Chunk-aligned middle. The sequential path interleaves each
-            // draw's T_chunk pick word(s) with its intra-chunk word, so a
-            // tile's words arrive strided: draw `i` owns words
-            // `wpd·i .. wpd·(i+1)`, the last being the intra-chunk word.
-            // De-striding into per-stage buffers keeps the assignment
-            // while letting each stage run as its own pipelined pass.
-            let ctx = self.tchunk.prepare(ca + 1, cl).expect("w2 > 0 implies non-empty middle");
-            let pick_wpd = ctx.words_per_draw();
-            let wpd = pick_wpd + 1;
-            let mut words = [0u64; 3 * TILE];
-            let mut pick_words = [0u64; 2 * TILE];
-            let mut chunk_words = [0u64; TILE];
-            let mut picks = [0u32; TILE];
-            for tile in part2.chunks_mut(TILE) {
-                let m = tile.len();
-                block.fill_words(&mut words[..wpd * m]);
-                for i in 0..m {
-                    for j in 0..pick_wpd {
-                        pick_words[pick_wpd * i + j] = words[wpd * i + j];
-                    }
-                    chunk_words[i] = words[wpd * i + pick_wpd];
-                }
-                // Pass 1: resolve every chunk pick through T_chunk.
-                ctx.draw_words_into(&pick_words[..pick_wpd * m], &mut picks[..m]);
-                // Pass 2: intra-chunk resolution, prefetching chunk
-                // `k`'s urn row `K` draws ahead. The chunk's table is a
-                // slice of the flat arrays, so nothing but the row
-                // itself is a dependent load.
-                iqs_alias::pipeline::interleave(
-                    m,
-                    |i| {
-                        let k = picks[i] as usize;
-                        let (col, coin) = self.chunk_rows(k).split_word(chunk_words[i]);
-                        (picks[i], col as u32, coin)
-                    },
-                    |&(k, col, _)| self.chunk_rows(k as usize).prefetch_row(col as usize),
-                    |i, (k, col, coin)| {
-                        let k = k as usize;
-                        let r = k * self.chunk + self.chunk_rows(k).resolve(col as usize, coin);
-                        tile[i] = r as u32;
-                    },
-                );
+            Plan::Pieces(pieces) => pieces,
+        };
+        let mut words = [0u64; 3 * TILE];
+        let (mut piece, mut slot) = ([0u32; TILE], [0u32; TILE]);
+        let (mut row, mut base) = ([0u32; TILE], [0u32; TILE]);
+        for tile in out.chunks_mut(TILE) {
+            let m = tile.len();
+            block.fill_words(&mut words[..3 * m]);
+            pieces.ctx.pick_tile(&words[..3 * m], 3, &mut piece[..m], &mut slot[..m]);
+            for i in 0..m {
+                (row[i], base[i]) = self.chunk_row(slot[i] as usize, words[3 * i + 2]);
             }
+            pipeline::pass(
+                m,
+                |i| prefetch::slice_element(&self.rows, row[i] as usize),
+                |i| {
+                    let coin = words[3 * i + 2] as u32;
+                    let middle =
+                        AliasRows::select(self.rows[row[i] as usize], coin, row[i], base[i]);
+                    tile[i] = pieces.rank(piece[i] as usize, middle);
+                },
+            );
         }
         Ok(())
     }
@@ -774,68 +772,18 @@ impl RangeSampler for ChunkedRange {
         s: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<usize>, QueryError> {
-        let (ra, rb) = self.rank_range(x, y);
-        if ra >= rb {
-            return Err(QueryError::EmptyRange);
-        }
-        let ca = ra / self.chunk;
-        let cl = (rb - 1) / self.chunk;
-        let mut out = Vec::with_capacity(s);
-
-        if ca == cl {
-            // Entire query inside one chunk: enumerate it (≤ c = O(log n)
-            // elements) and sample directly.
-            let table = AliasTable::new(&self.weights[ra..rb]).expect("positive weights");
-            for _ in 0..s {
-                out.push(ra + table.sample(rng));
-            }
-            return Ok(out);
-        }
-
-        // Figure 2's three-way decomposition.
-        let b1 = (ca + 1) * self.chunk; // end of q1
-        let b3 = cl * self.chunk; // start of q3
-        let w1: f64 = self.weights[ra..b1].iter().sum();
-        let w2 = self.fenwick.range_sum(ca + 1, cl);
-        let w3: f64 = self.weights[b3..rb].iter().sum();
-
-        // Split s among the non-empty parts.
-        let total = w1 + w2 + w3;
-        let (mut s1, mut s2, mut s3) = (0usize, 0usize, 0usize);
-        for _ in 0..s {
-            let t = rng.random::<f64>() * total;
-            if t < w1 {
-                s1 += 1;
-            } else if t < w1 + w2 {
-                s2 += 1;
-            } else {
-                s3 += 1;
-            }
-        }
-
-        if s1 > 0 {
-            let table = AliasTable::new(&self.weights[ra..b1]).expect("positive weights");
-            for _ in 0..s1 {
-                out.push(ra + table.sample(rng));
-            }
-        }
-        if s3 > 0 {
-            let table = AliasTable::new(&self.weights[b3..rb]).expect("positive weights");
-            for _ in 0..s3 {
-                out.push(b3 + table.sample(rng));
-            }
-        }
-        if s2 > 0 {
-            // Chunk-aligned middle via T_chunk, each chunk pick resolved
-            // through its chunk's alias table in the same fused pass (no
-            // intermediate pick buffer).
-            let ctx = self.tchunk.prepare(ca + 1, cl).expect("w2 > 0 implies non-empty middle");
-            for _ in 0..s2 {
-                let k = ctx.draw(rng);
-                out.push(self.sample_chunk(k, rng));
-            }
-        }
-        Ok(out)
+        Ok(match self.plan(x, y)? {
+            Plan::Short { table, base } => (0..s).map(|_| base + table.sample(rng)).collect(),
+            Plan::Pieces(pieces) => (0..s)
+                .map(|_| {
+                    let (w0, w1, w2) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
+                    let (piece, slot) = pieces.ctx.pick(w0, w1);
+                    let (row, base) = self.chunk_row(slot, w2);
+                    let middle = AliasRows::select(self.rows[row as usize], w2 as u32, row, base);
+                    pieces.rank(piece, middle) as usize
+                })
+                .collect(),
+        })
     }
 
     fn sample_wr_into(
@@ -851,8 +799,7 @@ impl RangeSampler for ChunkedRange {
     fn space_words(&self) -> usize {
         vec_words(&self.keys)
             + vec_words(&self.weights)
-            + vec_words(&self.prob)
-            + vec_words(&self.alias)
+            + vec_words(&self.rows)
             + vec_words(&self.totals)
             + self.tchunk.space_words()
             + self.fenwick.space_words()
@@ -925,6 +872,60 @@ mod tests {
         }
     }
 
+    /// Both doors from equal seeds: the batch door's ranks, which must be
+    /// the sequential door's.
+    fn both_doors(sampler: &dyn RangeSampler, x: f64, y: f64, s: usize, what: &str) -> Vec<u32> {
+        let mut a = StdRng::seed_from_u64(123);
+        let seq = sampler.sample_wr(x, y, s, &mut a).unwrap();
+        let mut b = StdRng::seed_from_u64(123);
+        let mut batch = vec![0u32; s];
+        sampler.sample_wr_into(x, y, &mut b, &mut batch).unwrap();
+        let seq32: Vec<u32> = seq.iter().map(|&r| r as u32).collect();
+        assert_eq!(batch, seq32, "{what} s={s} [{x},{y}]");
+        batch
+    }
+
+    /// Theorem-3 structures and queries chosen to sit on the kernel's
+    /// edges (ROADMAP item 5's hard families, at kernel scope).
+    fn hostile_shapes() -> Vec<(&'static str, ChunkedRange, f64, f64)> {
+        let build = |weights: Vec<f64>| {
+            ChunkedRange::new(weights.iter().enumerate().map(|(i, &w)| (i as f64, w)).collect())
+                .unwrap()
+        };
+        // n = 200 cuts into 25 chunks of 8; 203 leaves a short last chunk.
+        let flat = |n: usize| build((0..n).map(|i| (1 + i % 7) as f64).collect());
+        let ladder: Vec<f64> = (0..363).map(|i| 2f64.powi(i % 121 - 60)).collect();
+        let heavy_ends: Vec<f64> = (0..200)
+            .map(|i| if (3..8).contains(&i) || (192..197).contains(&i) { 1e4 } else { 1.0 })
+            .collect();
+        let one_heavy: Vec<f64> =
+            (0..200).map(|i| if i == 77 { 2f64.powi(60) } else { 1.0 }).collect();
+        let with_len = |c: usize| ChunkedRange::with_chunk_len(pairs(200, 5), c).unwrap();
+        vec![
+            ("geometric 2^±60 ladder", build(ladder.clone()), 0.0, 362.0),
+            ("ladder, both ends partial", build(ladder), 5.0, 350.0),
+            ("boundary pieces hold 99.8% of the weight", build(heavy_ends), 3.0, 196.0),
+            ("one heavy element among light ones", build(one_heavy), 1.0, 198.0),
+            ("exactly two chunks, aligned", flat(200), 8.0, 23.0),
+            ("two chunks touched, no whole one", flat(200), 10.0, 20.0),
+            ("three chunks touched, one whole", flat(200), 5.0, 18.0),
+            ("chunk-aligned ends", flat(200), 8.0, 191.0),
+            ("aligned start, partial end", flat(200), 8.0, 190.0),
+            ("partial start, range to the last key", flat(200), 9.0, 199.0),
+            ("whole range over a short last chunk", flat(203), 0.0, 202.0),
+            ("range ending inside the short last chunk", flat(203), 3.0, 201.0),
+            ("chunks of one element", with_len(1), 3.0, 196.0),
+            ("one chunk of n elements", with_len(200), 3.0, 196.0),
+            ("two chunks of n/2 elements", with_len(100), 3.0, 196.0),
+            (
+                "681 boundary elements in the chooser",
+                ChunkedRange::with_chunk_len(pairs(1500, 6), 400).unwrap(),
+                10.0,
+                1490.0,
+            ),
+        ]
+    }
+
     #[test]
     fn batch_path_replays_sequential_path() {
         // Both doors of the dual API consume the caller's RNG stream in
@@ -935,14 +936,65 @@ mod tests {
         for (name, s) in samplers(500, 25) {
             for n in [1usize, 7, 8, 9, tile - 1, tile, tile + 1, 2 * tile + 13] {
                 for (x, y) in [(100.0, 350.0), (0.0, 499.0), (17.0, 17.0), (40.0, 45.0)] {
-                    let mut a = StdRng::seed_from_u64(123);
-                    let seq = s.sample_wr(x, y, n, &mut a).unwrap();
-                    let mut b = StdRng::seed_from_u64(123);
-                    let mut batch = vec![0u32; n];
-                    s.sample_wr_into(x, y, &mut b, &mut batch).unwrap();
-                    let seq32: Vec<u32> = seq.iter().map(|&r| r as u32).collect();
-                    assert_eq!(batch, seq32, "{name} s={n} [{x},{y}]");
+                    both_doors(s.as_ref(), x, y, n, name);
                 }
+            }
+        }
+        for (name, s, x, y) in hostile_shapes() {
+            for n in [0usize, 1, tile - 1, tile + 1, 1 << 16] {
+                both_doors(&s, x, y, n, name);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_shapes_answer_cleanly_or_with_a_typed_error() {
+        use iqs_stats::chisq::chi_square_gof;
+        for (name, sampler, x, y) in hostile_shapes() {
+            let (a, b) = sampler.rank_range(x, y);
+            let draws = both_doors(&sampler, x, y, 1 << 16, name);
+            let mut counts = vec![0u64; b - a];
+            for &r in &draws {
+                assert!((a..b).contains(&(r as usize)), "{name}: rank {r} outside [{a},{b})");
+                counts[r as usize - a] += 1;
+            }
+            // Weights 2^120 apart leave most cells expecting no draw at
+            // all: cells expecting fewer than 10 are pooled into one.
+            let total: f64 = sampler.weights()[a..b].iter().sum();
+            let (mut observed, mut probs) = (vec![0u64], vec![0.0]);
+            for (&c, &w) in counts.iter().zip(&sampler.weights()[a..b]) {
+                if w / total * draws.len() as f64 >= 10.0 {
+                    observed.push(c);
+                    probs.push(w / total);
+                } else {
+                    observed[0] += c;
+                    probs[0] += w / total;
+                }
+            }
+            if probs[0] * (draws.len() as f64) < 10.0 {
+                // Too light for a cell of its own: it may hold a few
+                // draws, and the lightest cell takes it in.
+                assert!(observed[0] < 50, "{name}: {} draws on negligible weight", observed[0]);
+                let (o, p) = (observed.swap_remove(0), probs.swap_remove(0));
+                observed[0] += o;
+                probs[0] += p;
+            }
+            if probs.len() > 1 {
+                let gof = chi_square_gof(&observed, &probs);
+                assert!(
+                    gof.p_value > 1e-6,
+                    "{name}: chi-square {gof:?} over {} cells",
+                    probs.len()
+                );
+            }
+            for (x, y) in [(y, x - 1.0), (1e9, 2e9), (f64::NAN, f64::NAN)] {
+                let mut rng = StdRng::seed_from_u64(1);
+                assert_eq!(sampler.sample_wr(x, y, 3, &mut rng), Err(QueryError::EmptyRange));
+                assert_eq!(
+                    sampler.sample_wr_into(x, y, &mut rng, &mut [0; 3]),
+                    Err(QueryError::EmptyRange),
+                    "{name} [{x},{y}]"
+                );
             }
         }
     }

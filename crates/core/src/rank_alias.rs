@@ -3,7 +3,7 @@
 //! chunk-level structure (`T_chunk`) can share it.
 
 use iqs_alias::space::{vec_words, SpaceUsage};
-use iqs_alias::{AliasRows, AliasTable, BlockRng64};
+use iqs_alias::{pipeline, prefetch, AliasRows, AliasTable, BlockRng64, BuildScratch};
 use iqs_tree::{NodeId, RankBst};
 use rand::{Rng, RngCore};
 
@@ -17,21 +17,20 @@ use rand::{Rng, RngCore};
 /// 3. draw `s` canonical-node choices (`O(s)`), then resolve each through
 ///    the chosen node's stored alias table (`O(1)` each).
 ///
-/// The node tables live in one level-ordered arena, not one allocation
-/// each: the nodes of one depth cover disjoint slot ranges, so the table
-/// of the node over slots `[lo, hi)` at depth `d` is rows
-/// `d·n + lo .. d·n + hi` of `prob`/`alias` (`(height + 1)·n` rows; the
-/// few rows under a leaf that ends above the deepest level stay zero).
-/// Each table is what [`AliasTable::new`] would build for the same
-/// weights, entry for entry.
+/// The node tables live in one level-ordered arena of 8-byte rows, not
+/// one allocation each: the nodes of one depth cover disjoint slot
+/// ranges, so the table of the node over slots `[lo, hi)` at depth `d` is
+/// rows `d·n + lo .. d·n + hi` (`(height + 1)·n` rows; the few rows under
+/// a leaf that ends above the deepest level stay zero). Each table is
+/// what [`AliasTable::new`] would build for the same weights, entry for
+/// entry.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct RankAliasAugmented {
     tree: RankBst,
     /// First arena row of each node's table, by node id.
     at: Vec<usize>,
-    prob: Vec<f64>,
-    alias: Vec<u32>,
+    rows: Vec<u64>,
 }
 
 impl RankAliasAugmented {
@@ -51,11 +50,11 @@ impl RankAliasAugmented {
                 below.extend([(l, depth + 1), (r, depth + 1)]);
             }
         }
-        let rows = (tree.height() as usize + 1) * n;
-        let mut this = RankAliasAugmented { tree, at, prob: vec![0.0; rows], alias: vec![0; rows] };
-        let mut work = Vec::new();
+        let rows = vec![0; (tree.height() as usize + 1) * n];
+        let mut this = RankAliasAugmented { tree, at, rows };
+        let mut scratch = BuildScratch::default();
         for u in 0..this.tree.node_count() as NodeId {
-            this.build_node(u, weights, &mut work);
+            this.build_node(u, weights, &mut scratch);
         }
         this
     }
@@ -73,14 +72,12 @@ impl RankAliasAugmented {
         touched: &[usize],
         recycle: Option<Self>,
     ) -> Self {
-        let (mut at, mut prob, mut alias) =
-            recycle.map_or_else(Default::default, |old| (old.at, old.prob, old.alias));
+        let (mut at, mut rows) = recycle.map_or_else(Default::default, |old| (old.at, old.rows));
         at.clone_from(&self.at);
-        prob.clone_from(&self.prob);
-        alias.clone_from(&self.alias);
+        rows.clone_from(&self.rows);
         let tree = RankBst::new(weights).expect("non-empty weights");
-        let mut next = RankAliasAugmented { tree, at, prob, alias };
-        next.rebuild_paths(next.tree.root(), weights, touched, &mut Vec::new());
+        let mut next = RankAliasAugmented { tree, at, rows };
+        next.rebuild_paths(next.tree.root(), weights, touched, &mut BuildScratch::default());
         next
     }
 
@@ -89,43 +86,26 @@ impl RankAliasAugmented {
         u: NodeId,
         weights: &[f64],
         touched: &[usize],
-        work: &mut Vec<u32>,
+        scratch: &mut BuildScratch,
     ) {
         if touched.is_empty() {
             return;
         }
-        self.build_node(u, weights, work);
+        self.build_node(u, weights, scratch);
         if !self.tree.is_leaf(u) {
             let (l, r) = self.tree.children(u);
             let cut = touched.partition_point(|&slot| slot < self.tree.leaf_range(r).0);
-            self.rebuild_paths(l, weights, &touched[..cut], work);
-            self.rebuild_paths(r, weights, &touched[cut..], work);
+            self.rebuild_paths(l, weights, &touched[..cut], scratch);
+            self.rebuild_paths(r, weights, &touched[cut..], scratch);
         }
     }
 
-    /// The arena rows of node `u`'s table.
-    fn rows_of(&self, u: NodeId) -> std::ops::Range<usize> {
-        let at = self.at[u as usize];
-        at..at + self.tree.node_count_leaves(u)
-    }
-
     /// Builds node `u`'s table over its slots' weights into its arena rows.
-    fn build_node(&mut self, u: NodeId, weights: &[f64], work: &mut Vec<u32>) {
+    fn build_node(&mut self, u: NodeId, weights: &[f64], scratch: &mut BuildScratch) {
         let (lo, hi) = self.tree.leaf_range(u);
-        let rows = self.rows_of(u);
-        AliasRows::build(
-            &weights[lo..hi],
-            &mut self.prob[rows.clone()],
-            &mut self.alias[rows],
-            work,
-        )
-        .expect("positive weights");
-    }
-
-    /// Node `u`'s stored alias table.
-    fn node_rows(&self, u: NodeId) -> AliasRows<'_> {
-        let rows = self.rows_of(u);
-        AliasRows::new(&self.prob[rows.clone()], &self.alias[rows])
+        let at = self.at[u as usize];
+        AliasRows::build(&weights[lo..hi], &mut self.rows[at..at + (hi - lo)], scratch)
+            .expect("positive weights");
     }
 
     /// Number of rank slots.
@@ -151,29 +131,50 @@ impl RankAliasAugmented {
         self.tree.canonical_nodes(a, b).iter().map(|&u| self.tree.node_weight(u)).sum()
     }
 
-    /// Prepares a query over ranks `[a, b)`: canonical decomposition plus
-    /// the `O(log n)` on-the-fly chooser, with each canonical node's
-    /// (offset, alias-table) pair hoisted into dense arrays so every
-    /// subsequent draw is two L1-resident decodes. Returns `None` when the
-    /// range is empty.
+    /// Prepares a query over ranks `[a, b)`: [`Self::prepare_with`] and no
+    /// extra pieces. Returns `None` when the range is empty.
+    pub fn prepare(&self, a: usize, b: usize) -> Option<PreparedRange<'_>> {
+        self.prepare_with(a, b, std::iter::empty())
+    }
+
+    /// Prepares a query over ranks `[a, b)` plus the caller's own
+    /// pieces: canonical decomposition and the one `O(log n)` on-the-fly
+    /// chooser, whose columns are the `extra` weights in the order given
+    /// and then the canonical nodes, each node's table position hoisted
+    /// into a dense array so every subsequent draw is a chooser decode
+    /// and one row. A draw that lands on an extra column is the
+    /// caller's to resolve — Theorem 3 passes the boundary elements that
+    /// lie outside its chunk-aligned middle, so one chooser splits a
+    /// query's draws among boundary elements and `T_chunk` nodes alike.
+    /// Returns `None` when `[a, b)` is empty.
     ///
     /// Every sampling entry point — sequential and batched — funnels
     /// through the context this returns, so there is exactly one draw code
     /// path to test.
-    pub fn prepare(&self, a: usize, b: usize) -> Option<PreparedRange<'_>> {
+    pub fn prepare_with(
+        &self,
+        a: usize,
+        b: usize,
+        extra: impl Iterator<Item = f64>,
+    ) -> Option<PreparedRange<'_>> {
         let canon = self.tree.canonical_nodes(a, b);
         if canon.is_empty() {
             return None;
         }
-        let lo: Vec<usize> = canon.iter().map(|&u| self.tree.leaf_range(u).0).collect();
-        let tbl: Vec<AliasRows<'_>> = canon.iter().map(|&u| self.node_rows(u)).collect();
-        let chooser = if canon.len() == 1 {
-            None
-        } else {
-            let weights: Vec<f64> = canon.iter().map(|&u| self.tree.node_weight(u)).collect();
-            Some(AliasTable::new(&weights).expect("positive node weights"))
-        };
-        Some(PreparedRange { lo, tbl, chooser })
+        let mut weights = Vec::with_capacity(extra.size_hint().0 + canon.len());
+        weights.extend(extra);
+        let extras = weights.len();
+        weights.extend(canon.iter().map(|&u| self.tree.node_weight(u)));
+        // An extra column stands in as the one-row table at the arena's
+        // first row, so the passes below need no case for it.
+        let mut pieces = vec![Piece { at: 0, len: 1, lo: 0 }; extras];
+        pieces.extend(canon.iter().map(|&u| Piece {
+            at: self.at[u as usize],
+            len: self.tree.node_count_leaves(u) as u32,
+            lo: self.tree.leaf_range(u).0 as u32,
+        }));
+        let chooser = AliasTable::new(&weights).expect("positive piece weights");
+        Some(PreparedRange { rows: &self.rows, chooser, pieces, extras })
     }
 
     /// Draws `s` independent weighted rank samples from `[a, b)` in
@@ -201,10 +202,9 @@ impl RankAliasAugmented {
     /// already-buffered word block. Returns `false` (leaving `out`
     /// untouched) when the range is empty.
     ///
-    /// Consumes the same word sequence as the sequential path (one word
-    /// per draw when one canonical node covers the range, two otherwise),
-    /// so under a block that replays the raw RNG stream the outputs are
-    /// identical.
+    /// Consumes the same word sequence as the sequential path (two words
+    /// per draw), so under a block that replays the raw RNG stream the
+    /// outputs are identical.
     pub fn sample_block_into<R: RngCore + ?Sized>(
         &self,
         a: usize,
@@ -220,114 +220,122 @@ impl RankAliasAugmented {
     }
 }
 
-/// A query-prepared sampling context from [`RankAliasAugmented::prepare`]:
-/// the canonical cover's offsets and alias tables in dense arrays plus the
-/// per-query chooser. One draw costs one chooser decode (absent when a
-/// single canonical node covers the range) and one node decode — no tree
-/// walks, no indirection through node ids.
+/// One chooser column of a [`PreparedRange`]: a canonical node's stored
+/// table — its first arena row, its length, and the first slot it covers.
+#[derive(Clone, Copy)]
+struct Piece {
+    at: usize,
+    len: u32,
+    lo: u32,
+}
+
+/// A query-prepared sampling context from
+/// [`RankAliasAugmented::prepare_with`]: the per-query chooser over the
+/// pieces, and the canonical cover's table positions in a dense array.
+/// One draw owns two consecutive words — chooser, node row — and costs
+/// one chooser decode (query-local, cache-hot) and one arena row: no
+/// tree walks, no indirection through node ids.
 pub struct PreparedRange<'a> {
-    /// Leaf-range start of each canonical node.
-    lo: Vec<usize>,
-    /// Stored alias table of each canonical node.
-    tbl: Vec<AliasRows<'a>>,
-    /// On-the-fly alias over the canonical nodes' weights; `None` when the
-    /// cover is a single node (whose draws then cost one word, not two).
-    chooser: Option<AliasTable>,
+    /// The engine's arena.
+    rows: &'a [u64],
+    /// On-the-fly alias over the pieces' weights.
+    chooser: AliasTable,
+    /// By chooser column: the extra pieces' stand-ins, then the
+    /// canonical nodes.
+    pieces: Vec<Piece>,
+    /// How many leading columns are the caller's extra pieces.
+    extras: usize,
 }
 
 impl PreparedRange<'_> {
-    /// Draws one weighted rank (one or two RNG words).
+    /// Where a draw's two words point, before any stored row is read:
+    /// the piece `w0` picks through the (query-local) chooser, the arena
+    /// position of the row `w1` picks in that piece's table, the slot the
+    /// draw returns if the row's coin keeps its column, and the piece's
+    /// first slot, which the row's alias entry is relative to.
+    #[inline(always)]
+    fn locate(&self, w0: u64, w1: u64) -> (usize, usize, u32, u32) {
+        let piece = self.chooser.decode(w0);
+        let p = self.pieces[piece];
+        let col = AliasRows::column_of(w1, p.len as usize);
+        (piece, p.at + col, p.lo + col as u32, p.lo)
+    }
+
+    /// Resolves one draw's two words: `w0` picks the piece, `w1` a slot
+    /// through the piece's node table. Returns `(piece, slot)`; when
+    /// `piece` is one of the caller's extras (below the count it passed
+    /// to `prepare_with`), `slot` is some valid slot and carries no
+    /// meaning — the draw's node word is spent either way, which is what
+    /// keeps the words of a draw a fixed count.
+    #[inline(always)]
+    pub fn pick(&self, w0: u64, w1: u64) -> (usize, usize) {
+        let (piece, row, kept, lo) = self.locate(w0, w1);
+        (piece, AliasRows::select(self.rows[row], w1 as u32, kept, lo) as usize)
+    }
+
+    /// Draws one weighted rank (two RNG words). For contexts prepared
+    /// without extra pieces.
     #[inline(always)]
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let j = match &self.chooser {
-            Some(c) => c.sample(rng),
-            None => 0,
-        };
-        self.lo[j] + self.tbl[j].sample(rng)
+        debug_assert_eq!(self.extras, 0);
+        let (w0, w1) = (rng.next_u64(), rng.next_u64());
+        self.pick(w0, w1).1
     }
 
-    /// Words each draw consumes: one chooser word (when the canonical
-    /// cover has more than one node) plus one node word. Fixed per
-    /// prepared range, which is what makes word pre-assignment — and
-    /// hence pipelining — possible (see `iqs_alias::pipeline`).
-    #[inline]
-    pub fn words_per_draw(&self) -> usize {
-        1 + usize::from(self.chooser.is_some())
-    }
-
-    /// Decodes a tile of pre-generated words into rank samples through
-    /// the interleaved window. Word `wpd·i + j` is draw `i`'s `j`-th
-    /// decision — exactly the sequential assignment of [`Self::draw`] —
-    /// so outputs are bit-identical to the sequential path. The decode
-    /// phase reads only the (query-local, cache-hot) chooser and the node
-    /// tables' *lengths*; the dependent load into the chosen node's urn
-    /// row happens `K` draws after its prefetch.
+    /// [`Self::pick`] over a tile of pre-generated words, as staged
+    /// passes (see `iqs_alias::pipeline`): draw `i` owns words
+    /// `stride·i` (chooser) and `stride·i + 1` (node row) — the
+    /// sequential assignment — so `piece[i]`/`slot[i]` are what `pick`
+    /// returns for them. The decode pass reads only the chooser and the
+    /// piece array; the dependent load into the chosen node's row runs
+    /// in its own pass, behind its prefetch.
     ///
-    /// `words.len()` must be exactly `words_per_draw() * out.len()`.
-    pub fn draw_words_into(&self, words: &[u64], out: &mut [u32]) {
-        debug_assert_eq!(words.len(), self.words_per_draw() * out.len());
-        match &self.chooser {
-            None => {
-                let t = self.tbl[0];
-                let base = self.lo[0] as u32;
-                iqs_alias::pipeline::interleave(
-                    out.len(),
-                    |i| {
-                        let (col, coin) = t.split_word(words[i]);
-                        (col as u32, coin)
-                    },
-                    |&(col, _)| t.prefetch_row(col as usize),
-                    |i, (col, coin)| out[i] = base + t.resolve(col as usize, coin) as u32,
-                );
-            }
-            Some(c) => {
-                iqs_alias::pipeline::interleave(
-                    out.len(),
-                    |i| {
-                        let j = c.decode(words[2 * i]);
-                        let (col, coin) = self.tbl[j].split_word(words[2 * i + 1]);
-                        (j as u32, col as u32, coin)
-                    },
-                    |&(j, col, _)| self.tbl[j as usize].prefetch_row(col as usize),
-                    |i, (j, col, coin)| {
-                        let j = j as usize;
-                        out[i] = (self.lo[j] + self.tbl[j].resolve(col as usize, coin)) as u32;
-                    },
-                );
-            }
+    /// `piece` and `slot` are one tile long at most and equally long;
+    /// `words` holds `stride` words for each of their entries.
+    pub fn pick_tile(&self, words: &[u64], stride: usize, piece: &mut [u32], slot: &mut [u32]) {
+        let m = slot.len();
+        assert!(m <= pipeline::TILE && piece.len() == m && words.len() == stride * m);
+        let mut row = [0usize; pipeline::TILE];
+        let mut lo = [0u32; pipeline::TILE];
+        for i in 0..m {
+            let j;
+            (j, row[i], slot[i], lo[i]) = self.locate(words[stride * i], words[stride * i + 1]);
+            piece[i] = j as u32;
         }
+        pipeline::pass(
+            m,
+            |i| prefetch::slice_element(self.rows, row[i]),
+            |i| {
+                let coin = words[stride * i + 1] as u32;
+                slot[i] = AliasRows::select(self.rows[row[i]], coin, slot[i], lo[i]);
+            },
+        );
     }
 
     /// Pipelined batch draw: fills `out` with independent weighted rank
-    /// samples, pulling the whole tile's words from `block` up front
-    /// (sequence order) and running them through
-    /// [`Self::draw_words_into`]. The single-node case degrades to the
-    /// plain alias kernel with the node's leaf offset as `base`.
+    /// samples, pulling each tile's words from `block` up front
+    /// (sequence order) and running them through [`Self::pick_tile`].
+    /// For contexts prepared without extra pieces.
     pub fn draw_block_into<R: RngCore + ?Sized>(
         &self,
         block: &mut BlockRng64<'_, R>,
         out: &mut [u32],
     ) {
-        if self.chooser.is_none() {
-            self.tbl[0].sample_block_into(block, self.lo[0] as u32, out);
-            return;
-        }
-        const TILE: usize = iqs_alias::pipeline::TILE;
+        debug_assert_eq!(self.extras, 0);
+        const TILE: usize = pipeline::TILE;
         let mut words = [0u64; 2 * TILE];
+        let mut piece = [0u32; TILE];
         for tile in out.chunks_mut(TILE) {
             let m = tile.len();
             block.fill_words(&mut words[..2 * m]);
-            self.draw_words_into(&words[..2 * m], tile);
+            self.pick_tile(&words[..2 * m], 2, &mut piece[..m], tile);
         }
     }
 }
 
 impl SpaceUsage for RankAliasAugmented {
     fn space_words(&self) -> usize {
-        self.tree.space_words()
-            + vec_words(&self.at)
-            + vec_words(&self.prob)
-            + vec_words(&self.alias)
+        self.tree.space_words() + vec_words(&self.at) + vec_words(&self.rows)
     }
 }
 

@@ -127,6 +127,16 @@ impl Request {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Sampled element ids (see the module docs for the id convention).
+    ///
+    /// **Order contract.** From a single index the ids are an i.i.d.
+    /// *sequence* in draw order (`iqs_core::RangeSampler::sample_wr_into`):
+    /// any prefix of the reply is itself a sample. A *routed* reply —
+    /// `iqs_shard`'s `Sampled::ids`, a tiered index's — is a *multiset*:
+    /// `shard::merge::Sampled::absorb` puts the legs end to end in shard
+    /// order with multinomially split counts, so its first `k` ids
+    /// over-represent the low shards. A consumer that wants fewer ids
+    /// than it asked for must ask for fewer, or pick positions at random;
+    /// it must not truncate a routed reply.
     Samples(Vec<u64>),
     /// An element count.
     Count(usize),

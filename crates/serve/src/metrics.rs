@@ -87,10 +87,10 @@ iqs_obs::counter_set! {
         /// Total `BlockRng64` buffer refills performed by worker draw paths.
         rng_refills: delta => counter "iqs_serve_rng_refills_total" "BlockRng64 buffer refills";
         /// Explicit cache prefetches issued by the software-pipelined batch
-        /// kernels (one per draw entering the rotating window; see
+        /// kernels (one per table row a pass reads; see
         /// `iqs_alias::pipeline`).
         prefetches: delta => counter "iqs_serve_prefetches_total" "Explicit prefetches issued by pipelined kernels";
-        /// Pipelined draws issued before their kernel's window was full —
+        /// Rows a pipelined pass asked for less than a full window ahead —
         /// the per-tile ramp. A high stall-to-prefetch ratio means request
         /// batch sizes too small to hide memory latency.
         window_stalls: delta => counter "iqs_serve_window_stalls_total" "Pipelined draws issued during window ramp";

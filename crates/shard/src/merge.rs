@@ -17,7 +17,10 @@
 /// Samples drawn through the sharded tier.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Sampled {
-    /// Sampled element ids (global ids, shard-of-origin order).
+    /// Sampled element ids (global ids), the legs' replies end to end in
+    /// shard-of-origin order: a *multiset* of draws, not a sequence — a
+    /// prefix is not a sample (the order contract is stated on
+    /// `iqs_serve::Response::Samples`).
     pub ids: Vec<u64>,
     /// Whether any part of the cluster failed to contribute: a shard
     /// was unavailable at planning time or a leg failed on every

@@ -1003,6 +1003,10 @@ impl ClusterClient {
                 out.missing = want - out.ids.len();
                 break;
             }
+            // The round asked for exactly the shortfall, so the cap below
+            // never cuts the reply short: every id of the (multiset)
+            // reply is looked at, and shard order decides nothing but
+            // the order of `out.ids`.
             for id in draw.ids {
                 if out.ids.len() < want && seen.insert(id) {
                     out.ids.push(id);

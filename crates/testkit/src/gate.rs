@@ -51,6 +51,7 @@ pub const MANIFEST: &[&str] = &[
     "spatial_sampling_distributions",
     "weighted_spatial_chi_square",
     "successive_queries_g_test",
+    "batch_positions_g_test",
     "set_union_g_test",
     "serve_aggregate_distribution",
     "serve_union_uniformity",

@@ -255,7 +255,9 @@ impl TieredIndex {
     /// `range` (the whole index when `None`), reporting the block I/O
     /// the draw performed. Cold draws emit a [`Phase::ColdDraw`]
     /// flight-recorder record carrying the packed interval I/O counters
-    /// when `ctx` is traced.
+    /// when `ctx` is traced. The ids are the overlapping shards' draws
+    /// end to end, so the reply is a multiset, not a sequence (see
+    /// `iqs_serve::Response::Samples`).
     ///
     /// # Errors
     /// [`TierError::Query`]`(`[`QueryError::EmptyRange`]`)` when the

@@ -187,7 +187,8 @@ impl RankBst {
     /// subtrees whose leaves are exactly the ranks `[a, b)`. Empty vector
     /// for an empty range.
     pub fn canonical_nodes(&self, a: usize, b: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
+        // At most two nodes per level: sized once, never regrown.
+        let mut out = Vec::with_capacity(2 * self.height as usize + 1);
         if a < b {
             self.canonical_rec(self.root, a as u32, (b as u32).min(self.n as u32), &mut out);
         }

@@ -7,6 +7,7 @@
 use iqs::core::baseline::DependentRange;
 use iqs::core::setunion::SetUnionSampler;
 use iqs::core::{AliasAugmentedRange, ChunkedRange, RangeSampler, TreeSamplingRange};
+use iqs::stats::chisq::{chi_square_gof, weight_probs};
 use iqs::stats::independence::{overlap_test, pairwise_g_report};
 use iqs::testkit::gate::{self, Trial};
 use rand::rngs::StdRng;
@@ -65,6 +66,74 @@ fn successive_queries_are_uncorrelated_g_test() {
         let xs = &draws[..draws.len() - 1];
         let ys = &draws[1..];
         vec![Trial::from_gof("successive outputs", &pairwise_g_report(xs, ys, 8))]
+    });
+}
+
+#[test]
+fn batch_positions_are_an_iid_sequence() {
+    // The order contract of `RangeSampler::sample_wr_into`, through the
+    // batch door of the Theorem-3 kernel: n = 200 gives chunks of 8, and
+    // ranks 3..=196 leave five boundary elements at either end, which
+    // the weights load with about a sixth of the mass each — so a kernel
+    // that grouped its draws by piece (boundary, middle) would show here.
+    gate::run("batch_positions_g_test", |seed, scale| {
+        let (lo, hi) = (3usize, 196usize);
+        let pairs: Vec<(f64, f64)> = (0..200)
+            .map(|i| {
+                let boundary = (lo..8).contains(&i) || (192..=hi).contains(&i);
+                (i as f64, (1 + i % 7) as f64 * if boundary { 10.0 } else { 1.0 })
+            })
+            .collect();
+        let sampler = ChunkedRange::new(pairs).unwrap();
+        assert_eq!(sampler.chunk_len(), 8);
+        let (x, y) = (lo as f64, hi as f64);
+        // Eight cells: the two boundary pieces and six runs of the middle.
+        let cell = |r: u32| match r as usize {
+            r if r < 8 => 0,
+            r if r >= 192 => 7,
+            r => 1 + (r - 8) * 6 / 184,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        // (a) Adjacent positions of one reply, as disjoint pairs.
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let mut out = vec![0u32; 512];
+        for _ in 0..400 * scale {
+            sampler.sample_wr_batch(x, y, &mut rng, &mut out).unwrap();
+            for pair in out.chunks_exact(2) {
+                xs.push(cell(pair[0]));
+                ys.push(cell(pair[1]));
+            }
+        }
+        let adjacent = pairwise_g_report(&xs, &ys, 8);
+
+        // (b) The first 32 of 512 positions are a sample on their own.
+        let probs = weight_probs(&sampler.weights()[lo..=hi]);
+        let mut counts = vec![0u64; probs.len()];
+        for _ in 0..4000 * scale {
+            sampler.sample_wr_batch(x, y, &mut rng, &mut out).unwrap();
+            for &r in &out[..32] {
+                counts[r as usize - lo] += 1;
+            }
+        }
+        let prefix = chi_square_gof(&counts, &probs);
+
+        // (c) F1 through the batch door: position 0 of successive
+        // identical queries.
+        let mut out = vec![0u32; 8];
+        let firsts: Vec<usize> = (0..40_000 * scale)
+            .map(|_| {
+                sampler.sample_wr_batch(x, y, &mut rng, &mut out).unwrap();
+                cell(out[0])
+            })
+            .collect();
+        let successive = pairwise_g_report(&firsts[..firsts.len() - 1], &firsts[1..], 8);
+
+        vec![
+            Trial::from_gof("adjacent positions of one reply", &adjacent),
+            Trial::from_gof("first 32 of 512 positions vs weights", &prefix),
+            Trial::from_gof("position 0 of successive queries", &successive),
+        ]
     });
 }
 

@@ -5,8 +5,10 @@
 //! re-anchors the relative deadline budget on its own clock, threads
 //! the wire's trace/span into the obs [`Ctx`] (so `TraceView`
 //! reconstructs the two-level schedule across processes), runs the
-//! request through the node's normal admission queue, and encodes the
-//! reply — typed errors included. [`RemoteReplica`] is the client half:
+//! request through the node's normal admission — on this thread when
+//! the node is idle, through its queue when it is not
+//! ([`Client::call_ctx`]) — and encodes the reply, typed errors
+//! included. [`RemoteReplica`] is the client half:
 //! it implements `iqs-shard`'s [`ReplicaLink`], so
 //! [`ShardedService::from_links`](iqs_shard::ShardedService::from_links)
 //! composes local and remote legs interchangeably and the router's
@@ -81,14 +83,10 @@ impl ReplicaServer {
         let origin = self.clock.now();
         let deadline = (deadline_ns > 0).then(|| origin + Duration::from_nanos(deadline_ns));
         let ctx = Ctx { trace, span };
-        let outcome = match self.client.call_pending_ctx(request, origin, deadline, ctx) {
-            Ok(pending) => match deadline {
-                Some(dl) => pending.wait_deadline(dl).unwrap_or(Err(ServeError::DeadlineExceeded)),
-                None => pending.wait(),
-            },
-            Err(refused) => Err(refused),
-        };
-        encode_reply(&outcome, trace, span)
+        // The blocking door: this connection thread would only sleep on
+        // the reply, so it draws itself when the node has a seat free —
+        // the node's `workers` cap holds however many connections ask.
+        encode_reply(&self.client.call_ctx(request, origin, deadline, ctx), trace, span)
     }
 }
 
@@ -110,7 +108,7 @@ impl FrameHandler for ReplicaServer {
 
 /// The client half: a [`ReplicaLink`] that reaches one replica address
 /// over a transport. Weight probes and metrics go through the replica's
-/// normal request queue (they are requests like any other); scatter
+/// normal admission (they are requests like any other); scatter
 /// legs ride [`Transport::begin`] so the router's fan-out still
 /// overlaps across shards.
 pub struct RemoteReplica {

@@ -52,7 +52,9 @@ pub const UNTRACED: u64 = 0;
 #[repr(u8)]
 pub enum Phase {
     /// Router planned a shard into the query. `a`=shard index,
-    /// `b`=shard range weight as `f64::to_bits`.
+    /// `b`=shard range weight as `f64::to_bits` (NaN when the shard is
+    /// the plan's only one and partly covered: a one-leg split reads no
+    /// weight, so none was probed).
     RouterPlan = 1,
     /// A planned shard had no live replica at plan time. `a`=shard.
     PlanDark = 2,
@@ -79,15 +81,16 @@ pub enum Phase {
     LegDegraded = 10,
     /// Request entered a replica server queue.
     Enqueue = 11,
-    /// A worker picked the request up. `a`=queue wait in nanoseconds.
+    /// The request was picked up, by a worker or by its own blocking
+    /// caller. `a`=queue wait in nanoseconds.
     Pickup = 12,
     /// The request's deadline had already passed at pickup.
     DeadlineMiss = 13,
     /// Sampling-cost profile for one draw. `a`=RNG words consumed,
     /// `b`=packed cost counters (see [`pack_cost`]).
     RngCost = 14,
-    /// A worker finished executing the request. `a`=service latency in
-    /// nanoseconds, `b`=1 if the request succeeded.
+    /// Whoever picked the request up finished executing it. `a`=service
+    /// latency in nanoseconds, `b`=1 if the request succeeded.
     WorkDone = 15,
     /// The query completed end to end. `a`=total latency in
     /// nanoseconds, `b`=1 if the response was degraded.

@@ -72,7 +72,9 @@ impl TraceView {
     }
 
     /// Shards the router planned into the query, with their range
-    /// weights, in plan order.
+    /// weights, in plan order. The weight is NaN for a partly covered
+    /// shard that is the plan's only one: a one-leg split reads no
+    /// weight, so the router probed none.
     #[must_use]
     pub fn planned_shards(&self) -> Vec<(u32, f64)> {
         self.phase_records(Phase::RouterPlan).map(|r| (r.a as u32, f64::from_bits(r.b))).collect()

@@ -36,6 +36,10 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The service is shutting down and no longer admits requests.
     ShuttingDown,
+    /// The request panicked while it ran. The panic was contained: the
+    /// thread that ran it survives and the service keeps answering. It
+    /// points at a bug in an index implementation, not at the request.
+    Panicked,
     /// A failure that crossed a process boundary: the transport could
     /// not complete the round trip (connect refused, timeout, expired
     /// lease), or the remote replica reported an error with no typed
@@ -60,6 +64,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::DeadlineExceeded => write!(f, "deadline expired before the request ran"),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
+            ServeError::Panicked => {
+                write!(f, "request panicked while running; the panic was contained")
+            }
             ServeError::Remote(detail) => write!(f, "remote replica failure: {detail}"),
         }
     }
@@ -161,6 +168,7 @@ impl Serialize for ServeError {
             }
             ServeError::DeadlineExceeded => out.push_str("\"DeadlineExceeded\""),
             ServeError::ShuttingDown => out.push_str("\"ShuttingDown\""),
+            ServeError::Panicked => out.push_str("\"Panicked\""),
             ServeError::Remote(detail) => {
                 tagged("Remote", out);
                 detail.serialize_json(out);
@@ -180,6 +188,9 @@ impl Deserialize for ServeError {
         }
         if p.try_literal("\"ShuttingDown\"") {
             return Ok(ServeError::ShuttingDown);
+        }
+        if p.try_literal("\"Panicked\"") {
+            return Ok(ServeError::Panicked);
         }
         p.expect_char('{')?;
         let tag = p.parse_string()?;
@@ -279,6 +290,7 @@ mod tests {
             ServeError::QuotaExceeded("bulk".into()),
             ServeError::DeadlineExceeded,
             ServeError::ShuttingDown,
+            ServeError::Panicked,
             ServeError::Remote("connection refused".into()),
         ] {
             assert_eq!(roundtrip(&e), e);

@@ -15,10 +15,13 @@
 //! * [`Server`] / [`Client`] — a worker pool over a bounded MPMC queue
 //!   with per-request deadlines, admission control (prompt
 //!   [`ServeError::Overloaded`] instead of unbounded queueing), and
-//!   graceful shutdown that drains in-flight work.
+//!   graceful shutdown that drains in-flight work. At most `workers`
+//!   requests run at once, each on one of `workers` *seats*; an idle
+//!   service lets a blocking caller take a seat and answer on its own
+//!   thread instead of paying a hand-off.
 //! * [`Request`] / [`Response`] — a typed API (`SampleWr`, `SampleWor`,
 //!   `RangeCount`, `SampleUnion`, `Update`) dispatching to the existing
-//!   batch entry points with per-worker reusable buffers and RNGs.
+//!   batch entry points with per-seat reusable buffers and RNGs.
 //! * [`MetricsSnapshot`] — built-in metrics: atomic counters plus
 //!   log₂-bucket latency histograms with p50/p99/p999, queue depth,
 //!   rejection/deadline-miss counts, and snapshot-swap counts — one
@@ -65,5 +68,5 @@ pub use iqs_obs::{HistogramSnapshot, SnapshotDiffError};
 pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};
 pub use qos::TenantSpec;
 pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView, WeightedView};
-pub use server::{Client, PendingReply, Server, ServerConfig};
+pub use server::{Begun, Client, PendingReply, Server, ServerConfig};
 pub use snapshot::Snapshot;

@@ -66,7 +66,8 @@ iqs_obs::counter_set! {
         /// Requests that completed with an `Ok` response.
         completed: delta => counter "iqs_serve_requests_total" [outcome = "completed"] "Requests by outcome";
         /// Requests that completed with a typed error (bad index, empty
-        /// range, …) — *not* overload rejections or deadline misses.
+        /// range, a contained panic, …) — *not* overload rejections or
+        /// deadline misses.
         failed: delta => counter "iqs_serve_requests_total" [outcome = "failed"] "Requests by outcome";
         /// Requests refused at admission because the queue was full.
         rejected_overload: delta => counter "iqs_serve_requests_total" [outcome = "rejected_overload"] "Requests by outcome";
@@ -107,7 +108,8 @@ iqs_obs::counter_set! {
     histograms {
         /// End-to-end service latency (request origin → response ready).
         latency => "iqs_serve_latency_ns" "End-to-end service latency (ns)", exemplars;
-        /// Queue wait (admission → worker pickup) component of latency.
+        /// Queue wait (admission → pickup) component of latency; zero for
+        /// a request its own blocking caller picked up.
         queue_wait => "iqs_serve_queue_wait_ns" "Queue wait before worker pickup (ns)";
     }
     keyed {

@@ -1,5 +1,6 @@
 //! The service's internal plumbing: a bounded MPMC request queue with
-//! deadline-aware pickup and a one-shot reply cell, both on `std`
+//! deadline-aware pickup, the pool of draw seats that bounds how many
+//! requests run at once, and a one-shot reply cell, all on `std`
 //! primitives only.
 //!
 //! The queue is deliberately *bounded with rejection*: when producers
@@ -20,6 +21,25 @@
 //! late-deadline work cannot delay another tenant's tighter-deadline
 //! request past the one entry a worker has already picked up
 //! (non-preemptive EDF's one-quantum bound).
+//!
+//! # Seats
+//!
+//! The queue also owns the service's *seats* — the fixed set of per-draw
+//! states (one per configured worker) a request needs in order to run.
+//! A seat leaves the pool in exactly two ways, both under the queue
+//! lock: [`BoundedQueue::pop`] hands a worker the most urgent entry
+//! *together with* a free seat (an entry stays queued, in EDF order,
+//! until both exist), and [`BoundedQueue::try_seat`] hands a caller a
+//! seat only while nothing is queued. So at most `seats` requests run at
+//! any instant however many threads ask, and a queued entry is never
+//! overtaken by a later seat-taker. Whoever holds a seat gives it back
+//! with [`BoundedQueue::put_seat`]; [`BoundedQueue::wait_seats_home`] is
+//! how shutdown learns the last one is back.
+//!
+//! Lock poisoning: the lock guards plain data and is never held while a
+//! request runs (seats are *moved out* for that), so no request panic
+//! can poison it. A poisoned lock therefore means a bug in this module,
+//! and every method propagates it as a panic rather than recovering.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -72,31 +92,40 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-struct QueueInner<T> {
+struct QueueInner<T, S> {
     items: BinaryHeap<Entry<T>>,
     next_seq: u64,
     closed: bool,
+    /// Seats nobody is running on; the last one returned is taken first.
+    free: Vec<S>,
 }
 
-/// A bounded multi-producer multi-consumer queue with EDF pickup.
-/// Producers never block (they are refused instead); consumers block
-/// until an item arrives or the queue is closed *and* drained. Entries
-/// without deadlines dequeue in strict FIFO order.
-pub(crate) struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    not_empty: Condvar,
+/// A bounded multi-producer multi-consumer queue with EDF pickup, plus
+/// the seat pool (module docs). Producers never block (they are refused
+/// instead); consumers block until an item *and* a seat are available or
+/// the queue is closed and drained. Entries without deadlines dequeue in
+/// strict FIFO order.
+pub(crate) struct BoundedQueue<T, S> {
+    inner: Mutex<QueueInner<T, S>>,
+    /// Consumers wait here for "an item and a free seat"; shutdown waits
+    /// here for "every seat home".
+    changed: Condvar,
     capacity: usize,
+    seats: usize,
 }
 
-impl<T> BoundedQueue<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
+impl<T, S> BoundedQueue<T, S> {
+    /// A queue over `seats`, taken from the back of the vector first.
+    pub(crate) fn new(capacity: usize, seats: Vec<S>) -> Self {
         BoundedQueue {
+            seats: seats.len(),
             inner: Mutex::new(QueueInner {
                 items: BinaryHeap::with_capacity(capacity),
                 next_seq: 0,
                 closed: false,
+                free: seats,
             }),
-            not_empty: Condvar::new(),
+            changed: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
@@ -126,32 +155,69 @@ impl<T> BoundedQueue<T> {
         inner.next_seq += 1;
         inner.items.push(Entry { deadline, seq, item });
         drop(inner);
-        self.not_empty.notify_one();
+        self.changed.notify_one();
         Ok(())
     }
 
-    /// Dequeues the most urgent item (EDF, FIFO on ties), blocking while
-    /// the queue is open and empty. Returns `None` once the queue is
-    /// closed and fully drained — the worker-exit signal that makes
-    /// shutdown drain in-flight work.
-    pub(crate) fn pop(&self) -> Option<T> {
+    /// Dequeues the most urgent item (EDF, FIFO on ties) together with a
+    /// free seat, blocking until both exist. Returns `None` once the
+    /// queue is closed and fully drained — the worker-exit signal that
+    /// makes shutdown drain in-flight work.
+    pub(crate) fn pop(&self) -> Option<(T, S)> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if let Some(entry) = inner.items.pop() {
-                return Some(entry.item);
+            if inner.items.is_empty() {
+                if inner.closed {
+                    return None;
+                }
+            } else if let Some(seat) = inner.free.pop() {
+                let entry = inner.items.pop().expect("checked non-empty");
+                return Some((entry.item, seat));
             }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue poisoned");
+            inner = self.changed.wait(inner).expect("queue poisoned");
         }
     }
 
-    /// Closes the queue: further pushes are refused, consumers drain the
-    /// backlog and then observe `None`.
+    /// A free seat for a caller that wants to run its own request, or
+    /// `None` when it must queue instead: something is already queued
+    /// (it goes first), every seat is taken, or the queue is closed.
+    pub(crate) fn try_seat(&self) -> Option<S> {
+        let mut inner = self.inner.lock().expect("queue poisoned");
+        if inner.closed || !inner.items.is_empty() {
+            return None;
+        }
+        inner.free.pop()
+    }
+
+    /// Returns a seat taken by [`BoundedQueue::pop`] or
+    /// [`BoundedQueue::try_seat`].
+    pub(crate) fn put_seat(&self, seat: S) {
+        let mut inner = self.inner.lock().expect("queue poisoned");
+        inner.free.push(seat);
+        let (waiting, closed) = (!inner.items.is_empty(), inner.closed);
+        drop(inner);
+        if closed {
+            self.changed.notify_all();
+        } else if waiting {
+            self.changed.notify_one();
+        }
+    }
+
+    /// Closes the queue: further pushes and seat requests are refused,
+    /// consumers drain the backlog and then observe `None`.
     pub(crate) fn close(&self) {
         self.inner.lock().expect("queue poisoned").closed = true;
-        self.not_empty.notify_all();
+        self.changed.notify_all();
+    }
+
+    /// Blocks until every seat is back in the pool. Called after
+    /// [`BoundedQueue::close`], so no seat can leave again once the
+    /// backlog is drained.
+    pub(crate) fn wait_seats_home(&self) {
+        let mut inner = self.inner.lock().expect("queue poisoned");
+        while inner.free.len() < self.seats {
+            inner = self.changed.wait(inner).expect("queue poisoned");
+        }
     }
 
     /// Current backlog length.
@@ -234,58 +300,70 @@ impl<T> OneShot<T> {
 mod tests {
     use super::*;
 
+    /// A queue over one unit seat.
+    fn queue<T>(capacity: usize) -> BoundedQueue<T, ()> {
+        BoundedQueue::new(capacity, vec![()])
+    }
+
+    /// Pops as a worker does and gives the seat straight back.
+    fn take<T>(q: &BoundedQueue<T, ()>) -> Option<T> {
+        let (item, seat) = q.pop()?;
+        q.put_seat(seat);
+        Some(item)
+    }
+
     #[test]
     fn fifo_order_and_capacity() {
-        let q = BoundedQueue::new(2);
+        let q = queue(2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert!(matches!(q.try_push(3), Err(PushRefused::Full(3))));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(take(&q), Some(1));
         q.try_push(3).unwrap();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(take(&q), Some(2));
+        assert_eq!(take(&q), Some(3));
     }
 
     #[test]
     fn edf_orders_by_deadline_with_fifo_ties_and_none_last() {
         use std::time::Duration;
         let base = Instant::now();
-        let q = BoundedQueue::new(8);
+        let q = queue(8);
         q.try_push_at("no-deadline-a", None).unwrap();
         q.try_push_at("late", Some(base + Duration::from_secs(30))).unwrap();
         q.try_push_at("tie-first", Some(base + Duration::from_secs(10))).unwrap();
         q.try_push_at("tie-second", Some(base + Duration::from_secs(10))).unwrap();
         q.try_push_at("early", Some(base + Duration::from_secs(1))).unwrap();
         q.try_push_at("no-deadline-b", None).unwrap();
-        assert_eq!(q.pop(), Some("early"));
-        assert_eq!(q.pop(), Some("tie-first"), "deadline ties resolve FIFO");
-        assert_eq!(q.pop(), Some("tie-second"));
-        assert_eq!(q.pop(), Some("late"));
-        assert_eq!(q.pop(), Some("no-deadline-a"), "deadline-less entries rank last, FIFO");
-        assert_eq!(q.pop(), Some("no-deadline-b"));
+        assert_eq!(take(&q), Some("early"));
+        assert_eq!(take(&q), Some("tie-first"), "deadline ties resolve FIFO");
+        assert_eq!(take(&q), Some("tie-second"));
+        assert_eq!(take(&q), Some("late"));
+        assert_eq!(take(&q), Some("no-deadline-a"), "deadline-less entries rank last, FIFO");
+        assert_eq!(take(&q), Some("no-deadline-b"));
     }
 
     #[test]
     fn close_drains_then_signals_exit() {
-        let q = BoundedQueue::new(4);
+        let q = queue(4);
         q.try_push(10).unwrap();
         q.try_push(11).unwrap();
         q.close();
         assert!(matches!(q.try_push(12), Err(PushRefused::Closed(12))));
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), Some(11));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
+        assert_eq!(take(&q), Some(10));
+        assert_eq!(take(&q), Some(11));
+        assert_eq!(take(&q), None);
+        assert_eq!(take(&q), None);
     }
 
     #[test]
     fn blocked_consumer_wakes_on_push_and_close() {
-        let q = Arc::new(BoundedQueue::new(4));
+        let q = Arc::new(queue(4));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || {
             let mut got = Vec::new();
-            while let Some(v) = q2.pop() {
+            while let Some(v) = take(&q2) {
                 got.push(v);
             }
             got
@@ -298,6 +376,34 @@ mod tests {
         q.close();
         let got = consumer.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+    }
+
+    /// The seat rules of the module docs: a caller gets a seat only
+    /// while nothing is queued, a queued item leaves only with a seat,
+    /// and close refuses new seat-takers but lets the backlog drain.
+    #[test]
+    fn seats_bound_runners_and_never_overtake_the_queue() {
+        let q: Arc<BoundedQueue<u32, &str>> = Arc::new(BoundedQueue::new(4, vec!["b", "a"]));
+        assert_eq!(q.try_seat(), Some("a"), "the back of the vector goes first");
+        assert_eq!(q.try_seat(), Some("b"));
+        assert_eq!(q.try_seat(), None, "every seat is taken");
+        q.try_push(7).unwrap();
+        let q2 = Arc::clone(&q);
+        let worker = std::thread::spawn(move || q2.pop());
+        q.put_seat("a");
+        assert_eq!(worker.join().unwrap(), Some((7, "a")), "the queued item got the freed seat");
+        q.put_seat("b");
+        q.try_push(8).unwrap();
+        assert_eq!(q.try_seat(), None, "a caller never overtakes a queued item");
+        q.close();
+        assert_eq!(q.try_seat(), None, "a closed queue seats no new caller");
+        assert_eq!(q.pop(), Some((8, "b")), "the backlog still drains");
+        let q2 = Arc::clone(&q);
+        let shutdown = std::thread::spawn(move || q2.wait_seats_home());
+        q.put_seat("a");
+        q.put_seat("b");
+        shutdown.join().unwrap();
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

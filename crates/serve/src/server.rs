@@ -1,27 +1,48 @@
-//! The multi-threaded sampling query engine: a worker pool pulling typed
-//! requests off a bounded queue and dispatching them to the registry's
-//! snapshot-published indexes.
+//! The multi-threaded sampling query engine: typed requests admitted
+//! through a bounded queue, run on a fixed set of *seats*, and dispatched
+//! to the registry's snapshot-published indexes.
 //!
 //! Request lifecycle:
 //!
-//! 1. **Admission** — [`Client`] hands the request to the bounded MPMC
-//!    queue. A full queue refuses it immediately with
-//!    [`ServeError::Overloaded`] (backpressure, not unbounded queueing).
-//! 2. **Pickup** — a worker dequeues it. If its deadline already passed,
-//!    the worker answers [`ServeError::DeadlineExceeded`] without doing
+//! 1. **Admission** — [`Client`] checks that the service is accepting
+//!    and, for a tenant handle, that the tenant's quota admits the
+//!    request. A request that must queue and finds the bounded MPMC
+//!    queue full is refused immediately with [`ServeError::Overloaded`]
+//!    (backpressure, not unbounded queueing).
+//! 2. **Pickup** — the request gets a *seat*: one of the `workers`
+//!    per-draw states (a seeded RNG plus reusable output buffers) that
+//!    bound how many requests run at once. A worker thread takes the
+//!    most urgent queued request together with a free seat. The caller
+//!    of a *blocking* door ([`Client::call`], [`Client::call_at`],
+//!    [`Client::call_traced`], [`Client::call_ctx`]) takes a seat itself
+//!    when nothing is queued and one is free — an idle service answers
+//!    on the thread that asked, with no hand-off — and otherwise queues
+//!    and waits for a worker like everybody else, so a queued request is
+//!    never overtaken. ([`Client::begin_ctx`] is that door with the wait
+//!    left to the caller.) [`Client::call_pending`],
+//!    [`Client::call_pending_ctx`] and [`Client::submit_nowait`] return
+//!    before the answer exists and are therefore queue-only. Whoever
+//!    holds the seat runs the same routine: if the deadline already
+//!    passed, it answers [`ServeError::DeadlineExceeded`] without doing
 //!    the work — expired requests never consume sampling capacity.
-//! 3. **Dispatch** — the worker pins the target index's current snapshot
-//!    and runs the matching batch entry point with its *per-worker*
-//!    reusable output buffer and RNG. Each worker owns a seeded `StdRng`,
-//!    so every response's samples are independent of every other
-//!    response's — the paper's equation (1) across service clients.
+//! 3. **Dispatch** — the seat holder pins the target index's current
+//!    snapshot and runs the matching batch entry point with the seat's
+//!    reusable output buffer and RNG. Each seat owns a distinctly seeded
+//!    `StdRng` used by one thread at a time, so every response's samples
+//!    are independent of every other response's — the paper's equation
+//!    (1) across service clients. A panic inside dispatch is caught
+//!    there: the request answers [`ServeError::Panicked`], the seat goes
+//!    back with fresh buffers, and the worker or caller carries on.
 //! 4. **Reply + metrics** — latency (request origin → response ready) and
 //!    queue wait are recorded in log₂ histograms; counters classify the
 //!    outcome.
 //!
 //! Shutdown is graceful: admissions stop, workers drain everything
-//! already queued (every accepted request gets a response), then exit.
+//! already queued (every accepted request gets a response) and exit, and
+//! `shutdown` returns once every seat — including one a blocking caller
+//! is still running on — is back in the pool.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -43,7 +64,8 @@ use crate::registry::{IndexRegistry, IndexView};
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads. Defaults to available parallelism, capped at 8.
+    /// Worker threads, and with them seats: the number of requests that
+    /// can run at once. Defaults to available parallelism, capped at 8.
     pub workers: usize,
     /// Request-queue capacity; admission refuses beyond it. Default 1024.
     pub queue_capacity: usize,
@@ -53,7 +75,7 @@ pub struct ServerConfig {
     /// Upper bound on per-request sample count, bounding worker memory.
     /// Default 2²⁰.
     pub max_sample_size: u32,
-    /// Seed for the per-worker RNGs (worker `i` derives an independent
+    /// Seed for the per-seat RNGs (seat `i` derives an independent
     /// stream from it).
     pub seed: u64,
     /// Time source for deadlines, queue waits, and latency metrics. The
@@ -81,7 +103,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued unit of work.
+/// One admitted request, as [`serve_job`] needs it.
 struct Job {
     request: Request,
     /// Latency is measured from here — for open-loop load generators this
@@ -90,20 +112,41 @@ struct Job {
     origin: Instant,
     enqueued: Instant,
     deadline: Option<Instant>,
-    /// `None` for fire-and-forget submissions; outcomes still land in the
-    /// metrics.
-    reply: Option<OneShot<Result<Response, ServeError>>>,
-    /// Trace context the request carries through the queue to the
-    /// worker. Untraced for plain calls.
+    /// Trace context the request carries to whoever runs it. Untraced
+    /// for plain calls.
     ctx: Ctx,
     /// Index into the configured tenants; `None` for untenanted
     /// submissions (plain `server.client()` handles).
     tenant: Option<u32>,
 }
 
+type Reply = OneShot<Result<Response, ServeError>>;
+
+/// A queue entry: the job and where its answer goes (`None` for
+/// fire-and-forget submissions; outcomes still land in the metrics).
+type Queued = (Job, Option<Reply>);
+
+/// One of the `workers` draw states a request runs on (module docs,
+/// "Pickup"). The RNG stream of seat `i` is what worker `i`'s used to
+/// be; the buffers are reused from request to request.
+struct Seat {
+    rng: StdRng,
+    scratch: Scratch,
+}
+
+/// What [`Client::begin_ctx`] — the step every blocking door starts
+/// with — did with an admitted request.
+pub enum Begun {
+    /// A seat was free and nothing was queued: the caller ran the
+    /// request itself, and this is its outcome.
+    Done(Result<Response, ServeError>),
+    /// The request is queued for a worker; wait on the handle.
+    Queued(PendingReply),
+}
+
 struct Shared {
     registry: IndexRegistry,
-    queue: BoundedQueue<Job>,
+    queue: BoundedQueue<Queued, Seat>,
     metrics: Metrics,
     slow: SlowLog,
     accepting: AtomicBool,
@@ -113,15 +156,17 @@ struct Shared {
 }
 
 impl Shared {
-    fn submit(
+    /// Admission, shared by every door: counts the submission, refuses
+    /// it when the service is shutting down or the tenant is over quota,
+    /// and otherwise stamps the job and records its `Enqueue`.
+    fn admit(
         &self,
         request: Request,
         origin: Instant,
         deadline: Option<Instant>,
-        reply: Option<OneShot<Result<Response, ServeError>>>,
         ctx: Ctx,
         tenant: Option<u32>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<Job, ServeError> {
         self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = tenant {
             self.metrics.tenants[t as usize].submitted.fetch_add(1, Ordering::Relaxed);
@@ -139,12 +184,17 @@ impl Shared {
                 return Err(ServeError::QuotaExceeded(state.spec.name.clone()));
             }
         }
-        let job = Job { request, origin, enqueued: self.clock.now(), deadline, reply, ctx, tenant };
-        // Emit before the push: once the job is visible, a worker may
-        // record its Pickup, and the Enqueue record must already hold a
-        // smaller sequence number for traces to order deterministically.
+        let job = Job { request, origin, enqueued: self.clock.now(), deadline, ctx, tenant };
+        // Emit before the job can run: whoever picks it up records its
+        // Pickup, and the Enqueue record must already hold a smaller
+        // sequence number for traces to order deterministically.
         recorder::emit(ctx, Phase::Enqueue, 0, 0);
-        match self.queue.try_push_at(job, deadline) {
+        Ok(job)
+    }
+
+    fn enqueue(&self, job: Job, reply: Option<Reply>) -> Result<(), ServeError> {
+        let deadline = job.deadline;
+        match self.queue.try_push_at((job, reply), deadline) {
             Ok(()) => {
                 self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
                 Ok(())
@@ -155,6 +205,47 @@ impl Shared {
             }
             Err(PushRefused::Closed(_)) => Err(ServeError::ShuttingDown),
         }
+    }
+
+    /// The queue-only doors: admit, then hand the job to the workers.
+    fn submit(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Option<Instant>,
+        reply: Option<Reply>,
+        ctx: Ctx,
+        tenant: Option<u32>,
+    ) -> Result<(), ServeError> {
+        let job = self.admit(request, origin, deadline, ctx, tenant)?;
+        self.enqueue(job, reply)
+    }
+
+    /// The blocking doors: admit, then run the job here and now if a
+    /// seat is free and nothing is queued ahead of it — picked up at the
+    /// instant it was admitted — or queue it for a worker. The caller
+    /// decides how long to wait on a queued reply.
+    ///
+    /// # Errors
+    /// Admission refusals only; a request that ran reports its own
+    /// outcome inside [`Begun::Done`].
+    fn begin(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Option<Instant>,
+        ctx: Ctx,
+        tenant: Option<u32>,
+    ) -> Result<Begun, ServeError> {
+        let job = self.admit(request, origin, deadline, ctx, tenant)?;
+        if let Some(mut seat) = self.queue.try_seat() {
+            let result = serve_job(self, &mut seat, &job, job.enqueued);
+            self.queue.put_seat(seat);
+            return Ok(Begun::Done(result));
+        }
+        let reply = OneShot::new();
+        self.enqueue(job, Some(reply.clone()))?;
+        Ok(Begun::Queued(PendingReply { reply, clock: self.clock.clone() }))
     }
 
     fn snapshot_metrics(&self) -> MetricsSnapshot {
@@ -220,21 +311,62 @@ impl Client {
         origin: Instant,
         deadline: Option<Instant>,
     ) -> Result<Response, ServeError> {
-        let reply = OneShot::new();
-        self.shared.submit(
-            request,
-            origin,
-            deadline,
-            Some(reply.clone()),
-            Ctx::none(),
-            self.tenant,
-        )?;
-        reply.wait()
+        match self.shared.begin(request, origin, deadline, Ctx::none(), self.tenant)? {
+            Begun::Done(result) => result,
+            Begun::Queued(pending) => pending.wait(),
+        }
+    }
+
+    /// [`Client::call_at`] carrying an explicit trace context, with the
+    /// wait bounded by the deadline — the blocking door for layers that
+    /// manage their own traces and deadlines (`iqs-net`'s connection
+    /// threads). A request that had to queue and is still unanswered at
+    /// `deadline` (on the server's clock) returns
+    /// [`ServeError::DeadlineExceeded`] and is abandoned; a worker may
+    /// still run it, and its outcome lands in the metrics.
+    ///
+    /// # Errors
+    /// As [`Client::call`].
+    pub fn call_ctx(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Option<Instant>,
+        ctx: Ctx,
+    ) -> Result<Response, ServeError> {
+        match self.begin_ctx(request, origin, deadline, ctx)? {
+            Begun::Done(result) => result,
+            Begun::Queued(pending) => match deadline {
+                Some(dl) => pending.wait_deadline(dl).unwrap_or(Err(ServeError::DeadlineExceeded)),
+                None => pending.wait(),
+            },
+        }
+    }
+
+    /// The first half of [`Client::call_ctx`], for a caller with other
+    /// replies to wait for: the request is admitted and, when a seat is
+    /// free and nothing is queued, run to completion on this thread
+    /// ([`Begun::Done`]); otherwise it is queued and the handle comes
+    /// back at once ([`Begun::Queued`]) — this door never waits for a
+    /// busy service. The sharded router submits local legs through it,
+    /// so a leg that has to queue still overlaps with the scatter's
+    /// other legs.
+    ///
+    /// # Errors
+    /// Admission refusals, as [`Client::call_pending`].
+    pub fn begin_ctx(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Option<Instant>,
+        ctx: Ctx,
+    ) -> Result<Begun, ServeError> {
+        self.shared.begin(request, origin, deadline, ctx, self.tenant)
     }
 
     /// [`Client::call`], with the request traced end to end: a fresh
     /// trace id is allocated (when the [`iqs_obs`] recorder is
-    /// installed), carried through the queue to the worker, and its
+    /// installed), carried to whoever runs the request, and its
     /// records — enqueue, pickup, deadline check, per-draw RNG cost,
     /// completion — can be reconstructed afterwards with
     /// [`iqs_obs::TraceView`]. Returns the trace id
@@ -248,13 +380,11 @@ impl Client {
         let ctx = Ctx::query(trace);
         let origin = self.shared.clock.now();
         let deadline = self.default_deadline.map(|d| origin + d);
-        let reply = OneShot::new();
-        if let Err(e) =
-            self.shared.submit(request, origin, deadline, Some(reply.clone()), ctx, self.tenant)
-        {
-            return (trace, Err(e));
-        }
-        let result = reply.wait();
+        let result = match self.shared.begin(request, origin, deadline, ctx, self.tenant) {
+            Ok(Begun::Done(result)) => result,
+            Ok(Begun::Queued(pending)) => pending.wait(),
+            Err(e) => return (trace, Err(e)),
+        };
         let latency = self.shared.clock.now().saturating_duration_since(origin);
         let latency_ns = latency.as_nanos().min(u64::MAX as u128) as u64;
         recorder::emit(ctx, Phase::QueryDone, latency_ns, u64::from(result.is_err()));
@@ -264,9 +394,10 @@ impl Client {
 
     /// Submits `request` and returns a [`PendingReply`] without waiting,
     /// so a caller can scatter several requests (e.g. one per shard) and
-    /// gather the responses afterwards. `origin` is the latency origin;
-    /// `deadline` (if any) is enforced at worker pickup exactly as for
-    /// [`Client::call_at`].
+    /// gather the responses afterwards. Queue-only by contract: the
+    /// request always runs on a worker thread, never on the caller's.
+    /// `origin` is the latency origin; `deadline` (if any) is enforced
+    /// at pickup exactly as for [`Client::call_at`].
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] / [`ServeError::ShuttingDown`] at
@@ -301,8 +432,9 @@ impl Client {
 
     /// Fire-and-forget submission for open-loop load generation: the
     /// request is admitted (or refused) now, executed when a worker
-    /// reaches it, and its outcome is visible only through the metrics.
-    /// `origin` should be the request's scheduled arrival time.
+    /// reaches it (queue-only, like [`Client::call_pending`]), and its
+    /// outcome is visible only through the metrics. `origin` should be
+    /// the request's scheduled arrival time.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] / [`ServeError::ShuttingDown`] at
@@ -325,7 +457,7 @@ impl Client {
 /// An in-flight request submitted with [`Client::call_pending`]: a
 /// waitable handle on the response.
 pub struct PendingReply {
-    reply: OneShot<Result<Response, ServeError>>,
+    reply: Reply,
     clock: ClockHandle,
 }
 
@@ -347,7 +479,8 @@ impl PendingReply {
     }
 }
 
-/// The running service: worker pool + queue + registry + metrics.
+/// The running service: worker pool + queue and seats + registry +
+/// metrics.
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -361,9 +494,22 @@ impl Server {
     pub fn start(registry: IndexRegistry, config: ServerConfig) -> Server {
         let tenant_names: Vec<&str> = config.tenants.iter().map(|t| t.name.as_str()).collect();
         let now = config.clock.now();
+        let workers = config.workers.max(1);
+        // Distinct per-seat seeds -> independent streams (the workspace
+        // StdRng seeds through SplitMix64). Reversed, so that seat 0 is
+        // the first one taken.
+        let seats = (0..workers)
+            .rev()
+            .map(|i| Seat {
+                rng: StdRng::seed_from_u64(
+                    config.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1),
+                ),
+                scratch: Scratch::default(),
+            })
+            .collect();
         let shared = Arc::new(Shared {
             registry,
-            queue: BoundedQueue::new(config.queue_capacity),
+            queue: BoundedQueue::new(config.queue_capacity, seats),
             metrics: Metrics::with_tenants(&tenant_names),
             slow: SlowLog::default(),
             accepting: AtomicBool::new(true),
@@ -371,15 +517,12 @@ impl Server {
             clock: config.clock.clone(),
             tenants: config.tenants.iter().map(|t| TenantState::new(t.clone(), now)).collect(),
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                // Distinct per-worker seeds -> independent streams (the
-                // workspace StdRng seeds through SplitMix64).
-                let seed = config.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1);
                 std::thread::Builder::new()
                     .name(format!("iqs-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, seed))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -418,8 +561,9 @@ impl Server {
     }
 
     /// Graceful shutdown: stops admitting, lets the workers drain every
-    /// already-accepted request (each gets its response), joins them, and
-    /// returns the final metrics.
+    /// already-accepted request (each gets its response), joins them,
+    /// waits for any blocking caller still running on a seat, and returns
+    /// the final metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.stop_and_join();
         self.shared.snapshot_metrics()
@@ -431,6 +575,7 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        self.shared.queue.wait_seats_home();
     }
 }
 
@@ -440,7 +585,7 @@ impl Drop for Server {
     }
 }
 
-/// Per-worker reusable output buffers: the sampling batch entry points
+/// Per-seat reusable output buffers: the sampling batch entry points
 /// write into these, so steady-state request service performs no
 /// sample-sized allocation beyond the response vector itself.
 #[derive(Default)]
@@ -456,77 +601,97 @@ fn sized<T: Default + Clone>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
     &mut buf[..]
 }
 
-fn worker_loop(shared: &Shared, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut scratch = Scratch::default();
-    while let Some(job) = shared.queue.pop() {
+fn worker_loop(shared: &Shared) {
+    while let Some(((job, reply), mut seat)) = shared.queue.pop() {
         shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let picked = shared.clock.now();
-        let wait = picked.saturating_duration_since(job.enqueued);
-        shared.metrics.queue_wait.record(wait);
-        recorder::emit(job.ctx, Phase::Pickup, wait.as_nanos().min(u64::MAX as u128) as u64, 0);
-        // `>=`, not `>`: a request whose deadline equals the pickup
-        // instant has no time left to do work, and on a frozen virtual
-        // clock this is what makes deadline misses deterministic.
-        if job.deadline.is_some_and(|dl| picked >= dl) {
-            shared.metrics.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = job.tenant {
-                shared.metrics.tenants[t as usize].deadline_missed.fetch_add(1, Ordering::Relaxed);
-            }
-            recorder::emit(job.ctx, Phase::DeadlineMiss, 0, 0);
-            if let Some(reply) = &job.reply {
-                reply.put(Err(ServeError::DeadlineExceeded));
-            }
-            continue;
-        }
-        let cost_before = iqs_alias::prof::read();
-        let result = dispatch(shared, &job.request, &mut rng, &mut scratch, job.ctx);
-        let done = shared.clock.now();
-        // Per-draw cost: the thread-local profile delta over the
-        // dispatch. The RNG-word/refill totals feed the always-on
-        // service counters (two relaxed adds); the full breakdown is
-        // recorded only when the request is traced.
-        let cost = iqs_alias::prof::read().minus(&cost_before);
-        if !cost.is_zero() {
-            shared.metrics.rng_words.fetch_add(cost.rng_words, Ordering::Relaxed);
-            shared.metrics.rng_refills.fetch_add(cost.rng_refills, Ordering::Relaxed);
-            shared.metrics.prefetches.fetch_add(cost.prefetches, Ordering::Relaxed);
-            shared.metrics.window_stalls.fetch_add(cost.window_stalls, Ordering::Relaxed);
-        }
-        recorder::emit(
-            job.ctx,
-            Phase::RngCost,
-            cost.rng_words,
-            iqs_obs::recorder::pack_cost(
-                cost.rng_refills,
-                cost.alias_redirects,
-                cost.tree_descents,
-                cost.union_rejects,
-            ),
-        );
-        let service = done.saturating_duration_since(job.origin);
-        shared.metrics.latency.record(service);
-        recorder::emit(
-            job.ctx,
-            Phase::WorkDone,
-            service.as_nanos().min(u64::MAX as u128) as u64,
-            u64::from(result.is_ok()),
-        );
-        match &result {
-            Ok(_) => shared.metrics.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => shared.metrics.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        if let Some(t) = job.tenant {
-            let row = &shared.metrics.tenants[t as usize];
-            match &result {
-                Ok(_) => row.completed.fetch_add(1, Ordering::Relaxed),
-                Err(_) => row.failed.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-        if let Some(reply) = &job.reply {
+        let result = serve_job(shared, &mut seat, &job, shared.clock.now());
+        // Seat first: a closed-loop caller woken by the reply finds it
+        // home and runs its next request itself.
+        shared.queue.put_seat(seat);
+        if let Some(reply) = reply {
             reply.put(result);
         }
     }
+}
+
+/// Runs one admitted job on `seat` — the one routine behind every door,
+/// called by a worker thread for a queued job and by a blocking caller
+/// that took a seat itself. `picked` is the pickup instant.
+fn serve_job(
+    shared: &Shared,
+    seat: &mut Seat,
+    job: &Job,
+    picked: Instant,
+) -> Result<Response, ServeError> {
+    let wait = picked.saturating_duration_since(job.enqueued);
+    shared.metrics.queue_wait.record(wait);
+    recorder::emit(job.ctx, Phase::Pickup, wait.as_nanos().min(u64::MAX as u128) as u64, 0);
+    // `>=`, not `>`: a request whose deadline equals the pickup
+    // instant has no time left to do work, and on a frozen virtual
+    // clock this is what makes deadline misses deterministic.
+    if job.deadline.is_some_and(|dl| picked >= dl) {
+        shared.metrics.deadline_missed.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = job.tenant {
+            shared.metrics.tenants[t as usize].deadline_missed.fetch_add(1, Ordering::Relaxed);
+        }
+        recorder::emit(job.ctx, Phase::DeadlineMiss, 0, 0);
+        return Err(ServeError::DeadlineExceeded);
+    }
+    let cost_before = iqs_alias::prof::read();
+    // Panic containment: dispatch is the only place index code (and an
+    // `ExternalIndex`'s) runs, and it may now run on a caller's thread
+    // holding the service's only seat. The RNG stays — any state is a
+    // valid point of its stream — but half-written buffers do not.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        dispatch(shared, &job.request, &mut seat.rng, &mut seat.scratch, job.ctx)
+    }))
+    .unwrap_or_else(|_| {
+        seat.scratch = Scratch::default();
+        Err(ServeError::Panicked)
+    });
+    let done = shared.clock.now();
+    // Per-draw cost: the thread-local profile delta over the
+    // dispatch. The RNG-word/refill totals feed the always-on
+    // service counters (two relaxed adds); the full breakdown is
+    // recorded only when the request is traced.
+    let cost = iqs_alias::prof::read().minus(&cost_before);
+    if !cost.is_zero() {
+        shared.metrics.rng_words.fetch_add(cost.rng_words, Ordering::Relaxed);
+        shared.metrics.rng_refills.fetch_add(cost.rng_refills, Ordering::Relaxed);
+        shared.metrics.prefetches.fetch_add(cost.prefetches, Ordering::Relaxed);
+        shared.metrics.window_stalls.fetch_add(cost.window_stalls, Ordering::Relaxed);
+    }
+    recorder::emit(
+        job.ctx,
+        Phase::RngCost,
+        cost.rng_words,
+        iqs_obs::recorder::pack_cost(
+            cost.rng_refills,
+            cost.alias_redirects,
+            cost.tree_descents,
+            cost.union_rejects,
+        ),
+    );
+    let service = done.saturating_duration_since(job.origin);
+    shared.metrics.latency.record(service);
+    recorder::emit(
+        job.ctx,
+        Phase::WorkDone,
+        service.as_nanos().min(u64::MAX as u128) as u64,
+        u64::from(result.is_ok()),
+    );
+    match &result {
+        Ok(_) => shared.metrics.completed.fetch_add(1, Ordering::Relaxed),
+        Err(_) => shared.metrics.failed.fetch_add(1, Ordering::Relaxed),
+    };
+    if let Some(t) = job.tenant {
+        let row = &shared.metrics.tenants[t as usize];
+        match &result {
+            Ok(_) => row.completed.fetch_add(1, Ordering::Relaxed),
+            Err(_) => row.failed.fetch_add(1, Ordering::Relaxed),
+        };
+    }
+    result
 }
 
 fn check_sample_size(s: u32, max: u32) -> Result<usize, ServeError> {

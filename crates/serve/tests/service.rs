@@ -6,12 +6,24 @@
 //! an `iqs_testkit` virtual clock (advanced explicitly, so a "missed"
 //! deadline is a deterministic fact, not a race), and the distributional
 //! checks run as registered `testkit::gate`s under the suite seed.
+//!
+//! The seat-protocol tests at the end hold the three promises the
+//! blocking doors make when a caller runs its own request: the `workers`
+//! cap, no overtaking of a queued job, and drain-on-shutdown. Where they
+//! need a request to take a long time they park it inside a
+//! [`GatedIndex`] until the test opens the gate — interleavings are
+//! forced, never slept for.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use iqs_serve::{IndexRegistry, Request, Response, ServeError, Server, ServerConfig, UpdateOp};
+use iqs_obs::{recorder, Phase};
+use iqs_serve::{
+    ExternalIndex, IndexRegistry, IoReport, Request, Response, ServeError, Server, ServerConfig,
+    TenantSpec, UpdateOp,
+};
 use iqs_stats::chisq::{chi_square_gof, uniform_probs, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::VirtualClock;
@@ -30,13 +42,14 @@ fn sample_ids(resp: Response) -> Vec<u64> {
 }
 
 /// The chi-square aggregate-distribution check, served through the full
-/// concurrent service path: queue, snapshots, per-worker RNGs, with four
+/// concurrent service path: queue, snapshots, per-seat RNGs, with four
 /// client threads submitting concurrently.
 ///
-/// One worker serves all requests so the merged histogram is a
-/// deterministic function of the gate seed: all requests are identical,
-/// so the single worker RNG stream maps to the same multiset of samples
-/// whatever order the client threads' submissions interleave in.
+/// One seat serves all requests — on a caller's thread or the worker's —
+/// so the merged histogram is a deterministic function of the gate seed:
+/// all requests are identical, so the single seat's RNG stream maps to
+/// the same multiset of samples whatever order the client threads'
+/// submissions interleave in.
 #[test]
 fn aggregate_distribution_is_correct_through_the_service() {
     gate::run("serve_aggregate_distribution", |seed, scale| {
@@ -388,4 +401,374 @@ fn typed_error_paths() {
     );
     assert!(ids.iter().all(|id| [1, 2].contains(id)));
     server.shutdown();
+}
+
+/// An [`ExternalIndex`] whose draws the test can watch and hold: every
+/// `sample_wr` records the thread it runs on and its `s` (the tests'
+/// request tag), waits until the gate is open, and answers `s` zeros.
+/// `s ==` [`GatedIndex::PANIC_S`] panics instead, like a buggy index.
+#[derive(Debug)]
+struct GatedIndex {
+    open: Mutex<bool>,
+    opened: Condvar,
+    /// Draws inside `sample_wr` right now, and the most there ever were.
+    active: AtomicUsize,
+    max_active: AtomicUsize,
+    /// `(s, name of the thread that ran it)` per draw, in entry order.
+    entries: Mutex<Vec<(usize, Option<String>)>>,
+    /// Draws that have returned.
+    exited: AtomicUsize,
+}
+
+impl GatedIndex {
+    const PANIC_S: usize = 13;
+
+    fn new(open: bool) -> Arc<GatedIndex> {
+        Arc::new(GatedIndex {
+            open: Mutex::new(open),
+            opened: Condvar::new(),
+            active: AtomicUsize::new(0),
+            max_active: AtomicUsize::new(0),
+            entries: Mutex::new(Vec::new()),
+            exited: AtomicUsize::new(0),
+        })
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn entries(&self) -> Vec<(usize, Option<String>)> {
+        self.entries.lock().unwrap().clone()
+    }
+
+    /// A server whose registry holds this index under the name "gated".
+    fn serve(self: &Arc<Self>, config: ServerConfig) -> Server {
+        let mut registry = IndexRegistry::new();
+        registry.register_external("gated", Arc::clone(self) as _).unwrap();
+        Server::start(registry, config)
+    }
+}
+
+impl ExternalIndex for GatedIndex {
+    fn sample_wr(
+        &self,
+        _range: Option<(f64, f64)>,
+        s: usize,
+        _rng: &mut dyn rand::RngCore,
+        _ctx: iqs_obs::Ctx,
+    ) -> Result<(Vec<u64>, IoReport), ServeError> {
+        assert_ne!(s, GatedIndex::PANIC_S, "index bug (this panic is the test's)");
+        let name = std::thread::current().name().map(str::to_string);
+        self.entries.lock().unwrap().push((s, name));
+        let active = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_active.fetch_max(active, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        self.exited.fetch_add(1, Ordering::SeqCst);
+        Ok((vec![0; s], IoReport::default()))
+    }
+
+    fn range_count(&self, _x: f64, _y: f64) -> Result<usize, ServeError> {
+        Ok(0)
+    }
+
+    fn range_weight(&self, _x: f64, _y: f64) -> Result<f64, ServeError> {
+        Ok(1.0)
+    }
+
+    fn total_weight(&self) -> Result<f64, ServeError> {
+        Ok(1.0)
+    }
+}
+
+fn gated(s: u32) -> Request {
+    Request::SampleWr { index: "gated".into(), range: None, s }
+}
+
+/// Condition-based waiting: yields until `done()` holds.
+fn until(done: impl Fn() -> bool) {
+    while !done() {
+        std::thread::yield_now();
+    }
+}
+
+fn ran_on_a_worker(name: &Option<String>) -> bool {
+    name.as_deref().is_some_and(|n| n.starts_with("iqs-serve-"))
+}
+
+/// The cap: `workers` bounds the draws in flight however many blocking
+/// callers there are. Eight callers on a two-seat service, every draw
+/// held inside the index until all eight are admitted: two are inside,
+/// six wait in the queue, and never more than two were inside at once.
+#[test]
+fn seats_cap_concurrent_draws_at_workers() {
+    let index = GatedIndex::new(false);
+    let server = index.serve(ServerConfig { workers: 2, ..ServerConfig::default() });
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            let client = server.client();
+            scope.spawn(move || sample_ids(client.call(gated(1)).expect("draw succeeds")));
+        }
+        until(|| {
+            let m = server.metrics();
+            m.submitted == 8 && m.queue_depth == 6 && index.active.load(Ordering::SeqCst) == 2
+        });
+        index.open();
+    });
+    assert_eq!(index.max_active.load(Ordering::SeqCst), 2, "two seats, two draws at a time");
+    let m = server.shutdown();
+    assert_eq!((m.completed, m.failed, m.queue_depth), (8, 0, 0));
+}
+
+/// No overtaking: while a blocking caller runs on the only seat, jobs
+/// queue up behind it — and a blocking `call` that arrives after them
+/// queues too, instead of taking the seat when it comes free. The
+/// backlog then drains in EDF order (deadlines first, earliest first;
+/// deadline-less jobs FIFO), exactly as it does without seats.
+#[test]
+fn a_queued_job_is_never_overtaken_by_a_later_blocking_call() {
+    let vc = VirtualClock::new();
+    let clock = vc.handle();
+    let index = GatedIndex::new(false);
+    let server =
+        index.serve(ServerConfig { workers: 1, clock: clock.clone(), ..ServerConfig::default() });
+    let client = server.client();
+    let now = clock.now();
+    std::thread::scope(|scope| {
+        // s = 1 takes the seat on its caller's thread and parks.
+        let first = server.client();
+        scope.spawn(move || first.call(gated(1)).expect("held draw succeeds"));
+        until(|| index.active.load(Ordering::SeqCst) == 1);
+        let queued = [
+            client.call_pending(gated(2), now, None).expect("admitted"),
+            client.call_pending(gated(3), now, Some(now + Duration::from_secs(30))).expect("late"),
+            client.call_pending(gated(4), now, Some(now + Duration::from_secs(1))).expect("early"),
+        ];
+        // s = 5 arrives last, through a blocking door.
+        let last = server.client();
+        scope.spawn(move || last.call(gated(5)).expect("late caller succeeds"));
+        until(|| server.metrics().queue_depth == 4);
+        index.open();
+        for pending in queued {
+            pending.wait().expect("queued draw succeeds");
+        }
+    });
+    let entries = index.entries();
+    let order: Vec<usize> = entries.iter().map(|(s, _)| *s).collect();
+    assert_eq!(order, vec![1, 4, 3, 2, 5], "seat holder, then EDF, then FIFO");
+    assert!(!ran_on_a_worker(&entries[0].1), "the idle service answered on the caller's thread");
+    assert!(entries[1..].iter().all(|(_, name)| ran_on_a_worker(name)), "{entries:?}");
+    server.shutdown();
+}
+
+/// `begin_ctx` is the blocking door with the wait left to the caller: on
+/// an idle service it runs the request and hands back the outcome, and
+/// with the only seat taken it queues the request and returns at once —
+/// which is what lets a router whose replicas are busy queue every leg
+/// of a scatter before it waits for the first.
+#[test]
+fn begin_ctx_answers_when_idle_and_never_waits_when_busy() {
+    use iqs_serve::Begun;
+    let index = GatedIndex::new(false);
+    let server = index.serve(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let client = server.client();
+    let now = std::time::Instant::now();
+    let none = iqs_obs::Ctx::none;
+    std::thread::scope(|scope| {
+        let holder = server.client();
+        scope.spawn(move || holder.call(gated(1)).expect("held draw succeeds"));
+        until(|| index.active.load(Ordering::SeqCst) == 1);
+        // The gate is shut, so this line is only reached again because
+        // the door did not wait for the seat.
+        let Begun::Queued(pending) = client.begin_ctx(gated(2), now, None, none()).expect("room")
+        else {
+            panic!("the only seat is taken: the request must queue");
+        };
+        assert_eq!(server.metrics().queue_depth, 1);
+        index.open();
+        assert_eq!(sample_ids(pending.wait().expect("queued draw succeeds")).len(), 2);
+    });
+    // Both seat holders put the seat back before their answer went out.
+    let Begun::Done(outcome) = client.begin_ctx(gated(3), now, None, none()).expect("idle") else {
+        panic!("an idle service answers inside the call");
+    };
+    assert_eq!(sample_ids(outcome.expect("draw succeeds")).len(), 3);
+    let entries = index.entries();
+    assert!(ran_on_a_worker(&entries[1].1) && !ran_on_a_worker(&entries[2].1), "{entries:?}");
+    let m = server.shutdown();
+    assert_eq!((m.submitted, m.completed, m.queue_depth), (3, 3, 0));
+}
+
+/// A request run on the caller's thread goes through the same admission
+/// and the same pickup check as a queued one: a deadline equal to the
+/// pickup instant misses on the frozen clock, an over-quota tenant is
+/// shed before it can take a seat, and none of it reaches the index.
+#[test]
+fn inline_requests_keep_deadline_and_quota_enforcement() {
+    let vc = VirtualClock::new();
+    let clock = vc.handle();
+    let index = GatedIndex::new(true);
+    let server = index.serve(ServerConfig {
+        workers: 1,
+        clock: clock.clone(),
+        tenants: vec![TenantSpec::limited("tiny", 1.0, 1.0)],
+        ..ServerConfig::default()
+    });
+    let client = server.client();
+    let now = clock.now();
+    assert_eq!(client.call_at(gated(1), now, Some(now)), Err(ServeError::DeadlineExceeded));
+    assert_eq!(
+        client.call_ctx(gated(1), now, Some(now), iqs_obs::Ctx::none()),
+        Err(ServeError::DeadlineExceeded)
+    );
+    let tiny = client.for_tenant("tiny").expect("configured");
+    assert_eq!(sample_ids(tiny.call(gated(2)).expect("inside the burst")).len(), 2);
+    assert_eq!(tiny.call(gated(3)), Err(ServeError::QuotaExceeded("tiny".into())));
+    let entries = index.entries();
+    assert_eq!(entries.len(), 1, "only the admitted, unexpired request drew: {entries:?}");
+    assert!(!ran_on_a_worker(&entries[0].1));
+    let m = server.shutdown();
+    assert_eq!((m.submitted, m.completed, m.deadline_missed, m.failed), (4, 1, 2, 0));
+    assert_eq!(m.tenants[0].shed_quota, 1);
+    assert_eq!(client.call(gated(1)), Err(ServeError::ShuttingDown));
+}
+
+/// Drain-on-shutdown covers a caller that is running its own request:
+/// `shutdown` returns only once that request has finished and its seat
+/// is home, so the final counters account for it.
+#[test]
+fn shutdown_waits_for_an_in_flight_inline_call() {
+    let vc = VirtualClock::new();
+    let now = vc.handle().now();
+    let index = GatedIndex::new(false);
+    let server =
+        index.serve(ServerConfig { workers: 1, clock: vc.handle(), ..ServerConfig::default() });
+    let client = server.client();
+    let begun = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let caller = server.client();
+        scope.spawn(move || caller.call(gated(1)).expect("the in-flight call completes"));
+        until(|| index.active.load(Ordering::SeqCst) == 1);
+        let (begun, index) = (&begun, &index);
+        let stopper = scope.spawn(move || {
+            begun.store(true, Ordering::SeqCst);
+            let m = server.shutdown();
+            (m, index.exited.load(Ordering::SeqCst))
+        });
+        // Open the gate only once shutdown has demonstrably begun (it
+        // refuses a submission), so a shutdown that did not wait for the
+        // seat would already have returned without the call's outcome.
+        until(|| begun.load(Ordering::SeqCst));
+        let probe = Request::RangeCount { index: "gated".into(), x: 0.0, y: 1.0 };
+        let mut accepted = 0;
+        while client.submit_nowait(probe.clone(), now, None).is_ok() {
+            accepted += 1;
+            std::thread::yield_now();
+        }
+        index.open();
+        let (m, exited) = stopper.join().expect("shutdown returns");
+        assert_eq!(exited, 1, "shutdown returned before the inline call finished");
+        // Every submission but the one refusal was answered.
+        assert_eq!(m.completed, 1 + accepted);
+        assert_eq!(m.submitted, m.completed + 1);
+        assert_eq!((m.failed, m.queue_depth), (0, 0));
+    });
+}
+
+/// The seed schedule is a property of the seats, not of who sits on
+/// them: two same-seeded one-seat servers, one driven through the
+/// blocking door (answered on the caller's thread) and one through the
+/// queue-only door (answered on the worker's), return identical ids
+/// request for request.
+#[test]
+fn inline_and_queued_requests_share_one_seed_schedule() {
+    let start = || {
+        let mut registry = IndexRegistry::new();
+        registry.register_range_static("keys", weighted_pairs(4096)).unwrap();
+        Server::start(
+            registry,
+            ServerConfig { workers: 1, seed: 0x5ea7, ..ServerConfig::default() },
+        )
+    };
+    let (inline, queued) = (start(), start());
+    let (a, b) = (inline.client(), queued.client());
+    let vc = VirtualClock::new();
+    for s in [1u32, 64, 7, 4096, 300, 1] {
+        let request = Request::SampleWr { index: "keys".into(), range: Some((100.0, 3900.0)), s };
+        let here = sample_ids(a.call(request.clone()).expect("inline"));
+        let pending = b.call_pending(request, vc.handle().now(), None).expect("admitted");
+        assert_eq!(here, sample_ids(pending.wait().expect("queued")), "s = {s}");
+    }
+    assert_eq!(inline.shutdown().completed, queued.shutdown().completed);
+}
+
+/// A panic inside an index is contained where requests run: the request
+/// answers the typed [`ServeError::Panicked`] through every door —
+/// caller's thread (`call`), worker's thread (`call_pending`), and the
+/// door connection threads and — as `begin_ctx` — router legs use
+/// (`call_ctx`) — it counts as `failed`, and the service's only seat
+/// survives to serve the next request.
+#[test]
+fn a_panicking_index_answers_a_typed_error_and_the_seat_survives() {
+    let vc = VirtualClock::new();
+    let now = vc.handle().now();
+    let index = GatedIndex::new(true);
+    let server =
+        index.serve(ServerConfig { workers: 1, clock: vc.handle(), ..ServerConfig::default() });
+    let client = server.client();
+    let bug = || gated(GatedIndex::PANIC_S as u32);
+
+    assert_eq!(client.call(bug()), Err(ServeError::Panicked));
+    assert_eq!(sample_ids(client.call(gated(2)).expect("next request, same seat")).len(), 2);
+
+    let pending = client.call_pending(bug(), now, None).expect("admitted");
+    assert_eq!(pending.wait(), Err(ServeError::Panicked));
+    let pending = client.call_pending(gated(3), now, None).expect("the worker survived");
+    assert_eq!(sample_ids(pending.wait().expect("next request, same worker")).len(), 3);
+
+    assert_eq!(client.call_ctx(bug(), now, None, iqs_obs::Ctx::none()), Err(ServeError::Panicked));
+    assert_eq!(sample_ids(client.call(gated(4)).expect("and again")).len(), 4);
+
+    let m = server.shutdown();
+    assert_eq!((m.submitted, m.completed, m.failed), (6, 3, 3));
+}
+
+/// The trace of a request answered on the caller's thread has the shape
+/// it had through the queue — `Enqueue → Pickup → RngCost → WorkDone →
+/// QueryDone` — with a pickup wait of exactly zero, because the caller
+/// picks the job up at the instant it admits it. (The only test in this
+/// binary that installs the process-global recorder; every other test
+/// here submits untraced, which leaves no records.)
+#[test]
+fn an_inline_request_leaves_the_same_trace_shape() {
+    let vc = VirtualClock::new();
+    recorder::install(&vc.handle(), 1024);
+    let mut registry = IndexRegistry::new();
+    registry.register_range_static("keys", weighted_pairs(512)).unwrap();
+    let server = Server::start(
+        registry,
+        ServerConfig { workers: 1, clock: vc.handle(), ..ServerConfig::default() },
+    );
+    let (trace, result) = server.client().call_traced(Request::SampleWr {
+        index: "keys".into(),
+        range: Some((10.0, 500.0)),
+        s: 64,
+    });
+    assert_eq!(sample_ids(result.expect("query succeeds")).len(), 64);
+    server.shutdown();
+    recorder::disable();
+    let records: Vec<_> = recorder::drain().into_iter().filter(|r| r.trace == trace).collect();
+    let phases: Vec<Phase> = records.iter().map(|r| r.phase).collect();
+    assert_eq!(
+        phases,
+        [Phase::Enqueue, Phase::Pickup, Phase::RngCost, Phase::WorkDone, Phase::QueryDone]
+    );
+    assert_eq!(records[1].a, 0, "picked up at the instant it was admitted");
+    assert_eq!(records[2].a, 3 * 64, "three RNG words per draw, drawn on the caller's thread");
 }

@@ -22,7 +22,8 @@ use std::time::Instant;
 
 use iqs_obs::Ctx;
 use iqs_serve::{
-    Client, IndexRegistry, MetricsSnapshot, PendingReply, Request, Response, ServeError, Server,
+    Begun, Client, IndexRegistry, MetricsSnapshot, PendingReply, Request, Response, ServeError,
+    Server,
 };
 
 use crate::placement::SHARD_INDEX;
@@ -30,11 +31,12 @@ use crate::placement::SHARD_INDEX;
 /// A submitted scatter leg whose response can be awaited once, bounded
 /// by a deadline on the router's clock.
 pub enum PendingLeg {
-    /// An in-process reply handle (local replica).
+    /// An in-process reply handle (a local leg queued for the replica's
+    /// workers).
     Local(PendingReply),
-    /// An already-resolved outcome (synchronous transports — the sim
-    /// transport completes the round trip inside `submit`). `None`
-    /// means the attempt timed out.
+    /// An already-resolved outcome: a local leg answered inside
+    /// [`ReplicaLink::answer`], or a synchronous transport. `None` means
+    /// the attempt timed out.
     Ready(Option<Result<Response, ServeError>>),
     /// A deferred completion, invoked once with the gather deadline
     /// (TCP: the request is written at submit, the reply read here, so
@@ -83,6 +85,28 @@ pub trait ReplicaLink: Send + Sync {
         deadline: Instant,
         ctx: Ctx,
     ) -> Result<PendingLeg, ServeError>;
+
+    /// [`ReplicaLink::submit`] for a leg of a scatter too small to be
+    /// worth handing off (`router` module docs, "Where a leg runs"): a
+    /// link that can answer on the calling thread without waiting for
+    /// anyone may, and returns the outcome as [`PendingLeg::Ready`]. The
+    /// in-process link does while its replica has a seat free; a busy
+    /// replica queues the leg as `submit` would, so this never waits
+    /// either. The default — right for any link that crosses a wire —
+    /// is `submit`.
+    ///
+    /// # Errors
+    /// As [`ReplicaLink::submit`]; what a leg answered here ran into
+    /// arrives through the returned [`PendingLeg`] all the same.
+    fn answer(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Instant,
+        ctx: Ctx,
+    ) -> Result<PendingLeg, ServeError> {
+        self.submit(request, origin, deadline, ctx)
+    }
 
     /// The replica's total sampling weight (the planner's cached-probe
     /// path at build time).
@@ -152,6 +176,19 @@ impl ReplicaLink for LocalReplica {
         self.client.call_pending_ctx(request, origin, Some(deadline), ctx).map(PendingLeg::Local)
     }
 
+    fn answer(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Instant,
+        ctx: Ctx,
+    ) -> Result<PendingLeg, ServeError> {
+        Ok(match self.client.begin_ctx(request, origin, Some(deadline), ctx)? {
+            Begun::Done(outcome) => PendingLeg::Ready(Some(outcome)),
+            Begun::Queued(pending) => PendingLeg::Local(pending),
+        })
+    }
+
     fn total_weight(&self) -> Result<f64, ServeError> {
         self.server.registry().total_weight(SHARD_INDEX)
     }
@@ -168,5 +205,82 @@ impl ReplicaLink for LocalReplica {
 
     fn local_registry(&self) -> Option<&IndexRegistry> {
         Some(self.server.registry())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+
+    use iqs_serve::{ExternalIndex, IoReport, ServerConfig};
+
+    use super::*;
+
+    /// A shard index whose every draw reports in and then waits for a
+    /// go-ahead.
+    #[derive(Debug)]
+    struct Held {
+        entered: Mutex<Sender<()>>,
+        go: Mutex<Receiver<()>>,
+    }
+
+    impl ExternalIndex for Held {
+        fn sample_wr(
+            &self,
+            _range: Option<(f64, f64)>,
+            s: usize,
+            _rng: &mut dyn rand::RngCore,
+            _ctx: Ctx,
+        ) -> Result<(Vec<u64>, IoReport), ServeError> {
+            self.entered.lock().unwrap().send(()).unwrap();
+            self.go.lock().unwrap().recv().unwrap();
+            Ok((vec![7; s], IoReport::default()))
+        }
+
+        fn range_count(&self, _x: f64, _y: f64) -> Result<usize, ServeError> {
+            Ok(1)
+        }
+
+        fn range_weight(&self, _x: f64, _y: f64) -> Result<f64, ServeError> {
+            Ok(1.0)
+        }
+
+        fn total_weight(&self) -> Result<f64, ServeError> {
+            Ok(1.0)
+        }
+    }
+
+    /// `answer` runs a leg on the calling thread only while the replica
+    /// has a seat free; on a busy replica it queues the leg and returns,
+    /// so the router still submits every leg before its first wait.
+    #[test]
+    fn a_busy_local_replica_queues_an_answered_leg_instead_of_waiting() {
+        let (entered_tx, entered) = channel();
+        let (go, go_rx) = channel();
+        let mut indexes = IndexRegistry::new();
+        let held = Held { entered: Mutex::new(entered_tx), go: Mutex::new(go_rx) };
+        indexes.register_external(SHARD_INDEX, Arc::new(held)).expect("fresh registry");
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let replica = LocalReplica::new(Server::start(indexes, config));
+        let leg = |s| Request::SampleWr { index: SHARD_INDEX.into(), range: None, s };
+        let now = Instant::now();
+        let deadline = now + std::time::Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            // The first leg takes the replica's only seat, on its own
+            // thread, and is held inside the index.
+            let first = scope.spawn(|| replica.answer(leg(1), now, deadline, Ctx::none()));
+            entered.recv().unwrap();
+            // Nobody has said `go`, so getting past this line at all is
+            // the property: the second leg did not wait for the seat.
+            let second = replica.answer(leg(2), now, deadline, Ctx::none()).expect("admitted");
+            assert!(matches!(second, PendingLeg::Local(_)), "a busy replica queues the leg");
+            go.send(()).unwrap();
+            go.send(()).unwrap();
+            let first = first.join().unwrap().expect("admitted");
+            assert!(matches!(first, PendingLeg::Ready(_)), "an idle replica answers in the call");
+            assert_eq!(first.wait_deadline(deadline), Some(Ok(Response::Samples(vec![7]))));
+            assert_eq!(second.wait_deadline(deadline), Some(Ok(Response::Samples(vec![7, 7]))));
+        });
     }
 }

@@ -27,7 +27,7 @@ use crate::router::ShardConfig;
 pub const SHARD_INDEX: &str = "shard";
 
 /// Mixing constant for deriving per-server seeds (same splitmix64
-/// increment the serve worker pool uses for per-worker streams).
+/// increment `iqs-serve` uses for its per-seat streams).
 pub(crate) const SEED_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One replica as the router sees it: a link (in-process or remote)

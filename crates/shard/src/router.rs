@@ -21,18 +21,58 @@
 //! verifies both by exact replay under a shared seed schedule and by
 //! chi-square at the same threshold the single-node tests use.
 //!
-//! # Failover
+//! # The lone-shard plan
+//!
+//! A one-leg split reads no weight ([`Inner::split_counts`] answers
+//! `[s]`), so a range that overlaps exactly one shard is planned without
+//! the live weight probe a partially covered shard otherwise costs —
+//! over a wire that probe was a whole extra round trip. What the probe
+//! also did was find an empty range; the leg does that itself, by
+//! answering `EmptyRange`, which reaches the caller as the same typed
+//! [`ShardError::EmptyRange`]. (`s = 0` sends no leg and so keeps the
+//! probe.)
+//!
+//! # Where a leg runs
+//!
+//! A leg handed to a replica's workers pays a hand-off — queue push,
+//! reply cell, two thread switches: about 2.3 µs where the ledger
+//! measures it — to run somewhere else. That buys something only if the
+//! scatter has other legs to overlap with it *and* there is enough work
+//! in them to be worth overlapping. So for a scatter of one leg, or of
+//! at most [`INLINE_SCATTER_DRAWS`] draws over all its legs, the router
+//! asks each link to *answer* ([`crate::ReplicaLink::answer`]): a local
+//! replica with a seat free then runs the leg on the router's thread,
+//! inside the call, and a busy one queues it exactly as `submit` would —
+//! no leg ever waits inside its submission, so queue waits still
+//! overlap across shards. Any larger scatter is handed off leg by leg,
+//! as it always was. The replica's `workers` cap, its admission checks
+//! and its seat streams are the same through either door.
+//!
+//! # Failover: answers and failures
 //!
 //! Every leg is submitted to one replica chosen by rotating round-robin
 //! over the shard's replica set, probe candidates first (a tripped
 //! replica whose cooldown elapsed), then ready replicas, with tripped
 //! replicas kept as last resort. A failed attempt — refused at the fault
-//! gate, an error reply, or a missed per-attempt deadline — moves the leg
-//! to the next untried replica with a fresh deadline. Only when every
-//! replica of a shard has failed does the query degrade: the response's
-//! `degraded` flag is set and `missing` accounts for the draws that
-//! shard owed, while the delivered ids remain exactly distributed
-//! conditioned on the split.
+//! gate, a reply that says the *replica* could not serve (overloaded,
+//! deadline missed, shutting down, over quota, a transport failure, a
+//! contained panic, a missing index), or a missed per-attempt deadline —
+//! moves the leg to the next untried replica with a fresh deadline. Only
+//! when every replica of a shard has failed does the query degrade: the
+//! response's `degraded` flag is set and `missing` accounts for the
+//! draws that shard owed, while the delivered ids remain exactly
+//! distributed conditioned on the split.
+//!
+//! An error reply that is a property of the *query* — the range is
+//! empty, the request is invalid or unsupported ([`typed_answer`]) — is
+//! an answer, not a failure: every replica of the shard would say the
+//! same. It credits the replica's breaker like any other reply and
+//! surfaces as the typed [`ShardError`], with no failover and no
+//! `degraded`. One exception: `EmptyRange` from one leg of *several*
+//! contradicts the plan, which gave that shard positive weight (an
+//! update emptied the range in between); the other shards still hold
+//! mass, so that leg is lost — `degraded`, its draws `missing`, still no
+//! failover — and the rest of the scatter stands.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,7 +83,7 @@ use iqs_alias::split::split_samples_with;
 use iqs_alias::AliasTable;
 use iqs_core::QueryError;
 use iqs_obs::{recorder, Ctx, Phase, SlowEntry, SlowLog};
-use iqs_serve::{IndexView, Request, Response, Snapshot};
+use iqs_serve::{IndexView, Request, Response, ServeError, Snapshot};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +102,25 @@ use crate::placement::{
 /// Rejection rounds `sample_wor` attempts before giving up on a
 /// pathologically skewed range.
 const MAX_WOR_ROUNDS: usize = 1024;
+
+/// The largest scatter of several legs — in draws, summed over the legs
+/// — that the router answers on its own thread: one kernel tile.
+///
+/// Handing the legs off costs at least one hand-off (≈ 2.3 µs: queue
+/// push, reply cell, two thread switches) plus the longest leg, however
+/// many cores run them. Answering them one after another costs their
+/// *sum*, which this bound caps at 256 draws × ≈ 20 ns ≈ 5 µs — about
+/// two hand-offs — for the whole scatter, whatever its number of legs.
+/// So up to here the router's own thread is at worst about a hand-off
+/// behind idle workers on idle cores, and well ahead of anything less
+/// ideal; past it every leg is handed off, as before seats existed.
+///
+/// Where the crossover really lies is **not measured**: the ledger pins
+/// its process to one core, where a hand-off can never win, so it
+/// exercises only this side of the bound (`shard-fanout-s64`: four legs,
+/// 64 draws in all). Until a benchmark has an unpinned multi-shard
+/// workload on both sides of it, the value is this arithmetic.
+const INLINE_SCATTER_DRAWS: u64 = iqs_alias::pipeline::TILE as u64;
 
 /// A shard's key-sorted `(id, key, weight)` slice, shared by handle so
 /// introspection never copies the data.
@@ -139,6 +198,8 @@ struct Inner {
 struct Leg {
     shard_idx: usize,
     shard: Arc<ShardHandle>,
+    /// The shard's in-range weight; NaN in a lone-shard plan, whose
+    /// split never reads it.
     weight: f64,
 }
 
@@ -147,34 +208,83 @@ struct Leg {
 /// and this attempt's deadline.
 type Attempt = (PendingLeg, Option<Duration>, usize, Instant);
 
-/// The draw count a scatter request asks its shard for (0 for counts).
-fn planned_of(request: &Request) -> u64 {
-    match request {
-        Request::SampleWr { s, .. } | Request::SampleWor { s, .. } => u64::from(*s),
-        _ => 0,
+/// What a scatter leg asks of its shard. The [`Request`] (whose index
+/// name is an owned `String`) is built from this once per attempt and
+/// moved into the link, so only a failover pays for a second one.
+#[derive(Clone, Copy)]
+enum LegAsk {
+    SampleWr { x: f64, y: f64, s: u32 },
+    RangeCount { x: f64, y: f64 },
+}
+
+impl LegAsk {
+    fn request(self) -> Request {
+        let index = SHARD_INDEX.to_string();
+        match self {
+            LegAsk::SampleWr { x, y, s } => Request::SampleWr { index, range: Some((x, y)), s },
+            LegAsk::RangeCount { x, y } => Request::RangeCount { index, x, y },
+        }
+    }
+
+    /// The draw count the leg asks for (0 for counts).
+    fn planned(self) -> u64 {
+        match self {
+            LegAsk::SampleWr { s, .. } => u64::from(s),
+            LegAsk::RangeCount { .. } => 0,
+        }
+    }
+}
+
+/// One leg of a scatter, as submit and gather see it.
+struct ScatterLeg {
+    shard: Arc<ShardHandle>,
+    ask: LegAsk,
+    ctx: Ctx,
+    /// Whether links are asked to answer the leg rather than to hand it
+    /// off (module docs, "Where a leg runs"); one verdict per scatter.
+    inline: bool,
+}
+
+/// The typed error an error reply amounts to when it answers the
+/// *query* — any healthy replica of the shard would reply the same — or
+/// `None` when it reports that the replica could not serve and another
+/// one should be tried. (Over a wire `InvalidRequest` and `Unsupported`
+/// arrive as `Remote` text and so fail over: the typed detail did not
+/// survive the process boundary.)
+fn typed_answer(e: &ServeError) -> Option<ShardError> {
+    match e {
+        ServeError::Query(QueryError::EmptyRange) => Some(ShardError::EmptyRange),
+        ServeError::Query(q) => Some(ShardError::Query(q.clone())),
+        ServeError::InvalidRequest(what) => Some(ShardError::InvalidRequest(what)),
+        ServeError::Unsupported(_) => Some(ShardError::Serve(e.clone())),
+        _ => None,
     }
 }
 
 /// Candidate replica order for one attempt: probes first, then ready
 /// replicas in rotating round-robin order, tripped replicas last (tried
-/// before failing the leg, never before a healthy replica).
-fn candidate_order(shard: &ShardHandle, policy: &HealthPolicy, now: Instant) -> Vec<usize> {
+/// before failing the leg, never before a healthy replica). Each
+/// replica's availability is read exactly once (the read claims a probe
+/// slot); with every replica ready nothing is allocated.
+fn candidate_order(
+    shard: &ShardHandle,
+    policy: &HealthPolicy,
+    now: Instant,
+) -> impl Iterator<Item = usize> {
     let n = shard.replicas.len();
     let start = shard.rr.fetch_add(1, Ordering::Relaxed) % n;
-    let rotated: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
+    let rotated = (0..n).map(move |i| (start + i) % n);
     let mut probes = Vec::new();
-    let mut ready = Vec::new();
     let mut skips = Vec::new();
-    for &i in &rotated {
+    for i in rotated.clone() {
         match shard.replicas[i].health.availability(policy, now) {
             Availability::Probe => probes.push(i),
-            Availability::Ready => ready.push(i),
+            Availability::Ready => {}
             Availability::Skip => skips.push(i),
         }
     }
-    probes.extend(ready);
-    probes.extend(skips);
-    probes
+    let demoted = [probes.as_slice(), skips.as_slice()].concat();
+    probes.into_iter().chain(rotated.filter(move |i| !demoted.contains(i))).chain(skips)
 }
 
 impl Inner {
@@ -195,18 +305,17 @@ impl Inner {
         }
     }
 
-    /// Submits `request` to the first untried candidate replica that
+    /// Submits the leg to the first untried candidate replica that
     /// accepts it. Down/Error faults and refused admissions are charged
     /// as failures and skipped; a delay fault is accepted and remembered
     /// for the gather phase.
     fn try_submit(
         &self,
-        shard: &ShardHandle,
+        leg: &ScatterLeg,
         tried: &mut Vec<usize>,
-        request: &Request,
         origin: Instant,
-        ctx: Ctx,
     ) -> Option<Attempt> {
+        let (shard, ctx) = (&leg.shard, leg.ctx);
         for ri in candidate_order(shard, &self.config.health, self.config.clock.now()) {
             if tried.contains(&ri) {
                 continue;
@@ -223,14 +332,15 @@ impl Inner {
                 FaultMode::Healthy => None,
             };
             let deadline = self.config.clock.now() + self.config.scatter_deadline;
-            match rep.link.submit(request.clone(), origin, deadline, ctx.replica(ri)) {
+            let (request, leg_ctx) = (leg.ask.request(), ctx.replica(ri));
+            let submitted = if leg.inline {
+                rep.link.answer(request, origin, deadline, leg_ctx)
+            } else {
+                rep.link.submit(request, origin, deadline, leg_ctx)
+            };
+            match submitted {
                 Ok(pending) => {
-                    recorder::emit(
-                        ctx.replica(ri),
-                        Phase::LegSubmit,
-                        ri as u64,
-                        planned_of(request),
-                    );
+                    recorder::emit(ctx.replica(ri), Phase::LegSubmit, ri as u64, leg.ask.planned());
                     return Some((pending, delay, ri, deadline));
                 }
                 Err(_) => {
@@ -243,18 +353,21 @@ impl Inner {
     }
 
     /// Waits out one leg, failing over through the remaining replicas
-    /// until a reply lands or every replica has been tried.
+    /// until a reply lands or every replica has been tried. `Ok(None)`
+    /// is the leg lost on every replica.
+    ///
+    /// # Errors
+    /// The typed answer of a healthy replica ([`typed_answer`]).
     fn gather_leg(
         &self,
-        shard: &ShardHandle,
-        mut attempt: Option<Attempt>,
+        leg: &ScatterLeg,
         tried: &mut Vec<usize>,
-        request: &Request,
+        mut attempt: Option<Attempt>,
         origin: Instant,
-        ctx: Ctx,
-    ) -> Option<Response> {
+    ) -> Result<Option<Response>, ShardError> {
+        let ctx = leg.ctx;
         while let Some((pending, delay, ri, deadline)) = attempt.take() {
-            let rep = &shard.replicas[ri];
+            let rep = &leg.shard.replicas[ri];
             if let Some(d) = delay {
                 // Honor the injected delay, but never past this attempt's
                 // deadline: a reply that would land late is a timeout.
@@ -270,11 +383,19 @@ impl Inner {
                 if d > budget {
                     recorder::emit(ctx, Phase::LegFailover, ri as u64, 5);
                     self.note_failure(rep, ctx, ri);
-                    attempt = self.try_submit(shard, tried, request, origin, ctx);
+                    attempt = self.try_submit(leg, tried, origin);
                     continue;
                 }
             }
-            match pending.wait_deadline(deadline) {
+            let outcome = pending.wait_deadline(deadline);
+            if let Some(answer) =
+                outcome.as_ref().and_then(|r| r.as_ref().err()).and_then(typed_answer)
+            {
+                self.note_success(rep, ctx, ri);
+                recorder::emit(ctx.replica(ri), Phase::LegDone, 0, 0);
+                return Err(answer);
+            }
+            match outcome {
                 Some(Ok(response)) => {
                     self.note_success(rep, ctx, ri);
                     let delivered = match &response {
@@ -283,61 +404,89 @@ impl Inner {
                         _ => 0,
                     };
                     recorder::emit(ctx.replica(ri), Phase::LegDone, delivered, 0);
-                    return Some(response);
+                    return Ok(Some(response));
                 }
-                outcome @ (Some(Err(_)) | None) => {
-                    let cause = if outcome.is_some() { 3 } else { 4 };
+                failed => {
+                    let cause = if failed.is_some() { 3 } else { 4 };
                     recorder::emit(ctx, Phase::LegFailover, ri as u64, cause);
                     self.note_failure(rep, ctx, ri);
-                    attempt = self.try_submit(shard, tried, request, origin, ctx);
+                    attempt = self.try_submit(leg, tried, origin);
                 }
             }
         }
-        None
+        Ok(None)
     }
 
-    /// Scatters one request per shard, then gathers in order. Submission
-    /// is fully fanned out before the first wait, so legs execute
-    /// concurrently across shards.
+    /// Scatters one request per shard, then gathers in order. Every leg
+    /// is submitted before the first wait, so legs that were handed off
+    /// or had to queue execute concurrently across shards; a small
+    /// scatter's legs may already be answered by then (module docs,
+    /// "Where a leg runs").
+    ///
+    /// # Errors
+    /// The first leg's typed answer ([`typed_answer`]), after every leg
+    /// has been gathered — except `EmptyRange` from one leg of several,
+    /// which loses only that leg.
     fn scatter(
         &self,
-        legs: Vec<(Arc<ShardHandle>, Request, Ctx)>,
+        legs: Vec<(Arc<ShardHandle>, LegAsk, Ctx)>,
         origin: Instant,
-    ) -> Vec<Option<Response>> {
+    ) -> Result<Vec<Option<Response>>, ShardError> {
         self.counters.legs.fetch_add(legs.len() as u64, Ordering::Relaxed);
+        let lone = legs.len() == 1;
+        let draws: u64 = legs.iter().map(|(_, ask, _)| ask.planned()).sum();
+        let inline = lone || draws <= INLINE_SCATTER_DRAWS;
         let in_flight: Vec<_> = legs
             .into_iter()
-            .map(|(shard, request, ctx)| {
+            .map(|(shard, ask, ctx)| {
+                let leg = ScatterLeg { shard, ask, ctx, inline };
                 let mut tried = Vec::new();
-                let attempt = self.try_submit(&shard, &mut tried, &request, origin, ctx);
-                (shard, request, ctx, tried, attempt)
+                let attempt = self.try_submit(&leg, &mut tried, origin);
+                (leg, tried, attempt)
             })
             .collect();
-        in_flight
+        // Every leg is gathered, whatever an earlier one answered: a leg
+        // left in flight would be a reply nobody reads.
+        let mut answer = None;
+        let responses = in_flight
             .into_iter()
-            .map(|(shard, request, ctx, mut tried, attempt)| {
-                let response = self.gather_leg(&shard, attempt, &mut tried, &request, origin, ctx);
-                if response.is_none() {
-                    recorder::emit(ctx, Phase::LegDegraded, planned_of(&request), 0);
+            .map(|(leg, mut tried, attempt)| {
+                match self.gather_leg(&leg, &mut tried, attempt, origin) {
+                    Ok(Some(response)) => return Some(response),
+                    Ok(None) => {}
+                    // The plan gave this shard weight and the others
+                    // still hold theirs: the leg is lost, not the query.
+                    Err(ShardError::EmptyRange) if !lone => {}
+                    Err(typed) => {
+                        answer.get_or_insert(typed);
+                        return None;
+                    }
                 }
-                response
+                recorder::emit(leg.ctx, Phase::LegDegraded, leg.ask.planned(), 0);
+                None
             })
-            .collect()
+            .collect();
+        answer.map_or(Ok(responses), Err)
     }
 
-    /// Plans a sampling scatter: one leg per overlapping shard with
-    /// positive in-range weight. Covering queries read the cached shard
-    /// total; partial overlaps read a prefix sum from any live replica.
-    /// A shard whose weight cannot be determined (every replica faulted)
-    /// is excluded and flagged, degrading the query.
-    fn plan(&self, topo: &Topology, x: f64, y: f64, ctx: Ctx) -> (Vec<Leg>, bool) {
+    /// Plans a sampling scatter of `s` draws: one leg per overlapping
+    /// shard with positive in-range weight. Covering queries read the
+    /// cached shard total; partial overlaps read a prefix sum from any
+    /// live replica — except in a lone-shard plan (module docs), which
+    /// needs no weight. A shard whose weight cannot be determined (every
+    /// replica faulted) is excluded and flagged, degrading the query.
+    fn plan(&self, topo: &Topology, x: f64, y: f64, s: u32, ctx: Ctx) -> (Vec<Leg>, bool) {
         let mut legs = Vec::new();
         let mut degraded = false;
-        for idx in topo.overlapping(x, y) {
+        let overlapping = topo.overlapping(x, y);
+        let lone = overlapping.len() == 1 && s > 0;
+        for idx in overlapping {
             let shard = &topo.shards[idx];
             let weight = if x <= shard.lo_key && y >= shard.hi_key {
                 self.counters.probes_cached.fetch_add(1, Ordering::Relaxed);
                 Some(shard.total_weight)
+            } else if lone {
+                Some(f64::NAN)
             } else {
                 self.counters.probes_live.fetch_add(1, Ordering::Relaxed);
                 shard
@@ -347,11 +496,11 @@ impl Inner {
                     .find_map(|r| r.link.range_weight(x, y).ok())
             };
             match weight {
-                Some(w) if w > 0.0 => {
+                Some(w) if w <= 0.0 => {} // nothing in range here
+                Some(w) => {
                     recorder::emit(ctx, Phase::RouterPlan, idx as u64, w.to_bits());
                     legs.push(Leg { shard_idx: idx, shard: Arc::clone(shard), weight: w })
                 }
-                Some(_) => {} // nothing in range here
                 None => {
                     recorder::emit(ctx, Phase::PlanDark, idx as u64, 0);
                     degraded = true;
@@ -370,7 +519,7 @@ impl Inner {
             return Ok(vec![s]);
         }
         let weights: Vec<f64> = legs.iter().map(|leg| leg.weight).collect();
-        let table = AliasTable::new(&weights).map_err(iqs_serve::ServeError::from)?;
+        let table = AliasTable::new(&weights).map_err(ServeError::from)?;
         Ok(split_samples_with(&table, s, rng))
     }
 
@@ -888,8 +1037,8 @@ impl ClusterClient {
     /// overlapping shards. A degraded count is a lower bound.
     ///
     /// # Errors
-    /// None currently; the `Result` reserves room for router-level
-    /// validation.
+    /// A healthy replica's typed refusal of the count itself (e.g.
+    /// [`ShardError::Serve`] for an index type that cannot count).
     pub fn range_count(&self, x: f64, y: f64) -> Result<Counted, ShardError> {
         let ctx = Ctx::query(recorder::next_trace_id());
         let origin = self.inner.config.clock.now();
@@ -916,7 +1065,7 @@ impl ClusterClient {
         }
         let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         let topo = self.inner.topo.load();
-        let (legs, plan_degraded) = self.inner.plan(&topo, x, y, ctx);
+        let (legs, plan_degraded) = self.inner.plan(&topo, x, y, s, ctx);
         if legs.is_empty() {
             if plan_degraded {
                 // Every overlapping shard is unreachable: report the
@@ -934,24 +1083,20 @@ impl ClusterClient {
         for (leg, &count) in legs.iter().zip(&counts) {
             recorder::emit(ctx, Phase::SplitCount, leg.shard_idx as u64, count as u64);
         }
-        let scatter_legs: Vec<(Arc<ShardHandle>, Request, Ctx)> = legs
+        let scatter_legs: Vec<(Arc<ShardHandle>, LegAsk, Ctx)> = legs
             .iter()
             .zip(&counts)
             .filter(|&(_, &count)| count > 0)
             .map(|(leg, &count)| {
                 (
                     Arc::clone(&leg.shard),
-                    Request::SampleWr {
-                        index: SHARD_INDEX.to_string(),
-                        range: Some((x, y)),
-                        s: count as u32,
-                    },
+                    LegAsk::SampleWr { x, y, s: count as u32 },
                     ctx.shard(leg.shard_idx),
                 )
             })
             .collect();
         let planned: Vec<usize> = counts.into_iter().filter(|&count| count > 0).collect();
-        let responses = self.inner.scatter(scatter_legs, origin);
+        let responses = self.inner.scatter(scatter_legs, origin)?;
         let mut out = Sampled { degraded: plan_degraded, trace: ctx.trace, ..Sampled::default() };
         for (response, &planned_count) in responses.into_iter().zip(&planned) {
             let ids = match response {
@@ -1024,18 +1169,12 @@ impl ClusterClient {
         ctx: Ctx,
     ) -> Result<Counted, ShardError> {
         let topo = self.inner.topo.load();
-        let legs: Vec<(Arc<ShardHandle>, Request, Ctx)> = topo
+        let legs: Vec<(Arc<ShardHandle>, LegAsk, Ctx)> = topo
             .overlapping(x, y)
-            .map(|idx| {
-                (
-                    Arc::clone(&topo.shards[idx]),
-                    Request::RangeCount { index: SHARD_INDEX.to_string(), x, y },
-                    ctx.shard(idx),
-                )
-            })
+            .map(|idx| (Arc::clone(&topo.shards[idx]), LegAsk::RangeCount { x, y }, ctx.shard(idx)))
             .collect();
         let mut out = Counted { trace: ctx.trace, ..Counted::default() };
-        for response in self.inner.scatter(legs, origin) {
+        for response in self.inner.scatter(legs, origin)? {
             out.absorb(match response {
                 Some(Response::Count(count)) => Some(count),
                 _ => None,

@@ -64,6 +64,7 @@ pub const MANIFEST: &[&str] = &[
     "qos_fairness",
     "slo_burn_rate_determinism",
     "slo_cluster_trace_chi_square",
+    "service_successive_queries_g_test",
     "testkit_gate_selfcheck",
 ];
 

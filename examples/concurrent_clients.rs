@@ -4,9 +4,11 @@
 //! leak information about anybody else's.
 //!
 //! This program routes that workload through the `iqs-serve` query
-//! engine: one registered Theorem-3 index, a worker pool with per-worker
-//! RNGs and reusable buffers, and 8 client threads issuing typed
-//! [`Request::SampleWr`] calls over the bounded admission queue. All
+//! engine: one registered Theorem-3 index, a worker pool whose seats
+//! each hold a seeded RNG and reusable buffers, and 8 client threads
+//! issuing typed [`Request::SampleWr`] calls — answered on the caller's
+//! own thread while a seat is free, over the bounded admission queue
+//! when none is. All
 //! outputs are pooled and chi-square-checked, exactly as when clients
 //! held the structure directly — the service path must not (and does
 //! not) change the sampling distribution.
@@ -80,7 +82,7 @@ fn main() {
     );
 
     // Merge and verify the pooled distribution — the service path (queue,
-    // workers, snapshots, per-worker RNGs) must preserve correctness.
+    // seats, snapshots, per-seat RNGs) must preserve correctness.
     let mut merged = vec![0u64; b - a];
     for hist in &histograms {
         for (m, &h) in merged.iter_mut().zip(hist) {

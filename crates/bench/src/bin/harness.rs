@@ -4,14 +4,16 @@
 //! Usage:
 //!   cargo run -p iqs-bench --release --bin harness            # all
 //!   cargo run -p iqs-bench --release --bin harness -- e1 f2   # subset
+//!   cargo run -p iqs-bench --release --bin harness -- --smoke e23 e24   # CI-sized loops
 //!
-//! Each experiment prints a table and appends rows to `results/*.csv`.
+//! Each experiment prints its tables and writes them to `results/*.csv`
+//! (one file per table, written afresh by each run).
 
 use iqs_alias::space::SpaceUsage;
 use iqs_alias::{AliasTable, CdfSampler, DynamicAlias};
 use iqs_bench::{
-    clustered_points2, csv_row, keyed_weights, overlapping_sets, time_ns, uniform_points2,
-    uniform_points3, Weights,
+    clustered_points2, keyed_weights, overlapping_sets, time_ns, uniform_points2, uniform_points3,
+    Col, Table, Weights,
 };
 use iqs_core::approx::ApproxCoverageSampler;
 use iqs_core::baseline::{DependentRange, ReportThenSample};
@@ -35,76 +37,226 @@ use iqs_tree::{SubtreeSampler, Tree, TreeSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// An arm: the argument names that select it and the function that runs it.
-type Arm = (&'static [&'static str], fn());
+/// What the command line asks of every arm.
+struct Opts {
+    /// `--smoke`: the arms with long loops (E23, E24) run them CI-sized.
+    smoke: bool,
+}
+
+/// One experiment: the argument names that select it, the title the
+/// runner prints before it and the claim it prints after, and the body
+/// that prints the tables in between.
+struct Arm {
+    names: &'static [&'static str],
+    title: &'static str,
+    claim: &'static str,
+    run: fn(&Opts),
+}
 
 /// Every arm, in the order a bare `harness` runs them.
 const ARMS: &[Arm] = &[
-    (&["e1"], e1_alias),
-    (&["e2"], e2_tree_sampling),
-    (&["e3", "e4"], e3_e4_range1d),
-    (&["e5"], e5_kdtree),
-    (&["e6"], e6_rangetree),
-    (&["e7"], e7_approx_cover),
-    (&["e8"], e8_setunion),
-    (&["e9"], e9_em_set),
-    (&["e10"], e10_em_range),
-    (&["e11"], e11_dynamic_alias),
-    (&["f1"], f1_independence),
-    (&["f2"], f2_concentration),
-    (&["f3"], f3_fairness),
-    (&["f4"], f4_crossover),
-    (&["e12"], e12_dynamic_range),
-    (&["e13"], e13_wor_methods),
-    (&["a1"], a1_chunk_len_ablation),
-    (&["a2"], a2_sketch_k_ablation),
-    (&["a3"], a3_leaf_cap_ablation),
-    (&["e14"], e14_regions),
-    (&["e15"], e15_em_weighted),
-    (&["e16"], e16_batch_throughput),
-    (&["e19"], e19_observability),
-    (&["e23"], e23_autopilot),
-    (&["e24"], e24_telemetry_slo),
+    Arm {
+        names: &["e1"],
+        title: "E1  Theorem 1 — alias method vs inverse-CDF baseline",
+        claim: "alias per-sample flat in n; CDF grows ~log n; both builds linear.",
+        run: e1_alias,
+    },
+    Arm {
+        names: &["e2"],
+        title: "E2  §3.2 tree sampling vs Lemma 4 (SubtreeSampler)",
+        claim: "descend grows with log n; Lemma-4 flat; pieces/n bounded (O(n) space).",
+        run: e2_tree_sampling,
+    },
+    Arm {
+        names: &["e3", "e4"],
+        title: "E3/E4  1-D weighted range sampling — three structures",
+        claim: "Lemma2/Thm3 ~O(log n + s); §3.2 pays log n per sample; \
+                Thm3 space linear, Lemma2 space n log n.",
+        run: e3_e4_range1d,
+    },
+    Arm {
+        names: &["e5"],
+        title: "E5  Theorem 5 @ kd-tree (2-D) vs report-then-sample, s = 64",
+        claim: "IQS flat in |S_q|; report linear; cover ~ n^(1-1/d).",
+        run: e5_kdtree,
+    },
+    Arm {
+        names: &["e6"],
+        title: "E6  Theorem 5 @ range tree vs kd-tree, s = 64",
+        claim: "rt cover ~log² n ≪ kd cover ~√n; rt space ~n log n ≫ kd space ~n.",
+        run: e6_rangetree,
+    },
+    Arm {
+        names: &["e7"],
+        title: "E7  complement sampling — approx cover (≤2, Cor 7) vs exact covers (Θ(log n))",
+        claim: "approx-cover query is O(s) with no log-n term; wins at small s.",
+        run: e7_approx_cover,
+    },
+    Arm {
+        names: &["e8"],
+        title: "E8  Theorem 8 — set-union sampling vs naive union materialization",
+        claim: "IQS ~g·log² n per sample (flat in Σ|S_i|); naive ~Σ|S_i|.",
+        run: e8_setunion,
+    },
+    Arm {
+        names: &["e9"],
+        title: "E9  §8 EM set sampling — I/Os per query (n = 2^20)",
+        claim: "pool ~s/B amortized (ratio ~B); naive ~s — the Hu et al. lower-bound shape.",
+        run: e9_em_set,
+    },
+    Arm {
+        names: &["e10"],
+        title: "E10  §8 EM range sampling — I/Os per query (n = 2^20, B = 256)",
+        claim: "pool ~log + s/B amortized; random access ~s; report ~|S_q|/B.",
+        run: e10_em_range,
+    },
+    Arm {
+        names: &["e11"],
+        title: "E11  dynamic alias — expected O(1) ops under updates",
+        claim: "all dynamic ops flat in n; static rebuild linear in n.",
+        run: e11_dynamic_alias,
+    },
+    Arm {
+        names: &["f1"],
+        title: "F1  repeated-identical-query overlap test (k = 400, s = 20, 1000 rounds)",
+        claim: "IQS overlap ≈ s²/k = 1.0; dependent = s = 20.",
+        run: f1_independence,
+    },
+    Arm {
+        names: &["f2"],
+        title: "F2  estimation-error concentration over m = 1500 estimates (ε=.02, δ=.3)",
+        claim: "IQS runs ~log-length, counts concentrated; dependence makes runs of m/30.",
+        run: f2_concentration,
+    },
+    Arm {
+        names: &["f3"],
+        title: "F3  exposure fairness over 10 000 identical inquiries (s = 10)",
+        claim: "IQS shows every in-range element about equally often; the dependent \
+                sampler shows the same s elements every time.",
+        run: f3_fairness,
+    },
+    Arm {
+        names: &["f4"],
+        title: "F4  IQS vs report-then-sample crossover (s = 16, n = 2^20)",
+        claim: "report cost grows with |S_q|; IQS flat; IQS wins from small |S_q| on.",
+        run: f4_crossover,
+    },
+    Arm {
+        names: &["e12"],
+        title: "E12  dynamized range sampling (Bentley–Saxe over Theorem-3 levels)",
+        claim: "amortized polylog updates; queries within a small factor of static.",
+        run: e12_dynamic_range,
+    },
+    Arm {
+        names: &["e13"],
+        title: "E13  weighted WoR: rejection vs A-Res vs A-ExpJ (n = 2^18, |S_q| = 2^17)",
+        claim: "A-Res pays |S_q| regardless of s; rejection is fast for small s but \
+                stalls near s = |S_q|; A-ExpJ is robust everywhere.",
+        run: e13_wor_methods,
+    },
+    Arm {
+        names: &["a1"],
+        title: "A1  Theorem-3 chunk-length ablation (n = 2^18, s = 64)",
+        claim: "tiny chunks inflate T_chunk space (n log n regime); huge chunks slow the\n         \
+                boundary scans; c = Θ(log n) sits at the joint optimum.",
+        run: a1_chunk_len_ablation,
+    },
+    Arm {
+        names: &["a2"],
+        title: "A2  KMV sketch-capacity ablation (distinct count = 100 000)",
+        claim: "rel. error ~1/sqrt(k); k = 64 (the sampler default) is safely inside the band.",
+        run: a2_sketch_k_ablation,
+    },
+    Arm {
+        names: &["a3"],
+        title: "A3  kd-tree leaf-capacity ablation (n = 2^16, s = 64)",
+        claim: "small caps grow the arena; large caps grow boundary covers; 4-32 is flat.",
+        run: a3_leaf_cap_ablation,
+    },
+    Arm {
+        names: &["e14"],
+        title: "E14  generic regions: halfplane + disc (exact kd covers vs approx quadtree)",
+        claim: "exact covers enumerate boundary leaves (bigger covers, no rejection); the\n  \
+                approximate route keeps covers small and pays expected-constant rejection instead.",
+        run: e14_regions,
+    },
+    Arm {
+        names: &["e15"],
+        title: "E15  Direction 2 — weighted EM range sampling (open problem; amortized shape)",
+        claim: "(conjectured target) ~log + s/B amortized, same shape as the WR structure;\n  \
+                the worst case is the paper's open problem.",
+        run: e15_em_weighted,
+    },
+    Arm {
+        names: &["e16"],
+        title: "E16  batched vs sequential sampling (n = 2^20, query = [10%, 90%])",
+        claim: "none from the paper (engineering experiment) — the batch door allocates\n  \
+                nothing per query and should not lose to the sequential one from s = 16 up.",
+        run: e16_batch_throughput,
+    },
+    Arm {
+        names: &["e23"],
+        title: "E23  autopilot — chaos scenario matrix, controller on vs off (A/B, one seed)",
+        claim: "with the controller on, the same seed and faults see fewer degraded reads and a\n  \
+                lower p99 than with it off (hotspots split, cold shards re-merged, the zombie\n  \
+                replica rebuilt around within one tick); zero reads fail in any cell, either arm.\n  \
+                Wall-clock latencies on a 1-vCPU runner are noisy — EXPERIMENTS.md has the caveats.",
+        run: e23_autopilot,
+    },
+    Arm {
+        names: &["e24"],
+        title: "E24  telemetry plane — shipping overhead A/B + burn detection latency",
+        claim: "the recorder and the per-round fold/encode/ship path each cost a fixed ~10 us per\n  \
+                query — double digits against ~24 us in-process queries, noise against a network.\n  \
+                Detection is budget-relative: 2% and 10% bad never alert, fractions past the\n  \
+                fast-burn line alert 1-2 ticks after the regression (exact: virtual clock, no RNG).",
+        run: e24_telemetry_slo,
+    },
 ];
 
-/// The arms `args` select (every arm when empty), or the first argument
-/// that names none.
-fn select(args: &[String]) -> Result<Vec<fn()>, &str> {
-    let named = |names: &[&str], arg: &String| names.contains(&arg.as_str());
-    if let Some(unknown) = args.iter().find(|a| !ARMS.iter().any(|(names, _)| named(names, a))) {
+/// The arms `args` select (every arm when none is named) and the options
+/// its flags set, or the first argument that is neither.
+fn select(args: &[String]) -> Result<(Vec<&'static Arm>, Opts), &str> {
+    let (flags, names): (Vec<&String>, Vec<&String>) = args.iter().partition(|a| *a == "--smoke");
+    let named = |arm: &Arm, arg: &String| arm.names.contains(&arg.as_str());
+    if let Some(unknown) = names.iter().find(|a| !ARMS.iter().any(|arm| named(arm, a))) {
         return Err(unknown);
     }
-    Ok(ARMS
-        .iter()
-        .filter(|(names, _)| args.is_empty() || args.iter().any(|a| named(names, a)))
-        .map(|&(_, run)| run)
-        .collect())
+    let arms = ARMS.iter().filter(|arm| names.is_empty() || names.iter().any(|a| named(arm, a)));
+    Ok((arms.collect(), Opts { smoke: !flags.is_empty() }))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let arms = select(&args).unwrap_or_else(|unknown| {
-        let valid: Vec<&str> = ARMS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
-        eprintln!("unknown experiment `{unknown}`; valid names: {}", valid.join(" "));
+    let (arms, opts) = select(&args).unwrap_or_else(|unknown| {
+        let valid: Vec<&str> = ARMS.iter().flat_map(|arm| arm.names.iter().copied()).collect();
+        eprintln!(
+            "unknown experiment `{unknown}`; valid names: {} (flag: --smoke)",
+            valid.join(" ")
+        );
         std::process::exit(2);
     });
 
     println!("IQS experiment harness (Tao, PODS 2022 reproduction)");
     println!("====================================================\n");
 
-    for run in arms {
-        run();
+    for arm in arms {
+        println!("{}", arm.title);
+        (arm.run)(&opts);
+        println!("  claim: {}\n", arm.claim);
     }
 }
 
-// =====================================================================
-// E1 — Theorem 1: alias O(n) build, O(1) sample; CDF baseline O(log n).
-// =====================================================================
-fn e1_alias() {
-    println!("E1  Theorem 1 — alias method vs inverse-CDF baseline");
-    println!(
-        "{:>10} {:>14} {:>14} {:>14} {:>14}",
-        "n", "alias build", "alias ns/samp", "cdf ns/samp", "cdf/alias"
+fn e1_alias(_: &Opts) {
+    let mut table = Table::new(
+        "e1_alias.csv",
+        &[
+            Col::new("n", 10).csv("n"),
+            Col::new("alias build", 14).unit(" us").csv("build_us"),
+            Col::new("alias ns/samp", 14).prec(1).csv("alias_ns"),
+            Col::new("cdf ns/samp", 14).prec(1).csv("cdf_ns"),
+            Col::new("cdf/alias", 14).prec(1).unit("x"),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(1);
     for exp in [12u32, 14, 16, 18, 20, 22] {
@@ -115,35 +267,22 @@ fn e1_alias() {
         let alias = AliasTable::new(&weights).unwrap();
         let build_us = build_start.elapsed().as_micros();
         let cdf = CdfSampler::new(&weights).unwrap();
-        let mut sink = 0usize;
-        let a_ns = time_ns(|| sink ^= alias.sample(&mut rng), 20_000, 5);
-        let c_ns = time_ns(|| sink ^= cdf.sample(&mut rng), 20_000, 5);
-        std::hint::black_box(sink);
-        println!(
-            "{:>10} {:>11} us {:>14.1} {:>14.1} {:>13.1}x",
-            n,
-            build_us,
-            a_ns,
-            c_ns,
-            c_ns / a_ns
-        );
-        csv_row(
-            "e1_alias.csv",
-            "n,build_us,alias_ns,cdf_ns",
-            &format!("{n},{build_us},{a_ns:.1},{c_ns:.1}"),
-        );
+        let a_ns = time_ns(|| alias.sample(&mut rng), 20_000, 5);
+        let c_ns = time_ns(|| cdf.sample(&mut rng), 20_000, 5);
+        table.row(&[&n, &build_us, &a_ns, &c_ns, &(c_ns / a_ns)]);
     }
-    println!("  claim: alias per-sample flat in n; CDF grows ~log n; both builds linear.\n");
 }
 
-// =====================================================================
-// E2 — §3.2 tree sampling O(s·height) vs Lemma-4 SubtreeSampler O(1+s).
-// =====================================================================
-fn e2_tree_sampling() {
-    println!("E2  §3.2 tree sampling vs Lemma 4 (SubtreeSampler)");
-    println!(
-        "{:>10} {:>14} {:>16} {:>12} {:>12}",
-        "n", "descend ns/s", "lemma4 ns/samp", "pieces/n", "space ratio"
+fn e2_tree_sampling(_: &Opts) {
+    let mut table = Table::new(
+        "e2_tree_sampling.csv",
+        &[
+            Col::new("n", 10).csv("n"),
+            Col::new("descend ns/s", 14).prec(1).csv("descend_ns"),
+            Col::new("lemma4 ns/samp", 16).prec(1).csv("lemma4_ns"),
+            Col::new("pieces/n", 12).prec(2).csv_prec("pieces_per_n", 3),
+            Col::new("space ratio", 12).prec(2).csv_prec("space_ratio", 3),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(2);
     for exp in [10u32, 12, 14, 16, 18] {
@@ -151,30 +290,27 @@ fn e2_tree_sampling() {
         let tree = Tree::random(n, 4, &mut rng);
         let ts = TreeSampler::new(tree.clone());
         let sub = SubtreeSampler::new(&tree);
-        let mut sink = 0usize;
-        let t_ns = time_ns(|| sink ^= ts.sample_leaf(0, &mut rng), 10_000, 5);
-        let s_ns = time_ns(|| sink ^= sub.sample_leaf(0, &mut rng), 10_000, 5);
-        std::hint::black_box(sink);
+        let t_ns = time_ns(|| ts.sample_leaf(0, &mut rng), 10_000, 5);
+        let s_ns = time_ns(|| sub.sample_leaf(0, &mut rng), 10_000, 5);
         let pieces = sub.total_pieces() as f64 / n as f64;
         let ratio = sub.space_words() as f64 / ts.space_words() as f64;
-        println!("{:>10} {:>14.1} {:>16.1} {:>12.2} {:>12.2}", n, t_ns, s_ns, pieces, ratio);
-        csv_row(
-            "e2_tree_sampling.csv",
-            "n,descend_ns,lemma4_ns,pieces_per_n,space_ratio",
-            &format!("{n},{t_ns:.1},{s_ns:.1},{pieces:.3},{ratio:.3}"),
-        );
+        table.row(&[&n, &t_ns, &s_ns, &pieces, &ratio]);
     }
-    println!("  claim: descend grows with log n; Lemma-4 flat; pieces/n bounded (O(n) space).\n");
 }
 
-// =====================================================================
-// E3/E4 — Lemma 2 vs Theorem 3 vs §3.2: query time and space.
-// =====================================================================
-fn e3_e4_range1d() {
-    println!("E3/E4  1-D weighted range sampling — three structures");
-    println!(
-        "{:>9} {:>5} {:>11} {:>11} {:>11} | {:>12} {:>12} {:>12}",
-        "n", "s", "tree us/q", "lem2 us/q", "thm3 us/q", "tree words", "lem2 words", "thm3 words"
+fn e3_e4_range1d(_: &Opts) {
+    let mut table = Table::new(
+        "e3_e4_range1d.csv",
+        &[
+            Col::new("n", 9).csv("n"),
+            Col::new("s", 5).csv("s"),
+            Col::new("tree us/q", 11).prec(1).csv_prec("tree_us", 2),
+            Col::new("lem2 us/q", 11).prec(1).csv_prec("lemma2_us", 2),
+            Col::new("thm3 us/q", 11).prec(1).csv_prec("thm3_us", 2),
+            Col::new("tree words", 12).csv("tree_words"),
+            Col::new("lem2 words", 12).csv("lemma2_words"),
+            Col::new("thm3 words", 12).csv("thm3_words"),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(3);
     for exp in [14u32, 16, 18, 20] {
@@ -183,51 +319,33 @@ fn e3_e4_range1d() {
         let lem2 = AliasAugmentedRange::new(keyed_weights(n, Weights::Uniform, 30)).unwrap();
         let thm3 = ChunkedRange::new(keyed_weights(n, Weights::Uniform, 30)).unwrap();
         let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
+        let words = [tree.space_words(), lem2.space_words(), thm3.space_words()];
         for s in [1usize, 16, 256, 4096] {
-            let mut sink = 0usize;
-            let t = time_ns(|| sink ^= tree.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-            let l = time_ns(|| sink ^= lem2.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-            let c = time_ns(|| sink ^= thm3.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-            std::hint::black_box(sink);
-            println!(
-                "{:>9} {:>5} {:>11.1} {:>11.1} {:>11.1} | {:>12} {:>12} {:>12}",
-                n,
-                s,
-                t,
-                l,
-                c,
-                tree.space_words(),
-                lem2.space_words(),
-                thm3.space_words()
-            );
-            csv_row(
-                "e3_e4_range1d.csv",
-                "n,s,tree_us,lemma2_us,thm3_us,tree_words,lemma2_words,thm3_words",
-                &format!(
-                    "{n},{s},{t:.2},{l:.2},{c:.2},{},{},{}",
-                    tree.space_words(),
-                    lem2.space_words(),
-                    thm3.space_words()
-                ),
-            );
+            let t = time_ns(|| tree.sample_wr(x, y, s, &mut rng).unwrap(), 20, 5) / 1e3;
+            let l = time_ns(|| lem2.sample_wr(x, y, s, &mut rng).unwrap(), 20, 5) / 1e3;
+            let c = time_ns(|| thm3.sample_wr(x, y, s, &mut rng).unwrap(), 20, 5) / 1e3;
+            table.row(&[&n, &s, &t, &l, &c, &words[0], &words[1], &words[2]]);
         }
     }
-    println!(
-        "  claims: Lemma2/Thm3 ~O(log n + s); §3.2 pays log n per sample; \
-         Thm3 space linear, Lemma2 space n log n.\n"
-    );
 }
 
-// =====================================================================
-// E5 — Theorem 5 on a kd-tree; crossover vs report-then-sample.
-// =====================================================================
-fn e5_kdtree() {
-    println!("E5  Theorem 5 @ kd-tree (2-D) vs report-then-sample, s = 64");
+fn e5_kdtree(_: &Opts) {
     let mut rng = StdRng::seed_from_u64(5);
     let n = 1 << 17;
     let pts = uniform_points2(n, 50);
     let kd = CoverageSampler::new(KdTree::with_unit_weights(pts.clone()).unwrap());
-    println!("{:>10} {:>9} {:>13} {:>15}", "|S_q|", "cover", "IQS us/q", "report us/q");
+    let mut table = Table::new(
+        "e5_kdtree.csv",
+        &[
+            Col::csv_only("n"),
+            Col::csv_only("side"),
+            Col::new("|S_q|", 10).csv("count"),
+            Col::new("cover", 9).csv("cover"),
+            Col::csv_only("s"),
+            Col::new("IQS us/q", 13).prec(1).csv_prec("iqs_us", 2),
+            Col::new("report us/q", 15).prec(1).csv_prec("report_us", 2),
+        ],
+    );
     let s = 64usize;
     for side in [0.02f64, 0.05, 0.1, 0.2, 0.4, 0.8] {
         let q: Rect<2> =
@@ -237,29 +355,25 @@ fn e5_kdtree() {
             continue;
         }
         let cover = kd.index().cover(&q).len();
-        let mut sink = 0usize;
-        let iqs_us = time_ns(|| sink ^= kd.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        let rep_us = time_ns(
-            || {
-                let all = kd.index().report(&q);
-                sink ^= all[rng.random_range(0..all.len())] as usize;
-            },
-            20,
-            5,
-        ) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>10} {:>9} {:>13.1} {:>15.1}", count, cover, iqs_us, rep_us);
-        csv_row(
-            "e5_kdtree.csv",
-            "n,side,count,cover,s,iqs_us,report_us",
-            &format!("{n},{side},{count},{cover},{s},{iqs_us:.2},{rep_us:.2}"),
-        );
+        let iqs_us = time_ns(|| kd.sample_wr(&q, s, &mut rng).unwrap(), 20, 5) / 1e3;
+        let report = || {
+            let all = kd.index().report(&q);
+            all[rng.random_range(0..all.len())]
+        };
+        let rep_us = time_ns(report, 20, 5) / 1e3;
+        table.row(&[&n, &side, &count, &cover, &s, &iqs_us, &rep_us]);
     }
 
     println!("  cover-size scaling on full-height strips:");
-    println!(
-        "{:>10} {:>12} {:>14} {:>12} {:>14}",
-        "n", "2D cover", "cover/sqrt n", "3D cover", "cover/n^2/3"
+    let mut table = Table::new(
+        "e5_cover_scaling.csv",
+        &[
+            Col::new("n", 10).csv("n"),
+            Col::new("2D cover", 12).csv("cover2d"),
+            Col::new("cover/sqrt n", 14).prec(2),
+            Col::new("3D cover", 12).csv("cover3d"),
+            Col::new("cover/n^2/3", 14).prec(2),
+        ],
     );
     for exp in [12u32, 14, 16, 18] {
         let n = 1usize << exp;
@@ -272,15 +386,9 @@ fn e5_kdtree() {
             [0.55, f64::INFINITY, f64::INFINITY],
         );
         let c3 = kd3.cover(&strip3).len();
-        println!(
-            "{:>10} {:>12} {:>14.2} {:>12} {:>14.2}",
-            n,
-            c2,
-            c2 as f64 / (n as f64).sqrt(),
-            c3,
-            c3 as f64 / (n as f64).powf(2.0 / 3.0)
-        );
-        csv_row("e5_cover_scaling.csv", "n,cover2d,cover3d", &format!("{n},{c2},{c3}"));
+        let (per_sqrt, per_two_thirds) =
+            (c2 as f64 / (n as f64).sqrt(), c3 as f64 / (n as f64).powf(2.0 / 3.0));
+        table.row(&[&n, &c2, &per_sqrt, &c3, &per_two_thirds]);
     }
 
     let clustered = clustered_points2(n, 8, 53);
@@ -292,17 +400,20 @@ fn e5_kdtree() {
         kd_c.index().cover(&q).len(),
         kd_c.sample_wr(&q, 8, &mut rng).is_ok()
     );
-    println!("  claims: IQS flat in |S_q|; report linear; cover ~ n^(1-1/d).\n");
 }
 
-// =====================================================================
-// E6 — Theorem 5 on a range tree.
-// =====================================================================
-fn e6_rangetree() {
-    println!("E6  Theorem 5 @ range tree vs kd-tree, s = 64");
-    println!(
-        "{:>9} {:>9} {:>9} {:>12} {:>12} {:>15} {:>13}",
-        "n", "rt cover", "kd cover", "rt us/q", "kd us/q", "rt space", "kd space"
+fn e6_rangetree(_: &Opts) {
+    let mut table = Table::new(
+        "e6_rangetree.csv",
+        &[
+            Col::new("n", 9).csv("n"),
+            Col::new("rt cover", 9).csv("rt_cover"),
+            Col::new("kd cover", 9).csv("kd_cover"),
+            Col::new("rt us/q", 12).prec(1).csv_prec("rt_us", 2),
+            Col::new("kd us/q", 12).prec(1).csv_prec("kd_us", 2),
+            Col::new("rt space", 15).csv("rt_words"),
+            Col::new("kd space", 13).csv("kd_words"),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(6);
     for exp in [12u32, 14, 16] {
@@ -314,39 +425,23 @@ fn e6_rangetree() {
         let rt_cover = rt.index().cover(&q).len();
         let kd_cover = kd.index().cover(&q).len();
         let s = 64usize;
-        let mut sink = 0usize;
-        let rt_us = time_ns(|| sink ^= rt.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        let kd_us = time_ns(|| sink ^= kd.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!(
-            "{:>9} {:>9} {:>9} {:>12.1} {:>12.1} {:>15} {:>13}",
-            n,
-            rt_cover,
-            kd_cover,
-            rt_us,
-            kd_us,
-            rt.space_words(),
-            kd.space_words()
-        );
-        csv_row(
-            "e6_rangetree.csv",
-            "n,rt_cover,kd_cover,rt_us,kd_us,rt_words,kd_words",
-            &format!(
-                "{n},{rt_cover},{kd_cover},{rt_us:.2},{kd_us:.2},{},{}",
-                rt.space_words(),
-                kd.space_words()
-            ),
-        );
+        let rt_us = time_ns(|| rt.sample_wr(&q, s, &mut rng).unwrap(), 20, 5) / 1e3;
+        let kd_us = time_ns(|| kd.sample_wr(&q, s, &mut rng).unwrap(), 20, 5) / 1e3;
+        let (rt_words, kd_words) = (rt.space_words(), kd.space_words());
+        table.row(&[&n, &rt_cover, &kd_cover, &rt_us, &kd_us, &rt_words, &kd_words]);
     }
-    println!("  claims: rt cover ~log² n ≪ kd cover ~√n; rt space ~n log n ≫ kd space ~n.\n");
 }
 
-// =====================================================================
-// E7 — Theorem 6 / Corollary 7: complement range sampling.
-// =====================================================================
-fn e7_approx_cover() {
-    println!("E7  complement sampling — approx cover (≤2, Cor 7) vs exact covers (Θ(log n))");
-    println!("{:>9} {:>5} {:>16} {:>16}", "n", "s", "approx us/q", "exact us/q");
+fn e7_approx_cover(_: &Opts) {
+    let mut table = Table::new(
+        "e7_approx.csv",
+        &[
+            Col::new("n", 9).csv("n"),
+            Col::new("s", 5).csv("s"),
+            Col::new("approx us/q", 16).prec(2).csv("approx_us"),
+            Col::new("exact us/q", 16).prec(2).csv("exact_us"),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(7);
     for exp in [14u32, 18, 20] {
         let n = 1usize << exp;
@@ -360,51 +455,39 @@ fn e7_approx_cover() {
         let keys = exact.keys();
         let (pre_hi, suf_lo) = (keys[a - 1], keys[b]);
         for s in [1usize, 4, 16, 256] {
-            let mut sink = 0usize;
-            let a_us =
-                time_ns(|| sink ^= comp.sample_wr(x, y, s, &mut rng).unwrap()[0], 50, 5) / 1e3;
-            let e_us = time_ns(
-                || {
-                    let w_pre = a as f64;
-                    let w_suf = (n - b) as f64;
-                    let mut s1 = 0;
-                    for _ in 0..s {
-                        if rng.random::<f64>() * (w_pre + w_suf) < w_pre {
-                            s1 += 1;
-                        }
+            let a_us = time_ns(|| comp.sample_wr(x, y, s, &mut rng).unwrap(), 50, 5) / 1e3;
+            let two_queries = || {
+                let w_pre = a as f64;
+                let w_suf = (n - b) as f64;
+                let mut s1 = 0;
+                for _ in 0..s {
+                    if rng.random::<f64>() * (w_pre + w_suf) < w_pre {
+                        s1 += 1;
                     }
-                    if s1 > 0 {
-                        sink ^=
-                            exact.sample_wr(f64::NEG_INFINITY, pre_hi, s1, &mut rng).unwrap()[0];
-                    }
-                    if s - s1 > 0 {
-                        sink ^=
-                            exact.sample_wr(suf_lo, f64::INFINITY, s - s1, &mut rng).unwrap()[0];
-                    }
-                },
-                50,
-                5,
-            ) / 1e3;
-            std::hint::black_box(sink);
-            println!("{:>9} {:>5} {:>16.2} {:>16.2}", n, s, a_us, e_us);
-            csv_row(
-                "e7_approx.csv",
-                "n,s,approx_us,exact_us",
-                &format!("{n},{s},{a_us:.2},{e_us:.2}"),
-            );
+                }
+                let pre = (s1 > 0)
+                    .then(|| exact.sample_wr(f64::NEG_INFINITY, pre_hi, s1, &mut rng).unwrap());
+                let suf = (s - s1 > 0)
+                    .then(|| exact.sample_wr(suf_lo, f64::INFINITY, s - s1, &mut rng).unwrap());
+                (pre, suf)
+            };
+            let e_us = time_ns(two_queries, 50, 5) / 1e3;
+            table.row(&[&n, &s, &a_us, &e_us]);
         }
     }
-    println!("  claim: approx-cover query is O(s) with no log-n term; wins at small s.\n");
 }
 
-// =====================================================================
-// E8 — Theorem 8: set-union sampling.
-// =====================================================================
-fn e8_setunion() {
-    println!("E8  Theorem 8 — set-union sampling vs naive union materialization");
-    println!(
-        "{:>5} {:>10} {:>12} {:>14} {:>14} {:>10}",
-        "g", "Σ|S_i|", "|∪G|", "IQS us/samp", "naive us/samp", "chi² p"
+fn e8_setunion(_: &Opts) {
+    let mut table = Table::new(
+        "e8_setunion.csv",
+        &[
+            Col::new("g", 5).csv("g"),
+            Col::new("Σ|S_i|", 10).csv("total"),
+            Col::new("|∪G|", 12).csv("union"),
+            Col::new("IQS us/samp", 14).prec(1).csv_prec("iqs_us", 2),
+            Col::new("naive us/samp", 14).prec(1).csv_prec("naive_us", 2),
+            Col::new("chi² p", 10).prec(3).csv_prec("p", 4),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(8);
     let universe = 200_000u64;
@@ -415,11 +498,8 @@ fn e8_setunion() {
         let g: Vec<usize> = (0..g_size).collect();
         let total: usize = g.iter().map(|&i| family[i].len()).sum();
         let union = sampler.exact_union(&g);
-        let mut sink = 0u64;
-        let iqs_us = time_ns(|| sink ^= sampler.sample(&g, &mut rng).unwrap(), 30, 5) / 1e3;
-        let naive_us =
-            time_ns(|| sink ^= naive_union_sample(&family, &g, &mut rng).unwrap(), 5, 3) / 1e3;
-        std::hint::black_box(sink);
+        let iqs_us = time_ns(|| sampler.sample(&g, &mut rng).unwrap(), 30, 5) / 1e3;
+        let naive_us = time_ns(|| naive_union_sample(&family, &g, &mut rng).unwrap(), 5, 3) / 1e3;
         // Uniformity over a coarse bucketing of the union.
         let buckets = 50usize;
         let mut counts = vec![0u64; buckets];
@@ -441,25 +521,21 @@ fn e8_setunion() {
             })
             .collect();
         let gof = chi_square_gof(&counts, &probs);
-        println!(
-            "{:>5} {:>10} {:>12} {:>14.1} {:>14.1} {:>10.3}",
-            g_size, total, union, iqs_us, naive_us, gof.p_value
-        );
-        csv_row(
-            "e8_setunion.csv",
-            "g,total,union,iqs_us,naive_us,p",
-            &format!("{g_size},{total},{union},{iqs_us:.2},{naive_us:.2},{:.4}", gof.p_value),
-        );
+        table.row(&[&g_size, &total, &union, &iqs_us, &naive_us, &gof.p_value]);
     }
-    println!("  claim: IQS ~g·log² n per sample (flat in Σ|S_i|); naive ~Σ|S_i|.\n");
 }
 
-// =====================================================================
-// E9 — §8: EM set sampling I/O counts.
-// =====================================================================
-fn e9_em_set() {
-    println!("E9  §8 EM set sampling — I/Os per query (n = 2^20)");
-    println!("{:>6} {:>8} {:>14} {:>14} {:>9}", "B", "s", "pool I/Os", "naive I/Os", "ratio");
+fn e9_em_set(_: &Opts) {
+    let mut table = Table::new(
+        "e9_em_set.csv",
+        &[
+            Col::new("B", 6).csv("B"),
+            Col::new("s", 8).csv("s"),
+            Col::new("pool I/Os", 14).csv("pool_ios"),
+            Col::new("naive I/Os", 14).csv("naive_ios"),
+            Col::new("ratio", 9).prec(1).unit("x"),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(9);
     let n = 1usize << 20;
     let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -474,30 +550,21 @@ fn e9_em_set() {
             machine.reset_stats();
             naive.query(s, &mut rng);
             let n_ios = machine.stats().total();
-            println!(
-                "{:>6} {:>8} {:>14} {:>14} {:>8.1}x",
-                b,
-                s,
-                p_ios,
-                n_ios,
-                n_ios as f64 / p_ios.max(1) as f64
-            );
-            csv_row("e9_em_set.csv", "B,s,pool_ios,naive_ios", &format!("{b},{s},{p_ios},{n_ios}"));
+            table.row(&[&b, &s, &p_ios, &n_ios, &(n_ios as f64 / p_ios.max(1) as f64)]);
         }
     }
-    println!(
-        "  claim: pool ~s/B amortized (ratio ~B); naive ~s — the Hu et al. lower-bound shape.\n"
-    );
 }
 
-// =====================================================================
-// E10 — §8: EM range sampling I/O counts.
-// =====================================================================
-fn e10_em_range() {
-    println!("E10  §8 EM range sampling — I/Os per query (n = 2^20, B = 256)");
-    println!(
-        "{:>8} {:>12} {:>14} {:>14} {:>18}",
-        "s", "|S_q|", "pool I/Os", "rand-acc I/Os", "report+sample I/Os"
+fn e10_em_range(_: &Opts) {
+    let mut table = Table::new(
+        "e10_em_range.csv",
+        &[
+            Col::new("s", 8).csv("s"),
+            Col::new("|S_q|", 12).csv("count"),
+            Col::new("pool I/Os", 14).csv("pool_ios"),
+            Col::new("rand-acc I/Os", 14).csv("randacc_ios"),
+            Col::new("report+sample I/Os", 18).csv("report_ios"),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(10);
     let b = 256usize;
@@ -519,25 +586,20 @@ fn e10_em_range() {
         machine.reset_stats();
         naive.query_report_then_sample(x, y, s, &mut rng).unwrap();
         let rep_ios = machine.stats().total();
-        let count = (y - x) as usize;
-        println!("{:>8} {:>12} {:>14} {:>14} {:>18}", s, count, p_ios, r_ios, rep_ios);
-        csv_row(
-            "e10_em_range.csv",
-            "s,count,pool_ios,randacc_ios,report_ios",
-            &format!("{s},{count},{p_ios},{r_ios},{rep_ios}"),
-        );
+        table.row(&[&s, &((y - x) as usize), &p_ios, &r_ios, &rep_ios]);
     }
-    println!("  claim: pool ~log + s/B amortized; random access ~s; report ~|S_q|/B.\n");
 }
 
-// =====================================================================
-// E11 — Direction 1: dynamic alias under interleaved updates.
-// =====================================================================
-fn e11_dynamic_alias() {
-    println!("E11  dynamic alias — expected O(1) ops under updates");
-    println!(
-        "{:>10} {:>14} {:>14} {:>14} {:>18}",
-        "n", "sample ns", "insert ns", "remove ns", "static rebuild us"
+fn e11_dynamic_alias(_: &Opts) {
+    let mut table = Table::new(
+        "e11_dynamic.csv",
+        &[
+            Col::new("n", 10).csv("n"),
+            Col::new("sample ns", 14).prec(1).csv("sample_ns"),
+            Col::new("insert ns", 14).prec(1).csv("insert_ns"),
+            Col::new("remove ns", 14).prec(1).csv("remove_ns"),
+            Col::new("static rebuild us", 18).prec(1).csv("rebuild_us"),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(11);
     for exp in [12u32, 14, 16, 18, 20] {
@@ -546,53 +608,34 @@ fn e11_dynamic_alias() {
         for i in 0..n as u64 {
             d.insert(i, 0.1 + rng.random::<f64>() * 100.0).unwrap();
         }
-        let mut sink = 0u64;
-        let s_ns = time_ns(|| sink ^= d.sample(&mut rng).unwrap(), 20_000, 5);
+        let s_ns = time_ns(|| d.sample(&mut rng).unwrap(), 20_000, 5);
         let mut next_id = n as u64;
-        let i_ns = time_ns(
-            || {
-                d.insert(next_id, 1.0 + (next_id % 97) as f64).unwrap();
-                next_id += 1;
-            },
-            5_000,
-            3,
-        );
+        let insert = || {
+            d.insert(next_id, 1.0 + (next_id % 97) as f64).unwrap();
+            next_id += 1;
+        };
+        let i_ns = time_ns(insert, 5_000, 3);
         let mut rm_id = n as u64;
-        let r_ns = time_ns(
-            || {
-                d.remove(rm_id);
-                rm_id += 1;
-            },
-            5_000,
-            3,
-        );
+        let remove = || {
+            d.remove(rm_id);
+            rm_id += 1;
+        };
+        let r_ns = time_ns(remove, 5_000, 3);
         let weights: Vec<f64> = (0..n).map(|_| 0.1 + rng.random::<f64>()).collect();
-        let rebuild_us = time_ns(
-            || {
-                std::hint::black_box(AliasTable::new(&weights).unwrap().len());
-            },
-            3,
-            3,
-        ) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>10} {:>14.1} {:>14.1} {:>14.1} {:>18.1}", n, s_ns, i_ns, r_ns, rebuild_us);
-        csv_row(
-            "e11_dynamic.csv",
-            "n,sample_ns,insert_ns,remove_ns,rebuild_us",
-            &format!("{n},{s_ns:.1},{i_ns:.1},{r_ns:.1},{rebuild_us:.1}"),
-        );
+        let rebuild_us = time_ns(|| AliasTable::new(&weights).unwrap().len(), 3, 3) / 1e3;
+        table.row(&[&n, &s_ns, &i_ns, &r_ns, &rebuild_us]);
     }
-    println!("  claim: all dynamic ops flat in n; static rebuild linear in n.\n");
 }
 
-// =====================================================================
-// F1 — cross-query independence: IQS passes, dependent fails.
-// =====================================================================
-fn f1_independence() {
-    println!("F1  repeated-identical-query overlap test (k = 400, s = 20, 1000 rounds)");
-    println!(
-        "{:>12} {:>15} {:>15} {:>10}",
-        "structure", "mean overlap", "independent E", "verdict"
+fn f1_independence(_: &Opts) {
+    let mut table = Table::new(
+        "f1_independence.csv",
+        &[
+            Col::new("structure", 12).csv("structure"),
+            Col::new("mean overlap", 15).prec(2).csv_prec("mean_overlap", 3),
+            Col::new("independent E", 15).prec(2).csv_prec("expected", 3),
+            Col::new("verdict", 10),
+        ],
     );
     let n = 400usize;
     let s = 20usize;
@@ -614,18 +657,8 @@ fn f1_independence() {
                 .map(|r| r as u64)
                 .collect()
         });
-        println!(
-            "{:>12} {:>15.2} {:>15.2} {:>10}",
-            name,
-            rep.mean_overlap,
-            rep.expected_independent,
-            if rep.looks_independent(0.35) { "PASS" } else { "FAIL" }
-        );
-        csv_row(
-            "f1_independence.csv",
-            "structure,mean_overlap,expected",
-            &format!("{name},{:.3},{:.3}", rep.mean_overlap, rep.expected_independent),
-        );
+        let verdict = if rep.looks_independent(0.35) { "PASS" } else { "FAIL" };
+        table.row(&[name, &rep.mean_overlap, &rep.expected_independent, &verdict]);
     }
     let mut rng = StdRng::seed_from_u64(92);
     let dep = DependentRange::new((0..n).map(|i| i as f64).collect(), &mut rng).unwrap();
@@ -636,29 +669,22 @@ fn f1_independence() {
             .map(|r| r as u64)
             .collect()
     });
-    println!(
-        "{:>12} {:>15.2} {:>15.2} {:>10}",
-        "dependent",
-        rep.mean_overlap,
-        rep.expected_independent,
-        if rep.looks_independent(0.35) { "PASS" } else { "FAIL (by design)" }
-    );
-    csv_row(
-        "f1_independence.csv",
-        "structure,mean_overlap,expected",
-        &format!("dependent,{:.3},{:.3}", rep.mean_overlap, rep.expected_independent),
-    );
-    println!(
-        "  claim: IQS overlap ≈ s²/k = {:.1}; dependent = s = {s}.\n",
-        (s * s) as f64 / n as f64
-    );
+    let verdict = if rep.looks_independent(0.35) { "PASS" } else { "FAIL (by design)" };
+    table.row(&[&"dependent", &rep.mean_overlap, &rep.expected_independent, &verdict]);
 }
 
-// =====================================================================
-// F2 — Benefit 1: failure concentration of repeated estimates.
-// =====================================================================
-fn f2_concentration() {
-    println!("F2  estimation-error concentration over m = 1500 estimates (ε=.02, δ=.3)");
+fn f2_concentration(_: &Opts) {
+    let mut table = Table::new(
+        "f2_concentration.csv",
+        &[
+            Col::new("regime", 11).csv("regime"),
+            Col::new("failures", 9).csv("failures"),
+            Col::new("of m", 6),
+            Col::new("rate", 7).prec(3),
+            Col::new("longest run", 12).csv("longest_run"),
+            Col::new("block var", 10).prec(2).csv_prec("block_var", 3),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(93);
     let n = 200_000usize;
     let pairs = keyed_weights(n, Weights::Unit, 94);
@@ -675,14 +701,17 @@ fn f2_concentration() {
             (est.estimate_fraction(x, y, &pred, eps, delta, &mut rng).unwrap() - exact).abs() > eps
         })
         .collect();
-    let runs = ErrorRuns::new(fails);
-    println!(
-        "  IQS: failures {}/{m} (rate {:.3}), longest run {}, block var {:.2}",
-        runs.failure_count(),
-        runs.failure_rate(),
-        runs.longest_failure_run(),
-        runs.block_count_variance(30),
-    );
+    let mut emit = |regime: &str, runs: ErrorRuns| {
+        table.row(&[
+            &regime,
+            &runs.failure_count(),
+            &m,
+            &runs.failure_rate(),
+            &runs.longest_failure_run(),
+            &runs.block_count_variance(30),
+        ]);
+    };
+    emit("iqs", ErrorRuns::new(fails));
     let dep = DependentRange::new(sampler.keys().to_vec(), &mut rng).unwrap();
     let mut dep_fails = Vec::with_capacity(m);
     for band in 0..30 {
@@ -695,44 +724,21 @@ fn f2_concentration() {
         let failed = (e - est.exact_fraction(bx, by, &pred)).abs() > eps;
         dep_fails.extend(std::iter::repeat_n(failed, m / 30));
     }
-    let dep_runs = ErrorRuns::new(dep_fails);
-    println!(
-        "  dependent: failures {}/{m} (rate {:.3}), longest run {}, block var {:.2}",
-        dep_runs.failure_count(),
-        dep_runs.failure_rate(),
-        dep_runs.longest_failure_run(),
-        dep_runs.block_count_variance(30),
-    );
-    csv_row(
-        "f2_concentration.csv",
-        "regime,failures,longest_run,block_var",
-        &format!(
-            "iqs,{},{},{:.3}",
-            runs.failure_count(),
-            runs.longest_failure_run(),
-            runs.block_count_variance(30)
-        ),
-    );
-    csv_row(
-        "f2_concentration.csv",
-        "regime,failures,longest_run,block_var",
-        &format!(
-            "dependent,{},{},{:.3}",
-            dep_runs.failure_count(),
-            dep_runs.longest_failure_run(),
-            dep_runs.block_count_variance(30)
-        ),
-    );
-    println!(
-        "  claim: IQS runs ~log-length, counts concentrated; dependence makes runs of m/30.\n"
-    );
+    emit("dependent", ErrorRuns::new(dep_fails));
 }
 
-// =====================================================================
-// F3 — Benefit 2: fairness of repeated identical inquiries.
-// =====================================================================
-fn f3_fairness() {
-    println!("F3  exposure fairness over 10 000 identical inquiries (s = 10)");
+fn f3_fairness(_: &Opts) {
+    let mut table = Table::new(
+        "f3_fairness.csv",
+        &[
+            Col::new("regime", 11).csv("regime"),
+            Col::new("shown", 7).csv("shown"),
+            Col::new("of", 6).csv("of"),
+            Col::new("chi²", 10).prec(0).csv_prec("chi2", 1),
+            Col::new("p", 11).csv("p"),
+            Col::new("verdict", 8),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(95);
     let n = 5_000usize;
     let sampler = ChunkedRange::new(keyed_weights(n, Weights::Unit, 96)).unwrap();
@@ -754,27 +760,22 @@ fn f3_fairness() {
     for (name, counts) in [("IQS", &iqs_counts), ("dependent", &dep_counts)] {
         let shown = counts.iter().filter(|&&c| c > 0).count();
         let gof = chi_square_gof(counts, &uniform_probs(k));
-        println!(
-            "  {name:>10}: shown {shown}/{k}, chi² = {:.0}, p = {:.3e} → {}",
-            gof.statistic,
-            gof.p_value,
-            if gof.consistent_at(1e-6) { "FAIR" } else { "UNFAIR" }
-        );
-        csv_row(
-            "f3_fairness.csv",
-            "regime,shown,of,chi2,p",
-            &format!("{name},{shown},{k},{:.1},{:.3e}", gof.statistic, gof.p_value),
-        );
+        let verdict = if gof.consistent_at(1e-6) { "FAIR" } else { "UNFAIR" };
+        let p = format!("{:.3e}", gof.p_value);
+        table.row(&[&name, &shown, &k, &gof.statistic, &p, &verdict]);
     }
-    println!();
 }
 
-// =====================================================================
-// F4 — §1 headline: sampling beats reporting when s ≪ |S_q|.
-// =====================================================================
-fn f4_crossover() {
-    println!("F4  IQS vs report-then-sample crossover (s = 16, n = 2^20)");
-    println!("{:>12} {:>13} {:>15} {:>9}", "|S_q|", "IQS us/q", "report us/q", "winner");
+fn f4_crossover(_: &Opts) {
+    let mut table = Table::new(
+        "f4_crossover.csv",
+        &[
+            Col::new("|S_q|", 12).csv("count"),
+            Col::new("IQS us/q", 13).prec(2).csv_prec("iqs_us", 3),
+            Col::new("report us/q", 15).prec(2).csv_prec("report_us", 3),
+            Col::new("winner", 9),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(97);
     let n = 1usize << 20;
     let iqs = ChunkedRange::new(keyed_weights(n, Weights::Unit, 98)).unwrap();
@@ -787,34 +788,22 @@ fn f4_crossover() {
         if count == 0 {
             continue;
         }
-        let mut sink = 0usize;
-        let i_us = time_ns(|| sink ^= iqs.sample_wr(x, y, s, &mut rng).unwrap()[0], 50, 5) / 1e3;
-        let r_us = time_ns(|| sink ^= rep.sample_wr(x, y, s, &mut rng).unwrap()[0], 10, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!(
-            "{:>12} {:>13.2} {:>15.2} {:>9}",
-            count,
-            i_us,
-            r_us,
-            if i_us < r_us { "IQS" } else { "report" }
-        );
-        csv_row(
-            "f4_crossover.csv",
-            "count,iqs_us,report_us",
-            &format!("{count},{i_us:.3},{r_us:.3}"),
-        );
+        let i_us = time_ns(|| iqs.sample_wr(x, y, s, &mut rng).unwrap(), 50, 5) / 1e3;
+        let r_us = time_ns(|| rep.sample_wr(x, y, s, &mut rng).unwrap(), 10, 5) / 1e3;
+        table.row(&[&count, &i_us, &r_us, &if i_us < r_us { "IQS" } else { "report" }]);
     }
-    println!("  claim: report cost grows with |S_q|; IQS flat; IQS wins from small |S_q| on.\n");
 }
 
-// =====================================================================
-// E12 — Direction 1 applied to the headline problem: DynamicRange.
-// =====================================================================
-fn e12_dynamic_range() {
-    println!("E12  dynamized range sampling (Bentley–Saxe over Theorem-3 levels)");
-    println!(
-        "{:>10} {:>12} {:>12} {:>13} {:>14}",
-        "n", "insert us", "remove us", "query us", "static q us"
+fn e12_dynamic_range(_: &Opts) {
+    let mut table = Table::new(
+        "e12_dynamic_range.csv",
+        &[
+            Col::new("n", 10).csv("n"),
+            Col::new("insert us", 12).prec(2).csv_prec("insert_us", 3),
+            Col::new("remove us", 12).prec(2).csv_prec("remove_us", 3),
+            Col::new("query us", 13).prec(1).csv_prec("query_us", 2),
+            Col::new("static q us", 14).prec(1).csv_prec("static_query_us", 2),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(120);
     for exp in [12u32, 14, 16, 18] {
@@ -831,11 +820,8 @@ fn e12_dynamic_range() {
                 .unwrap();
         let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
         let s = 64usize;
-        let mut sink = 0u64;
-        let q_us = time_ns(|| sink ^= d.sample_wr(x, y, s, &mut rng).unwrap()[0].0, 20, 5) / 1e3;
-        let mut sink2 = 0usize;
-        let sq_us =
-            time_ns(|| sink2 ^= static_s.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let q_us = time_ns(|| d.sample_wr(x, y, s, &mut rng).unwrap(), 20, 5) / 1e3;
+        let sq_us = time_ns(|| static_s.sample_wr(x, y, s, &mut rng).unwrap(), 20, 5) / 1e3;
         // Interleave deletes.
         let del_start = std::time::Instant::now();
         let dels = n / 4;
@@ -843,26 +829,20 @@ fn e12_dynamic_range() {
             d.remove(i * 2);
         }
         let remove_us = del_start.elapsed().as_micros() as f64 / dels as f64;
-        std::hint::black_box((sink, sink2));
-        println!(
-            "{:>10} {:>12.2} {:>12.2} {:>13.1} {:>14.1}",
-            n, insert_us, remove_us, q_us, sq_us
-        );
-        csv_row(
-            "e12_dynamic_range.csv",
-            "n,insert_us,remove_us,query_us,static_query_us",
-            &format!("{n},{insert_us:.3},{remove_us:.3},{q_us:.2},{sq_us:.2}"),
-        );
+        table.row(&[&n, &insert_us, &remove_us, &q_us, &sq_us]);
     }
-    println!("  claim: amortized polylog updates; queries within a small factor of static.\n");
 }
 
-// =====================================================================
-// E13 — WoR methods: rejection vs A-Res (reporting) vs A-ExpJ (jumps).
-// =====================================================================
-fn e13_wor_methods() {
-    println!("E13  weighted WoR: rejection vs A-Res vs A-ExpJ (n = 2^18, |S_q| = 2^17)");
-    println!("{:>9} {:>15} {:>14} {:>14}", "s", "rejection us", "A-Res us", "A-ExpJ us");
+fn e13_wor_methods(_: &Opts) {
+    let mut table = Table::new(
+        "e13_wor.csv",
+        &[
+            Col::new("s", 9).csv("s"),
+            Col::new("rejection us", 15).prec(1).csv_prec("rejection_us", 2),
+            Col::new("A-Res us", 14).prec(1).csv_prec("ares_us", 2),
+            Col::new("A-ExpJ us", 14).prec(1).csv_prec("expj_us", 2),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(130);
     let n = 1usize << 18;
     let pairs = keyed_weights(n, Weights::Uniform, 131);
@@ -872,43 +852,29 @@ fn e13_wor_methods() {
     let (a, b) = chunked.rank_range(x, y);
     let range_weights: Vec<f64> = chunked.weights()[a..b].to_vec();
     for s in [16usize, 256, 4096, 65_536, b - a - 1] {
-        let mut sink = 0usize;
         // Rejection WoR stalls when s approaches |S_q|: cap the timing
         // effort there and mark it.
         let rej_us = if s * 2 <= b - a {
-            time_ns(|| sink ^= chunked.sample_wor(x, y, s, &mut rng).unwrap()[0], 5, 3) / 1e3
+            time_ns(|| chunked.sample_wor(x, y, s, &mut rng).unwrap(), 5, 3) / 1e3
         } else {
             f64::NAN // coupon-collector regime: skipped
         };
-        let ares_us = time_ns(
-            || {
-                sink ^= iqs_alias::wor::a_res_weighted_wor(&range_weights, s, &mut rng)[0];
-            },
-            5,
-            3,
-        ) / 1e3;
-        let expj_us =
-            time_ns(|| sink ^= expj.sample_wor(x, y, s, &mut rng).unwrap()[0], 5, 3) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>9} {:>15.1} {:>14.1} {:>14.1}", s, rej_us, ares_us, expj_us);
-        csv_row(
-            "e13_wor.csv",
-            "s,rejection_us,ares_us,expj_us",
-            &format!("{s},{rej_us:.2},{ares_us:.2},{expj_us:.2}"),
-        );
+        let a_res = || iqs_alias::wor::a_res_weighted_wor(&range_weights, s, &mut rng);
+        let ares_us = time_ns(a_res, 5, 3) / 1e3;
+        let expj_us = time_ns(|| expj.sample_wor(x, y, s, &mut rng).unwrap(), 5, 3) / 1e3;
+        table.row(&[&s, &rej_us, &ares_us, &expj_us]);
     }
-    println!(
-        "  claim: A-Res pays |S_q| regardless of s; rejection is fast for small s but \
-         stalls near s = |S_q|; A-ExpJ is robust everywhere.\n"
-    );
 }
 
-// =====================================================================
-// A1 — ablation: Theorem 3's chunk length.
-// =====================================================================
-fn a1_chunk_len_ablation() {
-    println!("A1  Theorem-3 chunk-length ablation (n = 2^18, s = 64)");
-    println!("{:>10} {:>14} {:>13}", "chunk c", "space words", "query us");
+fn a1_chunk_len_ablation(_: &Opts) {
+    let mut table = Table::new(
+        "a1_chunk_len.csv",
+        &[
+            Col::new("chunk c", 10).csv("chunk"),
+            Col::new("space words", 14).csv("space_words"),
+            Col::new("query us", 13).prec(2).csv_prec("query_us", 3),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(140);
     let n = 1usize << 18;
     let log_n = 18usize;
@@ -918,26 +884,20 @@ fn a1_chunk_len_ablation() {
             ChunkedRange::with_chunk_len(keyed_weights(n, Weights::Uniform, 141), c.max(1))
                 .unwrap();
         let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
-        let mut sink = 0usize;
-        let q_us =
-            time_ns(|| sink ^= sampler.sample_wr(x, y, 64, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>10} {:>14} {:>13.2}", c, sampler.space_words(), q_us);
-        csv_row(
-            "a1_chunk_len.csv",
-            "chunk,space_words,query_us",
-            &format!("{c},{},{q_us:.3}", sampler.space_words()),
-        );
+        let q_us = time_ns(|| sampler.sample_wr(x, y, 64, &mut rng).unwrap(), 20, 5) / 1e3;
+        table.row(&[&c, &sampler.space_words(), &q_us]);
     }
-    println!("  claim: tiny chunks inflate T_chunk space (n log n regime); huge chunks slow the\n         boundary scans; c = Θ(log n) sits at the joint optimum.\n");
 }
 
-// =====================================================================
-// A2 — ablation: KMV sketch capacity k (Theorem 8's Û_G accuracy).
-// =====================================================================
-fn a2_sketch_k_ablation() {
-    println!("A2  KMV sketch-capacity ablation (distinct count = 100 000)");
-    println!("{:>8} {:>16} {:>18}", "k", "mean |rel err|", "within [Û/2,1.5Û] %");
+fn a2_sketch_k_ablation(_: &Opts) {
+    let mut table = Table::new(
+        "a2_sketch_k.csv",
+        &[
+            Col::new("k", 8).csv("k"),
+            Col::new("mean |rel err|", 16).prec(4).csv("mean_rel_err"),
+            Col::new("within [Û/2,1.5Û] %", 18).prec(0).unit("%").csv("within_band_pct"),
+        ],
+    );
     let n_distinct = 100_000u64;
     for k in [8usize, 16, 32, 64, 128, 256, 1024] {
         let trials = 40;
@@ -952,24 +912,20 @@ fn a2_sketch_k_ablation() {
                 within += 1;
             }
         }
-        println!("{:>8} {:>16.4} {:>17.0}%", k, abs_err, 100.0 * within as f64 / trials as f64);
-        csv_row(
-            "a2_sketch_k.csv",
-            "k,mean_rel_err,within_band_pct",
-            &format!("{k},{abs_err:.4},{:.0}", 100.0 * within as f64 / trials as f64),
-        );
+        table.row(&[&k, &abs_err, &(100.0 * within as f64 / trials as f64)]);
     }
-    println!(
-        "  claim: rel. error ~1/sqrt(k); k = 64 (the sampler default) is safely inside the band.\n"
-    );
 }
 
-// =====================================================================
-// A3 — ablation: kd-tree leaf capacity.
-// =====================================================================
-fn a3_leaf_cap_ablation() {
-    println!("A3  kd-tree leaf-capacity ablation (n = 2^16, s = 64)");
-    println!("{:>10} {:>10} {:>10} {:>13}", "leaf cap", "nodes", "cover", "query us");
+fn a3_leaf_cap_ablation(_: &Opts) {
+    let mut table = Table::new(
+        "a3_leaf_cap.csv",
+        &[
+            Col::new("leaf cap", 10).csv("cap"),
+            Col::new("nodes", 10).csv("nodes"),
+            Col::new("cover", 10).csv("cover"),
+            Col::new("query us", 13).prec(2).csv_prec("query_us", 3),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(150);
     let n = 1usize << 16;
     let pts = uniform_points2(n, 151);
@@ -978,27 +934,26 @@ fn a3_leaf_cap_ablation() {
         let kd =
             CoverageSampler::new(KdTree::with_leaf_cap(pts.clone(), vec![1.0; n], cap).unwrap());
         let cover = kd.index().cover(&q).len();
-        let mut sink = 0usize;
-        let q_us = time_ns(|| sink ^= kd.sample_wr(&q, 64, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>10} {:>10} {:>10} {:>13.2}", cap, kd.index().node_count(), cover, q_us);
-        csv_row(
-            "a3_leaf_cap.csv",
-            "cap,nodes,cover,query_us",
-            &format!("{cap},{},{cover},{q_us:.3}", kd.index().node_count()),
-        );
+        let q_us = time_ns(|| kd.sample_wr(&q, 64, &mut rng).unwrap(), 20, 5) / 1e3;
+        table.row(&[&cap, &kd.index().node_count(), &cover, &q_us]);
     }
-    println!(
-        "  claim: small caps grow the arena; large caps grow boundary covers; 4-32 is flat.\n"
-    );
 }
 
-// =====================================================================
-// E14 — Theorem 5 beyond rectangles: halfspace and disc predicates,
-// exact kd covers vs the Theorem-6 approximate quadtree route.
-// =====================================================================
-fn e14_regions() {
-    println!("E14  generic regions: halfplane + disc (exact kd covers vs approx quadtree)");
+/// Theorem 5 beyond rectangles: halfspace and disc predicates, exact kd
+/// covers vs the Theorem-6 approximate quadtree route.
+fn e14_regions(_: &Opts) {
+    println!("  halfplane x + 2y <= c sweep (param c, exact kd covers), then a disc radius sweep");
+    println!("  (param r): exact kd cover vs the approximate quadtree cover of Theorem 6.");
+    let mut table = Table::new(
+        "e14_regions.csv",
+        &[
+            Col::new("kind", 10).csv("kind"),
+            Col::new("param", 8).csv("param"),
+            Col::new("|S_q|", 10).csv("count"),
+            Col::new("cover", 10).csv("cover"),
+            Col::new("IQS us/q", 13).prec(1).csv_prec("us", 2),
+        ],
+    );
     let mut rng = StdRng::seed_from_u64(160);
     let n = 1usize << 16;
     let pts = uniform_points2(n, 161);
@@ -1006,8 +961,6 @@ fn e14_regions() {
     let qt = ApproxCoverageSampler::new(QuadTree::with_unit_weights(pts.clone()).unwrap());
     let s = 64usize;
 
-    println!("  halfplane x + 2y <= c sweep (kd exact covers):");
-    println!("{:>8} {:>10} {:>9} {:>13}", "c", "|S_q|", "cover", "IQS us/q");
     for c in [0.3f64, 0.8, 1.5, 2.4] {
         let h = HalfSpace::new([1.0, 2.0], c);
         let count = kd.region_count(&h);
@@ -1015,22 +968,10 @@ fn e14_regions() {
             continue;
         }
         let cover = kd.region_cover(&h).len();
-        let mut sink = 0usize;
-        let us = time_ns(|| sink ^= kd.sample_region_wr(&h, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>8} {:>10} {:>9} {:>13.1}", c, count, cover, us);
-        csv_row(
-            "e14_regions.csv",
-            "kind,param,count,cover,us",
-            &format!("halfplane,{c},{count},{cover},{us:.2}"),
-        );
+        let us = time_ns(|| kd.sample_region_wr(&h, s, &mut rng).unwrap(), 20, 5) / 1e3;
+        table.row(&[&"halfplane", &c, &count, &cover, &us]);
     }
 
-    println!("  disc radius sweep: exact kd cover vs approx quadtree (Thm 6):");
-    println!(
-        "{:>8} {:>10} {:>10} {:>13} {:>10} {:>14}",
-        "r", "|S_q|", "kd cover", "kd us/q", "qt cover", "qt(approx) us/q"
-    );
     for r in [0.05f64, 0.1, 0.2, 0.4] {
         let d = Disc::new([0.5, 0.5].into(), r);
         let count = kd.region_count(&d);
@@ -1040,43 +981,25 @@ fn e14_regions() {
         let kd_cover = kd.region_cover(&d).len();
         let q: (iqs_spatial::Point<2>, f64) = ([0.5, 0.5].into(), r);
         let qt_cover = qt.index().approx_cover_circle(&q.0, r).len();
-        let mut sink = 0usize;
-        let kd_us =
-            time_ns(|| sink ^= kd.sample_region_wr(&d, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        let qt_us = time_ns(|| sink ^= qt.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
+        let kd_us = time_ns(|| kd.sample_region_wr(&d, s, &mut rng).unwrap(), 20, 5) / 1e3;
+        let qt_us = time_ns(|| qt.sample_wr(&q, s, &mut rng).unwrap(), 20, 5) / 1e3;
         // Both must be uniform over the true disc: sanity-check supports.
         let truly = pts.iter().filter(|p| dist2(p, &q.0) <= r * r).count();
         assert_eq!(count, truly);
-        println!(
-            "{:>8} {:>10} {:>10} {:>13.1} {:>10} {:>14.1}",
-            r, count, kd_cover, kd_us, qt_cover, qt_us
-        );
-        csv_row(
-            "e14_regions.csv",
-            "kind,param,count,cover,us",
-            &format!("disc_kd,{r},{count},{kd_cover},{kd_us:.2}"),
-        );
-        csv_row(
-            "e14_regions.csv",
-            "kind,param,count,cover,us",
-            &format!("disc_qt,{r},{count},{qt_cover},{qt_us:.2}"),
-        );
+        table.row(&[&"disc_kd", &r, &count, &kd_cover, &kd_us]);
+        table.row(&[&"disc_qt", &r, &count, &qt_cover, &qt_us]);
     }
-    println!(
-        "  claim: exact covers enumerate boundary leaves (bigger covers, no rejection); the\n\
-         approximate route keeps covers small and pays expected-constant rejection instead.\n"
-    );
 }
 
-// =====================================================================
-// E15 — Direction 2 exploration: weighted range sampling in EM.
-// =====================================================================
-fn e15_em_weighted() {
-    println!("E15  Direction 2 — weighted EM range sampling (open problem; amortized shape)");
-    println!(
-        "{:>8} {:>14} {:>20} {:>18}",
-        "s", "weighted I/Os", "unweighted(WR) I/Os", "per-sample (wtd)"
+fn e15_em_weighted(_: &Opts) {
+    let mut table = Table::new(
+        "e15_em_weighted.csv",
+        &[
+            Col::new("s", 8).csv("s"),
+            Col::new("weighted I/Os", 14).csv("weighted_ios"),
+            Col::new("unweighted(WR) I/Os", 20).csv("unweighted_ios"),
+            Col::new("per-sample (wtd)", 18).prec(4),
+        ],
     );
     let mut rng = StdRng::seed_from_u64(180);
     let b = 256usize;
@@ -1096,32 +1019,28 @@ fn e15_em_weighted() {
         machine.reset_stats();
         unweighted.query(x, y, s, &mut rng).unwrap();
         let u_ios = machine.stats().total();
-        println!("{:>8} {:>14} {:>20} {:>18.4}", s, w_ios, u_ios, w_ios as f64 / s as f64);
-        csv_row(
-            "e15_em_weighted.csv",
-            "s,weighted_ios,unweighted_ios",
-            &format!("{s},{w_ios},{u_ios}"),
-        );
+        table.row(&[&s, &w_ios, &u_ios, &(w_ios as f64 / s as f64)]);
     }
-    println!(
-        "  claim (conjectured target): ~log + s/B amortized, same shape as the WR structure;\n\
-         the worst case is the paper's open problem.\n"
-    );
 }
 
-// =====================================================================
-// E16 — batched vs sequential sampling at n = 2^20, three doors (see
-// `RangeSampler`'s *Dual sampling API*): `seq` = `sample_wr` (per-draw
-// `dyn RngCore` dispatch + `Vec` output), `batch` = `sample_wr_into`
-// (block-buffered RNG into the caller's slice, still through the trait
-// object), `mono` = `sample_wr_batch::<StdRng>` on Theorem 3 only — how
-// much of the win is blocking/decoding vs avoiding dyn dispatch.
-// =====================================================================
-fn e16_batch_throughput() {
-    println!("E16  batched vs sequential sampling (n = 2^20, query = [10%, 90%])");
-    println!(
-        "{:>6} {:>9} {:>11} {:>11} {:>11} {:>10} {:>14}",
-        "s", "structure", "seq us/q", "batch us/q", "mono us/q", "seq/batch", "batch Msamp/s"
+/// Batched vs sequential sampling at n = 2^20, three doors (see
+/// `RangeSampler`'s *Dual sampling API*): `seq` = `sample_wr` (per-draw
+/// `dyn RngCore` dispatch + `Vec` output), `batch` = `sample_wr_into`
+/// (block-buffered RNG into the caller's slice, still through the trait
+/// object), `mono` = `sample_wr_batch::<StdRng>` on Theorem 3 only — how
+/// much of the win is blocking/decoding vs avoiding dyn dispatch.
+fn e16_batch_throughput(_: &Opts) {
+    let mut table = Table::new(
+        "e16_batch_throughput.csv",
+        &[
+            Col::new("s", 6).csv("s"),
+            Col::new("structure", 9).csv("structure"),
+            Col::new("seq us/q", 11).prec(2).csv_prec("seq_us", 3),
+            Col::new("batch us/q", 11).prec(2).csv_prec("batch_us", 3),
+            Col::new("mono us/q", 11).csv("mono_us"),
+            Col::new("seq/batch", 10).prec(2).unit("x"),
+            Col::new("batch Msamp/s", 14).prec(1),
+        ],
     );
     let n = 1usize << 20;
     let pairs = keyed_weights(n, Weights::Uniform, 30);
@@ -1137,226 +1056,32 @@ fn e16_batch_throughput() {
         let iters = ((1usize << 16) / s).max(1);
         let mut rng = StdRng::seed_from_u64(16);
         let mut out = vec![0u32; s];
-        let mut sink = 0usize;
         for (name, sampler, mono) in all {
-            let seq =
-                time_ns(|| sink ^= sampler.sample_wr(x, y, s, &mut rng).unwrap()[0], iters, 5)
-                    / 1e3;
-            let batch = time_ns(
-                || {
-                    sampler.sample_wr_into(x, y, &mut rng, &mut out).unwrap();
-                    sink ^= out[0] as usize;
-                },
-                iters,
-                5,
-            ) / 1e3;
+            let seq = time_ns(|| sampler.sample_wr(x, y, s, &mut rng).unwrap(), iters, 5) / 1e3;
+            let batch_door = || {
+                sampler.sample_wr_into(x, y, &mut rng, &mut out).unwrap();
+                out[0]
+            };
+            let batch = time_ns(batch_door, iters, 5) / 1e3;
             let mono = mono.map(|thm3| {
-                time_ns(
-                    || {
-                        thm3.sample_wr_batch(x, y, &mut rng, &mut out).unwrap();
-                        sink ^= out[0] as usize;
-                    },
-                    iters,
-                    5,
-                ) / 1e3
+                let mono_door = || {
+                    thm3.sample_wr_batch(x, y, &mut rng, &mut out).unwrap();
+                    out[0]
+                };
+                time_ns(mono_door, iters, 5) / 1e3
             });
             let mono = mono.map_or("-".to_string(), |us| format!("{us:.2}"));
-            println!(
-                "{:>6} {:>9} {:>11.2} {:>11.2} {:>11} {:>9.2}x {:>14.1}",
-                s,
-                name,
-                seq,
-                batch,
-                mono,
-                seq / batch,
-                s as f64 / batch
-            );
-            csv_row(
-                "e16_batch_throughput.csv",
-                "s,structure,seq_us,batch_us,mono_us",
-                &format!("{s},{name},{seq:.3},{batch:.3},{mono}"),
-            );
+            table.row(&[&s, &name, &seq, &batch, &mono, &(seq / batch), &(s as f64 / batch)]);
         }
-        std::hint::black_box(sink);
     }
-    println!(
-        "  claim: none from the paper (engineering experiment) — the batch door allocates\n  \
-         nothing per query and should not lose to the sequential one from s = 16 up.\n"
-    );
 }
 
-// =====================================================================
-// E19 — observability overhead (iqs-obs): the cost of the emit site
-// with no subscriber installed, and the end-to-end price of full
-// request tracing on the serve and shard tiers, measured A/B with
-// interleaved rounds so drift hits both modes equally.
-// =====================================================================
-fn e19_observability() {
-    use iqs_obs::recorder::{self, Ctx, Phase};
-    use iqs_serve::{IndexRegistry, Request, Server, ServerConfig};
-    use iqs_shard::{ShardConfig, ShardedService};
-    use iqs_testkit::ClockHandle;
-    use std::time::Instant;
-
-    // CI sets E19_SMOKE=1 to run the same code with short intervals.
-    let smoke = std::env::var("E19_SMOKE").is_ok();
-    let workers = std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(4);
-    let n = 1usize << if smoke { 13 } else { 17 };
-    let s = 64u32;
-    let trial_secs = if smoke { 0.08 } else { 0.4 };
-    let rounds = if smoke { 2 } else { 7 };
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite qps"));
-        v[v.len() / 2]
-    };
-
-    println!("E19 observability overhead — {workers} workers, n = {n}, s = {s} per query");
-
-    // Phase 1 — the emit site itself. With no subscriber the hook is a
-    // single relaxed atomic load and an early return; with one installed
-    // a traced emit takes a clock read plus six ring-slot stores.
-    recorder::disable();
-    let ctx = Ctx::query(1);
-    let op = || recorder::emit(std::hint::black_box(ctx), Phase::RngCost, 1, 2);
-    let disabled_ns = time_ns(op, 1 << 20, 9);
-    recorder::install(&ClockHandle::default(), 1 << 12);
-    let traced_ns = time_ns(op, 1 << 20, 9);
-    recorder::disable();
-    let _ = recorder::drain();
-    println!("  emit site: disabled {disabled_ns:.2} ns/call, traced {traced_ns:.2} ns/call");
-    csv_row(
-        "e19_emit_site.csv",
-        "mode,ns_per_emit",
-        &format!("disabled,{disabled_ns:.3}\ntraced,{traced_ns:.3}"),
-    );
-
-    // Phase 2 — serve tier: closed-loop saturation with the recorder
-    // off (plain `call`, untraced) vs installed (`call_traced`, every
-    // request recording its full worker-side story).
-    let pairs: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, 1.0 + (i % 10) as f64)).collect();
-    let mut registry = IndexRegistry::new();
-    registry.register_range_static("keys", pairs).unwrap();
-    let server = Server::start(
-        registry,
-        ServerConfig { workers, queue_capacity: 1024, seed: 19, ..ServerConfig::default() },
-    );
-    let request = || Request::SampleWr { index: "keys".into(), range: None, s };
-    let serve_trial = |traced: bool| -> f64 {
-        let start = Instant::now();
-        let done: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2 * workers)
-                .map(|_| {
-                    let client = server.client();
-                    scope.spawn(move || {
-                        let mut count = 0u64;
-                        while start.elapsed().as_secs_f64() < trial_secs {
-                            if traced {
-                                let (_, result) = client.call_traced(request());
-                                result.expect("closed-loop call");
-                            } else {
-                                client.call(request()).expect("closed-loop call");
-                            }
-                            count += 1;
-                        }
-                        count
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panics")).sum()
-        });
-        done as f64 / start.elapsed().as_secs_f64()
-    };
-    let (mut serve_off, mut serve_on) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        recorder::disable();
-        serve_off.push(serve_trial(false));
-        recorder::install(&ClockHandle::default(), 1 << 14);
-        serve_on.push(serve_trial(true));
-        recorder::disable();
-        let _ = recorder::drain();
-    }
-    let _ = server.shutdown();
-    let (off, on) = (median(&mut serve_off), median(&mut serve_on));
-    let serve_pct = (off - on) / off * 100.0;
-    println!(
-        "  serve tier: {off:.0} q/s untraced, {on:.0} q/s fully traced ({serve_pct:+.1}% cost)"
-    );
-    csv_row(
-        "e19_obs_overhead.csv",
-        "tier,off_qps,traced_qps,overhead_pct",
-        &format!("serve,{off:.0},{on:.0},{serve_pct:.2}"),
-    );
-
-    // Phase 3 — shard tier: the router traces every query once a
-    // subscriber is installed (plan, split, legs, cost, slow log), so
-    // the A/B is simply installed vs not.
-    let elements: Vec<(u64, f64, f64)> =
-        (0..n).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
-    let svc = ShardedService::new(
-        elements,
-        ShardConfig { shards: 3, replicas: 2, seed: 19, ..ShardConfig::default() },
-    )
-    .expect("cluster build");
-    let shard_trial = || -> f64 {
-        let start = Instant::now();
-        let done: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let mut client = svc.client();
-                    scope.spawn(move || {
-                        let mut count = 0u64;
-                        while start.elapsed().as_secs_f64() < trial_secs {
-                            let drawn = client.sample_wr(None, s).expect("healthy cluster");
-                            assert!(!drawn.degraded);
-                            count += 1;
-                        }
-                        count
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panics")).sum()
-        });
-        done as f64 / start.elapsed().as_secs_f64()
-    };
-    let (mut shard_off, mut shard_on) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        recorder::disable();
-        shard_off.push(shard_trial());
-        recorder::install(&ClockHandle::default(), 1 << 14);
-        shard_on.push(shard_trial());
-        recorder::disable();
-        let _ = recorder::drain();
-    }
-    let (off, on) = (median(&mut shard_off), median(&mut shard_on));
-    let shard_pct = (off - on) / off * 100.0;
-    println!(
-        "  shard tier: {off:.0} q/s untraced, {on:.0} q/s fully traced ({shard_pct:+.1}% cost)"
-    );
-    csv_row(
-        "e19_obs_overhead.csv",
-        "tier,off_qps,traced_qps,overhead_pct",
-        &format!("shard,{off:.0},{on:.0},{shard_pct:.2}"),
-    );
-    println!(
-        "  claim: a disabled emit site costs ~a nanosecond, so across the ~dozen sites a\n  \
-         query crosses the uninstalled recorder is far under 3% of any query's latency.\n  \
-         Full tracing is NOT free on microsecond-scale queries — expect a double-digit\n  \
-         percent toll on a single-vCPU host, dominated by clock reads — which is why\n  \
-         the subscriber is opt-in and off by default.\n"
-    );
-}
-
-// =====================================================================
-// E23 — autopilot: the chaos scenario matrix, controller on vs off.
-// =====================================================================
-fn e23_autopilot() {
+fn e23_autopilot(opts: &Opts) {
     use iqs_ctl::chaos::{run_matrix, ChaosConfig};
     use iqs_testkit::{ClockHandle, Scenario};
 
-    // CI sets E23_SMOKE=1 to run the same matrix with truncated phases.
-    let smoke = std::env::var("E23_SMOKE").is_ok();
     let mut scenarios = Scenario::matrix();
-    if smoke {
+    if opts.smoke {
         for sc in &mut scenarios {
             for phase in &mut sc.phases {
                 phase.ticks = phase.ticks.min(3);
@@ -1364,24 +1089,30 @@ fn e23_autopilot() {
             }
         }
     }
-
-    println!("E23  autopilot — chaos scenario matrix, controller on vs off (A/B, one seed)");
     println!(
         "     4 shards x 1 replica over 512 weighted keys, s = 8, 25 ms scatter deadline{}",
-        if smoke { " (smoke: truncated phases)" } else { "" }
+        if opts.smoke { " (smoke: truncated phases)" } else { "" }
     );
-    println!(
-        "{:>18} {:>4} {:>7} {:>7} {:>9} {:>8} {:>10} {:>10} {:>13} {:>7}",
-        "scenario",
-        "ctl",
-        "queries",
-        "failed",
-        "degraded",
-        "missing",
-        "p50 us",
-        "p99 us",
-        "spl/mrg/rbd",
-        "shards"
+    let mut table = Table::new(
+        "e23_autopilot.csv",
+        &[
+            Col::new("scenario", 18).csv("scenario"),
+            Col::csv_only("controller"),
+            Col::new("ctl", 4),
+            Col::new("queries", 7).csv("queries"),
+            Col::new("failed", 7).csv("failed"),
+            Col::new("degraded", 9).csv("degraded"),
+            Col::new("missing", 8).csv("missing"),
+            Col::csv_only("p50_ns"),
+            Col::csv_only("p99_ns"),
+            Col::new("p50 us", 10).prec(1),
+            Col::new("p99 us", 10).prec(1),
+            Col::csv_only("splits"),
+            Col::csv_only("merges"),
+            Col::csv_only("rebuilds"),
+            Col::new("spl/mrg/rbd", 13),
+            Col::new("shards", 7).csv("final_shards"),
+        ],
     );
 
     // The workload script is a pure function of this seed; on the real
@@ -1390,46 +1121,30 @@ fn e23_autopilot() {
     let pairs = run_matrix(&scenarios, &cfg).expect("chaos matrix runs");
     for (on, off) in &pairs {
         for cell in [on, off] {
-            println!(
-                "{:>18} {:>4} {:>7} {:>7} {:>9} {:>8} {:>10.1} {:>10.1} {:>13} {:>7}",
-                cell.scenario,
-                if cell.controller { "on" } else { "off" },
-                cell.queries,
-                cell.failed,
-                cell.degraded,
-                cell.missing,
-                cell.p50_ns as f64 / 1e3,
-                cell.p99_ns as f64 / 1e3,
-                format!("{}/{}/{}", cell.splits, cell.merges, cell.rebuilds),
-                cell.final_shards
-            );
-            csv_row(
-                "e23_autopilot.csv",
-                "scenario,controller,queries,failed,degraded,missing,p50_ns,p99_ns,splits,merges,rebuilds,final_shards",
-                &format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{}",
-                    cell.scenario,
-                    cell.controller,
-                    cell.queries,
-                    cell.failed,
-                    cell.degraded,
-                    cell.missing,
-                    cell.p50_ns,
-                    cell.p99_ns,
-                    cell.splits,
-                    cell.merges,
-                    cell.rebuilds,
-                    cell.final_shards
-                ),
-            );
+            table.row(&[
+                &cell.scenario,
+                &cell.controller,
+                &if cell.controller { "on" } else { "off" },
+                &cell.queries,
+                &cell.failed,
+                &cell.degraded,
+                &cell.missing,
+                &cell.p50_ns,
+                &cell.p99_ns,
+                &(cell.p50_ns as f64 / 1e3),
+                &(cell.p99_ns as f64 / 1e3),
+                &cell.splits,
+                &cell.merges,
+                &cell.rebuilds,
+                &format!("{}/{}/{}", cell.splits, cell.merges, cell.rebuilds),
+                &cell.final_shards,
+            ]);
         }
         assert_eq!(on.failed + off.failed, 0, "the matrix's availability contract");
     }
-    let kill = pairs.iter().map(|(on, _)| on).find(|c| c.scenario == "replica_kill");
-    if let Some(on) = kill {
-        let off = &pairs.iter().find(|(o, _)| o.scenario == "replica_kill").unwrap().1;
+    if let Some((on, off)) = pairs.iter().find(|(on, _)| on.scenario == "replica_kill") {
         println!(
-            "\n  replica_kill A/B: degraded {} -> {} ({}x), p99 {:.1}us -> {:.1}us",
+            "\n  replica_kill A/B: degraded {} -> {} ({}x), p99 {:.1}us -> {:.1}us\n",
             off.degraded,
             on.degraded,
             off.degraded.checked_div(on.degraded).unwrap_or(off.degraded),
@@ -1437,22 +1152,9 @@ fn e23_autopilot() {
             on.p99_ns as f64 / 1e3
         );
     }
-    println!(
-        "\n  E23 claim: with the controller on, the same scripted workload (same seed, same\n  \
-         faults) sees fewer degraded reads and a lower p99 than with it off: sustained\n  \
-         hotspots are split, cold shards re-merged, and the zombie replica (40 ms delay\n  \
-         vs a 25 ms scatter deadline) is rebuilt around within one control tick instead\n  \
-         of taxing every touched query for the rest of the run. Zero reads fail in any\n  \
-         cell, either arm. Caveats: 1-vCPU runner — wall-clock latencies are noisy and\n  \
-         the closed-loop driver understates contention; the deterministic form of this\n  \
-         matrix (virtual clock, byte-identical A/B) runs in CI as chaos_matrix.rs.\n"
-    );
 }
 
-// =====================================================================
-// E24 — telemetry plane: shipping overhead A/B + burn detection latency.
-// =====================================================================
-fn e24_telemetry_slo() {
+fn e24_telemetry_slo(opts: &Opts) {
     use iqs_net::{
         announce_once, shard_specs, ship_telemetry, Announce, RegistryHandler, ReplicaServer,
         ServiceRegistry, SimNet, TelemetryHandler,
@@ -1465,20 +1167,16 @@ fn e24_telemetry_slo() {
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    // CI sets E24_SMOKE=1 to run the same code with short loops.
-    let smoke = std::env::var("E24_SMOKE").is_ok();
-    let rounds = if smoke { 8 } else { 120 };
-    let queries_per_round = if smoke { 10 } else { 50 };
+    let rounds = if opts.smoke { 8 } else { 120 };
+    let queries_per_round = if opts.smoke { 10 } else { 50 };
     let s = 16u32;
     let cuts: [(usize, usize); 3] = [(0, 341), (341, 682), (682, 1024)];
     let elements: Vec<(u64, f64, f64)> =
         (0..1024).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
 
-    println!("E24  telemetry plane — shipping overhead A/B + burn detection latency");
     println!(
         "     3 remote shards over SimNet, {rounds} rounds x {queries_per_round} queries, s = {s}"
     );
-
     // Replica-side phases that reach the router only via telemetry.
     fn ships(r: &Record) -> bool {
         r.replica().is_some()
@@ -1604,24 +1302,25 @@ fn e24_telemetry_slo() {
     assert_eq!(rec_batches, 0);
     assert_eq!(ship_batches, (rounds * cuts.len()) as u64);
     println!("\n  per-query wall clock (whole loop incl. drain/fold/encode/ship):");
-    println!("{:>10} {:>14} {:>10} {:>12}", "telemetry", "ns/query", "batches", "vs off");
+    let mut table = Table::new(
+        "e24_telemetry.csv",
+        &[
+            Col::new("telemetry", 10).csv("arm"),
+            Col::csv_only("rounds"),
+            Col::csv_only("queries_per_round"),
+            Col::csv_only("s"),
+            Col::new("ns/query", 14).prec(0).csv("ns_per_query"),
+            Col::new("batches", 10).csv("batches"),
+            Col::new("vs off", 12),
+        ],
+    );
     for (name, ns, batches) in [
         ("off", off_ns, off_batches),
         ("record", rec_ns, rec_batches),
         ("ship", ship_ns, ship_batches),
     ] {
-        println!(
-            "{:>10} {:>14.0} {:>10} {:>+11.1}%",
-            name,
-            ns,
-            batches,
-            (ns / off_ns - 1.0) * 100.0
-        );
-        csv_row(
-            "e24_telemetry.csv",
-            "arm,rounds,queries_per_round,s,ns_per_query,batches",
-            &format!("{name},{rounds},{queries_per_round},{s},{ns:.0},{batches}"),
-        );
+        let vs_off = format!("{:+.1}%", (ns / off_ns - 1.0) * 100.0);
+        table.row(&[&name, &rounds, &queries_per_round, &s, &ns, &batches, &vs_off]);
     }
     println!(
         "  recorder costs {:+.1}%; shipping itself adds {:+.1}% on top",
@@ -1633,7 +1332,15 @@ fn e24_telemetry_slo() {
     // known tick; how many virtual-clock ticks until the multi-window
     // engine alerts? Deterministic — exact bad counts, no RNG.
     println!("\n  burn detection latency (objective: 1 ms at 90%, fast 2s/x2.0, slow 6s/x1.0):");
-    println!("{:>12} {:>16}", "bad fraction", "ticks to alert");
+    let mut table = Table::new(
+        "e24_burn_detection.csv",
+        &[
+            Col::new("bad fraction", 12).unit("%").csv("bad_pct"),
+            Col::csv_only("per_tick"),
+            Col::new("ticks to alert", 16),
+            Col::csv_only("ticks_to_alert"),
+        ],
+    );
     let regress_tick = 6usize;
     let per_tick = 1000usize;
     for bad_pct in [2usize, 10, 25, 50] {
@@ -1669,36 +1376,64 @@ fn e24_telemetry_slo() {
             vc.advance(Duration::from_secs(1));
         }
         let shown = detected.map_or("never".into(), |t| format!("{t}"));
-        println!("{:>11}% {:>16}", bad_pct, shown);
-        csv_row(
-            "e24_burn_detection.csv",
-            "bad_pct,per_tick,ticks_to_alert",
-            &format!("{bad_pct},{per_tick},{}", detected.map_or(-1, |t| t as i64)),
-        );
+        table.row(&[&bad_pct, &per_tick, &shown, &detected.map_or(-1, |t| t as i64)]);
     }
-    println!(
-        "\n  E24 claim: against ~24 us in-process scatter queries, the flight recorder costs\n  \
-         ~40% and the per-round fold/encode/ship path ~25% more — roughly 10 us per query\n  \
-         each, a fixed CPU cost that would be noise against a real network round-trip but\n  \
-         is an honest double-digit tax on this function-call fabric. Detection latency is\n  \
-         budget-relative: a 2% bad fraction stays inside the 10% error budget and never\n  \
-         alerts, 10% burns at exactly 1x (under the 2x fast line) and also never alerts,\n  \
-         while fractions past the fast-burn line alert 1-2 virtual-clock ticks after the\n  \
-         regression. Caveats: 1-vCPU runner wall times are noisy run to run; the\n  \
-         detection table is exact (virtual clock, no RNG) and replays byte-identically.\n"
-    );
+    println!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `select` on `names`: how many arms run and whether `--smoke` is set,
+    /// or the rejected argument.
+    fn selected(names: &[&str]) -> Result<(usize, bool), String> {
+        let args: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        select(&args).map(|(arms, opts)| (arms.len(), opts.smoke)).map_err(str::to_owned)
+    }
+
     #[test]
     fn unknown_arm_names_are_rejected_not_skipped() {
-        let args = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-        assert_eq!(select(&args(&[])).unwrap().len(), ARMS.len());
-        assert_eq!(select(&args(&["e3", "e4", "f1"])).unwrap().len(), 2);
-        assert_eq!(select(&args(&["e9", "e99"])), Err("e99"));
-        assert_eq!(select(&args(&["e20"])), Err("e20"), "retired arms are unknown too");
+        assert_eq!(selected(&[]), Ok((ARMS.len(), false)));
+        assert_eq!(selected(&["e3", "e4", "f1"]), Ok((2, false)));
+        assert_eq!(selected(&["e9", "e99"]), Err("e99".into()));
+        for retired in ["e19", "e20"] {
+            assert_eq!(selected(&[retired]), Err(retired.into()), "retired arms are unknown too");
+        }
+        // `--smoke` is a flag, not an arm name, wherever it stands.
+        assert_eq!(selected(&["--smoke"]), Ok((ARMS.len(), true)));
+        assert_eq!(selected(&["--smoke", "e23"]), Ok((1, true)));
+        assert_eq!(selected(&["e23", "--smoke", "e24"]), Ok((2, true)));
+        assert_eq!(selected(&["e23", "--smok"]), Err("--smok".into()));
+    }
+
+    /// The arms a `## <Id>[, <Id>…] — …` heading of EXPERIMENTS.md gives a
+    /// section to: none if it is the "retired: read the ledger" heading.
+    fn sectioned(line: &str) -> Vec<String> {
+        match line.strip_prefix("## ").and_then(|heading| heading.split_once(" — ")) {
+            Some((ids, rest)) if !rest.starts_with("retired") => {
+                ids.split(", ").map(str::to_lowercase).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_arm_is_documented_and_every_documented_arm_exists() {
+        use std::collections::BTreeSet;
+        let registered: BTreeSet<String> =
+            ARMS.iter().flat_map(|arm| arm.names).map(|name| name.to_string()).collect();
+        // DESIGN.md §2: the last cell of each row of the index is `<arm>`.
+        let design = include_str!("../../../../DESIGN.md");
+        let index = design.split("\n## ").find(|s| s.starts_with("2. ")).expect("DESIGN.md §2");
+        let indexed: BTreeSet<String> = index
+            .lines()
+            .filter_map(|row| row.strip_suffix("` |")?.rsplit_once('`'))
+            .map(|(_, arm)| arm.to_string())
+            .collect();
+        assert_eq!(indexed, registered, "DESIGN.md §2's `Harness arm` column vs the registry");
+        let experiments = include_str!("../../../../EXPERIMENTS.md");
+        let sections: BTreeSet<String> = experiments.lines().flat_map(sectioned).collect();
+        assert_eq!(sections, registered, "EXPERIMENTS.md's `## <Id> —` headings vs the registry");
     }
 }

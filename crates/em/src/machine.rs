@@ -416,6 +416,11 @@ impl<T: Copy> EmArray<T> {
     /// Destroys the array, dropping its buffered blocks without counting
     /// write-backs (scratch-file semantics).
     pub fn discard(self) {
+        self.drop_blocks();
+    }
+
+    /// [`Self::discard`] for an array its owner cannot move out of.
+    pub(crate) fn drop_blocks(&self) {
         self.machine.pool().discard_array(self.id);
     }
 }

@@ -203,10 +203,12 @@ impl EmWeightedRangeSampler {
     /// machine's buffer pool without counting write-backs. A tiered
     /// backend calls this when a shard leaves the cold tier so its
     /// frames stop competing with live structures for cache capacity.
-    pub fn discard(self) {
-        self.data.discard();
-        self.ids.discard();
-        for (pool, _) in self.pools.into_iter().flatten() {
+    /// Takes `&mut self` so an owner can retire it from `Drop`; a query
+    /// after this would fault its blocks back in and redraw its pools.
+    pub fn discard(&mut self) {
+        self.data.drop_blocks();
+        self.ids.drop_blocks();
+        for (pool, _) in self.pools.iter_mut().filter_map(Option::take) {
             pool.discard();
         }
     }

@@ -23,7 +23,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use iqs_obs::Ctx;
+use iqs_obs::{saturating_ns, Ctx};
 use iqs_serve::{Client, MetricsSnapshot, Request, Response, ServeError};
 use iqs_shard::{PendingLeg, ReplicaLink, ShardSpec, SHARD_INDEX};
 use iqs_slo::{ClusterTelemetry, TelemetryBatch};
@@ -173,12 +173,7 @@ impl ReplicaLink for RemoteReplica {
             }
         }
         let budget = deadline.saturating_duration_since(self.transport.clock().now());
-        let frame = encode_request(
-            &request,
-            ctx.trace,
-            ctx.span,
-            budget.as_nanos().min(u64::MAX as u128) as u64,
-        );
+        let frame = encode_request(&request, ctx.trace, ctx.span, saturating_ns(budget));
         let in_flight = self
             .transport
             .begin(&self.addr, frame, deadline)

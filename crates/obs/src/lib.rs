@@ -65,8 +65,8 @@ pub mod trace;
 
 pub use export::{records_to_jsonl, PromWriter, SlowEntry, SlowLog};
 pub use metrics::{
-    bucket_upper_ns, fmt_dur, log2_bucket, prom_histogram, HistogramSnapshot, LogHistogram,
-    SnapshotDiffError, HIST_BUCKETS,
+    bucket_upper_ns, fmt_dur, log2_bucket, prom_histogram, saturating_ns, HistogramSnapshot,
+    LogHistogram, SnapshotDiffError, HIST_BUCKETS,
 };
 pub use recorder::{Ctx, Phase, Record, UNTRACED};
 pub use summary::LegSummary;

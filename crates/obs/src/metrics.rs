@@ -21,6 +21,13 @@ use crate::export::{PromWriter, SlowLog};
 /// Number of log₂ buckets: covers 1 ns up to ~584 years.
 pub const HIST_BUCKETS: usize = 64;
 
+/// A duration as whole nanoseconds, saturating at `u64::MAX` (~584
+/// years): the unit histograms, records and counters carry.
+#[must_use]
+pub fn saturating_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// The bucket a nanosecond value falls in: its bit length, so 0 →
 /// bucket 0 and `ns ∈ [2^(b-1), 2^b)` → bucket `b`, with everything
 /// from `2^62` up absorbed by the open-ended top bucket.
@@ -59,7 +66,7 @@ impl LogHistogram {
 
     /// Records one duration. Wait-free: a single relaxed increment.
     pub fn record(&self, d: Duration) {
-        let ns = d.as_nanos().min(u64::MAX as u128) as u64;
+        let ns = saturating_ns(d);
         self.buckets[log2_bucket(ns)].fetch_add(1, Ordering::Relaxed);
     }
 

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use iqs_alias::{AliasTable, WeightError};
 use iqs_core::setunion::SetUnionSampler;
 use iqs_core::{ChunkedRange, QueryError, RangeSampler};
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::api::UpdateOp;
 use crate::error::ServeError;
@@ -189,6 +189,29 @@ impl RangeView {
             Some(ids) => ids[rank],
             None => rank as u64,
         }
+    }
+
+    /// Appends the ids of `s` independent weighted draws from keys in
+    /// `[x, y]` to `out`. `ranks` is the caller's scratch for the drawn
+    /// ranks, so a worker that keeps one allocates nothing here.
+    ///
+    /// # Errors
+    /// [`QueryError::EmptyRange`] when the view or the interval is empty.
+    pub fn sample_ids_into<R: RngCore + ?Sized>(
+        &self,
+        x: f64,
+        y: f64,
+        s: usize,
+        rng: &mut R,
+        ranks: &mut Vec<u32>,
+        out: &mut Vec<u64>,
+    ) -> Result<(), QueryError> {
+        let sampler = self.sampler.as_ref().ok_or(QueryError::EmptyRange)?;
+        ranks.clear();
+        ranks.resize(s, 0);
+        sampler.sample_wr_batch(x, y, rng, ranks)?;
+        out.extend(ranks.iter().map(|&r| self.id_at(r as usize)));
+        Ok(())
     }
 }
 

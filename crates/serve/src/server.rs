@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iqs_core::{QueryError, RangeSampler};
-use iqs_obs::{recorder, Ctx, Phase, SlowEntry, SlowLog};
+use iqs_obs::{recorder, saturating_ns, Ctx, Phase, SlowEntry, SlowLog};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -386,7 +386,7 @@ impl Client {
             Err(e) => return (trace, Err(e)),
         };
         let latency = self.shared.clock.now().saturating_duration_since(origin);
-        let latency_ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        let latency_ns = saturating_ns(latency);
         recorder::emit(ctx, Phase::QueryDone, latency_ns, u64::from(result.is_err()));
         self.shared.slow.observe(trace, latency_ns);
         (trace, result)
@@ -625,7 +625,7 @@ fn serve_job(
 ) -> Result<Response, ServeError> {
     let wait = picked.saturating_duration_since(job.enqueued);
     shared.metrics.queue_wait.record(wait);
-    recorder::emit(job.ctx, Phase::Pickup, wait.as_nanos().min(u64::MAX as u128) as u64, 0);
+    recorder::emit(job.ctx, Phase::Pickup, saturating_ns(wait), 0);
     // `>=`, not `>`: a request whose deadline equals the pickup
     // instant has no time left to do work, and on a frozen virtual
     // clock this is what makes deadline misses deterministic.
@@ -674,12 +674,7 @@ fn serve_job(
     );
     let service = done.saturating_duration_since(job.origin);
     shared.metrics.latency.record(service);
-    recorder::emit(
-        job.ctx,
-        Phase::WorkDone,
-        service.as_nanos().min(u64::MAX as u128) as u64,
-        u64::from(result.is_ok()),
-    );
+    recorder::emit(job.ctx, Phase::WorkDone, saturating_ns(service), u64::from(result.is_ok()));
     match &result {
         Ok(_) => shared.metrics.completed.fetch_add(1, Ordering::Relaxed),
         Err(_) => shared.metrics.failed.fetch_add(1, Ordering::Relaxed),
@@ -715,12 +710,10 @@ fn dispatch(
             let view = registry.entry(index)?.view.load();
             match &*view {
                 IndexView::Range(rv) => {
-                    let sampler =
-                        rv.sampler.as_ref().ok_or(ServeError::Query(QueryError::EmptyRange))?;
                     let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-                    let out = sized(&mut scratch.ranks, s);
-                    sampler.sample_wr_batch(x, y, rng, out)?;
-                    Ok(Response::Samples(out.iter().map(|&r| rv.id_at(r as usize)).collect()))
+                    let mut ids = Vec::with_capacity(s);
+                    rv.sample_ids_into(x, y, s, rng, &mut scratch.ranks, &mut ids)?;
+                    Ok(Response::Samples(ids))
                 }
                 IndexView::Weighted(wv) => {
                     if range.is_some() {

@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 use iqs_alias::split::split_samples_with;
 use iqs_alias::AliasTable;
 use iqs_core::QueryError;
-use iqs_obs::{recorder, Ctx, Phase, SlowEntry, SlowLog};
+use iqs_obs::{recorder, saturating_ns, Ctx, Phase, SlowEntry, SlowLog};
 use iqs_serve::{IndexView, Request, Response, ServeError, Snapshot};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
@@ -377,7 +377,7 @@ impl Inner {
                 recorder::emit(
                     ctx.replica(ri),
                     Phase::DelayAbsorb,
-                    d.min(budget).as_nanos().min(u64::MAX as u128) as u64,
+                    saturating_ns(d.min(budget)),
                     0,
                 );
                 if d > budget {
@@ -530,7 +530,7 @@ impl Inner {
         }
         let latency = self.config.clock.now().saturating_duration_since(origin);
         self.counters.latency.record(latency);
-        let latency_ns = latency.as_nanos().min(u64::MAX as u128) as u64;
+        let latency_ns = saturating_ns(latency);
         recorder::emit(ctx, Phase::QueryDone, latency_ns, u64::from(degraded));
         self.slow.observe(ctx.trace, latency_ns);
     }
@@ -807,6 +807,7 @@ impl ShardedService {
         let mut top = StdRng::seed_from_u64(seed);
         let counts = Inner::split_counts(&legs, s as usize, &mut top)?;
         let mut out = Vec::with_capacity(s as usize);
+        let mut ranks = Vec::new();
         for (leg, &count) in legs.iter().zip(&counts) {
             if count == 0 {
                 continue;
@@ -817,11 +818,8 @@ impl ShardedService {
             let IndexView::Range(rv) = view.as_ref() else {
                 unreachable!("shards register range indexes")
             };
-            let sampler = rv.sampler.as_ref().expect("shard slices are non-empty");
             let mut rng = StdRng::seed_from_u64(leg_seed(seed, leg.shard_idx));
-            let mut ranks = vec![0u32; count];
-            sampler.sample_wr_batch(x, y, &mut rng, &mut ranks)?;
-            out.extend(ranks.iter().map(|&rank| rv.id_at(rank as usize)));
+            rv.sample_ids_into(x, y, count, &mut rng, &mut ranks, &mut out)?;
         }
         Ok(out)
     }

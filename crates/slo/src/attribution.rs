@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 
 use iqs_obs::recorder::{unpack_cost, unpack_io};
-use iqs_obs::{Phase, PromWriter, SlowEntry, TraceView};
+use iqs_obs::{saturating_ns, Phase, PromWriter, SlowEntry, TraceView};
 
 /// Tree-descent steps past which a query's cost profile reads as
 /// descent-dominated (two-level draws descend a handful of levels; a
@@ -78,7 +78,7 @@ pub fn attribute(view: &TraceView) -> Cause {
     }
     let queue_wait: u64 =
         view.records.iter().filter(|r| r.phase == Phase::Pickup).map(|r| r.a).sum();
-    let total = view.total_latency().map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64);
+    let total = view.total_latency().map_or(0, saturating_ns);
     if total > 0 && queue_wait.saturating_mul(2) >= total {
         return Cause::QueueWait;
     }
@@ -116,7 +116,7 @@ impl AttributionTable {
     /// cause's row. Returns the cause for the caller's own bookkeeping.
     pub fn observe(&mut self, view: &TraceView) -> Cause {
         let cause = attribute(view);
-        let latency = view.total_latency().map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64);
+        let latency = view.total_latency().map_or(0, saturating_ns);
         let row = &mut self.rows[Cause::ALL.iter().position(|c| *c == cause).expect("in ALL")];
         row.count += 1;
         row.total_ns = row.total_ns.saturating_add(latency);

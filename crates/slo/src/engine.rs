@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use iqs_obs::{HistogramSnapshot, PromWriter};
+use iqs_obs::{saturating_ns, HistogramSnapshot, PromWriter};
 use iqs_testkit::ClockHandle;
 
 use crate::error::SloError;
@@ -102,8 +102,7 @@ impl Objective {
     /// Bucket index of the effective threshold; buckets strictly above
     /// it count as bad.
     fn threshold_bucket(&self) -> usize {
-        let ns = self.threshold.as_nanos().min(u64::MAX as u128) as u64;
-        iqs_obs::log2_bucket(ns)
+        iqs_obs::log2_bucket(saturating_ns(self.threshold))
     }
 }
 

@@ -2,7 +2,7 @@
 //! publishes whichever one is current.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use iqs_em::EmWeightedRangeSampler;
 use iqs_serve::{RangeView, Snapshot};
@@ -10,13 +10,36 @@ use iqs_serve::{RangeView, Snapshot};
 use crate::ShardTier;
 
 /// A shard on the simulated disk. The sampler sits behind a mutex
-/// because pool-backed queries take `&mut self`; the `Option` is the
-/// retirement hand-off — promotion publishes the hot snapshot first,
-/// then `take()`s the sampler and discards its blocks, and a reader that
-/// finds `None` reloads the (already hot) snapshot instead of failing.
+/// because pool-backed queries take `&mut self`. Retirement is by drop,
+/// as for every other snapshot: promotion publishes the hot state and
+/// lets go; a reader that pinned this one finishes on it, and whoever
+/// holds the last reference discards its blocks under the device lock.
 #[derive(Debug)]
 pub(crate) struct ColdShard {
-    pub(crate) sampler: Mutex<Option<EmWeightedRangeSampler>>,
+    sampler: Mutex<EmWeightedRangeSampler>,
+    /// The index's cold-device lock (`TieredIndex::cold_io`).
+    device: Arc<Mutex<()>>,
+}
+
+impl ColdShard {
+    pub(crate) fn new(sampler: EmWeightedRangeSampler, device: &Arc<Mutex<()>>) -> ColdShard {
+        ColdShard { sampler: Mutex::new(sampler), device: Arc::clone(device) }
+    }
+
+    /// The sampler; callers hold the device lock around its I/O.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, EmWeightedRangeSampler> {
+        self.sampler.lock().expect("cold sampler poisoned")
+    }
+}
+
+impl Drop for ColdShard {
+    fn drop(&mut self) {
+        // Poison is ignored: the blocks go either way, and `drop` must
+        // not panic. No holder of a snapshot drops it inside the device
+        // lock, so this cannot self-deadlock.
+        let _dev = self.device.lock();
+        self.sampler.get_mut().unwrap_or_else(PoisonError::into_inner).discard();
+    }
 }
 
 /// The published representation of one shard: exactly one tier at a
@@ -71,6 +94,7 @@ impl ShardSlot {
 mod tests {
     use super::*;
     use iqs_core::RangeSampler;
+    use iqs_em::EmMachine;
 
     #[test]
     fn hot_shard_maps_ranks_back_to_caller_ids() {
@@ -95,7 +119,10 @@ mod tests {
             len: 1,
             total_weight: 1.0,
             triples: Arc::new(vec![(0, 10.0, 1.0)]),
-            state: Snapshot::new(TierState::Cold(ColdShard { sampler: Mutex::new(None) })),
+            state: Snapshot::new(TierState::Cold(ColdShard::new(
+                EmWeightedRangeSampler::new_keyed(&EmMachine::new(128, 64), vec![(0, 10.0, 1.0)]),
+                &Arc::default(),
+            ))),
             accesses: AtomicU64::new(0),
             transition: Mutex::new(()),
         };

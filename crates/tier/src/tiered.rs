@@ -61,6 +61,7 @@ impl TieredIndexBuilder {
             self.config.cold_cache_blocks * self.config.block_words,
             self.config.block_words,
         );
+        let cold_io = Arc::new(Mutex::new(()));
         let mut slots: Vec<Arc<ShardSlot>> = Vec::with_capacity(self.shards.len());
         for (name, triples, tier) in self.shards {
             if slots.iter().any(|s| s.name == name) {
@@ -77,12 +78,10 @@ impl TieredIndexBuilder {
             let total_weight: f64 = triples.iter().map(|t| t.2).sum();
             let state = match tier {
                 ShardTier::Hot => TierState::Hot(RangeView::from_triples(triples.clone())?),
-                ShardTier::Cold => TierState::Cold(ColdShard {
-                    sampler: Mutex::new(Some(EmWeightedRangeSampler::new_keyed(
-                        &machine,
-                        triples.clone(),
-                    ))),
-                }),
+                ShardTier::Cold => TierState::Cold(ColdShard::new(
+                    EmWeightedRangeSampler::new_keyed(&machine, triples.clone()),
+                    &cold_io,
+                )),
             };
             slots.push(Arc::new(ShardSlot {
                 name,
@@ -112,7 +111,7 @@ impl TieredIndexBuilder {
             shards: slots,
             machine,
             config: self.config,
-            cold_io: Mutex::new(()),
+            cold_io,
             maintenance: Mutex::new(()),
             counters: LiveTierCounters::default(),
         })
@@ -174,8 +173,9 @@ pub struct TieredIndex {
     config: TierConfig,
     /// Serializes cold-tier machine access so per-request I/O deltas
     /// ([`IoStats::minus`] around a draw) are exact; the cold path
-    /// models a single disk with one device queue.
-    cold_io: Mutex<()>,
+    /// models a single disk with one device queue. Every [`ColdShard`]
+    /// holds a handle, to discard its blocks under it when dropped.
+    cold_io: Arc<Mutex<()>>,
     /// Serializes [`TieredIndex::maintain`] passes.
     maintenance: Mutex<()>,
     counters: LiveTierCounters,
@@ -334,22 +334,14 @@ impl TieredIndex {
                 count += slot.len;
                 continue;
             }
-            loop {
-                let state = slot.state.load();
-                match &*state {
-                    TierState::Hot(h) => {
-                        count += h.sampler.as_ref().map_or(0, |s| s.range_count(x, y));
-                        break;
-                    }
-                    TierState::Cold(c) => {
-                        let _dev = self.device();
-                        let guard = lock_cold(c);
-                        let Some(sampler) = guard.as_ref() else { continue };
-                        count += sampler.range_count(x, y);
-                        break;
-                    }
+            let state = slot.state.load();
+            count += match &*state {
+                TierState::Hot(h) => h.sampler.as_ref().map_or(0, |s| s.range_count(x, y)),
+                TierState::Cold(c) => {
+                    let _dev = self.device();
+                    c.lock().range_count(x, y)
                 }
-            }
+            };
         }
         count
     }
@@ -378,7 +370,7 @@ impl TieredIndex {
     /// Promotes the named shard to the hot tier. Returns `false` when it
     /// is already hot. The rebuild happens off the read path; the swap
     /// is one atomic snapshot publish, and the retired cold structure's
-    /// blocks are dropped from the cache.
+    /// blocks leave the cache when its last reader lets go of it.
     ///
     /// # Errors
     /// [`TierError::UnknownShard`].
@@ -490,25 +482,15 @@ impl TieredIndex {
         if x <= slot.lo && slot.hi <= y {
             return (slot.total_weight, None);
         }
-        loop {
-            let state = slot.state.load();
-            match &*state {
-                TierState::Hot(h) => {
-                    return (h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y)), None);
-                }
-                TierState::Cold(c) => {
-                    let _dev = self.device();
-                    let guard = lock_cold(c);
-                    let Some(sampler) = guard.as_ref() else {
-                        // Retired mid-flight: the hot snapshot is
-                        // already published; reload and retry.
-                        continue;
-                    };
-                    let before = self.machine.stats();
-                    let plan = sampler.plan(x, y);
-                    *io = io.plus(&self.delta_since(&before));
-                    return (plan.total(), Some(plan));
-                }
+        let state = slot.state.load();
+        match &*state {
+            TierState::Hot(h) => (h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y)), None),
+            TierState::Cold(c) => {
+                let _dev = self.device();
+                let before = self.machine.stats();
+                let plan = c.lock().plan(x, y);
+                *io = io.plus(&self.delta_since(&before));
+                (plan.total(), Some(plan))
             }
         }
     }
@@ -532,41 +514,33 @@ impl TieredIndex {
         io: &mut IoStats,
         ctx: Ctx,
     ) -> Result<(), TierError> {
-        loop {
-            let state = slot.state.load();
-            match &*state {
-                TierState::Hot(h) => {
-                    let sampler = h.sampler.as_ref().ok_or(QueryError::EmptyRange)?;
-                    ranks.clear();
-                    ranks.resize(s, 0);
-                    sampler.sample_wr_batch(x, y, rng, ranks)?;
-                    out.extend(ranks.iter().map(|&r| h.id_at(r as usize)));
-                    self.counters.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
-                    return Ok(());
+        let state = slot.state.load();
+        match &*state {
+            TierState::Hot(h) => {
+                h.sample_ids_into(x, y, s, rng, ranks, out)?;
+                self.counters.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
+            }
+            TierState::Cold(c) => {
+                let _dev = self.device();
+                let mut sampler = c.lock();
+                let before = self.machine.stats();
+                let plan = plan.unwrap_or_else(|| sampler.plan(x, y));
+                let drew = sampler.draw_ids_into(&plan, s, rng, out);
+                let delta = self.delta_since(&before);
+                *io = io.plus(&delta);
+                if drew.is_none() {
+                    return Err(QueryError::EmptyRange.into());
                 }
-                TierState::Cold(c) => {
-                    let _dev = self.device();
-                    let mut guard = lock_cold(c);
-                    let Some(sampler) = guard.as_mut() else { continue };
-                    let before = self.machine.stats();
-                    let plan = plan.unwrap_or_else(|| sampler.plan(x, y));
-                    let drew = sampler.draw_ids_into(&plan, s, rng, out);
-                    let delta = self.delta_since(&before);
-                    *io = io.plus(&delta);
-                    if drew.is_none() {
-                        return Err(QueryError::EmptyRange.into());
-                    }
-                    self.counters.cold_draws.fetch_add(s as u64, Ordering::Relaxed);
-                    recorder::emit(
-                        ctx,
-                        Phase::ColdDraw,
-                        s as u64,
-                        recorder::pack_io(delta.reads, delta.writes, delta.hits, delta.misses),
-                    );
-                    return Ok(());
-                }
+                self.counters.cold_draws.fetch_add(s as u64, Ordering::Relaxed);
+                recorder::emit(
+                    ctx,
+                    Phase::ColdDraw,
+                    s as u64,
+                    recorder::pack_io(delta.reads, delta.writes, delta.hits, delta.misses),
+                );
             }
         }
+        Ok(())
     }
 
     fn delta_since(&self, before: &IoStats) -> IoStats {
@@ -583,16 +557,8 @@ impl TieredIndex {
         }
         // Off-path rebuild: readers keep draining the cold snapshot.
         let hot = RangeView::from_triples(slot.triples.to_vec())?;
-        let old = slot.state.load();
+        // The cold structure retires when its last reader lets go.
         slot.state.store(TierState::Hot(hot));
-        // Retire the cold structure: late readers that pinned the old
-        // snapshot find `None` and reload the published hot state.
-        if let TierState::Cold(c) = &*old {
-            let _dev = self.device();
-            if let Some(sampler) = lock_cold(c).take() {
-                sampler.discard();
-            }
-        }
         self.counters.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -608,14 +574,10 @@ impl TieredIndex {
             let _dev = self.device();
             EmWeightedRangeSampler::new_keyed(&self.machine, slot.triples.to_vec())
         };
-        slot.state.store(TierState::Cold(ColdShard { sampler: Mutex::new(Some(sampler)) }));
+        slot.state.store(TierState::Cold(ColdShard::new(sampler, &self.cold_io)));
         self.counters.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
-}
-
-fn lock_cold(c: &ColdShard) -> MutexGuard<'_, Option<EmWeightedRangeSampler>> {
-    c.sampler.lock().expect("cold sampler poisoned")
 }
 
 /// The serve-registry adapter: a [`TieredIndex`] slots straight into
@@ -789,6 +751,34 @@ mod tests {
         assert!(out.iter().all(|&id| (100..=700).contains(&id)));
         assert_eq!(io, before, "the hot arm does no block I/O");
         assert_eq!((idx.counters().hot_draws, idx.counters().cold_draws), (40, 0));
+    }
+
+    #[test]
+    fn a_reader_pinning_cold_across_a_promotion_answers_and_frees_the_blocks_on_release() {
+        let cfg = TierConfig { cold_cache_blocks: 32, ..small_config() };
+        let idx = TieredIndex::builder(cfg)
+            .add_shard("s", shard(0, 1000), ShardTier::Cold)
+            .build()
+            .unwrap();
+        let pinned = idx.shards[0].state.load();
+        assert!(idx.promote("s").unwrap());
+        assert_eq!(idx.tier_of("s").unwrap(), ShardTier::Hot);
+
+        let TierState::Cold(cold) = &*pinned else { panic!("pinned before the promotion") };
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut out = Vec::new();
+        let plan = cold.lock().plan(100.0, 700.0);
+        cold.lock().draw_ids_into(&plan, 40, &mut rng, &mut out).expect("range is not empty");
+        assert_eq!(out.len(), 40);
+        assert!(out.iter().all(|&id| (100..=700).contains(&id)));
+
+        // The draw left freshly written pool blocks in the cache. A flush
+        // would write them back — unless the drop discarded them first.
+        let before = idx.io_stats();
+        assert!(before.reads > 0, "the retired structure still served from its blocks");
+        drop(pinned);
+        idx.machine.flush();
+        assert_eq!(idx.io_stats().writes, before.writes, "nothing of it was left to write back");
     }
 
     #[test]

@@ -149,8 +149,8 @@ fn tiered_cold_path_chi_square() {
 }
 
 /// Readers hammer a two-shard index while a maintainer cycles both
-/// shards between tiers; every read must succeed (the snapshot publish
-/// plus retired-sampler retry makes transitions invisible), and the
+/// shards between tiers; every read must succeed (a reader finishes on
+/// the snapshot it pinned, so transitions are invisible), and the
 /// transition counters must account for every cycle.
 #[test]
 fn transitions_under_concurrent_load_never_fail_reads() {

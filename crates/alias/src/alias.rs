@@ -30,8 +30,7 @@ use crate::{validate_weights, WeightError};
 /// });
 /// assert!(counts[2] > counts[1] && counts[1] > counts[0]);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AliasTable {
     /// One packed urn row per column (see [`AliasRows`]).
     rows: Vec<u64>,

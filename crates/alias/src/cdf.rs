@@ -9,8 +9,7 @@ use crate::{validate_weights, WeightError};
 /// `O(n)` space and build time, `O(log n)` time per sample (binary search
 /// over the cumulative weights). Benchmark E1 contrasts this against
 /// [`crate::AliasTable`]'s `O(1)` draws.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CdfSampler {
     /// `cum[i]` = w(0) + … + w(i); strictly increasing.
     cum: Vec<f64>,

@@ -22,10 +22,12 @@
 //!   with expected `O(1)` sampling. It reproduces §9 Direction 1 for the
 //!   experiment harness; the service does not publish it — `iqs-serve`
 //!   answers from immutable views and patches them on update.
-//! * [`split::split_samples`] — the multinomial sample-splitting step used by
-//!   every composite IQS structure (Section 4.1): given `t` weighted groups
-//!   and a demand of `s` samples, decide in `O(t + s)` time how many samples
-//!   each group contributes.
+//! * [`split`] — the multinomial sample-splitting step used by every
+//!   composite IQS structure (Section 4.1): given `t` weighted groups and a
+//!   demand of `s` samples, decide how many samples each group contributes
+//!   — through an alias table in `O(t + s)` ([`split::split_samples`]), or
+//!   by one CDF walk per sample with nothing to build
+//!   ([`split::split_counts`], the external-memory structures' form).
 //! * [`wor`] — with/without-replacement conversions (Floyd's algorithm,
 //!   the `O(s)` WoR→WR conversion the paper cites as \[19\], and WoR-by-
 //!   rejection).

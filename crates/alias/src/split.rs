@@ -4,9 +4,18 @@
 //! collection of groups (canonical nodes, chunks, …) that partition the
 //! query result, (2) deciding how many of the `s` requested samples come
 //! from each group, and (3) delegating into the groups. Step (2) is an
-//! instance of weighted set sampling: build an alias table over the group
-//! weights and draw `s` times, counting occurrences — `O(t + s)` for `t`
-//! groups, exactly as prescribed after Lemma 2.
+//! instance of weighted set sampling, and this module holds both ways the
+//! workspace does it:
+//!
+//! * [`split_samples`] builds an alias table over the group weights and
+//!   draws `s` times, counting occurrences — `O(t + s)` for `t` groups,
+//!   exactly as prescribed after Lemma 2. The in-memory structures use it.
+//! * [`pick`] / [`split_counts`] walk the groups' masses as a CDF, one
+//!   uniform point per draw — `O(t)` per draw and nothing to build. The
+//!   external-memory structures and the cold tier use it: their group
+//!   lists are a handful of entries made per query, and CPU is free in
+//!   the EM model. It is the one CDF walk in the workspace outside
+//!   [`crate::CdfSampler`]'s binary search.
 
 use rand::Rng;
 
@@ -43,6 +52,70 @@ pub fn split_samples_with(table: &AliasTable, s: usize, rng: &mut impl Rng) -> V
     let mut counts = vec![0usize; table.len()];
     for _ in 0..s {
         counts[table.sample(rng)] += 1;
+    }
+    counts
+}
+
+/// A group's share of a categorical draw: an item count or a weight.
+///
+/// Each implementation keeps its own arithmetic for turning one RNG word
+/// into a point of `[0, total)`, so a draw over counts stays exact and a
+/// draw over weights stays the usual `u · W`.
+pub trait Mass: Copy + PartialOrd + std::ops::SubAssign {
+    /// A uniform point in `[0, total)`, from one RNG word.
+    fn point_below<R: Rng + ?Sized>(total: Self, rng: &mut R) -> Self;
+}
+
+impl Mass for usize {
+    fn point_below<R: Rng + ?Sized>(total: usize, rng: &mut R) -> usize {
+        rng.random_range(0..total)
+    }
+}
+
+impl Mass for f64 {
+    fn point_below<R: Rng + ?Sized>(total: f64, rng: &mut R) -> f64 {
+        rng.random::<f64>() * total
+    }
+}
+
+/// One categorical draw: the index of the group a uniform point of
+/// `[0, total)` falls in, group `i` owning a stretch of length
+/// `masses[i]`. Consumes one RNG word. `total` is the caller's sum of
+/// the (non-empty) `masses`.
+///
+/// The walk subtracts each mass it passes from the point rather than
+/// comparing against a running sum. With floating-point masses the two
+/// can disagree in the last place; rounding that leaves the point past
+/// every group picks the last one, and a zero-mass group is picked only
+/// that way.
+pub fn pick<M: Mass, R: Rng + ?Sized>(
+    masses: impl IntoIterator<Item = M>,
+    total: M,
+    rng: &mut R,
+) -> usize {
+    let mut point = M::point_below(total, rng);
+    let mut last = 0;
+    for (i, mass) in masses.into_iter().enumerate() {
+        if point < mass {
+            return i;
+        }
+        point -= mass;
+        last = i;
+    }
+    last
+}
+
+/// [`pick`]s `s` times and counts the draws per group: the multinomial
+/// split of `s` samples over `masses`, one RNG word per sample.
+pub fn split_counts<M: Mass, R: Rng + ?Sized>(
+    masses: &[M],
+    total: M,
+    s: usize,
+    rng: &mut R,
+) -> Vec<usize> {
+    let mut counts = vec![0usize; masses.len()];
+    for _ in 0..s {
+        counts[pick(masses.iter().copied(), total, rng)] += 1;
     }
     counts
 }
@@ -107,5 +180,37 @@ mod tests {
         }
         let frac = heavy as f64 / (200.0 * 50.0);
         assert!((frac - 0.8).abs() < 0.02, "frac {frac}");
+    }
+
+    #[test]
+    fn pick_walks_counts_exactly_and_weights_in_proportion() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // Counts: group 1 is empty and never drawn; the others are exact
+        // thirds and two-thirds in expectation.
+        let counts = split_counts(&[10usize, 0, 20], 30, 30_000, &mut rng);
+        assert_eq!(counts.iter().sum::<usize>(), 30_000);
+        assert_eq!(counts[1], 0);
+        assert!((counts[0] as f64 / 30_000.0 - 1.0 / 3.0).abs() < 0.02, "{counts:?}");
+        // Weights, through an iterator of borrowed records.
+        let items = [("a", 1.0), ("b", 0.0), ("c", 3.0)];
+        let mut hits = [0usize; 3];
+        for _ in 0..20_000 {
+            hits[pick(items.iter().map(|p| p.1), 4.0, &mut rng)] += 1;
+        }
+        assert_eq!(hits[1], 0);
+        assert!((hits[2] as f64 / 20_000.0 - 0.75).abs() < 0.02, "{hits:?}");
+    }
+
+    #[test]
+    fn pick_spends_one_word_and_a_point_past_every_group_takes_the_last() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut twin = StdRng::seed_from_u64(6);
+        for _ in 0..100 {
+            // A stated total above the true sum leaves points past the end.
+            let i = pick([1.0, 1.0], 4.0, &mut rng);
+            let point = twin.random::<f64>() * 4.0;
+            assert_eq!(i, if point < 1.0 { 0 } else { 1 });
+        }
+        assert_eq!(rng.random::<u64>(), twin.random::<u64>(), "one word per pick");
     }
 }

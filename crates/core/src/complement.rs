@@ -41,8 +41,7 @@ use crate::error::QueryError;
 /// }
 /// # Ok::<(), iqs_core::QueryError>(())
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ComplementRange {
     keys: Vec<f64>,
     weights: Vec<f64>,

@@ -196,8 +196,7 @@ pub trait RangeSampler {
 ///
 /// `O(n)` space; `O(log n)` per sample, so `O(s log n)` per query — the
 /// baseline that Lemma 2 and Theorem 3 improve to `O(log n + s)`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct TreeSamplingRange {
     keys: Vec<f64>,
     weights: Vec<f64>,
@@ -350,8 +349,7 @@ impl RangeSampler for TreeSamplingRange {
 
 /// The Lemma-2 structure (Section 4.1): every tree node stores an alias
 /// table over its subtree. `O(n log n)` space, `O(log n + s)` query.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AliasAugmentedRange {
     keys: Vec<f64>,
     weights: Vec<f64>,
@@ -486,8 +484,7 @@ impl RangeSampler for AliasAugmentedRange {
 /// assert!(ranks.iter().all(|&r| (2_500..=7_500).contains(&r)));
 /// # Ok::<(), iqs_core::QueryError>(())
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ChunkedRange {
     keys: Vec<f64>,
     weights: Vec<f64>,

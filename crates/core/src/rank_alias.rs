@@ -24,8 +24,7 @@ use rand::{Rng, RngCore};
 /// a leaf that ends above the deepest level stay zero). Each table is
 /// what [`AliasTable::new`] would build for the same weights, entry for
 /// entry.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RankAliasAugmented {
     tree: RankBst,
     /// First arena row of each node's table, by node id.

@@ -60,8 +60,7 @@ impl Ord for Key {
 /// assert_eq!(all.len(), 100);
 /// # Ok::<(), iqs_core::QueryError>(())
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ExpJumpWor {
     keys: Vec<f64>,
     weights: Vec<f64>,

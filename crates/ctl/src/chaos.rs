@@ -131,11 +131,8 @@ pub fn run_cell(
             ..ShardConfig::default()
         },
     )?;
-    let mut ctl = if controller_on {
-        Some(Controller::new(svc.clone(), cfg.clock.clone(), cfg.ctl.clone())?)
-    } else {
-        None
-    };
+    let mut ctl =
+        if controller_on { Some(Controller::new(svc.clone(), cfg.ctl.clone())?) } else { None };
     let mut client = svc.client();
     let faults = svc.fault_plan();
     let top_key = (n - 1) as f64;

@@ -5,7 +5,7 @@
 //! [`rebuild_replica`] all swap the topology atomically so readers
 //! never fail — but something has to *decide* when to invoke them. This
 //! crate is that something: a [`Controller`] that watches the cluster's
-//! own metrics on a [`ClockHandle`] tick and autonomously
+//! own metrics tick by tick and autonomously
 //!
 //! * **splits** a shard whose share of the interval's query load stays
 //!   above [`CtlConfig::split_share`] for [`CtlConfig::hot_ticks`]
@@ -35,10 +35,11 @@
 //!
 //! The controller is deliberately tick-driven rather than a background
 //! thread: callers (the chaos driver, the example, production loops)
-//! call [`Controller::tick`] explicitly or use [`Controller::run_for`],
-//! which sleeps on the shared clock between ticks. On a virtual clock
-//! the whole control loop is therefore deterministic — the property the
-//! chaos scenario matrix and the CI determinism diff rest on.
+//! sleep [`CtlConfig::tick`] on the shared clock and call
+//! [`Controller::tick`] themselves, interleaving their own work between
+//! ticks. On a virtual clock the whole control loop is therefore
+//! deterministic — the property the chaos scenario matrix and the CI
+//! determinism diff rest on.
 //!
 //! Every decision is observable twice over: counted in
 //! [`CtlMetricsSnapshot`] (JSON + Prometheus) and emitted to the
@@ -62,7 +63,6 @@ use std::time::Duration;
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
 use iqs_shard::{ShardError, ShardedService};
 use iqs_slo::HealthReport;
-use iqs_testkit::ClockHandle;
 
 /// Everything that can go wrong in the controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,8 +100,9 @@ impl From<ShardError> for CtlError {
 /// Tuning for the [`Controller`].
 #[derive(Debug, Clone)]
 pub struct CtlConfig {
-    /// Interval between ticks when driven by [`Controller::run_for`].
-    /// Default 200 ms.
+    /// Interval the driving loop sleeps between calls of
+    /// [`Controller::tick`] (`chaos::run_cell` reads it; the controller
+    /// itself never sleeps). Default 200 ms.
     pub tick: Duration,
     /// A shard whose share of the interval's queries exceeds this for
     /// [`CtlConfig::hot_ticks`] consecutive ticks is split. Default
@@ -245,10 +246,9 @@ impl CtlMetricsSnapshot {
 
 /// The autopilot control loop. See the crate docs for the decision
 /// rules; construct with [`Controller::new`] and drive with
-/// [`Controller::tick`] or [`Controller::run_for`].
+/// [`Controller::tick`].
 pub struct Controller {
     svc: ShardedService,
-    clock: ClockHandle,
     config: CtlConfig,
     counters: CtlCounters,
     ctx: Ctx,
@@ -264,22 +264,16 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Builds a controller over a service handle. `clock` must be the
-    /// same time source the service runs on (ticks sleep on it).
+    /// Builds a controller over a service handle.
     ///
     /// # Errors
     /// [`CtlError::Config`] for out-of-range thresholds (see
     /// [`CtlConfig`] field docs).
-    pub fn new(
-        svc: ShardedService,
-        clock: ClockHandle,
-        config: CtlConfig,
-    ) -> Result<Controller, CtlError> {
+    pub fn new(svc: ShardedService, config: CtlConfig) -> Result<Controller, CtlError> {
         config.validate()?;
         let trace = recorder::next_trace_id();
         Ok(Controller {
             svc,
-            clock,
             config,
             counters: CtlCounters::default(),
             ctx: Ctx::query(trace),
@@ -512,22 +506,6 @@ impl Controller {
         self.counters.held.fetch_add(1, Ordering::Relaxed);
         Ok(decisions)
     }
-
-    /// Runs `ticks` control intervals, sleeping [`CtlConfig::tick`] on
-    /// the shared clock before each one (on a virtual clock the sleep
-    /// advances time instantly, keeping tests deterministic). Returns
-    /// all decisions taken, in order.
-    ///
-    /// # Errors
-    /// As for [`Controller::tick`]; stops at the first failure.
-    pub fn run_for(&mut self, ticks: usize) -> Result<Vec<Decision>, CtlError> {
-        let mut all = Vec::new();
-        for _ in 0..ticks {
-            self.clock.sleep(self.config.tick);
-            all.extend(self.tick()?);
-        }
-        Ok(all)
-    }
 }
 
 #[cfg(test)]
@@ -540,16 +518,15 @@ mod tests {
         (0..n).map(|i| (i as u64, i as f64, 1.0)).collect()
     }
 
-    fn controller(shards: usize, config: CtlConfig) -> (ShardedService, Controller, ClockHandle) {
-        let vc = VirtualClock::new();
-        let clock = vc.handle();
+    fn controller(shards: usize, config: CtlConfig) -> (ShardedService, Controller) {
+        let clock = VirtualClock::new().handle();
         let svc = ShardedService::new(
             grid(256),
-            ShardConfig { shards, replicas: 1, clock: clock.clone(), ..ShardConfig::default() },
+            ShardConfig { shards, replicas: 1, clock, ..ShardConfig::default() },
         )
         .expect("build");
-        let ctl = Controller::new(svc.clone(), clock.clone(), config).expect("valid config");
-        (svc, ctl, clock)
+        let ctl = Controller::new(svc.clone(), config).expect("valid config");
+        (svc, ctl)
     }
 
     fn hammer(svc: &ShardedService, lo: f64, hi: f64, queries: usize) {
@@ -561,19 +538,16 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_inverted_bands() {
-        let (svc, _, clock) = controller(2, CtlConfig::default());
+        let (svc, _) = controller(2, CtlConfig::default());
         let bad = CtlConfig { merge_share: 0.7, ..CtlConfig::default() };
-        assert!(matches!(
-            Controller::new(svc.clone(), clock.clone(), bad),
-            Err(CtlError::Config(_))
-        ));
+        assert!(matches!(Controller::new(svc.clone(), bad), Err(CtlError::Config(_))));
         let bad = CtlConfig { max_shards: 0, ..CtlConfig::default() };
-        assert!(matches!(Controller::new(svc, clock, bad), Err(CtlError::Config(_))));
+        assert!(matches!(Controller::new(svc, bad), Err(CtlError::Config(_))));
     }
 
     #[test]
     fn a_sustained_hot_shard_is_split_after_the_streak() {
-        let (svc, mut ctl, _) = controller(
+        let (svc, mut ctl) = controller(
             2,
             CtlConfig { hot_ticks: 2, min_interval_queries: 8, ..CtlConfig::default() },
         );
@@ -592,7 +566,7 @@ mod tests {
 
     #[test]
     fn cold_adjacent_shards_merge_after_the_streak() {
-        let (svc, mut ctl, _) = controller(
+        let (svc, mut ctl) = controller(
             4,
             CtlConfig {
                 cold_ticks: 2,
@@ -622,7 +596,7 @@ mod tests {
 
     #[test]
     fn quiet_intervals_are_ignored_entirely() {
-        let (svc, mut ctl, _) = controller(
+        let (svc, mut ctl) = controller(
             2,
             CtlConfig { hot_ticks: 1, min_interval_queries: 64, ..CtlConfig::default() },
         );
@@ -637,7 +611,7 @@ mod tests {
     #[test]
     fn sustained_burn_alerts_rebuild_the_shard() {
         use iqs_slo::{HealthReport, SloKey, SloStatus};
-        let (svc, mut ctl, _) = controller(2, CtlConfig { burn_ticks: 2, ..CtlConfig::default() });
+        let (svc, mut ctl) = controller(2, CtlConfig { burn_ticks: 2, ..CtlConfig::default() });
         let burning = HealthReport {
             statuses: vec![SloStatus {
                 key: SloKey::Shard(1),
@@ -665,9 +639,9 @@ mod tests {
 
     #[test]
     fn burn_config_must_allow_at_least_one_tick() {
-        let (svc, _, clock) = controller(2, CtlConfig::default());
+        let (svc, _) = controller(2, CtlConfig::default());
         let bad = CtlConfig { burn_ticks: 0, ..CtlConfig::default() };
-        assert!(matches!(Controller::new(svc, clock, bad), Err(CtlError::Config(_))));
+        assert!(matches!(Controller::new(svc, bad), Err(CtlError::Config(_))));
     }
 
     #[test]

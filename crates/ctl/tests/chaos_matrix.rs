@@ -94,7 +94,6 @@ fn ctl_rebalance_chi_square() {
         .expect("valid build");
         let mut ctl = Controller::new(
             svc.clone(),
-            clock,
             CtlConfig {
                 tick: Duration::from_millis(10),
                 split_share: 0.45,

@@ -56,7 +56,6 @@ proptest! {
         // splits and merges.
         let mut ctl = Controller::new(
             svc.clone(),
-            clock,
             CtlConfig {
                 tick: Duration::from_millis(10),
                 split_share: 0.5,

@@ -26,7 +26,6 @@ fn controller_actions_are_traced_with_action_codes() {
     .expect("build");
     let mut ctl = Controller::new(
         svc.clone(),
-        clock,
         CtlConfig { hot_ticks: 2, min_interval_queries: 8, ..CtlConfig::default() },
     )
     .expect("valid config");

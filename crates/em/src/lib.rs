@@ -31,10 +31,16 @@
 //!   *weighted* generalization (the paper lists worst-case weighted EM
 //!   range sampling as open), measured to match the conjectured
 //!   amortized shape on our workloads.
+//!
+//! The three samplers are one structure at three sizes: the chunk
+//! directory, the supernode hierarchy and the pool lifecycle are written
+//! once (the private `chunktree` module), and every split of `s` samples
+//! between groups is `iqs_alias::split::split_counts`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod chunktree;
 mod machine;
 mod rangesampler;
 mod samplepool;

@@ -1,17 +1,24 @@
+use iqs_alias::split::split_counts;
 use rand::Rng;
 
+use crate::chunktree::{ChunkDir, ChunkTree, Pools};
 use crate::machine::{EmArray, EmMachine};
 use crate::samplepool::build_wr_pool;
 
-const NIL: u32 = u32::MAX;
+/// Sorts `keys`, places them on the machine's disk and builds their
+/// chunk directory (`B` keys per chunk).
+fn store_sorted(machine: &EmMachine, mut keys: Vec<f64>) -> (EmArray<f64>, ChunkDir) {
+    assert!(!keys.is_empty(), "range sampling over an empty set");
+    keys.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
+    let arr = machine.array_from(keys.clone());
+    let dir = ChunkDir::new(keys.len(), arr.items_per_block(), |i| keys[i]);
+    (arr, dir)
+}
 
-#[derive(Debug, Clone)]
-struct EmNode {
-    left: u32,
-    right: u32,
-    /// Chunk range `[lo, hi)` covered by this node.
-    lo: u32,
-    hi: u32,
+/// The in-range values of chunk `c` (one chunk read).
+fn read_piece(keys: &EmArray<f64>, dir: &ChunkDir, c: usize, x: f64, y: f64) -> Vec<f64> {
+    let (lo, hi) = dir.items(c, c + 1);
+    keys.read_range(lo, hi).into_iter().filter(|&v| v >= x && v <= y).collect()
 }
 
 /// Hu-et-al-style WR **range sampling** structure in external memory
@@ -36,20 +43,19 @@ struct EmNode {
 /// log_{M/B}(n/B))` bound (our hierarchy is binary rather than fanout-`B`;
 /// see DESIGN.md). Outputs of all queries are mutually independent: every
 /// pool entry is an independent draw consumed exactly once.
+///
+/// The directory, the hierarchy and the pools are the crate's shared
+/// skeleton (`chunktree`), with a chunk's *mass* its item count;
+/// [`EmWeightedRangeSampler`](crate::EmWeightedRangeSampler) is the same
+/// skeleton under weights.
 #[derive(Debug)]
 pub struct EmRangeSampler {
     machine: EmMachine,
     keys: EmArray<f64>,
-    n: usize,
-    /// Items per chunk (`B` for f64 keys).
-    b: usize,
-    /// First key of each chunk (in-memory directory).
-    chunk_min: Vec<f64>,
-    nodes: Vec<EmNode>,
-    root: u32,
+    /// Supernodes over the chunks; a node's mass is its item count.
+    tree: ChunkTree<usize>,
     /// Lazily built per-node pools with consumption cursors.
-    pools: Vec<Option<(EmArray<f64>, usize)>>,
-    rebuilds: u64,
+    pools: Pools<f64>,
 }
 
 impl EmRangeSampler {
@@ -61,111 +67,28 @@ impl EmRangeSampler {
     ///
     /// # Panics
     /// Panics on an empty dataset.
-    pub fn new(machine: &EmMachine, mut keys: Vec<f64>) -> Self {
-        assert!(!keys.is_empty(), "range sampling over an empty set");
-        keys.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
-        let n = keys.len();
-        let arr = machine.array_from(keys.clone());
-        let b = arr.items_per_block();
-        let m = n.div_ceil(b);
-        let chunk_min: Vec<f64> = (0..m).map(|c| keys[c * b]).collect();
-
-        let mut nodes = Vec::with_capacity(2 * m);
-        let root = Self::build(&mut nodes, 0, m as u32);
-        let pools = (0..nodes.len()).map(|_| None).collect();
-        EmRangeSampler {
-            machine: machine.clone(),
-            keys: arr,
-            n,
-            b,
-            chunk_min,
-            nodes,
-            root,
-            pools,
-            rebuilds: 0,
-        }
-    }
-
-    fn build(nodes: &mut Vec<EmNode>, lo: u32, hi: u32) -> u32 {
-        if hi - lo == 1 {
-            nodes.push(EmNode { left: NIL, right: NIL, lo, hi });
-            return (nodes.len() - 1) as u32;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let left = Self::build(nodes, lo, mid);
-        let right = Self::build(nodes, mid, hi);
-        nodes.push(EmNode { left, right, lo, hi });
-        (nodes.len() - 1) as u32
+    pub fn new(machine: &EmMachine, keys: Vec<f64>) -> Self {
+        let (keys, dir) = store_sorted(machine, keys);
+        let counts: Vec<usize> =
+            (0..dir.chunks()).map(|c| dir.items(c, c + 1)).map(|(lo, hi)| hi - lo).collect();
+        let tree = ChunkTree::new(dir, &counts);
+        let pools = Pools::new(tree.node_count());
+        EmRangeSampler { machine: machine.clone(), keys, tree, pools }
     }
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.n
+        self.tree.dir.len()
     }
 
     /// True when the structure holds no keys (never constructible).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
     /// Number of pool rebuilds performed so far.
     pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// Item range `[lo, hi)` of node `u`.
-    fn item_range(&self, u: u32) -> (usize, usize) {
-        let node = &self.nodes[u as usize];
-        (node.lo as usize * self.b, (node.hi as usize * self.b).min(self.n))
-    }
-
-    fn canonical(&self, a: u32, b: u32, u: u32, out: &mut Vec<u32>) {
-        let node = &self.nodes[u as usize];
-        if a <= node.lo && node.hi <= b {
-            out.push(u);
-            return;
-        }
-        if node.left == NIL {
-            return;
-        }
-        let mid = self.nodes[node.left as usize].hi;
-        if a < mid {
-            self.canonical(a, b, node.left, out);
-        }
-        if b > mid {
-            self.canonical(a, b, node.right, out);
-        }
-    }
-
-    /// Takes `count` samples from node `u`'s pool, rebuilding as needed.
-    fn take_from_pool<R: Rng + ?Sized>(
-        &mut self,
-        u: u32,
-        count: usize,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        let (ilo, ihi) = self.item_range(u);
-        let pool_len = ihi - ilo;
-        let mut remaining = count;
-        while remaining > 0 {
-            let needs_build = match &self.pools[u as usize] {
-                None => true,
-                Some((pool, cursor)) => *cursor >= pool.len(),
-            };
-            if needs_build {
-                let pool = build_wr_pool(&self.machine, &self.keys, ilo, ihi, pool_len, rng);
-                if let Some((old, _)) = self.pools[u as usize].replace((pool, 0)) {
-                    old.discard();
-                    self.rebuilds += 1;
-                }
-            }
-            let (pool, cursor) = self.pools[u as usize].as_mut().expect("just ensured");
-            let take = remaining.min(pool.len() - *cursor);
-            pool.scan(*cursor, *cursor + take, |run| out.extend_from_slice(run));
-            *cursor += take;
-            remaining -= take;
-        }
+        self.pools.rebuilds()
     }
 
     /// Draws `s` independent WR samples from the keys in `[x, y]`.
@@ -180,92 +103,41 @@ impl EmRangeSampler {
         if y < x {
             return None;
         }
-        let m = self.chunk_min.len();
-        // Boundary chunks via the in-memory directory.
-        let ca = self.chunk_min.partition_point(|&c| c <= x).saturating_sub(1);
-        let cb = self.chunk_min.partition_point(|&c| c <= y).saturating_sub(1);
-
-        // Read boundary chunks; collect their in-range values.
-        let read_chunk = |c: usize| -> Vec<f64> {
-            let lo = c * self.b;
-            let hi = ((c + 1) * self.b).min(self.n);
-            self.keys.read_range(lo, hi)
-        };
+        // Boundary chunks via the in-memory directory; read them and
+        // collect their in-range values.
+        let dir = &self.tree.dir;
+        let (ca, cb) = dir.boundary_chunks(x, y);
+        let head = read_piece(&self.keys, dir, ca, x, y);
+        let pick = |vals: &[f64], rng: &mut R| vals[rng.random_range(0..vals.len())];
         if ca == cb {
-            let vals: Vec<f64> = read_chunk(ca).into_iter().filter(|&v| v >= x && v <= y).collect();
-            if vals.is_empty() {
+            if head.is_empty() {
                 return None;
             }
-            return Some((0..s).map(|_| vals[rng.random_range(0..vals.len())]).collect());
+            return Some((0..s).map(|_| pick(&head, rng)).collect());
         }
-        let s1_vals: Vec<f64> = read_chunk(ca).into_iter().filter(|&v| v >= x && v <= y).collect();
-        let s3_vals: Vec<f64> = read_chunk(cb).into_iter().filter(|&v| v >= x && v <= y).collect();
-        // Middle chunk-aligned range (full chunks strictly between).
-        let mid_lo = (ca + 1) as u32;
-        let mid_hi = cb as u32;
-        let mid_count = if mid_lo < mid_hi {
-            (mid_hi as usize * self.b).min(self.n) - mid_lo as usize * self.b
-        } else {
-            0
-        };
-        let total = s1_vals.len() + mid_count + s3_vals.len();
+        let tail = read_piece(&self.keys, dir, cb, x, y);
+        // Full chunks strictly between the boundary chunks.
+        let (mid_lo, mid_hi) = dir.items(ca + 1, cb);
+        let pieces = [head.len(), mid_hi - mid_lo, tail.len()];
+        let total: usize = pieces.iter().sum();
         if total == 0 {
             return None;
         }
-        debug_assert!(m >= 1);
-
         // Three-way multinomial split by exact counts (Figure 2's
         // q1/q2/q3 decomposition).
-        let mut c1 = 0usize;
-        let mut c2 = 0usize;
-        let mut c3 = 0usize;
-        for _ in 0..s {
-            let t = rng.random_range(0..total);
-            if t < s1_vals.len() {
-                c1 += 1;
-            } else if t < s1_vals.len() + mid_count {
-                c2 += 1;
-            } else {
-                c3 += 1;
-            }
-        }
+        let counts = split_counts(&pieces, total, s, rng);
         let mut out = Vec::with_capacity(s);
-        for _ in 0..c1 {
-            out.push(s1_vals[rng.random_range(0..s1_vals.len())]);
-        }
-        for _ in 0..c3 {
-            out.push(s3_vals[rng.random_range(0..s3_vals.len())]);
-        }
-        if c2 > 0 {
-            // Canonical supernodes of the middle, split by item counts.
-            let mut canon = Vec::new();
-            self.canonical(mid_lo, mid_hi, self.root, &mut canon);
-            let sizes: Vec<usize> = canon
-                .iter()
-                .map(|&u| {
-                    let (lo, hi) = self.item_range(u);
-                    hi - lo
-                })
-                .collect();
-            let size_total: usize = sizes.iter().sum();
-            debug_assert_eq!(size_total, mid_count);
-            // Cumulative split (CPU is free in EM).
-            let mut per_node = vec![0usize; canon.len()];
-            for _ in 0..c2 {
-                let mut t = rng.random_range(0..size_total);
-                for (i, &sz) in sizes.iter().enumerate() {
-                    if t < sz {
-                        per_node[i] += 1;
-                        break;
-                    }
-                    t -= sz;
-                }
-            }
-            for (i, &u) in canon.iter().enumerate() {
-                if per_node[i] > 0 {
-                    self.take_from_pool(u, per_node[i], rng, &mut out);
-                }
-            }
+        out.extend((0..counts[0]).map(|_| pick(&head, rng)));
+        out.extend((0..counts[2]).map(|_| pick(&tail, rng)));
+        // The middle: canonical supernodes, split by item counts.
+        for (u, count) in self.tree.split_over_canonical(ca + 1, cb, counts[1], rng) {
+            let (lo, hi) = self.tree.item_range(u);
+            self.pools.take_from_pool(
+                u,
+                count,
+                || build_wr_pool(&self.machine, &self.keys, lo, hi, hi - lo, rng),
+                |run| out.extend_from_slice(run),
+            );
         }
         Some(out)
     }
@@ -275,9 +147,7 @@ impl EmRangeSampler {
 #[derive(Debug)]
 pub struct NaiveEmRangeSampler {
     keys: EmArray<f64>,
-    n: usize,
-    b: usize,
-    chunk_min: Vec<f64>,
+    dir: ChunkDir,
 }
 
 impl NaiveEmRangeSampler {
@@ -285,27 +155,19 @@ impl NaiveEmRangeSampler {
     ///
     /// # Panics
     /// Panics on an empty dataset.
-    pub fn new(machine: &EmMachine, mut keys: Vec<f64>) -> Self {
-        assert!(!keys.is_empty(), "range sampling over an empty set");
-        keys.sort_by(|a, b| a.partial_cmp(b).expect("finite keys"));
-        let n = keys.len();
-        let arr = machine.array_from(keys.clone());
-        let b = arr.items_per_block();
-        let m = n.div_ceil(b);
-        let chunk_min: Vec<f64> = (0..m).map(|c| keys[c * b]).collect();
-        NaiveEmRangeSampler { keys: arr, n, b, chunk_min }
+    pub fn new(machine: &EmMachine, keys: Vec<f64>) -> Self {
+        let (keys, dir) = store_sorted(machine, keys);
+        NaiveEmRangeSampler { keys, dir }
     }
 
     /// Rank range `[a, b)` of keys in `[x, y]`, via directory + boundary
     /// chunk reads (`O(1)` I/Os).
     fn rank_range(&self, x: f64, y: f64) -> (usize, usize) {
-        let ca = self.chunk_min.partition_point(|&c| c <= x).saturating_sub(1);
-        let cb = self.chunk_min.partition_point(|&c| c <= y).saturating_sub(1);
-        let chunk = |c: usize| (c * self.b, ((c + 1) * self.b).min(self.n));
-        let (alo, ahi) = chunk(ca);
+        let (ca, cb) = self.dir.boundary_chunks(x, y);
+        let (alo, ahi) = self.dir.items(ca, ca + 1);
         let a =
             alo + self.keys.read_range(alo, ahi).iter().position(|&v| v >= x).unwrap_or(ahi - alo);
-        let (blo, bhi) = chunk(cb);
+        let (blo, bhi) = self.dir.items(cb, cb + 1);
         let b =
             blo + self.keys.read_range(blo, bhi).iter().position(|&v| v > y).unwrap_or(bhi - blo);
         (a, b.max(a))

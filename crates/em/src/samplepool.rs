@@ -1,5 +1,6 @@
 use rand::Rng;
 
+use crate::chunktree::Pools;
 use crate::machine::{EmArray, EmMachine};
 use crate::sort::external_sort;
 
@@ -69,9 +70,8 @@ pub fn build_wr_pool<R: Rng + ?Sized>(
 pub struct SamplePool {
     machine: EmMachine,
     data: EmArray<f64>,
-    pool: EmArray<f64>,
-    cursor: usize,
-    rebuilds: u64,
+    /// The one pool: [`Pools`] with a single node covering the whole set.
+    pools: Pools<f64>,
 }
 
 impl SamplePool {
@@ -82,9 +82,9 @@ impl SamplePool {
     pub fn new<R: Rng + ?Sized>(machine: &EmMachine, data: Vec<f64>, rng: &mut R) -> Self {
         assert!(!data.is_empty(), "set sampling over an empty set");
         let data = machine.array_from(data);
-        let n = data.len();
-        let pool = build_wr_pool(machine, &data, 0, n, n, rng);
-        SamplePool { machine: machine.clone(), data, pool, cursor: 0, rebuilds: 0 }
+        let mut pools = Pools::new(1);
+        pools.refill(0, || build_wr_pool(machine, &data, 0, data.len(), data.len(), rng));
+        SamplePool { machine: machine.clone(), data, pools }
     }
 
     /// Number of elements.
@@ -99,43 +99,21 @@ impl SamplePool {
 
     /// Number of pool rebuilds performed so far.
     pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
+        self.pools.rebuilds()
     }
 
     /// Draws `s` independent WR samples. Sequential pool consumption plus
     /// an amortized rebuild.
     pub fn query<R: Rng + ?Sized>(&mut self, s: usize, rng: &mut R) -> Vec<f64> {
         let mut out = Vec::with_capacity(s);
-        self.query_into(s, rng, &mut out);
-        out
-    }
-
-    /// [`Self::query`] into a caller-owned buffer (appended, not cleared),
-    /// the workspace's allocation-free batch convention. Returns the
-    /// number of samples appended (always `s`).
-    pub fn query_into<R: Rng + ?Sized>(
-        &mut self,
-        s: usize,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) -> usize {
-        let base = out.len();
         let n = self.data.len();
-        while out.len() - base < s {
-            if self.cursor == n {
-                let old = std::mem::replace(
-                    &mut self.pool,
-                    build_wr_pool(&self.machine, &self.data, 0, n, n, rng),
-                );
-                old.discard();
-                self.cursor = 0;
-                self.rebuilds += 1;
-            }
-            let take = (s - (out.len() - base)).min(n - self.cursor);
-            self.pool.scan(self.cursor, self.cursor + take, |run| out.extend_from_slice(run));
-            self.cursor += take;
-        }
-        s
+        self.pools.take_from_pool(
+            0,
+            s,
+            || build_wr_pool(&self.machine, &self.data, 0, n, n, rng),
+            |run| out.extend_from_slice(run),
+        );
+        out
     }
 }
 
@@ -233,20 +211,6 @@ mod tests {
         assert_eq!(out.len(), 250);
         assert!(sp.rebuilds() >= 2);
         assert!(out.iter().all(|&v| (0.0..100.0).contains(&v)));
-    }
-
-    #[test]
-    fn query_into_appends_without_clearing() {
-        let m = EmMachine::new(64 * 8, 64);
-        let mut rng = StdRng::seed_from_u64(115);
-        let data: Vec<f64> = (0..100).map(f64::from).collect();
-        let mut sp = SamplePool::new(&m, data, &mut rng);
-        let mut out = vec![-5.0f64];
-        // 250 samples from a 100-element pool: spans rebuilds too.
-        assert_eq!(sp.query_into(250, &mut rng, &mut out), 250);
-        assert_eq!(out.len(), 251);
-        assert_eq!(out[0], -5.0, "existing contents untouched");
-        assert!(out[1..].iter().all(|&v| (0.0..100.0).contains(&v)));
     }
 
     #[test]

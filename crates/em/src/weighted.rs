@@ -5,44 +5,33 @@
 //! "remains open in EM: it is a major challenge to design a structure of
 //! `O(n/B)` space and `O((log_B n + s/B) · log_{M/B}(n/B))` amortized
 //! query cost". This module implements the natural generalization of the
-//! WR structure — weighted per-supernode pools built with sorting and an
-//! in-memory chunk-weight directory — and the E15 experiment measures
-//! that its *amortized* I/O cost on our workloads matches that target
-//! shape. This is an empirical data point, not a worst-case solution of
-//! the open problem: adversarial update-free weight skew can concentrate
-//! pool consumption (and hence rebuild charging) on tiny sub-pools, which
-//! is exactly the difficulty the open problem is about.
+//! WR structure — [`EmRangeSampler`](crate::EmRangeSampler)'s skeleton
+//! (the crate's `chunktree` module: chunk directory, supernode hierarchy,
+//! per-node pools) with a chunk's *mass* its total weight instead of its
+//! item count, and every split between groups one
+//! `iqs_alias::split::pick` over those masses — and the E15 experiment
+//! measures that its *amortized* I/O cost on our workloads matches that
+//! target shape. This is an empirical data point, not a worst-case
+//! solution of the open problem: adversarial update-free weight skew can
+//! concentrate pool consumption (and hence rebuild charging) on tiny
+//! sub-pools, which is exactly the difficulty the open problem is about.
 //!
 //! Layout: `(key, weight)` pairs sorted by key in chunks of `B/2` items
 //! (two words per item) plus a parallel disk-resident column of caller
 //! element ids; an in-memory directory stores each chunk's minimum key
-//! and total weight (`O(n/B)` words — index navigation metadata); a
-//! binary supernode hierarchy over chunks carries lazily built pools of
-//! *weighted* `(key, id)` samples from its chunk range. The id column
-//! lets the serving tier resolve a drawn key back to the element it
-//! identifies without an extra random-access lookup: ids ride along in
-//! the same sequential passes that build and consume the pools.
+//! and total weight (`O(n/B)` words — index navigation metadata); the
+//! supernodes carry lazily built pools of *weighted* `(key, id)` samples
+//! from their chunk ranges. The id column lets the serving tier resolve a
+//! drawn key back to the element it identifies without an extra
+//! random-access lookup: ids ride along in the same sequential passes
+//! that build and consume the pools.
 
+use iqs_alias::split::{pick, split_counts};
 use rand::Rng;
 
+use crate::chunktree::{ChunkDir, ChunkTree, Pools};
 use crate::machine::{EmArray, EmMachine};
 use crate::sort::external_sort;
-
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone)]
-struct WNode {
-    left: u32,
-    right: u32,
-    /// Chunk range `[lo, hi)`.
-    lo: u32,
-    hi: u32,
-    /// Total weight of the chunk range.
-    weight: f64,
-}
-
-/// A node's pre-drawn `(key, id)` sample pool and its consumption cursor.
-type NodePool = Option<(EmArray<(f64, u64)>, usize)>;
 
 /// One stored element: `(key, weight, id)`.
 type Item = (f64, f64, u64);
@@ -53,17 +42,16 @@ type Item = (f64, f64, u64);
 /// [`RangePlan::total`] is the exact range weight.
 #[derive(Debug, Clone, Default)]
 pub struct RangePlan {
-    /// In-range items of the first boundary chunk, and their weight.
+    /// In-range items of the first boundary chunk.
     head: Vec<Item>,
-    w1: f64,
     /// Full chunks `[mid_lo, mid_hi)` strictly between the boundary
-    /// chunks, and their directory weight.
-    mid_lo: u32,
-    mid_hi: u32,
-    w2: f64,
-    /// In-range items of the last boundary chunk, and their weight.
+    /// chunks.
+    mid_lo: usize,
+    mid_hi: usize,
+    /// In-range items of the last boundary chunk.
     tail: Vec<Item>,
-    w3: f64,
+    /// Weights of `head`, the middle (from the directory) and `tail`.
+    weights: [f64; 3],
     /// The range spans more than one chunk, so the draw flips split
     /// coins; inside one chunk (`head` alone) it flips none.
     split: bool,
@@ -78,169 +66,41 @@ impl RangePlan {
     }
 }
 
-/// One weighted pick from a boundary piece whose weights sum to `total`.
+/// One weighted pick from a chunk's items, whose weights sum to `total`.
 fn weighted_pick<R: Rng + ?Sized>(items: &[Item], total: f64, rng: &mut R) -> (f64, u64) {
-    let mut t = rng.random::<f64>() * total;
-    for &(k, w, id) in items {
-        if t < w {
-            return (k, id);
-        }
-        t -= w;
-    }
-    let last = items[items.len() - 1];
-    (last.0, last.2)
+    let (key, _, id) = items[pick(items.iter().map(|p| p.1), total, rng)];
+    (key, id)
 }
 
-/// Weighted WR range sampling on the EM machine (Direction 2).
+/// What sits on the disk and its in-memory directory: all a plan reads,
+/// and all a pool is built from.
 #[derive(Debug)]
-pub struct EmWeightedRangeSampler {
+struct Items {
     machine: EmMachine,
     /// `(key, weight)` pairs sorted by key.
     data: EmArray<(f64, f64)>,
     /// Caller ids, parallel to `data` (rank order when built via `new`).
     ids: EmArray<u64>,
-    n: usize,
-    /// Items per chunk (`B/2` for 16-byte pairs).
-    b: usize,
-    /// In-memory directory: first key and total weight per chunk.
-    chunk_min: Vec<f64>,
+    /// Supernodes over the chunks (`B/2` pairs each); a node's mass is
+    /// its total weight.
+    tree: ChunkTree<f64>,
+    /// Total weight per chunk.
     chunk_weight: Vec<f64>,
-    nodes: Vec<WNode>,
-    root: u32,
-    /// Per-node pool of pre-drawn weighted `(key, id)` samples + cursor.
-    pools: Vec<NodePool>,
-    rebuilds: u64,
 }
 
-impl EmWeightedRangeSampler {
-    /// Builds the structure over `(key, weight)` pairs. Element ids are
-    /// the ranks in key order (`0..n`).
-    ///
-    /// # Panics
-    /// Panics on empty input or non-finite keys / non-positive weights.
-    pub fn new(machine: &EmMachine, pairs: Vec<(f64, f64)>) -> Self {
-        let triples: Vec<(u64, f64, f64)> =
-            pairs.into_iter().enumerate().map(|(i, (k, w))| (i as u64, k, w)).collect();
-        Self::new_keyed(machine, triples)
-    }
+/// Weighted WR range sampling on the EM machine (Direction 2).
+#[derive(Debug)]
+pub struct EmWeightedRangeSampler {
+    items: Items,
+    /// Per-node pool of pre-drawn weighted `(key, id)` samples + cursor.
+    pools: Pools<(f64, u64)>,
+}
 
-    /// Builds the structure over `(id, key, weight)` triples, preserving
-    /// the caller's element ids so drawn samples can name the elements
-    /// they came from (the serving tier's id space).
-    ///
-    /// # Panics
-    /// Panics on empty input or non-finite keys / non-positive weights.
-    pub fn new_keyed(machine: &EmMachine, mut triples: Vec<(u64, f64, f64)>) -> Self {
-        assert!(!triples.is_empty(), "weighted range sampling over an empty set");
-        assert!(
-            triples.iter().all(|&(_, k, w)| k.is_finite() && w.is_finite() && w > 0.0),
-            "invalid key/weight"
-        );
-        triples.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite keys"));
-        let n = triples.len();
-        let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, k, w)| (k, w)).collect();
-        let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
-        let arr = machine.array_from(pairs.clone());
-        let ids = machine.array_from(ids);
-        let b = arr.items_per_block();
-        let m = n.div_ceil(b);
-        let chunk_min: Vec<f64> = (0..m).map(|c| pairs[c * b].0).collect();
-        let chunk_weight: Vec<f64> =
-            (0..m).map(|c| pairs[c * b..((c + 1) * b).min(n)].iter().map(|p| p.1).sum()).collect();
-        let mut nodes = Vec::with_capacity(2 * m);
-        let root = Self::build(&mut nodes, &chunk_weight, 0, m as u32);
-        let pools = (0..nodes.len()).map(|_| None).collect();
-        EmWeightedRangeSampler {
-            machine: machine.clone(),
-            data: arr,
-            ids,
-            n,
-            b,
-            chunk_min,
-            chunk_weight,
-            nodes,
-            root,
-            pools,
-            rebuilds: 0,
-        }
-    }
-
-    fn build(nodes: &mut Vec<WNode>, cw: &[f64], lo: u32, hi: u32) -> u32 {
-        if hi - lo == 1 {
-            nodes.push(WNode { left: NIL, right: NIL, lo, hi, weight: cw[lo as usize] });
-            return (nodes.len() - 1) as u32;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let left = Self::build(nodes, cw, lo, mid);
-        let right = Self::build(nodes, cw, mid, hi);
-        let weight = nodes[left as usize].weight + nodes[right as usize].weight;
-        nodes.push(WNode { left, right, lo, hi, weight });
-        (nodes.len() - 1) as u32
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when empty (never constructible).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Pool rebuild count.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// Total weight of the whole set (from the in-memory directory — free).
-    pub fn total_weight(&self) -> f64 {
-        self.nodes[self.root as usize].weight
-    }
-
-    /// Retires the structure: drops every block it holds — the pair and
-    /// id arrays plus all lazily built per-node pools — from the
-    /// machine's buffer pool without counting write-backs. A tiered
-    /// backend calls this when a shard leaves the cold tier so its
-    /// frames stop competing with live structures for cache capacity.
-    /// Takes `&mut self` so an owner can retire it from `Drop`; a query
-    /// after this would fault its blocks back in and redraw its pools.
-    pub fn discard(&mut self) {
-        self.data.drop_blocks();
-        self.ids.drop_blocks();
-        for (pool, _) in self.pools.iter_mut().filter_map(Option::take) {
-            pool.discard();
-        }
-    }
-
-    fn item_range(&self, u: u32) -> (usize, usize) {
-        let node = &self.nodes[u as usize];
-        (node.lo as usize * self.b, (node.hi as usize * self.b).min(self.n))
-    }
-
-    fn canonical(&self, a: u32, b: u32, u: u32, out: &mut Vec<u32>) {
-        let node = &self.nodes[u as usize];
-        if a <= node.lo && node.hi <= b {
-            out.push(u);
-            return;
-        }
-        if node.left == NIL {
-            return;
-        }
-        let mid = self.nodes[node.left as usize].hi;
-        if a < mid {
-            self.canonical(a, b, node.left, out);
-        }
-        if b > mid {
-            self.canonical(a, b, node.right, out);
-        }
-    }
-
+impl Items {
     /// Reads a chunk's `(key, weight, id)` triples: one sequential run of
     /// the pair chunk plus one of the (denser) id chunk.
     fn read_chunk(&self, c: usize) -> Vec<Item> {
-        let lo = c * self.b;
-        let hi = ((c + 1) * self.b).min(self.n);
+        let (lo, hi) = self.tree.dir.items(c, c + 1);
         let mut items: Vec<Item> =
             self.data.scan(lo, hi, |pairs| pairs.iter().map(|&(k, w)| (k, w, 0)).collect());
         self.ids.scan(lo, hi, |ids| {
@@ -259,33 +119,17 @@ impl EmWeightedRangeSampler {
         (items, weight)
     }
 
-    /// Builds a pool of `count` *weighted* `(key, id)` samples from node
-    /// `u`'s chunk range: an in-memory pass over chunk weights decides
-    /// per-chunk demands; one sequential pass over the chunks draws
-    /// within-chunk weighted samples; an external sort randomizes the pool
-    /// order so consumption order is independent of chunk order.
-    fn build_weighted_pool<R: Rng + ?Sized>(
-        &self,
-        u: u32,
-        count: usize,
-        rng: &mut R,
-    ) -> EmArray<(f64, u64)> {
-        let node = &self.nodes[u as usize];
-        let (clo, chi) = (node.lo as usize, node.hi as usize);
+    /// Builds node `u`'s pool — one *weighted* `(key, id)` sample per
+    /// item of its chunk range: an in-memory pass over chunk weights
+    /// decides per-chunk demands; one sequential pass over the chunks
+    /// draws within-chunk weighted samples; an external sort randomizes
+    /// the pool order so consumption order is independent of chunk order.
+    fn build_weighted_pool<R: Rng + ?Sized>(&self, u: u32, rng: &mut R) -> EmArray<(f64, u64)> {
+        let (clo, chi) = self.tree.chunk_range(u);
+        let (ilo, ihi) = self.tree.item_range(u);
+        let count = ihi - ilo;
         // Chunk demands via the in-memory directory (CPU only).
-        let mut demand = vec![0usize; chi - clo];
-        for _ in 0..count {
-            let mut t = rng.random::<f64>() * node.weight;
-            let mut chosen = chi - clo - 1;
-            for (i, &w) in self.chunk_weight[clo..chi].iter().enumerate() {
-                if t < w {
-                    chosen = i;
-                    break;
-                }
-                t -= w;
-            }
-            demand[chosen] += 1;
-        }
+        let demand = split_counts(&self.chunk_weight[clo..chi], self.tree.mass(u), count, rng);
         // Sequential pass: per chunk, in-memory weighted draws.
         let mut staged: Vec<(u64, f64, u64)> = Vec::with_capacity(count);
         for (i, &d) in demand.iter().enumerate() {
@@ -295,16 +139,7 @@ impl EmWeightedRangeSampler {
             let items = self.read_chunk(clo + i);
             let total: f64 = items.iter().map(|p| p.1).sum();
             for _ in 0..d {
-                let mut t = rng.random::<f64>() * total;
-                let mut picked = items.len() - 1;
-                for (j, &(_, w, _)) in items.iter().enumerate() {
-                    if t < w {
-                        picked = j;
-                        break;
-                    }
-                    t -= w;
-                }
-                let (key, _, id) = items[picked];
+                let (key, id) = weighted_pick(&items, total, rng);
                 staged.push((rng.random::<u64>(), key, id)); // random sort key
             }
         }
@@ -319,66 +154,103 @@ impl EmWeightedRangeSampler {
         pool
     }
 
-    fn take_from_pool<R: Rng + ?Sized, O>(
-        &mut self,
-        u: u32,
-        count: usize,
-        rng: &mut R,
-        out: &mut Vec<O>,
-        emit: &impl Fn(f64, u64) -> O,
-    ) {
-        let (ilo, ihi) = self.item_range(u);
-        let pool_len = ihi - ilo;
-        let mut remaining = count;
-        while remaining > 0 {
-            let needs_build = match &self.pools[u as usize] {
-                None => true,
-                Some((pool, cursor)) => *cursor >= pool.len(),
-            };
-            if needs_build {
-                let pool = self.build_weighted_pool(u, pool_len, rng);
-                if let Some((old, _)) = self.pools[u as usize].replace((pool, 0)) {
-                    old.discard();
-                    self.rebuilds += 1;
-                }
-            }
-            let (pool, cursor) = self.pools[u as usize].as_mut().expect("just ensured");
-            let take = remaining.min(pool.len() - *cursor);
-            pool.scan(*cursor, *cursor + take, |run| {
-                out.extend(run.iter().map(|&(key, id)| emit(key, id)));
-            });
-            *cursor += take;
-            remaining -= take;
+    fn plan(&self, x: f64, y: f64) -> RangePlan {
+        let mut plan = RangePlan::default();
+        if y < x {
+            return plan;
         }
+        let (ca, cb) = self.tree.dir.boundary_chunks(x, y);
+        (plan.head, plan.weights[0]) = self.read_piece(ca, x, y);
+        if ca != cb {
+            (plan.tail, plan.weights[2]) = self.read_piece(cb, x, y);
+            plan.split = true;
+            (plan.mid_lo, plan.mid_hi) = (ca + 1, cb);
+            plan.weights[1] = self.chunk_weight[ca + 1..cb].iter().sum();
+        }
+        plan.total = plan.weights.iter().sum();
+        plan
+    }
+}
+
+impl EmWeightedRangeSampler {
+    /// Builds the structure over `(key, weight)` pairs. Element ids are
+    /// the ranks in key order (`0..n`).
+    ///
+    /// # Panics
+    /// As [`Self::new_keyed`].
+    pub fn new(machine: &EmMachine, pairs: Vec<(f64, f64)>) -> Self {
+        let triples: Vec<(u64, f64, f64)> =
+            pairs.into_iter().enumerate().map(|(i, (k, w))| (i as u64, k, w)).collect();
+        Self::new_keyed(machine, triples)
     }
 
-    /// Chunk indices of the boundary chunks covering `x` and `y`.
-    fn boundary_chunks(&self, x: f64, y: f64) -> (usize, usize) {
-        let ca = self.chunk_min.partition_point(|&c| c <= x).saturating_sub(1);
-        let cb = self.chunk_min.partition_point(|&c| c <= y).saturating_sub(1);
-        (ca, cb)
+    /// Builds the structure over `(id, key, weight)` triples, preserving
+    /// the caller's element ids so drawn samples can name the elements
+    /// they came from (the serving tier's id space).
+    ///
+    /// # Panics
+    /// Panics on empty input, a non-finite key, a weight that is not
+    /// finite and positive, or weights whose sum is not finite (a total
+    /// of `inf` would send every draw to the last item).
+    pub fn new_keyed(machine: &EmMachine, mut triples: Vec<(u64, f64, f64)>) -> Self {
+        assert!(!triples.is_empty(), "weighted range sampling over an empty set");
+        assert!(
+            triples.iter().all(|&(_, k, w)| k.is_finite() && w.is_finite() && w > 0.0),
+            "invalid key/weight"
+        );
+        triples.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite keys"));
+        let pairs: Vec<(f64, f64)> = triples.iter().map(|&(_, k, w)| (k, w)).collect();
+        let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
+        let data = machine.array_from(pairs.clone());
+        let ids = machine.array_from(ids);
+        let dir = ChunkDir::new(pairs.len(), data.items_per_block(), |i| pairs[i].0);
+        let chunk_weight: Vec<f64> =
+            pairs.chunks(dir.chunk_len()).map(|c| c.iter().map(|p| p.1).sum()).collect();
+        let tree = ChunkTree::new(dir, &chunk_weight);
+        assert!(tree.total().is_finite(), "total weight overflows");
+        let pools = Pools::new(tree.node_count());
+        let items = Items { machine: machine.clone(), data, ids, tree, chunk_weight };
+        EmWeightedRangeSampler { items, pools }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.items.tree.dir.len()
+    }
+
+    /// True when empty (never constructible).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pool rebuild count.
+    pub fn rebuilds(&self) -> u64 {
+        self.pools.rebuilds()
+    }
+
+    /// Total weight of the whole set (from the in-memory directory — free).
+    pub fn total_weight(&self) -> f64 {
+        self.items.tree.total()
+    }
+
+    /// Retires the structure: drops every block it holds — the pair and
+    /// id arrays plus all lazily built per-node pools — from the
+    /// machine's buffer pool without counting write-backs. A tiered
+    /// backend calls this when a shard leaves the cold tier so its
+    /// frames stop competing with live structures for cache capacity.
+    /// Takes `&mut self` so an owner can retire it from `Drop`; a query
+    /// after this would fault its blocks back in and redraw its pools.
+    pub fn discard(&mut self) {
+        self.items.data.drop_blocks();
+        self.items.ids.drop_blocks();
+        self.pools.discard();
     }
 
     /// Plans a query over the keys in `[x, y]` without consuming any
     /// randomness: reads each boundary chunk once (`O(1)` I/Os) and takes
     /// the interior chunks' weight from the in-memory directory.
     pub fn plan(&self, x: f64, y: f64) -> RangePlan {
-        let mut plan = RangePlan::default();
-        if y < x {
-            return plan;
-        }
-        let (ca, cb) = self.boundary_chunks(x, y);
-        (plan.head, plan.w1) = self.read_piece(ca, x, y);
-        if ca == cb {
-            plan.total = plan.w1;
-            return plan;
-        }
-        (plan.tail, plan.w3) = self.read_piece(cb, x, y);
-        plan.split = true;
-        (plan.mid_lo, plan.mid_hi) = ((ca + 1) as u32, cb as u32);
-        plan.w2 = self.chunk_weight[ca + 1..cb].iter().sum();
-        plan.total = plan.w1 + plan.w2 + plan.w3;
-        plan
+        self.items.plan(x, y)
     }
 
     /// The draw half of a query: appends `s` independent weighted samples
@@ -397,56 +269,27 @@ impl EmWeightedRangeSampler {
         if plan.total <= 0.0 {
             return None;
         }
-        let mut pick = |items: &[Item], total: f64, rng: &mut R| {
-            let (key, id) = weighted_pick(items, total, rng);
-            out.push(emit(key, id));
+        let piece = |items: &[Item], total: f64, count: usize, rng: &mut R, out: &mut Vec<O>| {
+            for _ in 0..count {
+                let (key, id) = weighted_pick(items, total, rng);
+                out.push(emit(key, id));
+            }
         };
         if !plan.split {
-            for _ in 0..s {
-                pick(&plan.head, plan.w1, rng);
-            }
+            piece(&plan.head, plan.weights[0], s, rng, out);
             return Some(s);
         }
-        let (mut c1, mut c2, mut c3) = (0usize, 0usize, 0usize);
-        for _ in 0..s {
-            let t = rng.random::<f64>() * plan.total;
-            if t < plan.w1 {
-                c1 += 1;
-            } else if t < plan.w1 + plan.w2 {
-                c2 += 1;
-            } else {
-                c3 += 1;
-            }
-        }
-        for _ in 0..c1 {
-            pick(&plan.head, plan.w1, rng);
-        }
-        for _ in 0..c3 {
-            pick(&plan.tail, plan.w3, rng);
-        }
-        if c2 > 0 {
-            let mut canon = Vec::new();
-            self.canonical(plan.mid_lo, plan.mid_hi, self.root, &mut canon);
-            let weights: Vec<f64> = canon.iter().map(|&u| self.nodes[u as usize].weight).collect();
-            let wt: f64 = weights.iter().sum();
-            let mut per_node = vec![0usize; canon.len()];
-            for _ in 0..c2 {
-                let mut t = rng.random::<f64>() * wt;
-                let mut chosen = canon.len() - 1;
-                for (i, &w) in weights.iter().enumerate() {
-                    if t < w {
-                        chosen = i;
-                        break;
-                    }
-                    t -= w;
-                }
-                per_node[chosen] += 1;
-            }
-            for (i, &u) in canon.iter().enumerate() {
-                if per_node[i] > 0 {
-                    self.take_from_pool(u, per_node[i], rng, out, &emit);
-                }
-            }
+        let counts = split_counts(&plan.weights, plan.total, s, rng);
+        piece(&plan.head, plan.weights[0], counts[0], rng, out);
+        piece(&plan.tail, plan.weights[2], counts[2], rng, out);
+        let mid = self.items.tree.split_over_canonical(plan.mid_lo, plan.mid_hi, counts[1], rng);
+        for (u, count) in mid {
+            self.pools.take_from_pool(
+                u,
+                count,
+                || self.items.build_weighted_pool(u, rng),
+                |run| out.extend(run.iter().map(|&(key, id)| emit(key, id))),
+            );
         }
         Some(s)
     }
@@ -463,20 +306,6 @@ impl EmWeightedRangeSampler {
         self.draw(plan, s, rng, out, |_, id| id)
     }
 
-    /// Appends `s` independent weighted `(key, id)` samples from keys in
-    /// `[x, y]` to `out`. Returns the number appended (always `s`), or
-    /// `None` on an empty range.
-    pub fn query_pairs_into<R: Rng + ?Sized>(
-        &mut self,
-        x: f64,
-        y: f64,
-        s: usize,
-        rng: &mut R,
-        out: &mut Vec<(f64, u64)>,
-    ) -> Option<usize> {
-        self.draw(&self.plan(x, y), s, rng, out, |key, id| (key, id))
-    }
-
     /// Draws `s` independent *weighted* samples (key values) from the
     /// keys in `[x, y]`. Returns `None` on an empty range.
     pub fn query<R: Rng + ?Sized>(
@@ -487,22 +316,8 @@ impl EmWeightedRangeSampler {
         rng: &mut R,
     ) -> Option<Vec<f64>> {
         let mut out = Vec::with_capacity(s);
-        self.query_into(x, y, s, rng, &mut out)?;
+        self.draw(&self.plan(x, y), s, rng, &mut out, |key, _| key)?;
         Some(out)
-    }
-
-    /// [`Self::query`] into a caller-owned buffer (appended, not cleared),
-    /// the workspace's allocation-free batch convention. Returns the
-    /// number of samples appended.
-    pub fn query_into<R: Rng + ?Sized>(
-        &mut self,
-        x: f64,
-        y: f64,
-        s: usize,
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) -> Option<usize> {
-        self.draw(&self.plan(x, y), s, rng, out, |key, _| key)
     }
 
     /// Draws `s` independent weighted samples from `[x, y]`, appending the
@@ -533,21 +348,18 @@ impl EmWeightedRangeSampler {
         if y < x {
             return 0;
         }
-        let (ca, cb) = self.boundary_chunks(x, y);
-        let in_range = |&(k, _): &(f64, f64)| k >= x && k <= y;
-        let chunk_items = |c: usize| {
-            let lo = c * self.b;
-            let hi = ((c + 1) * self.b).min(self.n);
-            self.data.read_range(lo, hi)
+        let dir = &self.items.tree.dir;
+        let (ca, cb) = dir.boundary_chunks(x, y);
+        let in_range = |c: usize| {
+            let (lo, hi) = dir.items(c, c + 1);
+            self.items.data.read_range(lo, hi).iter().filter(|&&(k, _)| k >= x && k <= y).count()
         };
         if ca == cb {
-            return chunk_items(ca).iter().filter(|t| in_range(t)).count();
+            return in_range(ca);
         }
-        let n1 = chunk_items(ca).iter().filter(|t| in_range(t)).count();
-        let n3 = chunk_items(cb).iter().filter(|t| in_range(t)).count();
         // Interior chunks hold exactly `b` items each: only the final
         // chunk of the array can be short, and it is `cb` or beyond.
-        n1 + (cb - ca - 1) * self.b + n3
+        in_range(ca) + (cb - ca - 1) * dir.chunk_len() + in_range(cb)
     }
 }
 
@@ -630,42 +442,33 @@ mod tests {
 
     #[test]
     fn ids_name_the_sampled_elements() {
-        let machine = EmMachine::new(64 * 16, 64);
-        let mut rng = StdRng::seed_from_u64(173);
         // Ids deliberately unrelated to key order: id = 9000 - key.
         let triples: Vec<(u64, f64, f64)> =
             (0..1024).map(|i| (9000 - i as u64, i as f64, 1.0 + (i % 2) as f64)).collect();
-        let mut s = EmWeightedRangeSampler::new_keyed(&machine, triples);
-        let mut keys = Vec::new();
-        let mut pairs = Vec::new();
-        s.query_pairs_into(10.0, 900.0, 500, &mut rng, &mut pairs).unwrap();
-        for &(k, id) in &pairs {
-            assert!((10.0..=900.0).contains(&k));
-            assert_eq!(id, 9000 - k as u64, "id column must track its key");
-            keys.push(k);
+        // Twin structures under one seed replay one draw sequence, so the
+        // keys of one and the ids of the other name the same elements.
+        let mut by_key =
+            EmWeightedRangeSampler::new_keyed(&EmMachine::new(64 * 16, 64), triples.clone());
+        let mut by_id = EmWeightedRangeSampler::new_keyed(&EmMachine::new(64 * 16, 64), triples);
+        let mut rng_key = StdRng::seed_from_u64(173);
+        let mut rng_id = StdRng::seed_from_u64(173);
+        for _ in 0..3 {
+            let keys = by_key.query(10.0, 900.0, 500, &mut rng_key).unwrap();
+            let mut ids = Vec::new();
+            assert_eq!(by_id.query_ids_into(10.0, 900.0, 500, &mut rng_id, &mut ids), Some(500));
+            for (&k, &id) in keys.iter().zip(&ids) {
+                assert!((10.0..=900.0).contains(&k));
+                assert_eq!(id, 9000 - k as u64, "id column must track its key");
+            }
         }
-        // query_ids_into under the same seed replays the same draw
-        // sequence, so it must name exactly the same elements.
-        let mut rng = StdRng::seed_from_u64(173);
-        let mut ids = Vec::new();
-        s.query_ids_into(10.0, 900.0, 500, &mut rng, &mut ids);
-        // (Pools differ in cursor position, so only check the invariant.)
-        assert!(ids.iter().all(|&id| (9000 - 900..=9000 - 10).contains(&id)));
     }
 
     #[test]
-    fn query_into_appends_without_clearing() {
-        let machine = EmMachine::new(64 * 8, 64);
-        let mut rng = StdRng::seed_from_u64(174);
-        let pairs: Vec<(f64, f64)> = (0..512).map(|i| (i as f64, 1.0)).collect();
-        let mut s = EmWeightedRangeSampler::new(&machine, pairs);
-        let mut out = vec![-1.0f64];
-        let appended = s.query_into(0.0, 511.0, 20, &mut rng, &mut out).unwrap();
-        assert_eq!(appended, 20);
-        assert_eq!(out.len(), 21);
-        assert_eq!(out[0], -1.0, "existing contents untouched");
-        assert!(s.query_into(40.0, 30.0, 5, &mut rng, &mut out).is_none());
-        assert_eq!(out.len(), 21, "failed query appends nothing");
+    #[should_panic(expected = "total weight overflows")]
+    fn a_weight_sum_that_overflows_is_refused() {
+        // Each weight is valid; their sum is `inf`, under which every
+        // draw would land on the last item.
+        EmWeightedRangeSampler::new(&EmMachine::new(64 * 8, 64), vec![(0.0, 1e308), (1.0, 1e308)]);
     }
 
     #[test]

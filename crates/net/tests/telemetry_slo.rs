@@ -289,7 +289,6 @@ fn run(seed: u64) -> Outcome {
     }
     let mut ctl = Controller::new(
         svc.clone(),
-        clock.handle(),
         CtlConfig {
             tick: TICK,
             split_share: 0.55,

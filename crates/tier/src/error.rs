@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use iqs_alias::WeightError;
 use iqs_core::QueryError;
 use iqs_serve::ServeError;
 
@@ -32,6 +33,9 @@ pub enum TierError {
     /// The underlying sampling structure rejected the query (empty
     /// range, non-finite key, …).
     Query(QueryError),
+    /// A shard's weights are unusable: one is not finite and positive,
+    /// or they — or the shards' totals — sum to a non-finite value.
+    Weight(WeightError),
 }
 
 impl fmt::Display for TierError {
@@ -52,6 +56,7 @@ impl fmt::Display for TierError {
                 write!(f, "no shard named {name:?} in this index")
             }
             TierError::Query(e) => write!(f, "query failed: {e}"),
+            TierError::Weight(e) => write!(f, "unusable shard weights: {e}"),
         }
     }
 }
@@ -60,6 +65,7 @@ impl std::error::Error for TierError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TierError::Query(e) => Some(e),
+            TierError::Weight(e) => Some(e),
             _ => None,
         }
     }
@@ -71,15 +77,22 @@ impl From<QueryError> for TierError {
     }
 }
 
+impl From<WeightError> for TierError {
+    fn from(e: WeightError) -> Self {
+        TierError::Weight(e)
+    }
+}
+
 /// Maps tier failures onto the service error surface so a
 /// [`crate::TieredIndex`] can sit behind `iqs-serve`'s `ExternalIndex`
-/// registry entry: query rejections keep their typed form, everything
+/// registry entry: query and weight rejections keep their typed form, everything
 /// else (which cannot occur on the request path of a built index)
 /// degrades to an invalid-request report.
 impl From<TierError> for ServeError {
     fn from(e: TierError) -> Self {
         match e {
             TierError::Query(q) => ServeError::Query(q),
+            TierError::Weight(w) => ServeError::Weight(w),
             TierError::UnknownShard(_) => ServeError::InvalidRequest("unknown tier shard"),
             _ => ServeError::InvalidRequest("tiered index misconfigured"),
         }

@@ -4,6 +4,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use iqs_alias::split::split_counts;
+use iqs_alias::validate_weights;
 use iqs_core::{QueryError, RangeSampler};
 use iqs_em::{EmMachine, EmWeightedRangeSampler, IoStats, RangePlan};
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
@@ -50,8 +52,10 @@ impl TieredIndexBuilder {
     /// # Errors
     /// [`TierError::InvalidConfig`], [`TierError::NoShards`],
     /// [`TierError::EmptyShard`], [`TierError::DuplicateShard`],
-    /// [`TierError::OverlappingShards`], or [`TierError::Query`] on
-    /// non-finite keys / non-positive weights.
+    /// [`TierError::OverlappingShards`], [`TierError::Query`] on a
+    /// non-finite key, or [`TierError::Weight`] on a weight that is not
+    /// finite and positive or on weights — one shard's, or all shards'
+    /// totals — whose sum is not finite.
     pub fn build(self) -> Result<TieredIndex, TierError> {
         self.config.validate()?;
         if self.shards.is_empty() {
@@ -70,12 +74,13 @@ impl TieredIndexBuilder {
             if triples.is_empty() {
                 return Err(TierError::EmptyShard(name));
             }
-            if !triples.iter().all(|&(_, k, w)| k.is_finite() && w.is_finite() && w > 0.0) {
+            if !triples.iter().all(|t| t.1.is_finite()) {
                 return Err(TierError::Query(QueryError::EmptyRange));
             }
+            let weights: Vec<f64> = triples.iter().map(|t| t.2).collect();
+            let total_weight = validate_weights(&weights)?;
             let lo = triples.iter().map(|t| t.1).fold(f64::INFINITY, f64::min);
             let hi = triples.iter().map(|t| t.1).fold(f64::NEG_INFINITY, f64::max);
-            let total_weight: f64 = triples.iter().map(|t| t.2).sum();
             let state = match tier {
                 ShardTier::Hot => TierState::Hot(RangeView::from_triples(triples.clone())?),
                 ShardTier::Cold => TierState::Cold(ColdShard::new(
@@ -95,6 +100,9 @@ impl TieredIndexBuilder {
                 transition: Mutex::new(()),
             }));
         }
+        // A cross-shard total of `inf` would send every split coin to the
+        // last shard.
+        validate_weights(&slots.iter().map(|s| s.total_weight).collect::<Vec<_>>())?;
         slots.sort_by(|a, b| a.lo.partial_cmp(&b.lo).expect("finite spans"));
         for pair in slots.windows(2) {
             if pair[0].hi >= pair[1].lo {
@@ -188,10 +196,6 @@ fn io_report(io: &IoStats) -> IoReport {
         block_reads: io.reads,
         block_writes: io.writes,
     }
-}
-
-fn u01(rng: &mut dyn RngCore) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl TieredIndex {
@@ -292,24 +296,12 @@ impl TieredIndex {
         // Exact multinomial split: one categorical coin per sample. The
         // single-shard case draws no coins, so a one-shard index replays
         // the flat structure's RNG stream word for word.
-        let mut counts = vec![0usize; active.len()];
-        if active.len() == 1 {
-            counts[0] = s;
+        let counts = if active.len() == 1 {
+            vec![s]
         } else {
-            for _ in 0..s {
-                let t = u01(rng) * total;
-                let mut acc = 0.0;
-                let mut pick = active.len() - 1;
-                for (i, &(_, w, _)) in active.iter().enumerate() {
-                    acc += w;
-                    if t < acc {
-                        pick = i;
-                        break;
-                    }
-                }
-                counts[pick] += 1;
-            }
-        }
+            let weights: Vec<f64> = active.iter().map(|a| a.1).collect();
+            split_counts(&weights, total, s, rng)
+        };
         let mut out = Vec::with_capacity(s);
         let mut ranks = Vec::new();
         for ((slot, _, plan), &c) in active.into_iter().zip(&counts) {
@@ -610,6 +602,7 @@ impl ExternalIndex for TieredIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iqs_alias::WeightError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -648,6 +641,12 @@ mod tests {
             .build()
             .err();
         assert_eq!(err, Some(TierError::Query(QueryError::EmptyRange)));
+        let err = TieredIndex::builder(cfg)
+            .add_shard("bad", vec![(0, 1.0, 0.0)], ShardTier::Cold)
+            .build()
+            .err();
+        let zero = WeightError::NonPositive { index: 0, weight: 0.0 };
+        assert_eq!(err, Some(TierError::Weight(zero)));
         let bad = TierConfig { cold_cache_blocks: 1, ..cfg };
         assert!(matches!(
             TieredIndex::builder(bad).add_shard("a", shard(0, 10), ShardTier::Hot).build(),

@@ -5,12 +5,13 @@
 
 use std::sync::Arc;
 
+use iqs_alias::WeightError;
 use iqs_obs::Ctx;
 use iqs_serve::{IndexRegistry, Request, Response, Server, ServerConfig};
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::VirtualClock;
-use iqs_tier::{ShardTier, TierConfig, TieredIndex};
+use iqs_tier::{ShardTier, TierConfig, TierError, TieredIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,6 +48,27 @@ fn cold_tier_draws_replay_the_flat_em_structure() {
         assert_eq!(got, want, "cold draw diverged from the flat structure at [{x}, {y}]");
         assert!(io.cache_hits + io.cache_misses > 0, "cold draw must touch the cache");
     }
+}
+
+/// Every weight below is valid on its own; a total of `inf` is not: under
+/// it no draw compares below any finite prefix, so every sample would come
+/// from the last element of the shard, or from the last shard.
+#[test]
+fn weight_sums_that_overflow_are_refused_within_and_across_shards() {
+    let huge = |lo: u64| vec![(lo, lo as f64, 1e308), (lo + 1, lo as f64 + 1.0, 1e308)];
+    for tier in [ShardTier::Cold, ShardTier::Hot] {
+        let err = TieredIndex::builder(small_config()).add_shard("a", huge(0), tier).build();
+        assert_eq!(err.err(), Some(TierError::Weight(WeightError::TotalOverflow)), "{tier:?}");
+    }
+    let one = |lo: u64| vec![(lo, lo as f64, 1e308)];
+    let err = TieredIndex::builder(small_config())
+        .add_shard("a", one(0), ShardTier::Cold)
+        .add_shard("b", one(10), ShardTier::Cold)
+        .build()
+        .expect_err("the shards' totals sum to inf");
+    assert_eq!(err, TierError::Weight(WeightError::TotalOverflow));
+    let source = std::error::Error::source(&err).expect("the weight error is the source");
+    assert_eq!(source.to_string(), WeightError::TotalOverflow.to_string());
 }
 
 /// The registered cold-path distribution gate, through the full service

@@ -34,8 +34,7 @@ impl fmt::Display for BstError {
 
 impl std::error::Error for BstError {}
 
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct Node {
     /// Children; `u32::MAX` for leaves.
     left: NodeId,
@@ -57,8 +56,7 @@ const NIL: NodeId = u32::MAX;
 ///
 /// Provides the canonical-node decomposition of Figure 1: any rank range
 /// `[a, b)` is covered by `O(log n)` nodes with disjoint subtrees.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RankBst {
     nodes: Vec<Node>,
     root: NodeId,
@@ -232,8 +230,7 @@ impl SpaceUsage for RankBst {
 /// a query interval `q = [x, y]` to the `O(log n)` canonical nodes of
 /// Figure 1 via [`StaticBst::canonical_nodes`]. Keys are generic over any
 /// totally ordered `Copy` type.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct StaticBst<K> {
     keys: Vec<K>,
     weights: Vec<f64>,

@@ -5,8 +5,7 @@ use iqs_alias::space::SpaceUsage;
 /// run of a query in `O(log n)` time without touching the elements.
 ///
 /// `O(n)` space, `O(log n)` point update and prefix/range sum.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Fenwick {
     /// 1-based implicit tree.
     tree: Vec<f64>,

@@ -21,8 +21,7 @@ use rand::Rng;
 /// For interval families that are disjoint per level of a height-`O(log n)`
 /// tree (the use cases above), total piece count — and hence space — is
 /// `O(n)`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct IntervalSampler {
     chunk: usize,
     chunk_alias: Vec<AliasTable>,

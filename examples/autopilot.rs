@@ -34,7 +34,6 @@ fn main() {
     .expect("valid cluster");
     let mut ctl = Controller::new(
         cluster.clone(),
-        clock,
         CtlConfig { hot_ticks: 2, min_interval_queries: 32, ..CtlConfig::default() },
     )
     .expect("valid controller config");

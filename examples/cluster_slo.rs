@@ -213,7 +213,6 @@ fn main() {
     }
     let mut ctl = Controller::new(
         svc.clone(),
-        clock.handle(),
         CtlConfig {
             tick: Duration::from_secs(1),
             min_interval_queries: u64::MAX, // this run is about the burn policy

@@ -1,11 +1,9 @@
-//! Index persistence (the `serde` feature): a structure serialized and
-//! deserialized must answer queries identically — byte-for-byte given
-//! the same RNG stream — because all of its randomness lives in the
-//! *queries*, not the structure. (The dynamic and permutation-bearing
+//! Index persistence: a structure serialized and deserialized must
+//! answer queries identically — byte-for-byte given the same RNG stream
+//! — because all of its randomness lives in the *queries*, not the
+//! structure. (The dynamic and permutation-bearing
 //! structures are deliberately not serializable: persisting a frozen
 //! permutation is exactly the §2 dependence trap.)
-
-#![cfg(feature = "serde")]
 
 use iqs::alias::{AliasTable, CdfSampler};
 use iqs::core::complement::ComplementRange;

@@ -17,7 +17,10 @@
 //! satellite data index it by rank.
 
 use iqs_alias::space::{vec_words, SpaceUsage};
-use iqs_alias::{pipeline, prefetch, AliasRows, AliasTable, BlockRng64, BuildScratch};
+use iqs_alias::{
+    pipeline, prefetch, validate_weights, AliasRows, AliasTable, BlockRng64, BuildScratch,
+    WeightError,
+};
 use iqs_tree::{Fenwick, RankBst};
 use rand::{Rng, RngCore};
 use std::ops::Range;
@@ -28,14 +31,14 @@ use crate::rank_alias::{PreparedRange, RankAliasAugmented};
 /// Validates and sorts `(key, weight)` input; returns keys and weights in
 /// key order. Input already in key order — what an ordered map's walk
 /// hands over — is recognised by the validation pass and not sorted.
+/// The weights must be finite-positive and so must their sum
+/// ([`validate_weights`]): a total past `f64::MAX` would leave the
+/// structures' sums infinite.
 fn prepare(mut pairs: Vec<(f64, f64)>) -> Result<(Vec<f64>, Vec<f64>), QueryError> {
-    if pairs.is_empty() {
-        return Err(QueryError::EmptyRange);
-    }
     let mut sorted = true;
     let mut prev = f64::NEG_INFINITY;
-    for &(k, w) in &pairs {
-        if !k.is_finite() || !w.is_finite() || w <= 0.0 {
+    for &(k, _) in &pairs {
+        if !k.is_finite() {
             return Err(QueryError::EmptyRange);
         }
         sorted &= prev <= k;
@@ -44,7 +47,9 @@ fn prepare(mut pairs: Vec<(f64, f64)>) -> Result<(Vec<f64>, Vec<f64>), QueryErro
     if !sorted {
         pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite keys"));
     }
-    Ok(pairs.into_iter().unzip())
+    let (keys, weights): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+    validate_weights(&weights).map_err(|_| QueryError::EmptyRange)?;
+    Ok((keys, weights))
 }
 
 /// The common interface of the 1-D weighted range sampling structures.
@@ -506,9 +511,22 @@ fn build_chunk(
     weights: &[f64],
     rows: &mut [u64],
     scratch: &mut BuildScratch,
-) -> f64 {
-    let at = k * chunk..((k + 1) * chunk).min(weights.len());
-    AliasRows::build(&weights[at.clone()], &mut rows[at], scratch).expect("validated weights")
+) -> Result<f64, WeightError> {
+    let at = chunk_rows(k, chunk, weights.len());
+    AliasRows::build(&weights[at.clone()], &mut rows[at], scratch)
+}
+
+/// The ranks — and rows — of chunk `k` out of `n` elements.
+fn chunk_rows(k: usize, chunk: usize, n: usize) -> Range<usize> {
+    k * chunk..((k + 1) * chunk).min(n)
+}
+
+/// The chunks holding `ranks`, ascending and distinct.
+fn chunks_of(ranks: impl Iterator<Item = usize>, chunk: usize) -> Vec<usize> {
+    let mut chunks: Vec<usize> = ranks.map(|rank| rank / chunk).collect();
+    chunks.sort_unstable();
+    chunks.dedup();
+    chunks
 }
 
 /// How one query draws (see [`ChunkedRange::plan`]).
@@ -572,9 +590,11 @@ impl ChunkedRange {
         let (keys, weights) = prepare(pairs)?;
         let n = keys.len();
         let (mut rows, mut scratch) = (vec![0; n], BuildScratch::default());
-        let totals: Vec<f64> = (0..n.div_ceil(chunk))
+        let totals = (0..n.div_ceil(chunk))
             .map(|k| build_chunk(k, chunk, &weights, &mut rows, &mut scratch))
-            .collect();
+            .collect::<Result<Vec<f64>, _>>()
+            .and_then(|totals| validate_weights(&totals).map(|_| totals))
+            .map_err(|_| QueryError::EmptyRange)?;
         let tchunk = RankAliasAugmented::new(&totals);
         let fenwick = Fenwick::from_values(&totals);
         Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick })
@@ -586,51 +606,89 @@ impl ChunkedRange {
     /// of the result equals, bit for bit, what [`Self::new`] builds for
     /// the new weights, so draws from equal seeds are the same.
     ///
-    /// The cost is a copy of the arrays plus what the changes touch:
-    /// the alias tables and totals of the chunks holding a listed rank,
-    /// the `T_chunk` tables on the root-to-leaf paths of those chunks,
-    /// and — in full, `O(n / log n)`, so that no sum is ever updated in
-    /// place — the `T_chunk` node weights and the Fenwick tree.
-    /// `recycle` donates its buffers to the copy: a caller that
-    /// republishes a structure on every update passes the superseded
-    /// one back in once no reader holds it.
+    /// The result is written into a *base*. With `behind` — the structure
+    /// one publication behind `self`, over the same keys, and its *lag*:
+    /// the ranks whose weights the publication that made `self` from it
+    /// changed — the base is that structure, brought level with `self`
+    /// by copying what the lag touched (weights, chunk tables and totals,
+    /// the `T_chunk` tables on those chunks' root-to-leaf paths) and
+    /// recomputing the `T_chunk` node weights above them. A caller that
+    /// republishes on every update passes the superseded structure back
+    /// once no reader holds it. Without it, the base is a clone of
+    /// `self`. Either way the batch then costs what it touches: the
+    /// tables and totals of the chunks holding a listed rank, the
+    /// `T_chunk` tables and node weights on their root-to-leaf paths,
+    /// and the Fenwick tree, `O(n / log n)`, rebuilt whole in its buffer.
+    /// No sum is ever updated in place, so nothing drifts.
     ///
     /// # Errors
-    /// [`QueryError::EmptyRange`] on a rank past the end or a weight
-    /// that is not finite-positive.
+    /// [`QueryError::EmptyRange`] on a rank past the end, a weight that
+    /// is not finite-positive, or weights whose sum overflows `f64`.
+    ///
+    /// # Panics
+    /// If `behind` holds a structure over a different number of keys or
+    /// chunk length.
     pub fn reweighted(
         &self,
         changes: &[(usize, f64)],
-        recycle: Option<ChunkedRange>,
+        behind: Option<(ChunkedRange, &[usize])>,
     ) -> Result<ChunkedRange, QueryError> {
         if changes.iter().any(|&(rank, w)| rank >= self.len() || !w.is_finite() || w <= 0.0) {
             return Err(QueryError::EmptyRange);
         }
-        let (mut keys, mut weights, mut rows, mut totals, old_tchunk) = recycle
-            .map_or_else(Default::default, |old| {
-                (old.keys, old.weights, old.rows, old.totals, Some(old.tchunk))
-            });
-        keys.clone_from(&self.keys);
-        weights.clone_from(&self.weights);
-        rows.clone_from(&self.rows);
-        totals.clone_from(&self.totals);
-        let chunk = self.chunk;
-        let mut touched: Vec<usize> = changes
-            .iter()
-            .map(|&(rank, w)| {
-                weights[rank] = w;
-                rank / chunk
-            })
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
+        let mut next = match behind {
+            Some((mut old, lag)) => {
+                old.catch_up(self, lag);
+                old
+            }
+            None => self.clone(),
+        };
+        #[cfg(debug_assertions)]
+        {
+            // The Fenwick tree is left out: `reweight` rebuilds it whole.
+            let fields = |s: &Self| {
+                format!("{:?}", (&s.keys, &s.weights, s.chunk, &s.rows, &s.totals, &s.tchunk))
+            };
+            assert_eq!(fields(&next), fields(self), "the base is not `self` after its lag");
+        }
+        next.reweight(changes).map_err(|_| QueryError::EmptyRange)?;
+        Ok(next)
+    }
+
+    /// Brings `self`, whose weights differ from `current`'s at the ranks
+    /// `lag` only, level with `current` by copying what the lag touched.
+    fn catch_up(&mut self, current: &Self, lag: &[usize]) {
+        assert!(
+            self.len() == current.len() && self.chunk == current.chunk,
+            "a structure behind is over the same keys"
+        );
+        for &rank in lag {
+            self.weights[rank] = current.weights[rank];
+        }
+        let chunks = chunks_of(lag.iter().copied(), self.chunk);
+        for &k in &chunks {
+            let at = chunk_rows(k, self.chunk, self.len());
+            self.rows[at.clone()].copy_from_slice(&current.rows[at]);
+            self.totals[k] = current.totals[k];
+        }
+        self.tchunk.catch_up(&current.tchunk, &self.totals, &chunks);
+    }
+
+    /// Applies `changes` (validated) in place: rebuilds the chunks they
+    /// touch, the `T_chunk` paths above those, and the Fenwick tree.
+    fn reweight(&mut self, changes: &[(usize, f64)]) -> Result<(), WeightError> {
+        for &(rank, w) in changes {
+            self.weights[rank] = w;
+        }
+        let touched = chunks_of(changes.iter().map(|&(rank, _)| rank), self.chunk);
         let mut scratch = BuildScratch::default();
         for &k in &touched {
-            totals[k] = build_chunk(k, chunk, &weights, &mut rows, &mut scratch);
+            self.totals[k] =
+                build_chunk(k, self.chunk, &self.weights, &mut self.rows, &mut scratch)?;
         }
-        let tchunk = self.tchunk.reweighted(&totals, &touched, old_tchunk);
-        let fenwick = Fenwick::from_values(&totals);
-        Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick })
+        self.tchunk.reweight(&self.totals, &touched)?;
+        self.fenwick.rebuild(&self.totals);
+        Ok(())
     }
 
     /// The chunk length `c = ⌈log₂ n⌉`.
@@ -827,6 +885,11 @@ mod tests {
         assert!(TreeSamplingRange::new(vec![]).is_err());
         assert!(AliasAugmentedRange::new(vec![(1.0, 0.0)]).is_err());
         assert!(ChunkedRange::new(vec![(f64::NAN, 1.0)]).is_err());
+        // Finite weights whose sum is not.
+        let huge = vec![(0.0, 1e308), (1.0, 1e308)];
+        assert!(TreeSamplingRange::new(huge.clone()).is_err());
+        assert!(AliasAugmentedRange::new(huge.clone()).is_err());
+        assert!(ChunkedRange::new(huge).is_err());
     }
 
     #[test]
@@ -1077,30 +1140,62 @@ mod tests {
         // `Debug` prints every field and tells any two finite f64s
         // apart, so equal strings mean every array is bit-equal.
         let mut rng = StdRng::seed_from_u64(31);
-        let mut recycle = None;
         for n in [1usize, 2, 7, 64, 65, 1000, 4099] {
-            let mut pairs = pairs(n, n as u64);
-            let base = ChunkedRange::new(pairs.clone()).unwrap();
-            // Clustered ranks (several per chunk, some twice) with
-            // weights up to 2^±60 apart.
-            let at = rng.random_range(0..n);
-            let changes: Vec<(usize, f64)> = (0..rng.random_range(1..20usize))
-                .map(|_| {
-                    let rank = [rng.random_range(0..n), (at + rng.random_range(0..9usize)) % n];
-                    (rank[rng.random_range(0..2usize)], 2f64.powi(rng.random_range(-60..61)))
-                })
-                .collect();
-            for &(rank, w) in &changes {
-                pairs[rank].1 = w;
+            let paper = ChunkedRange::new(pairs(n, 0)).unwrap().chunk_len();
+            for chunk in [paper, 1] {
+                let mut pairs = pairs(n, n as u64);
+                let mut base = ChunkedRange::with_chunk_len(pairs.clone(), chunk).unwrap();
+                // A chain of publications: each batch goes onto a clone of
+                // the current structure and onto the one behind it plus
+                // its lag. Round 2 changes nothing, so round 3's lag is
+                // empty.
+                let mut behind: Option<(ChunkedRange, Vec<usize>)> = None;
+                for round in 0..6 {
+                    // Clustered ranks (several per chunk, some twice) with
+                    // weights up to 2^±60 apart, plus a rank the lag
+                    // changed and one listed twice.
+                    let weight = |rng: &mut StdRng| 2f64.powi(rng.random_range(-60..61));
+                    let at = rng.random_range(0..n);
+                    let mut changes: Vec<(usize, f64)> = (0..rng.random_range(1..20usize))
+                        .map(|_| {
+                            let rank =
+                                [rng.random_range(0..n), (at + rng.random_range(0..9usize)) % n];
+                            (rank[rng.random_range(0..2usize)], weight(&mut rng))
+                        })
+                        .collect();
+                    if let Some(&rank) = behind.as_ref().and_then(|(_, lag)| lag.first()) {
+                        changes.push((rank, weight(&mut rng)));
+                    }
+                    changes.push((changes[0].0, weight(&mut rng)));
+                    if round == 2 {
+                        changes.clear();
+                    }
+                    for &(rank, w) in &changes {
+                        pairs[rank].1 = w;
+                    }
+                    let fresh = ChunkedRange::with_chunk_len(pairs.clone(), chunk).unwrap();
+                    let what = format!("n = {n}, c = {chunk}, round {round}");
+                    let patched = base.reweighted(&changes, None).unwrap();
+                    assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "{what}");
+                    let next = match behind.take() {
+                        Some((old, lag)) => base.reweighted(&changes, Some((old, &lag))).unwrap(),
+                        None => patched,
+                    };
+                    assert_eq!(format!("{next:?}"), format!("{fresh:?}"), "{what}, behind");
+                    let lag = changes.iter().map(|&(rank, _)| rank).collect();
+                    behind = Some((std::mem::replace(&mut base, next), lag));
+                }
             }
-            let fresh = ChunkedRange::new(pairs).unwrap();
-            // Into fresh buffers, then into those of the previous round's
-            // (differently sized) structure.
-            let patched = base.reweighted(&changes, None).unwrap();
-            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}");
-            let patched = base.reweighted(&changes, recycle.take()).unwrap();
-            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}, recycled");
-            recycle = Some(patched);
+        }
+    }
+
+    #[test]
+    fn reweighted_rejects_a_sum_that_overflows() {
+        // One huge weight is fine; two in one chunk, or in two, are not.
+        let base = ChunkedRange::new(pairs(50, 3)).unwrap();
+        assert!(base.reweighted(&[(1, 1e308)], None).is_ok());
+        for overflow in [[(1, 1e308), (2, 1e308)], [(1, 1e308), (40, 1e308)]] {
+            assert_eq!(base.reweighted(&overflow, None).unwrap_err(), QueryError::EmptyRange);
         }
     }
 

@@ -3,7 +3,7 @@
 //! chunk-level structure (`T_chunk`) can share it.
 
 use iqs_alias::space::{vec_words, SpaceUsage};
-use iqs_alias::{pipeline, prefetch, AliasRows, AliasTable, BlockRng64, BuildScratch};
+use iqs_alias::{pipeline, prefetch, AliasRows, AliasTable, BlockRng64, BuildScratch, WeightError};
 use iqs_tree::{NodeId, RankBst};
 use rand::{Rng, RngCore};
 
@@ -53,58 +53,77 @@ impl RankAliasAugmented {
         let mut this = RankAliasAugmented { tree, at, rows };
         let mut scratch = BuildScratch::default();
         for u in 0..this.tree.node_count() as NodeId {
-            this.build_node(u, weights, &mut scratch);
+            this.build_node(u, weights, &mut scratch).expect("positive weights");
         }
         this
     }
 
-    /// The structure over `weights`, given that it differs from `self`'s
-    /// weights at the slots `touched` only (ascending, distinct; same
-    /// slot count). Copies the arena, rebuilds the node weights in full
-    /// and the tables of the nodes whose slot range holds a touched slot
-    /// — the root-to-leaf paths — so every array equals what
-    /// [`Self::new`] builds for `weights`. `recycle` donates its buffers
-    /// to the copy.
-    pub(crate) fn reweighted(
-        &self,
-        weights: &[f64],
-        touched: &[usize],
-        recycle: Option<Self>,
-    ) -> Self {
-        let (mut at, mut rows) = recycle.map_or_else(Default::default, |old| (old.at, old.rows));
-        at.clone_from(&self.at);
-        rows.clone_from(&self.rows);
-        let tree = RankBst::new(weights).expect("non-empty weights");
-        let mut next = RankAliasAugmented { tree, at, rows };
-        next.rebuild_paths(next.tree.root(), weights, touched, &mut BuildScratch::default());
-        next
+    /// Brings `self` level with `current`, a structure over as many
+    /// slots whose weights are `weights` and differ from the ones `self`
+    /// was built over at the slots `lag` only (ascending), by copying
+    /// rather than building: the node weights above `lag` are recomputed
+    /// and the tables on their root-to-leaf paths copied row for row
+    /// from `current`.
+    pub(crate) fn catch_up(&mut self, current: &Self, weights: &[f64], lag: &[usize]) {
+        self.tree.reweigh(weights, lag);
+        for u in self.paths(lag) {
+            let at = self.at[u as usize];
+            let rows = at..at + self.tree.node_count_leaves(u);
+            self.rows[rows.clone()].copy_from_slice(&current.rows[rows]);
+        }
     }
 
-    fn rebuild_paths(
+    /// Rebuilds `self` in place for `weights`, which differ from the ones
+    /// it was built over at the slots `touched` only (ascending): the node
+    /// weights above them and the tables on their root-to-leaf paths, so
+    /// every array equals what [`Self::new`] builds for `weights`.
+    ///
+    /// # Errors
+    /// [`WeightError`] when a rebuilt table's weights do not sum to a
+    /// finite total — the root's table, rebuilt whenever anything is,
+    /// sums them all.
+    pub(crate) fn reweight(
         &mut self,
-        u: NodeId,
         weights: &[f64],
         touched: &[usize],
-        scratch: &mut BuildScratch,
-    ) {
-        if touched.is_empty() {
-            return;
+    ) -> Result<(), WeightError> {
+        self.tree.reweigh(weights, touched);
+        let mut scratch = BuildScratch::default();
+        for u in self.paths(touched) {
+            self.build_node(u, weights, &mut scratch)?;
         }
-        self.build_node(u, weights, scratch);
-        if !self.tree.is_leaf(u) {
-            let (l, r) = self.tree.children(u);
-            let cut = touched.partition_point(|&slot| slot < self.tree.leaf_range(r).0);
-            self.rebuild_paths(l, weights, &touched[..cut], scratch);
-            self.rebuild_paths(r, weights, &touched[cut..], scratch);
+        Ok(())
+    }
+
+    /// The nodes whose slot range holds one of `slots` (ascending): the
+    /// root-to-leaf paths above them.
+    fn paths(&self, slots: &[usize]) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut below = vec![(self.tree.root(), slots)];
+        while let Some((u, slots)) = below.pop() {
+            if slots.is_empty() {
+                continue;
+            }
+            out.push(u);
+            if !self.tree.is_leaf(u) {
+                let (l, r) = self.tree.children(u);
+                let cut = slots.partition_point(|&slot| slot < self.tree.leaf_range(r).0);
+                below.extend([(l, &slots[..cut]), (r, &slots[cut..])]);
+            }
         }
+        out
     }
 
     /// Builds node `u`'s table over its slots' weights into its arena rows.
-    fn build_node(&mut self, u: NodeId, weights: &[f64], scratch: &mut BuildScratch) {
+    fn build_node(
+        &mut self,
+        u: NodeId,
+        weights: &[f64],
+        scratch: &mut BuildScratch,
+    ) -> Result<f64, WeightError> {
         let (lo, hi) = self.tree.leaf_range(u);
         let at = self.at[u as usize];
         AliasRows::build(&weights[lo..hi], &mut self.rows[at..at + (hi - lo)], scratch)
-            .expect("positive weights");
     }
 
     /// Number of rank slots.
@@ -423,6 +442,8 @@ mod tests {
     fn reweighted_tables_equal_a_fresh_build() {
         // Slot counts off the powers of two leave leaves above the
         // deepest level; `Debug` compares every row of the arena.
+        // A structure one edit behind, caught up by copying, is the
+        // patched one too.
         for n in [1usize, 2, 3, 11, 100, 257] {
             let mut weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
             let base = RankAliasAugmented::new(&weights);
@@ -431,9 +452,13 @@ mod tests {
             for &slot in &touched {
                 weights[slot] = 0.5 + slot as f64 * 1e9;
             }
-            let patched = base.reweighted(&weights, &touched, None);
+            let mut patched = base.clone();
+            patched.reweight(&weights, &touched).unwrap();
             let fresh = RankAliasAugmented::new(&weights);
             assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}");
+            let mut behind = base.clone();
+            behind.catch_up(&patched, &weights, &touched);
+            assert_eq!(format!("{behind:?}"), format!("{fresh:?}"), "n = {n}, caught up");
         }
     }
 

@@ -17,13 +17,20 @@
 //! in which every applied op re-weights a live element at its current
 //! key leaves the keys, the ids and every rank where they were, so the
 //! next view is the current one patched: [`ChunkedRange::reweighted`]
-//! copies the arrays and rebuilds what the touched chunks feed, and the
-//! result is bit-identical to a fresh build. Any other batch (an insert,
-//! a remove, a key move) builds the view afresh from the map's in-order
-//! walk, which is already the view's rank order. A range master also
-//! keeps the one view its last publication superseded: once no reader
-//! pins it, the next patch is copied into its buffers instead of newly
-//! mapped pages.
+//! rebuilds what the touched chunks feed, the result is bit-identical to
+//! a fresh build, and it shares the current view's ids. Any other batch
+//! (an insert, a remove, a key move) builds the view afresh from the
+//! map's in-order walk, which is already the view's rank order.
+//!
+//! A patch is written into a *base*. A range master keeps the one view
+//! its last publication superseded and, when that publication was a
+//! patch, the ranks it changed (its *lag*). Once no reader pins that
+//! view (`Arc::into_inner` hands it to the writer, so nobody can see it
+//! change), the base is that view brought forward by its lag — the
+//! chunks and `T_chunk` tables the lag touched, copied from the current
+//! view — so a batch writes only what the last two batches changed.
+//! Otherwise (the first patch, a pinned spare, a structural publication
+//! before it) the base is a copy of the current view.
 //!
 //! The registry map itself is frozen when the server starts (indexes are
 //! registered up front); all runtime mutation goes through the masters
@@ -112,8 +119,10 @@ pub struct RangeView {
     /// The static structure serving this snapshot, if non-empty.
     pub sampler: Option<ChunkedRange>,
     /// Element id at each rank; `None` means the rank *is* the id
-    /// (static indexes registered from bare `(key, weight)` pairs).
-    pub ids: Option<Vec<u64>>,
+    /// (static indexes registered from bare `(key, weight)` pairs). One
+    /// copy is shared by every view of the same key set: a re-weight
+    /// leaves every id at its rank.
+    pub ids: Option<Arc<[u64]>>,
     /// Total sampling weight, cached at view-build time so weight probes
     /// ([`crate::Request::TotalWeight`]) cost a snapshot load and
     /// nothing else. Computed as the full-range prefix sum, so it is
@@ -124,7 +133,7 @@ pub struct RangeView {
 impl RangeView {
     /// Builds a view from an optional sampler and rank → id map, caching
     /// the total weight.
-    fn of(sampler: Option<ChunkedRange>, ids: Option<Vec<u64>>) -> Self {
+    fn of(sampler: Option<ChunkedRange>, ids: Option<Arc<[u64]>>) -> Self {
         let total_weight =
             sampler.as_ref().map_or(0.0, |s| s.range_weight(f64::NEG_INFINITY, f64::INFINITY));
         RangeView { sampler, ids, total_weight }
@@ -136,11 +145,13 @@ impl RangeView {
     /// stable), so `ids[rank]` stays aligned with the sampler's ranks.
     ///
     /// # Errors
-    /// [`QueryError::EmptyRange`] on a non-finite key or a weight that
-    /// is not finite-positive.
+    /// [`QueryError::EmptyRange`] on a non-finite key, a weight that is
+    /// not finite-positive, or weights whose sum overflows `f64`.
     pub fn from_triples(mut triples: Vec<(u64, f64, f64)>) -> Result<Self, QueryError> {
         triples.sort_by(|a, b| a.1.total_cmp(&b.1));
         let pairs = triples.iter().map(|&(_, key, w)| (key, w)).collect();
+        // A slice's iterator knows its length: the ids are written
+        // straight into the shared allocation.
         let ids = triples.iter().map(|&(id, _, _)| id).collect();
         RangeView::from_sorted(pairs, ids)
     }
@@ -148,24 +159,20 @@ impl RangeView {
     /// [`Self::from_triples`] for elements already in key order:
     /// `(key, weight)` by rank and the id at each rank. `ChunkedRange`
     /// recognises sorted input, so nothing is sorted on this path.
-    fn from_sorted(pairs: Vec<(f64, f64)>, ids: Vec<u64>) -> Result<Self, QueryError> {
+    fn from_sorted(pairs: Vec<(f64, f64)>, ids: Arc<[u64]>) -> Result<Self, QueryError> {
         if pairs.is_empty() {
             return Ok(RangeView::of(None, None));
         }
         Ok(RangeView::of(Some(ChunkedRange::new(pairs)?), Some(ids)))
     }
 
-    /// The view of the same elements after `changes` — `(key bits, id,
-    /// weight)` of live elements, applied in order — replaced their
-    /// weights: bit-identical to a fresh build
-    /// ([`ChunkedRange::reweighted`]). Ranks are found by binary search,
-    /// so `self` must be in `(key, id)` order, as a master's views are.
-    /// `recycle` donates its buffers.
-    fn reweighted(&self, changes: &[(u64, u64, f64)], recycle: Option<RangeView>) -> RangeView {
-        let sampler = self.sampler.as_ref().expect("a live element is in the view");
+    /// `(rank, weight)` of `changes` — `(key bits, id, weight)` of live
+    /// elements. Ranks are found by binary search, so `self` must be in
+    /// `(key, id)` order, as a master's views are.
+    fn ranked(&self, changes: &[(u64, u64, f64)]) -> Vec<(usize, f64)> {
+        let keys = self.sampler.as_ref().expect("a live element is in the view").keys();
         let ids = self.ids.as_ref().expect("a master's view carries ids");
-        let keys = sampler.keys();
-        let ranked: Vec<(usize, f64)> = changes
+        changes
             .iter()
             .map(|&(bits, id, weight)| {
                 let lo = keys.partition_point(|&k| key_bits(k) < bits);
@@ -174,13 +181,19 @@ impl RangeView {
                 debug_assert_eq!(ids[rank], id);
                 (rank, weight)
             })
-            .collect();
-        let (old_sampler, old_ids) = recycle.map_or((None, None), |old| (old.sampler, old.ids));
+            .collect()
+    }
+
+    /// The view of the same elements after `changes` (ranked, applied in
+    /// order) replaced their weights: bit-identical to a fresh build
+    /// ([`ChunkedRange::reweighted`], which `behind` is passed on to),
+    /// sharing `self`'s ids.
+    fn reweighted(&self, changes: &[(usize, f64)], behind: Option<(RangeView, &[usize])>) -> Self {
+        let sampler = self.sampler.as_ref().expect("a live element is in the view");
+        let behind = behind.and_then(|(old, lag)| Some((old.sampler?, lag)));
         let sampler =
-            sampler.reweighted(&ranked, old_sampler).expect("upsert validated the weight");
-        let mut next_ids = old_ids.unwrap_or_default();
-        next_ids.clone_from(ids);
-        RangeView::of(Some(sampler), Some(next_ids))
+            sampler.reweighted(changes, behind).expect("the master validated every weight");
+        RangeView::of(Some(sampler), self.ids.clone())
     }
 
     /// Maps a rank to its element id.
@@ -281,20 +294,44 @@ struct MasterMap {
     /// `id → key_bits(key)`: where an element sits in `by_key`.
     key_of: HashMap<u64, u64>,
     /// The view the last publication of a range index superseded, kept
-    /// so the next patch can be written into its buffers (if no reader
-    /// still pins it) instead of fresh pages. At most this one.
+    /// so the next patch can be brought forward from it (if no reader
+    /// still pins it) instead of copying the current view. At most this
+    /// one.
     spare: Option<Arc<IndexView>>,
+    /// The ranks the last publication re-weighted when it was a patch —
+    /// all that tells `spare` from the current view. `None` after a
+    /// structural publication.
+    lag: Option<Vec<usize>>,
+    /// The live weights' running sum, kept by adding and subtracting: a
+    /// guard against totals past `f64::MAX` (see [`TOTAL_HEADROOM`]),
+    /// never a weight any view serves.
+    total: f64,
 }
+
+/// How far below `f64::MAX` a master keeps its running total. That sum
+/// and the ones a view computes (chunk totals, `T_chunk` nodes, prefix
+/// sums, a query's chooser) add the same weights in different orders and
+/// differ by rounding only — far less than 1/1024 of the total — so a
+/// total inside the head-room is finite in every one of them.
+const TOTAL_HEADROOM: f64 = 1.0 + 1.0 / 1024.0;
 
 impl MasterMap {
     fn new(keyed: bool) -> Self {
-        MasterMap { keyed, by_key: BTreeMap::new(), key_of: HashMap::new(), spare: None }
+        MasterMap {
+            keyed,
+            by_key: BTreeMap::new(),
+            key_of: HashMap::new(),
+            spare: None,
+            lag: None,
+            total: 0.0,
+        }
     }
 
     /// Inserts `id`, replacing its previous entry; returns whether `id`
     /// was live at this very key, i.e. only its weight can have changed.
-    /// Validates first, so an invalid upsert leaves the element it names
-    /// as it was.
+    /// Validates first — the key, the weight, and the total it leaves
+    /// ([`WeightError::TotalOverflow`] past [`TOTAL_HEADROOM`]) — so an
+    /// invalid upsert leaves the element it names as it was.
     fn upsert(&mut self, id: u64, key: f64, weight: f64) -> Result<bool, ServeError> {
         let key = if self.keyed { key } else { 0.0 };
         if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
@@ -304,18 +341,29 @@ impl MasterMap {
                 ServeError::Weight(WeightError::NonPositive { index: 0, weight })
             });
         }
+        let old = self.key_of.get(&id).map(|&old| (old, self.by_key[&(old, id)]));
+        let total = self.total - old.map_or(0.0, |(_, w)| w) + weight;
+        if !(total * TOTAL_HEADROOM).is_finite() {
+            return Err(ServeError::Weight(WeightError::TotalOverflow));
+        }
+        self.total = total;
         let bits = key_bits(key);
-        let old = self.key_of.insert(id, bits);
-        if let Some(old) = old.filter(|&old| old != bits) {
+        self.key_of.insert(id, bits);
+        if let Some((old, _)) = old.filter(|&(old, _)| old != bits) {
             self.by_key.remove(&(old, id));
         }
         self.by_key.insert((bits, id), weight);
-        Ok(old == Some(bits))
+        Ok(old.is_some_and(|(old, _)| old == bits))
     }
 
     /// Removes `id`; returns whether it was present.
     fn remove(&mut self, id: u64) -> bool {
-        self.key_of.remove(&id).is_some_and(|bits| self.by_key.remove(&(bits, id)).is_some())
+        let Some(weight) = self.key_of.remove(&id).and_then(|bits| self.by_key.remove(&(bits, id)))
+        else {
+            return false;
+        };
+        self.total -= weight;
+        true
     }
 
     /// Builds the read view of the current elements.
@@ -548,8 +596,12 @@ impl IndexRegistry {
     ///
     /// Ops are applied in order; on the first invalid op the batch stops,
     /// the ops already applied are still published, and the error is
-    /// returned. A batch that applies nothing (say, removes of absent
-    /// ids) publishes nothing and reports the current version.
+    /// returned. An upsert is invalid for a bad key or weight, and also
+    /// when it would carry the index's total weight to within
+    /// [`TOTAL_HEADROOM`] of `f64::MAX`: that one answers
+    /// [`ServeError::Weight`]`(`[`WeightError::TotalOverflow`]`)` before it
+    /// edits anything. A batch that applies nothing (say, removes of
+    /// absent ids) publishes nothing and reports the current version.
     pub(crate) fn apply_update(
         &self,
         name: &str,
@@ -591,15 +643,19 @@ impl IndexRegistry {
         if applied == 0 {
             return failed.map_or(Ok((0, entry.view.version())), Err);
         }
-        // The superseded view, unless a reader still pins it.
+        // The superseded view, unless a reader still pins it, and what
+        // the current view's publication changed since it.
         let spare = map.spare.take().and_then(Arc::into_inner);
+        let lag = map.lag.take();
         let next = match (reweights, &*entry.view.load()) {
             (Some(changes), IndexView::Range(current)) => {
-                let recycle = match spare {
-                    Some(IndexView::Range(old)) => Some(old),
+                let changes = current.ranked(&changes);
+                let behind = match (spare, &lag) {
+                    (Some(IndexView::Range(old)), Some(lag)) => Some((old, &lag[..])),
                     _ => None,
                 };
-                IndexView::Range(current.reweighted(&changes, recycle))
+                map.lag = Some(changes.iter().map(|&(rank, _)| rank).collect());
+                IndexView::Range(current.reweighted(&changes, behind))
             }
             _ => {
                 // Freed before the build, not after: two views at the
@@ -971,13 +1027,24 @@ mod tests {
 
     proptest::proptest! {
         /// Patched or rebuilt, what a batch publishes is the fresh view
-        /// of the mirror: same arrays, same weights, same draws.
+        /// of the mirror: same arrays, same weights, same draws. Batches
+        /// of every kind interleave, and a reader sometimes holds a view
+        /// across two of them, so a patch meets every base: the spare
+        /// brought forward, and a copy of the current view after a
+        /// structural publication, behind a pinned spare, or first.
         #[test]
         fn published_view_is_the_fresh_view_after_every_batch(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (r, mut mirror) = dynamic(rng.random_range(0..70), &mut rng);
             let mut next_id = 1000;
+            let mut pinned: Option<(Arc<IndexView>, String)> = None;
             for batch in 0..10u64 {
+                if rng.random_bool(0.3) {
+                    let view = r.view("d").unwrap();
+                    pinned = Some((view.clone(), format!("{view:?}")));
+                } else if rng.random_bool(0.4) {
+                    pinned = None;
+                }
                 let ops = any_batch(&mut rng, &mirror, &mut next_id);
                 let before = r.entry("d").unwrap().view.version();
                 let (applied, stopped) = mirror_apply(&mut mirror, &ops);
@@ -993,6 +1060,9 @@ mod tests {
                     before + u64::from(applied > 0)
                 );
                 assert_published_is_fresh(&r, "d", &mirror, seed + batch);
+                if let Some((view, seen)) = &pinned {
+                    proptest::prop_assert_eq!(&format!("{view:?}"), seen, "a pinned view changed");
+                }
             }
         }
     }

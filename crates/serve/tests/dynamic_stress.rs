@@ -5,9 +5,12 @@
 //! check every published snapshot — length, total weight, `(key, id)`
 //! order and id–rank alignment — against the writer's mirror log.
 //!
-//! Each batch replaces a marker element whose id carries the batch's
-//! sequence number and which sorts last, so a reader learns from the
-//! snapshot alone which log entry it must equal.
+//! A marker element sorts last and carries the batch's sequence number —
+//! in its id, when each batch replaces it, or in its weight, when every
+//! batch only re-weights — so a reader learns from the snapshot alone
+//! which log entry it must equal. Readers also hold each view across the
+//! next publication and check it again: a re-weight is written into the
+//! view one publication behind, which must never be one a reader holds.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,7 +62,9 @@ fn check_view(view: &IndexView, log: &Log, rng: &mut StdRng) -> u64 {
         IndexView::Range(rv) => {
             let sampler = rv.sampler.as_ref().expect("the marker keeps the index non-empty");
             let n = sampler.len();
-            let seq = rv.id_at(n - 1) - MARKER_BASE;
+            // A replaced marker's id carries the number, or else the
+            // one marker's weight does.
+            let seq = rv.id_at(n - 1) - MARKER_BASE + (sampler.weights()[n - 1] - 1.0) as u64;
             let truth = log.get(seq);
             assert_eq!(n, truth.len(), "seq {seq}: structure len");
             assert_eq!(sampler.range_count(f64::NEG_INFINITY, f64::INFINITY), n, "seq {seq}");
@@ -96,13 +101,32 @@ fn check_total(got: f64, truth: &Truth, seq: u64) {
     assert!((got - want).abs() <= 1e-9 * want.max(1.0), "seq {seq}: total {got} != log {want}");
 }
 
-/// Submits batch `seq`: the previous marker out, `OPS_PER_BATCH` random
-/// data ops, the new marker in. Every op takes effect, and the batch is
-/// publication `seq + 1` of the index (registration was the first). A
-/// weighted set (`!keyed`) ignores the keys it is sent, so its mirror
-/// records key 0 for every element.
+/// How the writer's batches change the index.
+#[derive(Clone, Copy, PartialEq)]
+enum Batches {
+    /// Inserts, removes and key moves, the marker replaced: every
+    /// publication is a fresh build.
+    Structural,
+    /// Re-weights of live elements at their keys, the marker's too:
+    /// every publication is a patch.
+    Reweights,
+}
+
+/// A coarse key grid, so many elements tie on a key.
+fn any_key(rng: &mut StdRng) -> f64 {
+    f64::from(rng.random_range(0..40u32)) * 2.5
+}
+
+/// Submits batch `seq`: `OPS_PER_BATCH` random data ops and the marker
+/// for `seq` — structural batches take the previous marker out and put
+/// a new one in, re-weight batches re-weight the one marker to
+/// `1 + seq`. Every op takes effect, and the batch is publication
+/// `seq + 1` of the index (registration was the first). A weighted set
+/// (`!keyed`) ignores the keys it is sent, so its mirror records key 0
+/// for every element.
 fn write_batch(
     keyed: bool,
+    batches: Batches,
     client: &Client,
     log: &Log,
     mirror: &mut HashMap<u64, (f64, f64)>,
@@ -110,23 +134,32 @@ fn write_batch(
     seq: u64,
 ) {
     let mirrored = |key: f64| if keyed { key } else { 0.0 };
-    let mut ops = vec![UpdateOp::Remove { id: MARKER_BASE + seq - 1 }];
-    mirror.remove(&(MARKER_BASE + seq - 1));
+    let mut ops = Vec::new();
+    if batches == Batches::Structural {
+        ops.push(UpdateOp::Remove { id: MARKER_BASE + seq - 1 });
+        mirror.remove(&(MARKER_BASE + seq - 1));
+    }
     for _ in 0..OPS_PER_BATCH {
         let id = rng.random_range(0..200u64);
-        if mirror.contains_key(&id) && rng.random_bool(0.45) {
+        if batches == Batches::Reweights {
+            let (key, weight) = (mirror[&id].0, rng.random_range(0.1..5.0));
+            ops.push(UpdateOp::Upsert { id, key, weight });
+            mirror.insert(id, (key, weight));
+        } else if mirror.contains_key(&id) && rng.random_bool(0.45) {
             ops.push(UpdateOp::Remove { id });
             mirror.remove(&id);
         } else {
-            // A coarse key grid, so many elements tie on a key.
-            let key = f64::from(rng.random_range(0..40u32)) * 2.5;
-            let weight = rng.random_range(0.1..5.0);
+            let (key, weight) = (any_key(rng), rng.random_range(0.1..5.0));
             ops.push(UpdateOp::Upsert { id, key, weight });
             mirror.insert(id, (mirrored(key), weight));
         }
     }
-    ops.push(UpdateOp::Upsert { id: MARKER_BASE + seq, key: MARKER_KEY, weight: 1.0 });
-    mirror.insert(MARKER_BASE + seq, (mirrored(MARKER_KEY), 1.0));
+    let (id, weight) = match batches {
+        Batches::Structural => (MARKER_BASE + seq, 1.0),
+        Batches::Reweights => (MARKER_BASE, 1.0 + seq as f64),
+    };
+    ops.push(UpdateOp::Upsert { id, key: MARKER_KEY, weight });
+    mirror.insert(id, (mirrored(MARKER_KEY), weight));
     log.push(mirror);
     let applied = ops.len();
     let resp = client.call(Request::Update { index: INDEX.into(), ops }).expect("valid batch");
@@ -134,17 +167,24 @@ fn write_batch(
 }
 
 /// Runs the writer against `READERS` snapshot-pinning readers, on a
-/// dynamic range index (`keyed`) or a weighted set.
-fn stress(keyed: bool, seed: u64) {
-    let mut registry = IndexRegistry::new();
+/// dynamic range index (`keyed`) or a weighted set. Re-weight batches
+/// start from 200 live elements; structural ones from the marker alone.
+fn stress(keyed: bool, batches: Batches, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let marker_key = if keyed { MARKER_KEY } else { 0.0 };
+    let mut mirror: HashMap<u64, (f64, f64)> = HashMap::from([(MARKER_BASE, (marker_key, 1.0))]);
+    if batches == Batches::Reweights {
+        mirror.extend((0..200).map(|id| (id, (any_key(&mut rng), rng.random_range(0.1..5.0)))));
+    }
+    let mut registry = IndexRegistry::new();
     if keyed {
-        registry.register_range_dynamic(INDEX, vec![(MARKER_BASE, marker_key, 1.0)]).unwrap();
+        let triples = mirror.iter().map(|(&id, &(key, w))| (id, key, w)).collect();
+        registry.register_range_dynamic(INDEX, triples).unwrap();
     } else {
-        registry.register_weighted(INDEX, &[(MARKER_BASE, 1.0)]).unwrap();
+        let pairs: Vec<_> = mirror.iter().map(|(&id, &(_, w))| (id, w)).collect();
+        registry.register_weighted(INDEX, &pairs).unwrap();
     }
     let server = Server::start(registry, ServerConfig { workers: 1, ..ServerConfig::default() });
-    let mut mirror: HashMap<u64, (f64, f64)> = HashMap::from([(MARKER_BASE, (marker_key, 1.0))]);
     let log = Log::default();
     log.push(&mirror);
     let done = AtomicBool::new(false);
@@ -156,10 +196,14 @@ fn stress(keyed: bool, seed: u64) {
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (0x5EED + r as u64));
                 let mut last_seq = 0u64;
+                let mut held = None;
                 while !done.load(Ordering::Acquire) {
                     let view = server.registry().view(INDEX).expect("registered");
                     let seq = check_view(&view, log, &mut rng);
                     assert!(seq >= last_seq, "publication order ran backwards");
+                    if let Some(held) = held.replace(view) {
+                        assert_eq!(check_view(&held, log, &mut rng), last_seq, "a held view moved");
+                    }
                     last_seq = seq;
                     checks.fetch_add(1, Ordering::Relaxed);
                 }
@@ -170,9 +214,8 @@ fn stress(keyed: bool, seed: u64) {
         }
 
         let client = server.client();
-        let mut rng = StdRng::seed_from_u64(seed);
         for seq in 1..=BATCHES {
-            write_batch(keyed, &client, &log, &mut mirror, &mut rng, seq);
+            write_batch(keyed, batches, &client, &log, &mut mirror, &mut rng, seq);
         }
         done.store(true, Ordering::Release);
     });
@@ -182,10 +225,15 @@ fn stress(keyed: bool, seed: u64) {
 
 #[test]
 fn alias_snapshots_stay_consistent_under_concurrent_rebuild() {
-    stress(false, 0xD15EA5E);
+    stress(false, Batches::Structural, 0xD15EA5E);
 }
 
 #[test]
 fn range_snapshots_stay_consistent_under_concurrent_rebuild() {
-    stress(true, 0xB5B5);
+    stress(true, Batches::Structural, 0xB5B5);
+}
+
+#[test]
+fn range_snapshots_stay_consistent_under_concurrent_reweights() {
+    stress(true, Batches::Reweights, 0x2E3E);
 }

@@ -403,6 +403,38 @@ fn typed_error_paths() {
     server.shutdown();
 }
 
+/// Weights whose sum overflows `f64` are a typed error everywhere: the
+/// constructors refuse them, and an `Update` that would carry an index's
+/// total past `f64::MAX` stops at that op, with the ops before it
+/// published, and leaves the index's writer standing — the next update
+/// goes through.
+#[test]
+fn a_total_that_overflows_is_a_typed_error_not_a_dead_index() {
+    use iqs_core::{AliasAugmentedRange, ChunkedRange, TreeSamplingRange};
+    let huge = vec![(0.0, 1e308), (1.0, 1e308)];
+    assert!(ChunkedRange::new(huge.clone()).is_err());
+    assert!(AliasAugmentedRange::new(huge.clone()).is_err());
+    assert!(TreeSamplingRange::new(huge).is_err());
+
+    let mut registry = IndexRegistry::new();
+    registry.register_range_dynamic("d", (0..64).map(|i| (i, i as f64, 1.0)).collect()).unwrap();
+    let server = Server::start(registry, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let client = server.client();
+    let update = |ops| client.call(Request::Update { index: "d".into(), ops });
+    let up = |id: u64, weight| UpdateOp::Upsert { id, key: id as f64, weight };
+    let total = || client.call(Request::TotalWeight { index: "d".into() }).unwrap();
+
+    let e = update(vec![up(1, 1e308), up(2, 1e308), up(3, 5.0)]).unwrap_err();
+    assert_eq!(e, ServeError::Weight(iqs_alias::WeightError::TotalOverflow));
+    assert_eq!(total(), Response::Weight(1e308 + 62.0), "the op before the bad one is published");
+    assert_eq!(
+        update(vec![up(1, 2.0), up(3, 5.0)]).unwrap(),
+        Response::Updated { applied: 2, version: 3 }
+    );
+    assert_eq!(total(), Response::Weight(69.0));
+    server.shutdown();
+}
+
 /// An [`ExternalIndex`] whose draws the test can watch and hold: every
 /// `sample_wr` records the thread it runs on and its `s` (the tests'
 /// request tag), waits until the gate is open, and answers `s` zeros.

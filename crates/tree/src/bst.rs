@@ -94,6 +94,37 @@ impl RankBst {
         (nodes.len() - 1) as NodeId
     }
 
+    /// Recomputes the weights of the nodes above `leaves` (ascending) from
+    /// `weights`, given that no other leaf's weight changed since they
+    /// were last computed: a leaf takes its weight and an internal node
+    /// left + right — the additions [`Self::new`] makes, in its order, so
+    /// the tree equals `RankBst::new(weights)` bit for bit. `O(|leaves|
+    /// log n)`.
+    ///
+    /// # Panics
+    /// If `weights` is not one weight per leaf.
+    pub fn reweigh(&mut self, weights: &[f64], leaves: &[usize]) {
+        assert_eq!(weights.len(), self.n, "one weight per leaf");
+        self.reweigh_below(self.root, weights, leaves);
+    }
+
+    fn reweigh_below(&mut self, u: NodeId, weights: &[f64], leaves: &[usize]) {
+        if leaves.is_empty() {
+            return;
+        }
+        let (left, right) = (self.nodes[u as usize].left, self.nodes[u as usize].right);
+        let weight = if left == NIL {
+            weights[self.nodes[u as usize].lo as usize]
+        } else {
+            let mid = self.nodes[right as usize].lo as usize;
+            let cut = leaves.partition_point(|&leaf| leaf < mid);
+            self.reweigh_below(left, weights, &leaves[..cut]);
+            self.reweigh_below(right, weights, &leaves[cut..]);
+            self.nodes[left as usize].weight + self.nodes[right as usize].weight
+        };
+        self.nodes[u as usize].weight = weight;
+    }
+
     fn compute_height(&self, u: NodeId) -> u32 {
         let node = &self.nodes[u as usize];
         if node.left == NIL {
@@ -481,6 +512,33 @@ mod tests {
         let cover = t.canonical_nodes(1, 3);
         let covered: usize = cover.iter().map(|&u| t.node_count_leaves(u)).sum();
         assert_eq!(covered, 2);
+    }
+
+    #[test]
+    fn reweigh_is_the_fresh_tree_after_random_leaf_edits() {
+        // Weights 2^±60 apart make any change in the order of the
+        // additions show in the low bits; `Debug` prints every one.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for n in [1usize, 2, 3, 7, 64, 65, 1000] {
+            let mut weights: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 / 3.0).collect();
+            let mut t = RankBst::new(&weights).unwrap();
+            for round in 0..20 {
+                let mut leaves: Vec<usize> = (0..next(12)).map(|_| next(n)).collect();
+                for &leaf in &leaves {
+                    weights[leaf] = 2f64.powi(next(121) as i32 - 60) * 1.1;
+                }
+                leaves.sort_unstable();
+                t.reweigh(&weights, &leaves);
+                let fresh = RankBst::new(&weights).unwrap();
+                assert_eq!(format!("{t:?}"), format!("{fresh:?}"), "n = {n}, round {round}");
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,19 @@ impl Fenwick {
 
     /// Builds from initial values in `O(n)` time.
     pub fn from_values(values: &[f64]) -> Self {
+        let mut this = Fenwick { tree: Vec::with_capacity(values.len() + 1) };
+        this.rebuild(values);
+        this
+    }
+
+    /// Rebuilds over `values` in `O(n)` time inside the existing buffer:
+    /// the result equals [`Self::from_values`] bit for bit.
+    pub fn rebuild(&mut self, values: &[f64]) {
         let n = values.len();
-        let mut tree = vec![0.0; n + 1];
-        tree[1..].copy_from_slice(values);
+        let tree = &mut self.tree;
+        tree.clear();
+        tree.push(0.0);
+        tree.extend_from_slice(values);
         // In-place O(n) construction: push each slot's total to its parent.
         for i in 1..=n {
             let j = i + (i & i.wrapping_neg());
@@ -29,7 +39,6 @@ impl Fenwick {
                 tree[j] += tree[i];
             }
         }
-        Fenwick { tree }
     }
 
     /// Number of positions.

@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Errors raised when building a sampling structure from a weight vector.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum WeightError {
     /// The weight vector was empty; there is nothing to sample.
     Empty,

@@ -1,7 +1,7 @@
 use std::fmt;
 
 /// Errors raised by IQS queries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum QueryError {
     /// The query predicate selects no elements; there is nothing to
     /// sample from.

@@ -7,15 +7,22 @@
 //! typed error instead of charging the breaker and re-asking every
 //! other replica. Both halves are held here on a 1-shard × 2-replica
 //! topology, once over in-process links and once over [`SimNet`] links,
-//! on the virtual clock.
+//! on the virtual clock. So is the other typed answer, a replica that
+//! rejects the request itself: the wire carries it as the same typed
+//! error an in-process link hands over.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use iqs_net::{LinkFault, RemoteReplica, ReplicaServer, SimNet};
+use iqs_obs::Ctx;
 use iqs_serve::{
-    ExternalIndex, IndexRegistry, IoReport, Request, Response, ServeError, Server, ServerConfig,
+    Client, ExternalIndex, IndexRegistry, IoReport, MetricsSnapshot, Request, Response, ServeError,
+    Server, ServerConfig,
 };
-use iqs_shard::{ReplicaLink, ShardConfig, ShardError, ShardSpec, ShardedService, SHARD_INDEX};
+use iqs_shard::{
+    PendingLeg, ReplicaLink, ShardConfig, ShardError, ShardSpec, ShardedService, SHARD_INDEX,
+};
 use iqs_testkit::VirtualClock;
 
 const REPLICAS: usize = 2;
@@ -34,16 +41,59 @@ fn addr_of(ri: usize) -> String {
     format!("sim://lone-r{ri}")
 }
 
-/// The same topology behind the in-memory fabric: two real serve nodes
-/// over the one slice, reached through [`RemoteReplica`] links. The
-/// servers are returned to keep their worker pools alive.
-fn over_simnet(clock: &VirtualClock, net: &SimNet) -> (ShardedService, Vec<Server>) {
-    let elements = elements();
+/// An in-process link straight onto a serve node's [`Client`], as
+/// `ShardedService::new` builds for its own replicas, for nodes whose
+/// index the test registers itself.
+struct ClientLink(Client);
+
+impl ClientLink {
+    fn weight(&self, request: Request) -> Result<f64, ServeError> {
+        match self.0.call(request)? {
+            Response::Weight(w) => Ok(w),
+            other => panic!("a weight probe answered {other:?}"),
+        }
+    }
+}
+
+impl ReplicaLink for ClientLink {
+    fn submit(
+        &self,
+        request: Request,
+        origin: Instant,
+        deadline: Instant,
+        ctx: Ctx,
+    ) -> Result<PendingLeg, ServeError> {
+        self.0.call_pending_ctx(request, origin, Some(deadline), ctx).map(PendingLeg::Local)
+    }
+
+    fn total_weight(&self) -> Result<f64, ServeError> {
+        self.weight(Request::TotalWeight { index: SHARD_INDEX.into() })
+    }
+
+    fn range_weight(&self, x: f64, y: f64) -> Result<f64, ServeError> {
+        self.weight(Request::RangeWeight { index: SHARD_INDEX.into(), x, y })
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.0.metrics()
+    }
+}
+
+/// `REPLICAS` serve nodes, each with its shard index registered by
+/// `register`, as one shard over keys `[0, 198]`: reached through
+/// [`RemoteReplica`] links over `net`, or through [`ClientLink`]s when
+/// there is none. The servers are returned to keep their worker pools
+/// alive.
+fn one_shard(
+    clock: &VirtualClock,
+    net: Option<&SimNet>,
+    register: impl Fn(&mut IndexRegistry),
+) -> (ShardedService, Vec<Server>) {
     let mut servers = Vec::new();
     let mut links: Vec<Arc<dyn ReplicaLink>> = Vec::new();
     for ri in 0..REPLICAS {
         let mut indexes = IndexRegistry::new();
-        indexes.register_range_keyed(SHARD_INDEX, elements.clone()).expect("valid slice");
+        register(&mut indexes);
         let server = Server::start(
             indexes,
             ServerConfig {
@@ -53,13 +103,27 @@ fn over_simnet(clock: &VirtualClock, net: &SimNet) -> (ShardedService, Vec<Serve
                 ..Default::default()
             },
         );
-        net.bind(&addr_of(ri), Arc::new(ReplicaServer::new(server.client(), clock.handle())));
-        links.push(Arc::new(RemoteReplica::new(net.transport(), addr_of(ri))));
+        links.push(match net {
+            Some(net) => {
+                let replica = ReplicaServer::new(server.client(), clock.handle());
+                net.bind(&addr_of(ri), Arc::new(replica));
+                Arc::new(RemoteReplica::new(net.transport(), addr_of(ri)))
+            }
+            None => Arc::new(ClientLink(server.client())),
+        });
         servers.push(server);
     }
-    let total_weight = servers[0].registry().total_weight(SHARD_INDEX).expect("range index");
+    let total_weight = servers[0].registry().total_weight(SHARD_INDEX).expect("weighed index");
     let spec = ShardSpec { lo_key: 0.0, hi_key: 198.0, total_weight, links };
-    (ShardedService::from_links(vec![spec], config(clock)).expect("remote topology"), servers)
+    (ShardedService::from_links(vec![spec], config(clock)).expect("one-shard topology"), servers)
+}
+
+/// The same topology behind the in-memory fabric: two real serve nodes
+/// over the one slice, reached through [`RemoteReplica`] links.
+fn over_simnet(clock: &VirtualClock, net: &SimNet) -> (ShardedService, Vec<Server>) {
+    one_shard(clock, Some(net), |indexes| {
+        indexes.register_range_keyed(SHARD_INDEX, elements()).expect("valid slice");
+    })
 }
 
 /// What both link kinds must do with lone-shard queries.
@@ -143,7 +207,7 @@ impl ExternalIndex for BuggyIndex {
         _range: Option<(f64, f64)>,
         _s: usize,
         _rng: &mut dyn rand::RngCore,
-        _ctx: iqs_obs::Ctx,
+        _ctx: Ctx,
     ) -> Result<(Vec<u64>, IoReport), ServeError> {
         panic!("index bug (this panic is the test's)");
     }
@@ -182,7 +246,7 @@ fn a_panicking_leg_is_a_typed_failure_and_the_replica_survives() {
     let request = Request::SampleWr { index: SHARD_INDEX.into(), range: None, s: 4 };
     let now = clock.handle().now();
     let deadline = now + std::time::Duration::from_secs(1);
-    let pending = link.submit(request, now, deadline, iqs_obs::Ctx::none()).expect("sent");
+    let pending = link.submit(request, now, deadline, Ctx::none()).expect("sent");
     assert_eq!(pending.wait_deadline(deadline), Some(Err(ServeError::Panicked)));
 
     let spec =
@@ -205,4 +269,64 @@ fn a_panicking_leg_is_a_typed_failure_and_the_replica_survives() {
     assert_eq!(direct, Ok(Response::Count(7)));
     let m = server.shutdown();
     assert_eq!((m.failed, m.completed), (2, 2));
+}
+
+/// A shard index that rejects every draw with one typed error, as a
+/// healthy replica rejects a request it cannot serve.
+#[derive(Debug)]
+struct Refusing(ServeError);
+
+impl ExternalIndex for Refusing {
+    fn sample_wr(
+        &self,
+        _range: Option<(f64, f64)>,
+        _s: usize,
+        _rng: &mut dyn rand::RngCore,
+        _ctx: Ctx,
+    ) -> Result<(Vec<u64>, IoReport), ServeError> {
+        Err(self.0.clone())
+    }
+
+    fn range_count(&self, _x: f64, _y: f64) -> Result<usize, ServeError> {
+        Ok(7)
+    }
+
+    fn range_weight(&self, _x: f64, _y: f64) -> Result<f64, ServeError> {
+        Ok(1.0)
+    }
+
+    fn total_weight(&self) -> Result<f64, ServeError> {
+        Ok(1.0)
+    }
+}
+
+/// A replica's `InvalidRequest` or `Unsupported` is an answer to the
+/// query, whichever link carried it: the caller gets the same typed
+/// error, and no replica is failed over from, tripped or reported
+/// degraded.
+#[test]
+fn typed_answers_agree_across_links() {
+    let invalid = ServeError::InvalidRequest("sample size exceeds the configured maximum".into());
+    let unsupported = ServeError::Unsupported("updates require a dynamic index".into());
+    let cases = [
+        (invalid, ShardError::InvalidRequest("sample size exceeds the configured maximum".into())),
+        (unsupported.clone(), ShardError::Serve(unsupported)),
+    ];
+    for (refusal, expected) in cases {
+        for remote in [false, true] {
+            let clock = VirtualClock::new();
+            let net = SimNet::new(clock.handle());
+            let (svc, _servers) = one_shard(&clock, remote.then_some(&net), |indexes| {
+                let index = Arc::new(Refusing(refusal.clone()));
+                indexes.register_external(SHARD_INDEX, index).expect("fresh registry");
+            });
+            let mut client = svc.client();
+            for _ in 0..10 {
+                assert_eq!(client.sample_wr(None, 8), Err(expected.clone()), "remote: {remote}");
+            }
+            let m = svc.metrics().router;
+            let what = format!("{refusal:?}, remote: {remote}");
+            assert_eq!((m.failovers, m.trips, m.degraded_queries), (0, 0, 0), "{what}");
+        }
+    }
 }

@@ -111,7 +111,7 @@ impl ExternalIndex for ColdStandIn {
     ) -> Result<(Vec<u64>, IoReport), ServeError> {
         let (lo, hi) = self.key_span(range);
         if lo >= hi {
-            return Err(ServeError::Unsupported("empty cold range"));
+            return Err(ServeError::Unsupported("empty cold range".into()));
         }
         let (w_lo, w_hi) = (self.prefix[lo], self.prefix[hi]);
         let mut out = Vec::with_capacity(s);

@@ -201,9 +201,10 @@ impl fmt::Display for SnapshotDiffError {
 
 impl std::error::Error for SnapshotDiffError {}
 
-// The vendored serde derive handles named-field structs only (no fixed
-// arrays), so the bucket array serializes by hand — as a bare JSON
-// array, the obvious wire shape.
+// The vendored serde derive writes structs as objects and has no
+// fixed-size array impl, so the bucket array serializes by hand — as a
+// bare JSON array, the obvious wire shape. This is the one hand-written
+// codec under `crates/` (a CI grep keeps it so).
 impl serde::Serialize for HistogramSnapshot {
     fn serialize_json(&self, out: &mut String) {
         use std::fmt::Write;

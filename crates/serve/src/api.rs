@@ -1,15 +1,27 @@
 //! The service's typed request/response vocabulary.
 //!
 //! Requests name an index in the registry and dispatch to the matching
-//! structure's batch entry point on a worker thread. Samples come back as
-//! element *ids*: for dynamic indexes these are the caller-chosen ids the
-//! elements were inserted under; for a static range index they are the
-//! ranks in sorted key order (the same convention as
+//! structure's batch entry point, on the caller's own thread when the
+//! service has a seat free and on a worker thread otherwise. Samples
+//! come back as element *ids*: for dynamic indexes these are the
+//! caller-chosen ids the elements were inserted under; for a static range
+//! index they are the ranks in sorted key order (the same convention as
 //! [`iqs_core::RangeSampler`]).
+//!
+//! The wire encoding is derived: externally tagged JSON
+//! (`{"SampleWr":{...}}`), fields in declaration order. The order is
+//! load-bearing — the pull-parser reads fields in that order — and
+//! `iqs-net` pins the exact bytes with golden-frame fixtures, so
+//! reordering a field or renaming a variant is a wire-format version
+//! bump. One value never takes this encoding on the wire: `iqs-net`
+//! ships [`Response::Samples`] as a binary frame of its own, because 4096
+//! ids cost more to print and parse as decimal text than to draw.
+
+use serde::{Deserialize, Serialize};
 
 /// One mutation of a dynamic index, applied through the service so the
 /// writer path enjoys the same admission control and metrics as reads.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum UpdateOp {
     /// Inserts `id` or replaces its key/weight if present. Weighted-set
     /// indexes (no key dimension) ignore `key`.
@@ -31,7 +43,7 @@ pub enum UpdateOp {
 
 /// A sampling/service request. All variants name the target index by its
 /// registered name.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// `s` independent weighted samples **with** replacement. For range
     /// indexes `range = Some((x, y))` restricts to the closed key
@@ -96,8 +108,10 @@ pub enum Request {
         y: f64,
     },
     /// Applies `ops` to a dynamic index in order, then atomically
-    /// publishes a freshly rebuilt snapshot. Readers keep sampling the
-    /// previous snapshot throughout; they never block on the rebuild.
+    /// publishes the next view: a batch that only re-weights patches the
+    /// chunks it touches, any other batch rebuilds the view (registry
+    /// module docs). Readers keep sampling the previous view throughout;
+    /// they never block on the write.
     Update {
         /// Target index name.
         index: String,
@@ -124,7 +138,7 @@ impl Request {
 /// A successful response.
 ///
 /// (No `Eq`: [`Response::Weight`] carries an `f64`.)
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Sampled element ids (see the module docs for the id convention).
     ///
@@ -162,288 +176,58 @@ impl Response {
     }
 }
 
-// Wire encoding: externally tagged JSON objects (`{"SampleWr":{...}}`),
-// hand-written because the vendored serde derive covers named-field
-// structs only. Field order is fixed and load-bearing — the pull-parser
-// reads fields in declaration order — and `iqs-net` pins the exact
-// bytes with golden-frame fixtures, so any change here is a wire-format
-// version bump. One value never takes this encoding on the wire:
-// `iqs-net` ships `Response::Samples` as a binary frame of its own
-// (`iqs_net::frame`), because 4096 ids cost more to print and parse as
-// decimal text than to draw; its JSON form below serves every other
-// consumer of these impls.
-
-use serde::de::{Error as DeError, Parser};
-use serde::{Deserialize, Serialize};
-
-/// Opens `{"tag":` for a tagged enum body.
-fn open_tag(tag: &str, out: &mut String) {
-    out.push('{');
-    serde::de::write_json_string(tag, out);
-    out.push(':');
-}
-
-/// Reads the tag of an externally tagged enum value, leaving the cursor
-/// on the body. The caller must consume the closing `}`.
-fn read_tag(p: &mut Parser<'_>) -> Result<String, DeError> {
-    p.expect_char('{')?;
-    let tag = p.parse_string()?;
-    p.expect_char(':')?;
-    Ok(tag)
-}
-
-impl Serialize for UpdateOp {
-    fn serialize_json(&self, out: &mut String) {
-        match self {
-            UpdateOp::Upsert { id, key, weight } => {
-                open_tag("Upsert", out);
-                out.push_str("{\"id\":");
-                id.serialize_json(out);
-                out.push_str(",\"key\":");
-                key.serialize_json(out);
-                out.push_str(",\"weight\":");
-                weight.serialize_json(out);
-                out.push_str("}}");
-            }
-            UpdateOp::Remove { id } => {
-                open_tag("Remove", out);
-                out.push_str("{\"id\":");
-                id.serialize_json(out);
-                out.push_str("}}");
-            }
-        }
-    }
-}
-
-impl Deserialize for UpdateOp {
-    fn deserialize_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
-        let tag = read_tag(p)?;
-        let op = match tag.as_str() {
-            "Upsert" => {
-                p.expect_char('{')?;
-                p.expect_key("id")?;
-                let id = u64::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("key")?;
-                let key = f64::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("weight")?;
-                let weight = f64::deserialize_json(p)?;
-                p.expect_char('}')?;
-                UpdateOp::Upsert { id, key, weight }
-            }
-            "Remove" => {
-                p.expect_char('{')?;
-                p.expect_key("id")?;
-                let id = u64::deserialize_json(p)?;
-                p.expect_char('}')?;
-                UpdateOp::Remove { id }
-            }
-            other => return Err(DeError::custom(format!("unknown UpdateOp variant {other:?}"))),
-        };
-        p.expect_char('}')?;
-        Ok(op)
-    }
-}
-
-impl Serialize for Request {
-    fn serialize_json(&self, out: &mut String) {
-        match self {
-            Request::SampleWr { index, range, s } | Request::SampleWor { index, range, s } => {
-                let tag =
-                    if matches!(self, Request::SampleWr { .. }) { "SampleWr" } else { "SampleWor" };
-                open_tag(tag, out);
-                out.push_str("{\"index\":");
-                index.serialize_json(out);
-                out.push_str(",\"range\":");
-                range.serialize_json(out);
-                out.push_str(",\"s\":");
-                s.serialize_json(out);
-                out.push_str("}}");
-            }
-            Request::RangeCount { index, x, y } | Request::RangeWeight { index, x, y } => {
-                let tag = if matches!(self, Request::RangeCount { .. }) {
-                    "RangeCount"
-                } else {
-                    "RangeWeight"
-                };
-                open_tag(tag, out);
-                out.push_str("{\"index\":");
-                index.serialize_json(out);
-                out.push_str(",\"x\":");
-                x.serialize_json(out);
-                out.push_str(",\"y\":");
-                y.serialize_json(out);
-                out.push_str("}}");
-            }
-            Request::SampleUnion { index, g, s } => {
-                open_tag("SampleUnion", out);
-                out.push_str("{\"index\":");
-                index.serialize_json(out);
-                out.push_str(",\"g\":");
-                g.serialize_json(out);
-                out.push_str(",\"s\":");
-                s.serialize_json(out);
-                out.push_str("}}");
-            }
-            Request::TotalWeight { index } => {
-                open_tag("TotalWeight", out);
-                out.push_str("{\"index\":");
-                index.serialize_json(out);
-                out.push_str("}}");
-            }
-            Request::Update { index, ops } => {
-                open_tag("Update", out);
-                out.push_str("{\"index\":");
-                index.serialize_json(out);
-                out.push_str(",\"ops\":");
-                ops.serialize_json(out);
-                out.push_str("}}");
-            }
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn deserialize_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
-        let tag = read_tag(p)?;
-        let request = match tag.as_str() {
-            "SampleWr" | "SampleWor" => {
-                p.expect_char('{')?;
-                p.expect_key("index")?;
-                let index = String::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("range")?;
-                let range = Option::<(f64, f64)>::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("s")?;
-                let s = u32::deserialize_json(p)?;
-                p.expect_char('}')?;
-                if tag == "SampleWr" {
-                    Request::SampleWr { index, range, s }
-                } else {
-                    Request::SampleWor { index, range, s }
-                }
-            }
-            "RangeCount" | "RangeWeight" => {
-                p.expect_char('{')?;
-                p.expect_key("index")?;
-                let index = String::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("x")?;
-                let x = f64::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("y")?;
-                let y = f64::deserialize_json(p)?;
-                p.expect_char('}')?;
-                if tag == "RangeCount" {
-                    Request::RangeCount { index, x, y }
-                } else {
-                    Request::RangeWeight { index, x, y }
-                }
-            }
-            "SampleUnion" => {
-                p.expect_char('{')?;
-                p.expect_key("index")?;
-                let index = String::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("g")?;
-                let g = Vec::<u32>::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("s")?;
-                let s = u32::deserialize_json(p)?;
-                p.expect_char('}')?;
-                Request::SampleUnion { index, g, s }
-            }
-            "TotalWeight" => {
-                p.expect_char('{')?;
-                p.expect_key("index")?;
-                let index = String::deserialize_json(p)?;
-                p.expect_char('}')?;
-                Request::TotalWeight { index }
-            }
-            "Update" => {
-                p.expect_char('{')?;
-                p.expect_key("index")?;
-                let index = String::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("ops")?;
-                let ops = Vec::<UpdateOp>::deserialize_json(p)?;
-                p.expect_char('}')?;
-                Request::Update { index, ops }
-            }
-            other => return Err(DeError::custom(format!("unknown Request variant {other:?}"))),
-        };
-        p.expect_char('}')?;
-        Ok(request)
-    }
-}
-
-impl Serialize for Response {
-    fn serialize_json(&self, out: &mut String) {
-        match self {
-            Response::Samples(ids) => {
-                open_tag("Samples", out);
-                ids.serialize_json(out);
-                out.push('}');
-            }
-            Response::Count(count) => {
-                open_tag("Count", out);
-                count.serialize_json(out);
-                out.push('}');
-            }
-            Response::Weight(w) => {
-                open_tag("Weight", out);
-                w.serialize_json(out);
-                out.push('}');
-            }
-            Response::Updated { applied, version } => {
-                open_tag("Updated", out);
-                out.push_str("{\"applied\":");
-                applied.serialize_json(out);
-                out.push_str(",\"version\":");
-                version.serialize_json(out);
-                out.push_str("}}");
-            }
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn deserialize_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
-        let tag = read_tag(p)?;
-        let response = match tag.as_str() {
-            "Samples" => Response::Samples(Vec::<u64>::deserialize_json(p)?),
-            "Count" => Response::Count(usize::deserialize_json(p)?),
-            "Weight" => Response::Weight(f64::deserialize_json(p)?),
-            "Updated" => {
-                p.expect_char('{')?;
-                p.expect_key("applied")?;
-                let applied = usize::deserialize_json(p)?;
-                p.expect_char(',')?;
-                p.expect_key("version")?;
-                let version = u64::deserialize_json(p)?;
-                p.expect_char('}')?;
-                Response::Updated { applied, version }
-            }
-            other => return Err(DeError::custom(format!("unknown Response variant {other:?}"))),
-        };
-        p.expect_char('}')?;
-        Ok(response)
-    }
-}
+/// The shapes the vendored `derive` refuses with a `compile_error!` of
+/// its own. `vendor/` is outside the workspace, so its refusals are held
+/// here. The first block compiles; every other block adds one refused
+/// shape to an enum or struct that would otherwise derive.
+///
+/// ```
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// enum Derivable { Unit, Other, Newtype(u32), Struct { a: u32, b: Option<String> } }
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// struct Generic<T> { t: T }
+/// ```
+///
+/// An explicit discriminant:
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// enum Refused { Unit = 1, Other }
+/// ```
+/// A tuple variant of two fields:
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// enum Refused { Unit, Pair(u32, u32) }
+/// ```
+/// A generic enum:
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// enum Refused<T> { Unit, Newtype(T) }
+/// ```
+/// A tuple struct:
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// struct Refused(u32);
+/// ```
+#[cfg(doctest)]
+struct DeriveRefusals;
 
 #[cfg(test)]
-mod serde_tests {
+pub(crate) mod serde_tests {
     use super::*;
 
-    fn roundtrip<T: Serialize + Deserialize + std::fmt::Debug + PartialEq>(v: &T) {
-        let mut s = String::new();
-        v.serialize_json(&mut s);
-        let mut p = Parser::new(&s);
-        let back = T::deserialize_json(&mut p).unwrap_or_else(|e| panic!("parse {s:?}: {e}"));
-        p.expect_eof().expect("trailing garbage");
-        assert_eq!(&back, v, "round-trip through {s}");
+    /// Asserts `v` comes back from its wire text as itself, and that no
+    /// proper prefix of that text decodes.
+    pub(crate) fn roundtrip<T>(v: &T)
+    where
+        T: Serialize + Deserialize + std::fmt::Debug + PartialEq,
+    {
+        let text = serde_json::to_string(v).expect("infallible");
+        let back: T = serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
+        assert_eq!(&back, v, "round-trip through {text}");
+        for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+            let cut = &text[..end];
+            assert!(serde_json::from_str::<T>(cut).is_err(), "prefix {cut:?} decoded");
+        }
     }
 
     #[test]
@@ -470,6 +254,7 @@ mod serde_tests {
                 UpdateOp::Remove { id: 9 },
             ],
         });
+        roundtrip(&UpdateOp::Remove { id: u64::MAX });
     }
 
     #[test]
@@ -483,9 +268,35 @@ mod serde_tests {
 
     #[test]
     fn unknown_variants_are_typed_errors() {
-        for text in ["{\"Nope\":3}", "[]", "{\"Samples\":{}}"] {
-            let mut p = Parser::new(text);
-            assert!(Response::deserialize_json(&mut p).is_err(), "{text} should not parse");
+        for text in ["{\"Nope\":3}", "[]", "{\"Samples\":{}}", "\"Count\""] {
+            assert!(serde_json::from_str::<Response>(text).is_err(), "{text} should not parse");
+        }
+    }
+
+    /// Text the derived decoders must refuse with a parse error: a tag
+    /// that names no variant, a missing, extra or reordered field, a
+    /// body of the wrong shape, and bytes after a complete value.
+    #[test]
+    fn malformed_text_is_a_parse_error() {
+        let requests = [
+            r#"{"SampleWR":{"index":"a","range":null,"s":3}}"#,
+            r#"{"SampleWr":{"index":"a","s":3}}"#,
+            r#"{"SampleWr":{"range":null,"index":"a","s":3}}"#,
+            r#"{"SampleWr":{"index":"a","range":null,"s":3,"t":4}}"#,
+            r#"{"TotalWeight":{}}"#,
+            r#"{"TotalWeight":"a"}"#,
+            r#""TotalWeight""#,
+            r#"{"RangeCount":{"index":"c","y":2,"x":1}}"#,
+            r#"{"TotalWeight":{"index":"a"},"RangeCount":{}}"#,
+            r#"{"TotalWeight":{"index":"a"}} {}"#,
+            r#"{"Update":{"index":"d","ops":[{"Remove":{"id":9,"key":1}}]}}"#,
+            r#"{"Update":{"index":"d","ops":["Remove"]}}"#,
+        ];
+        for text in requests {
+            assert!(serde_json::from_str::<Request>(text).is_err(), "{text} should not parse");
+        }
+        for text in [r#"{"Updated":{"version":9,"applied":2}}"#, r#"{"Count":3} 4"#] {
+            assert!(serde_json::from_str::<Response>(text).is_err(), "{text} should not parse");
         }
     }
 }

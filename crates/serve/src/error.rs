@@ -1,14 +1,18 @@
 //! The service-layer error type. Everything a request can fail with is
 //! one boxable enum, so callers (and the examples/harness) can `?` it
-//! through `Box<dyn Error>` alongside the structure-level errors.
+//! through `Box<dyn Error>` alongside the structure-level errors. Its
+//! wire encoding is derived like the rest of the vocabulary (`api`
+//! module docs), and every variant round-trips exactly.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use iqs_alias::WeightError;
 use iqs_core::QueryError;
+use serde::{Deserialize, Serialize};
 
 /// Errors returned by the sampling service.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeError {
     /// The request named an index that is not registered.
     UnknownIndex(String),
@@ -19,9 +23,9 @@ pub enum ServeError {
     Weight(WeightError),
     /// The request kind is not supported by the target index's type
     /// (e.g. keyed range queries against a weighted-set index).
-    Unsupported(&'static str),
+    Unsupported(Cow<'static, str>),
     /// The request was malformed (oversized sample, bad set id, …).
-    InvalidRequest(&'static str),
+    InvalidRequest(Cow<'static, str>),
     /// Admission control refused the request: the queue is at capacity.
     /// Back off and retry; in-budget traffic keeps its latency.
     Overloaded,
@@ -40,11 +44,12 @@ pub enum ServeError {
     /// thread that ran it survives and the service keeps answering. It
     /// points at a bug in an index implementation, not at the request.
     Panicked,
-    /// A failure that crossed a process boundary: the transport could
-    /// not complete the round trip (connect refused, timeout, expired
-    /// lease), or the remote replica reported an error with no typed
-    /// local representation. Produced only by the `iqs-net` remote
-    /// path; in-process services never return it.
+    /// A failure of the process boundary itself: the transport could not
+    /// complete the round trip (connect refused, timeout, expired lease),
+    /// or a payload could not be decoded. Nothing else — a remote
+    /// replica's own error arrives as the same typed variant a local one
+    /// returns. Produced only by the `iqs-net` remote path; in-process
+    /// services never return it.
     Remote(String),
 }
 
@@ -94,167 +99,10 @@ impl From<WeightError> for ServeError {
     }
 }
 
-// Wire encoding, mirroring the `Request`/`Response` impls in `api.rs`:
-// externally tagged objects, unit-like variants as bare strings. Every
-// variant round-trips exactly except `Unsupported` and `InvalidRequest`,
-// whose `&'static str` payloads cannot be reconstructed from owned text;
-// those decode as [`ServeError::Remote`] carrying the original message,
-// which is the honest reading — the typed detail did not survive the
-// process boundary, the diagnostic text did.
-
-use serde::de::{Error as DeError, Parser};
-use serde::{Deserialize, Serialize};
-
-impl Serialize for ServeError {
-    fn serialize_json(&self, out: &mut String) {
-        let tagged = |tag: &str, out: &mut String| {
-            out.push('{');
-            serde::de::write_json_string(tag, out);
-            out.push(':');
-        };
-        match self {
-            ServeError::UnknownIndex(name) => {
-                tagged("UnknownIndex", out);
-                name.serialize_json(out);
-                out.push('}');
-            }
-            ServeError::Query(e) => {
-                tagged("Query", out);
-                match e {
-                    QueryError::EmptyRange => out.push_str("\"EmptyRange\""),
-                    QueryError::SampleTooLarge { requested, available } => {
-                        tagged("SampleTooLarge", out);
-                        out.push_str("{\"requested\":");
-                        requested.serialize_json(out);
-                        out.push_str(",\"available\":");
-                        available.serialize_json(out);
-                        out.push_str("}}");
-                    }
-                    QueryError::DensityTooLow => out.push_str("\"DensityTooLow\""),
-                }
-                out.push('}');
-            }
-            ServeError::Weight(e) => {
-                tagged("Weight", out);
-                match e {
-                    WeightError::Empty => out.push_str("\"Empty\""),
-                    WeightError::NonPositive { index, weight } => {
-                        tagged("NonPositive", out);
-                        out.push_str("{\"index\":");
-                        index.serialize_json(out);
-                        out.push_str(",\"weight\":");
-                        weight.serialize_json(out);
-                        out.push_str("}}");
-                    }
-                    WeightError::TotalOverflow => out.push_str("\"TotalOverflow\""),
-                }
-                out.push('}');
-            }
-            ServeError::Unsupported(what) => {
-                tagged("Unsupported", out);
-                what.serialize_json(out);
-                out.push('}');
-            }
-            ServeError::InvalidRequest(what) => {
-                tagged("InvalidRequest", out);
-                what.serialize_json(out);
-                out.push('}');
-            }
-            ServeError::Overloaded => out.push_str("\"Overloaded\""),
-            ServeError::QuotaExceeded(tenant) => {
-                tagged("QuotaExceeded", out);
-                tenant.serialize_json(out);
-                out.push('}');
-            }
-            ServeError::DeadlineExceeded => out.push_str("\"DeadlineExceeded\""),
-            ServeError::ShuttingDown => out.push_str("\"ShuttingDown\""),
-            ServeError::Panicked => out.push_str("\"Panicked\""),
-            ServeError::Remote(detail) => {
-                tagged("Remote", out);
-                detail.serialize_json(out);
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl Deserialize for ServeError {
-    fn deserialize_json(p: &mut Parser<'_>) -> Result<Self, DeError> {
-        if p.try_literal("\"Overloaded\"") {
-            return Ok(ServeError::Overloaded);
-        }
-        if p.try_literal("\"DeadlineExceeded\"") {
-            return Ok(ServeError::DeadlineExceeded);
-        }
-        if p.try_literal("\"ShuttingDown\"") {
-            return Ok(ServeError::ShuttingDown);
-        }
-        if p.try_literal("\"Panicked\"") {
-            return Ok(ServeError::Panicked);
-        }
-        p.expect_char('{')?;
-        let tag = p.parse_string()?;
-        p.expect_char(':')?;
-        let err = match tag.as_str() {
-            "UnknownIndex" => ServeError::UnknownIndex(String::deserialize_json(p)?),
-            "Query" => {
-                if p.try_literal("\"EmptyRange\"") {
-                    ServeError::Query(QueryError::EmptyRange)
-                } else if p.try_literal("\"DensityTooLow\"") {
-                    ServeError::Query(QueryError::DensityTooLow)
-                } else {
-                    p.expect_char('{')?;
-                    p.expect_key("SampleTooLarge")?;
-                    p.expect_char('{')?;
-                    p.expect_key("requested")?;
-                    let requested = usize::deserialize_json(p)?;
-                    p.expect_char(',')?;
-                    p.expect_key("available")?;
-                    let available = usize::deserialize_json(p)?;
-                    p.expect_char('}')?;
-                    p.expect_char('}')?;
-                    ServeError::Query(QueryError::SampleTooLarge { requested, available })
-                }
-            }
-            "Weight" => {
-                if p.try_literal("\"Empty\"") {
-                    ServeError::Weight(WeightError::Empty)
-                } else if p.try_literal("\"TotalOverflow\"") {
-                    ServeError::Weight(WeightError::TotalOverflow)
-                } else {
-                    p.expect_char('{')?;
-                    p.expect_key("NonPositive")?;
-                    p.expect_char('{')?;
-                    p.expect_key("index")?;
-                    let index = usize::deserialize_json(p)?;
-                    p.expect_char(',')?;
-                    p.expect_key("weight")?;
-                    let weight = f64::deserialize_json(p)?;
-                    p.expect_char('}')?;
-                    p.expect_char('}')?;
-                    ServeError::Weight(WeightError::NonPositive { index, weight })
-                }
-            }
-            "Unsupported" => {
-                let what = String::deserialize_json(p)?;
-                ServeError::Remote(format!("request not supported by this index type: {what}"))
-            }
-            "InvalidRequest" => {
-                let what = String::deserialize_json(p)?;
-                ServeError::Remote(format!("invalid request: {what}"))
-            }
-            "QuotaExceeded" => ServeError::QuotaExceeded(String::deserialize_json(p)?),
-            "Remote" => ServeError::Remote(String::deserialize_json(p)?),
-            other => return Err(DeError::custom(format!("unknown ServeError variant {other:?}"))),
-        };
-        p.expect_char('}')?;
-        Ok(err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::serde_tests::roundtrip;
     use std::error::Error;
 
     #[test]
@@ -267,43 +115,103 @@ mod tests {
         assert!(!boxed.to_string().is_empty());
     }
 
-    fn roundtrip(e: &ServeError) -> ServeError {
-        let mut s = String::new();
-        e.serialize_json(&mut s);
-        let mut p = Parser::new(&s);
-        let back = ServeError::deserialize_json(&mut p).unwrap_or_else(|x| panic!("{s:?}: {x}"));
-        p.expect_eof().expect("trailing garbage");
-        back
-    }
-
+    /// Every variant of `ServeError` and of the two structure errors it
+    /// wraps comes back from its wire text as the value it was. With the
+    /// messages held as `Cow<'static, str>`, every variant is owned.
     #[test]
     fn wire_roundtrip_is_exact_for_owned_variants() {
+        let queries = [
+            QueryError::EmptyRange,
+            QueryError::SampleTooLarge { requested: 11, available: 10 },
+            QueryError::DensityTooLow,
+        ];
+        let weights = [
+            WeightError::Empty,
+            WeightError::NonPositive { index: 3, weight: -0.5 },
+            WeightError::TotalOverflow,
+        ];
+        queries.iter().for_each(roundtrip);
+        weights.iter().for_each(roundtrip);
+        let errors: Vec<ServeError> = queries
+            .map(ServeError::Query)
+            .into_iter()
+            .chain(weights.map(ServeError::Weight))
+            .chain([
+                ServeError::UnknownIndex("shard".into()),
+                ServeError::Unsupported("not a union index".into()),
+                ServeError::InvalidRequest("member-set id out of range".into()),
+                ServeError::Overloaded,
+                ServeError::QuotaExceeded("bulk".into()),
+                ServeError::DeadlineExceeded,
+                ServeError::ShuttingDown,
+                ServeError::Panicked,
+                ServeError::Remote("connection refused".into()),
+            ])
+            .collect();
+        errors.iter().for_each(roundtrip);
+        // No wildcard arm: a new variant does not compile until it is
+        // listed above.
+        let listed: std::collections::BTreeSet<u8> = errors
+            .iter()
+            .map(|e| match e {
+                ServeError::UnknownIndex(_) => 0,
+                ServeError::Query(_) => 1,
+                ServeError::Weight(_) => 2,
+                ServeError::Unsupported(_) => 3,
+                ServeError::InvalidRequest(_) => 4,
+                ServeError::Overloaded => 5,
+                ServeError::QuotaExceeded(_) => 6,
+                ServeError::DeadlineExceeded => 7,
+                ServeError::ShuttingDown => 8,
+                ServeError::Panicked => 9,
+                ServeError::Remote(_) => 10,
+            })
+            .collect();
+        assert_eq!(listed.len(), 11);
+    }
+
+    /// A message built from a string literal decodes as the same typed
+    /// variant, now owning the text, rather than as `Remote`.
+    #[test]
+    fn static_str_variants_decode_as_themselves_with_the_message() {
         for e in [
-            ServeError::UnknownIndex("shard".into()),
-            ServeError::Query(QueryError::EmptyRange),
-            ServeError::Query(QueryError::SampleTooLarge { requested: 11, available: 10 }),
-            ServeError::Query(QueryError::DensityTooLow),
-            ServeError::Weight(WeightError::Empty),
-            ServeError::Weight(WeightError::NonPositive { index: 3, weight: -0.5 }),
-            ServeError::Weight(WeightError::TotalOverflow),
-            ServeError::Overloaded,
-            ServeError::QuotaExceeded("bulk".into()),
-            ServeError::DeadlineExceeded,
-            ServeError::ShuttingDown,
-            ServeError::Panicked,
-            ServeError::Remote("connection refused".into()),
+            ServeError::Unsupported(Cow::Borrowed("no WoR on weighted sets")),
+            ServeError::InvalidRequest(Cow::Borrowed("sample too big")),
         ] {
-            assert_eq!(roundtrip(&e), e);
+            let text = serde_json::to_string(&e).unwrap();
+            let back: ServeError = serde_json::from_str(&text).unwrap();
+            match (&e, &back) {
+                (ServeError::Unsupported(a), ServeError::Unsupported(b))
+                | (ServeError::InvalidRequest(a), ServeError::InvalidRequest(b)) => {
+                    assert!(matches!(b, Cow::Owned(_)));
+                    assert_eq!(a, b);
+                }
+                _ => panic!("{e:?} decoded as {back:?}"),
+            }
+            assert_eq!(back.to_string(), e.to_string());
         }
     }
 
+    /// A tag that names no variant, a unit variant sent as an object (or
+    /// a payload-carrying one as a bare string), a missing or reordered
+    /// field, and bytes after a complete value are parse errors.
     #[test]
-    fn static_str_variants_decode_as_remote_with_the_message() {
-        let back = roundtrip(&ServeError::Unsupported("no WoR on weighted sets"));
-        let ServeError::Remote(msg) = back else { panic!("expected Remote, got {back:?}") };
-        assert!(msg.contains("no WoR on weighted sets"));
-        let back = roundtrip(&ServeError::InvalidRequest("sample too big"));
-        let ServeError::Remote(msg) = back else { panic!("expected Remote, got {back:?}") };
-        assert!(msg.contains("sample too big"));
+    fn malformed_text_is_a_parse_error() {
+        for text in [
+            r#""Nope""#,
+            r#"{"Nope":"x"}"#,
+            r#"{"Overloaded":null}"#,
+            r#"{"Panicked":{}}"#,
+            r#""UnknownIndex""#,
+            r#"{"Query":{"SampleTooLarge":{"requested":11}}}"#,
+            r#"{"Query":{"SampleTooLarge":{"available":10,"requested":11}}}"#,
+            r#"{"Weight":{"NonPositive":{"weight":-0.5,"index":3}}}"#,
+            r#"{"Query":{"EmptyRange":null}}"#,
+            r#""Overloaded" x"#,
+            r#"{"Remote":"x"}}"#,
+            r#"{"Remote":"x" 1}"#,
+        ] {
+            assert!(serde_json::from_str::<ServeError>(text).is_err(), "{text} should not parse");
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! ([`BoundedQueue::try_push`] returns the item back) instead of queueing
 //! unboundedly. Unbounded queues convert overload into unbounded latency
 //! for *everyone*; admission control converts it into prompt `Overloaded`
-//! errors for the excess while in-budget requests keep their latency —
-//! the behaviour experiment E17 measures.
+//! errors for the excess while in-budget requests keep their latency
+//! (`admission_control_rejects_when_queue_is_full` in `tests/service.rs`
+//! holds the refusal and its accounting).
 //!
 //! Pickup order is earliest-deadline-first (EDF): an entry pushed with a
 //! deadline ([`BoundedQueue::try_push_at`]) outranks every deadline-less

@@ -417,7 +417,7 @@ impl IndexRegistry {
     ) -> Result<(), ServeError> {
         if self.map.contains_key(name) {
             return Err(ServeError::InvalidRequest(
-                "an index with this name is already registered",
+                "an index with this name is already registered".into(),
             ));
         }
         self.map.insert(
@@ -556,7 +556,7 @@ impl IndexRegistry {
             IndexView::Range(rv) => Ok(rv.total_weight),
             IndexView::Weighted(wv) => Ok(wv.total_weight),
             IndexView::Union(_) => {
-                Err(ServeError::Unsupported("union indexes have no weight dimension"))
+                Err(ServeError::Unsupported("union indexes have no weight dimension".into()))
             }
             IndexView::External(ev) => ev.total_weight(),
         }
@@ -573,7 +573,7 @@ impl IndexRegistry {
         match &*self.entry(name)?.view.load() {
             IndexView::Range(rv) => Ok(rv.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y))),
             IndexView::External(ev) => ev.range_weight(x, y),
-            _ => Err(ServeError::Unsupported("range weight requires a range index")),
+            _ => Err(ServeError::Unsupported("range weight requires a range index".into())),
         }
     }
 
@@ -610,7 +610,7 @@ impl IndexRegistry {
         let entry = self.entry(name)?;
         let mut master = entry.master.lock().expect("index master poisoned");
         let Some(map) = master.as_mut() else {
-            return Err(ServeError::Unsupported("updates require a dynamic index"));
+            return Err(ServeError::Unsupported("updates require a dynamic index".into()));
         };
         let mut applied = 0usize;
         let mut failed = None;
@@ -685,7 +685,7 @@ impl IndexRegistry {
                 IndexView::Union(s) => {
                     entry.union_served.load(Ordering::Relaxed) >= s.rebuild_budget() as u64
                 }
-                _ => return Err(ServeError::Unsupported("not a union index")),
+                _ => return Err(ServeError::Unsupported("not a union index".into())),
             }
         };
         if !due {
@@ -696,7 +696,7 @@ impl IndexRegistry {
         let _guard = entry.master.lock().expect("index master poisoned");
         let view = entry.view.load();
         let IndexView::Union(current) = &*view else {
-            return Err(ServeError::Unsupported("not a union index"));
+            return Err(ServeError::Unsupported("not a union index".into()));
         };
         if entry.union_served.load(Ordering::Relaxed) < current.rebuild_budget() as u64 {
             return Ok(false);

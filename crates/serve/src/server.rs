@@ -275,7 +275,9 @@ impl Client {
     /// configured on the server.
     pub fn for_tenant(&self, name: &str) -> Result<Client, ServeError> {
         let Some(idx) = self.shared.tenants.iter().position(|t| t.spec.name == name) else {
-            return Err(ServeError::InvalidRequest("no tenant with that name is configured"));
+            return Err(ServeError::InvalidRequest(
+                "no tenant with that name is configured".into(),
+            ));
         };
         let deadline = self.shared.tenants[idx].spec.deadline.or(self.default_deadline);
         Ok(Client {
@@ -691,7 +693,9 @@ fn serve_job(
 
 fn check_sample_size(s: u32, max: u32) -> Result<usize, ServeError> {
     if s > max {
-        return Err(ServeError::InvalidRequest("sample size exceeds the configured maximum"));
+        return Err(ServeError::InvalidRequest(
+            "sample size exceeds the configured maximum".into(),
+        ));
     }
     Ok(s as usize)
 }
@@ -718,7 +722,7 @@ fn dispatch(
                 IndexView::Weighted(wv) => {
                     if range.is_some() {
                         return Err(ServeError::Unsupported(
-                            "keyed range over a weighted-set index",
+                            "keyed range over a weighted-set index".into(),
                         ));
                     }
                     let table =
@@ -728,7 +732,7 @@ fn dispatch(
                     Ok(Response::Samples(out.iter().map(|&c| wv.ids[c as usize]).collect()))
                 }
                 IndexView::Union(_) => {
-                    Err(ServeError::Unsupported("use SampleUnion for set-union indexes"))
+                    Err(ServeError::Unsupported("use SampleUnion for set-union indexes".into()))
                 }
                 IndexView::External(ev) => {
                     let (samples, io) = ev.sample_wr(*range, s, rng, ctx)?;
@@ -742,7 +746,7 @@ fn dispatch(
             let view = registry.entry(index)?.view.load();
             let IndexView::Range(rv) = &*view else {
                 return Err(ServeError::Unsupported(
-                    "without-replacement sampling requires a range index",
+                    "without-replacement sampling requires a range index".into(),
                 ));
             };
             let sampler = rv.sampler.as_ref().ok_or(ServeError::Query(QueryError::EmptyRange))?;
@@ -757,7 +761,7 @@ fn dispatch(
                     Ok(Response::Count(rv.sampler.as_ref().map_or(0, |s| s.range_count(*x, *y))))
                 }
                 IndexView::External(ev) => Ok(Response::Count(ev.range_count(*x, *y)?)),
-                _ => Err(ServeError::Unsupported("range counting requires a range index")),
+                _ => Err(ServeError::Unsupported("range counting requires a range index".into())),
             }
         }
         Request::SampleUnion { index, g, s } => {
@@ -765,10 +769,12 @@ fn dispatch(
             let entry = registry.entry(index)?;
             let view = entry.view.load();
             let IndexView::Union(su) = &*view else {
-                return Err(ServeError::Unsupported("SampleUnion requires a set-union index"));
+                return Err(ServeError::Unsupported(
+                    "SampleUnion requires a set-union index".into(),
+                ));
             };
             if g.iter().any(|&i| i as usize >= su.family_size()) {
-                return Err(ServeError::InvalidRequest("member-set id out of range"));
+                return Err(ServeError::InvalidRequest("member-set id out of range".into()));
             }
             let g: Vec<usize> = g.iter().map(|&i| i as usize).collect();
             let out = sized(&mut scratch.ids, s);

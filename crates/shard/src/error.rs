@@ -1,5 +1,6 @@
 //! Error type of the sharded tier.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use iqs_core::QueryError;
@@ -14,8 +15,8 @@ pub enum ShardError {
     /// elements, duplicate element ids, …).
     Config(&'static str),
     /// A malformed query (e.g. sample size beyond the configured
-    /// maximum).
-    InvalidRequest(&'static str),
+    /// maximum), or one a replica rejected as malformed.
+    InvalidRequest(Cow<'static, str>),
     /// The query range selects no elements anywhere in the cluster.
     EmptyRange,
     /// A without-replacement sample larger than the number of elements

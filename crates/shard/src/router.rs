@@ -66,9 +66,11 @@
 //! An error reply that is a property of the *query* — the range is
 //! empty, the request is invalid or unsupported ([`typed_answer`]) — is
 //! an answer, not a failure: every replica of the shard would say the
-//! same. It credits the replica's breaker like any other reply and
-//! surfaces as the typed [`ShardError`], with no failover and no
-//! `degraded`. One exception: `EmptyRange` from one leg of *several*
+//! same. A remote replica's reply decodes to the same typed error a local
+//! one returns, so the link it came over makes no difference. It
+//! credits the replica's breaker like any other reply and surfaces as
+//! the typed [`ShardError`], with no failover and no `degraded`. One
+//! exception: `EmptyRange` from one leg of *several*
 //! contradicts the plan, which gave that shard positive weight (an
 //! update emptied the range in between); the other shards still hold
 //! mass, so that leg is lost — `degraded`, its draws `missing`, still no
@@ -248,14 +250,12 @@ struct ScatterLeg {
 /// The typed error an error reply amounts to when it answers the
 /// *query* — any healthy replica of the shard would reply the same — or
 /// `None` when it reports that the replica could not serve and another
-/// one should be tried. (Over a wire `InvalidRequest` and `Unsupported`
-/// arrive as `Remote` text and so fail over: the typed detail did not
-/// survive the process boundary.)
+/// one should be tried.
 fn typed_answer(e: &ServeError) -> Option<ShardError> {
     match e {
         ServeError::Query(QueryError::EmptyRange) => Some(ShardError::EmptyRange),
         ServeError::Query(q) => Some(ShardError::Query(q.clone())),
-        ServeError::InvalidRequest(what) => Some(ShardError::InvalidRequest(what)),
+        ServeError::InvalidRequest(what) => Some(ShardError::InvalidRequest(what.clone())),
         ServeError::Unsupported(_) => Some(ShardError::Serve(e.clone())),
         _ => None,
     }
@@ -542,7 +542,7 @@ fn registry_of(shard: &ShardHandle) -> Result<&iqs_serve::IndexRegistry, ShardEr
     shard.replicas[0]
         .link
         .local_registry()
-        .ok_or(ShardError::InvalidRequest("seeded replay requires local shards"))
+        .ok_or(ShardError::InvalidRequest("seeded replay requires local shards".into()))
 }
 
 /// The per-shard RNG seed schedule: leg `shard_idx` of a seeded query
@@ -785,7 +785,9 @@ impl ShardedService {
     ) -> Result<Vec<u64>, ShardError> {
         let inner = &self.inner;
         if s > inner.config.max_sample_size {
-            return Err(ShardError::InvalidRequest("sample size exceeds the configured maximum"));
+            return Err(ShardError::InvalidRequest(
+                "sample size exceeds the configured maximum".into(),
+            ));
         }
         let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         let topo = inner.topo.load();
@@ -843,7 +845,7 @@ impl ShardedService {
         let topo = self.inner.topo.load();
         let handle = topo.shards.get(shard).ok_or(ShardError::UnknownShard(shard))?;
         if handle.elements.is_empty() {
-            return Err(ShardError::InvalidRequest("remote shards cannot be rebalanced"));
+            return Err(ShardError::InvalidRequest("remote shards cannot be rebalanced".into()));
         }
         let keys: Vec<f64> = handle.elements.iter().map(|&(_, key, _)| key).collect();
         let cut = split_point(&keys).ok_or(ShardError::NoSplitPoint)?;
@@ -879,7 +881,7 @@ impl ShardedService {
             return Err(ShardError::UnknownShard(left + 1));
         }
         if topo.shards[left].elements.is_empty() || topo.shards[left + 1].elements.is_empty() {
-            return Err(ShardError::InvalidRequest("remote shards cannot be rebalanced"));
+            return Err(ShardError::InvalidRequest("remote shards cannot be rebalanced".into()));
         }
         // Adjacent slices of one key-sorted list: concatenation stays
         // key-sorted.
@@ -1059,7 +1061,9 @@ impl ClusterClient {
         ctx: Ctx,
     ) -> Result<Sampled, ShardError> {
         if s > self.inner.config.max_sample_size {
-            return Err(ShardError::InvalidRequest("sample size exceeds the configured maximum"));
+            return Err(ShardError::InvalidRequest(
+                "sample size exceeds the configured maximum".into(),
+            ));
         }
         let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         let topo = self.inner.topo.load();
@@ -1114,7 +1118,9 @@ impl ClusterClient {
         ctx: Ctx,
     ) -> Result<Sampled, ShardError> {
         if s > self.inner.config.max_sample_size {
-            return Err(ShardError::InvalidRequest("sample size exceeds the configured maximum"));
+            return Err(ShardError::InvalidRequest(
+                "sample size exceeds the configured maximum".into(),
+            ));
         }
         let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         let counted = self.route_range_count(x, y, origin, ctx)?;
@@ -1194,7 +1200,7 @@ impl FaultPlan {
         let rep = sh
             .replicas
             .get(replica)
-            .ok_or(ShardError::InvalidRequest("replica index out of range"))?;
+            .ok_or(ShardError::InvalidRequest("replica index out of range".into()))?;
         rep.fault.set(mode);
         Ok(())
     }

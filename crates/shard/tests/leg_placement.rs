@@ -144,7 +144,11 @@ fn an_empty_leg_among_several_is_lost_without_failing_the_query() {
 
     // A reply that rejects the request itself fails the query from any
     // leg: every shard would say the same.
-    let (svc, _links) = cluster(vec![None, Some(ServeError::InvalidRequest("scripted")), None]);
-    assert_eq!(svc.client().sample_wr(None, 90), Err(ShardError::InvalidRequest("scripted")));
+    let (svc, _links) =
+        cluster(vec![None, Some(ServeError::InvalidRequest("scripted".into())), None]);
+    assert_eq!(
+        svc.client().sample_wr(None, 90),
+        Err(ShardError::InvalidRequest("scripted".into()))
+    );
     assert_eq!(svc.metrics().router.failovers, 0);
 }

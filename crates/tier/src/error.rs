@@ -93,8 +93,8 @@ impl From<TierError> for ServeError {
         match e {
             TierError::Query(q) => ServeError::Query(q),
             TierError::Weight(w) => ServeError::Weight(w),
-            TierError::UnknownShard(_) => ServeError::InvalidRequest("unknown tier shard"),
-            _ => ServeError::InvalidRequest("tiered index misconfigured"),
+            TierError::UnknownShard(_) => ServeError::InvalidRequest("unknown tier shard".into()),
+            _ => ServeError::InvalidRequest("tiered index misconfigured".into()),
         }
     }
 }

@@ -50,7 +50,7 @@ impl ExternalIndex for ColdTier {
     ) -> Result<(Vec<u64>, IoReport), ServeError> {
         let (lo, hi) = self.span(range);
         if lo >= hi {
-            return Err(ServeError::Unsupported("empty cold range"));
+            return Err(ServeError::Unsupported("empty cold range".into()));
         }
         let out = (0..s).map(|_| self.ids[lo + rng.next_u64() as usize % (hi - lo)]).collect();
         let stall = self.stall_ns.load(Ordering::Relaxed);

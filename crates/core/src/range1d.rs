@@ -476,6 +476,14 @@ impl RangeSampler for AliasAugmentedRange {
 /// element's weight lives in one chunk's `c` rows plus `totals[k]`,
 /// which is what [`Self::reweighted`] rebuilds.
 ///
+/// A structure built [`for_reweights`](Self::for_reweights) keeps no
+/// `T_chunk` tables on the inner nodes above depth
+/// [`TABLE_DEPTH`](crate::rank_alias::TABLE_DEPTH) (see
+/// [`RankAliasAugmented`]): a re-weight then rebuilds that many fewer
+/// whole `g`-row levels, and a query's chooser takes up to
+/// `2^TABLE_DEPTH` more columns. Its draws are as exact and as cheap in
+/// words and rows.
+///
 /// # Example
 /// ```
 /// use iqs_core::{ChunkedRange, RangeSampler};
@@ -514,6 +522,11 @@ fn build_chunk(
 ) -> Result<f64, WeightError> {
     let at = chunk_rows(k, chunk, weights.len());
     AliasRows::build(&weights[at.clone()], &mut rows[at], scratch)
+}
+
+/// The paper's chunk length `c = ⌈log₂ n⌉`.
+fn paper_chunk_len(n: usize) -> usize {
+    ((n as f64).log2().ceil() as usize).max(1)
 }
 
 /// The ranks — and rows — of chunk `k` out of `n` elements.
@@ -572,8 +585,21 @@ impl ChunkedRange {
     /// # Errors
     /// [`QueryError::EmptyRange`] on empty or invalid input.
     pub fn new(pairs: Vec<(f64, f64)>) -> Result<Self, QueryError> {
-        let chunk = ((pairs.len() as f64).log2().ceil() as usize).max(1);
+        let chunk = paper_chunk_len(pairs.len());
         Self::with_chunk_len(pairs, chunk)
+    }
+
+    /// [`Self::new`] for a caller that will [`reweight`](Self::reweighted)
+    /// the structure: `T_chunk` keeps no tables above depth
+    /// [`TABLE_DEPTH`](crate::rank_alias::TABLE_DEPTH). What it returns,
+    /// and what a re-weight of it returns, is bit-identical only to
+    /// another structure built this way.
+    ///
+    /// # Errors
+    /// As [`Self::new`].
+    pub fn for_reweights(pairs: Vec<(f64, f64)>) -> Result<Self, QueryError> {
+        let chunk = paper_chunk_len(pairs.len());
+        Self::build(pairs, chunk, RankAliasAugmented::for_reweights)
     }
 
     /// Builds with an explicit chunk length (ablation A1): smaller
@@ -584,6 +610,15 @@ impl ChunkedRange {
     /// [`QueryError::EmptyRange`] on empty or invalid input or a zero
     /// chunk length.
     pub fn with_chunk_len(pairs: Vec<(f64, f64)>, chunk: usize) -> Result<Self, QueryError> {
+        Self::build(pairs, chunk, RankAliasAugmented::new)
+    }
+
+    /// Builds with chunk length `chunk` and `T_chunk` from `tchunk`.
+    fn build(
+        pairs: Vec<(f64, f64)>,
+        chunk: usize,
+        tchunk: fn(&[f64]) -> RankAliasAugmented,
+    ) -> Result<Self, QueryError> {
         if chunk == 0 {
             return Err(QueryError::EmptyRange);
         }
@@ -595,7 +630,7 @@ impl ChunkedRange {
             .collect::<Result<Vec<f64>, _>>()
             .and_then(|totals| validate_weights(&totals).map(|_| totals))
             .map_err(|_| QueryError::EmptyRange)?;
-        let tchunk = RankAliasAugmented::new(&totals);
+        let tchunk = tchunk(&totals);
         let fenwick = Fenwick::from_values(&totals);
         Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick })
     }
@@ -603,8 +638,9 @@ impl ChunkedRange {
     /// The structure over the same keys with the weight at each listed
     /// rank replaced — `changes` is `(rank, weight)` in application
     /// order, so a rank listed twice keeps its last weight. Every array
-    /// of the result equals, bit for bit, what [`Self::new`] builds for
-    /// the new weights, so draws from equal seeds are the same.
+    /// of the result equals, bit for bit, what `self`'s constructor
+    /// ([`Self::new`], [`Self::with_chunk_len`] or [`Self::for_reweights`])
+    /// builds for the new weights, so draws from equal seeds are the same.
     ///
     /// The result is written into a *base*. With `behind` — the structure
     /// one publication behind `self`, over the same keys, and its *lag*:
@@ -626,8 +662,8 @@ impl ChunkedRange {
     /// is not finite-positive, or weights whose sum overflows `f64`.
     ///
     /// # Panics
-    /// If `behind` holds a structure over a different number of keys or
-    /// chunk length.
+    /// If `behind` holds a structure over a different number of keys,
+    /// with another chunk length, or built by another constructor.
     pub fn reweighted(
         &self,
         changes: &[(usize, f64)],
@@ -945,45 +981,61 @@ mod tests {
         batch
     }
 
+    type Tchunk = fn(&[f64]) -> RankAliasAugmented;
+
+    /// Both ways to build `T_chunk`: a table on every level, and none
+    /// above `TABLE_DEPTH` (what [`ChunkedRange::for_reweights`] builds).
+    const TCHUNKS: [(&str, Tchunk); 2] =
+        [("", RankAliasAugmented::new), (", for re-weights", RankAliasAugmented::for_reweights)];
+
     /// Theorem-3 structures and queries chosen to sit on the kernel's
-    /// edges (ROADMAP item 5's hard families, at kernel scope).
-    fn hostile_shapes() -> Vec<(&'static str, ChunkedRange, f64, f64)> {
-        let build = |weights: Vec<f64>| {
-            ChunkedRange::new(weights.iter().enumerate().map(|(i, &w)| (i as f64, w)).collect())
-                .unwrap()
-        };
-        // n = 200 cuts into 25 chunks of 8; 203 leaves a short last chunk.
-        let flat = |n: usize| build((0..n).map(|i| (1 + i % 7) as f64).collect());
-        let ladder: Vec<f64> = (0..363).map(|i| 2f64.powi(i % 121 - 60)).collect();
-        let heavy_ends: Vec<f64> = (0..200)
-            .map(|i| if (3..8).contains(&i) || (192..197).contains(&i) { 1e4 } else { 1.0 })
-            .collect();
-        let one_heavy: Vec<f64> =
-            (0..200).map(|i| if i == 77 { 2f64.powi(60) } else { 1.0 }).collect();
-        let with_len = |c: usize| ChunkedRange::with_chunk_len(pairs(200, 5), c).unwrap();
-        vec![
-            ("geometric 2^±60 ladder", build(ladder.clone()), 0.0, 362.0),
-            ("ladder, both ends partial", build(ladder), 5.0, 350.0),
-            ("boundary pieces hold 99.8% of the weight", build(heavy_ends), 3.0, 196.0),
-            ("one heavy element among light ones", build(one_heavy), 1.0, 198.0),
-            ("exactly two chunks, aligned", flat(200), 8.0, 23.0),
-            ("two chunks touched, no whole one", flat(200), 10.0, 20.0),
-            ("three chunks touched, one whole", flat(200), 5.0, 18.0),
-            ("chunk-aligned ends", flat(200), 8.0, 191.0),
-            ("aligned start, partial end", flat(200), 8.0, 190.0),
-            ("partial start, range to the last key", flat(200), 9.0, 199.0),
-            ("whole range over a short last chunk", flat(203), 0.0, 202.0),
-            ("range ending inside the short last chunk", flat(203), 3.0, 201.0),
-            ("chunks of one element", with_len(1), 3.0, 196.0),
-            ("one chunk of n elements", with_len(200), 3.0, 196.0),
-            ("two chunks of n/2 elements", with_len(100), 3.0, 196.0),
-            (
-                "681 boundary elements in the chooser",
-                ChunkedRange::with_chunk_len(pairs(1500, 6), 400).unwrap(),
-                10.0,
-                1490.0,
-            ),
-        ]
+    /// edges (ROADMAP item 5's hard families, at kernel scope), each
+    /// with both `T_chunk`s.
+    fn hostile_shapes() -> Vec<(String, ChunkedRange, f64, f64)> {
+        let mut shapes = Vec::new();
+        for (how, tchunk) in TCHUNKS {
+            let with_len = |pairs, c| ChunkedRange::build(pairs, c, tchunk).unwrap();
+            let build = |weights: Vec<f64>| {
+                let c = paper_chunk_len(weights.len());
+                with_len(weights.iter().enumerate().map(|(i, &w)| (i as f64, w)).collect(), c)
+            };
+            // n = 200 cuts into 25 chunks of 8; 203 leaves a short last chunk.
+            let flat = |n: usize| build((0..n).map(|i| (1 + i % 7) as f64).collect());
+            let ladder: Vec<f64> = (0..363).map(|i| 2f64.powi(i % 121 - 60)).collect();
+            let heavy_ends: Vec<f64> = (0..200)
+                .map(|i| if (3..8).contains(&i) || (192..197).contains(&i) { 1e4 } else { 1.0 })
+                .collect();
+            let one_heavy: Vec<f64> =
+                (0..200).map(|i| if i == 77 { 2f64.powi(60) } else { 1.0 }).collect();
+            let shapes_200 = |c: usize| with_len(pairs(200, 5), c);
+            shapes.extend(
+                [
+                    ("geometric 2^±60 ladder", build(ladder.clone()), 0.0, 362.0),
+                    ("ladder, both ends partial", build(ladder), 5.0, 350.0),
+                    ("boundary pieces hold 99.8% of the weight", build(heavy_ends), 3.0, 196.0),
+                    ("one heavy element among light ones", build(one_heavy), 1.0, 198.0),
+                    ("exactly two chunks, aligned", flat(200), 8.0, 23.0),
+                    ("two chunks touched, no whole one", flat(200), 10.0, 20.0),
+                    ("three chunks touched, one whole", flat(200), 5.0, 18.0),
+                    ("chunk-aligned ends", flat(200), 8.0, 191.0),
+                    ("aligned start, partial end", flat(200), 8.0, 190.0),
+                    ("partial start, range to the last key", flat(200), 9.0, 199.0),
+                    ("whole range over a short last chunk", flat(203), 0.0, 202.0),
+                    ("range ending inside the short last chunk", flat(203), 3.0, 201.0),
+                    ("chunks of one element", shapes_200(1), 3.0, 196.0),
+                    ("one chunk of n elements", shapes_200(200), 3.0, 196.0),
+                    ("two chunks of n/2 elements", shapes_200(100), 3.0, 196.0),
+                    (
+                        "681 boundary elements in the chooser",
+                        with_len(pairs(1500, 6), 400),
+                        10.0,
+                        1490.0,
+                    ),
+                ]
+                .map(|(name, sampler, x, y)| (format!("{name}{how}"), sampler, x, y)),
+            );
+        }
+        shapes
     }
 
     #[test]
@@ -1002,7 +1054,7 @@ mod tests {
         }
         for (name, s, x, y) in hostile_shapes() {
             for n in [0usize, 1, tile - 1, tile + 1, 1 << 16] {
-                both_doors(&s, x, y, n, name);
+                both_doors(&s, x, y, n, &name);
             }
         }
     }
@@ -1012,7 +1064,7 @@ mod tests {
         use iqs_stats::chisq::chi_square_gof;
         for (name, sampler, x, y) in hostile_shapes() {
             let (a, b) = sampler.rank_range(x, y);
-            let draws = both_doors(&sampler, x, y, 1 << 16, name);
+            let draws = both_doors(&sampler, x, y, 1 << 16, &name);
             let mut counts = vec![0u64; b - a];
             for &r in &draws {
                 assert!((a..b).contains(&(r as usize)), "{name}: rank {r} outside [{a},{b})");
@@ -1138,77 +1190,110 @@ mod tests {
     #[test]
     fn reweighted_is_the_fresh_build_bit_for_bit() {
         // `Debug` prints every field and tells any two finite f64s
-        // apart, so equal strings mean every array is bit-equal.
+        // apart, so equal strings mean every array is bit-equal. Each
+        // `T_chunk` is checked against a fresh build of its own kind. Cut
+        // at `TABLE_DEPTH` = 4, fewer than 16 chunks (n ≤ 65 at the
+        // paper's chunk length; odd counts put leaves above depth 4)
+        // table the leaves only, 16 (n = 112 at the paper's length, 16
+        // at length 1) exactly the depth-4 leaves, and more than 16
+        // leave the shallow nodes untabled, odd counts with leaves above
+        // the deepest level.
         let mut rng = StdRng::seed_from_u64(31);
-        for n in [1usize, 2, 7, 64, 65, 1000, 4099] {
-            let paper = ChunkedRange::new(pairs(n, 0)).unwrap().chunk_len();
-            for chunk in [paper, 1] {
-                let mut pairs = pairs(n, n as u64);
-                let mut base = ChunkedRange::with_chunk_len(pairs.clone(), chunk).unwrap();
-                // A chain of publications: each batch goes onto a clone of
-                // the current structure and onto the one behind it plus
-                // its lag. Round 2 changes nothing, so round 3's lag is
-                // empty.
-                let mut behind: Option<(ChunkedRange, Vec<usize>)> = None;
-                for round in 0..6 {
-                    // Clustered ranks (several per chunk, some twice) with
-                    // weights up to 2^±60 apart, plus a rank the lag
-                    // changed and one listed twice.
-                    let weight = |rng: &mut StdRng| 2f64.powi(rng.random_range(-60..61));
-                    let at = rng.random_range(0..n);
-                    let mut changes: Vec<(usize, f64)> = (0..rng.random_range(1..20usize))
-                        .map(|_| {
-                            let rank =
-                                [rng.random_range(0..n), (at + rng.random_range(0..9usize)) % n];
-                            (rank[rng.random_range(0..2usize)], weight(&mut rng))
-                        })
-                        .collect();
-                    if let Some(&rank) = behind.as_ref().and_then(|(_, lag)| lag.first()) {
-                        changes.push((rank, weight(&mut rng)));
-                    }
-                    changes.push((changes[0].0, weight(&mut rng)));
-                    if round == 2 {
-                        changes.clear();
-                    }
-                    for &(rank, w) in &changes {
-                        pairs[rank].1 = w;
-                    }
-                    let fresh = ChunkedRange::with_chunk_len(pairs.clone(), chunk).unwrap();
-                    let what = format!("n = {n}, c = {chunk}, round {round}");
-                    let patched = base.reweighted(&changes, None).unwrap();
-                    assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "{what}");
-                    let next = match behind.take() {
-                        Some((old, lag)) => base.reweighted(&changes, Some((old, &lag))).unwrap(),
-                        None => patched,
-                    };
-                    assert_eq!(format!("{next:?}"), format!("{fresh:?}"), "{what}, behind");
-                    let lag = changes.iter().map(|&(rank, _)| rank).collect();
-                    behind = Some((std::mem::replace(&mut base, next), lag));
+        for (how, tchunk) in TCHUNKS {
+            for n in [1usize, 2, 7, 16, 64, 65, 112, 1000, 4099] {
+                for chunk in [paper_chunk_len(n), 1] {
+                    reweight_chain(n, chunk, tchunk, &mut rng, how);
                 }
             }
         }
     }
 
+    /// Six publications of random batches on a structure of `n` keys,
+    /// each patched onto a clone of the current structure and onto the
+    /// one behind it plus its lag, and checked against a fresh build with
+    /// the same `T_chunk`. Round 2 changes nothing, so round 3's lag is
+    /// empty.
+    fn reweight_chain(n: usize, chunk: usize, tchunk: Tchunk, rng: &mut StdRng, how: &str) {
+        let mut pairs = pairs(n, n as u64);
+        let mut base = ChunkedRange::build(pairs.clone(), chunk, tchunk).unwrap();
+        let mut behind: Option<(ChunkedRange, Vec<usize>)> = None;
+        for round in 0..6 {
+            // Clustered ranks (several per chunk, some twice) with
+            // weights up to 2^±60 apart, plus a rank the lag changed and
+            // one listed twice.
+            let weight = |rng: &mut StdRng| 2f64.powi(rng.random_range(-60..61));
+            let at = rng.random_range(0..n);
+            let mut changes: Vec<(usize, f64)> = (0..rng.random_range(1..20usize))
+                .map(|_| {
+                    let rank = [rng.random_range(0..n), (at + rng.random_range(0..9usize)) % n];
+                    (rank[rng.random_range(0..2usize)], weight(rng))
+                })
+                .collect();
+            if let Some(&rank) = behind.as_ref().and_then(|(_, lag)| lag.first()) {
+                changes.push((rank, weight(rng)));
+            }
+            changes.push((changes[0].0, weight(rng)));
+            if round == 2 {
+                changes.clear();
+            }
+            for &(rank, w) in &changes {
+                pairs[rank].1 = w;
+            }
+            let fresh = ChunkedRange::build(pairs.clone(), chunk, tchunk).unwrap();
+            let what = format!("n = {n}, c = {chunk}{how}, round {round}");
+            let patched = base.reweighted(&changes, None).unwrap();
+            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "{what}");
+            let next = match behind.take() {
+                Some((old, lag)) => base.reweighted(&changes, Some((old, &lag))).unwrap(),
+                None => patched,
+            };
+            assert_eq!(format!("{next:?}"), format!("{fresh:?}"), "{what}, behind");
+            let lag = changes.iter().map(|&(rank, _)| rank).collect();
+            behind = Some((std::mem::replace(&mut base, next), lag));
+        }
+    }
+
+    #[test]
+    fn a_structure_behind_must_share_the_cut() {
+        let full = ChunkedRange::new(pairs(1000, 4)).unwrap();
+        let cut = ChunkedRange::for_reweights(pairs(1000, 4)).unwrap();
+        let caught = std::panic::catch_unwind(|| cut.reweighted(&[(3, 2.0)], Some((full, &[7]))));
+        assert!(caught.is_err(), "a full T_chunk was brought forward into a cut one");
+    }
+
+    /// Both constructors a re-weight may start from, over 50 keys: 9
+    /// chunks, so the one for re-weights tables its leaves only.
+    fn reweight_bases() -> [ChunkedRange; 2] {
+        [
+            ChunkedRange::new(pairs(50, 3)).unwrap(),
+            ChunkedRange::for_reweights(pairs(50, 3)).unwrap(),
+        ]
+    }
+
     #[test]
     fn reweighted_rejects_a_sum_that_overflows() {
-        // One huge weight is fine; two in one chunk, or in two, are not.
-        let base = ChunkedRange::new(pairs(50, 3)).unwrap();
-        assert!(base.reweighted(&[(1, 1e308)], None).is_ok());
-        for overflow in [[(1, 1e308), (2, 1e308)], [(1, 1e308), (40, 1e308)]] {
-            assert_eq!(base.reweighted(&overflow, None).unwrap_err(), QueryError::EmptyRange);
+        // One huge weight is fine; two in one chunk, or in two, are not —
+        // the latter with no table over both chunks in the structure for
+        // re-weights.
+        for base in reweight_bases() {
+            assert!(base.reweighted(&[(1, 1e308)], None).is_ok());
+            for overflow in [[(1, 1e308), (2, 1e308)], [(1, 1e308), (40, 1e308)]] {
+                assert_eq!(base.reweighted(&overflow, None).unwrap_err(), QueryError::EmptyRange);
+            }
         }
     }
 
     #[test]
     fn reweighted_rejects_what_new_rejects() {
-        let base = ChunkedRange::new(pairs(50, 3)).unwrap();
-        for bad in [(50, 1.0), (0, 0.0), (0, -2.0), (0, f64::NAN), (0, f64::INFINITY)] {
-            assert_eq!(
-                base.reweighted(&[(1, 2.0), bad], None).unwrap_err(),
-                QueryError::EmptyRange
-            );
+        for base in reweight_bases() {
+            for bad in [(50, 1.0), (0, 0.0), (0, -2.0), (0, f64::NAN), (0, f64::INFINITY)] {
+                assert_eq!(
+                    base.reweighted(&[(1, 2.0), bad], None).unwrap_err(),
+                    QueryError::EmptyRange
+                );
+            }
+            assert_eq!(base.reweighted(&[], None).unwrap().weights(), base.weights());
         }
-        assert_eq!(base.reweighted(&[], None).unwrap().weights(), base.weights());
     }
 
     #[test]

@@ -24,36 +24,78 @@ use rand::{Rng, RngCore};
 /// a leaf that ends above the deepest level stay zero). Each table is
 /// what [`AliasTable::new`] would build for the same weights, entry for
 /// entry.
+///
+/// A structure built [`for_reweights`](Self::for_reweights) stores no
+/// table on the inner nodes above depth [`TABLE_DEPTH`]: a re-weight
+/// would rebuild every one of them, each as long as its whole level. Its
+/// arena starts at that depth — `(height − TABLE_DEPTH + 1)·n` rows, a
+/// leaf above it using its own slot's row of the first level — and a
+/// query stands in for an untabled canonical node with its tabled
+/// descendants (see [`Self::prepare_with`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RankAliasAugmented {
     tree: RankBst,
-    /// First arena row of each node's table, by node id.
+    /// The depth above which inner nodes store no table; 0 when every
+    /// node stores one.
+    top: u32,
+    /// First arena row of each node's table, by node id; [`UNTABLED`]
+    /// for a node that stores none.
     at: Vec<usize>,
     rows: Vec<u64>,
 }
 
+/// The shallowest depth whose inner nodes keep their tables in a
+/// structure built [`for_reweights`](RankAliasAugmented::for_reweights).
+/// A canonical node at depth `d` above it costs a query up to
+/// `2^(TABLE_DEPTH − d)` chooser columns instead of one; a re-weight
+/// rebuilds `TABLE_DEPTH` fewer whole levels. The largest depth whose
+/// `mixed-rw` read latency held within 5% of the full structure's
+/// (EXPERIMENTS.md, "Re-weight update phases").
+pub const TABLE_DEPTH: u32 = 4;
+
+/// The arena position of a node that stores no table.
+const UNTABLED: usize = usize::MAX;
+
 impl RankAliasAugmented {
-    /// Builds the structure in `O(n log n)` time and space.
+    /// Builds the structure in `O(n log n)` time and space, with a table
+    /// on every node.
     ///
     /// # Panics
     /// Panics on empty or non-positive weights (caller validates input).
     pub fn new(weights: &[f64]) -> Self {
+        Self::build(weights, 0)
+    }
+
+    /// Builds the structure for a caller that re-weights it: no table on
+    /// the inner nodes above depth [`TABLE_DEPTH`].
+    ///
+    /// # Panics
+    /// As [`Self::new`].
+    pub fn for_reweights(weights: &[f64]) -> Self {
+        Self::build(weights, TABLE_DEPTH)
+    }
+
+    fn build(weights: &[f64], top: u32) -> Self {
         let tree = RankBst::new(weights).expect("non-empty weights");
         let n = tree.len();
-        let mut at = vec![0; tree.node_count()];
+        let mut at = vec![UNTABLED; tree.node_count()];
         let mut below = vec![(tree.root(), 0)];
         while let Some((u, depth)) = below.pop() {
-            at[u as usize] = depth * n + tree.leaf_range(u).0;
+            if depth >= top || tree.is_leaf(u) {
+                at[u as usize] = depth.saturating_sub(top) as usize * n + tree.leaf_range(u).0;
+            }
             if !tree.is_leaf(u) {
                 let (l, r) = tree.children(u);
                 below.extend([(l, depth + 1), (r, depth + 1)]);
             }
         }
-        let rows = vec![0; (tree.height() as usize + 1) * n];
-        let mut this = RankAliasAugmented { tree, at, rows };
+        let rows = vec![0; (tree.height().saturating_sub(top) as usize + 1) * n];
+        let mut this = RankAliasAugmented { tree, top, at, rows };
         let mut scratch = BuildScratch::default();
         for u in 0..this.tree.node_count() as NodeId {
-            this.build_node(u, weights, &mut scratch).expect("positive weights");
+            if this.at[u as usize] != UNTABLED {
+                this.build_node(u, weights, &mut scratch).expect("positive weights");
+            }
         }
         this
     }
@@ -64,7 +106,11 @@ impl RankAliasAugmented {
     /// rather than building: the node weights above `lag` are recomputed
     /// and the tables on their root-to-leaf paths copied row for row
     /// from `current`.
+    ///
+    /// # Panics
+    /// If `current` stores its tables from another depth.
     pub(crate) fn catch_up(&mut self, current: &Self, weights: &[f64], lag: &[usize]) {
+        assert_eq!(self.top, current.top, "a structure behind is cut at the same depth");
         self.tree.reweigh(weights, lag);
         for u in self.paths(lag) {
             let at = self.at[u as usize];
@@ -76,18 +122,22 @@ impl RankAliasAugmented {
     /// Rebuilds `self` in place for `weights`, which differ from the ones
     /// it was built over at the slots `touched` only (ascending): the node
     /// weights above them and the tables on their root-to-leaf paths, so
-    /// every array equals what [`Self::new`] builds for `weights`.
+    /// every array equals what a fresh build for `weights` holds.
     ///
     /// # Errors
-    /// [`WeightError`] when a rebuilt table's weights do not sum to a
-    /// finite total — the root's table, rebuilt whenever anything is,
-    /// sums them all.
+    /// [`WeightError::TotalOverflow`] when the recomputed root weight —
+    /// the sum of every slot's weight — is not finite: a structure built
+    /// for re-weights has no root table whose build would sum them.
+    /// Otherwise any [`WeightError`] a rebuilt table reports.
     pub(crate) fn reweight(
         &mut self,
         weights: &[f64],
         touched: &[usize],
     ) -> Result<(), WeightError> {
         self.tree.reweigh(weights, touched);
+        if !self.tree.node_weight(self.tree.root()).is_finite() {
+            return Err(WeightError::TotalOverflow);
+        }
         let mut scratch = BuildScratch::default();
         for u in self.paths(touched) {
             self.build_node(u, weights, &mut scratch)?;
@@ -95,8 +145,9 @@ impl RankAliasAugmented {
         Ok(())
     }
 
-    /// The nodes whose slot range holds one of `slots` (ascending): the
-    /// root-to-leaf paths above them.
+    /// The tabled nodes whose slot range holds one of `slots`
+    /// (ascending): the root-to-leaf paths above them, less the nodes
+    /// that store no table.
     fn paths(&self, slots: &[usize]) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut below = vec![(self.tree.root(), slots)];
@@ -104,7 +155,9 @@ impl RankAliasAugmented {
             if slots.is_empty() {
                 continue;
             }
-            out.push(u);
+            if self.at[u as usize] != UNTABLED {
+                out.push(u);
+            }
             if !self.tree.is_leaf(u) {
                 let (l, r) = self.tree.children(u);
                 let cut = slots.partition_point(|&slot| slot < self.tree.leaf_range(r).0);
@@ -166,6 +219,13 @@ impl RankAliasAugmented {
     /// query's draws among boundary elements and `T_chunk` nodes alike.
     /// Returns `None` when `[a, b)` is empty.
     ///
+    /// A canonical node that stores no table (above [`TABLE_DEPTH`] in a
+    /// structure built for re-weights) is replaced by its tabled
+    /// descendants, left to right, each a column weighted by its
+    /// subtree's mass. A draw that picks descendant `v` and then leaf `e`
+    /// in `v`'s table has probability `W(v)/W(q) · w(e)/W(v) = w(e)/W(q)`,
+    /// as through the node's own table, and spends the same two words.
+    ///
     /// Every sampling entry point — sequential and batched — funnels
     /// through the context this returns, so there is exactly one draw code
     /// path to test.
@@ -175,24 +235,54 @@ impl RankAliasAugmented {
         b: usize,
         extra: impl Iterator<Item = f64>,
     ) -> Option<PreparedRange<'_>> {
-        let canon = self.tree.canonical_nodes(a, b);
-        if canon.is_empty() {
+        let b = b.min(self.len());
+        if a >= b {
             return None;
         }
-        let mut weights = Vec::with_capacity(extra.size_hint().0 + canon.len());
+        // At most two canonical nodes a level, as many columns as that
+        // unless some store no table.
+        let columns = extra.size_hint().0 + 2 * self.tree.height() as usize + 1;
+        let mut weights = Vec::with_capacity(columns);
         weights.extend(extra);
         let extras = weights.len();
-        weights.extend(canon.iter().map(|&u| self.tree.node_weight(u)));
         // An extra column stands in as the one-row table at the arena's
         // first row, so the passes below need no case for it.
-        let mut pieces = vec![Piece { at: 0, len: 1, lo: 0 }; extras];
-        pieces.extend(canon.iter().map(|&u| Piece {
-            at: self.at[u as usize],
-            len: self.tree.node_count_leaves(u) as u32,
-            lo: self.tree.leaf_range(u).0 as u32,
-        }));
+        let mut pieces = Vec::with_capacity(columns);
+        pieces.resize(extras, Piece { at: 0, len: 1, lo: 0 });
+        self.cover(self.tree.root(), a, b, &mut weights, &mut pieces);
         let chooser = AliasTable::new(&weights).expect("positive piece weights");
         Some(PreparedRange { rows: &self.rows, chooser, pieces, extras })
+    }
+
+    /// Appends a chooser column for each node of the tabled cover of
+    /// slots `[a, b)` under `u`, left to right: the canonical nodes of
+    /// Figure 1, each replaced by its tabled descendants when it stores
+    /// no table.
+    fn cover(
+        &self,
+        u: NodeId,
+        a: usize,
+        b: usize,
+        weights: &mut Vec<f64>,
+        pieces: &mut Vec<Piece>,
+    ) {
+        let (lo, hi) = self.tree.leaf_range(u);
+        let at = self.at[u as usize];
+        if a <= lo && hi <= b && at != UNTABLED {
+            weights.push(self.tree.node_weight(u));
+            pieces.push(Piece { at, len: (hi - lo) as u32, lo: lo as u32 });
+            return;
+        }
+        // Not a leaf: a leaf under the range lies inside it and stores a
+        // table.
+        let (l, r) = self.tree.children(u);
+        let mid = self.tree.leaf_range(r).0;
+        if a < mid {
+            self.cover(l, a, b, weights, pieces);
+        }
+        if b > mid {
+            self.cover(r, a, b, weights, pieces);
+        }
     }
 
     /// Draws `s` independent weighted rank samples from `[a, b)` in
@@ -238,7 +328,7 @@ impl RankAliasAugmented {
     }
 }
 
-/// One chooser column of a [`PreparedRange`]: a canonical node's stored
+/// One chooser column of a [`PreparedRange`]: a tabled node's stored
 /// table — its first arena row, its length, and the first slot it covers.
 #[derive(Clone, Copy)]
 struct Piece {
@@ -258,8 +348,8 @@ pub struct PreparedRange<'a> {
     rows: &'a [u64],
     /// On-the-fly alias over the pieces' weights.
     chooser: AliasTable,
-    /// By chooser column: the extra pieces' stand-ins, then the
-    /// canonical nodes.
+    /// By chooser column: the extra pieces' stand-ins, then the tabled
+    /// nodes covering the range.
     pieces: Vec<Piece>,
     /// How many leading columns are the caller's extra pieces.
     extras: usize,
@@ -363,28 +453,40 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    type Build = fn(&[f64]) -> RankAliasAugmented;
+
+    /// Both ways to build the structure: a table on every node, and no
+    /// table above [`TABLE_DEPTH`].
+    const BUILDS: [(&str, Build); 2] = [
+        ("every level", RankAliasAugmented::new),
+        ("for re-weights", RankAliasAugmented::for_reweights),
+    ];
+
     #[test]
     fn distribution_matches_weights() {
         let weights: Vec<f64> = (1..=32).map(f64::from).collect();
-        let r = RankAliasAugmented::new(&weights);
-        let (a, b) = (5usize, 20usize);
-        let total: f64 = weights[a..b].iter().sum();
-        let mut rng = StdRng::seed_from_u64(300);
-        let mut counts = vec![0u64; 32];
-        let mut out = Vec::new();
-        for _ in 0..500 {
-            out.clear();
-            assert!(r.sample_into(a, b, 200, &mut rng, &mut out));
-            for &pos in &out {
-                assert!((a..b).contains(&pos));
-                counts[pos] += 1;
+        for (name, build) in BUILDS {
+            let r = build(&weights);
+            // [5, 20) is covered by nodes on every depth from 2 to 5.
+            let (a, b) = (5usize, 20usize);
+            let total: f64 = weights[a..b].iter().sum();
+            let mut rng = StdRng::seed_from_u64(300);
+            let mut counts = vec![0u64; 32];
+            let mut out = Vec::new();
+            for _ in 0..500 {
+                out.clear();
+                assert!(r.sample_into(a, b, 200, &mut rng, &mut out));
+                for &pos in &out {
+                    assert!((a..b).contains(&pos));
+                    counts[pos] += 1;
+                }
             }
-        }
-        let draws = 500.0 * 200.0;
-        for pos in a..b {
-            let p = counts[pos] as f64 / draws;
-            let want = weights[pos] / total;
-            assert!((p - want).abs() < 0.15 * want + 0.002, "pos {pos}: {p} vs {want}");
+            let draws = 500.0 * 200.0;
+            for pos in a..b {
+                let p = counts[pos] as f64 / draws;
+                let want = weights[pos] / total;
+                assert!((p - want).abs() < 0.15 * want + 0.002, "{name} pos {pos}: {p} vs {want}");
+            }
         }
     }
 
@@ -400,22 +502,24 @@ mod tests {
     #[test]
     fn block_path_replays_sequential_path() {
         let weights: Vec<f64> = (1..=64).map(f64::from).collect();
-        let r = RankAliasAugmented::new(&weights);
-        for (a, b) in [(3usize, 47usize), (16, 32), (10, 11)] {
-            let mut rng_a = StdRng::seed_from_u64(777);
-            let mut seq = Vec::new();
-            assert!(r.sample_into(a, b, 100, &mut rng_a, &mut seq));
+        for (name, build) in BUILDS {
+            let r = build(&weights);
+            for (a, b) in [(3usize, 47usize), (16, 32), (10, 11), (0, 64)] {
+                let mut rng_a = StdRng::seed_from_u64(777);
+                let mut seq = Vec::new();
+                assert!(r.sample_into(a, b, 100, &mut rng_a, &mut seq));
 
-            let mut rng_b = StdRng::seed_from_u64(777);
-            let mut block = BlockRng64::new(&mut rng_b);
-            let mut batch = vec![0u32; 100];
-            assert!(r.sample_block_into(a, b, &mut block, &mut batch));
-            let seq32: Vec<u32> = seq.iter().map(|&x| x as u32).collect();
-            assert_eq!(batch, seq32, "range [{a},{b})");
+                let mut rng_b = StdRng::seed_from_u64(777);
+                let mut block = BlockRng64::new(&mut rng_b);
+                let mut batch = vec![0u32; 100];
+                assert!(r.sample_block_into(a, b, &mut block, &mut batch));
+                let seq32: Vec<u32> = seq.iter().map(|&x| x as u32).collect();
+                assert_eq!(batch, seq32, "{name} range [{a},{b})");
+            }
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut block = BlockRng64::new(&mut rng);
+            assert!(!r.sample_block_into(9, 9, &mut block, &mut []));
         }
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut block = BlockRng64::new(&mut rng);
-        assert!(!r.sample_block_into(9, 9, &mut block, &mut []));
     }
 
     #[test]
@@ -423,18 +527,47 @@ mod tests {
         // Exercises the word-pre-assignment argument across tile seams
         // and the chooser (multi-node) decode path.
         let weights: Vec<f64> = (1..=128).map(f64::from).collect();
-        let r = RankAliasAugmented::new(&weights);
         let tile = iqs_alias::pipeline::TILE;
-        for s in [tile - 1, tile, tile + 1, 2 * tile + 9] {
-            let mut rng_a = StdRng::seed_from_u64(s as u64);
-            let mut seq = Vec::new();
-            assert!(r.sample_into(7, 99, s, &mut rng_a, &mut seq));
-            let mut rng_b = StdRng::seed_from_u64(s as u64);
-            let mut block = BlockRng64::new(&mut rng_b);
-            let mut batch = vec![0u32; s];
-            assert!(r.sample_block_into(7, 99, &mut block, &mut batch));
-            let seq32: Vec<u32> = seq.iter().map(|&x| x as u32).collect();
-            assert_eq!(batch, seq32, "s = {s}");
+        for (name, build) in BUILDS {
+            let r = build(&weights);
+            for s in [tile - 1, tile, tile + 1, 2 * tile + 9] {
+                let mut rng_a = StdRng::seed_from_u64(s as u64);
+                let mut seq = Vec::new();
+                assert!(r.sample_into(7, 99, s, &mut rng_a, &mut seq));
+                let mut rng_b = StdRng::seed_from_u64(s as u64);
+                let mut block = BlockRng64::new(&mut rng_b);
+                let mut batch = vec![0u32; s];
+                assert!(r.sample_block_into(7, 99, &mut block, &mut batch));
+                let seq32: Vec<u32> = seq.iter().map(|&x| x as u32).collect();
+                assert_eq!(batch, seq32, "{name} s = {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_structure_for_reweights_keeps_no_table_above_its_depth() {
+        let d = TABLE_DEPTH;
+        for n in [1usize, 3, 1 << d, (1 << d) + 1, 100, 1 << 10] {
+            let weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+            let (full, cut) =
+                (RankAliasAugmented::new(&weights), RankAliasAugmented::for_reweights(&weights));
+            let height = full.tree.height();
+            assert_eq!(full.rows.len(), (height as usize + 1) * n, "n = {n}");
+            assert_eq!(cut.rows.len(), (height.saturating_sub(d) as usize + 1) * n, "n = {n}");
+            // A tabled node keeps the table the full structure stores.
+            for u in 0..cut.tree.node_count() {
+                let tabled = cut.at[u] != UNTABLED;
+                assert_eq!(tabled, cut.tree.is_leaf(u as NodeId) || full.at[u] >= d as usize * n);
+                if tabled {
+                    let len = cut.tree.node_count_leaves(u as NodeId);
+                    assert_eq!(cut.rows[cut.at[u]..][..len], full.rows[full.at[u]..][..len]);
+                }
+            }
+            // The whole range: one column for the root, or one for each
+            // tabled node under it that has no tabled ancestor.
+            let columns = cut.prepare(0, n).unwrap().pieces.len();
+            assert_eq!(full.prepare(0, n).unwrap().pieces.len(), 1);
+            assert_eq!(columns, n.min(1 << d), "n = {n}");
         }
     }
 
@@ -443,22 +576,30 @@ mod tests {
         // Slot counts off the powers of two leave leaves above the
         // deepest level; `Debug` compares every row of the arena.
         // A structure one edit behind, caught up by copying, is the
-        // patched one too.
-        for n in [1usize, 2, 3, 11, 100, 257] {
-            let mut weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
-            let base = RankAliasAugmented::new(&weights);
-            let touched: Vec<usize> =
-                (0..n).filter(|slot| slot % 37 == 0 || *slot == n - 1).collect();
-            for &slot in &touched {
-                weights[slot] = 0.5 + slot as f64 * 1e9;
+        // patched one too. Cut at `TABLE_DEPTH` = 4, up to 16 slots table
+        // the leaves only (3 and 11 with some above depth 4), and 100
+        // and 257 leave their top four levels untabled.
+        for (name, build) in BUILDS {
+            for n in [1usize, 2, 3, 11, 1 << TABLE_DEPTH, 100, 257] {
+                let mut weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+                let base = build(&weights);
+                let touched: Vec<usize> =
+                    (0..n).filter(|slot| slot % 37 == 0 || *slot == n - 1).collect();
+                for &slot in &touched {
+                    weights[slot] = 0.5 + slot as f64 * 1e9;
+                }
+                let mut patched = base.clone();
+                patched.reweight(&weights, &touched).unwrap();
+                let fresh = build(&weights);
+                assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "{name}, n = {n}");
+                let mut behind = base.clone();
+                behind.catch_up(&patched, &weights, &touched);
+                assert_eq!(
+                    format!("{behind:?}"),
+                    format!("{fresh:?}"),
+                    "{name}, n = {n}, caught up"
+                );
             }
-            let mut patched = base.clone();
-            patched.reweight(&weights, &touched).unwrap();
-            let fresh = RankAliasAugmented::new(&weights);
-            assert_eq!(format!("{patched:?}"), format!("{fresh:?}"), "n = {n}");
-            let mut behind = base.clone();
-            behind.catch_up(&patched, &weights, &touched);
-            assert_eq!(format!("{behind:?}"), format!("{fresh:?}"), "n = {n}, caught up");
         }
     }
 

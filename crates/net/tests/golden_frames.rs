@@ -71,15 +71,6 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
             ),
         ),
         (
-            "request_sample_union",
-            msg::encode_request(
-                &Request::SampleUnion { index: "sets".into(), g: vec![1, 2, 3], s: 4 },
-                4,
-                0,
-                0,
-            ),
-        ),
-        (
             "request_total_weight",
             msg::encode_request(&Request::TotalWeight { index: "shard".into() }, 5, 0, 0),
         ),
@@ -237,7 +228,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("request_sample_wr_full_range", "495102010000000001000000000000000000000000000000000000003c0000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b222d696e66222c22696e66225d2c2273223a31367d7d"),
     ("request_sample_wor", "49510201000000000200000000000000000000000000000000000000320000007b2253616d706c65576f72223a7b22696e646578223a227368617264222c2272616e6765223a6e756c6c2c2273223a337d7d"),
     ("request_range_count", "49510201000000000300000000000000000000000000000000000000300000007b2252616e6765436f756e74223a7b22696e646578223a227368617264222c2278223a302e352c2279223a392e357d7d"),
-    ("request_sample_union", "49510201000000000400000000000000000000000000000000000000320000007b2253616d706c65556e696f6e223a7b22696e646578223a2273657473222c2267223a5b312c322c335d2c2273223a347d7d"),
     ("request_total_weight", "49510201000000000500000000000000000000000000000000000000210000007b22546f74616c576569676874223a7b22696e646578223a227368617264227d7d"),
     ("request_range_weight", "49510201000000000600000000000000000000000000000000000000330000007b2252616e6765576569676874223a7b22696e646578223a227368617264222c2278223a2d302e32352c2279223a3132387d7d"),
     ("request_update", "49510201000000000700000000000000000000000000000000000000610000007b22557064617465223a7b22696e646578223a227368617264222c226f7073223a5b7b22557073657274223a7b226964223a372c226b6579223a312e352c22776569676874223a327d7d2c7b2252656d6f7665223a7b226964223a397d7d5d7d7d"),
@@ -355,7 +345,7 @@ fn samples_width_boundary_is_u32_max() {
 }
 
 /// Builds one of every request shape from a handful of drawn scalars.
-fn request_from(kind: u8, range: &[f64], s: u32, g: Vec<u32>, id: u64) -> Request {
+fn request_from(kind: u8, range: &[f64], s: u32, id: u64) -> Request {
     let (x, y) = (range[0].min(range[1]), range[0].max(range[1]));
     match kind {
         0 => Request::SampleWr { index: "shard".into(), range: Some((x, y)), s },
@@ -366,8 +356,7 @@ fn request_from(kind: u8, range: &[f64], s: u32, g: Vec<u32>, id: u64) -> Reques
         },
         2 => Request::SampleWor { index: "shard".into(), range: None, s },
         3 => Request::RangeCount { index: "shard".into(), x, y },
-        4 => Request::SampleUnion { index: "sets".into(), g, s },
-        5 => Request::TotalWeight { index: "shard".into() },
+        4 => Request::TotalWeight { index: "shard".into() },
         _ => Request::Update {
             index: "shard".into(),
             ops: vec![UpdateOp::Upsert { id, key: x, weight: y + 0.5 }, UpdateOp::Remove { id }],
@@ -380,15 +369,14 @@ proptest! {
     /// frame-decode, payload-parse, and compare structurally.
     #[test]
     fn requests_roundtrip_the_wire(
-        kind in 0u8..7,
+        kind in 0u8..6,
         range in pvec(0.0f64..100.0, 2),
         s in 0u32..1000,
-        g in pvec(0u32..64, 0..5),
         id in 0u64..100,
         trace in 0u64..u64::MAX,
         span in 0u32..u32::MAX,
     ) {
-        let request = request_from(kind, &range, s, g, id);
+        let request = request_from(kind, &range, s, id);
         let frame = msg::encode_request(&request, trace, span, 1234);
         let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("well-formed");
         prop_assert_eq!(header.trace, trace);

@@ -23,12 +23,11 @@ use serde::{Deserialize, Serialize};
 /// writer path enjoys the same admission control and metrics as reads.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum UpdateOp {
-    /// Inserts `id` or replaces its key/weight if present. Weighted-set
-    /// indexes (no key dimension) ignore `key`.
+    /// Inserts `id` or replaces its key/weight if present.
     Upsert {
         /// Caller-chosen element id.
         id: u64,
-        /// Position on the line (range indexes only).
+        /// Position on the line; must be finite.
         key: f64,
         /// Sampling weight; must be finite-positive.
         weight: f64,
@@ -45,10 +44,9 @@ pub enum UpdateOp {
 /// registered name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// `s` independent weighted samples **with** replacement. For range
-    /// indexes `range = Some((x, y))` restricts to the closed key
-    /// interval; `None` samples the whole index (also the form weighted
-    /// set indexes accept).
+    /// `s` independent weighted samples **with** replacement.
+    /// `range = Some((x, y))` restricts to the closed key interval;
+    /// `None` samples the whole index.
     SampleWr {
         /// Target index name.
         index: String,
@@ -76,16 +74,6 @@ pub enum Request {
         x: f64,
         /// Interval end.
         y: f64,
-    },
-    /// `s` independent uniform samples of the union of the named member
-    /// sets of a set-union index (Theorem 8 through the service path).
-    SampleUnion {
-        /// Target index name.
-        index: String,
-        /// Member-set ids forming the query family `G`.
-        g: Vec<u32>,
-        /// Number of samples.
-        s: u32,
     },
     /// Total sampling weight of the index. Served from a value cached in
     /// the published snapshot at view-build time, so it costs one
@@ -127,7 +115,6 @@ impl Request {
             Request::SampleWr { index, .. }
             | Request::SampleWor { index, .. }
             | Request::RangeCount { index, .. }
-            | Request::SampleUnion { index, .. }
             | Request::TotalWeight { index }
             | Request::RangeWeight { index, .. }
             | Request::Update { index, .. } => index,
@@ -243,8 +230,6 @@ pub(crate) mod serde_tests {
         });
         roundtrip(&Request::SampleWor { index: "b\"x".into(), range: Some((-1.0, 1.0)), s: 9 });
         roundtrip(&Request::RangeCount { index: "c".into(), x: -0.5, y: 1e300 });
-        roundtrip(&Request::SampleUnion { index: "u".into(), g: vec![0, 7, 2], s: 12 });
-        roundtrip(&Request::SampleUnion { index: "u".into(), g: Vec::new(), s: 1 });
         roundtrip(&Request::TotalWeight { index: "t".into() });
         roundtrip(&Request::RangeWeight { index: "w".into(), x: 2.0, y: 3.0 });
         roundtrip(&Request::Update {

@@ -22,9 +22,9 @@ pub enum ServeError {
     /// An update carried an invalid weight.
     Weight(WeightError),
     /// The request kind is not supported by the target index's type
-    /// (e.g. keyed range queries against a weighted-set index).
+    /// (e.g. an update to a static index).
     Unsupported(Cow<'static, str>),
-    /// The request was malformed (oversized sample, bad set id, …).
+    /// The request was malformed (oversized sample, repeated id, …).
     InvalidRequest(Cow<'static, str>),
     /// Admission control refused the request: the queue is at capacity.
     /// Back off and retry; in-budget traffic keeps its latency.

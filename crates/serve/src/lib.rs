@@ -20,8 +20,9 @@
 //!   service lets a blocking caller take a seat and answer on its own
 //!   thread instead of paying a hand-off.
 //! * [`Request`] / [`Response`] — a typed API (`SampleWr`, `SampleWor`,
-//!   `RangeCount`, `SampleUnion`, `Update`) dispatching to the existing
-//!   batch entry points with per-seat reusable buffers and RNGs.
+//!   `RangeCount`, `TotalWeight`, `RangeWeight`, `Update`) dispatching to
+//!   a range index's batch entry points, with per-seat reusable buffers
+//!   and RNGs, or to an [`ExternalIndex`].
 //! * [`MetricsSnapshot`] — built-in metrics: atomic counters plus
 //!   log₂-bucket latency histograms with p50/p99/p999, queue depth,
 //!   rejection/deadline-miss counts, and snapshot-swap counts — one
@@ -67,6 +68,6 @@ pub use error::ServeError;
 pub use iqs_obs::{HistogramSnapshot, SnapshotDiffError};
 pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};
 pub use qos::TenantSpec;
-pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView, WeightedView};
+pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView};
 pub use server::{Begun, Client, PendingReply, Server, ServerConfig};
 pub use snapshot::Snapshot;

@@ -4,14 +4,16 @@
 //! Each registered index is a pair of states:
 //!
 //! * a **published view** ([`IndexView`]) — an immutable, read-optimized
-//!   structure (a [`ChunkedRange`], an [`AliasTable`], or a frozen
-//!   [`SetUnionSampler`]) inside a [`Snapshot`] cell. Workers pin it per
+//!   structure (a [`ChunkedRange`] and its ids, or the handle of an
+//!   [`ExternalIndex`]) inside a [`Snapshot`] cell. Workers pin it per
 //!   request; any number of threads sample it concurrently.
 //! * a **master** — for dynamic indexes, an ordered map
 //!   `(key, id) → weight` behind a writer mutex. Nothing ever samples
 //!   it: updates edit the map, derive the next view, and publish it
 //!   atomically. Readers of the old view are never blocked, never torn,
-//!   and drop the old snapshot when their in-flight queries finish.
+//!   and drop the old snapshot when their in-flight queries finish. A
+//!   panic that poisons the mutex loses only the batch it interrupted:
+//!   the next update re-derives the master from the published view.
 //!
 //! How the next view is derived is read off the batch itself. A batch
 //! in which every applied op re-weights a live element at its current
@@ -43,13 +45,11 @@
 //! and snapshot cells, which is what makes the whole object `Sync`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
-use iqs_alias::{AliasTable, WeightError};
-use iqs_core::setunion::SetUnionSampler;
+use iqs_alias::WeightError;
 use iqs_core::{ChunkedRange, QueryError, RangeSampler};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::api::UpdateOp;
 use crate::error::ServeError;
@@ -239,37 +239,15 @@ impl RangeView {
     }
 }
 
-/// Published view of a weighted-set index (no key dimension): one alias
-/// table over the current weights. `table` is `None` when empty.
-#[derive(Debug)]
-pub struct WeightedView {
-    /// Walker alias table over the live weights, if non-empty.
-    pub table: Option<AliasTable>,
-    /// Element id of each alias-table column.
-    pub ids: Vec<u64>,
-    /// Total sampling weight, cached at view-build time (see
-    /// [`RangeView::total_weight`]).
-    pub total_weight: f64,
-}
-
-impl WeightedView {
-    /// Builds a view from an optional table and id map, caching the
-    /// total weight.
-    pub(crate) fn of(table: Option<AliasTable>, ids: Vec<u64>) -> Self {
-        let total_weight = table.as_ref().map_or(0.0, AliasTable::total_weight);
-        WeightedView { table, ids, total_weight }
-    }
-}
-
 /// The published, immutable state of one index.
+// A view lives behind its snapshot's `Arc`, one per publication, so the
+// size of the larger variant costs nothing; boxing it would cost every
+// draw a pointer chase.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum IndexView {
     /// Weighted range sampling on the line (Theorem 3).
     Range(RangeView),
-    /// Weighted set sampling (Theorem 1).
-    Weighted(WeightedView),
-    /// Set-union sampling (Theorem 8), served frozen.
-    Union(SetUnionSampler),
     /// An externally served index (e.g. a tiered hot/cold backend): the
     /// view is a handle, the engine manages its own storage.
     External(Arc<dyn ExternalIndex>),
@@ -290,24 +268,19 @@ fn key_of_bits(bits: u64) -> f64 {
     f64::from_bits(if bits >> 63 == 1 { bits & !(1 << 63) } else { !bits })
 }
 
-/// The writer-side state of a dynamic index: its live elements, held in
-/// the order the next view publishes them. It is never sampled.
-#[derive(Debug)]
+/// The writer-side state of a dynamic range index: its live elements,
+/// held in the order the next view publishes them. It is never sampled.
+#[derive(Debug, Default)]
 struct MasterMap {
-    /// `true` for a range index: keys order the elements and a bad op is
-    /// a [`ServeError::Query`]. `false` for a weighted set: every key is
-    /// 0 and a bad op is a [`ServeError::Weight`].
-    keyed: bool,
     /// `(key_bits(key), id) → weight`. An in-order walk is the view's
     /// rank order, so equal keys publish by ascending id whatever the
     /// update history was.
     by_key: BTreeMap<(u64, u64), f64>,
     /// `id → key_bits(key)`: where an element sits in `by_key`.
     key_of: HashMap<u64, u64>,
-    /// The view the last publication of a range index superseded, kept
-    /// so the next patch can be brought forward from it (if no reader
-    /// still pins it) instead of copying the current view. At most this
-    /// one.
+    /// The view the last publication superseded, kept so the next patch
+    /// can be brought forward from it (if no reader still pins it)
+    /// instead of copying the current view. At most this one.
     spare: Option<Arc<IndexView>>,
     /// The ranks the last publication re-weighted when it was a patch —
     /// all that tells `spare` from the current view. `None` after a
@@ -327,15 +300,17 @@ struct MasterMap {
 const TOTAL_HEADROOM: f64 = 1.0 + 1.0 / 1024.0;
 
 impl MasterMap {
-    fn new(keyed: bool) -> Self {
-        MasterMap {
-            keyed,
-            by_key: BTreeMap::new(),
-            key_of: HashMap::new(),
-            spare: None,
-            lag: None,
-            total: 0.0,
+    /// The master of the elements `view` publishes, as a fresh one holds
+    /// them: no spare, no lag, and the total summed afresh.
+    fn of_view(view: &RangeView) -> Self {
+        let mut master = MasterMap::default();
+        let (Some(sampler), Some(ids)) = (&view.sampler, &view.ids) else { return master };
+        for ((&key, &weight), &id) in sampler.keys().iter().zip(sampler.weights()).zip(ids.iter()) {
+            master.key_of.insert(id, key_bits(key));
+            master.by_key.insert((key_bits(key), id), weight);
+            master.total += weight;
         }
+        master
     }
 
     /// Inserts `id`, replacing its previous entry; returns whether `id`
@@ -344,13 +319,8 @@ impl MasterMap {
     /// ([`WeightError::TotalOverflow`] past [`TOTAL_HEADROOM`]) — so an
     /// invalid upsert leaves the element it names as it was.
     fn upsert(&mut self, id: u64, key: f64, weight: f64) -> Result<bool, ServeError> {
-        let key = if self.keyed { key } else { 0.0 };
         if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
-            return Err(if self.keyed {
-                ServeError::Query(QueryError::EmptyRange)
-            } else {
-                ServeError::Weight(WeightError::NonPositive { index: 0, weight })
-            });
+            return Err(ServeError::Query(QueryError::EmptyRange));
         }
         let old = self.key_of.get(&id).map(|&old| (old, self.by_key[&(old, id)]));
         let total = self.total - old.map_or(0.0, |(_, w)| w) + weight;
@@ -377,21 +347,13 @@ impl MasterMap {
         true
     }
 
-    /// Builds the read view of the current elements; a range view for
-    /// the re-weights that patch it ([`ChunkedRange::for_reweights`]).
-    fn view(&self) -> IndexView {
-        if self.keyed {
-            let pairs = self.by_key.iter().map(|(&(bits, _), &w)| (key_of_bits(bits), w)).collect();
-            let ids = self.by_key.keys().map(|&(_, id)| id).collect();
-            let view = RangeView::from_sorted(pairs, ids, ChunkedRange::for_reweights)
-                .expect("upsert validated every element");
-            return IndexView::Range(view);
-        }
-        let ids: Vec<u64> = self.by_key.keys().map(|&(_, id)| id).collect();
-        let weights: Vec<f64> = self.by_key.values().copied().collect();
-        let table = (!ids.is_empty())
-            .then(|| AliasTable::new(&weights).expect("upsert validated every weight"));
-        IndexView::Weighted(WeightedView::of(table, ids))
+    /// Builds the read view of the current elements, for the re-weights
+    /// that patch it ([`ChunkedRange::for_reweights`]).
+    fn view(&self) -> RangeView {
+        let pairs = self.by_key.iter().map(|(&(bits, _), &w)| (key_of_bits(bits), w)).collect();
+        let ids = self.by_key.keys().map(|&(_, id)| id).collect();
+        RangeView::from_sorted(pairs, ids, ChunkedRange::for_reweights)
+            .expect("upsert validated every element")
     }
 }
 
@@ -399,13 +361,9 @@ impl MasterMap {
 #[derive(Debug)]
 pub(crate) struct IndexEntry {
     pub(crate) view: Snapshot<IndexView>,
-    /// The element map of a dynamic index; `None` for static, union and
-    /// external indexes, which take no element updates (union refreshes
-    /// still serialize on this mutex).
+    /// The element map of a dynamic index; `None` for static and
+    /// external indexes, which take no element updates.
     master: Mutex<Option<MasterMap>>,
-    /// Samples served against the current union permutation; drives the
-    /// paper's rebuild-every-`n`-queries argument for frozen serving.
-    pub(crate) union_served: AtomicU64,
 }
 
 /// Named indexes behind snapshot cells. Register everything before
@@ -435,11 +393,7 @@ impl IndexRegistry {
         }
         self.map.insert(
             name.to_string(),
-            IndexEntry {
-                view: Snapshot::new(view),
-                master: Mutex::new(master),
-                union_served: AtomicU64::new(0),
-            },
+            IndexEntry { view: Snapshot::new(view), master: Mutex::new(master) },
         );
         Ok(())
     }
@@ -483,55 +437,25 @@ impl IndexRegistry {
     /// builds it afresh (see the module docs).
     ///
     /// # Errors
-    /// [`ServeError::Query`] on invalid input (bad key/weight, duplicate
-    /// id), or a duplicate-name error.
+    /// [`ServeError::Query`] on a bad key or weight,
+    /// [`ServeError::Weight`] on weights whose sum overflows,
+    /// [`ServeError::InvalidRequest`] naming an id that appears twice, or
+    /// a duplicate-name error.
     pub fn register_range_dynamic(
         &mut self,
         name: &str,
         triples: Vec<(u64, f64, f64)>,
     ) -> Result<(), ServeError> {
-        let mut master = MasterMap::new(true);
+        let mut master = MasterMap::default();
         for (id, key, w) in triples {
             if master.key_of.contains_key(&id) {
-                return Err(ServeError::Query(QueryError::EmptyRange));
+                return Err(ServeError::InvalidRequest(
+                    format!("element id {id} is repeated").into(),
+                ));
             }
             master.upsert(id, key, w)?;
         }
-        self.insert_entry(name, master.view(), Some(master))
-    }
-
-    /// Registers a dynamic weighted-set index from `(id, weight)` pairs
-    /// (possibly empty; duplicate ids keep the last weight).
-    ///
-    /// # Errors
-    /// [`ServeError::Weight`] on a bad weight, or a duplicate-name error.
-    pub fn register_weighted(
-        &mut self,
-        name: &str,
-        pairs: &[(u64, f64)],
-    ) -> Result<(), ServeError> {
-        let mut master = MasterMap::new(false);
-        for &(id, w) in pairs {
-            master.upsert(id, 0.0, w)?;
-        }
-        self.insert_entry(name, master.view(), Some(master))
-    }
-
-    /// Registers a set-union index over a set family (Theorem 8). The
-    /// permutation is drawn from `rng`; the service refreshes it
-    /// automatically after `n` served samples.
-    ///
-    /// # Errors
-    /// [`ServeError::Query`] when the family is empty, or a
-    /// duplicate-name error.
-    pub fn register_union<R: Rng + ?Sized>(
-        &mut self,
-        name: &str,
-        sets: Vec<Vec<u64>>,
-        rng: &mut R,
-    ) -> Result<(), ServeError> {
-        let sampler = SetUnionSampler::new(sets, rng)?;
-        self.insert_entry(name, IndexView::Union(sampler), None)
+        self.insert_entry(name, IndexView::Range(master.view()), Some(master))
     }
 
     /// Registers an externally served index (e.g. `iqs_tier`'s
@@ -563,16 +487,11 @@ impl IndexRegistry {
     /// traversal. Empty indexes report `0.0`.
     ///
     /// # Errors
-    /// [`ServeError::UnknownIndex`] for an unregistered name;
-    /// [`ServeError::Unsupported`] for union indexes (uniform sampling —
-    /// no weight dimension).
+    /// [`ServeError::UnknownIndex`] for an unregistered name; an
+    /// external index's own errors.
     pub fn total_weight(&self, name: &str) -> Result<f64, ServeError> {
         match &*self.entry(name)?.view.load() {
             IndexView::Range(rv) => Ok(rv.total_weight),
-            IndexView::Weighted(wv) => Ok(wv.total_weight),
-            IndexView::Union(_) => {
-                Err(ServeError::Unsupported("union indexes have no weight dimension".into()))
-            }
             IndexView::External(ev) => ev.total_weight(),
         }
     }
@@ -582,13 +501,12 @@ impl IndexRegistry {
     /// indexes and empty ranges report `0.0`.
     ///
     /// # Errors
-    /// [`ServeError::UnknownIndex`] for an unregistered name;
-    /// [`ServeError::Unsupported`] for non-range indexes.
+    /// [`ServeError::UnknownIndex`] for an unregistered name; an
+    /// external index's own errors.
     pub fn range_weight(&self, name: &str, x: f64, y: f64) -> Result<f64, ServeError> {
         match &*self.entry(name)?.view.load() {
             IndexView::Range(rv) => Ok(rv.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y))),
             IndexView::External(ev) => ev.range_weight(x, y),
-            _ => Err(ServeError::Unsupported("range weight requires a range index".into())),
         }
     }
 
@@ -604,10 +522,12 @@ impl IndexRegistry {
 
     /// Applies `ops` to a dynamic index's master and publishes the next
     /// view: the current one patched when every applied op re-weighted
-    /// a live element of a range index in place, a fresh build from the
-    /// master otherwise (see the module docs). Serialized per index by
-    /// the master mutex; readers keep sampling the previous snapshot
-    /// throughout.
+    /// a live element in place, a fresh build from the master otherwise
+    /// (see the module docs). Serialized per index by the master mutex;
+    /// readers keep sampling the previous snapshot throughout. A mutex
+    /// poisoned by a panic mid-batch hands over a master that may hold
+    /// ops nobody published; it is replaced by the master of the
+    /// published view before this batch applies.
     ///
     /// Ops are applied in order; on the first invalid op the batch stops,
     /// the ops already applied are still published, and the error is
@@ -623,15 +543,22 @@ impl IndexRegistry {
         ops: &[UpdateOp],
     ) -> Result<(usize, u64), ServeError> {
         let entry = self.entry(name)?;
-        let mut master = entry.master.lock().expect("index master poisoned");
+        let mut master = entry.master.lock().unwrap_or_else(|poisoned| {
+            entry.master.clear_poison();
+            let mut master = poisoned.into_inner();
+            if let (Some(map), IndexView::Range(view)) = (master.as_mut(), &*entry.view.load()) {
+                *map = MasterMap::of_view(view);
+            }
+            master
+        });
         let Some(map) = master.as_mut() else {
             return Err(ServeError::Unsupported("updates require a dynamic index".into()));
         };
         let mut applied = 0usize;
         let mut failed = None;
         // `(key bits, id, weight)` of the applied ops for as long as each
-        // one re-weighted a live element of a range index in place.
-        let mut reweights = map.keyed.then(Vec::new);
+        // one re-weighted a live element in place.
+        let mut reweights = Some(Vec::new());
         for &op in ops {
             match op {
                 UpdateOp::Upsert { id, key, weight } => match map.upsert(id, key, weight) {
@@ -670,7 +597,7 @@ impl IndexRegistry {
                     _ => None,
                 };
                 map.lag = Some(changes.iter().map(|&(rank, _)| rank).collect());
-                IndexView::Range(current.reweighted(&changes, behind))
+                current.reweighted(&changes, behind)
             }
             _ => {
                 // Freed before the build, not after: two views at the
@@ -679,48 +606,9 @@ impl IndexRegistry {
                 map.view()
             }
         };
-        let (version, superseded) = entry.view.store(next);
-        map.spare = map.keyed.then_some(superseded);
+        let (version, superseded) = entry.view.store(IndexView::Range(next));
+        map.spare = Some(superseded);
         failed.map_or(Ok((applied, version)), Err)
-    }
-
-    /// If the named union index has served its rebuild budget, clone the
-    /// current view, redraw its permutation, and publish the refresh.
-    /// Returns whether a refresh was published.
-    pub(crate) fn maybe_refresh_union<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        rng: &mut R,
-    ) -> Result<bool, ServeError> {
-        use std::sync::atomic::Ordering;
-        let entry = self.entry(name)?;
-        let due = {
-            let view = entry.view.load();
-            match &*view {
-                IndexView::Union(s) => {
-                    entry.union_served.load(Ordering::Relaxed) >= s.rebuild_budget() as u64
-                }
-                _ => return Err(ServeError::Unsupported("not a union index".into())),
-            }
-        };
-        if !due {
-            return Ok(false);
-        }
-        // Serialize refreshes on the master mutex and re-check, so a
-        // burst of workers crossing the budget publishes one refresh.
-        let _guard = entry.master.lock().expect("index master poisoned");
-        let view = entry.view.load();
-        let IndexView::Union(current) = &*view else {
-            return Err(ServeError::Unsupported("not a union index".into()));
-        };
-        if entry.union_served.load(Ordering::Relaxed) < current.rebuild_budget() as u64 {
-            return Ok(false);
-        }
-        let mut fresh = current.clone();
-        fresh.refresh_permutation(rng);
-        entry.union_served.store(0, Ordering::Relaxed);
-        entry.view.store(IndexView::Union(fresh));
-        Ok(true)
     }
 }
 
@@ -735,7 +623,6 @@ mod tests {
         let mut reg = IndexRegistry::new();
         reg.register_range_static("s", (0..64).map(|i| (i as f64, 1.0)).collect()).unwrap();
         reg.register_range_dynamic("d", (0..64).map(|i| (i, i as f64, 1.0)).collect()).unwrap();
-        reg.register_weighted("w", &[(1, 1.0), (2, 3.0)]).unwrap();
         reg
     }
 
@@ -743,9 +630,20 @@ mod tests {
     fn duplicate_names_rejected() {
         let mut r = reg();
         assert!(matches!(
-            r.register_weighted("w", &[(9, 1.0)]),
+            r.register_range_static("d", vec![(9.0, 1.0)]),
             Err(ServeError::InvalidRequest(_))
         ));
+    }
+
+    #[test]
+    fn a_repeated_id_is_an_invalid_request_naming_it() {
+        let mut r = IndexRegistry::new();
+        let triples = vec![(4, 0.0, 1.0), (7, 1.0, 1.0), (4, 2.0, 1.0)];
+        assert_eq!(
+            r.register_range_dynamic("d", triples),
+            Err(ServeError::InvalidRequest("element id 4 is repeated".into()))
+        );
+        assert!(r.view("d").is_none(), "nothing was registered");
     }
 
     #[test]
@@ -801,13 +699,16 @@ mod tests {
     #[test]
     fn weighted_update_and_emptying() {
         let r = reg();
-        r.apply_update("w", &[UpdateOp::Remove { id: 1 }, UpdateOp::Remove { id: 2 }]).unwrap();
-        let IndexView::Weighted(v) = &*r.view("w").unwrap() else { panic!() };
-        assert!(v.table.is_none());
+        let all: Vec<_> = (0..64).map(|id| UpdateOp::Remove { id }).collect();
+        r.apply_update("d", &all).unwrap();
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        assert!(v.sampler.is_none() && v.ids.is_none());
+        assert_eq!(v.total_weight, 0.0);
         // Refill works too.
-        r.apply_update("w", &[UpdateOp::Upsert { id: 7, key: 0.0, weight: 1.5 }]).unwrap();
-        let IndexView::Weighted(v) = &*r.view("w").unwrap() else { panic!() };
-        assert_eq!(v.ids, vec![7]);
+        r.apply_update("d", &[UpdateOp::Upsert { id: 7, key: 0.0, weight: 1.5 }]).unwrap();
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        assert_eq!(v.ids.as_deref(), Some(&[7][..]));
+        assert_eq!(v.total_weight, 1.5);
     }
 
     #[test]
@@ -815,17 +716,19 @@ mod tests {
         let r = reg();
         let err = r
             .apply_update(
-                "w",
+                "d",
                 &[
-                    UpdateOp::Upsert { id: 50, key: 0.0, weight: 2.0 },
-                    UpdateOp::Upsert { id: 51, key: 0.0, weight: -1.0 }, // invalid
-                    UpdateOp::Upsert { id: 52, key: 0.0, weight: 2.0 },  // never reached
+                    UpdateOp::Upsert { id: 100, key: 0.5, weight: 2.0 },
+                    UpdateOp::Upsert { id: 101, key: 0.5, weight: -1.0 }, // invalid
+                    UpdateOp::Upsert { id: 102, key: 0.5, weight: 2.0 },  // never reached
                 ],
             )
             .unwrap_err();
-        assert!(matches!(err, ServeError::Weight(_)));
-        let IndexView::Weighted(v) = &*r.view("w").unwrap() else { panic!() };
-        assert!(v.ids.contains(&50) && !v.ids.contains(&51) && !v.ids.contains(&52));
+        assert!(matches!(err, ServeError::Query(_)));
+        let IndexView::Range(v) = &*r.view("d").unwrap() else { panic!() };
+        let ids = v.ids.as_ref().unwrap();
+        assert!(ids.contains(&100) && !ids.contains(&101) && !ids.contains(&102));
+        assert_eq!(r.total_weight("d").unwrap(), 66.0);
     }
 
     #[test]
@@ -924,11 +827,11 @@ mod tests {
     /// the rank, and — through `Debug`, which prints every field and
     /// distinguishes every finite `f64` — every array of the structure.
     fn assert_published_is_fresh(r: &IndexRegistry, name: &str, mirror: &Mirror, seed: u64) {
-        let mut master = MasterMap::new(true);
+        let mut master = MasterMap::default();
         for (&id, &(key, w)) in mirror {
             master.upsert(id, key, w).unwrap();
         }
-        let IndexView::Range(want) = master.view() else { unreachable!("a keyed master") };
+        let want = master.view();
         let view = r.view(name).unwrap();
         let IndexView::Range(got) = &*view else { panic!("range view expected") };
         assert_eq!(got.ids, want.ids);
@@ -1173,16 +1076,36 @@ mod tests {
     }
 
     #[test]
-    fn union_refresh_honors_budget() {
-        use std::sync::atomic::Ordering;
-        let mut r = IndexRegistry::new();
-        let mut rng = StdRng::seed_from_u64(4);
-        r.register_union("u", vec![(0..40u64).collect(), (20..60u64).collect()], &mut rng).unwrap();
-        assert!(!r.maybe_refresh_union("u", &mut rng).unwrap());
-        r.entry("u").unwrap().union_served.store(1_000_000, Ordering::Relaxed);
-        assert!(r.maybe_refresh_union("u", &mut rng).unwrap());
-        assert_eq!(r.entry("u").unwrap().union_served.load(Ordering::Relaxed), 0);
-        assert_eq!(r.swap_count(), 2);
+    fn a_poisoned_master_is_rederived_from_the_published_view() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (r, mut mirror) = dynamic(100, &mut rng);
+        // One patch first, so the master holds a spare and a lag.
+        let ops = [reweight_of(&mut rng, &mirror)];
+        mirror_apply(&mut mirror, &ops);
+        r.apply_update("d", &ops).unwrap();
+        // A writer panics holding the mutex, after an edit it never
+        // published.
+        let entry = r.entry("d").unwrap();
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut master = entry.master.lock().unwrap();
+                    master.as_mut().unwrap().upsert(1 << 40, 0.5, 3.0).unwrap();
+                    panic!("a bug while the master is held (this panic is the test's)");
+                })
+                .join()
+        });
+        assert!(crashed.is_err() && entry.master.is_poisoned());
+        // A patch, then a structural batch: both go through, and each
+        // publishes what the mirror holds — without the lost edit.
+        let reweight = [reweight_of(&mut rng, &mirror)];
+        let insert = [UpdateOp::Upsert { id: 1 << 41, key: 2.5, weight: 4.0 }];
+        for (ops, version) in [(&reweight, 3), (&insert, 4)] {
+            mirror_apply(&mut mirror, ops);
+            assert_eq!(r.apply_update("d", ops), Ok((1, version)));
+            assert_published_is_fresh(&r, "d", &mirror, version);
+        }
+        assert!(!entry.master.is_poisoned());
     }
 
     #[test]
@@ -1217,11 +1140,10 @@ mod tests {
         let live = v.sampler.as_ref().unwrap().range_weight(f64::NEG_INFINITY, f64::INFINITY);
         assert_eq!(r.total_weight("s").unwrap().to_bits(), live.to_bits());
         assert_eq!(r.total_weight("s").unwrap(), 64.0);
-        assert_eq!(r.total_weight("w").unwrap(), 4.0);
         // Partial range weight goes through the prefix sums.
         assert_eq!(r.range_weight("s", 0.0, 9.5).unwrap(), 10.0);
         assert_eq!(r.range_weight("s", 100.0, 200.0).unwrap(), 0.0);
-        assert!(matches!(r.range_weight("w", 0.0, 1.0), Err(ServeError::Unsupported(_))));
+        assert!(matches!(r.range_weight("nope", 0.0, 1.0), Err(ServeError::UnknownIndex(_))));
         assert!(matches!(r.total_weight("nope"), Err(ServeError::UnknownIndex(_))));
     }
 
@@ -1231,9 +1153,5 @@ mod tests {
         assert_eq!(r.total_weight("d").unwrap(), 64.0);
         r.apply_update("d", &[UpdateOp::Upsert { id: 0, key: 0.0, weight: 5.0 }]).unwrap();
         assert_eq!(r.total_weight("d").unwrap(), 68.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut u = IndexRegistry::new();
-        u.register_union("u", vec![vec![1, 2, 3]], &mut rng).unwrap();
-        assert!(matches!(u.total_weight("u"), Err(ServeError::Unsupported(_))));
     }
 }

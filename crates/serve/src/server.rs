@@ -593,14 +593,6 @@ impl Drop for Server {
 #[derive(Default)]
 struct Scratch {
     ranks: Vec<u32>,
-    ids: Vec<u64>,
-}
-
-/// Clears and resizes a scratch buffer, reusing its capacity.
-fn sized<T: Default + Clone>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
-    buf.clear();
-    buf.resize(n, T::default());
-    &mut buf[..]
 }
 
 fn worker_loop(shared: &Shared) {
@@ -719,21 +711,6 @@ fn dispatch(
                     rv.sample_ids_into(x, y, s, rng, &mut scratch.ranks, &mut ids)?;
                     Ok(Response::Samples(ids))
                 }
-                IndexView::Weighted(wv) => {
-                    if range.is_some() {
-                        return Err(ServeError::Unsupported(
-                            "keyed range over a weighted-set index".into(),
-                        ));
-                    }
-                    let table =
-                        wv.table.as_ref().ok_or(ServeError::Query(QueryError::EmptyRange))?;
-                    let out = sized(&mut scratch.ranks, s);
-                    table.sample_into(rng, out);
-                    Ok(Response::Samples(out.iter().map(|&c| wv.ids[c as usize]).collect()))
-                }
-                IndexView::Union(_) => {
-                    Err(ServeError::Unsupported("use SampleUnion for set-union indexes".into()))
-                }
                 IndexView::External(ev) => {
                     let (samples, io) = ev.sample_wr(*range, s, rng, ctx)?;
                     shared.metrics.record_io(&io);
@@ -761,31 +738,7 @@ fn dispatch(
                     Ok(Response::Count(rv.sampler.as_ref().map_or(0, |s| s.range_count(*x, *y))))
                 }
                 IndexView::External(ev) => Ok(Response::Count(ev.range_count(*x, *y)?)),
-                _ => Err(ServeError::Unsupported("range counting requires a range index".into())),
             }
-        }
-        Request::SampleUnion { index, g, s } => {
-            let s = check_sample_size(*s, shared.max_sample_size)?;
-            let entry = registry.entry(index)?;
-            let view = entry.view.load();
-            let IndexView::Union(su) = &*view else {
-                return Err(ServeError::Unsupported(
-                    "SampleUnion requires a set-union index".into(),
-                ));
-            };
-            if g.iter().any(|&i| i as usize >= su.family_size()) {
-                return Err(ServeError::InvalidRequest("member-set id out of range".into()));
-            }
-            let g: Vec<usize> = g.iter().map(|&i| i as usize).collect();
-            let out = sized(&mut scratch.ids, s);
-            su.sample_frozen_into(&g, rng, out)?;
-            let samples = out.to_vec();
-            // Account the served randomness and republish a refreshed
-            // permutation once the paper's rebuild budget is spent.
-            entry.union_served.fetch_add(s as u64, Ordering::Relaxed);
-            drop(view);
-            let _ = registry.maybe_refresh_union(index, rng);
-            Ok(Response::Samples(samples))
         }
         Request::TotalWeight { index } => Ok(Response::Weight(registry.total_weight(index)?)),
         Request::RangeWeight { index, x, y } => {

@@ -28,7 +28,7 @@ const OPS_PER_BATCH: usize = 16;
 const READERS: usize = 3;
 const INDEX: &str = "dyn";
 /// Marker ids start above every data id, and the marker's key above
-/// every data key, so the marker is the last element of either view.
+/// every data key, so the marker is the last element of every view.
 const MARKER_BASE: u64 = 1 << 32;
 const MARKER_KEY: f64 = 1000.0;
 
@@ -57,48 +57,29 @@ impl Log {
 /// Checks one pinned snapshot against the log entry its marker names;
 /// returns the marker's sequence number.
 fn check_view(view: &IndexView, log: &Log, rng: &mut StdRng) -> u64 {
-    let mut ranks = [0u32; 8];
-    match view {
-        IndexView::Range(rv) => {
-            let sampler = rv.sampler.as_ref().expect("the marker keeps the index non-empty");
-            let n = sampler.len();
-            // A replaced marker's id carries the number, or else the
-            // one marker's weight does.
-            let seq = rv.id_at(n - 1) - MARKER_BASE + (sampler.weights()[n - 1] - 1.0) as u64;
-            let truth = log.get(seq);
-            assert_eq!(n, truth.len(), "seq {seq}: structure len");
-            assert_eq!(sampler.range_count(f64::NEG_INFINITY, f64::INFINITY), n, "seq {seq}");
-            for (rank, &(key, id, w)) in truth.iter().enumerate() {
-                assert_eq!(sampler.keys()[rank], key, "seq {seq}: key at rank {rank}");
-                assert_eq!(rv.id_at(rank), id, "seq {seq}: id at rank {rank}");
-                assert_eq!(sampler.weights()[rank], w, "seq {seq}: weight at rank {rank}");
-            }
-            check_total(rv.total_weight, &truth, seq);
-            sampler
-                .sample_wr_batch(f64::NEG_INFINITY, f64::INFINITY, rng, &mut ranks)
-                .expect("non-empty range");
-            assert!(ranks.iter().all(|&r| (r as usize) < n), "seq {seq}: rank out of range");
-            seq
-        }
-        IndexView::Weighted(wv) => {
-            let table = wv.table.as_ref().expect("the marker keeps the index non-empty");
-            let seq = wv.ids.last().expect("non-empty") - MARKER_BASE;
-            let truth = log.get(seq);
-            let want: Vec<u64> = truth.iter().map(|&(_, id, _)| id).collect();
-            assert_eq!(wv.ids, want, "seq {seq}: columns are the live ids in id order");
-            assert_eq!(table.len(), want.len(), "seq {seq}: table len");
-            check_total(wv.total_weight, &truth, seq);
-            table.sample_into(rng, &mut ranks);
-            assert!(ranks.iter().all(|&c| (c as usize) < want.len()), "seq {seq}");
-            seq
-        }
-        other => panic!("dynamic index published {other:?}"),
+    let IndexView::Range(rv) = view else { panic!("dynamic index published {view:?}") };
+    let sampler = rv.sampler.as_ref().expect("the marker keeps the index non-empty");
+    let n = sampler.len();
+    // A replaced marker's id carries the number, or else the one
+    // marker's weight does.
+    let seq = rv.id_at(n - 1) - MARKER_BASE + (sampler.weights()[n - 1] - 1.0) as u64;
+    let truth = log.get(seq);
+    assert_eq!(n, truth.len(), "seq {seq}: structure len");
+    assert_eq!(sampler.range_count(f64::NEG_INFINITY, f64::INFINITY), n, "seq {seq}");
+    for (rank, &(key, id, w)) in truth.iter().enumerate() {
+        assert_eq!(sampler.keys()[rank], key, "seq {seq}: key at rank {rank}");
+        assert_eq!(rv.id_at(rank), id, "seq {seq}: id at rank {rank}");
+        assert_eq!(sampler.weights()[rank], w, "seq {seq}: weight at rank {rank}");
     }
-}
-
-fn check_total(got: f64, truth: &Truth, seq: u64) {
     let want: f64 = truth.iter().map(|&(_, _, w)| w).sum();
+    let got = rv.total_weight;
     assert!((got - want).abs() <= 1e-9 * want.max(1.0), "seq {seq}: total {got} != log {want}");
+    let mut ranks = [0u32; 8];
+    sampler
+        .sample_wr_batch(f64::NEG_INFINITY, f64::INFINITY, rng, &mut ranks)
+        .expect("non-empty range");
+    assert!(ranks.iter().all(|&r| (r as usize) < n), "seq {seq}: rank out of range");
+    seq
 }
 
 /// How the writer's batches change the index.
@@ -121,11 +102,8 @@ fn any_key(rng: &mut StdRng) -> f64 {
 /// for `seq` — structural batches take the previous marker out and put
 /// a new one in, re-weight batches re-weight the one marker to
 /// `1 + seq`. Every op takes effect, and the batch is publication
-/// `seq + 1` of the index (registration was the first). A weighted set
-/// (`!keyed`) ignores the keys it is sent, so its mirror records key 0
-/// for every element.
+/// `seq + 1` of the index (registration was the first).
 fn write_batch(
-    keyed: bool,
     batches: Batches,
     client: &Client,
     log: &Log,
@@ -133,7 +111,6 @@ fn write_batch(
     rng: &mut StdRng,
     seq: u64,
 ) {
-    let mirrored = |key: f64| if keyed { key } else { 0.0 };
     let mut ops = Vec::new();
     if batches == Batches::Structural {
         ops.push(UpdateOp::Remove { id: MARKER_BASE + seq - 1 });
@@ -151,7 +128,7 @@ fn write_batch(
         } else {
             let (key, weight) = (any_key(rng), rng.random_range(0.1..5.0));
             ops.push(UpdateOp::Upsert { id, key, weight });
-            mirror.insert(id, (mirrored(key), weight));
+            mirror.insert(id, (key, weight));
         }
     }
     let (id, weight) = match batches {
@@ -159,31 +136,25 @@ fn write_batch(
         Batches::Reweights => (MARKER_BASE, 1.0 + seq as f64),
     };
     ops.push(UpdateOp::Upsert { id, key: MARKER_KEY, weight });
-    mirror.insert(id, (mirrored(MARKER_KEY), weight));
+    mirror.insert(id, (MARKER_KEY, weight));
     log.push(mirror);
     let applied = ops.len();
     let resp = client.call(Request::Update { index: INDEX.into(), ops }).expect("valid batch");
     assert_eq!(resp, Response::Updated { applied, version: seq + 1 });
 }
 
-/// Runs the writer against `READERS` snapshot-pinning readers, on a
-/// dynamic range index (`keyed`) or a weighted set. Re-weight batches
-/// start from 200 live elements; structural ones from the marker alone.
-fn stress(keyed: bool, batches: Batches, seed: u64) {
+/// Runs the writer against `READERS` snapshot-pinning readers on a
+/// dynamic range index. Re-weight batches start from 200 live elements;
+/// structural ones from the marker alone.
+fn stress(batches: Batches, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let marker_key = if keyed { MARKER_KEY } else { 0.0 };
-    let mut mirror: HashMap<u64, (f64, f64)> = HashMap::from([(MARKER_BASE, (marker_key, 1.0))]);
+    let mut mirror: HashMap<u64, (f64, f64)> = HashMap::from([(MARKER_BASE, (MARKER_KEY, 1.0))]);
     if batches == Batches::Reweights {
         mirror.extend((0..200).map(|id| (id, (any_key(&mut rng), rng.random_range(0.1..5.0)))));
     }
     let mut registry = IndexRegistry::new();
-    if keyed {
-        let triples = mirror.iter().map(|(&id, &(key, w))| (id, key, w)).collect();
-        registry.register_range_dynamic(INDEX, triples).unwrap();
-    } else {
-        let pairs: Vec<_> = mirror.iter().map(|(&id, &(_, w))| (id, w)).collect();
-        registry.register_weighted(INDEX, &pairs).unwrap();
-    }
+    let triples = mirror.iter().map(|(&id, &(key, w))| (id, key, w)).collect();
+    registry.register_range_dynamic(INDEX, triples).unwrap();
     let server = Server::start(registry, ServerConfig { workers: 1, ..ServerConfig::default() });
     let log = Log::default();
     log.push(&mirror);
@@ -215,7 +186,7 @@ fn stress(keyed: bool, batches: Batches, seed: u64) {
 
         let client = server.client();
         for seq in 1..=BATCHES {
-            write_batch(keyed, batches, &client, &log, &mut mirror, &mut rng, seq);
+            write_batch(batches, &client, &log, &mut mirror, &mut rng, seq);
         }
         done.store(true, Ordering::Release);
     });
@@ -224,16 +195,11 @@ fn stress(keyed: bool, batches: Batches, seed: u64) {
 }
 
 #[test]
-fn alias_snapshots_stay_consistent_under_concurrent_rebuild() {
-    stress(false, Batches::Structural, 0xD15EA5E);
-}
-
-#[test]
 fn range_snapshots_stay_consistent_under_concurrent_rebuild() {
-    stress(true, Batches::Structural, 0xB5B5);
+    stress(Batches::Structural, 0xB5B5);
 }
 
 #[test]
 fn range_snapshots_stay_consistent_under_concurrent_reweights() {
-    stress(true, Batches::Reweights, 0x2E3E);
+    stress(Batches::Reweights, 0x2E3E);
 }

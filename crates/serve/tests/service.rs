@@ -1,6 +1,6 @@
 //! End-to-end tests of the sampling service: distribution correctness
 //! through the full service path, admission control, deadlines, mixed
-//! read/update workloads, and graceful shutdown accounting.
+//! read/update workloads, typed errors, and graceful shutdown accounting.
 //!
 //! Time never comes from the wall clock here: deadline behaviour runs on
 //! an `iqs_testkit` virtual clock (advanced explicitly, so a "missed"
@@ -24,11 +24,9 @@ use iqs_serve::{
     ExternalIndex, IndexRegistry, IoReport, Request, Response, ServeError, Server, ServerConfig,
     TenantSpec, UpdateOp,
 };
-use iqs_stats::chisq::{chi_square_gof, uniform_probs, weight_probs};
+use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::VirtualClock;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn weighted_pairs(n: usize) -> Vec<(f64, f64)> {
     (0..n).map(|i| (i as f64, 1.0 + (i % 10) as f64)).collect()
@@ -332,74 +330,38 @@ fn wor_through_the_service() {
     server.shutdown();
 }
 
-/// Set-union queries serve frozen snapshots, republish a refreshed
-/// permutation once the rebuild budget is spent, and stay uniform over
-/// the union — the uniformity check runs as a registered gate.
-#[test]
-fn union_sampling_refreshes_its_permutation() {
-    gate::run("serve_union_uniformity", |seed, scale| {
-        let mut registry = IndexRegistry::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        // n = 90 total members; the budget is n samples per permutation.
-        registry
-            .register_union("fam", vec![(0..60u64).collect(), (30..90u64).collect()], &mut rng)
-            .unwrap();
-        let server =
-            Server::start(registry, ServerConfig { workers: 1, seed, ..ServerConfig::default() });
-        let swaps_before = server.metrics().snapshot_swaps;
-        let client = server.client();
-        let mut counts = vec![0u64; 90];
-        for _ in 0..40 * scale {
-            let ids = sample_ids(
-                client
-                    .call(Request::SampleUnion { index: "fam".into(), g: vec![0, 1], s: 30 })
-                    .unwrap(),
-            );
-            for id in ids {
-                counts[id as usize] += 1;
-            }
-        }
-        // 1200 samples ≫ budget 90: at least one permutation refresh.
-        let metrics = server.shutdown();
-        assert!(metrics.snapshot_swaps > swaps_before, "no permutation refresh was published");
-        vec![Trial::from_gof("union uniformity", &chi_square_gof(&counts, &uniform_probs(90)))]
-    });
-}
-
-/// Typed error paths: unknown indexes, type mismatches, oversized
-/// requests.
+/// Typed error paths: unknown indexes, request kinds an index cannot
+/// serve, oversized requests, empty ranges.
 #[test]
 fn typed_error_paths() {
     let mut registry = IndexRegistry::new();
-    let mut rng = StdRng::seed_from_u64(3);
-    registry.register_weighted("w", &[(1, 1.0), (2, 2.0)]).unwrap();
-    registry.register_union("u", vec![vec![1, 2, 3]], &mut rng).unwrap();
+    registry.register_range_static("keys", weighted_pairs(16)).unwrap();
+    registry.register_external("gated", GatedIndex::new(true) as _).unwrap();
     let server = Server::start(
         registry,
         ServerConfig { workers: 1, max_sample_size: 1024, ..ServerConfig::default() },
     );
     let client = server.client();
+    let keys = |range, s| Request::SampleWr { index: "keys".into(), range, s };
 
     let e = client.call(Request::SampleWr { index: "ghost".into(), range: None, s: 1 });
     assert!(matches!(e.unwrap_err(), ServeError::UnknownIndex(_)));
 
-    let e = client.call(Request::SampleWr { index: "w".into(), range: Some((0.0, 1.0)), s: 1 });
+    let e = client.call(Request::SampleWor { index: "gated".into(), range: None, s: 1 });
     assert!(matches!(e.unwrap_err(), ServeError::Unsupported(_)));
 
-    let e = client.call(Request::RangeCount { index: "u".into(), x: 0.0, y: 1.0 });
+    let e = client.call(Request::Update { index: "keys".into(), ops: Vec::new() });
     assert!(matches!(e.unwrap_err(), ServeError::Unsupported(_)));
 
-    let e = client.call(Request::SampleUnion { index: "u".into(), g: vec![7], s: 1 });
+    let e = client.call(keys(None, 100_000));
     assert!(matches!(e.unwrap_err(), ServeError::InvalidRequest(_)));
 
-    let e = client.call(Request::SampleWr { index: "w".into(), range: None, s: 100_000 });
-    assert!(matches!(e.unwrap_err(), ServeError::InvalidRequest(_)));
+    let e = client.call(keys(Some((100.0, 200.0)), 1));
+    assert_eq!(e.unwrap_err(), ServeError::Query(iqs_core::QueryError::EmptyRange));
 
-    // Weighted sampling itself works and maps ids correctly.
-    let ids = sample_ids(
-        client.call(Request::SampleWr { index: "w".into(), range: None, s: 32 }).unwrap(),
-    );
-    assert!(ids.iter().all(|id| [1, 2].contains(id)));
+    // Sampling itself works and maps ids correctly.
+    let ids = sample_ids(client.call(keys(Some((3.0, 5.0)), 32)).unwrap());
+    assert!(ids.iter().all(|id| (3..=5).contains(id)));
     server.shutdown();
 }
 

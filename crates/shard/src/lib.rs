@@ -9,9 +9,10 @@
 //! multinomially, and each shard answers its share from its own slice.
 //! The composition is distributionally identical to one big single-node
 //! sampler — `router.rs` opens with the full argument — and
-//! the test suite checks it both by exact replay under a shared seed
-//! schedule ([`ShardedService::sample_wr_seeded`]) and by chi-square at
-//! the same threshold the single-node samplers use.
+//! the test suite checks it both by exact replay, live queries
+//! ([`ClusterClient::sample_wr`]) against a reference that reads only
+//! the cluster's seed, and by chi-square at the same threshold the
+//! single-node samplers use.
 //!
 //! On top of the exact draw path the tier adds the operational machinery
 //! a real deployment needs: per-replica failover with circuit-breaker
@@ -57,4 +58,4 @@ pub use link::{PendingLeg, ReplicaLink, ShardSpec};
 pub use merge::{Counted, Sampled};
 pub use metrics::{ClusterMetrics, ReplicaMetrics, RouterMetrics};
 pub use placement::SHARD_INDEX;
-pub use router::{leg_seed, ClusterClient, FaultPlan, ShardConfig, ShardSlice, ShardedService};
+pub use router::{ClusterClient, FaultPlan, ShardConfig, ShardSlice, ShardedService};

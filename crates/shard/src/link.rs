@@ -9,21 +9,13 @@
 //! same trait over a wire transport, so a topology can mix in-process
 //! and remote legs and the scatter/gather, failover, breaker, and
 //! degradation machinery applies unchanged to both.
-//!
-//! The asymmetry that remains is deliberate: [`ReplicaLink::local_registry`]
-//! exposes direct snapshot access only for in-process replicas. Seeded
-//! replay and rebalancing read shard slices synchronously and
-//! deterministically — semantics a wire cannot provide — so those
-//! operations refuse remote shards with a typed error instead of
-//! pretending.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use iqs_obs::Ctx;
 use iqs_serve::{
-    Begun, Client, IndexRegistry, MetricsSnapshot, PendingReply, Request, Response, ServeError,
-    Server,
+    Begun, Client, MetricsSnapshot, PendingReply, Request, Response, ServeError, Server,
 };
 
 use crate::placement::SHARD_INDEX;
@@ -126,13 +118,6 @@ pub trait ReplicaLink: Send + Sync {
     /// implementations report a default (empty) snapshot when the
     /// replica is unreachable.
     fn metrics(&self) -> MetricsSnapshot;
-
-    /// Direct access to the replica's index registry, for deterministic
-    /// seeded replay and rebalancing. `None` (the default) for remote
-    /// replicas — those operations require in-process snapshots.
-    fn local_registry(&self) -> Option<&IndexRegistry> {
-        None
-    }
 }
 
 /// One shard of a remote topology: the key span and cached weight a
@@ -202,85 +187,7 @@ impl ReplicaLink for LocalReplica {
     fn metrics(&self) -> MetricsSnapshot {
         self.client.metrics()
     }
-
-    fn local_registry(&self) -> Option<&IndexRegistry> {
-        Some(self.server.registry())
-    }
 }
 
 #[cfg(test)]
-mod tests {
-    use std::sync::mpsc::{channel, Receiver, Sender};
-    use std::sync::Mutex;
-
-    use iqs_serve::{ExternalIndex, IoReport, ServerConfig};
-
-    use super::*;
-
-    /// A shard index whose every draw reports in and then waits for a
-    /// go-ahead.
-    #[derive(Debug)]
-    struct Held {
-        entered: Mutex<Sender<()>>,
-        go: Mutex<Receiver<()>>,
-    }
-
-    impl ExternalIndex for Held {
-        fn sample_wr(
-            &self,
-            _range: Option<(f64, f64)>,
-            s: usize,
-            _rng: &mut dyn rand::RngCore,
-            _ctx: Ctx,
-        ) -> Result<(Vec<u64>, IoReport), ServeError> {
-            self.entered.lock().unwrap().send(()).unwrap();
-            self.go.lock().unwrap().recv().unwrap();
-            Ok((vec![7; s], IoReport::default()))
-        }
-
-        fn range_count(&self, _x: f64, _y: f64) -> Result<usize, ServeError> {
-            Ok(1)
-        }
-
-        fn range_weight(&self, _x: f64, _y: f64) -> Result<f64, ServeError> {
-            Ok(1.0)
-        }
-
-        fn total_weight(&self) -> Result<f64, ServeError> {
-            Ok(1.0)
-        }
-    }
-
-    /// `answer` runs a leg on the calling thread only while the replica
-    /// has a seat free; on a busy replica it queues the leg and returns,
-    /// so the router still submits every leg before its first wait.
-    #[test]
-    fn a_busy_local_replica_queues_an_answered_leg_instead_of_waiting() {
-        let (entered_tx, entered) = channel();
-        let (go, go_rx) = channel();
-        let mut indexes = IndexRegistry::new();
-        let held = Held { entered: Mutex::new(entered_tx), go: Mutex::new(go_rx) };
-        indexes.register_external(SHARD_INDEX, Arc::new(held)).expect("fresh registry");
-        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
-        let replica = LocalReplica::new(Server::start(indexes, config));
-        let leg = |s| Request::SampleWr { index: SHARD_INDEX.into(), range: None, s };
-        let now = Instant::now();
-        let deadline = now + std::time::Duration::from_secs(60);
-        std::thread::scope(|scope| {
-            // The first leg takes the replica's only seat, on its own
-            // thread, and is held inside the index.
-            let first = scope.spawn(|| replica.answer(leg(1), now, deadline, Ctx::none()));
-            entered.recv().unwrap();
-            // Nobody has said `go`, so getting past this line at all is
-            // the property: the second leg did not wait for the seat.
-            let second = replica.answer(leg(2), now, deadline, Ctx::none()).expect("admitted");
-            assert!(matches!(second, PendingLeg::Local(_)), "a busy replica queues the leg");
-            go.send(()).unwrap();
-            go.send(()).unwrap();
-            let first = first.join().unwrap().expect("admitted");
-            assert!(matches!(first, PendingLeg::Ready(_)), "an idle replica answers in the call");
-            assert_eq!(first.wait_deadline(deadline), Some(Ok(Response::Samples(vec![7]))));
-            assert_eq!(second.wait_deadline(deadline), Some(Ok(Response::Samples(vec![7, 7]))));
-        });
-    }
-}
+mod tests;

@@ -18,8 +18,9 @@
 //! argument `iqs-alias` uses to parallelize batches). No approximation
 //! enters anywhere; the sharded tier is distributionally
 //! indistinguishable from one big sampler, which the exactness suite
-//! verifies both by exact replay under a shared seed schedule and by
-//! chi-square at the same threshold the single-node tests use.
+//! verifies both by exact replay of live queries under the cluster's seed
+//! schedule and by chi-square at the same threshold the single-node
+//! tests use.
 //!
 //! # The lone-shard plan
 //!
@@ -85,7 +86,7 @@ use iqs_alias::split::split_samples_with;
 use iqs_alias::AliasTable;
 use iqs_core::QueryError;
 use iqs_obs::{recorder, saturating_ns, Ctx, Phase, SlowEntry, SlowLog};
-use iqs_serve::{IndexView, Request, Response, ServeError, Snapshot};
+use iqs_serve::{Request, Response, ServeError, Snapshot};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,7 +99,7 @@ use crate::merge::{Counted, Sampled};
 use crate::metrics::{ClusterMetrics, ReplicaMetrics, RouterCounters};
 use crate::placement::{
     build_replica, build_shard, cut_points, split_point, Replica, ShardHandle, Topology,
-    SEED_GOLDEN, SHARD_INDEX,
+    SHARD_INDEX,
 };
 
 /// Rejection rounds `sample_wor` attempts before giving up on a
@@ -536,24 +537,6 @@ impl Inner {
     }
 }
 
-/// The first replica's in-process registry, for deterministic reads
-/// that bypass the queue (seeded replay). Remote topologies have none.
-fn registry_of(shard: &ShardHandle) -> Result<&iqs_serve::IndexRegistry, ShardError> {
-    shard.replicas[0]
-        .link
-        .local_registry()
-        .ok_or(ShardError::InvalidRequest("seeded replay requires local shards".into()))
-}
-
-/// The per-shard RNG seed schedule: leg `shard_idx` of a seeded query
-/// draws from `StdRng::seed_from_u64(leg_seed(seed, shard_idx))`, while
-/// the top-level split uses `StdRng::seed_from_u64(seed)` directly.
-/// Exposed so exactness tests can replay the schedule independently.
-#[must_use]
-pub fn leg_seed(seed: u64, shard_idx: usize) -> u64 {
-    seed ^ SEED_GOLDEN.wrapping_mul(shard_idx as u64 + 1)
-}
-
 /// A sharded, replicated sampling tier: the key space range-partitioned
 /// over independent single-node services, with exact two-level draws,
 /// per-replica failover, and online rebalancing.
@@ -654,11 +637,11 @@ impl ShardedService {
     /// produce exactly that); the cached `total_weight` drives the
     /// planner's covering-query path just as locally built shards do.
     ///
-    /// Shards built this way carry no element slice, so seeded replay
-    /// and split/merge rebalancing refuse them with
-    /// [`ShardError::InvalidRequest`]; every query path works
-    /// unchanged, and [`ShardedService::rebuild_replica`] degrades to a
-    /// link re-wrap with fresh breaker state (see its docs).
+    /// Shards built this way carry no element slice, so split/merge
+    /// rebalancing refuses them with [`ShardError::InvalidRequest`];
+    /// every query path works unchanged, and
+    /// [`ShardedService::rebuild_replica`] degrades to a link re-wrap
+    /// with fresh breaker state (see its docs).
     ///
     /// # Errors
     /// [`ShardError::Config`] for an empty spec list, a shard with no
@@ -760,70 +743,6 @@ impl ShardedService {
     #[must_use]
     pub fn total_weight(&self) -> f64 {
         self.inner.topo.load().shards.iter().map(|sh| sh.total_weight).sum()
-    }
-
-    /// Deterministic replay of a with-replacement query under the shared
-    /// seed schedule: the top-level split from
-    /// `StdRng::seed_from_u64(seed)` and leg `i` from
-    /// [`leg_seed`]`(seed, i)`, reading each shard's published snapshot
-    /// directly (no queueing, faults ignored). Two calls with the same
-    /// topology, range, `s`, and `seed` return identical ids — and the
-    /// exactness suite shows the result matches a single-node sampler
-    /// driven by the same schedule, element for element.
-    ///
-    /// # Errors
-    /// [`ShardError::EmptyRange`] when no shard holds in-range weight;
-    /// [`ShardError::Query`] when a replica's sampler rejects the draw;
-    /// [`ShardError::InvalidRequest`] on a remote topology — seeded
-    /// replay reads published snapshots directly, which a wire cannot
-    /// provide.
-    pub fn sample_wr_seeded(
-        &self,
-        range: Option<(f64, f64)>,
-        s: u32,
-        seed: u64,
-    ) -> Result<Vec<u64>, ShardError> {
-        let inner = &self.inner;
-        if s > inner.config.max_sample_size {
-            return Err(ShardError::InvalidRequest(
-                "sample size exceeds the configured maximum".into(),
-            ));
-        }
-        let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-        let topo = inner.topo.load();
-        let mut legs = Vec::new();
-        for idx in topo.overlapping(x, y) {
-            let shard = &topo.shards[idx];
-            let weight = if x <= shard.lo_key && y >= shard.hi_key {
-                shard.total_weight
-            } else {
-                registry_of(shard)?.range_weight(SHARD_INDEX, x, y)?
-            };
-            if weight > 0.0 {
-                legs.push(Leg { shard_idx: idx, shard: Arc::clone(shard), weight });
-            }
-        }
-        if legs.is_empty() {
-            return Err(ShardError::EmptyRange);
-        }
-        let mut top = StdRng::seed_from_u64(seed);
-        let counts = Inner::split_counts(&legs, s as usize, &mut top)?;
-        let mut out = Vec::with_capacity(s as usize);
-        let mut ranks = Vec::new();
-        for (leg, &count) in legs.iter().zip(&counts) {
-            if count == 0 {
-                continue;
-            }
-            let view = registry_of(&leg.shard)?
-                .view(SHARD_INDEX)
-                .expect("every replica registers the shard index");
-            let IndexView::Range(rv) = view.as_ref() else {
-                unreachable!("shards register range indexes")
-            };
-            let mut rng = StdRng::seed_from_u64(leg_seed(seed, leg.shard_idx));
-            rv.sample_ids_into(x, y, count, &mut rng, &mut ranks, &mut out)?;
-        }
-        Ok(out)
     }
 
     /// Splits shard `shard` at the cut nearest its key median, rebuilding
@@ -1292,13 +1211,17 @@ mod tests {
 
     #[test]
     fn seeded_replay_is_deterministic() {
-        let svc = ShardedService::new(grid(64), small_config()).expect("build");
-        let a = svc.sample_wr_seeded(Some((5.0, 50.0)), 200, 99).expect("draw");
-        let b = svc.sample_wr_seeded(Some((5.0, 50.0)), 200, 99).expect("draw");
-        assert_eq!(a, b);
+        // A client's first draw on a fresh cluster is a function of the
+        // cluster's seed.
+        let draw = |seed| {
+            let svc = ShardedService::new(grid(64), ShardConfig { seed, ..small_config() })
+                .expect("build");
+            svc.client().sample_wr(Some((5.0, 50.0)), 200).expect("draw").ids
+        };
+        let a = draw(99);
+        assert_eq!(a, draw(99));
         assert_eq!(a.len(), 200);
-        let c = svc.sample_wr_seeded(Some((5.0, 50.0)), 200, 100).expect("draw");
-        assert_ne!(a, c, "different seeds should disagree somewhere");
+        assert_ne!(a, draw(100), "different seeds should disagree somewhere");
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! Three independent lines of evidence:
 //! 1. **Exact replay** (proptest): the testkit's transparent two-level
 //!    oracle — per-shard `ChunkedRange`s rebuilt from the introspected
-//!    slices, the same top-level alias split, the tier's real seed
-//!    schedule — reproduces `ShardedService::sample_wr_seeded` element
-//!    for element, on arbitrary weighted inputs with duplicate keys and
-//!    arbitrary query ranges.
+//!    slices, the same top-level alias split, and the seed schedule a
+//!    live query runs on — reproduces a fresh cluster's first
+//!    `ClusterClient::sample_wr` element for element, on arbitrary
+//!    weighted inputs with duplicate keys and arbitrary query ranges.
+//!    Draw counts reach past the 256 a scatter answers inline, so legs
+//!    handed to the replica workers are replayed too, and a negative
+//!    control shows a leg seed off by one is caught.
 //! 2. **Exact counts** (proptest): scatter-gathered range counts equal a
 //!    direct scan, as integers.
 //! 3. **Chi-square** (testkit gate): the full cluster path (queues,
@@ -14,16 +17,41 @@
 //!    the single-node weighted distribution, judged by the registered
 //!    `shard_two_level_chi_square` gate under the suite seed.
 
-use iqs_shard::{leg_seed, ShardConfig, ShardError, ShardedService};
+use iqs_shard::{Sampled, ShardConfig, ShardError, ShardedService};
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::oracle::{two_level_reference, ShardLeg};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-/// Runs the testkit's two-level oracle against a live service's
-/// introspected topology, under the tier's real seed schedule.
-fn reference_draw(svc: &ShardedService, x: f64, y: f64, s: u32, seed: u64) -> Option<Vec<u64>> {
+/// SplitMix64 increment of the seed schedules: replica server `k` of a
+/// cluster seeded `seed` is seeded `seed + k·GOLDEN`, and seat `i` of a
+/// server seeded `t` draws from `t ^ (i + 1)·GOLDEN`.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Client 0's split stream is seeded `seed ^ CLIENT_MIX`.
+const CLIENT_MIX: u64 = 0xa076_1d64_78bd_642f;
+
+/// The stream shard `idx`'s leg is drawn from on a fresh cluster of one
+/// replica and one worker per shard: seat 0 of server ordinal `1 + idx`.
+fn seat_seed(seed: u64, idx: usize) -> u64 {
+    seed.wrapping_add(GOLDEN.wrapping_mul(1 + idx as u64)) ^ GOLDEN
+}
+
+/// Builds a cluster seeded `seed` (one replica, one worker per shard),
+/// draws once through a fresh client, and runs the testkit's two-level
+/// oracle on the cluster's introspected topology under the same
+/// schedule, with every leg's seed moved by `skew` (0 for the real one).
+fn live_and_reference(
+    elements: Vec<(u64, f64, f64)>,
+    shards: usize,
+    (x, y): (f64, f64),
+    s: u32,
+    seed: u64,
+    skew: u64,
+) -> (Result<Sampled, ShardError>, Option<Vec<u64>>) {
+    let config = ShardConfig { shards, replicas: 1, seed, ..ShardConfig::default() };
+    let svc = ShardedService::new(elements, config).expect("valid build");
+    let live = svc.client().sample_wr(Some((x, y)), s);
     let spans = svc.shard_spans();
     let slices: Vec<_> =
         (0..spans.len()).map(|idx| svc.shard_elements(idx).expect("span index is valid")).collect();
@@ -33,17 +61,44 @@ fn reference_draw(svc: &ShardedService, x: f64, y: f64, s: u32, seed: u64) -> Op
         .enumerate()
         .map(|(idx, (&span, elems))| ShardLeg { shard_idx: idx, span, elements: elems })
         .collect();
-    two_level_reference(&legs, x, y, s, seed, leg_seed)
+    let reference = two_level_reference(&legs, x, y, s, seed ^ CLIENT_MIX, |_, idx| {
+        seat_seed(seed, idx).wrapping_add(skew)
+    });
+    (live, reference)
 }
 
 fn elements_from(keys: &[u8], weights: &[f64]) -> Vec<(u64, f64, f64)> {
     keys.iter().zip(weights).enumerate().map(|(i, (&key, &w))| (i as u64, key as f64, w)).collect()
 }
 
+/// The negative control of the replay below: the same live draws, held
+/// against a reference whose leg seeds are off by one, disagree — for a
+/// scatter answered inline (64 draws) and one handed to the replica
+/// workers (300).
+#[test]
+fn replay_with_a_leg_seed_off_by_one_diverges() {
+    let keys: Vec<u8> = (0..48).map(|i| i % 12).collect();
+    let weights: Vec<f64> = (0..48).map(|i| 0.5 + f64::from(i % 5)).collect();
+    for s in [64, 300] {
+        let replay = |skew| {
+            let (live, reference) =
+                live_and_reference(elements_from(&keys, &weights), 4, (1.0, 10.0), s, 0x5eed, skew);
+            let live = live.expect("the range has weight");
+            assert!(!live.degraded);
+            (live.ids, reference.expect("the range has weight"))
+        };
+        let (live, exact) = replay(0);
+        assert_eq!(live, exact, "s = {s}: the real schedule must replay");
+        let (again, skewed) = replay(1);
+        assert_eq!(again, live, "s = {s}: equal seeds, equal clusters, equal draws");
+        assert_ne!(skewed, live, "s = {s}: a leg seed off by one went unnoticed");
+    }
+}
+
 proptest! {
-    /// The router's seeded draw equals the testkit oracle, element for
-    /// element, over arbitrary duplicate-key inputs, shard counts,
-    /// ranges, and seeds.
+    /// A live draw equals the testkit oracle, element for element, over
+    /// arbitrary duplicate-key inputs, shard counts, ranges, seeds, and
+    /// draw counts on both sides of the inline-scatter bound.
     #[test]
     fn two_level_replay_matches_reference(
         keys in pvec(0u8..12, 2..48),
@@ -51,19 +106,19 @@ proptest! {
         shards in 1usize..6,
         lo in 0u8..13,
         hi in 0u8..13,
-        s in 0u32..96,
+        s in 0u32..320,
         seed in 0u64..u64::MAX,
     ) {
         let weights = &raw_weights[..keys.len()];
         let elements = elements_from(&keys, weights);
-        let config = ShardConfig { shards, replicas: 1, ..ShardConfig::default() };
-        let svc = ShardedService::new(elements, config).expect("valid build");
         let (x, y) = (lo.min(hi) as f64, lo.max(hi) as f64);
-        let expected = reference_draw(&svc, x, y, s, seed);
-        match svc.sample_wr_seeded(Some((x, y)), s, seed) {
-            Ok(ids) => {
+        let (live, expected) = live_and_reference(elements, shards, (x, y), s, seed, 0);
+        match live {
+            Ok(drawn) => {
+                prop_assert!(!drawn.degraded, "a healthy cluster degraded");
+                let ids = drawn.ids;
                 let expected = expected.expect("router found weight, reference must too");
-                prop_assert_eq!(&ids, &expected, "seeded draw diverged from reference");
+                prop_assert_eq!(&ids, &expected, "live draw diverged from reference");
                 prop_assert_eq!(ids.len(), s as usize);
                 // Every id really lies in range.
                 for &id in &ids {

@@ -54,7 +54,6 @@ pub const MANIFEST: &[&str] = &[
     "batch_positions_g_test",
     "set_union_g_test",
     "serve_aggregate_distribution",
-    "serve_union_uniformity",
     "shard_two_level_chi_square",
     "pipelined_kernels_chi_square",
     "net_sim_cluster_chi_square",

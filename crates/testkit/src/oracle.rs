@@ -32,14 +32,15 @@ pub struct ShardLeg<'a> {
 /// rebuilt from the raw element slices, range weights are probed the
 /// way the router probes them (cached total for covering queries, a
 /// live prefix sum otherwise), the top-level alias split is seeded from
-/// `seed`, and leg `i` draws from `leg_seed(seed, shard_idx)`.
+/// `seed`, and leg `i` draws from `seed_of_leg(seed, shard_idx)`.
 /// Single-leg queries take the trivial split and consume no top-level
 /// randomness, matching the router. Returns the sampled element ids, or
 /// `None` for a range with no weight.
 ///
-/// `leg_seed` is a parameter (not imported from `iqs-shard`) so the
+/// `seed_of_leg` is a parameter (not imported from `iqs-shard`) so the
 /// testkit stays below the tiers it verifies; callers pass the tier's
-/// real schedule, e.g. `iqs_shard::leg_seed`.
+/// real schedule — for a live query, the stream of the replica seat
+/// that answers each leg.
 #[must_use]
 pub fn two_level_reference(
     shards: &[ShardLeg<'_>],
@@ -47,7 +48,7 @@ pub fn two_level_reference(
     y: f64,
     s: u32,
     seed: u64,
-    leg_seed: impl Fn(u64, usize) -> u64,
+    seed_of_leg: impl Fn(u64, usize) -> u64,
 ) -> Option<Vec<u64>> {
     struct RefLeg<'a> {
         shard_idx: usize,
@@ -95,7 +96,7 @@ pub fn two_level_reference(
         if count == 0 {
             continue;
         }
-        let mut rng = StdRng::seed_from_u64(leg_seed(seed, leg.shard_idx));
+        let mut rng = StdRng::seed_from_u64(seed_of_leg(seed, leg.shard_idx));
         let mut ranks = vec![0u32; count];
         leg.sampler.sample_wr_batch(x, y, &mut rng, &mut ranks).expect("in-range draw");
         out.extend(ranks.iter().map(|&rank| leg.elements[rank as usize].0));

@@ -103,6 +103,13 @@ pub struct AliasRows<'a> {
 }
 
 impl<'a> AliasRows<'a> {
+    /// The table whose rows [`Self::build`] wrote into `rows`, for a
+    /// caller that owns the array and rebuilds it in place.
+    #[inline(always)]
+    pub fn new(rows: &'a [u64]) -> Self {
+        AliasRows { rows }
+    }
+
     /// Vose's two-worklist form of the urn-filling procedure of Section
     /// 3.1: fills `rows` (`weights.len()` long) with the table of
     /// `weights` in `O(n)` time and returns the total weight. The

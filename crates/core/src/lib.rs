@@ -8,7 +8,9 @@
 //! Every sampler in this crate draws through a caller-supplied RNG and
 //! never memoizes randomness across queries, so independence holds by
 //! construction; the statistical test-suite (`iqs-stats`, `tests/`)
-//! verifies it empirically.
+//! verifies it empirically. What a caller may keep across queries is a
+//! [`QueryPlan`]: a query's deterministic `O(log n)` set-up, reused when
+//! the same range is asked again of the same structure.
 //!
 //! Contents, by paper section:
 //!
@@ -55,6 +57,7 @@ pub mod dynamic_range;
 mod error;
 pub mod estimator;
 pub mod fairnn;
+mod plan;
 pub mod range1d;
 pub mod rank_alias;
 pub mod setunion;
@@ -62,5 +65,6 @@ pub mod wor_exact;
 
 pub use dynamic_range::DynamicRange;
 pub use error::QueryError;
+pub use plan::QueryPlan;
 pub use range1d::{AliasAugmentedRange, ChunkedRange, RangeSampler, TreeSamplingRange};
 pub use wor_exact::ExpJumpWor;

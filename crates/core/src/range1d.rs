@@ -26,7 +26,8 @@ use rand::{Rng, RngCore};
 use std::ops::Range;
 
 use crate::error::QueryError;
-use crate::rank_alias::{PreparedRange, RankAliasAugmented};
+use crate::plan::{Ends, QueryPlan, Shape, Stamp};
+use crate::rank_alias::RankAliasAugmented;
 
 /// Validates and sorts `(key, weight)` input; returns keys and weights in
 /// key order. Input already in key order — what an ordered map's walk
@@ -509,6 +510,10 @@ pub struct ChunkedRange {
     totals: Vec<f64>,
     tchunk: RankAliasAugmented,
     fenwick: Fenwick,
+    /// Which content this is, for the key of a kept [`QueryPlan`]; never
+    /// written, so a deserialized structure takes a fresh one.
+    #[serde(skip)]
+    stamp: Stamp,
 }
 
 /// Builds chunk `k`'s alias table into its rows; returns the chunk's
@@ -540,42 +545,6 @@ fn chunks_of(ranks: impl Iterator<Item = usize>, chunk: usize) -> Vec<usize> {
     chunks.sort_unstable();
     chunks.dedup();
     chunks
-}
-
-/// How one query draws (see [`ChunkedRange::plan`]).
-enum Plan<'a> {
-    /// At most two chunks hold the range: its elements, enumerated into
-    /// one table over ranks `base..`; one word per draw.
-    Short { table: AliasTable, base: usize },
-    /// Three words per draw through the one chooser.
-    Pieces(Pieces<'a>),
-}
-
-/// The one chooser of a query that spans whole chunks: its extra columns
-/// are the boundary elements — the ranks of `left`, then those of
-/// `right` — and the rest the middle's canonical `T_chunk` nodes.
-struct Pieces<'a> {
-    ctx: PreparedRange<'a>,
-    left: Range<usize>,
-    right: Range<usize>,
-}
-
-impl Pieces<'_> {
-    /// The rank a draw returns: the boundary element its chooser column
-    /// `piece` stands for, or `middle`, the rank it drew through
-    /// `T_chunk`. Arithmetic on values already in hand, so it compiles
-    /// to selects.
-    #[inline(always)]
-    fn rank(&self, piece: usize, middle: u32) -> u32 {
-        let (left, right) = (&self.left, &self.right);
-        if piece < left.len() {
-            (left.start + piece) as u32
-        } else if piece - left.len() < right.len() {
-            (right.start + piece - left.len()) as u32
-        } else {
-            middle
-        }
-    }
 }
 
 impl ChunkedRange {
@@ -632,7 +601,8 @@ impl ChunkedRange {
             .map_err(|_| QueryError::EmptyRange)?;
         let tchunk = tchunk(&totals);
         let fenwick = Fenwick::from_values(&totals);
-        Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick })
+        let stamp = Stamp::fresh();
+        Ok(ChunkedRange { keys, weights, chunk, rows, totals, tchunk, fenwick, stamp })
     }
 
     /// The structure over the same keys with the weight at each listed
@@ -688,6 +658,7 @@ impl ChunkedRange {
             assert_eq!(fields(&next), fields(self), "the base is not `self` after its lag");
         }
         next.reweight(changes).map_err(|_| QueryError::EmptyRange)?;
+        next.stamp = Stamp::fresh();
         Ok(next)
     }
 
@@ -732,9 +703,13 @@ impl ChunkedRange {
         self.chunk
     }
 
-    /// Decides how a query over `[x, y]` draws — the `O(log n)` part of
-    /// the query, shared by both doors so that they cannot drift apart.
-    fn plan(&self, x: f64, y: f64) -> Result<Plan<'_>, QueryError> {
+    /// Plans a query over `[x, y]` into `plan` — the `O(log n)` part of
+    /// the query, shared by every door so that they cannot drift apart —
+    /// and keys it to this structure and to `x` and `y`. On an error the
+    /// plan matches nothing.
+    fn plan_into(&self, plan: &mut QueryPlan, x: f64, y: f64) -> Result<(), QueryError> {
+        // Stamp 0: the plan matches nothing until it is whole.
+        plan.key = [0; 3];
         let (ra, rb) = self.rank_range(x, y);
         if ra >= rb {
             return Err(QueryError::EmptyRange);
@@ -743,21 +718,22 @@ impl ChunkedRange {
         if (rb - 1) / c - ra / c < 2 {
             // No whole chunk is guaranteed inside: enumerate the range
             // (≤ 2c = O(log n) elements) and sample directly.
-            let table = AliasTable::new(&self.weights[ra..rb]).expect("positive weights");
-            return Ok(Plan::Short { table, base: ra });
+            plan.build_chooser(Some(&self.weights[ra..rb])).expect("positive weights");
+            plan.shape = Shape::Short { base: ra as u32 };
+        } else {
+            // Figure 2: the chunks wholly inside `[ra, rb)` — at least
+            // one, the range touching three — and what sticks out at
+            // either end. An end that is chunk-aligned sticks out nothing.
+            let first = ra.div_ceil(c);
+            let end = if rb == self.len() { self.totals.len() } else { rb / c };
+            let (left, right) = (ra..first * c, (end * c).min(rb)..rb);
+            let boundary = self.weights[left.clone()].iter().chain(&self.weights[right.clone()]);
+            let covered = self.tchunk.plan_into(first, end, boundary.copied(), plan);
+            assert!(covered, "a whole chunk lies inside the range");
+            plan.shape = Shape::Pieces(Ends { left, right });
         }
-        // Figure 2: the chunks wholly inside `[ra, rb)` — at least one,
-        // the range touching three — and what sticks out at either end.
-        // An end that is chunk-aligned sticks out nothing.
-        let first = ra.div_ceil(c);
-        let end = if rb == self.len() { self.totals.len() } else { rb / c };
-        let (left, right) = (ra..first * c, (end * c).min(rb)..rb);
-        let boundary = self.weights[left.clone()].iter().chain(&self.weights[right.clone()]);
-        let ctx = self
-            .tchunk
-            .prepare_with(first, end, boundary.copied())
-            .expect("a whole chunk lies inside the range");
-        Ok(Plan::Pieces(Pieces { ctx, left, right }))
+        plan.key = self.stamp.key(x, y);
+        Ok(())
     }
 
     /// The row of chunk `slot` that word `z` chooses, as a position in
@@ -772,17 +748,8 @@ impl ChunkedRange {
     }
 
     /// Monomorphizing batch query: fills `out` with independent weighted
-    /// samples from `[x, y]`, drawing randomness in blocks and resolving
-    /// every draw *in place*, so the whole query performs no sample-sized
-    /// allocation. See the [`RangeSampler`] *Dual sampling API* notes.
-    ///
-    /// Each tile of draws runs as the staged passes of
-    /// `iqs_alias::pipeline` — bulk word fill in sequence order, chooser
-    /// decode, `T_chunk` node rows, chunk decode, chunk rows, each row
-    /// pass behind its prefetch — and every word keeps the sequential
-    /// path's word-to-decision assignment, so the samples stay
-    /// bit-identical to [`Self::sample_wr`] (`RangeSampler::sample_wr`)
-    /// under a word-replaying generator.
+    /// samples from `[x, y]` — [`Self::sample_wr_planned`] with a fresh
+    /// plan. See the [`RangeSampler`] *Dual sampling API* notes.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when the interval holds no elements.
@@ -793,15 +760,50 @@ impl ChunkedRange {
         rng: &mut R,
         out: &mut [u32],
     ) -> Result<(), QueryError> {
+        self.sample_wr_planned(&mut QueryPlan::default(), x, y, rng, out)
+    }
+
+    /// The batch query through a kept plan: re-plans `[x, y]` into
+    /// `plan` unless `plan` was made for this structure's content and
+    /// these very `x` and `y` (see [`QueryPlan`]), then fills `out` with
+    /// independent weighted samples, drawing randomness in blocks and
+    /// resolving every draw *in place*, so the whole query performs no
+    /// sample-sized allocation — and, through a plan that matches, none at
+    /// all and no `O(log n)` work. The draws are a function of the
+    /// structure, `x`, `y` and the words alone, so they are the same
+    /// whichever plan the call is given.
+    ///
+    /// Each tile of draws runs as the staged passes of
+    /// `iqs_alias::pipeline` — bulk word fill in sequence order, chooser
+    /// decode, `T_chunk` node rows, chunk decode, chunk rows, each row
+    /// pass behind its prefetch — and every word keeps the sequential
+    /// path's word-to-decision assignment, so the samples stay
+    /// bit-identical to [`Self::sample_wr`] (`RangeSampler::sample_wr`)
+    /// under a word-replaying generator.
+    ///
+    /// # Errors
+    /// [`QueryError::EmptyRange`] when the interval holds no elements;
+    /// `out` is then untouched and `plan` matches nothing.
+    pub fn sample_wr_planned<R: RngCore + ?Sized>(
+        &self,
+        plan: &mut QueryPlan,
+        x: f64,
+        y: f64,
+        rng: &mut R,
+        out: &mut [u32],
+    ) -> Result<(), QueryError> {
         const TILE: usize = pipeline::TILE;
-        let plan = self.plan(x, y)?;
+        if plan.key != self.stamp.key(x, y) {
+            self.plan_into(plan, x, y)?;
+        }
+        let plan = &*plan;
         let mut block = BlockRng64::with_budget(rng, out.len().saturating_mul(3));
-        let pieces = match plan {
-            Plan::Short { table, base } => {
-                table.sample_block_into(&mut block, base as u32, out);
+        let ends = match &plan.shape {
+            Shape::Short { base } => {
+                plan.chooser().sample_block_into(&mut block, *base, out);
                 return Ok(());
             }
-            Plan::Pieces(pieces) => pieces,
+            Shape::Pieces(ends) => ends,
         };
         let mut words = [0u64; 3 * TILE];
         let (mut piece, mut slot) = ([0u32; TILE], [0u32; TILE]);
@@ -809,7 +811,7 @@ impl ChunkedRange {
         for tile in out.chunks_mut(TILE) {
             let m = tile.len();
             block.fill_words(&mut words[..3 * m]);
-            pieces.ctx.pick_tile(&words[..3 * m], 3, &mut piece[..m], &mut slot[..m]);
+            self.tchunk.pick_tile(plan, &words[..3 * m], 3, &mut piece[..m], &mut slot[..m]);
             for i in 0..m {
                 (row[i], base[i]) = self.chunk_row(slot[i] as usize, words[3 * i + 2]);
             }
@@ -820,7 +822,7 @@ impl ChunkedRange {
                     let coin = words[3 * i + 2] as u32;
                     let middle =
                         AliasRows::select(self.rows[row[i] as usize], coin, row[i], base[i]);
-                    tile[i] = pieces.rank(piece[i] as usize, middle);
+                    tile[i] = ends.rank(piece[i] as usize, middle);
                 },
             );
         }
@@ -863,15 +865,19 @@ impl RangeSampler for ChunkedRange {
         s: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<usize>, QueryError> {
-        Ok(match self.plan(x, y)? {
-            Plan::Short { table, base } => (0..s).map(|_| base + table.sample(rng)).collect(),
-            Plan::Pieces(pieces) => (0..s)
+        let mut plan = QueryPlan::default();
+        self.plan_into(&mut plan, x, y)?;
+        Ok(match &plan.shape {
+            Shape::Short { base } => {
+                (0..s).map(|_| *base as usize + plan.chooser().decode(rng.next_u64())).collect()
+            }
+            Shape::Pieces(ends) => (0..s)
                 .map(|_| {
                     let (w0, w1, w2) = (rng.next_u64(), rng.next_u64(), rng.next_u64());
-                    let (piece, slot) = pieces.ctx.pick(w0, w1);
+                    let (piece, slot) = self.tchunk.pick(&plan, w0, w1);
                     let (row, base) = self.chunk_row(slot, w2);
                     let middle = AliasRows::select(self.rows[row as usize], w2 as u32, row, base);
-                    pieces.rank(piece, middle) as usize
+                    ends.rank(piece, middle) as usize
                 })
                 .collect(),
         })
@@ -1259,6 +1265,101 @@ mod tests {
         let cut = ChunkedRange::for_reweights(pairs(1000, 4)).unwrap();
         let caught = std::panic::catch_unwind(|| cut.reweighted(&[(3, 2.0)], Some((full, &[7]))));
         assert!(caught.is_err(), "a full T_chunk was brought forward into a cut one");
+    }
+
+    proptest::proptest! {
+        /// One long-lived plan through a seeded run of queries — repeated
+        /// ranges of both plan kinds, empty and inverted ones — on both
+        /// constructors' structures, re-weighted now and then into the
+        /// structure one publication behind: every query must draw what a
+        /// fresh plan draws from the same RNG state.
+        #[test]
+        fn a_kept_plan_replays_a_fresh_one(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut plan = QueryPlan::default();
+            let (mut hits, mut reweights) = (0, 0);
+            for build in [ChunkedRange::new, ChunkedRange::for_reweights] {
+                let n = rng.random_range(40..700usize);
+                let weight = |rng: &mut StdRng| 2f64.powi(rng.random_range(-20..21));
+                let pairs = (0..n).map(|i| (i as f64, weight(&mut rng))).collect();
+                let mut current = build(pairs).unwrap();
+                let c = current.chunk_len() as f64;
+                let mut behind: Option<(ChunkedRange, Vec<usize>)> = None;
+                let (mut x, mut y) = (0.0, n as f64);
+                // Short: at most `c` keys, inside two chunks; Pieces:
+                // over `3c` keys or more, across whole chunks.
+                let a = rng.random_range(0..n / 2) as f64;
+                let ranges = [
+                    (a, a + rng.random_range(0.0..c)),
+                    (a, a + rng.random_range(3.0 * c..n as f64)),
+                    (f64::NEG_INFINITY, f64::INFINITY),
+                    (n as f64, 2.0 * n as f64),
+                    (a + 1.0, a),
+                    (f64::NAN, a),
+                ];
+                for _ in 0..40 {
+                    if rng.random_bool(0.2) {
+                        // Most of the re-weighted ranks lie in the ranges
+                        // the queries repeat.
+                        let changes: Vec<(usize, f64)> = (0..rng.random_range(1..8usize))
+                            .map(|_| {
+                                let rank = (a as usize + rng.random_range(0..3 * c as usize)) % n;
+                                (rank, weight(&mut rng))
+                            })
+                            .collect();
+                        let lag = changes.iter().map(|&(rank, _)| rank).collect();
+                        let next = match behind.take() {
+                            Some((old, lag)) => current.reweighted(&changes, Some((old, &lag))),
+                            None => current.reweighted(&changes, None),
+                        };
+                        behind = Some((std::mem::replace(&mut current, next.unwrap()), lag));
+                        reweights += 1;
+                        continue;
+                    }
+                    // Half the time, the range asked last again.
+                    if rng.random_bool(0.5) {
+                        (x, y) = ranges[rng.random_range(0..ranges.len())];
+                    }
+                    let s = [0usize, 1, 7, 64, 300][rng.random_range(0..5usize)];
+                    let words = rng.random::<u64>();
+                    let hit = plan.key == current.stamp.key(x, y);
+                    let (mut kept, mut fresh) = (vec![u32::MAX; s], vec![u32::MAX; s]);
+                    let got = current.sample_wr_planned(
+                        &mut plan, x, y, &mut StdRng::seed_from_u64(words), &mut kept,
+                    );
+                    let want =
+                        current.sample_wr_batch(x, y, &mut StdRng::seed_from_u64(words), &mut fresh);
+                    proptest::prop_assert_eq!(got, want, "[{}, {}]", x, y);
+                    proptest::prop_assert_eq!(&kept, &fresh, "[{}, {}], hit: {}", x, y, hit);
+                    hits += usize::from(hit);
+                }
+            }
+            // The run exercised both halves of the claim.
+            proptest::prop_assert!(hits > 0 && reweights > 0, "{} hits, {} re-weights", hits, reweights);
+        }
+    }
+
+    #[test]
+    fn a_plan_key_follows_content_not_the_value() {
+        let s = ChunkedRange::new(pairs(300, 5)).unwrap();
+        assert_eq!(s.clone().stamp, s.stamp, "a clone has the same content");
+        let mut text = String::new();
+        serde::Serialize::serialize_json(&s, &mut text);
+        assert!(!text.contains("stamp"), "a stamp is never written");
+        let back: ChunkedRange =
+            serde::Deserialize::deserialize_json(&mut serde::de::Parser::new(&text)).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{s:?}"), "Debug shows content only");
+        let reweighted = s.reweighted(&[], None).unwrap();
+        assert!(back.stamp != s.stamp && reweighted.stamp != s.stamp, "new content, new stamp");
+        // A failed plan matches nothing, not even the range it failed on.
+        let mut plan = QueryPlan::default();
+        s.sample_wr_planned(&mut plan, 10.0, 20.0, &mut StdRng::seed_from_u64(1), &mut [0; 4])
+            .unwrap();
+        assert_eq!(plan.key, s.stamp.key(10.0, 20.0));
+        let empty =
+            s.sample_wr_planned(&mut plan, 20.0, 10.0, &mut StdRng::seed_from_u64(1), &mut []);
+        assert_eq!(empty, Err(QueryError::EmptyRange));
+        assert_eq!(plan.key, [0; 3]);
     }
 
     /// Both constructors a re-weight may start from, over 50 keys: 9

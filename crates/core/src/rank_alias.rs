@@ -3,9 +3,11 @@
 //! chunk-level structure (`T_chunk`) can share it.
 
 use iqs_alias::space::{vec_words, SpaceUsage};
-use iqs_alias::{pipeline, prefetch, AliasRows, AliasTable, BlockRng64, BuildScratch, WeightError};
+use iqs_alias::{pipeline, prefetch, AliasRows, BlockRng64, BuildScratch, WeightError};
 use iqs_tree::{NodeId, RankBst};
 use rand::{Rng, RngCore};
+
+use crate::plan::{Piece, QueryPlan};
 
 /// A balanced tree over `n` weighted rank slots where **every node stores
 /// an alias table over its subtree's slots** (Section 4.1). Space
@@ -31,7 +33,7 @@ use rand::{Rng, RngCore};
 /// arena starts at that depth — `(height − TABLE_DEPTH + 1)·n` rows, a
 /// leaf above it using its own slot's row of the first level — and a
 /// query stands in for an untabled canonical node with its tabled
-/// descendants (see [`Self::prepare_with`]).
+/// descendants (see [`Self::plan_into`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RankAliasAugmented {
     tree: RankBst,
@@ -202,22 +204,18 @@ impl RankAliasAugmented {
         self.tree.canonical_nodes(a, b).iter().map(|&u| self.tree.node_weight(u)).sum()
     }
 
-    /// Prepares a query over ranks `[a, b)`: [`Self::prepare_with`] and no
-    /// extra pieces. Returns `None` when the range is empty.
-    pub fn prepare(&self, a: usize, b: usize) -> Option<PreparedRange<'_>> {
-        self.prepare_with(a, b, std::iter::empty())
-    }
-
-    /// Prepares a query over ranks `[a, b)` plus the caller's own
-    /// pieces: canonical decomposition and the one `O(log n)` on-the-fly
-    /// chooser, whose columns are the `extra` weights in the order given
-    /// and then the canonical nodes, each node's table position hoisted
-    /// into a dense array so every subsequent draw is a chooser decode
-    /// and one row. A draw that lands on an extra column is the
-    /// caller's to resolve — Theorem 3 passes the boundary elements that
-    /// lie outside its chunk-aligned middle, so one chooser splits a
-    /// query's draws among boundary elements and `T_chunk` nodes alike.
-    /// Returns `None` when `[a, b)` is empty.
+    /// Plans a query over ranks `[a, b)` plus the caller's own pieces
+    /// into `plan`: canonical decomposition and the one `O(log n)`
+    /// on-the-fly chooser, whose columns are the `extra` weights in the
+    /// order given and then the canonical nodes, each node's table
+    /// position hoisted into a dense array so every subsequent draw is a
+    /// chooser decode and one row ([`Self::pick`]). A draw that lands on
+    /// an extra column is the caller's to resolve — Theorem 3 passes the
+    /// boundary elements that lie outside its chunk-aligned middle, so
+    /// one chooser splits a query's draws among boundary elements and
+    /// `T_chunk` nodes alike. Returns `false`, the plan's cover left
+    /// unspecified, when `[a, b)` is empty. Leaves the plan's key and
+    /// shape to the caller.
     ///
     /// A canonical node that stores no table (above [`TABLE_DEPTH`] in a
     /// structure built for re-weights) is replaced by its tabled
@@ -227,31 +225,32 @@ impl RankAliasAugmented {
     /// as through the node's own table, and spends the same two words.
     ///
     /// Every sampling entry point — sequential and batched — funnels
-    /// through the context this returns, so there is exactly one draw code
-    /// path to test.
-    pub fn prepare_with(
+    /// through a plan made here, so there is exactly one draw code path
+    /// to test.
+    pub(crate) fn plan_into(
         &self,
         a: usize,
         b: usize,
         extra: impl Iterator<Item = f64>,
-    ) -> Option<PreparedRange<'_>> {
+        plan: &mut QueryPlan,
+    ) -> bool {
         let b = b.min(self.len());
         if a >= b {
-            return None;
+            return false;
         }
         // At most two canonical nodes a level, as many columns as that
         // unless some store no table.
         let columns = extra.size_hint().0 + 2 * self.tree.height() as usize + 1;
-        let mut weights = Vec::with_capacity(columns);
+        let (weights, pieces) = (&mut plan.weights, &mut plan.pieces);
+        weights.clear();
+        weights.reserve(columns);
         weights.extend(extra);
-        let extras = weights.len();
-        // An extra column stands in as the one-row table at the arena's
-        // first row, so the passes below need no case for it.
-        let mut pieces = Vec::with_capacity(columns);
-        pieces.resize(extras, Piece { at: 0, len: 1, lo: 0 });
-        self.cover(self.tree.root(), a, b, &mut weights, &mut pieces);
-        let chooser = AliasTable::new(&weights).expect("positive piece weights");
-        Some(PreparedRange { rows: &self.rows, chooser, pieces, extras })
+        pieces.clear();
+        pieces.reserve(columns);
+        pieces.resize(weights.len(), Piece::EXTRA);
+        self.cover(self.tree.root(), a, b, weights, pieces);
+        plan.build_chooser(None).expect("positive piece weights");
+        true
     }
 
     /// Appends a chooser column for each node of the tabled cover of
@@ -285,109 +284,19 @@ impl RankAliasAugmented {
         }
     }
 
-    /// Draws `s` independent weighted rank samples from `[a, b)` in
-    /// `O(log n + s)` time, appending to `out`. Returns `false` (and
-    /// appends nothing) when the range is empty.
-    pub fn sample_into<R: Rng + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        s: usize,
-        rng: &mut R,
-        out: &mut Vec<usize>,
-    ) -> bool {
-        let Some(ctx) = self.prepare(a, b) else {
-            return false;
-        };
-        for _ in 0..s {
-            out.push(ctx.draw(rng));
-        }
-        true
-    }
-
-    /// Batched form of [`Self::sample_into`]: fills `out` with independent
-    /// weighted rank samples from `[a, b)`, drawing all randomness from an
-    /// already-buffered word block. Returns `false` (leaving `out`
-    /// untouched) when the range is empty.
-    ///
-    /// Consumes the same word sequence as the sequential path (two words
-    /// per draw), so under a block that replays the raw RNG stream the
-    /// outputs are identical.
-    pub fn sample_block_into<R: RngCore + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        block: &mut BlockRng64<'_, R>,
-        out: &mut [u32],
-    ) -> bool {
-        let Some(ctx) = self.prepare(a, b) else {
-            return false;
-        };
-        ctx.draw_block_into(block, out);
-        true
-    }
-}
-
-/// One chooser column of a [`PreparedRange`]: a tabled node's stored
-/// table — its first arena row, its length, and the first slot it covers.
-#[derive(Clone, Copy)]
-struct Piece {
-    at: usize,
-    len: u32,
-    lo: u32,
-}
-
-/// A query-prepared sampling context from
-/// [`RankAliasAugmented::prepare_with`]: the per-query chooser over the
-/// pieces, and the canonical cover's table positions in a dense array.
-/// One draw owns two consecutive words — chooser, node row — and costs
-/// one chooser decode (query-local, cache-hot) and one arena row: no
-/// tree walks, no indirection through node ids.
-pub struct PreparedRange<'a> {
-    /// The engine's arena.
-    rows: &'a [u64],
-    /// On-the-fly alias over the pieces' weights.
-    chooser: AliasTable,
-    /// By chooser column: the extra pieces' stand-ins, then the tabled
-    /// nodes covering the range.
-    pieces: Vec<Piece>,
-    /// How many leading columns are the caller's extra pieces.
-    extras: usize,
-}
-
-impl PreparedRange<'_> {
-    /// Where a draw's two words point, before any stored row is read:
-    /// the piece `w0` picks through the (query-local) chooser, the arena
-    /// position of the row `w1` picks in that piece's table, the slot the
-    /// draw returns if the row's coin keeps its column, and the piece's
-    /// first slot, which the row's alias entry is relative to.
-    #[inline(always)]
-    fn locate(&self, w0: u64, w1: u64) -> (usize, usize, u32, u32) {
-        let piece = self.chooser.decode(w0);
-        let p = self.pieces[piece];
-        let col = AliasRows::column_of(w1, p.len as usize);
-        (piece, p.at + col, p.lo + col as u32, p.lo)
-    }
-
-    /// Resolves one draw's two words: `w0` picks the piece, `w1` a slot
-    /// through the piece's node table. Returns `(piece, slot)`; when
-    /// `piece` is one of the caller's extras (below the count it passed
-    /// to `prepare_with`), `slot` is some valid slot and carries no
+    /// Resolves one draw's two words through `plan`, made by
+    /// [`Self::plan_into`] on this structure: `w0` picks the piece, `w1`
+    /// a slot through the piece's node table. Returns `(piece, slot)`;
+    /// when `piece` is one of the caller's extras (below the count it
+    /// passed to `plan_into`), `slot` is some valid slot and carries no
     /// meaning — the draw's node word is spent either way, which is what
-    /// keeps the words of a draw a fixed count.
+    /// keeps the words of a draw a fixed count. One chooser decode
+    /// (query-local, cache-hot) and one arena row: no tree walks, no
+    /// indirection through node ids.
     #[inline(always)]
-    pub fn pick(&self, w0: u64, w1: u64) -> (usize, usize) {
-        let (piece, row, kept, lo) = self.locate(w0, w1);
+    pub(crate) fn pick(&self, plan: &QueryPlan, w0: u64, w1: u64) -> (usize, usize) {
+        let (piece, row, kept, lo) = plan.locate(w0, w1);
         (piece, AliasRows::select(self.rows[row], w1 as u32, kept, lo) as usize)
-    }
-
-    /// Draws one weighted rank (two RNG words). For contexts prepared
-    /// without extra pieces.
-    #[inline(always)]
-    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        debug_assert_eq!(self.extras, 0);
-        let (w0, w1) = (rng.next_u64(), rng.next_u64());
-        self.pick(w0, w1).1
     }
 
     /// [`Self::pick`] over a tile of pre-generated words, as staged
@@ -400,19 +309,26 @@ impl PreparedRange<'_> {
     ///
     /// `piece` and `slot` are one tile long at most and equally long;
     /// `words` holds `stride` words for each of their entries.
-    pub fn pick_tile(&self, words: &[u64], stride: usize, piece: &mut [u32], slot: &mut [u32]) {
+    pub(crate) fn pick_tile(
+        &self,
+        plan: &QueryPlan,
+        words: &[u64],
+        stride: usize,
+        piece: &mut [u32],
+        slot: &mut [u32],
+    ) {
         let m = slot.len();
         assert!(m <= pipeline::TILE && piece.len() == m && words.len() == stride * m);
         let mut row = [0usize; pipeline::TILE];
         let mut lo = [0u32; pipeline::TILE];
         for i in 0..m {
             let j;
-            (j, row[i], slot[i], lo[i]) = self.locate(words[stride * i], words[stride * i + 1]);
+            (j, row[i], slot[i], lo[i]) = plan.locate(words[stride * i], words[stride * i + 1]);
             piece[i] = j as u32;
         }
         pipeline::pass(
             m,
-            |i| prefetch::slice_element(self.rows, row[i]),
+            |i| prefetch::slice_element(&self.rows, row[i]),
             |i| {
                 let coin = words[stride * i + 1] as u32;
                 slot[i] = AliasRows::select(self.rows[row[i]], coin, slot[i], lo[i]);
@@ -420,24 +336,57 @@ impl PreparedRange<'_> {
         );
     }
 
-    /// Pipelined batch draw: fills `out` with independent weighted rank
-    /// samples, pulling each tile's words from `block` up front
-    /// (sequence order) and running them through [`Self::pick_tile`].
-    /// For contexts prepared without extra pieces.
-    pub fn draw_block_into<R: RngCore + ?Sized>(
+    /// Draws `s` independent weighted rank samples from `[a, b)` in
+    /// `O(log n + s)` time, two RNG words each, appending to `out`.
+    /// Returns `false` (and appends nothing) when the range is empty.
+    pub fn sample_into<R: Rng + ?Sized>(
         &self,
+        a: usize,
+        b: usize,
+        s: usize,
+        rng: &mut R,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        let mut plan = QueryPlan::default();
+        if !self.plan_into(a, b, std::iter::empty(), &mut plan) {
+            return false;
+        }
+        for _ in 0..s {
+            let (w0, w1) = (rng.next_u64(), rng.next_u64());
+            out.push(self.pick(&plan, w0, w1).1);
+        }
+        true
+    }
+
+    /// Batched form of [`Self::sample_into`]: fills `out` with independent
+    /// weighted rank samples from `[a, b)`, drawing all randomness from an
+    /// already-buffered word block, each tile's words up front (sequence
+    /// order) and run through [`Self::pick_tile`]. Returns `false`
+    /// (leaving `out` untouched) when the range is empty.
+    ///
+    /// Consumes the same word sequence as the sequential path (two words
+    /// per draw), so under a block that replays the raw RNG stream the
+    /// outputs are identical.
+    pub fn sample_block_into<R: RngCore + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
         block: &mut BlockRng64<'_, R>,
         out: &mut [u32],
-    ) {
-        debug_assert_eq!(self.extras, 0);
+    ) -> bool {
         const TILE: usize = pipeline::TILE;
+        let mut plan = QueryPlan::default();
+        if !self.plan_into(a, b, std::iter::empty(), &mut plan) {
+            return false;
+        }
         let mut words = [0u64; 2 * TILE];
         let mut piece = [0u32; TILE];
         for tile in out.chunks_mut(TILE) {
             let m = tile.len();
             block.fill_words(&mut words[..2 * m]);
-            self.pick_tile(&words[..2 * m], 2, &mut piece[..m], tile);
+            self.pick_tile(&plan, &words[..2 * m], 2, &mut piece[..m], tile);
         }
+        true
     }
 }
 
@@ -565,9 +514,13 @@ mod tests {
             }
             // The whole range: one column for the root, or one for each
             // tabled node under it that has no tabled ancestor.
-            let columns = cut.prepare(0, n).unwrap().pieces.len();
-            assert_eq!(full.prepare(0, n).unwrap().pieces.len(), 1);
-            assert_eq!(columns, n.min(1 << d), "n = {n}");
+            let columns = |r: &RankAliasAugmented| {
+                let mut plan = QueryPlan::default();
+                assert!(r.plan_into(0, n, std::iter::empty(), &mut plan));
+                plan.pieces.len()
+            };
+            assert_eq!(columns(&full), 1);
+            assert_eq!(columns(&cut), n.min(1 << d), "n = {n}");
         }
     }
 

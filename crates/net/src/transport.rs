@@ -158,12 +158,19 @@ pub struct TcpInFlight {
 }
 
 impl TcpInner {
+    /// `addr`'s pool, made on first sight: only a new address costs its
+    /// key an owned copy, not every round trip that gives a connection
+    /// back.
     fn pool_mut<'a>(&self, pools: &'a mut HashMap<String, Pool>, addr: &str) -> &'a mut Pool {
-        pools.entry(addr.to_string()).or_insert_with(|| Pool {
-            idle: Vec::new(),
-            backoff_until: None,
-            backoff: self.config.backoff_initial,
-        })
+        if !pools.contains_key(addr) {
+            let pool = Pool {
+                idle: Vec::new(),
+                backoff_until: None,
+                backoff: self.config.backoff_initial,
+            };
+            pools.insert(addr.to_string(), pool);
+        }
+        pools.get_mut(addr).expect("the pool was just made")
     }
 
     fn take_idle(&self, addr: &str) -> Option<TcpStream> {

@@ -173,6 +173,8 @@ impl Response {
 /// enum Derivable { Unit, Other, Newtype(u32), Struct { a: u32, b: Option<String> } }
 /// #[derive(serde::Serialize, serde::Deserialize)]
 /// struct Generic<T> { t: T }
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// struct Skipping { kept: u32, #[serde(skip)] left_out: Vec<u8> }
 /// ```
 ///
 /// An explicit discriminant:
@@ -194,6 +196,16 @@ impl Response {
 /// ```compile_fail
 /// #[derive(serde::Serialize, serde::Deserialize)]
 /// struct Refused(u32);
+/// ```
+/// A skipped field of an enum variant:
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// enum Refused { Unit, Struct { a: u32, #[serde(skip)] b: u32 } }
+/// ```
+/// A `serde` attribute other than `skip`:
+/// ```compile_fail
+/// #[derive(serde::Serialize, serde::Deserialize)]
+/// struct Refused { #[serde(rename = "b")] a: u32 }
 /// ```
 #[cfg(doctest)]
 struct DeriveRefusals;

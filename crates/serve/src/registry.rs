@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use iqs_alias::WeightError;
-use iqs_core::{ChunkedRange, QueryError, RangeSampler};
+use iqs_core::{ChunkedRange, QueryError, QueryPlan, RangeSampler};
 use rand::RngCore;
 
 use crate::api::UpdateOp;
@@ -217,10 +217,14 @@ impl RangeView {
 
     /// Appends the ids of `s` independent weighted draws from keys in
     /// `[x, y]` to `out`. `ranks` is the caller's scratch for the drawn
-    /// ranks, so a worker that keeps one allocates nothing here.
+    /// ranks and `plan` its kept query plan
+    /// ([`ChunkedRange::sample_wr_planned`]), so a seat that keeps both
+    /// allocates nothing here, and asked the range it asked last, with
+    /// this view still published, plans nothing either.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when the view or the interval is empty.
+    #[allow(clippy::too_many_arguments)]
     pub fn sample_ids_into<R: RngCore + ?Sized>(
         &self,
         x: f64,
@@ -228,12 +232,13 @@ impl RangeView {
         s: usize,
         rng: &mut R,
         ranks: &mut Vec<u32>,
+        plan: &mut QueryPlan,
         out: &mut Vec<u64>,
     ) -> Result<(), QueryError> {
         let sampler = self.sampler.as_ref().ok_or(QueryError::EmptyRange)?;
         ranks.clear();
         ranks.resize(s, 0);
-        sampler.sample_wr_batch(x, y, rng, ranks)?;
+        sampler.sample_wr_planned(plan, x, y, rng, ranks)?;
         out.extend(ranks.iter().map(|&r| self.id_at(r as usize)));
         Ok(())
     }

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iqs_core::{QueryError, RangeSampler};
+use iqs_core::{QueryError, QueryPlan, RangeSampler};
 use iqs_obs::{recorder, saturating_ns, Ctx, Phase, SlowEntry, SlowLog};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
@@ -587,12 +587,16 @@ impl Drop for Server {
     }
 }
 
-/// Per-seat reusable output buffers: the sampling batch entry points
-/// write into these, so steady-state request service performs no
-/// sample-sized allocation beyond the response vector itself.
+/// Per-seat reusable state: the sampling batch entry points write into
+/// these buffers, so steady-state request service performs no
+/// sample-sized allocation beyond the response vector itself. `plan` is
+/// the seat's last range query plan, keyed by the view's content and the
+/// range: the same range asked again of the same view spends the request
+/// on draws, and any other view or range re-plans into its buffers.
 #[derive(Default)]
 struct Scratch {
     ranks: Vec<u32>,
+    plan: QueryPlan,
 }
 
 fn worker_loop(shared: &Shared) {
@@ -708,7 +712,15 @@ fn dispatch(
                 IndexView::Range(rv) => {
                     let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
                     let mut ids = Vec::with_capacity(s);
-                    rv.sample_ids_into(x, y, s, rng, &mut scratch.ranks, &mut ids)?;
+                    rv.sample_ids_into(
+                        x,
+                        y,
+                        s,
+                        rng,
+                        &mut scratch.ranks,
+                        &mut scratch.plan,
+                        &mut ids,
+                    )?;
                     Ok(Response::Samples(ids))
                 }
                 IndexView::External(ev) => {

@@ -702,6 +702,57 @@ fn inline_and_queued_requests_share_one_seed_schedule() {
     assert_eq!(inline.shutdown().completed, queued.shutdown().completed);
 }
 
+/// A seat keeps its last range query plan; it must never draw through it
+/// on a view it was not made for. One seat asks one range again and
+/// again — of a dynamic index and of a static one in turn, and across
+/// `Update`s of the dynamic one: re-weight patches (from the second on,
+/// written into the recycled spare view) and a structural insert. Every
+/// read must be what a fresh plan draws on the view published at the
+/// time, from the seat's RNG state, which the test replays beside it
+/// (seat 0 of a server seeded `t` draws from `t ^ GOLDEN`).
+#[test]
+fn a_seats_plan_never_outlives_its_view() {
+    use iqs_core::QueryPlan;
+    use iqs_serve::IndexView;
+    use rand::{rngs::StdRng, SeedableRng};
+    const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+    let (n, seed, range) = (4096u64, 0x91a2, (1000.0, 3000.0));
+    let mut registry = IndexRegistry::new();
+    let triples = |w: fn(u64) -> f64| (0..n).map(|i| (i, i as f64, w(i))).collect::<Vec<_>>();
+    registry.register_range_dynamic("d", triples(|i| 1.0 + (i % 10) as f64)).unwrap();
+    registry.register_range_keyed("k", triples(|i| 1.0 + (i % 7) as f64)).unwrap();
+    let server =
+        Server::start(registry, ServerConfig { workers: 1, seed, ..ServerConfig::default() });
+    let client = server.client();
+    let mut seat = StdRng::seed_from_u64(seed ^ GOLDEN);
+    let mut read = |index: &str| {
+        let view = server.registry().view(index).expect("registered");
+        let IndexView::Range(rv) = &*view else { panic!("a range view") };
+        let (mut ranks, mut want) = (Vec::new(), Vec::new());
+        let mut fresh = QueryPlan::default();
+        rv.sample_ids_into(range.0, range.1, 64, &mut seat, &mut ranks, &mut fresh, &mut want)
+            .expect("a non-empty range");
+        let request = Request::SampleWr { index: index.into(), range: Some(range), s: 64 };
+        assert_eq!(sample_ids(client.call(request).expect("a read")), want, "{index}");
+    };
+    let upsert = |id: u64, key: f64| UpdateOp::Upsert { id, key, weight: 1e3 };
+    for round in 0..6u64 {
+        for index in ["d", "d", "d", "k", "d", "k", "k", "d"] {
+            read(index);
+        }
+        // Rounds 0–2 and 4–5 re-weight 16 elements inside the range a
+        // hundredfold or more; round 3 inserts one there, moving the
+        // ranks of every key above it.
+        let ops: Vec<UpdateOp> = match round {
+            3 => vec![upsert(n, 1500.5)],
+            _ => (0..16).map(|i| 1100 + 100 * i + round).map(|id| upsert(id, id as f64)).collect(),
+        };
+        let update = Request::Update { index: "d".into(), ops };
+        assert!(matches!(client.call(update), Ok(Response::Updated { .. })), "round {round}");
+    }
+    read("d");
+}
+
 /// A panic inside an index is contained where requests run: the request
 /// answers the typed [`ServeError::Panicked`] through every door —
 /// caller's thread (`call`), worker's thread (`call_pending`), and the

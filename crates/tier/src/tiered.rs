@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use iqs_alias::split::split_counts;
 use iqs_alias::validate_weights;
-use iqs_core::{QueryError, RangeSampler};
+use iqs_core::{QueryError, QueryPlan, RangeSampler};
 use iqs_em::{EmMachine, EmWeightedRangeSampler, IoStats, RangePlan};
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
 use iqs_serve::{ExternalIndex, IoReport, RangeView, ServeError, Snapshot};
@@ -509,7 +509,7 @@ impl TieredIndex {
         let state = slot.state.load();
         match &*state {
             TierState::Hot(h) => {
-                h.sample_ids_into(x, y, s, rng, ranks, out)?;
+                h.sample_ids_into(x, y, s, rng, ranks, &mut QueryPlan::default(), out)?;
                 self.counters.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
             }
             TierState::Cold(c) => {

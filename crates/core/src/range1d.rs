@@ -618,14 +618,15 @@ impl ChunkedRange {
     /// changed — the base is that structure, brought level with `self`
     /// by copying what the lag touched (weights, chunk tables and totals,
     /// the `T_chunk` tables on those chunks' root-to-leaf paths) and
-    /// recomputing the `T_chunk` node weights above them. A caller that
-    /// republishes on every update passes the superseded structure back
-    /// once no reader holds it. Without it, the base is a clone of
-    /// `self`. Either way the batch then costs what it touches: the
-    /// tables and totals of the chunks holding a listed rank, the
-    /// `T_chunk` tables and node weights on their root-to-leaf paths,
-    /// and the Fenwick tree, `O(n / log n)`, rebuilt whole in its buffer.
-    /// No sum is ever updated in place, so nothing drifts.
+    /// recomputing the `T_chunk` node weights and Fenwick sums above
+    /// them. A caller that republishes on every update passes the
+    /// superseded structure back once no reader holds it. Without it, the
+    /// base is a clone of `self`. Either way the batch then costs what it
+    /// touches: the tables and totals of the chunks holding a listed rank,
+    /// the `T_chunk` tables and node weights on their root-to-leaf paths,
+    /// and the Fenwick sums above them ([`Fenwick::repair`]). No sum is
+    /// ever updated by a delta — each is summed afresh from its parts in
+    /// a fresh build's order — so nothing drifts.
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] on a rank past the end, a weight that
@@ -649,21 +650,20 @@ impl ChunkedRange {
             }
             None => self.clone(),
         };
-        #[cfg(debug_assertions)]
-        {
-            // The Fenwick tree is left out: `reweight` rebuilds it whole.
-            let fields = |s: &Self| {
-                format!("{:?}", (&s.keys, &s.weights, s.chunk, &s.rows, &s.totals, &s.tchunk))
-            };
-            assert_eq!(fields(&next), fields(self), "the base is not `self` after its lag");
-        }
+        // `Debug` prints every field but the stamp's number.
+        debug_assert_eq!(
+            format!("{next:?}"),
+            format!("{self:?}"),
+            "the base is not `self` after its lag"
+        );
         next.reweight(changes).map_err(|_| QueryError::EmptyRange)?;
         next.stamp = Stamp::fresh();
         Ok(next)
     }
 
     /// Brings `self`, whose weights differ from `current`'s at the ranks
-    /// `lag` only, level with `current` by copying what the lag touched.
+    /// `lag` only, level with `current` by copying what the lag touched
+    /// and re-summing what lies above it.
     fn catch_up(&mut self, current: &Self, lag: &[usize]) {
         assert!(
             self.len() == current.len() && self.chunk == current.chunk,
@@ -679,10 +679,12 @@ impl ChunkedRange {
             self.totals[k] = current.totals[k];
         }
         self.tchunk.catch_up(&current.tchunk, &self.totals, &chunks);
+        self.fenwick.repair(&self.totals, &chunks);
     }
 
     /// Applies `changes` (validated) in place: rebuilds the chunks they
-    /// touch, the `T_chunk` paths above those, and the Fenwick tree.
+    /// touch, the `T_chunk` paths above those, and the Fenwick sums over
+    /// them.
     fn reweight(&mut self, changes: &[(usize, f64)]) -> Result<(), WeightError> {
         for &(rank, w) in changes {
             self.weights[rank] = w;
@@ -694,7 +696,7 @@ impl ChunkedRange {
                 build_chunk(k, self.chunk, &self.weights, &mut self.rows, &mut scratch)?;
         }
         self.tchunk.reweight(&self.totals, &touched)?;
-        self.fenwick.rebuild(&self.totals);
+        self.fenwick.repair(&self.totals, &touched);
         Ok(())
     }
 
@@ -1197,21 +1199,29 @@ mod tests {
     fn reweighted_is_the_fresh_build_bit_for_bit() {
         // `Debug` prints every field and tells any two finite f64s
         // apart, so equal strings mean every array is bit-equal. Each
-        // `T_chunk` is checked against a fresh build of its own kind. Cut
-        // at `TABLE_DEPTH` = 4, fewer than 16 chunks (n ≤ 65 at the
-        // paper's chunk length; odd counts put leaves above depth 4)
-        // table the leaves only, 16 (n = 112 at the paper's length, 16
-        // at length 1) exactly the depth-4 leaves, and more than 16
+        // `T_chunk` is checked against a fresh build of its own kind.
+        // Counted in chunks, whatever `TABLE_DEPTH` = D is: fewer than
+        // 2^D table the leaves only (odd counts put leaves above depth
+        // D), exactly 2^D table exactly the depth-D leaves, and more
         // leave the shallow nodes untabled, odd counts with leaves above
-        // the deepest level.
+        // the deepest level. Each count is built at chunk length 1 and,
+        // with as many chunks, at the paper's length.
+        let d = 1usize << crate::rank_alias::TABLE_DEPTH;
         let mut rng = StdRng::seed_from_u64(31);
         for (how, tchunk) in TCHUNKS {
-            for n in [1usize, 2, 7, 16, 64, 65, 112, 1000, 4099] {
-                for chunk in [paper_chunk_len(n), 1] {
-                    reweight_chain(n, chunk, tchunk, &mut rng, how);
-                }
+            for chunks in [1usize, 2, 7, d - 1, d, d + 1, 2 * d + 1, 16 * d + 3] {
+                let n = keys_for_chunks(chunks);
+                assert!(chunks != d || n.div_ceil(paper_chunk_len(n)) == d, "{n} keys");
+                reweight_chain(n, paper_chunk_len(n), tchunk, &mut rng, how);
+                reweight_chain(chunks, 1, tchunk, &mut rng, how);
             }
         }
+    }
+
+    /// The fewest keys the paper's chunk length cuts into at least
+    /// `chunks` chunks.
+    fn keys_for_chunks(chunks: usize) -> usize {
+        (1..).find(|&n: &usize| n.div_ceil(paper_chunk_len(n)) >= chunks).unwrap()
     }
 
     /// Six publications of random batches on a structure of `n` keys,

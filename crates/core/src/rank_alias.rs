@@ -49,11 +49,13 @@ pub struct RankAliasAugmented {
 /// The shallowest depth whose inner nodes keep their tables in a
 /// structure built [`for_reweights`](RankAliasAugmented::for_reweights).
 /// A canonical node at depth `d` above it costs a query up to
-/// `2^(TABLE_DEPTH − d)` chooser columns instead of one; a re-weight
-/// rebuilds `TABLE_DEPTH` fewer whole levels. The largest depth whose
-/// `mixed-rw` read latency held within 5% of the full structure's
+/// `2^(TABLE_DEPTH − d)` chooser columns instead of one, once per plan —
+/// a caller that keeps its plan pays it once per range and structure —
+/// and a re-weight rebuilds `TABLE_DEPTH` fewer whole levels. The largest
+/// depth whose fresh plan over the ledger's widest range at `s = 64`
+/// costs at most 1.6× the plan at depth 4, at 2^16 and at 2^20 elements
 /// (EXPERIMENTS.md, "Re-weight update phases").
-pub const TABLE_DEPTH: u32 = 4;
+pub const TABLE_DEPTH: u32 = 6;
 
 /// The arena position of a node that stores no table.
 const UNTABLED: usize = usize::MAX;
@@ -496,7 +498,7 @@ mod tests {
     #[test]
     fn a_structure_for_reweights_keeps_no_table_above_its_depth() {
         let d = TABLE_DEPTH;
-        for n in [1usize, 3, 1 << d, (1 << d) + 1, 100, 1 << 10] {
+        for n in [1usize, 3, (1 << d) - 1, 1 << d, (1 << d) + 1, (6 << d) + 5, 1 << (d + 4)] {
             let weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
             let (full, cut) =
                 (RankAliasAugmented::new(&weights), RankAliasAugmented::for_reweights(&weights));
@@ -529,11 +531,13 @@ mod tests {
         // Slot counts off the powers of two leave leaves above the
         // deepest level; `Debug` compares every row of the arena.
         // A structure one edit behind, caught up by copying, is the
-        // patched one too. Cut at `TABLE_DEPTH` = 4, up to 16 slots table
-        // the leaves only (3 and 11 with some above depth 4), and 100
-        // and 257 leave their top four levels untabled.
+        // patched one too. Cut at `TABLE_DEPTH` = D, up to 2^D slots
+        // table the leaves only (odd counts with some above depth D),
+        // and more leave their top D levels untabled, odd counts with
+        // leaves above the deepest level.
+        let d = 1usize << TABLE_DEPTH;
         for (name, build) in BUILDS {
-            for n in [1usize, 2, 3, 11, 1 << TABLE_DEPTH, 100, 257] {
+            for n in [1usize, 2, 3, d - 5, d, 6 * d + 5, 16 * d + 1] {
                 let mut weights: Vec<f64> = (1..=n).map(|i| i as f64).collect();
                 let base = build(&weights);
                 let touched: Vec<usize> =

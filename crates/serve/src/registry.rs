@@ -7,22 +7,28 @@
 //!   structure (a [`ChunkedRange`] and its ids, or the handle of an
 //!   [`ExternalIndex`]) inside a [`Snapshot`] cell. Workers pin it per
 //!   request; any number of threads sample it concurrently.
-//! * a **master** — for dynamic indexes, an ordered map
-//!   `(key, id) → weight` behind a writer mutex. Nothing ever samples
-//!   it: updates edit the map, derive the next view, and publish it
-//!   atomically. Readers of the old view are never blocked, never torn,
-//!   and drop the old snapshot when their in-flight queries finish. A
-//!   panic that poisons the mutex loses only the batch it interrupted:
-//!   the next update re-derives the master from the published view.
+//! * a **master** — for dynamic indexes, the writer-side state behind a
+//!   mutex: which ids are live and at what key, the running total, and
+//!   the view to write the next patch into. It keeps no second copy of
+//!   the elements — the published view, in `(key, id)` order, is their
+//!   one ordered copy — and nothing ever samples it: an update finds
+//!   each element it names in the view, derives the next view, and
+//!   publishes it atomically. Readers of the old view are never blocked,
+//!   never torn, and drop the old snapshot when their in-flight queries
+//!   finish. A panic that poisons the mutex loses only the batch it
+//!   interrupted: the next update re-derives the master from the
+//!   published view.
 //!
 //! How the next view is derived is read off the batch itself. A batch
 //! in which every applied op re-weights a live element at its current
 //! key leaves the keys, the ids and every rank where they were, so the
-//! next view is the current one patched: [`ChunkedRange::reweighted`]
-//! rebuilds what the touched chunks feed, the result is bit-identical to
-//! a fresh build, and it shares the current view's ids. Any other batch
-//! (an insert, a remove, a key move) builds the view afresh from the
-//! map's in-order walk, which is already the view's rank order.
+//! next view is the current one patched: each op's rank is one search of
+//! the view, [`ChunkedRange::reweighted`] rebuilds what the touched
+//! chunks feed, the result is bit-identical to a fresh build, and it
+//! shares the current view's ids. Any other batch (an insert, a remove,
+//! a key move) builds the view afresh from a merge of the current view's
+//! order, less the elements it touched, with what it left of those,
+//! sorted — already the next view's rank order.
 //!
 //! A master builds its views [`ChunkedRange::for_reweights`]: `T_chunk`
 //! keeps no tables on its top levels, which every patch would otherwise
@@ -177,24 +183,6 @@ impl RangeView {
         Ok(RangeView::of(Some(build(pairs)?), Some(ids)))
     }
 
-    /// `(rank, weight)` of `changes` — `(key bits, id, weight)` of live
-    /// elements. Ranks are found by binary search, so `self` must be in
-    /// `(key, id)` order, as a master's views are.
-    fn ranked(&self, changes: &[(u64, u64, f64)]) -> Vec<(usize, f64)> {
-        let keys = self.sampler.as_ref().expect("a live element is in the view").keys();
-        let ids = self.ids.as_ref().expect("a master's view carries ids");
-        changes
-            .iter()
-            .map(|&(bits, id, weight)| {
-                let lo = keys.partition_point(|&k| key_bits(k) < bits);
-                let hi = keys.partition_point(|&k| key_bits(k) <= bits);
-                let rank = lo + ids[lo..hi].partition_point(|&other| other < id);
-                debug_assert_eq!(ids[rank], id);
-                (rank, weight)
-            })
-            .collect()
-    }
-
     /// The view of the same elements after `changes` (ranked, applied in
     /// order) replaced their weights: bit-identical to a fresh build
     /// ([`ChunkedRange::reweighted`], which `behind` is passed on to),
@@ -258,8 +246,9 @@ pub enum IndexView {
     External(Arc<dyn ExternalIndex>),
 }
 
-/// Order-preserving bit image of a finite `f64`, so keys can order a
-/// [`BTreeMap`]; [`key_of_bits`] inverts it.
+/// Order-preserving bit image of a finite `f64`: a master's views are
+/// in `(key_bits(key), id)` order, which puts `-0.0` before `0.0` and
+/// equal keys by ascending id.
 fn key_bits(key: f64) -> u64 {
     let b = key.to_bits();
     if b >> 63 == 1 {
@@ -269,19 +258,13 @@ fn key_bits(key: f64) -> u64 {
     }
 }
 
-fn key_of_bits(bits: u64) -> f64 {
-    f64::from_bits(if bits >> 63 == 1 { bits & !(1 << 63) } else { !bits })
-}
-
-/// The writer-side state of a dynamic range index: its live elements,
-/// held in the order the next view publishes them. It is never sampled.
+/// The writer-side state of a dynamic range index. It holds no copy of
+/// the elements: the published view is their one ordered copy, and a
+/// batch finds an element there ([`Batch`]). It is never sampled.
 #[derive(Debug, Default)]
 struct MasterMap {
-    /// `(key_bits(key), id) → weight`. An in-order walk is the view's
-    /// rank order, so equal keys publish by ascending id whatever the
-    /// update history was.
-    by_key: BTreeMap<(u64, u64), f64>,
-    /// `id → key_bits(key)`: where an element sits in `by_key`.
+    /// `id → key_bits(key)` of every live element: which ids are live,
+    /// and where in the view's order each one sits.
     key_of: HashMap<u64, u64>,
     /// The view the last publication superseded, kept so the next patch
     /// can be brought forward from it (if no reader still pins it)
@@ -304,6 +287,14 @@ struct MasterMap {
 /// total inside the head-room is finite in every one of them.
 const TOTAL_HEADROOM: f64 = 1.0 + 1.0 / 1024.0;
 
+/// The bits of `key` if `key` and `weight` may enter an index.
+fn checked(key: f64, weight: f64) -> Result<u64, ServeError> {
+    if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
+        return Err(ServeError::Query(QueryError::EmptyRange));
+    }
+    Ok(key_bits(key))
+}
+
 impl MasterMap {
     /// The master of the elements `view` publishes, as a fresh one holds
     /// them: no spare, no lag, and the total summed afresh.
@@ -312,53 +303,185 @@ impl MasterMap {
         let (Some(sampler), Some(ids)) = (&view.sampler, &view.ids) else { return master };
         for ((&key, &weight), &id) in sampler.keys().iter().zip(sampler.weights()).zip(ids.iter()) {
             master.key_of.insert(id, key_bits(key));
-            master.by_key.insert((key_bits(key), id), weight);
             master.total += weight;
         }
         master
     }
 
-    /// Inserts `id`, replacing its previous entry; returns whether `id`
-    /// was live at this very key, i.e. only its weight can have changed.
-    /// Validates first — the key, the weight, and the total it leaves
-    /// ([`WeightError::TotalOverflow`] past [`TOTAL_HEADROOM`]) — so an
-    /// invalid upsert leaves the element it names as it was.
-    fn upsert(&mut self, id: u64, key: f64, weight: f64) -> Result<bool, ServeError> {
-        if !key.is_finite() || !weight.is_finite() || weight <= 0.0 {
-            return Err(ServeError::Query(QueryError::EmptyRange));
-        }
-        let old = self.key_of.get(&id).map(|&old| (old, self.by_key[&(old, id)]));
-        let total = self.total - old.map_or(0.0, |(_, w)| w) + weight;
+    /// Takes the total that replacing weight `old` (0 for a new element)
+    /// by `weight` leaves, or refuses it with
+    /// [`WeightError::TotalOverflow`] past [`TOTAL_HEADROOM`], changing
+    /// nothing.
+    fn admit(&mut self, old: f64, weight: f64) -> Result<(), ServeError> {
+        let total = self.total - old + weight;
         if !(total * TOTAL_HEADROOM).is_finite() {
             return Err(ServeError::Weight(WeightError::TotalOverflow));
         }
         self.total = total;
-        let bits = key_bits(key);
-        self.key_of.insert(id, bits);
-        if let Some((old, _)) = old.filter(|&(old, _)| old != bits) {
-            self.by_key.remove(&(old, id));
-        }
-        self.by_key.insert((bits, id), weight);
-        Ok(old.is_some_and(|(old, _)| old == bits))
+        Ok(())
+    }
+}
+
+/// What a structural batch has done to one element: its rank in the view
+/// the batch started from, if it had one, and its `(key, weight)` now,
+/// `None` once removed.
+#[derive(Debug, Clone, Copy)]
+struct Edit {
+    was: Option<usize>,
+    now: Option<(f64, f64)>,
+}
+
+/// One batch's ops against the published view they start from, which
+/// holds the live elements in `(key bits, id)` order. An op finds its
+/// element there with one search. As long as every applied op re-weighted
+/// a live element at its key, the batch is the new weight of each rank it
+/// touched, which patches the view ([`RangeView::reweighted`]); the first
+/// insert, key move or remove makes it *structural*, and from then on it
+/// keeps each touched element's [`Edit`] and the next view is a merge.
+struct Batch<'v> {
+    keys: &'v [f64],
+    weights: &'v [f64],
+    ids: &'v [u64],
+    /// `rank → weight` of the applied ops, the last write to a rank
+    /// winning, while the batch is not structural: a map, so that a rank
+    /// written twice costs a lookup, not a scan of the batch.
+    reweights: BTreeMap<usize, f64>,
+    /// By id, every element a structural batch touched.
+    edits: Option<HashMap<u64, Edit>>,
+}
+
+impl<'v> Batch<'v> {
+    fn new(view: &'v RangeView) -> Self {
+        let (keys, weights) =
+            view.sampler.as_ref().map_or((&[][..], &[][..]), |s| (s.keys(), s.weights()));
+        let ids = view.ids.as_deref().unwrap_or(&[]);
+        Batch { keys, weights, ids, reweights: BTreeMap::new(), edits: None }
     }
 
-    /// Removes `id`; returns whether it was present.
-    fn remove(&mut self, id: u64) -> bool {
-        let Some(weight) = self.key_of.remove(&id).and_then(|bits| self.by_key.remove(&(bits, id)))
-        else {
-            return false;
+    /// The rank of `(bits, id)` in the view, if it is there: one search
+    /// of the keys, then a gallop over the equal keys, whose ids ascend.
+    fn find(&self, bits: u64, id: u64) -> Option<usize> {
+        let n = self.keys.len();
+        let before = |rank: usize| key_bits(self.keys[rank]) == bits && self.ids[rank] < id;
+        // Every rank below `lo` is before `(bits, id)`; once the gallop
+        // stops, none from `hi` is.
+        let mut lo = self.keys.partition_point(|&k| key_bits(k) < bits);
+        let (mut hi, mut step) = (lo, 1);
+        while hi < n && before(hi) {
+            lo = hi + 1;
+            hi = (hi + step).min(n);
+            step *= 2;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < n && key_bits(self.keys[lo]) == bits && self.ids[lo] == id).then_some(lo)
+    }
+
+    /// The weight at `rank` so far: this batch's last re-weight of it,
+    /// else the view's.
+    fn weight_at(&self, rank: usize) -> f64 {
+        self.reweights.get(&rank).copied().unwrap_or(self.weights[rank])
+    }
+
+    /// `id` as the ops so far left it.
+    fn state(&self, master: &MasterMap, id: u64) -> Edit {
+        if let Some(&edit) = self.edits.as_ref().and_then(|edits| edits.get(&id)) {
+            return edit;
+        }
+        let Some(&bits) = master.key_of.get(&id) else { return Edit { was: None, now: None } };
+        let rank = self.find(bits, id).expect("a live element the batch left alone is in the view");
+        Edit { was: Some(rank), now: Some((self.keys[rank], self.weight_at(rank))) }
+    }
+
+    /// Records `edit` of `id`, making the batch structural.
+    fn commit(&mut self, master: &mut MasterMap, id: u64, edit: Edit) {
+        let (keys, ids) = (self.keys, self.ids);
+        let reweights = &mut self.reweights;
+        let edits = self.edits.get_or_insert_with(|| {
+            let mut edits = HashMap::new();
+            for (rank, w) in std::mem::take(reweights) {
+                edits.insert(ids[rank], Edit { was: Some(rank), now: Some((keys[rank], w)) });
+            }
+            edits
+        });
+        match edit.now {
+            Some((key, _)) => master.key_of.insert(id, key_bits(key)),
+            None => master.key_of.remove(&id),
         };
-        self.total -= weight;
+        edits.insert(id, edit);
+    }
+
+    /// Upserts `id`. Validates first — the key, the weight, and the total
+    /// it leaves ([`MasterMap::admit`]) — so an invalid upsert changes
+    /// nothing.
+    fn upsert(
+        &mut self,
+        master: &mut MasterMap,
+        id: u64,
+        key: f64,
+        weight: f64,
+    ) -> Result<(), ServeError> {
+        let bits = checked(key, weight)?;
+        if self.edits.is_none() {
+            if let Some(rank) = self.find(bits, id) {
+                master.admit(self.weight_at(rank), weight)?;
+                self.reweights.insert(rank, weight);
+                return Ok(());
+            }
+        }
+        let edit = self.state(master, id);
+        master.admit(edit.now.map_or(0.0, |(_, w)| w), weight)?;
+        self.commit(master, id, Edit { now: Some((key, weight)), ..edit });
+        Ok(())
+    }
+
+    /// Removes `id`; returns whether it was live.
+    fn remove(&mut self, master: &mut MasterMap, id: u64) -> bool {
+        let edit = self.state(master, id);
+        let Some((_, weight)) = edit.now else { return false };
+        master.total -= weight;
+        self.commit(master, id, Edit { now: None, ..edit });
         true
     }
 
-    /// Builds the read view of the current elements, for the re-weights
-    /// that patch it ([`ChunkedRange::for_reweights`]).
-    fn view(&self) -> RangeView {
-        let pairs = self.by_key.iter().map(|(&(bits, _), &w)| (key_of_bits(bits), w)).collect();
-        let ids = self.by_key.keys().map(|&(_, id)| id).collect();
-        RangeView::from_sorted(pairs, ids, ChunkedRange::for_reweights)
-            .expect("upsert validated every element")
+    /// The view a structural batch publishes: the view's elements in
+    /// order, less the ones it touched, merged with what it left of
+    /// those, sorted by `(key bits, id)` — no sort of the whole.
+    fn merged(&self, edits: &HashMap<u64, Edit>) -> RangeView {
+        let mut gone: Vec<usize> = edits.values().filter_map(|edit| edit.was).collect();
+        gone.sort_unstable();
+        let mut now: Vec<(u64, u64, f64, f64)> = edits
+            .iter()
+            .filter_map(|(&id, edit)| edit.now.map(|(key, w)| (key_bits(key), id, key, w)))
+            .collect();
+        now.sort_unstable_by_key(|&(bits, id, _, _)| (bits, id));
+        let len = self.keys.len() - gone.len() + now.len();
+        let (mut pairs, mut ids) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let (mut gone, mut now) = (gone.into_iter().peekable(), now.into_iter().peekable());
+        for rank in 0..self.keys.len() {
+            if gone.next_if_eq(&rank).is_some() {
+                continue;
+            }
+            let at = (key_bits(self.keys[rank]), self.ids[rank]);
+            while let Some((_, id, key, w)) = now.next_if(|&(bits, id, _, _)| (bits, id) < at) {
+                pairs.push((key, w));
+                ids.push(id);
+            }
+            pairs.push((self.keys[rank], self.weights[rank]));
+            ids.push(self.ids[rank]);
+        }
+        for (_, id, key, w) in now {
+            pairs.push((key, w));
+            ids.push(id);
+        }
+        RangeView::from_sorted(pairs, ids.into(), ChunkedRange::for_reweights)
+            .expect("every upsert was validated")
     }
 }
 
@@ -449,18 +572,25 @@ impl IndexRegistry {
     pub fn register_range_dynamic(
         &mut self,
         name: &str,
-        triples: Vec<(u64, f64, f64)>,
+        mut triples: Vec<(u64, f64, f64)>,
     ) -> Result<(), ServeError> {
         let mut master = MasterMap::default();
-        for (id, key, w) in triples {
+        for &(id, key, w) in &triples {
             if master.key_of.contains_key(&id) {
                 return Err(ServeError::InvalidRequest(
                     format!("element id {id} is repeated").into(),
                 ));
             }
-            master.upsert(id, key, w)?;
+            let bits = checked(key, w)?;
+            master.admit(0.0, w)?;
+            master.key_of.insert(id, bits);
         }
-        self.insert_entry(name, IndexView::Range(master.view()), Some(master))
+        triples.sort_unstable_by_key(|&(id, key, _)| (key_bits(key), id));
+        let pairs = triples.iter().map(|&(_, key, w)| (key, w)).collect();
+        let ids = triples.iter().map(|&(id, _, _)| id).collect();
+        let view = RangeView::from_sorted(pairs, ids, ChunkedRange::for_reweights)
+            .expect("every triple was validated");
+        self.insert_entry(name, IndexView::Range(view), Some(master))
     }
 
     /// Registers an externally served index (e.g. `iqs_tier`'s
@@ -527,9 +657,11 @@ impl IndexRegistry {
 
     /// Applies `ops` to a dynamic index's master and publishes the next
     /// view: the current one patched when every applied op re-weighted
-    /// a live element in place, a fresh build from the master otherwise
-    /// (see the module docs). Serialized per index by the master mutex;
-    /// readers keep sampling the previous snapshot throughout. A mutex
+    /// a live element in place, a fresh build of the current one merged
+    /// with the batch's edits otherwise (see the module docs). Each op
+    /// finds its element in the current view. Serialized per index by the
+    /// master mutex; readers keep sampling the previous snapshot
+    /// throughout. A mutex
     /// poisoned by a panic mid-batch hands over a master that may hold
     /// ops nobody published; it is replaced by the master of the
     /// published view before this batch applies.
@@ -559,32 +691,23 @@ impl IndexRegistry {
         let Some(map) = master.as_mut() else {
             return Err(ServeError::Unsupported("updates require a dynamic index".into()));
         };
+        let published = entry.view.load();
+        let IndexView::Range(current) = &*published else {
+            unreachable!("a range master publishes range views")
+        };
+        let mut batch = Batch::new(current);
         let mut applied = 0usize;
         let mut failed = None;
-        // `(key bits, id, weight)` of the applied ops for as long as each
-        // one re-weighted a live element in place.
-        let mut reweights = Some(Vec::new());
         for &op in ops {
             match op {
-                UpdateOp::Upsert { id, key, weight } => match map.upsert(id, key, weight) {
-                    Ok(in_place) => {
-                        applied += 1;
-                        match &mut reweights {
-                            Some(list) if in_place => list.push((key_bits(key), id, weight)),
-                            _ => reweights = None,
-                        }
-                    }
-                    Err(e) => {
+                UpdateOp::Upsert { id, key, weight } => {
+                    if let Err(e) = batch.upsert(map, id, key, weight) {
                         failed = Some(e);
                         break;
                     }
-                },
-                UpdateOp::Remove { id } => {
-                    if map.remove(id) {
-                        applied += 1;
-                        reweights = None;
-                    }
+                    applied += 1;
                 }
+                UpdateOp::Remove { id } => applied += usize::from(batch.remove(map, id)),
             }
         }
         if applied == 0 {
@@ -594,21 +717,21 @@ impl IndexRegistry {
         // the current view's publication changed since it.
         let spare = map.spare.take().and_then(Arc::into_inner);
         let lag = map.lag.take();
-        let next = match (reweights, &*entry.view.load()) {
-            (Some(changes), IndexView::Range(current)) => {
-                let changes = current.ranked(&changes);
+        let next = match &batch.edits {
+            None => {
                 let behind = match (spare, &lag) {
                     (Some(IndexView::Range(old)), Some(lag)) => Some((old, &lag[..])),
                     _ => None,
                 };
-                map.lag = Some(changes.iter().map(|&(rank, _)| rank).collect());
+                let changes: Vec<_> = batch.reweights.iter().map(|(&rank, &w)| (rank, w)).collect();
+                map.lag = Some(batch.reweights.into_keys().collect());
                 current.reweighted(&changes, behind)
             }
-            _ => {
+            Some(edits) => {
                 // Freed before the build, not after: two views at the
                 // peak, as when nothing is kept.
                 drop(spare);
-                map.view()
+                batch.merged(edits)
             }
         };
         let (version, superseded) = entry.view.store(IndexView::Range(next));
@@ -827,24 +950,32 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The published view of `name` must be the view a fresh master of
-    /// the mirror builds: the public surface to the bit, seeded draws to
-    /// the rank, and — through `Debug`, which prints every field and
-    /// distinguishes every finite `f64` — every array of the structure.
+    /// The published view of `name` must be the fresh structure of the
+    /// mirror, built with none of the master's code: its triples sorted
+    /// by key (`-0.0` first) and id, then [`ChunkedRange::for_reweights`].
+    /// It is compared on the public surface to the bit, on seeded draws
+    /// to the rank, and — through `Debug`, which prints every field and
+    /// distinguishes every finite `f64` — on every array.
     fn assert_published_is_fresh(r: &IndexRegistry, name: &str, mirror: &Mirror, seed: u64) {
-        let mut master = MasterMap::default();
-        for (&id, &(key, w)) in mirror {
-            master.upsert(id, key, w).unwrap();
-        }
-        let want = master.view();
+        let mut triples: Vec<_> = mirror.iter().map(|(&id, &(key, w))| (id, key, w)).collect();
+        triples.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let view = r.view(name).unwrap();
         let IndexView::Range(got) = &*view else { panic!("range view expected") };
-        assert_eq!(got.ids, want.ids);
-        assert_eq!(got.total_weight.to_bits(), want.total_weight.to_bits());
-        let (Some(g), Some(w)) = (&got.sampler, &want.sampler) else {
-            assert!(got.sampler.is_none() && want.sampler.is_none(), "one view is empty");
+        if triples.is_empty() {
+            assert!(
+                got.sampler.is_none() && got.ids.is_none(),
+                "the empty mirror's view holds ids"
+            );
+            assert_eq!(got.total_weight, 0.0);
             return;
-        };
+        }
+        let w =
+            ChunkedRange::for_reweights(triples.iter().map(|&(_, k, w)| (k, w)).collect()).unwrap();
+        let ids: Vec<u64> = triples.iter().map(|&(id, _, _)| id).collect();
+        assert_eq!(got.ids.as_deref(), Some(&ids[..]));
+        let total = w.range_weight(f64::NEG_INFINITY, f64::INFINITY);
+        assert_eq!(got.total_weight.to_bits(), total.to_bits());
+        let Some(g) = &got.sampler else { panic!("the published view is empty") };
         assert_eq!(bits(g.keys()), bits(w.keys()));
         assert_eq!(bits(g.weights()), bits(w.weights()));
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1095,7 +1226,9 @@ mod tests {
             scope
                 .spawn(|| {
                     let mut master = entry.master.lock().unwrap();
-                    master.as_mut().unwrap().upsert(1 << 40, 0.5, 3.0).unwrap();
+                    let view = entry.view.load();
+                    let IndexView::Range(view) = &*view else { panic!() };
+                    Batch::new(view).upsert(master.as_mut().unwrap(), 1 << 40, 0.5, 3.0).unwrap();
                     panic!("a bug while the master is held (this panic is the test's)");
                 })
                 .join()

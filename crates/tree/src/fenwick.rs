@@ -41,6 +41,41 @@ impl Fenwick {
         }
     }
 
+    /// Brings the tree level with `values`, which differ from the values
+    /// it holds at the positions `touched` only (0-based, in any order,
+    /// repeats allowed), in `O(|touched| · log² n)`: only the touched
+    /// positions' ancestors are recomputed, in ascending order, each
+    /// summed as [`Self::rebuild`] sums it — its own value, then its
+    /// children `j − lowbit(j)/2, …, j − 1` — so the result equals
+    /// [`Self::from_values`] bit for bit.
+    ///
+    /// # Panics
+    /// If `values` is not as long as the tree.
+    pub fn repair(&mut self, values: &[f64], touched: &[usize]) {
+        let n = values.len();
+        assert_eq!(n, self.len(), "a repair keeps the number of positions");
+        let depth = (usize::BITS - n.leading_zeros()) as usize;
+        let mut nodes = Vec::with_capacity(touched.len() * depth);
+        for &i in touched {
+            let mut j = i + 1;
+            while j <= n {
+                nodes.push(j);
+                j += j & j.wrapping_neg();
+            }
+        }
+        nodes.sort_unstable();
+        nodes.dedup();
+        for j in nodes {
+            let mut sum = values[j - 1];
+            let mut step = (j & j.wrapping_neg()) / 2;
+            while step > 0 {
+                sum += self.tree[j - step];
+                step /= 2;
+            }
+            self.tree[j] = sum;
+        }
+    }
+
     /// Number of positions.
     pub fn len(&self) -> usize {
         self.tree.len() - 1
@@ -140,6 +175,33 @@ mod tests {
         assert!((f.range_sum(1, 2) - 10.0).abs() < 1e-12);
         f.add(1, -10.0);
         assert!((f.range_sum(1, 2)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_repair_is_the_fresh_build_bit_for_bit() {
+        // Weights 2^±60 apart, so an ancestor summed in any other order
+        // than `rebuild`'s would differ in its last bits.
+        let value = |i: usize, round: usize| 2f64.powi(((i * 37 + round * 11) % 121) as i32 - 60);
+        for n in [1usize, 2, 3, 7, 13, 100, 1000, 1023, 1025] {
+            let mut values: Vec<f64> = (0..n).map(|i| value(i, 0)).collect();
+            let mut tree = Fenwick::from_values(&values);
+            let touched_sets = [
+                vec![0],
+                vec![n - 1],
+                vec![0, n - 1, 0, n / 2, n / 2],
+                (0..n).step_by(7).rev().collect(),
+                vec![],
+            ];
+            for (round, touched) in touched_sets.iter().enumerate() {
+                for &i in touched {
+                    values[i] = value(i, round + 1);
+                }
+                tree.repair(&values, touched);
+                let fresh = Fenwick::from_values(&values);
+                let bits = |f: &Fenwick| f.tree.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&tree), bits(&fresh), "n = {n}, touched {touched:?}");
+            }
+        }
     }
 
     #[test]

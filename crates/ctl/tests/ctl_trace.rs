@@ -8,7 +8,7 @@
 //! [`TraceView::ctl_decisions`]: iqs_obs::TraceView::ctl_decisions
 
 use iqs_ctl::{Controller, CtlConfig, Decision};
-use iqs_obs::{recorder, TraceView};
+use iqs_obs::{recorder, Phase, TraceView};
 use iqs_shard::{FaultMode, ShardConfig, ShardedService};
 use iqs_testkit::VirtualClock;
 
@@ -66,5 +66,5 @@ fn controller_actions_are_traced_with_action_codes() {
     assert!(actions.contains(&(3, 0)), "rebuild record missing from {actions:?}");
     assert_eq!(recorder::ctl_action_name(3), "rebuild_replica");
     // The controller's trace is its own: no query records bleed into it.
-    assert!(view.quota_sheds().is_empty());
+    assert!(view.records.iter().all(|r| r.phase == Phase::CtlDecision), "{:?}", view.records);
 }

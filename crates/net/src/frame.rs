@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic          b"IQ"
-//!      2     1  version        2
+//!      2     1  version        3
 //!      3     1  kind           Request / Ok / Err / Announce / Ack / Metrics / Telemetry / Samples
 //!      4     4  span           u32 LE — obs span (shard/replica encoding)
 //!      8     8  trace          u64 LE — obs trace id (0 = untraced)
@@ -30,8 +30,12 @@
 //! below 2²⁰ print in at most seven digits.
 //!
 //! Version 2 is the version in which sample ids travel as
-//! [`Kind::Samples`] and never as JSON; a version-1 frame is refused
-//! with [`FrameError::BadVersion`], not negotiated with.
+//! [`Kind::Samples`] and never as JSON. Version 3 keeps that layout and
+//! changes one payload: a metrics snapshot (`Metrics` replies and the
+//! `metrics` of a `Telemetry` batch) no longer ends in the array of
+//! per-caller counter rows version 2 carried, empty in every deployment.
+//! A frame of an older version is refused with [`FrameError::BadVersion`],
+//! not negotiated with.
 //!
 //! All integers are little-endian. The deadline crosses the wire as a
 //! *relative* budget rather than an absolute instant — the peers share
@@ -53,7 +57,7 @@ use crate::error::{FrameError, NetError};
 pub const MAGIC: [u8; 2] = *b"IQ";
 
 /// The protocol version this build speaks.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Bytes in the fixed header.
 pub const HEADER_LEN: usize = 32;

@@ -99,31 +99,28 @@ pub trait Transport: Send + Sync {
     fn clock(&self) -> ClockHandle;
 }
 
-/// Tuning for [`TcpTransport`].
+/// Idle connections kept per address.
+const POOL_PER_ADDR: usize = 4;
+/// Per-attempt connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// First reconnect-backoff window after a connect failure; doubles per
+/// consecutive failure.
+const BACKOFF_INITIAL: Duration = Duration::from_millis(50);
+/// Backoff ceiling.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
+
+/// Deployment limits for [`TcpTransport`].
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Idle connections kept per address. Default 4.
-    pub pool_per_addr: usize,
-    /// Per-frame payload limit for received replies. Default 16 MiB.
+    /// Per-frame payload limit for received replies, the client-side
+    /// twin of the limit [`TcpServer::spawn`](crate::TcpServer::spawn)
+    /// takes. Default 16 MiB.
     pub max_payload: u64,
-    /// Per-attempt connect timeout. Default 1 s.
-    pub connect_timeout: Duration,
-    /// First reconnect-backoff window after a connect failure; doubles
-    /// per consecutive failure. Default 50 ms.
-    pub backoff_initial: Duration,
-    /// Backoff ceiling. Default 2 s.
-    pub backoff_max: Duration,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        TcpConfig {
-            pool_per_addr: 4,
-            max_payload: crate::frame::DEFAULT_MAX_PAYLOAD,
-            connect_timeout: Duration::from_secs(1),
-            backoff_initial: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-        }
+        TcpConfig { max_payload: crate::frame::DEFAULT_MAX_PAYLOAD }
     }
 }
 
@@ -163,11 +160,7 @@ impl TcpInner {
     /// back.
     fn pool_mut<'a>(&self, pools: &'a mut HashMap<String, Pool>, addr: &str) -> &'a mut Pool {
         if !pools.contains_key(addr) {
-            let pool = Pool {
-                idle: Vec::new(),
-                backoff_until: None,
-                backoff: self.config.backoff_initial,
-            };
+            let pool = Pool { idle: Vec::new(), backoff_until: None, backoff: BACKOFF_INITIAL };
             pools.insert(addr.to_string(), pool);
         }
         pools.get_mut(addr).expect("the pool was just made")
@@ -179,11 +172,11 @@ impl TcpInner {
     }
 
     /// Returns a healthy connection to the pool, bounded by
-    /// `pool_per_addr` (excess connections are dropped).
+    /// [`POOL_PER_ADDR`] (excess connections are dropped).
     fn give_back(&self, addr: &str, stream: TcpStream) {
         let mut pools = self.pools.lock().expect("pool lock poisoned");
         let pool = self.pool_mut(&mut pools, addr);
-        if pool.idle.len() < self.config.pool_per_addr {
+        if pool.idle.len() < POOL_PER_ADDR {
             pool.idle.push(stream);
         }
     }
@@ -198,20 +191,20 @@ impl TcpInner {
         let mut pools = self.pools.lock().expect("pool lock poisoned");
         let pool = self.pool_mut(&mut pools, addr);
         pool.backoff_until = Some(now + pool.backoff);
-        pool.backoff = (pool.backoff * 2).min(self.config.backoff_max);
+        pool.backoff = (pool.backoff * 2).min(BACKOFF_MAX);
     }
 
     fn clear_backoff(&self, addr: &str) {
         let mut pools = self.pools.lock().expect("pool lock poisoned");
         if let Some(pool) = pools.get_mut(addr) {
             pool.backoff_until = None;
-            pool.backoff = self.config.backoff_initial;
+            pool.backoff = BACKOFF_INITIAL;
         }
     }
 
     fn connect(&self, addr: &str, deadline: Instant) -> Result<TcpStream, NetError> {
         let now = self.clock.now();
-        let budget = deadline.saturating_duration_since(now).min(self.config.connect_timeout);
+        let budget = deadline.saturating_duration_since(now).min(CONNECT_TIMEOUT);
         if budget.is_zero() {
             return Err(NetError::Timeout { addr: addr.to_string() });
         }

@@ -234,16 +234,21 @@ fn telemetry_frames_share_the_frame_discipline() {
         Kind::Samples
     );
 
-    // Version 2 registered it; a version-1 frame is refused outright,
-    // whatever it carries.
-    assert_eq!(VERSION, 2);
-    let mut old = frame.clone();
-    old[2] = 1;
-    assert!(matches!(decode_frame(&old, DEFAULT_MAX_PAYLOAD), Err(FrameError::BadVersion(1))));
-    assert!(matches!(
-        read_frame(&mut Cursor::new(&old), DEFAULT_MAX_PAYLOAD),
-        Err(NetError::Frame(FrameError::BadVersion(1)))
-    ));
+    // Version 2 registered it and version 3 kept it; a frame of an older
+    // version is refused outright, whatever it carries.
+    assert_eq!(VERSION, 3);
+    for version in [1, 2] {
+        let mut old = frame.clone();
+        old[2] = version;
+        assert!(matches!(
+            decode_frame(&old, DEFAULT_MAX_PAYLOAD),
+            Err(FrameError::BadVersion(v)) if v == version
+        ));
+        assert!(matches!(
+            read_frame(&mut Cursor::new(&old), DEFAULT_MAX_PAYLOAD),
+            Err(NetError::Frame(FrameError::BadVersion(v))) if v == version
+        ));
+    }
 
     assert_truncations_report_exact_counts(&frame);
 }

@@ -167,10 +167,6 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
                 0,
             ),
         ),
-        (
-            "reply_quota_exceeded",
-            msg::encode_reply(&Err(ServeError::QuotaExceeded("bulk".into())), 0, 0),
-        ),
         ("reply_deadline_exceeded", msg::encode_reply(&Err(ServeError::DeadlineExceeded), 0, 0)),
         ("reply_shutting_down", msg::encode_reply(&Err(ServeError::ShuttingDown), 0, 0)),
         ("reply_panicked", msg::encode_reply(&Err(ServeError::Panicked), 0, 0)),
@@ -224,39 +220,38 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
 
 /// The pinned wire bytes, one hex string per fixture, same order.
 const GOLDEN: &[(&str, &str)] = &[
-    ("request_sample_wr", "49510201010002008877665544332211404b4c000000000000000000370000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b2d312e352c322e355d2c2273223a387d7d"),
-    ("request_sample_wr_full_range", "495102010000000001000000000000000000000000000000000000003c0000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b222d696e66222c22696e66225d2c2273223a31367d7d"),
-    ("request_sample_wor", "49510201000000000200000000000000000000000000000000000000320000007b2253616d706c65576f72223a7b22696e646578223a227368617264222c2272616e6765223a6e756c6c2c2273223a337d7d"),
-    ("request_range_count", "49510201000000000300000000000000000000000000000000000000300000007b2252616e6765436f756e74223a7b22696e646578223a227368617264222c2278223a302e352c2279223a392e357d7d"),
-    ("request_total_weight", "49510201000000000500000000000000000000000000000000000000210000007b22546f74616c576569676874223a7b22696e646578223a227368617264227d7d"),
-    ("request_range_weight", "49510201000000000600000000000000000000000000000000000000330000007b2252616e6765576569676874223a7b22696e646578223a227368617264222c2278223a2d302e32352c2279223a3132387d7d"),
-    ("request_update", "49510201000000000700000000000000000000000000000000000000610000007b22557064617465223a7b22696e646578223a227368617264222c226f7073223a5b7b22557073657274223a7b226964223a372c226b6579223a312e352c22776569676874223a327d7d2c7b2252656d6f7665223a7b226964223a397d7d5d7d7d"),
-    ("response_samples", "495102080900000007000000000000000000000000000000000000001000000004000000010000000200000003000000"),
-    ("response_samples_empty", "495102080000000000000000000000000000000000000000000000000400000004000000"),
-    ("response_samples_wide", "495102080900000007000000000000000000000000000000000000001c0000000800000001000000000000000000000001000000ffffffffffffffff"),
-    ("response_count", "495102020000000000000000000000000000000000000000000000000c0000007b22436f756e74223a34327d"),
-    ("response_weight", "495102020000000000000000000000000000000000000000000000000e0000007b22576569676874223a322e357d"),
-    ("response_updated", "49510202000000000000000000000000000000000000000000000000250000007b2255706461746564223a7b226170706c696564223a322c2276657273696f6e223a397d7d"),
-    ("reply_overloaded", "495102030200000001000000000000000000000000000000000000000c000000224f7665726c6f6164656422"),
-    ("reply_unknown_index", "49510203000000000000000000000000000000000000000000000000180000007b22556e6b6e6f776e496e646578223a2267686f7374227d"),
-    ("reply_remote", "495102030000000000000000000000000000000000000000000000001a0000007b2252656d6f7465223a226c656173652065787069726564227d"),
-    ("reply_query_empty_range", "49510203000000000000000000000000000000000000000000000000160000007b225175657279223a22456d70747952616e6765227d"),
-    ("reply_query_sample_too_large", "495102030000000000000000000000000000000000000000000000003c0000007b225175657279223a7b2253616d706c65546f6f4c61726765223a7b22726571756573746564223a31312c22617661696c61626c65223a31307d7d7d"),
-    ("reply_query_density_too_low", "49510203000000000000000000000000000000000000000000000000190000007b225175657279223a2244656e73697479546f6f4c6f77227d"),
-    ("reply_weight_empty", "49510203000000000000000000000000000000000000000000000000120000007b22576569676874223a22456d707479227d"),
-    ("reply_weight_non_positive", "49510203000000000000000000000000000000000000000000000000340000007b22576569676874223a7b224e6f6e506f736974697665223a7b22696e646578223a332c22776569676874223a2d302e357d7d7d"),
-    ("reply_weight_total_overflow", "495102030000000000000000000000000000000000000000000000001a0000007b22576569676874223a22546f74616c4f766572666c6f77227d"),
-    ("reply_unsupported", "49510203000000000000000000000000000000000000000000000000230000007b22556e737570706f72746564223a226e6f74206120756e696f6e20696e646578227d"),
-    ("reply_invalid_request", "495102030000000000000000000000000000000000000000000000002f0000007b22496e76616c696452657175657374223a226d656d6265722d736574206964206f7574206f662072616e6765227d"),
-    ("reply_quota_exceeded", "49510203000000000000000000000000000000000000000000000000180000007b2251756f74614578636565646564223a2262756c6b227d"),
-    ("reply_deadline_exceeded", "495102030000000000000000000000000000000000000000000000001200000022446561646c696e65457863656564656422"),
-    ("reply_shutting_down", "495102030000000000000000000000000000000000000000000000000e000000225368757474696e67446f776e22"),
-    ("reply_panicked", "495102030000000000000000000000000000000000000000000000000a0000002250616e69636b656422"),
-    ("metrics_request", "4951020600000000000000000000000000000000000000000000000000000000"),
-    ("metrics_reply_default", "49510206000000000000000000000000000000000000000000000000310200007b227375626d6974746564223a302c22636f6d706c65746564223a302c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2274656e616e7473223a5b5d7d"),
-    ("announce", "495102040000000000000000000000000000000000000000000000005d0000007b2261646472223a223132372e302e302e313a34313030222c226c6f5f6b6579223a302c2268695f6b6579223a3334302c22746f74616c5f776569676874223a313837372c2265706f6368223a322c2274746c5f6d73223a333030307d"),
-    ("ack", "495102050000000000000000000000000000000000000000000000001b0000007b226163636570746564223a747275652c2265706f6368223a327d"),
-    ("telemetry", "49510207000000000000000000000000000000000000000000000000730300007b22736f75726365223a2273696d3a2f2f7265706c6963612d312d30222c227368617264223a312c227265706c696361223a302c22736571223a332c226d657472696373223a7b227375626d6974746564223a382c22636f6d706c65746564223a382c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c382c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2274656e616e7473223a5b5d7d2c226c656773223a5b7b227472616365223a313233343630353631363433363530383535322c227370616e223a3133313037332c2266697273745f736571223a34312c227069636b75705f745f6e73223a313030302c22646f6e655f745f6e73223a353030302c2271756575655f776169745f6e73223a3235302c22736572766963655f6e73223a333735302c226f6b223a747275652c22646561646c696e655f6d6973736573223a302c22726e675f776f726473223a31372c22636f7374223a302c22636f6c645f73616d706c6573223a342c22696f223a3536323935383534333335353930367d5d2c2264726f707065645f6c656773223a317d"),
+    ("request_sample_wr", "49510301010002008877665544332211404b4c000000000000000000370000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b2d312e352c322e355d2c2273223a387d7d"),
+    ("request_sample_wr_full_range", "495103010000000001000000000000000000000000000000000000003c0000007b2253616d706c655772223a7b22696e646578223a227368617264222c2272616e6765223a5b222d696e66222c22696e66225d2c2273223a31367d7d"),
+    ("request_sample_wor", "49510301000000000200000000000000000000000000000000000000320000007b2253616d706c65576f72223a7b22696e646578223a227368617264222c2272616e6765223a6e756c6c2c2273223a337d7d"),
+    ("request_range_count", "49510301000000000300000000000000000000000000000000000000300000007b2252616e6765436f756e74223a7b22696e646578223a227368617264222c2278223a302e352c2279223a392e357d7d"),
+    ("request_total_weight", "49510301000000000500000000000000000000000000000000000000210000007b22546f74616c576569676874223a7b22696e646578223a227368617264227d7d"),
+    ("request_range_weight", "49510301000000000600000000000000000000000000000000000000330000007b2252616e6765576569676874223a7b22696e646578223a227368617264222c2278223a2d302e32352c2279223a3132387d7d"),
+    ("request_update", "49510301000000000700000000000000000000000000000000000000610000007b22557064617465223a7b22696e646578223a227368617264222c226f7073223a5b7b22557073657274223a7b226964223a372c226b6579223a312e352c22776569676874223a327d7d2c7b2252656d6f7665223a7b226964223a397d7d5d7d7d"),
+    ("response_samples", "495103080900000007000000000000000000000000000000000000001000000004000000010000000200000003000000"),
+    ("response_samples_empty", "495103080000000000000000000000000000000000000000000000000400000004000000"),
+    ("response_samples_wide", "495103080900000007000000000000000000000000000000000000001c0000000800000001000000000000000000000001000000ffffffffffffffff"),
+    ("response_count", "495103020000000000000000000000000000000000000000000000000c0000007b22436f756e74223a34327d"),
+    ("response_weight", "495103020000000000000000000000000000000000000000000000000e0000007b22576569676874223a322e357d"),
+    ("response_updated", "49510302000000000000000000000000000000000000000000000000250000007b2255706461746564223a7b226170706c696564223a322c2276657273696f6e223a397d7d"),
+    ("reply_overloaded", "495103030200000001000000000000000000000000000000000000000c000000224f7665726c6f6164656422"),
+    ("reply_unknown_index", "49510303000000000000000000000000000000000000000000000000180000007b22556e6b6e6f776e496e646578223a2267686f7374227d"),
+    ("reply_remote", "495103030000000000000000000000000000000000000000000000001a0000007b2252656d6f7465223a226c656173652065787069726564227d"),
+    ("reply_query_empty_range", "49510303000000000000000000000000000000000000000000000000160000007b225175657279223a22456d70747952616e6765227d"),
+    ("reply_query_sample_too_large", "495103030000000000000000000000000000000000000000000000003c0000007b225175657279223a7b2253616d706c65546f6f4c61726765223a7b22726571756573746564223a31312c22617661696c61626c65223a31307d7d7d"),
+    ("reply_query_density_too_low", "49510303000000000000000000000000000000000000000000000000190000007b225175657279223a2244656e73697479546f6f4c6f77227d"),
+    ("reply_weight_empty", "49510303000000000000000000000000000000000000000000000000120000007b22576569676874223a22456d707479227d"),
+    ("reply_weight_non_positive", "49510303000000000000000000000000000000000000000000000000340000007b22576569676874223a7b224e6f6e506f736974697665223a7b22696e646578223a332c22776569676874223a2d302e357d7d7d"),
+    ("reply_weight_total_overflow", "495103030000000000000000000000000000000000000000000000001a0000007b22576569676874223a22546f74616c4f766572666c6f77227d"),
+    ("reply_unsupported", "49510303000000000000000000000000000000000000000000000000230000007b22556e737570706f72746564223a226e6f74206120756e696f6e20696e646578227d"),
+    ("reply_invalid_request", "495103030000000000000000000000000000000000000000000000002f0000007b22496e76616c696452657175657374223a226d656d6265722d736574206964206f7574206f662072616e6765227d"),
+    ("reply_deadline_exceeded", "495103030000000000000000000000000000000000000000000000001200000022446561646c696e65457863656564656422"),
+    ("reply_shutting_down", "495103030000000000000000000000000000000000000000000000000e000000225368757474696e67446f776e22"),
+    ("reply_panicked", "495103030000000000000000000000000000000000000000000000000a0000002250616e69636b656422"),
+    ("metrics_request", "4951030600000000000000000000000000000000000000000000000000000000"),
+    ("metrics_reply_default", "49510306000000000000000000000000000000000000000000000000240200007b227375626d6974746564223a302c22636f6d706c65746564223a302c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d7d"),
+    ("announce", "495103040000000000000000000000000000000000000000000000005d0000007b2261646472223a223132372e302e302e313a34313030222c226c6f5f6b6579223a302c2268695f6b6579223a3334302c22746f74616c5f776569676874223a313837372c2265706f6368223a322c2274746c5f6d73223a333030307d"),
+    ("ack", "495103050000000000000000000000000000000000000000000000001b0000007b226163636570746564223a747275652c2265706f6368223a327d"),
+    ("telemetry", "49510307000000000000000000000000000000000000000000000000660300007b22736f75726365223a2273696d3a2f2f7265706c6963612d312d30222c227368617264223a312c227265706c696361223a302c22736571223a332c226d657472696373223a7b227375626d6974746564223a382c22636f6d706c65746564223a382c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c382c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d7d2c226c656773223a5b7b227472616365223a313233343630353631363433363530383535322c227370616e223a3133313037332c2266697273745f736571223a34312c227069636b75705f745f6e73223a313030302c22646f6e655f745f6e73223a353030302c2271756575655f776169745f6e73223a3235302c22736572766963655f6e73223a333735302c226f6b223a747275652c22646561646c696e655f6d6973736573223a302c22726e675f776f726473223a31372c22636f7374223a302c22636f6c645f73616d706c6573223a342c22696f223a3536323935383534333335353930367d5d2c2264726f707065645f6c656773223a317d"),
 ];
 
 #[test]
@@ -432,7 +427,6 @@ proptest! {
             Err(ServeError::Unsupported(text.clone().into())),
             Err(ServeError::InvalidRequest(text.clone().into())),
             Err(ServeError::Overloaded),
-            Err(ServeError::QuotaExceeded(text.clone())),
             Err(ServeError::DeadlineExceeded),
             Err(ServeError::ShuttingDown),
             Err(ServeError::Panicked),

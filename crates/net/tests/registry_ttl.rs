@@ -70,7 +70,6 @@ fn expired_lease_trips_the_breaker_and_reannounce_recovers() {
             max_sample_size: 1 << 20,
             seed: 0x007e_57ed,
             clock: clock.handle(),
-            tenants: Vec::new(),
         },
     );
     net.bind("sim://solo", Arc::new(ReplicaServer::new(server.client(), clock.handle())));

@@ -90,7 +90,6 @@ fn build(seed: u64) -> SimCluster {
                     max_sample_size: 1 << 20,
                     seed: seed ^ GOLDEN.wrapping_mul((si * REPLICAS + ri + 1) as u64),
                     clock: clock.handle(),
-                    tenants: Vec::new(),
                 },
             );
             let total = server.registry().total_weight(SHARD_INDEX).expect("range index");
@@ -320,7 +319,6 @@ fn remote_draws_replay_the_local_links_id_for_id() {
                     max_sample_size: config.max_sample_size,
                     seed: seed.wrapping_add(GOLDEN.wrapping_mul(si as u64 + 1)),
                     clock: clock.handle(),
-                    tenants: Vec::new(),
                 },
             );
             let addr = addr_of(si, 0);

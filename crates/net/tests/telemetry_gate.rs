@@ -70,7 +70,6 @@ fn slo_cluster_trace_chi_square() {
                     max_sample_size: 1 << 20,
                     seed: seed ^ GOLDEN.wrapping_mul(si as u64 + 1),
                     clock: clock.handle(),
-                    tenants: Vec::new(),
                 },
             );
             let total = server.registry().total_weight(SHARD_INDEX).expect("range index");

@@ -222,7 +222,6 @@ fn run(seed: u64) -> Outcome {
                 max_sample_size: 1 << 20,
                 seed: seed ^ GOLDEN.wrapping_mul(si as u64 + 1),
                 clock: clock.handle(),
-                tenants: Vec::new(),
             },
         );
         let total = server.registry().total_weight(SHARD_INDEX).expect("weighted index");

@@ -40,7 +40,6 @@ fn traced_remote_query_reconstructs_the_two_level_schedule() {
                 max_sample_size: 1 << 20,
                 seed: 0x0ace_0f5e ^ (si as u64 + 1),
                 clock: clock.handle(),
-                tenants: Vec::new(),
             },
         );
         let total = server.registry().total_weight(SHARD_INDEX).expect("range index");

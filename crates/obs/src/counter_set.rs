@@ -34,11 +34,9 @@
 //! shrank; a `level` (a gauge, or a total sampled from elsewhere) keeps
 //! the later value. `merge` adds both, saturating. A `histograms` row is
 //! a [`LogHistogram`](crate::LogHistogram) (`, exemplars` attaches the
-//! slow log's trace ids); a `keyed` row is a vector of another set's rows
-//! matched on that set's `key`, exported at the row that says `, then
-//! field`. Struct — hence JSON — order is key, counters, histograms,
-//! keyed. `laws name [json];` emits the test `name`: [`laws::check`] on
-//! arbitrary values, and [`laws::json`] when `[json]` is there.
+//! slow log's trace ids). Struct — hence JSON — order is counters, then
+//! histograms. `laws name [json];` emits the test `name`: [`laws::check`]
+//! on arbitrary values, and [`laws::json`] when `[json]` is there.
 
 /// Declares a counter set from one table (grammar and generated items:
 /// the [module docs](crate::counter_set)).
@@ -77,52 +75,40 @@ macro_rules! counter_set {
         $(#[$live_meta:meta])* $live_vis:vis struct $Live:ident;
         $(#[$snap_meta:meta])* $snap_vis:vis struct $Snap:ident;
         $( laws $law_test:ident $([$also:ident])?; )?
-        $( key { $(#[$key_meta:meta])* $key:ident => $key_label:literal; } )?
         counters { $(
             $(#[$c_meta:meta])* $c:ident : $fold:ident
-                $( => $kind:ident $family:literal $([$lk:ident = $lv:literal])? $help:literal
-                    $(, then $then:ident)? )? ;
+                $( => $kind:ident $family:literal $([$lk:ident = $lv:literal])? $help:literal )? ;
         )* }
         $( histograms { $(
             $(#[$h_meta:meta])* $h:ident => $h_family:literal $h_help:literal $(, $ex:ident)? ;
         )* } )?
-        $( keyed { $(
-            $(#[$k_meta:meta])* $k:ident : $KLive:ident => $KSnap:ident by $kf:ident;
-        )* } )?
     ) => {
         $(#[$live_meta])*
         $live_vis struct $Live {
-            $( pub(crate) $key: String, )?
             $( pub(crate) $c: ::std::sync::atomic::AtomicU64, )*
             $($( pub(crate) $h: $crate::LogHistogram, )*)?
-            $($( pub(crate) $k: Vec<$KLive>, )*)?
         }
 
         impl $Live {
             /// A point-in-time copy of every series (relaxed loads).
             $live_vis fn snapshot(&self) -> $Snap {
                 $Snap {
-                    $( $key: self.$key.clone(), )?
                     $( $c: self.$c.load(::std::sync::atomic::Ordering::Relaxed), )*
                     $($( $h: self.$h.snapshot(), )*)?
-                    $($( $k: self.$k.iter().map($KLive::snapshot).collect(), )*)?
                 }
             }
         }
 
         $(#[$snap_meta])*
         $snap_vis struct $Snap {
-            $( $(#[$key_meta])* pub $key: String, )?
             $( $(#[$c_meta])* pub $c: u64, )*
             $($( $(#[$h_meta])* pub $h: $crate::HistogramSnapshot, )*)?
-            $($( $(#[$k_meta])* pub $k: Vec<$KSnap>, )*)?
         }
 
         impl $Snap {
             /// Series-wise difference `self - earlier`, for metering an
             /// interval: *delta* series and histograms subtract, *level*
-            /// series keep the later value, keyed rows are matched by
-            /// key (a row `earlier` lacks passes through whole).
+            /// series keep the later value.
             ///
             /// # Errors
             /// `iqs_obs::SnapshotDiffError` naming the first delta series
@@ -132,45 +118,26 @@ macro_rules! counter_set {
                 earlier: &$Snap,
             ) -> ::std::result::Result<$Snap, $crate::SnapshotDiffError> {
                 Ok($Snap {
-                    $( $key: self.$key.clone(), )?
                     $( $c: $crate::counter_set!(@minus $fold $c self earlier), )*
                     $($( $h: self.$h.minus(&earlier.$h)
                         .map_err(|e| $crate::SnapshotDiffError { field: stringify!($h), ..e })?, )*)?
-                    $($( $k: self
-                        .$k
-                        .iter()
-                        .map(|row| match earlier.$k.iter().find(|e| e.$kf == row.$kf) {
-                            Some(e) => row.minus(e),
-                            None => Ok(row.clone()),
-                        })
-                        .collect::<::std::result::Result<_, _>>()
-                        .map_err(|e| $crate::SnapshotDiffError { field: stringify!($k), ..e })?, )*)?
                 })
             }
 
             /// Series-wise accumulation `self += other`, pooling sources:
             /// every series adds, saturating — levels too (the pool's total
-            /// backlog); keyed rows match by key, unmatched ones append.
+            /// backlog).
             pub fn merge(&mut self, other: &$Snap) {
                 $( self.$c = self.$c.saturating_add(other.$c); )*
                 $($( self.$h.merge(&other.$h); )*)?
-                $($( for o in &other.$k {
-                    match self.$k.iter_mut().find(|row| row.$kf == o.$kf) {
-                        Some(row) => row.merge(o),
-                        None => self.$k.push(o.clone()),
-                    }
-                } )*)?
             }
 
             /// Writes every exported scalar series in table order.
             pub fn write_counters(&self, w: &mut $crate::PromWriter) {
-                let key: Option<(&str, &str)> =
-                    None $( .or(Some(($key_label, self.$key.as_str()))) )?;
                 $($(
-                    let label = None $( .or(Some((stringify!($lk), $lv))) )?;
+                    let label: Option<(&str, &str)> = None $( .or(Some((stringify!($lk), $lv))) )?;
                     w.header($family, $help, stringify!($kind));
-                    w.sample($family, &key.into_iter().chain(label).collect::<Vec<_>>(), self.$c);
-                    $( self.$then.iter().for_each(|row| row.write_counters(w)); )?
+                    w.sample($family, label.as_slice(), self.$c);
                 )?)*
             }
 
@@ -190,24 +157,20 @@ macro_rules! counter_set {
             }
             )?
 
-            /// Arbitrary values from `next`; keyed rows `k0` and `k1`.
+            /// Arbitrary values from `next`.
             #[cfg(test)]
             pub(crate) fn arbitrary(next: &mut dyn FnMut() -> u64) -> $Snap {
                 $Snap {
-                    $( $key: String::new(), )?
                     $( $c: next(), )*
                     $($( $h: $crate::HistogramSnapshot {
                         buckets: ::std::array::from_fn(|_| next() >> 8),
                     }, )*)?
-                    $($( $k: ["k0", "k1"]
-                        .map(|key| $KSnap { $kf: key.into(), ..<$KSnap>::arbitrary(next) })
-                        .into(), )*)?
                 }
             }
         }
 
         $crate::counter_set!(@laws [$($law_test $($also)?)?] $Snap
-            [$($key)? $($c)* $($($h)*)? $($($k)*)?] [$($($h)*)?]);
+            [$($c)* $($($h)*)?] [$($($h)*)?]);
     };
 }
 
@@ -293,45 +256,25 @@ mod tests {
 
     crate::counter_set! {
         #[derive(Default)]
-        struct LaneCounters;
-        #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
-        struct LaneSnapshot;
-        laws lanes_obey_the_laws [json];
-        key { name => "lane"; }
-        counters {
-            cars: delta => counter "road_lane_vehicles_total" [kind = "car"] "Vehicles by kind";
-            vans: delta => counter "road_lane_vehicles_total" [kind = "van"] "Vehicles by kind";
-        }
-    }
-
-    crate::counter_set! {
-        #[derive(Default)]
         struct RoadCounters;
         #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
         struct RoadSnapshot;
         laws roads_obey_the_laws [json];
         counters {
-            tolls: delta => counter "road_tolls_total" "Tolls paid", then lanes;
+            tolls: delta => counter "road_tolls_total" [booth = "north"] "Tolls paid";
             waiting: level => gauge "road_waiting" "Vehicles waiting";
             unexported: delta;
         }
         histograms {
             crossing => "road_crossing_ns" "Crossing time (ns)", exemplars;
         }
-        keyed { lanes: LaneCounters => LaneSnapshot by name; }
     }
 
     #[test]
     fn generated_code_follows_the_table() {
-        let live = RoadCounters {
-            lanes: ["left", "right"]
-                .map(|name| LaneCounters { name: name.into(), ..Default::default() })
-                .into(),
-            ..Default::default()
-        };
+        let live = RoadCounters::default();
         live.tolls.fetch_add(4, Relaxed);
         live.waiting.store(7, Relaxed);
-        live.lanes[1].vans.fetch_add(2, Relaxed);
         live.crossing.record(Duration::from_nanos(100));
         let earlier = live.snapshot();
         live.tolls.fetch_add(1, Relaxed);
@@ -341,16 +284,14 @@ mod tests {
         let interval = later.minus(&earlier).expect("later minus earlier");
         assert_eq!((interval.tolls, interval.waiting), (1, 3));
         assert_eq!(interval.crossing.count(), 0);
-        assert_eq!(interval.lanes[1], LaneSnapshot { name: "right".into(), cars: 0, vans: 0 });
 
-        // Pooling adds everything, levels included, and matches lanes by name.
+        // Pooling adds everything, levels included.
         let mut pooled = earlier.clone();
         pooled.merge(&later);
         assert_eq!((pooled.tolls, pooled.waiting, pooled.crossing.count()), (9, 10, 2));
-        assert_eq!((pooled.lanes.len(), pooled.lanes[1].vans), (2, 4));
 
         // Swapped: the scalar is named first, then a histogram with its
-        // bucket, then a keyed row — never an all-zero "idle" interval.
+        // bucket — never an all-zero "idle" interval.
         assert_eq!(
             earlier.minus(&later),
             Err(SnapshotDiffError { field: "tolls", bucket: None, later: 4, earlier: 5 })
@@ -360,10 +301,6 @@ mod tests {
         let err = earlier.minus(&slower).expect_err("bucket 7 shrank");
         assert_eq!((err.field, err.bucket), ("crossing", Some(7)));
         assert!(err.to_string().starts_with("crossing bucket 7 shrank from 9 to 1"));
-        let mut busier = earlier.clone();
-        busier.lanes[1].vans = 5;
-        let err = earlier.minus(&busier).expect_err("a lane shrank");
-        assert_eq!((err.field, err.later, err.earlier), ("lanes", 2, 5));
 
         let slow = SlowLog::new(2);
         slow.observe(42, 100);
@@ -374,13 +311,7 @@ mod tests {
             w.finish(),
             "# HELP road_tolls_total Tolls paid\n\
              # TYPE road_tolls_total counter\n\
-             road_tolls_total 5\n\
-             # HELP road_lane_vehicles_total Vehicles by kind\n\
-             # TYPE road_lane_vehicles_total counter\n\
-             road_lane_vehicles_total{lane=\"left\",kind=\"car\"} 0\n\
-             road_lane_vehicles_total{lane=\"left\",kind=\"van\"} 0\n\
-             road_lane_vehicles_total{lane=\"right\",kind=\"car\"} 0\n\
-             road_lane_vehicles_total{lane=\"right\",kind=\"van\"} 2\n\
+             road_tolls_total{booth=\"north\"} 5\n\
              # HELP road_waiting Vehicles waiting\n\
              # TYPE road_waiting gauge\n\
              road_waiting 3\n\

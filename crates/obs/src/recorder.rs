@@ -103,9 +103,8 @@ pub enum Phase {
     /// (see [`ctl_action_name`]), `b`=shard index the action targeted
     /// (for rebuilds: `shard << 16 | replica`).
     CtlDecision = 18,
-    /// Per-tenant admission control shed the request before it reached
-    /// the queue. `a`=tenant index.
-    ShedQuota = 19,
+    // 19 is retired, not reused: a trace from an older build may carry
+    // it, and it must decode as `None` rather than as another phase.
     /// The SLO engine's burn rate crossed its alert threshold and the
     /// controller acted (or was asked to act) on it. `a`=shard index,
     /// `b`=fast-window burn rate as `f64::to_bits`.
@@ -135,7 +134,6 @@ impl Phase {
             16 => Phase::QueryDone,
             17 => Phase::ColdDraw,
             18 => Phase::CtlDecision,
-            19 => Phase::ShedQuota,
             20 => Phase::SloBurnAlert,
             _ => return None,
         })
@@ -163,7 +161,6 @@ impl Phase {
             Phase::QueryDone => "query_done",
             Phase::ColdDraw => "cold_draw",
             Phase::CtlDecision => "ctl_decision",
-            Phase::ShedQuota => "shed_quota",
             Phase::SloBurnAlert => "slo_burn_alert",
         }
     }
@@ -656,11 +653,12 @@ mod tests {
         assert_eq!(span_shard(ctx.leg(3, 1).span), Some(3));
         assert_eq!(span_replica(ctx.leg(3, 1).span), Some(1));
         assert_eq!(ctx.shard(3).replica(1), ctx.leg(3, 1));
-        for v in 1..=20u8 {
+        for v in (1..=18u8).chain([20]) {
             assert_eq!(Phase::from_u8(v).map(|p| p as u8), Some(v));
         }
-        assert_eq!(Phase::from_u8(0), None);
-        assert_eq!(Phase::from_u8(21), None);
+        for retired in [0, 19, 21] {
+            assert_eq!(Phase::from_u8(retired), None);
+        }
         assert_eq!(unpack_cost(pack_cost(3, 7, 11, 13)), (3, 7, 11, 13));
         assert_eq!(unpack_cost(pack_cost(1 << 40, 0, 0, 2)), (0xffff, 0, 0, 2));
         assert_eq!(unpack_io(pack_io(5, 2, 400, 9)), (5, 2, 400, 9));

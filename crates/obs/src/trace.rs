@@ -138,15 +138,6 @@ impl TraceView {
         self.phase_records(Phase::SloBurnAlert).map(|r| (r.a as u32, f64::from_bits(r.b))).collect()
     }
 
-    /// Quota sheds recorded under this trace: the tenant index whose
-    /// token bucket refused each submission. A traced call that ends in
-    /// `QuotaExceeded` carries exactly one of these — the "why did my
-    /// query not land anywhere" answer.
-    #[must_use]
-    pub fn quota_sheds(&self) -> Vec<u64> {
-        self.phase_records(Phase::ShedQuota).map(|r| r.a).collect()
-    }
-
     /// Total injected/observed delay absorbed while awaiting legs.
     #[must_use]
     pub fn absorbed_delay(&self) -> Duration {
@@ -267,20 +258,17 @@ mod tests {
     }
 
     #[test]
-    fn ctl_and_quota_accessors_read_the_new_phases() {
+    fn ctl_accessors_read_the_new_phases() {
         let tick = Ctx::query(9);
         let records = vec![
             rec(1, tick.shard(2), Phase::CtlDecision, 1, 2),
             rec(2, tick.shard(0), Phase::CtlDecision, 3, 1 << 16), // rebuild 1/0 packed
-            rec(3, tick, Phase::ShedQuota, 4, 0),
         ];
         let view = TraceView::build(&records, 9);
         assert_eq!(view.ctl_decisions(), vec![(1, 2), (3, 1 << 16)]);
-        assert_eq!(view.quota_sheds(), vec![4]);
         // Phases absent from a trace read back as empty, not errors.
         let other = TraceView::build(&sample_trace(), 5);
         assert!(other.ctl_decisions().is_empty());
-        assert!(other.quota_sheds().is_empty());
     }
 
     #[test]

@@ -29,13 +29,6 @@ pub enum ServeError {
     /// Admission control refused the request: the queue is at capacity.
     /// Back off and retry; in-budget traffic keeps its latency.
     Overloaded,
-    /// Per-tenant admission control refused the request: the named
-    /// tenant's token-bucket quota is exhausted. Unlike [`Overloaded`]
-    /// (a service-wide condition), this is the tenant's own excess —
-    /// other tenants' traffic is unaffected.
-    ///
-    /// [`Overloaded`]: ServeError::Overloaded
-    QuotaExceeded(String),
     /// The request's deadline expired before a worker picked it up.
     DeadlineExceeded,
     /// The service is shutting down and no longer admits requests.
@@ -64,9 +57,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::InvalidRequest(what) => write!(f, "invalid request: {what}"),
             ServeError::Overloaded => write!(f, "service overloaded: request queue at capacity"),
-            ServeError::QuotaExceeded(tenant) => {
-                write!(f, "tenant {tenant:?} exceeded its admission quota")
-            }
             ServeError::DeadlineExceeded => write!(f, "deadline expired before the request ran"),
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
             ServeError::Panicked => {
@@ -141,7 +131,6 @@ mod tests {
                 ServeError::Unsupported("not a union index".into()),
                 ServeError::InvalidRequest("member-set id out of range".into()),
                 ServeError::Overloaded,
-                ServeError::QuotaExceeded("bulk".into()),
                 ServeError::DeadlineExceeded,
                 ServeError::ShuttingDown,
                 ServeError::Panicked,
@@ -160,14 +149,13 @@ mod tests {
                 ServeError::Unsupported(_) => 3,
                 ServeError::InvalidRequest(_) => 4,
                 ServeError::Overloaded => 5,
-                ServeError::QuotaExceeded(_) => 6,
-                ServeError::DeadlineExceeded => 7,
-                ServeError::ShuttingDown => 8,
-                ServeError::Panicked => 9,
-                ServeError::Remote(_) => 10,
+                ServeError::DeadlineExceeded => 6,
+                ServeError::ShuttingDown => 7,
+                ServeError::Panicked => 8,
+                ServeError::Remote(_) => 9,
             })
             .collect();
-        assert_eq!(listed.len(), 11);
+        assert_eq!(listed.len(), 10);
     }
 
     /// A message built from a string literal decodes as the same typed

@@ -56,7 +56,6 @@
 mod api;
 mod error;
 mod metrics;
-mod qos;
 mod queue;
 mod registry;
 mod server;
@@ -66,8 +65,7 @@ pub use api::{Request, Response, UpdateOp};
 pub use error::ServeError;
 /// What [`MetricsSnapshot`] is made of and what its diff raises.
 pub use iqs_obs::{HistogramSnapshot, SnapshotDiffError};
-pub use metrics::{MetricsSnapshot, TenantMetricsSnapshot};
-pub use qos::TenantSpec;
+pub use metrics::MetricsSnapshot;
 pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView};
 pub use server::{Begun, Client, PendingReply, Server, ServerConfig};
 pub use snapshot::Snapshot;

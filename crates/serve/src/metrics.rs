@@ -3,8 +3,8 @@
 //!
 //! The recording path is designed for the worker hot loop: one relaxed
 //! `fetch_add` per counter and one per histogram sample — no locks, no
-//! allocation, no time-series machinery. Both counter sets below are
-//! [`iqs_obs::counter_set!`] tables — a series is one row, everything
+//! allocation, no time-series machinery. The counter set below is an
+//! [`iqs_obs::counter_set!`] table — a series is one row, everything
 //! else is generated — and the histogram is [`iqs_obs::metrics`]'s.
 
 use std::fmt;
@@ -13,38 +13,6 @@ use std::sync::atomic::Ordering;
 use iqs_obs::{fmt_dur, PromWriter, SlowLog};
 
 use crate::registry::IoReport;
-
-iqs_obs::counter_set! {
-    /// Live per-tenant counters: one row per tenant configured in
-    /// `ServerConfig::tenants`, indexed by tenant id. Same cost class as
-    /// the global counters — relaxed adds on the submit/worker paths.
-    #[derive(Debug, Default)]
-    pub(crate) struct TenantCounters;
-    /// A point-in-time copy of one tenant's QoS counters, keyed by the
-    /// tenant's configured name. Rides inside [`MetricsSnapshot::tenants`];
-    /// empty for servers configured without tenants, so the wire format and
-    /// expositions of tenant-less services are unchanged.
-    #[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-    pub struct TenantMetricsSnapshot;
-    laws tenant_counters_obey_the_descriptor_laws [json];
-    key {
-        /// The tenant's configured name (metrics label value).
-        name => "tenant";
-    }
-    counters {
-        /// Requests this tenant offered (including later-rejected ones).
-        submitted: delta => counter "iqs_serve_tenant_requests_total" [outcome = "submitted"] "Per-tenant requests by outcome";
-        /// Requests that completed with an `Ok` response — the tenant's
-        /// goodput.
-        completed: delta => counter "iqs_serve_tenant_requests_total" [outcome = "completed"] "Per-tenant requests by outcome";
-        /// Requests that completed with a typed error.
-        failed: delta => counter "iqs_serve_tenant_requests_total" [outcome = "failed"] "Per-tenant requests by outcome";
-        /// Requests refused at admission by the tenant's token-bucket quota.
-        shed_quota: delta => counter "iqs_serve_tenant_requests_total" [outcome = "shed_quota"] "Per-tenant requests by outcome";
-        /// Requests dropped because their deadline expired before pickup.
-        deadline_missed: delta => counter "iqs_serve_tenant_requests_total" [outcome = "deadline_missed"] "Per-tenant requests by outcome";
-    }
-}
 
 iqs_obs::counter_set! {
     /// The service's live counters. All increments are relaxed atomics on
@@ -73,7 +41,7 @@ iqs_obs::counter_set! {
         rejected_overload: delta => counter "iqs_serve_requests_total" [outcome = "rejected_overload"] "Requests by outcome";
         /// Requests dropped because their deadline expired before a worker
         /// reached them.
-        deadline_missed: delta => counter "iqs_serve_requests_total" [outcome = "deadline_missed"] "Requests by outcome", then tenants;
+        deadline_missed: delta => counter "iqs_serve_requests_total" [outcome = "deadline_missed"] "Requests by outcome";
         /// Individual update operations applied to dynamic indexes.
         updates_applied: delta => counter "iqs_serve_updates_applied_total" "Update operations applied";
         /// Backlog length at snapshot time.
@@ -112,25 +80,9 @@ iqs_obs::counter_set! {
         /// a request its own blocking caller picked up.
         queue_wait => "iqs_serve_queue_wait_ns" "Queue wait before worker pickup (ns)";
     }
-    keyed {
-        /// Per-tenant QoS counters, one row per configured tenant (empty
-        /// when the server has no tenants — the wire format then matches
-        /// pre-QoS snapshots field-for-field plus an empty array).
-        tenants: TenantCounters => TenantMetricsSnapshot by name;
-    }
 }
 
 impl Metrics {
-    pub(crate) fn with_tenants(tenant_names: &[&str]) -> Self {
-        Metrics {
-            tenants: tenant_names
-                .iter()
-                .map(|name| TenantCounters { name: name.to_string(), ..Default::default() })
-                .collect(),
-            ..Default::default()
-        }
-    }
-
     /// Folds one external-index draw's block-I/O report into the
     /// counters (relaxed adds, same cost class as the other counters).
     pub(crate) fn record_io(&self, io: &IoReport) {
@@ -199,15 +151,7 @@ impl fmt::Display for MetricsSnapshot {
             fmt_dur(self.queue_wait.quantile(0.50)),
             fmt_dur(self.queue_wait.quantile(0.99)),
             fmt_dur(self.queue_wait.quantile(0.999)),
-        )?;
-        for t in &self.tenants {
-            write!(
-                f,
-                "\ntenant {}: {} submitted, {} ok, {} failed, {} shed (quota), {} deadline-missed",
-                t.name, t.submitted, t.completed, t.failed, t.shed_quota, t.deadline_missed
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -290,10 +234,6 @@ mod tests {
         let err = earlier.minus(&later).expect_err("earlier minus later");
         assert_eq!((err.field, err.bucket, err.later, err.earlier), ("submitted", None, 3, 9));
         assert!(err.to_string().starts_with("submitted shrank from 9 to 3"));
-        // A tenant row that shrank is refused too, under the row's field.
-        let gold = |submitted| TenantMetricsSnapshot { submitted, ..Default::default() };
-        let of = |tenant| MetricsSnapshot { tenants: vec![tenant], ..Default::default() };
-        assert_eq!(of(gold(2)).minus(&of(gold(4))).expect_err("gold shrank").field, "tenants");
     }
 
     /// Golden-file test for the Prometheus exposition format: the exact
@@ -301,14 +241,10 @@ mod tests {
     /// parse this).
     #[test]
     fn prometheus_exposition_matches_golden() {
-        let m = Metrics::with_tenants(&["gold", "bulk"]);
+        let m = Metrics::default();
         m.submitted.fetch_add(3, Ordering::Relaxed);
         m.completed.fetch_add(2, Ordering::Relaxed);
         m.failed.fetch_add(1, Ordering::Relaxed);
-        m.tenants[0].submitted.fetch_add(2, Ordering::Relaxed);
-        m.tenants[0].completed.fetch_add(2, Ordering::Relaxed);
-        m.tenants[1].submitted.fetch_add(1, Ordering::Relaxed);
-        m.tenants[1].shed_quota.fetch_add(5, Ordering::Relaxed);
         m.rng_words.fetch_add(128, Ordering::Relaxed);
         m.rng_refills.fetch_add(2, Ordering::Relaxed);
         m.prefetches.fetch_add(120, Ordering::Relaxed);
@@ -332,18 +268,6 @@ iqs_serve_requests_total{outcome=\"completed\"} 2
 iqs_serve_requests_total{outcome=\"failed\"} 1
 iqs_serve_requests_total{outcome=\"rejected_overload\"} 0
 iqs_serve_requests_total{outcome=\"deadline_missed\"} 0
-# HELP iqs_serve_tenant_requests_total Per-tenant requests by outcome
-# TYPE iqs_serve_tenant_requests_total counter
-iqs_serve_tenant_requests_total{tenant=\"gold\",outcome=\"submitted\"} 2
-iqs_serve_tenant_requests_total{tenant=\"gold\",outcome=\"completed\"} 2
-iqs_serve_tenant_requests_total{tenant=\"gold\",outcome=\"failed\"} 0
-iqs_serve_tenant_requests_total{tenant=\"gold\",outcome=\"shed_quota\"} 0
-iqs_serve_tenant_requests_total{tenant=\"gold\",outcome=\"deadline_missed\"} 0
-iqs_serve_tenant_requests_total{tenant=\"bulk\",outcome=\"submitted\"} 1
-iqs_serve_tenant_requests_total{tenant=\"bulk\",outcome=\"completed\"} 0
-iqs_serve_tenant_requests_total{tenant=\"bulk\",outcome=\"failed\"} 0
-iqs_serve_tenant_requests_total{tenant=\"bulk\",outcome=\"shed_quota\"} 5
-iqs_serve_tenant_requests_total{tenant=\"bulk\",outcome=\"deadline_missed\"} 0
 # HELP iqs_serve_updates_applied_total Update operations applied
 # TYPE iqs_serve_updates_applied_total counter
 iqs_serve_updates_applied_total 0
@@ -386,29 +310,6 @@ iqs_serve_queue_wait_ns_bucket{le=\"+Inf\"} 1
 iqs_serve_queue_wait_ns_count 1
 ";
         assert_eq!(text, golden);
-    }
-
-    #[test]
-    fn tenant_counters_ride_the_json_wire_format() {
-        let m = Metrics::with_tenants(&["gold", "bulk"]);
-        m.tenants[0].submitted.fetch_add(8, Ordering::Relaxed);
-        m.tenants[0].completed.fetch_add(7, Ordering::Relaxed);
-        m.tenants[1].shed_quota.fetch_add(3, Ordering::Relaxed);
-        let snap = m.snapshot();
-        // `tenants` is the last field, so tenant-less snapshots keep the
-        // leading field order other assertions (and dashboards) rely on.
-        let json = snap.to_json();
-        assert!(json.contains(",\"tenants\":[{\"name\":\"gold\""), "missing tenants: {json}");
-        assert_eq!(MetricsSnapshot::from_json(&json).expect("round trip"), snap);
-        // Pooling disjoint tenant sets unions the rows; a row the earlier
-        // snapshot lacks passes through an interval diff whole.
-        let mut pooled = snap.clone();
-        pooled.merge(&Metrics::with_tenants(&["edge"]).snapshot());
-        assert_eq!(pooled.tenants.len(), 3);
-        let fresh = snap.minus(&MetricsSnapshot::default()).expect("everything is new");
-        assert_eq!(fresh.tenants[0].submitted, 8);
-        // Display mentions each tenant by name.
-        assert!(snap.to_string().contains("tenant bulk: 0 submitted"));
     }
 
     #[test]

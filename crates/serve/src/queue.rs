@@ -17,11 +17,11 @@
 //! entry, earlier deadlines outrank later ones, and *ties resolve FIFO*
 //! by admission sequence number. Deadline-less entries keep strict FIFO
 //! among themselves, so a queue used without deadlines behaves exactly
-//! as the plain bounded FIFO it used to be. EDF is what makes per-tenant
-//! QoS composable with deadlines: a tenant saturating the queue with
-//! late-deadline work cannot delay another tenant's tighter-deadline
-//! request past the one entry a worker has already picked up
-//! (non-preemptive EDF's one-quantum bound).
+//! as the plain bounded FIFO it used to be. Deadlines differ between
+//! callers — a wire request carries its remaining budget, a probe none —
+//! and EDF is what keeps a backlog of late-deadline work from delaying a
+//! tighter-deadline request past the one entry a worker has already
+//! picked up (non-preemptive EDF's one-quantum bound).
 //!
 //! # Seats
 //!

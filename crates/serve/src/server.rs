@@ -4,24 +4,22 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. **Admission** — [`Client`] checks that the service is accepting
-//!    and, for a tenant handle, that the tenant's quota admits the
-//!    request. A request that must queue and finds the bounded MPMC
-//!    queue full is refused immediately with [`ServeError::Overloaded`]
-//!    (backpressure, not unbounded queueing).
+//! 1. **Admission** — [`Client`] checks that the service is accepting.
+//!    A request that must queue and finds the bounded MPMC queue full is
+//!    refused immediately with [`ServeError::Overloaded`] (backpressure,
+//!    not unbounded queueing).
 //! 2. **Pickup** — the request gets a *seat*: one of the `workers`
 //!    per-draw states (a seeded RNG plus reusable output buffers) that
 //!    bound how many requests run at once. A worker thread takes the
 //!    most urgent queued request together with a free seat. The caller
-//!    of a *blocking* door ([`Client::call`], [`Client::call_at`],
-//!    [`Client::call_traced`], [`Client::call_ctx`]) takes a seat itself
-//!    when nothing is queued and one is free — an idle service answers
-//!    on the thread that asked, with no hand-off — and otherwise queues
-//!    and waits for a worker like everybody else, so a queued request is
-//!    never overtaken. ([`Client::begin_ctx`] is that door with the wait
-//!    left to the caller.) [`Client::call_pending`],
-//!    [`Client::call_pending_ctx`] and [`Client::submit_nowait`] return
-//!    before the answer exists and are therefore queue-only. Whoever
+//!    of a *blocking* door ([`Client::call`], [`Client::call_traced`],
+//!    [`Client::call_ctx`]) takes a seat itself when nothing is queued
+//!    and one is free — an idle service answers on the thread that
+//!    asked, with no hand-off — and otherwise queues and waits for a
+//!    worker like everybody else, so a queued request is never
+//!    overtaken. ([`Client::begin_ctx`] is that door with the wait left
+//!    to the caller.) [`Client::call_pending_ctx`] returns before the
+//!    answer exists and is therefore queue-only. Whoever
 //!    holds the seat runs the same routine: if the deadline already
 //!    passed, it answers [`ServeError::DeadlineExceeded`] without doing
 //!    the work — expired requests never consume sampling capacity.
@@ -57,7 +55,6 @@ use rand::SeedableRng;
 use crate::api::{Request, Response};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::qos::{TenantSpec, TenantState};
 use crate::queue::{BoundedQueue, OneShot, PushRefused};
 use crate::registry::{IndexRegistry, IndexView};
 
@@ -82,11 +79,6 @@ pub struct ServerConfig {
     /// default is the real clock; tests install a
     /// [`iqs_testkit::VirtualClock`] handle and advance time explicitly.
     pub clock: ClockHandle,
-    /// Per-tenant QoS: named tenants with token-bucket admission quotas
-    /// and optional deadlines. Empty (the default) disables tenancy —
-    /// every entry point behaves exactly as before. Scope a client to a
-    /// tenant with [`Client::for_tenant`].
-    pub tenants: Vec<TenantSpec>,
 }
 
 impl Default for ServerConfig {
@@ -98,7 +90,6 @@ impl Default for ServerConfig {
             max_sample_size: 1 << 20,
             seed: 0x1b5_5e7e,
             clock: ClockHandle::real(),
-            tenants: Vec::new(),
         }
     }
 }
@@ -115,16 +106,13 @@ struct Job {
     /// Trace context the request carries to whoever runs it. Untraced
     /// for plain calls.
     ctx: Ctx,
-    /// Index into the configured tenants; `None` for untenanted
-    /// submissions (plain `server.client()` handles).
-    tenant: Option<u32>,
 }
 
 type Reply = OneShot<Result<Response, ServeError>>;
 
-/// A queue entry: the job and where its answer goes (`None` for
-/// fire-and-forget submissions; outcomes still land in the metrics).
-type Queued = (Job, Option<Reply>);
+/// A queue entry: the job and where its answer goes. A reply whose
+/// handle was dropped is still put; the outcome lands in the metrics.
+type Queued = (Job, Reply);
 
 /// One of the `workers` draw states a request runs on (module docs,
 /// "Pickup"). The RNG stream of seat `i` is what worker `i`'s used to
@@ -152,39 +140,24 @@ struct Shared {
     accepting: AtomicBool,
     max_sample_size: u32,
     clock: ClockHandle,
-    tenants: Vec<TenantState>,
 }
 
 impl Shared {
     /// Admission, shared by every door: counts the submission, refuses
-    /// it when the service is shutting down or the tenant is over quota,
-    /// and otherwise stamps the job and records its `Enqueue`.
+    /// it when the service is shutting down, and otherwise stamps the
+    /// job and records its `Enqueue`.
     fn admit(
         &self,
         request: Request,
         origin: Instant,
         deadline: Option<Instant>,
         ctx: Ctx,
-        tenant: Option<u32>,
     ) -> Result<Job, ServeError> {
         self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = tenant {
-            self.metrics.tenants[t as usize].submitted.fetch_add(1, Ordering::Relaxed);
-        }
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        // Quota check before the queue: a shed request never occupies
-        // capacity that another tenant's in-quota traffic could use.
-        if let Some(t) = tenant {
-            let state = &self.tenants[t as usize];
-            if !state.admit(self.clock.now()) {
-                self.metrics.tenants[t as usize].shed_quota.fetch_add(1, Ordering::Relaxed);
-                recorder::emit(ctx, Phase::ShedQuota, u64::from(t), 0);
-                return Err(ServeError::QuotaExceeded(state.spec.name.clone()));
-            }
-        }
-        let job = Job { request, origin, enqueued: self.clock.now(), deadline, ctx, tenant };
+        let job = Job { request, origin, enqueued: self.clock.now(), deadline, ctx };
         // Emit before the job can run: whoever picks it up records its
         // Pickup, and the Enqueue record must already hold a smaller
         // sequence number for traces to order deterministically.
@@ -192,7 +165,7 @@ impl Shared {
         Ok(job)
     }
 
-    fn enqueue(&self, job: Job, reply: Option<Reply>) -> Result<(), ServeError> {
+    fn enqueue(&self, job: Job, reply: Reply) -> Result<(), ServeError> {
         let deadline = job.deadline;
         match self.queue.try_push_at((job, reply), deadline) {
             Ok(()) => {
@@ -205,20 +178,6 @@ impl Shared {
             }
             Err(PushRefused::Closed(_)) => Err(ServeError::ShuttingDown),
         }
-    }
-
-    /// The queue-only doors: admit, then hand the job to the workers.
-    fn submit(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Option<Instant>,
-        reply: Option<Reply>,
-        ctx: Ctx,
-        tenant: Option<u32>,
-    ) -> Result<(), ServeError> {
-        let job = self.admit(request, origin, deadline, ctx, tenant)?;
-        self.enqueue(job, reply)
     }
 
     /// The blocking doors: admit, then run the job here and now if a
@@ -235,16 +194,15 @@ impl Shared {
         origin: Instant,
         deadline: Option<Instant>,
         ctx: Ctx,
-        tenant: Option<u32>,
     ) -> Result<Begun, ServeError> {
-        let job = self.admit(request, origin, deadline, ctx, tenant)?;
+        let job = self.admit(request, origin, deadline, ctx)?;
         if let Some(mut seat) = self.queue.try_seat() {
             let result = serve_job(self, &mut seat, &job, job.enqueued);
             self.queue.put_seat(seat);
             return Ok(Begun::Done(result));
         }
         let reply = OneShot::new();
-        self.enqueue(job, Some(reply.clone()))?;
+        self.enqueue(job, reply.clone())?;
         Ok(Begun::Queued(PendingReply { reply, clock: self.clock.clone() }))
     }
 
@@ -259,38 +217,9 @@ impl Shared {
 pub struct Client {
     shared: Arc<Shared>,
     default_deadline: Option<Duration>,
-    /// Tenant this handle submits as; `None` = untenanted (no quota, no
-    /// per-tenant counters).
-    tenant: Option<u32>,
 }
 
 impl Client {
-    /// A clone of this handle scoped to the named tenant: every
-    /// submission through it is metered against the tenant's token
-    /// bucket, counted in the tenant's metric row, and (when the tenant
-    /// spec carries a deadline) deadlined accordingly.
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidRequest`] when no tenant with that name was
-    /// configured on the server.
-    pub fn for_tenant(&self, name: &str) -> Result<Client, ServeError> {
-        let Some(idx) = self.shared.tenants.iter().position(|t| t.spec.name == name) else {
-            return Err(ServeError::InvalidRequest(
-                "no tenant with that name is configured".into(),
-            ));
-        };
-        let deadline = self.shared.tenants[idx].spec.deadline.or(self.default_deadline);
-        Ok(Client {
-            shared: Arc::clone(&self.shared),
-            default_deadline: deadline,
-            tenant: Some(idx as u32),
-        })
-    }
-
-    /// The tenant name this handle submits as, if any.
-    pub fn tenant(&self) -> Option<&str> {
-        self.tenant.map(|t| self.shared.tenants[t as usize].spec.name.as_str())
-    }
     /// Submits `request` and blocks until its response arrives. The
     /// configured default deadline (if any) applies.
     ///
@@ -300,32 +229,19 @@ impl Client {
     pub fn call(&self, request: Request) -> Result<Response, ServeError> {
         let origin = self.shared.clock.now();
         let deadline = self.default_deadline.map(|d| origin + d);
-        self.call_at(request, origin, deadline)
-    }
-
-    /// [`Client::call`] with an explicit latency origin and deadline.
-    ///
-    /// # Errors
-    /// As [`Client::call`].
-    pub fn call_at(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Option<Instant>,
-    ) -> Result<Response, ServeError> {
-        match self.shared.begin(request, origin, deadline, Ctx::none(), self.tenant)? {
+        match self.shared.begin(request, origin, deadline, Ctx::none())? {
             Begun::Done(result) => result,
             Begun::Queued(pending) => pending.wait(),
         }
     }
 
-    /// [`Client::call_at`] carrying an explicit trace context, with the
-    /// wait bounded by the deadline — the blocking door for layers that
-    /// manage their own traces and deadlines (`iqs-net`'s connection
-    /// threads). A request that had to queue and is still unanswered at
-    /// `deadline` (on the server's clock) returns
-    /// [`ServeError::DeadlineExceeded`] and is abandoned; a worker may
-    /// still run it, and its outcome lands in the metrics.
+    /// [`Client::call`] with an explicit latency origin, deadline and
+    /// trace context, with the wait bounded by the deadline — the
+    /// blocking door for layers that manage their own traces and
+    /// deadlines (`iqs-net`'s connection threads). A request that had to
+    /// queue and is still unanswered at `deadline` (on the server's
+    /// clock) returns [`ServeError::DeadlineExceeded`] and is abandoned;
+    /// a worker may still run it, and its outcome lands in the metrics.
     ///
     /// # Errors
     /// As [`Client::call`].
@@ -355,7 +271,7 @@ impl Client {
     /// other legs.
     ///
     /// # Errors
-    /// Admission refusals, as [`Client::call_pending`].
+    /// Admission refusals, as [`Client::call_pending_ctx`].
     pub fn begin_ctx(
         &self,
         request: Request,
@@ -363,7 +279,7 @@ impl Client {
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<Begun, ServeError> {
-        self.shared.begin(request, origin, deadline, ctx, self.tenant)
+        self.shared.begin(request, origin, deadline, ctx)
     }
 
     /// [`Client::call`], with the request traced end to end: a fresh
@@ -382,7 +298,7 @@ impl Client {
         let ctx = Ctx::query(trace);
         let origin = self.shared.clock.now();
         let deadline = self.default_deadline.map(|d| origin + d);
-        let result = match self.shared.begin(request, origin, deadline, ctx, self.tenant) {
+        let result = match self.shared.begin(request, origin, deadline, ctx) {
             Ok(Begun::Done(result)) => result,
             Ok(Begun::Queued(pending)) => pending.wait(),
             Err(e) => return (trace, Err(e)),
@@ -394,32 +310,19 @@ impl Client {
         (trace, result)
     }
 
-    /// Submits `request` and returns a [`PendingReply`] without waiting,
-    /// so a caller can scatter several requests (e.g. one per shard) and
-    /// gather the responses afterwards. Queue-only by contract: the
-    /// request always runs on a worker thread, never on the caller's.
-    /// `origin` is the latency origin; `deadline` (if any) is enforced
-    /// at pickup exactly as for [`Client::call_at`].
+    /// Submits `request` with a trace context and returns a
+    /// [`PendingReply`] without waiting — the scatter entry point for
+    /// layers that manage their own traces (the sharded router submits
+    /// each scatter leg with the query's trace id and the leg's span).
+    /// Queue-only by contract: the request always runs on a worker
+    /// thread, never on the caller's. `origin` is the latency origin
+    /// (for open-loop load, the scheduled arrival); `deadline` (if any)
+    /// is enforced at pickup. Dropping the handle abandons only the
+    /// answer: the request still runs and lands in the metrics.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] / [`ServeError::ShuttingDown`] at
     /// admission; dispatch errors arrive through the pending reply.
-    pub fn call_pending(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Option<Instant>,
-    ) -> Result<PendingReply, ServeError> {
-        self.call_pending_ctx(request, origin, deadline, Ctx::none())
-    }
-
-    /// [`Client::call_pending`] carrying an explicit trace context —
-    /// the scatter entry point for layers that manage their own traces
-    /// (the sharded router submits each scatter leg with the query's
-    /// trace id and the leg's span).
-    ///
-    /// # Errors
-    /// As [`Client::call_pending`].
     pub fn call_pending_ctx(
         &self,
         request: Request,
@@ -427,27 +330,10 @@ impl Client {
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<PendingReply, ServeError> {
+        let job = self.shared.admit(request, origin, deadline, ctx)?;
         let reply = OneShot::new();
-        self.shared.submit(request, origin, deadline, Some(reply.clone()), ctx, self.tenant)?;
+        self.shared.enqueue(job, reply.clone())?;
         Ok(PendingReply { reply, clock: self.shared.clock.clone() })
-    }
-
-    /// Fire-and-forget submission for open-loop load generation: the
-    /// request is admitted (or refused) now, executed when a worker
-    /// reaches it (queue-only, like [`Client::call_pending`]), and its
-    /// outcome is visible only through the metrics. `origin` should be
-    /// the request's scheduled arrival time.
-    ///
-    /// # Errors
-    /// [`ServeError::Overloaded`] / [`ServeError::ShuttingDown`] at
-    /// admission.
-    pub fn submit_nowait(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Option<Instant>,
-    ) -> Result<(), ServeError> {
-        self.shared.submit(request, origin, deadline, None, Ctx::none(), self.tenant)
     }
 
     /// A point-in-time copy of the service metrics.
@@ -456,8 +342,8 @@ impl Client {
     }
 }
 
-/// An in-flight request submitted with [`Client::call_pending`]: a
-/// waitable handle on the response.
+/// An in-flight request submitted with [`Client::call_pending_ctx`] or
+/// queued by [`Client::begin_ctx`]: a waitable handle on the response.
 pub struct PendingReply {
     reply: Reply,
     clock: ClockHandle,
@@ -494,8 +380,6 @@ impl Server {
     /// from here on: all further mutation flows through
     /// [`Request::Update`] publications.
     pub fn start(registry: IndexRegistry, config: ServerConfig) -> Server {
-        let tenant_names: Vec<&str> = config.tenants.iter().map(|t| t.name.as_str()).collect();
-        let now = config.clock.now();
         let workers = config.workers.max(1);
         // Distinct per-seat seeds -> independent streams (the workspace
         // StdRng seeds through SplitMix64). Reversed, so that seat 0 is
@@ -512,12 +396,11 @@ impl Server {
         let shared = Arc::new(Shared {
             registry,
             queue: BoundedQueue::new(config.queue_capacity, seats),
-            metrics: Metrics::with_tenants(&tenant_names),
+            metrics: Metrics::default(),
             slow: SlowLog::default(),
             accepting: AtomicBool::new(true),
             max_sample_size: config.max_sample_size,
             clock: config.clock.clone(),
-            tenants: config.tenants.iter().map(|t| TenantState::new(t.clone(), now)).collect(),
         });
         let workers = (0..workers)
             .map(|i| {
@@ -533,11 +416,7 @@ impl Server {
 
     /// A new submission handle.
     pub fn client(&self) -> Client {
-        Client {
-            shared: Arc::clone(&self.shared),
-            default_deadline: self.default_deadline,
-            tenant: None,
-        }
+        Client { shared: Arc::clone(&self.shared), default_deadline: self.default_deadline }
     }
 
     /// A point-in-time copy of the service metrics.
@@ -606,9 +485,7 @@ fn worker_loop(shared: &Shared) {
         // Seat first: a closed-loop caller woken by the reply finds it
         // home and runs its next request itself.
         shared.queue.put_seat(seat);
-        if let Some(reply) = reply {
-            reply.put(result);
-        }
+        reply.put(result);
     }
 }
 
@@ -629,9 +506,6 @@ fn serve_job(
     // clock this is what makes deadline misses deterministic.
     if job.deadline.is_some_and(|dl| picked >= dl) {
         shared.metrics.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = job.tenant {
-            shared.metrics.tenants[t as usize].deadline_missed.fetch_add(1, Ordering::Relaxed);
-        }
         recorder::emit(job.ctx, Phase::DeadlineMiss, 0, 0);
         return Err(ServeError::DeadlineExceeded);
     }
@@ -677,13 +551,6 @@ fn serve_job(
         Ok(_) => shared.metrics.completed.fetch_add(1, Ordering::Relaxed),
         Err(_) => shared.metrics.failed.fetch_add(1, Ordering::Relaxed),
     };
-    if let Some(t) = job.tenant {
-        let row = &shared.metrics.tenants[t as usize];
-        match &result {
-            Ok(_) => row.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => row.failed.fetch_add(1, Ordering::Relaxed),
-        };
-    }
     result
 }
 

@@ -19,10 +19,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use iqs_obs::{recorder, Phase};
+use iqs_obs::{recorder, Ctx, Phase};
 use iqs_serve::{
     ExternalIndex, IndexRegistry, IoReport, Request, Response, ServeError, Server, ServerConfig,
-    TenantSpec, UpdateOp,
+    UpdateOp,
 };
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
@@ -195,12 +195,13 @@ fn admission_control_rejects_when_queue_is_full() {
     // of 50 against a 1-worker, 2-slot service must overflow.
     let mut rejected = 0u64;
     for _ in 0..50 {
-        match client.submit_nowait(
+        match client.call_pending_ctx(
             Request::SampleWr { index: "keys".into(), range: None, s: 100_000 },
             clock.now(),
             None,
+            Ctx::none(),
         ) {
-            Ok(()) => {}
+            Ok(_) => {}
             Err(ServeError::Overloaded) => rejected += 1,
             Err(other) => panic!("unexpected admission error {other}"),
         }
@@ -238,7 +239,7 @@ fn expired_deadlines_are_enforced_at_pickup() {
 
     // Deadline == now on a frozen clock: expired at pickup, every time.
     let origin = clock.now();
-    let err = client.call_at(request.clone(), origin, Some(origin)).unwrap_err();
+    let err = client.call_ctx(request.clone(), origin, Some(origin), Ctx::none()).unwrap_err();
     assert_eq!(err, ServeError::DeadlineExceeded);
 
     // One millisecond of *virtual* headroom: the clock is frozen, so the
@@ -247,7 +248,7 @@ fn expired_deadlines_are_enforced_at_pickup() {
     let origin = clock.now();
     let ids = sample_ids(
         client
-            .call_at(request.clone(), origin, Some(origin + Duration::from_millis(1)))
+            .call_ctx(request.clone(), origin, Some(origin + Duration::from_millis(1)), Ctx::none())
             .expect("a future virtual deadline never spuriously expires"),
     );
     assert_eq!(ids.len(), 1);
@@ -256,7 +257,7 @@ fn expired_deadlines_are_enforced_at_pickup() {
     let origin = clock.now();
     let deadline = origin + Duration::from_secs(10);
     vc.advance(Duration::from_secs(11));
-    let err = client.call_at(request, origin, Some(deadline)).unwrap_err();
+    let err = client.call_ctx(request, origin, Some(deadline), Ctx::none()).unwrap_err();
     assert_eq!(err, ServeError::DeadlineExceeded);
 
     let metrics = server.shutdown();
@@ -286,10 +287,11 @@ fn shutdown_drains_accepted_work() {
     let mut accepted = 0u64;
     for _ in 0..200 {
         if client
-            .submit_nowait(
+            .call_pending_ctx(
                 Request::SampleWr { index: "keys".into(), range: None, s: 64 },
                 clock.now(),
                 None,
+                Ctx::none(),
             )
             .is_ok()
         {
@@ -539,10 +541,11 @@ fn a_queued_job_is_never_overtaken_by_a_later_blocking_call() {
         let first = server.client();
         scope.spawn(move || first.call(gated(1)).expect("held draw succeeds"));
         until(|| index.active.load(Ordering::SeqCst) == 1);
+        let queue = |s, deadline| client.call_pending_ctx(gated(s), now, deadline, Ctx::none());
         let queued = [
-            client.call_pending(gated(2), now, None).expect("admitted"),
-            client.call_pending(gated(3), now, Some(now + Duration::from_secs(30))).expect("late"),
-            client.call_pending(gated(4), now, Some(now + Duration::from_secs(1))).expect("early"),
+            queue(2, None).expect("admitted"),
+            queue(3, Some(now + Duration::from_secs(30))).expect("late"),
+            queue(4, Some(now + Duration::from_secs(1))).expect("early"),
         ];
         // s = 5 arrives last, through a blocking door.
         let last = server.client();
@@ -573,7 +576,7 @@ fn begin_ctx_answers_when_idle_and_never_waits_when_busy() {
     let server = index.serve(ServerConfig { workers: 1, ..ServerConfig::default() });
     let client = server.client();
     let now = std::time::Instant::now();
-    let none = iqs_obs::Ctx::none;
+    let none = Ctx::none;
     std::thread::scope(|scope| {
         let holder = server.client();
         scope.spawn(move || holder.call(gated(1)).expect("held draw succeeds"));
@@ -601,36 +604,67 @@ fn begin_ctx_answers_when_idle_and_never_waits_when_busy() {
 
 /// A request run on the caller's thread goes through the same admission
 /// and the same pickup check as a queued one: a deadline equal to the
-/// pickup instant misses on the frozen clock, an over-quota tenant is
-/// shed before it can take a seat, and none of it reaches the index.
+/// pickup instant misses on the frozen clock and never reaches the index.
 #[test]
-fn inline_requests_keep_deadline_and_quota_enforcement() {
+fn inline_requests_keep_deadline_enforcement() {
     let vc = VirtualClock::new();
     let clock = vc.handle();
     let index = GatedIndex::new(true);
-    let server = index.serve(ServerConfig {
-        workers: 1,
-        clock: clock.clone(),
-        tenants: vec![TenantSpec::limited("tiny", 1.0, 1.0)],
-        ..ServerConfig::default()
-    });
+    let server =
+        index.serve(ServerConfig { workers: 1, clock: clock.clone(), ..ServerConfig::default() });
     let client = server.client();
     let now = clock.now();
-    assert_eq!(client.call_at(gated(1), now, Some(now)), Err(ServeError::DeadlineExceeded));
-    assert_eq!(
-        client.call_ctx(gated(1), now, Some(now), iqs_obs::Ctx::none()),
-        Err(ServeError::DeadlineExceeded)
-    );
-    let tiny = client.for_tenant("tiny").expect("configured");
-    assert_eq!(sample_ids(tiny.call(gated(2)).expect("inside the burst")).len(), 2);
-    assert_eq!(tiny.call(gated(3)), Err(ServeError::QuotaExceeded("tiny".into())));
+    for _ in 0..2 {
+        let missed = client.call_ctx(gated(1), now, Some(now), Ctx::none());
+        assert_eq!(missed, Err(ServeError::DeadlineExceeded));
+    }
+    assert_eq!(sample_ids(client.call(gated(2)).expect("no deadline")).len(), 2);
     let entries = index.entries();
-    assert_eq!(entries.len(), 1, "only the admitted, unexpired request drew: {entries:?}");
+    assert_eq!(entries.len(), 1, "only the unexpired request drew: {entries:?}");
     assert!(!ran_on_a_worker(&entries[0].1));
     let m = server.shutdown();
-    assert_eq!((m.submitted, m.completed, m.deadline_missed, m.failed), (4, 1, 2, 0));
-    assert_eq!(m.tenants[0].shed_quota, 1);
+    assert_eq!((m.submitted, m.completed, m.deadline_missed, m.failed), (3, 1, 2, 0));
     assert_eq!(client.call(gated(1)), Err(ServeError::ShuttingDown));
+}
+
+/// A request queued through `call_pending_ctx` whose handle is dropped
+/// still runs: a worker picks it up and it counts as `completed`, its
+/// seat comes home for the next queued request, and `shutdown` drains one
+/// that is still queued when it begins — what an open-loop load generator
+/// relies on when it submits and walks away.
+#[test]
+fn a_dropped_pending_reply_still_runs_counts_and_frees_its_seat() {
+    let vc = VirtualClock::new();
+    let now = vc.handle().now();
+    let index = GatedIndex::new(false);
+    let server =
+        index.serve(ServerConfig { workers: 1, clock: vc.handle(), ..ServerConfig::default() });
+    let client = server.client();
+    let submit = |s| client.call_pending_ctx(gated(s), now, None, Ctx::none()).map(drop);
+    // The first parks on the worker at the shut gate; the second queues
+    // behind it and can only run on the seat the first gives back.
+    submit(1).expect("admitted");
+    until(|| index.active.load(Ordering::SeqCst) == 1);
+    submit(2).expect("admitted");
+    assert_eq!(server.metrics().queue_depth, 1);
+    let (m, accepted) = std::thread::scope(|scope| {
+        let stopper = scope.spawn(move || server.shutdown());
+        // Open the gate only once shutdown has begun (it refuses a
+        // submission), so whatever is queued then is the drain's to run.
+        let mut accepted = 2;
+        while submit(3).is_ok() {
+            accepted += 1;
+            std::thread::yield_now();
+        }
+        index.open();
+        // `shutdown` returns only once every seat is home.
+        (stopper.join().expect("shutdown returns"), accepted)
+    });
+    assert_eq!((m.completed, m.failed, m.queue_depth), (accepted, 0, 0));
+    assert_eq!(m.submitted, accepted + 1, "every submission but the refusal ran");
+    let entries = index.entries();
+    assert_eq!(entries.len() as u64, accepted);
+    assert!(entries.iter().all(|(_, name)| ran_on_a_worker(name)), "{entries:?}");
 }
 
 /// Drain-on-shutdown covers a caller that is running its own request:
@@ -661,7 +695,7 @@ fn shutdown_waits_for_an_in_flight_inline_call() {
         until(|| begun.load(Ordering::SeqCst));
         let probe = Request::RangeCount { index: "gated".into(), x: 0.0, y: 1.0 };
         let mut accepted = 0;
-        while client.submit_nowait(probe.clone(), now, None).is_ok() {
+        while client.call_pending_ctx(probe.clone(), now, None, Ctx::none()).is_ok() {
             accepted += 1;
             std::thread::yield_now();
         }
@@ -696,7 +730,8 @@ fn inline_and_queued_requests_share_one_seed_schedule() {
     for s in [1u32, 64, 7, 4096, 300, 1] {
         let request = Request::SampleWr { index: "keys".into(), range: Some((100.0, 3900.0)), s };
         let here = sample_ids(a.call(request.clone()).expect("inline"));
-        let pending = b.call_pending(request, vc.handle().now(), None).expect("admitted");
+        let pending =
+            b.call_pending_ctx(request, vc.handle().now(), None, Ctx::none()).expect("admitted");
         assert_eq!(here, sample_ids(pending.wait().expect("queued")), "s = {s}");
     }
     assert_eq!(inline.shutdown().completed, queued.shutdown().completed);
@@ -755,7 +790,7 @@ fn a_seats_plan_never_outlives_its_view() {
 
 /// A panic inside an index is contained where requests run: the request
 /// answers the typed [`ServeError::Panicked`] through every door —
-/// caller's thread (`call`), worker's thread (`call_pending`), and the
+/// caller's thread (`call`), worker's thread (`call_pending_ctx`), and the
 /// door connection threads and — as `begin_ctx` — router legs use
 /// (`call_ctx`) — it counts as `failed`, and the service's only seat
 /// survives to serve the next request.
@@ -772,12 +807,12 @@ fn a_panicking_index_answers_a_typed_error_and_the_seat_survives() {
     assert_eq!(client.call(bug()), Err(ServeError::Panicked));
     assert_eq!(sample_ids(client.call(gated(2)).expect("next request, same seat")).len(), 2);
 
-    let pending = client.call_pending(bug(), now, None).expect("admitted");
+    let pending = client.call_pending_ctx(bug(), now, None, Ctx::none()).expect("admitted");
     assert_eq!(pending.wait(), Err(ServeError::Panicked));
-    let pending = client.call_pending(gated(3), now, None).expect("the worker survived");
+    let pending = client.call_pending_ctx(gated(3), now, None, Ctx::none()).expect("survived");
     assert_eq!(sample_ids(pending.wait().expect("next request, same worker")).len(), 3);
 
-    assert_eq!(client.call_ctx(bug(), now, None, iqs_obs::Ctx::none()), Err(ServeError::Panicked));
+    assert_eq!(client.call_ctx(bug(), now, None, Ctx::none()), Err(ServeError::Panicked));
     assert_eq!(sample_ids(client.call(gated(4)).expect("and again")).len(), 4);
 
     let m = server.shutdown();

@@ -144,7 +144,6 @@ pub(crate) fn build_replica(
             // at worker pickup, so mixing clocks would turn every
             // virtual-time advance into a spurious deadline miss.
             clock: config.clock.clone(),
-            tenants: Vec::new(),
         },
     );
     Ok(Arc::new(Replica::new(Arc::new(LocalReplica::new(server)))))

@@ -56,8 +56,8 @@
 //! replica whose cooldown elapsed), then ready replicas, with tripped
 //! replicas kept as last resort. A failed attempt — refused at the fault
 //! gate, a reply that says the *replica* could not serve (overloaded,
-//! deadline missed, shutting down, over quota, a transport failure, a
-//! contained panic, a missing index), or a missed per-attempt deadline —
+//! deadline missed, shutting down, a transport failure, a contained
+//! panic, a missing index), or a missed per-attempt deadline —
 //! moves the leg to the next untried replica with a fresh deadline. Only
 //! when every replica of a shard has failed does the query degrade: the
 //! response's `degraded` flag is set and `missing` accounts for the

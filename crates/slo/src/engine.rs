@@ -2,7 +2,7 @@
 //!
 //! An [`Objective`] states "at least `target` of queries finish within
 //! `threshold`". The engine watches a *cumulative* log₂ latency
-//! histogram per tracked key (shard or tenant), snapshotted on every
+//! histogram per tracked key (a shard), snapshotted on every
 //! observation, and evaluates the objective over two sliding windows by
 //! interval diffing: the bad fraction inside a window is read from
 //! `latest.minus(baseline-at-window-start)` — no per-query state, just
@@ -32,15 +32,12 @@ use crate::error::SloError;
 pub enum SloKey {
     /// A shard's pooled latency across its replicas.
     Shard(u32),
-    /// A tenant's latency across the cluster.
-    Tenant(String),
 }
 
 impl fmt::Display for SloKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SloKey::Shard(shard) => write!(f, "shard:{shard}"),
-            SloKey::Tenant(name) => write!(f, "tenant:{name}"),
         }
     }
 }
@@ -141,9 +138,8 @@ impl HealthReport {
     #[must_use]
     pub fn alerting_shards(&self) -> Vec<u32> {
         self.alerting()
-            .filter_map(|s| match s.key {
-                SloKey::Shard(shard) => Some(shard),
-                SloKey::Tenant(_) => None,
+            .map(|s| match s.key {
+                SloKey::Shard(shard) => shard,
             })
             .collect()
     }
@@ -430,7 +426,7 @@ mod tests {
     fn idle_windows_burn_nothing_and_non_monotone_series_error() {
         let vc = VirtualClock::new();
         let mut engine = SloEngine::new(&vc.handle());
-        let key = SloKey::Tenant("acme".to_string());
+        let key = SloKey::Shard(0);
         engine.set_objective(key.clone(), objective()).expect("valid");
         // No observations at all: zero burn, no alert, no traffic.
         let report = engine.evaluate().expect("empty is fine");
@@ -457,12 +453,12 @@ mod tests {
         let vc = VirtualClock::new();
         let mut engine = SloEngine::new(&vc.handle());
         engine.set_objective(SloKey::Shard(1), objective()).expect("valid");
-        engine.set_objective(SloKey::Tenant("acme".into()), objective()).expect("valid");
+        engine.set_objective(SloKey::Shard(2), objective()).expect("valid");
         engine.observe(&SloKey::Shard(1), cumulative(9, 1));
         let text = engine.evaluate().expect("monotone").to_prometheus();
         assert!(text.contains("# TYPE iqs_slo_burn_rate gauge"));
         assert!(text.contains("iqs_slo_burn_rate{key=\"shard:1\",window=\"fast\"}"));
         assert!(text.contains("iqs_slo_window_total{key=\"shard:1\",window=\"slow\"} 10"));
-        assert!(text.contains("iqs_slo_alerting{key=\"tenant:acme\"} 0"));
+        assert!(text.contains("iqs_slo_alerting{key=\"shard:2\"} 0"));
     }
 }

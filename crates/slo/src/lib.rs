@@ -9,7 +9,7 @@
 //!   compact trace-leg summaries from replica servers back to the
 //!   router, with explicit drop counters and at-most-once ingestion
 //!   ([`TelemetryShipper`] / [`ClusterTelemetry`]).
-//! - [`engine`] — per-tenant and per-shard sliding-window service-level
+//! - [`engine`] — per-shard sliding-window service-level
 //!   objectives evaluated from the serving tier's log₂ latency
 //!   histograms: multi-window burn rates on the virtual clock, typed
 //!   [`HealthReport`]s for the controller ([`SloEngine`]).

@@ -60,7 +60,6 @@ pub const MANIFEST: &[&str] = &[
     "net_multi_process_chi_square",
     "tiered_cold_path_chi_square",
     "ctl_rebalance_chi_square",
-    "qos_fairness",
     "slo_burn_rate_determinism",
     "slo_cluster_trace_chi_square",
     "service_successive_queries_g_test",

@@ -153,7 +153,6 @@ fn main() {
                 max_sample_size: 1 << 20,
                 seed: 7 + si as u64,
                 clock: clock.handle(),
-                tenants: Vec::new(),
             },
         );
         let total = server.registry().total_weight(SHARD_INDEX).expect("weighted");

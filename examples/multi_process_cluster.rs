@@ -70,7 +70,6 @@ fn replica_main(args: &[String]) {
             max_sample_size: 1 << 20,
             seed,
             clock: ClockHandle::real(),
-            tenants: Vec::new(),
         },
     );
     let total = server.registry().total_weight(SHARD_INDEX).expect("range index");

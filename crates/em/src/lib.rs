@@ -12,12 +12,15 @@
 //! * [`EmMachine`] — an LRU buffer pool of `M/B` block frames shared by
 //!   all arrays, counting block reads, (dirty) writes, and block-touch
 //!   hits/misses; the machine is `Send + Sync`, so a serving tier can
-//!   draw from one simulated disk on many worker threads;
+//!   draw from one simulated disk on many worker threads. The pool is a
+//!   frame table on an index-linked recency list, so the simulator's own
+//!   bookkeeping is `O(1)` per block touch, hit or miss;
 //! * [`EmArray`] — a disk-resident array whose accesses fault blocks
 //!   through the machine: a sequential run touches each of its blocks
 //!   once, a single-item access touches one;
-//! * [`external_sort`] — multi-way external merge sort,
-//!   `O((n/B) log_{M/B}(n/B))` I/Os;
+//! * [`external_sort`] — stable multi-way external merge sort,
+//!   `O((n/B) log_{M/B}(n/B))` I/Os, merging through a heap of run
+//!   heads;
 //! * [`SamplePool`] — Section 8's set-sampling structure: `n` pre-drawn WR
 //!   samples consumed sequentially and rebuilt (by sorting) on exhaustion;
 //!   amortized `O((1/B) log_{M/B}(n/B))` I/Os per sample, matching the

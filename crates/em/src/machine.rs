@@ -1,5 +1,6 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// Cumulative I/O counters of an [`EmMachine`].
@@ -109,77 +110,166 @@ impl std::error::Error for IoStatsDiffError {}
 /// Identity of a block: (array id, block index within the array).
 type BlockKey = (u32, u64);
 
+/// End of a recency list.
+const NIL: u32 = u32::MAX;
+
+/// A resident block: its key, whether it must be written back, and its
+/// neighbours in the recency list (`prev` is more recent).
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    /// Recency stamp; the frame's key in the LRU map.
-    stamp: u64,
+    key: BlockKey,
     dirty: bool,
+    prev: u32,
+    next: u32,
+}
+
+/// The key → frame map's hasher: one multiply-rotate per word. Block
+/// keys are small dense integers chosen by the machine itself, so they
+/// need mixing, not flooding resistance (std's default SipHash costs
+/// several times as much per probe).
+#[derive(Debug, Default, Clone, Copy)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 /// The buffer pool: `capacity` frames under strict least-recently-used
 /// eviction, the model's textbook default.
+///
+/// A frame table: the resident blocks sit in `frames`, linked by index
+/// into one doubly linked recency list (`head` most recent, `tail` the
+/// victim), and `slots` maps a key to its frame. A touch is O(1) on a
+/// hit and on a miss; frames freed by [`Pool::discard_array`] wait on
+/// `free` for the next fault.
 #[derive(Debug)]
 struct Pool {
     /// Number of block frames the memory holds (`M / B`).
     capacity: usize,
-    /// Resident blocks.
-    resident: HashMap<BlockKey, Frame>,
-    /// Recency order of the resident blocks: stamp → key.
-    lru: BTreeMap<u64, BlockKey>,
-    clock: u64,
+    frames: Vec<Frame>,
+    slots: HashMap<BlockKey, u32, BuildHasherDefault<BlockHasher>>,
+    head: u32,
+    tail: u32,
+    free: Vec<u32>,
     stats: IoStats,
     next_array: u32,
 }
 
 impl Pool {
+    fn new(capacity: usize) -> Self {
+        Pool {
+            capacity,
+            frames: Vec::new(),
+            slots: HashMap::default(),
+            head: NIL,
+            tail: NIL,
+            free: Vec::new(),
+            stats: IoStats::default(),
+            next_array: 0,
+        }
+    }
+
     /// Touches `key`; faults it in (counting a read unless `no_fetch`) if
     /// absent, makes it the most recent block, marks it dirty if `write`.
     /// Evicting a dirty block counts a write. `no_fetch` models
     /// write-allocate of a block the caller fully overwrites: no read
     /// transfer is needed.
     fn touch(&mut self, key: BlockKey, write: bool, no_fetch: bool) {
-        self.clock += 1;
-        let stamp = self.clock;
-        if let Some(frame) = self.resident.get_mut(&key) {
+        if let Some(&slot) = self.slots.get(&key) {
             self.stats.hits += 1;
-            self.lru.remove(&std::mem::replace(&mut frame.stamp, stamp));
-            frame.dirty |= write;
-            self.lru.insert(stamp, key);
+            self.frames[slot as usize].dirty |= write;
+            if slot != self.head {
+                self.unlink(slot);
+                self.push_front(slot);
+            }
             return;
         }
         // Fault: evict the least recent block if full.
         self.stats.misses += 1;
-        if self.resident.len() >= self.capacity {
-            let (_, victim) = self.lru.pop_first().expect("non-empty pool at capacity");
-            let frame = self.resident.remove(&victim).expect("victim resident");
-            if frame.dirty {
+        let frame = Frame { key, dirty: write, prev: NIL, next: NIL };
+        let slot = if self.slots.len() >= self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            let old = std::mem::replace(&mut self.frames[victim as usize], frame);
+            self.slots.remove(&old.key);
+            if old.dirty {
                 self.stats.writes += 1;
             }
-        }
+            victim
+        } else if let Some(slot) = self.free.pop() {
+            self.frames[slot as usize] = frame;
+            slot
+        } else {
+            self.frames.push(frame);
+            u32::try_from(self.frames.len() - 1).expect("frame index fits u32")
+        };
         if !no_fetch {
             self.stats.reads += 1;
         }
-        self.lru.insert(stamp, key);
-        self.resident.insert(key, Frame { stamp, dirty: write });
+        self.push_front(slot);
+        self.slots.insert(key, slot);
+    }
+
+    /// Takes frame `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Frame { prev, next, .. } = self.frames[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.frames[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.frames[n as usize].prev = prev,
+        }
+    }
+
+    /// Links frame `slot` in as the most recent.
+    fn push_front(&mut self, slot: u32) {
+        let old = self.head;
+        self.frames[slot as usize].prev = NIL;
+        self.frames[slot as usize].next = old;
+        match old {
+            NIL => self.tail = slot,
+            o => self.frames[o as usize].prev = slot,
+        }
+        self.head = slot;
     }
 
     fn flush(&mut self) {
-        for (_, frame) in self.resident.drain() {
-            if frame.dirty {
-                self.stats.writes += 1;
-            }
-        }
-        self.lru.clear();
+        let dirty = self.slots.values().filter(|&&slot| self.frames[slot as usize].dirty).count();
+        self.stats.writes += dirty as u64;
+        self.frames.clear();
+        self.slots.clear();
+        self.free.clear();
+        (self.head, self.tail) = (NIL, NIL);
     }
 
     /// Drops an array's blocks without counting write-backs (the array is
     /// being destroyed, e.g. a sort scratch file).
     fn discard_array(&mut self, array: u32) {
-        let keys: Vec<BlockKey> =
-            self.resident.keys().copied().filter(|&(a, _)| a == array).collect();
-        for k in keys {
-            let frame = self.resident.remove(&k).expect("present");
-            self.lru.remove(&frame.stamp);
+        let mut slot = self.head;
+        while slot != NIL {
+            let Frame { key, next, .. } = self.frames[slot as usize];
+            if key.0 == array {
+                self.unlink(slot);
+                self.slots.remove(&key);
+                self.free.push(slot);
+            }
+            slot = next;
         }
     }
 }
@@ -225,17 +315,7 @@ impl EmMachine {
     pub fn new(mem_words: usize, block_words: usize) -> Self {
         assert!(block_words >= 1, "block size must be positive");
         assert!(mem_words >= 2 * block_words, "EM model requires M >= 2B");
-        EmMachine {
-            block_words,
-            pool: Arc::new(Mutex::new(Pool {
-                capacity: mem_words / block_words,
-                resident: HashMap::new(),
-                lru: BTreeMap::new(),
-                clock: 0,
-                stats: IoStats::default(),
-                next_array: 0,
-            })),
-        }
+        EmMachine { block_words, pool: Arc::new(Mutex::new(Pool::new(mem_words / block_words))) }
     }
 
     fn pool(&self) -> std::sync::MutexGuard<'_, Pool> {

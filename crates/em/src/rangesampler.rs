@@ -92,7 +92,7 @@ impl EmRangeSampler {
     }
 
     /// Draws `s` independent WR samples from the keys in `[x, y]`.
-    /// Returns `None` when the range is empty.
+    /// Returns `None` when the range is empty or a bound is NaN.
     pub fn query<R: Rng + ?Sized>(
         &mut self,
         x: f64,
@@ -100,7 +100,7 @@ impl EmRangeSampler {
         s: usize,
         rng: &mut R,
     ) -> Option<Vec<f64>> {
-        if y < x {
+        if y < x || x.is_nan() || y.is_nan() {
             return None;
         }
         // Boundary chunks via the in-memory directory; read them and
@@ -262,6 +262,8 @@ mod tests {
         let mut rs = EmRangeSampler::new(&m, keys.clone());
         assert!(rs.query(11.0, 19.0, 5, &mut rng).is_none());
         assert!(rs.query(50.0, 40.0, 5, &mut rng).is_none());
+        assert!(rs.query(f64::NAN, 500.0, 5, &mut rng).is_none());
+        assert!(rs.query(500.0, f64::NAN, 5, &mut rng).is_none());
         let naive = NaiveEmRangeSampler::new(&m, keys);
         assert!(naive.query_random_access(11.0, 19.0, 5, &mut rng).is_none());
     }

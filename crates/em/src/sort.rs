@@ -1,7 +1,11 @@
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use crate::machine::{EmArray, EmMachine};
 
 /// Multi-way external merge sort: sorts `input` (by the key function) in
-/// `O((n/B) · log_{M/B}(n/B))` I/Os, the Aggarwal–Vitter bound.
+/// `O((n/B) · log_{M/B}(n/B))` I/Os, the Aggarwal–Vitter bound. The sort
+/// is stable: items with equal keys keep their input order.
 ///
 /// Phase 1 forms runs of `M` items by in-memory sorting (each run costs
 /// one sequential read + one sequential write). Phase 2 repeatedly merges
@@ -93,9 +97,40 @@ impl<'a, T: Copy> RunCursor<'a, T> {
     }
 }
 
+/// A run's head in the merge heap. The order is reversed (std's heap
+/// is a max-heap) so the top is the least `(key, run)`: the smallest
+/// key, and on equal keys the lowest run, which is what keeps the sort
+/// stable (runs are formed, and merged, in input order).
+struct Head<K> {
+    key: K,
+    run: usize,
+}
+
+impl<K: PartialOrd> Ord for Head<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.partial_cmp(&self.key).expect("sortable keys").then(other.run.cmp(&self.run))
+    }
+}
+
+impl<K: PartialOrd> PartialOrd for Head<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: PartialOrd> PartialEq for Head<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<K: PartialOrd> Eq for Head<K> {}
+
 /// Merges `runs` (non-empty: phase 1 never emits an empty run) holding
 /// one buffered block per input plus one output block — the `M/B - 1`
-/// frames the model grants a merge.
+/// frames the model grants a merge. The run heads wait in a binary
+/// heap, so an output item costs `O(log(M/B))` comparisons; the blocks
+/// touched, and their order, are the model's alone.
 fn merge_group<T, K, F>(machine: &EmMachine, runs: &[EmArray<T>], key: &F) -> EmArray<T>
 where
     T: Copy,
@@ -106,24 +141,23 @@ where
     let mut cursors: Vec<RunCursor<'_, T>> = runs.iter().map(RunCursor::new).collect();
     let fill = cursors[0].head().expect("runs are non-empty");
     let out = machine.array_from(vec![fill; total]);
+    let mut heads: BinaryHeap<Head<K>> = cursors
+        .iter()
+        .enumerate()
+        .map(|(run, cursor)| Head { key: key(&cursor.head().expect("runs are non-empty")), run })
+        .collect();
     let mut out_block = Vec::with_capacity(out.items_per_block());
     let mut written = 0usize;
-    for _ in 0..total {
-        // Linear scan over the (≤ M/B) run heads; CPU is free in EM.
-        let mut best: Option<(usize, T)> = None;
-        for (r, cursor) in cursors.iter().enumerate() {
-            if let Some(head) = cursor.head() {
-                let better = match best {
-                    None => true,
-                    Some((_, b)) => key(&head) < key(&b),
-                };
-                if better {
-                    best = Some((r, head));
-                }
+    while let Some(mut top) = heads.peek_mut() {
+        let cursor = &mut cursors[top.run];
+        let head = cursor.head().expect("a run in the heap has a head");
+        cursor.advance();
+        match cursor.head() {
+            Some(next) => top.key = key(&next),
+            None => {
+                PeekMut::pop(top);
             }
         }
-        let (r, head) = best.expect("slots remain");
-        cursors[r].advance();
         out_block.push(head);
         if out_block.len() == out.items_per_block() || written + out_block.len() == total {
             out.write_fresh(written, &out_block);

@@ -156,7 +156,9 @@ impl Items {
 
     fn plan(&self, x: f64, y: f64) -> RangePlan {
         let mut plan = RangePlan::default();
-        if y < x {
+        // A NaN bound is an empty range: `boundary_chunks` would place
+        // it in chunk 0, out of order with the other bound.
+        if y < x || x.is_nan() || y.is_nan() {
             return plan;
         }
         let (ca, cb) = self.tree.dir.boundary_chunks(x, y);
@@ -345,7 +347,7 @@ impl EmWeightedRangeSampler {
     /// Exact number of keys in `[x, y]`, at the same O(1) chunk I/O cost
     /// as [`Self::range_weight`] (interior chunks are full by layout).
     pub fn range_count(&self, x: f64, y: f64) -> usize {
-        if y < x {
+        if y < x || x.is_nan() || y.is_nan() {
             return 0;
         }
         let dir = &self.items.tree.dir;
@@ -436,6 +438,8 @@ mod tests {
         let mut s = EmWeightedRangeSampler::new(&machine, pairs);
         assert!(s.query(11.0, 19.0, 3, &mut rng).is_none());
         assert!(s.query(50.0, 40.0, 3, &mut rng).is_none());
+        assert!(s.query(500.0, f64::NAN, 3, &mut rng).is_none());
+        assert!(s.query(f64::NAN, 500.0, 3, &mut rng).is_none());
         let out = s.query(0.0, 50.0, 10, &mut rng).unwrap();
         assert!(out.iter().all(|&v| (0.0..=50.0).contains(&v)));
     }
@@ -476,7 +480,17 @@ mod tests {
         let machine = EmMachine::new(64 * 8, 64);
         let pairs: Vec<(f64, f64)> = (0..2000).map(|i| (i as f64, 1.0 + (i % 5) as f64)).collect();
         let s = EmWeightedRangeSampler::new(&machine, pairs.clone());
-        for (x, y) in [(0.0, 1999.0), (13.0, 1987.0), (100.0, 100.0), (55.5, 56.5), (7.0, 3.0)] {
+        let nan = f64::NAN;
+        for (x, y) in [
+            (0.0, 1999.0),
+            (13.0, 1987.0),
+            (100.0, 100.0),
+            (55.5, 56.5),
+            (7.0, 3.0),
+            (500.0, nan),
+            (nan, 1500.0),
+            (nan, nan),
+        ] {
             let want_w: f64 = pairs.iter().filter(|&&(k, _)| k >= x && k <= y).map(|p| p.1).sum();
             let want_n = pairs.iter().filter(|&&(k, _)| k >= x && k <= y).count();
             assert!((s.range_weight(x, y) - want_w).abs() < 1e-9, "weight [{x},{y}]");

@@ -1,39 +1,62 @@
 //! Property tests for the external-memory simulator.
 
-use iqs_em::{external_sort, EmMachine};
+use iqs_em::{external_sort, EmArray, EmMachine, IoStats};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-/// The accounting the run API replaced: an LRU pool charged one touch
-/// per *item*. Frames are kept in recency order, least recent first.
-struct PerItemPool {
+/// A reference LRU pool over block keys `(array, block)`: frames kept
+/// in recency order, least recent first, and searched linearly. It
+/// counts what [`IoStats`] counts, by the textbook rules and nothing
+/// else.
+struct ReferencePool {
     frames: usize,
-    items_per_block: usize,
     resident: Vec<((usize, usize), bool)>,
-    reads: u64,
-    writes: u64,
+    stats: IoStats,
 }
 
-impl PerItemPool {
-    fn touch(&mut self, array: usize, index: usize, write: bool, no_fetch: bool) {
-        let key = (array, index / self.items_per_block);
-        let dirty = match self.resident.iter().position(|&(k, _)| k == key) {
-            Some(at) => self.resident.remove(at).1 | write,
+impl ReferencePool {
+    fn new(frames: usize) -> Self {
+        ReferencePool { frames, resident: Vec::new(), stats: IoStats::default() }
+    }
+
+    fn touch(&mut self, block: (usize, usize), write: bool, no_fetch: bool) {
+        let dirty = match self.resident.iter().position(|&(k, _)| k == block) {
+            Some(at) => {
+                self.stats.hits += 1;
+                self.resident.remove(at).1 | write
+            }
             None => {
+                self.stats.misses += 1;
                 if self.resident.len() == self.frames && self.resident.remove(0).1 {
-                    self.writes += 1;
+                    self.stats.writes += 1;
                 }
                 if !no_fetch {
-                    self.reads += 1;
+                    self.stats.reads += 1;
                 }
                 write
             }
         };
-        self.resident.push((key, dirty));
+        self.resident.push((block, dirty));
+    }
+
+    /// The run charge: each block of the item run `[start, end)` once,
+    /// in order. A run that writes fetches nothing (`write_fresh` and
+    /// `mark_written` are write-allocate-no-fetch).
+    fn touch_run(&mut self, array: usize, per_block: usize, start: usize, end: usize, write: bool) {
+        if start < end {
+            for block in start / per_block..=(end - 1) / per_block {
+                self.touch((array, block), write, write);
+            }
+        }
+    }
+
+    /// Drops an array's frames without write-backs.
+    fn discard(&mut self, array: usize) {
+        self.resident.retain(|&((a, _), _)| a != array);
     }
 
     fn flush(&mut self) {
-        self.writes += self.resident.drain(..).filter(|&(_, dirty)| dirty).count() as u64;
+        self.stats.writes += self.resident.drain(..).filter(|&(_, dirty)| dirty).count() as u64;
     }
 }
 
@@ -114,8 +137,7 @@ proptest! {
         let n = 300usize;
         let machine = EmMachine::new(frames * block, block);
         let arrays = [machine.array_from(vec![0u64; n]), machine.array_from(vec![0u64; n])];
-        let mut model =
-            PerItemPool { frames, items_per_block: block, resident: Vec::new(), reads: 0, writes: 0 };
+        let mut model = ReferencePool::new(frames);
         let mut shadow = [vec![0u64; n], vec![0u64; n]];
         for &(op, start, len, value) in &ops {
             let a = usize::from(op % 2);
@@ -123,36 +145,114 @@ proptest! {
             match op / 2 {
                 0 => {
                     prop_assert_eq!(arrays[a].get(start), shadow[a][start]);
-                    model.touch(a, start, false, false);
+                    model.touch((a, start / block), false, false);
                 }
                 1 => {
                     arrays[a].set(start, value);
                     shadow[a][start] = value;
-                    model.touch(a, start, true, false);
+                    model.touch((a, start / block), true, false);
                 }
                 2 => {
                     prop_assert_eq!(arrays[a].read_range(start, end), &shadow[a][start..end]);
-                    (start..end).for_each(|i| model.touch(a, i, false, false));
+                    (start..end).for_each(|i| model.touch((a, i / block), false, false));
                 }
                 3 => {
                     let items: Vec<u64> = (0..(end - start) as u64).map(|i| value + i).collect();
                     arrays[a].write_fresh(start, &items);
                     shadow[a][start..end].copy_from_slice(&items);
-                    (start..end).for_each(|i| model.touch(a, i, true, true));
+                    (start..end).for_each(|i| model.touch((a, i / block), true, true));
                 }
                 _ => {
                     arrays[a].mark_written(start, end);
-                    (start..end).for_each(|i| model.touch(a, i, true, true));
+                    (start..end).for_each(|i| model.touch((a, i / block), true, true));
                 }
             }
             let stats = machine.stats();
-            prop_assert_eq!((stats.reads, stats.writes), (model.reads, model.writes));
+            prop_assert_eq!((stats.reads, stats.writes), (model.stats.reads, model.stats.writes));
         }
         machine.flush();
         model.flush();
-        prop_assert_eq!(machine.stats().writes, model.writes);
+        prop_assert_eq!(machine.stats().writes, model.stats.writes);
         for (array, want) in arrays.iter().zip(&shadow) {
             prop_assert_eq!(&array.read_range(0, n), want);
         }
+    }
+
+    /// The buffer pool is a strict LRU, touch for touch: any mix of the
+    /// array calls, discards and flushes over three arrays leaves exactly
+    /// the reference pool's counters — reads, writes, hits and misses —
+    /// after every op, and the arrays hold what was written.
+    #[test]
+    fn pool_matches_the_reference_lru_after_every_op(
+        ops in pvec((0u8..7, 0usize..3, 0usize..240, 0usize..80, 0u64..1000), 1..160),
+        frames in 2usize..16,
+        block in 1usize..24,
+    ) {
+        const N: usize = 240;
+        let machine = EmMachine::new(frames * block, block);
+        let mut model = ReferencePool::new(frames);
+        let mut arrays: Vec<EmArray<u64>> = (0..3).map(|_| machine.array_from(vec![0; N])).collect();
+        let mut shadow = vec![vec![0u64; N]; 3];
+        // The reference pool's name for each array; a discarded array
+        // comes back as a fresh one under a new name.
+        let mut names = [0usize, 1, 2];
+        let mut next_name = 3;
+        for &(op, a, start, len, value) in &ops {
+            let end = (start + len).min(N);
+            match op {
+                0 => {
+                    prop_assert_eq!(arrays[a].get(start), shadow[a][start]);
+                    model.touch((names[a], start / block), false, false);
+                }
+                1 => {
+                    arrays[a].set(start, value);
+                    shadow[a][start] = value;
+                    model.touch((names[a], start / block), true, false);
+                }
+                2 => {
+                    let sum = arrays[a].scan(start, end, |items| items.iter().sum::<u64>());
+                    prop_assert_eq!(sum, shadow[a][start..end].iter().sum::<u64>());
+                    model.touch_run(names[a], block, start, end, false);
+                }
+                3 => {
+                    let items: Vec<u64> = (0..(end - start) as u64).map(|i| value + i).collect();
+                    arrays[a].write_fresh(start, &items);
+                    shadow[a][start..end].copy_from_slice(&items);
+                    model.touch_run(names[a], block, start, end, true);
+                }
+                4 => {
+                    arrays[a].mark_written(start, end);
+                    model.touch_run(names[a], block, start, end, true);
+                }
+                5 => {
+                    std::mem::replace(&mut arrays[a], machine.array_from(vec![0; N])).discard();
+                    shadow[a].fill(0);
+                    model.discard(names[a]);
+                    names[a] = next_name;
+                    next_name += 1;
+                }
+                _ => {
+                    machine.flush();
+                    model.flush();
+                }
+            }
+            prop_assert_eq!(machine.stats(), model.stats, "after op {:?}", (op, a, start, end));
+        }
+    }
+
+    /// The merge takes equal keys from the earlier run, so the sort is
+    /// stable: `(k % 7, i)` sorted by `k % 7` is `sort_by_key`'s order.
+    #[test]
+    fn external_sort_is_stable(
+        data in pvec(0u64..1_000_000, 0..3000),
+        frames in 2usize..16,
+        block in 2usize..128,
+    ) {
+        let machine = EmMachine::new(frames * block, block);
+        let items: Vec<(u64, usize)> = data.iter().enumerate().map(|(i, &k)| (k % 7, i)).collect();
+        let mut want = items.clone();
+        want.sort_by_key(|p| p.0);
+        let sorted = external_sort(&machine, machine.array_from(items), |p| p.0);
+        prop_assert_eq!(sorted.read_range(0, sorted.len()), want);
     }
 }

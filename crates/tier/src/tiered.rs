@@ -265,7 +265,7 @@ impl TieredIndex {
     ///
     /// # Errors
     /// [`TierError::Query`]`(`[`QueryError::EmptyRange`]`)` when the
-    /// range holds no elements.
+    /// range holds no elements, or a bound is NaN.
     pub fn sample_wr(
         &self,
         range: Option<(f64, f64)>,
@@ -274,7 +274,7 @@ impl TieredIndex {
         ctx: Ctx,
     ) -> Result<(Vec<u64>, IoReport), TierError> {
         let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-        if y < x {
+        if y < x || x.is_nan() || y.is_nan() {
             return Err(QueryError::EmptyRange.into());
         }
         let mut io = IoStats::default();
@@ -314,10 +314,11 @@ impl TieredIndex {
         Ok((out, io_report(&io)))
     }
 
-    /// Exact number of elements with keys in `[x, y]`.
+    /// Exact number of elements with keys in `[x, y]` (0 when a bound is
+    /// NaN).
     #[must_use]
     pub fn range_count(&self, x: f64, y: f64) -> usize {
-        if y < x {
+        if y < x || x.is_nan() || y.is_nan() {
             return 0;
         }
         let mut count = 0;
@@ -338,10 +339,11 @@ impl TieredIndex {
         count
     }
 
-    /// Exact total weight of elements with keys in `[x, y]`.
+    /// Exact total weight of elements with keys in `[x, y]` (0 when a
+    /// bound is NaN).
     #[must_use]
     pub fn range_weight(&self, x: f64, y: f64) -> f64 {
-        if y < x {
+        if y < x || x.is_nan() || y.is_nan() {
             return 0.0;
         }
         let mut io = IoStats::default();

@@ -6,8 +6,9 @@
 use std::sync::Arc;
 
 use iqs_alias::WeightError;
+use iqs_core::QueryError;
 use iqs_obs::Ctx;
-use iqs_serve::{IndexRegistry, Request, Response, Server, ServerConfig};
+use iqs_serve::{IndexRegistry, Request, Response, ServeError, Server, ServerConfig};
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::VirtualClock;
@@ -69,6 +70,45 @@ fn weight_sums_that_overflow_are_refused_within_and_across_shards() {
     assert_eq!(err, TierError::Weight(WeightError::TotalOverflow));
     let source = std::error::Error::source(&err).expect("the weight error is the source");
     assert_eq!(source.to_string(), WeightError::TotalOverflow.to_string());
+}
+
+/// A NaN range bound is an empty range on both tiers: through a serve
+/// node a draw answers a typed `EmptyRange` and a count or weight 0. A
+/// panic inside a cold shard's plan would poison the device and sampler
+/// locks for every later cold query, so the next ordinary cold query
+/// must still answer samples.
+#[test]
+fn a_nan_range_bound_is_an_empty_range_and_the_cold_tier_keeps_serving() {
+    let idx = TieredIndex::builder(small_config())
+        .add_shard("cold", triples(0, 0.0, 2048), ShardTier::Cold)
+        .add_shard("hot", triples(4000, 4000.0, 512), ShardTier::Hot)
+        .build()
+        .unwrap();
+    let mut registry = IndexRegistry::new();
+    registry.register_external("tiered", Arc::new(idx)).unwrap();
+    let server =
+        Server::start(registry, ServerConfig { workers: 1, seed: 3, ..ServerConfig::default() });
+    let client = server.client();
+    let sample = |x: f64, y: f64| {
+        client.call(Request::SampleWr { index: "tiered".into(), range: Some((x, y)), s: 16 })
+    };
+    for (x, y) in [(500.0, f64::NAN), (f64::NAN, 2500.0), (f64::NAN, 4200.0), (f64::NAN, f64::NAN)]
+    {
+        assert_eq!(
+            sample(x, y).err(),
+            Some(ServeError::Query(QueryError::EmptyRange)),
+            "[{x}, {y}] must be an empty range"
+        );
+        let count = client.call(Request::RangeCount { index: "tiered".into(), x, y });
+        assert_eq!(count.ok(), Some(Response::Count(0)), "count of [{x}, {y}]");
+        let weight = client.call(Request::RangeWeight { index: "tiered".into(), x, y });
+        assert_eq!(weight.ok(), Some(Response::Weight(0.0)), "weight of [{x}, {y}]");
+    }
+    let Ok(Response::Samples(ids)) = sample(500.0, 1500.0) else {
+        panic!("the cold tier stopped serving after a NaN bound")
+    };
+    assert_eq!(ids.len(), 16);
+    assert!(ids.iter().all(|&id| (500..=1500).contains(&id)), "{ids:?}");
 }
 
 /// The registered cold-path distribution gate, through the full service

@@ -269,9 +269,8 @@ impl<'a> AliasRows<'a> {
     /// `base` instead of translating in a second pass. Each
     /// [`crate::pipeline::TILE`]-draw tile runs the staged shape
     /// documented in [`crate::pipeline`]: bulk word fill (sequence
-    /// order, so draws stay bit-identical to the sequential path),
-    /// vectorized [`Self::decode_many`], then the row pass with its
-    /// prefetch running ahead.
+    /// order, so draws stay bit-identical to the sequential path), then
+    /// [`Self::sample_tile`].
     pub fn sample_block_into<R: RngCore + ?Sized>(
         &self,
         block: &mut BlockRng64<'_, R>,
@@ -280,23 +279,38 @@ impl<'a> AliasRows<'a> {
     ) {
         let mut words = [0u64; crate::pipeline::TILE];
         let mut cols = [0u32; crate::pipeline::TILE];
-        // Redirect stats accumulate in a register and flush once per
-        // batch (see `crate::prof`), so the row pass stays tight.
-        let mut redirects = 0u64;
         for tile in out.chunks_mut(crate::pipeline::TILE) {
             let m = tile.len();
             block.fill_words(&mut words[..m]);
-            self.decode_many(&words[..m], &mut cols);
-            crate::pipeline::pass(
-                m,
-                |i| self.prefetch_row(cols[i] as usize),
-                |i| {
-                    let idx = self.resolve(cols[i] as usize, words[i] as u32);
-                    redirects += u64::from(idx != cols[i] as usize);
-                    tile[i] = base + idx as u32;
-                },
-            );
+            self.sample_tile(&words[..m], &mut cols[..m], base, tile);
         }
+    }
+
+    /// One tile of [`Self::sample_block_into`] over words already drawn,
+    /// one per draw, in tile arrays the caller owns — so a caller that
+    /// keeps them fills nothing per call: vectorized
+    /// [`Self::decode_many`] into `cols`, then the row pass with its
+    /// prefetch running ahead, writing `base + index` to `out`.
+    ///
+    /// # Panics
+    /// If `cols` or `out` is not as long as `words`.
+    #[inline]
+    pub fn sample_tile(&self, words: &[u64], cols: &mut [u32], base: u32, out: &mut [u32]) {
+        let m = words.len();
+        assert!(cols.len() == m && out.len() == m, "one column and one output per word");
+        self.decode_many(words, cols);
+        // Redirect stats accumulate in a register and flush once per
+        // tile (see `crate::prof`), so the row pass stays tight.
+        let mut redirects = 0u64;
+        crate::pipeline::pass(
+            m,
+            |i| self.prefetch_row(cols[i] as usize),
+            |i| {
+                let idx = self.resolve(cols[i] as usize, words[i] as u32);
+                redirects += u64::from(idx != cols[i] as usize);
+                out[i] = base + idx as u32;
+            },
+        );
         crate::prof::add_alias_redirects(redirects);
     }
 }

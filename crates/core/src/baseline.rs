@@ -90,6 +90,10 @@ impl DependentRange {
     /// # Errors
     /// [`QueryError`] on an empty range or `s > |S_q|`.
     pub fn sample_wor(&self, x: f64, y: f64, s: usize) -> Result<Vec<usize>, QueryError> {
+        // A NaN bound holds no key (`RangeSampler::rank_range`'s rule).
+        if x.is_nan() || y.is_nan() {
+            return Err(QueryError::EmptyRange);
+        }
         let a = self.keys.partition_point(|&k| k < x);
         let b = self.keys.partition_point(|&k| k <= y).max(a);
         if a == b {
@@ -133,6 +137,10 @@ impl DependentRange {
         s: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<usize>, QueryError> {
+        // A NaN bound holds no key (`RangeSampler::rank_range`'s rule).
+        if x.is_nan() || y.is_nan() {
+            return Err(QueryError::EmptyRange);
+        }
         let a = self.keys.partition_point(|&k| k < x);
         let b = self.keys.partition_point(|&k| k <= y).max(a);
         if a == b {
@@ -202,6 +210,10 @@ impl ReportThenSample {
         s: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<usize>, QueryError> {
+        // A NaN bound holds no key (`RangeSampler::rank_range`'s rule).
+        if x.is_nan() || y.is_nan() {
+            return Err(QueryError::EmptyRange);
+        }
         let a = self.keys.partition_point(|&k| k < x);
         let b = self.keys.partition_point(|&k| k <= y).max(a);
         if a == b {
@@ -228,6 +240,14 @@ mod tests {
     fn dependent(n: usize, seed: u64) -> DependentRange {
         let mut rng = StdRng::seed_from_u64(seed);
         DependentRange::new((0..n).map(|i| i as f64).collect(), &mut rng).unwrap()
+    }
+
+    #[test]
+    fn a_nan_bound_is_an_empty_range() {
+        let d = dependent(100, 402);
+        for (x, y) in [(f64::NAN, 50.0), (50.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            assert_eq!(d.sample_wor(x, y, 1), Err(QueryError::EmptyRange), "[{x}, {y}]");
+        }
     }
 
     #[test]

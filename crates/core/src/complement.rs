@@ -109,8 +109,9 @@ impl ComplementRange {
     /// Rank boundaries `(a, b)`: the complement of `[x, y]` is ranks
     /// `[0, a) ∪ [b, n)`.
     pub fn complement_bounds(&self, x: f64, y: f64) -> (usize, usize) {
-        if y < x {
-            // Empty interval: its complement is everything.
+        if y < x || x.is_nan() || y.is_nan() {
+            // Empty interval — inverted, or with a NaN bound, which no
+            // key compares with: its complement is everything.
             return (self.keys.len(), self.keys.len());
         }
         let a = self.keys.partition_point(|&k| k < x);
@@ -214,6 +215,9 @@ mod tests {
         assert_eq!(c.complement_count(20.0, 30.0), 89);
         assert_eq!(c.complement_count(-10.0, 200.0), 0);
         assert_eq!(c.complement_count(50.0, 40.0), 100, "empty q = full complement");
+        for (x, y) in [(f64::NAN, 50.0), (50.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            assert_eq!(c.complement_count(x, y), 100, "a NaN bound empties q: [{x}, {y}]");
+        }
         assert!((c.complement_weight(20.0, 30.0) - 89.0).abs() < 1e-12);
     }
 

@@ -10,7 +10,9 @@
 //! construction; the statistical test-suite (`iqs-stats`, `tests/`)
 //! verifies it empirically. What a caller may keep across queries is a
 //! [`QueryPlan`]: a query's deterministic `O(log n)` set-up, reused when
-//! the same range is asked again of the same structure.
+//! the same range is asked again of the same structure — and, beside
+//! it, the [`Tiles`] its draws run in, which hold nothing between
+//! queries.
 //!
 //! Contents, by paper section:
 //!
@@ -65,6 +67,6 @@ pub mod wor_exact;
 
 pub use dynamic_range::DynamicRange;
 pub use error::QueryError;
-pub use plan::QueryPlan;
+pub use plan::{QueryPlan, Tiles};
 pub use range1d::{AliasAugmentedRange, ChunkedRange, RangeSampler, TreeSamplingRange};
 pub use wor_exact::ExpJumpWor;

@@ -7,14 +7,16 @@
 //! `y`; the draws' independence comes from their fresh RNG words, not
 //! from a fresh plan (§2 asks the same query again and again). So a
 //! caller that keeps a [`QueryPlan`] and asks the same range again
-//! spends that query on draws: [`ChunkedRange::sample_wr_planned`]
+//! spends that query on draws: [`ChunkedRange::sample_ids_planned`]
 //! re-plans only when the plan's key does not match.
 //!
-//! [`ChunkedRange::sample_wr_planned`]: crate::ChunkedRange::sample_wr_planned
+//! [`ChunkedRange::sample_ids_planned`]: crate::ChunkedRange::sample_ids_planned
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use iqs_alias::pipeline::TILE;
 use iqs_alias::{AliasRows, BuildScratch, WeightError};
 
 /// Which content a [`ChunkedRange`](crate::ChunkedRange) holds, as a
@@ -167,5 +169,68 @@ impl QueryPlan {
         let p = self.pieces[piece];
         let col = AliasRows::column_of(w1, p.len as usize);
         (piece, p.at + col, p.lo + col as u32, p.lo)
+    }
+}
+
+/// The tile arrays a Theorem-3 draw runs its staged passes in (see
+/// `iqs_alias::pipeline`), owned and reusable: a caller that keeps one
+/// beside its [`QueryPlan`] — on the heap, as it is 13 KiB — fills
+/// nothing per query. Every entry a tile reads was written earlier in
+/// the same tile, so what a previous query left behind is never read.
+pub struct Tiles {
+    /// The tile's RNG words, in sequence order: up to three per draw.
+    pub(crate) words: [u64; 3 * TILE],
+    /// Each draw's chooser column.
+    pub(crate) piece: [u32; TILE],
+    /// Each draw's `T_chunk` slot (its chunk) until its chunk row is
+    /// found, then its rank.
+    pub(crate) slot: [u32; TILE],
+    /// Each draw's chunk row, as a position in the chunk rows.
+    pub(crate) row: [u32; TILE],
+    /// The first rank of each draw's chunk.
+    pub(crate) base: [u32; TILE],
+    /// The `T_chunk` node rows, in [`PickTiles`].
+    pub(crate) pick: PickTiles,
+}
+
+/// What the `T_chunk` pass of a tile keeps per draw, before it reads the
+/// node's row: the row's arena position and the node's first slot.
+pub(crate) struct PickTiles {
+    pub(crate) row: [usize; TILE],
+    pub(crate) lo: [u32; TILE],
+}
+
+impl Default for Tiles {
+    fn default() -> Self {
+        Tiles {
+            words: [0; 3 * TILE],
+            piece: [0; TILE],
+            slot: [0; TILE],
+            row: [0; TILE],
+            base: [0; TILE],
+            pick: PickTiles::default(),
+        }
+    }
+}
+
+impl Tiles {
+    /// Runs `f` in tiles the calling thread keeps, for a caller with no
+    /// place to keep its own (a fresh-plan query): after the thread's
+    /// first call nothing is allocated or filled. A call made from
+    /// inside `f` runs in fresh tiles.
+    pub fn with_kept<T>(f: impl FnOnce(&mut Tiles) -> T) -> T {
+        thread_local! {
+            static KEPT: RefCell<Box<Tiles>> = RefCell::new(Box::default());
+        }
+        KEPT.with(|kept| match kept.try_borrow_mut() {
+            Ok(mut tiles) => f(&mut tiles),
+            Err(_) => f(&mut Tiles::default()),
+        })
+    }
+}
+
+impl Default for PickTiles {
+    fn default() -> Self {
+        PickTiles { row: [0; TILE], lo: [0; TILE] }
     }
 }

@@ -26,7 +26,7 @@ use rand::{Rng, RngCore};
 use std::ops::Range;
 
 use crate::error::QueryError;
-use crate::plan::{Ends, QueryPlan, Shape, Stamp};
+use crate::plan::{Ends, QueryPlan, Shape, Stamp, Tiles};
 use crate::rank_alias::RankAliasAugmented;
 
 /// Validates and sorts `(key, weight)` input; returns keys and weights in
@@ -96,8 +96,13 @@ pub trait RangeSampler {
     fn weights(&self) -> &[f64];
 
     /// Half-open rank interval of the keys inside the closed interval
-    /// `[x, y]`, in `O(log n)`.
+    /// `[x, y]`, in `O(log n)`. A NaN bound makes the interval empty —
+    /// no key compares with it — so every count, weight and plan that
+    /// goes through here reads an empty range, as the tiered index does.
     fn rank_range(&self, x: f64, y: f64) -> (usize, usize) {
+        if x.is_nan() || y.is_nan() {
+            return (0, 0);
+        }
         let keys = self.keys();
         let a = keys.partition_point(|&k| k < x);
         let b = keys.partition_point(|&k| k <= y);
@@ -749,31 +754,12 @@ impl ChunkedRange {
         ((at + AliasRows::column_of(z, len)) as u32, at as u32)
     }
 
-    /// Monomorphizing batch query: fills `out` with independent weighted
-    /// samples from `[x, y]` — [`Self::sample_wr_planned`] with a fresh
-    /// plan. See the [`RangeSampler`] *Dual sampling API* notes.
-    ///
-    /// # Errors
-    /// [`QueryError::EmptyRange`] when the interval holds no elements.
-    pub fn sample_wr_batch<R: RngCore + ?Sized>(
-        &self,
-        x: f64,
-        y: f64,
-        rng: &mut R,
-        out: &mut [u32],
-    ) -> Result<(), QueryError> {
-        self.sample_wr_planned(&mut QueryPlan::default(), x, y, rng, out)
-    }
-
-    /// The batch query through a kept plan: re-plans `[x, y]` into
-    /// `plan` unless `plan` was made for this structure's content and
-    /// these very `x` and `y` (see [`QueryPlan`]), then fills `out` with
-    /// independent weighted samples, drawing randomness in blocks and
-    /// resolving every draw *in place*, so the whole query performs no
-    /// sample-sized allocation — and, through a plan that matches, none at
-    /// all and no `O(log n)` work. The draws are a function of the
-    /// structure, `x`, `y` and the words alone, so they are the same
-    /// whichever plan the call is given.
+    /// Monomorphizing batch query — the *rank door*: plans `[x, y]`
+    /// afresh, then fills `out` with independent weighted samples,
+    /// drawing randomness in blocks and resolving every draw in the
+    /// tiles the thread keeps ([`Tiles::with_kept`]), so the whole query
+    /// performs no sample-sized allocation and fills no tile. See the
+    /// [`RangeSampler`] *Dual sampling API* notes.
     ///
     /// Each tile of draws runs as the staged passes of
     /// `iqs_alias::pipeline` — bulk word fill in sequence order, chooser
@@ -785,14 +771,66 @@ impl ChunkedRange {
     ///
     /// # Errors
     /// [`QueryError::EmptyRange`] when the interval holds no elements;
-    /// `out` is then untouched and `plan` matches nothing.
-    pub fn sample_wr_planned<R: RngCore + ?Sized>(
+    /// `out` is then untouched.
+    pub fn sample_wr_batch<R: RngCore + ?Sized>(
         &self,
-        plan: &mut QueryPlan,
         x: f64,
         y: f64,
         rng: &mut R,
         out: &mut [u32],
+    ) -> Result<(), QueryError> {
+        let mut plan = QueryPlan::default();
+        Tiles::with_kept(|tiles| self.draw_planned(&mut plan, tiles, x, y, rng, &Ranks, out))
+    }
+
+    /// The *id door*: the batch query through a kept plan and kept
+    /// tiles. It re-plans `[x, y]` into `plan` unless `plan` was made
+    /// for this structure's content and these very `x` and `y` (see
+    /// [`QueryPlan`]), so through a plan that matches it allocates
+    /// nothing, fills nothing and does no `O(log n)` work. Each draw
+    /// writes the id of the rank it drew — `ids[rank]`, or the rank
+    /// itself when there is no table — so a caller with satellite ids
+    /// needs no rank buffer and no second pass. The rank's entry of
+    /// `ids` is asked for in the chunk-row pass the moment the rank
+    /// resolves, and each tile is gathered once its passes are done, so
+    /// the table's cache misses overlap the draws instead of following
+    /// them. The draws are a function of the structure, `x`, `y` and the
+    /// words alone: the same draws, words and counters as
+    /// [`Self::sample_wr_batch`] from the same RNG state, whichever plan
+    /// and tiles the call is given.
+    ///
+    /// # Errors
+    /// [`QueryError::EmptyRange`] when the interval holds no elements;
+    /// `out` is then untouched and `plan` matches nothing.
+    ///
+    /// # Panics
+    /// If `ids` is shorter than the structure.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_ids_planned<R: RngCore + ?Sized>(
+        &self,
+        plan: &mut QueryPlan,
+        tiles: &mut Tiles,
+        x: f64,
+        y: f64,
+        rng: &mut R,
+        ids: Option<&[u64]>,
+        out: &mut [u64],
+    ) -> Result<(), QueryError> {
+        self.draw_planned(plan, tiles, x, y, rng, &Ids(ids), out)
+    }
+
+    /// The one tile loop behind both doors; `write` is what a resolved
+    /// draw writes into `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn draw_planned<R: RngCore + ?Sized, W: Resolve>(
+        &self,
+        plan: &mut QueryPlan,
+        tiles: &mut Tiles,
+        x: f64,
+        y: f64,
+        rng: &mut R,
+        write: &W,
+        out: &mut [W::Out],
     ) -> Result<(), QueryError> {
         const TILE: usize = pipeline::TILE;
         if plan.key != self.stamp.key(x, y) {
@@ -800,35 +838,90 @@ impl ChunkedRange {
         }
         let plan = &*plan;
         let mut block = BlockRng64::with_budget(rng, out.len().saturating_mul(3));
-        let ends = match &plan.shape {
-            Shape::Short { base } => {
-                plan.chooser().sample_block_into(&mut block, *base, out);
-                return Ok(());
-            }
-            Shape::Pieces(ends) => ends,
-        };
-        let mut words = [0u64; 3 * TILE];
-        let (mut piece, mut slot) = ([0u32; TILE], [0u32; TILE]);
-        let (mut row, mut base) = ([0u32; TILE], [0u32; TILE]);
+        let Tiles { words, piece, slot, row, base, pick } = tiles;
         for tile in out.chunks_mut(TILE) {
             let m = tile.len();
-            block.fill_words(&mut words[..3 * m]);
-            self.tchunk.pick_tile(plan, &words[..3 * m], 3, &mut piece[..m], &mut slot[..m]);
-            for i in 0..m {
-                (row[i], base[i]) = self.chunk_row(slot[i] as usize, words[3 * i + 2]);
+            // Either shape leaves each draw's rank in `slot`.
+            match &plan.shape {
+                Shape::Short { base: first } => {
+                    block.fill_words(&mut words[..m]);
+                    let (cols, ranks) = (&mut piece[..m], &mut slot[..m]);
+                    plan.chooser().sample_tile(&words[..m], cols, *first, ranks);
+                }
+                Shape::Pieces(ends) => {
+                    block.fill_words(&mut words[..3 * m]);
+                    let (piece, slot) = (&mut piece[..m], &mut slot[..m]);
+                    self.tchunk.pick_tile(plan, &words[..3 * m], 3, piece, slot, pick);
+                    for i in 0..m {
+                        (row[i], base[i]) = self.chunk_row(slot[i] as usize, words[3 * i + 2]);
+                    }
+                    pipeline::pass(
+                        m,
+                        |i| prefetch::slice_element(&self.rows, row[i] as usize),
+                        |i| {
+                            let (chunk_row, coin) = (self.rows[row[i] as usize], words[3 * i + 2]);
+                            let middle = AliasRows::select(chunk_row, coin as u32, row[i], base[i]);
+                            slot[i] = ends.rank(piece[i] as usize, middle);
+                            write.resolved(slot[i]);
+                        },
+                    );
+                }
             }
-            pipeline::pass(
-                m,
-                |i| prefetch::slice_element(&self.rows, row[i] as usize),
-                |i| {
-                    let coin = words[3 * i + 2] as u32;
-                    let middle =
-                        AliasRows::select(self.rows[row[i] as usize], coin, row[i], base[i]);
-                    tile[i] = ends.rank(piece[i] as usize, middle);
-                },
-            );
+            for (o, &r) in tile.iter_mut().zip(&slot[..m]) {
+                *o = write.out(r);
+            }
         }
         Ok(())
+    }
+}
+
+/// What a resolved draw writes: the rank door's rank or the id door's
+/// id — the one difference between the doors, so they share a body.
+trait Resolve {
+    type Out;
+
+    /// Told each draw's rank in the chunk-row pass, as soon as it
+    /// resolves. A short range has no such pass, and needs none: its
+    /// draws fall on at most `2c` consecutive ranks.
+    #[inline(always)]
+    fn resolved(&self, _rank: u32) {}
+
+    /// What the draw of `rank` writes, once its tile is resolved.
+    fn out(&self, rank: u32) -> Self::Out;
+}
+
+/// The rank door's write: the rank.
+struct Ranks;
+
+impl Resolve for Ranks {
+    type Out = u32;
+
+    #[inline(always)]
+    fn out(&self, rank: u32) -> u32 {
+        rank
+    }
+}
+
+/// The id door's write: the rank's id, or the rank when there is no
+/// table.
+struct Ids<'a>(Option<&'a [u64]>);
+
+impl Resolve for Ids<'_> {
+    type Out = u64;
+
+    #[inline(always)]
+    fn resolved(&self, rank: u32) {
+        if let Some(ids) = self.0 {
+            prefetch::slice_element(ids, rank as usize);
+        }
+    }
+
+    #[inline(always)]
+    fn out(&self, rank: u32) -> u64 {
+        match self.0 {
+            Some(ids) => ids[rank as usize],
+            None => u64::from(rank),
+        }
     }
 }
 
@@ -1120,6 +1213,24 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_bound_holds_no_key() {
+        // `NaN` compares with nothing, so it cannot stand for either end
+        // of the line: each of these is the empty range.
+        for (name, s) in samplers(100, 28) {
+            for (x, y) in [(f64::NAN, 50.0), (50.0, f64::NAN), (f64::NAN, f64::NAN)] {
+                let what = format!("{name} [{x}, {y}]");
+                assert_eq!(s.range_count(x, y), 0, "{what}");
+                assert_eq!(s.range_weight(x, y), 0.0, "{what}");
+                let mut rng = StdRng::seed_from_u64(29);
+                assert_eq!(s.sample_wr(x, y, 4, &mut rng), Err(QueryError::EmptyRange), "{what}");
+                let mut out = [7u32; 4];
+                assert_eq!(s.sample_wr_into(x, y, &mut rng, &mut out), Err(QueryError::EmptyRange));
+                assert_eq!(out, [7; 4], "{what}: out must be untouched");
+            }
+        }
+    }
+
+    #[test]
     fn batch_empty_range_and_zero_samples() {
         for (name, s) in samplers(64, 26) {
             let mut rng = StdRng::seed_from_u64(27);
@@ -1278,15 +1389,16 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// One long-lived plan through a seeded run of queries — repeated
-        /// ranges of both plan kinds, empty and inverted ones — on both
-        /// constructors' structures, re-weighted now and then into the
-        /// structure one publication behind: every query must draw what a
-        /// fresh plan draws from the same RNG state.
+        /// One long-lived plan (and tiles) through a seeded run of
+        /// queries — repeated ranges of both plan kinds, empty and
+        /// inverted ones — on both constructors' structures, re-weighted
+        /// now and then into the structure one publication behind: every
+        /// query through the id door must draw the ranks a fresh plan
+        /// draws from the same RNG state.
         #[test]
         fn a_kept_plan_replays_a_fresh_one(seed in 0u64..1_000_000) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut plan = QueryPlan::default();
+            let (mut plan, mut tiles) = (QueryPlan::default(), Box::<Tiles>::default());
             let (mut hits, mut reweights) = (0, 0);
             for build in [ChunkedRange::new, ChunkedRange::for_reweights] {
                 let n = rng.random_range(40..700usize);
@@ -1333,13 +1445,14 @@ mod tests {
                     let s = [0usize, 1, 7, 64, 300][rng.random_range(0..5usize)];
                     let words = rng.random::<u64>();
                     let hit = plan.key == current.stamp.key(x, y);
-                    let (mut kept, mut fresh) = (vec![u32::MAX; s], vec![u32::MAX; s]);
-                    let got = current.sample_wr_planned(
-                        &mut plan, x, y, &mut StdRng::seed_from_u64(words), &mut kept,
+                    let (mut kept, mut fresh) = (vec![u64::from(u32::MAX); s], vec![u32::MAX; s]);
+                    let got = current.sample_ids_planned(
+                        &mut plan, &mut tiles, x, y, &mut StdRng::seed_from_u64(words), None, &mut kept,
                     );
                     let want =
                         current.sample_wr_batch(x, y, &mut StdRng::seed_from_u64(words), &mut fresh);
                     proptest::prop_assert_eq!(got, want, "[{}, {}]", x, y);
+                    let fresh: Vec<u64> = fresh.iter().map(|&r| u64::from(r)).collect();
                     proptest::prop_assert_eq!(&kept, &fresh, "[{}, {}], hit: {}", x, y, hit);
                     hits += usize::from(hit);
                 }
@@ -1347,6 +1460,85 @@ mod tests {
             // The run exercised both halves of the claim.
             proptest::prop_assert!(hits > 0 && reweights > 0, "{} hits, {} re-weights", hits, reweights);
         }
+    }
+
+    proptest::proptest! {
+        /// The id door against the rank door: from equal seeds, each id
+        /// it writes is the id of the rank `sample_wr_batch` draws —
+        /// the rank itself on a static view, `ids[rank]` on a keyed one
+        /// and on a view built for re-weights, re-weighted now and then.
+        /// One plan and one set of tiles serve every query, across sizes
+        /// on both sides of every tile seam, short and chunked ranges and
+        /// the views in turn, so a tile read before it is written in the
+        /// same query would show.
+        #[test]
+        fn the_id_door_replays_the_rank_door(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(100..3000usize);
+            let weight = |rng: &mut StdRng| 2f64.powi(rng.random_range(-20..21));
+            let pairs: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, weight(&mut rng))).collect();
+            let keyed: Vec<u64> = (0..n).map(|_| rng.random()).collect();
+            let mut views = [
+                (ChunkedRange::new(pairs.clone()).unwrap(), None),
+                (ChunkedRange::new(pairs.clone()).unwrap(), Some(keyed.as_slice())),
+                (ChunkedRange::for_reweights(pairs).unwrap(), Some(keyed.as_slice())),
+            ];
+            let c = views[0].0.chunk_len() as f64;
+            let (mut plan, mut tiles) = (QueryPlan::default(), Box::<Tiles>::default());
+            let (mut shorts, mut longs) = (0, 0);
+            for _ in 0..40 {
+                let v = rng.random_range(0..views.len());
+                if v == 2 && rng.random_bool(0.2) {
+                    let changes: Vec<(usize, f64)> = (0..rng.random_range(1..8usize))
+                        .map(|_| (rng.random_range(0..n), weight(&mut rng)))
+                        .collect();
+                    views[2].0 = views[2].0.reweighted(&changes, None).unwrap();
+                }
+                let (view, ids) = &views[v];
+                let a = rng.random_range(0..n) as f64;
+                let (x, y) = match rng.random_range(0..4) {
+                    0 => (a, a + rng.random_range(0.0..c)),
+                    1 => (a.min(n as f64 / 2.0), a + rng.random_range(3.0 * c..n as f64)),
+                    2 => (f64::NEG_INFINITY, f64::INFINITY),
+                    _ => (a + 1.0, a),
+                };
+                let s = [0usize, 1, 15, 16, 17, 63, 64, 255, 256, 257, 4096][rng.random_range(0..11usize)];
+                let words = rng.random::<u64>();
+                let mut ranks = vec![u32::MAX; s];
+                let want = view.sample_wr_batch(x, y, &mut StdRng::seed_from_u64(words), &mut ranks);
+                let mut got = vec![u64::MAX; s];
+                let drew = view.sample_ids_planned(
+                    &mut plan, &mut tiles, x, y, &mut StdRng::seed_from_u64(words), *ids, &mut got,
+                );
+                proptest::prop_assert_eq!(drew, want, "view {} [{}, {}]", v, x, y);
+                let expect: Vec<u64> = match want {
+                    Ok(()) => ranks.iter().map(|&r| ids.map_or(u64::from(r), |ids| ids[r as usize])).collect(),
+                    Err(_) => vec![u64::MAX; s],
+                };
+                proptest::prop_assert_eq!(&got, &expect, "view {} [{}, {}], s = {}", v, x, y, s);
+                match plan.shape {
+                    Shape::Short { .. } if want.is_ok() => shorts += 1,
+                    Shape::Pieces(_) if want.is_ok() => longs += 1,
+                    _ => {}
+                }
+            }
+            proptest::prop_assert!(shorts > 0 && longs > 0, "{} short, {} chunked", shorts, longs);
+        }
+    }
+
+    #[test]
+    fn a_fresh_query_inside_the_kept_tiles_draws_in_fresh_ones() {
+        // The rank door runs in the thread's kept tiles; asked from inside
+        // them it gets fresh ones, and draws the same either way.
+        let s = ChunkedRange::new(pairs(3000, 7)).unwrap();
+        let draw = || {
+            let mut out = [0u32; 300];
+            s.sample_wr_batch(10.0, 2000.0, &mut StdRng::seed_from_u64(8), &mut out).unwrap();
+            out
+        };
+        let outside = draw();
+        assert_eq!(Tiles::with_kept(|_| draw()), outside);
+        assert_eq!(draw(), outside);
     }
 
     #[test]
@@ -1362,12 +1554,13 @@ mod tests {
         let reweighted = s.reweighted(&[], None).unwrap();
         assert!(back.stamp != s.stamp && reweighted.stamp != s.stamp, "new content, new stamp");
         // A failed plan matches nothing, not even the range it failed on.
-        let mut plan = QueryPlan::default();
-        s.sample_wr_planned(&mut plan, 10.0, 20.0, &mut StdRng::seed_from_u64(1), &mut [0; 4])
-            .unwrap();
+        let (mut plan, mut tiles) = (QueryPlan::default(), Tiles::default());
+        let mut draw = |plan: &mut QueryPlan, x, y, out: &mut [u64]| {
+            s.sample_ids_planned(plan, &mut tiles, x, y, &mut StdRng::seed_from_u64(1), None, out)
+        };
+        draw(&mut plan, 10.0, 20.0, &mut [0; 4]).unwrap();
         assert_eq!(plan.key, s.stamp.key(10.0, 20.0));
-        let empty =
-            s.sample_wr_planned(&mut plan, 20.0, 10.0, &mut StdRng::seed_from_u64(1), &mut []);
+        let empty = draw(&mut plan, 20.0, 10.0, &mut []);
         assert_eq!(empty, Err(QueryError::EmptyRange));
         assert_eq!(plan.key, [0; 3]);
     }

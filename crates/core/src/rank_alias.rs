@@ -7,7 +7,7 @@ use iqs_alias::{pipeline, prefetch, AliasRows, BlockRng64, BuildScratch, WeightE
 use iqs_tree::{NodeId, RankBst};
 use rand::{Rng, RngCore};
 
-use crate::plan::{Piece, QueryPlan};
+use crate::plan::{PickTiles, Piece, QueryPlan};
 
 /// A balanced tree over `n` weighted rank slots where **every node stores
 /// an alias table over its subtree's slots** (Section 4.1). Space
@@ -310,7 +310,8 @@ impl RankAliasAugmented {
     /// in its own pass, behind its prefetch.
     ///
     /// `piece` and `slot` are one tile long at most and equally long;
-    /// `words` holds `stride` words for each of their entries.
+    /// `words` holds `stride` words for each of their entries. `pick`
+    /// is the caller's, written before it is read.
     pub(crate) fn pick_tile(
         &self,
         plan: &QueryPlan,
@@ -318,11 +319,11 @@ impl RankAliasAugmented {
         stride: usize,
         piece: &mut [u32],
         slot: &mut [u32],
+        pick: &mut PickTiles,
     ) {
         let m = slot.len();
         assert!(m <= pipeline::TILE && piece.len() == m && words.len() == stride * m);
-        let mut row = [0usize; pipeline::TILE];
-        let mut lo = [0u32; pipeline::TILE];
+        let PickTiles { row, lo } = pick;
         for i in 0..m {
             let j;
             (j, row[i], slot[i], lo[i]) = plan.locate(words[stride * i], words[stride * i + 1]);
@@ -383,10 +384,11 @@ impl RankAliasAugmented {
         }
         let mut words = [0u64; 2 * TILE];
         let mut piece = [0u32; TILE];
+        let mut pick = PickTiles::default();
         for tile in out.chunks_mut(TILE) {
             let m = tile.len();
             block.fill_words(&mut words[..2 * m]);
-            self.pick_tile(&plan, &words[..2 * m], 2, &mut piece[..m], tile);
+            self.pick_tile(&plan, &words[..2 * m], 2, &mut piece[..m], tile, &mut pick);
         }
         true
     }

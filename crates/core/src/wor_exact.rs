@@ -109,8 +109,12 @@ impl ExpJumpWor {
         &self.weights
     }
 
-    /// Half-open rank range of `[x, y]`.
+    /// Half-open rank range of `[x, y]`; empty for a NaN bound
+    /// (`RangeSampler::rank_range`'s rule).
     pub fn rank_range(&self, x: f64, y: f64) -> (usize, usize) {
+        if x.is_nan() || y.is_nan() {
+            return (0, 0);
+        }
         let a = self.keys.partition_point(|&k| k < x);
         let b = self.keys.partition_point(|&k| k <= y);
         (a, b.max(a))
@@ -213,6 +217,9 @@ mod tests {
         ));
         assert!(e.sample_wor(200.0, 300.0, 1, &mut rng).is_err());
         assert!(e.sample_wor(0.0, 99.0, 0, &mut rng).unwrap().is_empty());
+        for (x, y) in [(f64::NAN, 50.0), (50.0, f64::NAN)] {
+            assert_eq!(e.rank_range(x, y), (0, 0), "a NaN bound holds no key");
+        }
     }
 
     #[test]

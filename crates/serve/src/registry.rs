@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use iqs_alias::WeightError;
-use iqs_core::{ChunkedRange, QueryError, QueryPlan, RangeSampler};
+use iqs_core::{ChunkedRange, QueryError, QueryPlan, RangeSampler, Tiles};
 use rand::RngCore;
 
 use crate::api::UpdateOp;
@@ -204,14 +204,16 @@ impl RangeView {
     }
 
     /// Appends the ids of `s` independent weighted draws from keys in
-    /// `[x, y]` to `out`. `ranks` is the caller's scratch for the drawn
-    /// ranks and `plan` its kept query plan
-    /// ([`ChunkedRange::sample_wr_planned`]), so a seat that keeps both
-    /// allocates nothing here, and asked the range it asked last, with
-    /// this view still published, plans nothing either.
+    /// `[x, y]` to `out`, through the sampler's id door
+    /// ([`ChunkedRange::sample_ids_planned`]): `plan` is the caller's
+    /// kept query plan and `tiles` the arrays its draws run in, so a seat
+    /// that keeps both allocates and fills nothing here, and asked the
+    /// range it asked last, with this view still published, plans nothing
+    /// either.
     ///
     /// # Errors
-    /// [`QueryError::EmptyRange`] when the view or the interval is empty.
+    /// [`QueryError::EmptyRange`] when the view or the interval is empty;
+    /// `out` is then as it was.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_ids_into<R: RngCore + ?Sized>(
         &self,
@@ -219,16 +221,19 @@ impl RangeView {
         y: f64,
         s: usize,
         rng: &mut R,
-        ranks: &mut Vec<u32>,
         plan: &mut QueryPlan,
+        tiles: &mut Tiles,
         out: &mut Vec<u64>,
     ) -> Result<(), QueryError> {
         let sampler = self.sampler.as_ref().ok_or(QueryError::EmptyRange)?;
-        ranks.clear();
-        ranks.resize(s, 0);
-        sampler.sample_wr_planned(plan, x, y, rng, ranks)?;
-        out.extend(ranks.iter().map(|&r| self.id_at(r as usize)));
-        Ok(())
+        let start = out.len();
+        out.resize(start + s, 0);
+        let ids = self.ids.as_deref();
+        let drawn = sampler.sample_ids_planned(plan, tiles, x, y, rng, ids, &mut out[start..]);
+        if drawn.is_err() {
+            out.truncate(start);
+        }
+        drawn
     }
 }
 
@@ -485,6 +490,14 @@ impl<'v> Batch<'v> {
     }
 }
 
+/// The total weight of `view`'s elements with keys in `[x, y]`.
+fn weight_in(view: &IndexView, x: f64, y: f64) -> Result<f64, ServeError> {
+    match view {
+        IndexView::Range(rv) => Ok(rv.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y))),
+        IndexView::External(ev) => ev.range_weight(x, y),
+    }
+}
+
 /// One registered index.
 #[derive(Debug)]
 pub(crate) struct IndexEntry {
@@ -492,6 +505,22 @@ pub(crate) struct IndexEntry {
     /// The element map of a dynamic index; `None` for static and
     /// external indexes, which take no element updates.
     master: Mutex<Option<MasterMap>>,
+    /// The last weight probe a range index answered
+    /// ([`IndexRegistry::range_weight`]); `None` for an external index,
+    /// which answers its own.
+    probe: Option<Mutex<Probe>>,
+}
+
+/// One range-weight probe and its answer, keyed `[v, x bits, y bits]`
+/// where `v` is the publication count read *before* the view was
+/// loaded. The view a load returns is at least that recent, so the
+/// answer a key holds is never older than the publication it names, and
+/// a probe that starts after a publication reads a larger count and
+/// misses. The default key matches nothing: counts start at 1.
+#[derive(Debug, Default)]
+struct Probe {
+    key: [u64; 3],
+    weight: f64,
 }
 
 /// Named indexes behind snapshot cells. Register everything before
@@ -519,9 +548,10 @@ impl IndexRegistry {
                 "an index with this name is already registered".into(),
             ));
         }
+        let probe = matches!(view, IndexView::Range(_)).then(Mutex::default);
         self.map.insert(
             name.to_string(),
-            IndexEntry { view: Snapshot::new(view), master: Mutex::new(master) },
+            IndexEntry { view: Snapshot::new(view), master: Mutex::new(master), probe },
         );
         Ok(())
     }
@@ -635,14 +665,30 @@ impl IndexRegistry {
     /// computed exactly from the range index's prefix sums. Empty
     /// indexes and empty ranges report `0.0`.
     ///
+    /// A range index answers a probe once per publication: the same
+    /// `x` and `y` asked again before the next one (what a router asks
+    /// of a shard it covers in part while its queries repeat a range)
+    /// returns the bits the last probe computed, without loading the
+    /// view ([`Probe`]). The memo is held while a miss computes; a probe
+    /// that finds it busy does not wait, it computes on its own.
+    ///
     /// # Errors
     /// [`ServeError::UnknownIndex`] for an unregistered name; an
     /// external index's own errors.
     pub fn range_weight(&self, name: &str, x: f64, y: f64) -> Result<f64, ServeError> {
-        match &*self.entry(name)?.view.load() {
-            IndexView::Range(rv) => Ok(rv.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y))),
-            IndexView::External(ev) => ev.range_weight(x, y),
+        let entry = self.entry(name)?;
+        let Some(probe) = &entry.probe else {
+            return weight_in(&entry.view.load(), x, y);
+        };
+        let key = [entry.view.version(), x.to_bits(), y.to_bits()];
+        let Ok(mut last) = probe.try_lock() else {
+            return weight_in(&entry.view.load(), x, y);
+        };
+        if last.key != key {
+            let weight = weight_in(&entry.view.load(), x, y)?;
+            *last = Probe { key, weight };
         }
+        Ok(last.weight)
     }
 
     /// Total snapshot publications across all indexes (each index's
@@ -1283,6 +1329,44 @@ mod tests {
         assert_eq!(r.range_weight("s", 100.0, 200.0).unwrap(), 0.0);
         assert!(matches!(r.range_weight("nope", 0.0, 1.0), Err(ServeError::UnknownIndex(_))));
         assert!(matches!(r.total_weight("nope"), Err(ServeError::UnknownIndex(_))));
+    }
+
+    /// The weight a fresh probe of the published view computes.
+    fn fresh_weight(r: &IndexRegistry, name: &str, x: f64, y: f64) -> f64 {
+        let IndexView::Range(v) = &*r.view(name).unwrap() else { panic!("a range view") };
+        v.sampler.as_ref().unwrap().range_weight(x, y)
+    }
+
+    /// The key of the probe `name` last answered.
+    fn memo_key(r: &IndexRegistry, name: &str) -> [u64; 3] {
+        r.entry(name).unwrap().probe.as_ref().expect("a range index").lock().unwrap().key
+    }
+
+    #[test]
+    fn a_weight_probe_is_answered_once_per_publication() {
+        let r = reg();
+        let (x, y) = (10.5, 40.0);
+        let first = r.range_weight("d", x, y).unwrap();
+        assert_eq!(first.to_bits(), fresh_weight(&r, "d", x, y).to_bits());
+        assert_eq!(memo_key(&r, "d"), [1, x.to_bits(), y.to_bits()]);
+        // A re-weight inside the range publishes a view the memo was not
+        // made for: the next probe misses and answers the new view.
+        r.apply_update("d", &[UpdateOp::Upsert { id: 20, key: 20.0, weight: 7.25 }]).unwrap();
+        let second = r.range_weight("d", x, y).unwrap();
+        assert_eq!(second.to_bits(), fresh_weight(&r, "d", x, y).to_bits());
+        assert_ne!(second.to_bits(), first.to_bits());
+        assert_eq!(memo_key(&r, "d"), [2, x.to_bits(), y.to_bits()]);
+        // Another range misses, and is what the memo holds next.
+        let (x2, y2) = (10.5, 41.0);
+        let other = r.range_weight("d", x2, y2).unwrap();
+        assert_eq!(other.to_bits(), fresh_weight(&r, "d", x2, y2).to_bits());
+        assert_eq!(memo_key(&r, "d"), [2, x2.to_bits(), y2.to_bits()]);
+        // A static index answers the same bits the hundredth time.
+        let once = r.range_weight("s", x, y).unwrap();
+        for _ in 0..99 {
+            assert_eq!(r.range_weight("s", x, y).unwrap().to_bits(), once.to_bits());
+        }
+        assert_eq!(once.to_bits(), fresh_weight(&r, "s", x, y).to_bits());
     }
 
     #[test]

@@ -367,6 +367,33 @@ fn typed_error_paths() {
     server.shutdown();
 }
 
+/// A NaN bound holds no key, on every kind of range index: draws answer
+/// `EmptyRange` and counts and weights 0 — what a tiered index answers
+/// for the same request.
+#[test]
+fn a_nan_bound_is_an_empty_range() {
+    let mut registry = IndexRegistry::new();
+    let triples: Vec<(u64, f64, f64)> = (0..100).map(|i| (i, i as f64, 1.0)).collect();
+    registry.register_range_static("static", weighted_pairs(100)).unwrap();
+    registry.register_range_keyed("keyed", triples.clone()).unwrap();
+    registry.register_range_dynamic("dynamic", triples).unwrap();
+    let server = Server::start(registry, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let client = server.client();
+    let empty = ServeError::Query(iqs_core::QueryError::EmptyRange);
+    for index in ["static", "keyed", "dynamic"] {
+        for (x, y) in [(f64::NAN, 50.0), (50.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            let what = format!("{index} [{x}, {y}]");
+            let draw = Request::SampleWr { index: index.into(), range: Some((x, y)), s: 8 };
+            assert_eq!(client.call(draw), Err(empty.clone()), "{what}");
+            let count = Request::RangeCount { index: index.into(), x, y };
+            assert!(matches!(client.call(count), Ok(Response::Count(0))), "{what}");
+            let weight = Request::RangeWeight { index: index.into(), x, y };
+            assert!(matches!(client.call(weight), Ok(Response::Weight(w)) if w == 0.0), "{what}");
+        }
+    }
+    server.shutdown();
+}
+
 /// Weights whose sum overflows `f64` are a typed error everywhere: the
 /// constructors refuse them, and an `Update` that would carry an index's
 /// total past `f64::MAX` stops at that op, with the ops before it
@@ -747,7 +774,7 @@ fn inline_and_queued_requests_share_one_seed_schedule() {
 /// (seat 0 of a server seeded `t` draws from `t ^ GOLDEN`).
 #[test]
 fn a_seats_plan_never_outlives_its_view() {
-    use iqs_core::QueryPlan;
+    use iqs_core::{QueryPlan, Tiles};
     use iqs_serve::IndexView;
     use rand::{rngs::StdRng, SeedableRng};
     const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -763,9 +790,8 @@ fn a_seats_plan_never_outlives_its_view() {
     let mut read = |index: &str| {
         let view = server.registry().view(index).expect("registered");
         let IndexView::Range(rv) = &*view else { panic!("a range view") };
-        let (mut ranks, mut want) = (Vec::new(), Vec::new());
-        let mut fresh = QueryPlan::default();
-        rv.sample_ids_into(range.0, range.1, 64, &mut seat, &mut ranks, &mut fresh, &mut want)
+        let (mut fresh, mut tiles, mut want) = (QueryPlan::default(), Tiles::default(), Vec::new());
+        rv.sample_ids_into(range.0, range.1, 64, &mut seat, &mut fresh, &mut tiles, &mut want)
             .expect("a non-empty range");
         let request = Request::SampleWr { index: index.into(), range: Some(range), s: 64 };
         assert_eq!(sample_ids(client.call(request).expect("a read")), want, "{index}");

@@ -55,12 +55,9 @@ impl Sampled {
     /// Folds one gathered leg in: `leg` is the ids a shard returned (or
     /// `None` if it failed everywhere), `planned` the draw count the
     /// multinomial split assigned it.
-    pub(crate) fn absorb(&mut self, leg: Option<Vec<u64>>, planned: usize) {
+    pub(crate) fn absorb(&mut self, leg: Option<&[u64]>, planned: usize) {
         match leg {
-            // The first delivered leg — the whole answer of a one-leg
-            // query — is kept, not copied.
-            Some(ids) if self.ids.is_empty() => self.ids = ids,
-            Some(ids) => self.ids.extend(ids),
+            Some(ids) => self.ids.extend_from_slice(ids),
             None => {
                 self.degraded = true;
                 self.missing += planned;
@@ -89,9 +86,9 @@ mod tests {
     #[test]
     fn sampled_concatenates_and_accounts_failures() {
         let mut acc = Sampled::default();
-        acc.absorb(Some(vec![3, 1]), 2);
+        acc.absorb(Some(&[3, 1]), 2);
         acc.absorb(None, 5);
-        acc.absorb(Some(vec![9]), 1);
+        acc.absorb(Some(&[9]), 1);
         assert_eq!(acc.ids, vec![3, 1, 9]);
         assert!(acc.degraded);
         assert_eq!(acc.missing, 5);

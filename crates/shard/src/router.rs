@@ -248,6 +248,31 @@ struct ScatterLeg {
     inline: bool,
 }
 
+/// The replicas a leg has been submitted to, by index: a bit each for
+/// the first 64 — every replica set a config builds in practice, so a
+/// leg allocates nothing — and a list past them.
+#[derive(Default)]
+struct Tried {
+    low: u64,
+    high: Vec<usize>,
+}
+
+impl Tried {
+    /// Adds `ri`; `false` if it was already there.
+    fn insert(&mut self, ri: usize) -> bool {
+        if ri < 64 {
+            let had = self.low & (1 << ri) != 0;
+            self.low |= 1 << ri;
+            return !had;
+        }
+        if self.high.contains(&ri) {
+            return false;
+        }
+        self.high.push(ri);
+        true
+    }
+}
+
 /// The typed error an error reply amounts to when it answers the
 /// *query* — any healthy replica of the shard would reply the same — or
 /// `None` when it reports that the replica could not serve and another
@@ -309,19 +334,22 @@ impl Inner {
     /// Submits the leg to the first untried candidate replica that
     /// accepts it. Down/Error faults and refused admissions are charged
     /// as failures and skipped; a delay fault is accepted and remembered
-    /// for the gather phase.
+    /// for the gather phase. `now` is the instant the replicas'
+    /// availability is read at and the attempt's deadline counts from:
+    /// the scatter's start for a first attempt, a fresh clock read for a
+    /// failover.
     fn try_submit(
         &self,
         leg: &ScatterLeg,
-        tried: &mut Vec<usize>,
+        tried: &mut Tried,
         origin: Instant,
+        now: Instant,
     ) -> Option<Attempt> {
         let (shard, ctx) = (&leg.shard, leg.ctx);
-        for ri in candidate_order(shard, &self.config.health, self.config.clock.now()) {
-            if tried.contains(&ri) {
+        for ri in candidate_order(shard, &self.config.health, now) {
+            if !tried.insert(ri) {
                 continue;
             }
-            tried.push(ri);
             let rep = &shard.replicas[ri];
             let delay = match rep.fault.get() {
                 FaultMode::Down | FaultMode::Error => {
@@ -332,7 +360,7 @@ impl Inner {
                 FaultMode::Delay(d) => Some(d),
                 FaultMode::Healthy => None,
             };
-            let deadline = self.config.clock.now() + self.config.scatter_deadline;
+            let deadline = now + self.config.scatter_deadline;
             let (request, leg_ctx) = (leg.ask.request(), ctx.replica(ri));
             let submitted = if leg.inline {
                 rep.link.answer(request, origin, deadline, leg_ctx)
@@ -362,7 +390,7 @@ impl Inner {
     fn gather_leg(
         &self,
         leg: &ScatterLeg,
-        tried: &mut Vec<usize>,
+        tried: &mut Tried,
         mut attempt: Option<Attempt>,
         origin: Instant,
     ) -> Result<Option<Response>, ShardError> {
@@ -384,7 +412,7 @@ impl Inner {
                 if d > budget {
                     recorder::emit(ctx, Phase::LegFailover, ri as u64, 5);
                     self.note_failure(rep, ctx, ri);
-                    attempt = self.try_submit(leg, tried, origin);
+                    attempt = self.try_submit(leg, tried, origin, self.config.clock.now());
                     continue;
                 }
             }
@@ -411,7 +439,7 @@ impl Inner {
                     let cause = if failed.is_some() { 3 } else { 4 };
                     recorder::emit(ctx, Phase::LegFailover, ri as u64, cause);
                     self.note_failure(rep, ctx, ri);
-                    attempt = self.try_submit(leg, tried, origin);
+                    attempt = self.try_submit(leg, tried, origin, self.config.clock.now());
                 }
             }
         }
@@ -422,7 +450,10 @@ impl Inner {
     /// is submitted before the first wait, so legs that were handed off
     /// or had to queue execute concurrently across shards; a small
     /// scatter's legs may already be answered by then (module docs,
-    /// "Where a leg runs").
+    /// "Where a leg runs"). The clock is read once for every leg's first
+    /// attempt: an instant a few legs' work stale is as good a start for
+    /// a deadline of seconds, and a virtual clock does not move while
+    /// read.
     ///
     /// # Errors
     /// The first leg's typed answer ([`typed_answer`]), after every leg
@@ -437,12 +468,13 @@ impl Inner {
         let lone = legs.len() == 1;
         let draws: u64 = legs.iter().map(|(_, ask, _)| ask.planned()).sum();
         let inline = lone || draws <= INLINE_SCATTER_DRAWS;
+        let now = self.config.clock.now();
         let in_flight: Vec<_> = legs
             .into_iter()
             .map(|(shard, ask, ctx)| {
                 let leg = ScatterLeg { shard, ask, ctx, inline };
-                let mut tried = Vec::new();
-                let attempt = self.try_submit(&leg, &mut tried, origin);
+                let mut tried = Tried::default();
+                let attempt = self.try_submit(&leg, &mut tried, origin, now);
                 (leg, tried, attempt)
             })
             .collect();
@@ -1018,13 +1050,15 @@ impl ClusterClient {
             .collect();
         let planned: Vec<usize> = counts.into_iter().filter(|&count| count > 0).collect();
         let responses = self.inner.scatter(scatter_legs, origin)?;
+        // The first delivered leg's ids — the whole answer of a one-leg
+        // query — are kept, and the later legs' copied in after them.
         let mut out = Sampled { degraded: plan_degraded, trace: ctx.trace, ..Sampled::default() };
         for (response, &planned_count) in responses.into_iter().zip(&planned) {
-            let ids = match response {
-                Some(Response::Samples(ids)) => Some(ids),
-                _ => None,
-            };
-            out.absorb(ids, planned_count);
+            match response {
+                Some(Response::Samples(ids)) if out.ids.is_empty() => out.ids = ids,
+                Some(Response::Samples(ids)) => out.absorb(Some(&ids), planned_count),
+                _ => out.absorb(None, planned_count),
+            }
         }
         Ok(out)
     }
@@ -1172,6 +1206,17 @@ mod tests {
 
     fn small_config() -> ShardConfig {
         ShardConfig { shards: 3, replicas: 2, ..ShardConfig::default() }
+    }
+
+    #[test]
+    fn a_replica_is_tried_once_on_either_side_of_the_bit_set() {
+        let mut tried = Tried::default();
+        for ri in [0, 63, 64, 200] {
+            assert!(tried.insert(ri), "replica {ri} is new");
+            assert!(!tried.insert(ri), "replica {ri} was tried");
+        }
+        assert!(tried.insert(1) && tried.insert(65));
+        assert_eq!(tried.high, [64, 200, 65], "only replicas past 64 are listed");
     }
 
     #[test]

@@ -266,3 +266,15 @@ fn live_cluster_metrics_round_trip_json() {
     assert_eq!(back, m);
     assert!(!format!("{m}").is_empty());
 }
+
+/// A NaN bound holds no key in any shard: the scatter answers
+/// `EmptyRange`, whether the range would have reached one shard or all.
+#[test]
+fn a_nan_bound_is_an_empty_range() {
+    let config = ShardConfig { shards: 4, replicas: 1, ..ShardConfig::default() };
+    let svc = ShardedService::new(elements(400), config).unwrap();
+    let mut client = svc.client();
+    for (x, y) in [(f64::NAN, 50.0), (f64::NAN, 350.0), (50.0, f64::NAN), (f64::NAN, f64::NAN)] {
+        assert_eq!(client.sample_wr(Some((x, y)), 16), Err(ShardError::EmptyRange), "[{x}, {y}]");
+    }
+}

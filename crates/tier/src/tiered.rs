@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use iqs_alias::split::split_counts;
 use iqs_alias::validate_weights;
-use iqs_core::{QueryError, QueryPlan, RangeSampler};
+use iqs_core::{QueryError, QueryPlan, RangeSampler, Tiles};
 use iqs_em::{EmMachine, EmWeightedRangeSampler, IoStats, RangePlan};
 use iqs_obs::{recorder, Ctx, Phase, PromWriter};
 use iqs_serve::{ExternalIndex, IoReport, RangeView, ServeError, Snapshot};
@@ -303,12 +303,11 @@ impl TieredIndex {
             split_counts(&weights, total, s, rng)
         };
         let mut out = Vec::with_capacity(s);
-        let mut ranks = Vec::new();
         for ((slot, _, plan), &c) in active.into_iter().zip(&counts) {
             if c == 0 {
                 continue;
             }
-            self.draw_from_slot(slot, x, y, plan, c, rng, &mut ranks, &mut out, &mut io, ctx)?;
+            self.draw_from_slot(slot, x, y, plan, c, rng, &mut out, &mut io, ctx)?;
             slot.accesses.fetch_add(c as u64, Ordering::Relaxed);
         }
         Ok((out, io_report(&io)))
@@ -492,8 +491,7 @@ impl TieredIndex {
     /// Draws `s` ids from one shard's part of `[x, y]`. `plan` is the
     /// cold plan [`Self::slot_range_weight`] already read, if any; it
     /// outlives a promote/demote cycle in between because a shard's
-    /// elements never change, and a shard found hot ignores it. `ranks`
-    /// is the query's scratch for hot-tier ranks.
+    /// elements never change, and a shard found hot ignores it.
     #[allow(clippy::too_many_arguments)]
     fn draw_from_slot(
         &self,
@@ -503,7 +501,6 @@ impl TieredIndex {
         plan: Option<RangePlan>,
         s: usize,
         rng: &mut dyn RngCore,
-        ranks: &mut Vec<u32>,
         out: &mut Vec<u64>,
         io: &mut IoStats,
         ctx: Ctx,
@@ -511,7 +508,8 @@ impl TieredIndex {
         let state = slot.state.load();
         match &*state {
             TierState::Hot(h) => {
-                h.sample_ids_into(x, y, s, rng, ranks, &mut QueryPlan::default(), out)?;
+                let mut fresh = QueryPlan::default();
+                Tiles::with_kept(|tiles| h.sample_ids_into(x, y, s, rng, &mut fresh, tiles, out))?;
                 self.counters.hot_draws.fetch_add(s as u64, Ordering::Relaxed);
             }
             TierState::Cold(c) => {
@@ -733,21 +731,9 @@ mod tests {
         assert!(idx.promote("s").unwrap());
 
         let mut rng = StdRng::seed_from_u64(12);
-        let (mut ranks, mut out) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
         let before = io;
-        idx.draw_from_slot(
-            slot,
-            x,
-            y,
-            plan,
-            40,
-            &mut rng,
-            &mut ranks,
-            &mut out,
-            &mut io,
-            Ctx::none(),
-        )
-        .unwrap();
+        idx.draw_from_slot(slot, x, y, plan, 40, &mut rng, &mut out, &mut io, Ctx::none()).unwrap();
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|&id| (100..=700).contains(&id)));
         assert_eq!(io, before, "the hot arm does no block I/O");

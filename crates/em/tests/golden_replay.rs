@@ -1,7 +1,7 @@
 //! Seeded replay fixtures for the Section-8 structures: for each of
 //! `SamplePool`, `EmRangeSampler` and `EmWeightedRangeSampler` (through
-//! `query`, and through `plan` + `draw_ids_into`) at two `(B, M)`
-//! settings, the first samples of a query, an order-sensitive checksum
+//! `query`, through `plan` + `draw_ids_into`, and over shuffled Zipf
+//! weights) at two `(B, M)` settings, the first samples of a query, an order-sensitive checksum
 //! of every query's whole output (the leading samples of a range query
 //! come from its boundary chunks; the pools' follow), the machine's
 //! `IoStats` after construction and after each query, and `rebuilds()`
@@ -17,7 +17,7 @@
 
 use iqs_em::{EmMachine, EmRangeSampler, EmWeightedRangeSampler, IoStats, SamplePool};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The two machines every structure is replayed on: `(B, M)` in words.
 const MACHINES: [(usize, usize); 2] = [(64, 8 * 64), (16, 4 * 16)];
@@ -188,14 +188,54 @@ fn weighted_plan_draw(b: usize, m: usize, seed: u64) -> String {
     t.render()
 }
 
+/// Zipf weights `1/(i+1)` over `0..n`, shuffled by `seed` (the ledger's
+/// law): one heavy chunk among many light ones, so a chunk's items and
+/// a node's chunks are long, skewed group lists.
+fn zipf_triples(n: usize, seed: u64) -> Vec<(u64, f64, f64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ws: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+    for i in (1..n).rev() {
+        ws.swap(i, rng.random_range(0..=i));
+    }
+    ws.into_iter().enumerate().map(|(i, w)| (7 * i as u64 + 1, i as f64, w)).collect()
+}
+
+fn weighted_zipf(b: usize, m: usize, seed: u64) -> String {
+    let machine = EmMachine::new(m, b);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = Transcript::default();
+    // `b / 2` pairs per chunk, 256 chunks.
+    let n = 128 * b - 3;
+    let mut ws = EmWeightedRangeSampler::new_keyed(&machine, zipf_triples(n, seed));
+    t.io(machine.stats());
+    let (x, y) = ((b / 2) as f64 + 2.5, (127 * b) as f64 + 1.0);
+    let s = 56 * b;
+    let mut ids = Vec::new();
+    for q in 0..3 {
+        ids.clear();
+        assert_eq!(ws.query_ids_into(x, y, s, &mut rng, &mut ids), Some(s));
+        t.sum(ids.iter().copied());
+        if q == 0 {
+            t.head(&ids, HEAD);
+        }
+        t.after_query(&machine, ws.rebuilds());
+    }
+    assert!(ws.rebuilds() > 0, "a pool was rebuilt");
+    let out = ws.query(1.0, b as f64 / 4.0, 8, &mut rng).expect("range is not empty");
+    t.head(&out, 8);
+    t.after_query(&machine, ws.rebuilds());
+    t.render()
+}
+
 type Fixture = fn(usize, usize, u64) -> String;
 
 /// Every fixture, with the seed it replays under.
-const FIXTURES: [(&str, Fixture, u64); 4] = [
+const FIXTURES: [(&str, Fixture, u64); 5] = [
     ("sample_pool", sample_pool, 801),
     ("range_sampler", range_sampler, 802),
     ("weighted_query", weighted_query, 803),
     ("weighted_plan_draw", weighted_plan_draw, 804),
+    ("weighted_zipf", weighted_zipf, 806),
 ];
 
 fn transcripts() -> Vec<(String, String)> {
@@ -218,6 +258,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("weighted_query/B16/M64", "samples=[11,21,27,24,29,19,24,21,33,61,48,48,49,34,47,48,42,48,58,52,54,35,39,35,38,58,50,82,109,116,69,64,4,3,4,4,4,2,3,2] sums=[02f468db48966492 25affcdab3a3f4e7 3f54e7293c34b9da] io=[0/0/0/0 535/481/170/1017 819/713/245/1532 1114/963/341/2078 1116/963/341/2080] rebuilds=[0, 3, 8, 8]"),
     ("weighted_plan_draw/B64/M512", "samples=[99883,99880,99841,99892,99838,99841,99853,99844,99856,99823,99814,99868,99853,99877,99829,99736,99793,99718,99700,99706,99757,99688,99769,99721,99694,99766,99718,99673,99634,99733,99709,99700,99997,99976,99991,99982,99988,99955,99958,99991] sums=[0599361b2a0026ce 923119ee9b80aefe 7545b575fc1c0eec] io=[0/0/0/0 4/0/0/4 355/312/219/687 359/312/219/691 399/316/251/751 403/316/251/755 753/625/441/1417 755/625/441/1419] rebuilds=[0, 2, 8, 8]"),
     ("weighted_plan_draw/B16/M64", "samples=[99961,99949,99937,99931,99931,99928,99916,99952,99919,99928,99913,99949,99943,99883,99856,99838,99823,99829,99868,99856,99811,99898,99904,99670,99736,99652,99673,99745,99808,99691,99676,99646,99988,99997,99988,99988,99991,99988,99997,99994] sums=[3b118281a2e22ad2 5d655ce8fa2dc32d 13f74feae4cbf006] io=[0/0/0/0 4/0/0/4 535/481/175/1017 539/482/175/1021 586/501/199/1088 590/502/199/1092 1112/964/353/2076 1114/964/353/2078] rebuilds=[0, 2, 8, 8]"),
+    ("weighted_zipf/B64/M512", "samples=[288,281,288,365,288,288,288,442,281,288,288,288,246,288,288,659,666,876,568,582,526,512,876,736,659,659,862,568,1786,1422,918,1422,6,7,10,12,4,12,7,12] sums=[abe9d1a7f1d72160 139641be235b04d7 5123427f0667c946] io=[0/0/0/0 1901/1680/776/3601 2615/2229/1011/4865 3777/3208/1430/7004 3779/3208/1430/7006] rebuilds=[0, 3, 8, 8]"),
+    ("weighted_zipf/B16/M64", "samples=[14225,155,113,155,155,155,176,113,155,155,190,295,617,883,589,638,547,491,624,589,883,862,883,939,1632,939,939,939,939,939,1604,1506,1,1,1,1,3,1,3,3] sums=[7aecd20ea7e117f1 dc6f790fc269cea7 7c4ec7b23bcad5df] io=[0/0/0/0 2963/2739/677/5703 3959/3584/894/7543 6221/5644/1357/11865 6223/5644/1357/11867] rebuilds=[0, 4, 8, 8]"),
 ];
 
 #[test]

@@ -26,8 +26,9 @@
 //!   composite IQS structure (Section 4.1): given `t` weighted groups and a
 //!   demand of `s` samples, decide how many samples each group contributes
 //!   — through an alias table in `O(t + s)` ([`split::split_samples`]), or
-//!   by one CDF walk per sample with nothing to build
-//!   ([`split::split_counts`], the external-memory structures' form).
+//!   by one binary search over the groups' prefix sums per sample, landing
+//!   where a CDF walk would ([`split::split_counts`], the external-memory
+//!   structures' form).
 //! * [`wor`] — with/without-replacement conversions (Floyd's algorithm,
 //!   the `O(s)` WoR→WR conversion the paper cites as \[19\], and WoR-by-
 //!   rejection).

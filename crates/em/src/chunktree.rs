@@ -17,9 +17,8 @@
 //!   out exactly once, rebuilt on exhaustion.
 //!
 //! The third shared decision — how `s` samples are split between groups
-//! by mass — is `iqs_alias::split::{pick, split_counts}`.
-
-use std::ops::Add;
+//! by mass — is `iqs_alias::split::{pick, split_counts}`: a binary search
+//! over the groups' prefix sums per draw, landing where a CDF walk would.
 
 use iqs_alias::split::{split_counts, Mass};
 use rand::Rng;
@@ -91,7 +90,7 @@ pub(crate) struct ChunkTree<M> {
     root: u32,
 }
 
-impl<M: Mass + Add<Output = M>> ChunkTree<M> {
+impl<M: Mass> ChunkTree<M> {
     /// Builds the hierarchy; `chunk_mass[c]` is the mass of chunk `c`.
     pub fn new(dir: ChunkDir, chunk_mass: &[M]) -> Self {
         debug_assert_eq!(chunk_mass.len(), dir.chunks());
@@ -143,7 +142,7 @@ impl<M: Mass + Add<Output = M>> ChunkTree<M> {
 
     /// Splits `s` samples over the canonical nodes of the chunk range
     /// `[a, b)` by mass: `(node, its share)` left to right, one RNG word
-    /// per sample (CPU is free in EM).
+    /// per sample.
     pub fn split_over_canonical<R: Rng + ?Sized>(
         &self,
         a: usize,

@@ -39,6 +39,16 @@
 //! directory, the supernode hierarchy and the pool lifecycle are written
 //! once (the private `chunktree` module), and every split of `s` samples
 //! between groups is `iqs_alias::split::split_counts`.
+//!
+//! The model charges block transfers only, but the cold tier serves real
+//! requests from these structures and pays their CPU. Every categorical
+//! pick — a chunk's item by weight, a node's chunk, a canonical node, a
+//! boundary piece — sums its group list once into prefix sums
+//! (`iqs_alias::split::Prefix`) and finds each draw's group by binary
+//! search, `O(log t)` where a CDF walk was `O(t)`. The search lands on the
+//! walk's group for every point (the walk answers the rare point within
+//! rounding of a prefix sum), so every draw, RNG word and block transfer
+//! is the walk's.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

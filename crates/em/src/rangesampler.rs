@@ -161,8 +161,12 @@ impl NaiveEmRangeSampler {
     }
 
     /// Rank range `[a, b)` of keys in `[x, y]`, via directory + boundary
-    /// chunk reads (`O(1)` I/Os).
+    /// chunk reads (`O(1)` I/Os). A NaN bound holds no key, and reads
+    /// nothing: `boundary_chunks` would place it in chunk 0.
     fn rank_range(&self, x: f64, y: f64) -> (usize, usize) {
+        if x.is_nan() || y.is_nan() {
+            return (0, 0);
+        }
         let (ca, cb) = self.dir.boundary_chunks(x, y);
         let (alo, ahi) = self.dir.items(ca, ca + 1);
         let a =
@@ -266,6 +270,20 @@ mod tests {
         assert!(rs.query(500.0, f64::NAN, 5, &mut rng).is_none());
         let naive = NaiveEmRangeSampler::new(&m, keys);
         assert!(naive.query_random_access(11.0, 19.0, 5, &mut rng).is_none());
+    }
+
+    #[test]
+    fn a_nan_bound_is_an_empty_range_for_the_baselines() {
+        let m = machine();
+        let mut rng = StdRng::seed_from_u64(126);
+        let naive = NaiveEmRangeSampler::new(&m, (0..4096).map(f64::from).collect());
+        for (x, y) in [(f64::NAN, 1000.0), (10.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            assert_eq!(naive.query_random_access(x, y, 50, &mut rng), None, "[{x}, {y}]");
+            assert_eq!(naive.query_report_then_sample(x, y, 50, &mut rng), None, "[{x}, {y}]");
+        }
+        // The doors still answer a real range.
+        let out = naive.query_report_then_sample(10.0, 1000.0, 50, &mut rng).unwrap();
+        assert!(out.iter().all(|&v| (10.0..=1000.0).contains(&v)));
     }
 
     #[test]

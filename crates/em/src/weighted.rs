@@ -9,12 +9,13 @@
 //! (the crate's `chunktree` module: chunk directory, supernode hierarchy,
 //! per-node pools) with a chunk's *mass* its total weight instead of its
 //! item count, and every split between groups one
-//! `iqs_alias::split::pick` over those masses — and the E15 experiment
-//! measures that its *amortized* I/O cost on our workloads matches that
-//! target shape. This is an empirical data point, not a worst-case
-//! solution of the open problem: adversarial update-free weight skew can
-//! concentrate pool consumption (and hence rebuild charging) on tiny
-//! sub-pools, which is exactly the difficulty the open problem is about.
+//! `iqs_alias::split::pick` over those masses' prefix sums — and the E15
+//! experiment measures that its *amortized* I/O cost on our workloads
+//! matches that target shape. This is an empirical data point, not a
+//! worst-case solution of the open problem: adversarial update-free
+//! weight skew can concentrate pool consumption (and hence rebuild
+//! charging) on tiny sub-pools, which is exactly the difficulty the open
+//! problem is about.
 //!
 //! Layout: `(key, weight)` pairs sorted by key in chunks of `B/2` items
 //! (two words per item) plus a parallel disk-resident column of caller
@@ -26,7 +27,7 @@
 //! random-access lookup: ids ride along in the same sequential passes
 //! that build and consume the pools.
 
-use iqs_alias::split::{pick, split_counts};
+use iqs_alias::split::{pick, split_counts, Prefix};
 use rand::Rng;
 
 use crate::chunktree::{ChunkDir, ChunkTree, Pools};
@@ -37,19 +38,19 @@ use crate::sort::external_sort;
 type Item = (f64, f64, u64);
 
 /// The RNG-free half of a range query ([`EmWeightedRangeSampler::plan`]):
-/// the in-range contents of the boundary chunks, read once, and the
-/// weights of the three pieces the draw splits `s` between. Its
+/// the in-range contents of the boundary chunks, read once and summed,
+/// and the weights of the three pieces the draw splits `s` between. Its
 /// [`RangePlan::total`] is the exact range weight.
 #[derive(Debug, Clone, Default)]
 pub struct RangePlan {
     /// In-range items of the first boundary chunk.
-    head: Vec<Item>,
+    head: Piece,
     /// Full chunks `[mid_lo, mid_hi)` strictly between the boundary
     /// chunks.
     mid_lo: usize,
     mid_hi: usize,
     /// In-range items of the last boundary chunk.
-    tail: Vec<Item>,
+    tail: Piece,
     /// Weights of `head`, the middle (from the directory) and `tail`.
     weights: [f64; 3],
     /// The range spans more than one chunk, so the draw flips split
@@ -66,10 +67,32 @@ impl RangePlan {
     }
 }
 
-/// One weighted pick from a chunk's items, whose weights sum to `total`.
-fn weighted_pick<R: Rng + ?Sized>(items: &[Item], total: f64, rng: &mut R) -> (f64, u64) {
-    let (key, _, id) = items[pick(items.iter().map(|p| p.1), total, rng)];
-    (key, id)
+/// Items of one chunk and the prefix sums of their weights: a group
+/// list drawn from many times.
+#[derive(Debug, Clone, Default)]
+struct Piece {
+    items: Vec<Item>,
+    prefix: Prefix<f64>,
+}
+
+impl Piece {
+    /// Sums the weights of `items`, in order, into the kept prefix.
+    fn fill(&mut self, items: Vec<Item>) {
+        self.prefix.fill(items.iter().map(|p| p.1));
+        self.items = items;
+    }
+
+    /// The items' total weight, summed left to right.
+    fn weight(&self) -> f64 {
+        self.prefix.sum()
+    }
+
+    /// One weighted pick, as its `(key, id)`: one RNG word.
+    fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> (f64, u64) {
+        let weights = self.items.iter().map(|p| p.1);
+        let (key, _, id) = self.items[pick(&self.prefix, weights, self.weight(), rng)];
+        (key, id)
+    }
 }
 
 /// What sits on the disk and its in-memory directory: all a plan reads,
@@ -111,12 +134,11 @@ impl Items {
         items
     }
 
-    /// A chunk's items with keys in `[x, y]`, and their total weight.
-    fn read_piece(&self, c: usize, x: f64, y: f64) -> (Vec<Item>, f64) {
+    /// A chunk's items with keys in `[x, y]`, summed into `piece`.
+    fn read_piece(&self, c: usize, x: f64, y: f64, piece: &mut Piece) {
         let mut items = self.read_chunk(c);
         items.retain(|&(k, _, _)| k >= x && k <= y);
-        let weight = items.iter().map(|p| p.1).sum();
-        (items, weight)
+        piece.fill(items);
     }
 
     /// Builds node `u`'s pool — one *weighted* `(key, id)` sample per
@@ -128,18 +150,20 @@ impl Items {
         let (clo, chi) = self.tree.chunk_range(u);
         let (ilo, ihi) = self.tree.item_range(u);
         let count = ihi - ilo;
-        // Chunk demands via the in-memory directory (CPU only).
+        // Chunk demands via the in-memory directory (CPU only). The node's
+        // mass was summed in tree order, so it may differ in the last
+        // place from the chunk weights' left-to-right prefix sum.
         let demand = split_counts(&self.chunk_weight[clo..chi], self.tree.mass(u), count, rng);
         // Sequential pass: per chunk, in-memory weighted draws.
         let mut staged: Vec<(u64, f64, u64)> = Vec::with_capacity(count);
+        let mut piece = Piece::default();
         for (i, &d) in demand.iter().enumerate() {
             if d == 0 {
                 continue;
             }
-            let items = self.read_chunk(clo + i);
-            let total: f64 = items.iter().map(|p| p.1).sum();
+            piece.fill(self.read_chunk(clo + i));
             for _ in 0..d {
-                let (key, id) = weighted_pick(&items, total, rng);
+                let (key, id) = piece.pick(rng);
                 staged.push((rng.random::<u64>(), key, id)); // random sort key
             }
         }
@@ -162,9 +186,11 @@ impl Items {
             return plan;
         }
         let (ca, cb) = self.tree.dir.boundary_chunks(x, y);
-        (plan.head, plan.weights[0]) = self.read_piece(ca, x, y);
+        self.read_piece(ca, x, y, &mut plan.head);
+        plan.weights[0] = plan.head.weight();
         if ca != cb {
-            (plan.tail, plan.weights[2]) = self.read_piece(cb, x, y);
+            self.read_piece(cb, x, y, &mut plan.tail);
+            plan.weights[2] = plan.tail.weight();
             plan.split = true;
             (plan.mid_lo, plan.mid_hi) = (ca + 1, cb);
             plan.weights[1] = self.chunk_weight[ca + 1..cb].iter().sum();
@@ -271,19 +297,19 @@ impl EmWeightedRangeSampler {
         if plan.total <= 0.0 {
             return None;
         }
-        let piece = |items: &[Item], total: f64, count: usize, rng: &mut R, out: &mut Vec<O>| {
-            for _ in 0..count {
-                let (key, id) = weighted_pick(items, total, rng);
-                out.push(emit(key, id));
-            }
+        let mut pick_from = |piece: &Piece, count: usize, rng: &mut R| {
+            out.extend((0..count).map(|_| {
+                let (key, id) = piece.pick(rng);
+                emit(key, id)
+            }));
         };
         if !plan.split {
-            piece(&plan.head, plan.weights[0], s, rng, out);
+            pick_from(&plan.head, s, rng);
             return Some(s);
         }
         let counts = split_counts(&plan.weights, plan.total, s, rng);
-        piece(&plan.head, plan.weights[0], counts[0], rng, out);
-        piece(&plan.tail, plan.weights[2], counts[2], rng, out);
+        pick_from(&plan.head, counts[0], rng);
+        pick_from(&plan.tail, counts[2], rng);
         let mid = self.items.tree.split_over_canonical(plan.mid_lo, plan.mid_hi, counts[1], rng);
         for (u, count) in mid {
             self.pools.take_from_pool(

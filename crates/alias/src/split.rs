@@ -12,10 +12,12 @@
 //!   exactly as prescribed after Lemma 2. The in-memory structures use it.
 //! * [`pick`] / [`split_counts`] draw one uniform point per sample and
 //!   find its group by binary search over the masses' [`Prefix`] sums —
-//!   `O(t)` to sum once, then `O(log t)` per draw. The external-memory
-//!   structures and the cold tier use it: their group lists (a chunk's
-//!   items, a node's chunks, the canonical nodes, the shards) are made per
-//!   query or per pool build and drawn from many times. The EM model
+//!   `O(t)` to sum once, then `O(log t)` per draw — in a prefix and
+//!   counts the caller keeps, so a split allocates nothing once they
+//!   have grown to its list. The external-memory structures and the
+//!   cold tier use it: their group lists (a chunk's items, a node's
+//!   chunks, the canonical nodes, the shards) are made per query or per
+//!   pool build and drawn from many times. The EM model
 //!   prices only block transfers, but the cold tier pays the CPU, and a
 //!   CDF walk at `O(t)` a draw was the largest share of it. The search
 //!   lands on exactly the group the walk would: where a point lies
@@ -239,20 +241,24 @@ fn walk<M: Mass>(mut point: M, masses: impl IntoIterator<Item = M>) -> usize {
 
 /// [`pick`]s `s` times and counts the draws per group: the multinomial
 /// split of `s` samples over `masses`, one RNG word per sample and
-/// `O(t + s log t)` in all.
+/// `O(t + s log t)` in all. The split is written into the caller's
+/// buffers: `prefix` is refilled with the masses' sums and `counts` with
+/// one count per mass, whatever either held before, so a caller that
+/// keeps both splits list after list without allocating.
 pub fn split_counts<M: Mass, R: Rng + ?Sized>(
     masses: &[M],
     total: M,
     s: usize,
     rng: &mut R,
-) -> Vec<usize> {
-    let mut counts = vec![0usize; masses.len()];
-    let mut prefix = Prefix::default();
+    prefix: &mut Prefix<M>,
+    counts: &mut Vec<usize>,
+) {
+    counts.clear();
+    counts.resize(masses.len(), 0);
     prefix.fill(masses.iter().copied());
     for _ in 0..s {
-        counts[pick(&prefix, masses.iter().copied(), total, rng)] += 1;
+        counts[pick(prefix, masses.iter().copied(), total, rng)] += 1;
     }
-    counts
 }
 
 #[cfg(test)]
@@ -323,7 +329,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         // Counts: group 1 is empty and never drawn; the others are exact
         // thirds and two-thirds in expectation.
-        let counts = split_counts(&[10usize, 0, 20], 30, 30_000, &mut rng);
+        let (mut prefix, mut counts) = (Prefix::default(), Vec::new());
+        split_counts(&[10usize, 0, 20], 30, 30_000, &mut rng, &mut prefix, &mut counts);
         assert_eq!(counts.iter().sum::<usize>(), 30_000);
         assert_eq!(counts[1], 0);
         assert!((counts[0] as f64 / 30_000.0 - 1.0 / 3.0).abs() < 0.02, "{counts:?}");
@@ -358,6 +365,36 @@ mod tests {
             }
             assert_eq!(rng.random::<u64>(), twin.random::<u64>(), "one word per pick");
         }
+    }
+
+    #[test]
+    fn a_dirty_buffer_splits_as_a_fresh_one() {
+        // Buffers left longer and non-zero by a larger list, then a
+        // smaller one split through them and through fresh buffers from
+        // twin RNGs: the same counts, and the same words spent.
+        let (mut prefix, mut counts) = (Prefix::default(), Vec::new());
+        let mut rng = StdRng::seed_from_u64(7);
+        let larger = [5.0, 1.0, 9.0, 2.0, 7.0, 3.0];
+        split_counts(&larger, 26.0, 500, &mut rng, &mut prefix, &mut counts);
+        assert_eq!(counts.len(), 6);
+        assert!(counts.iter().all(|&c| c > 0) && prefix.sum() > 0.0, "the buffers are dirty");
+        let masses = [2.0, 0.5, 4.0];
+        let (mut rng, mut twin) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        let (mut fresh_prefix, mut fresh) = (Prefix::default(), Vec::new());
+        split_counts(&masses, 6.5, 300, &mut rng, &mut prefix, &mut counts);
+        split_counts(&masses, 6.5, 300, &mut twin, &mut fresh_prefix, &mut fresh);
+        assert_eq!(counts, fresh);
+        assert_eq!(prefix.sums, fresh_prefix.sums);
+        assert_eq!(rng.random::<u64>(), twin.random::<u64>(), "the same words spent");
+        // The same through integer masses, an empty group among them.
+        let (mut prefix, mut counts) = (Prefix::default(), Vec::new());
+        let mut dirt = StdRng::seed_from_u64(9);
+        split_counts(&[9usize, 4, 6, 8], 27, 200, &mut dirt, &mut prefix, &mut counts);
+        let (mut fresh_prefix, mut fresh) = (Prefix::default(), Vec::new());
+        split_counts(&[3usize, 0], 3, 50, &mut rng, &mut prefix, &mut counts);
+        split_counts(&[3usize, 0], 3, 50, &mut twin, &mut fresh_prefix, &mut fresh);
+        assert_eq!((counts, prefix.sums), (fresh, fresh_prefix.sums));
+        assert_eq!(rng.random::<u64>(), twin.random::<u64>());
     }
 
     /// A group list whose prefix sums round, of one of five kinds: a

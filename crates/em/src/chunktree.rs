@@ -20,7 +20,9 @@
 //! by mass — is `iqs_alias::split::{pick, split_counts}`: a binary search
 //! over the groups' prefix sums per draw, landing where a CDF walk would.
 
-use iqs_alias::split::{split_counts, Mass};
+use std::ops::Range;
+
+use iqs_alias::split::{split_counts, Mass, Prefix};
 use rand::Rng;
 
 use crate::machine::EmArray;
@@ -69,6 +71,13 @@ impl ChunkDir {
         let chunk_of = |k: f64| self.min.partition_point(|&c| c <= k).saturating_sub(1);
         (chunk_of(x), chunk_of(y))
     }
+}
+
+/// The run of a key-sorted chunk whose keys lie in `[x, y]` (`x ≤ y`):
+/// the items a filter on `x ≤ key ≤ y` keeps, in their order, found by
+/// two binary searches.
+pub(crate) fn key_run<T>(chunk: &[T], x: f64, y: f64, key: impl Fn(&T) -> f64) -> Range<usize> {
+    chunk.partition_point(|item| key(item) < x)..chunk.partition_point(|item| key(item) <= y)
 }
 
 #[derive(Debug)]
@@ -141,22 +150,25 @@ impl<M: Mass> ChunkTree<M> {
     }
 
     /// Splits `s` samples over the canonical nodes of the chunk range
-    /// `[a, b)` by mass: `(node, its share)` left to right, one RNG word
-    /// per sample.
+    /// `[a, b)` by mass, one RNG word per sample, into `cover`: its
+    /// [`Cover::shares`] are then `(node, its share)` left to right.
     pub fn split_over_canonical<R: Rng + ?Sized>(
         &self,
         a: usize,
         b: usize,
         s: usize,
         rng: &mut R,
-    ) -> Vec<(u32, usize)> {
-        let mut canon = Vec::new();
-        self.canonical(a as u32, b as u32, self.root, &mut canon);
-        let masses: Vec<M> = canon.iter().map(|&u| self.mass(u)).collect();
-        let Some(total) = masses.iter().copied().reduce(|x, y| x + y) else {
-            return Vec::new();
+        cover: &mut Cover<M>,
+    ) {
+        cover.nodes.clear();
+        self.canonical(a as u32, b as u32, self.root, &mut cover.nodes);
+        cover.masses.clear();
+        cover.masses.extend(cover.nodes.iter().map(|&u| self.mass(u)));
+        let Some(total) = cover.masses.iter().copied().reduce(|x, y| x + y) else {
+            cover.counts.clear();
+            return;
         };
-        canon.into_iter().zip(split_counts(&masses, total, s, rng)).collect()
+        split_counts(&cover.masses, total, s, rng, &mut cover.prefix, &mut cover.counts);
     }
 
     /// Appends the canonical nodes of the chunk range `[a, b)` under `u`.
@@ -176,6 +188,24 @@ impl<M: Mass> ChunkTree<M> {
         if b > mid {
             self.canonical(a, b, node.right, out);
         }
+    }
+}
+
+/// A query's split over canonical nodes, in buffers its sampler keeps
+/// from query to query: the nodes, their masses, the masses' prefix sums
+/// and each node's share.
+#[derive(Debug, Default)]
+pub(crate) struct Cover<M> {
+    nodes: Vec<u32>,
+    masses: Vec<M>,
+    prefix: Prefix<M>,
+    counts: Vec<usize>,
+}
+
+impl<M> Cover<M> {
+    /// `(node, its share)` of the last split, left to right.
+    pub fn shares(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.nodes.iter().copied().zip(self.counts.iter().copied())
     }
 }
 

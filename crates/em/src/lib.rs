@@ -18,9 +18,10 @@
 //! * [`EmArray`] — a disk-resident array whose accesses fault blocks
 //!   through the machine: a sequential run touches each of its blocks
 //!   once, a single-item access touches one;
-//! * [`external_sort`] — stable multi-way external merge sort,
-//!   `O((n/B) log_{M/B}(n/B))` I/Os, merging through a heap of run
-//!   heads;
+//! * [`external_sort`] — stable multi-way external merge sort of `u64`
+//!   keys, `O((n/B) log_{M/B}(n/B))` I/Os: runs are formed by a stable
+//!   LSD radix sort in buffers kept from run to run, and merged through a
+//!   heap of `(key, run)` heads;
 //! * [`SamplePool`] — Section 8's set-sampling structure: `n` pre-drawn WR
 //!   samples consumed sequentially and rebuilt (by sorting) on exhaustion;
 //!   amortized `O((1/B) log_{M/B}(n/B))` I/Os per sample, matching the
@@ -48,7 +49,12 @@
 //! search, `O(log t)` where a CDF walk was `O(t)`. The search lands on the
 //! walk's group for every point (the walk answers the rare point within
 //! rounding of a prefix sum), so every draw, RNG word and block transfer
-//! is the walk's.
+//! is the walk's. The weighted sampler keeps what a query fills — the
+//! split buffers, the canonical node list, a pool build's chunk — and a
+//! [`RangePlan`] is filled in place, its boundary pieces copied from a
+//! chunk between two binary searches: after its first queries, a cold
+//! draw allocates only in a pool build, for the arrays it writes and
+//! the external sort's buffers.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

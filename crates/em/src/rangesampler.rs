@@ -1,7 +1,7 @@
-use iqs_alias::split::split_counts;
+use iqs_alias::split::{split_counts, Prefix};
 use rand::Rng;
 
-use crate::chunktree::{ChunkDir, ChunkTree, Pools};
+use crate::chunktree::{key_run, ChunkDir, ChunkTree, Cover, Pools};
 use crate::machine::{EmArray, EmMachine};
 use crate::samplepool::build_wr_pool;
 
@@ -15,10 +15,11 @@ fn store_sorted(machine: &EmMachine, mut keys: Vec<f64>) -> (EmArray<f64>, Chunk
     (arr, dir)
 }
 
-/// The in-range values of chunk `c` (one chunk read).
+/// The in-range values of chunk `c` (one chunk read; `x ≤ y`): the
+/// chunk is key-sorted, so they are one run of it.
 fn read_piece(keys: &EmArray<f64>, dir: &ChunkDir, c: usize, x: f64, y: f64) -> Vec<f64> {
     let (lo, hi) = dir.items(c, c + 1);
-    keys.read_range(lo, hi).into_iter().filter(|&v| v >= x && v <= y).collect()
+    keys.scan(lo, hi, |chunk| chunk[key_run(chunk, x, y, |&k| k)].to_vec())
 }
 
 /// Hu-et-al-style WR **range sampling** structure in external memory
@@ -56,6 +57,9 @@ pub struct EmRangeSampler {
     tree: ChunkTree<usize>,
     /// Lazily built per-node pools with consumption cursors.
     pools: Pools<f64>,
+    /// The middle's canonical nodes and their shares, kept from query
+    /// to query.
+    cover: Cover<usize>,
 }
 
 impl EmRangeSampler {
@@ -73,7 +77,7 @@ impl EmRangeSampler {
             (0..dir.chunks()).map(|c| dir.items(c, c + 1)).map(|(lo, hi)| hi - lo).collect();
         let tree = ChunkTree::new(dir, &counts);
         let pools = Pools::new(tree.node_count());
-        EmRangeSampler { machine: machine.clone(), keys, tree, pools }
+        EmRangeSampler { machine: machine.clone(), keys, tree, pools, cover: Cover::default() }
     }
 
     /// Number of keys.
@@ -125,12 +129,14 @@ impl EmRangeSampler {
         }
         // Three-way multinomial split by exact counts (Figure 2's
         // q1/q2/q3 decomposition).
-        let counts = split_counts(&pieces, total, s, rng);
+        let (mut prefix, mut counts) = (Prefix::default(), Vec::new());
+        split_counts(&pieces, total, s, rng, &mut prefix, &mut counts);
         let mut out = Vec::with_capacity(s);
         out.extend((0..counts[0]).map(|_| pick(&head, rng)));
         out.extend((0..counts[2]).map(|_| pick(&tail, rng)));
         // The middle: canonical supernodes, split by item counts.
-        for (u, count) in self.tree.split_over_canonical(ca + 1, cb, counts[1], rng) {
+        self.tree.split_over_canonical(ca + 1, cb, counts[1], rng, &mut self.cover);
+        for (u, count) in self.cover.shares() {
             let (lo, hi) = self.tree.item_range(u);
             self.pools.take_from_pool(
                 u,

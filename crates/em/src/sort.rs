@@ -1,23 +1,27 @@
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::machine::{EmArray, EmMachine};
 
-/// Multi-way external merge sort: sorts `input` (by the key function) in
-/// `O((n/B) · log_{M/B}(n/B))` I/Os, the Aggarwal–Vitter bound. The sort
-/// is stable: items with equal keys keep their input order.
+/// Multi-way external merge sort of `u64` keys: sorts `input` (by the
+/// key function) in `O((n/B) · log_{M/B}(n/B))` I/Os, the
+/// Aggarwal–Vitter bound. The sort is stable: items with equal keys keep
+/// their input order.
 ///
-/// Phase 1 forms runs of `M` items by in-memory sorting (each run costs
-/// one sequential read + one sequential write). Phase 2 repeatedly merges
+/// Phase 1 forms runs of `M` items in memory (each run costs one
+/// sequential read + one sequential write) by a stable LSD radix sort:
+/// one counting pass per 11-bit digit, skipping every digit on which the
+/// run's keys all agree, in buffers kept from run to run; a run of at
+/// most 64 items is insertion-sorted instead. A run is therefore the
+/// stable comparison sort's, item for item. Phase 2 repeatedly merges
 /// groups of up to `M/B - 1` runs until a single run remains; each pass
 /// scans the data once. Scratch arrays are discarded without write-back.
 ///
 /// Returns a new sorted array; `input` is consumed and discarded.
-pub fn external_sort<T, K, F>(machine: &EmMachine, input: EmArray<T>, key: F) -> EmArray<T>
+pub fn external_sort<T, F>(machine: &EmMachine, input: EmArray<T>, key: F) -> EmArray<T>
 where
     T: Copy,
-    K: PartialOrd,
-    F: Fn(&T) -> K,
+    F: Fn(&T) -> u64,
 {
     let n = input.len();
     if n == 0 {
@@ -29,14 +33,14 @@ where
 
     // Phase 1: run formation.
     let mut runs: Vec<EmArray<T>> = Vec::new();
+    let mut radix = RadixSort::default();
     let mut start = 0usize;
     while start < n {
         let end = (start + mem_items).min(n);
-        let mut buf = input.read_range(start, end);
-        buf.sort_by(|a, b| key(a).partial_cmp(&key(b)).expect("sortable keys"));
+        input.scan(start, end, |items| radix.load(items));
         // The array_from placement is free; charge the sequential write
         // pass that emits the run.
-        let run = machine.array_from(buf);
+        let run = machine.array_from(radix.sort(&key).to_vec());
         run.mark_written(0, run.len());
         runs.push(run);
         start = end;
@@ -57,6 +61,87 @@ where
         runs = next;
     }
     runs.pop().expect("at least one run")
+}
+
+/// Bits per radix digit: six counting passes cover a `u64`.
+const DIGIT_BITS: u32 = 11;
+/// Runs of at most this many items are insertion-sorted: below it, a
+/// counting pass costs more in its `2^DIGIT_BITS` buckets than in items.
+const INSERTION_CUT: usize = 64;
+
+/// The run sorter's buffers, kept from run to run: the run, the buffer a
+/// counting pass scatters it into, and one digit's bucket counts.
+struct RadixSort<T> {
+    items: Vec<T>,
+    spare: Vec<T>,
+    counts: Vec<usize>,
+}
+
+impl<T> Default for RadixSort<T> {
+    fn default() -> Self {
+        RadixSort { items: Vec::new(), spare: Vec::new(), counts: vec![0; 1 << DIGIT_BITS] }
+    }
+}
+
+impl<T: Copy> RadixSort<T> {
+    /// Replaces the run with `items`.
+    fn load(&mut self, items: &[T]) {
+        self.items.clear();
+        self.items.extend_from_slice(items);
+    }
+
+    /// Sorts the run stably by `key`: equal keys keep their order.
+    fn sort(&mut self, key: &impl Fn(&T) -> u64) -> &[T] {
+        if self.items.len() <= INSERTION_CUT {
+            insertion_sort(&mut self.items, key);
+            return &self.items;
+        }
+        // A digit on which every key agrees would scatter the run into
+        // one bucket, in order: skip it.
+        let (all, any) =
+            self.items.iter().map(key).fold((u64::MAX, 0), |(all, any), k| (all & k, any | k));
+        let varying = all ^ any;
+        let mask = (1u64 << DIGIT_BITS) - 1;
+        self.spare.resize(self.items.len(), self.items[0]);
+        for shift in (0..u64::BITS).step_by(DIGIT_BITS as usize) {
+            if (varying >> shift) & mask == 0 {
+                continue;
+            }
+            let digit = |item: &T| ((key(item) >> shift) & mask) as usize;
+            self.counts.fill(0);
+            for item in &self.items {
+                self.counts[digit(item)] += 1;
+            }
+            let mut end = 0;
+            for count in &mut self.counts {
+                (*count, end) = (end, end + *count);
+            }
+            // Each bucket fills in run order, which is what keeps the
+            // pass stable.
+            for item in &self.items {
+                let at = &mut self.counts[digit(item)];
+                self.spare[*at] = *item;
+                *at += 1;
+            }
+            std::mem::swap(&mut self.items, &mut self.spare);
+        }
+        &self.items
+    }
+}
+
+/// Stable insertion sort by `key`: an item moves left only past larger
+/// keys.
+fn insertion_sort<T: Copy>(items: &mut [T], key: &impl Fn(&T) -> u64) {
+    for i in 1..items.len() {
+        let item = items[i];
+        let k = key(&item);
+        let mut j = i;
+        while j > 0 && key(&items[j - 1]) > k {
+            items[j] = items[j - 1];
+            j -= 1;
+        }
+        items[j] = item;
+    }
 }
 
 /// A merge input: one run read a block at a time into a private buffer,
@@ -97,63 +182,37 @@ impl<'a, T: Copy> RunCursor<'a, T> {
     }
 }
 
-/// A run's head in the merge heap. The order is reversed (std's heap
-/// is a max-heap) so the top is the least `(key, run)`: the smallest
-/// key, and on equal keys the lowest run, which is what keeps the sort
-/// stable (runs are formed, and merged, in input order).
-struct Head<K> {
-    key: K,
-    run: usize,
-}
-
-impl<K: PartialOrd> Ord for Head<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key.partial_cmp(&self.key).expect("sortable keys").then(other.run.cmp(&self.run))
-    }
-}
-
-impl<K: PartialOrd> PartialOrd for Head<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: PartialOrd> PartialEq for Head<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<K: PartialOrd> Eq for Head<K> {}
-
 /// Merges `runs` (non-empty: phase 1 never emits an empty run) holding
 /// one buffered block per input plus one output block — the `M/B - 1`
-/// frames the model grants a merge. The run heads wait in a binary
-/// heap, so an output item costs `O(log(M/B))` comparisons; the blocks
-/// touched, and their order, are the model's alone.
-fn merge_group<T, K, F>(machine: &EmMachine, runs: &[EmArray<T>], key: &F) -> EmArray<T>
+/// frames the model grants a merge. The run heads wait in a min-heap of
+/// `(key, run)`: the top is the smallest key, and on equal keys the
+/// lowest run, which is what keeps the sort stable (runs are formed, and
+/// merged, in input order). An output item costs `O(log(M/B))`
+/// comparisons; the blocks touched, and their order, are the model's
+/// alone.
+fn merge_group<T, F>(machine: &EmMachine, runs: &[EmArray<T>], key: &F) -> EmArray<T>
 where
     T: Copy,
-    K: PartialOrd,
-    F: Fn(&T) -> K,
+    F: Fn(&T) -> u64,
 {
     let total: usize = runs.iter().map(EmArray::len).sum();
     let mut cursors: Vec<RunCursor<'_, T>> = runs.iter().map(RunCursor::new).collect();
     let fill = cursors[0].head().expect("runs are non-empty");
     let out = machine.array_from(vec![fill; total]);
-    let mut heads: BinaryHeap<Head<K>> = cursors
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = cursors
         .iter()
         .enumerate()
-        .map(|(run, cursor)| Head { key: key(&cursor.head().expect("runs are non-empty")), run })
+        .map(|(run, cursor)| Reverse((key(&cursor.head().expect("runs are non-empty")), run)))
         .collect();
     let mut out_block = Vec::with_capacity(out.items_per_block());
     let mut written = 0usize;
     while let Some(mut top) = heads.peek_mut() {
-        let cursor = &mut cursors[top.run];
+        let Reverse((_, run)) = *top;
+        let cursor = &mut cursors[run];
         let head = cursor.head().expect("a run in the heap has a head");
         cursor.advance();
         match cursor.head() {
-            Some(next) => top.key = key(&next),
+            Some(next) => top.0 .0 = key(&next),
             None => {
                 PeekMut::pop(top);
             }
@@ -188,12 +247,23 @@ mod tests {
     }
 
     #[test]
-    fn sorts_floats_by_key() {
+    fn sorts_digit_edges_stably() {
+        // Keys one below, at and one above every power of two (so at
+        // every digit boundary), each twice and tagged with its input
+        // position: one run takes a counting pass per digit, and equal
+        // keys keep their order.
         let m = EmMachine::new(512, 64);
-        let data: Vec<f64> = vec![3.5, -1.0, 2.0, 0.0, -7.25];
-        let arr = m.array_from(data);
-        let sorted = external_sort(&m, arr, |&x| x);
-        assert_eq!(sorted.read_range(0, 5), vec![-7.25, -1.0, 0.0, 2.0, 3.5]);
+        let edges: Vec<u64> = (1..u64::BITS)
+            .flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1])
+            .chain([0, u64::MAX])
+            .collect();
+        let data: Vec<(u64, usize)> =
+            edges.iter().rev().chain(&edges).copied().enumerate().map(|(i, k)| (k, i)).collect();
+        assert!(data.len() > INSERTION_CUT, "the run takes the radix path");
+        let mut want = data.clone();
+        want.sort_by_key(|p| p.0);
+        let sorted = external_sort(&m, m.array_from(data), |p| p.0);
+        assert_eq!(sorted.read_range(0, sorted.len()), want);
     }
 
     #[test]

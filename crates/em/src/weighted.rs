@@ -30,7 +30,7 @@
 use iqs_alias::split::{pick, split_counts, Prefix};
 use rand::Rng;
 
-use crate::chunktree::{ChunkDir, ChunkTree, Pools};
+use crate::chunktree::{key_run, ChunkDir, ChunkTree, Cover, Pools};
 use crate::machine::{EmArray, EmMachine};
 use crate::sort::external_sort;
 
@@ -68,7 +68,7 @@ impl RangePlan {
 }
 
 /// Items of one chunk and the prefix sums of their weights: a group
-/// list drawn from many times.
+/// list drawn from many times. Both buffers are kept from fill to fill.
 #[derive(Debug, Clone, Default)]
 struct Piece {
     items: Vec<Item>,
@@ -76,10 +76,15 @@ struct Piece {
 }
 
 impl Piece {
-    /// Sums the weights of `items`, in order, into the kept prefix.
-    fn fill(&mut self, items: Vec<Item>) {
-        self.prefix.fill(items.iter().map(|p| p.1));
-        self.items = items;
+    /// Sums the items' weights, in order, into the kept prefix.
+    fn sum(&mut self) {
+        self.prefix.fill(self.items.iter().map(|p| p.1));
+    }
+
+    /// Empties the piece, keeping its buffers.
+    fn clear(&mut self) {
+        self.items.clear();
+        self.sum();
     }
 
     /// The items' total weight, summed left to right.
@@ -117,28 +122,54 @@ pub struct EmWeightedRangeSampler {
     items: Items,
     /// Per-node pool of pre-drawn weighted `(key, id)` samples + cursor.
     pools: Pools<(f64, u64)>,
+    /// The buffers a draw and its pool builds fill, kept from query to
+    /// query: after the first queries, a draw allocates only in a pool
+    /// build, for the arrays it writes and the external sort's buffers.
+    /// Boxed, so the sampler stays small to move.
+    scratch: Box<Scratch>,
+}
+
+/// A draw's kept buffers.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The three-way split between head, middle and tail: prefix sums
+    /// and counts.
+    split: (Prefix<f64>, Vec<usize>),
+    /// The middle's canonical nodes and their shares.
+    cover: Cover<f64>,
+    build: BuildScratch,
+}
+
+/// A pool build's kept buffers.
+#[derive(Debug, Default)]
+struct BuildScratch {
+    /// The split of the pool over the node's chunks: prefix sums and
+    /// per-chunk demands.
+    split: (Prefix<f64>, Vec<usize>),
+    /// The chunk being drawn from.
+    piece: Piece,
 }
 
 impl Items {
-    /// Reads a chunk's `(key, weight, id)` triples: one sequential run of
-    /// the pair chunk plus one of the (denser) id chunk.
-    fn read_chunk(&self, c: usize) -> Vec<Item> {
+    /// Chunk `c`'s `(key, weight, id)` triples with keys in `[x, y]`
+    /// (`x ≤ y`), summed into `piece`: one sequential run of the pair
+    /// chunk, then one of the (denser) id chunk. The chunk is key-sorted,
+    /// so its in-range items are one run of it, found by two binary
+    /// searches and copied in chunk order.
+    fn read_piece(&self, c: usize, x: f64, y: f64, piece: &mut Piece) {
         let (lo, hi) = self.tree.dir.items(c, c + 1);
-        let mut items: Vec<Item> =
-            self.data.scan(lo, hi, |pairs| pairs.iter().map(|&(k, w)| (k, w, 0)).collect());
+        piece.items.clear();
+        let run = self.data.scan(lo, hi, |pairs| {
+            let run = key_run(pairs, x, y, |p| p.0);
+            piece.items.extend(pairs[run.clone()].iter().map(|&(k, w)| (k, w, 0)));
+            run
+        });
         self.ids.scan(lo, hi, |ids| {
-            for (item, &id) in items.iter_mut().zip(ids) {
+            for (item, &id) in piece.items.iter_mut().zip(&ids[run]) {
                 item.2 = id;
             }
         });
-        items
-    }
-
-    /// A chunk's items with keys in `[x, y]`, summed into `piece`.
-    fn read_piece(&self, c: usize, x: f64, y: f64, piece: &mut Piece) {
-        let mut items = self.read_chunk(c);
-        items.retain(|&(k, _, _)| k >= x && k <= y);
-        piece.fill(items);
+        piece.sum();
     }
 
     /// Builds node `u`'s pool — one *weighted* `(key, id)` sample per
@@ -146,22 +177,29 @@ impl Items {
     /// decides per-chunk demands; one sequential pass over the chunks
     /// draws within-chunk weighted samples; an external sort randomizes
     /// the pool order so consumption order is independent of chunk order.
-    fn build_weighted_pool<R: Rng + ?Sized>(&self, u: u32, rng: &mut R) -> EmArray<(f64, u64)> {
+    fn build_weighted_pool<R: Rng + ?Sized>(
+        &self,
+        u: u32,
+        rng: &mut R,
+        scratch: &mut BuildScratch,
+    ) -> EmArray<(f64, u64)> {
+        let BuildScratch { split: (prefix, demand), piece } = scratch;
         let (clo, chi) = self.tree.chunk_range(u);
         let (ilo, ihi) = self.tree.item_range(u);
         let count = ihi - ilo;
         // Chunk demands via the in-memory directory (CPU only). The node's
         // mass was summed in tree order, so it may differ in the last
         // place from the chunk weights' left-to-right prefix sum.
-        let demand = split_counts(&self.chunk_weight[clo..chi], self.tree.mass(u), count, rng);
-        // Sequential pass: per chunk, in-memory weighted draws.
+        let masses = &self.chunk_weight[clo..chi];
+        split_counts(masses, self.tree.mass(u), count, rng, prefix, demand);
+        // Sequential pass: per chunk (all of it: keys are finite), in-memory
+        // weighted draws, staged in the buffer that becomes the array.
         let mut staged: Vec<(u64, f64, u64)> = Vec::with_capacity(count);
-        let mut piece = Piece::default();
         for (i, &d) in demand.iter().enumerate() {
             if d == 0 {
                 continue;
             }
-            piece.fill(self.read_chunk(clo + i));
+            self.read_piece(clo + i, f64::NEG_INFINITY, f64::INFINITY, piece);
             for _ in 0..d {
                 let (key, id) = piece.pick(rng);
                 staged.push((rng.random::<u64>(), key, id)); // random sort key
@@ -178,12 +216,17 @@ impl Items {
         pool
     }
 
-    fn plan(&self, x: f64, y: f64) -> RangePlan {
-        let mut plan = RangePlan::default();
+    fn plan(&self, x: f64, y: f64, plan: &mut RangePlan) {
+        // Every field is written, so a kept plan holds nothing of the
+        // range it planned before.
+        plan.head.clear();
+        plan.tail.clear();
+        (plan.mid_lo, plan.mid_hi, plan.weights, plan.split, plan.total) =
+            (0, 0, [0.0; 3], false, 0.0);
         // A NaN bound is an empty range: `boundary_chunks` would place
         // it in chunk 0, out of order with the other bound.
         if y < x || x.is_nan() || y.is_nan() {
-            return plan;
+            return;
         }
         let (ca, cb) = self.tree.dir.boundary_chunks(x, y);
         self.read_piece(ca, x, y, &mut plan.head);
@@ -196,7 +239,6 @@ impl Items {
             plan.weights[1] = self.chunk_weight[ca + 1..cb].iter().sum();
         }
         plan.total = plan.weights.iter().sum();
-        plan
     }
 }
 
@@ -238,7 +280,7 @@ impl EmWeightedRangeSampler {
         assert!(tree.total().is_finite(), "total weight overflows");
         let pools = Pools::new(tree.node_count());
         let items = Items { machine: machine.clone(), data, ids, tree, chunk_weight };
-        EmWeightedRangeSampler { items, pools }
+        EmWeightedRangeSampler { items, pools, scratch: Box::default() }
     }
 
     /// Number of elements.
@@ -274,11 +316,14 @@ impl EmWeightedRangeSampler {
         self.pools.discard();
     }
 
-    /// Plans a query over the keys in `[x, y]` without consuming any
-    /// randomness: reads each boundary chunk once (`O(1)` I/Os) and takes
-    /// the interior chunks' weight from the in-memory directory.
-    pub fn plan(&self, x: f64, y: f64) -> RangePlan {
-        self.items.plan(x, y)
+    /// Plans a query over the keys in `[x, y]` into `plan` without
+    /// consuming any randomness: reads each boundary chunk once (`O(1)`
+    /// I/Os) and takes the interior chunks' weight from the in-memory
+    /// directory. Whatever `plan` held is replaced; its buffers are kept,
+    /// so a caller that keeps one plan allocates nothing once they have
+    /// grown to a chunk.
+    pub fn plan(&self, x: f64, y: f64, plan: &mut RangePlan) {
+        self.items.plan(x, y, plan);
     }
 
     /// The draw half of a query: appends `s` independent weighted samples
@@ -307,15 +352,16 @@ impl EmWeightedRangeSampler {
             pick_from(&plan.head, s, rng);
             return Some(s);
         }
-        let counts = split_counts(&plan.weights, plan.total, s, rng);
+        let Scratch { split: (prefix, counts), cover, build } = &mut *self.scratch;
+        split_counts(&plan.weights, plan.total, s, rng, prefix, counts);
         pick_from(&plan.head, counts[0], rng);
         pick_from(&plan.tail, counts[2], rng);
-        let mid = self.items.tree.split_over_canonical(plan.mid_lo, plan.mid_hi, counts[1], rng);
-        for (u, count) in mid {
+        self.items.tree.split_over_canonical(plan.mid_lo, plan.mid_hi, counts[1], rng, cover);
+        for (u, count) in cover.shares() {
             self.pools.take_from_pool(
                 u,
                 count,
-                || self.items.build_weighted_pool(u, rng),
+                || self.items.build_weighted_pool(u, rng, build),
                 |run| out.extend(run.iter().map(|&(key, id)| emit(key, id))),
             );
         }
@@ -343,8 +389,10 @@ impl EmWeightedRangeSampler {
         s: usize,
         rng: &mut R,
     ) -> Option<Vec<f64>> {
+        let mut plan = RangePlan::default();
+        self.plan(x, y, &mut plan);
         let mut out = Vec::with_capacity(s);
-        self.draw(&self.plan(x, y), s, rng, &mut out, |key, _| key)?;
+        self.draw(&plan, s, rng, &mut out, |key, _| key)?;
         Some(out)
     }
 
@@ -360,14 +408,18 @@ impl EmWeightedRangeSampler {
         rng: &mut R,
         out: &mut Vec<u64>,
     ) -> Option<usize> {
-        self.draw_ids_into(&self.plan(x, y), s, rng, out)
+        let mut plan = RangePlan::default();
+        self.plan(x, y, &mut plan);
+        self.draw_ids_into(&plan, s, rng, out)
     }
 
     /// Exact total weight of keys in `[x, y]`: the two boundary chunks are
     /// scanned (O(1) chunk I/Os), interior chunks come from the in-memory
     /// directory.
     pub fn range_weight(&self, x: f64, y: f64) -> f64 {
-        self.plan(x, y).total
+        let mut plan = RangePlan::default();
+        self.plan(x, y, &mut plan);
+        plan.total
     }
 
     /// Exact number of keys in `[x, y]`, at the same O(1) chunk I/O cost
@@ -380,7 +432,7 @@ impl EmWeightedRangeSampler {
         let (ca, cb) = dir.boundary_chunks(x, y);
         let in_range = |c: usize| {
             let (lo, hi) = dir.items(c, c + 1);
-            self.items.data.read_range(lo, hi).iter().filter(|&&(k, _)| k >= x && k <= y).count()
+            self.items.data.scan(lo, hi, |pairs| key_run(pairs, x, y, |p| p.0).len())
         };
         if ca == cb {
             return in_range(ca);
@@ -534,18 +586,31 @@ mod tests {
         let mut queried = EmWeightedRangeSampler::new(&twin_machine, pairs);
         let mut rng_planned = StdRng::seed_from_u64(175);
         let mut rng_queried = StdRng::seed_from_u64(175);
+        // One plan kept through every range: from wide ones through one
+        // chunk to empty and NaN ranges, each plan replacing the last.
+        let mut plan = RangePlan::default();
         // The ranges of `range_weight_and_count_are_exact`, with the
         // number of boundary chunks each one reads.
-        for (x, y, chunks) in
-            [(0.0, 1999.0, 2), (13.0, 1987.0, 2), (100.0, 100.0, 1), (55.5, 56.5, 1), (7.0, 3.0, 0)]
-        {
+        let nan = f64::NAN;
+        for (x, y, chunks) in [
+            (0.0, 1999.0, 2),
+            (13.0, 1987.0, 2),
+            (100.0, 100.0, 1),
+            (55.5, 56.5, 1),
+            (7.0, 3.0, 0),
+            (nan, 1500.0, 0),
+            (500.0, nan, 0),
+        ] {
             machine.reset_stats();
-            let plan = planned.plan(x, y);
+            planned.plan(x, y, &mut plan);
             // A chunk is one pair block and half an id block, each
             // touched once.
             let stats = machine.stats();
             assert_eq!(stats.hits + stats.misses, 2 * chunks, "plan touches at [{x},{y}]");
             assert_eq!(plan.total().to_bits(), planned.range_weight(x, y).to_bits(), "[{x},{y}]");
+            let mut fresh = RangePlan::default();
+            queried.plan(x, y, &mut fresh);
+            assert_eq!(format!("{plan:?}"), format!("{fresh:?}"), "kept plan at [{x},{y}]");
             let (mut got, mut want) = (Vec::new(), Vec::new());
             let drew = planned.draw_ids_into(&plan, 300, &mut rng_planned, &mut got);
             assert_eq!(drew, queried.query_ids_into(x, y, 300, &mut rng_queried, &mut want));

@@ -15,7 +15,7 @@
 //! not re-pinned in passing. It is the em twin of
 //! `crates/net/tests/golden_frames.rs`.
 
-use iqs_em::{EmMachine, EmRangeSampler, EmWeightedRangeSampler, IoStats, SamplePool};
+use iqs_em::{EmMachine, EmRangeSampler, EmWeightedRangeSampler, IoStats, RangePlan, SamplePool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -164,8 +164,10 @@ fn weighted_plan_draw(b: usize, m: usize, seed: u64) -> String {
     // One buffer for every draw: ids are appended, never cleared.
     const SENTINEL: u64 = u64::MAX;
     let mut ids = vec![SENTINEL];
+    // One plan for every query, too: each plan replaces the last.
+    let mut plan = RangePlan::default();
     for q in 0..3 {
-        let plan = ws.plan(x, y);
+        ws.plan(x, y, &mut plan);
         t.io(machine.stats());
         assert_eq!(plan.total().to_bits(), ws.range_weight(x, y).to_bits());
         assert_eq!(ws.draw_ids_into(&plan, s, &mut rng, &mut ids), Some(s));
@@ -176,14 +178,14 @@ fn weighted_plan_draw(b: usize, m: usize, seed: u64) -> String {
     assert_eq!(ids[0], SENTINEL, "the buffer's contents were left alone");
     t.head(&ids[1..], HEAD);
     assert!(ws.rebuilds() > 0, "a pool was rebuilt");
-    let plan = ws.plan(1.0, b as f64 / 4.0);
+    ws.plan(1.0, b as f64 / 4.0, &mut plan);
     let before = ids.len();
     assert_eq!(ws.draw_ids_into(&plan, 8, &mut rng, &mut ids), Some(8));
     t.head(&ids[before..], 8);
     t.after_query(&machine, ws.rebuilds());
-    let empty = ws.plan(10.25, 10.75);
-    assert_eq!(empty.total(), 0.0);
-    assert_eq!(ws.draw_ids_into(&empty, 4, &mut rng, &mut ids), None);
+    ws.plan(10.25, 10.75, &mut plan);
+    assert_eq!(plan.total(), 0.0);
+    assert_eq!(ws.draw_ids_into(&plan, 4, &mut rng, &mut ids), None);
     assert_eq!(ids.len(), before + 8, "an empty plan appends nothing");
     t.render()
 }

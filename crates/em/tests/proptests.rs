@@ -3,6 +3,8 @@
 use iqs_em::{external_sort, EmArray, EmMachine, IoStats};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A reference LRU pool over block keys `(array, block)`: frames kept
 /// in recency order, least recent first, and searched linearly. It
@@ -250,6 +252,55 @@ proptest! {
     ) {
         let machine = EmMachine::new(frames * block, block);
         let items: Vec<(u64, usize)> = data.iter().enumerate().map(|(i, &k)| (k % 7, i)).collect();
+        let mut want = items.clone();
+        want.sort_by_key(|p| p.0);
+        let sorted = external_sort(&machine, machine.array_from(items), |p| p.0);
+        prop_assert_eq!(sorted.read_range(0, sorted.len()), want);
+    }
+
+    /// The run sort against `sort_by_key`, item for item with its
+    /// payload (the input position), on key shapes a radix sort can get
+    /// wrong: random keys, all-equal keys, keys differing only in bit 63
+    /// or only in bit 0, values at every power-of-two edge (so at every
+    /// digit edge) up to `u64::MAX`, shuffled ranks `0..n`, and heavy
+    /// duplicates. Lengths fall below the insertion cut, on exactly one
+    /// run of `M` items, and one past a whole number of runs.
+    #[test]
+    fn radix_runs_are_the_stable_sort(
+        shape in 0usize..7,
+        length in 0usize..3,
+        frames in 2usize..16,
+        block in 16usize..256,
+        seed in 0u64..u64::MAX,
+    ) {
+        let machine = EmMachine::new(frames * block, block);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // `(u64, usize)` items are two words: `block / 2` to a block.
+        let run = frames * (block / 2);
+        let n = match length {
+            0 => rng.random_range(0..=64),
+            1 => run,
+            _ => rng.random_range(1..4usize) * run + 1,
+        };
+        let base: u64 = rng.random();
+        let edges: Vec<u64> =
+            (1..u64::BITS).flat_map(|b| [(1u64 << b) - 1, 1 << b]).chain([0, u64::MAX]).collect();
+        let mut ranks: Vec<u64> = (0..n as u64).collect();
+        for i in (1..n).rev() {
+            ranks.swap(i, rng.random_range(0..=i));
+        }
+        let keys: Vec<u64> = (0..n)
+            .map(|i| match shape {
+                0 => rng.random(),
+                1 => base,
+                2 => base & !(1 << 63) | u64::from(rng.random::<bool>()) << 63,
+                3 => base & !1 | u64::from(rng.random::<bool>()),
+                4 => edges[rng.random_range(0..edges.len())],
+                5 => ranks[i],
+                _ => base ^ rng.random_range(0..4u64) << 40,
+            })
+            .collect();
+        let items: Vec<(u64, usize)> = keys.into_iter().zip(0..).collect();
         let mut want = items.clone();
         want.sort_by_key(|p| p.0);
         let sorted = external_sort(&machine, machine.array_from(items), |p| p.0);

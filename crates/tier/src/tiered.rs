@@ -1,10 +1,11 @@
 //! The tiered index: routing, the block-cached cold path, and
 //! obs-driven promotion/demotion.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use iqs_alias::split::split_counts;
+use iqs_alias::split::{split_counts, Prefix};
 use iqs_alias::validate_weights;
 use iqs_core::{QueryError, QueryPlan, RangeSampler, Tiles};
 use iqs_em::{EmMachine, EmWeightedRangeSampler, IoStats, RangePlan};
@@ -189,6 +190,33 @@ pub struct TieredIndex {
     counters: LiveTierCounters,
 }
 
+/// A query's per-shard lists, kept by the thread that serves it: the
+/// shards the range holds weight in (with whether their plan is read),
+/// their range weights, the split over them, and their plans, which keep
+/// their buffers from query to query.
+#[derive(Default)]
+struct QueryLists {
+    active: Vec<(usize, bool)>,
+    weights: Vec<f64>,
+    split: (Prefix<f64>, Vec<usize>),
+    /// `plans[i]` is the plan of `active[i]`'s shard.
+    plans: Vec<RangePlan>,
+}
+
+impl QueryLists {
+    /// Runs `f` in the lists the calling thread keeps; a call made from
+    /// inside `f` runs in fresh lists.
+    fn with_kept<T>(f: impl FnOnce(&mut QueryLists) -> T) -> T {
+        thread_local! {
+            static KEPT: RefCell<QueryLists> = RefCell::default();
+        }
+        KEPT.with(|kept| match kept.try_borrow_mut() {
+            Ok(mut lists) => f(&mut lists),
+            Err(_) => f(&mut QueryLists::default()),
+        })
+    }
+}
+
 fn io_report(io: &IoStats) -> IoReport {
     IoReport {
         cache_hits: io.hits,
@@ -277,40 +305,50 @@ impl TieredIndex {
         if y < x || x.is_nan() || y.is_nan() {
             return Err(QueryError::EmptyRange.into());
         }
-        let mut io = IoStats::default();
-        let mut active: Vec<(&Arc<ShardSlot>, f64, Option<RangePlan>)> = Vec::new();
-        let mut total = 0.0;
-        for slot in &self.shards {
-            if !slot.overlaps(x, y) {
-                continue;
+        QueryLists::with_kept(|lists| {
+            let QueryLists { active, weights, split: (prefix, counts), plans } = lists;
+            let mut io = IoStats::default();
+            active.clear();
+            weights.clear();
+            let mut total = 0.0;
+            for (i, slot) in self.shards.iter().enumerate() {
+                if !slot.overlaps(x, y) {
+                    continue;
+                }
+                if plans.len() == active.len() {
+                    plans.push(RangePlan::default());
+                }
+                let (w, planned) =
+                    self.slot_range_weight(slot, x, y, &mut plans[active.len()], &mut io);
+                if w > 0.0 {
+                    total += w;
+                    active.push((i, planned));
+                    weights.push(w);
+                }
             }
-            let (w, plan) = self.slot_range_weight(slot, x, y, &mut io);
-            if w > 0.0 {
-                total += w;
-                active.push((slot, w, plan));
+            if active.is_empty() || total <= 0.0 {
+                return Err(QueryError::EmptyRange.into());
             }
-        }
-        if active.is_empty() || total <= 0.0 {
-            return Err(QueryError::EmptyRange.into());
-        }
-        // Exact multinomial split: one categorical coin per sample. The
-        // single-shard case draws no coins, so a one-shard index replays
-        // the flat structure's RNG stream word for word.
-        let counts = if active.len() == 1 {
-            vec![s]
-        } else {
-            let weights: Vec<f64> = active.iter().map(|a| a.1).collect();
-            split_counts(&weights, total, s, rng)
-        };
-        let mut out = Vec::with_capacity(s);
-        for ((slot, _, plan), &c) in active.into_iter().zip(&counts) {
-            if c == 0 {
-                continue;
+            // Exact multinomial split: one categorical coin per sample. The
+            // single-shard case draws no coins, so a one-shard index replays
+            // the flat structure's RNG stream word for word.
+            if active.len() == 1 {
+                counts.clear();
+                counts.push(s);
+            } else {
+                split_counts(weights, total, s, rng, prefix, counts);
             }
-            self.draw_from_slot(slot, x, y, plan, c, rng, &mut out, &mut io, ctx)?;
-            slot.accesses.fetch_add(c as u64, Ordering::Relaxed);
-        }
-        Ok((out, io_report(&io)))
+            let mut out = Vec::with_capacity(s);
+            for ((&(i, planned), plan), &c) in active.iter().zip(plans.iter_mut()).zip(&*counts) {
+                if c == 0 {
+                    continue;
+                }
+                let slot = &self.shards[i];
+                self.draw_from_slot(slot, x, y, plan, planned, c, rng, &mut out, &mut io, ctx)?;
+                slot.accesses.fetch_add(c as u64, Ordering::Relaxed);
+            }
+            Ok((out, io_report(&io)))
+        })
     }
 
     /// Exact number of elements with keys in `[x, y]` (0 when a bound is
@@ -345,11 +383,11 @@ impl TieredIndex {
         if y < x || x.is_nan() || y.is_nan() {
             return 0.0;
         }
-        let mut io = IoStats::default();
+        let (mut io, mut plan) = (IoStats::default(), RangePlan::default());
         self.shards
             .iter()
             .filter(|s| s.overlaps(x, y))
-            .map(|s| self.slot_range_weight(s, x, y, &mut io).0)
+            .map(|s| self.slot_range_weight(s, x, y, &mut plan, &mut io).0)
             .sum()
     }
 
@@ -462,43 +500,46 @@ impl TieredIndex {
 
     /// Exact range weight of one shard, charging any cold-tier chunk
     /// reads to `io`. Full-span queries come from the directory for
-    /// free in both tiers. A partially covered cold shard also returns
-    /// the plan its boundary-chunk reads paid for, so the draw does not
-    /// read them again.
+    /// free in both tiers. A partially covered cold shard also fills
+    /// `plan` with what its boundary-chunk reads paid for, and says so
+    /// (`true`), so the draw does not read them again.
     fn slot_range_weight(
         &self,
         slot: &ShardSlot,
         x: f64,
         y: f64,
+        plan: &mut RangePlan,
         io: &mut IoStats,
-    ) -> (f64, Option<RangePlan>) {
+    ) -> (f64, bool) {
         if x <= slot.lo && slot.hi <= y {
-            return (slot.total_weight, None);
+            return (slot.total_weight, false);
         }
         let state = slot.state.load();
         match &*state {
-            TierState::Hot(h) => (h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y)), None),
+            TierState::Hot(h) => (h.sampler.as_ref().map_or(0.0, |s| s.range_weight(x, y)), false),
             TierState::Cold(c) => {
                 let _dev = self.device();
                 let before = self.machine.stats();
-                let plan = c.lock().plan(x, y);
+                c.lock().plan(x, y, plan);
                 *io = io.plus(&self.delta_since(&before));
-                (plan.total(), Some(plan))
+                (plan.total(), true)
             }
         }
     }
 
-    /// Draws `s` ids from one shard's part of `[x, y]`. `plan` is the
-    /// cold plan [`Self::slot_range_weight`] already read, if any; it
-    /// outlives a promote/demote cycle in between because a shard's
-    /// elements never change, and a shard found hot ignores it.
+    /// Draws `s` ids from one shard's part of `[x, y]`. `plan` holds the
+    /// cold plan [`Self::slot_range_weight`] already read when `planned`,
+    /// and is filled here when a cold shard has none; a plan outlives a
+    /// promote/demote cycle in between because a shard's elements never
+    /// change, and a shard found hot ignores it.
     #[allow(clippy::too_many_arguments)]
     fn draw_from_slot(
         &self,
         slot: &ShardSlot,
         x: f64,
         y: f64,
-        plan: Option<RangePlan>,
+        plan: &mut RangePlan,
+        planned: bool,
         s: usize,
         rng: &mut dyn RngCore,
         out: &mut Vec<u64>,
@@ -516,8 +557,10 @@ impl TieredIndex {
                 let _dev = self.device();
                 let mut sampler = c.lock();
                 let before = self.machine.stats();
-                let plan = plan.unwrap_or_else(|| sampler.plan(x, y));
-                let drew = sampler.draw_ids_into(&plan, s, rng, out);
+                if !planned {
+                    sampler.plan(x, y, plan);
+                }
+                let drew = sampler.draw_ids_into(plan, s, rng, out);
                 let delta = self.delta_since(&before);
                 *io = io.plus(&delta);
                 if drew.is_none() {
@@ -724,8 +767,9 @@ mod tests {
         let slot = &idx.shards[0];
         let (x, y) = (100.0, 700.0);
         let mut io = IoStats::default();
-        let (weight, plan) = idx.slot_range_weight(slot, x, y, &mut io);
-        assert!(plan.is_some(), "a partially covered cold shard hands its plan on");
+        let mut plan = RangePlan::default();
+        let (weight, planned) = idx.slot_range_weight(slot, x, y, &mut plan, &mut io);
+        assert!(planned, "a partially covered cold shard hands its plan on");
         assert_eq!(weight.to_bits(), idx.range_weight(x, y).to_bits());
         assert!(io.reads > 0, "the plan paid for the boundary chunks");
         assert!(idx.promote("s").unwrap());
@@ -733,7 +777,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let mut out = Vec::new();
         let before = io;
-        idx.draw_from_slot(slot, x, y, plan, 40, &mut rng, &mut out, &mut io, Ctx::none()).unwrap();
+        idx.draw_from_slot(
+            slot,
+            x,
+            y,
+            &mut plan,
+            planned,
+            40,
+            &mut rng,
+            &mut out,
+            &mut io,
+            Ctx::none(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|&id| (100..=700).contains(&id)));
         assert_eq!(io, before, "the hot arm does no block I/O");
@@ -754,7 +810,8 @@ mod tests {
         let TierState::Cold(cold) = &*pinned else { panic!("pinned before the promotion") };
         let mut rng = StdRng::seed_from_u64(13);
         let mut out = Vec::new();
-        let plan = cold.lock().plan(100.0, 700.0);
+        let mut plan = RangePlan::default();
+        cold.lock().plan(100.0, 700.0, &mut plan);
         cold.lock().draw_ids_into(&plan, 40, &mut rng, &mut out).expect("range is not empty");
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|&id| (100..=700).contains(&id)));

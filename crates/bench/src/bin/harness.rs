@@ -4,7 +4,6 @@
 //! Usage:
 //!   cargo run -p iqs-bench --release --bin harness            # all
 //!   cargo run -p iqs-bench --release --bin harness -- e1 f2   # subset
-//!   cargo run -p iqs-bench --release --bin harness -- --smoke e23 e24   # CI-sized loops
 //!
 //! Each experiment prints its tables and writes them to `results/*.csv`
 //! (one file per table, written afresh by each run).
@@ -37,12 +36,6 @@ use iqs_tree::{SubtreeSampler, Tree, TreeSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// What the command line asks of every arm.
-struct Opts {
-    /// `--smoke`: the arms with long loops (E23, E24) run them CI-sized.
-    smoke: bool,
-}
-
 /// One experiment: the argument names that select it, the title the
 /// runner prints before it and the claim it prints after, and the body
 /// that prints the tables in between.
@@ -50,7 +43,7 @@ struct Arm {
     names: &'static [&'static str],
     title: &'static str,
     claim: &'static str,
-    run: fn(&Opts),
+    run: fn(),
 }
 
 /// Every arm, in the order a bare `harness` runs them.
@@ -157,7 +150,8 @@ const ARMS: &[Arm] = &[
     Arm {
         names: &["a1"],
         title: "A1  Theorem-3 chunk-length ablation (n = 2^18, s = 64)",
-        claim: "tiny chunks inflate T_chunk space (n log n regime); huge chunks slow the\n         \
+        claim:
+            "tiny chunks inflate T_chunk space (n log n regime); huge chunks slow the\n         \
                 boundary scans; c = Θ(log n) sits at the joint optimum.",
         run: a1_chunk_len_ablation,
     },
@@ -194,46 +188,23 @@ const ARMS: &[Arm] = &[
                 nothing per query and should not lose to the sequential one from s = 16 up.",
         run: e16_batch_throughput,
     },
-    Arm {
-        names: &["e23"],
-        title: "E23  autopilot — chaos scenario matrix, controller on vs off (A/B, one seed)",
-        claim: "with the controller on, the same seed and faults see fewer degraded reads and a\n  \
-                lower p99 than with it off (hotspots split, cold shards re-merged, the zombie\n  \
-                replica rebuilt around within one tick); zero reads fail in any cell, either arm.\n  \
-                Wall-clock latencies on a 1-vCPU runner are noisy — EXPERIMENTS.md has the caveats.",
-        run: e23_autopilot,
-    },
-    Arm {
-        names: &["e24"],
-        title: "E24  telemetry plane — shipping overhead A/B + burn detection latency",
-        claim: "the recorder and the per-round fold/encode/ship path each cost a fixed ~10 us per\n  \
-                query — double digits against ~24 us in-process queries, noise against a network.\n  \
-                Detection is budget-relative: 2% and 10% bad never alert, fractions past the\n  \
-                fast-burn line alert 1-2 ticks after the regression (exact: virtual clock, no RNG).",
-        run: e24_telemetry_slo,
-    },
 ];
 
-/// The arms `args` select (every arm when none is named) and the options
-/// its flags set, or the first argument that is neither.
-fn select(args: &[String]) -> Result<(Vec<&'static Arm>, Opts), &str> {
-    let (flags, names): (Vec<&String>, Vec<&String>) = args.iter().partition(|a| *a == "--smoke");
+/// The arms `args` select (every arm when none is named), or the first
+/// argument that names none.
+fn select(args: &[String]) -> Result<Vec<&'static Arm>, &str> {
     let named = |arm: &Arm, arg: &String| arm.names.contains(&arg.as_str());
-    if let Some(unknown) = names.iter().find(|a| !ARMS.iter().any(|arm| named(arm, a))) {
+    if let Some(unknown) = args.iter().find(|a| !ARMS.iter().any(|arm| named(arm, a))) {
         return Err(unknown);
     }
-    let arms = ARMS.iter().filter(|arm| names.is_empty() || names.iter().any(|a| named(arm, a)));
-    Ok((arms.collect(), Opts { smoke: !flags.is_empty() }))
+    Ok(ARMS.iter().filter(|arm| args.is_empty() || args.iter().any(|a| named(arm, a))).collect())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let (arms, opts) = select(&args).unwrap_or_else(|unknown| {
+    let arms = select(&args).unwrap_or_else(|unknown| {
         let valid: Vec<&str> = ARMS.iter().flat_map(|arm| arm.names.iter().copied()).collect();
-        eprintln!(
-            "unknown experiment `{unknown}`; valid names: {} (flag: --smoke)",
-            valid.join(" ")
-        );
+        eprintln!("unknown experiment `{unknown}`; valid names: {}", valid.join(" "));
         std::process::exit(2);
     });
 
@@ -242,12 +213,12 @@ fn main() {
 
     for arm in arms {
         println!("{}", arm.title);
-        (arm.run)(&opts);
+        (arm.run)();
         println!("  claim: {}\n", arm.claim);
     }
 }
 
-fn e1_alias(_: &Opts) {
+fn e1_alias() {
     let mut table = Table::new(
         "e1_alias.csv",
         &[
@@ -273,7 +244,7 @@ fn e1_alias(_: &Opts) {
     }
 }
 
-fn e2_tree_sampling(_: &Opts) {
+fn e2_tree_sampling() {
     let mut table = Table::new(
         "e2_tree_sampling.csv",
         &[
@@ -298,7 +269,7 @@ fn e2_tree_sampling(_: &Opts) {
     }
 }
 
-fn e3_e4_range1d(_: &Opts) {
+fn e3_e4_range1d() {
     let mut table = Table::new(
         "e3_e4_range1d.csv",
         &[
@@ -329,7 +300,7 @@ fn e3_e4_range1d(_: &Opts) {
     }
 }
 
-fn e5_kdtree(_: &Opts) {
+fn e5_kdtree() {
     let mut rng = StdRng::seed_from_u64(5);
     let n = 1 << 17;
     let pts = uniform_points2(n, 50);
@@ -402,7 +373,7 @@ fn e5_kdtree(_: &Opts) {
     );
 }
 
-fn e6_rangetree(_: &Opts) {
+fn e6_rangetree() {
     let mut table = Table::new(
         "e6_rangetree.csv",
         &[
@@ -432,7 +403,7 @@ fn e6_rangetree(_: &Opts) {
     }
 }
 
-fn e7_approx_cover(_: &Opts) {
+fn e7_approx_cover() {
     let mut table = Table::new(
         "e7_approx.csv",
         &[
@@ -477,7 +448,7 @@ fn e7_approx_cover(_: &Opts) {
     }
 }
 
-fn e8_setunion(_: &Opts) {
+fn e8_setunion() {
     let mut table = Table::new(
         "e8_setunion.csv",
         &[
@@ -525,7 +496,7 @@ fn e8_setunion(_: &Opts) {
     }
 }
 
-fn e9_em_set(_: &Opts) {
+fn e9_em_set() {
     let mut table = Table::new(
         "e9_em_set.csv",
         &[
@@ -555,7 +526,7 @@ fn e9_em_set(_: &Opts) {
     }
 }
 
-fn e10_em_range(_: &Opts) {
+fn e10_em_range() {
     let mut table = Table::new(
         "e10_em_range.csv",
         &[
@@ -590,7 +561,7 @@ fn e10_em_range(_: &Opts) {
     }
 }
 
-fn e11_dynamic_alias(_: &Opts) {
+fn e11_dynamic_alias() {
     let mut table = Table::new(
         "e11_dynamic.csv",
         &[
@@ -627,7 +598,7 @@ fn e11_dynamic_alias(_: &Opts) {
     }
 }
 
-fn f1_independence(_: &Opts) {
+fn f1_independence() {
     let mut table = Table::new(
         "f1_independence.csv",
         &[
@@ -673,7 +644,7 @@ fn f1_independence(_: &Opts) {
     table.row(&[&"dependent", &rep.mean_overlap, &rep.expected_independent, &verdict]);
 }
 
-fn f2_concentration(_: &Opts) {
+fn f2_concentration() {
     let mut table = Table::new(
         "f2_concentration.csv",
         &[
@@ -727,7 +698,7 @@ fn f2_concentration(_: &Opts) {
     emit("dependent", ErrorRuns::new(dep_fails));
 }
 
-fn f3_fairness(_: &Opts) {
+fn f3_fairness() {
     let mut table = Table::new(
         "f3_fairness.csv",
         &[
@@ -766,7 +737,7 @@ fn f3_fairness(_: &Opts) {
     }
 }
 
-fn f4_crossover(_: &Opts) {
+fn f4_crossover() {
     let mut table = Table::new(
         "f4_crossover.csv",
         &[
@@ -794,7 +765,7 @@ fn f4_crossover(_: &Opts) {
     }
 }
 
-fn e12_dynamic_range(_: &Opts) {
+fn e12_dynamic_range() {
     let mut table = Table::new(
         "e12_dynamic_range.csv",
         &[
@@ -833,7 +804,7 @@ fn e12_dynamic_range(_: &Opts) {
     }
 }
 
-fn e13_wor_methods(_: &Opts) {
+fn e13_wor_methods() {
     let mut table = Table::new(
         "e13_wor.csv",
         &[
@@ -866,7 +837,7 @@ fn e13_wor_methods(_: &Opts) {
     }
 }
 
-fn a1_chunk_len_ablation(_: &Opts) {
+fn a1_chunk_len_ablation() {
     let mut table = Table::new(
         "a1_chunk_len.csv",
         &[
@@ -889,7 +860,7 @@ fn a1_chunk_len_ablation(_: &Opts) {
     }
 }
 
-fn a2_sketch_k_ablation(_: &Opts) {
+fn a2_sketch_k_ablation() {
     let mut table = Table::new(
         "a2_sketch_k.csv",
         &[
@@ -916,7 +887,7 @@ fn a2_sketch_k_ablation(_: &Opts) {
     }
 }
 
-fn a3_leaf_cap_ablation(_: &Opts) {
+fn a3_leaf_cap_ablation() {
     let mut table = Table::new(
         "a3_leaf_cap.csv",
         &[
@@ -941,7 +912,7 @@ fn a3_leaf_cap_ablation(_: &Opts) {
 
 /// Theorem 5 beyond rectangles: halfspace and disc predicates, exact kd
 /// covers vs the Theorem-6 approximate quadtree route.
-fn e14_regions(_: &Opts) {
+fn e14_regions() {
     println!("  halfplane x + 2y <= c sweep (param c, exact kd covers), then a disc radius sweep");
     println!("  (param r): exact kd cover vs the approximate quadtree cover of Theorem 6.");
     let mut table = Table::new(
@@ -991,7 +962,7 @@ fn e14_regions(_: &Opts) {
     }
 }
 
-fn e15_em_weighted(_: &Opts) {
+fn e15_em_weighted() {
     let mut table = Table::new(
         "e15_em_weighted.csv",
         &[
@@ -1029,7 +1000,7 @@ fn e15_em_weighted(_: &Opts) {
 /// (block-buffered RNG into the caller's slice, still through the trait
 /// object), `mono` = `sample_wr_batch::<StdRng>` on Theorem 3 only — how
 /// much of the win is blocking/decoding vs avoiding dyn dispatch.
-fn e16_batch_throughput(_: &Opts) {
+fn e16_batch_throughput() {
     let mut table = Table::new(
         "e16_batch_throughput.csv",
         &[
@@ -1076,335 +1047,26 @@ fn e16_batch_throughput(_: &Opts) {
     }
 }
 
-fn e23_autopilot(opts: &Opts) {
-    use iqs_ctl::chaos::{run_matrix, ChaosConfig};
-    use iqs_testkit::{ClockHandle, Scenario};
-
-    let mut scenarios = Scenario::matrix();
-    if opts.smoke {
-        for sc in &mut scenarios {
-            for phase in &mut sc.phases {
-                phase.ticks = phase.ticks.min(3);
-                phase.queries_per_tick = phase.queries_per_tick.min(24);
-            }
-        }
-    }
-    println!(
-        "     4 shards x 1 replica over 512 weighted keys, s = 8, 25 ms scatter deadline{}",
-        if opts.smoke { " (smoke: truncated phases)" } else { "" }
-    );
-    let mut table = Table::new(
-        "e23_autopilot.csv",
-        &[
-            Col::new("scenario", 18).csv("scenario"),
-            Col::csv_only("controller"),
-            Col::new("ctl", 4),
-            Col::new("queries", 7).csv("queries"),
-            Col::new("failed", 7).csv("failed"),
-            Col::new("degraded", 9).csv("degraded"),
-            Col::new("missing", 8).csv("missing"),
-            Col::csv_only("p50_ns"),
-            Col::csv_only("p99_ns"),
-            Col::new("p50 us", 10).prec(1),
-            Col::new("p99 us", 10).prec(1),
-            Col::csv_only("splits"),
-            Col::csv_only("merges"),
-            Col::csv_only("rebuilds"),
-            Col::new("spl/mrg/rbd", 13),
-            Col::new("shards", 7).csv("final_shards"),
-        ],
-    );
-
-    // The workload script is a pure function of this seed; on the real
-    // clock only the *measured latencies* pick up wall-time noise.
-    let cfg = ChaosConfig::on_clock(ClockHandle::real(), 0x1905_2023);
-    let pairs = run_matrix(&scenarios, &cfg).expect("chaos matrix runs");
-    for (on, off) in &pairs {
-        for cell in [on, off] {
-            table.row(&[
-                &cell.scenario,
-                &cell.controller,
-                &if cell.controller { "on" } else { "off" },
-                &cell.queries,
-                &cell.failed,
-                &cell.degraded,
-                &cell.missing,
-                &cell.p50_ns,
-                &cell.p99_ns,
-                &(cell.p50_ns as f64 / 1e3),
-                &(cell.p99_ns as f64 / 1e3),
-                &cell.splits,
-                &cell.merges,
-                &cell.rebuilds,
-                &format!("{}/{}/{}", cell.splits, cell.merges, cell.rebuilds),
-                &cell.final_shards,
-            ]);
-        }
-        assert_eq!(on.failed + off.failed, 0, "the matrix's availability contract");
-    }
-    if let Some((on, off)) = pairs.iter().find(|(on, _)| on.scenario == "replica_kill") {
-        println!(
-            "\n  replica_kill A/B: degraded {} -> {} ({}x), p99 {:.1}us -> {:.1}us\n",
-            off.degraded,
-            on.degraded,
-            off.degraded.checked_div(on.degraded).unwrap_or(off.degraded),
-            off.p99_ns as f64 / 1e3,
-            on.p99_ns as f64 / 1e3
-        );
-    }
-}
-
-fn e24_telemetry_slo(opts: &Opts) {
-    use iqs_net::{
-        announce_once, shard_specs, ship_telemetry, Announce, RegistryHandler, ReplicaServer,
-        ServiceRegistry, SimNet, TelemetryHandler,
-    };
-    use iqs_obs::{recorder, Phase, Record};
-    use iqs_serve::{HistogramSnapshot, IndexRegistry, Server, ServerConfig};
-    use iqs_shard::{ShardConfig, ShardedService, SHARD_INDEX};
-    use iqs_slo::{ClusterTelemetry, Objective, SloEngine, SloKey, TelemetryShipper};
-    use iqs_testkit::VirtualClock;
-    use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
-
-    let rounds = if opts.smoke { 8 } else { 120 };
-    let queries_per_round = if opts.smoke { 10 } else { 50 };
-    let s = 16u32;
-    let cuts: [(usize, usize); 3] = [(0, 341), (341, 682), (682, 1024)];
-    let elements: Vec<(u64, f64, f64)> =
-        (0..1024).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
-
-    println!(
-        "     3 remote shards over SimNet, {rounds} rounds x {queries_per_round} queries, s = {s}"
-    );
-    // Replica-side phases that reach the router only via telemetry.
-    fn ships(r: &Record) -> bool {
-        r.replica().is_some()
-            && matches!(
-                r.phase,
-                Phase::Enqueue
-                    | Phase::Pickup
-                    | Phase::DeadlineMiss
-                    | Phase::RngCost
-                    | Phase::WorkDone
-                    | Phase::ColdDraw
-            )
-    }
-
-    // Part A — the same scripted workload under three regimes: flight
-    // recorder disabled ("off"), recorder on with a per-round drain but
-    // nothing shipped ("record"), and recorder on plus a per-round
-    // fold-and-ship of every replica's records and metric diffs
-    // ("ship"). The workload is deterministic on the virtual clock;
-    // only the wall time differs — the off/record gap prices the
-    // recorder, the record/ship gap prices the telemetry plane itself.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Arm {
-        Off,
-        Record,
-        Ship,
-    }
-    let arm = |mode: Arm| -> (f64, u64) {
-        let clock = VirtualClock::new();
-        recorder::install(&clock.handle(), 1 << 16);
-        if mode == Arm::Off {
-            recorder::disable();
-        }
-        let net = SimNet::new(clock.handle());
-        let registry = Arc::new(ServiceRegistry::new(clock.handle()));
-        net.bind("sim://registry", Arc::new(RegistryHandler::new(Arc::clone(&registry))));
-        let collector = Arc::new(Mutex::new(ClusterTelemetry::new(1 << 16).expect("config")));
-        net.bind("sim://telemetry", Arc::new(TelemetryHandler::new(Arc::clone(&collector))));
-        let transport = net.transport();
-        let mut servers = Vec::new();
-        for (si, &(a, b)) in cuts.iter().enumerate() {
-            let mut indexes = IndexRegistry::new();
-            indexes.register_range_keyed(SHARD_INDEX, elements[a..b].to_vec()).unwrap();
-            let server = Server::start(
-                indexes,
-                ServerConfig {
-                    workers: 1,
-                    queue_capacity: 256,
-                    seed: 24 + si as u64,
-                    clock: clock.handle(),
-                    ..ServerConfig::default()
-                },
-            );
-            let total = server.registry().total_weight(SHARD_INDEX).unwrap();
-            let addr = format!("sim://s{si}r0");
-            net.bind(&addr, Arc::new(ReplicaServer::new(server.client(), clock.handle())));
-            announce_once(
-                &*transport,
-                "sim://registry",
-                &Announce {
-                    addr,
-                    lo_key: a as f64,
-                    hi_key: (b - 1) as f64,
-                    total_weight: total,
-                    epoch: 1,
-                    ttl_ms: 3_600_000,
-                },
-                clock.handle().now() + Duration::from_secs(1),
-            )
-            .expect("announce");
-            servers.push(server);
-        }
-        let svc = ShardedService::from_links(
-            shard_specs(&registry, &transport),
-            ShardConfig { seed: 240, clock: clock.handle(), ..ShardConfig::default() },
-        )
-        .expect("remote topology");
-        let mut shippers: Vec<TelemetryShipper> = (0..cuts.len())
-            .map(|si| {
-                TelemetryShipper::new(&format!("sim://s{si}r0"), si as u32, 0, 1 << 14).unwrap()
-            })
-            .collect();
-        let mut client = svc.client();
-        let start = Instant::now();
-        for _ in 0..rounds {
-            for _ in 0..queries_per_round {
-                let drawn = client.sample_wr(None, s).expect("read");
-                assert_eq!(drawn.missing, 0);
-            }
-            clock.advance(Duration::from_secs(1));
-            if mode != Arm::Off {
-                let drained = recorder::drain();
-                if mode == Arm::Ship {
-                    for (si, shipper) in shippers.iter_mut().enumerate() {
-                        let mine: Vec<Record> = drained
-                            .iter()
-                            .filter(|r| ships(r) && r.shard() == Some(si as u32))
-                            .copied()
-                            .collect();
-                        shipper.absorb(&mine);
-                        let batch = shipper.next_batch(&servers[si].metrics()).expect("monotone");
-                        ship_telemetry(
-                            &*transport,
-                            "sim://telemetry",
-                            &batch,
-                            clock.handle().now() + Duration::from_secs(1),
-                        )
-                        .expect("collector reachable");
-                        shipper.commit();
-                    }
-                }
-            }
-        }
-        let ns_per_query = start.elapsed().as_nanos() as f64 / (rounds * queries_per_round) as f64;
-        recorder::disable();
-        let batches = collector.lock().unwrap().stats().batches;
-        (ns_per_query, batches)
-    };
-    let (off_ns, off_batches) = arm(Arm::Off);
-    let (rec_ns, rec_batches) = arm(Arm::Record);
-    let (ship_ns, ship_batches) = arm(Arm::Ship);
-    assert_eq!(off_batches, 0);
-    assert_eq!(rec_batches, 0);
-    assert_eq!(ship_batches, (rounds * cuts.len()) as u64);
-    println!("\n  per-query wall clock (whole loop incl. drain/fold/encode/ship):");
-    let mut table = Table::new(
-        "e24_telemetry.csv",
-        &[
-            Col::new("telemetry", 10).csv("arm"),
-            Col::csv_only("rounds"),
-            Col::csv_only("queries_per_round"),
-            Col::csv_only("s"),
-            Col::new("ns/query", 14).prec(0).csv("ns_per_query"),
-            Col::new("batches", 10).csv("batches"),
-            Col::new("vs off", 12),
-        ],
-    );
-    for (name, ns, batches) in [
-        ("off", off_ns, off_batches),
-        ("record", rec_ns, rec_batches),
-        ("ship", ship_ns, ship_batches),
-    ] {
-        let vs_off = format!("{:+.1}%", (ns / off_ns - 1.0) * 100.0);
-        table.row(&[&name, &rounds, &queries_per_round, &s, &ns, &batches, &vs_off]);
-    }
-    println!(
-        "  recorder costs {:+.1}%; shipping itself adds {:+.1}% on top",
-        (rec_ns / off_ns - 1.0) * 100.0,
-        (ship_ns / rec_ns - 1.0) * 100.0
-    );
-
-    // Part B — burn detection latency: a healthy stream turns bad at a
-    // known tick; how many virtual-clock ticks until the multi-window
-    // engine alerts? Deterministic — exact bad counts, no RNG.
-    println!("\n  burn detection latency (objective: 1 ms at 90%, fast 2s/x2.0, slow 6s/x1.0):");
-    let mut table = Table::new(
-        "e24_burn_detection.csv",
-        &[
-            Col::new("bad fraction", 12).unit("%").csv("bad_pct"),
-            Col::csv_only("per_tick"),
-            Col::new("ticks to alert", 16),
-            Col::csv_only("ticks_to_alert"),
-        ],
-    );
-    let regress_tick = 6usize;
-    let per_tick = 1000usize;
-    for bad_pct in [2usize, 10, 25, 50] {
-        let vc = VirtualClock::new();
-        let mut engine = SloEngine::new(&vc.handle());
-        let key = SloKey::Shard(0);
-        engine
-            .set_objective(
-                key.clone(),
-                Objective {
-                    threshold: Duration::from_millis(1),
-                    target: 0.9,
-                    fast_window: Duration::from_secs(2),
-                    slow_window: Duration::from_secs(6),
-                    fast_burn: 2.0,
-                    slow_burn: 1.0,
-                },
-            )
-            .unwrap();
-        let mut cumulative = HistogramSnapshot::default();
-        let good = iqs_obs::log2_bucket(100_000); // 0.1 ms: under threshold
-        let bad = iqs_obs::log2_bucket(5_000_000); // 5 ms: over threshold
-        let mut detected = None;
-        for tick in 0..30usize {
-            let bad_n = if tick >= regress_tick { per_tick * bad_pct / 100 } else { 0 };
-            cumulative.buckets[good] += (per_tick - bad_n) as u64;
-            cumulative.buckets[bad] += bad_n as u64;
-            engine.observe(&key, cumulative);
-            if engine.evaluate().unwrap().shard_status(0).unwrap().alerting {
-                detected = Some(tick - regress_tick);
-                break;
-            }
-            vc.advance(Duration::from_secs(1));
-        }
-        let shown = detected.map_or("never".into(), |t| format!("{t}"));
-        table.row(&[&bad_pct, &per_tick, &shown, &detected.map_or(-1, |t| t as i64)]);
-    }
-    println!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `select` on `names`: how many arms run and whether `--smoke` is set,
-    /// or the rejected argument.
-    fn selected(names: &[&str]) -> Result<(usize, bool), String> {
+    /// `select` on `names`: how many arms run, or the rejected argument.
+    fn selected(names: &[&str]) -> Result<usize, String> {
         let args: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-        select(&args).map(|(arms, opts)| (arms.len(), opts.smoke)).map_err(str::to_owned)
+        select(&args).map(|arms| arms.len()).map_err(str::to_owned)
     }
 
     #[test]
     fn unknown_arm_names_are_rejected_not_skipped() {
-        assert_eq!(selected(&[]), Ok((ARMS.len(), false)));
-        assert_eq!(selected(&["e3", "e4", "f1"]), Ok((2, false)));
+        assert_eq!(selected(&[]), Ok(ARMS.len()));
+        assert_eq!(selected(&["e3", "e4", "f1"]), Ok(2));
         assert_eq!(selected(&["e9", "e99"]), Err("e99".into()));
-        for retired in ["e19", "e20"] {
+        for retired in ["e19", "e20", "e23", "e24"] {
             assert_eq!(selected(&[retired]), Err(retired.into()), "retired arms are unknown too");
         }
-        // `--smoke` is a flag, not an arm name, wherever it stands.
-        assert_eq!(selected(&["--smoke"]), Ok((ARMS.len(), true)));
-        assert_eq!(selected(&["--smoke", "e23"]), Ok((1, true)));
-        assert_eq!(selected(&["e23", "--smoke", "e24"]), Ok((2, true)));
-        assert_eq!(selected(&["e23", "--smok"]), Err("--smok".into()));
+        // There are no flags: `--smoke` is an unknown name like any other.
+        assert_eq!(selected(&["--smoke", "e9"]), Err("--smoke".into()));
     }
 
     /// The arms a `## <Id>[, <Id>…] — …` heading of EXPERIMENTS.md gives a

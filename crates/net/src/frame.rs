@@ -4,7 +4,7 @@
 //! offset  size  field
 //!      0     2  magic          b"IQ"
 //!      2     1  version        3
-//!      3     1  kind           Request / Ok / Err / Announce / Ack / Metrics / Telemetry / Samples
+//!      3     1  kind           Request / Ok / Err / Announce / Ack / Metrics / Samples
 //!      4     4  span           u32 LE — obs span (shard/replica encoding)
 //!      8     8  trace          u64 LE — obs trace id (0 = untraced)
 //!     16     8  deadline_ns    u64 LE — remaining budget, relative (0 = none)
@@ -31,11 +31,14 @@
 //!
 //! Version 2 is the version in which sample ids travel as
 //! [`Kind::Samples`] and never as JSON. Version 3 keeps that layout and
-//! changes one payload: a metrics snapshot (`Metrics` replies and the
-//! `metrics` of a `Telemetry` batch) no longer ends in the array of
-//! per-caller counter rows version 2 carried, empty in every deployment.
-//! A frame of an older version is refused with [`FrameError::BadVersion`],
-//! not negotiated with.
+//! changes one payload: a metrics snapshot (a `Metrics` reply) no longer
+//! ends in the array of per-caller counter rows version 2 carried, empty
+//! in every deployment. Kind byte 7 carried a telemetry batch and is
+//! retired: no other frame's bytes changed with it, so the version did
+//! not either, and a frame of kind 7 is refused with
+//! [`FrameError::BadKind`] like any unregistered kind. A frame of an
+//! older version is refused with [`FrameError::BadVersion`], not
+//! negotiated with.
 //!
 //! All integers are little-endian. The deadline crosses the wire as a
 //! *relative* budget rather than an absolute instant — the peers share
@@ -90,10 +93,7 @@ pub enum Kind {
     /// A metrics request (empty payload) or
     /// [`MetricsSnapshot`](iqs_serve::MetricsSnapshot) reply.
     Metrics = 6,
-    /// A telemetry batch (`iqs_slo::TelemetryBatch`): a metrics diff
-    /// plus trace-leg summaries shipped replica → router, acked with
-    /// [`Kind::Ack`].
-    Telemetry = 7,
+    // 7 is retired, not reused: it carried telemetry batches.
     /// A successful `Response::Samples`, in the binary width-tagged
     /// layout of the module docs.
     Samples = 8,
@@ -108,7 +108,6 @@ impl Kind {
             4 => Ok(Kind::Announce),
             5 => Ok(Kind::Ack),
             6 => Ok(Kind::Metrics),
-            7 => Ok(Kind::Telemetry),
             8 => Ok(Kind::Samples),
             other => Err(FrameError::BadKind(other)),
         }

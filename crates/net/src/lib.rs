@@ -49,9 +49,6 @@ mod transport;
 pub use error::{FrameError, NetError};
 pub use listen::TcpServer;
 pub use registry::{Ack, Announce, Lease, ServiceRegistry};
-pub use remote::{
-    announce_once, shard_specs, ship_telemetry, RegistryHandler, RemoteReplica, ReplicaServer,
-    TelemetryHandler,
-};
+pub use remote::{announce_once, shard_specs, RegistryHandler, RemoteReplica, ReplicaServer};
 pub use sim::{LinkFault, SimNet, SimStats};
 pub use transport::{FrameHandler, InFlight, TcpConfig, TcpTransport, Transport};

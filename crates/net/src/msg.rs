@@ -2,14 +2,13 @@
 //! protocol exchange, so call sites never touch JSON, id bytes or
 //! header fields directly.
 //!
-//! Requests, errors, counts, weights, metrics, announces, acks and
-//! telemetry are JSON: a human reads them and they are a few hundred
-//! bytes. `Response::Samples` is the one payload that grows with the
-//! query, and it crosses the wire only as the binary
-//! [`Kind::Samples`] frame (layout in [`crate::frame`]).
+//! Requests, errors, counts, weights, metrics, announces and acks are
+//! JSON: a human reads them and they are a few hundred bytes.
+//! `Response::Samples` is the one payload that grows with the query, and
+//! it crosses the wire only as the binary [`Kind::Samples`] frame
+//! (layout in [`crate::frame`]).
 
 use iqs_serve::{MetricsSnapshot, Request, Response, ServeError};
-use iqs_slo::TelemetryBatch;
 use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
@@ -166,14 +165,6 @@ pub fn encode_announce(announce: &Announce) -> Vec<u8> {
 #[must_use]
 pub fn encode_ack(ack: &Ack) -> Vec<u8> {
     encode_frame(Kind::Ack, 0, 0, 0, to_json(ack))
-}
-
-/// Encodes a telemetry batch (replica → router metrics diff plus
-/// trace-leg summaries); acked with [`encode_ack`]. Decode with
-/// [`from_json::<TelemetryBatch>`].
-#[must_use]
-pub fn encode_telemetry(batch: &TelemetryBatch) -> Vec<u8> {
-    encode_frame(Kind::Telemetry, 0, 0, 0, to_json(batch))
 }
 
 #[cfg(test)]

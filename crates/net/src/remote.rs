@@ -20,20 +20,19 @@
 //! breaker path with honest accounting rather than hanging on a dead
 //! address.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use iqs_obs::{saturating_ns, Ctx};
 use iqs_serve::{Client, MetricsSnapshot, Request, Response, ServeError};
 use iqs_shard::{PendingLeg, ReplicaLink, ShardSpec, SHARD_INDEX};
-use iqs_slo::{ClusterTelemetry, TelemetryBatch};
 use iqs_testkit::ClockHandle;
 
 use crate::error::NetError;
 use crate::frame::{Header, Kind};
 use crate::msg::{
     decode_reply, encode_ack, encode_announce, encode_metrics_reply, encode_metrics_request,
-    encode_reply, encode_request, encode_telemetry, from_json,
+    encode_reply, encode_request, from_json,
 };
 use crate::registry::{Ack, Announce, ServiceRegistry};
 use crate::transport::{FrameHandler, Transport};
@@ -237,72 +236,6 @@ impl FrameHandler for RegistryHandler {
     }
 }
 
-/// A [`FrameHandler`] exposing a [`ClusterTelemetry`] collector to the
-/// network: telemetry batches in, ack frames out. Bound next to the
-/// [`RegistryHandler`] on the router side, so replicas piggyback
-/// telemetry shipping on their announce cadence.
-pub struct TelemetryHandler {
-    collector: Arc<Mutex<ClusterTelemetry>>,
-}
-
-impl TelemetryHandler {
-    /// Wraps a shared collector; the router side keeps its own handle
-    /// to read cluster metrics and assembled trace legs.
-    #[must_use]
-    pub fn new(collector: Arc<Mutex<ClusterTelemetry>>) -> TelemetryHandler {
-        TelemetryHandler { collector }
-    }
-}
-
-impl FrameHandler for TelemetryHandler {
-    fn handle_frame(&self, header: Header, payload: &[u8]) -> Vec<u8> {
-        let batch = match parse_as::<TelemetryBatch>(
-            "telemetry collector",
-            Kind::Telemetry,
-            header,
-            payload,
-        ) {
-            Ok(batch) => batch,
-            Err(refused) => return refused,
-        };
-        let accepted = self.collector.lock().expect("telemetry collector poisoned").ingest(&batch);
-        // `accepted: false` (a duplicate) still acks the seq — the
-        // shipper commits either way, because the batch's interval has
-        // been applied exactly once.
-        encode_ack(&Ack { accepted, epoch: batch.seq })
-    }
-}
-
-/// One round trip whose reply must be an ack.
-fn call_for_ack(
-    transport: &dyn Transport,
-    addr: &str,
-    frame: Vec<u8>,
-    deadline: Instant,
-) -> Result<Ack, NetError> {
-    let (header, payload) = transport.call(addr, frame, deadline)?;
-    if header.kind != Kind::Ack {
-        return Err(NetError::Decode(format!("expected an ack frame, got {:?}", header.kind)));
-    }
-    from_json::<Ack>(&payload)
-}
-
-/// Ships one telemetry batch to a remote collector and returns its ack;
-/// the caller commits the shipper on success and retries (with the same
-/// sequence number, superset interval) on failure. Replicas call this
-/// on the same cadence as [`announce_once`].
-///
-/// # Errors
-/// Transport failures, or a non-ack reply ([`NetError::Decode`]).
-pub fn ship_telemetry(
-    transport: &dyn Transport,
-    collector_addr: &str,
-    batch: &TelemetryBatch,
-    deadline: Instant,
-) -> Result<Ack, NetError> {
-    call_for_ack(transport, collector_addr, encode_telemetry(batch), deadline)
-}
-
 /// Sends one announcement to a remote registry and returns its ack.
 /// Replicas call this on a re-announce cadence well inside their TTL.
 ///
@@ -314,7 +247,11 @@ pub fn announce_once(
     announce: &Announce,
     deadline: Instant,
 ) -> Result<Ack, NetError> {
-    call_for_ack(transport, registry_addr, encode_announce(announce), deadline)
+    let (header, payload) = transport.call(registry_addr, encode_announce(announce), deadline)?;
+    if header.kind != Kind::Ack {
+        return Err(NetError::Decode(format!("expected an ack frame, got {:?}", header.kind)));
+    }
+    from_json::<Ack>(&payload)
 }
 
 /// Groups the registry's live announcements into shard specs for
@@ -363,8 +300,6 @@ mod tests {
     fn single_kind_handlers_refuse_what_they_cannot_serve() {
         let clock = iqs_testkit::VirtualClock::new();
         let registry = RegistryHandler::new(Arc::new(ServiceRegistry::new(clock.handle())));
-        let collector = Arc::new(Mutex::new(ClusterTelemetry::new(4).expect("config")));
-        let telemetry = TelemetryHandler::new(collector);
         let reply_to = |handler: &dyn FrameHandler, frame: Vec<u8>| {
             let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("own frame");
             let reply = handler.handle_frame(header, payload);
@@ -380,17 +315,21 @@ mod tests {
         };
         let detail = refusal(&registry, encode_metrics_request());
         assert!(detail.contains("registry cannot serve Metrics"), "{detail}");
-        let detail = refusal(&telemetry, encode_metrics_request());
-        assert!(detail.contains("collector cannot serve Metrics"), "{detail}");
         refusal(&registry, encode_frame(Kind::Announce, 0, 0, 0, "{"));
         // Payload bytes reach a handler unchecked; text that is not even
         // UTF-8 is refused like any other payload that does not parse.
         let detail = refusal(&registry, encode_frame(Kind::Announce, 0, 0, 0, [0xff, 0xfe]));
         assert!(detail.contains("not UTF-8"), "{detail}");
 
-        let mut shipper = iqs_slo::TelemetryShipper::new("sim://r0", 0, 0, 4).expect("config");
-        let batch = shipper.next_batch(&MetricsSnapshot::default()).expect("monotone");
-        let (kind, ack) = reply_to(&telemetry, encode_telemetry(&batch));
+        let announce = Announce {
+            addr: "sim://r0".into(),
+            lo_key: 0.0,
+            hi_key: 1.0,
+            total_weight: 2.0,
+            epoch: 1,
+            ttl_ms: 1000,
+        };
+        let (kind, ack) = reply_to(&registry, encode_announce(&announce));
         assert_eq!(kind, Kind::Ack);
         assert_eq!(from_json::<Ack>(&ack).expect("ack"), Ack { accepted: true, epoch: 1 });
     }

@@ -9,8 +9,7 @@ use iqs_net::frame::{
 };
 use iqs_net::msg;
 use iqs_net::{FrameError, NetError};
-use iqs_serve::{MetricsSnapshot, Request, Response};
-use iqs_slo::{TelemetryBatch, TelemetryShipper};
+use iqs_serve::{Request, Response};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -21,12 +20,6 @@ fn valid_frame() -> Vec<u8> {
         0x0002_0001,
         5_000_000,
     )
-}
-
-fn valid_telemetry_frame() -> Vec<u8> {
-    let mut shipper = TelemetryShipper::new("sim://replica-0-0", 0, 0, 16).expect("config");
-    let batch = shipper.next_batch(&MetricsSnapshot::default()).expect("monotone");
-    msg::encode_telemetry(&batch)
 }
 
 /// A `Samples` reply wide enough to need 8-byte ids.
@@ -165,7 +158,6 @@ fn corrupt_payloads_are_typed_errors() {
         assert!(matches!(msg::decode_reply(header.kind, text), Err(NetError::Decode(_))));
         assert!(matches!(msg::from_json::<Request>(text), Err(NetError::Decode(_))));
         assert!(matches!(msg::from_json::<Response>(text), Err(NetError::Decode(_))));
-        assert!(matches!(msg::from_json::<TelemetryBatch>(text), Err(NetError::Decode(_))));
     }
     // The frame layer moves bytes; text that is not UTF-8 is refused
     // where it is read, as a typed decode error.
@@ -212,30 +204,25 @@ fn malformed_samples_payloads_are_typed_errors() {
     );
 }
 
-/// The telemetry kind obeys the same frame discipline as every other
-/// kind: valid frames decode as [`Kind::Telemetry`], the next kind byte
-/// up is refused, and every truncation reports exact counts.
+/// Only registered kinds decode. Kind 7 carried telemetry batches and
+/// is retired without a version bump — no other frame's bytes changed —
+/// so it is refused like the first kind past the last registered one
+/// (8, `Samples`); a frame of an older version is refused outright,
+/// whatever it carries.
 #[test]
-fn telemetry_frames_share_the_frame_discipline() {
-    let frame = valid_telemetry_frame();
-    let (header, payload) = decode_frame(&frame, DEFAULT_MAX_PAYLOAD).expect("valid");
-    assert_eq!(header.kind, Kind::Telemetry);
-    let batch: TelemetryBatch = msg::from_json(payload).expect("payload parses");
-    assert_eq!(batch.seq, 1);
+fn retired_and_unregistered_kinds_are_refused() {
+    let frame = valid_frame();
+    let with_kind = |kind: u8| {
+        let mut bytes = frame.clone();
+        bytes[3] = kind;
+        decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).map(|(header, _)| header.kind)
+    };
+    assert!(matches!(with_kind(7), Err(FrameError::BadKind(7))));
+    assert!(matches!(with_kind(9), Err(FrameError::BadKind(9))));
+    assert!(matches!(with_kind(0), Err(FrameError::BadKind(0))));
+    assert_eq!(with_kind(8), Ok(Kind::Samples));
+    assert_eq!(with_kind(6), Ok(Kind::Metrics));
 
-    // Kind 8 (`Samples`) is the last registered kind; 9 must stay
-    // refused until a version bump registers it.
-    let mut bumped = frame.clone();
-    bumped[3] = 9;
-    assert!(matches!(decode_frame(&bumped, DEFAULT_MAX_PAYLOAD), Err(FrameError::BadKind(9))));
-    bumped[3] = 8;
-    assert_eq!(
-        decode_frame(&bumped, DEFAULT_MAX_PAYLOAD).expect("registered").0.kind,
-        Kind::Samples
-    );
-
-    // Version 2 registered it and version 3 kept it; a frame of an older
-    // version is refused outright, whatever it carries.
     assert_eq!(VERSION, 3);
     for version in [1, 2] {
         let mut old = frame.clone();
@@ -249,6 +236,4 @@ fn telemetry_frames_share_the_frame_discipline() {
             Err(NetError::Frame(FrameError::BadVersion(v))) if v == version
         ));
     }
-
-    assert_truncations_report_exact_counts(&frame);
 }

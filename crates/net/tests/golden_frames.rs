@@ -12,10 +12,7 @@ use iqs_core::QueryError;
 use iqs_net::frame::{decode_frame, Kind, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use iqs_net::msg;
 use iqs_net::{Ack, Announce};
-use iqs_obs::recorder::pack_io;
-use iqs_obs::LegSummary;
 use iqs_serve::{MetricsSnapshot, Request, Response, ServeError, UpdateOp};
-use iqs_slo::TelemetryBatch;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -184,37 +181,6 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
             }),
         ),
         ("ack", msg::encode_ack(&Ack { accepted: true, epoch: 2 })),
-        (
-            "telemetry",
-            msg::encode_telemetry(&TelemetryBatch {
-                source: "sim://replica-1-0".into(),
-                shard: 1,
-                replica: 0,
-                seq: 3,
-                metrics: {
-                    let mut m =
-                        MetricsSnapshot { submitted: 8, completed: 8, ..Default::default() };
-                    m.latency.buckets[12] = 8;
-                    m
-                },
-                legs: vec![LegSummary {
-                    trace: 0x1122_3344_5566_7788,
-                    span: 0x0002_0001,
-                    first_seq: 41,
-                    pickup_t_ns: 1_000,
-                    done_t_ns: 5_000,
-                    queue_wait_ns: 250,
-                    service_ns: 3_750,
-                    ok: true,
-                    deadline_misses: 0,
-                    rng_words: 17,
-                    cost: 0,
-                    cold_samples: 4,
-                    io: pack_io(2, 0, 2, 2),
-                }],
-                dropped_legs: 1,
-            }),
-        ),
     ]
 }
 
@@ -251,7 +217,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("metrics_reply_default", "49510306000000000000000000000000000000000000000000000000240200007b227375626d6974746564223a302c22636f6d706c65746564223a302c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d7d"),
     ("announce", "495103040000000000000000000000000000000000000000000000005d0000007b2261646472223a223132372e302e302e313a34313030222c226c6f5f6b6579223a302c2268695f6b6579223a3334302c22746f74616c5f776569676874223a313837372c2265706f6368223a322c2274746c5f6d73223a333030307d"),
     ("ack", "495103050000000000000000000000000000000000000000000000001b0000007b226163636570746564223a747275652c2265706f6368223a327d"),
-    ("telemetry", "49510307000000000000000000000000000000000000000000000000660300007b22736f75726365223a2273696d3a2f2f7265706c6963612d312d30222c227368617264223a312c227265706c696361223a302c22736571223a332c226d657472696373223a7b227375626d6974746564223a382c22636f6d706c65746564223a382c226661696c6564223a302c2272656a65637465645f6f7665726c6f6164223a302c22646561646c696e655f6d6973736564223a302c22757064617465735f6170706c696564223a302c2271756575655f6465707468223a302c22736e617073686f745f7377617073223a302c22726e675f776f726473223a302c22726e675f726566696c6c73223a302c2270726566657463686573223a302c2277696e646f775f7374616c6c73223a302c2263616368655f68697473223a302c2263616368655f6d6973736573223a302c22626c6f636b5f7265616473223a302c22626c6f636b5f777269746573223a302c226c6174656e6379223a5b302c302c302c302c302c302c302c302c302c302c302c302c382c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d2c2271756575655f77616974223a5b302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c302c305d7d2c226c656773223a5b7b227472616365223a313233343630353631363433363530383535322c227370616e223a3133313037332c2266697273745f736571223a34312c227069636b75705f745f6e73223a313030302c22646f6e655f745f6e73223a353030302c2271756575655f776169745f6e73223a3235302c22736572766963655f6e73223a333735302c226f6b223a747275652c22646561646c696e655f6d6973736573223a302c22726e675f776f726473223a31372c22636f7374223a302c22636f6c645f73616d706c6573223a342c22696f223a3536323935383534333335353930367d5d2c2264726f707065645f6c656773223a317d"),
 ];
 
 #[test]
@@ -275,25 +240,6 @@ fn golden_fixtures_are_byte_exact() {
         decode_frame(&unhex(ghex), DEFAULT_MAX_PAYLOAD)
             .unwrap_or_else(|e| panic!("pinned fixture `{name}` no longer decodes: {e}"));
     }
-}
-
-/// The pinned telemetry payload still parses structurally: field
-/// renames or type changes in `TelemetryBatch`/`LegSummary` break the
-/// shipped protocol even when the header bytes look fine.
-#[test]
-fn telemetry_fixture_parses_structurally() {
-    let (name, ghex) = GOLDEN.last().expect("non-empty");
-    assert_eq!(*name, "telemetry");
-    let bytes = unhex(ghex);
-    let (header, payload) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("decodes");
-    assert_eq!(header.kind, Kind::Telemetry);
-    let batch: TelemetryBatch = msg::from_json(payload).expect("payload parses");
-    assert_eq!(batch.source, "sim://replica-1-0");
-    assert_eq!((batch.shard, batch.replica, batch.seq), (1, 0, 3));
-    assert_eq!(batch.metrics.latency.buckets[12], 8);
-    assert_eq!(batch.legs.len(), 1);
-    assert_eq!(batch.legs[0].cold_samples, 4);
-    assert_eq!(batch.dropped_legs, 1);
 }
 
 /// The pinned `Samples` bytes decode to the ids they were pinned from:

@@ -25,13 +25,8 @@
 //!   and its [`HistogramSnapshot`] (quantiles, interval diffs, merges).
 //! * [`counter_set!`] — one descriptor table per counter set, from
 //!   which the live atomic struct, its snapshot, `minus`, `merge`, the
-//!   exposition and a law test are generated; `serve`, `shard`, `tier`,
-//!   `ctl` and `net` declare their counters this way.
-//! * [`summary`] — compact [`LegSummary`] folds of remote replicas'
-//!   drained records, sized for the telemetry wire; the router side
-//!   re-expands them so [`TraceView::build_with_remote`] assembles a
-//!   whole-cluster trace including remote legs' queue/pickup/draw
-//!   timings.
+//!   exposition and a law test are generated; `serve`, `shard`, `tier`
+//!   and `net` declare their counters this way.
 //!
 //! Timestamps come from [`iqs_testkit::ClockHandle`], so a run on a
 //! virtual clock under a fixed seed produces **byte-identical** trace
@@ -60,7 +55,6 @@ pub mod counter_set;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
-pub mod summary;
 pub mod trace;
 
 pub use export::{records_to_jsonl, PromWriter, SlowEntry, SlowLog};
@@ -69,5 +63,4 @@ pub use metrics::{
     LogHistogram, SnapshotDiffError, HIST_BUCKETS,
 };
 pub use recorder::{Ctx, Phase, Record, UNTRACED};
-pub use summary::LegSummary;
 pub use trace::{LegView, TraceView};

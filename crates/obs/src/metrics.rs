@@ -8,9 +8,8 @@
 //! reported quantile is exact to within a factor of 2. The shape is
 //! defined once, here: [`HIST_BUCKETS`] buckets, [`log2_bucket`] (value
 //! → bucket), [`bucket_upper_ns`] (bucket → upper edge). Recording,
-//! quantiles, the Prometheus `le` labels, slow-log exemplars and the SLO
-//! engine's threshold rounding all go through them, so a finer shape is
-//! a change to this file alone.
+//! quantiles, the Prometheus `le` labels and slow-log exemplars all go
+//! through them, so a finer shape is a change to this file alone.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -99,16 +99,9 @@ pub enum Phase {
     /// cache. `a`=sample count, `b`=packed interval I/O counters (see
     /// [`pack_io`]).
     ColdDraw = 17,
-    /// The autopilot controller acted on the topology. `a`=action code
-    /// (see [`ctl_action_name`]), `b`=shard index the action targeted
-    /// (for rebuilds: `shard << 16 | replica`).
-    CtlDecision = 18,
-    // 19 is retired, not reused: a trace from an older build may carry
-    // it, and it must decode as `None` rather than as another phase.
-    /// The SLO engine's burn rate crossed its alert threshold and the
-    /// controller acted (or was asked to act) on it. `a`=shard index,
-    /// `b`=fast-window burn rate as `f64::to_bits`.
-    SloBurnAlert = 20,
+    // 18, 19 and 20 are retired, not reused: a trace from an older build
+    // may carry them, and each must decode as `None` rather than as
+    // another phase.
 }
 
 impl Phase {
@@ -133,8 +126,6 @@ impl Phase {
             15 => Phase::WorkDone,
             16 => Phase::QueryDone,
             17 => Phase::ColdDraw,
-            18 => Phase::CtlDecision,
-            20 => Phase::SloBurnAlert,
             _ => return None,
         })
     }
@@ -160,21 +151,7 @@ impl Phase {
             Phase::WorkDone => "work_done",
             Phase::QueryDone => "query_done",
             Phase::ColdDraw => "cold_draw",
-            Phase::CtlDecision => "ctl_decision",
-            Phase::SloBurnAlert => "slo_burn_alert",
         }
-    }
-}
-
-/// Controller action codes carried in [`Phase::CtlDecision`]'s `a`
-/// payload.
-#[must_use]
-pub fn ctl_action_name(action: u64) -> &'static str {
-    match action {
-        1 => "split",
-        2 => "merge",
-        3 => "rebuild_replica",
-        _ => "unknown",
     }
 }
 
@@ -653,15 +630,25 @@ mod tests {
         assert_eq!(span_shard(ctx.leg(3, 1).span), Some(3));
         assert_eq!(span_replica(ctx.leg(3, 1).span), Some(1));
         assert_eq!(ctx.shard(3).replica(1), ctx.leg(3, 1));
-        for v in (1..=18u8).chain([20]) {
-            assert_eq!(Phase::from_u8(v).map(|p| p as u8), Some(v));
-        }
-        for retired in [0, 19, 21] {
-            assert_eq!(Phase::from_u8(retired), None);
-        }
         assert_eq!(unpack_cost(pack_cost(3, 7, 11, 13)), (3, 7, 11, 13));
         assert_eq!(unpack_cost(pack_cost(1 << 40, 0, 0, 2)), (0xffff, 0, 0, 2));
         assert_eq!(unpack_io(pack_io(5, 2, 400, 9)), (5, 2, 400, 9));
         assert_eq!(unpack_io(pack_io(0, 1 << 33, 0, 0)), (0, 0xffff, 0, 0));
+    }
+
+    /// Every code 1..=17 decodes to the phase it encodes and carries a
+    /// name of its own; retired codes decode as `None`, never as another
+    /// phase, so a record from an older build is skipped, not misread.
+    #[test]
+    fn retired_phase_codes_decode_as_none() {
+        let mut names = std::collections::BTreeSet::new();
+        for v in 1..=17u8 {
+            let phase = Phase::from_u8(v).expect("surviving code");
+            assert_eq!(phase as u8, v);
+            assert!(names.insert(phase.name()), "{} named twice", phase.name());
+        }
+        for retired in [0, 18, 19, 20, 21, u8::MAX] {
+            assert_eq!(Phase::from_u8(retired), None, "code {retired}");
+        }
     }
 }

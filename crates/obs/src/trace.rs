@@ -13,7 +13,6 @@
 use std::time::Duration;
 
 use crate::recorder::{span_replica, span_shard, Phase, Record};
-use crate::summary::LegSummary;
 
 /// All records of one trace, in global sequence order, with structured
 /// accessors over the two-level schedule.
@@ -45,30 +44,6 @@ impl TraceView {
             records.iter().filter(|r| r.trace == trace).copied().collect();
         records.sort_unstable_by_key(|r| r.seq);
         TraceView { trace, records }
-    }
-
-    /// Assembles a *whole-cluster* view of `trace`: the router's local
-    /// records plus remote legs re-expanded from shipped
-    /// [`LegSummary`]s. Remote summaries are filtered to the trace,
-    /// deduplicated by `(span, first_seq)` (a telemetry frame delivered
-    /// twice must not double a leg's cost), ordered deterministically
-    /// by that same key, and appended after the local records at fresh
-    /// sequence numbers — their `t_ns` fields keep the genuine remote
-    /// timings, so queue-wait/pickup/draw accessors read through to the
-    /// remote side.
-    #[must_use]
-    pub fn build_with_remote(records: &[Record], trace: u64, remote: &[LegSummary]) -> TraceView {
-        let mut view = TraceView::build(records, trace);
-        let mut remote: Vec<&LegSummary> = remote.iter().filter(|s| s.trace == trace).collect();
-        remote.sort_by_key(|s| (s.span, s.first_seq));
-        remote.dedup_by_key(|s| (s.span, s.first_seq));
-        let mut base = view.records.last().map_or(0, |r| r.seq) + 1;
-        for summary in remote {
-            let expanded = summary.to_records(base);
-            base += expanded.len() as u64;
-            view.records.extend(expanded);
-        }
-        view
     }
 
     /// Shards the router planned into the query, with their range
@@ -116,26 +91,6 @@ impl TraceView {
         self.phase_records(Phase::LegDegraded)
             .map(|r| (r.shard().unwrap_or(u32::MAX), r.a))
             .collect()
-    }
-
-    /// Autopilot controller actions recorded under this trace:
-    /// `(action code, target)` where the action code decodes via
-    /// [`crate::recorder::ctl_action_name`] and the target is the shard
-    /// index (for rebuilds: `shard << 16 | replica`). Controller ticks
-    /// record their decisions under their own trace, so a decision trace
-    /// explains *why* the topology changed between two queries.
-    #[must_use]
-    pub fn ctl_decisions(&self) -> Vec<(u64, u64)> {
-        self.phase_records(Phase::CtlDecision).map(|r| (r.a, r.b)).collect()
-    }
-
-    /// SLO burn alerts recorded under this trace: `(shard, fast-window
-    /// burn rate)` per [`Phase::SloBurnAlert`] record. Controller ticks
-    /// record these under their own trace alongside the
-    /// [`TraceView::ctl_decisions`] they trigger.
-    #[must_use]
-    pub fn slo_alerts(&self) -> Vec<(u32, f64)> {
-        self.phase_records(Phase::SloBurnAlert).map(|r| (r.a as u32, f64::from_bits(r.b))).collect()
     }
 
     /// Total injected/observed delay absorbed while awaiting legs.
@@ -255,77 +210,6 @@ mod tests {
         assert_eq!(view.leg_rng_words(1), 0);
         assert_eq!(view.total_latency(), Some(Duration::from_nanos(500)));
         assert!(view.is_degraded());
-    }
-
-    #[test]
-    fn ctl_accessors_read_the_new_phases() {
-        let tick = Ctx::query(9);
-        let records = vec![
-            rec(1, tick.shard(2), Phase::CtlDecision, 1, 2),
-            rec(2, tick.shard(0), Phase::CtlDecision, 3, 1 << 16), // rebuild 1/0 packed
-        ];
-        let view = TraceView::build(&records, 9);
-        assert_eq!(view.ctl_decisions(), vec![(1, 2), (3, 1 << 16)]);
-        // Phases absent from a trace read back as empty, not errors.
-        let other = TraceView::build(&sample_trace(), 5);
-        assert!(other.ctl_decisions().is_empty());
-    }
-
-    #[test]
-    fn remote_summaries_assemble_into_the_cluster_view() {
-        use crate::recorder::pack_cost;
-        // The router saw the scatter locally...
-        let q = Ctx::query(5);
-        let local = vec![
-            rec(1, q, Phase::RouterPlan, 0, 2.5f64.to_bits()),
-            rec(2, q.leg(0, 0), Phase::LegSubmit, 0, 7),
-            rec(3, q.leg(0, 0), Phase::LegDone, 7, 0),
-            rec(4, q, Phase::QueryDone, 500, 0),
-        ];
-        // ...while the remote replica's pickup/cost/done records arrive
-        // as a shipped summary.
-        let leg = q.leg(0, 0);
-        let remote = LegSummary {
-            trace: 5,
-            span: leg.span,
-            first_seq: 11,
-            pickup_t_ns: 120,
-            done_t_ns: 440,
-            queue_wait_ns: 90,
-            service_ns: 320,
-            ok: true,
-            deadline_misses: 0,
-            rng_words: 33,
-            cost: pack_cost(1, 0, 4, 0),
-            cold_samples: 0,
-            io: 0,
-        };
-        // A duplicated delivery and an unrelated trace must both be
-        // ignored.
-        let other = LegSummary { trace: 6, ..remote };
-        let view = TraceView::build_with_remote(&local, 5, &[remote, other, remote]);
-        assert_eq!(view.records.len(), 4 + 3);
-        assert!(view.records.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(view.rng_words(), 33);
-        assert_eq!(view.leg_rng_words(0), 33);
-        let legs = view.legs();
-        let assembled = legs.iter().find(|l| l.replica == Some(0)).expect("leg (0,0)");
-        // Local submit/done plus synthetic pickup/cost/done.
-        assert_eq!(assembled.records.len(), 5);
-        let pickup = assembled.records.iter().find(|r| r.phase == Phase::Pickup).unwrap();
-        assert_eq!((pickup.t_ns, pickup.a), (120, 90));
-    }
-
-    #[test]
-    fn slo_alerts_read_the_burn_phase() {
-        let tick = Ctx::query(11);
-        let records = vec![
-            rec(1, tick.shard(2), Phase::SloBurnAlert, 2, 14.5f64.to_bits()),
-            rec(2, tick.shard(2), Phase::CtlDecision, 3, 2 << 16),
-        ];
-        let view = TraceView::build(&records, 11);
-        assert_eq!(view.slo_alerts(), vec![(2, 14.5)]);
-        assert!(TraceView::build(&sample_trace(), 5).slo_alerts().is_empty());
     }
 
     #[test]

@@ -602,7 +602,7 @@ fn begin_ctx_answers_when_idle_and_never_waits_when_busy() {
     let index = GatedIndex::new(false);
     let server = index.serve(ServerConfig { workers: 1, ..ServerConfig::default() });
     let client = server.client();
-    let now = std::time::Instant::now();
+    let now = iqs_testkit::ClockHandle::real().now();
     let none = Ctx::none;
     std::thread::scope(|scope| {
         let holder = server.client();

@@ -32,13 +32,6 @@ pub enum ShardError {
     NoSplitPoint,
     /// A shard index beyond the current topology.
     UnknownShard(usize),
-    /// A replica index beyond the shard's replica set.
-    UnknownReplica {
-        /// Shard index the lookup targeted.
-        shard: usize,
-        /// Replica index beyond that shard's replica set.
-        replica: usize,
-    },
     /// A query-evaluation error from the underlying structures.
     Query(QueryError),
     /// An error surfaced by a single-shard service.
@@ -59,9 +52,6 @@ impl fmt::Display for ShardError {
                 write!(f, "shard cannot be split: all elements share one key")
             }
             ShardError::UnknownShard(i) => write!(f, "shard {i} does not exist"),
-            ShardError::UnknownReplica { shard, replica } => {
-                write!(f, "shard {shard} has no replica {replica}")
-            }
             ShardError::Query(e) => write!(f, "query error: {e}"),
             ShardError::Serve(e) => write!(f, "shard service error: {e}"),
         }

@@ -98,8 +98,7 @@ use crate::link::{PendingLeg, ShardSpec};
 use crate::merge::{Counted, Sampled};
 use crate::metrics::{ClusterMetrics, ReplicaMetrics, RouterCounters};
 use crate::placement::{
-    build_replica, build_shard, cut_points, split_point, Replica, ShardHandle, Topology,
-    SHARD_INDEX,
+    build_shard, cut_points, split_point, Replica, ShardHandle, Topology, SHARD_INDEX,
 };
 
 /// Rejection rounds `sample_wor` attempts before giving up on a
@@ -581,8 +580,8 @@ pub struct ShardedService {
 
 impl Clone for ShardedService {
     /// Cheap handle clone sharing the same topology, counters, and
-    /// rebalance lock — so a controller can own a handle while clients
-    /// keep their own.
+    /// rebalance lock — so an operator thread can rebalance through one
+    /// handle while clients keep their own.
     fn clone(&self) -> ShardedService {
         ShardedService { inner: Arc::clone(&self.inner) }
     }
@@ -671,9 +670,7 @@ impl ShardedService {
     ///
     /// Shards built this way carry no element slice, so split/merge
     /// rebalancing refuses them with [`ShardError::InvalidRequest`];
-    /// every query path works unchanged, and
-    /// [`ShardedService::rebuild_replica`] degrades to a link re-wrap
-    /// with fresh breaker state (see its docs).
+    /// every query path works unchanged.
     ///
     /// # Errors
     /// [`ShardError::Config`] for an empty spec list, a shard with no
@@ -707,7 +704,7 @@ impl ShardedService {
                 total_weight: spec.total_weight,
                 elements: Arc::new(Vec::new()),
                 replicas,
-                rr: std::sync::atomic::AtomicUsize::new(0),
+                rr: AtomicUsize::new(0),
             }));
         }
         Ok(ShardedService {
@@ -847,53 +844,6 @@ impl ShardedService {
         let n = shards.len();
         self.publish(Topology { shards });
         Ok(n)
-    }
-
-    /// Replaces replica `replica` of shard `shard` with a freshly built
-    /// one — new single-node service, fresh health and fault state, a
-    /// never-before-used seed stream — publishing the swap with the same
-    /// zero-failed-reads guarantee as [`ShardedService::split_shard`]:
-    /// readers drain against the old replica until their last handle
-    /// drops. This is the re-replication primitive the controller uses
-    /// to route around breaker-tripped or lease-expired replicas.
-    ///
-    /// On a link-backed shard (built by [`ShardedService::from_links`])
-    /// the router holds no element slice, so "rebuild" is the remote
-    /// analogue of node replacement: the same wire link is re-wrapped
-    /// with fresh breaker health and fault state, giving the remote
-    /// endpoint a clean slate exactly as a local rebuild would. The
-    /// remote process itself is not restarted — that is the operator's
-    /// (or the registry lease's) job.
-    ///
-    /// # Errors
-    /// [`ShardError::UnknownShard`] for a bad shard index;
-    /// [`ShardError::UnknownReplica`] for a bad replica index.
-    pub fn rebuild_replica(&self, shard: usize, replica: usize) -> Result<(), ShardError> {
-        let _guard = self.inner.rebalance.lock().expect("rebalance lock poisoned");
-        let topo = self.inner.topo.load();
-        let handle = topo.shards.get(shard).ok_or(ShardError::UnknownShard(shard))?;
-        if replica >= handle.replicas.len() {
-            return Err(ShardError::UnknownReplica { shard, replica });
-        }
-        let fresh = if handle.elements.is_empty() {
-            Arc::new(Replica::new(Arc::clone(&handle.replicas[replica].link)))
-        } else {
-            build_replica(&handle.elements, &self.inner.config, &self.inner.server_seq)?
-        };
-        let mut replicas = handle.replicas.clone();
-        replicas[replica] = fresh;
-        let rebuilt = Arc::new(ShardHandle {
-            lo_key: handle.lo_key,
-            hi_key: handle.hi_key,
-            total_weight: handle.total_weight,
-            elements: Arc::clone(&handle.elements),
-            replicas,
-            rr: AtomicUsize::new(0),
-        });
-        let mut shards = topo.shards.clone();
-        shards[shard] = rebuilt;
-        self.publish(Topology { shards });
-        Ok(())
     }
 
     fn publish(&self, topology: Topology) {
@@ -1305,35 +1255,6 @@ mod tests {
         assert!(matches!(svc.split_shard(9), Err(ShardError::UnknownShard(9))));
         assert!(matches!(svc.merge_shards(1), Err(ShardError::UnknownShard(2))));
         assert_eq!(svc.metrics().router.rebalances, 2);
-    }
-
-    #[test]
-    fn rebuild_replica_replaces_a_dead_replica_in_place() {
-        let svc = ShardedService::new(
-            grid(30),
-            ShardConfig { shards: 3, replicas: 1, ..ShardConfig::default() },
-        )
-        .expect("build");
-        let faults = svc.fault_plan();
-        let mut client = svc.client();
-        faults.kill(1, 0).expect("kill");
-        assert!(client.sample_wr(None, 90).expect("degraded").degraded);
-        let spans = svc.shard_spans();
-        let weights = svc.shard_weights();
-        svc.rebuild_replica(1, 0).expect("rebuild");
-        // Fresh replica: healthy again, same partition, reads whole.
-        assert_eq!(svc.shard_spans(), spans);
-        assert_eq!(svc.shard_weights(), weights);
-        assert_eq!(faults.active(), 0, "rebuild discards the injected fault");
-        let healed = client.sample_wr(None, 90).expect("healed");
-        assert!(!healed.degraded);
-        assert_eq!(healed.ids.len(), 90);
-        assert_eq!(svc.metrics().router.rebalances, 1);
-        assert!(matches!(svc.rebuild_replica(9, 0), Err(ShardError::UnknownShard(9))));
-        assert!(matches!(
-            svc.rebuild_replica(0, 5),
-            Err(ShardError::UnknownReplica { shard: 0, replica: 5 })
-        ));
     }
 
     #[test]

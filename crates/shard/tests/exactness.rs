@@ -1,6 +1,6 @@
 //! Exactness of the sharded two-level draw.
 //!
-//! Three independent lines of evidence:
+//! Four independent lines of evidence:
 //! 1. **Exact replay** (proptest): the testkit's transparent two-level
 //!    oracle — per-shard `ChunkedRange`s rebuilt from the introspected
 //!    slices, the same top-level alias split, and the seed schedule a
@@ -16,6 +16,9 @@
 //!    workers, replicas, failover machinery engaged but idle) matches
 //!    the single-node weighted distribution, judged by the registered
 //!    `shard_two_level_chi_square` gate under the suite seed.
+//! 4. **Chi-square across rebalances** (testkit gate): full-range reads
+//!    interleaved with a fixed script of splits and merges keep the
+//!    `w(e)/W` marginals, judged by `shard_rebalance_chi_square`.
 
 use iqs_shard::{Sampled, ShardConfig, ShardError, ShardedService};
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
@@ -226,5 +229,75 @@ fn sharded_chi_square_end_to_end() {
         assert!(metrics.router.probes_live > 0, "edge shards need live prefix sums");
         assert_eq!(metrics.cluster.failed, 0, "no replica-side failures");
         vec![Trial::from_gof("two-level vs single-node", &gof)]
+    });
+}
+
+/// A fixed rebalancing script, one step after each round of probes. From
+/// two shards it passes through three and four and back: split 0, split
+/// 2, merge 1, split 1, merge 0, merge 1 — each step valid whatever the
+/// median cuts land on.
+enum Step {
+    Split(usize),
+    Merge(usize),
+}
+
+const REBALANCE_SCRIPT: [Step; 6] = [
+    Step::Split(0),
+    Step::Split(2),
+    Step::Merge(1),
+    Step::Split(1),
+    Step::Merge(0),
+    Step::Merge(1),
+];
+
+/// Reads keep the `w(e)/W` marginals while the topology splits and
+/// merges underneath them: full-range probes interleaved with
+/// [`REBALANCE_SCRIPT`], their id histogram judged against the weights
+/// across every intermediate topology. Each split or merge publishes
+/// children whose cached `total_weight` drives the next probe's
+/// top-level split, so a child published with the wrong weight skews the
+/// histogram.
+#[test]
+fn shard_rebalance_chi_square() {
+    gate::run("shard_rebalance_chi_square", |seed, scale| {
+        let n = 256usize;
+        let elements: Vec<(u64, f64, f64)> =
+            (0..n).map(|i| (i as u64, i as f64, 1.0 + (i % 7) as f64)).collect();
+        let weights: Vec<f64> = elements.iter().map(|&(_, _, w)| w).collect();
+        let svc = ShardedService::new(
+            elements,
+            ShardConfig { shards: 2, replicas: 1, seed, ..ShardConfig::default() },
+        )
+        .expect("valid build");
+
+        let mut client = svc.client();
+        let mut counts = vec![0u64; n];
+        // Scale multiplies rounds, so every escalation level runs whole
+        // cycles of the same script.
+        let rounds = 30 * scale;
+        for round in 0..rounds {
+            for _ in 0..32 {
+                let drawn = client.sample_wr(None, 64).expect("probe");
+                assert!(!drawn.degraded, "a rebalance must not degrade a read");
+                assert_eq!(drawn.ids.len(), 64);
+                for id in drawn.ids {
+                    counts[id as usize] += 1;
+                }
+            }
+            match REBALANCE_SCRIPT[round % REBALANCE_SCRIPT.len()] {
+                Step::Split(shard) => svc.split_shard(shard),
+                Step::Merge(left) => svc.merge_shards(left),
+            }
+            .expect("scripted step is valid");
+        }
+
+        // The gate is vacuous unless the topology moved under the probes.
+        let router = svc.metrics().router;
+        assert_eq!(router.rebalances, rounds as u64);
+        assert_eq!(router.degraded_queries, 0);
+        assert_eq!(svc.shard_count(), 2, "whole cycles end on two shards");
+
+        let gof = chi_square_gof(&counts, &weight_probs(&weights));
+        vec![Trial::from_gof("marginals across scripted splits+merges", &gof)]
     });
 }

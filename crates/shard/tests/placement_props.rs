@@ -5,9 +5,7 @@
 //! conserved to float tolerance.
 //!
 //! The invariants themselves live in
-//! [`iqs_testkit::oracle::check_partition`], shared with the controller
-//! suite so autonomous rebalancing is held to exactly the same oracle as
-//! these hand-driven sequences.
+//! [`iqs_testkit::oracle::check_partition`].
 
 use iqs_shard::{ShardConfig, ShardError, ShardedService};
 use iqs_testkit::oracle::check_partition;

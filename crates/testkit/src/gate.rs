@@ -59,9 +59,7 @@ pub const MANIFEST: &[&str] = &[
     "net_sim_cluster_chi_square",
     "net_multi_process_chi_square",
     "tiered_cold_path_chi_square",
-    "ctl_rebalance_chi_square",
-    "slo_burn_rate_determinism",
-    "slo_cluster_trace_chi_square",
+    "shard_rebalance_chi_square",
     "service_successive_queries_g_test",
     "testkit_gate_selfcheck",
 ];

@@ -39,10 +39,8 @@ pub mod faultsim;
 pub mod gate;
 pub mod hist;
 pub mod oracle;
-pub mod scenario;
 pub mod seed;
 
 pub use clock::{ClockHandle, VirtualClock};
 pub use faultsim::{FaultEvent, FaultKind, FaultPlan, PlanShape};
 pub use gate::{GateReport, Trial};
-pub use scenario::{FaultScript, Hotspot, PhaseSpec, Scenario, ScriptedFault};

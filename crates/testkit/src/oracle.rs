@@ -105,8 +105,8 @@ pub fn two_level_reference(
 }
 
 /// Verifies that a shard layout is a *partition* of the dataset, over
-/// plain data so both the placement property suite and the controller
-/// suite check the same invariants with the same oracle:
+/// plain data so any suite that splits and merges shards checks the
+/// same invariants with the same oracle:
 ///
 /// * the per-shard slices concatenate back to exactly `baseline` (no
 ///   gap, no overlap, nothing lost, nothing duplicated);

@@ -21,21 +21,15 @@
 //! hot/cold storage backend: indexes bigger than RAM served from the
 //! Section-8 external-memory structure behind a bounded block cache,
 //! with obs-driven promotion into the in-memory Theorem-3 structure.
-//! [`iqs_slo`] is the cluster-wide telemetry plane on top of net and
-//! obs: bounded metric/trace shipping from remote replicas, a
-//! multi-window SLO burn-rate engine over the serving histograms, and
-//! tail-latency attribution by structural cause.
 
 pub use iqs_alias as alias;
 pub use iqs_core as core;
-pub use iqs_ctl as ctl;
 pub use iqs_em as em;
 pub use iqs_net as net;
 pub use iqs_obs as obs;
 pub use iqs_serve as serve;
 pub use iqs_shard as shard;
 pub use iqs_sketch as sketch;
-pub use iqs_slo as slo;
 pub use iqs_spatial as spatial;
 pub use iqs_stats as stats;
 pub use iqs_testkit as testkit;

@@ -9,11 +9,9 @@ use std::error::Error;
 
 use iqs::alias::WeightError;
 use iqs::core::QueryError;
-use iqs::ctl::CtlError;
 use iqs::net::{FrameError, NetError};
 use iqs::serve::ServeError;
 use iqs::shard::ShardError;
-use iqs::slo::SloError;
 use iqs::spatial::SpatialError;
 use iqs::tier::TierError;
 use iqs::tree::{BstError, TreeError};
@@ -34,8 +32,6 @@ fn all_public_error_enums_are_boxable_errors() {
     assert_boxable::<FrameError>();
     assert_boxable::<NetError>();
     assert_boxable::<TierError>();
-    assert_boxable::<CtlError>();
-    assert_boxable::<SloError>();
 }
 
 #[test]
@@ -59,21 +55,6 @@ fn errors_round_trip_through_dyn_error() {
     assert!(tier_err.source().is_some(), "TierError::Query exposes the structure source");
     let through_serve = ServeError::from(TierError::from(QueryError::EmptyRange));
     assert!(through_serve.source().is_some(), "tier errors chain through ServeError");
-
-    // A shard error wrapped by the controller keeps its source.
-    let ctl_err: Box<dyn Error + Send + Sync> =
-        Box::new(CtlError::from(ShardError::UnknownShard(3)));
-    assert!(ctl_err.source().is_some(), "CtlError::Shard exposes the shard source");
-
-    // A histogram diff error wrapped by the SLO engine keeps its source.
-    let slo_err: Box<dyn Error + Send + Sync> =
-        Box::new(SloError::from(iqs::obs::SnapshotDiffError {
-            field: "histogram",
-            bucket: Some(5),
-            later: 1,
-            earlier: 3,
-        }));
-    assert!(slo_err.source().is_some(), "SloError::Window exposes the histogram diff source");
 
     // A frame error wrapped by the transport layer keeps its source.
     let net_err: Box<dyn Error + Send + Sync> =

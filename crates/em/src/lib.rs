@@ -44,14 +44,14 @@
 //! The model charges block transfers only, but the cold tier serves real
 //! requests from these structures and pays their CPU. Every categorical
 //! pick — a chunk's item by weight, a node's chunk, a canonical node, a
-//! boundary piece — sums its group list once into prefix sums
+//! cut chunk's piece — sums its group list once into prefix sums
 //! (`iqs_alias::split::Prefix`) and finds each draw's group by binary
 //! search, `O(log t)` where a CDF walk was `O(t)`. The search lands on the
 //! walk's group for every point (the walk answers the rare point within
 //! rounding of a prefix sum), so every draw, RNG word and block transfer
 //! is the walk's. The weighted sampler keeps what a query fills — the
 //! split buffers, the canonical node list, a pool build's chunk — and a
-//! [`RangePlan`] is filled in place, its boundary pieces copied from a
+//! [`RangePlan`] is filled in place, its cut pieces copied from a
 //! chunk between two binary searches: after its first queries, a cold
 //! draw allocates only in a pool build, for the arrays it writes and
 //! the external sort's buffers.

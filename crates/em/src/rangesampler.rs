@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use iqs_alias::split::{split_counts, Prefix};
 use rand::Rng;
 
@@ -15,11 +17,19 @@ fn store_sorted(machine: &EmMachine, mut keys: Vec<f64>) -> (EmArray<f64>, Chunk
     (arr, dir)
 }
 
-/// The in-range values of chunk `c` (one chunk read; `x ≤ y`): the
-/// chunk is key-sorted, so they are one run of it.
-fn read_piece(keys: &EmArray<f64>, dir: &ChunkDir, c: usize, x: f64, y: f64) -> Vec<f64> {
+/// The item run of chunk `c` whose keys lie in `[x, y]` (one chunk
+/// read; `x ≤ y`), handed to `f` with the chunk's keys: the chunk is
+/// key-sorted, so they are one run of it.
+fn chunk_run<O>(
+    keys: &EmArray<f64>,
+    dir: &ChunkDir,
+    c: usize,
+    x: f64,
+    y: f64,
+    f: impl FnOnce(&[f64], Range<usize>) -> O,
+) -> O {
     let (lo, hi) = dir.items(c, c + 1);
-    keys.scan(lo, hi, |chunk| chunk[key_run(chunk, x, y, |&k| k)].to_vec())
+    keys.scan(lo, hi, |chunk| f(chunk, key_run(chunk, x, y, |&k| k)))
 }
 
 /// Hu-et-al-style WR **range sampling** structure in external memory
@@ -31,11 +41,12 @@ fn read_piece(keys: &EmArray<f64>, dir: &ChunkDir, c: usize, x: f64, y: f64) -> 
 /// samples from its chunk range, built lazily with sorting
 /// (`build_wr_pool`) and consumed sequentially; a query
 ///
-/// 1. locates the two boundary chunks through an in-memory chunk directory
-///    (`O(n/B)` words — the index's navigation metadata) and reads them
-///    (`O(1)` I/Os),
-/// 2. splits `s` multinomially between the two in-memory boundary pieces
-///    and the chunk-aligned middle,
+/// 1. cuts the range through an in-memory chunk directory (`O(n/B)`
+///    words — the index's navigation metadata): it reads the at most two
+///    chunks the range cuts (`O(1)` I/Os), and takes the chunks it covers
+///    whole as the chunk-aligned middle without reading them,
+/// 2. splits `s` multinomially between the in-memory cut pieces and the
+///    middle — flipping no coins when only one of them holds keys —,
 /// 3. decomposes the middle into `O(log(n/B))` canonical supernodes, splits
 ///    again, and consumes each node's pool sequentially.
 ///
@@ -104,44 +115,46 @@ impl EmRangeSampler {
         s: usize,
         rng: &mut R,
     ) -> Option<Vec<f64>> {
-        if y < x || x.is_nan() || y.is_nan() {
-            return None;
-        }
-        // Boundary chunks via the in-memory directory; read them and
-        // collect their in-range values.
+        // Read the chunks the range cuts; the ones it covers are the
+        // middle. A NaN bound cuts and covers nothing.
         let dir = &self.tree.dir;
-        let (ca, cb) = dir.boundary_chunks(x, y);
-        let head = read_piece(&self.keys, dir, ca, x, y);
-        let pick = |vals: &[f64], rng: &mut R| vals[rng.random_range(0..vals.len())];
-        if ca == cb {
-            if head.is_empty() {
-                return None;
-            }
-            return Some((0..s).map(|_| pick(&head, rng)).collect());
-        }
-        let tail = read_piece(&self.keys, dir, cb, x, y);
-        // Full chunks strictly between the boundary chunks.
-        let (mid_lo, mid_hi) = dir.items(ca + 1, cb);
+        let cut = dir.cut(x, y);
+        let piece = |c: Option<usize>| {
+            c.map_or_else(Vec::new, |c| {
+                chunk_run(&self.keys, dir, c, x, y, |chunk, run| chunk[run].to_vec())
+            })
+        };
+        let (head, tail) = (piece(cut.head), piece(cut.tail));
+        let (mid_lo, mid_hi) = dir.items(cut.covered.start, cut.covered.end);
         let pieces = [head.len(), mid_hi - mid_lo, tail.len()];
         let total: usize = pieces.iter().sum();
         if total == 0 {
             return None;
         }
         // Three-way multinomial split by exact counts (Figure 2's
-        // q1/q2/q3 decomposition).
-        let (mut prefix, mut counts) = (Prefix::default(), Vec::new());
-        split_counts(&pieces, total, s, rng, &mut prefix, &mut counts);
+        // q1/q2/q3 decomposition); one piece alone takes all `s`.
+        let mut counts = [0; 3];
+        if let Some(only) = pieces.iter().position(|&len| len == total) {
+            counts[only] = s;
+        } else {
+            let (mut prefix, mut split) = (Prefix::default(), Vec::new());
+            split_counts(&pieces, total, s, rng, &mut prefix, &mut split);
+            counts.copy_from_slice(&split);
+        }
+        let pick = |vals: &[f64], rng: &mut R| vals[rng.random_range(0..vals.len())];
         let mut out = Vec::with_capacity(s);
         out.extend((0..counts[0]).map(|_| pick(&head, rng)));
         out.extend((0..counts[2]).map(|_| pick(&tail, rng)));
         // The middle: canonical supernodes, split by item counts.
-        self.tree.split_over_canonical(ca + 1, cb, counts[1], rng, &mut self.cover);
+        let (a, b) = (cut.covered.start, cut.covered.end);
+        self.tree.split_over_canonical(a, b, counts[1], rng, &mut self.cover);
         for (u, count) in self.cover.shares() {
             let (lo, hi) = self.tree.item_range(u);
             self.pools.take_from_pool(
                 u,
+                hi - lo,
                 count,
-                || build_wr_pool(&self.machine, &self.keys, lo, hi, hi - lo, rng),
+                |size| build_wr_pool(&self.machine, &self.keys, lo, hi, size, rng),
                 |run| out.extend_from_slice(run),
             );
         }
@@ -166,21 +179,22 @@ impl NaiveEmRangeSampler {
         NaiveEmRangeSampler { keys, dir }
     }
 
-    /// Rank range `[a, b)` of keys in `[x, y]`, via directory + boundary
-    /// chunk reads (`O(1)` I/Os). A NaN bound holds no key, and reads
-    /// nothing: `boundary_chunks` would place it in chunk 0.
+    /// Rank range `[a, b)` of keys in `[x, y]`: the covered chunks come
+    /// from the directory, and each chunk the range cuts is read (`O(1)`
+    /// I/Os). The in-range runs are adjacent, so `[a, b)` spans them.
     fn rank_range(&self, x: f64, y: f64) -> (usize, usize) {
-        if x.is_nan() || y.is_nan() {
-            return (0, 0);
-        }
-        let (ca, cb) = self.dir.boundary_chunks(x, y);
-        let (alo, ahi) = self.dir.items(ca, ca + 1);
-        let a =
-            alo + self.keys.read_range(alo, ahi).iter().position(|&v| v >= x).unwrap_or(ahi - alo);
-        let (blo, bhi) = self.dir.items(cb, cb + 1);
-        let b =
-            blo + self.keys.read_range(blo, bhi).iter().position(|&v| v > y).unwrap_or(bhi - blo);
-        (a, b.max(a))
+        let cut = self.dir.cut(x, y);
+        let cut_run = |c: usize| {
+            let lo = self.dir.items(c, c + 1).0;
+            chunk_run(&self.keys, &self.dir, c, x, y, |_, run| (lo + run.start, lo + run.end))
+        };
+        let covered = self.dir.items(cut.covered.start, cut.covered.end);
+        [cut.head.map(cut_run), Some(covered), cut.tail.map(cut_run)]
+            .into_iter()
+            .flatten()
+            .filter(|(a, b)| a < b)
+            .reduce(|(a, _), (_, b)| (a, b))
+            .unwrap_or((0, 0))
     }
 
     /// Random-access WR sampling: `O(s)` I/Os.
@@ -302,8 +316,10 @@ mod tests {
 
         let mut rs = EmRangeSampler::new(&m, keys.clone());
         let (x, y) = (1000.0, 30_000.0);
-        // Warm the pools once (amortization kicks in after first build).
-        rs.query(x, y, 2048, &mut rng);
+        // Warm the pools up to full size (amortization kicks in after
+        // that build): a node's pools grow 1/8, 1/4, 1/2, 1 of its items,
+        // so one draw per item of the range takes each past its ramp.
+        rs.query(x, y, 29_001, &mut rng);
         m.reset_stats();
         let s = 4096;
         for _ in 0..4 {

@@ -75,7 +75,8 @@ pub struct SamplePool {
 }
 
 impl SamplePool {
-    /// Builds the structure over `data` (one initial pool fill, counted).
+    /// Builds the structure over `data` (one initial pool fill of `n`
+    /// samples, counted; every rebuild is that size too).
     ///
     /// # Panics
     /// Panics on an empty dataset.
@@ -83,7 +84,7 @@ impl SamplePool {
         assert!(!data.is_empty(), "set sampling over an empty set");
         let data = machine.array_from(data);
         let mut pools = Pools::new(1);
-        pools.refill(0, || build_wr_pool(machine, &data, 0, data.len(), data.len(), rng));
+        pools.fill(0, build_wr_pool(machine, &data, 0, data.len(), data.len(), rng));
         SamplePool { machine: machine.clone(), data, pools }
     }
 
@@ -109,8 +110,9 @@ impl SamplePool {
         let n = self.data.len();
         self.pools.take_from_pool(
             0,
+            n,
             s,
-            || build_wr_pool(&self.machine, &self.data, 0, n, n, rng),
+            |size| build_wr_pool(&self.machine, &self.data, 0, n, size, rng),
             |run| out.extend_from_slice(run),
         );
         out

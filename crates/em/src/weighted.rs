@@ -27,6 +27,8 @@
 //! random-access lookup: ids ride along in the same sequential passes
 //! that build and consume the pools.
 
+use std::ops::Range;
+
 use iqs_alias::split::{pick, split_counts, Prefix};
 use rand::Rng;
 
@@ -38,23 +40,24 @@ use crate::sort::external_sort;
 type Item = (f64, f64, u64);
 
 /// The RNG-free half of a range query ([`EmWeightedRangeSampler::plan`]):
-/// the in-range contents of the boundary chunks, read once and summed,
-/// and the weights of the three pieces the draw splits `s` between. Its
-/// [`RangePlan::total`] is the exact range weight.
+/// the in-range contents of the chunks the range cuts, read once and
+/// summed, the run of chunks it covers whole, and the weights of the
+/// three pieces the draw splits `s` between. Its [`RangePlan::total`] is
+/// the exact range weight.
 #[derive(Debug, Clone, Default)]
 pub struct RangePlan {
-    /// In-range items of the first boundary chunk.
+    /// In-range items of the first chunk, when the range cuts it.
     head: Piece,
-    /// Full chunks `[mid_lo, mid_hi)` strictly between the boundary
-    /// chunks.
-    mid_lo: usize,
-    mid_hi: usize,
-    /// In-range items of the last boundary chunk.
+    /// The chunks the range covers whole, never read.
+    covered: Range<usize>,
+    /// In-range items of the last chunk, when the range cuts it and it
+    /// is not the first.
     tail: Piece,
-    /// Weights of `head`, the middle (from the directory) and `tail`.
+    /// Weights of `head`, the covered chunks (from the directory) and
+    /// `tail`.
     weights: [f64; 3],
-    /// The range spans more than one chunk, so the draw flips split
-    /// coins; inside one chunk (`head` alone) it flips none.
+    /// More than one piece holds weight, so the draw flips split coins;
+    /// with one alone it flips none.
     split: bool,
     total: f64,
 }
@@ -172,21 +175,21 @@ impl Items {
         piece.sum();
     }
 
-    /// Builds node `u`'s pool — one *weighted* `(key, id)` sample per
-    /// item of its chunk range: an in-memory pass over chunk weights
-    /// decides per-chunk demands; one sequential pass over the chunks
-    /// draws within-chunk weighted samples; an external sort randomizes
-    /// the pool order so consumption order is independent of chunk order.
+    /// Builds node `u`'s pool — `count` *weighted* `(key, id)` samples
+    /// from its chunk range: an in-memory pass over chunk weights decides
+    /// per-chunk demands; one sequential pass over the chunks with a
+    /// demand draws within-chunk weighted samples; an external sort
+    /// randomizes the pool order so consumption order is independent of
+    /// chunk order.
     fn build_weighted_pool<R: Rng + ?Sized>(
         &self,
         u: u32,
+        count: usize,
         rng: &mut R,
         scratch: &mut BuildScratch,
     ) -> EmArray<(f64, u64)> {
         let BuildScratch { split: (prefix, demand), piece } = scratch;
         let (clo, chi) = self.tree.chunk_range(u);
-        let (ilo, ihi) = self.tree.item_range(u);
-        let count = ihi - ilo;
         // Chunk demands via the in-memory directory (CPU only). The node's
         // mass was summed in tree order, so it may differ in the last
         // place from the chunk weights' left-to-right prefix sum.
@@ -218,26 +221,18 @@ impl Items {
 
     fn plan(&self, x: f64, y: f64, plan: &mut RangePlan) {
         // Every field is written, so a kept plan holds nothing of the
-        // range it planned before.
-        plan.head.clear();
-        plan.tail.clear();
-        (plan.mid_lo, plan.mid_hi, plan.weights, plan.split, plan.total) =
-            (0, 0, [0.0; 3], false, 0.0);
-        // A NaN bound is an empty range: `boundary_chunks` would place
-        // it in chunk 0, out of order with the other bound.
-        if y < x || x.is_nan() || y.is_nan() {
-            return;
+        // range it planned before. A NaN bound cuts and covers nothing.
+        let cut = self.tree.dir.cut(x, y);
+        for (c, piece) in [(cut.head, &mut plan.head), (cut.tail, &mut plan.tail)] {
+            match c {
+                Some(c) => self.read_piece(c, x, y, piece),
+                None => piece.clear(),
+            }
         }
-        let (ca, cb) = self.tree.dir.boundary_chunks(x, y);
-        self.read_piece(ca, x, y, &mut plan.head);
-        plan.weights[0] = plan.head.weight();
-        if ca != cb {
-            self.read_piece(cb, x, y, &mut plan.tail);
-            plan.weights[2] = plan.tail.weight();
-            plan.split = true;
-            (plan.mid_lo, plan.mid_hi) = (ca + 1, cb);
-            plan.weights[1] = self.chunk_weight[ca + 1..cb].iter().sum();
-        }
+        let covered = self.chunk_weight[cut.covered.clone()].iter().sum();
+        plan.covered = cut.covered;
+        plan.weights = [plan.head.weight(), covered, plan.tail.weight()];
+        plan.split = plan.weights.iter().filter(|&&w| w > 0.0).count() > 1;
         plan.total = plan.weights.iter().sum();
     }
 }
@@ -317,9 +312,9 @@ impl EmWeightedRangeSampler {
     }
 
     /// Plans a query over the keys in `[x, y]` into `plan` without
-    /// consuming any randomness: reads each boundary chunk once (`O(1)`
-    /// I/Os) and takes the interior chunks' weight from the in-memory
-    /// directory. Whatever `plan` held is replaced; its buffers are kept,
+    /// consuming any randomness: reads each of the at most two chunks the
+    /// range cuts once (`O(1)` I/Os) and takes the weight of the chunks
+    /// it covers whole from the in-memory directory. Whatever `plan` held is replaced; its buffers are kept,
     /// so a caller that keeps one plan allocates nothing once they have
     /// grown to a chunk.
     pub fn plan(&self, x: f64, y: f64, plan: &mut RangePlan) {
@@ -348,20 +343,24 @@ impl EmWeightedRangeSampler {
                 emit(key, id)
             }));
         };
-        if !plan.split {
-            pick_from(&plan.head, s, rng);
-            return Some(s);
-        }
         let Scratch { split: (prefix, counts), cover, build } = &mut *self.scratch;
-        split_counts(&plan.weights, plan.total, s, rng, prefix, counts);
+        if plan.split {
+            split_counts(&plan.weights, plan.total, s, rng, prefix, counts);
+        } else {
+            counts.clear();
+            counts.extend(plan.weights.map(|w| if w > 0.0 { s } else { 0 }));
+        }
         pick_from(&plan.head, counts[0], rng);
         pick_from(&plan.tail, counts[2], rng);
-        self.items.tree.split_over_canonical(plan.mid_lo, plan.mid_hi, counts[1], rng, cover);
+        let covered = &plan.covered;
+        self.items.tree.split_over_canonical(covered.start, covered.end, counts[1], rng, cover);
         for (u, count) in cover.shares() {
+            let (lo, hi) = self.items.tree.item_range(u);
             self.pools.take_from_pool(
                 u,
+                hi - lo,
                 count,
-                || self.items.build_weighted_pool(u, rng, build),
+                |size| self.items.build_weighted_pool(u, size, rng, build),
                 |run| out.extend(run.iter().map(|&(key, id)| emit(key, id))),
             );
         }
@@ -413,9 +412,9 @@ impl EmWeightedRangeSampler {
         self.draw_ids_into(&plan, s, rng, out)
     }
 
-    /// Exact total weight of keys in `[x, y]`: the two boundary chunks are
-    /// scanned (O(1) chunk I/Os), interior chunks come from the in-memory
-    /// directory.
+    /// Exact total weight of keys in `[x, y]`: the at most two chunks
+    /// the range cuts are scanned (O(1) chunk I/Os), the chunks it covers
+    /// come from the in-memory directory.
     pub fn range_weight(&self, x: f64, y: f64) -> f64 {
         let mut plan = RangePlan::default();
         self.plan(x, y, &mut plan);
@@ -423,23 +422,17 @@ impl EmWeightedRangeSampler {
     }
 
     /// Exact number of keys in `[x, y]`, at the same O(1) chunk I/O cost
-    /// as [`Self::range_weight`] (interior chunks are full by layout).
+    /// as [`Self::range_weight`]: only the chunks the range cuts are
+    /// read; the ones it covers count their items from the directory.
     pub fn range_count(&self, x: f64, y: f64) -> usize {
-        if y < x || x.is_nan() || y.is_nan() {
-            return 0;
-        }
         let dir = &self.items.tree.dir;
-        let (ca, cb) = dir.boundary_chunks(x, y);
+        let cut = dir.cut(x, y);
         let in_range = |c: usize| {
             let (lo, hi) = dir.items(c, c + 1);
             self.items.data.scan(lo, hi, |pairs| key_run(pairs, x, y, |p| p.0).len())
         };
-        if ca == cb {
-            return in_range(ca);
-        }
-        // Interior chunks hold exactly `b` items each: only the final
-        // chunk of the array can be short, and it is `cb` or beyond.
-        in_range(ca) + (cb - ca - 1) * dir.chunk_len() + in_range(cb)
+        let (lo, hi) = dir.items(cut.covered.start, cut.covered.end);
+        cut.head.map_or(0, in_range) + (hi - lo) + cut.tail.map_or(0, in_range)
     }
 }
 
@@ -497,7 +490,9 @@ mod tests {
         let pairs: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, 1.0 + (i % 3) as f64)).collect();
         let mut s = EmWeightedRangeSampler::new(&machine, pairs);
         let (x, y) = (500.0, 15_000.0);
-        s.query(x, y, 512, &mut rng); // warm pools
+        // Warm the pools up to full size: one draw per item of the range
+        // takes each node past the 1/8, 1/4, 1/2 pools of its ramp.
+        s.query(x, y, 14_501, &mut rng);
         machine.reset_stats();
         let big_s = 4096usize;
         for _ in 0..4 {
@@ -590,10 +585,11 @@ mod tests {
         // chunk to empty and NaN ranges, each plan replacing the last.
         let mut plan = RangePlan::default();
         // The ranges of `range_weight_and_count_are_exact`, with the
-        // number of boundary chunks each one reads.
+        // number of chunks each one cuts and so reads: the whole range
+        // covers every chunk and reads none.
         let nan = f64::NAN;
         for (x, y, chunks) in [
-            (0.0, 1999.0, 2),
+            (0.0, 1999.0, 0),
             (13.0, 1987.0, 2),
             (100.0, 100.0, 1),
             (55.5, 56.5, 1),
@@ -630,7 +626,25 @@ mod tests {
         let w = s.range_weight(100.0, 30_000.0);
         let c = s.range_count(100.0, 30_000.0);
         assert!(w > 0.0 && c > 0);
-        // Two boundary chunks (pairs + ids) per call, not O(n/B).
+        // Two cut chunks (pairs + ids) per call, not O(n/B).
         assert!(machine.stats().reads <= 12, "reads {}", machine.stats().reads);
+        // Ranges that cover the chunks at their ends read none of them,
+        // from a chunk-aligned pair of ends (`b / 2` pairs a chunk) to
+        // the whole set and past it; one cut end reads its chunk alone.
+        let chunk = (b / 2) as f64;
+        for (x, y, reads) in [
+            (chunk, 40.0 * chunk - 1.0, 0),
+            (0.0, (n - 1) as f64, 0),
+            (-1e9, 1e9, 0),
+            (chunk, 40.0 * chunk + 3.0, 2),
+            (chunk - 1.0, 40.0 * chunk - 1.0, 2),
+        ] {
+            machine.flush();
+            machine.reset_stats();
+            let want = (x.max(0.0) as usize..=(y as usize).min(n - 1)).count();
+            assert_eq!(s.range_count(x, y), want, "[{x}, {y}]");
+            assert_eq!(s.range_weight(x, y), want as f64, "[{x}, {y}]");
+            assert_eq!(machine.stats().reads, reads, "reads at [{x}, {y}]");
+        }
     }
 }

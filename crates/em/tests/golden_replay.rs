@@ -1,9 +1,10 @@
 //! Seeded replay fixtures for the Section-8 structures: for each of
 //! `SamplePool`, `EmRangeSampler` and `EmWeightedRangeSampler` (through
-//! `query`, through `plan` + `draw_ids_into`, and over shuffled Zipf
-//! weights) at two `(B, M)` settings, the first samples of a query, an order-sensitive checksum
+//! `query`, through `plan` + `draw_ids_into`, over shuffled Zipf weights,
+//! and over ranges whose ends the chunks meet) at two `(B, M)` settings,
+//! the first samples of a query, an order-sensitive checksum
 //! of every query's whole output (the leading samples of a range query
-//! come from its boundary chunks; the pools' follow), the machine's
+//! come from the chunks it cuts; the pools' follow), the machine's
 //! `IoStats` after construction and after each query, and `rebuilds()`
 //! after each query.
 //!
@@ -229,15 +230,57 @@ fn weighted_zipf(b: usize, m: usize, seed: u64) -> String {
     t.render()
 }
 
+/// Ranges the chunks end on: the whole set, a run of whole chunks, and
+/// a range cut at its upper end alone. A plan reads only the chunks its
+/// range cuts — none for the first two — and the chunks a range covers
+/// draw from the pools of their canonical nodes, the whole set from the
+/// root's one pool.
+fn weighted_covered(b: usize, m: usize, seed: u64) -> String {
+    let machine = EmMachine::new(m, b);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = Transcript::default();
+    // `b / 2` pairs per chunk, 64 chunks.
+    let n = 32 * b;
+    let mut ws = EmWeightedRangeSampler::new_keyed(&machine, triples(n));
+    t.io(machine.stats());
+    let chunk = (b / 2) as f64;
+    let s = 6 * b;
+    let mut plan = RangePlan::default();
+    let mut ids = Vec::new();
+    for (q, (x, y, cut)) in [
+        (f64::NEG_INFINITY, f64::INFINITY, 0),
+        (2.0 * chunk, 40.0 * chunk - 1.0, 0),
+        (5.0 * chunk, 50.0 * chunk + 2.5, 1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let before = machine.stats();
+        ws.plan(x, y, &mut plan);
+        let touched = machine.stats().hits + machine.stats().misses - before.hits - before.misses;
+        assert_eq!(touched, 2 * cut, "a plan touches two blocks per cut chunk");
+        t.io(machine.stats());
+        ids.clear();
+        assert_eq!(ws.draw_ids_into(&plan, s, &mut rng, &mut ids), Some(s));
+        t.sum(ids.iter().copied());
+        if q == 0 {
+            t.head(&ids, HEAD);
+        }
+        t.after_query(&machine, ws.rebuilds());
+    }
+    t.render()
+}
+
 type Fixture = fn(usize, usize, u64) -> String;
 
 /// Every fixture, with the seed it replays under.
-const FIXTURES: [(&str, Fixture, u64); 5] = [
+const FIXTURES: [(&str, Fixture, u64); 6] = [
     ("sample_pool", sample_pool, 801),
     ("range_sampler", range_sampler, 802),
     ("weighted_query", weighted_query, 803),
     ("weighted_plan_draw", weighted_plan_draw, 804),
     ("weighted_zipf", weighted_zipf, 806),
+    ("weighted_covered", weighted_covered, 807),
 ];
 
 fn transcripts() -> Vec<(String, String)> {
@@ -254,14 +297,16 @@ fn transcripts() -> Vec<(String, String)> {
 const GOLDEN: &[(&str, &str)] = &[
     ("sample_pool/B64/M512", "samples=[779,303,650,506,583,432,748,233,87,1049,1026,965,628,317,40,1118,1199,1248,294,809,474,1143,243,838,965,566,1209,1118,1277,740,2,1015] sums=[0133032fec1e78c8 9bdb873bc5df3abc 26ec089a92a4f50e] io=[265/264/1288/532 274/267/1288/541 282/267/1289/549 557/532/2578/1091] rebuilds=[0, 0, 1]"),
     ("sample_pool/B16/M64", "samples=[198,77,165,128,148,110,190,59,22,266,260,245,159,80,10,284,304,317,74,205,120,290,61,213,245,143,307,284,324,188,0,258] sums=[aab15c1d9492c61b 7fe85e882fb92aaf 74a282032198057f] io=[513/511/326/1026 522/513/326/1035 530/513/327/1043 1053/1026/654/2079] rebuilds=[0, 0, 1]"),
-    ("range_sampler/B64/M512", "samples=[125,88,124,74,89,74,104,74,90,123,68,83,120,107,112,100,95,123,87,72,69,67,76,75,95,116,116,120,83,84,67,180,9,30,23,16,32,9,20,4] sums=[09ba94f09e28d7f7 1674be5d930d554b 56cf937d9ef129a2] io=[0/0/0/0 691/698/3913/1423 746/733/4187/1514 1426/1398/7824/2890 1427/1398/7824/2891] rebuilds=[0, 1, 8, 8]"),
-    ("range_sampler/B16/M64", "samples=[24,22,23,23,27,29,28,21,50,47,40,41,52,40,57,40,37,51,63,32,43,53,101,83,77,67,118,77,80,119,111,77,5,6,7,5,6,8,4,3] sums=[223f4eb302854d14 9f3fd1b84d7f214a ea5f151baca000dc] io=[0/0/0/0 1093/1082/982/2177 1137/1100/1025/2239 2229/2168/1964/4397 2230/2168/1964/4398] rebuilds=[0, 1, 8, 8]"),
-    ("weighted_query/B64/M512", "samples=[38,57,59,49,46,53,54,47,1984,94,99,64,86,91,82,124,84,119,119,117,74,87,109,97,64,99,79,78,87,85,104,124,8,11,12,6,15,3,9,1] sums=[744088cac19356f1 0724d8f3ea1e7cfe 7a937213ef99cb82] io=[0/0/0/0 355/312/215/687 394/314/215/726 752/626/429/1416 754/626/429/1418] rebuilds=[0, 0, 8, 8]"),
-    ("weighted_query/B16/M64", "samples=[11,21,27,24,29,19,24,21,33,61,48,48,49,34,47,48,42,48,58,52,54,35,39,35,38,58,50,82,109,116,69,64,4,3,4,4,4,2,3,2] sums=[02f468db48966492 25affcdab3a3f4e7 3f54e7293c34b9da] io=[0/0/0/0 535/481/170/1017 819/713/245/1532 1114/963/341/2078 1116/963/341/2080] rebuilds=[0, 3, 8, 8]"),
-    ("weighted_plan_draw/B64/M512", "samples=[99883,99880,99841,99892,99838,99841,99853,99844,99856,99823,99814,99868,99853,99877,99829,99736,99793,99718,99700,99706,99757,99688,99769,99721,99694,99766,99718,99673,99634,99733,99709,99700,99997,99976,99991,99982,99988,99955,99958,99991] sums=[0599361b2a0026ce 923119ee9b80aefe 7545b575fc1c0eec] io=[0/0/0/0 4/0/0/4 355/312/219/687 359/312/219/691 399/316/251/751 403/316/251/755 753/625/441/1417 755/625/441/1419] rebuilds=[0, 2, 8, 8]"),
-    ("weighted_plan_draw/B16/M64", "samples=[99961,99949,99937,99931,99931,99928,99916,99952,99919,99928,99913,99949,99943,99883,99856,99838,99823,99829,99868,99856,99811,99898,99904,99670,99736,99652,99673,99745,99808,99691,99676,99646,99988,99997,99988,99988,99991,99988,99997,99994] sums=[3b118281a2e22ad2 5d655ce8fa2dc32d 13f74feae4cbf006] io=[0/0/0/0 4/0/0/4 535/481/175/1017 539/482/175/1021 586/501/199/1088 590/502/199/1092 1112/964/353/2076 1114/964/353/2078] rebuilds=[0, 2, 8, 8]"),
-    ("weighted_zipf/B64/M512", "samples=[288,281,288,365,288,288,288,442,281,288,288,288,246,288,288,659,666,876,568,582,526,512,876,736,659,659,862,568,1786,1422,918,1422,6,7,10,12,4,12,7,12] sums=[abe9d1a7f1d72160 139641be235b04d7 5123427f0667c946] io=[0/0/0/0 1901/1680/776/3601 2615/2229/1011/4865 3777/3208/1430/7004 3779/3208/1430/7006] rebuilds=[0, 3, 8, 8]"),
-    ("weighted_zipf/B16/M64", "samples=[14225,155,113,155,155,155,176,113,155,155,190,295,617,883,589,638,547,491,624,589,883,862,883,939,1632,939,939,939,939,939,1604,1506,1,1,1,1,3,1,3,3] sums=[7aecd20ea7e117f1 dc6f790fc269cea7 7c4ec7b23bcad5df] io=[0/0/0/0 2963/2739/677/5703 3959/3584/894/7543 6221/5644/1357/11865 6223/5644/1357/11867] rebuilds=[0, 4, 8, 8]"),
+    ("range_sampler/B64/M512", "samples=[125,88,124,74,89,74,104,74,90,123,68,83,120,107,112,100,95,123,87,72,69,67,76,75,95,116,116,120,83,84,67,180,19,24,11,11,14,10,30,10] sums=[4486a6906acd1eca 87b365d71e5f3f5b 4fcb5aad29006ed3] io=[0/0/0/0 431/387/3504/975 799/739/5604/1727 1164/1089/7415/2440 1165/1089/7415/2441] rebuilds=[16, 21, 24, 24]"),
+    ("range_sampler/B16/M64", "samples=[24,22,23,23,27,29,28,21,50,47,40,41,52,40,57,40,37,51,63,32,43,53,78,113,83,84,101,83,77,67,118,77,7,5,4,4,8,3,3,3] sums=[a4f06b4ff34fde91 21d650e8fdeb5b43 39f9b8439acd696d] io=[0/0/0/0 657/589/835/1311 1185/1114/1347/2365 1797/1692/1859/3553 1798/1692/1859/3554] rebuilds=[15, 20, 24, 24]"),
+    ("weighted_query/B64/M512", "samples=[38,57,59,49,46,53,54,47,1984,89,68,73,87,119,89,115,127,87,68,67,113,85,66,91,124,104,126,84,123,71,119,84,13,3,8,11,13,13,2,13] sums=[ef495b1aec9de6ef 9f5e0b50aeab9f87 581d35a88da98f8c] io=[0/0/0/0 347/181/366/616 658/446/547/1207 750/497/585/1356 752/497/585/1358] rebuilds=[15, 22, 24, 24]"),
+    ("weighted_query/B16/M64", "samples=[11,29,27,16,17,29,27,27,42,38,44,48,59,36,52,54,38,59,58,59,40,49,39,42,41,44,54,69,122,111,65,104,1,2,2,1,1,4,2,3] sums=[ec22c79e65a290ee ea44bf099ef17dfe 4201c7cb1e11a4ab] io=[0/0/0/0 407/255/222/695 884/668/373/1589 1023/773/427/1833 1025/773/427/1835] rebuilds=[13, 20, 24, 24]"),
+    ("weighted_plan_draw/B64/M512", "samples=[99883,99880,99841,99892,99838,99841,99853,99844,99856,99823,99814,99868,99853,99877,99829,99778,99796,99727,99757,99778,99643,99736,99652,99643,99622,99760,99643,99637,99808,99763,99808,99778,99958,99958,99961,99988,99994,99982,99991,99952] sums=[663b4c81add2a838 87a0eabf8343baed 07bde7b7d1b9250c] io=[0/0/0/0 4/0/0/4 344/179/362/608 348/179/362/612 698/477/574/1286 702/477/574/1290 747/496/599/1353 749/496/599/1355] rebuilds=[15, 23, 24, 24]"),
+    ("weighted_plan_draw/B16/M64", "samples=[99961,99943,99925,99928,99940,99937,99916,99949,99937,99928,99919,99913,99949,99844,99853,99856,99898,99817,99814,99871,99886,99904,99844,99799,99808,99628,99754,99688,99631,99619,99658,99634,99994,99988,99994,99988,99991,99991,99988,99991] sums=[2a47e06428ac0d1f abf96d8e534ea259 0172adfc8e232514] io=[0/0/0/0 4/0/0/4 445/281/252/763 449/282/252/767 838/627/395/1502 842/628/395/1506 1031/774/441/1841 1033/774/441/1843] rebuilds=[15, 23, 24, 24]"),
+    ("weighted_zipf/B64/M512", "samples=[288,281,288,365,288,288,288,442,281,288,288,288,246,288,288,694,806,694,659,568,652,659,554,890,806,666,505,890,1541,1632,1422,1471,6,12,8,7,8,7,16,11] sums=[a0d7a821808d4810 412d6c24d2353886 b1789fdf74b5722b] io=[0/0/0/0 1836/1035/927/2949 3290/2230/1483/5609 4163/2934/1819/7190 4165/2934/1819/7192] rebuilds=[18, 27, 34, 34]"),
+    ("weighted_zipf/B16/M64", "samples=[14225,155,211,155,113,155,155,190,190,155,155,281,708,512,631,512,883,624,498,883,806,785,673,1506,1254,939,1121,1254,1135,1254,1254,1254,1,1,1,1,1,1,2,4] sums=[40739364f84d8e72 ccf6cb2edd43a7b0 bac6488e0ae7a6c9] io=[0/0/0/0 1708/1180/509/2921 3491/2687/938/6215 6115/5102/1497/11253 6117/5102/1497/11255] rebuilds=[17, 27, 33, 33]"),
+    ("weighted_covered/B64/M512", "samples=[95809,94954,99952,97171,99481,95617,94741,95497,98227,95368,96802,94159,93943,94651,94513,97465,97159,96703,98683,96334,96682,98032,95209,99235,93904,97039,99286,99367,98308,98722,97879,98272] sums=[6bfbb6e4f9a43820 3941d5540c554bae 0afbb4cc1634fc58] io=[0/0/0/0 0/0/0/0 312/135/126/450 312/135/126/450 421/164/261/631 423/164/261/633 571/249/392/892] rebuilds=[1, 6, 12]"),
+    ("weighted_covered/B16/M64", "samples=[99004,99733,99814,98968,99427,99346,99094,98518,99418,98548,99799,98986,98599,99781,98698,99622,99178,99742,98575,99301,99064,99613,99193,99202,99058,98689,99676,98653,99310,99091,99766,98821] sums=[27ddff8604f18fea 10a33b18687232e1 169b2526240256b2] io=[0/0/0/0 0/0/0/0 353/206/88/559 353/206/88/559 483/267/190/773 485/267/190/775 674/392/277/1099] rebuilds=[1, 7, 12]"),
 ];
 
 #[test]

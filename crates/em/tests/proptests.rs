@@ -1,6 +1,9 @@
 //! Property tests for the external-memory simulator.
 
-use iqs_em::{external_sort, EmArray, EmMachine, IoStats};
+use iqs_em::{
+    external_sort, EmArray, EmMachine, EmRangeSampler, EmWeightedRangeSampler, IoStats,
+    NaiveEmRangeSampler, RangePlan,
+};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -62,7 +65,98 @@ impl ReferencePool {
     }
 }
 
+/// A range bound picked by `kind` from sorted `keys` stored `per_chunk`
+/// to a chunk: a stored key, a chunk's first or last key (a chunk-aligned
+/// end), a point between keys, a point outside the domain, or NaN.
+fn bound(keys: &[f64], per_chunk: usize, kind: u8, i: usize) -> f64 {
+    let chunks = keys.len().div_ceil(per_chunk);
+    let c = i % chunks;
+    match kind {
+        0 => keys[i % keys.len()],
+        1 => keys[c * per_chunk],
+        2 => keys[((c + 1) * per_chunk).min(keys.len()) - 1],
+        3 => keys[i % keys.len()] + 0.5,
+        4 => [f64::NEG_INFINITY, -1e9, 1e9, f64::INFINITY][i % 4],
+        _ => f64::NAN,
+    }
+}
+
+/// How many chunks of `keys` (`per_chunk` to a chunk) the range `[x, y]`
+/// cuts: meets — some key of the chunk's span lies in it — without
+/// covering.
+fn cut_chunks(keys: &[f64], per_chunk: usize, x: f64, y: f64) -> u64 {
+    if y < x || x.is_nan() || y.is_nan() {
+        return 0;
+    }
+    let cut = |chunk: &[f64]| {
+        let (first, last) = (chunk[0], chunk[chunk.len() - 1]);
+        let meets = last >= x && first <= y;
+        meets && !(x <= first && last <= y)
+    };
+    keys.chunks(per_chunk).filter(|chunk| cut(chunk)).count() as u64
+}
+
 proptest! {
+    /// A range's plan reads each chunk the range cuts — one pair block
+    /// and half an id block, each touched once — and no other, and its
+    /// total is the brute-force range weight; the counts and the draws of
+    /// all three range samplers agree with the brute force, over random
+    /// ranges with chunk-aligned, out-of-domain, inverted and NaN ends
+    /// on keys with runs of duplicates.
+    #[test]
+    fn a_plan_reads_only_the_chunks_its_range_cuts(
+        raw in pvec((0u32..300, 0.1f64..10.0), 1..700),
+        log_block in 1u32..7,
+        ends in ((0u8..6, 0usize..10_000), (0u8..6, 0usize..10_000)),
+        seed in 0u64..u64::MAX,
+    ) {
+        let block = 1usize << log_block;
+        let mut raw = raw;
+        raw.sort_by_key(|p| p.0);
+        let keys: Vec<f64> = raw.iter().map(|p| f64::from(p.0)).collect();
+        let pairs: Vec<(f64, f64)> = keys.iter().copied().zip(raw.iter().map(|p| p.1)).collect();
+        let machine = EmMachine::new(16 * block, block);
+        let mut weighted = EmWeightedRangeSampler::new(&machine, pairs.clone());
+        // Pairs are two words: `block / 2` to a chunk.
+        let per_chunk = block / 2;
+        let ((kx, ix), (ky, iy)) = ends;
+        let (x, y) = (bound(&keys, per_chunk, kx, ix), bound(&keys, per_chunk, ky, iy));
+        let in_range = |k: f64| x <= k && k <= y;
+        let want_weight: f64 = pairs.iter().filter(|p| in_range(p.0)).map(|p| p.1).sum();
+        let want_count = keys.iter().filter(|&&k| in_range(k)).count();
+
+        let mut plan = RangePlan::default();
+        machine.reset_stats();
+        weighted.plan(x, y, &mut plan);
+        let stats = machine.stats();
+        prop_assert_eq!(stats.hits + stats.misses, 2 * cut_chunks(&keys, per_chunk, x, y));
+        prop_assert!(
+            (plan.total() - want_weight).abs() <= 1e-12 * want_weight,
+            "plan total {} vs {}", plan.total(), want_weight
+        );
+        prop_assert_eq!(weighted.range_weight(x, y).to_bits(), plan.total().to_bits());
+        prop_assert_eq!(weighted.range_count(x, y), want_count);
+
+        // Ids are key ranks (`new` keeps equal keys in input order).
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ids = Vec::new();
+        let drew = weighted.draw_ids_into(&plan, 40, &mut rng, &mut ids);
+        prop_assert_eq!(drew, (want_count > 0).then_some(40));
+        prop_assert!(ids.iter().all(|&id| in_range(keys[id as usize])));
+
+        let mut unweighted = EmRangeSampler::new(&machine, keys.clone());
+        let naive = NaiveEmRangeSampler::new(&machine, keys.clone());
+        let outs = [
+            unweighted.query(x, y, 40, &mut rng),
+            naive.query_random_access(x, y, 40, &mut rng),
+            naive.query_report_then_sample(x, y, 40, &mut rng),
+        ];
+        for out in outs {
+            prop_assert_eq!(out.is_some(), want_count > 0);
+            prop_assert!(out.unwrap_or_default().into_iter().all(in_range));
+        }
+    }
+
     /// External sort equals std sort for arbitrary inputs and machine
     /// shapes.
     #[test]

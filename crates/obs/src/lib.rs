@@ -14,7 +14,7 @@
 //!   single relaxed load and an early return.
 //! * [`trace`] — trace reconstruction: [`TraceView`] rebuilds one
 //!   query's full two-level schedule (router plan, multinomial split,
-//!   per-shard scatter legs, failovers, breaker trips, absorbed delays,
+//!   per-shard scatter legs, failovers, breaker trips,
 //!   degraded legs with cause, per-leg RNG cost) from drained records.
 //! * [`export`] — exporters: JSON-lines trace dumps, a
 //!   Prometheus-style text [`PromWriter`] used by the tier crates'

@@ -179,13 +179,6 @@ pub fn pack_cost(refills: u64, redirects: u64, descents: u64, rejects: u64) -> u
     clamp16(refills) | clamp16(redirects) << 16 | clamp16(descents) << 32 | clamp16(rejects) << 48
 }
 
-/// Unpacks [`pack_cost`]'s payload back into
-/// `(refills, redirects, descents, rejects)`.
-#[must_use]
-pub fn unpack_cost(b: u64) -> (u64, u64, u64, u64) {
-    (b & 0xffff, b >> 16 & 0xffff, b >> 32 & 0xffff, b >> 48)
-}
-
 /// Packs one cold draw's interval I/O counters into [`Phase::ColdDraw`]'s
 /// `b` payload: 16 bits each (saturating) for block reads, block writes,
 /// cache hits and cache misses, low to high.
@@ -195,12 +188,6 @@ pub fn pack_io(reads: u64, writes: u64, hits: u64, misses: u64) -> u64 {
         v.min(0xffff)
     }
     clamp16(reads) | clamp16(writes) << 16 | clamp16(hits) << 32 | clamp16(misses) << 48
-}
-
-/// Unpacks [`pack_io`]'s payload back into `(reads, writes, hits, misses)`.
-#[must_use]
-pub fn unpack_io(b: u64) -> (u64, u64, u64, u64) {
-    (b & 0xffff, b >> 16 & 0xffff, b >> 32 & 0xffff, b >> 48)
 }
 
 /// One flight-recorder record, 48 bytes of plain data.
@@ -621,6 +608,12 @@ mod tests {
         disable();
     }
 
+    /// The inverse of [`pack_cost`] and [`pack_io`]: four 16-bit
+    /// fields, low to high.
+    fn unpack(b: u64) -> (u64, u64, u64, u64) {
+        (b & 0xffff, b >> 16 & 0xffff, b >> 32 & 0xffff, b >> 48)
+    }
+
     #[test]
     fn span_and_cost_encodings_round_trip() {
         let ctx = Ctx::query(9);
@@ -630,10 +623,10 @@ mod tests {
         assert_eq!(span_shard(ctx.leg(3, 1).span), Some(3));
         assert_eq!(span_replica(ctx.leg(3, 1).span), Some(1));
         assert_eq!(ctx.shard(3).replica(1), ctx.leg(3, 1));
-        assert_eq!(unpack_cost(pack_cost(3, 7, 11, 13)), (3, 7, 11, 13));
-        assert_eq!(unpack_cost(pack_cost(1 << 40, 0, 0, 2)), (0xffff, 0, 0, 2));
-        assert_eq!(unpack_io(pack_io(5, 2, 400, 9)), (5, 2, 400, 9));
-        assert_eq!(unpack_io(pack_io(0, 1 << 33, 0, 0)), (0, 0xffff, 0, 0));
+        assert_eq!(unpack(pack_cost(3, 7, 11, 13)), (3, 7, 11, 13));
+        assert_eq!(unpack(pack_cost(1 << 40, 0, 0, 2)), (0xffff, 0, 0, 2));
+        assert_eq!(unpack(pack_io(5, 2, 400, 9)), (5, 2, 400, 9));
+        assert_eq!(unpack(pack_io(0, 1 << 33, 0, 0)), (0, 0xffff, 0, 0));
     }
 
     /// Every code 1..=17 decodes to the phase it encodes and carries a

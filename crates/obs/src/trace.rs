@@ -93,12 +93,6 @@ impl TraceView {
             .collect()
     }
 
-    /// Total injected/observed delay absorbed while awaiting legs.
-    #[must_use]
-    pub fn absorbed_delay(&self) -> Duration {
-        Duration::from_nanos(self.phase_records(Phase::DelayAbsorb).map(|r| r.a).sum())
-    }
-
     /// Total RNG words consumed across all [`Phase::RngCost`] records.
     #[must_use]
     pub fn rng_words(&self) -> u64 {
@@ -204,7 +198,6 @@ mod tests {
         assert_eq!(view.failovers(), vec![(0, 0, 3)]);
         assert_eq!(view.breaker_trips(), vec![(0, 0)]);
         assert_eq!(view.degraded_legs(), vec![(1, 3)]);
-        assert_eq!(view.absorbed_delay(), Duration::from_nanos(40));
         assert_eq!(view.rng_words(), 21);
         assert_eq!(view.leg_rng_words(0), 21);
         assert_eq!(view.leg_rng_words(1), 0);

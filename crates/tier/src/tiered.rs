@@ -501,7 +501,8 @@ impl TieredIndex {
     /// Exact range weight of one shard, charging any cold-tier chunk
     /// reads to `io`. Full-span queries come from the directory for
     /// free in both tiers. A partially covered cold shard also fills
-    /// `plan` with what its boundary-chunk reads paid for, and says so
+    /// `plan` with what its reads of the chunks the range cuts paid for,
+    /// and says so
     /// (`true`), so the draw does not read them again.
     fn slot_range_weight(
         &self,
@@ -771,7 +772,7 @@ mod tests {
         let (weight, planned) = idx.slot_range_weight(slot, x, y, &mut plan, &mut io);
         assert!(planned, "a partially covered cold shard hands its plan on");
         assert_eq!(weight.to_bits(), idx.range_weight(x, y).to_bits());
-        assert!(io.reads > 0, "the plan paid for the boundary chunks");
+        assert!(io.reads > 0, "the plan paid for the chunks the range cuts");
         assert!(idx.promote("s").unwrap());
 
         let mut rng = StdRng::seed_from_u64(12);

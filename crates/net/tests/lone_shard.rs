@@ -21,7 +21,8 @@ use iqs_serve::{
     Server, ServerConfig,
 };
 use iqs_shard::{
-    PendingLeg, ReplicaLink, ShardConfig, ShardError, ShardSpec, ShardedService, SHARD_INDEX,
+    FaultMode, FaultyLink, PendingLeg, ReplicaLink, ShardConfig, ShardError, ShardSpec,
+    ShardedService, SHARD_INDEX,
 };
 use iqs_testkit::VirtualClock;
 
@@ -175,9 +176,8 @@ fn lone_shard_over_local_links() {
     lone_shard_queries_answer_without_probe_or_failover(&svc);
 
     let dark = ShardedService::new(elements(), config(&clock)).expect("local topology");
-    let faults = dark.fault_plan();
-    for ri in 0..REPLICAS {
-        faults.kill(0, ri).expect("kill");
+    for link in &FaultyLink::wrap_all(&dark)[0] {
+        link.set(FaultMode::Down);
     }
     dark_lone_shard_degrades(&dark);
 }

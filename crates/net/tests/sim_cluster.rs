@@ -3,7 +3,7 @@
 //! TTL registry and routed by `iqs-shard`'s scatter/gather — the whole
 //! networking stack with zero real sockets, on the virtual clock.
 //!
-//! Four claims:
+//! Five claims:
 //! 1. **Exactness across the fabric** (registered gate): the remote
 //!    cluster's partial-range draw matches the single-node weighted
 //!    distribution — framing, deadline re-anchoring, and registry
@@ -17,6 +17,10 @@
 //! 4. **The codec does not touch the sample stream**: a cluster behind
 //!    the fabric returns, query for query, the id sequence the same
 //!    seeds draw on in-process links — at both id widths.
+//! 5. **One fault schedule, both transports**: the seeded fault plans
+//!    `iqs-shard`'s chaos suite injects through [`FaultyLink`]s around
+//!    in-process replicas degrade this cluster exactly where they
+//!    darken a shard when the same decorator wraps its fabric links.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,10 +30,14 @@ use iqs_net::{
     ServiceRegistry, SimNet, SimStats,
 };
 use iqs_serve::{IndexRegistry, Server, ServerConfig};
-use iqs_shard::{HealthPolicy, ShardConfig, ShardSpec, ShardedService, SHARD_INDEX};
+use iqs_shard::{
+    FaultMode, FaultyLink, HealthPolicy, ReplicaLink, ShardConfig, ShardSpec, ShardedService,
+    SHARD_INDEX,
+};
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
-use iqs_testkit::VirtualClock;
+use iqs_testkit::seed::{derive, suite_seed};
+use iqs_testkit::{FaultKind, FaultPlan, PlanShape, VirtualClock};
 
 /// SplitMix64 increment; distinct per-replica server seeds derive from
 /// the scenario seed with it, mirroring the in-process tier's schedule.
@@ -67,7 +75,16 @@ struct SimCluster {
 }
 
 fn build(seed: u64) -> SimCluster {
-    let clock = VirtualClock::new();
+    build_wrapped(seed, VirtualClock::new(), |_, _, link| link)
+}
+
+/// [`build`] on `clock`, with each discovered link replaced by
+/// `wrap(shard, replica, link)` before the router is built on it.
+fn build_wrapped(
+    seed: u64,
+    clock: VirtualClock,
+    mut wrap: impl FnMut(usize, usize, Arc<dyn ReplicaLink>) -> Arc<dyn ReplicaLink>,
+) -> SimCluster {
     let net = SimNet::new(clock.handle());
     let registry = Arc::new(ServiceRegistry::new(clock.handle()));
     net.bind("sim://registry", Arc::new(RegistryHandler::new(Arc::clone(&registry))));
@@ -114,9 +131,13 @@ fn build(seed: u64) -> SimCluster {
         }
     }
 
-    let specs = shard_specs(&registry, &transport);
+    let mut specs = shard_specs(&registry, &transport);
     assert_eq!(specs.len(), CUTS.len(), "one spec per distinct key span");
     assert!(specs.iter().all(|s| s.links.len() == REPLICAS));
+    for (si, spec) in specs.iter_mut().enumerate() {
+        let links = std::mem::take(&mut spec.links);
+        spec.links = links.into_iter().enumerate().map(|(ri, link)| wrap(si, ri, link)).collect();
+    }
     let svc = ShardedService::from_links(
         specs,
         ShardConfig {
@@ -352,4 +373,66 @@ fn remote_draws_replay_the_local_links_id_for_id() {
         }
         assert_eq!(net.stats().unreachable + net.stats().timed_out, 0);
     }
+}
+
+/// Claim 5: seeded fault plans over the fabric. Each step sets every
+/// wrapped link to the fault the plan puts its replica under, moves one
+/// virtual second on (past any breaker's cooldown), and reads: a
+/// full-span count degrades at exactly the steps where
+/// `FaultPlan::dark_shards` says a shard is dark, with one unavailable
+/// shard per dark one, and no read fails. The 500 ms scatter deadline
+/// exceeds every drawn delay, so only Down and Error darken a replica.
+#[test]
+fn fault_schedules_over_the_fabric_degrade_exactly_at_dark_steps() {
+    let shape = PlanShape {
+        steps: 30,
+        shards: CUTS.len(),
+        replicas: REPLICAS,
+        events: 18,
+        max_delay_ms: 40,
+    };
+    let mut dark_steps = 0;
+    for round in 0..4u64 {
+        // `chaos.rs`'s label and shape: the very plans its in-process
+        // cluster replays.
+        let seed = derive(suite_seed(), "chaos_schedule").wrapping_add(round);
+        let plan = FaultPlan::generate(seed, &shape);
+        let clock = VirtualClock::new();
+        let handle = clock.handle();
+        let mut faults: Vec<(usize, usize, Arc<FaultyLink>)> = Vec::new();
+        let sim = build_wrapped(seed, clock, |si, ri, link| {
+            let faulty = Arc::new(FaultyLink::new(link, handle.clone()));
+            faults.push((si, ri, Arc::clone(&faulty)));
+            faulty
+        });
+        let mut client = sim.svc.client();
+        let mut observed = Vec::new();
+        for step in 0..shape.steps {
+            for (si, ri, link) in &faults {
+                link.set(match plan.kind_at(step, *si, *ri) {
+                    None => FaultMode::Healthy,
+                    Some((FaultKind::Down, _)) => FaultMode::Down,
+                    Some((FaultKind::Error, _)) => FaultMode::Error,
+                    Some((FaultKind::Delay, ms)) => FaultMode::Delay(Duration::from_millis(ms)),
+                });
+            }
+            sim.clock.advance(Duration::from_secs(1));
+            let dark = plan.dark_shards(step, shape.replicas);
+            let counted = client.range_count(f64::NEG_INFINITY, f64::INFINITY).expect("count");
+            assert_eq!(counted.shards_unavailable, dark.len(), "seed {seed:#x} step {step}");
+            let drawn = client.sample_wr(None, 16).expect("reads never fail under faults");
+            assert_eq!(drawn.ids.len() + drawn.missing, 16, "seed {seed:#x} step {step}");
+            assert_eq!(drawn.degraded, !dark.is_empty(), "seed {seed:#x} step {step}");
+            if counted.degraded {
+                observed.push(step);
+            }
+        }
+        let predicted: Vec<usize> = (0..shape.steps)
+            .filter(|&step| !plan.dark_shards(step, shape.replicas).is_empty())
+            .collect();
+        assert_eq!(observed, predicted, "seed {seed:#x}: dark-step prediction diverged");
+        assert_eq!(sim.svc.metrics().cluster.failed, 0, "replica-side failures under faults");
+        dark_steps += predicted.len();
+    }
+    assert!(dark_steps > 0, "no schedule darkened a shard; derive a different label");
 }

@@ -71,8 +71,8 @@ pub enum Phase {
     BreakerTrip = 6,
     /// A replica breaker recovered after a successful probe. `a`=replica.
     BreakerRecover = 7,
-    /// An injected/observed delay was absorbed while awaiting a leg.
-    /// `a`=delay in nanoseconds.
+    /// `iqs_shard::FaultyLink` slept out an injected delay, capped at the
+    /// attempt's deadline, before reading a leg. `a`=nanoseconds slept.
     DelayAbsorb = 8,
     /// A scatter leg delivered its samples. `a`=delivered count.
     LegDone = 9,
@@ -156,14 +156,14 @@ impl Phase {
 }
 
 /// Failover cause codes carried in [`Phase::LegFailover`]'s `b` payload.
+/// 1 (`fault_gate`) and 5 (`delay_past_deadline`) are retired, not
+/// reused: an injected fault fails through the replica's link, as 2 or 4.
 #[must_use]
 pub fn failover_cause_name(cause: u64) -> &'static str {
     match cause {
-        1 => "fault_gate",
         2 => "admission_refused",
         3 => "error_reply",
         4 => "timeout",
-        5 => "delay_past_deadline",
         _ => "unknown",
     }
 }

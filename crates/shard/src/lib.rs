@@ -17,7 +17,7 @@
 //! On top of the exact draw path the tier adds the operational machinery
 //! a real deployment needs: per-replica failover with circuit-breaker
 //! health tracking ([`HealthPolicy`]), injectable faults for testing it
-//! ([`FaultPlan`], [`FaultMode`]), honest partial results
+//! ([`FaultyLink`], a [`ReplicaLink`] decorator), honest partial results
 //! ([`Sampled::degraded`] / [`Sampled::missing`]) when a whole shard is
 //! unreachable, and online shard split/merge that republishes the
 //! topology atomically so rebalancing never fails a read.
@@ -52,10 +52,10 @@ mod placement;
 mod router;
 
 pub use error::ShardError;
-pub use fault::FaultMode;
+pub use fault::{FaultMode, FaultyLink};
 pub use health::HealthPolicy;
 pub use link::{PendingLeg, ReplicaLink, ShardSpec};
 pub use merge::{Counted, Sampled};
 pub use metrics::{ClusterMetrics, ReplicaMetrics, RouterMetrics};
 pub use placement::SHARD_INDEX;
-pub use router::{ClusterClient, FaultPlan, ShardConfig, ShardSlice, ShardedService};
+pub use router::{ClusterClient, ShardConfig, ShardSlice, ShardedService};

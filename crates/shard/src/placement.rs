@@ -15,7 +15,6 @@ use std::sync::Arc;
 use iqs_serve::{IndexRegistry, Server, ServerConfig};
 
 use crate::error::ShardError;
-use crate::fault::FaultCell;
 use crate::health::Health;
 use crate::link::{LocalReplica, ReplicaLink};
 use crate::router::ShardConfig;
@@ -31,16 +30,15 @@ pub const SHARD_INDEX: &str = "shard";
 pub(crate) const SEED_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One replica as the router sees it: a link (in-process or remote)
-/// plus the router-side health and fault state attached to it.
+/// plus the router-side health state attached to it.
 pub(crate) struct Replica {
     pub(crate) link: Arc<dyn ReplicaLink>,
     pub(crate) health: Health,
-    pub(crate) fault: FaultCell,
 }
 
 impl Replica {
     pub(crate) fn new(link: Arc<dyn ReplicaLink>) -> Replica {
-        Replica { link, health: Health::default(), fault: FaultCell::default() }
+        Replica { link, health: Health::default() }
     }
 }
 
@@ -117,42 +115,11 @@ pub(crate) fn split_point(keys: &[f64]) -> Option<usize> {
     (1..n / 2).rev().find(|&c| keys[c] != keys[c - 1])
 }
 
-/// Builds one fresh in-process replica for `elements`: a single-node
-/// service registering the (non-empty, key-sorted) slice under its
-/// original element ids, wrapped with default health and fault state.
-/// The server seed advances through `seq`, so every replica's worker
-/// RNGs form distinct streams — including replicas rebuilt to replace a
-/// failed one, which never reuse a dead server's stream.
-pub(crate) fn build_replica(
-    elements: &Arc<Vec<(u64, f64, f64)>>,
-    config: &ShardConfig,
-    seq: &AtomicU64,
-) -> Result<Arc<Replica>, ShardError> {
-    let ordinal = seq.fetch_add(1, Ordering::Relaxed);
-    let mut registry = IndexRegistry::new();
-    registry.register_range_keyed(SHARD_INDEX, elements.as_ref().clone())?;
-    let server = Server::start(
-        registry,
-        ServerConfig {
-            workers: config.workers_per_replica,
-            queue_capacity: config.queue_capacity,
-            default_deadline: None,
-            max_sample_size: config.max_sample_size,
-            seed: config.seed.wrapping_add(SEED_GOLDEN.wrapping_mul(ordinal)),
-            // The replica must share the router's timeline: scatter
-            // deadlines are minted on the router's clock and checked
-            // at worker pickup, so mixing clocks would turn every
-            // virtual-time advance into a spurious deadline miss.
-            clock: config.clock.clone(),
-        },
-    );
-    Ok(Arc::new(Replica::new(Arc::new(LocalReplica::new(server)))))
-}
-
 /// Builds one shard: `replicas` independent single-node services, each
 /// registering the (non-empty, key-sorted) slice under its original
 /// element ids. Server seeds advance through `seq`, so every replica's
-/// worker RNGs form distinct streams.
+/// worker RNGs form distinct streams, and a shard a split or merge
+/// rebuilds never reuses an earlier server's stream.
 pub(crate) fn build_shard(
     elements: Arc<Vec<(u64, f64, f64)>>,
     config: &ShardConfig,
@@ -160,7 +127,25 @@ pub(crate) fn build_shard(
 ) -> Result<Arc<ShardHandle>, ShardError> {
     let mut replicas = Vec::with_capacity(config.replicas);
     for _ in 0..config.replicas {
-        replicas.push(build_replica(&elements, config, seq)?);
+        let ordinal = seq.fetch_add(1, Ordering::Relaxed);
+        let mut registry = IndexRegistry::new();
+        registry.register_range_keyed(SHARD_INDEX, elements.as_ref().clone())?;
+        let server = Server::start(
+            registry,
+            ServerConfig {
+                workers: config.workers_per_replica,
+                queue_capacity: config.queue_capacity,
+                default_deadline: None,
+                max_sample_size: config.max_sample_size,
+                seed: config.seed.wrapping_add(SEED_GOLDEN.wrapping_mul(ordinal)),
+                // The replica must share the router's timeline: scatter
+                // deadlines are minted on the router's clock and checked
+                // at worker pickup, so mixing clocks would turn every
+                // virtual-time advance into a spurious deadline miss.
+                clock: config.clock.clone(),
+            },
+        );
+        replicas.push(Arc::new(Replica::new(Arc::new(LocalReplica::new(server)))));
     }
     // Identical slices build identical ChunkedRanges, so this cached
     // value is bit-identical on every replica.

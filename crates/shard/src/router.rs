@@ -54,10 +54,10 @@
 //! Every leg is submitted to one replica chosen by rotating round-robin
 //! over the shard's replica set, probe candidates first (a tripped
 //! replica whose cooldown elapsed), then ready replicas, with tripped
-//! replicas kept as last resort. A failed attempt — refused at the fault
-//! gate, a reply that says the *replica* could not serve (overloaded,
-//! deadline missed, shutting down, a transport failure, a contained
-//! panic, a missing index), or a missed per-attempt deadline —
+//! replicas kept as last resort. A failed attempt — refused at
+//! submission, a reply that says the *replica* could not serve
+//! (overloaded, deadline missed, shutting down, a transport failure, a
+//! contained panic, a missing index), or a missed per-attempt deadline —
 //! moves the leg to the next untried replica with a fresh deadline. Only
 //! when every replica of a shard has failed does the query degrade: the
 //! response's `degraded` flag is set and `missing` accounts for the
@@ -92,9 +92,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::ShardError;
-use crate::fault::FaultMode;
 use crate::health::{Availability, HealthPolicy};
-use crate::link::{PendingLeg, ShardSpec};
+use crate::link::{PendingLeg, ReplicaLink, ShardSpec};
 use crate::merge::{Counted, Sampled};
 use crate::metrics::{ClusterMetrics, ReplicaMetrics, RouterCounters};
 use crate::placement::{
@@ -177,7 +176,7 @@ impl Default for ShardConfig {
     }
 }
 
-/// Shared router state behind every [`ClusterClient`] and [`FaultPlan`].
+/// Shared router state behind every [`ClusterClient`] and [`ShardedService`].
 struct Inner {
     /// The published topology, swapped atomically on rebalance exactly as
     /// dynamic indexes swap views.
@@ -205,10 +204,8 @@ struct Leg {
     weight: f64,
 }
 
-/// An attempt in flight: the pending leg, the injected delay to honor
-/// at gather (if the chosen replica is delay-faulted), the replica index,
-/// and this attempt's deadline.
-type Attempt = (PendingLeg, Option<Duration>, usize, Instant);
+/// An attempt in flight: the pending leg, the replica index, its deadline.
+type Attempt = (PendingLeg, usize, Instant);
 
 /// What a scatter leg asks of its shard. The [`Request`] (whose index
 /// name is an owned `String`) is built from this once per attempt and
@@ -331,9 +328,8 @@ impl Inner {
     }
 
     /// Submits the leg to the first untried candidate replica that
-    /// accepts it. Down/Error faults and refused admissions are charged
-    /// as failures and skipped; a delay fault is accepted and remembered
-    /// for the gather phase. `now` is the instant the replicas'
+    /// accepts it. Refused submissions are charged as failures and
+    /// skipped. `now` is the instant the replicas'
     /// availability is read at and the attempt's deadline counts from:
     /// the scatter's start for a first attempt, a fresh clock read for a
     /// failover.
@@ -350,15 +346,6 @@ impl Inner {
                 continue;
             }
             let rep = &shard.replicas[ri];
-            let delay = match rep.fault.get() {
-                FaultMode::Down | FaultMode::Error => {
-                    recorder::emit(ctx, Phase::LegFailover, ri as u64, 1);
-                    self.note_failure(rep, ctx, ri);
-                    continue;
-                }
-                FaultMode::Delay(d) => Some(d),
-                FaultMode::Healthy => None,
-            };
             let deadline = now + self.config.scatter_deadline;
             let (request, leg_ctx) = (leg.ask.request(), ctx.replica(ri));
             let submitted = if leg.inline {
@@ -369,7 +356,7 @@ impl Inner {
             match submitted {
                 Ok(pending) => {
                     recorder::emit(ctx.replica(ri), Phase::LegSubmit, ri as u64, leg.ask.planned());
-                    return Some((pending, delay, ri, deadline));
+                    return Some((pending, ri, deadline));
                 }
                 Err(_) => {
                     recorder::emit(ctx, Phase::LegFailover, ri as u64, 2);
@@ -394,27 +381,8 @@ impl Inner {
         origin: Instant,
     ) -> Result<Option<Response>, ShardError> {
         let ctx = leg.ctx;
-        while let Some((pending, delay, ri, deadline)) = attempt.take() {
+        while let Some((pending, ri, deadline)) = attempt.take() {
             let rep = &leg.shard.replicas[ri];
-            if let Some(d) = delay {
-                // Honor the injected delay, but never past this attempt's
-                // deadline: a reply that would land late is a timeout.
-                let now = self.config.clock.now();
-                let budget = deadline.saturating_duration_since(now);
-                self.config.clock.sleep(d.min(budget));
-                recorder::emit(
-                    ctx.replica(ri),
-                    Phase::DelayAbsorb,
-                    saturating_ns(d.min(budget)),
-                    0,
-                );
-                if d > budget {
-                    recorder::emit(ctx, Phase::LegFailover, ri as u64, 5);
-                    self.note_failure(rep, ctx, ri);
-                    attempt = self.try_submit(leg, tried, origin, self.config.clock.now());
-                    continue;
-                }
-            }
             let outcome = pending.wait_deadline(deadline);
             if let Some(answer) =
                 outcome.as_ref().and_then(|r| r.as_ref().err()).and_then(typed_answer)
@@ -504,9 +472,9 @@ impl Inner {
     /// Plans a sampling scatter of `s` draws: one leg per overlapping
     /// shard with positive in-range weight. Covering queries read the
     /// cached shard total; partial overlaps read a prefix sum from any
-    /// live replica — except in a lone-shard plan (module docs), which
-    /// needs no weight. A shard whose weight cannot be determined (every
-    /// replica faulted) is excluded and flagged, degrading the query.
+    /// replica that answers — except in a lone-shard plan (module docs),
+    /// which needs no weight. A shard whose weight cannot be determined
+    /// (no replica answers) is excluded and flagged, degrading the query.
     fn plan(&self, topo: &Topology, x: f64, y: f64, s: u32, ctx: Ctx) -> (Vec<Leg>, bool) {
         let mut legs = Vec::new();
         let mut degraded = false;
@@ -521,11 +489,7 @@ impl Inner {
                 Some(f64::NAN)
             } else {
                 self.counters.probes_live.fetch_add(1, Ordering::Relaxed);
-                shard
-                    .replicas
-                    .iter()
-                    .filter(|r| !matches!(r.fault.get(), FaultMode::Down | FaultMode::Error))
-                    .find_map(|r| r.link.range_weight(x, y).ok())
+                shard.replicas.iter().find_map(|r| r.link.range_weight(x, y).ok())
             };
             match weight {
                 Some(w) if w <= 0.0 => {} // nothing in range here
@@ -595,11 +559,6 @@ pub struct ClusterClient {
     rng: StdRng,
 }
 
-/// A handle for injecting per-replica faults; see [`FaultMode`].
-pub struct FaultPlan {
-    inner: Arc<Inner>,
-}
-
 impl ShardedService {
     /// Builds the tier from `(id, key, weight)` elements: sorts by key,
     /// cuts into at most [`ShardConfig::shards`] equal-count slices
@@ -648,17 +607,7 @@ impl ShardedService {
                 &server_seq,
             )?);
         }
-        Ok(ShardedService {
-            inner: Arc::new(Inner {
-                topo: Snapshot::new(Topology { shards }),
-                config,
-                counters: RouterCounters::default(),
-                slow: SlowLog::default(),
-                server_seq,
-                client_seq: AtomicU64::new(0),
-                rebalance: Mutex::new(()),
-            }),
-        })
+        Ok(ShardedService::over(shards, config, server_seq))
     }
 
     /// Builds the tier over pre-existing replicas — typically
@@ -707,17 +656,22 @@ impl ShardedService {
                 rr: AtomicUsize::new(0),
             }));
         }
-        Ok(ShardedService {
+        Ok(ShardedService::over(shards, config, AtomicU64::new(1)))
+    }
+
+    /// The service over `shards`; `server_seq` is the next server ordinal.
+    fn over(shards: Vec<Arc<ShardHandle>>, config: ShardConfig, server_seq: AtomicU64) -> Self {
+        ShardedService {
             inner: Arc::new(Inner {
                 topo: Snapshot::new(Topology { shards }),
                 config,
                 counters: RouterCounters::default(),
                 slow: SlowLog::default(),
-                server_seq: AtomicU64::new(1),
+                server_seq,
                 client_seq: AtomicU64::new(0),
                 rebalance: Mutex::new(()),
             }),
-        })
+        }
     }
 
     /// A new query client with its own independent split-RNG stream.
@@ -732,10 +686,32 @@ impl ShardedService {
         }
     }
 
-    /// The fault-injection handle for this cluster.
-    #[must_use]
-    pub fn fault_plan(&self) -> FaultPlan {
-        FaultPlan { inner: Arc::clone(&self.inner) }
+    /// Republishes the current topology with each replica's link replaced
+    /// by `wrap(shard, replica, link)`, e.g. a [`crate::FaultyLink`], its
+    /// breaker closed. Not counted as a rebalance; shards a later split or
+    /// merge builds come up unwrapped.
+    pub fn wrap_links(
+        &self,
+        mut wrap: impl FnMut(usize, usize, Arc<dyn ReplicaLink>) -> Arc<dyn ReplicaLink>,
+    ) {
+        let _guard = self.inner.rebalance.lock().expect("rebalance lock poisoned");
+        let topo = self.inner.topo.load();
+        let shards = topo.shards.iter().enumerate().map(|(si, sh)| {
+            let links =
+                sh.replicas.iter().enumerate().map(|(ri, r)| wrap(si, ri, Arc::clone(&r.link)));
+            Arc::new(ShardHandle {
+                replicas: links.map(|link| Arc::new(Replica::new(link))).collect(),
+                elements: Arc::clone(&sh.elements),
+                rr: AtomicUsize::new(sh.rr.load(Ordering::Relaxed)),
+                ..**sh
+            })
+        });
+        self.inner.topo.store(Topology { shards: shards.collect() });
+    }
+
+    /// The clock the cluster's deadlines are minted on.
+    pub(crate) fn clock(&self) -> &ClockHandle {
+        &self.inner.config.clock
     }
 
     /// Shards in the current topology.
@@ -1091,61 +1067,6 @@ impl ClusterClient {
     }
 }
 
-impl FaultPlan {
-    /// Sets one replica's fault mode.
-    ///
-    /// # Errors
-    /// [`ShardError::UnknownShard`] / [`ShardError::InvalidRequest`] for
-    /// indices outside the current topology.
-    pub fn set(&self, shard: usize, replica: usize, mode: FaultMode) -> Result<(), ShardError> {
-        let topo = self.inner.topo.load();
-        let sh = topo.shards.get(shard).ok_or(ShardError::UnknownShard(shard))?;
-        let rep = sh
-            .replicas
-            .get(replica)
-            .ok_or(ShardError::InvalidRequest("replica index out of range".into()))?;
-        rep.fault.set(mode);
-        Ok(())
-    }
-
-    /// Makes a replica unreachable ([`FaultMode::Down`]).
-    ///
-    /// # Errors
-    /// As for [`FaultPlan::set`].
-    pub fn kill(&self, shard: usize, replica: usize) -> Result<(), ShardError> {
-        self.set(shard, replica, FaultMode::Down)
-    }
-
-    /// Clears a replica's fault ([`FaultMode::Healthy`]).
-    ///
-    /// # Errors
-    /// As for [`FaultPlan::set`].
-    pub fn revive(&self, shard: usize, replica: usize) -> Result<(), ShardError> {
-        self.set(shard, replica, FaultMode::Healthy)
-    }
-
-    /// Clears every fault in the current topology.
-    pub fn clear(&self) {
-        let topo = self.inner.topo.load();
-        for shard in &topo.shards {
-            for rep in &shard.replicas {
-                rep.fault.set(FaultMode::Healthy);
-            }
-        }
-    }
-
-    /// Replicas currently carrying a fault.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        let topo = self.inner.topo.load();
-        topo.shards
-            .iter()
-            .flat_map(|shard| &shard.replicas)
-            .filter(|rep| rep.fault.get() != FaultMode::Healthy)
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1255,31 +1176,5 @@ mod tests {
         assert!(matches!(svc.split_shard(9), Err(ShardError::UnknownShard(9))));
         assert!(matches!(svc.merge_shards(1), Err(ShardError::UnknownShard(2))));
         assert_eq!(svc.metrics().router.rebalances, 2);
-    }
-
-    #[test]
-    fn fault_plan_degrades_and_recovers() {
-        let svc = ShardedService::new(
-            grid(30),
-            ShardConfig { shards: 3, replicas: 1, ..ShardConfig::default() },
-        )
-        .expect("build");
-        let faults = svc.fault_plan();
-        let mut client = svc.client();
-        faults.kill(1, 0).expect("kill");
-        assert_eq!(faults.active(), 1);
-        let drawn = client.sample_wr(None, 90).expect("degraded sample");
-        assert!(drawn.degraded);
-        assert_eq!(drawn.ids.len() + drawn.missing, 90);
-        // The dead shard owns keys 10..=19; no id from it can appear.
-        assert!(drawn.ids.iter().all(|&id| !(10..20).contains(&id)));
-        faults.revive(1, 0).expect("revive");
-        assert_eq!(faults.active(), 0);
-        let healed = client.sample_wr(None, 90).expect("healed sample");
-        assert!(!healed.degraded);
-        assert_eq!(healed.ids.len(), 90);
-        let m = svc.metrics();
-        assert!(m.router.degraded_queries >= 1);
-        assert!(m.router.failovers >= 1);
     }
 }

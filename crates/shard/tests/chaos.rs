@@ -7,10 +7,11 @@
 //! plan reduces to its 2-event essential core.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use iqs_obs::{recorder, TraceView};
-use iqs_shard::{FaultMode, HealthPolicy, ShardConfig, ShardedService};
+use iqs_shard::{FaultMode, FaultyLink, HealthPolicy, ShardConfig, ShardedService};
 use iqs_testkit::seed::{derive, suite_seed};
 use iqs_testkit::{FaultKind, FaultPlan, PlanShape, VirtualClock};
 
@@ -46,44 +47,26 @@ fn cluster(seed: u64) -> (ShardedService, VirtualClock) {
     (svc, vc)
 }
 
-/// Replays `plan` against a live cluster, one virtual second per step,
-/// translating each step's active events into injected faults
-/// (Down > Error > Delay when they overlap on one replica). Returns the
-/// steps at which a full-span `range_count` reported degradation.
-/// Injects `plan`'s step into the cluster's fault cells
-/// (Down > Error > Delay when events overlap on one replica).
-fn inject_step(plan: &FaultPlan, faults: &iqs_shard::FaultPlan, step: usize) {
-    faults.clear();
-    for shard in 0..SHAPE.shards {
-        for replica in 0..SHAPE.replicas {
-            let active: Vec<FaultKind> = plan
-                .active_at(step)
-                .into_iter()
-                .filter(|e| e.shard == shard && e.replica == replica)
-                .map(|e| e.kind)
-                .collect();
-            let delay = plan
-                .active_at(step)
-                .into_iter()
-                .filter(|e| e.shard == shard && e.replica == replica)
-                .map(|e| e.delay_ms)
-                .max()
-                .unwrap_or(0);
-            if active.contains(&FaultKind::Down) {
-                faults.kill(shard, replica).expect("valid address");
-            } else if active.contains(&FaultKind::Error) {
-                faults.set(shard, replica, FaultMode::Error).expect("valid address");
-            } else if active.contains(&FaultKind::Delay) {
-                faults
-                    .set(shard, replica, FaultMode::Delay(Duration::from_millis(delay)))
-                    .expect("valid address");
-            }
+/// Sets every wrapped replica link to the fault `plan` puts it under at
+/// `step` ([`FaultPlan::kind_at`]), healthy where no event is active.
+fn inject_step(plan: &FaultPlan, faults: &[Vec<Arc<FaultyLink>>], step: usize) {
+    for (shard, links) in faults.iter().enumerate() {
+        for (replica, link) in links.iter().enumerate() {
+            link.set(match plan.kind_at(step, shard, replica) {
+                None => FaultMode::Healthy,
+                Some((FaultKind::Down, _)) => FaultMode::Down,
+                Some((FaultKind::Error, _)) => FaultMode::Error,
+                Some((FaultKind::Delay, ms)) => FaultMode::Delay(Duration::from_millis(ms)),
+            });
         }
     }
 }
 
+/// Replays `plan` against a live cluster, one virtual second per step,
+/// translating each step's active events into injected faults. Returns
+/// the steps at which a full-span `range_count` reported degradation.
 fn degraded_steps(plan: &FaultPlan, svc: &ShardedService, vc: &VirtualClock) -> Vec<usize> {
-    let faults = svc.fault_plan();
+    let faults = FaultyLink::wrap_all(svc);
     let mut client = svc.client();
     let mut degraded = Vec::new();
     for step in 0..SHAPE.steps {
@@ -182,7 +165,7 @@ fn degraded_traces_name_dark_shards_and_failure_events() {
     );
     let (svc, vc) = cluster(seed);
     recorder::install(&vc.handle(), 8192);
-    let faults = svc.fault_plan();
+    let faults = FaultyLink::wrap_all(&svc);
     let mut client = svc.client();
     let mut degraded_traces = 0u32;
     let mut trips_seen = 0usize;

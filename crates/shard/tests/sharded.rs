@@ -1,6 +1,7 @@
 //! Robustness of the sharded tier: failover, degraded modes, delay
 //! faults, online rebalancing, and the metrics pipeline — all through
-//! the public API with injected faults only (no real crashes needed).
+//! the public API with faults injected by wrapping each replica's link
+//! in a [`FaultyLink`] (no real crashes needed).
 //!
 //! Every test that involves time runs on an `iqs_testkit` virtual clock
 //! installed in [`ShardConfig`]: breaker cooldowns elapse by explicit
@@ -11,7 +12,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use iqs_shard::{ClusterMetrics, FaultMode, HealthPolicy, ShardConfig, ShardError, ShardedService};
+use iqs_obs::Ctx;
+use iqs_serve::{Request, Response, ServeError};
+use iqs_shard::{
+    ClusterMetrics, FaultMode, FaultyLink, HealthPolicy, PendingLeg, ReplicaLink, ShardConfig,
+    ShardError, ShardedService, SHARD_INDEX,
+};
 use iqs_testkit::VirtualClock;
 
 fn elements(n: usize) -> Vec<(u64, f64, f64)> {
@@ -34,12 +40,12 @@ fn replica_death_mid_stream_causes_zero_failed_reads() {
         ..ShardConfig::default()
     };
     let svc = ShardedService::new(elements(2048), config).expect("build");
-    let faults = svc.fault_plan();
+    let faults = FaultyLink::wrap_all(&svc);
     let mut client = svc.client();
 
     for i in 0..300 {
         if i == 100 {
-            faults.kill(0, 0).expect("kill shard 0 replica 0");
+            faults[0][0].set(FaultMode::Down);
         }
         let drawn = client.sample_wr(Some((0.0, 2047.0)), 32).expect("read must never fail");
         assert!(!drawn.degraded, "R=2 with one dead replica must not degrade (query {i})");
@@ -51,7 +57,7 @@ fn replica_death_mid_stream_causes_zero_failed_reads() {
     assert!(m.router.failovers > 0, "dead replica must force failovers");
     assert!(m.router.trips >= 1, "three consecutive failures must trip the breaker");
     assert!(m.replicas.iter().any(|r| r.shard == 0 && r.replica == 0 && r.tripped));
-    // Down faults are refused at the submit gate: failover costs a retry,
+    // Down faults are refused at submission: failover costs a retry,
     // never a timeout, so not one query consumed any scatter budget. (On
     // the wall clock this was a flaky p99 bound; on the virtual clock it
     // is an exact statement.)
@@ -59,7 +65,7 @@ fn replica_death_mid_stream_causes_zero_failed_reads() {
 
     // Revive, then move virtual time past the probe cooldown: the next
     // read claims the probe slot and closes the breaker.
-    faults.revive(0, 0).expect("revive");
+    faults[0][0].set(FaultMode::Healthy);
     vc.advance(Duration::from_millis(40));
     for _ in 0..50 {
         client.sample_wr(None, 8).expect("read");
@@ -76,11 +82,11 @@ fn replica_death_mid_stream_causes_zero_failed_reads() {
 fn unreplicated_shard_loss_degrades_honestly() {
     let config = ShardConfig { shards: 3, replicas: 1, ..ShardConfig::default() };
     let svc = ShardedService::new(elements(30), config).expect("build");
-    let faults = svc.fault_plan();
+    let faults = FaultyLink::wrap_all(&svc);
     let mut client = svc.client();
 
     // One shard down: partial sample, missing accounted, others exact.
-    faults.kill(1, 0).expect("kill");
+    faults[1][0].set(FaultMode::Down);
     let drawn = client.sample_wr(None, 60).expect("degraded read still succeeds");
     assert!(drawn.degraded);
     assert_eq!(drawn.ids.len() + drawn.missing, 60);
@@ -100,8 +106,8 @@ fn unreplicated_shard_loss_degrades_honestly() {
     assert_eq!(counted.shards_unavailable, 1);
 
     // Everything down: still no failed read, all draws missing.
-    faults.kill(0, 0).expect("kill");
-    faults.kill(2, 0).expect("kill");
+    faults[0][0].set(FaultMode::Down);
+    faults[2][0].set(FaultMode::Down);
     let dark = client.sample_wr(None, 9).expect("fully-degraded read");
     assert!(dark.degraded);
     assert!(dark.ids.is_empty());
@@ -109,8 +115,8 @@ fn unreplicated_shard_loss_degrades_honestly() {
 
     // Without-replacement draws stop early under degradation instead of
     // spinning on an unreachable remainder.
-    faults.clear();
-    faults.kill(1, 0).expect("kill");
+    faults[0][0].set(FaultMode::Healthy);
+    faults[2][0].set(FaultMode::Healthy);
     let wor = client.sample_wor(None, 25).expect("degraded wor");
     assert!(wor.degraded);
     let mut ids = wor.ids.clone();
@@ -119,7 +125,7 @@ fn unreplicated_shard_loss_degrades_honestly() {
     assert_eq!(ids.len(), wor.ids.len(), "wor ids must stay distinct");
     assert!(wor.ids.iter().all(|&id| !(10..20).contains(&id)));
 
-    faults.clear();
+    faults[1][0].set(FaultMode::Healthy);
     let healed = client.sample_wor(None, 30).expect("healed wor");
     assert!(!healed.degraded);
     assert_eq!(healed.ids.len(), 30);
@@ -144,10 +150,10 @@ fn delay_faults_absorb_or_fail_over() {
         ..ShardConfig::default()
     };
     let svc = ShardedService::new(elements(256), config).expect("build");
-    let faults = svc.fault_plan();
+    let faults = FaultyLink::wrap_all(&svc);
     let mut client = svc.client();
 
-    faults.set(0, 0, FaultMode::Delay(Duration::from_millis(5))).expect("slow replica");
+    faults[0][0].set(FaultMode::Delay(Duration::from_millis(5)));
     for _ in 0..20 {
         let drawn = client.sample_wr(None, 16).expect("slow replica absorbed");
         assert!(!drawn.degraded);
@@ -159,7 +165,7 @@ fn delay_faults_absorb_or_fail_over() {
     assert!(absorbed <= 20 * Duration::from_millis(5), "absorbed delays overran: {absorbed:?}");
     let before = svc.metrics().router.failovers;
 
-    faults.set(0, 0, FaultMode::Delay(Duration::from_secs(10))).expect("stalled replica");
+    faults[0][0].set(FaultMode::Delay(Duration::from_secs(10)));
     for _ in 0..20 {
         let drawn = client.sample_wr(None, 16).expect("stall must fail over");
         assert!(!drawn.degraded);
@@ -178,9 +184,45 @@ fn delay_faults_absorb_or_fail_over() {
     );
 
     // Error faults fail over exactly like Down.
-    faults.set(0, 0, FaultMode::Error).expect("erroring replica");
+    faults[0][0].set(FaultMode::Error);
     let drawn = client.sample_wr(None, 16).expect("errors fail over");
     assert!(!drawn.degraded);
+}
+
+/// One [`FaultyLink`], driven directly: Down and Error refuse every leg
+/// and weight probe without reaching the replica or burning time; a
+/// Delay runs the leg through the inner link's door and sleeps before
+/// the reply is read — in full when it fits the deadline, the rest of
+/// the deadline and a timeout when it does not. Metrics pass through.
+#[test]
+fn a_faulty_link_fails_the_way_a_replica_does() {
+    let vc = VirtualClock::new();
+    let config = ShardConfig { shards: 1, replicas: 1, clock: vc.handle(), ..Default::default() };
+    let svc = ShardedService::new(elements(10), config).expect("build");
+    let link = &FaultyLink::wrap_all(&svc)[0][0];
+    let (now, deadline) = (vc.now(), vc.now() + Duration::from_millis(100));
+    let leg = || Request::SampleWr { index: SHARD_INDEX.into(), range: None, s: 3 };
+    let run = |pending: Result<PendingLeg, ServeError>| pending.map(|p| p.wait_deadline(deadline));
+    for refusing in [FaultMode::Down, FaultMode::Error] {
+        link.set(refusing);
+        let refused = ServeError::ShuttingDown;
+        assert_eq!(run(link.submit(leg(), now, deadline, Ctx::none())), Err(refused.clone()));
+        assert_eq!(run(link.answer(leg(), now, deadline, Ctx::none())), Err(refused.clone()));
+        assert_eq!(link.total_weight(), Err(refused.clone()));
+        assert_eq!(link.range_weight(0.0, 9.0), Err(refused));
+    }
+    assert_eq!(vc.elapsed(), Duration::ZERO, "a refusal burns no time");
+    link.set(FaultMode::Delay(Duration::from_millis(30)));
+    let drawn = run(link.submit(leg(), now, deadline, Ctx::none()));
+    assert!(matches!(drawn, Ok(Some(Ok(Response::Samples(ids)))) if ids.len() == 3));
+    assert_eq!(vc.elapsed(), Duration::from_millis(30));
+    link.set(FaultMode::Delay(Duration::from_secs(10)));
+    assert_eq!(run(link.answer(leg(), now, deadline, Ctx::none())), Ok(None));
+    assert_eq!(vc.elapsed(), Duration::from_millis(100));
+    // Only the two delayed legs reached the replica, one through each door.
+    assert_eq!(link.metrics().completed, 2);
+    link.set(FaultMode::Healthy);
+    assert_eq!(link.total_weight(), Ok(svc.total_weight()));
 }
 
 /// Shard split and merge while reads hammer the cluster: zero failed

@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use iqs_obs::{recorder, Phase, TraceView, UNTRACED};
-use iqs_shard::{ShardConfig, ShardedService};
+use iqs_shard::{FaultMode, FaultyLink, ShardConfig, ShardedService};
 use iqs_testkit::oracle::{two_level_reference, ShardLeg};
 use iqs_testkit::ClockHandle;
 
@@ -41,12 +41,12 @@ fn degraded_trace_reconstructs_two_level_schedule_and_matches_oracle() {
     )
     .expect("build");
     assert_eq!(svc.shard_count(), 3);
-    // Darken shard 1 entirely: both replicas refuse at the fault gate,
-    // so its leg is planned (covering queries use the cached weight)
-    // but lost at scatter time.
-    let faults = svc.fault_plan();
-    faults.kill(1, 0).expect("kill");
-    faults.kill(1, 1).expect("kill");
+    // Darken shard 1 entirely: both replicas refuse at submission, so
+    // its leg is planned (covering queries use the cached weight) but
+    // lost at scatter time.
+    let faults = FaultyLink::wrap_all(&svc);
+    faults[1][0].set(FaultMode::Down);
+    faults[1][1].set(FaultMode::Down);
 
     recorder::install(&ClockHandle::default(), 4096);
     let s = 64u32;
@@ -75,10 +75,10 @@ fn degraded_trace_reconstructs_two_level_schedule_and_matches_oracle() {
     let lost = split[1].1;
     assert!(lost > 0, "the dark shard drew a zero split; pick another seed");
 
-    // Failover and degradation: both replicas of shard 1 failed at the
-    // fault gate (cause 1), the leg was abandoned with its planned
+    // Failover and degradation: both replicas of shard 1 refused the
+    // submission (cause 2), the leg was abandoned with its planned
     // count, and the query completed degraded.
-    assert_eq!(view.failovers(), vec![(1, 0, 1), (1, 1, 1)]);
+    assert_eq!(view.failovers(), vec![(1, 0, 2), (1, 1, 2)]);
     assert_eq!(view.degraded_legs(), vec![(1, lost)]);
     assert_eq!(drawn.missing as u64, lost);
     assert!(view.is_degraded());

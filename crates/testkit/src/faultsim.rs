@@ -10,11 +10,14 @@
 //! the violation allows. The shrunk plan is what goes in the bug
 //! report, not the thousand-event original.
 
+use std::cmp::Reverse;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// What an injected fault does to a replica while active.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What an injected fault does to a replica while active. Ordered by
+/// precedence: where faults overlap on a replica, the smallest wins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// Replica refuses all requests (process down).
     Down,
@@ -105,10 +108,16 @@ impl FaultPlan {
         FaultPlan { events }
     }
 
-    /// The faults active at `step`.
+    /// The fault `(shard, replica)` is under at `step` and its delay in
+    /// ms (0 but for Delay). Where events overlap, Down beats Error,
+    /// Error beats Delay, and the largest Delay `delay_ms` wins.
     #[must_use]
-    pub fn active_at(&self, step: usize) -> Vec<&FaultEvent> {
-        self.events.iter().filter(|e| e.active_at(step)).collect()
+    pub fn kind_at(&self, step: usize, shard: usize, replica: usize) -> Option<(FaultKind, u64)> {
+        self.events
+            .iter()
+            .filter(|e| e.shard == shard && e.replica == replica && e.active_at(step))
+            .map(|e| (e.kind, if e.kind == FaultKind::Delay { e.delay_ms } else { 0 }))
+            .min_by_key(|&(kind, delay_ms)| (kind, Reverse(delay_ms)))
     }
 
     /// Shards whose every replica is under an active `Down` or `Error`
@@ -117,22 +126,11 @@ impl FaultPlan {
     /// replica (the request still completes or fails over).
     #[must_use]
     pub fn dark_shards(&self, step: usize, replicas: usize) -> Vec<usize> {
-        let mut dark = Vec::new();
         let shards = self.events.iter().map(|e| e.shard + 1).max().unwrap_or(0);
-        for shard in 0..shards {
-            let all_dead = (0..replicas).all(|r| {
-                self.events.iter().any(|e| {
-                    e.shard == shard
-                        && e.replica == r
-                        && e.kind != FaultKind::Delay
-                        && e.active_at(step)
-                })
-            });
-            if replicas > 0 && all_dead {
-                dark.push(shard);
-            }
-        }
-        dark
+        let dead = |shard, r| {
+            matches!(self.kind_at(step, shard, r), Some((FaultKind::Down | FaultKind::Error, _)))
+        };
+        (0..shards).filter(|&shard| replicas > 0 && (0..replicas).all(|r| dead(shard, r))).collect()
     }
 
     /// Ordering key for shrinking: `(event count, total window+delay
@@ -286,6 +284,27 @@ mod tests {
         plan.events[1].kind = FaultKind::Delay;
         plan.events[1].delay_ms = 1000;
         assert!(plan.dark_shards(3, 2).is_empty());
+    }
+
+    #[test]
+    fn kind_at_ranks_overlapping_faults() {
+        let event = |(kind, at_step, delay_ms)| FaultEvent {
+            shard: 2,
+            replica: 1,
+            kind,
+            at_step,
+            for_steps: 4,
+            delay_ms,
+        };
+        let (delay, error, down) = (FaultKind::Delay, FaultKind::Error, FaultKind::Down);
+        let events = [(delay, 0, 30), (delay, 1, 70), (error, 2, 0), (down, 3, 0)];
+        let plan = FaultPlan { events: events.into_iter().map(event).collect() };
+        assert_eq!(plan.kind_at(0, 2, 1), Some((FaultKind::Delay, 30)));
+        assert_eq!(plan.kind_at(1, 2, 1), Some((FaultKind::Delay, 70)), "largest delay wins");
+        assert_eq!(plan.kind_at(2, 2, 1), Some((FaultKind::Error, 0)), "Error beats Delay");
+        assert_eq!(plan.kind_at(3, 2, 1), Some((FaultKind::Down, 0)), "Down beats Error");
+        assert_eq!(plan.kind_at(7, 2, 1), None, "every window has closed");
+        assert_eq!((plan.kind_at(3, 2, 0), plan.kind_at(3, 1, 1)), (None, None));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use iqs::obs::recorder::{self, failover_cause_name};
 use iqs::obs::TraceView;
-use iqs::shard::{HealthPolicy, ShardConfig, ShardedService};
+use iqs::shard::{FaultMode, FaultyLink, HealthPolicy, ShardConfig, ShardedService};
 use iqs::testkit::ClockHandle;
 
 fn main() {
@@ -51,12 +51,10 @@ fn main() {
 
     // 2. Darken a whole shard and run one more query: it degrades, and
     // its trace tells the complete story.
-    let faults = cluster.fault_plan();
-    faults.kill(1, 0).expect("kill");
-    faults.kill(1, 1).expect("kill");
+    let faults = FaultyLink::wrap_all(&cluster);
+    faults[1].iter().for_each(|link| link.set(FaultMode::Down));
     let drawn = client.sample_wr(None, 64).expect("degraded but answered");
     assert!(drawn.degraded);
-    faults.clear();
 
     let records = recorder::drain();
     println!("\nflight recorder: drained {} records", records.len());

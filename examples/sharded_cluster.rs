@@ -1,5 +1,5 @@
 //! A sharded, replicated sampling cluster under fire: clients sample
-//! continuously while a fault plan kills and revives replicas and a
+//! continuously while injected faults kill and revive replicas and a
 //! rebalance splits the hottest shard — and not one read fails, not one
 //! sample is biased.
 //!
@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use iqs::shard::{HealthPolicy, ShardConfig, ShardedService};
+use iqs::shard::{FaultMode, FaultyLink, HealthPolicy, ShardConfig, ShardedService};
 use iqs::stats::chisq::{chi_square_gof, weight_probs};
 
 fn main() {
@@ -54,19 +54,19 @@ fn main() {
     // merge it back. Replication (R=2) must mask every single fault.
     let histograms: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let ops = scope.spawn(|| {
-            let faults = cluster.fault_plan();
+            let faults = FaultyLink::wrap_all(&cluster);
             let pause = Duration::from_millis(30);
             std::thread::sleep(pause);
-            faults.kill(0, 0).expect("kill shard 0 replica 0");
+            faults[0][0].set(FaultMode::Down);
             std::thread::sleep(pause);
-            faults.kill(3, 1).expect("kill shard 3 replica 1");
+            faults[3][1].set(FaultMode::Down);
             std::thread::sleep(pause);
-            faults.revive(3, 1).expect("revive shard 3 replica 1");
+            faults[3][1].set(FaultMode::Healthy);
             // Split while shard 0's first replica is still dead: shard 0
             // keeps its index (splits only shift indices to the right).
             let shards = cluster.split_shard(1).expect("split the hot shard");
             std::thread::sleep(pause);
-            faults.revive(0, 0).expect("revive shard 0 replica 0");
+            faults[0][0].set(FaultMode::Healthy);
             let merged = cluster.merge_shards(1).expect("merge it back");
             (shards, merged)
         });

@@ -8,7 +8,7 @@
 //! batch (the `sample_into` loops), so the per-draw hot path pays
 //! nothing measurable.
 //!
-//! The counters are plumbing, not policy: upper tiers ([`iqs-serve`]'s
+//! The counters are plumbing, not policy: upper tiers (`iqs-serve`'s
 //! worker loop, the harness) snapshot [`read`] before and after a unit
 //! of work and attribute the delta — to aggregate service metrics, and
 //! to per-request trace records when the `iqs-obs` flight recorder is

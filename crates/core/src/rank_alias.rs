@@ -24,7 +24,7 @@ use crate::plan::{PickTiles, Piece, QueryPlan};
 /// ranges, so the table of the node over slots `[lo, hi)` at depth `d` is
 /// rows `d·n + lo .. d·n + hi` (`(height + 1)·n` rows; the few rows under
 /// a leaf that ends above the deepest level stay zero). Each table is
-/// what [`AliasTable::new`] would build for the same weights, entry for
+/// what [`iqs_alias::AliasTable::new`] would build for the same weights, entry for
 /// entry.
 ///
 /// A structure built [`for_reweights`](Self::for_reweights) stores no
@@ -33,7 +33,7 @@ use crate::plan::{PickTiles, Piece, QueryPlan};
 /// arena starts at that depth — `(height − TABLE_DEPTH + 1)·n` rows, a
 /// leaf above it using its own slot's row of the first level — and a
 /// query stands in for an untabled canonical node with its tabled
-/// descendants (see [`Self::plan_into`]).
+/// descendants (see `plan_into`).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RankAliasAugmented {
     tree: RankBst,
@@ -364,7 +364,7 @@ impl RankAliasAugmented {
     /// Batched form of [`Self::sample_into`]: fills `out` with independent
     /// weighted rank samples from `[a, b)`, drawing all randomness from an
     /// already-buffered word block, each tile's words up front (sequence
-    /// order) and run through [`Self::pick_tile`]. Returns `false`
+    /// order) and run through `pick_tile`. Returns `false`
     /// (leaving `out` untouched) when the range is empty.
     ///
     /// Consumes the same word sequence as the sequential path (two words

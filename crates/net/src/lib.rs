@@ -13,18 +13,18 @@
 //!    travel as width-tagged binary ([`msg`]). The decoder is strict:
 //!    oversized, truncated, or corrupt frames return typed
 //!    [`FrameError`]s and never panic or over-allocate.
-//! 2. **Transports** ([`transport`], [`sim`]): the [`Transport`] trait
+//! 2. **Transports** (`transport`, `sim`): the [`Transport`] trait
 //!    with a real blocking-TCP implementation (bounded per-address
 //!    connection pool, per-attempt deadlines, reconnect backoff) and an
 //!    in-memory [`SimNet`] on the testkit virtual clock with injectable
 //!    partition / delay / duplicate faults, so distributed scenarios
 //!    replay deterministically.
-//! 3. **Registry** ([`registry`]): replicas announce
+//! 3. **Registry** (`registry`): replicas announce
 //!    `(shard span, addr, epoch)` under TTL leases; routers discover
 //!    live replicas and group them into shard specs. An expired lease
 //!    makes the replica refuse submission, which feeds the router's
 //!    existing circuit-breaker and degraded-accounting paths.
-//! 4. **Remote replicas** ([`remote`], [`listen`]): [`ReplicaServer`]
+//! 4. **Remote replicas** (`remote`, `listen`): [`ReplicaServer`]
 //!    exposes an `iqs-serve` node behind a frame handler (in-memory or
 //!    [`TcpServer`]); [`RemoteReplica`] implements [`ReplicaLink`] over
 //!    a transport, so `iqs_shard::ShardedService::from_links` composes

@@ -3,7 +3,7 @@
 //! A *counter set* is what a layer meters itself with: a live struct of
 //! relaxed atomics on the request path, and the immutable snapshot of it
 //! that crosses the wire, is diffed per interval, pooled per cluster and
-//! scraped as Prometheus text. [`counter_set!`](crate::counter_set) takes
+//! scraped as Prometheus text. [`counter_set!`](macro@crate::counter_set) takes
 //! one table, a row per series, and generates all of that:
 //!
 //! ```
@@ -39,7 +39,7 @@
 //! on arbitrary values, and [`laws::json`] when `[json]` is there.
 
 /// Declares a counter set from one table (grammar and generated items:
-/// the [module docs](crate::counter_set)).
+/// the [module docs](mod@crate::counter_set)).
 #[macro_export]
 macro_rules! counter_set {
     (@exemplars exemplars $slow:ident) => { $slow };

@@ -171,7 +171,7 @@ impl Default for HistogramSnapshot {
 /// A diff was asked of two snapshots that are not an (earlier, later)
 /// pair of one source: a series that only grows shrank between them.
 /// Raised by [`HistogramSnapshot::minus`] and by the `minus` that
-/// [`counter_set!`](crate::counter_set) generates.
+/// [`counter_set!`](macro@crate::counter_set) generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotDiffError {
     /// The first *delta* field that shrank, as its descriptor row names

@@ -10,8 +10,9 @@
 //!
 //! * [`IndexRegistry`] — named indexes behind epoch-published
 //!   [`Snapshot`]s. Writers rebuild dynamic structures off-thread and
-//!   publish atomically; readers pin a snapshot per request and never
-//!   block on a rebuild.
+//!   publish atomically; readers never block on a rebuild, and a seat
+//!   keeps the snapshot it read last ([`Pinned`]) until a publication
+//!   supersedes it.
 //! * [`Server`] / [`Client`] — a worker pool over a bounded MPMC queue
 //!   with per-request deadlines, admission control (prompt
 //!   [`ServeError::Overloaded`] instead of unbounded queueing), and
@@ -67,5 +68,5 @@ pub use error::ServeError;
 pub use iqs_obs::{HistogramSnapshot, SnapshotDiffError};
 pub use metrics::MetricsSnapshot;
 pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView};
-pub use server::{Begun, Client, PendingReply, Server, ServerConfig};
-pub use snapshot::Snapshot;
+pub use server::{Admission, Begun, Client, PendingReply, Server, ServerConfig};
+pub use snapshot::{Pinned, Snapshot};

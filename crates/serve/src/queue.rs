@@ -35,7 +35,10 @@
 //! any instant however many threads ask, and a queued entry is never
 //! overtaken by a later seat-taker. Whoever holds a seat gives it back
 //! with [`BoundedQueue::put_seat`]; [`BoundedQueue::wait_seats_home`] is
-//! how shutdown learns the last one is back.
+//! how shutdown learns the last one is back. The lock also orders a seat
+//! coming home against [`BoundedQueue::for_each_free`]'s visit of the
+//! seats at home, which is how the service keeps superseded views out of
+//! idle seats (`server` module docs, "Pins").
 //!
 //! Lock poisoning: the lock guards plain data and is never held while a
 //! request runs (seats are *moved out* for that), so no request panic
@@ -191,9 +194,13 @@ impl<T, S> BoundedQueue<T, S> {
     }
 
     /// Returns a seat taken by [`BoundedQueue::pop`] or
-    /// [`BoundedQueue::try_seat`].
-    pub(crate) fn put_seat(&self, seat: S) {
+    /// [`BoundedQueue::try_seat`], after `home` has looked it over under
+    /// the pool lock — serialized with [`BoundedQueue::for_each_free`],
+    /// so a seat is seen by one or the other. What `home` takes out is
+    /// handed back, to be dropped once the lock is released.
+    pub(crate) fn put_seat<D>(&self, mut seat: S, home: impl FnOnce(&mut S) -> D) -> D {
         let mut inner = self.inner.lock().expect("queue poisoned");
+        let taken = home(&mut seat);
         inner.free.push(seat);
         let (waiting, closed) = (!inner.items.is_empty(), inner.closed);
         drop(inner);
@@ -202,6 +209,13 @@ impl<T, S> BoundedQueue<T, S> {
         } else if waiting {
             self.changed.notify_one();
         }
+        taken
+    }
+
+    /// Runs `f` on every seat in the pool — every seat nobody is running
+    /// on — under the pool lock.
+    pub(crate) fn for_each_free(&self, f: impl FnMut(&mut S)) {
+        self.inner.lock().expect("queue poisoned").free.iter_mut().for_each(f);
     }
 
     /// Closes the queue: further pushes and seat requests are refused,
@@ -309,7 +323,7 @@ mod tests {
     /// Pops as a worker does and gives the seat straight back.
     fn take<T>(q: &BoundedQueue<T, ()>) -> Option<T> {
         let (item, seat) = q.pop()?;
-        q.put_seat(seat);
+        q.put_seat(seat, |_| ());
         Some(item)
     }
 
@@ -391,9 +405,9 @@ mod tests {
         q.try_push(7).unwrap();
         let q2 = Arc::clone(&q);
         let worker = std::thread::spawn(move || q2.pop());
-        q.put_seat("a");
+        q.put_seat("a", |_| ());
         assert_eq!(worker.join().unwrap(), Some((7, "a")), "the queued item got the freed seat");
-        q.put_seat("b");
+        q.put_seat("b", |_| ());
         q.try_push(8).unwrap();
         assert_eq!(q.try_seat(), None, "a caller never overtakes a queued item");
         q.close();
@@ -401,10 +415,26 @@ mod tests {
         assert_eq!(q.pop(), Some((8, "b")), "the backlog still drains");
         let q2 = Arc::clone(&q);
         let shutdown = std::thread::spawn(move || q2.wait_seats_home());
-        q.put_seat("a");
-        q.put_seat("b");
+        q.put_seat("a", |_| ());
+        q.put_seat("b", |_| ());
         shutdown.join().unwrap();
         assert_eq!(q.pop(), None);
+    }
+
+    /// A seat coming home is looked over before it is pooled, and what
+    /// the look takes out is handed back; a visit of the pool sees the
+    /// seats at home and no other.
+    #[test]
+    fn seats_are_looked_over_at_home_and_in_the_pool() {
+        let q: BoundedQueue<u32, Option<u32>> = BoundedQueue::new(4, vec![Some(1), Some(2)]);
+        let out = q.try_seat().expect("a free seat");
+        assert_eq!(out, Some(2));
+        let mut visited = Vec::new();
+        q.for_each_free(|seat| visited.extend(seat.take()));
+        assert_eq!(visited, [1], "only the seat at home is visited");
+        assert_eq!(q.put_seat(out, Option::take), Some(2), "the look's take is handed back");
+        let (a, b) = (q.try_seat(), q.try_seat());
+        assert_eq!((a, b), (Some(None), Some(None)), "both seats came home emptied");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! * a **published view** ([`IndexView`]) — an immutable, read-optimized
 //!   structure (a [`ChunkedRange`] and its ids, or the handle of an
-//!   [`ExternalIndex`]) inside a [`Snapshot`] cell. Workers pin it per
-//!   request; any number of threads sample it concurrently.
+//!   [`ExternalIndex`]) inside a [`Snapshot`] cell. Seats pin it until
+//!   a publication supersedes it; any number of threads sample it
+//!   concurrently.
 //! * a **master** — for dynamic indexes, the writer-side state behind a
 //!   mutex: which ids are live and at what key, the running total, and
 //!   the view to write the next patch into. It keeps no second copy of
@@ -44,7 +45,10 @@
 //! chunks and `T_chunk` tables the lag touched, copied from the current
 //! view — so a batch writes only what the last two batches changed.
 //! Otherwise (the first patch, a pinned spare, a structural publication
-//! before it) the base is a copy of the current view.
+//! before it) the base is a copy of the current view. The service's
+//! seats keep pins on the views they read, and let go of a superseded
+//! one by the time the next update runs unless a request still reads it
+//! (`server` module docs, "Pins").
 //!
 //! The registry map itself is frozen when the server starts (indexes are
 //! registered up front); all runtime mutation goes through the masters
@@ -94,8 +98,9 @@ pub trait ExternalIndex: Send + Sync + std::fmt::Debug {
     /// implementations can emit flight-recorder records.
     ///
     /// # Errors
-    /// [`ServeError::EmptyRange`] when the (restricted) key range holds
-    /// no elements; any other [`ServeError`] the engine surfaces.
+    /// [`ServeError::Query`]`(`[`QueryError::EmptyRange`]`)` when the
+    /// (restricted) key range holds no elements; any other [`ServeError`]
+    /// the engine surfaces.
     fn sample_wr(
         &self,
         range: Option<(f64, f64)>,
@@ -669,7 +674,7 @@ impl IndexRegistry {
     /// `x` and `y` asked again before the next one (what a router asks
     /// of a shard it covers in part while its queries repeat a range)
     /// returns the bits the last probe computed, without loading the
-    /// view ([`Probe`]). The memo is held while a miss computes; a probe
+    /// view (a per-index memo). The memo is held while a miss computes; a probe
     /// that finds it busy does not wait, it computes on its own.
     ///
     /// # Errors

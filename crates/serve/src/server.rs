@@ -23,9 +23,10 @@
 //!    holds the seat runs the same routine: if the deadline already
 //!    passed, it answers [`ServeError::DeadlineExceeded`] without doing
 //!    the work — expired requests never consume sampling capacity.
-//! 3. **Dispatch** — the seat holder pins the target index's current
-//!    snapshot and runs the matching batch entry point with the seat's
-//!    reusable output buffer and RNG. Each seat owns a distinctly seeded
+//! 3. **Dispatch** — the seat holder reads the target index's current
+//!    snapshot through the seat's pin ("Pins" below) and runs the
+//!    matching batch entry point with the seat's reusable output buffer
+//!    and RNG. Each seat owns a distinctly seeded
 //!    `StdRng` used by one thread at a time, so every response's samples
 //!    are independent of every other response's — the paper's equation
 //!    (1) across service clients. A panic inside dispatch is caught
@@ -39,6 +40,40 @@
 //! already queued (every accepted request gets a response) and exit, and
 //! `shutdown` returns once every seat — including one a blocking caller
 //! is still running on — is back in the pool.
+//!
+//! # The seated door
+//!
+//! [`Client::sample_wr_seated`] is the blocking door cut down to the one
+//! case a router's small scatter needs: a `SampleWr` that runs on the
+//! caller's thread or not at all. It takes a seat only when
+//! [`Client::begin_ctx`] would run the request in the call, and
+//! otherwise declines before admitting anything, so the caller can knock
+//! on `begin_ctx` instead. Once seated it is `begin_ctx`'s routine —
+//! admission, the pickup deadline check, the metrics, the trace records
+//! (`Enqueue`, `Pickup`, `RngCost`, `WorkDone`) and the panic
+//! containment — with two differences, neither of which moves a draw or
+//! adds a record: the ids are appended to the caller's buffer instead of
+//! a fresh response, and the request is admitted (and so picked up) at
+//! an instant the caller read instead of a clock read of its own.
+//!
+//! # Pins
+//!
+//! A seat keeps a [`Pinned`] view of the index it read last and reads it
+//! again with one load while nothing has been published since, so a
+//! steady stream of reads takes no snapshot lock and touches no shared
+//! reference count. The pin is checked on every read, so a request
+//! admitted after an `Update` returned reads the update's view.
+//!
+//! A kept pin must not keep a superseded view alive past the request
+//! that read it: the next patch of a dynamic index is written into the
+//! view its last publication superseded, and only when nobody holds it
+//! (registry module docs). Two rules, both under the seat pool's lock,
+//! see to that. An `Update` that returns clears the stale pins of every
+//! seat at home; a seat coming home drops its pin if a publication has
+//! made it stale. A seat is either at home or out, so every pin of a
+//! superseded view is gone once the requests that held it have
+//! finished. The pins are dropped after the lock is released, since the
+//! last hold on a view frees it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +92,7 @@ use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, OneShot, PushRefused};
 use crate::registry::{IndexRegistry, IndexView};
+use crate::snapshot::Pinned;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -94,18 +130,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted request, as [`serve_job`] needs it.
-struct Job {
-    request: Request,
+/// The instants and trace context a request is admitted with: all the
+/// service needs to run it besides the request itself.
+#[derive(Debug, Clone, Copy)]
+pub struct Admission {
     /// Latency is measured from here — for open-loop load generators this
     /// is the *scheduled* arrival time, so queueing delay is charged to
     /// the service (no coordinated omission).
-    origin: Instant,
-    enqueued: Instant,
-    deadline: Option<Instant>,
+    pub origin: Instant,
+    /// The admission instant: a queue wait counts from here, and a
+    /// request run on the caller's seat is picked up at it.
+    pub admitted: Instant,
+    /// Checked at pickup; `None` for no deadline.
+    pub deadline: Option<Instant>,
     /// Trace context the request carries to whoever runs it. Untraced
     /// for plain calls.
-    ctx: Ctx,
+    pub ctx: Ctx,
+}
+
+/// One admitted request.
+struct Job {
+    request: Request,
+    at: Admission,
 }
 
 type Reply = OneShot<Result<Response, ServeError>>;
@@ -120,6 +166,14 @@ type Queued = (Job, Reply);
 struct Seat {
     rng: StdRng,
     scratch: Scratch,
+}
+
+impl Seat {
+    /// The seat's pin, if a publication has made it stale (module docs,
+    /// "Pins").
+    fn stale_pin(&mut self) -> Option<Pinned<IndexView>> {
+        self.scratch.pin.take_if(|pin| !pin.is_current())
+    }
 }
 
 /// What [`Client::begin_ctx`] — the step every blocking door starts
@@ -144,29 +198,49 @@ struct Shared {
 
 impl Shared {
     /// Admission, shared by every door: counts the submission, refuses
-    /// it when the service is shutting down, and otherwise stamps the
-    /// job and records its `Enqueue`.
-    fn admit(
+    /// it when the service is shutting down, and otherwise records its
+    /// `Enqueue`.
+    fn admit(&self, at: &Admission) -> Result<(), ServeError> {
+        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        if !self.accepting.load(Ordering::Acquire) {
+            return Err(ServeError::ShuttingDown);
+        }
+        // Emit before the job can run: whoever picks it up records its
+        // Pickup, and the Enqueue record must already hold a smaller
+        // sequence number for traces to order deterministically.
+        recorder::emit(at.ctx, Phase::Enqueue, 0, 0);
+        Ok(())
+    }
+
+    /// [`Shared::admit`] stamped at the current instant.
+    fn admit_now(
         &self,
         request: Request,
         origin: Instant,
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<Job, ServeError> {
-        self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        if !self.accepting.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let job = Job { request, origin, enqueued: self.clock.now(), deadline, ctx };
-        // Emit before the job can run: whoever picks it up records its
-        // Pickup, and the Enqueue record must already hold a smaller
-        // sequence number for traces to order deterministically.
-        recorder::emit(ctx, Phase::Enqueue, 0, 0);
-        Ok(job)
+        let at = Admission { origin, admitted: self.clock.now(), deadline, ctx };
+        self.admit(&at)?;
+        Ok(Job { request, at })
+    }
+
+    /// Gives a seat back to the pool, dropping its pin after the lock if
+    /// a publication made it stale (module docs, "Pins").
+    fn put_seat(&self, seat: Seat) {
+        drop(self.queue.put_seat(seat, Seat::stale_pin));
+    }
+
+    /// Drops the stale pins of the seats at home: what a publication
+    /// owes the next one (module docs, "Pins").
+    fn unpin_idle(&self) {
+        let mut stale = Vec::new();
+        self.queue.for_each_free(|seat| stale.extend(seat.stale_pin()));
+        drop(stale);
     }
 
     fn enqueue(&self, job: Job, reply: Reply) -> Result<(), ServeError> {
-        let deadline = job.deadline;
+        let deadline = job.at.deadline;
         match self.queue.try_push_at((job, reply), deadline) {
             Ok(()) => {
                 self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
@@ -195,10 +269,12 @@ impl Shared {
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<Begun, ServeError> {
-        let job = self.admit(request, origin, deadline, ctx)?;
+        let job = self.admit_now(request, origin, deadline, ctx)?;
         if let Some(mut seat) = self.queue.try_seat() {
-            let result = serve_job(self, &mut seat, &job, job.enqueued);
-            self.queue.put_seat(seat);
+            let result = serve_job(self, &mut seat, &job.at, job.at.admitted, |seat| {
+                dispatch(self, &job.request, seat, job.at.ctx)
+            });
+            self.put_seat(seat);
             return Ok(Begun::Done(result));
         }
         let reply = OneShot::new();
@@ -330,10 +406,45 @@ impl Client {
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<PendingReply, ServeError> {
-        let job = self.shared.admit(request, origin, deadline, ctx)?;
+        let job = self.shared.admit_now(request, origin, deadline, ctx)?;
         let reply = OneShot::new();
         self.shared.enqueue(job, reply.clone())?;
         Ok(PendingReply { reply, clock: self.shared.clock.clone() })
+    }
+
+    /// The seated door (module docs): `Request::SampleWr { index, range,
+    /// s }` run on the calling thread, its ids appended to `out`, or
+    /// declined. `Ok(None)` means a seat was not free or something was
+    /// queued — [`Client::begin_ctx`] would have queued the request —
+    /// and nothing was admitted; `Ok(Some(outcome))` is what the request
+    /// answered, with `out` as it was unless it is `Ok`. The request is
+    /// admitted at `at.admitted`, and picked up there.
+    ///
+    /// # Errors
+    /// Admission refusals, as [`Client::begin_ctx`].
+    pub fn sample_wr_seated(
+        &self,
+        index: &str,
+        range: Option<(f64, f64)>,
+        s: u32,
+        at: Admission,
+        out: &mut Vec<u64>,
+    ) -> Result<Option<Result<(), ServeError>>, ServeError> {
+        let shared = &*self.shared;
+        let Some(mut seat) = shared.queue.try_seat() else { return Ok(None) };
+        if let Err(refused) = shared.admit(&at) {
+            shared.put_seat(seat);
+            return Err(refused);
+        }
+        let start = out.len();
+        let drawn = serve_job(shared, &mut seat, &at, at.admitted, |seat| {
+            sample_wr_into(shared, index, range, s, seat, at.ctx, out)
+        });
+        if drawn.is_err() {
+            out.truncate(start);
+        }
+        shared.put_seat(seat);
+        Ok(Some(drawn))
     }
 
     /// A point-in-time copy of the service metrics.
@@ -477,53 +588,55 @@ impl Drop for Server {
 /// seat's first range read, not with the seat: 13 KiB allocated while a
 /// cluster is built land among its views' arrays, and the heap the next
 /// build finds is then fragmented (a rebuilt four-shard cluster took
-/// 9,000 more page faults).
+/// 9,000 more page faults). `pin` is the view the seat read last
+/// (module docs, "Pins").
 #[derive(Default)]
 struct Scratch {
     plan: QueryPlan,
     tiles: Option<Box<Tiles>>,
+    pin: Option<Pinned<IndexView>>,
 }
 
 fn worker_loop(shared: &Shared) {
     while let Some(((job, reply), mut seat)) = shared.queue.pop() {
         shared.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let result = serve_job(shared, &mut seat, &job, shared.clock.now());
+        let result = serve_job(shared, &mut seat, &job.at, shared.clock.now(), |seat| {
+            dispatch(shared, &job.request, seat, job.at.ctx)
+        });
         // Seat first: a closed-loop caller woken by the reply finds it
         // home and runs its next request itself.
-        shared.queue.put_seat(seat);
+        shared.put_seat(seat);
         reply.put(result);
     }
 }
 
-/// Runs one admitted job on `seat` — the one routine behind every door,
-/// called by a worker thread for a queued job and by a blocking caller
-/// that took a seat itself. `picked` is the pickup instant.
-fn serve_job(
+/// Runs one admitted request's `work` on `seat` — the one routine behind
+/// every door, called by a worker thread for a queued job and by a
+/// caller that took a seat itself. `picked` is the pickup instant.
+fn serve_job<T>(
     shared: &Shared,
     seat: &mut Seat,
-    job: &Job,
+    at: &Admission,
     picked: Instant,
-) -> Result<Response, ServeError> {
-    let wait = picked.saturating_duration_since(job.enqueued);
+    work: impl FnOnce(&mut Seat) -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    let wait = picked.saturating_duration_since(at.admitted);
     shared.metrics.queue_wait.record(wait);
-    recorder::emit(job.ctx, Phase::Pickup, saturating_ns(wait), 0);
+    recorder::emit(at.ctx, Phase::Pickup, saturating_ns(wait), 0);
     // `>=`, not `>`: a request whose deadline equals the pickup
     // instant has no time left to do work, and on a frozen virtual
     // clock this is what makes deadline misses deterministic.
-    if job.deadline.is_some_and(|dl| picked >= dl) {
+    if at.deadline.is_some_and(|dl| picked >= dl) {
         shared.metrics.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        recorder::emit(job.ctx, Phase::DeadlineMiss, 0, 0);
+        recorder::emit(at.ctx, Phase::DeadlineMiss, 0, 0);
         return Err(ServeError::DeadlineExceeded);
     }
     let cost_before = iqs_alias::prof::read();
-    // Panic containment: dispatch is the only place index code (and an
-    // `ExternalIndex`'s) runs, and it may now run on a caller's thread
+    // Panic containment: `work` is the only place index code (and an
+    // `ExternalIndex`'s) runs, and it may run on a caller's thread
     // holding the service's only seat. The RNG stays — any state is a
     // valid point of its stream — but half-written buffers do not.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        dispatch(shared, &job.request, &mut seat.rng, &mut seat.scratch, job.ctx)
-    }))
-    .unwrap_or_else(|_| {
+    let result = catch_unwind(AssertUnwindSafe(|| work(seat))).unwrap_or_else(|_| {
         seat.scratch = Scratch::default();
         Err(ServeError::Panicked)
     });
@@ -540,7 +653,7 @@ fn serve_job(
         shared.metrics.window_stalls.fetch_add(cost.window_stalls, Ordering::Relaxed);
     }
     recorder::emit(
-        job.ctx,
+        at.ctx,
         Phase::RngCost,
         cost.rng_words,
         iqs_obs::recorder::pack_cost(
@@ -550,9 +663,9 @@ fn serve_job(
             cost.union_rejects,
         ),
     );
-    let service = done.saturating_duration_since(job.origin);
+    let service = done.saturating_duration_since(at.origin);
     shared.metrics.latency.record(service);
-    recorder::emit(job.ctx, Phase::WorkDone, saturating_ns(service), u64::from(result.is_ok()));
+    recorder::emit(at.ctx, Phase::WorkDone, saturating_ns(service), u64::from(result.is_ok()));
     match &result {
         Ok(_) => shared.metrics.completed.fetch_add(1, Ordering::Relaxed),
         Err(_) => shared.metrics.failed.fetch_add(1, Ordering::Relaxed),
@@ -569,56 +682,68 @@ fn check_sample_size(s: u32, max: u32) -> Result<usize, ServeError> {
     Ok(s as usize)
 }
 
+/// `Request::SampleWr`'s work, through either door: appends the draws'
+/// ids to `out`, which an error leaves as it was.
+fn sample_wr_into(
+    shared: &Shared,
+    index: &str,
+    range: Option<(f64, f64)>,
+    s: u32,
+    seat: &mut Seat,
+    ctx: Ctx,
+    out: &mut Vec<u64>,
+) -> Result<(), ServeError> {
+    let s = check_sample_size(s, shared.max_sample_size)?;
+    let scratch = &mut seat.scratch;
+    match &**shared.registry.entry(index)?.view.read(&mut scratch.pin) {
+        IndexView::Range(rv) => {
+            let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+            out.reserve_exact(s);
+            let tiles = scratch.tiles.get_or_insert_with(Box::default);
+            rv.sample_ids_into(x, y, s, &mut seat.rng, &mut scratch.plan, tiles, out)?;
+        }
+        IndexView::External(ev) => {
+            let (samples, io) = ev.sample_wr(range, s, &mut seat.rng, ctx)?;
+            shared.metrics.record_io(&io);
+            // An empty buffer takes the engine's vector, as a reply did.
+            if out.is_empty() {
+                *out = samples;
+            } else {
+                out.extend_from_slice(&samples);
+            }
+        }
+    }
+    Ok(())
+}
+
 fn dispatch(
     shared: &Shared,
     request: &Request,
-    rng: &mut StdRng,
-    scratch: &mut Scratch,
+    seat: &mut Seat,
     ctx: Ctx,
 ) -> Result<Response, ServeError> {
     let registry = &shared.registry;
     match request {
         Request::SampleWr { index, range, s } => {
-            let s = check_sample_size(*s, shared.max_sample_size)?;
-            let view = registry.entry(index)?.view.load();
-            match &*view {
-                IndexView::Range(rv) => {
-                    let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-                    let mut ids = Vec::with_capacity(s);
-                    rv.sample_ids_into(
-                        x,
-                        y,
-                        s,
-                        rng,
-                        &mut scratch.plan,
-                        scratch.tiles.get_or_insert_with(Box::default),
-                        &mut ids,
-                    )?;
-                    Ok(Response::Samples(ids))
-                }
-                IndexView::External(ev) => {
-                    let (samples, io) = ev.sample_wr(*range, s, rng, ctx)?;
-                    shared.metrics.record_io(&io);
-                    Ok(Response::Samples(samples))
-                }
-            }
+            let mut ids = Vec::new();
+            sample_wr_into(shared, index, *range, *s, seat, ctx, &mut ids)?;
+            Ok(Response::Samples(ids))
         }
         Request::SampleWor { index, range, s } => {
             let s = check_sample_size(*s, shared.max_sample_size)?;
-            let view = registry.entry(index)?.view.load();
-            let IndexView::Range(rv) = &*view else {
+            let view = registry.entry(index)?.view.read(&mut seat.scratch.pin);
+            let IndexView::Range(rv) = &**view else {
                 return Err(ServeError::Unsupported(
                     "without-replacement sampling requires a range index".into(),
                 ));
             };
             let sampler = rv.sampler.as_ref().ok_or(ServeError::Query(QueryError::EmptyRange))?;
             let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
-            let ranks = sampler.sample_wor(x, y, s, rng)?;
+            let ranks = sampler.sample_wor(x, y, s, &mut seat.rng)?;
             Ok(Response::Samples(ranks.into_iter().map(|r| rv.id_at(r)).collect()))
         }
         Request::RangeCount { index, x, y } => {
-            let view = registry.entry(index)?.view.load();
-            match &*view {
+            match &**registry.entry(index)?.view.read(&mut seat.scratch.pin) {
                 IndexView::Range(rv) => {
                     Ok(Response::Count(rv.sampler.as_ref().map_or(0, |s| s.range_count(*x, *y))))
                 }
@@ -630,7 +755,10 @@ fn dispatch(
             Ok(Response::Weight(registry.range_weight(index, *x, *y)?))
         }
         Request::Update { index, ops } => {
-            let (applied, version) = registry.apply_update(index, ops)?;
+            let updated = registry.apply_update(index, ops);
+            // A batch that stopped at a bad op may still have published.
+            shared.unpin_idle();
+            let (applied, version) = updated?;
             shared.metrics.updates_applied.fetch_add(applied as u64, Ordering::Relaxed);
             Ok(Response::Updated { applied, version })
         }

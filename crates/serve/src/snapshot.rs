@@ -20,6 +20,27 @@
 //! exactly as long as the readers that pinned it — or keeps it to build
 //! the next value in its buffers once no reader holds it (what the
 //! registry does for a dynamic range index).
+//!
+//! # Pins
+//!
+//! A reader that reads one cell over and over need not lock it every
+//! time. [`Snapshot::read`] keeps a [`Pinned`] — the snapshot it last
+//! loaded and the publication count it was current at — and hands it
+//! back while one `Acquire` load of the count says nothing has been
+//! published since; only a reader that finds the count moved takes the
+//! lock and re-pins. The count is bumped after the swap, inside the same
+//! critical section, so a store that has returned is seen by every read
+//! that starts after it (a request admitted after an update answers from
+//! the update's view), and a read racing a store answers from the
+//! snapshot the store is replacing, as a load that took the lock first
+//! would.
+//!
+//! A kept pin is a reader that never finishes: it keeps its snapshot
+//! alive across publications. So whoever keeps pins must let go of the
+//! ones that went stale ([`Pinned::is_current`]) before the superseded
+//! snapshot is wanted back — the service's seats drop theirs when they
+//! come home and when a publication finds them idle (`server` module
+//! docs, "Pins").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,20 +64,66 @@ use std::sync::{Arc, Mutex};
 pub struct Snapshot<T> {
     current: Mutex<Arc<T>>,
     /// Publication count, bumped under `current`'s lock so version order
-    /// is publication order even when stores race.
-    version: AtomicU64,
+    /// is publication order even when stores race. Shared with every
+    /// [`Pinned`] of this cell, so a pin can tell whether it is current
+    /// without the cell, and which cell it belongs to.
+    version: Arc<AtomicU64>,
+}
+
+/// A reader's kept hold on the snapshot it last read from one cell
+/// ([`Snapshot::read`]): the snapshot and the publication count it was
+/// current at (module docs, "Pins").
+#[derive(Debug)]
+pub struct Pinned<T> {
+    version: u64,
+    /// The cell's publication count.
+    count: Arc<AtomicU64>,
+    value: Arc<T>,
+}
+
+impl<T> Pinned<T> {
+    /// Whether nothing has been published in the pinned snapshot's cell
+    /// since it was pinned: one `Acquire` load.
+    pub fn is_current(&self) -> bool {
+        // Pairs with the `Release` half of `store`'s count bump, which
+        // follows its swap: a reader that sees the old count was not
+        // ordered after that store.
+        self.count.load(Ordering::Acquire) == self.version
+    }
 }
 
 impl<T> Snapshot<T> {
     /// Creates a cell publishing `value` as version 1.
     pub fn new(value: T) -> Self {
-        Snapshot { current: Mutex::new(Arc::new(value)), version: AtomicU64::new(1) }
+        Snapshot { current: Mutex::new(Arc::new(value)), version: Arc::new(AtomicU64::new(1)) }
     }
 
     /// Pins and returns the currently published snapshot. Never waits on
     /// a rebuild, only on another thread's pointer clone or swap.
     pub fn load(&self) -> Arc<T> {
         Arc::clone(&self.current.lock().expect("snapshot cell poisoned"))
+    }
+
+    /// The current snapshot through the reader's kept `pin`: the pinned
+    /// one while it is current (one `Acquire` load, no lock, no count
+    /// touched), otherwise — no pin yet, a pin of another cell, or a
+    /// publication since — the cell's current one, pinned afresh in
+    /// `pin` (module docs, "Pins").
+    pub fn read<'p>(&self, pin: &'p mut Option<Pinned<T>>) -> &'p Arc<T> {
+        let kept =
+            pin.as_ref().is_some_and(|p| Arc::ptr_eq(&p.count, &self.version) && p.is_current());
+        if !kept {
+            let current = self.current.lock().expect("snapshot cell poisoned");
+            // The count moves only under this lock: read here, it is the
+            // one `current` was published as.
+            let version = self.version.load(Ordering::Relaxed);
+            let value = Arc::clone(&current);
+            drop(current);
+            // The old pin goes after the lock, with the reader: it may be
+            // the last hold on a superseded snapshot.
+            *pin = Some(Pinned { version, count: Arc::clone(&self.version), value });
+        }
+        &pin.as_ref().expect("pinned above").value
     }
 
     /// Publishes `value` as the new current snapshot; returns its
@@ -153,6 +220,29 @@ mod tests {
             assert_eq!(*cell.load(), (last, round), "versions {versions:?}");
         }
         assert_eq!(cell.version(), 4_001);
+    }
+
+    #[test]
+    fn a_pin_is_read_until_the_next_publication() {
+        let (cell, other) = (Snapshot::new(1u32), Snapshot::new(10u32));
+        let mut pin = None;
+        let first = Arc::clone(cell.read(&mut pin));
+        assert!(Arc::ptr_eq(&first, cell.read(&mut pin)), "a current pin is handed back");
+        assert_eq!(
+            Arc::strong_count(&first),
+            3,
+            "the cell, the pin and `first`: no clone per read"
+        );
+        // A store that has returned is seen by the next read.
+        cell.store(2);
+        assert!(!pin.as_ref().unwrap().is_current());
+        assert_eq!(**cell.read(&mut pin), 2);
+        assert_eq!(Arc::strong_count(&first), 1, "re-pinning let the superseded value go");
+        // A pin of another cell is never taken for this one's, even at
+        // an equal publication count.
+        other.store(20);
+        assert_eq!(**other.read(&mut pin), 20);
+        assert_eq!(**cell.read(&mut pin), 2);
     }
 
     #[test]

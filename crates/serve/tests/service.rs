@@ -878,3 +878,92 @@ fn an_inline_request_leaves_the_same_trace_shape() {
     assert_eq!(records[1].a, 0, "picked up at the instant it was admitted");
     assert_eq!(records[2].a, 3 * 64, "three RNG words per draw, drawn on the caller's thread");
 }
+
+/// A seat keeps the view it read last and reads it again without the
+/// snapshot lock, but never past a publication: on the only seat, a read
+/// admitted after an `Update` returned draws from the update's view.
+#[test]
+fn a_read_after_an_update_returns_sees_it_on_the_same_seat() {
+    let mut registry = IndexRegistry::new();
+    registry.register_range_dynamic("d", (0..64).map(|i| (i, i as f64, 1.0)).collect()).unwrap();
+    let server = Server::start(registry, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let client = server.client();
+    let read = || {
+        let request = Request::SampleWr { index: "d".into(), range: None, s: 256 };
+        sample_ids(client.call(request).expect("a read"))
+    };
+    let update = |ops: Vec<UpdateOp>| {
+        let updated = client.call(Request::Update { index: "d".into(), ops });
+        assert!(matches!(updated, Ok(Response::Updated { .. })), "{updated:?}");
+    };
+    assert!(read().iter().all(|&id| id < 64));
+    // Everything but id 7 leaves: the next read can draw nothing else.
+    update((0..64).filter(|&id| id != 7).map(|id| UpdateOp::Remove { id }).collect());
+    assert_eq!(read(), [7; 256]);
+    // A re-weight patch, then a swap of the one element for another.
+    update(vec![UpdateOp::Upsert { id: 7, key: 7.0, weight: 3.0 }]);
+    assert_eq!(read(), [7; 256]);
+    update(vec![UpdateOp::Upsert { id: 100, key: 0.5, weight: 1.0 }, UpdateOp::Remove { id: 7 }]);
+    assert_eq!(read(), [100; 256]);
+    assert_eq!(server.shutdown().failed, 0);
+}
+
+/// A seat's pin of a view must not outlive the requests that read it:
+/// the view a publication supersedes is the one the next patch is
+/// written into, and only if nobody holds it. Four seats each read
+/// version 1 last — three of them freed one by one from gated reads, so
+/// the next blocking read lands on each — and two re-weights then
+/// publish versions 2 and 3. Version 3's weights are written into
+/// version 1's array, which `Arc::into_inner` hands the writer only if
+/// the idle seats let version 1 go when version 2 was published.
+#[test]
+fn idle_seats_let_a_superseded_view_go_to_the_next_patch() {
+    use iqs_core::RangeSampler;
+    use iqs_serve::IndexView;
+    let vc = VirtualClock::new();
+    let now = vc.handle().now();
+    let gates: Vec<Arc<GatedIndex>> = (0..3).map(|_| GatedIndex::new(false)).collect();
+    let mut registry = IndexRegistry::new();
+    registry.register_range_dynamic("d", (0..4096).map(|i| (i, i as f64, 1.0)).collect()).unwrap();
+    for (g, gate) in gates.iter().enumerate() {
+        registry.register_external(&format!("g{g}"), Arc::clone(gate) as _).unwrap();
+    }
+    let config = ServerConfig { workers: 4, clock: vc.handle(), ..ServerConfig::default() };
+    let server = Server::start(registry, config);
+    let client = server.client();
+    let read_d = || {
+        let request = Request::SampleWr { index: "d".into(), range: None, s: 8 };
+        sample_ids(client.call(request).expect("a read"));
+    };
+    let held: Vec<_> = (0..3)
+        .map(|g| {
+            let request = Request::SampleWr { index: format!("g{g}"), range: None, s: 1 };
+            client.call_pending_ctx(request, now, None, Ctx::none()).expect("admitted")
+        })
+        .collect();
+    until(|| gates.iter().all(|gate| gate.active.load(Ordering::SeqCst) == 1));
+    read_d(); // on the one seat left
+    for (gate, pending) in gates.iter().zip(held) {
+        gate.open();
+        // A worker puts its seat back before it replies, and the last
+        // seat home is the first one out.
+        sample_ids(pending.wait().expect("a gated read"));
+        read_d();
+    }
+    let weights_at = || {
+        let view = server.registry().view("d").expect("registered");
+        let IndexView::Range(rv) = &*view else { panic!("a range view") };
+        rv.sampler.as_ref().expect("non-empty").weights().as_ptr() as usize
+    };
+    let reweight = |weight| {
+        let ops = vec![UpdateOp::Upsert { id: 5, key: 5.0, weight }];
+        let updated = client.call(Request::Update { index: "d".into(), ops });
+        assert!(matches!(updated, Ok(Response::Updated { .. })), "{updated:?}");
+    };
+    let first = weights_at();
+    reweight(2.0);
+    assert_ne!(weights_at(), first, "the first patch writes into a copy");
+    reweight(3.0);
+    assert_eq!(weights_at(), first, "version 1 was still pinned when version 3 was patched");
+    server.shutdown();
+}

@@ -35,11 +35,19 @@ pub enum FaultMode {
 /// Down and Error refuse legs and weight probes with
 /// [`ServeError::ShuttingDown`], a replica failure the router fails over
 /// from; `metrics` passes through. A Delay of `d` hands the leg to the
-/// inner link through the same door (`submit` or `answer`), and awaiting
-/// it first sleeps `d` on the link's clock, capped at the attempt's
-/// deadline, as [`Phase::DelayAbsorb`] on the leg's context. **So a Delay
-/// burns the attempt's budget**: in full if it fits, else the rest of it
-/// and the attempt times out.
+/// inner link through the same door (`submit` or `answer`; the seated
+/// door is declined, so every leg passes through here), and awaiting it
+/// waits for the inner reply, then sleeps `d` on the link's clock, capped
+/// at what is left of the attempt's deadline, as [`Phase::DelayAbsorb`]
+/// on the leg's context. **So a Delay burns the attempt's budget**: in
+/// full if it fits, else the rest of it and the attempt times out.
+///
+/// The reply is awaited before the sleep so that a leg handed to the
+/// replica's workers is picked up, and its deadline checked, on the
+/// timeline its own delay has not yet moved: on a virtual clock, whether
+/// the pickup fell before or after the sleep would otherwise decide
+/// between a reply and a missed deadline, and two runs of one fault
+/// schedule could draw differently.
 pub struct FaultyLink {
     inner: Arc<dyn ReplicaLink>,
     clock: ClockHandle,
@@ -82,19 +90,20 @@ impl FaultyLink {
     }
 
     /// The leg `send` hands the inner link, past the gate; a delayed
-    /// leg's reply is read only after the delay is slept out, capped at
-    /// the deadline it is awaited with.
+    /// leg's reply is awaited, then the delay slept out, capped at the
+    /// deadline it is awaited with.
     fn leg(&self, ctx: Ctx, send: impl FnOnce() -> LegResult) -> LegResult {
         let Some(d) = self.gate()? else { return send() };
         let (pending, clock) = (send()?, self.clock.clone());
         Ok(PendingLeg::deferred(move |deadline| {
+            let reply = pending.wait_deadline(deadline);
             let slept = d.min(deadline.saturating_duration_since(clock.now()));
             clock.sleep(slept);
             recorder::emit(ctx, Phase::DelayAbsorb, saturating_ns(slept), 0);
             if slept < d {
                 return None;
             }
-            pending.wait_deadline(deadline)
+            reply
         }))
     }
 }

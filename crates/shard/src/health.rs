@@ -12,8 +12,17 @@
 //! replica of a shard is tripped, the router still tries them all before
 //! declaring the shard unavailable — availability is never sacrificed to
 //! the breaker.
+//!
+//! Every leg asks its replica's breaker once before the attempt and
+//! reports to it once after, so a closed breaker with a clean streak —
+//! every replica of a healthy cluster — is answered by one atomic load
+//! either way, and neither a lock nor a write touches the line that all
+//! the replica's readers share. The streak and the open bit live in one
+//! word; the probe instant, which only an open breaker needs, lives
+//! behind a lock that only the breaker's transitions and an open
+//! breaker's readers take, and the open bit changes only under it.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -44,27 +53,22 @@ pub(crate) enum Availability {
     Skip,
 }
 
-#[derive(Debug)]
-struct Breaker {
-    tripped: bool,
-    /// While tripped: earliest instant the next probe may go out.
-    probe_at: Option<Instant>,
-}
+/// The open bit of [`Health::state`]; the bits below it count the
+/// consecutive failures.
+const TRIPPED: u64 = 1 << 63;
 
 /// One replica's breaker state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Health {
-    consecutive_failures: AtomicU32,
-    breaker: Mutex<Breaker>,
-}
-
-impl Default for Health {
-    fn default() -> Self {
-        Health {
-            consecutive_failures: AtomicU32::new(0),
-            breaker: Mutex::new(Breaker { tripped: false, probe_at: None }),
-        }
-    }
+    /// [`TRIPPED`] while the breaker is open, plus the consecutive
+    /// failures: 0 is a closed breaker with a clean streak. The bit is
+    /// set and cleared only under `probe_at`'s lock. The word publishes
+    /// nothing but itself — `probe_at` is read under its lock — so its
+    /// orderings only keep a lock-free read from running behind a
+    /// transition the same thread has seen.
+    state: AtomicU64,
+    /// While tripped: earliest instant the next probe may go out.
+    probe_at: Mutex<Option<Instant>>,
 }
 
 impl Health {
@@ -74,14 +78,17 @@ impl Health {
     /// so a thundering herd sends one probe per cooldown window, not
     /// one per query.
     pub(crate) fn availability(&self, policy: &HealthPolicy, now: Instant) -> Availability {
-        let mut b = self.breaker.lock().expect("breaker poisoned");
-        if !b.tripped {
+        if !self.is_tripped() {
             return Availability::Ready;
         }
-        match b.probe_at {
+        let mut probe_at = self.probe_at.lock().expect("breaker poisoned");
+        if !self.is_tripped() {
+            return Availability::Ready; // a success closed it meanwhile
+        }
+        match *probe_at {
             Some(at) if now < at => Availability::Skip,
             _ => {
-                b.probe_at = Some(now + policy.probe_cooldown);
+                *probe_at = Some(now + policy.probe_cooldown);
                 Availability::Probe
             }
         }
@@ -90,28 +97,31 @@ impl Health {
     /// Records a successful read. Returns `true` when this success
     /// closed a tripped breaker (a recovery).
     pub(crate) fn on_success(&self) -> bool {
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-        let mut b = self.breaker.lock().expect("breaker poisoned");
-        let recovered = b.tripped;
-        b.tripped = false;
-        b.probe_at = None;
-        recovered
+        if self.state.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        if self.state.fetch_and(TRIPPED, Ordering::AcqRel) & TRIPPED == 0 {
+            return false;
+        }
+        let mut probe_at = self.probe_at.lock().expect("breaker poisoned");
+        *probe_at = None;
+        self.state.fetch_and(!TRIPPED, Ordering::AcqRel) & TRIPPED != 0
     }
 
     /// Records a failed read observed at `now` on the router's clock.
     /// Returns `true` when this failure tripped the breaker (the trip
     /// event, counted once).
     pub(crate) fn on_failure(&self, policy: &HealthPolicy, now: Instant) -> bool {
-        let c = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut b = self.breaker.lock().expect("breaker poisoned");
-        if b.tripped {
+        let streak = (self.state.fetch_add(1, Ordering::AcqRel) + 1) & !TRIPPED;
+        let mut probe_at = self.probe_at.lock().expect("breaker poisoned");
+        if self.is_tripped() {
             // Failed probe: push the next one a full cooldown out.
-            b.probe_at = Some(now + policy.probe_cooldown);
+            *probe_at = Some(now + policy.probe_cooldown);
             return false;
         }
-        if c >= policy.trip_threshold {
-            b.tripped = true;
-            b.probe_at = Some(now + policy.probe_cooldown);
+        if streak >= u64::from(policy.trip_threshold) {
+            self.state.fetch_or(TRIPPED, Ordering::AcqRel);
+            *probe_at = Some(now + policy.probe_cooldown);
             return true;
         }
         false
@@ -119,7 +129,7 @@ impl Health {
 
     /// Whether the breaker is currently open.
     pub(crate) fn is_tripped(&self) -> bool {
-        self.breaker.lock().expect("breaker poisoned").tripped
+        self.state.load(Ordering::Acquire) & TRIPPED != 0
     }
 }
 
@@ -172,5 +182,79 @@ mod tests {
         assert!(h.on_success());
         assert_eq!(h.availability(&p, t1 + Duration::from_millis(40)), Availability::Ready);
         assert!(!h.is_tripped());
+    }
+
+    /// The breaker as it was, every field under one lock: the reference
+    /// the one-word breaker is held to.
+    #[derive(Default)]
+    struct Locked {
+        inner: Mutex<(u32, bool, Option<Instant>)>,
+    }
+
+    impl Locked {
+        fn availability(&self, policy: &HealthPolicy, now: Instant) -> Availability {
+            let (_, tripped, probe_at) = &mut *self.inner.lock().unwrap();
+            if !*tripped {
+                return Availability::Ready;
+            }
+            match *probe_at {
+                Some(at) if now < at => Availability::Skip,
+                _ => {
+                    *probe_at = Some(now + policy.probe_cooldown);
+                    Availability::Probe
+                }
+            }
+        }
+
+        fn on_success(&self) -> bool {
+            let (streak, tripped, probe_at) = &mut *self.inner.lock().unwrap();
+            *streak = 0;
+            *probe_at = None;
+            std::mem::take(tripped)
+        }
+
+        fn on_failure(&self, policy: &HealthPolicy, now: Instant) -> bool {
+            let (streak, tripped, probe_at) = &mut *self.inner.lock().unwrap();
+            *streak += 1;
+            if *tripped {
+                *probe_at = Some(now + policy.probe_cooldown);
+                return false;
+            }
+            if *streak >= policy.trip_threshold {
+                *tripped = true;
+                *probe_at = Some(now + policy.probe_cooldown);
+                return true;
+            }
+            false
+        }
+    }
+
+    /// Seeded runs of successes, failures and availability reads at
+    /// instants that advance by 0–29 ms, against the locked reference:
+    /// after every op the answer, the trip or recovery, and the open bit
+    /// are the reference's, across thresholds 1–4.
+    #[test]
+    fn the_one_word_breaker_answers_as_the_locked_one() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let seed = iqs_testkit::seed::derive(iqs_testkit::seed::suite_seed(), "breaker_ops");
+        let mut rng = StdRng::seed_from_u64(seed);
+        for run in 0..64u32 {
+            let p = HealthPolicy { trip_threshold: 1 + run % 4, ..policy(40) };
+            let (h, reference) = (Health::default(), Locked::default());
+            let mut now = Instant::now();
+            for op in 0..400 {
+                now += Duration::from_millis(rng.random_range(0..30));
+                let at = format!("seed {seed:#x}, run {run}, op {op}");
+                match rng.random_range(0..3u32) {
+                    0 => assert_eq!(h.on_success(), reference.on_success(), "{at}: success"),
+                    1 => assert_eq!(h.on_failure(&p, now), reference.on_failure(&p, now), "{at}"),
+                    _ => {
+                        assert_eq!(h.availability(&p, now), reference.availability(&p, now), "{at}")
+                    }
+                }
+                assert_eq!(h.is_tripped(), reference.inner.lock().unwrap().1, "{at}: open bit");
+            }
+        }
     }
 }

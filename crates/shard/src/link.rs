@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use iqs_obs::Ctx;
 use iqs_serve::{
-    Begun, Client, MetricsSnapshot, PendingReply, Request, Response, ServeError, Server,
+    Admission, Begun, Client, MetricsSnapshot, PendingReply, Request, Response, ServeError, Server,
 };
 
 use crate::placement::SHARD_INDEX;
@@ -100,6 +100,31 @@ pub trait ReplicaLink: Send + Sync {
         self.submit(request, origin, deadline, ctx)
     }
 
+    /// The seated door (`router` module docs, "Where a leg runs"): a
+    /// small scatter's `SampleWr` leg over `range`, run on the calling
+    /// thread with its ids appended to `out`, or declined. A link that
+    /// can run the leg here and now, as [`ReplicaLink::answer`] would,
+    /// does, admitting it at `at.admitted`, and returns `Ok(Some(outcome))`,
+    /// leaving `out` as it was unless the outcome is `Ok`; one that
+    /// cannot returns `Ok(None)` having done nothing, and the router
+    /// asks `answer` instead. The in-process link runs the leg while its
+    /// replica has a seat free
+    /// ([`iqs_serve::Client::sample_wr_seated`]). The default declines:
+    /// right for a link that crosses a wire, and for one that wraps
+    /// another, which must see every leg through `answer`.
+    ///
+    /// # Errors
+    /// Admission refusals, as [`ReplicaLink::answer`].
+    fn sample_wr_seated(
+        &self,
+        _range: Option<(f64, f64)>,
+        _s: u32,
+        _at: Admission,
+        _out: &mut Vec<u64>,
+    ) -> Result<Option<Result<(), ServeError>>, ServeError> {
+        Ok(None)
+    }
+
     /// The replica's total sampling weight (the planner's cached-probe
     /// path at build time).
     ///
@@ -172,6 +197,16 @@ impl ReplicaLink for LocalReplica {
             Begun::Done(outcome) => PendingLeg::Ready(Some(outcome)),
             Begun::Queued(pending) => PendingLeg::Local(pending),
         })
+    }
+
+    fn sample_wr_seated(
+        &self,
+        range: Option<(f64, f64)>,
+        s: u32,
+        at: Admission,
+        out: &mut Vec<u64>,
+    ) -> Result<Option<Result<(), ServeError>>, ServeError> {
+        self.client.sample_wr_seated(SHARD_INDEX, range, s, at, out)
     }
 
     fn total_weight(&self) -> Result<f64, ServeError> {

@@ -5,14 +5,15 @@
 //! For a with-replacement query over `[x, y]` with `s` draws, the router
 //! computes each overlapping shard's in-range weight `W_i` (the cached
 //! snapshot total when the query covers the shard, a prefix-sum read
-//! otherwise), builds a top-level [`AliasTable`] over `(W_1, …, W_m)`,
-//! and splits `s` into per-shard counts `(s_1, …, s_m)` with
-//! [`split_samples_with`] — a multinomial draw with cell probabilities
-//! `W_i / ΣW`. Each shard then answers `s_i` independent draws from its
-//! own slice, where element `e` has conditional probability
-//! `w(e) / W_i`. The law of total probability gives every in-range
-//! element marginal probability `(W_i / ΣW) · (w(e) / W_i) = w(e) / ΣW`
-//! per draw — exactly the single-node distribution — and draws remain
+//! otherwise), builds a top-level alias table over `(W_1, …, W_m)`
+//! ([`AliasRows::build`], into rows the client keeps), and splits `s`
+//! into per-shard counts `(s_1, …, s_m)` one table draw at a time, as
+//! `iqs_alias::split::split_samples_with` does — a multinomial draw with
+//! cell probabilities `W_i / ΣW`. Each shard then answers `s_i`
+//! independent draws from its own slice, where element `e` has
+//! conditional probability `w(e) / W_i`. The law of total probability
+//! gives every in-range element marginal probability
+//! `(W_i / ΣW) · (w(e) / W_i) = w(e) / ΣW` per draw — exactly the single-node distribution — and draws remain
 //! mutually independent because the multinomial split plus conditionally
 //! independent per-shard draws factorizes the joint law (the same §4.1
 //! argument `iqs-alias` uses to parallelize batches). No approximation
@@ -24,7 +25,7 @@
 //!
 //! # The lone-shard plan
 //!
-//! A one-leg split reads no weight ([`Inner::split_counts`] answers
+//! A one-leg split reads no weight ([`Split::draw`] answers
 //! `[s]`), so a range that overlaps exactly one shard is planned without
 //! the live weight probe a partially covered shard otherwise costs —
 //! over a wire that probe was a whole extra round trip. What the probe
@@ -48,6 +49,31 @@
 //! overlap across shards. Any larger scatter is handed off leg by leg,
 //! as it always was. The replica's `workers` cap, its admission checks
 //! and its seat streams are the same through either door.
+//!
+//! A small scatter's draw leg knocks first on a third door,
+//! [`crate::ReplicaLink::sample_wr_seated`], which runs the leg on the
+//! router's thread or declines having done nothing. An in-process replica
+//! with a seat free runs it there and then, exactly as `answer` would —
+//! the same admission, records, counters and seat stream — but appends
+//! the ids to a buffer the [`ClusterClient`] keeps for that leg, and
+//! admits the leg at the instant the scatter read the clock for its
+//! deadlines. Every other link declines (the default): a remote link, a
+//! wrapping one such as [`crate::FaultyLink`], a busy replica. The leg
+//! then goes through `answer` as before. Counts and scatters past the
+//! bound never knock on it.
+//!
+//! # What a query keeps
+//!
+//! A [`ClusterClient`] keeps every buffer a draw needs from one query to
+//! the next — the plan's legs and weights, the split's alias rows and
+//! build scratch, its counts, the scatter's legs, attempts, replies and
+//! per-leg ids — and a leg borrows its shard from the topology the query
+//! loaded instead of holding it. So a small in-process draw allocates
+//! nothing on the router's side but the reply's own ids, which grow as
+//! they always did: the first leg's ids, then the others' appended.
+//! The topology itself is loaded per query (one lock and one reference
+//! count): a client that kept it would keep a shard that a rebalance
+//! retired, and its replicas' servers, alive.
 //!
 //! # Failover: answers and failures
 //!
@@ -82,14 +108,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use iqs_alias::split::split_samples_with;
-use iqs_alias::AliasTable;
+use iqs_alias::{AliasRows, BuildScratch};
 use iqs_core::QueryError;
 use iqs_obs::{recorder, saturating_ns, Ctx, Phase, SlowEntry, SlowLog};
-use iqs_serve::{Request, Response, ServeError, Snapshot};
+use iqs_serve::{Admission, Request, Response, ServeError, Snapshot};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::error::ShardError;
 use crate::health::{Availability, HealthPolicy};
@@ -198,14 +223,30 @@ struct Inner {
 /// One planned leg of a scatter.
 struct Leg {
     shard_idx: usize,
-    shard: Arc<ShardHandle>,
     /// The shard's in-range weight; NaN in a lone-shard plan, whose
     /// split never reads it.
     weight: f64,
 }
 
-/// An attempt in flight: the pending leg, the replica index, its deadline.
-type Attempt = (PendingLeg, usize, Instant);
+/// Where an attempt's answer comes from.
+enum Pending {
+    /// The link's reply, to be waited for.
+    Leg(PendingLeg),
+    /// What the seated door answered; on `Ok` the ids are in the leg's
+    /// kept buffer.
+    Drawn(Result<(), ServeError>),
+}
+
+/// An attempt in flight: its answer, the replica index, its deadline.
+type Attempt = (Pending, usize, Instant);
+
+/// What a gathered leg delivered.
+enum Delivered {
+    /// The reply that came over the link.
+    Reply(Response),
+    /// The seated door's draws, in the leg's kept buffer.
+    Drawn,
+}
 
 /// What a scatter leg asks of its shard. The [`Request`] (whose index
 /// name is an owned `String`) is built from this once per attempt and
@@ -234,14 +275,70 @@ impl LegAsk {
     }
 }
 
-/// One leg of a scatter, as submit and gather see it.
+/// One leg of a scatter, as submit and gather see it: its shard is
+/// `shard_idx` of the topology the query loaded.
 struct ScatterLeg {
-    shard: Arc<ShardHandle>,
+    shard_idx: usize,
     ask: LegAsk,
     ctx: Ctx,
     /// Whether links are asked to answer the leg rather than to hand it
-    /// off (module docs, "Where a leg runs"); one verdict per scatter.
+    /// off (module docs, "Where a leg runs"); one verdict per scatter,
+    /// which [`Inner::scatter`] gives.
     inline: bool,
+}
+
+impl ScatterLeg {
+    fn new(shard_idx: usize, ask: LegAsk, ctx: Ctx) -> ScatterLeg {
+        ScatterLeg { shard_idx, ask, ctx, inline: false }
+    }
+}
+
+/// A scatter's legs and, leg by leg, its attempt in flight, what it
+/// delivered, and the buffer the seated door draws its ids into.
+#[derive(Default)]
+struct Scatter {
+    legs: Vec<ScatterLeg>,
+    attempts: Vec<(Tried, Option<Attempt>)>,
+    replies: Vec<Option<Delivered>>,
+    /// As long as the longest scatter yet, so a leg's buffer is as large
+    /// as the most any leg in its place has drawn.
+    ids: Vec<Vec<u64>>,
+}
+
+/// The top-level split's buffers: the plan's weights, their alias rows
+/// and the scratch the rows are built with, and the counts drawn.
+#[derive(Default)]
+struct Split {
+    weights: Vec<f64>,
+    rows: Vec<u64>,
+    build: BuildScratch,
+    counts: Vec<usize>,
+}
+
+impl Split {
+    /// Splits `s` draws over the planned legs into `counts`: the
+    /// top-level multinomial split when more than one shard contributes
+    /// — one alias table over the legs' weights and one word per draw —
+    /// and the trivial all-to-one assignment (consuming no top-level
+    /// randomness) for a single leg.
+    fn draw(&mut self, legs: &[Leg], s: usize, rng: &mut StdRng) -> Result<(), ShardError> {
+        self.counts.clear();
+        if legs.len() == 1 {
+            self.counts.push(s);
+            return Ok(());
+        }
+        self.weights.clear();
+        self.weights.extend(legs.iter().map(|leg| leg.weight));
+        self.rows.resize(legs.len(), 0);
+        AliasRows::build(&self.weights, &mut self.rows, &mut self.build)
+            .map_err(ServeError::from)?;
+        let table = AliasRows::new(&self.rows);
+        self.counts.resize(legs.len(), 0);
+        for _ in 0..s {
+            self.counts[table.decode(rng.next_u64())] += 1;
+        }
+        Ok(())
+    }
 }
 
 /// The replicas a leg has been submitted to, by index: a bit each for
@@ -294,7 +391,8 @@ fn candidate_order(
     now: Instant,
 ) -> impl Iterator<Item = usize> {
     let n = shard.replicas.len();
-    let start = shard.rr.fetch_add(1, Ordering::Relaxed) % n;
+    // One replica has one order: the cursor is not worth a shared write.
+    let start = if n == 1 { 0 } else { shard.rr.fetch_add(1, Ordering::Relaxed) % n };
     let rotated = (0..n).map(move |i| (start + i) % n);
     let mut probes = Vec::new();
     let mut skips = Vec::new();
@@ -332,26 +430,40 @@ impl Inner {
     /// skipped. `now` is the instant the replicas'
     /// availability is read at and the attempt's deadline counts from:
     /// the scatter's start for a first attempt, a fresh clock read for a
-    /// failover.
+    /// failover. A leg the seated door runs is admitted at it, and its
+    /// ids land in `ids` (module docs, "Where a leg runs").
     fn try_submit(
         &self,
+        topo: &Topology,
         leg: &ScatterLeg,
         tried: &mut Tried,
         origin: Instant,
         now: Instant,
+        ids: &mut Vec<u64>,
     ) -> Option<Attempt> {
-        let (shard, ctx) = (&leg.shard, leg.ctx);
+        let (shard, ctx) = (&topo.shards[leg.shard_idx], leg.ctx);
         for ri in candidate_order(shard, &self.config.health, now) {
             if !tried.insert(ri) {
                 continue;
             }
             let rep = &shard.replicas[ri];
             let deadline = now + self.config.scatter_deadline;
-            let (request, leg_ctx) = (leg.ask.request(), ctx.replica(ri));
-            let submitted = if leg.inline {
-                rep.link.answer(request, origin, deadline, leg_ctx)
-            } else {
-                rep.link.submit(request, origin, deadline, leg_ctx)
+            let leg_ctx = ctx.replica(ri);
+            let answer = || rep.link.answer(leg.ask.request(), origin, deadline, leg_ctx);
+            let submitted = match leg.ask {
+                LegAsk::SampleWr { x, y, s } if leg.inline => {
+                    let at =
+                        Admission { origin, admitted: now, deadline: Some(deadline), ctx: leg_ctx };
+                    match rep.link.sample_wr_seated(Some((x, y)), s, at, ids) {
+                        Ok(Some(drawn)) => Ok(Pending::Drawn(drawn)),
+                        Ok(None) => answer().map(Pending::Leg),
+                        Err(refused) => Err(refused),
+                    }
+                }
+                _ if leg.inline => answer().map(Pending::Leg),
+                _ => {
+                    rep.link.submit(leg.ask.request(), origin, deadline, leg_ctx).map(Pending::Leg)
+                }
             };
             match submitted {
                 Ok(pending) => {
@@ -375,15 +487,22 @@ impl Inner {
     /// The typed answer of a healthy replica ([`typed_answer`]).
     fn gather_leg(
         &self,
+        topo: &Topology,
         leg: &ScatterLeg,
         tried: &mut Tried,
         mut attempt: Option<Attempt>,
         origin: Instant,
-    ) -> Result<Option<Response>, ShardError> {
-        let ctx = leg.ctx;
+        ids: &mut Vec<u64>,
+    ) -> Result<Option<Delivered>, ShardError> {
+        let (shard, ctx) = (&topo.shards[leg.shard_idx], leg.ctx);
         while let Some((pending, ri, deadline)) = attempt.take() {
-            let rep = &leg.shard.replicas[ri];
-            let outcome = pending.wait_deadline(deadline);
+            let rep = &shard.replicas[ri];
+            let outcome = match pending {
+                Pending::Leg(pending) => {
+                    pending.wait_deadline(deadline).map(|reply| reply.map(Delivered::Reply))
+                }
+                Pending::Drawn(drawn) => Some(drawn.map(|()| Delivered::Drawn)),
+            };
             if let Some(answer) =
                 outcome.as_ref().and_then(|r| r.as_ref().err()).and_then(typed_answer)
             {
@@ -392,21 +511,23 @@ impl Inner {
                 return Err(answer);
             }
             match outcome {
-                Some(Ok(response)) => {
+                Some(Ok(delivered)) => {
                     self.note_success(rep, ctx, ri);
-                    let delivered = match &response {
-                        Response::Samples(ids) => ids.len() as u64,
-                        Response::Count(count) => *count as u64,
-                        _ => 0,
+                    let count = match &delivered {
+                        Delivered::Drawn => ids.len() as u64,
+                        Delivered::Reply(Response::Samples(reply)) => reply.len() as u64,
+                        Delivered::Reply(Response::Count(count)) => *count as u64,
+                        Delivered::Reply(_) => 0,
                     };
-                    recorder::emit(ctx.replica(ri), Phase::LegDone, delivered, 0);
-                    return Ok(Some(response));
+                    recorder::emit(ctx.replica(ri), Phase::LegDone, count, 0);
+                    return Ok(Some(delivered));
                 }
                 failed => {
                     let cause = if failed.is_some() { 3 } else { 4 };
                     recorder::emit(ctx, Phase::LegFailover, ri as u64, cause);
                     self.note_failure(rep, ctx, ri);
-                    attempt = self.try_submit(leg, tried, origin, self.config.clock.now());
+                    let now = self.config.clock.now();
+                    attempt = self.try_submit(topo, leg, tried, origin, now, ids);
                 }
             }
         }
@@ -422,51 +543,58 @@ impl Inner {
     /// a deadline of seconds, and a virtual clock does not move while
     /// read.
     ///
+    /// What each leg delivered lands in `sc.replies`, in leg order.
+    ///
     /// # Errors
     /// The first leg's typed answer ([`typed_answer`]), after every leg
     /// has been gathered — except `EmptyRange` from one leg of several,
     /// which loses only that leg.
     fn scatter(
         &self,
-        legs: Vec<(Arc<ShardHandle>, LegAsk, Ctx)>,
+        topo: &Topology,
+        sc: &mut Scatter,
         origin: Instant,
-    ) -> Result<Vec<Option<Response>>, ShardError> {
-        self.counters.legs.fetch_add(legs.len() as u64, Ordering::Relaxed);
-        let lone = legs.len() == 1;
-        let draws: u64 = legs.iter().map(|(_, ask, _)| ask.planned()).sum();
+    ) -> Result<(), ShardError> {
+        let n = sc.legs.len();
+        self.counters.legs.fetch_add(n as u64, Ordering::Relaxed);
+        let lone = n == 1;
+        let draws: u64 = sc.legs.iter().map(|leg| leg.ask.planned()).sum();
         let inline = lone || draws <= INLINE_SCATTER_DRAWS;
         let now = self.config.clock.now();
-        let in_flight: Vec<_> = legs
-            .into_iter()
-            .map(|(shard, ask, ctx)| {
-                let leg = ScatterLeg { shard, ask, ctx, inline };
-                let mut tried = Tried::default();
-                let attempt = self.try_submit(&leg, &mut tried, origin, now);
-                (leg, tried, attempt)
-            })
-            .collect();
+        if sc.ids.len() < n {
+            sc.ids.resize_with(n, Vec::new);
+        }
+        sc.attempts.clear();
+        sc.replies.clear();
+        for (leg, ids) in sc.legs.iter_mut().zip(&mut sc.ids) {
+            leg.inline = inline;
+            ids.clear();
+            let mut tried = Tried::default();
+            let attempt = self.try_submit(topo, leg, &mut tried, origin, now, ids);
+            sc.attempts.push((tried, attempt));
+        }
         // Every leg is gathered, whatever an earlier one answered: a leg
         // left in flight would be a reply nobody reads.
         let mut answer = None;
-        let responses = in_flight
-            .into_iter()
-            .map(|(leg, mut tried, attempt)| {
-                match self.gather_leg(&leg, &mut tried, attempt, origin) {
-                    Ok(Some(response)) => return Some(response),
-                    Ok(None) => {}
-                    // The plan gave this shard weight and the others
-                    // still hold theirs: the leg is lost, not the query.
-                    Err(ShardError::EmptyRange) if !lone => {}
-                    Err(typed) => {
-                        answer.get_or_insert(typed);
-                        return None;
-                    }
+        let gathered = sc.legs.iter().zip(sc.attempts.drain(..)).zip(&mut sc.ids);
+        for ((leg, (mut tried, attempt)), ids) in gathered {
+            let reply = match self.gather_leg(topo, leg, &mut tried, attempt, origin, ids) {
+                Ok(delivered) => delivered,
+                // The plan gave this shard weight and the others still
+                // hold theirs: the leg is lost, not the query.
+                Err(ShardError::EmptyRange) if !lone => None,
+                Err(typed) => {
+                    answer.get_or_insert(typed);
+                    sc.replies.push(None);
+                    continue;
                 }
+            };
+            if reply.is_none() {
                 recorder::emit(leg.ctx, Phase::LegDegraded, leg.ask.planned(), 0);
-                None
-            })
-            .collect();
-        answer.map_or(Ok(responses), Err)
+            }
+            sc.replies.push(reply);
+        }
+        answer.map_or(Ok(()), Err)
     }
 
     /// Plans a sampling scatter of `s` draws: one leg per overlapping
@@ -475,8 +603,10 @@ impl Inner {
     /// replica that answers — except in a lone-shard plan (module docs),
     /// which needs no weight. A shard whose weight cannot be determined
     /// (no replica answers) is excluded and flagged, degrading the query.
-    fn plan(&self, topo: &Topology, x: f64, y: f64, s: u32, ctx: Ctx) -> (Vec<Leg>, bool) {
-        let mut legs = Vec::new();
+    /// The legs replace `legs`' contents; returns whether the plan is
+    /// degraded.
+    fn plan(&self, topo: &Topology, x: f64, y: f64, s: u32, ctx: Ctx, legs: &mut Vec<Leg>) -> bool {
+        legs.clear();
         let mut degraded = false;
         let overlapping = topo.overlapping(x, y);
         let lone = overlapping.len() == 1 && s > 0;
@@ -495,7 +625,7 @@ impl Inner {
                 Some(w) if w <= 0.0 => {} // nothing in range here
                 Some(w) => {
                     recorder::emit(ctx, Phase::RouterPlan, idx as u64, w.to_bits());
-                    legs.push(Leg { shard_idx: idx, shard: Arc::clone(shard), weight: w })
+                    legs.push(Leg { shard_idx: idx, weight: w })
                 }
                 None => {
                     recorder::emit(ctx, Phase::PlanDark, idx as u64, 0);
@@ -503,20 +633,7 @@ impl Inner {
                 }
             }
         }
-        (legs, degraded)
-    }
-
-    /// Splits `s` draws over the planned legs: the top-level multinomial
-    /// split when more than one shard contributes, and the trivial
-    /// all-to-one assignment (consuming no top-level randomness) for a
-    /// single leg.
-    fn split_counts(legs: &[Leg], s: usize, rng: &mut StdRng) -> Result<Vec<usize>, ShardError> {
-        if legs.len() == 1 {
-            return Ok(vec![s]);
-        }
-        let weights: Vec<f64> = legs.iter().map(|leg| leg.weight).collect();
-        let table = AliasTable::new(&weights).map_err(ServeError::from)?;
-        Ok(split_samples_with(&table, s, rng))
+        degraded
     }
 
     fn finish(&self, origin: Instant, degraded: bool, ctx: Ctx) {
@@ -553,10 +670,14 @@ impl Clone for ShardedService {
 
 /// A handle for issuing cluster queries. Each client owns the RNG that
 /// drives its top-level multinomial splits (seeded from the service
-/// master seed), so clients are independent and need no locking.
+/// master seed), so clients are independent and need no locking, and
+/// the buffers its draws run in (module docs, "What a query keeps").
 pub struct ClusterClient {
     inner: Arc<Inner>,
     rng: StdRng,
+    legs: Vec<Leg>,
+    split: Split,
+    scatter: Scatter,
 }
 
 impl ShardedService {
@@ -683,6 +804,9 @@ impl ShardedService {
             rng: StdRng::seed_from_u64(
                 self.inner.config.seed ^ 0xa076_1d64_78bd_642f_u64.wrapping_mul(ordinal + 1),
             ),
+            legs: Vec::new(),
+            split: Split::default(),
+            scatter: Scatter::default(),
         }
     }
 
@@ -944,7 +1068,8 @@ impl ClusterClient {
         }
         let (x, y) = range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
         let topo = self.inner.topo.load();
-        let (legs, plan_degraded) = self.inner.plan(&topo, x, y, s, ctx);
+        let (legs, sc) = (&mut self.legs, &mut self.scatter);
+        let plan_degraded = self.inner.plan(&topo, x, y, s, ctx, legs);
         if legs.is_empty() {
             if plan_degraded {
                 // Every overlapping shard is unreachable: report the
@@ -958,32 +1083,33 @@ impl ClusterClient {
             }
             return Err(ShardError::EmptyRange);
         }
-        let counts = Inner::split_counts(&legs, s as usize, &mut self.rng)?;
-        for (leg, &count) in legs.iter().zip(&counts) {
+        self.split.draw(legs, s as usize, &mut self.rng)?;
+        let counts = &self.split.counts;
+        for (leg, &count) in legs.iter().zip(counts) {
             recorder::emit(ctx, Phase::SplitCount, leg.shard_idx as u64, count as u64);
         }
-        let scatter_legs: Vec<(Arc<ShardHandle>, LegAsk, Ctx)> = legs
-            .iter()
-            .zip(&counts)
-            .filter(|&(_, &count)| count > 0)
-            .map(|(leg, &count)| {
-                (
-                    Arc::clone(&leg.shard),
-                    LegAsk::SampleWr { x, y, s: count as u32 },
-                    ctx.shard(leg.shard_idx),
-                )
-            })
-            .collect();
-        let planned: Vec<usize> = counts.into_iter().filter(|&count| count > 0).collect();
-        let responses = self.inner.scatter(scatter_legs, origin)?;
+        sc.legs.clear();
+        sc.legs.extend(legs.iter().zip(counts).filter(|&(_, &count)| count > 0).map(
+            |(leg, &count)| {
+                let ask = LegAsk::SampleWr { x, y, s: count as u32 };
+                ScatterLeg::new(leg.shard_idx, ask, ctx.shard(leg.shard_idx))
+            },
+        ));
+        self.inner.scatter(&topo, sc, origin)?;
         // The first delivered leg's ids — the whole answer of a one-leg
-        // query — are kept, and the later legs' copied in after them.
+        // query — start the reply, and the later legs' are appended.
         let mut out = Sampled { degraded: plan_degraded, trace: ctx.trace, ..Sampled::default() };
-        for (response, &planned_count) in responses.into_iter().zip(&planned) {
-            match response {
-                Some(Response::Samples(ids)) if out.ids.is_empty() => out.ids = ids,
-                Some(Response::Samples(ids)) => out.absorb(Some(&ids), planned_count),
-                _ => out.absorb(None, planned_count),
+        let gathered = sc.legs.iter().zip(&mut sc.replies).zip(&sc.ids);
+        for ((leg, reply), drawn) in gathered {
+            let planned = leg.ask.planned() as usize;
+            match reply.take() {
+                Some(Delivered::Reply(Response::Samples(ids))) if out.ids.is_empty() => {
+                    out.ids = ids
+                }
+                Some(Delivered::Reply(Response::Samples(ids))) => out.absorb(Some(&ids), planned),
+                Some(Delivered::Drawn) if out.ids.is_empty() => out.ids = drawn.clone(),
+                Some(Delivered::Drawn) => out.absorb(Some(drawn), planned),
+                _ => out.absorb(None, planned),
             }
         }
         Ok(out)
@@ -1052,14 +1178,15 @@ impl ClusterClient {
         ctx: Ctx,
     ) -> Result<Counted, ShardError> {
         let topo = self.inner.topo.load();
-        let legs: Vec<(Arc<ShardHandle>, LegAsk, Ctx)> = topo
+        let legs = topo
             .overlapping(x, y)
-            .map(|idx| (Arc::clone(&topo.shards[idx]), LegAsk::RangeCount { x, y }, ctx.shard(idx)))
-            .collect();
+            .map(|idx| ScatterLeg::new(idx, LegAsk::RangeCount { x, y }, ctx.shard(idx)));
+        let mut sc = Scatter { legs: legs.collect(), ..Scatter::default() };
+        self.inner.scatter(&topo, &mut sc, origin)?;
         let mut out = Counted { trace: ctx.trace, ..Counted::default() };
-        for response in self.inner.scatter(legs, origin)? {
-            out.absorb(match response {
-                Some(Response::Count(count)) => Some(count),
+        for reply in sc.replies {
+            out.absorb(match reply {
+                Some(Delivered::Reply(Response::Count(count))) => Some(count),
                 _ => None,
             });
         }

@@ -210,3 +210,72 @@ fn degraded_traces_name_dark_shards_and_failure_events() {
     assert!(degraded_traces > 0, "the schedule must degrade at least one query");
     assert!(trips_seen > 0, "repeated failures must trip breakers inside traced queries");
 }
+
+/// Delay faults replay on a virtual clock even when the legs are handed
+/// to the replicas' workers. Each step reads 300 draws of keys 150–299
+/// — two legs, past `INLINE_SCATTER_DRAWS`, so each queues for its
+/// replica's worker — under six seeded plans of Delay events on the
+/// second leg's shard, up to twice the 50 ms scatter deadline: a delay
+/// that does not fit times the attempt out, and the failover attempt is
+/// handed off and delayed in turn. A delayed leg's reply is awaited
+/// before its delay is slept out, so its worker picks it up on a
+/// timeline the delay has not moved; three replays of every plan draw
+/// the same ids, degrade at the same steps, and count the same
+/// failovers, trips and replica outcomes. (A leg's pickup against
+/// *another* leg's sleep is still a race, which is why the first leg's
+/// shard stays healthy here.)
+#[test]
+fn delay_schedules_replay_when_legs_are_handed_off() {
+    const DEADLINE: Duration = Duration::from_millis(50);
+    let shape = PlanShape { events: 12, max_delay_ms: 100, ..SHAPE };
+    let replay = || {
+        let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+        let mut fold = |word: u64| digest = (digest ^ word).wrapping_mul(0x100_0000_01b3);
+        for round in 0..6u64 {
+            let seed = derive(suite_seed(), "chaos_delay_replay").wrapping_add(round);
+            let mut plan = FaultPlan::generate(seed, &shape);
+            for event in &mut plan.events {
+                (event.shard, event.kind) = (2, FaultKind::Delay);
+            }
+            let vc = VirtualClock::new();
+            let svc = ShardedService::new(
+                elements(300),
+                ShardConfig {
+                    shards: SHAPE.shards,
+                    replicas: SHAPE.replicas,
+                    seed,
+                    scatter_deadline: DEADLINE,
+                    health: HealthPolicy {
+                        trip_threshold: 2,
+                        probe_cooldown: Duration::from_millis(10),
+                    },
+                    clock: vc.handle(),
+                    ..ShardConfig::default()
+                },
+            )
+            .expect("build");
+            let faults = FaultyLink::wrap_all(&svc);
+            let mut client = svc.client();
+            for step in 0..shape.steps {
+                inject_step(&plan, &faults, step);
+                vc.advance(Duration::from_secs(1));
+                let drawn = client.sample_wr(Some((150.0, 299.0)), 300).expect("never fails");
+                assert_eq!(drawn.ids.len() + drawn.missing, 300, "step {step}");
+                drawn.ids.iter().for_each(|&id| fold(id));
+                fold(u64::from(drawn.degraded));
+            }
+            let m = svc.metrics();
+            let (router, cluster) = (m.router, m.cluster);
+            for word in [router.failovers, router.trips, router.recoveries, router.legs] {
+                fold(word);
+            }
+            for word in [cluster.completed, cluster.failed, cluster.deadline_missed] {
+                fold(word);
+            }
+        }
+        digest
+    };
+    let first = replay();
+    assert_eq!(replay(), first, "a second replay drew differently");
+    assert_eq!(replay(), first, "a third replay drew differently");
+}

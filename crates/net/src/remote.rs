@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use iqs_obs::{saturating_ns, Ctx};
-use iqs_serve::{Client, MetricsSnapshot, Request, Response, ServeError};
+use iqs_serve::{Admission, Client, LegAsk, MetricsSnapshot, Request, Response, ServeError};
 use iqs_shard::{PendingLeg, ReplicaLink, ShardSpec, SHARD_INDEX};
 use iqs_testkit::ClockHandle;
 
@@ -159,20 +159,20 @@ impl RemoteReplica {
 }
 
 impl ReplicaLink for RemoteReplica {
-    fn submit(
-        &self,
-        request: Request,
-        _origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
+    fn submit(&self, leg: LegAsk, at: Admission) -> Result<PendingLeg, ServeError> {
         if let Some(registry) = &self.registry {
             if !registry.is_live(&self.addr) {
                 return Err(ServeError::Remote(format!("lease expired for {}", self.addr)));
             }
         }
+        let Some(deadline) = at.deadline else {
+            return Err(ServeError::InvalidRequest(
+                "a leg sent over a wire needs a deadline".into(),
+            ));
+        };
         let budget = deadline.saturating_duration_since(self.transport.clock().now());
-        let frame = encode_request(&request, ctx.trace, ctx.span, saturating_ns(budget));
+        let request = leg.request(SHARD_INDEX);
+        let frame = encode_request(&request, at.ctx.trace, at.ctx.span, saturating_ns(budget));
         let in_flight = self
             .transport
             .begin(&self.addr, frame, deadline)

@@ -12,13 +12,12 @@
 //! error an in-process link hands over.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use iqs_net::{LinkFault, RemoteReplica, ReplicaServer, SimNet};
 use iqs_obs::Ctx;
 use iqs_serve::{
-    Client, ExternalIndex, IndexRegistry, IoReport, MetricsSnapshot, Request, Response, ServeError,
-    Server, ServerConfig,
+    Admission, Client, ExternalIndex, IndexRegistry, IoReport, LegAsk, MetricsSnapshot, Request,
+    Response, ServeError, Server, ServerConfig,
 };
 use iqs_shard::{
     FaultMode, FaultyLink, PendingLeg, ReplicaLink, ShardConfig, ShardError, ShardSpec,
@@ -57,14 +56,9 @@ impl ClientLink {
 }
 
 impl ReplicaLink for ClientLink {
-    fn submit(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
-        self.0.call_pending_ctx(request, origin, Some(deadline), ctx).map(PendingLeg::Local)
+    fn submit(&self, leg: LegAsk, at: Admission) -> Result<PendingLeg, ServeError> {
+        let request = leg.request(SHARD_INDEX);
+        self.0.call_pending_ctx(request, at.origin, at.deadline, at.ctx).map(PendingLeg::Local)
     }
 
     fn total_weight(&self) -> Result<f64, ServeError> {
@@ -243,10 +237,11 @@ fn a_panicking_leg_is_a_typed_failure_and_the_replica_survives() {
     let link = RemoteReplica::new(net.transport(), "sim://buggy");
 
     // The leg itself, as the router's gather sees it.
-    let request = Request::SampleWr { index: SHARD_INDEX.into(), range: None, s: 4 };
+    let leg = LegAsk::SampleWr { x: 0.0, y: 9.0, s: 4 };
     let now = clock.handle().now();
     let deadline = now + std::time::Duration::from_secs(1);
-    let pending = link.submit(request, now, deadline, Ctx::none()).expect("sent");
+    let at = Admission { origin: now, admitted: now, deadline: Some(deadline), ctx: Ctx::none() };
+    let pending = link.submit(leg, at).expect("sent");
     assert_eq!(pending.wait_deadline(deadline), Some(Err(ServeError::Panicked)));
 
     let spec =

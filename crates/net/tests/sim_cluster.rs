@@ -37,7 +37,7 @@ use iqs_shard::{
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
 use iqs_testkit::seed::{derive, suite_seed};
-use iqs_testkit::{FaultKind, FaultPlan, PlanShape, VirtualClock};
+use iqs_testkit::{FaultPlan, PlanShape, VirtualClock};
 
 /// SplitMix64 increment; distinct per-replica server seeds derive from
 /// the scenario seed with it, mirroring the in-process tier's schedule.
@@ -409,12 +409,7 @@ fn fault_schedules_over_the_fabric_degrade_exactly_at_dark_steps() {
         let mut observed = Vec::new();
         for step in 0..shape.steps {
             for (si, ri, link) in &faults {
-                link.set(match plan.kind_at(step, *si, *ri) {
-                    None => FaultMode::Healthy,
-                    Some((FaultKind::Down, _)) => FaultMode::Down,
-                    Some((FaultKind::Error, _)) => FaultMode::Error,
-                    Some((FaultKind::Delay, ms)) => FaultMode::Delay(Duration::from_millis(ms)),
-                });
+                link.set(FaultMode::from_plan(plan.kind_at(step, *si, *ri)));
             }
             sim.clock.advance(Duration::from_secs(1));
             let dark = plan.dark_shards(step, shape.replicas);

@@ -122,6 +122,52 @@ impl Request {
     }
 }
 
+/// What one leg of a sharded scatter asks of its shard: `s` draws with
+/// replacement over the closed key interval `[x, y]`, or the count of
+/// elements in it. A leg is run where it is asked
+/// ([`crate::Client::answer`]) without becoming a [`Request`]; it becomes
+/// one only where it must be queued or sent ([`LegAsk::request`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LegAsk {
+    /// [`Request::SampleWr`] over `[x, y]`.
+    SampleWr {
+        /// Interval start.
+        x: f64,
+        /// Interval end.
+        y: f64,
+        /// Number of samples.
+        s: u32,
+    },
+    /// [`Request::RangeCount`] over `[x, y]`.
+    RangeCount {
+        /// Interval start.
+        x: f64,
+        /// Interval end.
+        y: f64,
+    },
+}
+
+impl LegAsk {
+    /// The request this leg is, addressed to `index`.
+    #[must_use]
+    pub fn request(self, index: &str) -> Request {
+        let index = index.to_string();
+        match self {
+            LegAsk::SampleWr { x, y, s } => Request::SampleWr { index, range: Some((x, y)), s },
+            LegAsk::RangeCount { x, y } => Request::RangeCount { index, x, y },
+        }
+    }
+
+    /// The draws the leg asks for (0 for a count).
+    #[must_use]
+    pub fn planned(self) -> u64 {
+        match self {
+            LegAsk::SampleWr { s, .. } => u64::from(s),
+            LegAsk::RangeCount { .. } => 0,
+        }
+    }
+}
+
 /// A successful response.
 ///
 /// (No `Eq`: [`Response::Weight`] carries an `f64`.)

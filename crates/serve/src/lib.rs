@@ -62,11 +62,11 @@ mod registry;
 mod server;
 mod snapshot;
 
-pub use api::{Request, Response, UpdateOp};
+pub use api::{LegAsk, Request, Response, UpdateOp};
 pub use error::ServeError;
 /// What [`MetricsSnapshot`] is made of and what its diff raises.
 pub use iqs_obs::{HistogramSnapshot, SnapshotDiffError};
 pub use metrics::MetricsSnapshot;
 pub use registry::{ExternalIndex, IndexRegistry, IndexView, IoReport, RangeView};
-pub use server::{Admission, Begun, Client, PendingReply, Server, ServerConfig};
+pub use server::{Admission, Client, PendingReply, Server, ServerConfig};
 pub use snapshot::{Pinned, Snapshot};

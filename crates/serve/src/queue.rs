@@ -5,7 +5,7 @@
 //!
 //! The queue is deliberately *bounded with rejection*: when producers
 //! outpace the worker pool the excess is refused at admission time
-//! ([`BoundedQueue::try_push`] returns the item back) instead of queueing
+//! ([`BoundedQueue::try_push_at`] returns the item back) instead of queueing
 //! unboundedly. Unbounded queues convert overload into unbounded latency
 //! for *everyone*; admission control converts it into prompt `Overloaded`
 //! errors for the excess while in-budget requests keep their latency
@@ -132,13 +132,6 @@ impl<T, S> BoundedQueue<T, S> {
             changed: Condvar::new(),
             capacity: capacity.max(1),
         }
-    }
-
-    /// Enqueues `item` with no deadline (lowest EDF priority, FIFO among
-    /// its peers), or refuses it without blocking.
-    #[cfg(test)]
-    pub(crate) fn try_push(&self, item: T) -> Result<(), PushRefused<T>> {
-        self.try_push_at(item, None)
     }
 
     /// Enqueues `item` with an optional deadline for EDF pickup, or
@@ -330,12 +323,12 @@ mod tests {
     #[test]
     fn fifo_order_and_capacity() {
         let q = queue(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert!(matches!(q.try_push(3), Err(PushRefused::Full(3))));
+        q.try_push_at(1, None).unwrap();
+        q.try_push_at(2, None).unwrap();
+        assert!(matches!(q.try_push_at(3, None), Err(PushRefused::Full(3))));
         assert_eq!(q.len(), 2);
         assert_eq!(take(&q), Some(1));
-        q.try_push(3).unwrap();
+        q.try_push_at(3, None).unwrap();
         assert_eq!(take(&q), Some(2));
         assert_eq!(take(&q), Some(3));
     }
@@ -362,10 +355,10 @@ mod tests {
     #[test]
     fn close_drains_then_signals_exit() {
         let q = queue(4);
-        q.try_push(10).unwrap();
-        q.try_push(11).unwrap();
+        q.try_push_at(10, None).unwrap();
+        q.try_push_at(11, None).unwrap();
         q.close();
-        assert!(matches!(q.try_push(12), Err(PushRefused::Closed(12))));
+        assert!(matches!(q.try_push_at(12, None), Err(PushRefused::Closed(12))));
         assert_eq!(take(&q), Some(10));
         assert_eq!(take(&q), Some(11));
         assert_eq!(take(&q), None);
@@ -384,7 +377,7 @@ mod tests {
             got
         });
         for v in 0..100 {
-            while q.try_push(v).is_err() {
+            while q.try_push_at(v, None).is_err() {
                 std::thread::yield_now();
             }
         }
@@ -402,13 +395,13 @@ mod tests {
         assert_eq!(q.try_seat(), Some("a"), "the back of the vector goes first");
         assert_eq!(q.try_seat(), Some("b"));
         assert_eq!(q.try_seat(), None, "every seat is taken");
-        q.try_push(7).unwrap();
+        q.try_push_at(7, None).unwrap();
         let q2 = Arc::clone(&q);
         let worker = std::thread::spawn(move || q2.pop());
         q.put_seat("a", |_| ());
         assert_eq!(worker.join().unwrap(), Some((7, "a")), "the queued item got the freed seat");
         q.put_seat("b", |_| ());
-        q.try_push(8).unwrap();
+        q.try_push_at(8, None).unwrap();
         assert_eq!(q.try_seat(), None, "a caller never overtakes a queued item");
         q.close();
         assert_eq!(q.try_seat(), None, "a closed queue seats no new caller");

@@ -17,9 +17,10 @@
 //!    and one is free — an idle service answers on the thread that
 //!    asked, with no hand-off — and otherwise queues and waits for a
 //!    worker like everybody else, so a queued request is never
-//!    overtaken. ([`Client::begin_ctx`] is that door with the wait left
-//!    to the caller.) [`Client::call_pending_ctx`] returns before the
-//!    answer exists and is therefore queue-only. Whoever
+//!    overtaken. [`Client::answer`] is that door for one leg of a
+//!    sharded scatter, with the wait left to the caller.
+//!    [`Client::call_pending_ctx`] returns before the answer exists and
+//!    is therefore queue-only. Whoever
 //!    holds the seat runs the same routine: if the deadline already
 //!    passed, it answers [`ServeError::DeadlineExceeded`] without doing
 //!    the work — expired requests never consume sampling capacity.
@@ -40,21 +41,6 @@
 //! already queued (every accepted request gets a response) and exit, and
 //! `shutdown` returns once every seat — including one a blocking caller
 //! is still running on — is back in the pool.
-//!
-//! # The seated door
-//!
-//! [`Client::sample_wr_seated`] is the blocking door cut down to the one
-//! case a router's small scatter needs: a `SampleWr` that runs on the
-//! caller's thread or not at all. It takes a seat only when
-//! [`Client::begin_ctx`] would run the request in the call, and
-//! otherwise declines before admitting anything, so the caller can knock
-//! on `begin_ctx` instead. Once seated it is `begin_ctx`'s routine —
-//! admission, the pickup deadline check, the metrics, the trace records
-//! (`Enqueue`, `Pickup`, `RngCost`, `WorkDone`) and the panic
-//! containment — with two differences, neither of which moves a draw or
-//! adds a record: the ids are appended to the caller's buffer instead of
-//! a fresh response, and the request is admitted (and so picked up) at
-//! an instant the caller read instead of a clock read of its own.
 //!
 //! # Pins
 //!
@@ -87,7 +73,7 @@ use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::api::{Request, Response};
+use crate::api::{LegAsk, Request, Response};
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, OneShot, PushRefused};
@@ -176,16 +162,6 @@ impl Seat {
     }
 }
 
-/// What [`Client::begin_ctx`] — the step every blocking door starts
-/// with — did with an admitted request.
-pub enum Begun {
-    /// A seat was free and nothing was queued: the caller ran the
-    /// request itself, and this is its outcome.
-    Done(Result<Response, ServeError>),
-    /// The request is queued for a worker; wait on the handle.
-    Queued(PendingReply),
-}
-
 struct Shared {
     registry: IndexRegistry,
     queue: BoundedQueue<Queued, Seat>,
@@ -215,14 +191,13 @@ impl Shared {
     /// [`Shared::admit`] stamped at the current instant.
     fn admit_now(
         &self,
-        request: Request,
         origin: Instant,
         deadline: Option<Instant>,
         ctx: Ctx,
-    ) -> Result<Job, ServeError> {
+    ) -> Result<Admission, ServeError> {
         let at = Admission { origin, admitted: self.clock.now(), deadline, ctx };
         self.admit(&at)?;
-        Ok(Job { request, at })
+        Ok(at)
     }
 
     /// Gives a seat back to the pool, dropping its pin after the lock if
@@ -239,12 +214,14 @@ impl Shared {
         drop(stale);
     }
 
-    fn enqueue(&self, job: Job, reply: Reply) -> Result<(), ServeError> {
+    /// Queues an admitted job for a worker.
+    fn enqueue(&self, job: Job) -> Result<PendingReply, ServeError> {
+        let reply = OneShot::new();
         let deadline = job.at.deadline;
-        match self.queue.try_push_at((job, reply), deadline) {
+        match self.queue.try_push_at((job, reply.clone()), deadline) {
             Ok(()) => {
                 self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-                Ok(())
+                Ok(PendingReply(Slot::Queued(reply, self.clock.clone())))
             }
             Err(PushRefused::Full(_)) => {
                 self.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
@@ -254,32 +231,38 @@ impl Shared {
         }
     }
 
-    /// The blocking doors: admit, then run the job here and now if a
-    /// seat is free and nothing is queued ahead of it — picked up at the
-    /// instant it was admitted — or queue it for a worker. The caller
-    /// decides how long to wait on a queued reply.
+    /// Runs an admitted request's `work` here and now if a seat is free
+    /// and nothing is queued ahead of it, picked up at the instant it was
+    /// admitted; `None`, having done nothing, otherwise.
+    fn run_here<T>(
+        &self,
+        at: &Admission,
+        work: impl FnOnce(&mut Seat) -> Result<T, ServeError>,
+    ) -> Option<Result<T, ServeError>> {
+        let mut seat = self.queue.try_seat()?;
+        let result = serve_job(self, &mut seat, at, at.admitted, work);
+        self.put_seat(seat);
+        Some(result)
+    }
+
+    /// The blocking doors: admit, then run the request here or queue it
+    /// for a worker. The caller decides how long to wait on the reply.
     ///
     /// # Errors
-    /// Admission refusals only; a request that ran reports its own
-    /// outcome inside [`Begun::Done`].
+    /// Admission refusals only; what the request answered arrives
+    /// through the reply.
     fn begin(
         &self,
         request: Request,
         origin: Instant,
         deadline: Option<Instant>,
         ctx: Ctx,
-    ) -> Result<Begun, ServeError> {
-        let job = self.admit_now(request, origin, deadline, ctx)?;
-        if let Some(mut seat) = self.queue.try_seat() {
-            let result = serve_job(self, &mut seat, &job.at, job.at.admitted, |seat| {
-                dispatch(self, &job.request, seat, job.at.ctx)
-            });
-            self.put_seat(seat);
-            return Ok(Begun::Done(result));
+    ) -> Result<PendingReply, ServeError> {
+        let at = self.admit_now(origin, deadline, ctx)?;
+        match self.run_here(&at, |seat| dispatch(self, &request, seat, at.ctx)) {
+            Some(result) => Ok(PendingReply(Slot::Ready(result))),
+            None => self.enqueue(Job { request, at }),
         }
-        let reply = OneShot::new();
-        self.enqueue(job, reply.clone())?;
-        Ok(Begun::Queued(PendingReply { reply, clock: self.clock.clone() }))
     }
 
     fn snapshot_metrics(&self) -> MetricsSnapshot {
@@ -305,10 +288,7 @@ impl Client {
     pub fn call(&self, request: Request) -> Result<Response, ServeError> {
         let origin = self.shared.clock.now();
         let deadline = self.default_deadline.map(|d| origin + d);
-        match self.shared.begin(request, origin, deadline, Ctx::none())? {
-            Begun::Done(result) => result,
-            Begun::Queued(pending) => pending.wait(),
-        }
+        self.shared.begin(request, origin, deadline, Ctx::none())?.wait()
     }
 
     /// [`Client::call`] with an explicit latency origin, deadline and
@@ -328,34 +308,11 @@ impl Client {
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<Response, ServeError> {
-        match self.begin_ctx(request, origin, deadline, ctx)? {
-            Begun::Done(result) => result,
-            Begun::Queued(pending) => match deadline {
-                Some(dl) => pending.wait_deadline(dl).unwrap_or(Err(ServeError::DeadlineExceeded)),
-                None => pending.wait(),
-            },
+        let pending = self.shared.begin(request, origin, deadline, ctx)?;
+        match deadline {
+            Some(dl) => pending.wait_deadline(dl).unwrap_or(Err(ServeError::DeadlineExceeded)),
+            None => pending.wait(),
         }
-    }
-
-    /// The first half of [`Client::call_ctx`], for a caller with other
-    /// replies to wait for: the request is admitted and, when a seat is
-    /// free and nothing is queued, run to completion on this thread
-    /// ([`Begun::Done`]); otherwise it is queued and the handle comes
-    /// back at once ([`Begun::Queued`]) — this door never waits for a
-    /// busy service. The sharded router submits local legs through it,
-    /// so a leg that has to queue still overlaps with the scatter's
-    /// other legs.
-    ///
-    /// # Errors
-    /// Admission refusals, as [`Client::call_pending_ctx`].
-    pub fn begin_ctx(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Option<Instant>,
-        ctx: Ctx,
-    ) -> Result<Begun, ServeError> {
-        self.shared.begin(request, origin, deadline, ctx)
     }
 
     /// [`Client::call`], with the request traced end to end: a fresh
@@ -375,8 +332,7 @@ impl Client {
         let origin = self.shared.clock.now();
         let deadline = self.default_deadline.map(|d| origin + d);
         let result = match self.shared.begin(request, origin, deadline, ctx) {
-            Ok(Begun::Done(result)) => result,
-            Ok(Begun::Queued(pending)) => pending.wait(),
+            Ok(pending) => pending.wait(),
             Err(e) => return (trace, Err(e)),
         };
         let latency = self.shared.clock.now().saturating_duration_since(origin);
@@ -406,45 +362,48 @@ impl Client {
         deadline: Option<Instant>,
         ctx: Ctx,
     ) -> Result<PendingReply, ServeError> {
-        let job = self.shared.admit_now(request, origin, deadline, ctx)?;
-        let reply = OneShot::new();
-        self.shared.enqueue(job, reply.clone())?;
-        Ok(PendingReply { reply, clock: self.shared.clock.clone() })
+        let at = self.shared.admit_now(origin, deadline, ctx)?;
+        self.shared.enqueue(Job { request, at })
     }
 
-    /// The seated door (module docs): `Request::SampleWr { index, range,
-    /// s }` run on the calling thread, its ids appended to `out`, or
-    /// declined. `Ok(None)` means a seat was not free or something was
-    /// queued — [`Client::begin_ctx`] would have queued the request —
-    /// and nothing was admitted; `Ok(Some(outcome))` is what the request
-    /// answered, with `out` as it was unless it is `Ok`. The request is
-    /// admitted at `at.admitted`, and picked up there.
+    /// One leg of a sharded scatter, asked of `index`: the blocking door
+    /// with the wait left to the caller, so it never waits for a busy
+    /// service. The leg is admitted at `at.admitted`. If a seat is free
+    /// and nothing is queued it runs here, picked up at that instant,
+    /// and the reply comes back already answered: a draw appends its ids
+    /// to `out` and answers an empty [`Response::Samples`], a count
+    /// answers [`Response::Count`]. An error, a caught panic included,
+    /// leaves `out` as it was. Otherwise the leg is queued as its
+    /// [`Request`] and `out` is not touched: the reply carries the ids.
     ///
     /// # Errors
-    /// Admission refusals, as [`Client::begin_ctx`].
-    pub fn sample_wr_seated(
+    /// Admission refusals, as [`Client::call_pending_ctx`].
+    pub fn answer(
         &self,
         index: &str,
-        range: Option<(f64, f64)>,
-        s: u32,
+        leg: LegAsk,
         at: Admission,
         out: &mut Vec<u64>,
-    ) -> Result<Option<Result<(), ServeError>>, ServeError> {
+    ) -> Result<PendingReply, ServeError> {
         let shared = &*self.shared;
-        let Some(mut seat) = shared.queue.try_seat() else { return Ok(None) };
-        if let Err(refused) = shared.admit(&at) {
-            shared.put_seat(seat);
-            return Err(refused);
-        }
+        shared.admit(&at)?;
         let start = out.len();
-        let drawn = serve_job(shared, &mut seat, &at, at.admitted, |seat| {
-            sample_wr_into(shared, index, range, s, seat, at.ctx, out)
+        let here = shared.run_here(&at, |seat| match leg {
+            LegAsk::SampleWr { x, y, s } => {
+                sample_wr_into(shared, index, Some((x, y)), s, seat, at.ctx, out)
+                    .map(|()| Response::Samples(Vec::new()))
+            }
+            LegAsk::RangeCount { x, y } => {
+                range_count(shared, index, x, y, seat).map(Response::Count)
+            }
         });
-        if drawn.is_err() {
+        let Some(answered) = here else {
+            return shared.enqueue(Job { request: leg.request(index), at });
+        };
+        if answered.is_err() {
             out.truncate(start);
         }
-        shared.put_seat(seat);
-        Ok(Some(drawn))
+        Ok(PendingReply(Slot::Ready(answered)))
     }
 
     /// A point-in-time copy of the service metrics.
@@ -453,11 +412,16 @@ impl Client {
     }
 }
 
-/// An in-flight request submitted with [`Client::call_pending_ctx`] or
-/// queued by [`Client::begin_ctx`]: a waitable handle on the response.
-pub struct PendingReply {
-    reply: Reply,
-    clock: ClockHandle,
+/// A request's reply: already answered, when the request ran on the
+/// thread that asked ([`Client::call`]'s door), or on its way from a
+/// worker ([`Client::call_pending_ctx`]).
+pub struct PendingReply(Slot);
+
+/// Where a [`PendingReply`]'s answer is: here, or in the reply cell a
+/// worker fills (read on the server's clock).
+enum Slot {
+    Ready(Result<Response, ServeError>),
+    Queued(Reply, ClockHandle),
 }
 
 impl PendingReply {
@@ -466,15 +430,22 @@ impl PendingReply {
     /// # Errors
     /// The dispatch outcome, as for [`Client::call`].
     pub fn wait(self) -> Result<Response, ServeError> {
-        self.reply.wait()
+        match self.0 {
+            Slot::Ready(result) => result,
+            Slot::Queued(reply, _) => reply.wait(),
+        }
     }
 
     /// Blocks until the response arrives or `deadline` passes on the
     /// server's clock; `None` means the wait timed out and the handle was
     /// abandoned (the worker may still execute the request — its outcome
-    /// lands in the metrics).
+    /// lands in the metrics). An answered reply is returned whatever the
+    /// deadline.
     pub fn wait_deadline(self, deadline: Instant) -> Option<Result<Response, ServeError>> {
-        self.reply.wait_deadline(deadline, &self.clock)
+        match self.0 {
+            Slot::Ready(result) => Some(result),
+            Slot::Queued(reply, clock) => reply.wait_deadline(deadline, &clock),
+        }
     }
 }
 
@@ -716,6 +687,20 @@ fn sample_wr_into(
     Ok(())
 }
 
+/// `Request::RangeCount`'s work, through either door.
+fn range_count(
+    shared: &Shared,
+    index: &str,
+    x: f64,
+    y: f64,
+    seat: &mut Seat,
+) -> Result<usize, ServeError> {
+    match &**shared.registry.entry(index)?.view.read(&mut seat.scratch.pin) {
+        IndexView::Range(rv) => Ok(rv.sampler.as_ref().map_or(0, |s| s.range_count(x, y))),
+        IndexView::External(ev) => ev.range_count(x, y),
+    }
+}
+
 fn dispatch(
     shared: &Shared,
     request: &Request,
@@ -743,12 +728,7 @@ fn dispatch(
             Ok(Response::Samples(ranks.into_iter().map(|r| rv.id_at(r)).collect()))
         }
         Request::RangeCount { index, x, y } => {
-            match &**registry.entry(index)?.view.read(&mut seat.scratch.pin) {
-                IndexView::Range(rv) => {
-                    Ok(Response::Count(rv.sampler.as_ref().map_or(0, |s| s.range_count(*x, *y))))
-                }
-                IndexView::External(ev) => Ok(Response::Count(ev.range_count(*x, *y)?)),
-            }
+            range_count(shared, index, *x, *y, seat).map(Response::Count)
         }
         Request::TotalWeight { index } => Ok(Response::Weight(registry.total_weight(index)?)),
         Request::RangeWeight { index, x, y } => {

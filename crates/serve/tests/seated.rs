@@ -1,9 +1,10 @@
-//! The seated door, [`Client::sample_wr_seated`], against the door it is
-//! cut from, [`Client::begin_ctx`]: the same requests through either
-//! door leave the same answers, metrics and flight-recorder records, the
-//! door's ids land in the caller's buffer, and a request that fails —
-//! a panic included — leaves that buffer as it was. The door declines,
-//! admitting nothing, whenever `begin_ctx` would have queued.
+//! The door a scatter leg takes, [`Client::answer`], against the
+//! blocking door [`Client::call_ctx`]: the same legs through either door
+//! leave the same answers, metrics and flight-recorder records. On an
+//! idle service the leg runs in the call, its ids in the caller's
+//! buffer, and a leg that fails — a panic included — leaves that buffer
+//! as it was. On a busy one the leg is queued, and the door returns
+//! without waiting.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use iqs_obs::{recorder, records_to_jsonl, Ctx};
 use iqs_serve::{
-    Admission, Begun, Client, ExternalIndex, IndexRegistry, IoReport, Request, Response,
+    Admission, Client, ExternalIndex, IndexRegistry, IoReport, LegAsk, Request, Response,
     ServeError, Server, ServerConfig,
 };
 use iqs_testkit::VirtualClock;
@@ -96,31 +97,32 @@ fn server(clock: &VirtualClock, more: impl FnOnce(&mut IndexRegistry)) -> Server
     Server::start(registry, config)
 }
 
-/// `(index, range, s, deadline passed)`: a read, an empty range, a size
-/// past the maximum, an unknown index, a panic, a deadline missed at
-/// pickup, and a read again.
-const ASKS: [(&str, (f64, f64), u32, bool); 7] = [
-    ("keys", (10.0, 500.0), 64, false),
-    ("keys", (600.0, 700.0), 8, false),
-    ("keys", (10.0, 500.0), 5000, false),
-    ("ghost", (10.0, 500.0), 8, false),
-    ("bug", (10.0, 500.0), 8, false),
-    ("keys", (10.0, 500.0), 8, true),
-    ("keys", (0.0, 511.0), 100, false),
+/// `(index, leg, deadline passed)`: a read, an empty range, a size past
+/// the maximum, an unknown index, a panic, a deadline missed at pickup, a
+/// read again, and a count.
+const ASKS: [(&str, LegAsk, bool); 8] = [
+    ("keys", LegAsk::SampleWr { x: 10.0, y: 500.0, s: 64 }, false),
+    ("keys", LegAsk::SampleWr { x: 600.0, y: 700.0, s: 8 }, false),
+    ("keys", LegAsk::SampleWr { x: 10.0, y: 500.0, s: 5000 }, false),
+    ("ghost", LegAsk::SampleWr { x: 10.0, y: 500.0, s: 8 }, false),
+    ("bug", LegAsk::SampleWr { x: 10.0, y: 500.0, s: 8 }, false),
+    ("keys", LegAsk::SampleWr { x: 10.0, y: 500.0, s: 8 }, true),
+    ("keys", LegAsk::SampleWr { x: 0.0, y: 511.0, s: 100 }, false),
+    ("keys", LegAsk::RangeCount { x: 10.0, y: 500.0 }, false),
 ];
 
 /// Runs [`ASKS`] on a fresh traced server through `door`, one trace id
 /// each; returns every outcome, the drained trace and the final metrics.
 fn run(
-    door: impl Fn(&Client, Request, Admission) -> Result<Vec<u64>, ServeError>,
-) -> (Vec<Result<Vec<u64>, ServeError>>, String, String) {
+    door: impl Fn(&Client, &str, LegAsk, Admission) -> Result<Response, ServeError>,
+) -> (Vec<Result<Response, ServeError>>, String, String) {
     let vc = VirtualClock::new();
     recorder::install(&vc.handle(), 1024);
     let server = server(&vc, |_| {});
     let client = server.client();
     let outcomes = ASKS
         .iter()
-        .map(|&(index, range, s, late)| {
+        .map(|&(index, leg, late)| {
             let now = vc.now();
             let deadline = Some(if late { now } else { now + Duration::from_secs(1) });
             let at = Admission {
@@ -129,8 +131,7 @@ fn run(
                 deadline,
                 ctx: Ctx::query(recorder::next_trace_id()),
             };
-            let request = Request::SampleWr { index: index.into(), range: Some(range), s };
-            let outcome = door(&client, request, at);
+            let outcome = door(&client, index, leg, at);
             vc.advance(Duration::from_micros(10));
             outcome
         })
@@ -141,48 +142,47 @@ fn run(
 }
 
 #[test]
-fn the_seated_door_answers_records_and_counts_as_begin_ctx() {
-    let begun = run(|client, request, at| {
-        match client.begin_ctx(request, at.origin, at.deadline, at.ctx).expect("admitted") {
-            Begun::Done(Ok(Response::Samples(ids))) => Ok(ids),
-            Begun::Done(Ok(other)) => panic!("a draw answered {other:?}"),
-            Begun::Done(Err(e)) => Err(e),
-            Begun::Queued(_) => panic!("an idle service queued"),
-        }
+fn a_leg_answers_records_and_counts_as_call_ctx() {
+    let called = run(|client, index, leg, at| {
+        client.call_ctx(leg.request(index), at.origin, at.deadline, at.ctx)
     });
     // The door appends to a buffer that already holds something; every
     // failure must leave it as it was.
-    let seated = run(|client, request, at| {
-        let Request::SampleWr { index, range, s } = request else { unreachable!() };
+    let answered = run(|client, index, leg, at| {
         let mut out = vec![1, 2, 3];
-        let drawn = client
-            .sample_wr_seated(&index, range, s, at, &mut out)
-            .expect("admitted")
-            .expect("an idle service seats the request");
+        let reply = client.answer(index, leg, at, &mut out).expect("admitted").wait();
         assert_eq!(out[..3], [1, 2, 3], "the caller's ids are kept");
-        if drawn.is_err() {
-            assert_eq!(out, [1, 2, 3], "{drawn:?} left the buffer as it was");
+        match reply {
+            Ok(Response::Samples(queued)) => {
+                assert!(queued.is_empty(), "an idle service ran the leg in the call");
+                Ok(Response::Samples(out.split_off(3)))
+            }
+            other => {
+                assert_eq!(out, [1, 2, 3], "{other:?} left the buffer as it was");
+                other
+            }
         }
-        drawn.map(|()| out.split_off(3))
     });
-    let outcomes = &begun.0;
-    assert!(matches!(outcomes[0].as_deref(), Ok(ids) if ids.len() == 64));
+    let outcomes = &called.0;
+    assert!(matches!(&outcomes[0], Ok(Response::Samples(ids)) if ids.len() == 64));
     assert_eq!(outcomes[1], Err(ServeError::Query(iqs_core::QueryError::EmptyRange)));
     assert!(matches!(outcomes[2], Err(ServeError::InvalidRequest(_))));
     assert!(matches!(outcomes[3], Err(ServeError::UnknownIndex(_))));
     assert_eq!(outcomes[4], Err(ServeError::Panicked));
     assert_eq!(outcomes[5], Err(ServeError::DeadlineExceeded));
-    assert!(matches!(outcomes[6].as_deref(), Ok(ids) if ids.len() == 100));
-    assert_eq!(seated.0, begun.0, "answers");
-    assert_eq!(seated.2, begun.2, "metrics");
-    assert!(!begun.1.is_empty());
-    assert_eq!(seated.1, begun.1, "flight-recorder records");
+    assert!(matches!(&outcomes[6], Ok(Response::Samples(ids)) if ids.len() == 100));
+    assert_eq!(outcomes[7], Ok(Response::Count(491)));
+    assert_eq!(answered.0, called.0, "answers");
+    assert_eq!(answered.2, called.2, "metrics");
+    assert!(!called.1.is_empty());
+    assert_eq!(answered.1, called.1, "flight-recorder records");
 }
 
-/// While the only seat is taken the door declines and admits nothing —
-/// `begin_ctx` would have queued — and once it is back, it runs.
+/// While the only seat is taken the door queues the leg and returns
+/// without waiting for it, leaving the buffer alone: the reply carries
+/// the ids. Once the seat is back, a leg runs in the call again.
 #[test]
-fn the_seated_door_declines_a_busy_service_without_admitting() {
+fn a_busy_service_queues_a_leg_without_waiting() {
     let (entered_tx, entered) = channel();
     let (go, go_rx) = channel();
     let held = Held { entered: Mutex::new(entered_tx), go: Mutex::new(go_rx) };
@@ -192,20 +192,23 @@ fn the_seated_door_declines_a_busy_service_without_admitting() {
     let client = server.client();
     let at =
         |now: Instant| Admission { origin: now, admitted: now, deadline: None, ctx: Ctx::none() };
+    let leg = LegAsk::SampleWr { x: 0.0, y: 511.0, s: 8 };
+    let mut out = Vec::new();
     std::thread::scope(|scope| {
         let holder = scope
             .spawn(|| client.call(Request::SampleWr { index: "held".into(), range: None, s: 2 }));
         entered.recv().unwrap();
-        let mut out = Vec::new();
-        let declined = client.sample_wr_seated("keys", None, 8, at(vc.now()), &mut out);
-        assert_eq!(declined, Ok(None));
-        assert_eq!((out.len(), client.metrics().submitted), (0, 1), "nothing was admitted");
+        // Nobody has said `go`, so getting past this line at all is the
+        // property: the leg did not wait for the seat.
+        let queued = client.answer("keys", leg, at(vc.now()), &mut out).expect("admitted");
+        assert_eq!((out.len(), client.metrics().submitted), (0, 2), "admitted and queued");
         go.send(()).unwrap();
         assert_eq!(holder.join().unwrap(), Ok(Response::Samples(vec![7, 7])));
+        assert!(matches!(queued.wait(), Ok(Response::Samples(ids)) if ids.len() == 8));
+        assert!(out.is_empty(), "a queued leg's ids come in its reply");
     });
-    let mut out = Vec::new();
-    assert_eq!(client.sample_wr_seated("keys", None, 8, at(vc.now()), &mut out), Ok(Some(Ok(()))));
-    assert_eq!(out.len(), 8);
+    let ran = client.answer("keys", leg, at(vc.now()), &mut out).expect("admitted").wait();
+    assert_eq!((ran, out.len()), (Ok(Response::Samples(Vec::new())), 8));
     let m = server.shutdown();
-    assert_eq!((m.submitted, m.completed, m.failed), (2, 2, 0));
+    assert_eq!((m.submitted, m.completed, m.failed), (3, 3, 0));
 }

@@ -21,8 +21,8 @@ use std::time::Duration;
 
 use iqs_obs::{recorder, Ctx, Phase};
 use iqs_serve::{
-    ExternalIndex, IndexRegistry, IoReport, Request, Response, ServeError, Server, ServerConfig,
-    UpdateOp,
+    Admission, ExternalIndex, IndexRegistry, IoReport, LegAsk, Request, Response, ServeError,
+    Server, ServerConfig, UpdateOp,
 };
 use iqs_stats::chisq::{chi_square_gof, weight_probs};
 use iqs_testkit::gate::{self, Trial};
@@ -591,38 +591,37 @@ fn a_queued_job_is_never_overtaken_by_a_later_blocking_call() {
     server.shutdown();
 }
 
-/// `begin_ctx` is the blocking door with the wait left to the caller: on
-/// an idle service it runs the request and hands back the outcome, and
-/// with the only seat taken it queues the request and returns at once —
-/// which is what lets a router whose replicas are busy queue every leg
-/// of a scatter before it waits for the first.
+/// `answer` is the blocking door with the wait left to the caller, for
+/// one leg of a sharded scatter: on an idle service it runs the leg in
+/// the call, its ids in the caller's buffer, and with the only seat taken
+/// it queues the leg and returns at once — which is what lets a router
+/// whose replicas are busy queue every leg of a scatter before it waits
+/// for the first.
 #[test]
-fn begin_ctx_answers_when_idle_and_never_waits_when_busy() {
-    use iqs_serve::Begun;
+fn a_leg_is_answered_when_idle_and_never_waits_when_busy() {
     let index = GatedIndex::new(false);
     let server = index.serve(ServerConfig { workers: 1, ..ServerConfig::default() });
     let client = server.client();
     let now = iqs_testkit::ClockHandle::real().now();
-    let none = Ctx::none;
+    let at = Admission { origin: now, admitted: now, deadline: None, ctx: Ctx::none() };
+    let leg = |s| LegAsk::SampleWr { x: f64::NEG_INFINITY, y: f64::INFINITY, s };
+    let mut out = Vec::new();
     std::thread::scope(|scope| {
         let holder = server.client();
         scope.spawn(move || holder.call(gated(1)).expect("held draw succeeds"));
         until(|| index.active.load(Ordering::SeqCst) == 1);
         // The gate is shut, so this line is only reached again because
         // the door did not wait for the seat.
-        let Begun::Queued(pending) = client.begin_ctx(gated(2), now, None, none()).expect("room")
-        else {
-            panic!("the only seat is taken: the request must queue");
-        };
-        assert_eq!(server.metrics().queue_depth, 1);
+        let pending = client.answer("gated", leg(2), at, &mut out).expect("room");
+        assert_eq!(server.metrics().queue_depth, 1, "the only seat is taken: the leg queued");
         index.open();
         assert_eq!(sample_ids(pending.wait().expect("queued draw succeeds")).len(), 2);
     });
+    assert!(out.is_empty(), "a queued leg's ids come in its reply");
     // Both seat holders put the seat back before their answer went out.
-    let Begun::Done(outcome) = client.begin_ctx(gated(3), now, None, none()).expect("idle") else {
-        panic!("an idle service answers inside the call");
-    };
-    assert_eq!(sample_ids(outcome.expect("draw succeeds")).len(), 3);
+    let outcome = client.answer("gated", leg(3), at, &mut out).expect("idle").wait();
+    let in_reply = sample_ids(outcome.expect("draw succeeds")).len();
+    assert_eq!((in_reply, out.len()), (0, 3), "an idle service answers inside the call");
     let entries = index.entries();
     assert!(ran_on_a_worker(&entries[1].1) && !ran_on_a_worker(&entries[2].1), "{entries:?}");
     let m = server.shutdown();
@@ -817,8 +816,8 @@ fn a_seats_plan_never_outlives_its_view() {
 /// A panic inside an index is contained where requests run: the request
 /// answers the typed [`ServeError::Panicked`] through every door —
 /// caller's thread (`call`), worker's thread (`call_pending_ctx`), and the
-/// door connection threads and — as `begin_ctx` — router legs use
-/// (`call_ctx`) — it counts as `failed`, and the service's only seat
+/// door connection threads use (`call_ctx`) — it counts as `failed`, and
+/// the service's only seat
 /// survives to serve the next request.
 #[test]
 fn a_panicking_index_answers_a_typed_error_and_the_seat_survives() {

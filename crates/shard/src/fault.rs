@@ -2,11 +2,11 @@
 //! degradation machinery without real process crashes.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use iqs_obs::{recorder, saturating_ns, Ctx, Phase};
-use iqs_serve::{MetricsSnapshot, Request, ServeError};
-use iqs_testkit::ClockHandle;
+use iqs_serve::{Admission, LegAsk, MetricsSnapshot, ServeError};
+use iqs_testkit::{ClockHandle, FaultKind};
 
 use crate::link::{PendingLeg, ReplicaLink};
 use crate::router::ShardedService;
@@ -28,6 +28,21 @@ pub enum FaultMode {
     Delay(Duration),
 }
 
+impl FaultMode {
+    /// The mode a seeded [`iqs_testkit::FaultPlan`] puts a replica in,
+    /// from what its `kind_at` says of the replica: healthy where no
+    /// event is active.
+    #[must_use]
+    pub fn from_plan(fault: Option<(FaultKind, u64)>) -> FaultMode {
+        match fault {
+            None => FaultMode::Healthy,
+            Some((FaultKind::Down, _)) => FaultMode::Down,
+            Some((FaultKind::Error, _)) => FaultMode::Error,
+            Some((FaultKind::Delay, ms)) => FaultMode::Delay(Duration::from_millis(ms)),
+        }
+    }
+}
+
 /// A [`ReplicaLink`] decorator that injects the current [`FaultMode`]
 /// below the router, as `iqs-net`'s simulated network does, so local and
 /// remote replicas fail through one door and the router holds no faults.
@@ -35,12 +50,14 @@ pub enum FaultMode {
 /// Down and Error refuse legs and weight probes with
 /// [`ServeError::ShuttingDown`], a replica failure the router fails over
 /// from; `metrics` passes through. A Delay of `d` hands the leg to the
-/// inner link through the same door (`submit` or `answer`; the seated
-/// door is declined, so every leg passes through here), and awaiting it
-/// waits for the inner reply, then sleeps `d` on the link's clock, capped
-/// at what is left of the attempt's deadline, as [`Phase::DelayAbsorb`]
-/// on the leg's context. **So a Delay burns the attempt's budget**: in
-/// full if it fits, else the rest of it and the attempt times out.
+/// inner link through the same door — `submit`, or `answer` with the
+/// leg's buffer passed on — and awaiting it waits for the inner reply,
+/// then sleeps `d` on the link's clock, capped at what is left of the
+/// attempt's deadline, as [`Phase::DelayAbsorb`] on the leg's context.
+/// **So a Delay burns the attempt's budget**: in full if it fits, else
+/// the rest of it and the attempt times out — possibly with the inner
+/// link's ids already in the buffer, which the router clears before the
+/// leg's next attempt.
 ///
 /// The reply is awaited before the sleep so that a leg handed to the
 /// replica's workers is picked up, and its deadline checked, on the
@@ -109,24 +126,17 @@ impl FaultyLink {
 }
 
 impl ReplicaLink for FaultyLink {
-    fn submit(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
-        self.leg(ctx, || self.inner.submit(request, origin, deadline, ctx))
+    fn submit(&self, leg: LegAsk, at: Admission) -> Result<PendingLeg, ServeError> {
+        self.leg(at.ctx, || self.inner.submit(leg, at))
     }
 
     fn answer(
         &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
+        leg: LegAsk,
+        at: Admission,
+        out: &mut Vec<u64>,
     ) -> Result<PendingLeg, ServeError> {
-        self.leg(ctx, || self.inner.answer(request, origin, deadline, ctx))
+        self.leg(at.ctx, || self.inner.answer(leg, at, out))
     }
 
     fn total_weight(&self) -> Result<f64, ServeError> {

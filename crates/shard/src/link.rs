@@ -1,21 +1,24 @@
 //! The router's replica interface, abstracted over *where* the replica
-//! runs.
+//! runs: one object-safe trait, [`ReplicaLink`] — run a scatter leg,
+//! probe weights for planning, snapshot metrics. An in-process replica
+//! is a [`Client`] plus the [`Server`] that owns its worker pool;
+//! `iqs-net` implements the same trait over a wire transport, so a
+//! topology can mix in-process and remote legs and the scatter/gather,
+//! failover, breaker, and degradation machinery applies unchanged to
+//! both.
 //!
-//! Historically a replica was a struct in the router's address space —
-//! a [`Client`] plus the [`Server`] that owns its worker pool. This
-//! module narrows what the router actually needs from a replica to one
-//! object-safe trait, [`ReplicaLink`]: submit a scatter leg, probe
-//! weights for planning, snapshot metrics. `iqs-net` implements the
-//! same trait over a wire transport, so a topology can mix in-process
-//! and remote legs and the scatter/gather, failover, breaker, and
-//! degradation machinery applies unchanged to both.
+//! A leg is a [`LegAsk`] admitted with an [`Admission`], and a link has
+//! two doors for it: [`ReplicaLink::submit`] hands it off, and
+//! [`ReplicaLink::answer`] runs it on the calling thread if the link can
+//! do so without waiting and hands it off otherwise. A
+//! [`Request`](iqs_serve::Request) is built only where a leg is queued or
+//! encoded.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use iqs_obs::Ctx;
 use iqs_serve::{
-    Admission, Begun, Client, MetricsSnapshot, PendingReply, Request, Response, ServeError, Server,
+    Admission, Client, LegAsk, MetricsSnapshot, PendingReply, Response, ServeError, Server,
 };
 
 use crate::placement::SHARD_INDEX;
@@ -23,13 +26,9 @@ use crate::placement::SHARD_INDEX;
 /// A submitted scatter leg whose response can be awaited once, bounded
 /// by a deadline on the router's clock.
 pub enum PendingLeg {
-    /// An in-process reply handle (a local leg queued for the replica's
-    /// workers).
+    /// An in-process reply handle: a local leg queued for the replica's
+    /// workers, or one answered inside [`ReplicaLink::answer`].
     Local(PendingReply),
-    /// An already-resolved outcome: a local leg answered inside
-    /// [`ReplicaLink::answer`], or a synchronous transport. `None` means
-    /// the attempt timed out.
-    Ready(Option<Result<Response, ServeError>>),
     /// A deferred completion, invoked once with the gather deadline
     /// (TCP: the request is written at submit, the reply read here, so
     /// legs still fan out across shards before the first wait).
@@ -49,7 +48,6 @@ impl PendingLeg {
     pub fn wait_deadline(self, deadline: Instant) -> Option<Result<Response, ServeError>> {
         match self {
             PendingLeg::Local(pending) => pending.wait_deadline(deadline),
-            PendingLeg::Ready(outcome) => outcome,
             PendingLeg::Deferred(finish) => finish(deadline),
         }
     }
@@ -61,68 +59,44 @@ impl PendingLeg {
 /// Implementations must be cheap to call concurrently; the router
 /// submits to many links from one thread and expects `submit` to fan
 /// out (queue or write) rather than block on the reply.
+///
+/// A draw leg's ids are those the link appended to the `out` it was
+/// given ([`ReplicaLink::answer`]) followed by those of its
+/// [`Response::Samples`] reply.
 pub trait ReplicaLink: Send + Sync {
-    /// Submits one scatter leg. `origin` is the latency origin,
-    /// `deadline` this attempt's deadline on the router's clock, `ctx`
-    /// the leg's trace context (trace ids cross process boundaries so
-    /// `TraceView` still reconstructs the two-level schedule).
+    /// Hands one scatter leg off. `at.origin` is the latency origin,
+    /// `at.deadline` this attempt's deadline on the router's clock,
+    /// `at.ctx` the leg's trace context (trace ids cross process
+    /// boundaries so `TraceView` still reconstructs the two-level
+    /// schedule). A link admits a handed-off leg when it arrives, not at
+    /// `at.admitted`.
     ///
     /// # Errors
     /// Admission refusals and transport failures surface immediately;
     /// dispatch errors arrive through the returned [`PendingLeg`].
-    fn submit(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError>;
+    fn submit(&self, leg: LegAsk, at: Admission) -> Result<PendingLeg, ServeError>;
 
     /// [`ReplicaLink::submit`] for a leg of a scatter too small to be
     /// worth handing off (`router` module docs, "Where a leg runs"): a
     /// link that can answer on the calling thread without waiting for
-    /// anyone may, and returns the outcome as [`PendingLeg::Ready`]. The
-    /// in-process link does while its replica has a seat free; a busy
-    /// replica queues the leg as `submit` would, so this never waits
-    /// either. The default — right for any link that crosses a wire —
-    /// is `submit`.
+    /// anyone may, admitting the leg at `at.admitted` and appending a
+    /// draw's ids to `out`; the returned [`PendingLeg`] is then already
+    /// answered. The in-process link does while its replica has a seat
+    /// free ([`Client::answer`]); a busy replica queues the leg as
+    /// `submit` would, so this never waits either. A link that wraps
+    /// another passes `out` on to the inner link's `answer`. The
+    /// default — right for any link that crosses a wire — is `submit`.
     ///
     /// # Errors
     /// As [`ReplicaLink::submit`]; what a leg answered here ran into
     /// arrives through the returned [`PendingLeg`] all the same.
     fn answer(
         &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
-        self.submit(request, origin, deadline, ctx)
-    }
-
-    /// The seated door (`router` module docs, "Where a leg runs"): a
-    /// small scatter's `SampleWr` leg over `range`, run on the calling
-    /// thread with its ids appended to `out`, or declined. A link that
-    /// can run the leg here and now, as [`ReplicaLink::answer`] would,
-    /// does, admitting it at `at.admitted`, and returns `Ok(Some(outcome))`,
-    /// leaving `out` as it was unless the outcome is `Ok`; one that
-    /// cannot returns `Ok(None)` having done nothing, and the router
-    /// asks `answer` instead. The in-process link runs the leg while its
-    /// replica has a seat free
-    /// ([`iqs_serve::Client::sample_wr_seated`]). The default declines:
-    /// right for a link that crosses a wire, and for one that wraps
-    /// another, which must see every leg through `answer`.
-    ///
-    /// # Errors
-    /// Admission refusals, as [`ReplicaLink::answer`].
-    fn sample_wr_seated(
-        &self,
-        _range: Option<(f64, f64)>,
-        _s: u32,
-        _at: Admission,
+        leg: LegAsk,
+        at: Admission,
         _out: &mut Vec<u64>,
-    ) -> Result<Option<Result<(), ServeError>>, ServeError> {
-        Ok(None)
+    ) -> Result<PendingLeg, ServeError> {
+        self.submit(leg, at)
     }
 
     /// The replica's total sampling weight (the planner's cached-probe
@@ -176,37 +150,18 @@ impl LocalReplica {
 }
 
 impl ReplicaLink for LocalReplica {
-    fn submit(
-        &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
-        self.client.call_pending_ctx(request, origin, Some(deadline), ctx).map(PendingLeg::Local)
+    fn submit(&self, leg: LegAsk, at: Admission) -> Result<PendingLeg, ServeError> {
+        let request = leg.request(SHARD_INDEX);
+        self.client.call_pending_ctx(request, at.origin, at.deadline, at.ctx).map(PendingLeg::Local)
     }
 
     fn answer(
         &self,
-        request: Request,
-        origin: Instant,
-        deadline: Instant,
-        ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
-        Ok(match self.client.begin_ctx(request, origin, Some(deadline), ctx)? {
-            Begun::Done(outcome) => PendingLeg::Ready(Some(outcome)),
-            Begun::Queued(pending) => PendingLeg::Local(pending),
-        })
-    }
-
-    fn sample_wr_seated(
-        &self,
-        range: Option<(f64, f64)>,
-        s: u32,
+        leg: LegAsk,
         at: Admission,
         out: &mut Vec<u64>,
-    ) -> Result<Option<Result<(), ServeError>>, ServeError> {
-        self.client.sample_wr_seated(SHARD_INDEX, range, s, at, out)
+    ) -> Result<PendingLeg, ServeError> {
+        self.client.answer(SHARD_INDEX, leg, at, out).map(PendingLeg::Local)
     }
 
     fn total_weight(&self) -> Result<f64, ServeError> {

@@ -5,6 +5,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
+use iqs_obs::Ctx;
 use iqs_serve::{ExternalIndex, IndexRegistry, IoReport, ServerConfig};
 
 use super::*;
@@ -55,23 +56,25 @@ fn a_busy_local_replica_queues_an_answered_leg_instead_of_waiting() {
     indexes.register_external(SHARD_INDEX, Arc::new(held)).expect("fresh registry");
     let config = ServerConfig { workers: 1, ..ServerConfig::default() };
     let replica = LocalReplica::new(Server::start(indexes, config));
-    let leg = |s| Request::SampleWr { index: SHARD_INDEX.into(), range: None, s };
-    let now = Instant::now();
+    let leg = |s| LegAsk::SampleWr { x: 0.0, y: 1.0, s };
+    let now = iqs_testkit::ClockHandle::real().now();
     let deadline = now + std::time::Duration::from_secs(60);
+    let at = Admission { origin: now, admitted: now, deadline: Some(deadline), ctx: Ctx::none() };
+    let (mut first_ids, mut second_ids) = (Vec::new(), Vec::new());
     std::thread::scope(|scope| {
         // The first leg takes the replica's only seat, on its own
         // thread, and is held inside the index.
-        let first = scope.spawn(|| replica.answer(leg(1), now, deadline, Ctx::none()));
+        let first = scope.spawn(|| replica.answer(leg(1), at, &mut first_ids));
         entered.recv().unwrap();
         // Nobody has said `go`, so getting past this line at all is
         // the property: the second leg did not wait for the seat.
-        let second = replica.answer(leg(2), now, deadline, Ctx::none()).expect("admitted");
-        assert!(matches!(second, PendingLeg::Local(_)), "a busy replica queues the leg");
+        let second = replica.answer(leg(2), at, &mut second_ids).expect("admitted");
         go.send(()).unwrap();
         go.send(()).unwrap();
         let first = first.join().unwrap().expect("admitted");
-        assert!(matches!(first, PendingLeg::Ready(_)), "an idle replica answers in the call");
-        assert_eq!(first.wait_deadline(deadline), Some(Ok(Response::Samples(vec![7]))));
+        assert_eq!(first.wait_deadline(deadline), Some(Ok(Response::Samples(Vec::new()))));
         assert_eq!(second.wait_deadline(deadline), Some(Ok(Response::Samples(vec![7, 7]))));
     });
+    assert_eq!(first_ids, [7], "an idle replica answers in the call, into the buffer");
+    assert!(second_ids.is_empty(), "a busy replica queues the leg, whose reply carries the ids");
 }

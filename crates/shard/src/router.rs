@@ -50,17 +50,12 @@
 //! as it always was. The replica's `workers` cap, its admission checks
 //! and its seat streams are the same through either door.
 //!
-//! A small scatter's draw leg knocks first on a third door,
-//! [`crate::ReplicaLink::sample_wr_seated`], which runs the leg on the
-//! router's thread or declines having done nothing. An in-process replica
-//! with a seat free runs it there and then, exactly as `answer` would —
-//! the same admission, records, counters and seat stream — but appends
-//! the ids to a buffer the [`ClusterClient`] keeps for that leg, and
-//! admits the leg at the instant the scatter read the clock for its
-//! deadlines. Every other link declines (the default): a remote link, a
-//! wrapping one such as [`crate::FaultyLink`], a busy replica. The leg
-//! then goes through `answer` as before. Counts and scatters past the
-//! bound never knock on it.
+//! A local leg answered here draws its ids into a buffer the
+//! [`ClusterClient`] keeps for that leg, and is admitted at the instant
+//! the scatter read the clock for its deadlines. A link that answers a
+//! leg may write to the buffer and still fail the attempt (a
+//! [`crate::FaultyLink`] Delay past the deadline over a local replica), so
+//! the router clears the buffer before each attempt.
 //!
 //! # What a query keeps
 //!
@@ -111,7 +106,7 @@ use std::time::{Duration, Instant};
 use iqs_alias::{AliasRows, BuildScratch};
 use iqs_core::QueryError;
 use iqs_obs::{recorder, saturating_ns, Ctx, Phase, SlowEntry, SlowLog};
-use iqs_serve::{Admission, Request, Response, ServeError, Snapshot};
+use iqs_serve::{Admission, LegAsk, Response, ServeError, Snapshot};
 use iqs_testkit::ClockHandle;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -121,9 +116,7 @@ use crate::health::{Availability, HealthPolicy};
 use crate::link::{PendingLeg, ReplicaLink, ShardSpec};
 use crate::merge::{Counted, Sampled};
 use crate::metrics::{ClusterMetrics, ReplicaMetrics, RouterCounters};
-use crate::placement::{
-    build_shard, cut_points, split_point, Replica, ShardHandle, Topology, SHARD_INDEX,
-};
+use crate::placement::{build_shard, cut_points, split_point, Replica, ShardHandle, Topology};
 
 /// Rejection rounds `sample_wor` attempts before giving up on a
 /// pathologically skewed range.
@@ -228,52 +221,8 @@ struct Leg {
     weight: f64,
 }
 
-/// Where an attempt's answer comes from.
-enum Pending {
-    /// The link's reply, to be waited for.
-    Leg(PendingLeg),
-    /// What the seated door answered; on `Ok` the ids are in the leg's
-    /// kept buffer.
-    Drawn(Result<(), ServeError>),
-}
-
-/// An attempt in flight: its answer, the replica index, its deadline.
-type Attempt = (Pending, usize, Instant);
-
-/// What a gathered leg delivered.
-enum Delivered {
-    /// The reply that came over the link.
-    Reply(Response),
-    /// The seated door's draws, in the leg's kept buffer.
-    Drawn,
-}
-
-/// What a scatter leg asks of its shard. The [`Request`] (whose index
-/// name is an owned `String`) is built from this once per attempt and
-/// moved into the link, so only a failover pays for a second one.
-#[derive(Clone, Copy)]
-enum LegAsk {
-    SampleWr { x: f64, y: f64, s: u32 },
-    RangeCount { x: f64, y: f64 },
-}
-
-impl LegAsk {
-    fn request(self) -> Request {
-        let index = SHARD_INDEX.to_string();
-        match self {
-            LegAsk::SampleWr { x, y, s } => Request::SampleWr { index, range: Some((x, y)), s },
-            LegAsk::RangeCount { x, y } => Request::RangeCount { index, x, y },
-        }
-    }
-
-    /// The draw count the leg asks for (0 for counts).
-    fn planned(self) -> u64 {
-        match self {
-            LegAsk::SampleWr { s, .. } => u64::from(s),
-            LegAsk::RangeCount { .. } => 0,
-        }
-    }
-}
+/// An attempt in flight: its reply, the replica index, its deadline.
+type Attempt = (PendingLeg, usize, Instant);
 
 /// One leg of a scatter, as submit and gather see it: its shard is
 /// `shard_idx` of the topology the query loaded.
@@ -293,13 +242,14 @@ impl ScatterLeg {
     }
 }
 
-/// A scatter's legs and, leg by leg, its attempt in flight, what it
-/// delivered, and the buffer the seated door draws its ids into.
+/// A scatter's legs and, leg by leg, its attempt in flight, the reply
+/// it delivered, and the buffer a link answering it draws its ids into
+/// (a draw leg's ids are the buffer's, then the reply's).
 #[derive(Default)]
 struct Scatter {
     legs: Vec<ScatterLeg>,
     attempts: Vec<(Tried, Option<Attempt>)>,
-    replies: Vec<Option<Delivered>>,
+    replies: Vec<Option<Response>>,
     /// As long as the longest scatter yet, so a leg's buffer is as large
     /// as the most any leg in its place has drawn.
     ids: Vec<Vec<u64>>,
@@ -426,12 +376,13 @@ impl Inner {
     }
 
     /// Submits the leg to the first untried candidate replica that
-    /// accepts it. Refused submissions are charged as failures and
-    /// skipped. `now` is the instant the replicas'
-    /// availability is read at and the attempt's deadline counts from:
-    /// the scatter's start for a first attempt, a fresh clock read for a
-    /// failover. A leg the seated door runs is admitted at it, and its
-    /// ids land in `ids` (module docs, "Where a leg runs").
+    /// accepts it — through `answer` for an inline leg, `submit`
+    /// otherwise (module docs, "Where a leg runs"). Refused submissions
+    /// are charged as failures and skipped. `now` is the instant the
+    /// replicas' availability is read at, the attempt's deadline counts
+    /// from and an answered leg is admitted at: the scatter's start for a
+    /// first attempt, a fresh clock read for a failover. `ids` is the
+    /// leg's buffer, cleared before each attempt.
     fn try_submit(
         &self,
         topo: &Topology,
@@ -448,22 +399,13 @@ impl Inner {
             }
             let rep = &shard.replicas[ri];
             let deadline = now + self.config.scatter_deadline;
-            let leg_ctx = ctx.replica(ri);
-            let answer = || rep.link.answer(leg.ask.request(), origin, deadline, leg_ctx);
-            let submitted = match leg.ask {
-                LegAsk::SampleWr { x, y, s } if leg.inline => {
-                    let at =
-                        Admission { origin, admitted: now, deadline: Some(deadline), ctx: leg_ctx };
-                    match rep.link.sample_wr_seated(Some((x, y)), s, at, ids) {
-                        Ok(Some(drawn)) => Ok(Pending::Drawn(drawn)),
-                        Ok(None) => answer().map(Pending::Leg),
-                        Err(refused) => Err(refused),
-                    }
-                }
-                _ if leg.inline => answer().map(Pending::Leg),
-                _ => {
-                    rep.link.submit(leg.ask.request(), origin, deadline, leg_ctx).map(Pending::Leg)
-                }
+            let at =
+                Admission { origin, admitted: now, deadline: Some(deadline), ctx: ctx.replica(ri) };
+            ids.clear();
+            let submitted = if leg.inline {
+                rep.link.answer(leg.ask, at, ids)
+            } else {
+                rep.link.submit(leg.ask, at)
             };
             match submitted {
                 Ok(pending) => {
@@ -493,16 +435,11 @@ impl Inner {
         mut attempt: Option<Attempt>,
         origin: Instant,
         ids: &mut Vec<u64>,
-    ) -> Result<Option<Delivered>, ShardError> {
+    ) -> Result<Option<Response>, ShardError> {
         let (shard, ctx) = (&topo.shards[leg.shard_idx], leg.ctx);
         while let Some((pending, ri, deadline)) = attempt.take() {
             let rep = &shard.replicas[ri];
-            let outcome = match pending {
-                Pending::Leg(pending) => {
-                    pending.wait_deadline(deadline).map(|reply| reply.map(Delivered::Reply))
-                }
-                Pending::Drawn(drawn) => Some(drawn.map(|()| Delivered::Drawn)),
-            };
+            let outcome = pending.wait_deadline(deadline);
             if let Some(answer) =
                 outcome.as_ref().and_then(|r| r.as_ref().err()).and_then(typed_answer)
             {
@@ -511,16 +448,15 @@ impl Inner {
                 return Err(answer);
             }
             match outcome {
-                Some(Ok(delivered)) => {
+                Some(Ok(reply)) => {
                     self.note_success(rep, ctx, ri);
-                    let count = match &delivered {
-                        Delivered::Drawn => ids.len() as u64,
-                        Delivered::Reply(Response::Samples(reply)) => reply.len() as u64,
-                        Delivered::Reply(Response::Count(count)) => *count as u64,
-                        Delivered::Reply(_) => 0,
+                    let count = match &reply {
+                        Response::Samples(reply) => (ids.len() + reply.len()) as u64,
+                        Response::Count(count) => *count as u64,
+                        _ => 0,
                     };
                     recorder::emit(ctx.replica(ri), Phase::LegDone, count, 0);
-                    return Ok(Some(delivered));
+                    return Ok(Some(reply));
                 }
                 failed => {
                     let cause = if failed.is_some() { 3 } else { 4 };
@@ -568,7 +504,6 @@ impl Inner {
         sc.replies.clear();
         for (leg, ids) in sc.legs.iter_mut().zip(&mut sc.ids) {
             leg.inline = inline;
-            ids.clear();
             let mut tried = Tried::default();
             let attempt = self.try_submit(topo, leg, &mut tried, origin, now, ids);
             sc.attempts.push((tried, attempt));
@@ -1097,18 +1032,20 @@ impl ClusterClient {
         ));
         self.inner.scatter(&topo, sc, origin)?;
         // The first delivered leg's ids — the whole answer of a one-leg
-        // query — start the reply, and the later legs' are appended.
+        // query — start the reply, and the later legs' are appended: a
+        // reply's own buffer is moved in, a kept one copied.
         let mut out = Sampled { degraded: plan_degraded, trace: ctx.trace, ..Sampled::default() };
         let gathered = sc.legs.iter().zip(&mut sc.replies).zip(&sc.ids);
         for ((leg, reply), drawn) in gathered {
             let planned = leg.ask.planned() as usize;
             match reply.take() {
-                Some(Delivered::Reply(Response::Samples(ids))) if out.ids.is_empty() => {
+                Some(Response::Samples(ids)) if out.ids.is_empty() && drawn.is_empty() => {
                     out.ids = ids
                 }
-                Some(Delivered::Reply(Response::Samples(ids))) => out.absorb(Some(&ids), planned),
-                Some(Delivered::Drawn) if out.ids.is_empty() => out.ids = drawn.clone(),
-                Some(Delivered::Drawn) => out.absorb(Some(drawn), planned),
+                Some(Response::Samples(ids)) => {
+                    out.absorb(Some(drawn), planned);
+                    out.absorb(Some(&ids), planned);
+                }
                 _ => out.absorb(None, planned),
             }
         }
@@ -1186,7 +1123,7 @@ impl ClusterClient {
         let mut out = Counted { trace: ctx.trace, ..Counted::default() };
         for reply in sc.replies {
             out.absorb(match reply {
-                Some(Delivered::Reply(Response::Count(count))) => Some(count),
+                Some(Response::Count(count)) => Some(count),
                 _ => None,
             });
         }

@@ -52,12 +52,7 @@ fn cluster(seed: u64) -> (ShardedService, VirtualClock) {
 fn inject_step(plan: &FaultPlan, faults: &[Vec<Arc<FaultyLink>>], step: usize) {
     for (shard, links) in faults.iter().enumerate() {
         for (replica, link) in links.iter().enumerate() {
-            link.set(match plan.kind_at(step, shard, replica) {
-                None => FaultMode::Healthy,
-                Some((FaultKind::Down, _)) => FaultMode::Down,
-                Some((FaultKind::Error, _)) => FaultMode::Error,
-                Some((FaultKind::Delay, ms)) => FaultMode::Delay(Duration::from_millis(ms)),
-            });
+            link.set(FaultMode::from_plan(plan.kind_at(step, shard, replica)));
         }
     }
 }

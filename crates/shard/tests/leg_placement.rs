@@ -8,16 +8,16 @@
 //! leg by leg ([`ReplicaLink::submit`]).
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use iqs_core::QueryError;
-use iqs_obs::Ctx;
-use iqs_serve::{MetricsSnapshot, Request, Response, ServeError};
+use iqs_serve::{Admission, LegAsk, MetricsSnapshot, Response, ServeError};
 use iqs_shard::{PendingLeg, ReplicaLink, ShardConfig, ShardError, ShardSpec, ShardedService};
 
 /// A replica that answers every leg at once: `s` copies of its shard's
-/// number for a draw, 1 for a count — or, when scripted to, an error.
-/// It logs `(door, s)` per call, in call order.
+/// number for a draw, 1 for a count — or, when scripted to, an error. A
+/// draw it is asked to answer lands in the leg's buffer, as an in-process
+/// replica's does; one handed off comes back in the reply. It logs
+/// `(door, s)` per call, in call order.
 struct ScriptedLink {
     shard: u64,
     fail_with: Option<ServeError>,
@@ -25,36 +25,41 @@ struct ScriptedLink {
 }
 
 impl ScriptedLink {
-    fn reply(&self, door: &'static str, request: &Request) -> Result<PendingLeg, ServeError> {
-        let (s, ok) = match request {
-            Request::SampleWr { s, .. } => (*s, Response::Samples(vec![self.shard; *s as usize])),
-            Request::RangeCount { .. } => (0, Response::Count(1)),
-            other => panic!("the router sent {other:?}"),
+    fn reply(
+        &self,
+        door: &'static str,
+        leg: LegAsk,
+        out: Option<&mut Vec<u64>>,
+    ) -> Result<PendingLeg, ServeError> {
+        self.calls.lock().unwrap().push((door, leg.planned() as u32));
+        if let Some(e) = &self.fail_with {
+            let e = e.clone();
+            return Ok(PendingLeg::deferred(move |_| Some(Err(e))));
+        }
+        let ok = match (leg, out) {
+            (LegAsk::SampleWr { s, .. }, Some(out)) => {
+                out.resize(s as usize, self.shard);
+                Response::Samples(Vec::new())
+            }
+            (LegAsk::SampleWr { s, .. }, None) => Response::Samples(vec![self.shard; s as usize]),
+            (LegAsk::RangeCount { .. }, _) => Response::Count(1),
         };
-        self.calls.lock().unwrap().push((door, s));
-        Ok(PendingLeg::Ready(Some(self.fail_with.clone().map_or(Ok(ok), Err))))
+        Ok(PendingLeg::deferred(move |_| Some(Ok(ok))))
     }
 }
 
 impl ReplicaLink for ScriptedLink {
-    fn submit(
-        &self,
-        request: Request,
-        _origin: Instant,
-        _deadline: Instant,
-        _ctx: Ctx,
-    ) -> Result<PendingLeg, ServeError> {
-        self.reply("submit", &request)
+    fn submit(&self, leg: LegAsk, _at: Admission) -> Result<PendingLeg, ServeError> {
+        self.reply("submit", leg, None)
     }
 
     fn answer(
         &self,
-        request: Request,
-        _origin: Instant,
-        _deadline: Instant,
-        _ctx: Ctx,
+        leg: LegAsk,
+        _at: Admission,
+        out: &mut Vec<u64>,
     ) -> Result<PendingLeg, ServeError> {
-        self.reply("answer", &request)
+        self.reply("answer", leg, Some(out))
     }
 
     fn total_weight(&self) -> Result<f64, ServeError> {

@@ -13,10 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use iqs_obs::Ctx;
-use iqs_serve::{Request, Response, ServeError};
+use iqs_serve::{Admission, LegAsk, Response, ServeError};
 use iqs_shard::{
     ClusterMetrics, FaultMode, FaultyLink, HealthPolicy, PendingLeg, ReplicaLink, ShardConfig,
-    ShardError, ShardedService, SHARD_INDEX,
+    ShardError, ShardedService,
 };
 use iqs_testkit::VirtualClock;
 
@@ -201,28 +201,66 @@ fn a_faulty_link_fails_the_way_a_replica_does() {
     let svc = ShardedService::new(elements(10), config).expect("build");
     let link = &FaultyLink::wrap_all(&svc)[0][0];
     let (now, deadline) = (vc.now(), vc.now() + Duration::from_millis(100));
-    let leg = || Request::SampleWr { index: SHARD_INDEX.into(), range: None, s: 3 };
+    let leg = LegAsk::SampleWr { x: 0.0, y: 9.0, s: 3 };
+    let at = Admission { origin: now, admitted: now, deadline: Some(deadline), ctx: Ctx::none() };
     let run = |pending: Result<PendingLeg, ServeError>| pending.map(|p| p.wait_deadline(deadline));
+    let mut out = Vec::new();
     for refusing in [FaultMode::Down, FaultMode::Error] {
         link.set(refusing);
         let refused = ServeError::ShuttingDown;
-        assert_eq!(run(link.submit(leg(), now, deadline, Ctx::none())), Err(refused.clone()));
-        assert_eq!(run(link.answer(leg(), now, deadline, Ctx::none())), Err(refused.clone()));
+        assert_eq!(run(link.submit(leg, at)), Err(refused.clone()));
+        assert_eq!(run(link.answer(leg, at, &mut out)), Err(refused.clone()));
         assert_eq!(link.total_weight(), Err(refused.clone()));
         assert_eq!(link.range_weight(0.0, 9.0), Err(refused));
     }
     assert_eq!(vc.elapsed(), Duration::ZERO, "a refusal burns no time");
+    assert!(out.is_empty(), "a refused leg draws nothing");
     link.set(FaultMode::Delay(Duration::from_millis(30)));
-    let drawn = run(link.submit(leg(), now, deadline, Ctx::none()));
+    let drawn = run(link.submit(leg, at));
     assert!(matches!(drawn, Ok(Some(Ok(Response::Samples(ids)))) if ids.len() == 3));
     assert_eq!(vc.elapsed(), Duration::from_millis(30));
     link.set(FaultMode::Delay(Duration::from_secs(10)));
-    assert_eq!(run(link.answer(leg(), now, deadline, Ctx::none())), Ok(None));
+    assert_eq!(run(link.answer(leg, at, &mut out)), Ok(None));
     assert_eq!(vc.elapsed(), Duration::from_millis(100));
+    // The answered leg ran on this thread, into the buffer, before its
+    // delay timed the attempt out.
+    assert_eq!(out.len(), 3);
     // Only the two delayed legs reached the replica, one through each door.
     assert_eq!(link.metrics().completed, 2);
     link.set(FaultMode::Healthy);
     assert_eq!(link.total_weight(), Ok(svc.total_weight()));
+}
+
+/// A Delay past the attempt's budget over an in-process replica that
+/// answers a leg on the router's thread: the replica has drawn into the
+/// leg's buffer by the time the attempt times out, and the router fails
+/// over. The reply must hold exactly what the next replica drew — the
+/// ids it draws when the first replica refuses outright — so the timed
+/// out attempt's ids must have been cleared, not kept.
+#[test]
+fn a_leg_that_drew_and_then_timed_out_keeps_only_the_next_attempt() {
+    let run = |mode| {
+        let vc = VirtualClock::new();
+        let config = ShardConfig {
+            shards: 1,
+            replicas: 2,
+            scatter_deadline: Duration::from_millis(50),
+            clock: vc.handle(),
+            ..ShardConfig::default()
+        };
+        let svc = ShardedService::new(elements(64), config).expect("build");
+        FaultyLink::wrap_all(&svc)[0][0].set(mode);
+        let drawn = svc.client().sample_wr(None, 32).expect("fails over");
+        let m = svc.metrics();
+        (drawn, m.router.failovers, m.replicas[0].serve.completed)
+    };
+    let (stalled, failovers, drew) = run(FaultMode::Delay(Duration::from_secs(10)));
+    assert_eq!((failovers, drew), (1, 1), "replica 0 drew, then its attempt timed out");
+    assert!(!stalled.degraded);
+    assert_eq!(stalled.ids.len(), 32);
+    let (refused, failovers, drew) = run(FaultMode::Down);
+    assert_eq!((failovers, drew), (1, 0));
+    assert_eq!(stalled.ids, refused.ids, "the reply is replica 1's draws alone");
 }
 
 /// Shard split and merge while reads hammer the cluster: zero failed

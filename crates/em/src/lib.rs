@@ -22,6 +22,12 @@
 //!   keys, `O((n/B) log_{M/B}(n/B))` I/Os: runs are formed by a stable
 //!   LSD radix sort in buffers kept from run to run, and merged through a
 //!   heap of `(key, run)` heads;
+//! * [`external_shuffle`] — a uniform random permutation of a stream of
+//!   items onto the disk, in fewer transfers than the sort by random
+//!   keys it replaces: one Fisher–Yates pass and one sequential write
+//!   (`⌈n/B⌉` writes, no read) when the items fit in memory, else
+//!   Rao–Sandelius scatters into random buckets of sizes fixed in
+//!   advance;
 //! * [`SamplePool`] — Section 8's set-sampling structure: `n` pre-drawn WR
 //!   samples consumed sequentially and rebuilt (by sorting) on exhaustion;
 //!   amortized `O((1/B) log_{M/B}(n/B))` I/Os per sample, matching the
@@ -34,7 +40,9 @@
 //! * [`EmWeightedRangeSampler`] — a Direction-2 exploration: the natural
 //!   *weighted* generalization (the paper lists worst-case weighted EM
 //!   range sampling as open), measured to match the conjectured
-//!   amortized shape on our workloads.
+//!   amortized shape on our workloads. Its pools are permuted by
+//!   [`external_shuffle`], not sorted: i.i.d. draws need a random order,
+//!   not a sorted one.
 //!
 //! The three samplers are one structure at three sizes: the chunk
 //! directory, the supernode hierarchy and the pool lifecycle are written
@@ -53,8 +61,8 @@
 //! split buffers, the canonical node list, a pool build's chunk — and a
 //! [`RangePlan`] is filled in place, its cut pieces copied from a
 //! chunk between two binary searches: after its first queries, a cold
-//! draw allocates only in a pool build, for the arrays it writes and
-//! the external sort's buffers.
+//! draw allocates only in a pool build, for the draws that become the
+//! pool and, past `M` of them, the shuffle's buckets.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -69,5 +77,5 @@ mod weighted;
 pub use machine::{EmArray, EmMachine, IoStats, IoStatsDiffError};
 pub use rangesampler::{EmRangeSampler, NaiveEmRangeSampler};
 pub use samplepool::{NaiveEmSampler, SamplePool};
-pub use sort::external_sort;
+pub use sort::{external_shuffle, external_sort};
 pub use weighted::{EmWeightedRangeSampler, RangePlan};

@@ -357,15 +357,20 @@ impl EmMachine {
             pool.next_array += 1;
             id
         };
-        // One array item occupies `size_of::<T>() / 8` words.
-        let words_per_item = std::mem::size_of::<T>().div_ceil(8).max(1);
         EmArray {
             machine: self.clone(),
             id,
             len: items.len(),
-            items_per_block: (self.block_words / words_per_item).max(1),
+            items_per_block: self.items_per_block::<T>(),
             data: Mutex::new(items),
         }
+    }
+
+    /// Items of `T` one block holds: an item occupies
+    /// `⌈size_of::<T>() / 8⌉` words, and a block at least one item.
+    pub(crate) fn items_per_block<T>(&self) -> usize {
+        let words_per_item = std::mem::size_of::<T>().div_ceil(8).max(1);
+        (self.block_words / words_per_item).max(1)
     }
 }
 
@@ -462,6 +467,16 @@ impl<T: Copy> EmArray<T> {
         let end = start + items.len();
         self.touch_run(start, end, true, true);
         self.data()[start..end].copy_from_slice(items);
+    }
+
+    /// Sequential append of `items` after the array's last item, charged
+    /// as [`EmArray::write_fresh`] charges a run: how a scatter pass
+    /// writes a bucket whose length it learns only as items arrive.
+    pub(crate) fn append(&mut self, items: &[T]) {
+        let start = self.len;
+        self.data.get_mut().expect("EM array contents poisoned").extend_from_slice(items);
+        self.len += items.len();
+        self.touch_run(start, self.len, true, true);
     }
 
     /// Marks the blocks of the run `[start, end)` dirty without a read

@@ -22,10 +22,12 @@
 //! element ids; an in-memory directory stores each chunk's minimum key
 //! and total weight (`O(n/B)` words — index navigation metadata); the
 //! supernodes carry lazily built pools of *weighted* `(key, id)` samples
-//! from their chunk ranges. The id column lets the serving tier resolve a
-//! drawn key back to the element it identifies without an extra
-//! random-access lookup: ids ride along in the same sequential passes
-//! that build and consume the pools.
+//! from their chunk ranges, drawn chunk by chunk and permuted into a
+//! uniformly random order by [`external_shuffle`] (a build of `k ≤ M`
+//! samples reads the node's chunks and writes `⌈k/B⌉` blocks). The id
+//! column lets the serving tier resolve a drawn key back to the element
+//! it identifies without an extra random-access lookup: ids ride along
+//! in the same sequential passes that build and consume the pools.
 
 use std::ops::Range;
 
@@ -34,7 +36,7 @@ use rand::Rng;
 
 use crate::chunktree::{key_run, ChunkDir, ChunkTree, Cover, Pools};
 use crate::machine::{EmArray, EmMachine};
-use crate::sort::external_sort;
+use crate::sort::external_shuffle;
 
 /// One stored element: `(key, weight, id)`.
 type Item = (f64, f64, u64);
@@ -127,7 +129,8 @@ pub struct EmWeightedRangeSampler {
     pools: Pools<(f64, u64)>,
     /// The buffers a draw and its pool builds fill, kept from query to
     /// query: after the first queries, a draw allocates only in a pool
-    /// build, for the arrays it writes and the external sort's buffers.
+    /// build, for the draws that become the pool and, past `M` of them,
+    /// the shuffle's buckets.
     /// Boxed, so the sampler stays small to move.
     scratch: Box<Scratch>,
 }
@@ -178,9 +181,10 @@ impl Items {
     /// Builds node `u`'s pool — `count` *weighted* `(key, id)` samples
     /// from its chunk range: an in-memory pass over chunk weights decides
     /// per-chunk demands; one sequential pass over the chunks with a
-    /// demand draws within-chunk weighted samples; an external sort
-    /// randomizes the pool order so consumption order is independent of
-    /// chunk order.
+    /// demand draws within-chunk weighted samples; an external shuffle
+    /// permutes them into the pool, so consumption order is independent
+    /// of chunk order. The draws are i.i.d. given the demands, so a
+    /// uniform permutation is all the pool needs: no key orders it.
     fn build_weighted_pool<R: Rng + ?Sized>(
         &self,
         u: u32,
@@ -196,27 +200,18 @@ impl Items {
         let masses = &self.chunk_weight[clo..chi];
         split_counts(masses, self.tree.mass(u), count, rng, prefix, demand);
         // Sequential pass: per chunk (all of it: keys are finite), in-memory
-        // weighted draws, staged in the buffer that becomes the array.
-        let mut staged: Vec<(u64, f64, u64)> = Vec::with_capacity(count);
+        // weighted draws, staged in chunk order in the buffer the shuffle
+        // permutes into the pool.
+        let mut drawn = Vec::with_capacity(count);
         for (i, &d) in demand.iter().enumerate() {
             if d == 0 {
                 continue;
             }
             self.read_piece(clo + i, f64::NEG_INFINITY, f64::INFINITY, piece);
-            for _ in 0..d {
-                let (key, id) = piece.pick(rng);
-                staged.push((rng.random::<u64>(), key, id)); // random sort key
-            }
+            drawn.extend((0..d).map(|_| piece.pick(rng)));
         }
-        debug_assert_eq!(staged.len(), count);
-        let staged_arr = self.machine.array_from(staged);
-        // The sequential write pass, then randomize consumption order.
-        staged_arr.mark_written(0, count);
-        let shuffled = external_sort(&self.machine, staged_arr, |p| p.0);
-        let pool = self.machine.array_from(vec![(0.0f64, 0u64); count]);
-        shuffled.emit_into(&pool, |(_, key, id)| (key, id));
-        shuffled.discard();
-        pool
+        debug_assert_eq!(drawn.len(), count);
+        external_shuffle(&self.machine, drawn, rng)
     }
 
     fn plan(&self, x: f64, y: f64, plan: &mut RangePlan) {

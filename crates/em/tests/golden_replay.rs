@@ -299,14 +299,14 @@ const GOLDEN: &[(&str, &str)] = &[
     ("sample_pool/B16/M64", "samples=[198,77,165,128,148,110,190,59,22,266,260,245,159,80,10,284,304,317,74,205,120,290,61,213,245,143,307,284,324,188,0,258] sums=[aab15c1d9492c61b 7fe85e882fb92aaf 74a282032198057f] io=[513/511/326/1026 522/513/326/1035 530/513/327/1043 1053/1026/654/2079] rebuilds=[0, 0, 1]"),
     ("range_sampler/B64/M512", "samples=[125,88,124,74,89,74,104,74,90,123,68,83,120,107,112,100,95,123,87,72,69,67,76,75,95,116,116,120,83,84,67,180,19,24,11,11,14,10,30,10] sums=[4486a6906acd1eca 87b365d71e5f3f5b 4fcb5aad29006ed3] io=[0/0/0/0 431/387/3504/975 799/739/5604/1727 1164/1089/7415/2440 1165/1089/7415/2441] rebuilds=[16, 21, 24, 24]"),
     ("range_sampler/B16/M64", "samples=[24,22,23,23,27,29,28,21,50,47,40,41,52,40,57,40,37,51,63,32,43,53,78,113,83,84,101,83,77,67,118,77,7,5,4,4,8,3,3,3] sums=[a4f06b4ff34fde91 21d650e8fdeb5b43 39f9b8439acd696d] io=[0/0/0/0 657/589/835/1311 1185/1114/1347/2365 1797/1692/1859/3553 1798/1692/1859/3554] rebuilds=[15, 20, 24, 24]"),
-    ("weighted_query/B64/M512", "samples=[38,57,59,49,46,53,54,47,1984,89,68,73,87,119,89,115,127,87,68,67,113,85,66,91,124,104,126,84,123,71,119,84,13,3,8,11,13,13,2,13] sums=[ef495b1aec9de6ef 9f5e0b50aeab9f87 581d35a88da98f8c] io=[0/0/0/0 347/181/366/616 658/446/547/1207 750/497/585/1356 752/497/585/1358] rebuilds=[15, 22, 24, 24]"),
-    ("weighted_query/B16/M64", "samples=[11,29,27,16,17,29,27,27,42,38,44,48,59,36,52,54,38,59,58,59,40,49,39,42,41,44,54,69,122,111,65,104,1,2,2,1,1,4,2,3] sums=[ec22c79e65a290ee ea44bf099ef17dfe 4201c7cb1e11a4ab] io=[0/0/0/0 407/255/222/695 884/668/373/1589 1023/773/427/1833 1025/773/427/1835] rebuilds=[13, 20, 24, 24]"),
-    ("weighted_plan_draw/B64/M512", "samples=[99883,99880,99841,99892,99838,99841,99853,99844,99856,99823,99814,99868,99853,99877,99829,99778,99796,99727,99757,99778,99643,99736,99652,99643,99622,99760,99643,99637,99808,99763,99808,99778,99958,99958,99961,99988,99994,99982,99991,99952] sums=[663b4c81add2a838 87a0eabf8343baed 07bde7b7d1b9250c] io=[0/0/0/0 4/0/0/4 344/179/362/608 348/179/362/612 698/477/574/1286 702/477/574/1290 747/496/599/1353 749/496/599/1355] rebuilds=[15, 23, 24, 24]"),
-    ("weighted_plan_draw/B16/M64", "samples=[99961,99943,99925,99928,99940,99937,99916,99949,99937,99928,99919,99913,99949,99844,99853,99856,99898,99817,99814,99871,99886,99904,99844,99799,99808,99628,99754,99688,99631,99619,99658,99634,99994,99988,99994,99988,99991,99991,99988,99991] sums=[2a47e06428ac0d1f abf96d8e534ea259 0172adfc8e232514] io=[0/0/0/0 4/0/0/4 445/281/252/763 449/282/252/767 838/627/395/1502 842/628/395/1506 1031/774/441/1841 1033/774/441/1843] rebuilds=[15, 23, 24, 24]"),
-    ("weighted_zipf/B64/M512", "samples=[288,281,288,365,288,288,288,442,281,288,288,288,246,288,288,694,806,694,659,568,652,659,554,890,806,666,505,890,1541,1632,1422,1471,6,12,8,7,8,7,16,11] sums=[a0d7a821808d4810 412d6c24d2353886 b1789fdf74b5722b] io=[0/0/0/0 1836/1035/927/2949 3290/2230/1483/5609 4163/2934/1819/7190 4165/2934/1819/7192] rebuilds=[18, 27, 34, 34]"),
-    ("weighted_zipf/B16/M64", "samples=[14225,155,211,155,113,155,155,190,190,155,155,281,708,512,631,512,883,624,498,883,806,785,673,1506,1254,939,1121,1254,1135,1254,1254,1254,1,1,1,1,1,1,2,4] sums=[40739364f84d8e72 ccf6cb2edd43a7b0 bac6488e0ae7a6c9] io=[0/0/0/0 1708/1180/509/2921 3491/2687/938/6215 6115/5102/1497/11253 6117/5102/1497/11255] rebuilds=[17, 27, 33, 33]"),
-    ("weighted_covered/B64/M512", "samples=[95809,94954,99952,97171,99481,95617,94741,95497,98227,95368,96802,94159,93943,94651,94513,97465,97159,96703,98683,96334,96682,98032,95209,99235,93904,97039,99286,99367,98308,98722,97879,98272] sums=[6bfbb6e4f9a43820 3941d5540c554bae 0afbb4cc1634fc58] io=[0/0/0/0 0/0/0/0 312/135/126/450 312/135/126/450 421/164/261/631 423/164/261/633 571/249/392/892] rebuilds=[1, 6, 12]"),
-    ("weighted_covered/B16/M64", "samples=[99004,99733,99814,98968,99427,99346,99094,98518,99418,98548,99799,98986,98599,99781,98698,99622,99178,99742,98575,99301,99064,99613,99193,99202,99058,98689,99676,98653,99310,99091,99766,98821] sums=[27ddff8604f18fea 10a33b18687232e1 169b2526240256b2] io=[0/0/0/0 0/0/0/0 353/206/88/559 353/206/88/559 483/267/190/773 485/267/190/775 674/392/277/1099] rebuilds=[1, 7, 12]"),
+    ("weighted_query/B64/M512", "samples=[38,57,59,49,46,53,54,47,1984,121,69,97,73,89,114,87,74,103,73,99,65,117,84,98,78,90,119,66,79,87,91,92,6,7,3,6,11,2,14,8] sums=[abaf2e44301fe9da c0b48b8eb1b49fe0 186a9d780151e47d] io=[0/0/0/0 237/47/157/292 378/126/191/516 427/135/201/575 429/137/201/577] rebuilds=[15, 22, 24, 24]"),
+    ("weighted_query/B16/M64", "samples=[11,27,31,24,26,17,22,21,46,43,38,42,58,48,38,62,36,59,52,52,49,54,61,54,47,44,49,118,71,109,121,89,3,3,2,3,2,1,4,4] sums=[fa21b61527790d3b 65d2c457cdab0791 ba925cca296c5c75] io=[0/0/0/0 228/63/98/293 395/169/131/567 481/207/148/693 483/207/148/695] rebuilds=[13, 19, 24, 24]"),
+    ("weighted_plan_draw/B64/M512", "samples=[99883,99880,99841,99892,99838,99841,99853,99844,99856,99823,99814,99868,99853,99877,99829,99661,99769,99763,99667,99772,99796,99727,99778,99703,99808,99793,99781,99787,99646,99628,99808,99646,99952,99952,99964,99997,99982,99973,99967,99976] sums=[2386df9b823cb3c4 ad0812d982e2231c d3ef0ce0a5864880] io=[0/0/0/0 4/0/0/4 237/45/157/291 241/47/157/295 388/131/201/532 392/133/201/536 431/139/209/579 433/139/209/581] rebuilds=[15, 23, 24, 24]"),
+    ("weighted_plan_draw/B16/M64", "samples=[99961,99922,99943,99916,99928,99934,99940,99928,99913,99943,99907,99937,99949,99868,99844,99889,99853,99883,99877,99862,99850,99901,99871,99688,99688,99691,99661,99802,99763,99631,99787,99619,99994,99991,99991,99988,99994,99988,99988,99991] sums=[efc1756b2cfe26cf a8891c937b377f79 62df9fddf31419cc] io=[0/0/0/0 4/0/0/4 242/67/107/312 246/68/107/316 366/135/134/508 370/138/134/512 484/205/158/696 486/205/158/698] rebuilds=[15, 20, 24, 24]"),
+    ("weighted_zipf/B64/M512", "samples=[288,281,288,365,288,288,288,442,281,288,288,288,246,288,288,568,659,638,659,778,554,855,841,505,806,554,736,554,1233,1387,946,1716,11,4,16,15,11,7,2,7] sums=[d1a4b4daaf9b82fd 46857e851e6f5f64 1cf870ec2e378feb] io=[0/0/0/0 1133/299/414/1441 1829/753/586/2617 2218/962/666/3222 2220/963/666/3224] rebuilds=[18, 27, 35, 35]"),
+    ("weighted_zipf/B16/M64", "samples=[14225,155,190,155,155,155,155,155,155,155,155,267,708,883,540,722,806,659,512,624,589,820,855,1520,939,939,1254,1163,1548,1254,1135,1520,1,3,1,1,3,1,2,3] sums=[f91ea6241f1fefa2 2404f4f722df0e5e f5ec8db486c64747] io=[0/0/0/0 874/343/173/1229 1686/872/272/2578 2848/1812/386/4692 2850/1812/386/4694] rebuilds=[17, 26, 34, 34]"),
+    ("weighted_covered/B64/M512", "samples=[98185,98224,100000,95578,98473,99241,96292,99211,94528,97666,98557,97819,95278,98332,94084,94669,94153,94243,97603,96661,94726,97159,98059,94240,97387,96454,96361,94891,94231,94858,98668,99133] sums=[3499d0bb58470099 e17bd27722374405 822697290fa017c6] io=[0/0/0/0 0/0/0/0 209/34/73/249 209/34/73/249 314/50/135/370 316/50/135/372 411/69/191/491] rebuilds=[1, 6, 12]"),
+    ("weighted_covered/B16/M64", "samples=[99043,99004,99400,99046,99763,99493,98971,99814,99988,98698,99274,99613,98476,99793,99265,99763,99223,99760,99343,99670,98575,99097,99172,99343,98590,99553,99313,99196,99001,99571,98686,99253] sums=[6487f5227253b0ba a48189c2d59f891b bda76510c5d76b07] io=[0/0/0/0 0/0/0/0 209/61/43/273 209/61/43/273 301/77/89/383 303/77/89/385 397/106/127/510] rebuilds=[1, 7, 12]"),
 ];
 
 #[test]

@@ -65,7 +65,9 @@
 //! per-leg ids — and a leg borrows its shard from the topology the query
 //! loaded instead of holding it. So a small in-process draw allocates
 //! nothing on the router's side but the reply's own ids, which grow as
-//! they always did: the first leg's ids, then the others' appended.
+//! they always did: the first leg's ids, then the others' appended. A
+//! count, asked alone or as `sample_wor`'s first pass, runs in the same
+//! kept scatter.
 //! The topology itself is loaded per query (one lock and one reference
 //! count): a client that kept it would keep a shard that a rebalance
 //! retired, and its replicas' servers, alive.
@@ -975,7 +977,7 @@ impl ClusterClient {
     /// # Errors
     /// A healthy replica's typed refusal of the count itself (e.g.
     /// [`ShardError::Serve`] for an index type that cannot count).
-    pub fn range_count(&self, x: f64, y: f64) -> Result<Counted, ShardError> {
+    pub fn range_count(&mut self, x: f64, y: f64) -> Result<Counted, ShardError> {
         let ctx = Ctx::query(recorder::next_trace_id());
         let origin = self.inner.config.clock.now();
         let result = self.route_range_count(x, y, origin, ctx);
@@ -1108,20 +1110,22 @@ impl ClusterClient {
     }
 
     fn route_range_count(
-        &self,
+        &mut self,
         x: f64,
         y: f64,
         origin: Instant,
         ctx: Ctx,
     ) -> Result<Counted, ShardError> {
         let topo = self.inner.topo.load();
-        let legs = topo
-            .overlapping(x, y)
-            .map(|idx| ScatterLeg::new(idx, LegAsk::RangeCount { x, y }, ctx.shard(idx)));
-        let mut sc = Scatter { legs: legs.collect(), ..Scatter::default() };
-        self.inner.scatter(&topo, &mut sc, origin)?;
+        let sc = &mut self.scatter;
+        sc.legs.clear();
+        sc.legs.extend(
+            topo.overlapping(x, y)
+                .map(|idx| ScatterLeg::new(idx, LegAsk::RangeCount { x, y }, ctx.shard(idx))),
+        );
+        self.inner.scatter(&topo, sc, origin)?;
         let mut out = Counted { trace: ctx.trace, ..Counted::default() };
-        for reply in sc.replies {
+        for reply in sc.replies.drain(..) {
             out.absorb(match reply {
                 Some(Response::Count(count)) => Some(count),
                 _ => None,

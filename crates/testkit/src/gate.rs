@@ -48,6 +48,7 @@ pub const MANIFEST: &[&str] = &[
     "range_samplers_chi_square",
     "batch_api_chi_square",
     "em_vs_ram_distribution",
+    "em_shuffle_uniform",
     "spatial_sampling_distributions",
     "weighted_spatial_chi_square",
     "successive_queries_g_test",
